@@ -6,7 +6,7 @@
 //! records; one carrying `(executable=...)` is a job submission; a
 //! specification with both is rejected as ambiguous.
 
-use infogram_exec::gram::{dispatch_job_request, ConnCtx, RequestDispatcher};
+use infogram_exec::gram::{self, ConnCtx, RequestDispatcher};
 use infogram_exec::JobEngine;
 use infogram_info::service::{InfoServiceError, InformationService, QueryOptions};
 use infogram_info::{OutboxSink, QueryError, RefreshScheduler, SubscriptionHub, JOBS_KEYWORD};
@@ -257,56 +257,51 @@ impl InfoGramDispatcher {
 impl RequestDispatcher for InfoGramDispatcher {
     fn dispatch(&self, owner: &str, account: &str, request: Request, ctx: &mut ConnCtx) -> Reply {
         let start = self.engine.clock().now();
-        // Jobs, status, cancel, ping: identical to GRAM.
-        if let Some(reply) = dispatch_job_request(&self.engine, owner, account, &request, ctx) {
-            let kind = match &request {
-                Request::Submit { .. } => &self.job,
-                Request::Status { .. } => &self.status,
-                Request::Cancel { .. } => &self.cancel,
-                Request::Ping => &self.ping,
-            };
-            return self.observe(kind, start, reply);
-        }
-        // What remains is a Submit that is an info query, a subscription
-        // action, or empty/bad — everything below is accounted under
-        // `dispatch.info` or `dispatch.subscribe`.
-        let Request::Submit { rsl, .. } = &request else {
-            unreachable!("dispatch_job_request answers everything but info submits");
-        };
-        let req = match XrslRequest::from_text(rsl) {
-            Ok(r) => r,
-            Err(e) => {
-                return self.observe(
-                    &self.info_kind,
-                    start,
-                    Reply::Error {
-                        code: codes::BAD_RSL,
-                        message: e.to_string(),
-                    },
-                )
-            }
-        };
-        match req.action {
-            RequestAction::Subscribe => {
-                let reply = self.dispatch_subscribe(owner, account, &req, ctx);
-                return self.observe(&self.sub_kind, start, reply);
-            }
-            RequestAction::Unsubscribe => {
-                let reply = self.dispatch_unsubscribe(&req, ctx);
-                return self.observe(&self.sub_kind, start, reply);
-            }
-            RequestAction::None => {}
-        }
-        let reply = match req.kind() {
-            RequestKind::Info => self.dispatch_info(owner, account, &req),
-            RequestKind::Empty => Reply::Error {
-                code: codes::BAD_RSL,
-                message: "specification has neither (executable=) nor (info=)".to_string(),
+        let engine = &*self.engine;
+        let (kind, reply) = match request {
+            // The one parse; a text it refuses is charged to
+            // `dispatch.job`, as is everything with a job half.
+            Request::Submit { rsl, callback } => match gram::parse_submit(&rsl) {
+                Err(refusal) => (&self.job, refusal),
+                Ok(req) => match (req.kind(), req.action) {
+                    // Jobs: identical to GRAM.
+                    (RequestKind::Job, _) => (
+                        &self.job,
+                        gram::submit_job(engine, owner, account, &rsl, req, callback, ctx),
+                    ),
+                    (RequestKind::Both, _) => (&self.job, gram::ambiguous_request()),
+                    (_, RequestAction::Subscribe) => (
+                        &self.sub_kind,
+                        self.dispatch_subscribe(owner, account, &req, ctx),
+                    ),
+                    (_, RequestAction::Unsubscribe) => {
+                        (&self.sub_kind, self.dispatch_unsubscribe(&req, ctx))
+                    }
+                    (RequestKind::Info, RequestAction::None) => {
+                        (&self.info_kind, self.dispatch_info(owner, account, &req))
+                    }
+                    (RequestKind::Empty, RequestAction::None) => (
+                        &self.info_kind,
+                        Reply::Error {
+                            code: codes::BAD_RSL,
+                            message: "specification has neither (executable=) nor (info=)"
+                                .to_string(),
+                        },
+                    ),
+                },
             },
-            // Job/Both were already answered by dispatch_job_request.
-            _ => unreachable!("job kinds handled earlier"),
+            // Status, cancel, ping: identical to GRAM.
+            Request::Status { handle } => (
+                &self.status,
+                gram::job_status(engine, owner, account, handle),
+            ),
+            Request::Cancel { handle } => (
+                &self.cancel,
+                gram::job_cancel(engine, owner, account, handle),
+            ),
+            Request::Ping => (&self.ping, Reply::Pong),
         };
-        self.observe(&self.info_kind, start, reply)
+        self.observe(kind, start, reply)
     }
 
     fn connection_closed(&self, ctx: &mut ConnCtx) {
@@ -552,6 +547,133 @@ mod tests {
             Arc::from(listener.accept().unwrap());
         let outbox = infogram_proto::Outbox::new(server, 32);
         (ConnCtx::new(outbox), client)
+    }
+
+    /// A reply reduced to what routing decides: its tag, plus the code
+    /// and message of an error.
+    fn shape(reply: &Reply) -> String {
+        match reply {
+            Reply::Error { code, message } => format!("Error {code}: {message}"),
+            Reply::JobAccepted { .. } => "JobAccepted".to_string(),
+            Reply::InfoResult { record_count, .. } => format!("InfoResult {record_count}"),
+            Reply::Subscribed { count, .. } => format!("Subscribed {count}"),
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// Every way a `Submit` can be routed, through both dispatchers:
+    /// `(xRSL, InfoGram reply, dispatch counter that moved, GRAM reply)`.
+    /// A reply expectation is a prefix of [`shape`]. Written from the
+    /// behaviour before parse-once routing, which it pins — except the
+    /// one-branch `+` info query, see there.
+    #[test]
+    fn routing_table() {
+        const GRAM_ONLY: &str =
+            "Error 40: this GRAM serves job requests only; query the MDS for information";
+        const NO_DUROC: &str = "Error 40: multi-request (+) submission is not supported (no DUROC)";
+        const MIXED: &str = "Error 33: specification mixes (executable=) and (info=)";
+        let table: &[(&str, &str, &str, &str)] = &[
+            (
+                "(executable=simwork)(arguments=1)",
+                "JobAccepted",
+                "dispatch.job.ok",
+                "JobAccepted",
+            ),
+            (
+                "(info=memory)",
+                "InfoResult 1",
+                "dispatch.info.ok",
+                GRAM_ONLY,
+            ),
+            (
+                "&(executable=/bin/ls)(info=cpu)",
+                MIXED,
+                "dispatch.job.err",
+                MIXED,
+            ),
+            (
+                "(format=xml)",
+                "Error 1: specification has neither (executable=) nor (info=)",
+                "dispatch.info.err",
+                GRAM_ONLY,
+            ),
+            // Text the parser refuses is charged to `dispatch.job`.
+            (
+                "((((",
+                "Error 1: RSL parse error: expected attribute name",
+                "dispatch.job.err",
+                "Error 1: RSL parse error: expected attribute name",
+            ),
+            (
+                "(inof=cpu)",
+                "Error 1: unknown xRSL tag (inof=…); known tags: executable,",
+                "dispatch.job.err",
+                "Error 1: unknown xRSL tag (inof=…); known tags: executable,",
+            ),
+            (
+                "+(&(executable=a))(&(info=cpu))",
+                NO_DUROC,
+                "dispatch.job.err",
+                NO_DUROC,
+            ),
+            (
+                "+(&(executable=simwork))",
+                "JobAccepted",
+                "dispatch.job.ok",
+                "JobAccepted",
+            ),
+            // Before parse-once this one-branch `+` was parsed twice, the
+            // second time by a function that refuses every `+`: `Error 1:
+            // xRSL structure error: multi-request (+) must be expanded
+            // with parse_all`. It is now answered like the job above.
+            (
+                "+(&(info=memory))",
+                "InfoResult 1",
+                "dispatch.info.ok",
+                GRAM_ONLY,
+            ),
+            (
+                "(action=subscribe)(info=cpu)",
+                "Subscribed 1",
+                "dispatch.subscribe.ok",
+                GRAM_ONLY,
+            ),
+            (
+                "(action=subscribe)(executable=x)(info=cpu)",
+                "Error 1: xRSL structure error: (action=subscribe) registers a persistent query",
+                "dispatch.job.err",
+                "Error 1: xRSL structure error: (action=subscribe) registers a persistent query",
+            ),
+            (
+                "(action=unsubscribe)(subscription=7)",
+                "Error 12: no subscription 7 on this connection",
+                "dispatch.subscribe.err",
+                GRAM_ONLY,
+            ),
+        ];
+        let (_c, d) = world();
+        let gram_only = infogram_exec::JobsOnlyDispatcher::new(Arc::clone(&d.engine));
+        let (mut ctx, _client) = outbox_ctx();
+        let dispatch_counters = || -> Vec<(String, u64)> {
+            let mut all = d.telemetry().counters_snapshot();
+            all.retain(|(name, _)| name.starts_with("dispatch."));
+            all
+        };
+        for (rsl, unified, counter, baseline) in table {
+            let before = dispatch_counters();
+            let reply = d.dispatch("/O=Grid/CN=T", "t", submit(rsl), &mut ctx);
+            assert!(shape(&reply).starts_with(unified), "{rsl}: {reply:?}");
+            let moved: Vec<String> = dispatch_counters()
+                .into_iter()
+                .zip(before)
+                .filter(|(after, before)| after.1 != before.1)
+                .map(|(after, before)| format!("{} +{}", after.0, after.1 - before.1))
+                .collect();
+            assert_eq!(moved, vec![format!("{counter} +1")], "{rsl}");
+
+            let reply = gram_only.dispatch("/O=Grid/CN=T", "t", submit(rsl), &mut ctx);
+            assert!(shape(&reply).starts_with(baseline), "{rsl}: {reply:?}");
+        }
     }
 
     #[test]

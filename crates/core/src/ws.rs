@@ -33,9 +33,7 @@ use infogram_exec::gram::RequestDispatcher;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
 use infogram_proto::render::xml::{escape, unescape};
-use infogram_proto::transport::{Conn, Listener, ProtoError, Transport};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
 use std::sync::Arc;
 
 /// The envelope namespace.
@@ -274,16 +272,13 @@ pub fn decode_reply(xml: &str) -> Result<Reply, WsError> {
 
 /// A running WS gateway next to a native InfoGram service.
 pub struct WsGateway {
-    addr: String,
-    listener: Arc<Box<dyn Listener>>,
-    running: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    acceptor: Acceptor,
 }
 
 impl std::fmt::Debug for WsGateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WsGateway")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish_non_exhaustive()
     }
 }
@@ -298,74 +293,43 @@ impl WsGateway {
         transport: &dyn Transport,
         bind_addr: &str,
     ) -> Result<Arc<Self>, ProtoError> {
-        let listener: Arc<Box<dyn Listener>> = Arc::new(transport.listen(bind_addr)?);
-        let addr = listener.local_addr();
-        let gateway = Arc::new(WsGateway {
-            addr,
-            listener: Arc::clone(&listener),
-            running: Arc::new(AtomicBool::new(true)),
-            accept_thread: Mutex::new(None),
-        });
-        let gw = Arc::clone(&gateway);
         let owner = owner.to_string();
         let account = account.to_string();
-        let telemetry = dispatcher.telemetry().clone();
-        // lint:allow(thread-spawn) — long-lived accept loop; joined via
-        // accept_thread on shutdown, so sim::par's scoped join is the
-        // wrong shape.
-        let handle = std::thread::spawn(move || {
-            while gw.running.load(Ordering::SeqCst) {
-                let Ok(conn) = gw.listener.accept() else {
-                    break;
+        let connections = dispatcher.telemetry().counter("ws.connections");
+        let requests = dispatcher.telemetry().counter("ws.requests");
+        let acceptor = Acceptor::start(transport, bind_addr, move |conn| {
+            connections.incr();
+            // Detached: no event callbacks and no push subscriptions
+            // over the WS syntax.
+            let mut ctx = infogram_exec::gram::ConnCtx::detached();
+            while let Ok(bytes) = conn.recv() {
+                requests.incr();
+                let reply = match std::str::from_utf8(&bytes)
+                    .map_err(|_| err("not utf-8"))
+                    .and_then(decode_request)
+                {
+                    Ok(request) => dispatcher.dispatch(&owner, &account, request, &mut ctx),
+                    Err(e) => Reply::Error {
+                        code: infogram_proto::message::codes::BAD_RSL,
+                        message: e.to_string(),
+                    },
                 };
-                telemetry.counter("ws.connections").incr();
-                let conn: Arc<dyn Conn> = Arc::from(conn);
-                let dispatcher = Arc::clone(&dispatcher);
-                let owner = owner.clone();
-                let account = account.clone();
-                let telemetry = telemetry.clone();
-                // lint:allow(thread-spawn) — per-connection server thread
-                // detaches for the connection's lifetime (client-paced, no
-                // bounded join point for a scoped pool).
-                std::thread::spawn(move || {
-                    // Detached: no event callbacks and no push
-                    // subscriptions over the WS syntax.
-                    let mut ctx = infogram_exec::gram::ConnCtx::detached();
-                    while let Ok(bytes) = conn.recv() {
-                        telemetry.counter("ws.requests").incr();
-                        let reply = match std::str::from_utf8(&bytes)
-                            .map_err(|_| err("not utf-8"))
-                            .and_then(decode_request)
-                        {
-                            Ok(request) => dispatcher.dispatch(&owner, &account, request, &mut ctx),
-                            Err(e) => Reply::Error {
-                                code: infogram_proto::message::codes::BAD_RSL,
-                                message: e.to_string(),
-                            },
-                        };
-                        if conn.send(encode_reply(&reply).as_bytes()).is_err() {
-                            break;
-                        }
-                    }
-                });
+                if conn.send(encode_reply(&reply).as_bytes()).is_err() {
+                    break;
+                }
             }
-        });
-        *gateway.accept_thread.lock() = Some(handle);
-        Ok(gateway)
+        })?;
+        Ok(Arc::new(WsGateway { acceptor }))
     }
 
     /// The bound address.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.acceptor.addr()
     }
 
     /// Stop accepting.
     pub fn shutdown(&self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.listener.close();
-        if let Some(t) = self.accept_thread.lock().take() {
-            let _ = t.join();
-        }
+        self.acceptor.shutdown();
     }
 }
 

@@ -14,7 +14,7 @@ use infogram_proto::handle::JobHandle;
 use infogram_proto::message::JobStateCode;
 use infogram_rsl::{JobRequest, JobType, TimeoutAction, XrslRequest};
 use infogram_sim::clock::SharedClock;
-use infogram_sim::metrics::MetricSet;
+use infogram_sim::metrics::{Counter, MetricSet};
 use infogram_sim::SimTime;
 use parking_lot::{lock_class, Mutex, RwLock};
 use std::collections::HashMap;
@@ -157,6 +157,8 @@ pub struct JobEngine {
     /// Host whose filesystem receives `(stdout=...)`/`(stderr=...)`
     /// redirections, when configured.
     stdio_host: RwLock<Option<Arc<SimulatedHost>>>,
+    /// `info.queries_logged`, bumped once per information query.
+    queries_logged: Arc<Counter>,
     metrics: MetricSet,
 }
 
@@ -201,6 +203,7 @@ impl JobEngine {
             watchers: Mutex::with_class(HashMap::new(), lock_class!("exec.engine.watchers")),
             next_watcher_id: AtomicU64::new(1),
             stdio_host: RwLock::with_class(None, lock_class!("exec.engine.stdio_host")),
+            queries_logged: metrics.counter("info.queries_logged"),
             metrics,
         })
     }
@@ -303,7 +306,7 @@ impl JobEngine {
                 keywords: keywords.to_string(),
             },
         );
-        self.metrics.counter("info.queries_logged").incr();
+        self.queries_logged.incr();
     }
 
     fn handle_for(&self, job_id: u64) -> JobHandle {

@@ -16,14 +16,14 @@
 use crate::engine::{JobEngine, SubmitError};
 use infogram_gsi::{wire_server_respond, wire_server_verify, Authorizer, Certificate, Credential};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
-use infogram_proto::transport::{Conn, Listener, ProtoError, Transport};
-use infogram_proto::Outbox;
+use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
+use infogram_proto::{JobHandle, Outbox};
 use infogram_rsl::{RequestKind, XrslRequest};
 use infogram_sim::clock::SharedClock;
+use infogram_sim::metrics::{Counter, Gauge};
 use infogram_sim::SplitMix64;
 use parking_lot::{lock_class, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// How many frames a connection's outbox buffers before a push
@@ -52,15 +52,7 @@ impl ConnCtx {
     pub fn new(outbox: Arc<Outbox>) -> Self {
         ConnCtx {
             outbox: Some(outbox),
-            // Held across the outbox send in the job-event watcher so
-            // Events reach the wire in transition order — one of the two
-            // allowed holds at the `proto.outbox.send` blocking point
-            // (DESIGN §13).
-            job_subs: Arc::new(Mutex::with_class(
-                HashMap::new(),
-                lock_class!("exec.gram.job_subs"),
-            )),
-            sub_ids: Vec::new(),
+            ..Self::detached()
         }
     }
 
@@ -70,6 +62,10 @@ impl ConnCtx {
     pub fn detached() -> Self {
         ConnCtx {
             outbox: None,
+            // Held across the outbox send in the job-event watcher so
+            // Events reach the wire in transition order — one of the two
+            // allowed holds at the `proto.outbox.send` blocking point
+            // (DESIGN §13).
             job_subs: Arc::new(Mutex::with_class(
                 HashMap::new(),
                 lock_class!("exec.gram.job_subs"),
@@ -98,20 +94,13 @@ impl ConnCtx {
 /// A running GRAM (or GRAM-shaped) server.
 pub struct GramServer {
     engine: Arc<JobEngine>,
-    credential: Credential,
-    trust_roots: Vec<Certificate>,
-    authorizer: Arc<Authorizer>,
-    clock: SharedClock,
-    addr: String,
-    listener: Arc<Box<dyn Listener>>,
-    running: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    acceptor: Acceptor,
 }
 
 impl std::fmt::Debug for GramServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GramServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish_non_exhaustive()
     }
 }
@@ -153,138 +142,156 @@ fn may_contact(engine: &JobEngine, job_id: u64, owner: &str, account: &str) -> b
     }
 }
 
-/// Shared submit/status/cancel handling used by both the baseline GRAM
-/// dispatcher and the InfoGram dispatcher in `infogram-core`.
-pub fn dispatch_job_request(
+/// The one xRSL parse of a `Submit`: the typed request, or the reply
+/// that refuses the text. Both dispatchers route on the result.
+pub fn parse_submit(rsl: &str) -> Result<XrslRequest, Reply> {
+    let mut parsed = XrslRequest::parse_all(rsl).map_err(|e| Reply::Error {
+        code: codes::BAD_RSL,
+        message: e.to_string(),
+    })?;
+    if parsed.len() != 1 {
+        // DUROC multi-requests are not supported, exactly as the paper
+        // states for J-GRAM.
+        return Err(Reply::Error {
+            code: codes::UNSUPPORTED,
+            message: "multi-request (+) submission is not supported (no DUROC)".to_string(),
+        });
+    }
+    Ok(parsed.swap_remove(0))
+}
+
+/// Submit a parsed request of kind [`RequestKind::Job`]; `rsl` is its
+/// source text, kept for the job log.
+pub fn submit_job(
     engine: &JobEngine,
     owner: &str,
     account: &str,
-    request: &Request,
+    rsl: &str,
+    req: XrslRequest,
+    callback: bool,
     ctx: &mut ConnCtx,
-) -> Option<Reply> {
-    match request {
-        Request::Submit { rsl, callback } => {
-            let parsed = match XrslRequest::parse_all(rsl) {
-                Ok(p) => p,
-                Err(e) => {
-                    return Some(Reply::Error {
-                        code: codes::BAD_RSL,
-                        message: e.to_string(),
-                    })
-                }
-            };
-            if parsed.len() != 1 {
-                // DUROC multi-requests are not supported, exactly as the
-                // paper states for J-GRAM.
-                return Some(Reply::Error {
-                    code: codes::UNSUPPORTED,
-                    message: "multi-request (+) submission is not supported (no DUROC)".to_string(),
-                });
+) -> Reply {
+    // lint:allow(unwrap) — kind() returns Job only when the job spec is present
+    let spec = req.job.expect("kind Job implies job");
+    match engine.submit(rsl, spec, owner, account) {
+        Ok(handle) => {
+            if callback {
+                ctx.subscribe_job(handle.job_id);
             }
-            let req = &parsed[0];
-            match req.kind() {
-                RequestKind::Job => {
-                    // lint:allow(unwrap) — kind() returns Job only when the job spec is present
-                    let spec = req.job.clone().expect("kind Job implies job");
-                    match engine.submit(rsl, spec, owner, account) {
-                        Ok(handle) => {
-                            if *callback {
-                                ctx.subscribe_job(handle.job_id);
-                            }
-                            Some(Reply::JobAccepted { handle })
-                        }
-                        Err(SubmitError::Backend(e)) => Some(Reply::Error {
-                            code: codes::EXECUTION_FAILED,
-                            message: e.to_string(),
-                        }),
-                        // WAL degraded: honest read-only refusal with a
-                        // machine-readable retry hint (PR 5 taxonomy),
-                        // never a silent ack of a submission the log
-                        // could not make durable.
-                        Err(e @ SubmitError::WalUnavailable { .. }) => Some(Reply::Error {
-                            code: codes::UNAVAILABLE,
-                            message: e.to_string(),
-                        }),
-                        Err(e) => Some(Reply::Error {
-                            code: codes::EXECUTION_FAILED,
-                            message: e.to_string(),
-                        }),
-                    }
-                }
-                RequestKind::Both => Some(Reply::Error {
-                    code: codes::AMBIGUOUS_REQUEST,
-                    message: "specification mixes (executable=) and (info=)".to_string(),
-                }),
-                // Info and Empty are not job requests: let the caller
-                // decide (GRAM refuses, InfoGram answers).
-                RequestKind::Info | RequestKind::Empty => None,
-            }
+            Reply::JobAccepted { handle }
         }
-        Request::Status { handle } => Some(match engine.status(handle.job_id) {
-            Some(_) if !may_contact(engine, handle.job_id, owner, account) => Reply::Error {
-                code: codes::AUTHORIZATION,
-                message: format!("job {} belongs to another identity", handle.job_id),
-            },
-            Some(view) => {
-                if view.timeout_exceeded {
-                    Reply::Error {
-                        code: codes::TIMEOUT_EXCEPTION,
-                        message: format!(
-                            "job {} exceeded its timeout (action=exception); it continues to run",
-                            handle.job_id
-                        ),
-                    }
-                } else {
-                    Reply::JobStatus {
-                        handle: handle.clone(),
-                        state: view.state,
-                        exit_code: view.exit_code,
-                        output: view.output,
-                    }
-                }
-            }
-            None => Reply::Error {
-                code: codes::NO_SUCH_JOB,
-                message: format!("no job {}", handle.job_id),
-            },
-        }),
-        Request::Cancel { handle }
-            if engine.job_owner(handle.job_id).is_some()
-                && !may_contact(engine, handle.job_id, owner, account) =>
-        {
-            Some(Reply::Error {
-                code: codes::AUTHORIZATION,
-                message: format!("job {} belongs to another identity", handle.job_id),
-            })
+        // WAL degraded: honest read-only refusal with a machine-readable
+        // retry hint (PR 5 taxonomy), never a silent ack of a submission
+        // the log could not make durable.
+        Err(e @ SubmitError::WalUnavailable { .. }) => Reply::Error {
+            code: codes::UNAVAILABLE,
+            message: e.to_string(),
+        },
+        Err(e) => Reply::Error {
+            code: codes::EXECUTION_FAILED,
+            message: e.to_string(),
+        },
+    }
+}
+
+/// The refusal of a request of kind [`RequestKind::Both`].
+pub fn ambiguous_request() -> Reply {
+    Reply::Error {
+        code: codes::AMBIGUOUS_REQUEST,
+        message: "specification mixes (executable=) and (info=)".to_string(),
+    }
+}
+
+/// Answer a `Status` poll.
+pub fn job_status(engine: &JobEngine, owner: &str, account: &str, handle: JobHandle) -> Reply {
+    match engine.status(handle.job_id) {
+        Some(_) if !may_contact(engine, handle.job_id, owner, account) => Reply::Error {
+            code: codes::AUTHORIZATION,
+            message: format!("job {} belongs to another identity", handle.job_id),
+        },
+        Some(view) if view.timeout_exceeded => Reply::Error {
+            code: codes::TIMEOUT_EXCEPTION,
+            message: format!(
+                "job {} exceeded its timeout (action=exception); it continues to run",
+                handle.job_id
+            ),
+        },
+        Some(view) => Reply::JobStatus {
+            handle,
+            state: view.state,
+            exit_code: view.exit_code,
+            output: view.output,
+        },
+        None => Reply::Error {
+            code: codes::NO_SUCH_JOB,
+            message: format!("no job {}", handle.job_id),
+        },
+    }
+}
+
+/// Answer a `Cancel`.
+pub fn job_cancel(engine: &JobEngine, owner: &str, account: &str, handle: JobHandle) -> Reply {
+    if engine.job_owner(handle.job_id).is_some()
+        && !may_contact(engine, handle.job_id, owner, account)
+    {
+        Reply::Error {
+            code: codes::AUTHORIZATION,
+            message: format!("job {} belongs to another identity", handle.job_id),
         }
-        Request::Cancel { handle } => Some(if engine.cancel(handle.job_id) {
-            Reply::JobStatus {
-                handle: handle.clone(),
-                state: JobStateCode::Canceled,
-                exit_code: None,
-                output: String::new(),
-            }
-        } else {
-            Reply::Error {
-                code: codes::NO_SUCH_JOB,
-                message: format!("no cancellable job {}", handle.job_id),
-            }
-        }),
-        Request::Ping => Some(Reply::Pong),
+    } else if engine.cancel(handle.job_id) {
+        Reply::JobStatus {
+            handle,
+            state: JobStateCode::Canceled,
+            exit_code: None,
+            output: String::new(),
+        }
+    } else {
+        Reply::Error {
+            code: codes::NO_SUCH_JOB,
+            message: format!("no cancellable job {}", handle.job_id),
+        }
     }
 }
 
 impl RequestDispatcher for JobsOnlyDispatcher {
     fn dispatch(&self, owner: &str, account: &str, request: Request, ctx: &mut ConnCtx) -> Reply {
-        match dispatch_job_request(&self.engine, owner, account, &request, ctx) {
-            Some(reply) => reply,
-            None => Reply::Error {
-                code: codes::UNSUPPORTED,
-                message: "this GRAM serves job requests only; query the MDS for information"
-                    .to_string(),
+        let engine = &*self.engine;
+        match request {
+            Request::Submit { rsl, callback } => match parse_submit(&rsl) {
+                Err(refusal) => refusal,
+                Ok(req) => match req.kind() {
+                    RequestKind::Job => {
+                        submit_job(engine, owner, account, &rsl, req, callback, ctx)
+                    }
+                    RequestKind::Both => ambiguous_request(),
+                    RequestKind::Info | RequestKind::Empty => Reply::Error {
+                        code: codes::UNSUPPORTED,
+                        message:
+                            "this GRAM serves job requests only; query the MDS for information"
+                                .to_string(),
+                    },
+                },
             },
+            Request::Status { handle } => job_status(engine, owner, account, handle),
+            Request::Cancel { handle } => job_cancel(engine, owner, account, handle),
+            Request::Ping => Reply::Pong,
         }
     }
+}
+
+/// What every connection thread of a [`GramServer`] shares; the
+/// connection-layer instruments are resolved once, at start.
+struct Gatekeeper {
+    engine: Arc<JobEngine>,
+    dispatcher: Arc<dyn RequestDispatcher>,
+    credential: Credential,
+    trust_roots: Vec<Certificate>,
+    authorizer: Arc<Authorizer>,
+    clock: SharedClock,
+    connections: Arc<Counter>,
+    active: Arc<Gauge>,
+    auth_failures: Arc<Counter>,
+    requests: Arc<Counter>,
 }
 
 impl GramServer {
@@ -301,49 +308,28 @@ impl GramServer {
         authorizer: Arc<Authorizer>,
         clock: SharedClock,
     ) -> Result<Arc<Self>, ProtoError> {
-        let listener: Arc<Box<dyn Listener>> = Arc::new(transport.listen(bind_addr)?);
-        let addr = listener.local_addr();
-        let server = Arc::new(GramServer {
-            engine,
+        let telemetry = engine.metrics();
+        let gatekeeper = Gatekeeper {
+            connections: telemetry.counter("gram.connections"),
+            active: telemetry.gauge("gram.connections.active"),
+            auth_failures: telemetry.counter("gram.auth_failures"),
+            requests: telemetry.counter("gram.requests"),
+            engine: Arc::clone(&engine),
+            dispatcher,
             credential,
             trust_roots,
             authorizer,
             clock,
-            addr,
-            listener: Arc::clone(&listener),
-            running: Arc::new(AtomicBool::new(true)),
-            accept_thread: Mutex::new(None),
-        });
-        let accept_server = Arc::clone(&server);
-        let dispatcher = Arc::clone(&dispatcher);
-        // lint:allow(thread-spawn) — long-lived accept loop; joined via
-        // accept_thread on shutdown, so sim::par's scoped join is the
-        // wrong shape.
-        let handle = std::thread::spawn(move || {
-            while accept_server.running.load(Ordering::SeqCst) {
-                match accept_server.listener.accept() {
-                    Ok(conn) => {
-                        let conn: Arc<dyn Conn> = Arc::from(conn);
-                        let server = Arc::clone(&accept_server);
-                        let dispatcher = Arc::clone(&dispatcher);
-                        // lint:allow(thread-spawn) — per-connection server
-                        // thread detaches for the connection's lifetime
-                        // (client-paced, no bounded join point).
-                        std::thread::spawn(move || {
-                            server.serve_connection(conn, dispatcher);
-                        });
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        *server.accept_thread.lock() = Some(handle);
-        Ok(server)
+        };
+        let acceptor = Acceptor::start(transport, bind_addr, move |conn| {
+            gatekeeper.serve_connection(conn)
+        })?;
+        Ok(Arc::new(GramServer { engine, acceptor }))
     }
 
     /// The bound address clients connect to.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.acceptor.addr()
     }
 
     /// The engine behind this server.
@@ -353,25 +339,28 @@ impl GramServer {
 
     /// Stop accepting and unblock the accept loop.
     pub fn shutdown(&self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.listener.close();
-        if let Some(t) = self.accept_thread.lock().take() {
-            let _ = t.join();
-        }
+        self.acceptor.shutdown();
+    }
+}
+
+impl Gatekeeper {
+    /// Count an authentication/authorization failure and tell the peer.
+    fn refuse(&self, conn: &dyn Conn, code: u32, message: String) {
+        self.auth_failures.incr();
+        let _ = conn.send(&Reply::Error { code, message }.encode());
     }
 
-    fn serve_connection(&self, conn: Arc<dyn Conn>, dispatcher: Arc<dyn RequestDispatcher>) {
-        let telemetry = self.engine.metrics().clone();
-        telemetry.counter("gram.connections").incr();
-        telemetry.gauge("gram.connections.active").add(1.0);
+    fn serve_connection(&self, conn: Arc<dyn Conn>) {
+        self.connections.incr();
+        self.active.add(1.0);
         // Balance the active-connections gauge on every exit path.
-        struct ActiveGuard(infogram_sim::metrics::MetricSet);
-        impl Drop for ActiveGuard {
+        struct ActiveGuard<'a>(&'a Gauge);
+        impl Drop for ActiveGuard<'_> {
             fn drop(&mut self) {
-                self.0.gauge("gram.connections.active").add(-1.0);
+                self.0.add(-1.0);
             }
         }
-        let _active = ActiveGuard(telemetry.clone());
+        let _active = ActiveGuard(&self.active);
 
         // ---- gatekeeper: 3-message mutual authentication ----
         let now = self.clock.now();
@@ -380,17 +369,7 @@ impl GramServer {
         let (resp, pending) =
             match wire_server_respond(&self.credential, &self.trust_roots, &hello, now, &mut rng) {
                 Ok(x) => x,
-                Err(e) => {
-                    telemetry.counter("gram.auth_failures").incr();
-                    let _ = conn.send(
-                        &Reply::Error {
-                            code: codes::AUTHENTICATION,
-                            message: e.to_string(),
-                        }
-                        .encode(),
-                    );
-                    return;
-                }
+                Err(e) => return self.refuse(&*conn, codes::AUTHENTICATION, e.to_string()),
             };
         if conn.send(&resp).is_err() {
             return;
@@ -398,34 +377,14 @@ impl GramServer {
         let Ok(fin) = conn.recv() else { return };
         let ctx = match wire_server_verify(&pending, &fin) {
             Ok(ctx) => ctx,
-            Err(e) => {
-                telemetry.counter("gram.auth_failures").incr();
-                let _ = conn.send(
-                    &Reply::Error {
-                        code: codes::AUTHENTICATION,
-                        message: e.to_string(),
-                    }
-                    .encode(),
-                );
-                return;
-            }
+            Err(e) => return self.refuse(&*conn, codes::AUTHENTICATION, e.to_string()),
         };
 
         // ---- authorization: gridmap (+ contracts) ----
         let resource = self.engine.config().service_name.clone();
         let decision = match self.authorizer.authorize(&ctx.peer, &resource, now) {
             Ok(d) => d,
-            Err(e) => {
-                telemetry.counter("gram.auth_failures").incr();
-                let _ = conn.send(
-                    &Reply::Error {
-                        code: codes::AUTHORIZATION,
-                        message: e.to_string(),
-                    }
-                    .encode(),
-                );
-                return;
-            }
+            Err(e) => return self.refuse(&*conn, codes::AUTHORIZATION, e.to_string()),
         };
         let _ = conn.send(&Reply::Pong.encode()); // authorization ack
         let owner = decision.grid_identity.to_string();
@@ -462,9 +421,11 @@ impl GramServer {
 
         // ---- request loop (ends when the client hangs up) ----
         while let Ok(bytes) = conn.recv() {
-            telemetry.counter("gram.requests").incr();
+            self.requests.incr();
             let reply = match Request::decode(&bytes) {
-                Ok(request) => dispatcher.dispatch(&owner, &account, request, &mut ctx),
+                Ok(request) => self
+                    .dispatcher
+                    .dispatch(&owner, &account, request, &mut ctx),
                 Err(e) => Reply::Error {
                     code: codes::BAD_RSL,
                     message: e.to_string(),
@@ -475,7 +436,7 @@ impl GramServer {
             }
         }
         self.engine.remove_watcher(watcher_id);
-        dispatcher.connection_closed(&mut ctx);
+        self.dispatcher.connection_closed(&mut ctx);
         outbox.close();
     }
 }

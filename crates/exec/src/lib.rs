@@ -39,8 +39,7 @@ pub use backend::{
 };
 pub use engine::{EngineConfig, JobEngine, SubmitError};
 pub use gram::{
-    dispatch_job_request, ConnCtx, GramServer, JobsOnlyDispatcher, RequestDispatcher,
-    DEFAULT_OUTBOX_CAPACITY,
+    ConnCtx, GramServer, JobsOnlyDispatcher, RequestDispatcher, DEFAULT_OUTBOX_CAPACITY,
 };
 pub use sandbox::{ExecMode, Jarlet, Policy, SandboxOutcome};
 pub use wal::{

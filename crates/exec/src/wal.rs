@@ -960,7 +960,10 @@ impl WalSink for MemWal {
 struct FrameState {
     segs: Vec<u64>,
     active: u64,
-    active_len: u64,
+    /// Bytes appended to the active segment after its head checkpoint.
+    /// The head must not count towards `segment_max_bytes`, or a job
+    /// table larger than one segment is re-written on every append.
+    tail_len: u64,
     next_seg: u64,
     /// Set after any append/sync error: the active segment's tail may be
     /// garbage (short write), so the next append rotates to a fresh
@@ -990,7 +993,10 @@ impl FrameWal {
                 1
             }
         };
-        let active_len = storage.read(active).map(|b| b.len() as u64).unwrap_or(0);
+        let tail_len = storage
+            .read(active)
+            .map(|b| (b.len() - Self::head_checkpoint_len(&b)) as u64)
+            .unwrap_or(0);
         Ok(FrameWal {
             storage,
             st: Mutex::with_class(
@@ -998,7 +1004,7 @@ impl FrameWal {
                     next_seg: active + 1,
                     segs,
                     active,
-                    active_len,
+                    tail_len,
                     poisoned: false,
                 },
                 lock_class!("exec.wal.frames"),
@@ -1007,12 +1013,19 @@ impl FrameWal {
         })
     }
 
-    fn first_payload_is_checkpoint(bytes: &[u8]) -> bool {
+    /// Size of the segment's first frame if it is a checkpoint, else 0.
+    fn head_checkpoint_len(bytes: &[u8]) -> usize {
         let mut scratch = RecoveryStats::default();
-        scan_frames(bytes, &mut scratch)
-            .first()
-            .map(|p| p.starts_with("CKPT") && p[4..].starts_with(SEP))
-            .unwrap_or(false)
+        // Checkpoints are only ever written as a segment's head, so the
+        // first frame decides; do not checksum the rest of the segment.
+        let head = match bytes {
+            [a, b, c, d, ..] => 8 + u32::from_le_bytes([*a, *b, *c, *d]) as usize,
+            _ => 0,
+        };
+        match scan_frames(&bytes[..head.min(bytes.len())], &mut scratch).first() {
+            Some(p) if p.starts_with("CKPT") && p[4..].starts_with(SEP) => 8 + p.len(),
+            _ => 0,
+        }
     }
 }
 
@@ -1024,7 +1037,7 @@ impl WalSink for FrameWal {
             st.next_seg += 1;
             st.segs.push(seg);
             st.active = seg;
-            st.active_len = 0;
+            st.tail_len = 0;
             st.poisoned = false;
         }
         let mut buf = Vec::new();
@@ -1035,7 +1048,7 @@ impl WalSink for FrameWal {
             st.poisoned = true;
             return Err(e);
         }
-        st.active_len += buf.len() as u64;
+        st.tail_len += buf.len() as u64;
         if durable {
             if let Err(e) = self.storage.sync(st.active) {
                 st.poisoned = true;
@@ -1060,7 +1073,7 @@ impl WalSink for FrameWal {
         let mut start = 0usize;
         for i in (1..segs.len()).rev() {
             if let Ok(bytes) = self.storage.read(segs[i]) {
-                if Self::first_payload_is_checkpoint(&bytes) {
+                if Self::head_checkpoint_len(&bytes) > 0 {
                     start = i;
                     break;
                 }
@@ -1078,7 +1091,7 @@ impl WalSink for FrameWal {
     }
 
     fn wants_checkpoint(&self) -> bool {
-        self.st.lock().active_len >= self.cfg.segment_max_bytes
+        self.st.lock().tail_len >= self.cfg.segment_max_bytes
     }
 
     fn install_checkpoint(&self, checkpoint: &str) -> io::Result<u64> {
@@ -1110,7 +1123,7 @@ impl WalSink for FrameWal {
         kept.push(seg);
         st.segs = kept;
         st.active = seg;
-        st.active_len = buf.len() as u64;
+        st.tail_len = 0;
         st.poisoned = false;
         Ok(reclaimed)
     }
@@ -1160,7 +1173,8 @@ impl std::fmt::Display for WalError {
 /// Tuning for the logging service.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Rotate + checkpoint once the active segment reaches this size.
+    /// Rotate + checkpoint once this many bytes were appended after the
+    /// active segment's head checkpoint.
     pub segment_max_bytes: u64,
     /// Checkpoint after this many events even if the segment is small.
     pub checkpoint_every_events: u64,
@@ -1887,6 +1901,51 @@ mod tests {
         assert_eq!(snap.state.last_job_id, 50);
         assert_eq!(snap.accounts["alice"].completed, 50);
         assert!((snap.accounts["alice"].wall_seconds - 50.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn checkpoints_follow_bytes_appended_once_the_table_outgrows_a_segment() {
+        let cfg = WalConfig {
+            segment_max_bytes: 1024,
+            checkpoint_every_events: 1_000_000,
+            ..WalConfig::default()
+        };
+        let metrics = MetricSet::new();
+        let mut wal = Wal::with_config(
+            Box::new(FrameWal::open(MemStorage::new(), cfg.clone()).unwrap()),
+            cfg.clone(),
+        );
+        wal.set_telemetry(metrics.clone());
+        // A job table several segments large: every checkpoint frame
+        // from here on is bigger than `segment_max_bytes` by itself.
+        for job_id in 1..=64u64 {
+            let submitted = WalEvent::Submitted {
+                job_id,
+                rsl: "&(executable=simwork)(arguments=1000)".to_string(),
+                owner: "/O=Grid/CN=Alice".to_string(),
+                account: "alice".to_string(),
+            };
+            wal.commit(SimTime::ZERO, &[submitted]).unwrap();
+        }
+        assert!(wal.fold_snapshot().encode().len() as u64 > 4 * cfg.segment_max_bytes);
+
+        let before = metrics.counter_value("wal.checkpoints");
+        let mut appended = 0u64;
+        for i in 0..400u64 {
+            let event = WalEvent::StateChanged {
+                job_id: 1 + i % 64,
+                state: JobStateCode::Active,
+            };
+            appended += 8 + event.encode().len() as u64; // frame header + payload
+            wal.commit(SimTime::ZERO, &[event]).unwrap();
+        }
+        let cut = metrics.counter_value("wal.checkpoints") - before;
+        let segments = appended / cfg.segment_max_bytes;
+        assert!(segments >= 4, "the appends must span several segments");
+        assert!(
+            (segments - 1..=segments + 1).contains(&cut),
+            "400 appends of {appended} bytes should cut about {segments} checkpoints, cut {cut}"
+        );
     }
 
     #[test]

@@ -11,11 +11,9 @@ use crate::giis::Giis;
 use crate::gris::Gris;
 use crate::protocol::{entries_to_text, MdsReply, MdsRequest};
 use infogram_gsi::{wire_server_respond, wire_server_verify, Certificate, Credential, Dn};
-use infogram_proto::transport::{Conn, Listener, ProtoError, Transport};
+use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::SplitMix64;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// What an MDS server fronts.
@@ -38,20 +36,21 @@ impl Directory {
 
 /// A running MDS server.
 pub struct MdsServer {
+    acceptor: Acceptor,
+}
+
+/// What every connection thread of an [`MdsServer`] shares.
+struct SearchService {
     directory: Directory,
     credential: Credential,
     trust_roots: Vec<Certificate>,
     clock: SharedClock,
-    addr: String,
-    listener: Arc<Box<dyn Listener>>,
-    running: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for MdsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MdsServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish_non_exhaustive()
     }
 }
@@ -66,55 +65,30 @@ impl MdsServer {
         trust_roots: Vec<Certificate>,
         clock: SharedClock,
     ) -> Result<Arc<Self>, ProtoError> {
-        let listener: Arc<Box<dyn Listener>> = Arc::new(transport.listen(bind_addr)?);
-        let addr = listener.local_addr();
-        let server = Arc::new(MdsServer {
+        let service = SearchService {
             directory,
             credential,
             trust_roots,
             clock,
-            addr,
-            listener: Arc::clone(&listener),
-            running: Arc::new(AtomicBool::new(true)),
-            accept_thread: Mutex::new(None),
-        });
-        let accept_server = Arc::clone(&server);
-        // lint:allow(thread-spawn) — long-lived accept loop; joined via
-        // accept_thread on shutdown, so sim::par's scoped join is the
-        // wrong shape.
-        let handle = std::thread::spawn(move || {
-            while accept_server.running.load(Ordering::SeqCst) {
-                match accept_server.listener.accept() {
-                    Ok(conn) => {
-                        let conn: Arc<dyn Conn> = Arc::from(conn);
-                        let server = Arc::clone(&accept_server);
-                        // lint:allow(thread-spawn) — per-connection server
-                        // thread detaches for the connection's lifetime
-                        // (client-paced, no bounded join point).
-                        std::thread::spawn(move || server.serve_connection(conn));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        *server.accept_thread.lock() = Some(handle);
-        Ok(server)
+        };
+        let acceptor = Acceptor::start(transport, bind_addr, move |conn| {
+            service.serve_connection(conn)
+        })?;
+        Ok(Arc::new(MdsServer { acceptor }))
     }
 
     /// The bound address.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.acceptor.addr()
     }
 
     /// Stop accepting.
     pub fn shutdown(&self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.listener.close();
-        if let Some(t) = self.accept_thread.lock().take() {
-            let _ = t.join();
-        }
+        self.acceptor.shutdown();
     }
+}
 
+impl SearchService {
     fn serve_connection(&self, conn: Arc<dyn Conn>) {
         // GSI bind.
         let now = self.clock.now();

@@ -6,7 +6,7 @@
 //! counted into a [`MetricSet`] under `net.connections`, `net.messages`,
 //! and `net.bytes`.
 
-use super::{Conn, Listener, ProtoError, Transport};
+use super::{Conn, Listener, NetCounters, ProtoError, Transport};
 use crate::frame::FRAME_OVERHEAD;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use infogram_sim::clock::SharedClock;
@@ -32,6 +32,7 @@ pub struct MemNetwork {
     clock: SharedClock,
     link: Arc<Link>,
     metrics: MetricSet,
+    counters: Arc<NetCounters>,
     state: Mutex<NetworkState>,
     next_port: AtomicU16,
 }
@@ -53,6 +54,7 @@ impl MemNetwork {
         Arc::new(MemNetwork {
             clock,
             link: Arc::new(link),
+            counters: NetCounters::intern(&metrics),
             metrics,
             state: Mutex::new(NetworkState {
                 endpoints: HashMap::new(),
@@ -108,7 +110,7 @@ impl Transport for Arc<MemNetwork> {
         let client = MemConn {
             clock: self.clock.clone(),
             link: Arc::clone(&self.link),
-            metrics: self.metrics.clone(),
+            counters: Arc::clone(&self.counters),
             tx: c2s_tx,
             rx: s2c_rx,
             peer: addr.to_string(),
@@ -116,7 +118,7 @@ impl Transport for Arc<MemNetwork> {
         let server = MemConn {
             clock: self.clock.clone(),
             link: Arc::clone(&self.link),
-            metrics: self.metrics.clone(),
+            counters: Arc::clone(&self.counters),
             tx: s2c_tx,
             rx: c2s_rx,
             peer: "client".to_string(),
@@ -124,7 +126,7 @@ impl Transport for Arc<MemNetwork> {
         acceptor
             .send(AcceptMsg::Conn(server))
             .map_err(|_| ProtoError::ConnectionRefused(addr.to_string()))?;
-        self.metrics.counter("net.connections").incr();
+        self.counters.connections.incr();
         Ok(Box::new(client))
     }
 }
@@ -164,7 +166,7 @@ impl Drop for MemListener {
 struct MemConn {
     clock: SharedClock,
     link: Arc<Link>,
-    metrics: MetricSet,
+    counters: Arc<NetCounters>,
     tx: Sender<(SimTime, Vec<u8>)>,
     rx: Receiver<(SimTime, Vec<u8>)>,
     peer: String,
@@ -175,10 +177,7 @@ impl Conn for MemConn {
         match self.link.transmit(msg.len() + FRAME_OVERHEAD) {
             Delivery::After(delay) => {
                 let deliver_at = self.clock.now().plus(delay);
-                self.metrics.counter("net.messages").incr();
-                self.metrics
-                    .counter("net.bytes")
-                    .add((msg.len() + FRAME_OVERHEAD) as u64);
+                self.counters.sent(msg.len());
                 self.tx
                     .send((deliver_at, msg.to_vec()))
                     .map_err(|_| ProtoError::Closed)

@@ -4,16 +4,24 @@
 //! examples so the services can actually be spoken to from another
 //! process; the experiments use the deterministic in-memory network.
 
-use super::{Conn, Listener, ProtoError, Transport};
-use crate::frame::{read_frame, write_frame, FRAME_OVERHEAD};
+use super::{Conn, Listener, NetCounters, ProtoError, Transport};
+use crate::frame::{read_frame, write_frame};
 use infogram_sim::metrics::MetricSet;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// TCP transport with traffic accounting.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TcpTransport {
     metrics: MetricSet,
+    counters: Arc<NetCounters>,
+}
+
+impl Default for TcpTransport {
+    fn default() -> Self {
+        Self::with_metrics(MetricSet::new())
+    }
 }
 
 impl TcpTransport {
@@ -24,7 +32,10 @@ impl TcpTransport {
 
     /// A transport counting into the given metric set.
     pub fn with_metrics(metrics: MetricSet) -> Self {
-        TcpTransport { metrics }
+        TcpTransport {
+            counters: NetCounters::intern(&metrics),
+            metrics,
+        }
     }
 
     /// The metric sink.
@@ -38,7 +49,7 @@ impl Transport for TcpTransport {
         let listener = TcpListener::bind(addr).map_err(|e| ProtoError::Io(e.to_string()))?;
         Ok(Box::new(TcpListenerWrapper {
             listener,
-            metrics: self.metrics.clone(),
+            counters: Arc::clone(&self.counters),
             closed: AtomicBool::new(false),
         }))
     }
@@ -54,10 +65,10 @@ impl Transport for TcpTransport {
         stream
             .set_nodelay(true)
             .map_err(|e| ProtoError::Io(e.to_string()))?;
-        self.metrics.counter("net.connections").incr();
+        self.counters.connections.incr();
         Ok(Box::new(TcpConn {
             stream,
-            metrics: self.metrics.clone(),
+            counters: Arc::clone(&self.counters),
             write_lock: parking_lot::Mutex::new(()),
         }))
     }
@@ -65,7 +76,7 @@ impl Transport for TcpTransport {
 
 struct TcpListenerWrapper {
     listener: TcpListener,
-    metrics: MetricSet,
+    counters: Arc<NetCounters>,
     closed: AtomicBool,
 }
 
@@ -84,7 +95,7 @@ impl Listener for TcpListenerWrapper {
             }
             return Ok(Box::new(TcpConn {
                 stream,
-                metrics: self.metrics.clone(),
+                counters: Arc::clone(&self.counters),
                 write_lock: parking_lot::Mutex::new(()),
             }));
         }
@@ -108,7 +119,7 @@ impl Listener for TcpListenerWrapper {
 
 struct TcpConn {
     stream: TcpStream,
-    metrics: MetricSet,
+    counters: Arc<NetCounters>,
     // Serializes frame writes when two threads share the connection.
     write_lock: parking_lot::Mutex<()>,
 }
@@ -118,10 +129,7 @@ impl Conn for TcpConn {
         let _guard = self.write_lock.lock();
         let mut w = &self.stream;
         write_frame(&mut w, msg)?;
-        self.metrics.counter("net.messages").incr();
-        self.metrics
-            .counter("net.bytes")
-            .add((msg.len() + FRAME_OVERHEAD) as u64);
+        self.counters.sent(msg.len());
         Ok(())
     }
 

@@ -23,50 +23,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT="${BENCH_OUT:-BENCH_parallel_fanout.json}"
+. scripts/bench_gate.sh
 
-# `cargo bench` runs the binary from the package directory, so anchor
-# the output path at the repo root regardless.
-echo "==> e16_parallel_fanout (quick) -> $OUT"
-E16_QUICK=1 E16_JSON="$(pwd)/$OUT" cargo bench -q -p infogram-bench \
-    --bench e16_parallel_fanout
+run_bench_gate e16_parallel_fanout E16_QUICK E16_JSON BENCH_parallel_fanout.json
+run_bench_gate e17_fault_storm E17_QUICK E17_JSON BENCH_fault_storm.json
+run_bench_gate e18_refresh_sched E18_QUICK E18_JSON BENCH_refresh_sched.json
+run_bench_gate e19_push_sub E19_QUICK E19_JSON BENCH_push_sub.json
 
-grep -q '"pass": true' "$OUT" || {
-    echo "bench smoke FAILED: $OUT does not report pass=true" >&2
-    exit 1
-}
-
-STORM_OUT="${BENCH_STORM_OUT:-BENCH_fault_storm.json}"
-
-echo "==> e17_fault_storm (quick) -> $STORM_OUT"
-E17_QUICK=1 E17_JSON="$(pwd)/$STORM_OUT" cargo bench -q -p infogram-bench \
-    --bench e17_fault_storm
-
-grep -q '"pass": true' "$STORM_OUT" || {
-    echo "bench smoke FAILED: $STORM_OUT does not report pass=true" >&2
-    exit 1
-}
-
-SCHED_OUT="${BENCH_SCHED_OUT:-BENCH_refresh_sched.json}"
-
-echo "==> e18_refresh_sched (quick) -> $SCHED_OUT"
-E18_QUICK=1 E18_JSON="$(pwd)/$SCHED_OUT" cargo bench -q -p infogram-bench \
-    --bench e18_refresh_sched
-
-grep -q '"pass": true' "$SCHED_OUT" || {
-    echo "bench smoke FAILED: $SCHED_OUT does not report pass=true" >&2
-    exit 1
-}
-
-SUB_OUT="${BENCH_SUB_OUT:-BENCH_push_sub.json}"
-
-echo "==> e19_push_sub (quick) -> $SUB_OUT"
-E19_QUICK=1 E19_JSON="$(pwd)/$SUB_OUT" cargo bench -q -p infogram-bench \
-    --bench e19_push_sub
-
-grep -q '"pass": true' "$SUB_OUT" || {
-    echo "bench smoke FAILED: $SUB_OUT does not report pass=true" >&2
-    exit 1
-}
-
-echo "==> bench smoke ok ($OUT, $STORM_OUT, $SCHED_OUT, $SUB_OUT)"
+echo "==> bench smoke ok"

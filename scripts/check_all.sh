@@ -24,6 +24,9 @@
 #   9. scripts/chaos_smoke.sh — the full sandbox under a seeded random
 #      fault + disk-fault storm: zero panics, bounded error rate,
 #      replayable seed
+#  10. (cd benchmark && cargo test --offline -q) — the frozen e21
+#      benchmark still builds against the crates' API and passes its
+#      unit tests (not the 3-minute run)
 #
 # Works fully offline; expect a few minutes on a cold target dir.
 
@@ -51,5 +54,8 @@ sh scripts/check_crash.sh
 sh scripts/bench_smoke.sh
 
 sh scripts/chaos_smoke.sh
+
+echo "==> benchmark package: build + unit tests"
+(cd benchmark && cargo test --offline -q)
 
 echo "==> all gates green"

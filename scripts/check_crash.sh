@@ -30,15 +30,8 @@ cargo test --test restart_recovery -q
 echo "==> crash suite: tests/wal_crash.rs"
 cargo test --test wal_crash -q
 
-CRASH_OUT="${BENCH_CRASH_OUT:-BENCH_crash_storm.json}"
+. scripts/bench_gate.sh
 
-echo "==> e20_crash_storm (quick) -> $CRASH_OUT"
-E20_QUICK=1 E20_JSON="$(pwd)/$CRASH_OUT" cargo bench -q -p infogram-bench \
-    --bench e20_crash_storm
+run_bench_gate e20_crash_storm E20_QUICK E20_JSON BENCH_crash_storm.json
 
-grep -q '"pass": true' "$CRASH_OUT" || {
-    echo "crash gate FAILED: $CRASH_OUT does not report pass=true" >&2
-    exit 1
-}
-
-echo "==> crash gate ok ($CRASH_OUT)"
+echo "==> crash gate ok"

@@ -303,6 +303,13 @@ Summary of shapes:
 | E18 | (ours) refresh on demand, not on a timer | ≥99.9% hit rate with strictly fewer executions than TTL polling |
 | E19 | (ours) push subscriptions must not miss updates | 2M deliveries, zero gaps; fan-out ∝ subscribers-of-keyword, ~µs p99 each |
 | E20 | restart from the log, on a disk that lies | zero acked-loss / zero resurrections through a mid-storm power loss; checkpoint + bounded-tail replay |
+
+E21, the wire budget — the same service driven over real TCP, with an
+end-to-end number and a per-layer budget table for each of five
+workloads — lives in its own package with its own method and results:
+[`benchmark/README.md`](benchmark/README.md) (`benchmark/run.sh`,
+declared in `BENCHMARK.json`). It is not part of `cargo bench
+--workspace` and not regenerated into this file.
 """)
 
 missing = []
