@@ -11,7 +11,8 @@
 //! fan-out pool should keep it near 1 × 25 ms for K ≤ 8.
 //!
 //! Part 2 (virtual clock): warm Table 1 service, pure cache hits —
-//! ns/query throughput of the allocation-free hot path.
+//! ns/query throughput of that hot path (which still allocates its
+//! lookup key and the reply records).
 //!
 //! Env knobs: `E16_QUICK=1` shrinks the round counts for smoke runs;
 //! `E16_JSON=<path>` writes a machine-readable result with a `pass`
@@ -90,7 +91,7 @@ fn main() {
 
     banner(
         "E16",
-        "scatter-gather fan-out + allocation-free hit path",
+        "scatter-gather fan-out + interned-handle hit path",
         "(info=all) over K slow keywords costs ~1 provider execution for \
          K<=8 (sequential would cost K); warm cache hits run at \
          sub-microsecond-ish rates with zero per-query metric-name \

@@ -21,6 +21,7 @@ use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge, MetricSet};
 use infogram_sim::{SimTime, Welford};
 use parking_lot::{lock_class, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -56,8 +57,6 @@ use std::time::Duration;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// The keyword.
-    pub keyword: String,
     /// `(attribute, value)` pairs as produced, shared with the cache.
     pub attributes: Arc<[(String, String)]>,
     /// When the value was produced.
@@ -122,6 +121,20 @@ struct CachedValue {
     produced_at: SimTime,
 }
 
+impl Snapshot {
+    /// The one place a snapshot is built: a copy of `value` that aliases
+    /// its attribute list.
+    fn of(value: &CachedValue, from_cache: bool, stale: bool) -> Self {
+        Self {
+            attributes: Arc::clone(&value.attributes),
+            produced_at: value.produced_at,
+            from_cache,
+            stale,
+        }
+    }
+}
+
+/// Everything the monitor guards — one lock per keyword.
 #[derive(Debug, Default)]
 struct EntryState {
     cached: Option<CachedValue>,
@@ -133,6 +146,10 @@ struct EntryState {
     /// monitor can tell "the in-flight update produced a fresh value"
     /// apart from "it failed and only an old value remains".
     generation: u64,
+    /// Minimum gap between consecutive real executions (`setDelay`).
+    delay: Duration,
+    /// The §6.6 performance catalog: real execution times.
+    perf: Welford,
 }
 
 /// Interned per-entry telemetry handles, resolved once when the entry is
@@ -157,13 +174,11 @@ pub struct SystemInformation {
     provider: Box<dyn InfoProvider>,
     clock: SharedClock,
     ttl: Duration,
-    delay: Mutex<Duration>,
     degradation: DegradationFn,
     state: Mutex<EntryState>,
     update_done: Condvar,
-    perf: Mutex<Welford>,
     /// Real provider executions (cache misses / refreshes).
-    executions: std::sync::atomic::AtomicU64,
+    executions: AtomicU64,
     /// Write-once telemetry handles for monitor/throttle accounting;
     /// reading them is lock-free.
     telemetry: OnceLock<EntryTelemetry>,
@@ -192,16 +207,18 @@ impl SystemInformation {
         degradation: DegradationFn,
     ) -> Arc<Self> {
         let supervisor = Supervisor::new(provider.keyword(), SupervisorConfig::default());
+        let state = EntryState {
+            perf: Welford::new(),
+            ..EntryState::default()
+        };
         Arc::new(SystemInformation {
             provider,
             clock,
             ttl,
-            delay: Mutex::with_class(Duration::ZERO, lock_class!("info.entry.delay")),
             degradation,
-            state: Mutex::with_class(EntryState::default(), lock_class!("info.entry.state")),
+            state: Mutex::with_class(state, lock_class!("info.entry.state")),
             update_done: Condvar::with_class(lock_class!("info.entry.update_done")),
-            perf: Mutex::with_class(Welford::new(), lock_class!("info.entry.perf")),
-            executions: std::sync::atomic::AtomicU64::new(0),
+            executions: AtomicU64::new(0),
             telemetry: OnceLock::new(),
             supervisor,
         })
@@ -226,15 +243,10 @@ impl SystemInformation {
         });
     }
 
-    fn count_coalesced(&self) {
+    /// Bump one of the interned counters, if a sink is attached.
+    fn count(&self, pick: impl Fn(&EntryTelemetry) -> &Counter) {
         if let Some(t) = self.telemetry.get() {
-            t.coalesced.incr();
-        }
-    }
-
-    fn count_throttled(&self) {
-        if let Some(t) = self.telemetry.get() {
-            t.throttled.incr();
+            pick(t).incr();
         }
     }
 
@@ -261,65 +273,56 @@ impl SystemInformation {
     /// Set the minimum gap between consecutive real updates (the paper's
     /// `setDelay`).
     pub fn set_delay(&self, delay: Duration) {
-        *self.delay.lock() = delay;
+        self.state.lock().delay = delay;
     }
 
     /// The configured delay.
     pub fn delay(&self) -> Duration {
-        *self.delay.lock()
+        self.state.lock().delay
+    }
+
+    /// Age of the cached value; `None` if never produced.
+    fn age(&self) -> Option<Duration> {
+        let st = self.state.lock();
+        let cached = st.cached.as_ref()?;
+        Some(self.clock.now().since(cached.produced_at))
     }
 
     /// Remaining validity of the cached value: the paper's `validity()`.
     /// Zero if never produced or already expired.
     pub fn validity(&self) -> Duration {
-        let st = self.state.lock();
-        match &st.cached {
-            Some(c) => {
-                let age = self.clock.now().since(c.produced_at);
-                self.ttl.saturating_sub(age)
-            }
-            None => Duration::ZERO,
-        }
+        self.age()
+            .map_or(Duration::ZERO, |age| self.ttl.saturating_sub(age))
     }
 
     /// Quality of the currently cached value under the degradation
     /// function; `None` if never produced.
     pub fn current_quality(&self) -> Option<f64> {
-        let st = self.state.lock();
-        st.cached.as_ref().map(|c| {
-            self.degradation
-                .quality(self.clock.now().since(c.produced_at))
-        })
+        self.age().map(|age| self.degradation.quality(age))
+    }
+
+    /// `Ok` while `value` is within its TTL (never, at TTL 0).
+    fn check_ttl(&self, value: &CachedValue) -> Result<(), QueryError> {
+        let age = self.clock.now().since(value.produced_at);
+        if self.ttl.is_zero() || age >= self.ttl {
+            return Err(QueryError::Expired { age, ttl: self.ttl });
+        }
+        Ok(())
     }
 
     /// Non-blocking cache read: the paper's `queryState`.
     pub fn query_state(&self) -> Result<Snapshot, QueryError> {
         let st = self.state.lock();
         let cached = st.cached.as_ref().ok_or(QueryError::NeverProduced)?;
-        let age = self.clock.now().since(cached.produced_at);
-        if self.ttl.is_zero() || age >= self.ttl {
-            return Err(QueryError::Expired { age, ttl: self.ttl });
-        }
-        Ok(Snapshot {
-            keyword: self.keyword().to_string(),
-            attributes: cached.attributes.clone(),
-            produced_at: cached.produced_at,
-            from_cache: true,
-            stale: false,
-        })
+        self.check_ttl(cached)?;
+        Ok(Snapshot::of(cached, true, false))
     }
 
     /// The last stored value regardless of TTL: `(response=last)`.
     pub fn last_state(&self) -> Result<Snapshot, QueryError> {
         let st = self.state.lock();
         let cached = st.cached.as_ref().ok_or(QueryError::NeverProduced)?;
-        Ok(Snapshot {
-            keyword: self.keyword().to_string(),
-            attributes: cached.attributes.clone(),
-            produced_at: cached.produced_at,
-            from_cache: true,
-            stale: false,
-        })
+        Ok(Snapshot::of(cached, true, false))
     }
 
     /// Blocking refresh: the paper's `updateState`.
@@ -341,54 +344,27 @@ impl SystemInformation {
                 // Monitor: wait for the in-flight update, then reuse it.
                 let seen = st.generation;
                 self.update_done.wait(&mut st);
-                if st.generation != seen {
-                    // The in-flight update succeeded; reuse its fresh
-                    // result (even for TTL-0 entries — it is the result
-                    // of the very update this caller was waiting on).
-                    if let Some(c) = &st.cached {
-                        self.count_coalesced();
-                        return Ok(Snapshot {
-                            keyword: self.keyword().to_string(),
-                            attributes: Arc::clone(&c.attributes),
-                            produced_at: c.produced_at,
-                            from_cache: true,
-                            stale: false,
-                        });
-                    }
-                }
-                // The in-flight update failed. An older value may still be
-                // cached — serve it only while it is genuinely valid;
-                // handing out a long-expired value as a coalesced success
-                // would silently mask the failure.
+                // If the update succeeded (generation moved), reuse its
+                // fresh result even at TTL 0 — it is the result of the
+                // very update this caller waited on. If it failed, an
+                // older value is served only while genuinely valid;
+                // handing out a long-expired value as a coalesced
+                // success would silently mask the failure.
                 if let Some(c) = &st.cached {
-                    let age = self.clock.now().since(c.produced_at);
-                    if !self.ttl.is_zero() && age < self.ttl {
-                        self.count_coalesced();
-                        return Ok(Snapshot {
-                            keyword: self.keyword().to_string(),
-                            attributes: Arc::clone(&c.attributes),
-                            produced_at: c.produced_at,
-                            from_cache: true,
-                            stale: false,
-                        });
+                    if st.generation != seen || self.check_ttl(c).is_ok() {
+                        self.count(|t| &t.coalesced);
+                        return Ok(Snapshot::of(c, true, false));
                     }
                 }
                 // No valid value to fall back on; try an update ourselves.
                 continue;
             }
             // Delay gate.
-            let delay = *self.delay.lock();
-            if !delay.is_zero() {
-                if let (Some(last), Some(c)) = (st.last_update_started, st.cached.as_ref()) {
-                    if self.clock.now().since(last) < delay {
-                        self.count_throttled();
-                        return Ok(Snapshot {
-                            keyword: self.keyword().to_string(),
-                            attributes: Arc::clone(&c.attributes),
-                            produced_at: c.produced_at,
-                            from_cache: true,
-                            stale: false,
-                        });
+            if !st.delay.is_zero() {
+                if let (Some(last), Some(c)) = (st.last_update_started, &st.cached) {
+                    if self.clock.now().since(last) < st.delay {
+                        self.count(|t| &t.throttled);
+                        return Ok(Snapshot::of(c, true, false));
                     }
                 }
             }
@@ -403,45 +379,22 @@ impl SystemInformation {
             infogram_sim::lockdep::blocking_point("info.provider.produce", &[]);
             let result = self.provider.produce();
             let elapsed = self.clock.now().since(started);
-            self.executions
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.executions.fetch_add(1, Ordering::Relaxed);
 
             let mut st = self.state.lock();
             st.updating = false;
-            match result {
-                Ok(attributes) => {
-                    let attributes: Arc<[(String, String)]> = attributes.into();
-                    let produced_at = self.clock.now();
-                    st.cached = Some(CachedValue {
-                        attributes: Arc::clone(&attributes),
-                        produced_at,
-                    });
-                    st.generation = st.generation.wrapping_add(1);
-                    self.perf.lock().record_duration(elapsed);
-                    self.update_done.notify_all();
-                    return Ok(Snapshot {
-                        keyword: self.keyword().to_string(),
-                        attributes,
-                        produced_at,
-                        from_cache: false,
-                        stale: false,
-                    });
-                }
-                Err(e) => {
-                    self.update_done.notify_all();
-                    return Err(QueryError::Provider(e));
-                }
-            }
-        }
-    }
-
-    /// Cache-preferring read: `(response=cached)` — serve the cache while
-    /// valid, refresh otherwise.
-    pub fn cached_state(&self) -> Result<Snapshot, QueryError> {
-        match self.query_state() {
-            Ok(snap) => Ok(snap),
-            Err(QueryError::NeverProduced) | Err(QueryError::Expired { .. }) => self.update_state(),
-            Err(e) => Err(e),
+            // Waiters re-take `state` before they look, so waking them
+            // ahead of the install below is safe on both outcomes.
+            self.update_done.notify_all();
+            let value = CachedValue {
+                attributes: result.map_err(QueryError::Provider)?.into(),
+                produced_at: self.clock.now(),
+            };
+            let snap = Snapshot::of(&value, false, false);
+            st.cached = Some(value);
+            st.generation = st.generation.wrapping_add(1);
+            st.perf.record_duration(elapsed);
+            return Ok(snap);
         }
     }
 
@@ -461,12 +414,6 @@ impl SystemInformation {
     /// supervisor config.
     pub fn default_deadline(&self) -> Duration {
         self.supervisor.config().deadline_for(self.ttl)
-    }
-
-    fn count_supervised(&self, f: impl Fn(&EntryTelemetry)) {
-        if let Some(t) = self.telemetry.get() {
-            f(t);
-        }
     }
 
     fn publish_breaker_gauge(&self) {
@@ -526,46 +473,44 @@ impl SystemInformation {
         self.supervised_refresh(None, false)
     }
 
-    /// Shared core of the two supervised paths. `degrade` selects the
-    /// failure policy: serve the last-known-good snapshot (interactive
-    /// queries) or surface the error (background refreshes).
+    /// Shared core of the two supervised policies. `degrade` selects
+    /// what a failure becomes: the last-known-good snapshot (interactive
+    /// queries) or the error itself (background refreshes).
     fn supervised_refresh(
         &self,
         deadline: Option<Duration>,
         degrade: bool,
     ) -> Result<Snapshot, QueryError> {
+        let fail = |err| {
+            self.publish_breaker_gauge();
+            if degrade {
+                self.stale_serve(err)
+            } else {
+                Err(err)
+            }
+        };
         let budget = deadline.unwrap_or_else(|| self.default_deadline());
-        let admission = self.supervisor.admit(self.clock.now());
-        let (probe, attempts) = match admission {
+        let probe = match self.supervisor.admit(self.clock.now()) {
             Admission::Deferred { retry_after } => {
-                self.publish_breaker_gauge();
-                let err = QueryError::Unavailable { retry_after };
-                return if degrade {
-                    self.stale_serve(err)
-                } else {
-                    Err(err)
-                };
+                return fail(QueryError::Unavailable { retry_after })
             }
-            Admission::Execute { probe } => {
-                let retries = if probe {
-                    0
-                } else {
-                    self.supervisor.config().max_retries
-                };
-                (probe, 1 + retries)
-            }
+            Admission::Execute { probe } => probe,
+        };
+        let retries = if probe {
+            0
+        } else {
+            self.supervisor.config().max_retries
         };
         let started = self.clock.now();
         let mut last_err = None;
-        for attempt in 0..attempts {
+        for attempt in 0..=retries {
             if attempt > 0 {
-                self.count_supervised(|t| t.retries.incr());
+                self.count(|t| &t.retries);
             }
             let result = self.update_state();
-            let elapsed = self.clock.now().since(started);
-            let breached = elapsed > budget;
+            let breached = self.clock.now().since(started) > budget;
             if breached {
-                self.count_supervised(|t| t.deadline_breaches.incr());
+                self.count(|t| &t.deadline_breaches);
             }
             match result {
                 Ok(snap) => {
@@ -580,16 +525,10 @@ impl SystemInformation {
                     // Configuration error: retrying cannot help, and the
                     // breaker is for transient faults only.
                     self.supervisor.on_config_failure(self.clock.now(), probe);
-                    self.publish_breaker_gauge();
-                    let err = QueryError::Provider(e);
-                    return if degrade {
-                        self.stale_serve(err)
-                    } else {
-                        Err(err)
-                    };
+                    return fail(QueryError::Provider(e));
                 }
-                Err(QueryError::Provider(e)) => {
-                    last_err = Some(QueryError::Provider(e));
+                Err(e @ QueryError::Provider(_)) => {
+                    last_err = Some(e);
                     if breached {
                         break; // no budget left to retry into
                     }
@@ -598,14 +537,8 @@ impl SystemInformation {
             }
         }
         self.supervisor.on_failure(self.clock.now(), probe);
-        self.publish_breaker_gauge();
         // lint:allow(unwrap) — the loop always runs at least once and only exits with last_err set
-        let err = last_err.expect("at least one attempt ran");
-        if degrade {
-            self.stale_serve(err)
-        } else {
-            Err(err)
-        }
+        fail(last_err.expect("at least one attempt ran"))
     }
 
     /// Serve the last-known-good snapshot as a degraded answer, or
@@ -625,28 +558,22 @@ impl SystemInformation {
         if self.degradation.quality(age) <= 0.0 {
             return Err(underlying);
         }
-        let snap = Snapshot {
-            keyword: self.keyword().to_string(),
-            attributes: Arc::clone(&c.attributes),
-            produced_at: c.produced_at,
-            from_cache: true,
-            stale: true,
-        };
+        let snap = Snapshot::of(c, true, true);
         drop(st);
-        self.count_supervised(|t| t.stale_serves.incr());
+        self.count(|t| &t.stale_serves);
         Ok(snap)
     }
 
     /// The paper's `getAverageUpdateTime`: `(mean, std_dev)` of real
     /// provider execution time, in seconds, plus the sample count.
     pub fn average_update_time(&self) -> (f64, f64, u64) {
-        let p = self.perf.lock();
-        (p.mean(), p.std_dev(), p.count())
+        let st = self.state.lock();
+        (st.perf.mean(), st.perf.std_dev(), st.perf.count())
     }
 
     /// Number of real provider executions so far.
     pub fn execution_count(&self) -> u64 {
-        self.executions.load(std::sync::atomic::Ordering::Relaxed)
+        self.executions.load(Ordering::Relaxed)
     }
 
     /// Number of successful cache installs so far (the `generation`
@@ -665,7 +592,6 @@ mod tests {
     use super::*;
     use crate::provider::FnProvider;
     use infogram_sim::{ManualClock, SystemClock};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn counted_provider(calls: Arc<AtomicU64>) -> Box<dyn InfoProvider> {
         Box::new(FnProvider::new("K", move || {
@@ -733,21 +659,26 @@ mod tests {
         let (_c, calls, si) = entry_with_ttl(0);
         si.update_state().unwrap();
         assert!(si.query_state().is_err(), "ttl=0 cache never serves");
-        si.cached_state().unwrap();
-        si.cached_state().unwrap();
+        cached(&si).unwrap();
+        cached(&si).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 3);
     }
 
+    /// `(response=cached)` as the two §6.2 methods compose it.
+    fn cached(si: &SystemInformation) -> Result<Snapshot, QueryError> {
+        si.query_state().or_else(|_| si.update_state())
+    }
+
     #[test]
-    fn cached_state_refreshes_only_on_expiry() {
+    fn query_else_update_refreshes_only_on_expiry() {
         let (clock, calls, si) = entry_with_ttl(100);
-        si.cached_state().unwrap(); // miss → execute
-        si.cached_state().unwrap(); // hit
+        cached(&si).unwrap(); // miss → execute
+        cached(&si).unwrap(); // hit
         clock.advance(Duration::from_millis(99));
-        si.cached_state().unwrap(); // still valid
+        cached(&si).unwrap(); // still valid
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         clock.advance(Duration::from_millis(1));
-        si.cached_state().unwrap(); // expired → execute
+        cached(&si).unwrap(); // expired → execute
         assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 

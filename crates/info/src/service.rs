@@ -15,7 +15,7 @@ use infogram_proto::record::InfoRecord;
 use infogram_rsl::{InfoSelector, ResponseMode};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge, Histogram, MetricSet};
-use infogram_sim::par;
+use infogram_sim::{par, SimTime};
 use parking_lot::{lock_class, RwLock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -266,94 +266,79 @@ impl InformationService {
             .collect()
     }
 
-    /// Would fetching this entry under these options plausibly execute
-    /// its provider (and therefore block)? Used purely as a scheduling
-    /// hint by [`InformationService::answer`]: entries that can be served
-    /// from cache are answered inline, the rest are fanned out in
-    /// parallel. A stale hint is harmless — [`InformationService::fetch`]
-    /// handles either outcome.
-    fn may_block(reg: &Registered, opts: &QueryOptions) -> bool {
-        match opts.mode {
-            ResponseMode::Immediate => true,
-            ResponseMode::Last => false,
-            ResponseMode::Cached => {
-                Self::quality_forces_refresh(&reg.si, opts) || reg.si.validity().is_zero()
-            }
+    /// The one place an answer served without executing the provider is
+    /// counted. `may_be_old` is false only for the valid `cached` hit,
+    /// which is within its TTL by construction and so skips the clock
+    /// read; `(response=last)`, the delay throttle and a coalesced wait
+    /// can all hand back a value older than its TTL.
+    fn count_hit(&self, reg: &Registered, snap: &Snapshot, may_be_old: bool) {
+        self.svc_metrics.cache_hits.incr();
+        reg.km.hits.incr();
+        let ttl = reg.si.ttl();
+        let old = || !ttl.is_zero() && self.clock.now().since(snap.produced_at) >= ttl;
+        if snap.stale || (may_be_old && old()) {
+            reg.km.stale.incr();
         }
     }
 
-    /// §6.6 quality tag: "If the degradation function of any of its
-    /// returned attributes is below that threshold, this attribute is
-    /// regenerated by the associated command."
-    fn quality_forces_refresh(si: &SystemInformation, opts: &QueryOptions) -> bool {
-        match (opts.quality_threshold, opts.mode) {
-            (Some(threshold), ResponseMode::Cached) => match si.current_quality() {
-                Some(q) => q * 100.0 < threshold,
-                None => false, // nothing cached yet; normal path handles it
-            },
-            _ => false,
-        }
-    }
-
-    /// Fetch one keyword's snapshot under a response mode and quality
-    /// threshold.
+    /// Phase one — the paper's non-blocking `queryState`. The response
+    /// mode, the TTL and the quality threshold are judged here, once, from
+    /// a single locked read of the entry; `None` hands the keyword to
+    /// [`InformationService::refresh`].
     ///
-    /// The cache-hit path is allocation-free and lock-light: one interned
-    /// counter increment per service-level and per-keyword metric, no
-    /// `format!`, and no refresh-latency clock reads — that bookkeeping
-    /// only runs when the provider actually executes.
-    fn fetch(&self, reg: &Registered, opts: &QueryOptions) -> Result<Snapshot, QueryError> {
+    /// A hit costs one `info.entry.state` acquisition, one clock read and
+    /// three interned counter increments: no `format!`, no attribute copy,
+    /// no refresh bookkeeping.
+    fn query(&self, reg: &Registered, opts: &QueryOptions) -> Option<Result<Snapshot, QueryError>> {
         let si = &reg.si;
         self.svc_metrics.queries.incr();
-        let quality_forces_refresh = Self::quality_forces_refresh(si, opts);
         match opts.mode {
-            // Pure cache hit: no refresh bookkeeping at all.
-            ResponseMode::Cached if !quality_forces_refresh => {
-                if let Ok(snap) = si.query_state() {
-                    self.svc_metrics.cache_hits.incr();
-                    reg.km.hits.incr();
-                    // A valid cached-mode hit is by definition within its
-                    // TTL, so no staleness check is needed either.
-                    return Ok(snap);
+            ResponseMode::Immediate => None,
+            ResponseMode::Last => Some(
+                si.last_state()
+                    .inspect(|snap| self.count_hit(reg, snap, true)),
+            ),
+            ResponseMode::Cached => {
+                // §6.6 quality tag: "If the degradation function of any of
+                // its returned attributes is below that threshold, this
+                // attribute is regenerated by the associated command."
+                let threshold = opts.quality_threshold;
+                let below =
+                    |age| threshold.is_some_and(|t| si.degradation().quality(age) * 100.0 < t);
+                let quality_forced = match si.query_state() {
+                    // A valid value's age only costs a clock read when a
+                    // threshold was asked for.
+                    Ok(snap)
+                        if threshold.is_none()
+                            || !below(self.clock.now().since(snap.produced_at)) =>
+                    {
+                        self.count_hit(reg, &snap, false);
+                        return Some(Ok(snap));
+                    }
+                    Ok(_) => true,
+                    Err(QueryError::Expired { age, .. }) => below(age),
+                    Err(_) => false, // never produced: an ordinary miss
+                };
+                if quality_forced {
+                    self.svc_metrics.quality_refreshes.incr();
                 }
+                None
             }
-            ResponseMode::Last => {
-                let snap = si.last_state()?;
-                self.svc_metrics.cache_hits.incr();
-                reg.km.hits.incr();
-                // Only `(response=last)` and the delay throttle can serve
-                // a value older than its TTL.
-                let age = self.clock.now().since(snap.produced_at);
-                if !si.ttl().is_zero() && age >= si.ttl() {
-                    reg.km.stale.incr();
-                }
-                return Ok(snap);
-            }
-            _ => {}
         }
-        // Refresh path: `(response=immediate)`, a quality-forced refresh,
-        // or a cached-mode miss (expired / never produced / TTL 0).
-        // Runs under the fault-domain supervisor: breaker-gated, retried,
-        // deadline-budgeted, and stale-serving on failure.
-        if quality_forces_refresh {
-            self.svc_metrics.quality_refreshes.incr();
-        }
+    }
+
+    /// Phase two — the paper's blocking `updateState`, under the
+    /// fault-domain supervisor: breaker-gated, retried,
+    /// deadline-budgeted, and stale-serving on failure.
+    fn refresh(&self, reg: &Registered, opts: &QueryOptions) -> Result<Snapshot, QueryError> {
+        let si = &reg.si;
         let before = self.clock.now();
         let snap = si.fetch_supervised(opts.deadline)?;
-        if snap.stale {
-            // Last-known-good served in place of a failed/gated refresh.
-            self.svc_metrics.cache_hits.incr();
-            reg.km.hits.incr();
-            reg.km.stale.incr();
-        } else if snap.from_cache {
-            // The monitor coalesced us onto another caller's refresh, or
-            // the delay throttle served the previous value.
-            self.svc_metrics.cache_hits.incr();
-            reg.km.hits.incr();
-            let age = self.clock.now().since(snap.produced_at);
-            if !si.ttl().is_zero() && age >= si.ttl() {
-                reg.km.stale.incr();
-            }
+        if snap.from_cache {
+            // Last-known-good in place of a failed/gated refresh, another
+            // caller's refresh the monitor coalesced us onto, or the
+            // previous value under the delay throttle.
+            self.count_hit(reg, &snap, true);
         } else {
             self.svc_metrics.refreshes.incr();
             reg.km.misses.incr();
@@ -369,15 +354,17 @@ impl InformationService {
         Ok(snap)
     }
 
-    /// Convert a snapshot into a wire record, annotating quality and age.
+    /// Convert a snapshot into a wire record, annotating quality and its
+    /// age as of `now`.
     fn to_record(
         &self,
         si: &SystemInformation,
         snap: &Snapshot,
         opts: &QueryOptions,
+        now: SimTime,
     ) -> InfoRecord {
         let mut rec = InfoRecord::new(si.keyword(), &self.hostname);
-        let age = self.clock.now().since(snap.produced_at);
+        let age = now.since(snap.produced_at);
         let quality = si.degradation().quality(age);
         if snap.stale {
             // Fault-driven last-known-good: mark the record degraded and
@@ -406,13 +393,15 @@ impl InformationService {
     /// [`InfoServiceError::UnknownKeyword`]; provider failures fail it
     /// with the error of the earliest failing selector position.
     ///
-    /// Scatter-gather: the selector list is first resolved against one
-    /// consistent registry snapshot (so unknown keywords fail before any
-    /// provider runs), then every fetch expected to execute a provider is
-    /// fanned out across the scoped thread pool while cache hits are
-    /// answered inline. Records are gathered back in selector order, so
-    /// the reply is indistinguishable from the sequential walk — N slow
-    /// keywords cost ~1 provider execution of wall time instead of ~N.
+    /// The selector list is first resolved against one consistent
+    /// registry snapshot (so unknown keywords fail before any provider
+    /// runs). Then the two §6.2 methods, in order: every keyword gets the
+    /// non-blocking `query`, and the ones it could not serve are fanned
+    /// out to the blocking `refresh` (`sim::par` runs 0 or 1 inline, more
+    /// across the scoped pool). Records are gathered back in selector
+    /// order, so the reply is indistinguishable from the sequential walk
+    /// — N slow keywords cost ~1 provider execution of wall time instead
+    /// of ~N.
     pub fn answer(
         &self,
         selectors: &[InfoSelector],
@@ -437,35 +426,23 @@ impl InformationService {
                 )),
             }
         }
-        // Scatter: serve whatever cannot block inline; fan the rest out.
         let mut slots: Vec<Option<Result<Snapshot, QueryError>>> =
             items.iter().map(|_| None).collect();
-        let mut slow: Vec<(usize, &Registered)> = Vec::new();
+        let mut misses: Vec<(usize, &Registered)> = Vec::new();
         for (i, item) in items.iter().enumerate() {
             if let Item::Fetch(reg) = item {
-                if Self::may_block(reg, opts) {
-                    slow.push((i, reg));
-                } else {
-                    slots[i] = Some(self.fetch(reg, opts));
+                slots[i] = self.query(reg, opts);
+                if slots[i].is_none() {
+                    misses.push((i, reg));
                 }
             }
         }
-        match slow.len() {
-            0 => {}
-            1 => {
-                let (i, reg) = slow[0];
-                slots[i] = Some(self.fetch(reg, opts));
-            }
-            _ => {
-                for (slot, (i, _)) in par::fan_out(&slow, |_, (_, reg)| self.fetch(reg, opts))
-                    .into_iter()
-                    .zip(&slow)
-                {
-                    slots[*i] = Some(slot);
-                }
-            }
+        let refreshed = par::fan_out(&misses, |_, (_, reg)| self.refresh(reg, opts));
+        for ((i, _), result) in misses.iter().zip(refreshed) {
+            slots[*i] = Some(result);
         }
         // Gather in selector order; the first error (by position) wins.
+        let now = self.clock.now();
         let mut records = Vec::with_capacity(items.len());
         for (item, slot) in items.iter().zip(slots) {
             match item {
@@ -473,9 +450,9 @@ impl InformationService {
                     records.extend(Schema::of(self).to_records(&self.hostname));
                 }
                 Item::Fetch(reg) => {
-                    // lint:allow(unwrap) — the scatter loop above fills one slot per Fetch item
+                    // lint:allow(unwrap) — every Fetch slot is filled by `query` or `refresh` above
                     let snap = slot.expect("every fetch item was filled")?;
-                    records.push(self.to_record(&reg.si, &snap, opts));
+                    records.push(self.to_record(&reg.si, &snap, opts, now));
                 }
             }
         }
@@ -494,7 +471,9 @@ mod tests {
     use super::*;
     use infogram_host::commands::{ChargeMode, CostModel};
     use infogram_host::machine::SimulatedHost;
+    use infogram_sim::clock::Clock;
     use infogram_sim::ManualClock;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::Duration;
 
     fn table1_service() -> (
@@ -503,15 +482,43 @@ mod tests {
         Arc<InformationService>,
     ) {
         let clock = ManualClock::new();
-        let host = SimulatedHost::default_on(clock.clone());
-        let reg = CommandRegistry::new(host, ChargeMode::Advance(clock.clone()));
+        let (reg, svc) = table1_service_on(&clock, clock.clone());
+        (clock, reg, svc)
+    }
+
+    /// Table 1 on a host driven by `manual`, with the service and its
+    /// entries reading `service_clock`.
+    fn table1_service_on(
+        manual: &Arc<ManualClock>,
+        service_clock: SharedClock,
+    ) -> (Arc<CommandRegistry>, Arc<InformationService>) {
+        let host = SimulatedHost::default_on(manual.clone());
+        let reg = CommandRegistry::new(host, ChargeMode::Advance(manual.clone()));
         let svc = InformationService::from_config(
             &ServiceConfig::table1(),
             Arc::clone(&reg),
-            clock.clone(),
+            service_clock,
             MetricSet::new(),
         );
-        (clock, reg, svc)
+        (reg, svc)
+    }
+
+    /// A [`ManualClock`] that counts how often it is read.
+    #[derive(Debug)]
+    struct CountingClock {
+        inner: Arc<ManualClock>,
+        reads: AtomicU64,
+    }
+
+    impl Clock for CountingClock {
+        fn now(&self) -> SimTime {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.now()
+        }
+
+        fn sleep(&self, d: Duration) {
+            self.inner.sleep(d)
+        }
     }
 
     fn kw(k: &str) -> Vec<InfoSelector> {
@@ -740,7 +747,12 @@ mod tests {
 
     #[test]
     fn hot_path_uses_interned_keyword_handles() {
-        let (_c, _r, svc) = table1_service();
+        let manual = ManualClock::new();
+        let clock = Arc::new(CountingClock {
+            inner: manual.clone(),
+            reads: AtomicU64::new(0),
+        });
+        let (_r, svc) = table1_service_on(&manual, clock.clone());
         let opts = QueryOptions::default();
         svc.answer(&kw("Memory"), &opts).unwrap(); // miss: creates nothing new either
         let km = svc.keyword_metrics("Memory").unwrap();
@@ -776,6 +788,13 @@ mod tests {
             names_before,
             "hit path must not mint new metric names"
         );
+        // And the hit decides once: one clock read for the TTL check under
+        // the entry lock, one to stamp the record's age — not a third to
+        // re-derive validity or quality.
+        let reads_before = clock.reads.load(Ordering::Relaxed);
+        svc.answer(&kw("Memory"), &opts).unwrap();
+        let reads = clock.reads.load(Ordering::Relaxed) - reads_before;
+        assert!(reads <= 2, "warm cached hit read the clock {reads} times");
     }
 
     #[test]
@@ -843,5 +862,212 @@ mod tests {
         assert_eq!(svc.metrics().counter_value("info.refreshes"), 1);
         assert_eq!(svc.metrics().counter_value("info.cache_hits"), 1);
         assert_eq!(svc.metrics().counter_value("info.queries"), 2);
+    }
+
+    const Q: &str = "info.queries";
+    const CH: &str = "info.cache_hits";
+    const R: &str = "info.refreshes";
+    const QR: &str = "info.quality_refreshes";
+    const H: &str = "info.hits.K";
+    const M: &str = "info.misses.K";
+    const S: &str = "info.stale.K";
+    const COUNTERS: [&str; 7] = [Q, CH, R, QR, H, M, S];
+
+    /// What one `answer` did, as the outside can tell.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Outcome {
+        /// Served the cached value; provider untouched.
+        Hit,
+        /// As `Hit`, but the value was past its TTL (`info.stale.K`).
+        Old,
+        /// Executed the provider and served the fresh value.
+        Miss,
+        /// As `Miss`, because the quality threshold asked for it.
+        Forced,
+        /// Failed with `NeverProduced`; provider untouched.
+        Never,
+        /// The refresh failed; the cached value came back degraded.
+        StaleServe,
+        /// As `StaleServe`, on a quality-forced refresh.
+        ForcedStaleServe,
+    }
+
+    impl Outcome {
+        /// (provider executed, from_cache, stale, counters that moved).
+        fn expect(self) -> (bool, bool, bool, &'static [&'static str]) {
+            match self {
+                Outcome::Hit => (false, true, false, &[Q, CH, H]),
+                Outcome::Old => (false, true, false, &[Q, CH, H, S]),
+                Outcome::Miss => (true, false, false, &[Q, R, M]),
+                Outcome::Forced => (true, false, false, &[Q, QR, R, M]),
+                Outcome::Never => (false, false, false, &[Q]),
+                Outcome::StaleServe => (true, true, true, &[Q, CH, H, S]),
+                Outcome::ForcedStaleServe => (true, true, true, &[Q, QR, CH, H, S]),
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Cache {
+        Never,
+        Valid,
+        Expired,
+        Ttl0,
+    }
+
+    /// Run one cell of the table on a fresh single-keyword service: TTL
+    /// 100 s (or 0), quality decaying linearly to zero over 400 s, so a
+    /// valid value (age 10 s) rates 97.5 % and an expired one (age 200 s)
+    /// 50 % — both meet a threshold of 10 and miss one of 99.
+    fn check_cell(
+        mode: ResponseMode,
+        cache: Cache,
+        threshold: Option<f64>,
+        fail: bool,
+        want: Outcome,
+    ) {
+        let cell = format!("{mode:?} x {cache:?} x {threshold:?} (fail={fail})");
+        let clock = ManualClock::new();
+        let failing = Arc::new(AtomicBool::new(false));
+        let f2 = Arc::clone(&failing);
+        let calls = AtomicU64::new(0);
+        let ttl = if cache == Cache::Ttl0 { 0 } else { 100 };
+        let si = SystemInformation::new(
+            Box::new(crate::provider::FnProvider::new("K", move || {
+                let n = calls.fetch_add(1, Ordering::SeqCst) + 1;
+                if f2.load(Ordering::SeqCst) {
+                    return Err(crate::provider::ProviderError::Other("down".into()));
+                }
+                Ok(vec![("n".to_string(), n.to_string())])
+            })),
+            clock.clone(),
+            Duration::from_secs(ttl),
+            DegradationFn::Linear {
+                lifetime: Duration::from_secs(400),
+            },
+        );
+        let svc = InformationService::new("h", clock.clone(), MetricSet::new());
+        svc.register(Arc::clone(&si));
+        if cache != Cache::Never {
+            si.update_state().unwrap(); // primes the cache, not the service counters
+            clock.advance(Duration::from_secs(if cache == Cache::Expired {
+                200
+            } else {
+                10
+            }));
+        }
+        failing.store(fail, Ordering::SeqCst);
+        let before: Vec<u64> = COUNTERS
+            .iter()
+            .map(|c| svc.metrics().counter_value(c))
+            .collect();
+        let executions = si.execution_count();
+        let opts = QueryOptions {
+            mode,
+            quality_threshold: threshold,
+            ..Default::default()
+        };
+        let answer = svc.answer(&kw("K"), &opts);
+
+        let (executed, from_cache, stale, moved) = want.expect();
+        assert_eq!(si.execution_count() > executions, executed, "{cell}");
+        if want == Outcome::Never {
+            assert_eq!(
+                answer,
+                Err(InfoServiceError::Query(QueryError::NeverProduced)),
+                "{cell}"
+            );
+        } else {
+            let recs = answer.unwrap_or_else(|e| panic!("{cell}: {e}"));
+            // The provider stamps its execution number: the primed value
+            // is n=1, anything fresher was produced by this query.
+            let primed = cache != Cache::Never && recs[0].get("K:n").unwrap().value == "1";
+            assert_eq!(primed, from_cache, "{cell}: from_cache");
+            assert_eq!(recs[0].degraded, stale, "{cell}: stale");
+        }
+        for (name, before) in COUNTERS.iter().zip(before) {
+            let delta = svc.metrics().counter_value(name) - before;
+            assert_eq!(delta, u64::from(moved.contains(name)), "{cell}: {name}");
+        }
+    }
+
+    #[test]
+    fn two_phase_equivalence_table() {
+        use Cache::*;
+        use Outcome::{Forced, Hit, Miss, Old};
+        use ResponseMode::{Cached, Immediate, Last};
+        // Columns: no threshold, threshold met (10), threshold missed (99).
+        let table = [
+            (Cached, Never, [Miss, Miss, Miss]),
+            (Cached, Valid, [Hit, Hit, Forced]),
+            (Cached, Expired, [Miss, Miss, Forced]),
+            (Cached, Ttl0, [Miss, Miss, Forced]),
+            (Immediate, Never, [Miss, Miss, Miss]),
+            (Immediate, Valid, [Miss, Miss, Miss]),
+            (Immediate, Expired, [Miss, Miss, Miss]),
+            (Immediate, Ttl0, [Miss, Miss, Miss]),
+            (Last, Never, [Outcome::Never; 3]),
+            (Last, Valid, [Hit, Hit, Hit]),
+            (Last, Expired, [Old, Old, Old]),
+            (Last, Ttl0, [Hit, Hit, Hit]),
+        ];
+        for (mode, cache, row) in table {
+            for (threshold, want) in [None, Some(10.0), Some(99.0)].into_iter().zip(row) {
+                check_cell(mode, cache, threshold, false, want);
+            }
+        }
+        // With the provider down, a refresh stale-serves what is cached.
+        check_cell(Immediate, Valid, None, true, Outcome::StaleServe);
+        check_cell(Cached, Expired, None, true, Outcome::StaleServe);
+        check_cell(Cached, Valid, Some(99.0), true, Outcome::ForcedStaleServe);
+        check_cell(Cached, Expired, Some(99.0), true, Outcome::ForcedStaleServe);
+    }
+
+    #[test]
+    fn mixed_all_keeps_registry_order_across_the_two_phases() {
+        // (info=all) over A, B, C, D: A and D are warm hits answered by
+        // the non-blocking pass, B and C (TTL 0) are the two misses that
+        // go through the fan-out between them.
+        let clock = ManualClock::new();
+        let svc = InformationService::new("h", clock.clone(), MetricSet::new());
+        for (name, ttl) in [("C", 0), ("A", 60), ("D", 60), ("B", 0)] {
+            let calls = AtomicU64::new(0);
+            let si = SystemInformation::new(
+                Box::new(crate::provider::FnProvider::new(name, move || {
+                    let n = calls.fetch_add(1, Ordering::SeqCst) + 1;
+                    Ok(vec![("n".to_string(), n.to_string())])
+                })),
+                clock.clone(),
+                Duration::from_secs(ttl),
+                DegradationFn::default(),
+            );
+            si.update_state().unwrap();
+            svc.register(si);
+        }
+        let recs = svc
+            .answer(&[InfoSelector::All], &QueryOptions::default())
+            .unwrap();
+        let served: Vec<(&str, &str)> = recs
+            .iter()
+            .map(|r| (r.keyword.as_str(), r.attributes[0].value.as_str()))
+            .collect();
+        assert_eq!(
+            served,
+            vec![("A", "1"), ("B", "2"), ("C", "2"), ("D", "1")],
+            "hits keep their cached value, misses re-execute, order is the registry's"
+        );
+        assert_eq!(svc.metrics().counter_value("info.queries"), 4);
+        assert_eq!(svc.metrics().counter_value("info.cache_hits"), 2);
+        assert_eq!(svc.metrics().counter_value("info.refreshes"), 2);
+        for (name, hits, misses) in [("A", 1, 0), ("B", 0, 1), ("C", 0, 1), ("D", 1, 0)] {
+            assert_eq!(
+                svc.metrics().counter_value(&format!("info.hits.{name}")),
+                hits
+            );
+            assert_eq!(
+                svc.metrics().counter_value(&format!("info.misses.{name}")),
+                misses
+            );
+        }
     }
 }

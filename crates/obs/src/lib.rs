@@ -17,9 +17,7 @@
 //! * [`Counter`] — monotonically increasing event count.
 //! * [`Gauge`] — instantaneous level that can move both ways.
 //! * [`Histogram`] — fixed log₂-bucket latency histogram (lock-free).
-//! * [`Recorder`] — raw-sample recorder for offline percentile summaries
-//!   (the benchmark harness wants exact percentiles; services should
-//!   prefer [`Histogram`], which is O(1) memory).
+//! * [`Recorder`] — streaming count + mean, O(1) memory.
 //! * [`EventRing`] — bounded ring of recent structured [`Event`]s.
 //! * [`Telemetry`] — the named, shareable bag of all of the above.
 //! * [`stats`] — Welford accumulators and percentile summaries backing

@@ -1,6 +1,6 @@
-//! Scalar instruments: counters, gauges, and raw-sample recorders.
+//! Scalar instruments: counters, gauges, and count + mean recorders.
 
-use crate::stats::{Summary, Welford};
+use crate::stats::Welford;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -60,22 +60,17 @@ impl Gauge {
     }
 }
 
-/// A recorder that stores raw samples (seconds) for later summarization.
-///
-/// Memory grows with the sample count; services on hot paths should prefer
-/// [`crate::Histogram`]. The benchmark harness keeps using this because it
-/// wants exact percentiles.
+/// A streaming count + mean of samples (seconds) in constant memory, so
+/// a running service can record into it forever. For percentiles use
+/// [`crate::Histogram`] (bucketed, lock-free) or, offline,
+/// [`crate::Summary::from_samples`].
 #[derive(Debug, Default)]
-pub struct Recorder {
-    samples: Mutex<Vec<f64>>,
-    welford: Mutex<Welford>,
-}
+pub struct Recorder(Mutex<Welford>);
 
 impl Recorder {
     /// Record one sample, in seconds.
     pub fn record(&self, secs: f64) {
-        self.samples.lock().push(secs);
-        self.welford.lock().record(secs);
+        self.0.lock().record(secs);
     }
 
     /// Record a duration.
@@ -85,17 +80,12 @@ impl Recorder {
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.welford.lock().count()
+        self.0.lock().count()
     }
 
-    /// Streaming mean without materializing a summary.
+    /// Mean of the samples recorded.
     pub fn mean(&self) -> f64 {
-        self.welford.lock().mean()
-    }
-
-    /// Snapshot all samples into a percentile summary.
-    pub fn summary(&self) -> Summary {
-        Summary::from_samples(self.samples.lock().clone())
+        self.0.lock().mean()
     }
 }
 
@@ -141,14 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn recorder_summary_reflects_samples() {
+    fn recorder_tracks_count_and_mean() {
         let r = Recorder::default();
         r.record(1.0);
         r.record_duration(Duration::from_secs(3));
         assert_eq!(r.count(), 2);
         assert!((r.mean() - 2.0).abs() < 1e-12);
-        let s = r.summary();
-        assert_eq!(s.count(), 2);
-        assert!((s.median() - 2.0).abs() < 1e-12);
     }
 }

@@ -3,7 +3,6 @@
 use crate::events::{Event, EventRing};
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Recorder};
-use crate::stats::Summary;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -66,7 +65,7 @@ impl Telemetry {
         )
     }
 
-    /// Get (or create) the latency recorder with this name.
+    /// Get (or create) the count + mean recorder with this name.
     pub fn recorder(&self, name: &str) -> Arc<Recorder> {
         let mut map = self.inner.recorders.lock();
         Arc::clone(
@@ -123,21 +122,6 @@ impl Telemetry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect()
-    }
-
-    /// Names of all recorders, sorted.
-    pub fn recorder_names(&self) -> Vec<String> {
-        self.inner.recorders.lock().keys().cloned().collect()
-    }
-
-    /// Summary of a recorder (empty summary if never touched).
-    pub fn recorder_summary(&self, name: &str) -> Summary {
-        self.inner
-            .recorders
-            .lock()
-            .get(name)
-            .map(|r| r.summary())
-            .unwrap_or_else(|| Summary::from_samples(vec![]))
     }
 
     /// Flatten the whole telemetry state into `(attribute, value)` pairs,
@@ -252,16 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn recorder_summary_reflects_samples() {
+    fn recorder_shared_by_name() {
         let t = Telemetry::new();
-        let r = t.recorder("lat");
-        r.record(1.0);
-        r.record(3.0);
-        assert_eq!(r.count(), 2);
-        assert!((r.mean() - 2.0).abs() < 1e-12);
-        let s = t.recorder_summary("lat");
-        assert_eq!(s.count(), 2);
-        assert!((s.median() - 2.0).abs() < 1e-12);
+        t.recorder("lat").record(1.0);
+        t.recorder("lat").record(3.0);
+        assert_eq!(t.recorder("lat").count(), 2);
+        assert!((t.recorder("lat").mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]

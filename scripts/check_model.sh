@@ -1,33 +1,10 @@
 #!/bin/sh
-# Schedule-exploration model checking for the concurrency core.
-#
-# Runs the feature-gated model test suites:
-#
-#   - infogram-sim's sim::model unit tests (the explorer checking
-#     itself: seeded races, deadlocks, condvar handoffs, clock
-#     auto-advance, fan-out under the model, replayability)
-#   - tests/model_concurrency.rs (the InfoGram invariants: coalescing
-#     generation, the seeded stale-waiter regression, throttle delay,
-#     COW registry)
-#   - tests/model_fault.rs (the fault-domain supervisor: half-open
-#     probe exclusivity with a seeded check-then-act regression,
-#     breaker transitions under racing failures, stale-serve honesty)
-#   - tests/model_sched.rs (the refresh scheduler: no lost wakeups /
-#     no double-enqueue with a seeded epoch-check regression, no
-#     refresh storm under concurrent ticks, breaker-open keywords
-#     park instead of busy-looping)
-#   - tests/model_sub.rs (the push-subscription delivery pipeline: a
-#     seeded outbox check-then-act overcommit regression, exactly-once
-#     in-order fan-out under concurrent notifies, a joiner racing a
-#     notify always starts from a snapshot, eviction under a scheduler
-#     tick never deadlocks against a joining subscriber)
-#   - tests/model_wal.rs (the WAL group-commit protocol: a seeded
-#     ack-before-durable leader regression, the shipped Wal never
-#     acks a commit before its bytes are fsynced and never loses a
-#     ticket under racing submitters, fsync-failure honesty)
-#
-# plus clippy over the `model` feature configuration, which the default
-# gate never compiles.
+# Schedule-exploration model checking for the concurrency core: clippy
+# over the `model` feature configuration (which the default gate never
+# compiles), infogram-sim's own sim::model unit tests (the explorer
+# checking itself), then each suite in SUITES below — tests/<suite>.rs,
+# whose doc comment says which invariants and seeded regressions it
+# holds.
 #
 # Bounds: by default explorations use a CHESS-style preemption bound of
 # 2 and a 4000-execution budget per scenario — seconds of wall time.
@@ -42,6 +19,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+SUITES="model_concurrency model_fault model_sched model_sub model_wal"
+
 MODE=bounded
 if [ "${EXHAUSTIVE:-0}" = "1" ]; then
     MODE=exhaustive
@@ -53,19 +32,9 @@ cargo clippy -p infogram-sim -p infogram --all-targets --features model -- -D wa
 echo "==> model suite: infogram-sim (${MODE})"
 cargo test -p infogram-sim --features model -q
 
-echo "==> model suite: tests/model_concurrency.rs (${MODE})"
-cargo test -p infogram --features model --test model_concurrency -q
-
-echo "==> model suite: tests/model_fault.rs (${MODE})"
-cargo test -p infogram --features model --test model_fault -q
-
-echo "==> model suite: tests/model_sched.rs (${MODE})"
-cargo test -p infogram --features model --test model_sched -q
-
-echo "==> model suite: tests/model_sub.rs (${MODE})"
-cargo test -p infogram --features model --test model_sub -q
-
-echo "==> model suite: tests/model_wal.rs (${MODE})"
-cargo test -p infogram --features model --test model_wal -q
+for suite in $SUITES; do
+    echo "==> model suite: tests/${suite}.rs (${MODE})"
+    cargo test -p infogram --features model --test "$suite" -q
+done
 
 echo "==> model checking green (${MODE})"

@@ -191,7 +191,7 @@ ORDER = [
      "its TTL (10 s cache ⇒ 10% of the no-cache pulls at 1 query/s) at the "
      "price of bounded staleness — the same freshness/load dial as E5, one "
      "level up the hierarchy. The TTL=0 row is the no-cache ablation."),
-    ("E16", "E16 — scatter-gather fan-out and the allocation-free hit path",
+    ("E16", "E16 — scatter-gather fan-out and the interned-handle hit path",
      "No direct paper artifact — this is a performance property of the "
      "reproduction itself: `(info=all)` must not serialize K slow "
      "providers, and the cache-hit path must not pay per-query metric-name "

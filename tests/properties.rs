@@ -85,7 +85,7 @@ proptest! {
                     }
                 }
                 CacheOp::Cached => {
-                    let snap = si.cached_state().unwrap();
+                    let snap = si.query_state().or_else(|_| si.update_state()).unwrap();
                     let v: u64 = snap.attributes[0].1.parse().unwrap();
                     prop_assert!(v >= last_seen_version);
                     last_seen_version = v;
