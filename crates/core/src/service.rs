@@ -10,7 +10,7 @@ use infogram_exec::backend::{ForkBackend, JarletBackend, QueueBackend};
 use infogram_exec::engine::{EngineConfig, JobEngine};
 use infogram_exec::gram::GramServer;
 use infogram_exec::sandbox::{ExecMode, Policy};
-use infogram_exec::wal::{accounting_summary, AccountUsage, Wal};
+use infogram_exec::wal::{AccountUsage, Wal};
 use infogram_gsi::{Authorizer, Certificate, Credential};
 use infogram_host::commands::CommandRegistry;
 use infogram_host::machine::SimulatedHost;
@@ -218,7 +218,7 @@ impl InfoGramService {
 
     /// Simple grid accounting from the logging service (§6).
     pub fn accounting(&self) -> BTreeMap<String, AccountUsage> {
-        accounting_summary(&self.engine.wal_events())
+        self.engine.wal().with_fold(|fold| fold.accounts.clone())
     }
 
     /// The `(action=subscribe)` index: live subscription count, keyword

@@ -8,7 +8,7 @@
 //! registered watchers (the client event callbacks of §2).
 
 use crate::backend::{BackendError, BackendJobRef, BackendStatus, ExecBackend};
-use crate::wal::{RecoveryStats, Wal, WalError, WalEvent};
+use crate::wal::{NamePool, RecoveryStats, Wal, WalError, WalEvent};
 use infogram_host::machine::SimulatedHost;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::JobStateCode;
@@ -17,6 +17,7 @@ use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, MetricSet};
 use infogram_sim::SimTime;
 use parking_lot::{lock_class, Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,25 +100,53 @@ enum BackendKind {
     Queue,
 }
 
-struct JobEntry {
+/// What only a runnable job needs: [`JobEngine::settle`] drops it once
+/// the `Finished` record is durable, and [`JobEngine::recover`] never
+/// builds it for a job that was already terminal. (The xRSL text is not
+/// here at all: the log fold holds it, see [`JobEngine::job_rsl`].)
+struct LiveJob {
     spec: JobRequest,
-    rsl_text: String,
-    owner: String,
-    account: String,
     kind: BackendKind,
     queue_name: Option<String>,
     job_ref: BackendJobRef,
+    submitted_at: SimTime,
+    retries_left: u32,
+}
+
+/// One row of the job table — what `status` / `cancel` / `job_owner`
+/// answer from, which is all a finished job keeps costing.
+struct JobEntry {
+    /// Shared with every other entry of the same owner.
+    owner: Arc<str>,
+    /// Shared with every other entry of the same account.
+    account: Arc<str>,
     output: String,
     state: JobStateCode,
     exit_code: Option<i32>,
-    submitted_at: SimTime,
-    retries_left: u32,
     timeout_exceeded: bool,
+    /// `Some` exactly while the job is not terminal.
+    live: Option<Box<LiveJob>>,
     /// A terminal transition for this job is queued but not yet durable.
     /// While set, the entry stays non-terminal and refresh/cancel leave
     /// it alone — [`JobEngine::settle`] finalizes (or clears the flag if
     /// the WAL rejects the commit, so a later refresh retries).
     finishing: bool,
+}
+
+impl JobEntry {
+    /// A row with no output and no runnable half.
+    fn new(owner: Arc<str>, account: Arc<str>, state: JobStateCode) -> JobEntry {
+        JobEntry {
+            owner,
+            account,
+            output: String::new(),
+            state,
+            exit_code: None,
+            timeout_exceeded: false,
+            live: None,
+            finishing: false,
+        }
+    }
 }
 
 /// A terminal transition discovered under the jobs lock, to be committed
@@ -130,6 +159,13 @@ struct PendingFinish {
     exit_code: Option<i32>,
     now: SimTime,
     wall: Duration,
+}
+
+/// The job table, and the identity strings its entries share.
+#[derive(Default)]
+struct JobTable {
+    entries: HashMap<u64, JobEntry>,
+    identities: NamePool,
 }
 
 type Watcher = Arc<dyn Fn(JobHandle, JobStateCode) + Send + Sync>;
@@ -151,7 +187,7 @@ pub struct JobEngine {
     jarlet: Option<Arc<dyn ExecBackend>>,
     queues: RwLock<HashMap<String, Arc<dyn ExecBackend>>>,
     default_queue: RwLock<Option<String>>,
-    jobs: Mutex<HashMap<u64, JobEntry>>,
+    jobs: Mutex<JobTable>,
     watchers: Mutex<HashMap<WatcherId, Watcher>>,
     next_watcher_id: AtomicU64,
     /// Host whose filesystem receives `(stdout=...)`/`(stderr=...)`
@@ -183,8 +219,9 @@ impl JobEngine {
     ) -> Arc<Self> {
         let mut wal = wal;
         wal.set_telemetry(metrics.clone());
-        let recovered = wal.fold_snapshot().state;
-        let epoch = recovered.last_epoch + 1;
+        let (last_epoch, last_job_id) =
+            wal.with_fold(|fold| (fold.state.last_epoch, fold.state.last_job_id));
+        let epoch = last_epoch + 1;
         // If the sink is down at boot the engine starts degraded (the
         // failed probe latches the WAL read-only); it still serves
         // status/info while rejecting submissions.
@@ -193,13 +230,13 @@ impl JobEngine {
             config,
             clock,
             epoch,
-            next_job_id: AtomicU64::new(recovered.last_job_id + 1),
+            next_job_id: AtomicU64::new(last_job_id + 1),
             wal,
             fork,
             jarlet: None,
             queues: RwLock::with_class(HashMap::new(), lock_class!("exec.engine.queues")),
             default_queue: RwLock::with_class(None, lock_class!("exec.engine.default_queue")),
-            jobs: Mutex::with_class(HashMap::new(), lock_class!("exec.engine.jobs")),
+            jobs: Mutex::with_class(JobTable::default(), lock_class!("exec.engine.jobs")),
             watchers: Mutex::with_class(HashMap::new(), lock_class!("exec.engine.watchers")),
             next_watcher_id: AtomicU64::new(1),
             stdio_host: RwLock::with_class(None, lock_class!("exec.engine.stdio_host")),
@@ -273,11 +310,6 @@ impl JobEngine {
         self.watchers.lock().remove(&id);
     }
 
-    /// The WAL events recorded so far (accounting, tests).
-    pub fn wal_events(&self) -> Vec<WalEvent> {
-        self.wal.events()
-    }
-
     /// The engine's logging service (tests and benches reach through to
     /// inspect the fold or force commits).
     pub fn wal(&self) -> &Wal {
@@ -341,6 +373,33 @@ impl JobEngine {
         }
     }
 
+    /// Start `spec` on its backend: the job's runnable half, the output
+    /// captured so far, and the state it starts in.
+    fn launch(
+        &self,
+        spec: JobRequest,
+        account: &str,
+        now: SimTime,
+    ) -> Result<(LiveJob, String, JobStateCode), SubmitError> {
+        let (kind, queue_name, backend) = self.backend_for(&spec)?;
+        let (job_ref, output) = backend
+            .submit(&spec, account)
+            .map_err(SubmitError::Backend)?;
+        let state = match backend.poll(&job_ref) {
+            BackendStatus::Pending => JobStateCode::Pending,
+            _ => JobStateCode::Active,
+        };
+        let live = LiveJob {
+            retries_left: spec.restart_on_fail,
+            spec,
+            kind,
+            queue_name,
+            job_ref,
+            submitted_at: now,
+        };
+        Ok((live, output, state))
+    }
+
     /// Submit a job. `rsl_text` is logged verbatim ("the command used and
     /// arguments"); `owner`/`account` come from the gatekeeper's
     /// authorization decision.
@@ -358,15 +417,8 @@ impl JobEngine {
             self.metrics.counter("jobs.rejected_readonly").incr();
             return Err(SubmitError::WalUnavailable { retry_after_ms });
         }
-        let (kind, queue_name, backend) = self.backend_for(&spec)?;
-        let (job_ref, output) = backend
-            .submit(&spec, account)
-            .map_err(SubmitError::Backend)?;
+        let (live, output, initial_state) = self.launch(spec, account, now)?;
         let job_id = self.next_job_id.fetch_add(1, Ordering::SeqCst);
-        let initial_state = match backend.poll(&job_ref) {
-            BackendStatus::Pending => JobStateCode::Pending,
-            _ => JobStateCode::Active,
-        };
         // Group commit: the ack below only happens once this batch is
         // durable. No engine lock is held across the ticket wait.
         if let Err(e) = self.wal.commit(
@@ -385,7 +437,7 @@ impl JobEngine {
             ],
         ) {
             // Honest degradation: never ack a submission the log lost.
-            backend.cancel(&job_ref);
+            self.backend_of(&live).cancel(&live.job_ref);
             self.metrics.counter("jobs.rejected_readonly").incr();
             let retry_after_ms = match e {
                 WalError::ReadOnly { retry_after_ms } => retry_after_ms,
@@ -393,26 +445,19 @@ impl JobEngine {
             };
             return Err(SubmitError::WalUnavailable { retry_after_ms });
         }
-        let retries_left = spec.restart_on_fail;
-        self.jobs.lock().insert(
-            job_id,
-            JobEntry {
-                spec,
-                rsl_text: rsl_text.to_string(),
-                owner: owner.to_string(),
-                account: account.to_string(),
-                kind,
-                queue_name,
-                job_ref,
+        {
+            let mut jobs = self.jobs.lock();
+            let (owner, account) = (
+                jobs.identities.intern(owner),
+                jobs.identities.intern(account),
+            );
+            let entry = JobEntry {
                 output,
-                state: initial_state,
-                exit_code: None,
-                submitted_at: now,
-                retries_left,
-                timeout_exceeded: false,
-                finishing: false,
-            },
-        );
+                live: Some(Box::new(live)),
+                ..JobEntry::new(owner, account, initial_state)
+            };
+            jobs.entries.insert(job_id, entry);
+        }
         self.metrics.counter("jobs.submitted").incr();
         self.metrics.event(
             now.as_secs_f64(),
@@ -436,14 +481,14 @@ impl JobEngine {
         }
     }
 
-    fn backend_of(&self, entry: &JobEntry) -> Arc<dyn ExecBackend> {
-        match entry.kind {
+    fn backend_of(&self, live: &LiveJob) -> Arc<dyn ExecBackend> {
+        match live.kind {
             BackendKind::Fork => Arc::clone(&self.fork),
             // lint:allow(unwrap) — submit() rejects jarlet jobs unless the backend was attached
             BackendKind::Jarlet => Arc::clone(self.jarlet.as_ref().expect("jarlet set")),
             BackendKind::Queue => {
                 // lint:allow(unwrap) — BackendKind::Queue is only assigned together with a queue name
-                let name = entry.queue_name.as_deref().expect("queue name set");
+                let name = live.queue_name.as_deref().expect("queue name set");
                 Arc::clone(&self.queues.read()[name])
             }
         }
@@ -467,28 +512,31 @@ impl JobEngine {
         pending: &mut Vec<(JobHandle, JobStateCode)>,
         finishes: &mut Vec<PendingFinish>,
     ) -> JobStateCode {
-        if entry.state.is_terminal() || entry.finishing {
+        if entry.finishing {
             return entry.state;
         }
+        let Some(live) = entry.live.as_deref_mut() else {
+            return entry.state; // terminal
+        };
         let now = self.clock.now();
-        let backend = self.backend_of(entry);
+        let backend = self.backend_of(live);
 
         // Deadlines: GRAM `maxtime` kills (→ Failed); the xRSL extension
         // `(timeout=...)` either cancels or raises while continuing.
-        let elapsed = now.since(entry.submitted_at);
-        if let Some(max_time) = entry.spec.max_time {
+        let elapsed = now.since(live.submitted_at);
+        if let Some(max_time) = live.spec.max_time {
             if elapsed > max_time {
-                backend.cancel(&entry.job_ref);
+                backend.cancel(&live.job_ref);
                 self.queue_finish(job_id, entry, JobStateCode::Failed, None, now, finishes);
                 self.metrics.counter("jobs.maxtime_kills").incr();
                 return entry.state;
             }
         }
-        if let Some(timeout) = entry.spec.timeout {
+        if let Some(timeout) = live.spec.timeout {
             if elapsed > timeout {
-                match entry.spec.timeout_action {
+                match live.spec.timeout_action {
                     TimeoutAction::Cancel => {
-                        backend.cancel(&entry.job_ref);
+                        backend.cancel(&live.job_ref);
                         self.queue_finish(
                             job_id,
                             entry,
@@ -512,7 +560,7 @@ impl JobEngine {
             }
         }
 
-        let status = backend.poll(&entry.job_ref);
+        let status = backend.poll(&live.job_ref);
         let new_state = match status {
             BackendStatus::Pending => JobStateCode::Pending,
             BackendStatus::Active => JobStateCode::Active,
@@ -520,16 +568,16 @@ impl JobEngine {
             BackendStatus::Finished { exit_code } => {
                 if exit_code == 0 {
                     JobStateCode::Done
-                } else if entry.retries_left > 0 {
+                } else if live.retries_left > 0 {
                     // §6.1: "a fault tolerance mechanism that allows to
                     // restart a job upon failure".
-                    entry.retries_left -= 1;
+                    live.retries_left -= 1;
                     self.metrics.counter("jobs.restarts").incr();
-                    match backend.submit(&entry.spec, &entry.account) {
+                    match backend.submit(&live.spec, &entry.account) {
                         Ok((job_ref, output)) => {
-                            entry.job_ref = job_ref;
+                            live.job_ref = job_ref;
                             entry.output = output;
-                            entry.submitted_at = now;
+                            live.submitted_at = now;
                             JobStateCode::Pending
                         }
                         Err(_) => JobStateCode::Failed,
@@ -580,13 +628,16 @@ impl JobEngine {
         now: SimTime,
         finishes: &mut Vec<PendingFinish>,
     ) {
+        let Some(live) = &entry.live else {
+            return; // already terminal
+        };
         entry.finishing = true;
         finishes.push(PendingFinish {
             job_id,
             state,
             exit_code,
             now,
-            wall: now.since(entry.submitted_at),
+            wall: now.since(live.submitted_at),
         });
     }
 
@@ -615,26 +666,28 @@ impl JobEngine {
                 .is_ok();
             if !committed {
                 self.metrics.counter("wal.finish_deferred").incr();
-                if let Some(entry) = self.jobs.lock().get_mut(&f.job_id) {
+                if let Some(entry) = self.jobs.lock().entries.get_mut(&f.job_id) {
                     entry.finishing = false;
                 }
                 continue;
             }
             let mut fired = None;
+            // The finished job's runnable half, freed with no lock held.
+            let mut retired = None;
             {
                 let mut jobs = self.jobs.lock();
-                if let Some(entry) = jobs.get_mut(&f.job_id) {
+                if let Some(entry) = jobs.entries.get_mut(&f.job_id) {
                     entry.finishing = false;
-                    if !entry.state.is_terminal() {
+                    if let Some(live) = entry.live.take() {
                         entry.state = f.state;
                         entry.exit_code = f.exit_code;
                         // Stdout/stderr redirection onto the service-side
                         // filesystem.
                         if let Some(host) = self.stdio_host.read().as_ref() {
-                            if let Some(path) = &entry.spec.stdout {
+                            if let Some(path) = &live.spec.stdout {
                                 host.fs.write(path, entry.output.clone());
                             }
-                            if let Some(path) = &entry.spec.stderr {
+                            if let Some(path) = &live.spec.stderr {
                                 let stderr_body = if f.state == JobStateCode::Done {
                                     String::new()
                                 } else {
@@ -666,9 +719,11 @@ impl JobEngine {
                             &format!("job {}: finished {}{exit}", f.job_id, f.state),
                         );
                         fired = Some((self.handle_for(f.job_id), f.state));
+                        retired = Some(live);
                     }
                 }
             }
+            drop(retired);
             if let Some((handle, state)) = fired {
                 self.notify(&handle, state);
             }
@@ -681,7 +736,7 @@ impl JobEngine {
         let mut finishes = Vec::new();
         let known = {
             let mut jobs = self.jobs.lock();
-            match jobs.get_mut(&job_id) {
+            match jobs.entries.get_mut(&job_id) {
                 Some(entry) => {
                     self.refresh(job_id, entry, &mut pending, &mut finishes);
                     true
@@ -697,7 +752,7 @@ impl JobEngine {
             return None;
         }
         let jobs = self.jobs.lock();
-        let entry = jobs.get(&job_id)?;
+        let entry = jobs.entries.get(&job_id)?;
         Some(JobStatusView {
             state: entry.state,
             exit_code: entry.exit_code,
@@ -720,8 +775,9 @@ impl JobEngine {
         let ids: Vec<u64> = self
             .jobs
             .lock()
+            .entries
             .iter()
-            .filter(|(_, e)| !e.state.is_terminal())
+            .filter(|(_, e)| e.live.is_some())
             .map(|(id, _)| *id)
             .collect();
         for id in ids {
@@ -737,15 +793,14 @@ impl JobEngine {
         let mut finishes = Vec::new();
         let attempted = {
             let mut jobs = self.jobs.lock();
-            let Some(entry) = jobs.get_mut(&job_id) else {
+            let Some(entry) = jobs.entries.get_mut(&job_id) else {
                 return false;
             };
             self.refresh(job_id, entry, &mut pending, &mut finishes);
-            if entry.state.is_terminal() || entry.finishing {
+            if entry.finishing {
                 false
-            } else {
-                let backend = self.backend_of(entry);
-                backend.cancel(&entry.job_ref);
+            } else if let Some(live) = &entry.live {
+                self.backend_of(live).cancel(&live.job_ref);
                 let now = self.clock.now();
                 self.queue_finish(
                     job_id,
@@ -756,6 +811,8 @@ impl JobEngine {
                     &mut finishes,
                 );
                 true
+            } else {
+                false // already terminal
             }
         };
         // A refresh can discover a terminal transition even when the
@@ -765,6 +822,7 @@ impl JobEngine {
             && self
                 .jobs
                 .lock()
+                .entries
                 .get(&job_id)
                 .map(|e| e.state == JobStateCode::Canceled)
                 .unwrap_or(false)
@@ -772,14 +830,27 @@ impl JobEngine {
 
     /// All known job ids.
     pub fn job_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.jobs.lock().keys().copied().collect();
+        let mut ids: Vec<u64> = self.jobs.lock().entries.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
-    /// The xRSL a job was submitted with.
+    /// How many jobs still hold their runnable half (spec, backend
+    /// reference, deadlines) — the non-terminal ones, and only those.
+    pub fn live_jobs(&self) -> usize {
+        let jobs = self.jobs.lock();
+        jobs.entries.values().filter(|e| e.live.is_some()).count()
+    }
+
+    /// The xRSL a job was submitted with — answered from the log fold,
+    /// which holds it for every job this table knows (a submission is in
+    /// the fold before it is in the table, and recovery fills the table
+    /// from the fold).
     pub fn job_rsl(&self, job_id: u64) -> Option<String> {
-        self.jobs.lock().get(&job_id).map(|e| e.rsl_text.clone())
+        if !self.jobs.lock().entries.contains_key(&job_id) {
+            return None;
+        }
+        self.wal.job(job_id).map(|job| job.rsl.to_string())
     }
 
     /// Owner and account of a job (for authorization of status/cancel by
@@ -787,8 +858,9 @@ impl JobEngine {
     pub fn job_owner(&self, job_id: u64) -> Option<(String, String)> {
         self.jobs
             .lock()
+            .entries
             .get(&job_id)
-            .map(|e| (e.owner.clone(), e.account.clone()))
+            .map(|e| (e.owner.to_string(), e.account.to_string()))
     }
 
     /// Recover from the WAL: jobs that were in flight when the previous
@@ -796,118 +868,71 @@ impl JobEngine {
     /// our InfoGRAM service"), finished jobs are reinstalled as terminal
     /// records. Returns the ids of restarted jobs.
     pub fn recover(&self) -> Vec<u64> {
-        let recovered = self.wal.fold_snapshot().state;
+        // One pass over the fold, read in place (jobs → io is the lock
+        // order `refresh` already takes). A job that was terminal before
+        // the crash gets its row back, sharing the fold's identity
+        // strings; its output was not checkpointed — the paper logs only
+        // "the command used and arguments". In-flight rows are taken out
+        // to be restarted below with no lock held.
+        let mut in_flight = Vec::new();
+        let recovered = {
+            let mut jobs = self.jobs.lock();
+            self.wal.with_fold(|fold| {
+                for job in &fold.state.jobs {
+                    let Entry::Vacant(slot) = jobs.entries.entry(job.job_id) else {
+                        continue; // submitted in this incarnation
+                    };
+                    match job.finished {
+                        Some((state, exit_code)) => {
+                            slot.insert(JobEntry {
+                                exit_code,
+                                ..JobEntry::new(job.owner.clone(), job.account.clone(), state)
+                            });
+                        }
+                        None => in_flight.push(job.clone()),
+                    }
+                }
+                fold.state.jobs.len()
+            })
+        };
         self.metrics
             .gauge("wal.recovered_jobs")
-            .set(recovered.jobs.len() as f64);
+            .set(recovered as f64);
         let mut restarted = Vec::new();
-        for job in &recovered.jobs {
-            if self.jobs.lock().contains_key(&job.job_id) {
-                continue; // submitted in this incarnation
-            }
-            match &job.finished {
-                Some((state, exit_code)) => {
-                    // Terminal before the crash: reinstall the record
-                    // (output was not checkpointed — the paper logs only
-                    // "the command used and arguments").
-                    self.jobs.lock().insert(
-                        job.job_id,
-                        JobEntry {
-                            spec: XrslRequest::from_text(&job.rsl)
-                                .ok()
-                                .and_then(|r| r.job)
-                                .unwrap_or_else(|| minimal_spec(&job.rsl)),
-                            rsl_text: job.rsl.clone(),
-                            owner: job.owner.clone(),
-                            account: job.account.clone(),
-                            kind: BackendKind::Fork,
-                            queue_name: None,
-                            job_ref: BackendJobRef::Processes(vec![]),
-                            output: String::new(),
-                            state: *state,
-                            exit_code: *exit_code,
-                            submitted_at: self.clock.now(),
-                            retries_left: 0,
-                            timeout_exceeded: false,
-                            finishing: false,
-                        },
-                    );
-                }
-                None => {
-                    // In flight: restart it from its logged xRSL.
-                    let Ok(req) = XrslRequest::from_text(&job.rsl) else {
-                        continue;
-                    };
-                    let Some(spec) = req.job else { continue };
-                    let Ok((kind, queue_name, backend)) = self.backend_for(&spec) else {
-                        continue;
-                    };
-                    let Ok((job_ref, output)) = backend.submit(&spec, &job.account) else {
-                        continue;
-                    };
-                    let initial = match backend.poll(&job_ref) {
-                        BackendStatus::Pending => JobStateCode::Pending,
-                        _ => JobStateCode::Active,
-                    };
-                    let retries_left = spec.restart_on_fail;
-                    self.jobs.lock().insert(
-                        job.job_id,
-                        JobEntry {
-                            spec,
-                            rsl_text: job.rsl.clone(),
-                            owner: job.owner.clone(),
-                            account: job.account.clone(),
-                            kind,
-                            queue_name,
-                            job_ref,
-                            output,
-                            state: initial,
-                            exit_code: None,
-                            submitted_at: self.clock.now(),
-                            retries_left,
-                            timeout_exceeded: false,
-                            finishing: false,
-                        },
-                    );
-                    self.wal.record(
-                        self.clock.now(),
-                        &WalEvent::StateChanged {
-                            job_id: job.job_id,
-                            state: initial,
-                        },
-                    );
-                    self.metrics.counter("jobs.recovered").incr();
-                    self.metrics.event(
-                        self.clock.now().as_secs_f64(),
-                        "job.state",
-                        &format!("job {}: recovered ({initial})", job.job_id),
-                    );
-                    restarted.push(job.job_id);
-                }
-            }
+        for job in in_flight {
+            // Restart it from its logged xRSL.
+            let Ok(req) = XrslRequest::from_text(&job.rsl) else {
+                continue;
+            };
+            let Some(spec) = req.job else { continue };
+            let Ok((live, output, initial)) = self.launch(spec, &job.account, self.clock.now())
+            else {
+                continue;
+            };
+            self.jobs.lock().entries.insert(
+                job.job_id,
+                JobEntry {
+                    output,
+                    live: Some(Box::new(live)),
+                    ..JobEntry::new(job.owner, job.account, initial)
+                },
+            );
+            self.wal.record(
+                self.clock.now(),
+                &WalEvent::StateChanged {
+                    job_id: job.job_id,
+                    state: initial,
+                },
+            );
+            self.metrics.counter("jobs.recovered").incr();
+            self.metrics.event(
+                self.clock.now().as_secs_f64(),
+                "job.state",
+                &format!("job {}: recovered ({initial})", job.job_id),
+            );
+            restarted.push(job.job_id);
         }
         restarted
-    }
-}
-
-/// Placeholder spec for terminal recovered jobs whose RSL no longer
-/// parses (it is never executed again).
-fn minimal_spec(rsl: &str) -> JobRequest {
-    JobRequest {
-        executable: rsl.to_string(),
-        arguments: vec![],
-        environment: vec![],
-        directory: None,
-        count: 1,
-        max_time: None,
-        stdout: None,
-        stderr: None,
-        job_type: JobType::Fork,
-        queue: None,
-        requirements: vec![],
-        restart_on_fail: 0,
-        timeout: None,
-        timeout_action: TimeoutAction::default(),
     }
 }
 
@@ -929,13 +954,17 @@ mod tests {
     }
 
     fn world() -> World {
+        world_on(Wal::in_memory())
+    }
+
+    fn world_on(wal: Wal) -> World {
         let clock = ManualClock::new();
         let host = SimulatedHost::default_on(clock.clone());
         let registry = CommandRegistry::new(host, ChargeMode::None);
         let engine = JobEngine::new(
             EngineConfig::default(),
             clock.clone(),
-            Wal::in_memory(),
+            wal,
             ForkBackend::new(Arc::clone(&registry)),
             MetricSet::new(),
         )
@@ -1116,7 +1145,7 @@ mod tests {
         let h = submit(&w, "(executable=simwork)(arguments=100)");
         w.clock.advance(Duration::from_millis(100));
         w.engine.status(h.job_id).unwrap();
-        let events = w.engine.wal_events();
+        let events = w.engine.wal().events();
         assert!(matches!(events[0], WalEvent::ServiceStarted { epoch: 1 }));
         assert!(events
             .iter()
@@ -1177,6 +1206,102 @@ mod tests {
         let err = w.registry.host().fs.read_text("/tmp/fail.err").unwrap();
         assert!(err.contains("FAILED"));
         assert!(err.contains("exit Some(3)"));
+    }
+
+    /// What a client can ask about one job.
+    #[derive(Debug, PartialEq)]
+    struct Answers {
+        state: JobStateCode,
+        exit_code: Option<i32>,
+        owner: (String, String),
+        rsl: String,
+    }
+
+    fn answers(engine: &JobEngine, job_id: u64) -> Answers {
+        let view = engine.status(job_id).unwrap();
+        Answers {
+            state: view.state,
+            exit_code: view.exit_code,
+            owner: engine.job_owner(job_id).unwrap(),
+            rsl: engine.job_rsl(job_id).unwrap(),
+        }
+    }
+
+    #[test]
+    fn answers_are_the_same_across_a_restart() {
+        use crate::wal::{FrameWal, MemStorage, WalConfig};
+        let storage = MemStorage::new();
+        let open = || {
+            let sink = FrameWal::open(storage.clone(), WalConfig::default()).unwrap();
+            Wal::new(Box::new(sink))
+        };
+        // (xRSL, state and exit code when the first incarnation stops)
+        let table = [
+            (
+                "(executable=simwork)(arguments=100)",
+                JobStateCode::Done,
+                Some(0),
+            ),
+            (
+                "&(executable=simwork)(arguments=100 9)(stdout=/tmp/nine.out)",
+                JobStateCode::Failed,
+                Some(9),
+            ),
+            (
+                "(executable=simwork)(arguments=70000)",
+                JobStateCode::Canceled,
+                None,
+            ),
+            (
+                "(executable=simwork)(arguments=60000)",
+                JobStateCode::Active,
+                None,
+            ),
+        ];
+
+        let first = world_on(open());
+        let ids: Vec<u64> = table
+            .iter()
+            .map(|(rsl, _, _)| submit(&first, rsl).job_id)
+            .collect();
+        assert!(first.engine.cancel(ids[2]));
+        first.clock.advance(Duration::from_millis(100));
+        let before: Vec<Answers> = ids.iter().map(|id| answers(&first.engine, *id)).collect();
+        for (row, (rsl, state, exit_code)) in before.iter().zip(table) {
+            assert_eq!((row.state, row.exit_code), (state, exit_code), "{rsl}");
+            assert_eq!(row.owner.1, "tester");
+            assert_eq!(row.rsl, rsl);
+        }
+        assert_eq!(first.engine.live_jobs(), 1);
+        drop(first);
+
+        let second = world_on(open());
+        assert_eq!(second.engine.job_rsl(ids[0]), None, "not recovered yet");
+        assert_eq!(second.engine.recover(), [ids[3]]);
+        assert_eq!(second.engine.recover(), [], "recovery is idempotent");
+        assert_eq!(
+            second.engine.live_jobs(),
+            1,
+            "only the restarted job is live"
+        );
+        for (id, was) in ids.iter().zip(&before) {
+            assert_eq!(&answers(&second.engine, *id), was);
+        }
+        for id in &ids[..3] {
+            assert!(!second.engine.cancel(*id), "terminal before the restart");
+            assert_eq!(second.engine.status(*id).unwrap().output, "");
+        }
+        assert!(
+            second.engine.cancel(ids[3]),
+            "the restarted job is runnable"
+        );
+        assert_eq!(
+            second.engine.status(ids[3]).unwrap().state,
+            JobStateCode::Canceled
+        );
+        assert_eq!(second.engine.status(999), None);
+        assert_eq!(second.engine.job_owner(999), None);
+        assert_eq!(second.engine.job_rsl(999), None);
     }
 
     #[test]

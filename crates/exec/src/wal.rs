@@ -10,7 +10,7 @@
 //!
 //! Faithful to that: the log records submissions (the xRSL text — the
 //! command and arguments), state changes, and completions; [`RecoveredState`]
-//! rebuilds the job table from it; [`accounting_summary`] derives the
+//! rebuilds the job table from it; [`CheckpointState::accounts`] is the
 //! per-account usage report.
 //!
 //! # Durability model (DESIGN §14)
@@ -48,7 +48,9 @@ use infogram_sim::fault::{AppendVerdict, DiskFaultPlan, SyncVerdict, DISK_CRASHE
 use infogram_sim::metrics::MetricSet;
 use infogram_sim::SimTime;
 use parking_lot::{lock_class, Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -133,36 +135,38 @@ fn parse_state(s: &str) -> Option<JobStateCode> {
     })
 }
 
-/// Escape a free-form field so it can never collide with the record
-/// separator or a line break: `%` → `%25`, `\x1f` → `%1F`, `\n` → `%0A`,
-/// `\r` → `%0D`. Owner DNs, accounts, keywords and RSL text all pass
-/// through this, so adversarial field content round-trips losslessly.
-fn esc(s: &str) -> String {
-    if !s.contains(['%', SEP, '\n', '\r']) {
-        return s.to_string();
-    }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            SEP => out.push_str("%1F"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            _ => out.push(c),
+/// A free-form field, written escaped so it can never collide with the
+/// record separator or a line break: `%` → `%25`, `\x1f` → `%1F`, `\n` →
+/// `%0A`, `\r` → `%0D`. Owner DNs, accounts, keywords and RSL text all
+/// pass through this, so adversarial field content round-trips losslessly.
+struct Esc<'a>(&'a str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut rest = self.0;
+        while let Some(i) = rest.find(['%', SEP, '\n', '\r']) {
+            f.write_str(&rest[..i])?;
+            f.write_str(match rest.as_bytes()[i] {
+                b'%' => "%25",
+                b'\n' => "%0A",
+                b'\r' => "%0D",
+                _ => "%1F",
+            })?;
+            rest = &rest[i + 1..];
         }
+        f.write_str(rest)
     }
-    out
 }
 
-/// Reverse [`esc`]; `None` for strings the encoder could not have
+/// Reverse [`Esc`]; `None` for strings the encoder could not have
 /// produced (raw control characters, unknown `%` escapes) so corrupt
 /// frames are rejected rather than silently mangled.
-fn unesc(s: &str) -> Option<String> {
+fn unesc(s: &str) -> Option<Cow<'_, str>> {
     if s.contains(['\n', '\r']) {
         return None;
     }
     if !s.contains('%') {
-        return Some(s.to_string());
+        return Some(Cow::Borrowed(s));
     }
     let mut out = String::with_capacity(s.len());
     let mut it = s.chars();
@@ -179,7 +183,7 @@ fn unesc(s: &str) -> Option<String> {
             _ => return None,
         }
     }
-    Some(out)
+    Some(Cow::Owned(out))
 }
 
 impl WalEvent {
@@ -196,9 +200,9 @@ impl WalEvent {
             } => {
                 format!(
                     "SUBMIT{SEP}{job_id}{SEP}{}{SEP}{}{SEP}{}",
-                    esc(owner),
-                    esc(account),
-                    esc(rsl)
+                    Esc(owner),
+                    Esc(account),
+                    Esc(rsl)
                 )
             }
             WalEvent::StateChanged { job_id, state } => {
@@ -210,9 +214,9 @@ impl WalEvent {
                 keywords,
             } => format!(
                 "INFOQ{SEP}{}{SEP}{}{SEP}{}",
-                esc(owner),
-                esc(account),
-                esc(keywords)
+                Esc(owner),
+                Esc(account),
+                Esc(keywords)
             ),
             WalEvent::Finished {
                 job_id,
@@ -231,6 +235,11 @@ impl WalEvent {
     /// Decode one record payload; `None` for corrupt payloads (recovery
     /// skips them rather than refusing to start).
     pub fn decode(line: &str) -> Option<WalEvent> {
+        // A checkpoint carries six fields per job: walked in place, never
+        // collected.
+        if line.split(SEP).next() == Some("CKPT") {
+            return CheckpointState::decode(line).map(|ck| WalEvent::Checkpoint(Box::new(ck)));
+        }
         let fields: Vec<&str> = line.split(SEP).collect();
         match fields.as_slice() {
             ["START", epoch] => Some(WalEvent::ServiceStarted {
@@ -238,18 +247,18 @@ impl WalEvent {
             }),
             ["SUBMIT", job_id, owner, account, rsl] => Some(WalEvent::Submitted {
                 job_id: job_id.parse().ok()?,
-                rsl: unesc(rsl)?,
-                owner: unesc(owner)?,
-                account: unesc(account)?,
+                rsl: unesc(rsl)?.into_owned(),
+                owner: unesc(owner)?.into_owned(),
+                account: unesc(account)?.into_owned(),
             }),
             ["STATE", job_id, state] => Some(WalEvent::StateChanged {
                 job_id: job_id.parse().ok()?,
                 state: parse_state(state)?,
             }),
             ["INFOQ", owner, account, keywords] => Some(WalEvent::InfoQueried {
-                owner: unesc(owner)?,
-                account: unesc(account)?,
-                keywords: unesc(keywords)?,
+                owner: unesc(owner)?.into_owned(),
+                account: unesc(account)?.into_owned(),
+                keywords: unesc(keywords)?.into_owned(),
             }),
             ["FINISH", job_id, state, exit, wall] => Some(WalEvent::Finished {
                 job_id: job_id.parse().ok()?,
@@ -261,17 +270,42 @@ impl WalEvent {
                 },
                 wall_seconds: wall.parse().ok()?,
             }),
-            ["CKPT", ..] => {
-                CheckpointState::decode(&fields).map(|ck| WalEvent::Checkpoint(Box::new(ck)))
-            }
             _ => None,
         }
     }
 }
 
+/// The distinct owner / account strings of a job table — a handful of
+/// values, each held once and shared by every row that names it.
+#[derive(Debug, Default)]
+pub(crate) struct NamePool(HashSet<Arc<str>>);
+
+impl NamePool {
+    /// The shared copy of `name`, allocated on first sight only.
+    pub(crate) fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+}
+
+/// What a fold keeps beside its [`CheckpointState`]: where each job sits
+/// in `state.jobs`, and the identity strings its rows share. The pool
+/// only makes repeats free; a name it has not seen (a checkpoint brings
+/// its own) costs one more allocation, never a wrong answer.
+#[derive(Debug, Default)]
+struct FoldIndex {
+    slot: BTreeMap<u64, usize>,
+    names: NamePool,
+}
+
 /// The folded log: job table + per-account usage. This is both what a
 /// [`WalEvent::Checkpoint`] serializes and what the running [`Wal`]
-/// maintains incrementally so a checkpoint is cheap to cut.
+/// maintains incrementally so a checkpoint is cheap to cut. Its strings
+/// are shared (`Arc<str>`), so a clone copies the table, not the text.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointState {
     /// The recovered job table (epoch, last job id, jobs in order).
@@ -281,10 +315,10 @@ pub struct CheckpointState {
 }
 
 impl CheckpointState {
-    /// Fold one event into the snapshot. `index` maps job id → position
-    /// in `state.jobs` and must be owned alongside the snapshot (it is
-    /// rebuilt when a checkpoint event replaces the whole state).
-    pub fn apply(&mut self, ev: &WalEvent, index: &mut BTreeMap<u64, usize>) {
+    /// Fold one event into the snapshot. `index` must be owned alongside
+    /// the snapshot (it is rebuilt when a checkpoint event replaces the
+    /// whole state).
+    fn apply(&mut self, ev: &WalEvent, index: &mut FoldIndex) {
         match ev {
             WalEvent::ServiceStarted { epoch } => {
                 self.state.last_epoch = self.state.last_epoch.max(*epoch);
@@ -296,58 +330,87 @@ impl CheckpointState {
                 account,
             } => {
                 self.state.last_job_id = self.state.last_job_id.max(*job_id);
-                index.insert(*job_id, self.state.jobs.len());
+                index.slot.insert(*job_id, self.state.jobs.len());
                 self.state.jobs.push(RecoveredJob {
                     job_id: *job_id,
-                    rsl: rsl.clone(),
-                    owner: owner.clone(),
-                    account: account.clone(),
+                    rsl: Arc::from(rsl.as_str()),
+                    owner: index.names.intern(owner),
+                    account: index.names.intern(account),
                     finished: None,
                 });
-                self.accounts.entry(account.clone()).or_default().submitted += 1;
+                self.usage(account, |u| u.submitted += 1);
             }
             WalEvent::StateChanged { .. } => {}
-            WalEvent::InfoQueried { account, .. } => {
-                self.accounts
-                    .entry(account.clone())
-                    .or_default()
-                    .info_queries += 1;
-            }
+            WalEvent::InfoQueried { account, .. } => self.usage(account, |u| u.info_queries += 1),
             WalEvent::Finished {
                 job_id,
                 state,
                 exit_code,
                 wall_seconds,
             } => {
-                if let Some(&i) = index.get(job_id) {
+                if let Some(&i) = index.slot.get(job_id) {
                     let job = &mut self.state.jobs[i];
                     if job.finished.is_none() {
                         job.finished = Some((*state, *exit_code));
-                        let usage = self.accounts.entry(job.account.clone()).or_default();
-                        usage.wall_seconds += wall_seconds;
-                        if *state == JobStateCode::Done {
-                            usage.completed += 1;
-                        } else {
-                            usage.failed += 1;
-                        }
+                        let account = Arc::clone(&job.account);
+                        self.usage(&account, |u| {
+                            u.wall_seconds += wall_seconds;
+                            if *state == JobStateCode::Done {
+                                u.completed += 1;
+                            } else {
+                                u.failed += 1;
+                            }
+                        });
                     }
                 }
             }
-            WalEvent::Checkpoint(ck) => {
-                *self = (**ck).clone();
-                *index = self
-                    .state
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, j)| (j.job_id, i))
-                    .collect();
-            }
+            WalEvent::Checkpoint(ck) => self.replace((**ck).clone(), index),
+        }
+    }
+
+    /// Fold a whole history from nothing.
+    pub fn from_events(events: &[WalEvent]) -> CheckpointState {
+        let mut fold = CheckpointState::default();
+        let mut index = FoldIndex::default();
+        for ev in events {
+            fold.apply(ev, &mut index);
+        }
+        fold
+    }
+
+    /// Make `ck` the whole state — what applying a checkpoint event
+    /// means, for a caller that owns the decoded checkpoint.
+    fn replace(&mut self, ck: CheckpointState, index: &mut FoldIndex) {
+        *self = ck;
+        index.slot = self
+            .state
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| (j.job_id, i))
+            .collect();
+    }
+
+    /// Update one account's usage; the name is copied on first sight only.
+    fn usage(&mut self, account: &str, update: impl FnOnce(&mut AccountUsage)) {
+        match self.accounts.get_mut(account) {
+            Some(usage) => update(usage),
+            None => update(self.accounts.entry(account.to_string()).or_default()),
         }
     }
 
     fn encode(&self) -> String {
-        let mut out = format!(
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the record payload to `out` — straight into the caller's
+    /// buffer, with no per-job temporaries.
+    fn encode_into(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            out,
             "CKPT{SEP}{}{SEP}{}{SEP}{}{SEP}{}",
             self.state.last_epoch,
             self.state.last_job_id,
@@ -355,67 +418,66 @@ impl CheckpointState {
             self.accounts.len()
         );
         for j in &self.state.jobs {
-            let (fstate, fexit) = match &j.finished {
-                None => ("-".to_string(), "-".to_string()),
-                Some((s, e)) => (
-                    state_str(*s).to_string(),
-                    e.map(|c| c.to_string()).unwrap_or_else(|| "-".to_string()),
-                ),
-            };
-            out.push_str(&format!(
-                "{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{fstate}{SEP}{fexit}",
+            let _ = write!(
+                out,
+                "{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}",
                 j.job_id,
-                esc(&j.rsl),
-                esc(&j.owner),
-                esc(&j.account)
-            ));
+                Esc(&j.rsl),
+                Esc(&j.owner),
+                Esc(&j.account)
+            );
+            let _ = match j.finished {
+                None => write!(out, "-{SEP}-"),
+                Some((s, None)) => write!(out, "{}{SEP}-", state_str(s)),
+                Some((s, Some(exit))) => write!(out, "{}{SEP}{exit}", state_str(s)),
+            };
         }
         for (name, u) in &self.accounts {
             // `{}` (shortest round-trip) formatting so wall seconds
             // survive arbitrarily many checkpoint/recover cycles.
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}",
-                esc(name),
+                Esc(name),
                 u.submitted,
                 u.completed,
                 u.failed,
                 u.wall_seconds,
                 u.info_queries
-            ));
+            );
         }
-        out
     }
 
-    fn decode(fields: &[&str]) -> Option<CheckpointState> {
-        let mut it = fields.iter();
-        if *it.next()? != "CKPT" {
+    fn decode(line: &str) -> Option<CheckpointState> {
+        let mut it = line.split(SEP);
+        if it.next()? != "CKPT" {
             return None;
         }
         let last_epoch: u64 = it.next()?.parse().ok()?;
         let last_job_id: u64 = it.next()?.parse().ok()?;
         let njobs: usize = it.next()?.parse().ok()?;
         let naccounts: usize = it.next()?.parse().ok()?;
-        if fields.len() != 5 + njobs * 6 + naccounts * 6 {
+        // The counts come from the log: hold them against the payload's
+        // own field count before allocating for them.
+        let fields = 1 + line.bytes().filter(|&b| b == SEP as u8).count();
+        let claimed = njobs
+            .checked_add(naccounts)?
+            .checked_mul(6)?
+            .checked_add(5)?;
+        if fields != claimed {
             return None;
         }
+        let mut names = NamePool::default();
         let mut jobs = Vec::with_capacity(njobs);
         for _ in 0..njobs {
             let job_id: u64 = it.next()?.parse().ok()?;
-            let rsl = unesc(it.next()?)?;
-            let owner = unesc(it.next()?)?;
-            let account = unesc(it.next()?)?;
-            let fstate = *it.next()?;
-            let fexit = *it.next()?;
-            let finished = if fstate == "-" {
-                None
-            } else {
-                let s = parse_state(fstate)?;
-                let e = if fexit == "-" {
-                    None
-                } else {
-                    Some(fexit.parse().ok()?)
-                };
-                Some((s, e))
+            let rsl = Arc::from(unesc(it.next()?)?);
+            let owner = names.intern(&unesc(it.next()?)?);
+            let account = names.intern(&unesc(it.next()?)?);
+            let finished = match (it.next()?, it.next()?) {
+                ("-", _) => None,
+                (state, "-") => Some((parse_state(state)?, None)),
+                (state, exit) => Some((parse_state(state)?, Some(exit.parse().ok()?))),
             };
             jobs.push(RecoveredJob {
                 job_id,
@@ -427,7 +489,7 @@ impl CheckpointState {
         }
         let mut accounts = BTreeMap::new();
         for _ in 0..naccounts {
-            let name = unesc(it.next()?)?;
+            let name = unesc(it.next()?)?.into_owned();
             accounts.insert(
                 name,
                 AccountUsage {
@@ -458,16 +520,55 @@ impl CheckpointState {
 /// treated as corruption (a garbage length field), not a real frame.
 const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// CRC-32 (IEEE, reflected, poly 0xEDB88320), bitwise — no tables, no
-/// dependencies; the WAL is I/O-bound so this is never hot.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 tables for [`crc32`]: `CRC_TABLES[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE, reflected, poly 0xEDB88320), eight bytes per step. A
+/// checkpoint frame is checksummed under `exec.wal.io`, so this is on
+/// the commit path of whoever cuts the checkpoint.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -480,13 +581,29 @@ fn push_frame(buf: &mut Vec<u8>, payload: &str) {
     buf.extend_from_slice(bytes);
 }
 
-/// Scan a segment's bytes into frame payloads, classifying damage into
-/// `stats`: a frame running past the end is a torn tail (truncate), a
-/// complete frame with a bad CRC or invalid UTF-8 is mid-log corruption
-/// (skip and continue), a garbage length is unrecoverable from here on
-/// (no resync marker — count the rest as truncated).
-pub(crate) fn scan_frames(bytes: &[u8], stats: &mut RecoveryStats) -> Vec<String> {
-    let mut out = Vec::new();
+/// One frame holding `checkpoint`, encoded once: the payload is written
+/// behind an eight-byte placeholder that then receives length and CRC.
+fn checkpoint_frame(checkpoint: &CheckpointState) -> Vec<u8> {
+    let mut frame = "\0".repeat(8);
+    checkpoint.encode_into(&mut frame);
+    let mut frame = frame.into_bytes();
+    let (header, payload) = frame.split_at_mut(8);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    frame
+}
+
+/// Scan a segment's bytes, handing each intact frame payload to `visit`
+/// in place, and classifying damage into `stats`: a frame running past
+/// the end is a torn tail (truncate), a complete frame with a bad CRC or
+/// invalid UTF-8 is mid-log corruption (skip and continue), a garbage
+/// length is unrecoverable from here on (no resync marker — count the
+/// rest as truncated).
+pub(crate) fn scan_frames(
+    bytes: &[u8],
+    stats: &mut RecoveryStats,
+    visit: &mut dyn FnMut(&str, &mut RecoveryStats),
+) {
     let mut pos = 0usize;
     while pos < bytes.len() {
         let rem = bytes.len() - pos;
@@ -518,11 +635,10 @@ pub(crate) fn scan_frames(bytes: &[u8], stats: &mut RecoveryStats) -> Vec<String
             continue;
         }
         match std::str::from_utf8(payload) {
-            Ok(s) => out.push(s.to_string()),
+            Ok(s) => visit(s, stats),
             Err(_) => stats.corrupt_frames += 1,
         }
     }
-    out
 }
 
 /// What recovery salvaged (and could not salvage) from the log. Surfaced
@@ -909,17 +1025,19 @@ pub trait WalSink: Send + Sync {
     /// tail of the batch but never reorders it. `durable` requests an
     /// fsync before returning.
     fn append_batch(&self, payloads: &[&str], durable: bool) -> io::Result<()>;
-    /// Load every payload recoverable from storage (checkpoint + tail
-    /// for segmented sinks), with damage accounting.
-    fn load(&self) -> (Vec<String>, RecoveryStats);
+    /// Hand every payload recoverable from storage (checkpoint + tail
+    /// for segmented sinks) to `visit`, in log order and in place, with
+    /// the damage accounting so far (which `visit` may add to).
+    fn load(&self, visit: &mut dyn FnMut(&str, &mut RecoveryStats)) -> RecoveryStats;
     /// Whether the sink would like a checkpoint cut now (e.g. the active
     /// segment is over its size budget).
     fn wants_checkpoint(&self) -> bool {
         false
     }
-    /// Start a new segment headed by the serialized `checkpoint` and
-    /// reclaim older history. Returns how many segments were reclaimed.
-    fn install_checkpoint(&self, checkpoint: &str) -> io::Result<u64>;
+    /// Start a new segment headed by `checkpoint`, serialized by the
+    /// sink into whatever buffer it writes from, and reclaim older
+    /// history. Returns how many segments were reclaimed.
+    fn install_checkpoint(&self, checkpoint: &CheckpointState) -> io::Result<u64>;
 }
 
 /// In-memory log (middle tier) — trivially durable, never fails.
@@ -944,14 +1062,19 @@ impl WalSink for MemWal {
         Ok(())
     }
 
-    fn load(&self) -> (Vec<String>, RecoveryStats) {
-        (self.lines.lock().clone(), RecoveryStats::default())
+    fn load(&self, visit: &mut dyn FnMut(&str, &mut RecoveryStats)) -> RecoveryStats {
+        let mut stats = RecoveryStats::default();
+        for line in self.lines.lock().iter() {
+            visit(line, &mut stats);
+        }
+        stats
     }
 
-    fn install_checkpoint(&self, checkpoint: &str) -> io::Result<u64> {
+    fn install_checkpoint(&self, checkpoint: &CheckpointState) -> io::Result<u64> {
+        let line = checkpoint.encode();
         let mut lines = self.lines.lock();
         lines.clear();
-        lines.push(checkpoint.to_string());
+        lines.push(line);
         Ok(0)
     }
 }
@@ -1022,10 +1145,14 @@ impl FrameWal {
             [a, b, c, d, ..] => 8 + u32::from_le_bytes([*a, *b, *c, *d]) as usize,
             _ => 0,
         };
-        match scan_frames(&bytes[..head.min(bytes.len())], &mut scratch).first() {
-            Some(p) if p.starts_with("CKPT") && p[4..].starts_with(SEP) => 8 + p.len(),
-            _ => 0,
-        }
+        let mut len = 0;
+        let mut note = |p: &str, _: &mut RecoveryStats| {
+            if p.starts_with("CKPT\x1f") {
+                len = 8 + p.len();
+            }
+        };
+        scan_frames(&bytes[..head.min(bytes.len())], &mut scratch, &mut note);
+        len
     }
 }
 
@@ -1058,13 +1185,13 @@ impl WalSink for FrameWal {
         Ok(())
     }
 
-    fn load(&self) -> (Vec<String>, RecoveryStats) {
+    fn load(&self, visit: &mut dyn FnMut(&str, &mut RecoveryStats)) -> RecoveryStats {
         let mut stats = RecoveryStats::default();
         let mut segs = match self.storage.segments() {
             Ok(s) => s,
             Err(_) => {
                 stats.io_errors += 1;
-                return (Vec::new(), stats);
+                return stats;
             }
         };
         segs.sort_unstable();
@@ -1079,27 +1206,25 @@ impl WalSink for FrameWal {
                 }
             }
         }
-        let mut payloads = Vec::new();
         for &seg in &segs[start..] {
             match self.storage.read(seg) {
-                Ok(bytes) => payloads.extend(scan_frames(&bytes, &mut stats)),
+                Ok(bytes) => scan_frames(&bytes, &mut stats, visit),
                 Err(_) => stats.io_errors += 1,
             }
         }
         stats.segments_read = (segs.len() - start) as u64;
-        (payloads, stats)
+        stats
     }
 
     fn wants_checkpoint(&self) -> bool {
         self.st.lock().tail_len >= self.cfg.segment_max_bytes
     }
 
-    fn install_checkpoint(&self, checkpoint: &str) -> io::Result<u64> {
+    fn install_checkpoint(&self, checkpoint: &CheckpointState) -> io::Result<u64> {
+        let buf = checkpoint_frame(checkpoint);
         let mut st = self.st.lock();
         let seg = st.next_seg;
         st.next_seg += 1;
-        let mut buf = Vec::new();
-        push_frame(&mut buf, checkpoint);
         // Durable new segment BEFORE reclaiming old ones: a crash between
         // the two leaves extra history, never a hole.
         if let Err(e) = self.storage.append(seg, &buf) {
@@ -1215,7 +1340,7 @@ struct CommitQueue {
 
 struct WalIo {
     fold: CheckpointState,
-    fold_index: BTreeMap<u64, usize>,
+    fold_index: FoldIndex,
     events_since_ckpt: u64,
 }
 
@@ -1258,27 +1383,23 @@ impl Wal {
 
     /// A log over the given sink with explicit tuning.
     pub fn with_config(sink: Box<dyn WalSink>, cfg: WalConfig) -> Self {
-        let (payloads, mut stats) = sink.load();
         let mut fold = CheckpointState::default();
-        let mut fold_index = BTreeMap::new();
-        let mut events_since = 0u64;
-        for p in &payloads {
-            match WalEvent::decode(p) {
-                Some(ev) => {
-                    let is_ckpt = matches!(ev, WalEvent::Checkpoint(_));
+        let mut fold_index = FoldIndex::default();
+        let stats = sink.load(&mut |p, stats| match WalEvent::decode(p) {
+            None => stats.corrupt_frames += 1,
+            Some(ev) => {
+                stats.events_replayed += 1;
+                stats.events_since_checkpoint += 1;
+                // A decoded checkpoint is moved into the fold, not cloned.
+                if let WalEvent::Checkpoint(ck) = ev {
+                    fold.replace(*ck, &mut fold_index);
+                    stats.events_since_checkpoint = 0;
+                    stats.checkpoint_used = true;
+                } else {
                     fold.apply(&ev, &mut fold_index);
-                    stats.events_replayed += 1;
-                    if is_ckpt {
-                        events_since = 0;
-                        stats.checkpoint_used = true;
-                    } else {
-                        events_since += 1;
-                    }
                 }
-                None => stats.corrupt_frames += 1,
             }
-        }
-        stats.events_since_checkpoint = events_since;
+        });
         Wal {
             sink,
             cfg,
@@ -1288,7 +1409,7 @@ impl Wal {
                 WalIo {
                     fold,
                     fold_index,
-                    events_since_ckpt: events_since,
+                    events_since_ckpt: stats.events_since_checkpoint,
                 },
                 lock_class!("exec.wal.io"),
             ),
@@ -1314,10 +1435,19 @@ impl Wal {
         self.cfg.retry_after.as_millis() as u64
     }
 
-    /// A snapshot of the folded log (job table + accounting) as of the
-    /// last durable write — what a checkpoint would serialize right now.
-    pub fn fold_snapshot(&self) -> CheckpointState {
-        self.io.lock().fold.clone()
+    /// Read the folded log (job table + accounting) as of the last
+    /// write — what a checkpoint would serialize right now — under the
+    /// I/O lock, without copying it. `read` must not call back into the
+    /// log.
+    pub fn with_fold<R>(&self, read: impl FnOnce(&CheckpointState) -> R) -> R {
+        read(&self.io.lock().fold)
+    }
+
+    /// The fold's row for one job.
+    pub fn job(&self, job_id: u64) -> Option<RecoveredJob> {
+        let io = self.io.lock();
+        let slot = *io.fold_index.slot.get(&job_id)?;
+        io.fold.state.jobs.get(slot).cloned()
     }
 
     /// Attach a telemetry handle. Publishes the recovery damage gauges
@@ -1476,8 +1606,7 @@ impl Wal {
         if !due {
             return;
         }
-        let ckpt = io.fold.encode();
-        match self.sink.install_checkpoint(&ckpt) {
+        match self.sink.install_checkpoint(&io.fold) {
             Ok(reclaimed) => {
                 io.events_since_ckpt = 0;
                 if let Some(t) = &self.telemetry {
@@ -1535,12 +1664,10 @@ impl Wal {
 
     /// Load and decode every recoverable event, skipping corrupt records.
     pub fn events(&self) -> Vec<WalEvent> {
+        let mut events = Vec::new();
         self.sink
-            .load()
-            .0
-            .iter()
-            .filter_map(|l| WalEvent::decode(l))
-            .collect()
+            .load(&mut |p, _| events.extend(WalEvent::decode(p)));
+        events
     }
 }
 
@@ -1557,11 +1684,11 @@ pub struct RecoveredJob {
     /// Original job id.
     pub job_id: u64,
     /// The xRSL it was submitted with.
-    pub rsl: String,
-    /// Owner DN string.
-    pub owner: String,
-    /// Local account.
-    pub account: String,
+    pub rsl: Arc<str>,
+    /// Owner DN string (one shared copy per distinct owner).
+    pub owner: Arc<str>,
+    /// Local account (one shared copy per distinct account).
+    pub account: Arc<str>,
     /// Terminal state, if the job finished before the crash.
     pub finished: Option<(JobStateCode, Option<i32>)>,
 }
@@ -1581,12 +1708,7 @@ impl RecoveredState {
     /// Rebuild from events (a checkpoint event replaces everything before
     /// it).
     pub fn from_events(events: &[WalEvent]) -> RecoveredState {
-        let mut fold = CheckpointState::default();
-        let mut index = BTreeMap::new();
-        for ev in events {
-            fold.apply(ev, &mut index);
-        }
-        fold.state
+        CheckpointState::from_events(events).state
     }
 
     /// Jobs that were in flight when the service died — the ones restart
@@ -1610,17 +1732,6 @@ pub struct AccountUsage {
     pub wall_seconds: f64,
     /// Information queries served (the §7 query log).
     pub info_queries: u64,
-}
-
-/// Summarize the log per local account (a checkpoint event carries the
-/// accounting accumulated before it).
-pub fn accounting_summary(events: &[WalEvent]) -> BTreeMap<String, AccountUsage> {
-    let mut fold = CheckpointState::default();
-    let mut index = BTreeMap::new();
-    for ev in events {
-        fold.apply(ev, &mut index);
-    }
-    fold.accounts
 }
 
 #[cfg(test)]
@@ -1654,6 +1765,13 @@ mod tests {
                 wall_seconds: 1.25,
             },
         ]
+    }
+
+    /// [`scan_frames`], collected.
+    fn scanned(bytes: &[u8], stats: &mut RecoveryStats) -> Vec<String> {
+        let mut out = Vec::new();
+        scan_frames(bytes, stats, &mut |p, _| out.push(p.to_string()));
+        out
     }
 
     fn commit_all(wal: &Wal, events: &[WalEvent]) {
@@ -1727,11 +1845,7 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip() {
-        let mut fold = CheckpointState::default();
-        let mut index = BTreeMap::new();
-        for ev in sample_events() {
-            fold.apply(&ev, &mut index);
-        }
+        let fold = CheckpointState::from_events(&sample_events());
         let ev = WalEvent::Checkpoint(Box::new(fold.clone()));
         let decoded = WalEvent::decode(&ev.encode()).expect("checkpoint decodes");
         assert_eq!(decoded, ev);
@@ -1741,9 +1855,150 @@ mod tests {
             RecoveredState::from_events(&sample_events())
         );
         assert_eq!(
-            accounting_summary(&[decoded]),
-            accounting_summary(&sample_events())
+            CheckpointState::from_events(&[decoded]).accounts,
+            CheckpointState::from_events(&sample_events()).accounts
         );
+    }
+
+    /// The fold whose checkpoint frame [`GOLDEN_CHECKPOINT_FRAME`] is:
+    /// three jobs (failed, canceled with hostile fields, in flight) and
+    /// two accounts.
+    fn golden_fold() -> CheckpointState {
+        CheckpointState::from_events(&[
+            WalEvent::ServiceStarted { epoch: 3 },
+            WalEvent::Submitted {
+                job_id: 1,
+                rsl: "&(executable=/bin/date)(arguments=-u)".to_string(),
+                owner: "/O=Grid/CN=Alice".to_string(),
+                account: "alice".to_string(),
+            },
+            WalEvent::Submitted {
+                job_id: 2,
+                rsl: "&(executable=/bin/echo)(arguments=a\x1fb\nc%25d)".to_string(),
+                owner: "/O=Grid/CN=Eve\x1fMallory\r\n".to_string(),
+                account: "eve%1F\x1f".to_string(),
+            },
+            WalEvent::Finished {
+                job_id: 1,
+                state: JobStateCode::Failed,
+                exit_code: Some(-3),
+                wall_seconds: 1.25,
+            },
+            WalEvent::Submitted {
+                job_id: 3,
+                rsl: "(executable=simwork)(arguments=500)".to_string(),
+                owner: "/O=Grid/CN=Alice".to_string(),
+                account: "alice".to_string(),
+            },
+            WalEvent::InfoQueried {
+                owner: "/O=Grid/CN=Alice".to_string(),
+                account: "alice".to_string(),
+                keywords: "Memory,CPU".to_string(),
+            },
+            WalEvent::Finished {
+                job_id: 2,
+                state: JobStateCode::Canceled,
+                exit_code: None,
+                wall_seconds: 0.1,
+            },
+        ])
+    }
+
+    /// What `FrameWal::install_checkpoint` appended for [`golden_fold`]
+    /// before the encoder wrote into the frame buffer (captured from
+    /// commit 5bcfe06, hex).
+    const GOLDEN_CHECKPOINT_FRAME: &str = "\
+        2c0100006d59fe46434b50541f331f331f331f321f311f262865786563757461\
+         626c653d2f62696e2f646174652928617267756d656e74733d2d75291f2f4f3d\
+         477269642f434e3d416c6963651f616c6963651f4641494c45441f2d331f321f\
+         262865786563757461626c653d2f62696e2f6563686f2928617267756d656e74\
+         733d612531466225304163253235323564291f2f4f3d477269642f434e3d4576\
+         652531464d616c6c6f72792530442530411f65766525323531462531461f4341\
+         4e43454c45441f2d1f331f2865786563757461626c653d73696d776f726b2928\
+         617267756d656e74733d353030291f2f4f3d477269642f434e3d416c6963651f\
+         616c6963651f2d1f2d1f616c6963651f321f301f311f312e32351f311f657665\
+         25323531462531461f311f301f311f302e311f30";
+
+    #[test]
+    fn checkpoint_frame_bytes_are_the_previous_encoders() {
+        let golden: Vec<u8> = (0..GOLDEN_CHECKPOINT_FRAME.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_CHECKPOINT_FRAME[i..i + 2], 16).unwrap())
+            .collect();
+        let storage = MemStorage::new();
+        let sink = FrameWal::open(storage.clone(), WalConfig::default()).unwrap();
+        sink.install_checkpoint(&golden_fold()).unwrap();
+        assert_eq!(storage.durable_bytes(2), golden);
+        // And the old bytes decode to the same fold.
+        let payload = std::str::from_utf8(&golden[8..]).unwrap();
+        assert_eq!(
+            WalEvent::decode(payload),
+            Some(WalEvent::Checkpoint(Box::new(golden_fold())))
+        );
+    }
+
+    #[test]
+    fn checkpoint_rows_share_their_identity_strings() {
+        let WalEvent::Checkpoint(ck) =
+            WalEvent::decode(&WalEvent::Checkpoint(Box::new(golden_fold())).encode()).unwrap()
+        else {
+            panic!("a checkpoint decodes to a checkpoint");
+        };
+        let jobs = &ck.state.jobs;
+        assert!(Arc::ptr_eq(&jobs[0].owner, &jobs[2].owner));
+        assert!(Arc::ptr_eq(&jobs[0].account, &jobs[2].account));
+        // A clone copies the table, not the text.
+        let copy = ck.clone();
+        assert!(Arc::ptr_eq(&copy.state.jobs[1].rsl, &jobs[1].rsl));
+    }
+
+    /// The definition [`crc32`] is a table-driven form of.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_is_the_bitwise_crc() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "the IEEE check value");
+        // Every length across several eight-byte steps, at every
+        // alignment of the slice start.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..9 {
+            for len in (0..70).chain([255, 256, 257, 1000, 4000]) {
+                let bytes = &noise[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        // The frames the fixtures above are made of.
+        let mut buf = Vec::new();
+        for ev in sample_events() {
+            push_frame(&mut buf, &ev.encode());
+        }
+        let mut stats = RecoveryStats::default();
+        for payload in scanned(&buf, &mut stats) {
+            assert_eq!(crc32(payload.as_bytes()), crc32_bitwise(payload.as_bytes()));
+        }
+        assert_eq!(stats, RecoveryStats::default());
     }
 
     #[test]
@@ -1754,13 +2009,13 @@ mod tests {
             push_frame(&mut buf, p);
         }
         let mut stats = RecoveryStats::default();
-        assert_eq!(scan_frames(&buf, &mut stats), payloads);
+        assert_eq!(scanned(&buf, &mut stats), payloads);
         assert_eq!(stats, RecoveryStats::default());
         // Every strict prefix yields a (possibly shorter) prefix of the
         // payloads plus a torn tail — never a panic, never garbage.
         for cut in 0..buf.len() {
             let mut stats = RecoveryStats::default();
-            let got = scan_frames(&buf[..cut], &mut stats);
+            let got = scanned(&buf[..cut], &mut stats);
             assert!(got.len() <= payloads.len());
             assert_eq!(got, payloads[..got.len()]);
             assert_eq!(stats.corrupt_frames, 0);
@@ -1783,7 +2038,7 @@ mod tests {
         push_frame(&mut buf, "third");
         buf[corrupt_at] ^= 0xFF;
         let mut stats = RecoveryStats::default();
-        assert_eq!(scan_frames(&buf, &mut stats), ["first", "third"]);
+        assert_eq!(scanned(&buf, &mut stats), ["first", "third"]);
         assert_eq!(stats.corrupt_frames, 1);
         assert_eq!(stats.truncated_tail_bytes, 0);
     }
@@ -1801,7 +2056,7 @@ mod tests {
         wal.record(SimTime::ZERO, &sample_events()[0]);
         wal.record(SimTime::ZERO, &sample_events()[1]);
         assert_eq!(wal.events().len(), 2);
-        assert_eq!(wal.fold_snapshot().state.jobs.len(), 1);
+        assert_eq!(wal.with_fold(|fold| fold.state.jobs.len()), 1);
     }
 
     #[test]
@@ -1896,7 +2151,7 @@ mod tests {
             stats.segments_total
         );
         // And the folded table is complete despite the bounded replay.
-        let snap = wal.fold_snapshot();
+        let snap = wal.with_fold(CheckpointState::clone);
         assert_eq!(snap.state.jobs.len(), 50);
         assert_eq!(snap.state.last_job_id, 50);
         assert_eq!(snap.accounts["alice"].completed, 50);
@@ -1927,7 +2182,8 @@ mod tests {
             };
             wal.commit(SimTime::ZERO, &[submitted]).unwrap();
         }
-        assert!(wal.fold_snapshot().encode().len() as u64 > 4 * cfg.segment_max_bytes);
+        let table = wal.with_fold(|fold| checkpoint_frame(fold).len() as u64);
+        assert!(table > 4 * cfg.segment_max_bytes);
 
         let before = metrics.counter_value("wal.checkpoints");
         let mut appended = 0u64;
@@ -2004,7 +2260,7 @@ mod tests {
         let unfinished = state.unfinished();
         assert_eq!(unfinished.len(), 1);
         assert_eq!(unfinished[0].job_id, 2);
-        assert_eq!(unfinished[0].account, "bob");
+        assert_eq!(&*unfinished[0].account, "bob");
         // Job 1 finished before the crash.
         assert_eq!(state.jobs[0].finished, Some((JobStateCode::Done, Some(0))));
     }
@@ -2027,7 +2283,7 @@ mod tests {
             exit_code: Some(3),
             wall_seconds: 0.75,
         });
-        let summary = accounting_summary(&events);
+        let summary = CheckpointState::from_events(&events).accounts;
         let alice = &summary["alice"];
         assert_eq!(alice.submitted, 1);
         assert_eq!(alice.completed, 1);
@@ -2052,7 +2308,7 @@ mod tests {
                 keywords: "CPU,CPULoad".to_string(),
             },
         ];
-        let summary = accounting_summary(&events);
+        let summary = CheckpointState::from_events(&events).accounts;
         assert_eq!(summary["alice"].info_queries, 2);
         assert_eq!(summary["alice"].submitted, 0);
     }
@@ -2065,5 +2321,68 @@ mod tests {
             WalEvent::ServiceStarted { epoch: 3 },
         ];
         assert_eq!(RecoveredState::from_events(&events).last_epoch, 3);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Free-form field content, heavy on what [`Esc`] must escape.
+    const HOSTILE: &str = "[a-z/=()&%1F0AD\x1f\\n\\r]{0,16}";
+
+    fn arb_event() -> impl Strategy<Value = WalEvent> {
+        let state = prop_oneof![
+            Just(JobStateCode::Done),
+            Just(JobStateCode::Failed),
+            Just(JobStateCode::Canceled),
+        ];
+        prop_oneof![
+            (1u64..12, HOSTILE, HOSTILE, HOSTILE).prop_map(|(job_id, rsl, owner, account)| {
+                WalEvent::Submitted {
+                    job_id,
+                    rsl,
+                    owner,
+                    account,
+                }
+            }),
+            (1u64..12, state, prop::option::of(-3i32..300), 0u32..100_000).prop_map(
+                |(job_id, state, exit_code, millis)| WalEvent::Finished {
+                    job_id,
+                    state,
+                    exit_code,
+                    wall_seconds: millis as f64 / 1000.0,
+                }
+            ),
+            (HOSTILE, HOSTILE, HOSTILE).prop_map(|(owner, account, keywords)| {
+                WalEvent::InfoQueried {
+                    owner,
+                    account,
+                    keywords,
+                }
+            }),
+            (1u64..9).prop_map(|epoch| WalEvent::ServiceStarted { epoch }),
+        ]
+    }
+
+    proptest! {
+        /// A checkpoint's encoding is a fixed point: what decodes from
+        /// it is the fold that was encoded, and encodes to the same bytes.
+        #[test]
+        fn checkpoint_encode_decode_encode_is_a_fixed_point(
+            events in prop::collection::vec(arb_event(), 0..24)
+        ) {
+            let fold = CheckpointState::from_events(&events);
+            let first = WalEvent::Checkpoint(Box::new(fold)).encode();
+            let decoded = WalEvent::decode(&first);
+            prop_assert!(decoded.is_some(), "does not decode: {first:?}");
+            let decoded = decoded.unwrap();
+            prop_assert_eq!(decoded.encode(), first.clone());
+            let WalEvent::Checkpoint(ck) = decoded else {
+                panic!("a checkpoint decodes to a checkpoint");
+            };
+            prop_assert_eq!(checkpoint_frame(&ck)[8..].to_vec(), first.into_bytes());
+        }
     }
 }

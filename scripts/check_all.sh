@@ -6,7 +6,9 @@
 #      (clock discipline, unwrap policy, guard-across-call, config
 #      table markers); see crates/lint
 #   3. scripts/check_docs.sh — rustdoc + clippy, warnings as errors
-#   4. cargo test --workspace — every unit, doc, and integration test
+#   4. cargo test --workspace — every unit, doc, and integration test;
+#      then crates/exec/tests/job_memory.rs once more in release (its
+#      byte and allocation ceilings hold in both builds)
 #   5. scripts/check_lockdep.sh — lock-order / blocking-section sweep:
 #      the key suites re-run with sim::lockdep forced on, failing on
 #      any LOCKDEP finding
@@ -44,6 +46,9 @@ sh scripts/check_docs.sh
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+echo "==> job_memory ceilings, release build"
+cargo test --release -q -p infogram-exec --test job_memory
 
 sh scripts/check_lockdep.sh
 

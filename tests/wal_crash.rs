@@ -101,7 +101,7 @@ fn recover(bytes: &[u8]) -> (Wal, RecoveredState) {
     let storage = MemStorage::new();
     storage.preload(1, bytes.to_vec());
     let wal = wal_over(&storage, one_segment_cfg());
-    let state = wal.fold_snapshot().state;
+    let state = wal.with_fold(|fold| fold.state.clone());
     (wal, state)
 }
 
