@@ -51,34 +51,58 @@ fn equivalence() {
 
 fn render_cost() {
     println!("\n-- render cost per format --");
+    // `annotated` is what the service sends: one quality and one age on
+    // every attribute of a record, said once in the record's head by
+    // LDIF and XML and on every line by `plain`. `bare` is a hand-built
+    // record with neither.
     let mut rows = Vec::new();
-    for n_records in [1usize, 10, 100, 1000] {
-        let records: Vec<InfoRecord> = (0..n_records)
-            .map(|i| {
-                let mut r = InfoRecord::new("Memory", &format!("node{i:03}.grid"));
-                r.push("total", "4294967296").quality = Some(0.95);
-                r.push("used", "858993459").quality = Some(0.95);
-                r.push("free", "3435973837").quality = Some(0.95);
-                r
-            })
-            .collect();
-        for fmt in [OutputFormat::Ldif, OutputFormat::Xml, OutputFormat::Plain] {
-            const REPS: usize = 200;
-            let t0 = Instant::now();
-            let mut bytes = 0usize;
-            for _ in 0..REPS {
-                bytes = render::render(&records, fmt).len();
+    for annotated in [true, false] {
+        for n_records in [1usize, 10, 100, 1000] {
+            let records: Vec<InfoRecord> = (0..n_records)
+                .map(|i| {
+                    let mut r = InfoRecord::new("Memory", &format!("node{i:03}.grid"));
+                    for (name, value) in [
+                        ("total", "4294967296"),
+                        ("used", "858993459"),
+                        ("free", "3435973837"),
+                    ] {
+                        let attr = r.push(name, value);
+                        if annotated {
+                            attr.quality = Some(0.95);
+                            attr.age_secs = Some(12.345);
+                        }
+                    }
+                    r
+                })
+                .collect();
+            for fmt in [OutputFormat::Ldif, OutputFormat::Xml, OutputFormat::Plain] {
+                const REPS: usize = 200;
+                let t0 = Instant::now();
+                let mut bytes = 0usize;
+                for _ in 0..REPS {
+                    bytes = render::render(&records, fmt).len();
+                }
+                let per_record = t0.elapsed().as_secs_f64() / (REPS * n_records) as f64;
+                rows.push(vec![
+                    if annotated { "annotated" } else { "bare" }.to_string(),
+                    n_records.to_string(),
+                    fmt.to_string(),
+                    fmt_secs(per_record),
+                    format!("{}", bytes / n_records),
+                ]);
             }
-            let per_record = t0.elapsed().as_secs_f64() / (REPS * n_records.max(1)) as f64;
-            rows.push(vec![
-                n_records.to_string(),
-                fmt.to_string(),
-                fmt_secs(per_record),
-                format!("{}", bytes / n_records.max(1)),
-            ]);
         }
     }
-    table(&["records", "format", "time/record", "bytes/record"], &rows);
+    table(
+        &[
+            "attributes",
+            "records",
+            "format",
+            "time/record",
+            "bytes/record",
+        ],
+        &rows,
+    );
 }
 
 fn main() {

@@ -48,6 +48,23 @@ fn sample_records(n: usize) -> Vec<InfoRecord> {
         .collect()
 }
 
+/// The e21 benchmark's `info_wide` reply as records: 16 keywords × 24
+/// attributes × 24-character values, every attribute stamped with its
+/// record's quality and age as the information service does.
+fn wide_records() -> Vec<InfoRecord> {
+    (0..16)
+        .map(|k| {
+            let mut r = InfoRecord::new(&format!("K{k:02}"), "127.0.0.1");
+            for a in 0..24 {
+                let attr = r.push(&format!("a{a:02}"), &format!("{:024}", k * 100 + a));
+                attr.quality = Some(1.0);
+                attr.age_secs = Some(12.345);
+            }
+            r
+        })
+        .collect()
+}
+
 fn bench_render(c: &mut Criterion) {
     let records = sample_records(100);
     c.bench_function("render/ldif_100", |b| {
@@ -59,6 +76,16 @@ fn bench_render(c: &mut Criterion) {
     let ldif = render::render(&records, OutputFormat::Ldif);
     c.bench_function("render/ldif_parse_100", |b| {
         b.iter(|| render::ldif::parse(black_box(&ldif)))
+    });
+    // In-tree twins of e21's `proto.render_ldif_us` and
+    // `client.reply_parse_ldif_us` on `info_wide`.
+    let wide = wide_records();
+    c.bench_function("render/ldif_render_wide", |b| {
+        b.iter(|| render::render(black_box(&wide), OutputFormat::Ldif))
+    });
+    let wide_ldif = render::render(&wide, OutputFormat::Ldif);
+    c.bench_function("render/ldif_parse_wide", |b| {
+        b.iter(|| render::ldif::parse(black_box(&wide_ldif)))
     });
 }
 

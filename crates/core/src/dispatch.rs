@@ -11,7 +11,6 @@ use infogram_exec::JobEngine;
 use infogram_info::service::{InfoServiceError, InformationService, QueryOptions};
 use infogram_info::{OutboxSink, QueryError, RefreshScheduler, SubscriptionHub, JOBS_KEYWORD};
 use infogram_proto::message::{codes, Reply, Request};
-use infogram_proto::render;
 use infogram_rsl::{RequestAction, RequestKind, XrslRequest};
 use infogram_sim::metrics::{Counter, Histogram};
 use infogram_sim::SimTime;
@@ -119,11 +118,8 @@ impl InfoGramDispatcher {
             // each keyword's TTL-proportional default applies.
             deadline: req.timeout,
         };
-        match self.info.answer(&req.info, &opts) {
-            Ok(records) => Reply::InfoResult {
-                body: render::render(&records, req.format),
-                record_count: records.len() as u32,
-            },
+        match self.info.answer_body(&req.info, &opts, req.format) {
+            Ok((body, record_count)) => Reply::InfoResult { body, record_count },
             Err(InfoServiceError::UnknownKeyword(k)) => Reply::Error {
                 code: codes::NO_SUCH_KEYWORD,
                 message: format!("no information provider for keyword '{k}'"),
@@ -321,9 +317,12 @@ mod tests {
     use infogram_host::commands::{ChargeMode, CommandRegistry};
     use infogram_host::machine::SimulatedHost;
     use infogram_info::config::ServiceConfig;
+    use infogram_info::{DegradationFn, FnProvider, ProviderError, SystemInformation};
     use infogram_proto::message::JobStateCode;
+    use infogram_proto::render;
     use infogram_sim::metrics::MetricSet;
     use infogram_sim::ManualClock;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::Duration;
 
     fn world() -> (Arc<ManualClock>, Arc<InfoGramDispatcher>) {
@@ -496,6 +495,152 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Send `rsl` through `dispatch_info` and check the body against the
+    /// reference: the records `answer` builds for the same request, put
+    /// through `render`. Returns the body.
+    fn assert_one_answer(d: &InfoGramDispatcher, rsl: &str) -> String {
+        let req = XrslRequest::from_text(rsl).unwrap();
+        let (body, record_count) = match dispatch(d, submit(rsl)) {
+            Reply::InfoResult { body, record_count } => (body, record_count),
+            other => panic!("{rsl}: {other:?}"),
+        };
+        let opts = QueryOptions {
+            mode: req.response,
+            quality_threshold: req.quality,
+            filter: req.filter.clone(),
+            performance: req.performance,
+            deadline: req.timeout,
+        };
+        let records = d.info.answer(&req.info, &opts).unwrap();
+        assert_eq!(body, render::render(&records, req.format), "{rsl}");
+        assert_eq!(record_count as usize, records.len(), "{rsl}");
+        body
+    }
+
+    /// Register keyword `name` (TTL 10 s, quality falling linearly to
+    /// zero over 100 s) whose provider reports how often it ran, plus
+    /// `extra`; it fails while the returned switch is on.
+    fn counting_keyword(
+        d: &InfoGramDispatcher,
+        clock: &Arc<ManualClock>,
+        name: &str,
+        extra: &[(&str, &str)],
+    ) -> Arc<AtomicBool> {
+        let failing = Arc::new(AtomicBool::new(false));
+        let (switch, runs) = (Arc::clone(&failing), AtomicU64::new(0));
+        let extra: Vec<(String, String)> = extra
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        d.info.register(SystemInformation::new(
+            Box::new(FnProvider::new(name, move || {
+                if switch.load(Ordering::SeqCst) {
+                    return Err(ProviderError::Other("down".into()));
+                }
+                let n = runs.fetch_add(1, Ordering::SeqCst) + 1;
+                let mut attrs = vec![("n".to_string(), n.to_string())];
+                attrs.extend(extra.iter().cloned());
+                Ok(attrs)
+            })),
+            clock.clone(),
+            Duration::from_secs(10),
+            DegradationFn::Linear {
+                lifetime: Duration::from_secs(100),
+            },
+        ));
+        failing
+    }
+
+    #[test]
+    fn dispatched_body_is_the_rendered_answer_byte_for_byte() {
+        let (clock, d) = world();
+        // Beyond Table 1: values every format has to escape, a name the
+        // provider namespaced itself, and a keyword with no attributes.
+        let odd = [("Other:odd", " <padded> & \"quoted\""), ("uni", "grüße")];
+        let failing = counting_keyword(&d, &clock, "Flaky", &odd);
+        d.info.register(SystemInformation::new(
+            Box::new(FnProvider::new("Empty", || Ok(Vec::new()))),
+            clock.clone(),
+            Duration::from_secs(10),
+            DegradationFn::default(),
+        ));
+        let keywords = d.info.keywords();
+        assert_eq!(keywords.len(), 7);
+        for format in ["ldif", "xml", "dsml", "plain"] {
+            for k in &keywords {
+                // A miss renders the fresh snapshot into its own body; the
+                // hits after it share the block kept beside the snapshot.
+                assert_one_answer(&d, &format!("(info={k})(format={format})"));
+                clock.advance(Duration::from_millis(7));
+                assert_one_answer(&d, &format!("(info={k})(format={format})"));
+                assert_one_answer(&d, &format!("(info={k})(response=last)(format={format})"));
+                assert_one_answer(&d, &format!("(info={k})(filter={k}:*)(format={format})"));
+                // (`last`: a TTL-0 keyword would run between the two
+                // halves of the comparison and move `perf.samples`.)
+                assert_one_answer(
+                    &d,
+                    &format!("(info={k})(response=last)(performance=true)(format={format})"),
+                );
+            }
+            assert_one_answer(&d, &format!("(info=memory)(filter=free)(format={format})"));
+            assert_one_answer(&d, &format!("(info=all)(format={format})"));
+            assert_one_answer(&d, &format!("(info=schema)(format={format})"));
+            assert_one_answer(
+                &d,
+                &format!("(info=cpu)(info=schema)(info=all)(response=last)(format={format})"),
+            );
+        }
+
+        // Degraded: the provider is down and the cached value past its
+        // TTL, so the refresh stale-serves it. The annotations are all in
+        // the head — the cached block is served as is.
+        clock.advance(Duration::from_secs(20));
+        failing.store(true, Ordering::SeqCst);
+        for format in ["ldif", "xml", "dsml", "plain"] {
+            let body = assert_one_answer(&d, &format!("(info=flaky)(format={format})"));
+            let marker = match format {
+                "ldif" => "infogram-degraded: TRUE\ninfogram-stale-age: 20.",
+                "plain" => "# Flaky @ ",
+                _ => " degraded=\"true\" stale-age=\"20.",
+            };
+            assert!(body.contains(marker), "{format}: {body}");
+        }
+        failing.store(false, Ordering::SeqCst);
+
+        // `response=last` far past every TTL: the same blocks, heads that
+        // say how old they are.
+        clock.advance(Duration::from_secs(3600));
+        for format in ["ldif", "xml", "dsml", "plain"] {
+            for k in &keywords {
+                assert_one_answer(&d, &format!("(info={k})(response=last)(format={format})"));
+            }
+        }
+        let body = assert_one_answer(&d, "(info=memory)(response=last)");
+        assert!(body.contains("infogram-quality: 0.0000\ninfogram-age: 36"));
+    }
+
+    #[test]
+    fn refresh_drops_the_old_block_and_the_next_reply_carries_the_new_values() {
+        let (clock, d) = world();
+        counting_keyword(&d, &clock, "N", &[]);
+        let reply = |rsl: &str| assert_one_answer(&d, rsl);
+        assert!(reply("(info=n)").contains("N-n: 1\n"));
+        let held = Arc::downgrade(&d.info.lookup("N").unwrap().last_state().unwrap().attributes);
+        for format in ["ldif", "xml", "dsml"] {
+            assert!(reply(&format!("(info=n)(format={format})")).contains('1'));
+        }
+        assert!(held.upgrade().is_some(), "cached until the next refresh");
+        clock.advance(Duration::from_secs(11));
+        let refreshed = reply("(info=n)");
+        assert!(refreshed.contains("N-n: 2\n") && !refreshed.contains("N-n: 1\n"));
+        assert!(
+            held.upgrade().is_none(),
+            "the swap frees the old attributes and their rendered blocks"
+        );
+        let hit = reply("(info=n)");
+        assert!(hit.contains("N-n: 2\n") && !hit.contains("N-n: 1\n"));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::dispatch::InfoGramDispatcher;
 use infogram_exec::gram::RequestDispatcher;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
-use infogram_proto::render::xml::{escape, unescape};
+use infogram_proto::render::xml::{attr_of, escape, unescape};
 use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
 use std::sync::Arc;
 
@@ -60,30 +60,29 @@ fn err(reason: &str) -> WsError {
     }
 }
 
-/// `<tag ...>content</tag>` → content, unescaped.
-fn tag_content(xml: &str, tag: &str) -> Option<String> {
-    let open_a = format!("<{tag}>");
-    let open_b = format!("<{tag} ");
-    let close = format!("</{tag}>");
-    let start = if let Some(p) = xml.find(&open_a) {
-        p + open_a.len()
-    } else {
-        let p = xml.find(&open_b)?;
-        p + xml[p..].find('>')? + 1
-    };
-    let end = xml[start..].find(&close)? + start;
-    Some(unescape(&xml[start..end]))
+/// The text after the first `<tag` that is the whole element name —
+/// `<event` does not open at `<eventLog` — i.e. the tag's attributes,
+/// its `>` and everything behind.
+fn after_open<'a>(xml: &'a str, tag: &str) -> Option<&'a str> {
+    xml.match_indices('<').find_map(|(p, _)| {
+        let rest = xml[p + 1..].strip_prefix(tag)?;
+        rest.starts_with(|c: char| c == '>' || c == '/' || c.is_whitespace())
+            .then_some(rest)
+    })
 }
 
-/// `name="value"` attribute inside the first occurrence of `<tag`.
+/// `<tag ...>content</tag>` → content, unescaped.
+fn tag_content(xml: &str, tag: &str) -> Option<String> {
+    let rest = after_open(xml, tag)?;
+    let content = &rest[rest.find('>')? + 1..];
+    let end = content.find(&format!("</{tag}>"))?;
+    Some(unescape(&content[..end]))
+}
+
+/// `name="value"` attribute inside the first occurrence of `<tag`,
+/// matched as a whole attribute name.
 fn tag_attr(xml: &str, tag: &str, name: &str) -> Option<String> {
-    let open = format!("<{tag}");
-    let p = xml.find(&open)?;
-    let rest = &xml[p..p + xml[p..].find('>')?];
-    let marker = format!("{name}=\"");
-    let start = rest.find(&marker)? + marker.len();
-    let end = rest[start..].find('"')? + start;
-    Some(unescape(&rest[start..end]))
+    attr_of(after_open(xml, tag)?, name)
 }
 
 fn envelope(body: &str) -> String {
@@ -433,6 +432,16 @@ mod tests {
             let xml = encode_reply(&r);
             assert_eq!(decode_reply(&xml).unwrap(), r, "{xml}");
         }
+    }
+
+    #[test]
+    fn extractors_match_whole_tag_and_attribute_names() {
+        let xml = "<eventLog state=\"Log\"/><event substate=\"Sub\" state=\"Done\">\
+                   <handles>no</handles><handle>yes</handle></event>";
+        assert_eq!(tag_attr(xml, "event", "state").as_deref(), Some("Done"));
+        assert_eq!(tag_attr(xml, "event", "tate"), None);
+        assert_eq!(tag_content(xml, "handle").as_deref(), Some("yes"));
+        assert_eq!(tag_attr(xml, "even", "state"), None);
     }
 
     #[test]

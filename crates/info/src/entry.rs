@@ -17,6 +17,8 @@
 use crate::provider::{InfoProvider, ProviderError};
 use crate::quality::DegradationFn;
 use crate::supervisor::{Admission, BreakerState, Supervisor, SupervisorConfig};
+use infogram_proto::render::{self, AttrRef};
+use infogram_rsl::OutputFormat;
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge, MetricSet};
 use infogram_sim::{SimTime, Welford};
@@ -25,12 +27,88 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+/// What one provider execution produced: the `(attribute, value)` pairs
+/// and, beside them, their rendered attribute block per wire format.
+///
+/// Between two refreshes a keyword's names and values do not change, so
+/// neither does the text a reply spends on them (`proto::render`'s
+/// *block*; everything per-reply is in the record's head). Each block is
+/// rendered by the first cached reply that wants that format and lives
+/// exactly as long as the pairs: the refresh that swaps them out frees
+/// it. Nothing is rendered for a format nobody asks for, and nothing at
+/// construction or on refresh. Dereferences to the pairs.
+pub struct Produced {
+    attributes: Box<[(String, String)]>,
+    /// Indexed by [`block_slot`]; write-once, so readers take no lock.
+    blocks: [OnceLock<Box<str>>; 3],
+}
+
+/// The slot of a format whose block is the same in every reply; `plain`
+/// (the debugging format) annotates each line with the reply's age.
+fn block_slot(format: OutputFormat) -> Option<usize> {
+    match format {
+        OutputFormat::Ldif => Some(0),
+        OutputFormat::Xml => Some(1),
+        OutputFormat::Dsml => Some(2),
+        OutputFormat::Plain => None,
+    }
+}
+
+impl Produced {
+    fn new(attributes: Vec<(String, String)>) -> Self {
+        Produced {
+            attributes: attributes.into(),
+            blocks: Default::default(),
+        }
+    }
+
+    /// The pairs as the block writers take them, namespaced by `keyword`.
+    pub fn attr_refs<'a>(&'a self, keyword: &'a str) -> impl Iterator<Item = AttrRef<'a>> {
+        self.iter()
+            .map(move |(name, value)| AttrRef::produced(keyword, name, value))
+    }
+
+    /// The attribute block of these pairs under `keyword` in `format`,
+    /// rendered on first use; `None` for a format that has no
+    /// reply-independent block.
+    fn block(&self, keyword: &str, format: OutputFormat) -> Option<&str> {
+        let slot = &self.blocks[block_slot(format)?];
+        Some(slot.get_or_init(|| {
+            let mut block = String::new();
+            render::write_block(&mut block, format, self.attr_refs(keyword));
+            block.into()
+        }))
+    }
+}
+
+impl std::ops::Deref for Produced {
+    type Target = [(String, String)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.attributes
+    }
+}
+
+impl PartialEq for Produced {
+    /// Two productions are equal when their pairs are; the blocks are
+    /// derived from them.
+    fn eq(&self, other: &Self) -> bool {
+        self.attributes == other.attributes
+    }
+}
+
+impl std::fmt::Debug for Produced {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.attributes.fmt(f)
+    }
+}
+
 /// A point-in-time copy of a keyword's cached information.
 ///
-/// The attribute list is shared (`Arc<[..]>`) with the cache it was read
-/// from, so taking a snapshot — and cloning one — never deep-copies the
-/// attribute vector. Cache hits, coalesced waiters, and `(response=last)`
-/// reads all alias the one list the provider produced.
+/// What the provider produced is shared (`Arc`) with the cache it was
+/// read from, so taking a snapshot — and cloning one — never deep-copies
+/// the attribute list. Cache hits, coalesced waiters, and
+/// `(response=last)` reads all alias the one list the provider produced.
 ///
 /// ```
 /// use infogram_info::entry::SystemInformation;
@@ -57,8 +135,9 @@ use std::time::Duration;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// `(attribute, value)` pairs as produced, shared with the cache.
-    pub attributes: Arc<[(String, String)]>,
+    /// `(attribute, value)` pairs as produced (and their rendered
+    /// blocks), shared with the cache.
+    pub attributes: Arc<Produced>,
     /// When the value was produced.
     pub produced_at: SimTime,
     /// Whether this call was served from cache (no provider execution).
@@ -117,11 +196,23 @@ impl std::error::Error for QueryError {}
 
 #[derive(Debug, Clone)]
 struct CachedValue {
-    attributes: Arc<[(String, String)]>,
+    attributes: Arc<Produced>,
     produced_at: SimTime,
 }
 
 impl Snapshot {
+    /// The attribute block kept beside the cached value, rendered now if
+    /// this is the first reply to want `format`. `None` when this call
+    /// produced the value — it renders straight into its own reply and
+    /// stores nothing, so a refresh nobody reads from the cache costs no
+    /// block — and for `plain`, which has no reply-independent block.
+    pub fn cached_block(&self, keyword: &str, format: OutputFormat) -> Option<&str> {
+        if !self.from_cache {
+            return None;
+        }
+        self.attributes.block(keyword, format)
+    }
+
     /// The one place a snapshot is built: a copy of `value` that aliases
     /// its attribute list.
     fn of(value: &CachedValue, from_cache: bool, stale: bool) -> Self {
@@ -387,7 +478,7 @@ impl SystemInformation {
             // ahead of the install below is safe on both outcomes.
             self.update_done.notify_all();
             let value = CachedValue {
-                attributes: result.map_err(QueryError::Provider)?.into(),
+                attributes: Arc::new(Produced::new(result.map_err(QueryError::Provider)?)),
                 produced_at: self.clock.now(),
             };
             let snap = Snapshot::of(&value, false, false);
@@ -621,6 +712,35 @@ mod tests {
         assert_eq!(si.last_state(), Err(QueryError::NeverProduced));
         assert_eq!(si.validity(), Duration::ZERO);
         assert_eq!(si.current_quality(), None);
+    }
+
+    #[test]
+    fn block_is_rendered_by_the_first_cached_read_and_never_by_a_refresh() {
+        let (_clock, _calls, si) = entry_with_ttl(100);
+        let unrendered = |snap: &Snapshot| snap.attributes.blocks.iter().all(|b| b.get().is_none());
+        // The refresh renders nothing, and neither does the reply that
+        // caused it: it writes its own body and stores no block.
+        let fresh = si.update_state().unwrap();
+        assert_eq!(fresh.cached_block("K", OutputFormat::Ldif), None);
+        assert!(unrendered(&fresh));
+        // The first cached read of a format renders it; later ones — any
+        // snapshot of the same production — share that one string.
+        let hit = si.query_state().unwrap();
+        let block = hit.cached_block("K", OutputFormat::Ldif).unwrap();
+        assert_eq!(block, "K-n: 1\n");
+        let again = si.last_state().unwrap();
+        assert!(std::ptr::eq(
+            block,
+            again.cached_block("K", OutputFormat::Ldif).unwrap()
+        ));
+        // Per format, on demand; `plain` has no reply-independent block.
+        assert!(hit.attributes.blocks[1].get().is_none());
+        assert_eq!(
+            hit.cached_block("K", OutputFormat::Xml),
+            Some("    <attribute name=\"K:n\">1</attribute>\n  </provider>\n")
+        );
+        assert_eq!(hit.cached_block("K", OutputFormat::Plain), None);
+        assert!(hit.attributes.blocks[2].get().is_none());
     }
 
     #[test]

@@ -12,7 +12,8 @@ use crate::quality::DegradationFn;
 use crate::schema::Schema;
 use infogram_host::commands::CommandRegistry;
 use infogram_proto::record::InfoRecord;
-use infogram_rsl::{InfoSelector, ResponseMode};
+use infogram_proto::render::{self, BodyWriter, Head};
+use infogram_rsl::{InfoSelector, OutputFormat, ResponseMode};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge, Histogram, MetricSet};
 use infogram_sim::{par, SimTime};
@@ -119,6 +120,10 @@ struct Registered {
     si: Arc<SystemInformation>,
     km: KeywordMetrics,
 }
+
+/// What one selector of a query is served from, once either §6.2 phase
+/// has filled it in.
+type Slot = Option<Result<Snapshot, QueryError>>;
 
 /// The keyword registry, arc-swapped copy-on-write: readers clone the
 /// `Arc` under a briefly-held read lock and then walk the map with no
@@ -389,6 +394,46 @@ impl InformationService {
         rec
     }
 
+    /// The shared first half of [`InformationService::answer`] and
+    /// [`InformationService::answer_body`], which document it: resolve
+    /// the selectors against `registry` (`None` is `(info=schema)`), then
+    /// run the two §6.2 phases. Every keyword's slot comes back filled, in
+    /// selector order.
+    fn serve<'r>(
+        &self,
+        registry: &'r Registry,
+        selectors: &[InfoSelector],
+        opts: &QueryOptions,
+    ) -> Result<(Vec<Option<&'r Registered>>, Vec<Slot>), InfoServiceError> {
+        let mut items: Vec<Option<&Registered>> = Vec::new();
+        for sel in selectors {
+            match sel {
+                InfoSelector::Schema => items.push(None),
+                InfoSelector::All => items.extend(registry.values().map(Some)),
+                InfoSelector::Keyword(k) => items.push(Some(
+                    registry
+                        .get(&k.to_ascii_lowercase())
+                        .ok_or_else(|| InfoServiceError::UnknownKeyword(k.clone()))?,
+                )),
+            }
+        }
+        let mut slots: Vec<Slot> = items.iter().map(|_| None).collect();
+        let mut misses: Vec<(usize, &Registered)> = Vec::new();
+        for (i, item) in items.iter().enumerate() {
+            if let Some(reg) = item {
+                slots[i] = self.query(reg, opts);
+                if slots[i].is_none() {
+                    misses.push((i, reg));
+                }
+            }
+        }
+        let refreshed = par::fan_out(&misses, |_, (_, reg)| self.refresh(reg, opts));
+        for ((i, _), result) in misses.iter().zip(refreshed) {
+            slots[*i] = Some(result);
+        }
+        Ok((items, slots))
+    }
+
     /// Answer a selector list. Unknown keywords fail the whole query with
     /// [`InfoServiceError::UnknownKeyword`]; provider failures fail it
     /// with the error of the earliest failing selector position.
@@ -407,50 +452,16 @@ impl InformationService {
         selectors: &[InfoSelector],
         opts: &QueryOptions,
     ) -> Result<Vec<InfoRecord>, InfoServiceError> {
-        enum Item<'a> {
-            Schema,
-            Fetch(&'a Registered),
-        }
         let registry = self.registry();
-        let mut items: Vec<Item<'_>> = Vec::new();
-        for sel in selectors {
-            match sel {
-                InfoSelector::Schema => items.push(Item::Schema),
-                InfoSelector::All => {
-                    items.extend(registry.values().map(Item::Fetch));
-                }
-                InfoSelector::Keyword(k) => items.push(Item::Fetch(
-                    registry
-                        .get(&k.to_ascii_lowercase())
-                        .ok_or_else(|| InfoServiceError::UnknownKeyword(k.clone()))?,
-                )),
-            }
-        }
-        let mut slots: Vec<Option<Result<Snapshot, QueryError>>> =
-            items.iter().map(|_| None).collect();
-        let mut misses: Vec<(usize, &Registered)> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            if let Item::Fetch(reg) = item {
-                slots[i] = self.query(reg, opts);
-                if slots[i].is_none() {
-                    misses.push((i, reg));
-                }
-            }
-        }
-        let refreshed = par::fan_out(&misses, |_, (_, reg)| self.refresh(reg, opts));
-        for ((i, _), result) in misses.iter().zip(refreshed) {
-            slots[*i] = Some(result);
-        }
+        let (items, slots) = self.serve(&registry, selectors, opts)?;
         // Gather in selector order; the first error (by position) wins.
         let now = self.clock.now();
         let mut records = Vec::with_capacity(items.len());
         for (item, slot) in items.iter().zip(slots) {
             match item {
-                Item::Schema => {
-                    records.extend(Schema::of(self).to_records(&self.hostname));
-                }
-                Item::Fetch(reg) => {
-                    // lint:allow(unwrap) — every Fetch slot is filled by `query` or `refresh` above
+                None => records.extend(Schema::of(self).to_records(&self.hostname)),
+                Some(reg) => {
+                    // lint:allow(unwrap) — `serve` fills every keyword slot
                     let snap = slot.expect("every fetch item was filled")?;
                     records.push(self.to_record(&reg.si, &snap, opts, now));
                 }
@@ -463,6 +474,84 @@ impl InformationService {
             records.retain(|r| !r.attributes.is_empty());
         }
         Ok(records)
+    }
+
+    /// Answer a selector list with the rendered reply body and its
+    /// record count — byte for byte `render(&self.answer(..)?, format)`,
+    /// without building the records.
+    ///
+    /// A keyword's record is its head (keyword, host, the degraded
+    /// annotation, and the one quality and age `answer` stamps on every
+    /// attribute — which the renderer therefore hoists) followed by its
+    /// attribute block. A snapshot served from the cache contributes
+    /// the block kept beside it ([`Snapshot::cached_block`]: rendered by
+    /// the first such reply, one `push_str` for every later one). A
+    /// snapshot this very call produced is rendered straight into the
+    /// body and stores nothing — whoever reads it from the cache next
+    /// pays for the block, a refresh nobody reads pays nothing.
+    ///
+    /// `(filter=...)` and `(performance=true)` change a record's
+    /// attributes, and `plain` annotates every line: those replies are
+    /// rendered from records.
+    pub fn answer_body(
+        &self,
+        selectors: &[InfoSelector],
+        opts: &QueryOptions,
+        format: OutputFormat,
+    ) -> Result<(String, u32), InfoServiceError> {
+        if opts.filter.is_some() || opts.performance || format == OutputFormat::Plain {
+            let records = self.answer(selectors, opts)?;
+            return Ok((render::render(&records, format), records.len() as u32));
+        }
+        let registry = self.registry();
+        let (items, slots) = self.serve(&registry, selectors, opts)?;
+        // The first error (by position) wins.
+        let snaps: Vec<Option<Snapshot>> = slots
+            .into_iter()
+            .map(Option::transpose)
+            .collect::<Result<_, _>>()?;
+        let served = || {
+            items
+                .iter()
+                .zip(&snaps)
+                .map(|(reg, snap)| reg.zip(snap.as_ref()))
+        };
+        let now = self.clock.now();
+        let capacity = served()
+            .flatten()
+            .map(|(reg, snap)| {
+                let block = snap.cached_block(reg.si.keyword(), format);
+                192 + block.map_or(64 * snap.attributes.len(), str::len)
+            })
+            .sum();
+        let mut body = BodyWriter::new(format, capacity);
+        for item in served() {
+            let Some((reg, snap)) = item else {
+                for rec in Schema::of(self).to_records(&self.hostname) {
+                    body.record(&rec);
+                }
+                continue;
+            };
+            let keyword = reg.si.keyword();
+            let age = now.since(snap.produced_at);
+            // An empty record has no attribute to take a shared quality
+            // and age from; the renderer hoists none.
+            let annotated = !snap.attributes.is_empty();
+            body.head(&Head {
+                keyword,
+                host: &self.hostname,
+                degraded: snap.stale,
+                stale_age_secs: snap.stale.then_some(age.as_secs_f64()),
+                quality: annotated.then(|| reg.si.degradation().quality(age)),
+                age_secs: annotated.then_some(age.as_secs_f64()),
+            });
+            match snap.cached_block(keyword, format) {
+                Some(block) => body.push_block(block),
+                None => body.block(snap.attributes.attr_refs(keyword)),
+            }
+        }
+        let record_count = body.record_count();
+        Ok((body.finish(), record_count))
     }
 }
 

@@ -8,7 +8,14 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 
 /// Encode bytes as base64.
 pub fn encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
+    let mut out = String::new();
+    encode_into(&mut out, data);
+    out
+}
+
+/// Append the base64 encoding of `data` to `out`.
+pub fn encode_into(out: &mut String, data: &[u8]) {
+    out.reserve(data.len().div_ceil(3) * 4);
     for chunk in data.chunks(3) {
         let b0 = chunk[0] as u32;
         let b1 = chunk.get(1).copied().unwrap_or(0) as u32;
@@ -27,7 +34,6 @@ pub fn encode(data: &[u8]) -> String {
             out.push('=');
         }
     }
-    out
 }
 
 /// Decode base64; `None` on malformed input.

@@ -2,114 +2,150 @@
 //!
 //! §6.6: "Nevertheless, it is straightforward to support other formats
 //! such as DSML." The Directory Services Markup Language (v1) expresses
-//! LDAP directory entries in XML; records render as:
+//! LDAP directory entries in XML. Attribute names follow the LDAP-safe
+//! convention of the LDIF renderer (`Memory:total` → `Memory-total`), so
+//! a DSML consumer sees the same names an LDAP consumer would. The
+//! `<entry>` tag carries the record's head exactly as XML's `<provider>`
+//! does; an attribute that differs from it carries `<quality>` / `<age>`
+//! elements (see the [module docs](super)):
 //!
-//! ```xml
-//! <dsml>
+//! ```
+//! use infogram_proto::record::InfoRecord;
+//! use infogram_proto::render::dsml;
+//!
+//! let mut memory = InfoRecord::new("Memory", "node0.grid");
+//! for (name, value) in [("total", "4294967296"), ("free", "1073741824")] {
+//!     let attr = memory.push(name, value);
+//!     attr.quality = Some(1.0);
+//!     attr.age_secs = Some(12.345);
+//! }
+//! let mut load = InfoRecord::new("CPULoad", "node0.grid");
+//! load.push("load", "0.93").quality = Some(0.75);
+//! load.push("note", "a<b");
+//! let records = [memory, load];
+//! assert_eq!(
+//!     dsml::render(&records),
+//!     r#"<dsml>
 //!  <directory-entries>
-//!   <entry dn="kw=Memory, hn=node0, o=Grid">
+//!   <entry dn="kw=Memory, hn=node0.grid, o=Grid" quality="1.0000" age="12.345">
 //!    <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
 //!    <attr name="Memory-total"><value>4294967296</value></attr>
+//!    <attr name="Memory-free"><value>1073741824</value></attr>
+//!   </entry>
+//!   <entry dn="kw=CPULoad, hn=node0.grid, o=Grid">
+//!    <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
+//!    <attr name="CPULoad-load"><value>0.93</value><quality>0.7500</quality></attr>
+//!    <attr name="CPULoad-note"><value>a&lt;b</value></attr>
 //!   </entry>
 //!  </directory-entries>
 //! </dsml>
+//! "#
+//! );
+//! assert_eq!(dsml::parse(&dsml::render(&records)), records);
 //! ```
-//!
-//! Attribute names follow the LDAP-safe convention of the LDIF renderer
-//! (`Memory:total` → `Memory-total`), so a DSML consumer sees the same
-//! names an LDAP consumer would.
 
-use super::xml::{escape, unescape};
+use super::ldif::{read_dn, restore_name};
+use super::xml::{escape_into, tag_attrs, unescape, write_head_annotations};
+use super::{AttrRef, Head};
 use crate::record::{Attribute, InfoRecord};
+use infogram_rsl::OutputFormat;
+use std::fmt::Write;
+
+pub(super) const OPEN: &str = "<dsml>\n <directory-entries>\n";
+pub(super) const CLOSE: &str = " </directory-entries>\n</dsml>\n";
+
+/// The opening `<entry>` tag and the object class.
+pub(super) fn write_head(out: &mut String, head: &Head<'_>) {
+    out.push_str("  <entry dn=\"kw=");
+    escape_into(out, head.keyword);
+    out.push_str(", hn=");
+    escape_into(out, head.host);
+    out.push_str(", o=Grid\"");
+    write_head_annotations(out, head);
+    out.push_str(">\n   <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>\n");
+}
+
+/// One `<attr>` per attribute, then the closing `</entry>`.
+pub(super) fn write_block<'a>(out: &mut String, attrs: impl Iterator<Item = AttrRef<'a>>) {
+    for a in attrs {
+        out.push_str("   <attr name=\"");
+        let (keyword, rest) = a.split_name();
+        if let Some(keyword) = keyword {
+            escape_into(out, keyword);
+            out.push('-');
+        }
+        escape_into(out, rest);
+        out.push_str("\"><value>");
+        escape_into(out, a.value);
+        out.push_str("</value>");
+        if let Some(q) = a.quality {
+            let _ = write!(out, "<quality>{q:.4}</quality>");
+        }
+        if let Some(age) = a.age_secs {
+            let _ = write!(out, "<age>{age:.3}</age>");
+        }
+        out.push_str("</attr>\n");
+    }
+    out.push_str("  </entry>\n");
+}
 
 /// Render records as a DSML v1 document.
 pub fn render(records: &[InfoRecord]) -> String {
-    let mut out = String::from("<dsml>\n <directory-entries>\n");
-    for rec in records {
-        out.push_str(&format!(
-            "  <entry dn=\"kw={}, hn={}, o=Grid\">\n",
-            escape(&rec.keyword),
-            escape(&rec.host)
-        ));
-        out.push_str("   <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>\n");
-        for a in &rec.attributes {
-            let name = a.name.replacen(':', "-", 1);
-            out.push_str(&format!("   <attr name=\"{}\">", escape(&name)));
-            out.push_str(&format!("<value>{}</value>", escape(&a.value)));
-            if let Some(q) = a.quality {
-                out.push_str(&format!("<quality>{q:.4}</quality>"));
-            }
-            if let Some(age) = a.age_secs {
-                out.push_str(&format!("<age>{age:.3}</age>"));
-            }
-            out.push_str("</attr>\n");
-        }
-        out.push_str("  </entry>\n");
-    }
-    out.push_str(" </directory-entries>\n</dsml>\n");
-    out
+    super::render(records, OutputFormat::Dsml)
+}
+
+/// The escaped content of the first `open…close` element in `text`.
+/// Content is escaped, so it never contains a `<` of its own and the
+/// first `close` is the element's.
+fn element<'a>(text: &'a str, open: &str, close: &str) -> Option<&'a str> {
+    let (_, after) = text.split_once(open)?;
+    after.split_once(close).map(|(content, _)| content)
 }
 
 /// Parse documents produced by [`render`] (purpose-built scanner for
 /// round-trip tests and the format-equivalence experiment).
 pub fn parse(text: &str) -> Vec<InfoRecord> {
     let mut records = Vec::new();
-    let mut current: Option<InfoRecord> = None;
+    // The open record and its record-level quality and age.
+    let mut current: Option<(InfoRecord, Option<f64>, Option<f64>)> = None;
     for line in text.lines() {
         let line = line.trim();
-        if let Some(rest) = line.strip_prefix("<entry dn=\"") {
-            if let Some(e) = current.take() {
-                records.push(e);
-            }
-            let Some(dn_end) = rest.find('"') else {
-                continue;
-            };
-            let dn = unescape(&rest[..dn_end]);
-            let mut keyword = String::new();
-            let mut host = String::new();
-            for part in dn.split(',') {
-                let part = part.trim();
-                if let Some(k) = part.strip_prefix("kw=") {
-                    keyword = k.to_string();
-                } else if let Some(h) = part.strip_prefix("hn=") {
-                    host = h.to_string();
+        if let Some(rest) = line.strip_prefix("<entry ") {
+            records.extend(current.take().map(|(rec, ..)| rec));
+            let mut rec = InfoRecord::default();
+            let (mut quality, mut age_secs) = (None, None);
+            for (name, value) in tag_attrs(rest) {
+                match name {
+                    "dn" => read_dn(&unescape(value), &mut rec),
+                    "degraded" => rec.degraded = value == "true",
+                    "stale-age" => rec.stale_age_secs = value.parse().ok(),
+                    "quality" => quality = value.parse().ok(),
+                    "age" => age_secs = value.parse().ok(),
+                    _ => {}
                 }
             }
-            current = Some(InfoRecord::new(&keyword, &host));
+            current = Some((rec, quality, age_secs));
         } else if line == "</entry>" {
-            if let Some(e) = current.take() {
-                records.push(e);
-            }
+            records.extend(current.take().map(|(rec, ..)| rec));
         } else if let Some(rest) = line.strip_prefix("<attr name=\"") {
-            let Some(rec) = current.as_mut() else {
+            let Some((rec, quality, age_secs)) = current.as_mut() else {
                 continue;
             };
-            let Some(name_end) = rest.find('"') else {
+            let Some((raw_name, rest)) = rest.split_once('"') else {
                 continue;
             };
-            let raw_name = unescape(&rest[..name_end]);
-            let keyword = rec.keyword.clone();
-            let name = match raw_name.strip_prefix(&format!("{keyword}-")) {
-                Some(r) => format!("{keyword}:{r}"),
-                None => raw_name,
-            };
-            let field = |tag: &str| -> Option<String> {
-                let open = format!("<{tag}>");
-                let close = format!("</{tag}>");
-                let start = rest.find(&open)? + open.len();
-                let end = rest[start..].find(&close)? + start;
-                Some(unescape(&rest[start..end]))
-            };
-            let value = field("value").unwrap_or_default();
-            let mut attr = Attribute::new(&name, &value);
-            attr.quality = field("quality").and_then(|q| q.parse().ok());
-            attr.age_secs = field("age").and_then(|a| a.parse().ok());
-            rec.attributes.push(attr);
+            let own = |open, close| element(rest, open, close).and_then(|v| v.parse().ok());
+            rec.attributes.push(Attribute {
+                name: restore_name(&unescape(raw_name), &rec.keyword),
+                value: element(rest, "<value>", "</value>")
+                    .map(unescape)
+                    .unwrap_or_default(),
+                quality: own("<quality>", "</quality>").or(*quality),
+                age_secs: own("<age>", "</age>").or(*age_secs),
+            });
         }
     }
-    if let Some(e) = current.take() {
-        records.push(e);
-    }
+    records.extend(current.take().map(|(rec, ..)| rec));
     records
 }
 

@@ -1,25 +1,40 @@
 //! Plain `key: value` rendering (debugging format).
+//!
+//! Not a wire format — nothing parses it — so it keeps the redundant
+//! but greppable `[quality=…]` / `[age=…s]` on every line rather than
+//! hoisting them into the record header as LDIF, XML and DSML do.
 
+use super::{AttrRef, Head};
 use crate::record::InfoRecord;
+use infogram_rsl::OutputFormat;
+use std::fmt::Write;
+
+/// The `# keyword @ host` header.
+pub(super) fn write_head(out: &mut String, head: &Head<'_>) {
+    let _ = writeln!(out, "# {} @ {}", head.keyword, head.host);
+}
+
+/// One `name: value` line per attribute.
+pub(super) fn write_block<'a>(out: &mut String, attrs: impl Iterator<Item = AttrRef<'a>>) {
+    for a in attrs {
+        let _ = match a.split_name() {
+            (Some(keyword), rest) => write!(out, "{keyword}:{rest}: {}", a.value),
+            (None, name) => write!(out, "{name}: {}", a.value),
+        };
+        if let Some(q) = a.quality {
+            let _ = write!(out, "  [quality={q:.4}]");
+        }
+        if let Some(age) = a.age_secs {
+            let _ = write!(out, "  [age={age:.3}s]");
+        }
+        out.push('\n');
+    }
+}
 
 /// Render records as `# keyword @ host` headers followed by
 /// `name: value` lines.
 pub fn render(records: &[InfoRecord]) -> String {
-    let mut out = String::new();
-    for rec in records {
-        out.push_str(&format!("# {} @ {}\n", rec.keyword, rec.host));
-        for a in &rec.attributes {
-            out.push_str(&format!("{}: {}", a.name, a.value));
-            if let Some(q) = a.quality {
-                out.push_str(&format!("  [quality={q:.4}]"));
-            }
-            if let Some(age) = a.age_secs {
-                out.push_str(&format!("  [age={age:.3}s]"));
-            }
-            out.push('\n');
-        }
-    }
-    out
+    super::render(records, OutputFormat::Plain)
 }
 
 #[cfg(test)]

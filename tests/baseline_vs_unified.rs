@@ -52,8 +52,29 @@ fn both_paths_report_the_same_memory_total() {
     assert_eq!(via_mds.len(), 1);
     assert_eq!(via_infogram.record_count, 1);
     let mds_total = &via_mds[0].get("Memory:total").unwrap().value;
-    let native_total = &via_infogram.records[0].get("Memory:total").unwrap().value;
-    assert_eq!(mds_total, native_total);
+    let native = &via_infogram.records[0];
+    assert_eq!(mds_total, &native.get("Memory:total").unwrap().value);
+    // The client still sees a quality and an age on every attribute —
+    // the ones the service stamps, which the wire says once per record
+    // (their values are pinned on a manual clock in `core::dispatch`).
+    let in_process = sandbox
+        .service
+        .info_service()
+        .answer(
+            &[infogram::rsl::InfoSelector::Keyword("Memory".to_string())],
+            &infogram::info::service::QueryOptions {
+                mode: infogram::rsl::ResponseMode::Last,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(native.attributes.len(), in_process[0].attributes.len());
+    for (wire, local) in native.attributes.iter().zip(&in_process[0].attributes) {
+        assert_eq!((&wire.name, &wire.value), (&local.name, &local.value));
+        assert!(wire.quality.is_some() && wire.age_secs.is_some());
+        assert_eq!(wire.quality, native.attributes[0].quality);
+        assert_eq!(wire.age_secs, native.attributes[0].age_secs);
+    }
     sandbox.shutdown();
 }
 

@@ -187,3 +187,77 @@ fn immediate_storm_coalesces_on_the_monitor() {
     assert_eq!(metrics.counter_value("info.cache_hits"), coalesced);
     assert_eq!(metrics.counter_value("info.refreshes"), executions);
 }
+
+#[test]
+fn racing_first_readers_of_a_block_all_get_the_full_body() {
+    // A keyword's attribute block is rendered by the first cached reply
+    // that wants it (a `OnceLock` beside the snapshot). THREADS readers
+    // released together right after each refresh race that first read,
+    // in two formats: every one must send the complete body, never a
+    // block still being written.
+    use infogram::proto::render;
+    use infogram::rsl::OutputFormat;
+    use infogram::sim::ManualClock;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    let clock = ManualClock::new();
+    let service = InformationService::new("stress.grid", clock.clone(), MetricSet::new());
+    let runs = AtomicU64::new(0);
+    service.register(SystemInformation::new(
+        Box::new(FnProvider::new("Wide", move || {
+            let run = runs.fetch_add(1, Ordering::SeqCst);
+            Ok((0..256)
+                .map(|i| (format!("a{i:03}"), format!("run {run} <value {i:03}>")))
+                .collect())
+        })),
+        clock.clone(),
+        Duration::from_secs(60),
+        DegradationFn::default(),
+    ));
+    let selectors = [keyword("wide")];
+    let immediate = QueryOptions {
+        mode: ResponseMode::Immediate,
+        ..Default::default()
+    };
+    let cached = QueryOptions::default();
+    let formats = [OutputFormat::Ldif, OutputFormat::Xml];
+
+    let (start, done) = (Barrier::new(THREADS + 1), Barrier::new(THREADS + 1));
+    std::thread::scope(|scope| {
+        let bodies: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (service, start, done) = (&service, &start, &done);
+                let (selectors, cached) = (&selectors, &cached);
+                scope.spawn(move || {
+                    let mut bodies = Vec::with_capacity(ROUNDS);
+                    for _ in 0..ROUNDS {
+                        start.wait();
+                        let format = formats[t % 2];
+                        bodies.push(service.answer_body(selectors, cached, format).unwrap());
+                        done.wait();
+                    }
+                    bodies
+                })
+            })
+            .collect();
+        let mut expected = Vec::with_capacity(ROUNDS);
+        for _ in 0..ROUNDS {
+            // A fresh snapshot, no block rendered yet.
+            service.answer(&selectors, &immediate).unwrap();
+            start.wait();
+            done.wait();
+            let records = service.answer(&selectors, &cached).unwrap();
+            expected.push(formats.map(|f| render::render(&records, f)));
+        }
+        for (t, handle) in bodies.into_iter().enumerate() {
+            for (round, (body, count)) in handle.join().unwrap().into_iter().enumerate() {
+                assert_eq!(count, 1);
+                assert!(body == expected[round][t % 2], "thread {t}, round {round}");
+            }
+        }
+    });
+    assert_eq!(
+        service.lookup("Wide").unwrap().execution_count(),
+        ROUNDS as u64
+    );
+}

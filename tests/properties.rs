@@ -346,30 +346,56 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// DSML/XML/LDIF agree on content for arbitrary single-line values.
+// DSML/XML/LDIF agree on content for arbitrary single-line values and
+// arbitrary per-attribute annotations: whatever the renderer hoists into
+// the record's head or leaves on the attribute, `parse(render(r)) == r`.
 // ---------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn formats_agree_on_content(
         values in prop::collection::vec("[ -~]{0,20}", 1..5),
+        // 0: every attribute carries the same quality and age; 1: all but
+        // one do; 2: each its own draw (some `None`); 3: none annotated.
+        shape in 0u8..4,
+        odd in 0usize..4,
+        // Drawn on the renderers' `.4` / `.3` grids, so text round-trips.
+        shared in (0u32..10_001, 0u32..100_000),
+        own in prop::collection::vec(
+            (prop::option::of(0u32..10_001), prop::option::of(0u32..100_000)),
+            4..5,
+        ),
+        stale_age in prop::option::of(0u32..100_000),
     ) {
         use infogram::proto::record::InfoRecord;
         use infogram::proto::render::{dsml, ldif, xml};
+        let quality = |k: u32| f64::from(k) / 10_000.0;
+        let age = |k: u32| f64::from(k) / 1_000.0;
         let mut rec = InfoRecord::new("Kw", "host.grid");
+        rec.degraded = stale_age.is_some();
+        rec.stale_age_secs = stale_age.map(age);
         for (i, v) in values.iter().enumerate() {
-            rec.push(&format!("a{i}"), v);
+            let attr = rec.push(&format!("a{i}"), v);
+            let (q, a) = match shape {
+                0 => (Some(shared.0), Some(shared.1)),
+                1 if i != odd % values.len() => (Some(shared.0), Some(shared.1)),
+                1 | 2 => own[i],
+                _ => (None, None),
+            };
+            attr.quality = q.map(quality);
+            attr.age_secs = a.map(age);
         }
-        let from_ldif = ldif::parse(&ldif::render(std::slice::from_ref(&rec)));
-        let from_xml = xml::parse(&xml::render(std::slice::from_ref(&rec)));
-        let from_dsml = dsml::parse(&dsml::render(std::slice::from_ref(&rec)));
-        for (i, v) in values.iter().enumerate() {
-            let name = format!("a{i}");
-            prop_assert_eq!(&from_ldif[0].get(&name).unwrap().value, v);
-            prop_assert_eq!(&from_xml[0].get(&name).unwrap().value, v);
-            prop_assert_eq!(&from_dsml[0].get(&name).unwrap().value, v);
+        let one = std::slice::from_ref(&rec);
+        prop_assert_eq!(ldif::parse(&ldif::render(one)).as_slice(), one);
+        prop_assert_eq!(xml::parse(&xml::render(one)).as_slice(), one);
+        prop_assert_eq!(dsml::parse(&dsml::render(one)).as_slice(), one);
+        if shape == 0 {
+            // Said once: no per-attribute annotation is left on the wire.
+            let text = ldif::render(one);
+            prop_assert!(!text.contains(";quality") && !text.contains(";age"));
+            prop_assert_eq!(text.matches("infogram-quality: ").count(), 1);
         }
     }
 }

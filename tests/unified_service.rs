@@ -423,3 +423,52 @@ fn contract_window_enforced_at_connect() {
     }
     sandbox.shutdown();
 }
+
+#[test]
+fn wide_reply_says_quality_and_age_once_per_record() {
+    // The shape of the e21 benchmark's `info_wide` (16 keywords × 24
+    // attributes × 24-character values, one cached reply), pinned in
+    // tree: the body stays under 15.5 kB because each record carries its
+    // quality and age once, in its head, not after every attribute.
+    use infogram::info::{DegradationFn, FnProvider, SystemInformation};
+    let sandbox = Sandbox::start();
+    let info = sandbox.service.info_service();
+    let mut query = QueryBuilder::new();
+    for k in 0..16 {
+        let keyword = format!("K{k:02}");
+        info.register(SystemInformation::new(
+            Box::new(FnProvider::new(&keyword, move || {
+                Ok((0..24)
+                    .map(|a| (format!("a{a:02}"), format!("{:024}", k * 100 + a)))
+                    .collect())
+            })),
+            sandbox.clock.clone(),
+            Duration::from_secs(600),
+            DegradationFn::default(),
+        ));
+        query = query.keyword(&keyword);
+    }
+    let mut client = sandbox.connect_client();
+    client.query(&query).unwrap(); // produces the sixteen values
+    let reply = client.query(&query).unwrap(); // served from the cache
+    assert_eq!(reply.record_count, 16);
+    assert!(
+        reply.body.len() <= 15_500,
+        "{} body bytes",
+        reply.body.len()
+    );
+    assert_eq!(reply.body.matches("\ninfogram-quality: ").count(), 16);
+    assert_eq!(reply.body.matches("\ninfogram-age: ").count(), 16);
+    assert!(!reply.body.contains(";quality") && !reply.body.contains(";age"));
+    // The client still hands every attribute its quality and age.
+    for rec in &reply.records {
+        assert_eq!(rec.attributes.len(), 24);
+        assert!(rec
+            .attributes
+            .iter()
+            .all(|a| a.quality == Some(1.0) && a.age_secs.is_some()));
+    }
+    assert_eq!(reply.records[15].attributes[23].name, "K15:a23");
+    assert_eq!(reply.records[15].attributes[23].value.len(), 24);
+    sandbox.shutdown();
+}
