@@ -61,8 +61,7 @@ fn wal_cfg() -> WalConfig {
 }
 
 fn engine_over(storage: &Arc<MemStorage>, clock: &Arc<ManualClock>) -> Arc<JobEngine> {
-    let sink =
-        FrameWal::open(Arc::clone(storage) as Arc<dyn WalStorage>, wal_cfg()).expect("open wal");
+    let sink = FrameWal::open(Arc::clone(storage) as Arc<dyn WalStorage>).expect("open wal");
     let host = SimulatedHost::default_on(clock.clone());
     let registry = CommandRegistry::new(host, ChargeMode::None);
     JobEngine::new(

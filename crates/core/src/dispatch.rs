@@ -98,16 +98,15 @@ impl InfoGramDispatcher {
 
     /// Answer an information query.
     fn dispatch_info(&self, owner: &str, account: &str, req: &XrslRequest) -> Reply {
-        let keywords = req
-            .info
-            .iter()
-            .map(|s| match s {
-                infogram_rsl::InfoSelector::All => "all".to_string(),
-                infogram_rsl::InfoSelector::Schema => "schema".to_string(),
-                infogram_rsl::InfoSelector::Keyword(k) => k.clone(),
-            })
-            .collect::<Vec<_>>()
-            .join(",");
+        let mut keywords = String::new();
+        join_into(
+            &mut keywords,
+            req.info.iter().map(|s| match s {
+                infogram_rsl::InfoSelector::All => "all",
+                infogram_rsl::InfoSelector::Schema => "schema",
+                infogram_rsl::InfoSelector::Keyword(k) => k,
+            }),
+        );
         self.engine.log_info_query(owner, account, &keywords);
         let opts = QueryOptions {
             mode: req.response,
@@ -200,8 +199,9 @@ impl InfoGramDispatcher {
             }
             keywords.push(si.keyword().to_string());
         }
-        self.engine
-            .log_info_query(owner, account, &format!("subscribe:{}", keywords.join(",")));
+        let mut logged = String::from("subscribe:");
+        join_into(&mut logged, keywords.iter().map(String::as_str));
+        self.engine.log_info_query(owner, account, &logged);
         let id = self.hub.subscribe(&keywords, OutboxSink::new(outbox));
         ctx.sub_ids.push(id);
         Reply::Subscribed {
@@ -305,6 +305,16 @@ impl RequestDispatcher for InfoGramDispatcher {
         // still holds (no SubEnd — there is nobody to read it).
         self.hub.drop_all(&ctx.sub_ids);
         ctx.sub_ids.clear();
+    }
+}
+
+/// Append `names`, comma-joined, to `out` — the query log's keyword field.
+fn join_into<'a>(out: &mut String, names: impl Iterator<Item = &'a str>) {
+    for (i, name) in names.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(name);
     }
 }
 
@@ -869,6 +879,35 @@ mod tests {
         }
         assert!(ctx.sub_ids.is_empty());
         assert_eq!(d.hub().active(), 0);
+    }
+
+    #[test]
+    fn query_log_names_what_was_asked() {
+        let (_c, d) = world();
+        for rsl in [
+            "(info=memory)(info=CPU)",
+            "(info=all)",
+            "(info=schema)(info=cpu)",
+        ] {
+            dispatch(&d, submit(rsl));
+        }
+        let (mut ctx, _client) = outbox_ctx();
+        let rsl = "(action=subscribe)(info=cpu)(info=jobs)";
+        d.dispatch("/O=Grid/CN=T", "t", submit(rsl), &mut ctx);
+        let logged: Vec<String> = d
+            .engine
+            .wal()
+            .events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                infogram_exec::WalEvent::InfoQueried { keywords, .. } => Some(keywords),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            logged,
+            ["memory,CPU", "all", "schema,cpu", "subscribe:CPU,jobs"]
+        );
     }
 
     #[test]

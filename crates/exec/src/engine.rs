@@ -1229,10 +1229,10 @@ mod tests {
 
     #[test]
     fn answers_are_the_same_across_a_restart() {
-        use crate::wal::{FrameWal, MemStorage, WalConfig};
+        use crate::wal::{FrameWal, MemStorage};
         let storage = MemStorage::new();
         let open = || {
-            let sink = FrameWal::open(storage.clone(), WalConfig::default()).unwrap();
+            let sink = FrameWal::open(storage.clone()).unwrap();
             Wal::new(Box::new(sink))
         };
         // (xRSL, state and exit code when the first incarnation stops)

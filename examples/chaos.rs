@@ -19,7 +19,7 @@
 //!
 //! Driven by `scripts/chaos_smoke.sh`.
 
-use infogram::exec::{FrameWal, MemStorage, WalConfig, WalStorage};
+use infogram::exec::{FrameWal, MemStorage, WalStorage};
 use infogram::info::config::{ServiceConfig, TABLE1_TEXT};
 use infogram::proto::message::{codes, JobStateCode};
 use infogram::quickstart::{Sandbox, SandboxConfig};
@@ -65,11 +65,7 @@ fn main() {
         },
     );
     let disk = MemStorage::with_plan(Some(Arc::clone(&disk_plan)));
-    let wal_sink = FrameWal::open(
-        Arc::clone(&disk) as Arc<dyn WalStorage>,
-        WalConfig::default(),
-    )
-    .expect("open wal");
+    let wal_sink = FrameWal::open(Arc::clone(&disk) as Arc<dyn WalStorage>).expect("open wal");
     let sandbox = Sandbox::start_with(SandboxConfig {
         config: ServiceConfig::parse(&text).expect("config"),
         wal_sink: Some(Box::new(wal_sink)),

@@ -26,9 +26,10 @@
 #   9. scripts/chaos_smoke.sh — the full sandbox under a seeded random
 #      fault + disk-fault storm: zero panics, bounded error rate,
 #      replayable seed
-#  10. (cd benchmark && cargo test --offline -q) — the frozen e21
-#      benchmark still builds against the crates' API and passes its
-#      unit tests (not the 3-minute run)
+#  10. (cd benchmark && cargo test --offline --locked -q) — the frozen
+#      e21 benchmark still builds against the crates' API and passes its
+#      unit tests (not the 3-minute run); `--locked` fails a
+#      `[dependencies]` edge that would rewrite benchmark/Cargo.lock
 #
 # Works fully offline; expect a few minutes on a cold target dir.
 
@@ -61,6 +62,6 @@ sh scripts/bench_smoke.sh
 sh scripts/chaos_smoke.sh
 
 echo "==> benchmark package: build + unit tests"
-(cd benchmark && cargo test --offline -q)
+(cd benchmark && cargo test --offline --locked -q)
 
 echo "==> all gates green"

@@ -40,8 +40,12 @@ pub struct SandboxConfig {
     pub sandbox_policy: Policy,
     /// Contracts; `None` = gridmap-only authorization.
     pub contracts: Option<Vec<Contract>>,
-    /// Optional WAL sink (defaults to in-memory). Supply a
-    /// [`infogram_exec::wal::FileWal`] to survive restarts.
+    /// Optional WAL sink (defaults to in-memory). Supply what
+    /// [`infogram_exec::wal::FileWal::open`] returns to survive restarts,
+    /// or a [`infogram_exec::wal::FrameWal`] over a
+    /// [`infogram_exec::wal::MemStorage`] to inject disk faults. The
+    /// sandbox's `Wal` owns the sink and runs it with the default
+    /// [`infogram_exec::wal::WalConfig`]; a sink has no tuning of its own.
     pub wal_sink: Option<Box<dyn WalSink>>,
     /// Also start the baseline separate GRAM + MDS services.
     pub with_baseline: bool,

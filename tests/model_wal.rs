@@ -25,7 +25,7 @@
 // model scenario a panic IS the violation signal the explorer looks for.
 #![allow(clippy::unwrap_used)]
 
-use infogram::exec::{FrameWal, MemStorage, Wal, WalConfig, WalEvent, WalStorage};
+use infogram::exec::{FrameWal, MemStorage, Wal, WalEvent, WalStorage};
 use infogram::sim::model;
 use infogram::sim::{DiskFaultPlan, SimTime};
 use parking_lot::{Condvar, Mutex};
@@ -184,11 +184,7 @@ fn shipped_wal_never_acks_before_durable() {
     let report = model::explore(&bounded_config(), || {
         let storage = MemStorage::new();
         let wal = Arc::new(Wal::new(Box::new(
-            FrameWal::open(
-                Arc::clone(&storage) as Arc<dyn WalStorage>,
-                WalConfig::default(),
-            )
-            .unwrap(),
+            FrameWal::open(Arc::clone(&storage) as Arc<dyn WalStorage>).unwrap(),
         )));
         let mut handles = Vec::new();
         for job_id in [1u64, 2] {
@@ -232,11 +228,7 @@ fn racing_committers_get_ok_durable_or_an_error() {
         plan.fail_sync(0); // the first fsync (whichever batch wins) fails
         let storage = MemStorage::with_plan(Some(plan));
         let wal = Arc::new(Wal::new(Box::new(
-            FrameWal::open(
-                Arc::clone(&storage) as Arc<dyn WalStorage>,
-                WalConfig::default(),
-            )
-            .unwrap(),
+            FrameWal::open(Arc::clone(&storage) as Arc<dyn WalStorage>).unwrap(),
         )));
         let mut handles = Vec::new();
         for job_id in [1u64, 2] {

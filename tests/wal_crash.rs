@@ -41,7 +41,7 @@ fn one_segment_cfg() -> WalConfig {
 }
 
 fn wal_over(storage: &Arc<MemStorage>, cfg: WalConfig) -> Wal {
-    let sink = FrameWal::open(Arc::clone(storage) as Arc<dyn WalStorage>, cfg.clone()).unwrap();
+    let sink = FrameWal::open(Arc::clone(storage) as Arc<dyn WalStorage>).unwrap();
     Wal::with_config(Box::new(sink), cfg)
 }
 
@@ -262,11 +262,7 @@ fn mid_log_corruption_is_skipped_and_the_rest_replays() {
 fn full_disk_surfaces_unavailable_on_the_wire_and_heals() {
     let plan = DiskFaultPlan::new();
     let storage = MemStorage::with_plan(Some(Arc::clone(&plan)));
-    let sink = FrameWal::open(
-        Arc::clone(&storage) as Arc<dyn WalStorage>,
-        WalConfig::default(),
-    )
-    .unwrap();
+    let sink = FrameWal::open(Arc::clone(&storage) as Arc<dyn WalStorage>).unwrap();
     let sandbox = Sandbox::start_with(SandboxConfig {
         wal_sink: Some(Box::new(sink)),
         ..Default::default()
@@ -354,11 +350,7 @@ fn recovery_damage_is_visible_in_metrics() {
 
     let damaged = MemStorage::new();
     damaged.preload(1, bytes);
-    let sink = FrameWal::open(
-        Arc::clone(&damaged) as Arc<dyn WalStorage>,
-        WalConfig::default(),
-    )
-    .unwrap();
+    let sink = FrameWal::open(Arc::clone(&damaged) as Arc<dyn WalStorage>).unwrap();
     let sandbox = Sandbox::start_with(SandboxConfig {
         wal_sink: Some(Box::new(sink)),
         ..Default::default()
