@@ -21,7 +21,7 @@ fn service_restart_row(in_flight: usize) -> Vec<String> {
     let _ = std::fs::remove_file(&path);
 
     let first = Sandbox::start_with(SandboxConfig {
-        wal_sink: Some(Box::new(FileWal::open(&path).expect("wal"))),
+        wal_sink: Some(FileWal::open(&path).expect("wal")),
         ..Default::default()
     });
     let mut client = first.connect_client();
@@ -45,7 +45,7 @@ fn service_restart_row(in_flight: usize) -> Vec<String> {
     // Restart and measure recovery.
     let t0 = Instant::now();
     let second = Sandbox::start_with(SandboxConfig {
-        wal_sink: Some(Box::new(FileWal::open(&path).expect("wal"))),
+        wal_sink: Some(FileWal::open(&path).expect("wal")),
         ..Default::default()
     });
     let recovery = t0.elapsed();

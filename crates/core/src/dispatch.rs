@@ -97,17 +97,8 @@ impl InfoGramDispatcher {
     }
 
     /// Answer an information query.
-    fn dispatch_info(&self, owner: &str, account: &str, req: &XrslRequest) -> Reply {
-        let mut keywords = String::new();
-        join_into(
-            &mut keywords,
-            req.info.iter().map(|s| match s {
-                infogram_rsl::InfoSelector::All => "all",
-                infogram_rsl::InfoSelector::Schema => "schema",
-                infogram_rsl::InfoSelector::Keyword(k) => k,
-            }),
-        );
-        self.engine.log_info_query(owner, account, &keywords);
+    fn dispatch_info(&self, account: &str, req: &XrslRequest, ctx: &mut ConnCtx) -> Reply {
+        ctx.count_info_query(self.engine.wal(), account);
         let opts = QueryOptions {
             mode: req.response,
             quality_threshold: req.quality,
@@ -142,13 +133,7 @@ impl InfoGramDispatcher {
     }
 
     /// Open a persistent query: `(action=subscribe)(info=...)`.
-    fn dispatch_subscribe(
-        &self,
-        owner: &str,
-        account: &str,
-        req: &XrslRequest,
-        ctx: &mut ConnCtx,
-    ) -> Reply {
+    fn dispatch_subscribe(&self, account: &str, req: &XrslRequest, ctx: &mut ConnCtx) -> Reply {
         let Some(outbox) = ctx.outbox() else {
             // Detached dispatch (the WS gateway, unit tests) has no push
             // channel — a subscription would have nowhere to stream.
@@ -199,9 +184,7 @@ impl InfoGramDispatcher {
             }
             keywords.push(si.keyword().to_string());
         }
-        let mut logged = String::from("subscribe:");
-        join_into(&mut logged, keywords.iter().map(String::as_str));
-        self.engine.log_info_query(owner, account, &logged);
+        ctx.count_info_query(self.engine.wal(), account);
         let id = self.hub.subscribe(&keywords, OutboxSink::new(outbox));
         ctx.sub_ids.push(id);
         Reply::Subscribed {
@@ -266,15 +249,14 @@ impl RequestDispatcher for InfoGramDispatcher {
                         gram::submit_job(engine, owner, account, &rsl, req, callback, ctx),
                     ),
                     (RequestKind::Both, _) => (&self.job, gram::ambiguous_request()),
-                    (_, RequestAction::Subscribe) => (
-                        &self.sub_kind,
-                        self.dispatch_subscribe(owner, account, &req, ctx),
-                    ),
+                    (_, RequestAction::Subscribe) => {
+                        (&self.sub_kind, self.dispatch_subscribe(account, &req, ctx))
+                    }
                     (_, RequestAction::Unsubscribe) => {
                         (&self.sub_kind, self.dispatch_unsubscribe(&req, ctx))
                     }
                     (RequestKind::Info, RequestAction::None) => {
-                        (&self.info_kind, self.dispatch_info(owner, account, &req))
+                        (&self.info_kind, self.dispatch_info(account, &req, ctx))
                     }
                     (RequestKind::Empty, RequestAction::None) => (
                         &self.info_kind,
@@ -308,16 +290,6 @@ impl RequestDispatcher for InfoGramDispatcher {
     }
 }
 
-/// Append `names`, comma-joined, to `out` — the query log's keyword field.
-fn join_into<'a>(out: &mut String, names: impl Iterator<Item = &'a str>) {
-    for (i, name) in names.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(name);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +308,10 @@ mod tests {
     use std::time::Duration;
 
     fn world() -> (Arc<ManualClock>, Arc<InfoGramDispatcher>) {
+        world_on(Wal::in_memory())
+    }
+
+    fn world_on(wal: Wal) -> (Arc<ManualClock>, Arc<InfoGramDispatcher>) {
         let clock = ManualClock::new();
         let host = SimulatedHost::default_on(clock.clone());
         let registry = CommandRegistry::new(host, ChargeMode::None);
@@ -348,7 +324,7 @@ mod tests {
         let engine = JobEngine::new(
             EngineConfig::default(),
             clock.clone(),
-            Wal::in_memory(),
+            wal,
             ForkBackend::new(registry),
             MetricSet::new(),
         );
@@ -881,33 +857,112 @@ mod tests {
         assert_eq!(d.hub().active(), 0);
     }
 
+    fn info_queries(d: &InfoGramDispatcher, account: &str) -> u64 {
+        let wal = d.engine.wal();
+        wal.with_fold(|fold| fold.accounts.get(account).map_or(0, |u| u.info_queries))
+    }
+
     #[test]
-    fn query_log_names_what_was_asked() {
+    fn queries_and_subscriptions_are_counted_per_account() {
         let (_c, d) = world();
+        let (mut ctx, _client) = outbox_ctx();
         for rsl in [
             "(info=memory)(info=CPU)",
             "(info=all)",
-            "(info=schema)(info=cpu)",
+            "(info=Bogus)",
+            "(action=subscribe)(info=cpu)(info=jobs)",
+            // Not counted: refused before it is a query, and not one.
+            "(action=subscribe)(info=Bogus)",
+            "(executable=simwork)(arguments=1)",
         ] {
-            dispatch(&d, submit(rsl));
+            d.dispatch("/O=Grid/CN=T", "t", submit(rsl), &mut ctx);
         }
-        let (mut ctx, _client) = outbox_ctx();
-        let rsl = "(action=subscribe)(info=cpu)(info=jobs)";
-        d.dispatch("/O=Grid/CN=T", "t", submit(rsl), &mut ctx);
-        let logged: Vec<String> = d
-            .engine
-            .wal()
-            .events()
-            .into_iter()
-            .filter_map(|ev| match ev {
-                infogram_exec::WalEvent::InfoQueried { keywords, .. } => Some(keywords),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            logged,
-            ["memory,CPU", "all", "schema,cpu", "subscribe:CPU,jobs"]
+        d.dispatch(
+            "/O=Grid/CN=U",
+            "u",
+            submit("(info=cpu)"),
+            &mut ConnCtx::detached(),
         );
+        assert_eq!((info_queries(&d, "t"), info_queries(&d, "u")), (4, 1));
+        assert_eq!(
+            d.engine.wal().events().len(),
+            3,
+            "started, submitted, state"
+        );
+    }
+
+    /// Something else holds `exec.wal.io` — a group-commit leader inside
+    /// its fsync, an accounting read — and a connection that has served
+    /// one query keeps answering: it takes no lock of the log.
+    #[test]
+    fn a_read_does_not_wait_for_the_log() {
+        use std::sync::mpsc;
+        let (_c, d) = world();
+        let mut ctx = ConnCtx::detached();
+        let query = |ctx: &mut ConnCtx| match d.dispatch("/O", "t", submit("(info=Memory)"), ctx) {
+            Reply::InfoResult { .. } => {}
+            other => panic!("{other:?}"),
+        };
+        query(&mut ctx);
+        let (parked, is_parked) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let (done, is_done) = mpsc::channel();
+        std::thread::scope(|s| {
+            let wal = d.engine.wal();
+            s.spawn(move || {
+                wal.with_fold(|_| {
+                    parked.send(()).unwrap();
+                    let _ = released.recv();
+                })
+            });
+            is_parked.recv().unwrap();
+            s.spawn(|| {
+                for _ in 0..1000 {
+                    query(&mut ctx);
+                }
+                done.send(()).unwrap();
+            });
+            let finished = is_done.recv_timeout(Duration::from_secs(10));
+            release.send(()).unwrap();
+            finished.expect("1 000 cached queries waited for exec.wal.io");
+        });
+        assert_eq!(info_queries(&d, "t"), 1001);
+    }
+
+    /// The log's disk refuses every append and a hundred queries neither
+    /// notice nor latch the log read-only; the submission that does need
+    /// the disk is refused for its own failure.
+    #[test]
+    fn a_read_cannot_break_the_log() {
+        use infogram_exec::{FrameWal, MemStorage};
+        use infogram_sim::fault::DiskFaultPlan;
+        let disk = DiskFaultPlan::new();
+        let storage = MemStorage::with_plan(Some(Arc::clone(&disk)));
+        let (_c, d) = world_on(Wal::new(Box::new(FrameWal::open(storage).unwrap())));
+        disk.fill_disk();
+        let mut ctx = ConnCtx::detached();
+        for _ in 0..100 {
+            match d.dispatch("/O=Grid/CN=T", "t", submit("(info=Memory)"), &mut ctx) {
+                Reply::InfoResult { .. } => {}
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(d.telemetry().counter_value("wal.append_errors"), 0);
+        assert_eq!(d.engine.wal_read_only_hint(), None);
+        match d.dispatch(
+            "/O=Grid/CN=T",
+            "t",
+            submit("(executable=simwork)"),
+            &mut ctx,
+        ) {
+            Reply::Error { code, message } => {
+                assert_eq!(code, codes::UNAVAILABLE);
+                assert!(message.contains("retry-after-ms="), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(d.telemetry().counter_value("wal.append_errors"), 1);
+        assert_eq!(info_queries(&d, "t"), 100);
     }
 
     #[test]

@@ -452,6 +452,49 @@ mod tests {
         assert!(decode_request(&envelope("<submit callback=\"x\"></submit>")).is_err());
     }
 
+    /// Every connection counts on a handle of its own, and they all add
+    /// up in the one account they were authorized into.
+    #[test]
+    fn every_front_door_counts_into_the_same_account() {
+        let world = start_default_service("ws-count.grid:0");
+        let dispatcher = InfoGramDispatcher::new(
+            std::sync::Arc::clone(world.service.engine()),
+            std::sync::Arc::clone(world.service.info_service()),
+        );
+        let gateway = WsGateway::start(
+            dispatcher,
+            "/O=Grid/OU=WS/CN=Gateway",
+            "gregor",
+            &world.net,
+            "ws-count.grid:8080",
+        )
+        .unwrap();
+        let mut ws = WsClient::connect(&world.net, gateway.addr()).unwrap();
+        let native = || {
+            infogram_client::InfoGramClient::connect(
+                &world.net,
+                world.service.addr(),
+                &world.user,
+                &world.roots,
+                world.clock.clone(),
+            )
+            .unwrap()
+        };
+        let (mut first, mut second) = (native(), native());
+        for round in 0..4 {
+            first.info("Memory").unwrap();
+            if round % 2 == 0 {
+                second.info("CPU").unwrap();
+            }
+            let rsl = "(info=memory)".to_string();
+            let callback = false;
+            ws.call(&Request::Submit { rsl, callback }).unwrap();
+        }
+        assert_eq!(world.service.accounting()["gregor"].info_queries, 4 + 2 + 4);
+        gateway.shutdown();
+        world.service.shutdown();
+    }
+
     #[test]
     fn gateway_serves_info_and_jobs() {
         let world = start_default_service("ws-host.grid:0");

@@ -14,7 +14,7 @@ use infogram_proto::handle::JobHandle;
 use infogram_proto::message::JobStateCode;
 use infogram_rsl::{JobRequest, JobType, TimeoutAction, XrslRequest};
 use infogram_sim::clock::SharedClock;
-use infogram_sim::metrics::{Counter, MetricSet};
+use infogram_sim::metrics::MetricSet;
 use infogram_sim::SimTime;
 use parking_lot::{lock_class, Mutex, RwLock};
 use std::collections::hash_map::Entry;
@@ -193,8 +193,6 @@ pub struct JobEngine {
     /// Host whose filesystem receives `(stdout=...)`/`(stderr=...)`
     /// redirections, when configured.
     stdio_host: RwLock<Option<Arc<SimulatedHost>>>,
-    /// `info.queries_logged`, bumped once per information query.
-    queries_logged: Arc<Counter>,
     metrics: MetricSet,
 }
 
@@ -240,7 +238,6 @@ impl JobEngine {
             watchers: Mutex::with_class(HashMap::new(), lock_class!("exec.engine.watchers")),
             next_watcher_id: AtomicU64::new(1),
             stdio_host: RwLock::with_class(None, lock_class!("exec.engine.stdio_host")),
-            queries_logged: metrics.counter("info.queries_logged"),
             metrics,
         })
     }
@@ -327,18 +324,16 @@ impl JobEngine {
         self.wal.read_only_hint(self.clock.now())
     }
 
-    /// Log an authenticated information query (§7): grist for the simple
-    /// grid accounting and for "intelligent scheduling services".
-    pub fn log_info_query(&self, owner: &str, account: &str, keywords: &str) {
-        self.wal.record(
-            self.clock.now(),
-            &WalEvent::InfoQueried {
-                owner: owner.to_string(),
-                account: account.to_string(),
-                keywords: keywords.to_string(),
-            },
-        );
-        self.queries_logged.incr();
+    /// Count one information query against `account` for the simple grid
+    /// accounting — the uncached form: it looks the account's counter up
+    /// under the log's lock. A connection keeps the handle instead
+    /// ([`ConnCtx::count_info_query`](crate::gram::ConnCtx::count_info_query)).
+    /// Nothing is logged, so `_owner` and `_keywords` go nowhere; the
+    /// frozen benchmark still passes them.
+    pub fn log_info_query(&self, _owner: &str, account: &str, _keywords: &str) {
+        self.wal
+            .info_query_counter(account)
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     fn handle_for(&self, job_id: u64) -> JobHandle {
@@ -652,20 +647,7 @@ impl JobEngine {
             self.notify(&handle, state);
         }
         for f in finishes {
-            let committed = self
-                .wal
-                .commit(
-                    f.now,
-                    &[WalEvent::Finished {
-                        job_id: f.job_id,
-                        state: f.state,
-                        exit_code: f.exit_code,
-                        wall_seconds: f.wall.as_secs_f64(),
-                    }],
-                )
-                .is_ok();
-            if !committed {
-                self.metrics.counter("wal.finish_deferred").incr();
+            if !self.commit_finish(&f) {
                 if let Some(entry) = self.jobs.lock().entries.get_mut(&f.job_id) {
                     entry.finishing = false;
                 }
@@ -699,26 +681,7 @@ impl JobEngine {
                                 host.fs.write(path, stderr_body);
                             }
                         }
-                        self.metrics
-                            .counter(match f.state {
-                                JobStateCode::Done => "jobs.done",
-                                JobStateCode::Canceled => "jobs.canceled",
-                                _ => "jobs.failed",
-                            })
-                            .incr();
-                        // Backend execution latency (submission → terminal
-                        // state, on the service clock).
-                        self.metrics.histogram("jobs.wall").record(f.wall);
-                        let exit = f
-                            .exit_code
-                            .map(|c| format!(" (exit {c})"))
-                            .unwrap_or_default();
-                        self.metrics.event(
-                            f.now.as_secs_f64(),
-                            "job.state",
-                            &format!("job {}: finished {}{exit}", f.job_id, f.state),
-                        );
-                        fired = Some((self.handle_for(f.job_id), f.state));
+                        fired = Some(self.finished(&f));
                         retired = Some(live);
                     }
                 }
@@ -728,6 +691,48 @@ impl JobEngine {
                 self.notify(&handle, state);
             }
         }
+    }
+
+    /// Make one terminal transition durable. False — and counted in
+    /// `wal.finish_deferred` — if the log refuses it: the job then stays
+    /// in flight.
+    fn commit_finish(&self, f: &PendingFinish) -> bool {
+        let finished = WalEvent::Finished {
+            job_id: f.job_id,
+            state: f.state,
+            exit_code: f.exit_code,
+            wall_seconds: f.wall.as_secs_f64(),
+        };
+        let committed = self.wal.commit(f.now, &[finished]).is_ok();
+        if !committed {
+            self.metrics.counter("wal.finish_deferred").incr();
+        }
+        committed
+    }
+
+    /// Count and journal a terminal transition that is durable and in
+    /// the table; returns what the watchers are to be told.
+    fn finished(&self, f: &PendingFinish) -> (JobHandle, JobStateCode) {
+        self.metrics
+            .counter(match f.state {
+                JobStateCode::Done => "jobs.done",
+                JobStateCode::Canceled => "jobs.canceled",
+                _ => "jobs.failed",
+            })
+            .incr();
+        // Backend execution latency (submission → terminal state, on the
+        // service clock).
+        self.metrics.histogram("jobs.wall").record(f.wall);
+        let exit = f
+            .exit_code
+            .map(|c| format!(" (exit {c})"))
+            .unwrap_or_default();
+        self.metrics.event(
+            f.now.as_secs_f64(),
+            "job.state",
+            &format!("job {}: finished {}{exit}", f.job_id, f.state),
+        );
+        (self.handle_for(f.job_id), f.state)
     }
 
     /// Current status of a job; `None` for unknown ids.
@@ -866,7 +871,10 @@ impl JobEngine {
     /// Recover from the WAL: jobs that were in flight when the previous
     /// incarnation died are resubmitted ("the log can be used to restart
     /// our InfoGRAM service"), finished jobs are reinstalled as terminal
-    /// records. Returns the ids of restarted jobs.
+    /// records. An in-flight job this incarnation cannot start (its queue
+    /// is no longer configured, the backend refuses it) is recorded
+    /// `Failed`, not forgotten: its handle was acked. Returns the ids of
+    /// restarted jobs.
     pub fn recover(&self) -> Vec<u64> {
         // One pass over the fold, read in place (jobs → io is the lock
         // order `refresh` already takes). A job that was terminal before
@@ -901,12 +909,28 @@ impl JobEngine {
         let mut restarted = Vec::new();
         for job in in_flight {
             // Restart it from its logged xRSL.
-            let Ok(req) = XrslRequest::from_text(&job.rsl) else {
-                continue;
-            };
-            let Some(spec) = req.job else { continue };
-            let Ok((live, output, initial)) = self.launch(spec, &job.account, self.clock.now())
-            else {
+            let now = self.clock.now();
+            let launched = XrslRequest::from_text(&job.rsl)
+                .ok()
+                .and_then(|req| req.job)
+                .and_then(|spec| self.launch(spec, &job.account, now).ok());
+            let Some((live, output, initial)) = launched else {
+                // As for any other failure, terminal only once durable: a
+                // log that is read-only at boot leaves the job in flight
+                // for the next restart.
+                let failed = PendingFinish {
+                    job_id: job.job_id,
+                    state: JobStateCode::Failed,
+                    exit_code: None,
+                    now,
+                    wall: Duration::ZERO,
+                };
+                if self.commit_finish(&failed) {
+                    let row = JobEntry::new(job.owner, job.account, failed.state);
+                    self.jobs.lock().entries.insert(job.job_id, row);
+                    let (handle, state) = self.finished(&failed);
+                    self.notify(&handle, state);
+                }
                 continue;
             };
             self.jobs.lock().entries.insert(
@@ -918,7 +942,7 @@ impl JobEngine {
                 },
             );
             self.wal.record(
-                self.clock.now(),
+                now,
                 &WalEvent::StateChanged {
                     job_id: job.job_id,
                     state: initial,
@@ -926,7 +950,7 @@ impl JobEngine {
             );
             self.metrics.counter("jobs.recovered").incr();
             self.metrics.event(
-                self.clock.now().as_secs_f64(),
+                now.as_secs_f64(),
                 "job.state",
                 &format!("job {}: recovered ({initial})", job.job_id),
             );
@@ -1302,6 +1326,61 @@ mod tests {
         assert_eq!(second.engine.status(999), None);
         assert_eq!(second.engine.job_owner(999), None);
         assert_eq!(second.engine.job_rsl(999), None);
+    }
+
+    #[test]
+    fn a_job_the_restart_cannot_launch_is_failed_not_forgotten() {
+        use crate::wal::{FrameWal, MemStorage};
+        use infogram_sim::fault::DiskFaultPlan;
+        let disk = DiskFaultPlan::new();
+        let storage = MemStorage::with_plan(Some(Arc::clone(&disk)));
+        let open = || Wal::new(Box::new(FrameWal::open(storage.clone()).unwrap()));
+        let unfinished = |w: &World| {
+            let wal = w.engine.wal();
+            wal.with_fold(|fold| {
+                (
+                    fold.state.unfinished().len(),
+                    fold.accounts["tester"].failed,
+                )
+            })
+        };
+
+        let first = world_on(open());
+        let queue = Arc::new(FifoQueue::new(first.clock.clone(), 2));
+        let backend = QueueBackend::new("q", queue, Arc::clone(&first.registry));
+        first.engine.add_queue("q", backend);
+        let rsl = "&(executable=simwork)(arguments=60000)(jobtype=batch)(queue=q)";
+        let id = submit(&first, rsl).job_id;
+        drop(first);
+
+        // No later incarnation has a queue `q`. This one also boots on a
+        // full disk: it cannot make the failure durable, so the job stays
+        // in flight — invisible here, but not lost.
+        disk.fill_disk();
+        let second = world_on(open());
+        assert_eq!(second.engine.recover(), []);
+        assert_eq!(second.engine.status(id), None);
+        assert_eq!(unfinished(&second), (1, 0));
+        drop(second);
+
+        disk.free_space();
+        let third = world_on(open());
+        assert_eq!(third.engine.recover(), []);
+        let view = third.engine.status(id).unwrap();
+        assert_eq!((view.state, view.exit_code), (JobStateCode::Failed, None));
+        assert_eq!(third.engine.job_rsl(id).as_deref(), Some(rsl));
+        assert_eq!(third.engine.live_jobs(), 0);
+        assert_eq!(third.engine.metrics().counter_value("jobs.failed"), 1);
+        assert_eq!(unfinished(&third), (0, 1));
+        drop(third);
+
+        let fourth = world_on(open());
+        assert_eq!(fourth.engine.recover(), [], "nothing left to restart");
+        assert_eq!(
+            fourth.engine.status(id).unwrap().state,
+            JobStateCode::Failed
+        );
+        assert_eq!(unfinished(&fourth), (0, 1), "failed once, not per restart");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! exactly this refusal.
 
 use crate::engine::{JobEngine, SubmitError};
+use crate::wal::Wal;
 use infogram_gsi::{wire_server_respond, wire_server_verify, Authorizer, Certificate, Credential};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
 use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
@@ -24,6 +25,7 @@ use infogram_sim::metrics::{Counter, Gauge};
 use infogram_sim::SplitMix64;
 use parking_lot::{lock_class, Mutex};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How many frames a connection's outbox buffers before a push
@@ -33,15 +35,18 @@ pub const DEFAULT_OUTBOX_CAPACITY: usize = 256;
 /// Per-connection dispatch state, owned by the connection's service loop
 /// and threaded through every [`RequestDispatcher::dispatch`] call.
 ///
-/// It carries the three things a reply path may need beyond the request
+/// It carries the four things a reply path may need beyond the request
 /// itself: the connection's bounded [`Outbox`] (absent for *detached*
 /// dispatch — the WS gateway and unit tests — where unsolicited pushes
 /// have nowhere to go), the job-callback map the event watcher consults,
-/// and the push-subscription ids registered over this connection so the
-/// dispatcher can drop them from the hub at teardown.
+/// the push-subscription ids registered over this connection so the
+/// dispatcher can drop them from the hub at teardown, and its account's
+/// information-query counter.
 pub struct ConnCtx {
     outbox: Option<Arc<Outbox>>,
     job_subs: Arc<Mutex<HashMap<u64, JobStateCode>>>,
+    /// Taken from the log by the connection's first information query.
+    info_queries: Option<Arc<AtomicU64>>,
     /// Push-subscription ids (`(action=subscribe)`) registered over this
     /// connection, in registration order.
     pub sub_ids: Vec<u64>,
@@ -70,8 +75,20 @@ impl ConnCtx {
                 HashMap::new(),
                 lock_class!("exec.gram.job_subs"),
             )),
+            info_queries: None,
             sub_ids: Vec::new(),
         }
+    }
+
+    /// Count one information query for the accounting report. The
+    /// connection's first query takes `account`'s counter from the log
+    /// (under `exec.wal.io`; a connection is authorized once, so its
+    /// account never changes); every later one is a relaxed add on that
+    /// handle — no lock, no allocation, nothing written.
+    pub fn count_info_query(&mut self, wal: &Wal, account: &str) {
+        self.info_queries
+            .get_or_insert_with(|| wal.info_query_counter(account))
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// The connection's outbox, if this context can push unsolicited

@@ -43,7 +43,6 @@ pub use gram::{
 };
 pub use sandbox::{ExecMode, Jarlet, Policy, SandboxOutcome};
 pub use wal::{
-    AccountUsage, CheckpointState, FileStorage, FileWal, FrameWal, MemStorage, MemWal,
-    RecoveredJob, RecoveredState, RecoveryStats, Wal, WalConfig, WalError, WalEvent, WalSink,
-    WalStorage,
+    AccountUsage, CheckpointState, FileStorage, FileWal, FrameWal, MemStorage, RecoveredJob,
+    RecoveredState, RecoveryStats, Wal, WalConfig, WalError, WalEvent, WalStorage,
 };

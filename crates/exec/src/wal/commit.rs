@@ -1,16 +1,18 @@
 //! The log itself: group commit, the relaxed record path, the checkpoint
-//! policy and read-only degradation, over one sink and one fold that
-//! `exec.wal.io` owns together.
+//! policy, read-only degradation and the information-query counts, over
+//! one sink and one fold that `exec.wal.io` owns together.
 
 use super::event::WalEvent;
 use super::fold::{CheckpointState, FoldIndex, RecoveredJob};
 use super::frame::RecoveryStats;
-use super::sink::{MemWal, WalSink};
+use super::sink::FrameWal;
+use super::storage::MemStorage;
 use infogram_sim::metrics::MetricSet;
 use infogram_sim::SimTime;
 use parking_lot::{lock_class, Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -84,10 +86,27 @@ struct CommitQueue {
 /// Everything a write touches, under the one lock (`exec.wal.io`) that
 /// serializes writes: the sink and the fold of what went into it.
 struct WalIo {
-    sink: Box<dyn WalSink>,
+    sink: FrameWal,
     fold: CheckpointState,
     fold_index: FoldIndex,
     events_since_ckpt: u64,
+    /// Information queries counted per account and not yet settled into
+    /// `fold.accounts` — see [`Wal::info_query_counter`]. Accounts are a
+    /// handful.
+    info_queries: Vec<(String, Arc<AtomicU64>)>,
+}
+
+impl WalIo {
+    /// Move the pending query counts into the fold. An increment racing
+    /// the `swap` lands on one side of it: counted now or next time.
+    fn settle_info_queries(&mut self) {
+        for (account, pending) in &self.info_queries {
+            let n = pending.swap(0, Ordering::Relaxed);
+            if n > 0 {
+                self.fold.count_info_queries(account, n);
+            }
+        }
+    }
 }
 
 struct WalTelemetry {
@@ -122,12 +141,14 @@ impl std::fmt::Debug for Wal {
 
 impl Wal {
     /// A log over the given sink with default tuning.
-    pub fn new(sink: Box<dyn WalSink>) -> Self {
+    pub fn new(sink: Box<FrameWal>) -> Self {
         Self::with_config(sink, WalConfig::default())
     }
 
-    /// A log over the given sink with explicit tuning.
-    pub fn with_config(sink: Box<dyn WalSink>, cfg: WalConfig) -> Self {
+    /// A log over the given sink with explicit tuning. (Boxed because the
+    /// frozen `benchmark/` passes a `Box`; there is nothing `dyn` in it.)
+    #[allow(clippy::boxed_local)]
+    pub fn with_config(sink: Box<FrameWal>, cfg: WalConfig) -> Self {
         let mut fold = CheckpointState::default();
         let mut fold_index = FoldIndex::default();
         let stats = sink.load(&mut |p, stats| match WalEvent::decode(p) {
@@ -151,10 +172,11 @@ impl Wal {
             queue_cv: Condvar::with_class(lock_class!("exec.wal.commit_cv")),
             io: Mutex::with_class(
                 WalIo {
-                    sink,
+                    sink: *sink,
                     fold,
                     fold_index,
                     events_since_ckpt: stats.events_since_checkpoint,
+                    info_queries: Vec::new(),
                 },
                 lock_class!("exec.wal.io"),
             ),
@@ -164,9 +186,12 @@ impl Wal {
         }
     }
 
-    /// An in-memory log.
+    /// A log over a fresh [`MemStorage`]: the same frames, checkpoints and
+    /// recovery as a file log, on a disk that lives as long as the log.
     pub fn in_memory() -> Self {
-        Wal::new(Box::new(MemWal::new()))
+        // lint:allow(unwrap) — a fresh `MemStorage` cannot fail to open
+        let sink = FrameWal::open(MemStorage::new()).expect("fresh MemStorage opens");
+        Wal::new(Box::new(sink))
     }
 
     /// What recovery salvaged when this log was opened.
@@ -181,11 +206,31 @@ impl Wal {
     }
 
     /// Read the folded log (job table + accounting) as of the last
-    /// write — what a checkpoint would serialize right now — under the
-    /// I/O lock, without copying it. `read` must not call back into the
-    /// log.
+    /// write and the last counted query — what a checkpoint would
+    /// serialize right now — under the I/O lock, without copying it.
+    /// `read` must not call back into the log.
     pub fn with_fold<R>(&self, read: impl FnOnce(&CheckpointState) -> R) -> R {
-        read(&self.io.lock().fold)
+        let mut io = self.io.lock();
+        io.settle_info_queries();
+        read(&io.fold)
+    }
+
+    /// The counter `account`'s information queries are added to. The log
+    /// is for jobs (§6: what it takes to restart them); a query is one
+    /// relaxed `fetch_add` on this handle, which its connection takes once
+    /// — nothing written, and no lock after this call. What has
+    /// accumulated moves into `accounts[account].info_queries` whenever
+    /// the fold is read or a checkpoint is cut, so the count is as
+    /// durable as the last checkpoint.
+    pub fn info_query_counter(&self, account: &str) -> Arc<AtomicU64> {
+        let mut io = self.io.lock();
+        if let Some((_, counter)) = io.info_queries.iter().find(|(a, _)| a == account) {
+            return Arc::clone(counter);
+        }
+        let counter = Arc::new(AtomicU64::new(0));
+        io.info_queries
+            .push((account.to_string(), Arc::clone(&counter)));
+        counter
     }
 
     /// The fold's row for one job.
@@ -362,6 +407,7 @@ impl Wal {
         if !due {
             return;
         }
+        io.settle_info_queries();
         match io.sink.install_checkpoint(&io.fold) {
             Ok(reclaimed) => {
                 io.events_since_ckpt = 0;
@@ -384,10 +430,10 @@ impl Wal {
 
     /// Record a non-critical event (relaxed: append without fsync, no
     /// group commit). Used for observational records — non-terminal state
-    /// changes, the §7 query log — where a crash losing the tail is
-    /// acceptable. While degraded, and when its own append fails (which
-    /// also flips the log read-only), the record is dropped and counted
-    /// in `wal.dropped_records`.
+    /// changes — where a crash losing the tail is acceptable. While
+    /// degraded, and when its own append fails (which also flips the log
+    /// read-only), the record is dropped and counted in
+    /// `wal.dropped_records`.
     pub fn record(&self, now: SimTime, event: &WalEvent) {
         if self.read_only_hint(now).is_none() {
             let payload = event.encode();
@@ -437,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn mem_wal_roundtrip() {
+    fn in_memory_log_roundtrip() {
         let wal = Wal::in_memory();
         commit_all(&wal, &sample_events());
         assert_eq!(wal.events(), sample_events());
@@ -637,6 +683,81 @@ mod tests {
         wal.record(later, &sample_events()[1]);
         assert_eq!(wal.events(), [sample_events()[1].clone()]);
         assert_eq!(metrics.counter_value("wal.dropped_records"), 1);
+    }
+
+    /// Queries are counted on handles, outside every lock, while the fold
+    /// is read (which settles them) and jobs cut checkpoints (which settle
+    /// them too): nothing is counted twice or dropped, and a reader never
+    /// sees a count go down.
+    #[test]
+    fn info_queries_are_counted_exactly_under_readers_and_checkpoints() {
+        use crate::gram::ConnCtx;
+        use std::sync::atomic::AtomicBool;
+        const THREADS: u64 = 8;
+        const QUERIES: u64 = 10_000;
+        let cfg = WalConfig {
+            checkpoint_every_events: 8,
+            ..WalConfig::default()
+        };
+        let sink = FrameWal::open(MemStorage::new()).unwrap();
+        let metrics = MetricSet::new();
+        let mut wal = Wal::with_config(Box::new(sink), cfg);
+        wal.set_telemetry(metrics.clone());
+        let counted = |wal: &Wal, account: &str| {
+            wal.with_fold(|fold| fold.accounts.get(account).map_or(0, |u| u.info_queries))
+        };
+        // The reader and the committer run for as long as the queriers do,
+        // and for 64 rounds (8 checkpoints) at least.
+        let querying = AtomicBool::new(true);
+        let rounds = |round: &mut dyn FnMut(u64)| {
+            let mut n = 0;
+            while querying.load(Ordering::SeqCst) || n < 64 {
+                n += 1;
+                round(n);
+            }
+        };
+        std::thread::scope(|s| {
+            let queriers: Vec<_> = (0..THREADS)
+                .map(|i| {
+                    let wal = &wal;
+                    s.spawn(move || {
+                        let account = if i % 2 == 0 { "even" } else { "odd" };
+                        let mut ctx = ConnCtx::detached();
+                        for _ in 0..QUERIES {
+                            ctx.count_info_query(wal, account);
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                let mut last = 0;
+                rounds(&mut |_| {
+                    let now = counted(&wal, "even");
+                    assert!(now >= last, "the count went from {last} to {now}");
+                    last = now;
+                })
+            });
+            s.spawn(|| {
+                rounds(&mut |job_id| {
+                    let state = JobStateCode::Active;
+                    wal.commit(SimTime::ZERO, &[WalEvent::StateChanged { job_id, state }])
+                        .unwrap();
+                })
+            });
+            for q in queriers {
+                q.join().unwrap();
+            }
+            querying.store(false, Ordering::SeqCst);
+        });
+        assert!(metrics.counter_value("wal.checkpoints") >= 8);
+        assert_eq!(counted(&wal, "even"), THREADS / 2 * QUERIES);
+        assert_eq!(counted(&wal, "odd"), THREADS / 2 * QUERIES);
+        assert!(
+            !wal.events()
+                .iter()
+                .any(|ev| matches!(ev, WalEvent::InfoQueried { .. })),
+            "a counted query writes no record"
+        );
     }
 
     #[test]

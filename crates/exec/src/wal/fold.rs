@@ -75,7 +75,7 @@ impl CheckpointState {
                 self.usage(account, |u| u.submitted += 1);
             }
             WalEvent::StateChanged { .. } => {}
-            WalEvent::InfoQueried { account, .. } => self.usage(account, |u| u.info_queries += 1),
+            WalEvent::InfoQueried { account, .. } => self.count_info_queries(account, 1),
             WalEvent::Finished {
                 job_id,
                 state,
@@ -123,6 +123,13 @@ impl CheckpointState {
             .enumerate()
             .map(|(i, j)| (j.job_id, i))
             .collect();
+    }
+
+    /// Credit `account` with `n` information queries: one per `INFOQ`
+    /// line of an old log, or what its connections counted since the log
+    /// last settled them ([`Wal::info_query_counter`](super::Wal)).
+    pub(super) fn count_info_queries(&mut self, account: &str, n: u64) {
+        self.usage(account, |u| u.info_queries += n);
     }
 
     /// Update one account's usage; the name is copied on first sight only.
@@ -186,7 +193,7 @@ pub struct AccountUsage {
     pub failed: u64,
     /// Total wall seconds of finished jobs.
     pub wall_seconds: f64,
-    /// Information queries served (the §7 query log).
+    /// Information queries served.
     pub info_queries: u64,
 }
 

@@ -11,7 +11,8 @@
 //! Faithful to that: the log records submissions (the xRSL text — the
 //! command and arguments), state changes, and completions; [`RecoveredState`]
 //! rebuilds the job table from it; [`CheckpointState::accounts`] is the
-//! per-account usage report.
+//! per-account usage report. An information query has nothing to restart:
+//! it is counted ([`Wal::info_query_counter`]), not logged.
 //!
 //! # Durability model (DESIGN §14)
 //!
@@ -40,7 +41,7 @@
 //! `exec.wal.io` (owns the sink and the in-memory fold: every write,
 //! checkpoint and read of either happens under it), `exec.wal.degraded`
 //! (read-only latch), `exec.wal.mem_storage` / `exec.wal.file_storage`
-//! (leaf locks inside the storages; sinks have none). Commits must never
+//! (leaf locks inside the storages; the sink has none). Commits must never
 //! run under `exec.engine.jobs`: the ticket wait is a blocking point.
 //!
 //! # Files, and the decision each owns
@@ -52,10 +53,11 @@
 //! - `frame` — the frame layout, the CRC, damage classification.
 //! - `storage` — numbered byte segments: the simulator's crashable disk
 //!   and real files.
-//! - `sink` — where payloads go: text lines in memory, or frames over a
-//!   storage with segment rotation and reclamation.
+//! - `sink` — frames over a storage: segment rotation, poisoning,
+//!   reclamation.
 //! - `commit` — the [`Wal`]: group commit, relaxed records, *when* a
-//!   checkpoint is due ([`WalConfig`]), read-only degradation.
+//!   checkpoint is due ([`WalConfig`]), read-only degradation, the
+//!   per-account query counters.
 
 mod commit;
 mod event;
@@ -69,5 +71,5 @@ pub use event::WalEvent;
 pub(crate) use fold::NamePool;
 pub use fold::{AccountUsage, CheckpointState, RecoveredJob, RecoveredState};
 pub use frame::RecoveryStats;
-pub use sink::{FileWal, FrameWal, MemWal, WalSink};
+pub use sink::{FileWal, FrameWal};
 pub use storage::{FileStorage, MemStorage, WalStorage};

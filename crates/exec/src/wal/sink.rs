@@ -1,5 +1,5 @@
-//! Sinks: where record payloads go. Plain state — the `Wal` that owns a
-//! sink only touches it under `exec.wal.io`.
+//! The sink: record payloads as checksummed frames over a storage. Plain
+//! state — the `Wal` that owns it only touches it under `exec.wal.io`.
 
 use super::fold::CheckpointState;
 use super::frame::{
@@ -10,66 +10,10 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Where record payloads go. "The log can either be stored in the middle
-/// tier, or on the backend tier" — here: in memory, or as checksummed
-/// frames over a [`WalStorage`].
-pub trait WalSink: Send {
-    /// Append a batch of payloads atomically-enough: a crash may tear the
-    /// tail of the batch but never reorders it. `durable` requests an
-    /// fsync before returning.
-    fn append_batch(&mut self, payloads: &[&str], durable: bool) -> io::Result<()>;
-    /// Hand every payload recoverable from storage (checkpoint + tail
-    /// for segmented sinks) to `visit`, in log order and in place, with
-    /// the damage accounting so far (which `visit` may add to).
-    fn load(&self, visit: &mut dyn FnMut(&str, &mut RecoveryStats)) -> RecoveryStats;
-    /// Bytes appended since the newest checkpoint, for sinks whose
-    /// history costs storage; whether that makes a checkpoint due is the
-    /// log's decision, not the sink's.
-    fn tail_len(&self) -> u64 {
-        0
-    }
-    /// Start a new segment headed by `checkpoint`, serialized by the
-    /// sink into whatever buffer it writes from, and reclaim older
-    /// history. Returns how many segments were reclaimed.
-    fn install_checkpoint(&mut self, checkpoint: &CheckpointState) -> io::Result<u64>;
-}
-
-/// In-memory log (middle tier) — trivially durable, never fails.
-#[derive(Debug, Default)]
-pub struct MemWal {
-    lines: Vec<String>,
-}
-
-impl MemWal {
-    /// An empty in-memory log.
-    pub fn new() -> Self {
-        MemWal::default()
-    }
-}
-
-impl WalSink for MemWal {
-    fn append_batch(&mut self, payloads: &[&str], _durable: bool) -> io::Result<()> {
-        self.lines.extend(payloads.iter().map(|p| p.to_string()));
-        Ok(())
-    }
-
-    fn load(&self, visit: &mut dyn FnMut(&str, &mut RecoveryStats)) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        for line in &self.lines {
-            visit(line, &mut stats);
-        }
-        stats
-    }
-
-    fn install_checkpoint(&mut self, checkpoint: &CheckpointState) -> io::Result<u64> {
-        self.lines.clear();
-        self.lines.push(checkpoint.encode());
-        Ok(0)
-    }
-}
-
-/// Checksummed, length-prefixed frames over segmented [`WalStorage`] —
-/// the crash-consistent backend-tier sink.
+/// Where record payloads go: checksummed, length-prefixed frames over
+/// segmented [`WalStorage`]. "The log can either be stored in the middle
+/// tier, or on the backend tier" — the storage decides which: crashable
+/// memory or real files.
 #[derive(Debug)]
 pub struct FrameWal {
     storage: Arc<dyn WalStorage>,
@@ -112,10 +56,11 @@ impl FrameWal {
             poisoned: false,
         })
     }
-}
 
-impl WalSink for FrameWal {
-    fn append_batch(&mut self, payloads: &[&str], durable: bool) -> io::Result<()> {
+    /// Append a batch of payloads atomically-enough: a crash may tear the
+    /// tail of the batch but never reorders it. `durable` requests an
+    /// fsync before returning.
+    pub(super) fn append_batch(&mut self, payloads: &[&str], durable: bool) -> io::Result<()> {
         if self.poisoned {
             self.active = self.next_seg;
             self.next_seg += 1;
@@ -135,7 +80,10 @@ impl WalSink for FrameWal {
         written
     }
 
-    fn load(&self, visit: &mut dyn FnMut(&str, &mut RecoveryStats)) -> RecoveryStats {
+    /// Hand every payload recoverable from storage (checkpoint + tail)
+    /// to `visit`, in log order and in place, with the damage accounting
+    /// so far (which `visit` may add to).
+    pub(super) fn load(&self, visit: &mut dyn FnMut(&str, &mut RecoveryStats)) -> RecoveryStats {
         let mut stats = RecoveryStats::default();
         let mut segs = match self.storage.segments() {
             Ok(s) => s,
@@ -166,11 +114,16 @@ impl WalSink for FrameWal {
         stats
     }
 
-    fn tail_len(&self) -> u64 {
+    /// Bytes appended since the newest checkpoint; whether that makes a
+    /// checkpoint due is the log's decision, not the sink's.
+    pub(super) fn tail_len(&self) -> u64 {
         self.tail_len
     }
 
-    fn install_checkpoint(&mut self, checkpoint: &CheckpointState) -> io::Result<u64> {
+    /// Start a new segment headed by `checkpoint`, serialized straight
+    /// into the frame buffer, and reclaim older history. Returns how many
+    /// segments were reclaimed.
+    pub fn install_checkpoint(&mut self, checkpoint: &CheckpointState) -> io::Result<u64> {
         let buf = checkpoint_frame(checkpoint);
         let seg = self.next_seg;
         self.next_seg += 1;
@@ -263,9 +216,9 @@ mod tests {
     /// Twelve jobs through `sink` — durable submits and finishes, relaxed
     /// breadcrumbs and logged queries between them — and what the log
     /// then holds: fold, `events()`, checkpoints cut.
-    fn contract_script(sink: Box<dyn WalSink>) -> (CheckpointState, Vec<WalEvent>, u64) {
+    fn contract_script(sink: FrameWal) -> (CheckpointState, Vec<WalEvent>, u64) {
         let metrics = MetricSet::new();
-        let mut wal = Wal::with_config(sink, contract_cfg());
+        let mut wal = Wal::with_config(Box::new(sink), contract_cfg());
         wal.set_telemetry(metrics.clone());
         let t = SimTime::ZERO;
         wal.commit(t, &[WalEvent::ServiceStarted { epoch: 1 }])
@@ -304,9 +257,10 @@ mod tests {
         )
     }
 
-    /// One contract for every sink: the same script leaves the same fold,
-    /// the same `events()` and the same number of checkpoints behind, and
-    /// the sinks that persist recover it on reopen.
+    /// One contract for every storage: the same script — the `INFOQ`
+    /// lines a log written before ISSUE 18 holds included — leaves the
+    /// same fold, the same `events()` and the same number of checkpoints
+    /// behind, and recovers to them on reopen.
     #[test]
     fn every_sink_keeps_the_same_log() {
         let dir = std::env::temp_dir().join(format!("infogram-sinks-{}", std::process::id()));
@@ -314,7 +268,7 @@ mod tests {
         let mem = MemStorage::new();
         let file = || Arc::new(FileStorage::open(dir.join("contract.wal")).unwrap());
 
-        let expected = contract_script(Box::new(MemWal::new()));
+        let expected = contract_script(FrameWal::open(mem.clone()).unwrap());
         let (fold, events, checkpoints) = &expected;
         assert_eq!(fold.state.jobs.len(), 12);
         assert_eq!(fold.state.unfinished().len(), 6);
@@ -322,12 +276,8 @@ mod tests {
         assert_eq!(*checkpoints, 5, "43 events at 8 per checkpoint");
         assert!(matches!(events[0], WalEvent::Checkpoint(_)));
         assert_eq!(events.len(), 1 + 43 % 8, "checkpoint + tail");
+        assert_eq!(contract_script(FrameWal::open(file()).unwrap()), expected);
 
-        let framed: [Arc<dyn WalStorage>; 2] = [mem.clone(), file()];
-        for storage in framed {
-            let sink = FrameWal::open(storage).unwrap();
-            assert_eq!(contract_script(Box::new(sink)), expected);
-        }
         let reopened: [Arc<dyn WalStorage>; 2] = [mem, file()];
         for storage in reopened {
             let sink = FrameWal::open(storage).unwrap();

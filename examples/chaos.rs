@@ -52,23 +52,25 @@ fn main() {
     for kw in KEYWORDS {
         text.push_str(&format!("@degradation {kw} linear 5000\n"));
     }
-    // The WAL's disk weathers its own (milder) storm: occasional failed
-    // appends / short writes / failed fsyncs flip the job log read-only
-    // for its retry window; submissions then get UNAVAILABLE with a
-    // retry hint instead of a silent ack.
+    // The WAL's disk weathers its own storm: failed appends / short
+    // writes / failed fsyncs flip the job log read-only for its retry
+    // window; submissions then get UNAVAILABLE with a retry hint instead
+    // of a silent ack. Only jobs write to the log — some twenty appends a
+    // run, the 200 queries none — so the odds are per job record, set for
+    // about one fault per run.
     let disk_plan = DiskFaultPlan::storm(
         seed.wrapping_add(0xd15c),
         DiskStormProfile {
-            fail_p: 0.005,
-            short_p: 0.002,
-            fsync_fail_p: 0.005,
+            fail_p: 0.03,
+            short_p: 0.01,
+            fsync_fail_p: 0.03,
         },
     );
     let disk = MemStorage::with_plan(Some(Arc::clone(&disk_plan)));
     let wal_sink = FrameWal::open(Arc::clone(&disk) as Arc<dyn WalStorage>).expect("open wal");
     let sandbox = Sandbox::start_with(SandboxConfig {
         config: ServiceConfig::parse(&text).expect("config"),
-        wal_sink: Some(Box::new(wal_sink)),
+        wal_sink: Some(wal_sink),
         ..Default::default()
     });
     let mut client = sandbox.connect_client();

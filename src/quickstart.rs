@@ -9,7 +9,7 @@
 use infogram_client::{DualClient, InfoGramClient};
 use infogram_core::{InfoGramParams, InfoGramService};
 use infogram_exec::sandbox::{ExecMode, Policy};
-use infogram_exec::wal::{Wal, WalSink};
+use infogram_exec::wal::{FrameWal, Wal};
 use infogram_gsi::{
     Authorizer, Certificate, CertificateAuthority, Contract, Credential, Dn, GridMap,
 };
@@ -40,13 +40,13 @@ pub struct SandboxConfig {
     pub sandbox_policy: Policy,
     /// Contracts; `None` = gridmap-only authorization.
     pub contracts: Option<Vec<Contract>>,
-    /// Optional WAL sink (defaults to in-memory). Supply what
+    /// Where the job log goes; `None` is [`Wal::in_memory`], a fresh
+    /// [`infogram_exec::wal::MemStorage`]. Supply what
     /// [`infogram_exec::wal::FileWal::open`] returns to survive restarts,
-    /// or a [`infogram_exec::wal::FrameWal`] over a
-    /// [`infogram_exec::wal::MemStorage`] to inject disk faults. The
-    /// sandbox's `Wal` owns the sink and runs it with the default
+    /// or a sink over a `MemStorage` of your own to inject disk faults or
+    /// crash it. The sandbox's `Wal` runs the sink with the default
     /// [`infogram_exec::wal::WalConfig`]; a sink has no tuning of its own.
-    pub wal_sink: Option<Box<dyn WalSink>>,
+    pub wal_sink: Option<FrameWal>,
     /// Also start the baseline separate GRAM + MDS services.
     pub with_baseline: bool,
     /// Network link model (latency / loss); `None` = ideal link.
@@ -168,7 +168,7 @@ impl Sandbox {
             None => MemNetwork::ideal(),
         };
         let wal = match cfg.wal_sink {
-            Some(sink) => Wal::new(sink),
+            Some(sink) => Wal::new(Box::new(sink)),
             None => Wal::in_memory(),
         };
         let service = InfoGramService::start(

@@ -26,7 +26,7 @@ fn temp_wal(name: &str) -> PathBuf {
 
 fn sandbox_with_wal(path: &PathBuf) -> Sandbox {
     Sandbox::start_with(SandboxConfig {
-        wal_sink: Some(Box::new(FileWal::open(path).unwrap())),
+        wal_sink: Some(FileWal::open(path).unwrap()),
         ..Default::default()
     })
 }
@@ -134,6 +134,44 @@ fn accounting_survives_restart() {
     assert_eq!(summary["gregor"].submitted, 2);
     assert_eq!(summary["gregor"].completed, 2);
     second.shutdown();
+    let _ = std::fs::remove_file(&wal_path);
+}
+
+/// Information queries are counted, not logged: what a restart finds is
+/// the count as of the last checkpoint.
+#[test]
+fn counted_queries_survive_restart_as_of_the_last_checkpoint() {
+    use infogram::exec::wal::{Wal, WalConfig, WalEvent};
+    use infogram::exec::ConnCtx;
+    use infogram::sim::SimTime;
+    let wal_path = temp_wal("queries.log");
+    let open = || {
+        let cfg = WalConfig {
+            checkpoint_every_events: 8,
+            ..WalConfig::default()
+        };
+        Wal::with_config(Box::new(FileWal::open(&wal_path).unwrap()), cfg)
+    };
+    let queries = |wal: &Wal| wal.with_fold(|fold| fold.accounts["gregor"].info_queries);
+
+    let wal = open();
+    let mut conn = ConnCtx::detached();
+    for _ in 0..5 {
+        conn.count_info_query(&wal, "gregor");
+    }
+    for epoch in 1..=8 {
+        wal.commit(SimTime::ZERO, &[WalEvent::ServiceStarted { epoch }])
+            .unwrap();
+    }
+    conn.count_info_query(&wal, "gregor");
+    assert_eq!(queries(&wal), 6);
+    drop(wal);
+
+    assert_eq!(
+        queries(&open()),
+        5,
+        "the sixth was counted after the checkpoint"
+    );
     let _ = std::fs::remove_file(&wal_path);
 }
 

@@ -264,7 +264,7 @@ fn full_disk_surfaces_unavailable_on_the_wire_and_heals() {
     let storage = MemStorage::with_plan(Some(Arc::clone(&plan)));
     let sink = FrameWal::open(Arc::clone(&storage) as Arc<dyn WalStorage>).unwrap();
     let sandbox = Sandbox::start_with(SandboxConfig {
-        wal_sink: Some(Box::new(sink)),
+        wal_sink: Some(sink),
         ..Default::default()
     });
     let mut client = sandbox.connect_client();
@@ -352,7 +352,7 @@ fn recovery_damage_is_visible_in_metrics() {
     damaged.preload(1, bytes);
     let sink = FrameWal::open(Arc::clone(&damaged) as Arc<dyn WalStorage>).unwrap();
     let sandbox = Sandbox::start_with(SandboxConfig {
-        wal_sink: Some(Box::new(sink)),
+        wal_sink: Some(sink),
         ..Default::default()
     });
     let mut client = sandbox.connect_client();
