@@ -84,6 +84,10 @@ pub trait ExecBackend: Send + Sync {
     fn poll(&self, job_ref: &BackendJobRef) -> BackendStatus;
     /// Cancel; true if anything was actually stopped.
     fn cancel(&self, job_ref: &BackendJobRef) -> bool;
+    /// The job behind `job_ref` is terminal and its outcome recorded:
+    /// forget it. The engine calls this wherever a ref stops being
+    /// polled; the ref must not be used afterwards.
+    fn release(&self, job_ref: &BackendJobRef);
 }
 
 fn command_line(job: &JobRequest) -> String {
@@ -91,6 +95,15 @@ fn command_line(job: &JobRequest) -> String {
         job.executable.clone()
     } else {
         format!("{} {}", job.executable, job.arguments.join(" "))
+    }
+}
+
+/// Reap the processes of a released job (fork and jarlet backends).
+fn release_processes(host: &SimulatedHost, job_ref: &BackendJobRef) {
+    if let BackendJobRef::Processes(pids) = job_ref {
+        for &pid in pids {
+            host.processes.remove(pid);
+        }
     }
 }
 
@@ -190,6 +203,10 @@ impl ExecBackend for ForkBackend {
             }
             _ => false,
         }
+    }
+
+    fn release(&self, job_ref: &BackendJobRef) {
+        release_processes(self.registry.host(), job_ref);
     }
 }
 
@@ -293,6 +310,14 @@ impl ExecBackend for QueueBackend {
             _ => false,
         }
     }
+
+    fn release(&self, job_ref: &BackendJobRef) {
+        if let BackendJobRef::QueueJobs(ids) = job_ref {
+            for id in ids {
+                self.queue.forget(*id);
+            }
+        }
+    }
 }
 
 /// Sandboxed jarlet backend: runs untrusted programs under a policy, in
@@ -375,6 +400,10 @@ impl ExecBackend for JarletBackend {
             }
             _ => false,
         }
+    }
+
+    fn release(&self, job_ref: &BackendJobRef) {
+        release_processes(&self.host, job_ref);
     }
 }
 
@@ -515,6 +544,72 @@ mod tests {
             .unwrap();
         assert!(backend.cancel(&a));
         assert_eq!(backend.poll(&a), BackendStatus::Canceled);
+    }
+
+    #[test]
+    fn release_reaps_the_pids_of_a_finished_job() {
+        let (clock, reg) = world();
+        let backend = ForkBackend::new(Arc::clone(&reg));
+        let processes = &reg.host().processes;
+        let (r, _out) = backend
+            .submit(
+                &job("&(executable=simwork)(arguments=100)(count=3)"),
+                "alice",
+            )
+            .unwrap();
+        let (other, _out) = backend
+            .submit(&job("(executable=simwork)(arguments=60000)"), "alice")
+            .unwrap();
+        clock.advance(Duration::from_millis(100));
+        assert_eq!(backend.poll(&r), BackendStatus::Finished { exit_code: 0 });
+        assert_eq!((processes.len(), processes.running_count()), (4, 1));
+        backend.release(&r);
+        assert_eq!((processes.len(), processes.running_count()), (1, 1));
+        assert_eq!(backend.poll(&other), BackendStatus::Active);
+    }
+
+    #[test]
+    fn release_makes_every_queue_forget_a_finished_job_and_no_other() {
+        use infogram_host::queue::{BatchQueue, FairShareQueue};
+        let (clock, reg) = world();
+        let fair = Arc::new(FairShareQueue::new(clock.clone(), 1));
+        let queues: [Arc<dyn BatchQueue>; 3] = [
+            Arc::new(FifoQueue::new(clock.clone(), 1)),
+            fair.clone(),
+            Arc::new(Matchmaker::new(
+                clock.clone(),
+                vec![MachineAd::new("m1", &[])],
+            )),
+        ];
+        let ids = |r: &BackendJobRef| match r {
+            BackendJobRef::QueueJobs(ids) => ids.clone(),
+            other => panic!("{other:?}"),
+        };
+        for queue in queues {
+            let backend = QueueBackend::new("q", Arc::clone(&queue), Arc::clone(&reg));
+            let spec = job("(executable=simwork)(arguments=1000)");
+            let (a, _) = backend.submit(&spec, "alice").unwrap();
+            let (b, _) = backend.submit(&spec, "alice").unwrap();
+            let (c, _) = backend.submit(&spec, "alice").unwrap();
+            assert!(backend.cancel(&c));
+            // One slot: `a` runs, `b` waits. Neither has an outcome to
+            // forget yet.
+            backend.release(&a);
+            backend.release(&b);
+            assert_eq!(backend.poll(&a), BackendStatus::Active);
+            assert_eq!(backend.poll(&b), BackendStatus::Pending);
+            clock.advance(Duration::from_millis(1000));
+            assert_eq!(backend.poll(&a), BackendStatus::Finished { exit_code: 0 });
+            assert_eq!(backend.poll(&c), BackendStatus::Canceled);
+            let usage = fair.usage_of("alice");
+            backend.release(&a);
+            backend.release(&c);
+            for id in ids(&a).into_iter().chain(ids(&c)) {
+                assert_eq!(queue.poll(id), None, "{}", queue.scheduler_name());
+            }
+            assert_eq!(fair.usage_of("alice"), usage);
+            assert_eq!(backend.poll(&b), BackendStatus::Active);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! registered watchers (the client event callbacks of §2).
 
 use crate::backend::{BackendError, BackendJobRef, BackendStatus, ExecBackend};
-use crate::wal::{NamePool, RecoveryStats, Wal, WalError, WalEvent};
+use crate::wal::{NamePool, RecoveredJob, RecoveryStats, Wal, WalError, WalEvent};
 use infogram_host::machine::SimulatedHost;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::JobStateCode;
@@ -17,7 +17,6 @@ use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
 use infogram_sim::SimTime;
 use parking_lot::{lock_class, Mutex, RwLock};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,9 +99,7 @@ enum BackendKind {
     Queue,
 }
 
-/// What only a runnable job needs: [`JobEngine::settle`] drops it once
-/// the `Finished` record is durable, and [`JobEngine::recover`] never
-/// builds it for a job that was already terminal. (The xRSL text is not
+/// What it takes to run a job and to watch it run. (The xRSL text is not
 /// here at all: the log fold holds it, see [`JobEngine::job_rsl`].)
 struct LiveJob {
     spec: JobRequest,
@@ -111,42 +108,31 @@ struct LiveJob {
     job_ref: BackendJobRef,
     submitted_at: SimTime,
     retries_left: u32,
+    /// A `(timeout=...)(action=exception)` deadline has passed; the job
+    /// keeps running, and says so until it ends.
+    timeout_exceeded: bool,
 }
 
-/// One row of the job table — what `status` / `cancel` / `job_owner`
-/// answer from, which is all a finished job keeps costing.
+/// One entry of the job table: a job that can still change. It is here
+/// from `submit` / `recover` until its `Finished` record is durable;
+/// [`JobEngine::settle`] then removes it, and the log's row — which has
+/// held the job's owner, account and xRSL all along — is the one place
+/// its outcome is kept.
 struct JobEntry {
     /// Shared with every other entry of the same owner.
     owner: Arc<str>,
     /// Shared with every other entry of the same account.
     account: Arc<str>,
+    /// What the job will have printed, shown once it is terminal.
     output: String,
+    /// Never terminal.
     state: JobStateCode,
-    exit_code: Option<i32>,
-    timeout_exceeded: bool,
-    /// `Some` exactly while the job is not terminal.
-    live: Option<Box<LiveJob>>,
+    live: Box<LiveJob>,
     /// A terminal transition for this job is queued but not yet durable.
-    /// While set, the entry stays non-terminal and refresh/cancel leave
-    /// it alone — [`JobEngine::settle`] finalizes (or clears the flag if
-    /// the WAL rejects the commit, so a later refresh retries).
+    /// While set, refresh/cancel leave the entry alone —
+    /// [`JobEngine::settle`] removes it (or clears the flag if the WAL
+    /// rejects the commit, so a later refresh retries).
     finishing: bool,
-}
-
-impl JobEntry {
-    /// A row with no output and no runnable half.
-    fn new(owner: Arc<str>, account: Arc<str>, state: JobStateCode) -> JobEntry {
-        JobEntry {
-            owner,
-            account,
-            output: String::new(),
-            state,
-            exit_code: None,
-            timeout_exceeded: false,
-            live: None,
-            finishing: false,
-        }
-    }
 }
 
 /// A terminal transition discovered under the jobs lock, to be committed
@@ -164,7 +150,12 @@ struct PendingFinish {
 /// The job table, and the identity strings its entries share.
 #[derive(Default)]
 struct JobTable {
+    /// Jobs in flight.
     entries: HashMap<u64, JobEntry>,
+    /// What finished jobs printed — the one thing about them the log does
+    /// not hold (§6 records "the command used and arguments"), so it does
+    /// not survive a restart. A job that printed nothing has no entry.
+    outputs: HashMap<u64, Box<str>>,
     identities: NamePool,
 }
 
@@ -391,6 +382,7 @@ impl JobEngine {
             queue_name,
             job_ref,
             submitted_at: now,
+            timeout_exceeded: false,
         };
         Ok((live, output, state))
     }
@@ -432,7 +424,9 @@ impl JobEngine {
             ],
         ) {
             // Honest degradation: never ack a submission the log lost.
-            self.backend_of(&live).cancel(&live.job_ref);
+            let backend = self.backend_of(&live);
+            backend.cancel(&live.job_ref);
+            backend.release(&live.job_ref);
             self.metrics.counter("jobs.rejected_readonly").incr();
             let retry_after_ms = match e {
                 WalError::ReadOnly { retry_after_ms } => retry_after_ms,
@@ -447,9 +441,12 @@ impl JobEngine {
                 jobs.identities.intern(account),
             );
             let entry = JobEntry {
+                owner,
+                account,
                 output,
-                live: Some(Box::new(live)),
-                ..JobEntry::new(owner, account, initial_state)
+                state: initial_state,
+                live: Box::new(live),
+                finishing: false,
             };
             jobs.entries.insert(job_id, entry);
         }
@@ -496,56 +493,46 @@ impl JobEngine {
     /// the locked map), so discovered transitions are *queued* instead of
     /// acted on inline: non-terminal transitions into `pending` (watcher
     /// callbacks reach the subscription hub and the connection outbox,
-    /// and must run with the jobs lock released — DESIGN §13), terminal
-    /// ones into `finishes` (the WAL commit ticket blocks on a condvar,
-    /// doubly illegal under the lock). [`JobEngine::settle`] runs both
-    /// queues after release.
+    /// and must run with the jobs lock released — DESIGN §13), a terminal
+    /// one into `finish` (the WAL commit ticket blocks on a condvar,
+    /// doubly illegal under the lock). [`JobEngine::settle`] acts on both
+    /// after release.
     fn refresh(
         &self,
         job_id: u64,
         entry: &mut JobEntry,
         pending: &mut Vec<(JobHandle, JobStateCode)>,
-        finishes: &mut Vec<PendingFinish>,
+        finish: &mut Option<PendingFinish>,
     ) -> JobStateCode {
         if entry.finishing {
             return entry.state;
         }
-        let Some(live) = entry.live.as_deref_mut() else {
-            return entry.state; // terminal
-        };
         let now = self.clock.now();
-        let backend = self.backend_of(live);
+        let backend = self.backend_of(&entry.live);
 
         // Deadlines: GRAM `maxtime` kills (→ Failed); the xRSL extension
         // `(timeout=...)` either cancels or raises while continuing.
-        let elapsed = now.since(live.submitted_at);
-        if let Some(max_time) = live.spec.max_time {
+        let elapsed = now.since(entry.live.submitted_at);
+        if let Some(max_time) = entry.live.spec.max_time {
             if elapsed > max_time {
-                backend.cancel(&live.job_ref);
-                self.queue_finish(job_id, entry, JobStateCode::Failed, None, now, finishes);
+                backend.cancel(&entry.live.job_ref);
+                self.queue_finish(job_id, entry, JobStateCode::Failed, None, now, finish);
                 self.metrics.counter("jobs.maxtime_kills").incr();
                 return entry.state;
             }
         }
-        if let Some(timeout) = live.spec.timeout {
+        if let Some(timeout) = entry.live.spec.timeout {
             if elapsed > timeout {
-                match live.spec.timeout_action {
+                match entry.live.spec.timeout_action {
                     TimeoutAction::Cancel => {
-                        backend.cancel(&live.job_ref);
-                        self.queue_finish(
-                            job_id,
-                            entry,
-                            JobStateCode::Canceled,
-                            None,
-                            now,
-                            finishes,
-                        );
+                        backend.cancel(&entry.live.job_ref);
+                        self.queue_finish(job_id, entry, JobStateCode::Canceled, None, now, finish);
                         self.metrics.counter("jobs.timeout_cancels").incr();
                         return entry.state;
                     }
                     TimeoutAction::Exception => {
-                        if !entry.timeout_exceeded {
-                            entry.timeout_exceeded = true;
+                        if !entry.live.timeout_exceeded {
+                            entry.live.timeout_exceeded = true;
                             self.metrics.counter("jobs.timeout_exceptions").incr();
                         }
                         // "the execution of the command itself would be
@@ -555,6 +542,7 @@ impl JobEngine {
             }
         }
 
+        let live = &mut *entry.live;
         let status = backend.poll(&live.job_ref);
         let new_state = match status {
             BackendStatus::Pending => JobStateCode::Pending,
@@ -570,7 +558,8 @@ impl JobEngine {
                     self.metrics.counter("jobs.restarts").incr();
                     match backend.submit(&live.spec, &entry.account) {
                         Ok((job_ref, output)) => {
-                            live.job_ref = job_ref;
+                            // The failed attempt is waited for: reap it.
+                            backend.release(&std::mem::replace(&mut live.job_ref, job_ref));
                             entry.output = output;
                             live.submitted_at = now;
                             JobStateCode::Pending
@@ -588,7 +577,7 @@ impl JobEngine {
                     BackendStatus::Finished { exit_code } => Some(exit_code),
                     _ => None,
                 };
-                self.queue_finish(job_id, entry, new_state, exit_code, now, finishes);
+                self.queue_finish(job_id, entry, new_state, exit_code, now, finish);
             } else {
                 let old_state = entry.state;
                 entry.state = new_state;
@@ -610,7 +599,7 @@ impl JobEngine {
         entry.state
     }
 
-    /// Queue a terminal transition. The entry keeps its non-terminal
+    /// Queue a terminal transition. The entry stays, in its non-terminal
     /// state — terminal visibility is gated on the `Finished` record
     /// being durable, so recovery can never resurrect a finished job the
     /// log did not confirm.
@@ -621,76 +610,75 @@ impl JobEngine {
         state: JobStateCode,
         exit_code: Option<i32>,
         now: SimTime,
-        finishes: &mut Vec<PendingFinish>,
+        finish: &mut Option<PendingFinish>,
     ) {
-        let Some(live) = &entry.live else {
-            return; // already terminal
-        };
         entry.finishing = true;
-        finishes.push(PendingFinish {
+        *finish = Some(PendingFinish {
             job_id,
             state,
             exit_code,
             now,
-            wall: now.since(live.submitted_at),
+            wall: now.since(entry.live.submitted_at),
         });
     }
 
-    /// Flush what refresh queued, with no engine lock held: watcher
-    /// notifications first, then each terminal transition is group-
-    /// committed to the WAL and — only once durable — applied to the job
-    /// table and announced. A failed commit clears the `finishing` flag
-    /// so a later refresh retries (the backend's view of a finished job
-    /// is stable).
-    fn settle(&self, notifications: Vec<(JobHandle, JobStateCode)>, finishes: Vec<PendingFinish>) {
+    /// Act on what refresh queued, with no engine lock held: watcher
+    /// notifications first, then the terminal transition, if any, is
+    /// group-committed to the WAL and — only once durable, so the log's
+    /// row already says how the job ended — its entry leaves the table
+    /// and the transition is announced. A failed commit clears the
+    /// `finishing` flag so a later refresh retries (the backend's view of
+    /// a finished job is stable). Returns how the job ended, if it did
+    /// and the log has it.
+    fn settle(
+        &self,
+        notifications: Vec<(JobHandle, JobStateCode)>,
+        finish: Option<PendingFinish>,
+    ) -> Option<(JobStateCode, Option<i32>)> {
         for (handle, state) in notifications {
             self.notify(&handle, state);
         }
-        for f in finishes {
-            if !self.commit_finish(&f) {
-                if let Some(entry) = self.jobs.lock().entries.get_mut(&f.job_id) {
-                    entry.finishing = false;
-                }
-                continue;
+        let f = finish?;
+        if !self.commit_finish(&f) {
+            if let Some(entry) = self.jobs.lock().entries.get_mut(&f.job_id) {
+                entry.finishing = false;
             }
-            let mut fired = None;
-            // The finished job's runnable half, freed with no lock held.
-            let mut retired = None;
-            {
-                let mut jobs = self.jobs.lock();
-                if let Some(entry) = jobs.entries.get_mut(&f.job_id) {
-                    entry.finishing = false;
-                    if let Some(live) = entry.live.take() {
-                        entry.state = f.state;
-                        entry.exit_code = f.exit_code;
-                        // Stdout/stderr redirection onto the service-side
-                        // filesystem.
-                        if let Some(host) = self.stdio_host.read().as_ref() {
-                            if let Some(path) = &live.spec.stdout {
-                                host.fs.write(path, entry.output.clone());
-                            }
-                            if let Some(path) = &live.spec.stderr {
-                                let stderr_body = if f.state == JobStateCode::Done {
-                                    String::new()
-                                } else {
-                                    format!(
-                                        "job ended in state {} (exit {:?})\n",
-                                        f.state, f.exit_code
-                                    )
-                                };
-                                host.fs.write(path, stderr_body);
-                            }
-                        }
-                        fired = Some(self.finished(&f));
-                        retired = Some(live);
+            return None;
+        }
+        let retired = {
+            let mut jobs = self.jobs.lock();
+            let mut retired = jobs.entries.remove(&f.job_id);
+            if let Some(entry) = &mut retired {
+                // Stdout/stderr redirection onto the service-side
+                // filesystem.
+                if let Some(host) = self.stdio_host.read().as_ref() {
+                    if let Some(path) = &entry.live.spec.stdout {
+                        host.fs.write(path, entry.output.clone());
+                    }
+                    if let Some(path) = &entry.live.spec.stderr {
+                        let stderr_body = if f.state == JobStateCode::Done {
+                            String::new()
+                        } else {
+                            format!("job ended in state {} (exit {:?})\n", f.state, f.exit_code)
+                        };
+                        host.fs.write(path, stderr_body);
                     }
                 }
+                if !entry.output.is_empty() {
+                    let output = std::mem::take(&mut entry.output);
+                    jobs.outputs.insert(f.job_id, output.into_boxed_str());
+                }
             }
-            drop(retired);
-            if let Some((handle, state)) = fired {
-                self.notify(&handle, state);
-            }
+            retired.map(|entry| (entry, self.finished(&f)))
+        };
+        // The backend's record of the job is reaped, and the entry freed,
+        // with no lock held.
+        if let Some((entry, (handle, state))) = retired {
+            self.backend_of(&entry.live).release(&entry.live.job_ref);
+            drop(entry);
+            self.notify(&handle, state);
         }
+        Some((f.state, f.exit_code))
     }
 
     /// Make one terminal transition durable. False — and counted in
@@ -710,8 +698,8 @@ impl JobEngine {
         committed
     }
 
-    /// Count and journal a terminal transition that is durable and in
-    /// the table; returns what the watchers are to be told.
+    /// Count and journal a terminal transition that is durable; returns
+    /// what the watchers are to be told.
     fn finished(&self, f: &PendingFinish) -> (JobHandle, JobStateCode) {
         self.metrics
             .counter(match f.state {
@@ -735,58 +723,79 @@ impl JobEngine {
         (self.handle_for(f.job_id), f.state)
     }
 
+    /// Drive one job's state machine (if it still has one) and settle
+    /// what that discovers: how the job ended, if this poll is the one
+    /// that found out.
+    fn poll(&self, job_id: u64) -> Option<(JobStateCode, Option<i32>)> {
+        let mut pending = Vec::new();
+        let mut finish = None;
+        if let Some(entry) = self.jobs.lock().entries.get_mut(&job_id) {
+            self.refresh(job_id, entry, &mut pending, &mut finish);
+        }
+        self.settle(pending, finish)
+    }
+
+    /// The log's row for a job that is not in the table, if that row is
+    /// finished. An unfinished row outside the table is a job of an
+    /// earlier incarnation that [`JobEngine::recover`] has not yet — or
+    /// could not — relaunch: this incarnation does not know it.
+    fn finished_row<R>(
+        &self,
+        job_id: u64,
+        read: impl FnOnce(&RecoveredJob, (JobStateCode, Option<i32>)) -> R,
+    ) -> Option<R> {
+        self.wal
+            .with_job(job_id, |job| job.finished.map(|end| read(job, end)))
+            .flatten()
+    }
+
     /// Current status of a job; `None` for unknown ids.
     pub fn status(&self, job_id: u64) -> Option<JobStatusView> {
-        let mut pending = Vec::new();
-        let mut finishes = Vec::new();
-        let known = {
-            let mut jobs = self.jobs.lock();
-            match jobs.entries.get_mut(&job_id) {
-                Some(entry) => {
-                    self.refresh(job_id, entry, &mut pending, &mut finishes);
-                    true
-                }
-                None => false,
-            }
-        };
-        // Commit queued terminal transitions before building the view, so
+        // Terminal transitions are committed before the view is built, so
         // a single status call still observes the terminal state (when
         // the WAL is healthy).
-        self.settle(pending, finishes);
-        if !known {
-            return None;
-        }
-        let jobs = self.jobs.lock();
-        let entry = jobs.entries.get(&job_id)?;
+        let ended = self.poll(job_id);
+        let output = {
+            let jobs = self.jobs.lock();
+            if let Some(entry) = jobs.entries.get(&job_id) {
+                return Some(JobStatusView {
+                    state: entry.state,
+                    exit_code: None,
+                    output: String::new(),
+                    timeout_exceeded: entry.live.timeout_exceeded,
+                });
+            }
+            jobs.outputs
+                .get(&job_id)
+                .map(|output| output.to_string())
+                .unwrap_or_default()
+        };
+        // Not in the table: finished, or unknown. `settle` removes an
+        // entry only after the log has the terminal row, so there is no
+        // moment at which neither answers; the jobs lock is released
+        // before the log's is taken — which it is not by the poll that
+        // ended the job itself.
+        let (state, exit_code) = match ended {
+            Some(end) => end,
+            None => self.finished_row(job_id, |_, end| end)?,
+        };
         Some(JobStatusView {
-            state: entry.state,
-            exit_code: entry.exit_code,
-            output: if entry.state.is_terminal() {
-                entry.output.clone()
-            } else {
-                String::new()
-            },
-            timeout_exceeded: entry.timeout_exceeded,
+            state,
+            exit_code,
+            output,
+            timeout_exceeded: false,
         })
     }
 
-    /// Refresh every non-terminal job against its backend, firing the
-    /// state watchers for any transition discovered. Job state is
-    /// otherwise pulled lazily by `status`/`cancel`; the push-
-    /// subscription driver calls this while the `jobs` channel has
-    /// subscribers, so transitions stream to them without any client
-    /// polling.
+    /// Refresh every job in flight against its backend, firing the state
+    /// watchers for any transition discovered. Job state is otherwise
+    /// pulled lazily by `status`/`cancel`; the push-subscription driver
+    /// calls this while the `jobs` channel has subscribers, so
+    /// transitions stream to them without any client polling.
     pub fn poll_active(&self) {
-        let ids: Vec<u64> = self
-            .jobs
-            .lock()
-            .entries
-            .iter()
-            .filter(|(_, e)| e.live.is_some())
-            .map(|(id, _)| *id)
-            .collect();
+        let ids: Vec<u64> = self.jobs.lock().entries.keys().copied().collect();
         for id in ids {
-            let _ = self.status(id);
+            self.poll(id);
         }
     }
 
@@ -795,17 +804,17 @@ impl JobEngine {
     /// caller is only told "canceled" once it would survive a restart).
     pub fn cancel(&self, job_id: u64) -> bool {
         let mut pending = Vec::new();
-        let mut finishes = Vec::new();
+        let mut finish = None;
         let attempted = {
             let mut jobs = self.jobs.lock();
             let Some(entry) = jobs.entries.get_mut(&job_id) else {
-                return false;
+                return false; // unknown, or already terminal
             };
-            self.refresh(job_id, entry, &mut pending, &mut finishes);
+            self.refresh(job_id, entry, &mut pending, &mut finish);
             if entry.finishing {
                 false
-            } else if let Some(live) = &entry.live {
-                self.backend_of(live).cancel(&live.job_ref);
+            } else {
+                self.backend_of(&entry.live).cancel(&entry.live.job_ref);
                 let now = self.clock.now();
                 self.queue_finish(
                     job_id,
@@ -813,94 +822,97 @@ impl JobEngine {
                     JobStateCode::Canceled,
                     None,
                     now,
-                    &mut finishes,
+                    &mut finish,
                 );
                 true
-            } else {
-                false // already terminal
             }
         };
         // A refresh can discover a terminal transition even when the
         // cancel itself loses the race — settle whatever was queued.
-        self.settle(pending, finishes);
-        attempted
-            && self
-                .jobs
-                .lock()
-                .entries
-                .get(&job_id)
-                .map(|e| e.state == JobStateCode::Canceled)
-                .unwrap_or(false)
+        let ended = self.settle(pending, finish);
+        attempted && matches!(ended, Some((JobStateCode::Canceled, _)))
     }
 
-    /// All known job ids.
+    /// All known job ids: those in flight and those the log says finished.
     pub fn job_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.jobs.lock().entries.keys().copied().collect();
+        self.wal.with_fold(|fold| {
+            let finished = fold.state.jobs.iter().filter(|job| job.finished.is_some());
+            ids.extend(finished.map(|job| job.job_id));
+        });
         ids.sort_unstable();
+        // A job that finished between the two reads was seen by both.
+        ids.dedup();
         ids
     }
 
-    /// How many jobs still hold their runnable half (spec, backend
-    /// reference, deadlines) — the non-terminal ones, and only those.
+    /// How many jobs are in flight: the size of the table.
     pub fn live_jobs(&self) -> usize {
-        let jobs = self.jobs.lock();
-        jobs.entries.values().filter(|e| e.live.is_some()).count()
+        self.jobs.lock().entries.len()
     }
 
     /// The xRSL a job was submitted with — answered from the log fold,
-    /// which holds it for every job this table knows (a submission is in
-    /// the fold before it is in the table, and recovery fills the table
-    /// from the fold).
+    /// which holds it for every job this engine knows (a submission is in
+    /// the fold before it is in the table).
     pub fn job_rsl(&self, job_id: u64) -> Option<String> {
-        if !self.jobs.lock().entries.contains_key(&job_id) {
-            return None;
-        }
-        self.wal.job(job_id).map(|job| job.rsl.to_string())
+        let in_flight = self.jobs.lock().entries.contains_key(&job_id);
+        self.wal
+            .with_job(job_id, |job| {
+                (in_flight || job.finished.is_some()).then(|| job.rsl.to_string())
+            })
+            .flatten()
     }
 
-    /// Owner and account of a job (for authorization of status/cancel by
-    /// other clients).
+    /// Owner and account of a job, read in place: from the table while
+    /// the job can still change, from the log's row once it has finished.
+    fn with_identity<R>(&self, job_id: u64, read: impl FnOnce(&str, &str) -> R) -> Option<R> {
+        {
+            let jobs = self.jobs.lock();
+            if let Some(entry) = jobs.entries.get(&job_id) {
+                return Some(read(&entry.owner, &entry.account));
+            }
+        }
+        self.finished_row(job_id, |job, _| read(&job.owner, &job.account))
+    }
+
+    /// Job-contact authorization (§2: a handle can be used "from other
+    /// remote clients with appropriate authorization"): whether the grid
+    /// identity `owner`, mapped to the local `account`, may poll and
+    /// cancel the job — its owner may, and so may any identity mapped to
+    /// the same account. `None` for unknown ids. Nothing is copied.
+    pub fn may_contact(&self, job_id: u64, owner: &str, account: &str) -> Option<bool> {
+        self.with_identity(job_id, |job_owner, job_account| {
+            job_owner == owner || job_account == account
+        })
+    }
+
+    /// Owner and account of a job.
     pub fn job_owner(&self, job_id: u64) -> Option<(String, String)> {
-        self.jobs
-            .lock()
-            .entries
-            .get(&job_id)
-            .map(|e| (e.owner.to_string(), e.account.to_string()))
+        self.with_identity(job_id, |owner, account| {
+            (owner.to_string(), account.to_string())
+        })
     }
 
     /// Recover from the WAL: jobs that were in flight when the previous
     /// incarnation died are resubmitted ("the log can be used to restart
-    /// our InfoGRAM service"), finished jobs are reinstalled as terminal
-    /// records. An in-flight job this incarnation cannot start (its queue
-    /// is no longer configured, the backend refuses it) is recorded
+    /// our InfoGRAM service"). A finished job needs nothing: the log's row
+    /// answers for it. An in-flight job this incarnation cannot start (its
+    /// queue is no longer configured, the backend refuses it) is recorded
     /// `Failed`, not forgotten: its handle was acked. Returns the ids of
     /// restarted jobs.
     pub fn recover(&self) -> Vec<u64> {
         // One pass over the fold, read in place (jobs → io is the lock
-        // order `refresh` already takes). A job that was terminal before
-        // the crash gets its row back, sharing the fold's identity
-        // strings; its output was not checkpointed — the paper logs only
-        // "the command used and arguments". In-flight rows are taken out
-        // to be restarted below with no lock held.
-        let mut in_flight = Vec::new();
-        let recovered = {
-            let mut jobs = self.jobs.lock();
+        // order `refresh` already takes): its unfinished rows, but for
+        // those in the table — which this incarnation submitted, or has
+        // recovered already — are taken out to be restarted below with no
+        // lock held.
+        let (recovered, in_flight) = {
+            let jobs = self.jobs.lock();
             self.wal.with_fold(|fold| {
-                for job in &fold.state.jobs {
-                    let Entry::Vacant(slot) = jobs.entries.entry(job.job_id) else {
-                        continue; // submitted in this incarnation
-                    };
-                    match job.finished {
-                        Some((state, exit_code)) => {
-                            slot.insert(JobEntry {
-                                exit_code,
-                                ..JobEntry::new(job.owner.clone(), job.account.clone(), state)
-                            });
-                        }
-                        None => in_flight.push(job.clone()),
-                    }
-                }
-                fold.state.jobs.len()
+                let mut in_flight = fold.state.unfinished();
+                in_flight.retain(|job| !jobs.entries.contains_key(&job.job_id));
+                let in_flight: Vec<RecoveredJob> = in_flight.into_iter().cloned().collect();
+                (fold.state.jobs.len(), in_flight)
             })
         };
         self.metrics
@@ -926,8 +938,6 @@ impl JobEngine {
                     wall: Duration::ZERO,
                 };
                 if self.commit_finish(&failed) {
-                    let row = JobEntry::new(job.owner, job.account, failed.state);
-                    self.jobs.lock().entries.insert(job.job_id, row);
                     let (handle, state) = self.finished(&failed);
                     self.notify(&handle, state);
                 }
@@ -936,9 +946,12 @@ impl JobEngine {
             self.jobs.lock().entries.insert(
                 job.job_id,
                 JobEntry {
+                    owner: job.owner,
+                    account: job.account,
                     output,
-                    live: Some(Box::new(live)),
-                    ..JobEntry::new(job.owner, job.account, initial)
+                    state: initial,
+                    live: Box::new(live),
+                    finishing: false,
                 },
             );
             self.wal.record(
@@ -1300,8 +1313,16 @@ mod tests {
         drop(first);
 
         let second = world_on(open());
-        assert_eq!(second.engine.job_rsl(ids[0]), None, "not recovered yet");
+        assert_eq!(
+            second.engine.job_rsl(ids[0]).as_deref(),
+            Some(table[0].0),
+            "a finished job is answered from the log, recovered or not"
+        );
+        assert_eq!(second.engine.job_rsl(ids[3]), None, "not relaunched yet");
+        assert_eq!(second.engine.status(ids[3]), None, "not relaunched yet");
+        assert_eq!(second.engine.job_ids(), ids[..3]);
         assert_eq!(second.engine.recover(), [ids[3]]);
+        assert_eq!(second.engine.job_ids(), ids);
         assert_eq!(second.engine.recover(), [], "recovery is idempotent");
         assert_eq!(
             second.engine.live_jobs(),
@@ -1381,6 +1402,133 @@ mod tests {
             JobStateCode::Failed
         );
         assert_eq!(unfinished(&fourth), (0, 1), "failed once, not per restart");
+    }
+
+    /// Every thread polls and cancels every job at once, so each job's
+    /// first terminal poll — the `settle` that moves it from the table to
+    /// the log's row — is raced by seven other readers.
+    #[test]
+    fn a_job_leaving_the_table_is_never_unknown_and_is_canceled_once() {
+        use std::sync::atomic::AtomicUsize;
+        const THREADS: usize = 8;
+        const JOBS: usize = 200;
+        let w = world();
+        // Even jobs have run their millisecond when the threads start;
+        // odd ones would run for a minute.
+        let ids: Vec<u64> = (0..JOBS)
+            .map(|i| {
+                let ms = if i % 2 == 0 { 1 } else { 60_000 };
+                submit(&w, &format!("(executable=simwork)(arguments={ms})")).job_id
+            })
+            .collect();
+        w.clock.advance(Duration::from_millis(1));
+        let canceled: Vec<AtomicUsize> = ids.iter().map(|_| AtomicUsize::new(0)).collect();
+        let start = std::sync::Barrier::new(THREADS);
+        let poll = |id: u64| {
+            let view = w.engine.status(id).expect("an acked job is never unknown");
+            if view.state.is_terminal() {
+                assert!(
+                    view.output.contains("simulated work complete"),
+                    "job {id} is {} without its output",
+                    view.state
+                );
+            }
+            view
+        };
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for (i, id) in ids.iter().enumerate() {
+                        poll(*id);
+                        if w.engine.cancel(*id) {
+                            canceled[i].fetch_add(1, Ordering::SeqCst);
+                        }
+                        poll(*id);
+                        assert_eq!(w.engine.job_owner(*id).unwrap().1, "tester");
+                    }
+                });
+            }
+        });
+        for (i, id) in ids.iter().enumerate() {
+            let view = poll(*id);
+            let cancels = canceled[i].load(Ordering::SeqCst);
+            if i % 2 == 0 {
+                assert_eq!((view.state, view.exit_code), (JobStateCode::Done, Some(0)));
+                assert_eq!(cancels, 0, "job {id} had finished");
+            } else {
+                assert_eq!((view.state, view.exit_code), (JobStateCode::Canceled, None));
+                assert_eq!(cancels, 1, "job {id} was canceled {cancels} times");
+            }
+        }
+        assert_eq!(w.engine.live_jobs(), 0);
+        assert_eq!(w.engine.job_ids(), ids);
+        assert!(w.registry.host().processes.is_empty(), "every pid reaped");
+    }
+
+    #[test]
+    fn a_failed_attempt_is_reaped_before_its_restart() {
+        let w = world();
+        let h = submit(
+            &w,
+            "&(executable=simwork)(arguments=100 5)(restartonfail=1)",
+        );
+        let processes = &w.registry.host().processes;
+        assert_eq!(processes.len(), 1);
+        w.clock.advance(Duration::from_millis(100));
+        let st = w.engine.status(h.job_id).unwrap();
+        assert!(!st.state.is_terminal(), "restarted: {st:?}");
+        assert_eq!(
+            (processes.len(), processes.running_count()),
+            (1, 1),
+            "the first attempt's pid is gone, the second runs"
+        );
+        w.clock.advance(Duration::from_millis(100));
+        assert_eq!(
+            w.engine.status(h.job_id).unwrap().state,
+            JobStateCode::Failed
+        );
+        assert!(processes.is_empty());
+    }
+
+    #[test]
+    fn a_submission_the_log_refuses_leaves_no_process_behind() {
+        use crate::wal::{FrameWal, MemStorage};
+        use infogram_sim::fault::DiskFaultPlan;
+        let disk = DiskFaultPlan::new();
+        let storage = MemStorage::with_plan(Some(Arc::clone(&disk)));
+        let w = world_on(Wal::new(Box::new(FrameWal::open(storage).unwrap())));
+        disk.fill_disk();
+        let rsl = "(executable=simwork)(arguments=60000)";
+        let spec = XrslRequest::from_text(rsl).unwrap().job.unwrap();
+        let refused = w.engine.submit(rsl, spec, "/O=Grid/CN=Tester", "tester");
+        assert!(matches!(refused, Err(SubmitError::WalUnavailable { .. })));
+        assert!(w.registry.host().processes.is_empty());
+        assert_eq!(w.engine.live_jobs(), 0);
+    }
+
+    #[test]
+    fn a_timeout_exception_ends_with_the_job() {
+        let w = world();
+        let h = submit(
+            &w,
+            "&(executable=simwork)(arguments=60)(timeout=1)(action=exception)",
+        );
+        w.clock.advance(Duration::from_millis(20));
+        let running = w.engine.status(h.job_id).unwrap();
+        assert!(running.timeout_exceeded && !running.state.is_terminal());
+        w.clock.advance(Duration::from_millis(40));
+        for _ in 0..2 {
+            let ended = w.engine.status(h.job_id).unwrap();
+            assert_eq!(
+                (ended.state, ended.exit_code),
+                (JobStateCode::Done, Some(0))
+            );
+            assert!(!ended.timeout_exceeded, "nothing continues to run");
+            assert!(ended.output.contains("simulated work complete"));
+        }
+        let exceptions = w.engine.metrics().counter_value("jobs.timeout_exceptions");
+        assert_eq!(exceptions, 1);
     }
 
     #[test]

@@ -149,16 +149,6 @@ impl JobsOnlyDispatcher {
     }
 }
 
-/// Job-contact authorization (§2: a handle can be used "from other remote
-/// clients with appropriate authorization"): the owning grid identity, or
-/// any identity mapped to the same local account, may poll and cancel.
-fn may_contact(engine: &JobEngine, job_id: u64, owner: &str, account: &str) -> bool {
-    match engine.job_owner(job_id) {
-        Some((job_owner, job_account)) => job_owner == owner || job_account == account,
-        None => true, // unknown job: fall through to NO_SUCH_JOB
-    }
-}
-
 /// The one xRSL parse of a `Submit`: the typed request, or the reply
 /// that refuses the text. Both dispatchers route on the result.
 pub fn parse_submit(rsl: &str) -> Result<XrslRequest, Reply> {
@@ -221,11 +211,14 @@ pub fn ambiguous_request() -> Reply {
 
 /// Answer a `Status` poll.
 pub fn job_status(engine: &JobEngine, owner: &str, account: &str, handle: JobHandle) -> Reply {
-    match engine.status(handle.job_id) {
-        Some(_) if !may_contact(engine, handle.job_id, owner, account) => Reply::Error {
+    // An unknown job is not refused here: it falls through to NO_SUCH_JOB.
+    if engine.may_contact(handle.job_id, owner, account) == Some(false) {
+        return Reply::Error {
             code: codes::AUTHORIZATION,
             message: format!("job {} belongs to another identity", handle.job_id),
-        },
+        };
+    }
+    match engine.status(handle.job_id) {
         Some(view) if view.timeout_exceeded => Reply::Error {
             code: codes::TIMEOUT_EXCEPTION,
             message: format!(
@@ -248,9 +241,7 @@ pub fn job_status(engine: &JobEngine, owner: &str, account: &str, handle: JobHan
 
 /// Answer a `Cancel`.
 pub fn job_cancel(engine: &JobEngine, owner: &str, account: &str, handle: JobHandle) -> Reply {
-    if engine.job_owner(handle.job_id).is_some()
-        && !may_contact(engine, handle.job_id, owner, account)
-    {
+    if engine.may_contact(handle.job_id, owner, account) == Some(false) {
         Reply::Error {
             code: codes::AUTHORIZATION,
             message: format!("job {} belongs to another identity", handle.job_id),

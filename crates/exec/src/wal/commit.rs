@@ -3,7 +3,7 @@
 //! one sink and one fold that `exec.wal.io` owns together.
 
 use super::event::WalEvent;
-use super::fold::{CheckpointState, FoldIndex, RecoveredJob};
+use super::fold::{CheckpointState, NamePool, RecoveredJob};
 use super::frame::RecoveryStats;
 use super::sink::FrameWal;
 use super::storage::MemStorage;
@@ -88,7 +88,8 @@ struct CommitQueue {
 struct WalIo {
     sink: FrameWal,
     fold: CheckpointState,
-    fold_index: FoldIndex,
+    /// The owner / account strings the fold's rows share.
+    names: NamePool,
     events_since_ckpt: u64,
     /// Information queries counted per account and not yet settled into
     /// `fold.accounts` — see [`Wal::info_query_counter`]. Accounts are a
@@ -150,7 +151,7 @@ impl Wal {
     #[allow(clippy::boxed_local)]
     pub fn with_config(sink: Box<FrameWal>, cfg: WalConfig) -> Self {
         let mut fold = CheckpointState::default();
-        let mut fold_index = FoldIndex::default();
+        let mut names = NamePool::default();
         let stats = sink.load(&mut |p, stats| match WalEvent::decode(p) {
             None => stats.corrupt_frames += 1,
             Some(ev) => {
@@ -158,11 +159,11 @@ impl Wal {
                 stats.events_since_checkpoint += 1;
                 // A decoded checkpoint is moved into the fold, not cloned.
                 if let WalEvent::Checkpoint(ck) = ev {
-                    fold.replace(*ck, &mut fold_index);
+                    fold.replace(*ck);
                     stats.events_since_checkpoint = 0;
                     stats.checkpoint_used = true;
                 } else {
-                    fold.apply(&ev, &mut fold_index);
+                    fold.apply(&ev, &mut names);
                 }
             }
         });
@@ -174,7 +175,7 @@ impl Wal {
                 WalIo {
                     sink: *sink,
                     fold,
-                    fold_index,
+                    names,
                     events_since_ckpt: stats.events_since_checkpoint,
                     info_queries: Vec::new(),
                 },
@@ -233,11 +234,12 @@ impl Wal {
         counter
     }
 
-    /// The fold's row for one job.
-    pub fn job(&self, job_id: u64) -> Option<RecoveredJob> {
+    /// Read the fold's row for one job, under the I/O lock, without
+    /// copying it. `read` must not call back into the log.
+    pub fn with_job<R>(&self, job_id: u64, read: impl FnOnce(&RecoveredJob) -> R) -> Option<R> {
         let io = self.io.lock();
-        let slot = *io.fold_index.slot.get(&job_id)?;
-        io.fold.state.jobs.get(slot).cloned()
+        let state = &io.fold.state;
+        state.position(job_id).map(|at| read(&state.jobs[at]))
     }
 
     /// Attach a telemetry handle. Publishes the recovery damage gauges
@@ -384,7 +386,7 @@ impl Wal {
         let io = &mut *guard;
         io.sink.append_batch(payloads, durable)?;
         for ev in events {
-            io.fold.apply(ev, &mut io.fold_index);
+            io.fold.apply(ev, &mut io.names);
             io.events_since_ckpt += 1;
         }
         if let Some(t) = &self.telemetry {
@@ -781,6 +783,70 @@ mod tests {
         storage.restart();
         let wal = Wal::with_config(Box::new(FrameWal::open(storage).unwrap()), cfg);
         assert!(wal.events().contains(&sample_events()[1]));
+    }
+
+    fn submitted(job_id: u64) -> WalEvent {
+        WalEvent::Submitted {
+            job_id,
+            rsl: format!("(executable=job{job_id})"),
+            owner: "/O=Grid/CN=Alice".to_string(),
+            account: "alice".to_string(),
+        }
+    }
+
+    /// A checkpoint cut while rows sat in commit order (any log written
+    /// before the fold kept them sorted) loads to the table in id order,
+    /// and a later `Finished` finds the row that moved.
+    #[test]
+    fn a_checkpoint_in_commit_order_loads_in_id_order() {
+        let mut ck = CheckpointState::from_events(&[submitted(1), submitted(2), submitted(3)]);
+        ck.state.jobs.swap(1, 2);
+        let finished = WalEvent::Finished {
+            job_id: 2,
+            state: JobStateCode::Failed,
+            exit_code: Some(7),
+            wall_seconds: 0.5,
+        };
+        let storage = MemStorage::new();
+        let mut sink = FrameWal::open(storage.clone()).unwrap();
+        sink.install_checkpoint(&ck).unwrap();
+        sink.append_batch(&[finished.encode().as_str()], true)
+            .unwrap();
+        drop(sink);
+
+        let wal = Wal::new(Box::new(FrameWal::open(storage).unwrap()));
+        assert!(wal.recovery_stats().checkpoint_used);
+        let rows = wal.with_fold(|fold| fold.state.jobs.clone());
+        let ends: Vec<_> = rows.iter().map(|job| (job.job_id, job.finished)).collect();
+        let failed = Some((JobStateCode::Failed, Some(7)));
+        assert_eq!(ends, [(1, None), (2, failed), (3, None)]);
+        assert_eq!(&*rows[1].rsl, "(executable=job2)");
+        assert_eq!(wal.with_job(2, |job| job.finished), Some(failed));
+        assert_eq!(wal.with_job(4, |job| job.job_id), None);
+        assert_eq!(wal.with_fold(|fold| fold.accounts["alice"].failed), 1);
+    }
+
+    /// Racing submitters take their ids in one order and reach the log in
+    /// the other.
+    #[test]
+    fn submissions_committed_out_of_id_order_fold_in_id_order() {
+        let wal = &Wal::in_memory();
+        std::thread::scope(|s| {
+            for job_id in [2, 1, 4, 3] {
+                let committer = s.spawn(move || wal.commit(SimTime::ZERO, &[submitted(job_id)]));
+                committer.join().unwrap().unwrap();
+            }
+        });
+        let ids = |jobs: &[RecoveredJob]| jobs.iter().map(|job| job.job_id).collect::<Vec<_>>();
+        assert_eq!(wal.with_fold(|fold| ids(&fold.state.jobs)), [1, 2, 3, 4]);
+        assert_eq!(
+            wal.with_job(1, |job| job.rsl.to_string()).as_deref(),
+            Some("(executable=job1)")
+        );
+        // The log keeps commit order; folding it again agrees.
+        let replayed = CheckpointState::from_events(&wal.events());
+        assert_eq!(ids(&replayed.state.jobs), [1, 2, 3, 4]);
+        assert_eq!(replayed.state.last_job_id, 4);
     }
 
     #[test]

@@ -25,16 +25,6 @@ impl NamePool {
     }
 }
 
-/// What a fold keeps beside its [`CheckpointState`]: where each job sits
-/// in `state.jobs`, and the identity strings its rows share. The pool
-/// only makes repeats free; a name it has not seen (a checkpoint brings
-/// its own) costs one more allocation, never a wrong answer.
-#[derive(Debug, Default)]
-pub(super) struct FoldIndex {
-    pub(super) slot: BTreeMap<u64, usize>,
-    names: NamePool,
-}
-
 /// The folded log: job table + per-account usage. This is both what a
 /// [`WalEvent::Checkpoint`] serializes and what the running
 /// [`Wal`](super::Wal) maintains incrementally so a checkpoint is cheap
@@ -49,10 +39,11 @@ pub struct CheckpointState {
 }
 
 impl CheckpointState {
-    /// Fold one event into the snapshot. `index` must be owned alongside
-    /// the snapshot (it is rebuilt when a checkpoint event replaces the
-    /// whole state).
-    pub(super) fn apply(&mut self, ev: &WalEvent, index: &mut FoldIndex) {
+    /// Fold one event into the snapshot. `names` is owned alongside the
+    /// snapshot and only makes repeated owners and accounts free: a name
+    /// it has not seen (a checkpoint brings its own) costs one more
+    /// allocation, never a wrong answer.
+    pub(super) fn apply(&mut self, ev: &WalEvent, names: &mut NamePool) {
         match ev {
             WalEvent::ServiceStarted { epoch } => {
                 self.state.last_epoch = self.state.last_epoch.max(*epoch);
@@ -64,14 +55,20 @@ impl CheckpointState {
                 account,
             } => {
                 self.state.last_job_id = self.state.last_job_id.max(*job_id);
-                index.slot.insert(*job_id, self.state.jobs.len());
-                self.state.jobs.push(RecoveredJob {
-                    job_id: *job_id,
-                    rsl: Arc::from(rsl.as_str()),
-                    owner: index.names.intern(owner),
-                    account: index.names.intern(account),
-                    finished: None,
-                });
+                // Ids are allocated in order and all but always committed
+                // in order, so this is a push; racing submitters land a
+                // few places apart.
+                let at = self.state.end_of(*job_id);
+                self.state.jobs.insert(
+                    at,
+                    RecoveredJob {
+                        job_id: *job_id,
+                        rsl: Arc::from(rsl.as_str()),
+                        owner: names.intern(owner),
+                        account: names.intern(account),
+                        finished: None,
+                    },
+                );
                 self.usage(account, |u| u.submitted += 1);
             }
             WalEvent::StateChanged { .. } => {}
@@ -82,7 +79,7 @@ impl CheckpointState {
                 exit_code,
                 wall_seconds,
             } => {
-                if let Some(&i) = index.slot.get(job_id) {
+                if let Some(i) = self.state.position(*job_id) {
                     let job = &mut self.state.jobs[i];
                     if job.finished.is_none() {
                         job.finished = Some((*state, *exit_code));
@@ -98,31 +95,28 @@ impl CheckpointState {
                     }
                 }
             }
-            WalEvent::Checkpoint(ck) => self.replace((**ck).clone(), index),
+            WalEvent::Checkpoint(ck) => self.replace((**ck).clone()),
         }
     }
 
     /// Fold a whole history from nothing.
     pub fn from_events(events: &[WalEvent]) -> CheckpointState {
         let mut fold = CheckpointState::default();
-        let mut index = FoldIndex::default();
+        let mut names = NamePool::default();
         for ev in events {
-            fold.apply(ev, &mut index);
+            fold.apply(ev, &mut names);
         }
         fold
     }
 
     /// Make `ck` the whole state — what applying a checkpoint event
-    /// means, for a caller that owns the decoded checkpoint.
-    pub(super) fn replace(&mut self, ck: CheckpointState, index: &mut FoldIndex) {
+    /// means, for a caller that owns the decoded checkpoint. Its rows are
+    /// put in id order (stable, and one pass over a table that already
+    /// is): a checkpoint written while rows sat in commit order loads to
+    /// the same table.
+    pub(super) fn replace(&mut self, ck: CheckpointState) {
         *self = ck;
-        index.slot = self
-            .state
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.job_id, i))
-            .collect();
+        self.state.jobs.sort_by_key(|job| job.job_id);
     }
 
     /// Credit `account` with `n` information queries: one per `INFOQ`
@@ -163,11 +157,25 @@ pub struct RecoveredState {
     pub last_epoch: u64,
     /// Highest job id seen (ids continue from here).
     pub last_job_id: u64,
-    /// All jobs, in submission order.
+    /// All jobs, in id order — a job is found by binary search, with no
+    /// index beside the table.
     pub jobs: Vec<RecoveredJob>,
 }
 
 impl RecoveredState {
+    /// Where the rows with ids up to and including `job_id` end: where
+    /// its row goes, and one past where it is.
+    fn end_of(&self, job_id: u64) -> usize {
+        self.jobs.partition_point(|job| job.job_id <= job_id)
+    }
+
+    /// Where `job_id`'s row is. (Were a damaged log to name an id twice,
+    /// the row submitted last.)
+    pub(super) fn position(&self, job_id: u64) -> Option<usize> {
+        let at = self.end_of(job_id).checked_sub(1)?;
+        (self.jobs[at].job_id == job_id).then_some(at)
+    }
+
     /// Rebuild from events (a checkpoint event replaces everything before
     /// it).
     pub fn from_events(events: &[WalEvent]) -> RecoveredState {

@@ -177,6 +177,23 @@ impl ProcessTable {
             .count()
     }
 
+    /// Forget one process — what `wait` does for a pid whose exit has
+    /// been collected. From here on the pid is unknown: `state` and
+    /// `exit_status` answer `None`.
+    pub fn remove(&self, pid: Pid) {
+        self.inner.lock().procs.remove(&pid);
+    }
+
+    /// Processes in the table, running or exited and not yet removed.
+    pub fn len(&self) -> usize {
+        self.inner.lock().procs.len()
+    }
+
+    /// Whether the table holds no process at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Drop records of exited processes (the moral equivalent of reaping).
     pub fn reap(&self) -> usize {
         let now = self.clock.now();
@@ -270,6 +287,23 @@ mod tests {
         assert_eq!(t.running_count(), 1);
         assert_eq!(t.reap(), 1);
         assert_eq!(t.running_count(), 1);
+    }
+
+    #[test]
+    fn a_removed_pid_is_unknown_and_never_reissued() {
+        let (clock, t) = table();
+        let a = t.spawn("a", Duration::from_secs(1), 0);
+        let b = t.spawn("b", Duration::from_secs(10), 0);
+        clock.advance(Duration::from_secs(2));
+        t.remove(a);
+        assert_eq!((t.state(a), t.exit_status(a)), (None, None));
+        assert_eq!((t.len(), t.running_count()), (1, 1));
+        t.remove(a);
+        assert_eq!(t.state(b), Some(ProcState::Running));
+        assert!(t.spawn("c", Duration::from_secs(1), 0) > b);
+        t.remove(b);
+        assert_eq!(t.len(), 1);
+        assert!(!t.is_empty());
     }
 
     #[test]

@@ -96,6 +96,9 @@ pub trait BatchQueue: Send + Sync + std::fmt::Debug {
     fn poll(&self, id: QueueJobId) -> Option<JobOutcome>;
     /// Cancel a queued or running job; false if already terminal/unknown.
     fn cancel(&self, id: QueueJobId) -> bool;
+    /// Drop the recorded outcome of a completed or cancelled job, whose
+    /// id is unknown from here on. A queued or running job is left alone.
+    fn forget(&self, id: QueueJobId);
     /// Jobs waiting for a slot right now.
     fn queued_depth(&self) -> usize;
     /// Jobs running right now.
@@ -131,7 +134,6 @@ struct EngineState {
     pending: Vec<Pending>,
     running: Vec<Running>,
     finished: BTreeMap<QueueJobId, JobOutcome>,
-    jobs: BTreeMap<QueueJobId, BatchJob>,
     /// Accumulated cpu-seconds per user (fair share).
     usage: BTreeMap<String, f64>,
 }
@@ -158,7 +160,6 @@ impl Engine {
                 pending: Vec::new(),
                 running: Vec::new(),
                 finished: BTreeMap::new(),
-                jobs: BTreeMap::new(),
                 usage: BTreeMap::new(),
             }),
         }
@@ -235,7 +236,6 @@ impl Engine {
         self.sweep(&mut st, now);
         let id = st.next_id;
         st.next_id += 1;
-        st.jobs.insert(id, job.clone());
         st.pending.push(Pending {
             id,
             job,
@@ -280,6 +280,10 @@ impl Engine {
         false
     }
 
+    fn forget(&self, id: QueueJobId) {
+        self.state.lock().finished.remove(&id);
+    }
+
     fn queued_depth(&self) -> usize {
         let now = self.clock.now();
         let mut st = self.state.lock();
@@ -322,6 +326,9 @@ impl BatchQueue for FifoQueue {
     }
     fn cancel(&self, id: QueueJobId) -> bool {
         self.engine.cancel(id)
+    }
+    fn forget(&self, id: QueueJobId) {
+        self.engine.forget(id)
     }
     fn queued_depth(&self) -> usize {
         self.engine.queued_depth()
@@ -370,6 +377,9 @@ impl BatchQueue for FairShareQueue {
     }
     fn cancel(&self, id: QueueJobId) -> bool {
         self.engine.cancel(id)
+    }
+    fn forget(&self, id: QueueJobId) {
+        self.engine.forget(id)
     }
     fn queued_depth(&self) -> usize {
         self.engine.queued_depth()
@@ -562,6 +572,10 @@ impl BatchQueue for Matchmaker {
             }
         }
         false
+    }
+
+    fn forget(&self, id: QueueJobId) {
+        self.state.lock().finished.remove(&id);
     }
 
     fn queued_depth(&self) -> usize {

@@ -8,7 +8,8 @@
 #   3. scripts/check_docs.sh — rustdoc + clippy, warnings as errors
 #   4. cargo test --workspace — every unit, doc, and integration test;
 #      then crates/exec/tests/job_memory.rs once more in release (its
-#      byte and allocation ceilings hold in both builds)
+#      byte and allocation ceilings hold in both builds), printing what
+#      it measured: the table DESIGN §14.5 quotes, beside its ceilings
 #   5. scripts/check_lockdep.sh — lock-order / blocking-section sweep:
 #      the key suites re-run with sim::lockdep forced on, failing on
 #      any LOCKDEP finding
@@ -49,7 +50,7 @@ echo "==> cargo test --workspace"
 cargo test --workspace -q
 
 echo "==> job_memory ceilings, release build"
-cargo test --release -q -p infogram-exec --test job_memory
+cargo test --release -q -p infogram-exec --test job_memory -- --nocapture
 
 sh scripts/check_lockdep.sh
 

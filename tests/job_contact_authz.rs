@@ -171,3 +171,76 @@ fn foreign_owner_denied_at_the_engine() {
     }
     sandbox.shutdown();
 }
+
+#[test]
+fn finished_job_keeps_its_contact_check_across_a_restart() {
+    // A finished job is answered from the log's row, which is all a
+    // restarted service has of it: the same identities are let in and
+    // turned away before the restart and after.
+    use infogram::core::InfoGramDispatcher;
+    use infogram::exec::gram::{ConnCtx, RequestDispatcher};
+    use infogram::exec::wal::FileWal;
+    use infogram::proto::message::{Reply, Request};
+    use infogram::quickstart::SandboxConfig;
+    let dir = std::env::temp_dir().join(format!("infogram-authz-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("contact.log");
+    let _ = std::fs::remove_file(&path);
+    let start = || {
+        Sandbox::start_with(SandboxConfig {
+            wal_sink: Some(FileWal::open(&path).unwrap()),
+            ..Default::default()
+        })
+    };
+
+    let first = start();
+    let mut client = first.connect_client();
+    let handle = client
+        .submit("(executable=simwork)(arguments=10)", false)
+        .unwrap();
+    let (state, _, _) = client
+        .wait_terminal(&handle, Duration::from_millis(5), Duration::from_secs(10))
+        .unwrap();
+    assert_eq!(state, JobStateCode::Done);
+    drop(client);
+
+    let check = |sandbox: &Sandbox| {
+        let dispatcher = InfoGramDispatcher::new(
+            std::sync::Arc::clone(sandbox.service.engine()),
+            std::sync::Arc::clone(sandbox.service.info_service()),
+        );
+        let ask = |owner: &str, account: &str, request: Request| match dispatcher.dispatch(
+            owner,
+            account,
+            request,
+            &mut ConnCtx::detached(),
+        ) {
+            Reply::JobStatus { state, .. } => Ok(state),
+            Reply::Error { code, .. } => Err(code),
+            other => panic!("{other:?}"),
+        };
+        let status = || Request::Status {
+            handle: handle.clone(),
+        };
+        let cancel = || Request::Cancel {
+            handle: handle.clone(),
+        };
+        for request in [status(), cancel()] {
+            let stranger = ask("/O=Grid/CN=Mallory", "mallory", request);
+            assert_eq!(stranger, Err(codes::AUTHORIZATION));
+        }
+        let same_account = ask("/O=Grid/CN=GregorProxyService", "gregor", status());
+        assert_eq!(same_account, Ok(JobStateCode::Done));
+        let (owner, account) = sandbox.service.engine().job_owner(handle.job_id).unwrap();
+        assert_eq!(account, "gregor");
+        assert_eq!(ask(&owner, "elsewhere", status()), Ok(JobStateCode::Done));
+        assert_eq!(ask(&owner, &account, cancel()), Err(codes::NO_SUCH_JOB));
+    };
+    check(&first);
+    first.shutdown();
+    let second = start();
+    assert_eq!(second.service.engine().live_jobs(), 0);
+    check(&second);
+    second.shutdown();
+    let _ = std::fs::remove_file(&path);
+}

@@ -329,6 +329,36 @@ fn timeout_action_exception_surfaces_and_job_continues() {
 }
 
 #[test]
+fn timeout_exception_ends_when_the_job_does() {
+    let sandbox = Sandbox::start();
+    let mut client = sandbox.connect_client();
+    let handle = client
+        .submit(
+            "&(executable=simwork)(arguments=60)(timeout=1)(action=exception)",
+            false,
+        )
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    match client.status(&handle) {
+        Err(ClientError::Server { code, .. }) => {
+            assert_eq!(code, codes::TIMEOUT_EXCEPTION)
+        }
+        other => panic!("{other:?}"),
+    }
+    // The job ran on past its timeout and finished: from then on a poll
+    // answers with how it ended, not that "it continues to run".
+    std::thread::sleep(Duration::from_millis(60));
+    for _ in 0..2 {
+        let (state, exit, output) = client.status(&handle).unwrap();
+        assert_eq!((state, exit), (JobStateCode::Done, Some(0)));
+        assert!(output.contains("simulated work complete"), "{output:?}");
+    }
+    let metrics = sandbox.service.engine().metrics();
+    assert_eq!(metrics.counter_value("jobs.timeout_exceptions"), 1);
+    sandbox.shutdown();
+}
+
+#[test]
 fn timeout_action_cancel_stops_the_job() {
     let sandbox = Sandbox::start();
     let mut client = sandbox.connect_client();
