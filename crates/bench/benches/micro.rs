@@ -34,6 +34,10 @@ fn bench_rsl(c: &mut Criterion) {
     c.bench_function("rsl/xrsl_extract", |b| {
         b.iter(|| XrslRequest::from_text(black_box(JOB_RSL)).unwrap())
     });
+    // What every `info_hit` request pays: text to typed request.
+    c.bench_function("rsl/xrsl_info_hit", |b| {
+        b.iter(|| XrslRequest::from_text(black_box("(info=Memory)")).unwrap())
+    });
 }
 
 fn sample_records(n: usize) -> Vec<InfoRecord> {

@@ -16,6 +16,7 @@ use infogram_rsl::{OutputFormat, ResponseMode};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::SplitMix64;
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,27 +89,22 @@ impl QueryBuilder {
     pub fn to_rsl(&self) -> String {
         let mut out = String::new();
         for s in &self.selectors {
-            out.push_str(&format!("(info={s})"));
+            let _ = write!(out, "(info={s})");
         }
         if let Some(mode) = self.response {
-            let m = match mode {
-                ResponseMode::Immediate => "immediate",
-                ResponseMode::Cached => "cached",
-                ResponseMode::Last => "last",
-            };
-            out.push_str(&format!("(response={m})"));
+            let _ = write!(out, "(response={})", mode.as_str());
         }
         if let Some(q) = self.quality {
-            out.push_str(&format!("(quality={q})"));
+            let _ = write!(out, "(quality={q})");
         }
         if self.performance {
             out.push_str("(performance=true)");
         }
         if let Some(f) = self.format {
-            out.push_str(&format!("(format={f})"));
+            let _ = write!(out, "(format={f})");
         }
         if let Some(f) = &self.filter {
-            out.push_str(&format!("(filter={f})"));
+            let _ = write!(out, "(filter={f})");
         }
         out
     }

@@ -897,9 +897,10 @@ impl JobEngine {
     /// incarnation died are resubmitted ("the log can be used to restart
     /// our InfoGRAM service"). A finished job needs nothing: the log's row
     /// answers for it. An in-flight job this incarnation cannot start (its
-    /// queue is no longer configured, the backend refuses it) is recorded
-    /// `Failed`, not forgotten: its handle was acked. Returns the ids of
-    /// restarted jobs.
+    /// queue is no longer configured, the backend refuses it, its logged
+    /// text is xRSL an older version accepted and this one refuses) is
+    /// recorded `Failed`, not forgotten: its handle was acked. Returns the
+    /// ids of restarted jobs.
     pub fn recover(&self) -> Vec<u64> {
         // One pass over the fold, read in place (jobs → io is the lock
         // order `refresh` already takes): its unfinished rows, but for
@@ -1402,6 +1403,38 @@ mod tests {
             JobStateCode::Failed
         );
         assert_eq!(unfinished(&fourth), (0, 1), "failed once, not per restart");
+    }
+
+    #[test]
+    fn a_logged_request_this_version_refuses_is_failed_on_restart() {
+        // A log written before the operator was read can hold an acked,
+        // in-flight `(count<3)`, which ran as `count=3`; one written
+        // before variables were resolved, an unbound `$(X)`.
+        use crate::wal::{FrameWal, MemStorage};
+        let storage = MemStorage::new();
+        let open = || Wal::new(Box::new(FrameWal::open(storage.clone()).unwrap()));
+        let first = world_on(open());
+        let ran_as = XrslRequest::from_text("&(executable=simwork)(arguments=60000)(count=3)");
+        let logged = [
+            "&(executable=simwork)(arguments=60000)(count<3)",
+            "&(executable=simwork)(arguments=60000)(count=3)(stdout=$(X))",
+        ];
+        let ids = logged.map(|rsl| {
+            let spec = ran_as.clone().unwrap().job.unwrap();
+            let handle = first
+                .engine
+                .submit(rsl, spec, "/O=Grid/CN=Tester", "tester");
+            handle.unwrap().job_id
+        });
+        drop(first);
+
+        let second = world_on(open());
+        assert_eq!(second.engine.recover(), []);
+        for (id, rsl) in ids.into_iter().zip(logged) {
+            let view = second.engine.status(id).unwrap();
+            assert_eq!((view.state, view.exit_code), (JobStateCode::Failed, None));
+            assert_eq!(second.engine.job_rsl(id).as_deref(), Some(rsl));
+        }
     }
 
     /// Every thread polls and cancels every job at once, so each job's

@@ -152,19 +152,16 @@ impl JobsOnlyDispatcher {
 /// The one xRSL parse of a `Submit`: the typed request, or the reply
 /// that refuses the text. Both dispatchers route on the result.
 pub fn parse_submit(rsl: &str) -> Result<XrslRequest, Reply> {
-    let mut parsed = XrslRequest::parse_all(rsl).map_err(|e| Reply::Error {
+    let parsed = XrslRequest::parse_one(rsl).map_err(|e| Reply::Error {
         code: codes::BAD_RSL,
         message: e.to_string(),
     })?;
-    if parsed.len() != 1 {
-        // DUROC multi-requests are not supported, exactly as the paper
-        // states for J-GRAM.
-        return Err(Reply::Error {
-            code: codes::UNSUPPORTED,
-            message: "multi-request (+) submission is not supported (no DUROC)".to_string(),
-        });
-    }
-    Ok(parsed.swap_remove(0))
+    // DUROC multi-requests are not supported, exactly as the paper
+    // states for J-GRAM.
+    parsed.ok_or_else(|| Reply::Error {
+        code: codes::UNSUPPORTED,
+        message: "multi-request (+) submission is not supported (no DUROC)".to_string(),
+    })
 }
 
 /// Submit a parsed request of kind [`RequestKind::Job`]; `rsl` is its

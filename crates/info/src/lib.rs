@@ -24,9 +24,6 @@
 //! * [`service`] — the assembled [`service::InformationService`]
 //!   answering selector lists with response modes, quality thresholds and
 //!   filters.
-//! * [`aggregate`] — a GIIS-style aggregate index over several services
-//!   (§3: "we can create information aggregates through reuse of
-//!   information providers to improve scalability").
 //! * [`sched`] — the adaptive refresh scheduler: a central
 //!   [`sched::RefreshScheduler`] that prefetches hot keywords just
 //!   before TTL expiry (lead time from the §6.6 performance catalog),
@@ -44,7 +41,6 @@
 //!   with its true age so the degradation function reports honest,
 //!   degraded quality instead of an error.
 
-pub mod aggregate;
 pub mod config;
 pub mod entry;
 pub mod provider;

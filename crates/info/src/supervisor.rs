@@ -125,6 +125,9 @@ pub enum Admission {
 
 #[derive(Debug)]
 struct Inner {
+    config: SupervisorConfig,
+    /// Jitter source, seeded from the keyword (deterministic replay).
+    rng: SplitMix64,
     state: BreakerState,
     /// Consecutive transient failures (reset on success).
     streak: u32,
@@ -142,9 +145,7 @@ struct Inner {
 /// guarded by one mutex; nothing blocking is ever called under it.
 #[derive(Debug)]
 pub struct Supervisor {
-    config: Mutex<SupervisorConfig>,
     inner: Mutex<Inner>,
-    rng: Mutex<SplitMix64>,
 }
 
 /// FNV-1a over the keyword: a stable, platform-independent jitter seed.
@@ -160,35 +161,31 @@ fn fnv1a(s: &str) -> u64 {
 impl Supervisor {
     /// A closed supervisor for `keyword` with the given tunables.
     pub fn new(keyword: &str, config: SupervisorConfig) -> Self {
-        let open_len = config.open_for;
         Supervisor {
-            config: Mutex::with_class(config, lock_class!("info.supervisor.config")),
             inner: Mutex::with_class(
                 Inner {
+                    rng: SplitMix64::new(fnv1a(keyword) ^ 0x5afe_b0ff),
                     state: BreakerState::Closed,
                     streak: 0,
                     open_until: SimTime::ZERO,
-                    open_len,
+                    open_len: config.open_for,
                     not_before: SimTime::ZERO,
                     probing: false,
+                    config,
                 },
                 lock_class!("info.supervisor.inner"),
-            ),
-            rng: Mutex::with_class(
-                SplitMix64::new(fnv1a(keyword) ^ 0x5afe_b0ff),
-                lock_class!("info.supervisor.rng"),
             ),
         }
     }
 
     /// Replace the tunables (existing breaker state is kept).
     pub fn set_config(&self, config: SupervisorConfig) {
-        *self.config.lock() = config;
+        self.inner.lock().config = config;
     }
 
     /// A copy of the current tunables.
     pub fn config(&self) -> SupervisorConfig {
-        self.config.lock().clone()
+        self.inner.lock().config.clone()
     }
 
     /// Current breaker position.
@@ -203,7 +200,6 @@ impl Supervisor {
 
     /// Decide whether a fetch arriving at `now` may run the provider.
     pub fn admit(&self, now: SimTime) -> Admission {
-        let config = self.config.lock().clone();
         let mut inner = self.inner.lock();
         match inner.state {
             BreakerState::Closed => {
@@ -230,7 +226,7 @@ impl Supervisor {
                 if inner.probing {
                     // One probe at a time; others wait a short beat.
                     Admission::Deferred {
-                        retry_after: config.backoff_base,
+                        retry_after: inner.config.backoff_base,
                     }
                 } else {
                     inner.probing = true;
@@ -249,7 +245,6 @@ impl Supervisor {
     /// uses it to *park* a keyword (reschedule past the cool-down)
     /// without racing real queries for the probe.
     pub fn retry_hint(&self, now: SimTime) -> Option<Duration> {
-        let config = self.config.lock().clone();
         let inner = self.inner.lock();
         match inner.state {
             BreakerState::Closed if now < inner.not_before => Some(inner.not_before.since(now)),
@@ -259,7 +254,7 @@ impl Supervisor {
             // leave the probe to a real query; check back in one
             // backoff beat.
             BreakerState::Open | BreakerState::HalfOpen if inner.probing => {
-                Some(config.backoff_base)
+                Some(inner.config.backoff_base)
             }
             BreakerState::Open | BreakerState::HalfOpen => None,
         }
@@ -268,39 +263,38 @@ impl Supervisor {
     /// Record a successful provider execution: close the breaker and
     /// clear all failure state.
     pub fn on_success(&self) {
-        let config = self.config.lock().clone();
         let mut inner = self.inner.lock();
         inner.state = BreakerState::Closed;
         inner.streak = 0;
         inner.probing = false;
         inner.not_before = SimTime::ZERO;
-        inner.open_len = config.open_for;
+        inner.open_len = inner.config.open_for;
     }
 
     /// Record a failed (transient) provider execution at `now`; `probe`
     /// marks the half-open probe. Returns the new breaker state.
     pub fn on_failure(&self, now: SimTime, probe: bool) -> BreakerState {
-        let config = self.config.lock().clone();
-        let jitter = self.jittered_factor(config.jitter);
         let mut inner = self.inner.lock();
+        let jitter = inner.jittered_factor();
         inner.probing = false;
         inner.streak = inner.streak.saturating_add(1);
         if probe {
             // Failed probe: re-open, doubled cool-down.
-            inner.open_len = (inner.open_len * 2).min(config.open_max);
+            inner.open_len = (inner.open_len * 2).min(inner.config.open_max);
             inner.open_until = now.plus(scale(inner.open_len, jitter));
             inner.state = BreakerState::Open;
-        } else if inner.streak >= config.failure_threshold {
-            inner.open_len = config.open_for;
+        } else if inner.streak >= inner.config.failure_threshold {
+            inner.open_len = inner.config.open_for;
             inner.open_until = now.plus(scale(inner.open_len, jitter));
             inner.state = BreakerState::Open;
         } else {
             // Below the threshold: exponential not-before gate.
             let exp = inner.streak.saturating_sub(1).min(16);
-            let delay = config
+            let delay = inner
+                .config
                 .backoff_base
                 .saturating_mul(1u32 << exp)
-                .min(config.backoff_max);
+                .min(inner.config.backoff_max);
             inner.not_before = now.plus(scale(delay, jitter));
         }
         inner.state
@@ -319,15 +313,17 @@ impl Supervisor {
             inner.state = BreakerState::Open;
         }
     }
+}
 
+impl Inner {
     /// A jitter factor in `[1 - jitter, 1 + jitter]`, drawn from the
-    /// keyword-seeded PRNG (deterministic replay).
-    fn jittered_factor(&self, jitter: f64) -> f64 {
+    /// keyword-seeded PRNG.
+    fn jittered_factor(&mut self) -> f64 {
+        let jitter = self.config.jitter;
         if jitter <= 0.0 {
             return 1.0;
         }
-        let u = self.rng.lock().next_f64();
-        1.0 - jitter + 2.0 * jitter * u
+        1.0 - jitter + 2.0 * jitter * self.rng.next_f64()
     }
 }
 

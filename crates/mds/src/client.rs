@@ -228,10 +228,17 @@ mod tests {
         let w = world();
         let mut client =
             MdsClient::bind(&w.net, w.server.addr(), &w.user, &w.roots, &w.clock).unwrap();
-        match client.search("/o=Grid", Scope::Sub, "not a filter") {
-            Err(MdsClientError::Server(_)) => {}
-            other => panic!("{other:?}"),
+        // The second filter is 100 000 levels deep: parsed by unbounded
+        // recursion it overflowed the connection thread's stack, which
+        // aborts the whole process, not one session.
+        for bad in ["not a filter", &"(!".repeat(100_000)] {
+            match client.search("/o=Grid", Scope::Sub, bad) {
+                Err(MdsClientError::Server(_)) => {}
+                other => panic!("{other:?}"),
+            }
         }
+        let entries = client.search("/o=Grid", Scope::Sub, "(kw=Memory)").unwrap();
+        assert_eq!(entries.len(), 1, "the session outlives a refused filter");
         w.server.shutdown();
     }
 

@@ -60,7 +60,7 @@ impl Filter {
     pub fn parse(s: &str) -> Result<Filter, FilterParseError> {
         let s = s.trim();
         let mut chars = s.char_indices().peekable();
-        let filter = parse_filter(s, &mut chars)?;
+        let filter = parse_filter(s, &mut chars, 0)?;
         if chars.next().is_some() {
             return Err(err("trailing characters after filter"));
         }
@@ -139,20 +139,33 @@ fn expect(chars: &mut CharStream, want: char) -> Result<(), FilterParseError> {
     }
 }
 
-fn parse_filter(src: &str, chars: &mut CharStream) -> Result<Filter, FilterParseError> {
+/// Deepest `(&…)` / `(|…)` / `(!…)` nesting accepted. The parser
+/// recurses once per level, so an unbounded `(!(!(!…` from the wire would
+/// overflow the connection thread's stack and abort the process.
+const MAX_NESTING: usize = 64;
+
+/// One parenthesized filter, `depth` combinators below the top.
+fn parse_filter(
+    src: &str,
+    chars: &mut CharStream,
+    depth: usize,
+) -> Result<Filter, FilterParseError> {
+    if depth > MAX_NESTING {
+        return Err(err(&format!("nesting deeper than {MAX_NESTING} levels")));
+    }
     expect(chars, '(')?;
     let filter = match chars.peek().map(|&(_, c)| c) {
         Some('&') => {
             chars.next();
-            Filter::And(parse_list(src, chars)?)
+            Filter::And(parse_list(src, chars, depth + 1)?)
         }
         Some('|') => {
             chars.next();
-            Filter::Or(parse_list(src, chars)?)
+            Filter::Or(parse_list(src, chars, depth + 1)?)
         }
         Some('!') => {
             chars.next();
-            let inner = parse_filter(src, chars)?;
+            let inner = parse_filter(src, chars, depth + 1)?;
             Filter::Not(Box::new(inner))
         }
         Some(_) => parse_comparison(src, chars)?,
@@ -162,10 +175,14 @@ fn parse_filter(src: &str, chars: &mut CharStream) -> Result<Filter, FilterParse
     Ok(filter)
 }
 
-fn parse_list(src: &str, chars: &mut CharStream) -> Result<Vec<Filter>, FilterParseError> {
+fn parse_list(
+    src: &str,
+    chars: &mut CharStream,
+    depth: usize,
+) -> Result<Vec<Filter>, FilterParseError> {
     let mut out = Vec::new();
     while matches!(chars.peek(), Some(&(_, '('))) {
-        out.push(parse_filter(src, chars)?);
+        out.push(parse_filter(src, chars, depth)?);
     }
     Ok(out)
 }
@@ -368,6 +385,15 @@ mod tests {
         ] {
             assert!(Filter::parse(bad).is_err(), "'{bad}' should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}(a=b){}", "(!".repeat(n), ")".repeat(n));
+        assert!(Filter::parse(&nested(MAX_NESTING)).is_ok());
+        assert!(Filter::parse(&nested(MAX_NESTING + 1)).is_err());
+        // Unbounded, this one overflowed the stack.
+        assert!(Filter::parse(&"(&".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -143,27 +143,6 @@ impl Spec {
             _ => {}
         }
     }
-
-    /// First relation with the given (case-insensitive) attribute.
-    pub fn get(&self, attribute: &str) -> Option<&Relation> {
-        let want = attribute.to_ascii_lowercase();
-        self.relations().into_iter().find(|r| r.attribute == want)
-    }
-
-    /// All relations with the given attribute, in order — needed for the
-    /// paper's concatenated queries `(info=memory)(info=cpu)`.
-    pub fn get_all(&self, attribute: &str) -> Vec<&Relation> {
-        let want = attribute.to_ascii_lowercase();
-        self.relations()
-            .into_iter()
-            .filter(|r| r.attribute == want)
-            .collect()
-    }
-
-    /// First single-literal value of the given attribute.
-    pub fn get_literal(&self, attribute: &str) -> Option<&str> {
-        self.get(attribute).and_then(|r| r.single_literal())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -255,6 +234,32 @@ impl fmt::Display for Spec {
                 Ok(())
             }
         }
+    }
+}
+
+// Lookups by tag for this crate's tests. Each walks the whole
+// specification, so nothing that serves a request has them:
+// `crate::xrsl` reads the relations once.
+#[cfg(test)]
+impl Spec {
+    /// First relation with the given (case-insensitive) attribute.
+    pub fn get(&self, attribute: &str) -> Option<&Relation> {
+        let want = attribute.to_ascii_lowercase();
+        self.relations().into_iter().find(|r| r.attribute == want)
+    }
+
+    /// All relations with the given attribute, in order.
+    pub fn get_all(&self, attribute: &str) -> Vec<&Relation> {
+        let want = attribute.to_ascii_lowercase();
+        self.relations()
+            .into_iter()
+            .filter(|r| r.attribute == want)
+            .collect()
+    }
+
+    /// First single-literal value of the given attribute.
+    pub fn get_literal(&self, attribute: &str) -> Option<&str> {
+        self.get(attribute).and_then(|r| r.single_literal())
     }
 }
 

@@ -25,7 +25,10 @@
 //! Values support quoting (`"..."`, `'...'`, with doubled-quote escapes),
 //! implicit sequences (`(arguments=-l -a)`), explicit sub-sequences,
 //! variable references (`$(HOME)`), string concatenation (`#`), and
-//! variable definition via the classic `rslsubstitution` attribute.
+//! variable definition via the classic `rslsubstitution` attribute;
+//! [`XrslRequest::from_text`] resolves them before it extracts a request.
+//! Nesting is bounded (64 levels of `(`) and so is what variables expand
+//! to (64 KiB), so no text can exhaust the parser's stack or the heap.
 
 pub mod ast;
 pub mod parser;

@@ -3,6 +3,7 @@
 use crate::ast::{BoolOp, RelOp, Relation, Spec, Value};
 use crate::token::{lex, LexError, Token};
 use std::fmt;
+use std::iter::Peekable;
 
 /// A parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,33 +36,55 @@ impl From<LexError> for ParseError {
 /// * `(...)(...)` — bare relation list, an implicit conjunction
 ///   (a single bare relation parses to [`Spec::Relation`]).
 pub fn parse(src: &str) -> Result<Spec, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: lex(src)?.into_iter().peekable(),
+        depth: 0,
+    };
     let spec = p.parse_top()?;
-    if p.pos != p.tokens.len() {
+    if let Some(t) = p.next() {
         return Err(ParseError {
-            reason: format!("trailing tokens starting at '{}'", p.tokens[p.pos]),
+            reason: format!("trailing tokens starting at '{t}'"),
         });
     }
     Ok(spec)
 }
 
+/// Deepest `(` nesting accepted, groups and value sequences together.
+/// The parser recurses once per level, so without a bound a request of
+/// nothing but `(` overflows the connection thread's stack and aborts
+/// the process; real specifications nest a handful of levels.
+const MAX_NESTING: usize = 64;
+
 struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+    tokens: Peekable<std::vec::IntoIter<Token>>,
+    /// Open `(` count at the current token.
+    depth: usize,
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&mut self) -> Option<&Token> {
+        self.tokens.peek()
     }
 
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+        self.tokens.next()
+    }
+
+    /// Count a consumed `(` that opens a group or a value sequence.
+    fn open(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(ParseError {
+                reason: format!("nesting deeper than {MAX_NESTING} levels"),
+            });
         }
-        t
+        Ok(())
+    }
+
+    /// Consume the `)` that closes what [`Parser::open`] opened.
+    fn close(&mut self) -> Result<(), ParseError> {
+        self.depth -= 1;
+        self.expect(&Token::RParen)
     }
 
     fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
@@ -78,36 +101,7 @@ impl Parser {
 
     fn parse_top(&mut self) -> Result<Spec, ParseError> {
         match self.peek() {
-            Some(Token::Amp) => {
-                self.next();
-                Ok(Spec::Boolean {
-                    op: BoolOp::And,
-                    specs: self.parse_groups()?,
-                })
-            }
-            Some(Token::Pipe) => {
-                self.next();
-                Ok(Spec::Boolean {
-                    op: BoolOp::Or,
-                    specs: self.parse_groups()?,
-                })
-            }
-            Some(Token::Plus) => {
-                self.next();
-                Ok(Spec::Multi(self.parse_groups()?))
-            }
-            Some(Token::LParen) => {
-                let groups = self.parse_groups()?;
-                let mut iter = groups.into_iter();
-                match (iter.next(), iter.next()) {
-                    (Some(only), None) => Ok(only),
-                    // Bare relation list: implicit conjunction.
-                    (first, second) => Ok(Spec::Boolean {
-                        op: BoolOp::And,
-                        specs: first.into_iter().chain(second).chain(iter).collect(),
-                    }),
-                }
-            }
+            Some(Token::Amp | Token::Pipe | Token::Plus | Token::LParen) => self.parse_inner(),
             Some(t) => Err(ParseError {
                 reason: format!("specification cannot start with '{t}'"),
             }),
@@ -122,9 +116,9 @@ impl Parser {
         let mut out = Vec::new();
         while matches!(self.peek(), Some(Token::LParen)) {
             self.next();
-            let spec = self.parse_inner()?;
-            self.expect(&Token::RParen)?;
-            out.push(spec);
+            self.open()?;
+            out.push(self.parse_inner()?);
+            self.close()?;
         }
         if out.is_empty() {
             return Err(ParseError {
@@ -134,7 +128,8 @@ impl Parser {
         Ok(out)
     }
 
-    /// The contents of a group: a nested boolean/multi, or a relation.
+    /// The contents of a group — a nested boolean/multi, or a relation —
+    /// and, relations apart, of a whole specification.
     fn parse_inner(&mut self) -> Result<Spec, ParseError> {
         match self.peek() {
             Some(Token::Amp) => {
@@ -155,7 +150,9 @@ impl Parser {
                 self.next();
                 Ok(Spec::Multi(self.parse_groups()?))
             }
-            // A nested parenthesized spec: `((a=1)(b=2))`.
+            // A parenthesized spec, `((a=1)(b=2))`, or at the top a bare
+            // relation list: one group is itself, several an implicit
+            // conjunction.
             Some(Token::LParen) => {
                 let groups = self.parse_groups()?;
                 let mut iter = groups.into_iter();
@@ -173,7 +170,10 @@ impl Parser {
 
     fn parse_relation(&mut self) -> Result<Relation, ParseError> {
         let attribute = match self.next() {
-            Some(Token::Str { text, .. }) => text.to_ascii_lowercase(),
+            Some(Token::Str { mut text, .. }) => {
+                text.make_ascii_lowercase();
+                text
+            }
             other => {
                 return Err(ParseError {
                     reason: format!("expected attribute name, found {other:?}"),
@@ -242,11 +242,12 @@ impl Parser {
                 Ok(Value::Variable(name))
             }
             Some(Token::LParen) => {
+                self.open()?;
                 let mut items = Vec::new();
                 while !matches!(self.peek(), Some(Token::RParen) | None) {
                     items.push(self.parse_value()?);
                 }
-                self.expect(&Token::RParen)?;
+                self.close()?;
                 Ok(Value::Sequence(items))
             }
             other => Err(ParseError {
@@ -442,6 +443,22 @@ mod tests {
     #[test]
     fn deeply_nested() {
         roundtrip("&(a=1)(&(b=2)(&(c=3)(|(d=4)(e=(f (g h))))))");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let groups = |n: usize| format!("{}a=b{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&groups(MAX_NESTING)).is_ok());
+        assert!(parse(&groups(MAX_NESTING + 1)).is_err());
+        // The relation's own `(` is the first level of a value sequence.
+        let values = |n: usize| format!("(a={}x{})", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&values(MAX_NESTING - 1)).is_ok());
+        assert!(parse(&values(MAX_NESTING)).is_err());
+        // Unbounded, each of these overflowed the stack.
+        for hostile in ["(".repeat(100_000), format!("(a={}", "(".repeat(100_000))] {
+            let e = parse(&hostile).unwrap_err();
+            assert!(e.reason.contains("nesting"), "{e}");
+        }
     }
 }
 

@@ -13,6 +13,10 @@
 //! for the remainder of the specification, in source order), flattens
 //! fully-literal concatenations, and drops the definitional relations from
 //! the output.
+//!
+//! Request text comes from the network, so what variables may expand to
+//! is bounded: definitions that double (`(B $(A)#$(A))(C $(B)#$(B))…`)
+//! ask for a terabyte in 600 bytes.
 
 use crate::ast::{Relation, Spec, Value};
 use std::collections::HashMap;
@@ -31,6 +35,8 @@ pub enum SubstError {
         /// Rendering of the malformed definition.
         found: String,
     },
+    /// The references resolved to more than 64 KiB of variable text.
+    TooLarge,
 }
 
 impl fmt::Display for SubstError {
@@ -40,11 +46,27 @@ impl fmt::Display for SubstError {
             SubstError::MalformedDefinition { found } => {
                 write!(f, "malformed rslsubstitution definition: {found}")
             }
+            SubstError::TooLarge => write!(f, "RSL variables expand past {MAX_EXPANSION} bytes"),
         }
     }
 }
 
 impl std::error::Error for SubstError {}
+
+/// Bytes of variable text one specification may expand to, each resolved
+/// `$(NAME)` counted at its value's length; nothing else in the result is
+/// longer than it was in the source.
+const MAX_EXPANSION: usize = 64 * 1024;
+
+/// The bindings in effect at one point of a specification.
+struct Scope {
+    vars: HashMap<String, String>,
+    /// What each definition replaced, oldest first: a multi-request
+    /// branch undoes its own (a copy of `vars` per branch is quadratic).
+    replaced: Vec<(String, Option<String>)>,
+    /// What is left of [`MAX_EXPANSION`].
+    budget: usize,
+}
 
 /// Substitute variables throughout a specification.
 ///
@@ -52,11 +74,15 @@ impl std::error::Error for SubstError {}
 /// in real Globus); `rslsubstitution` relations add to the scope as they
 /// are encountered and are removed from the result.
 pub fn substitute(spec: &Spec, env: &HashMap<String, String>) -> Result<Spec, SubstError> {
-    let mut scope: HashMap<String, String> = env.clone();
+    let mut scope = Scope {
+        vars: env.clone(),
+        replaced: Vec::new(),
+        budget: MAX_EXPANSION,
+    };
     subst_spec(spec, &mut scope)
 }
 
-fn subst_spec(spec: &Spec, scope: &mut HashMap<String, String>) -> Result<Spec, SubstError> {
+fn subst_spec(spec: &Spec, scope: &mut Scope) -> Result<Spec, SubstError> {
     match spec {
         Spec::Relation(r) => {
             if r.attribute == "rslsubstitution" {
@@ -71,11 +97,7 @@ fn subst_spec(spec: &Spec, scope: &mut HashMap<String, String>) -> Result<Spec, 
                 Ok(Spec::Relation(Relation {
                     attribute: r.attribute.clone(),
                     op: r.op,
-                    values: r
-                        .values
-                        .iter()
-                        .map(|v| subst_value(v, scope))
-                        .collect::<Result<_, _>>()?,
+                    values: subst_values(&r.values, scope)?,
                 }))
             }
         }
@@ -97,88 +119,75 @@ fn subst_spec(spec: &Spec, scope: &mut HashMap<String, String>) -> Result<Spec, 
             })
         }
         Spec::Multi(specs) => {
-            // Each multi-request branch gets its own child scope, so
-            // definitions in one branch do not leak into siblings.
+            // Each multi-request branch starts from the scope around the
+            // `+`, so definitions in one branch do not leak into siblings.
             let mut out = Vec::with_capacity(specs.len());
             for s in specs {
-                let mut child = scope.clone();
-                out.push(subst_spec(s, &mut child)?);
+                let entered = scope.replaced.len();
+                out.push(subst_spec(s, scope)?);
+                for (name, old) in scope.replaced.drain(entered..).rev() {
+                    match old {
+                        Some(value) => scope.vars.insert(name, value),
+                        None => scope.vars.remove(&name),
+                    };
+                }
             }
             Ok(Spec::Multi(out))
         }
     }
 }
 
-fn define(r: &Relation, scope: &mut HashMap<String, String>) -> Result<(), SubstError> {
+fn define(r: &Relation, scope: &mut Scope) -> Result<(), SubstError> {
+    let malformed = |found: &Value| SubstError::MalformedDefinition {
+        found: found.to_string(),
+    };
     for v in &r.values {
-        match v {
-            Value::Sequence(kv) => {
-                let name = kv.first().and_then(Value::as_literal);
-                let value = kv.get(1);
-                match (name, value, kv.len()) {
-                    (Some(name), Some(value), 2) => {
-                        let resolved = resolve_to_string(value, scope)?;
-                        scope.insert(name.to_string(), resolved);
-                    }
-                    _ => {
-                        return Err(SubstError::MalformedDefinition {
-                            found: v.to_string(),
-                        })
-                    }
-                }
-            }
-            other => {
-                return Err(SubstError::MalformedDefinition {
-                    found: other.to_string(),
-                })
-            }
-        }
+        let Value::Sequence(kv) = v else {
+            return Err(malformed(v));
+        };
+        let [Value::Literal(name), value] = kv.as_slice() else {
+            return Err(malformed(v));
+        };
+        let resolved = match subst_value(value, scope)? {
+            Value::Literal(s) => s,
+            other => return Err(malformed(&other)),
+        };
+        let old = scope.vars.insert(name.clone(), resolved);
+        scope.replaced.push((name.clone(), old));
     }
     Ok(())
 }
 
-fn subst_value(v: &Value, scope: &HashMap<String, String>) -> Result<Value, SubstError> {
+fn subst_values(values: &[Value], scope: &mut Scope) -> Result<Vec<Value>, SubstError> {
+    values.iter().map(|v| subst_value(v, scope)).collect()
+}
+
+fn subst_value(v: &Value, scope: &mut Scope) -> Result<Value, SubstError> {
     match v {
         Value::Literal(s) => Ok(Value::Literal(s.clone())),
-        Value::Variable(name) => scope
-            .get(name)
-            .map(|s| Value::Literal(s.clone()))
-            .ok_or_else(|| SubstError::Undefined { name: name.clone() }),
-        Value::Sequence(items) => Ok(Value::Sequence(
-            items
-                .iter()
-                .map(|i| subst_value(i, scope))
-                .collect::<Result<_, _>>()?,
-        )),
+        Value::Variable(name) => {
+            let value = scope
+                .vars
+                .get(name)
+                .ok_or_else(|| SubstError::Undefined { name: name.clone() })?;
+            scope.budget = scope
+                .budget
+                .checked_sub(value.len())
+                .ok_or(SubstError::TooLarge)?;
+            Ok(Value::Literal(value.clone()))
+        }
+        Value::Sequence(items) => Ok(Value::Sequence(subst_values(items, scope)?)),
         Value::Concat(parts) => {
-            let resolved: Vec<Value> = parts
-                .iter()
-                .map(|p| subst_value(p, scope))
-                .collect::<Result<_, _>>()?;
+            let resolved = subst_values(parts, scope)?;
             // With variables resolved every part is normally a literal;
             // flatten the chain into one. A sequence inside a concat has
             // no string form, so such chains are kept structural.
-            if resolved.iter().all(|p| matches!(p, Value::Literal(_))) {
-                let mut s = String::new();
-                for p in &resolved {
-                    if let Value::Literal(l) = p {
-                        s.push_str(l);
-                    }
-                }
-                Ok(Value::Literal(s))
-            } else {
-                Ok(Value::Concat(resolved))
-            }
+            let literals: Option<Vec<&str>> = resolved.iter().map(Value::as_literal).collect();
+            Ok(match literals {
+                Some(parts) => Value::Literal(parts.concat()),
+                None => Value::Concat(resolved),
+            })
         }
-    }
-}
-
-fn resolve_to_string(v: &Value, scope: &HashMap<String, String>) -> Result<String, SubstError> {
-    match subst_value(v, scope)? {
-        Value::Literal(s) => Ok(s),
-        other => Err(SubstError::MalformedDefinition {
-            found: other.to_string(),
-        }),
     }
 }
 
@@ -274,6 +283,55 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_branch_leaves_the_scope_as_it_found_it() {
+        let spec = parse(
+            "&(rslsubstitution=(V outer))\
+             (+(&(rslsubstitution=(V inner)(W w))(a=$(V) # $(W)))(&(a=$(V))))\
+             (b=$(V))",
+        )
+        .unwrap();
+        let out = substitute(&spec, &HashMap::new()).unwrap();
+        assert_eq!(out.to_string(), "&(+(&(a=innerw))(&(a=outer)))(b=outer)");
+        // `W` went with the branch that defined it.
+        let spec = parse("&(+(&(rslsubstitution=(W w))(a=$(W))))(b=$(W))").unwrap();
+        assert_eq!(
+            substitute(&spec, &HashMap::new()),
+            Err(SubstError::Undefined {
+                name: "W".to_string()
+            })
+        );
+    }
+
+    #[test]
+    fn expansion_is_bounded() {
+        // Each definition is twice the one before it: 64 of them ask for
+        // 2^67 bytes from 2 KiB of source.
+        let mut doubling = String::from("&(rslsubstitution=(V0 aaaaaaaa))");
+        for i in 1..=64 {
+            let prev = i - 1;
+            doubling += &format!("(rslsubstitution=(V{i} $(V{prev}) # $(V{prev})))");
+        }
+        doubling += "(info=$(V64))";
+        // The bound is on the sum, not on any one value.
+        let kib = |uses: usize| {
+            format!(
+                "&(rslsubstitution=(V {}))(arguments={})",
+                "a".repeat(1024),
+                "$(V) ".repeat(uses)
+            )
+        };
+        for src in [doubling, kib(MAX_EXPANSION / 1024 + 1)] {
+            let spec = parse(&src).unwrap();
+            assert_eq!(
+                substitute(&spec, &HashMap::new()),
+                Err(SubstError::TooLarge)
+            );
+        }
+        let spec = parse(&kib(MAX_EXPANSION / 1024)).unwrap();
+        assert!(substitute(&spec, &HashMap::new()).is_ok());
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! `response`, `performance`, `quality`, and `format`, plus the planned
 //! `timeout`/`action` extension. [`XrslRequest::from_spec`] extracts all of
 //! them and the classic GRAM job attributes, and classifies the request.
+//! From source text ([`XrslRequest::from_text`] and its siblings) RSL
+//! variables are resolved first ([`crate::subst`]).
 
-use crate::ast::{Spec, Value};
+use crate::ast::{RelOp, Relation, Spec, Value};
 use crate::parser::{parse, ParseError};
+use crate::subst::substitute;
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -49,6 +53,17 @@ pub enum ResponseMode {
     Last,
 }
 
+impl ResponseMode {
+    /// The `(response=...)` spelling.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            ResponseMode::Immediate => "immediate",
+            ResponseMode::Cached => "cached",
+            ResponseMode::Last => "last",
+        }
+    }
+}
+
 /// `(format=...)` output rendering (§5.5, §6.6: "The supported formats are
 /// LDIF and XML").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,14 +80,21 @@ pub enum OutputFormat {
     Plain,
 }
 
+impl OutputFormat {
+    /// The `(format=...)` spelling.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            OutputFormat::Ldif => "ldif",
+            OutputFormat::Xml => "xml",
+            OutputFormat::Dsml => "dsml",
+            OutputFormat::Plain => "plain",
+        }
+    }
+}
+
 impl fmt::Display for OutputFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OutputFormat::Ldif => write!(f, "ldif"),
-            OutputFormat::Xml => write!(f, "xml"),
-            OutputFormat::Dsml => write!(f, "dsml"),
-            OutputFormat::Plain => write!(f, "plain"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -184,37 +206,53 @@ pub struct XrslRequest {
     pub subscription: Option<u64>,
 }
 
-/// Every attribute name [`XrslRequest::from_spec`] understands: the
-/// classic GRAM job attributes, the §6.6 extension tags, and
-/// `rslsubstitution` (consumed by [`crate::subst`] before extraction, but
-/// legal to leave in place).
-pub const KNOWN_TAGS: &[&str] = &[
+/// The xRSL vocabulary, written once: each row is a tag's slot in
+/// [`XrslRequest::from_spec`]'s pass over the relations and its attribute
+/// name. [`KNOWN_TAGS`] is the names in slot order.
+macro_rules! vocabulary {
+    ($($slot:ident $name:literal)*) => {
+        // Every tag has a slot; `rslsubstitution`'s is never read.
+        #[allow(dead_code)]
+        #[derive(Clone, Copy)]
+        enum Tag {
+            $($slot),*
+        }
+
+        /// Every attribute name [`XrslRequest::from_spec`] understands:
+        /// the classic GRAM job attributes, the §6.6 extension tags, and
+        /// `rslsubstitution` (consumed by [`crate::subst`] before
+        /// extraction, but legal to leave in place).
+        pub const KNOWN_TAGS: &[&str] = &[$($name),*];
+    };
+}
+
+vocabulary! {
     // classic GRAM job attributes
-    "executable",
-    "arguments",
-    "environment",
-    "directory",
-    "count",
-    "maxtime",
-    "stdout",
-    "stderr",
-    "jobtype",
-    "queue",
-    "requirements",
-    "restartonfail",
+    Executable "executable"
+    Arguments "arguments"
+    Environment "environment"
+    Directory "directory"
+    Count "count"
+    MaxTime "maxtime"
+    Stdout "stdout"
+    Stderr "stderr"
+    JobType "jobtype"
+    Queue "queue"
+    Requirements "requirements"
+    RestartOnFail "restartonfail"
     // variable definitions (crate::subst)
-    "rslsubstitution",
+    RslSubstitution "rslsubstitution"
     // §6.6 InfoGram extension tags
-    "info",
-    "response",
-    "quality",
-    "performance",
-    "format",
-    "filter",
-    "timeout",
-    "action",
-    "subscription",
-];
+    Info "info"
+    Response "response"
+    Quality "quality"
+    Performance "performance"
+    Format "format"
+    Filter "filter"
+    Timeout "timeout"
+    Action "action"
+    Subscription "subscription"
+}
 
 /// An xRSL-level validation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,7 +275,8 @@ pub enum XrslError {
         /// The unrecognized attribute name (lowercased by the parser).
         tag: String,
     },
-    /// A required structural property failed.
+    /// A required structural property failed, or an RSL variable could
+    /// not be resolved.
     Structure(String),
 }
 
@@ -268,9 +307,9 @@ impl From<ParseError> for XrslError {
     }
 }
 
-fn bad(tag: &str, value: &str, expected: &str) -> XrslError {
+fn bad(tag: Tag, value: &str, expected: &str) -> XrslError {
     XrslError::BadTag {
-        tag: tag.to_string(),
+        tag: KNOWN_TAGS[tag as usize].to_string(),
         value: value.to_string(),
         expected: expected.to_string(),
     }
@@ -296,7 +335,7 @@ fn flat_strings(values: &[Value]) -> Vec<String> {
 }
 
 /// Extract `(k v)` pairs from a relation's sequence values.
-fn kv_pairs(values: &[Value], tag: &str) -> Result<Vec<(String, String)>, XrslError> {
+fn kv_pairs(values: &[Value], tag: Tag) -> Result<Vec<(String, String)>, XrslError> {
     let mut out = Vec::new();
     for v in values {
         match v {
@@ -312,22 +351,50 @@ fn kv_pairs(values: &[Value], tag: &str) -> Result<Vec<(String, String)>, XrslEr
     Ok(out)
 }
 
+/// Source text to specification. RSL variables are resolved — against an
+/// empty ambient environment, so `rslsubstitution` definitions are the
+/// only bindings a request can use, and to no more than 64 KiB — when,
+/// and only when, the text holds a `$`: a request without variables pays
+/// one byte scan.
+fn read(src: &str) -> Result<Spec, XrslError> {
+    let spec = parse(src)?;
+    if !src.contains('$') {
+        return Ok(spec);
+    }
+    substitute(&spec, &HashMap::new()).map_err(|e| XrslError::Structure(e.to_string()))
+}
+
+/// The independent requests of a specification: the branches of a
+/// top-level multi-request, else the specification itself.
+fn branches(spec: &Spec) -> &[Spec] {
+    match spec {
+        Spec::Multi(parts) => parts,
+        one => std::slice::from_ref(one),
+    }
+}
+
 impl XrslRequest {
     /// Parse xRSL source into one request. Multi-requests (`+`) are
     /// rejected here; use [`XrslRequest::parse_all`] to expand them.
     pub fn from_text(src: &str) -> Result<XrslRequest, XrslError> {
-        let spec = parse(src)?;
-        Self::from_spec(&spec)
+        Self::from_spec(&read(src)?)
     }
 
     /// Parse xRSL source, expanding a top-level multi-request into one
     /// request per branch.
     pub fn parse_all(src: &str) -> Result<Vec<XrslRequest>, XrslError> {
-        let spec = parse(src)?;
-        match spec {
-            Spec::Multi(parts) => parts.iter().map(Self::from_spec).collect(),
-            other => Ok(vec![Self::from_spec(&other)?]),
-        }
+        branches(&read(src)?).iter().map(Self::from_spec).collect()
+    }
+
+    /// Parse xRSL source that should hold exactly one request (a
+    /// one-branch `+` is that branch). `Ok(None)` is a multi-request of
+    /// several branches, every one of them well-formed.
+    pub fn parse_one(src: &str) -> Result<Option<XrslRequest>, XrslError> {
+        let spec = read(src)?;
+        let mut requests = branches(&spec).iter().map(Self::from_spec);
+        let first = requests.next().transpose()?;
+        let others = requests.try_fold(0, |n, other| other.map(|_| n + 1))?;
+        Ok(first.filter(|_| others == 0))
     }
 
     /// Extract a typed request from a parsed specification.
@@ -338,73 +405,89 @@ impl XrslRequest {
             ));
         }
 
-        // Reject tags outside the vocabulary up front: a typoed tag that
-        // was silently ignored would change request semantics (the paper's
-        // `(respones=last)` would quietly become `cached`).
+        // The one pass over the relations: each tag is resolved once,
+        // `info` selectors accumulate in source order, and of every
+        // other tag the first relation wins.
+        let mut first: [Option<&Relation>; KNOWN_TAGS.len()] = [None; KNOWN_TAGS.len()];
+        let mut info = Vec::new();
         for rel in spec.relations() {
-            if !KNOWN_TAGS.contains(&rel.attribute.as_str()) {
+            // Reject tags outside the vocabulary: a typoed tag that was
+            // silently ignored would change request semantics (the
+            // paper's `(respones=last)` would quietly become `cached`).
+            let Some(slot) = KNOWN_TAGS.iter().position(|t| *t == rel.attribute) else {
                 return Err(XrslError::UnknownTag {
                     tag: rel.attribute.clone(),
+                });
+            };
+            // A tag states a value. Read as `=`, `(executable!=/bin/rm)`
+            // would run the one program it excludes.
+            if rel.op != RelOp::Eq {
+                return Err(XrslError::BadTag {
+                    tag: rel.attribute.clone(),
+                    value: rel.to_string(),
+                    expected: "the = operator; an xRSL tag is not a comparison".to_string(),
+                });
+            }
+            if slot != Tag::Info as usize {
+                first[slot].get_or_insert(rel);
+                continue;
+            }
+            let values = flat_strings(&rel.values);
+            if values.is_empty() || values.iter().any(String::is_empty) {
+                return Err(bad(Tag::Info, "", "all, schema, or a keyword"));
+            }
+            for v in values {
+                info.push(if v.eq_ignore_ascii_case("all") {
+                    InfoSelector::All
+                } else if v.eq_ignore_ascii_case("schema") {
+                    InfoSelector::Schema
+                } else {
+                    InfoSelector::Keyword(v)
                 });
             }
         }
 
-        // ---- info selectors ----
-        let mut info = Vec::new();
-        for rel in spec.get_all("info") {
-            let values = flat_strings(&rel.values);
-            if values.is_empty() {
-                return Err(bad("info", "", "all, schema, or a keyword"));
-            }
-            for v in values {
-                if v.is_empty() {
-                    return Err(bad("info", &v, "all, schema, or a keyword"));
-                }
-                match v.to_ascii_lowercase().as_str() {
-                    "all" => info.push(InfoSelector::All),
-                    "schema" => info.push(InfoSelector::Schema),
-                    _ => info.push(InfoSelector::Keyword(v)),
-                }
-            }
-        }
+        let relation = |tag: Tag| first[tag as usize];
+        let literal = |tag: Tag| relation(tag).and_then(Relation::single_literal);
 
         // ---- job half ----
-        let job = match spec.get_literal("executable") {
+        let job = match literal(Tag::Executable) {
             Some(executable) => {
                 let executable = executable.to_string();
-                let arguments = spec
-                    .get("arguments")
+                let arguments = relation(Tag::Arguments)
                     .map(|r| flat_strings(&r.values))
                     .unwrap_or_default();
-                let environment = match spec.get("environment") {
-                    Some(r) => kv_pairs(&r.values, "environment")?,
+                let environment = match relation(Tag::Environment) {
+                    Some(r) => kv_pairs(&r.values, Tag::Environment)?,
                     None => Vec::new(),
                 };
-                let requirements = match spec.get("requirements") {
-                    Some(r) => kv_pairs(&r.values, "requirements")?,
+                let requirements = match relation(Tag::Requirements) {
+                    Some(r) => kv_pairs(&r.values, Tag::Requirements)?,
                     None => Vec::new(),
                 };
-                let count = match spec.get_literal("count") {
+                let count = match literal(Tag::Count) {
                     Some(c) => c
                         .parse::<u32>()
                         .ok()
                         .filter(|&c| c >= 1)
-                        .ok_or_else(|| bad("count", c, "a positive integer"))?,
+                        .ok_or_else(|| bad(Tag::Count, c, "a positive integer"))?,
                     None => 1,
                 };
-                let max_time = match spec.get_literal("maxtime") {
+                let max_time = match literal(Tag::MaxTime) {
                     Some(m) => Some(Duration::from_secs(
                         60 * m
                             .parse::<u64>()
-                            .map_err(|_| bad("maxtime", m, "minutes as an integer"))?,
+                            .map_err(|_| bad(Tag::MaxTime, m, "minutes as an integer"))?,
                     )),
                     None => None,
                 };
-                let explicit_type = match spec.get_literal("jobtype") {
+                let explicit_type = match literal(Tag::JobType) {
                     Some("fork") => Some(JobType::Fork),
                     Some("batch") => Some(JobType::Batch),
                     Some("jarlet") | Some("jar") => Some(JobType::Jarlet),
-                    Some(other) => return Err(bad("jobtype", other, "fork, batch, or jarlet")),
+                    Some(other) => {
+                        return Err(bad(Tag::JobType, other, "fork, batch, or jarlet"));
+                    }
                     None => None,
                 };
                 let job_type = explicit_type.unwrap_or({
@@ -414,23 +497,23 @@ impl XrslRequest {
                         JobType::Fork
                     }
                 });
-                let restart_on_fail = match spec.get_literal("restartonfail") {
+                let restart_on_fail = match literal(Tag::RestartOnFail) {
                     Some(n) => n
                         .parse::<u32>()
-                        .map_err(|_| bad("restartonfail", n, "a retry count"))?,
+                        .map_err(|_| bad(Tag::RestartOnFail, n, "a retry count"))?,
                     None => 0,
                 };
                 Some(JobRequest {
                     executable,
                     arguments,
                     environment,
-                    directory: spec.get_literal("directory").map(str::to_string),
+                    directory: literal(Tag::Directory).map(str::to_string),
                     count,
                     max_time,
-                    stdout: spec.get_literal("stdout").map(str::to_string),
-                    stderr: spec.get_literal("stderr").map(str::to_string),
+                    stdout: literal(Tag::Stdout).map(str::to_string),
+                    stderr: literal(Tag::Stderr).map(str::to_string),
                     job_type,
-                    queue: spec.get_literal("queue").map(str::to_string),
+                    queue: literal(Tag::Queue).map(str::to_string),
                     requirements,
                     restart_on_fail,
                     timeout: None, // patched below, after tag parsing
@@ -441,49 +524,49 @@ impl XrslRequest {
         };
 
         // ---- extension tags ----
-        let response = match spec.get_literal("response") {
+        let response = match literal(Tag::Response) {
             Some("immediate") => ResponseMode::Immediate,
             Some("cached") => ResponseMode::Cached,
             Some("last") => ResponseMode::Last,
-            Some(other) => return Err(bad("response", other, "immediate, cached, or last")),
+            Some(other) => return Err(bad(Tag::Response, other, "immediate, cached, or last")),
             None => ResponseMode::default(),
         };
-        let format = match spec.get_literal("format") {
+        let format = match literal(Tag::Format) {
             Some("ldif") => OutputFormat::Ldif,
             Some("xml") => OutputFormat::Xml,
             Some("dsml") => OutputFormat::Dsml,
             Some("plain") => OutputFormat::Plain,
-            Some(other) => return Err(bad("format", other, "ldif, xml, dsml, or plain")),
+            Some(other) => return Err(bad(Tag::Format, other, "ldif, xml, dsml, or plain")),
             None => OutputFormat::default(),
         };
-        let quality = match spec.get_literal("quality") {
+        let quality = match literal(Tag::Quality) {
             Some(q) => {
                 let v: f64 = q
                     .parse()
-                    .map_err(|_| bad("quality", q, "a percentage 0-100"))?;
+                    .map_err(|_| bad(Tag::Quality, q, "a percentage 0-100"))?;
                 if !(0.0..=100.0).contains(&v) {
-                    return Err(bad("quality", q, "a percentage 0-100"));
+                    return Err(bad(Tag::Quality, q, "a percentage 0-100"));
                 }
                 Some(v)
             }
             None => None,
         };
-        let performance = match spec.get_literal("performance") {
+        let performance = match literal(Tag::Performance) {
             Some("true") | Some("yes") | Some("on") => true,
             Some("false") | Some("no") | Some("off") => false,
-            Some(other) => return Err(bad("performance", other, "true or false")),
+            Some(other) => return Err(bad(Tag::Performance, other, "true or false")),
             None => false,
         };
-        let timeout = match spec.get_literal("timeout") {
+        let timeout = match literal(Tag::Timeout) {
             Some(t) => {
                 Some(Duration::from_millis(t.parse::<u64>().map_err(|_| {
-                    bad("timeout", t, "milliseconds as an integer")
+                    bad(Tag::Timeout, t, "milliseconds as an integer")
                 })?))
             }
             None => None,
         };
         let mut action = RequestAction::None;
-        let timeout_action = match spec.get_literal("action") {
+        let timeout_action = match literal(Tag::Action) {
             Some("cancel") => TimeoutAction::Cancel,
             Some("exception") => TimeoutAction::Exception,
             Some("subscribe") => {
@@ -496,17 +579,17 @@ impl XrslRequest {
             }
             Some(other) => {
                 return Err(bad(
-                    "action",
+                    Tag::Action,
                     other,
                     "cancel, exception, subscribe, or unsubscribe",
                 ))
             }
             None => TimeoutAction::default(),
         };
-        let subscription = match spec.get_literal("subscription") {
+        let subscription = match literal(Tag::Subscription) {
             Some(s) => Some(
                 s.parse::<u64>()
-                    .map_err(|_| bad("subscription", s, "a subscription id"))?,
+                    .map_err(|_| bad(Tag::Subscription, s, "a subscription id"))?,
             ),
             None => None,
         };
@@ -564,7 +647,7 @@ impl XrslRequest {
             quality,
             performance,
             format,
-            filter: spec.get_literal("filter").map(str::to_string),
+            filter: literal(Tag::Filter).map(str::to_string),
             timeout,
             timeout_action,
             action,
@@ -910,6 +993,253 @@ mod tests {
             XrslRequest::parse_all("+(&(executable=a))(&(inof=cpu))"),
             Err(XrslError::UnknownTag { .. })
         ));
+    }
+
+    /// The request every tag's default adds up to.
+    fn plain() -> XrslRequest {
+        XrslRequest {
+            job: None,
+            info: Vec::new(),
+            response: ResponseMode::Cached,
+            quality: None,
+            performance: false,
+            format: OutputFormat::Ldif,
+            filter: None,
+            timeout: None,
+            timeout_action: TimeoutAction::Cancel,
+            action: RequestAction::None,
+            subscription: None,
+        }
+    }
+
+    fn keywords(names: &[&str]) -> Vec<InfoSelector> {
+        names
+            .iter()
+            .map(|k| InfoSelector::Keyword(k.to_string()))
+            .collect()
+    }
+
+    enum Refusal {
+        /// `BadTag` naming this tag.
+        BadTag(&'static str),
+        /// `UnknownTag` naming this tag.
+        UnknownTag(&'static str),
+        /// `Structure` whose message contains this.
+        Structure(&'static str),
+    }
+
+    /// What the one pass over the relations must keep doing: each row is
+    /// a source text and the request, or the refusal, it reads as.
+    #[test]
+    fn one_pass_extraction_table() {
+        let job = |executable: &str| JobRequest {
+            executable: executable.to_string(),
+            arguments: Vec::new(),
+            environment: Vec::new(),
+            directory: None,
+            count: 1,
+            max_time: None,
+            stdout: None,
+            stderr: None,
+            job_type: JobType::Fork,
+            queue: None,
+            requirements: Vec::new(),
+            restart_on_fail: 0,
+            timeout: None,
+            timeout_action: TimeoutAction::Cancel,
+        };
+        // Each variable twice the one before it: forty ask for a terabyte.
+        let doubling: String = (0..40)
+            .map(|i| format!("(rslsubstitution=(V{} $(V{i}) # $(V{i})))", i + 1))
+            .collect();
+        let doubling = format!("(rslsubstitution=(V0 aaaaaaaa)){doubling}(info=$(V40))");
+        let table = [
+            // Of a duplicated single-valued tag the first relation wins.
+            (
+                "(info=cpu)(response=last)(response=immediate)",
+                Ok(XrslRequest {
+                    info: keywords(&["cpu"]),
+                    response: ResponseMode::Last,
+                    ..plain()
+                }),
+            ),
+            // Job tags are read only beside an `executable`.
+            (
+                "(info=cpu)(count=abc)",
+                Ok(XrslRequest {
+                    info: keywords(&["cpu"]),
+                    ..plain()
+                }),
+            ),
+            ("&(executable=x)(count=abc)", Err(Refusal::BadTag("count"))),
+            // Selectors: sequences flatten, empty is refused, `all` and
+            // `schema` are case-insensitive.
+            (
+                "(info=(a b))(info=c)",
+                Ok(XrslRequest {
+                    info: keywords(&["a", "b", "c"]),
+                    ..plain()
+                }),
+            ),
+            ("(info=\"\")", Err(Refusal::BadTag("info"))),
+            (
+                "(info=ALL)(info=Schema)(info=Alle)",
+                Ok(XrslRequest {
+                    info: vec![
+                        InfoSelector::All,
+                        InfoSelector::Schema,
+                        InfoSelector::Keyword("Alle".to_string()),
+                    ],
+                    ..plain()
+                }),
+            ),
+            // Relations under a nested `&` are facts; under `|` they are
+            // alternatives and are not read (nor checked).
+            (
+                "&(info=a)(&(info=b)(format=xml))",
+                Ok(XrslRequest {
+                    info: keywords(&["a", "b"]),
+                    format: OutputFormat::Xml,
+                    ..plain()
+                }),
+            ),
+            (
+                "&(info=a)(|(info=b)(format=xml)(inof=c))",
+                Ok(XrslRequest {
+                    info: keywords(&["a"]),
+                    ..plain()
+                }),
+            ),
+            (
+                "(info=cpu)(format=xml)(inof=mem)",
+                Err(Refusal::UnknownTag("inof")),
+            ),
+            // A tag states a value: any operator but `=` is refused, not
+            // read as `=`.
+            (
+                "&(executable!=/bin/rm)(count<3)",
+                Err(Refusal::BadTag("executable")),
+            ),
+            (
+                "&(executable=/bin/rm)(count<3)",
+                Err(Refusal::BadTag("count")),
+            ),
+            ("(info!=cpu)", Err(Refusal::BadTag("info"))),
+            ("(info=cpu)(quality>=50)", Err(Refusal::BadTag("quality"))),
+            // RSL variables are resolved when the text has any.
+            (
+                "&(rslsubstitution=(D /tmp))(executable=/bin/ls)(directory=$(D))(arguments=$(D) x)",
+                Ok(XrslRequest {
+                    job: Some(JobRequest {
+                        directory: Some("/tmp".to_string()),
+                        arguments: vec!["/tmp".to_string(), "x".to_string()],
+                        ..job("/bin/ls")
+                    }),
+                    ..plain()
+                }),
+            ),
+            (
+                "(rslsubstitution=(K Mem))(info=$(K) # ory)",
+                Ok(XrslRequest {
+                    info: keywords(&["Memory"]),
+                    ..plain()
+                }),
+            ),
+            ("(info=$(K))", Err(Refusal::Structure("$(K)"))),
+            ("(info=cpu)(filter=$(F))", Err(Refusal::Structure("$(F)"))),
+            (
+                "(rslsubstitution=K)(info=$(K))",
+                Err(Refusal::Structure("rslsubstitution")),
+            ),
+            (doubling.as_str(), Err(Refusal::Structure("expand past"))),
+            // A quoted `$` is text, and costs only the substitution pass.
+            (
+                "&(executable=echo)(arguments=\"$5\")",
+                Ok(XrslRequest {
+                    job: Some(JobRequest {
+                        arguments: vec!["$5".to_string()],
+                        ..job("echo")
+                    }),
+                    ..plain()
+                }),
+            ),
+        ];
+        for (src, want) in table {
+            let got = XrslRequest::from_text(src);
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{src}"),
+                (Err(XrslError::BadTag { tag, .. }), Err(Refusal::BadTag(want))) => {
+                    assert_eq!(tag, want, "{src}")
+                }
+                (Err(XrslError::UnknownTag { tag }), Err(Refusal::UnknownTag(want))) => {
+                    assert_eq!(tag, want, "{src}");
+                    let msg = got.as_ref().unwrap_err().to_string();
+                    assert!(msg.contains(want) && msg.contains(&KNOWN_TAGS.join(", ")));
+                }
+                (Err(XrslError::Structure(msg)), Err(Refusal::Structure(want))) => {
+                    assert!(msg.contains(want), "{src}: {msg}")
+                }
+                _ => panic!("{src}: {got:?}"),
+            }
+            // The three entry points read a single request alike.
+            assert_eq!(XrslRequest::parse_one(src), got.clone().map(Some), "{src}");
+            assert_eq!(XrslRequest::parse_all(src), got.map(|r| vec![r]), "{src}");
+        }
+    }
+
+    #[test]
+    fn parse_one_counts_branches_after_checking_them() {
+        let one = XrslRequest::parse_one("+(&(info=cpu))").unwrap();
+        assert_eq!(one, Some(XrslRequest::from_text("(info=cpu)").unwrap()));
+        assert_eq!(
+            XrslRequest::parse_one("+(&(executable=a))(&(info=cpu))"),
+            Ok(None)
+        );
+        assert!(matches!(
+            XrslRequest::parse_one("+(&(executable=a))(&(inof=cpu))"),
+            Err(XrslError::UnknownTag { .. })
+        ));
+    }
+
+    /// Hostile input at this layer: every prefix and every single-bit
+    /// flip of one text per vocabulary tag comes back as a `Result`.
+    #[test]
+    fn truncated_and_flipped_requests_never_panic() {
+        let corpus = [
+            "&(executable=/bin/app)(arguments=-l \"a b\" (c d))(count=2)(maxtime=5)",
+            "&(executable=x.jar)(environment=(HOME /home/g)(LANG C))(directory=/tmp)",
+            "&(executable=x)(stdout=/tmp/out)(stderr=/tmp/err)(jobtype=batch)(queue=lsf)",
+            "&(executable=x)(requirements=(os linux)(arch x86))(restartonfail=3)",
+            "&(rslsubstitution=(D /tmp)(E $(D) # /e))(executable=$(E))(timeout=10)(action=cancel)",
+            "(info=Memory)(info=(cpu all))(response=immediate)(quality=75.5)(performance=true)",
+            "(info=schema)(format=xml)(filter=Memory:free)",
+            "+(&(action=subscribe)(info=cpu))(&(action=unsubscribe)(subscription=7))",
+        ];
+        for tag in KNOWN_TAGS {
+            let needle = format!("({tag}=");
+            assert!(
+                corpus.iter().any(|c| c.contains(&needle)),
+                "no text has {tag}"
+            );
+        }
+        for text in corpus {
+            XrslRequest::parse_all(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert!(text.is_ascii(), "every byte offset is a char boundary");
+            for end in 0..text.len() {
+                let _ = XrslRequest::parse_all(&text[..end]);
+            }
+            for pos in 0..text.len() {
+                for bit in 0..8 {
+                    let mut damaged = text.as_bytes().to_vec();
+                    damaged[pos] ^= 1 << bit;
+                    // The wire carries request text as UTF-8 or not at all.
+                    if let Ok(damaged) = String::from_utf8(damaged) {
+                        let _ = XrslRequest::parse_all(&damaged);
+                        let _ = XrslRequest::parse_one(&damaged);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

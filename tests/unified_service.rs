@@ -502,3 +502,109 @@ fn wide_reply_says_quality_and_age_once_per_record() {
     assert_eq!(reply.records[15].attributes[23].value.len(), 24);
     sandbox.shutdown();
 }
+
+#[test]
+fn text_that_would_kill_the_process_is_bad_rsl_on_a_connection_that_lives_on() {
+    // One request from any user (the WS gateway asks for no credentials
+    // at all) must not take the service down for everyone.
+    use infogram::core::ws::{WsClient, WsGateway};
+    use infogram::core::InfoGramDispatcher;
+    use infogram::proto::message::{Reply, Request};
+    use std::sync::Arc;
+    let sandbox = Sandbox::start();
+    // The parser recurses once per `(`. Unbounded, 100 000 of them
+    // overflowed the connection thread's stack, and a stack overflow
+    // aborts the whole process.
+    let nesting = "(".repeat(100_000);
+    // Each variable is twice the one before it. Unbounded, forty of them
+    // are a terabyte `String`, and a failed allocation aborts as well.
+    let doubling: String = (0..40)
+        .map(|i| format!("(rslsubstitution=(V{} $(V{i}) # $(V{i})))", i + 1))
+        .collect();
+    let doubling = format!("(rslsubstitution=(V0 aaaaaaaa)){doubling}(info=$(V40))");
+
+    let gateway = WsGateway::start(
+        InfoGramDispatcher::new(
+            Arc::clone(sandbox.service.engine()),
+            Arc::clone(sandbox.service.info_service()),
+        ),
+        "/O=Grid/OU=WS/CN=Gateway",
+        "gregor",
+        &sandbox.net,
+        "node00.grid.example.org:8080",
+    )
+    .unwrap();
+    let mut client = sandbox.connect_client();
+    let mut ws = WsClient::connect(&sandbox.net, gateway.addr()).unwrap();
+    let submit = |rsl: &str| Request::Submit {
+        rsl: rsl.to_string(),
+        callback: false,
+    };
+    for hostile in [&nesting, &doubling] {
+        match client.query_rsl(hostile) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, codes::BAD_RSL),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(client.query_rsl("(info=Memory)").unwrap().record_count, 1);
+
+        match ws.call(&submit(hostile)).unwrap() {
+            Reply::Error { code, .. } => assert_eq!(code, codes::BAD_RSL),
+            other => panic!("{other:?}"),
+        }
+        match ws.call(&submit("(info=Memory)")).unwrap() {
+            Reply::InfoResult { record_count, .. } => assert_eq!(record_count, 1),
+            other => panic!("{other:?}"),
+        }
+    }
+    gateway.shutdown();
+    sandbox.shutdown();
+}
+
+#[test]
+fn a_comparison_on_a_tag_is_bad_rsl_not_an_assignment() {
+    // `(executable!=/bin/rm)` used to run `/bin/rm`: the operator was
+    // never read.
+    let sandbox = Sandbox::start();
+    let mut client = sandbox.connect_client();
+    match client.submit("&(executable!=/bin/rm)(count<3)", false) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, codes::BAD_RSL);
+            assert!(message.contains("executable!=/bin/rm"), "{message}");
+        }
+        other => panic!("{other:?}"),
+    }
+    sandbox.shutdown();
+}
+
+#[test]
+fn rsl_variables_reach_the_job_and_the_query() {
+    // `$(D)` used to arrive as the literal argument "$(D)" (and the
+    // `directory` as nothing at all). The simulated host has no working
+    // directory to observe, so the listing goes by the argument.
+    let sandbox = Sandbox::start();
+    let mut client = sandbox.connect_client();
+    let handle = client
+        .submit(
+            "&(rslsubstitution=(D /home/gregor))(executable=/bin/ls)(directory=$(D))(arguments=$(D))",
+            false,
+        )
+        .unwrap();
+    let (poll, deadline) = wait_opts();
+    let (state, exit, output) = client.wait_terminal(&handle, poll, deadline).unwrap();
+    assert_eq!((state, exit), (JobStateCode::Done, Some(0)), "{output}");
+    assert!(output.contains("paper.tex"), "{output}");
+
+    let reply = client
+        .query_rsl("(rslsubstitution=(K Memory))(info=$(K))")
+        .unwrap();
+    assert_eq!(reply.records[0].keyword, "Memory");
+    // An unbound variable is a malformed request, not a keyword named "$(K)".
+    match client.query_rsl("(info=$(K))") {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, codes::BAD_RSL);
+            assert!(message.contains("$(K)"), "{message}");
+        }
+        other => panic!("{other:?}"),
+    }
+    sandbox.shutdown();
+}
