@@ -8,7 +8,7 @@
 //! registered watchers (the client event callbacks of §2).
 
 use crate::backend::{BackendError, BackendJobRef, BackendStatus, ExecBackend};
-use crate::wal::{NamePool, RecoveredJob, RecoveryStats, Wal, WalError, WalEvent};
+use crate::wal::{NamePool, Principal, RecoveredJob, RecoveryStats, Wal, WalError, WalEvent};
 use infogram_host::machine::SimulatedHost;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::JobStateCode;
@@ -119,10 +119,8 @@ struct LiveJob {
 /// held the job's owner, account and xRSL all along — is the one place
 /// its outcome is kept.
 struct JobEntry {
-    /// Shared with every other entry of the same owner.
-    owner: Arc<str>,
-    /// Shared with every other entry of the same account.
-    account: Arc<str>,
+    /// Owner and account, shared with every other entry of the same pair.
+    principal: Arc<Principal>,
     /// What the job will have printed, shown once it is terminal.
     output: String,
     /// Never terminal.
@@ -147,7 +145,7 @@ struct PendingFinish {
     wall: Duration,
 }
 
-/// The job table, and the identity strings its entries share.
+/// The job table, and the principals its entries share.
 #[derive(Default)]
 struct JobTable {
     /// Jobs in flight.
@@ -436,13 +434,8 @@ impl JobEngine {
         }
         {
             let mut jobs = self.jobs.lock();
-            let (owner, account) = (
-                jobs.identities.intern(owner),
-                jobs.identities.intern(account),
-            );
             let entry = JobEntry {
-                owner,
-                account,
+                principal: jobs.identities.intern(owner, account),
                 output,
                 state: initial_state,
                 live: Box::new(live),
@@ -556,7 +549,7 @@ impl JobEngine {
                     // restart a job upon failure".
                     live.retries_left -= 1;
                     self.metrics.counter("jobs.restarts").incr();
-                    match backend.submit(&live.spec, &entry.account) {
+                    match backend.submit(&live.spec, entry.principal.account()) {
                         Ok((job_ref, output)) => {
                             // The failed attempt is waited for: reap it.
                             backend.release(&std::mem::replace(&mut live.job_ref, job_ref));
@@ -869,10 +862,10 @@ impl JobEngine {
         {
             let jobs = self.jobs.lock();
             if let Some(entry) = jobs.entries.get(&job_id) {
-                return Some(read(&entry.owner, &entry.account));
+                return Some(read(entry.principal.owner(), entry.principal.account()));
             }
         }
-        self.finished_row(job_id, |job, _| read(&job.owner, &job.account))
+        self.finished_row(job_id, |job, _| read(job.owner(), job.account()))
     }
 
     /// Job-contact authorization (§2: a handle can be used "from other
@@ -926,7 +919,7 @@ impl JobEngine {
             let launched = XrslRequest::from_text(&job.rsl)
                 .ok()
                 .and_then(|req| req.job)
-                .and_then(|spec| self.launch(spec, &job.account, now).ok());
+                .and_then(|spec| self.launch(spec, job.account(), now).ok());
             let Some((live, output, initial)) = launched else {
                 // As for any other failure, terminal only once durable: a
                 // log that is read-only at boot leaves the job in flight
@@ -947,8 +940,7 @@ impl JobEngine {
             self.jobs.lock().entries.insert(
                 job.job_id,
                 JobEntry {
-                    owner: job.owner,
-                    account: job.account,
+                    principal: job.principal,
                     output,
                     state: initial,
                     live: Box::new(live),

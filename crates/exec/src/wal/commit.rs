@@ -88,7 +88,7 @@ struct CommitQueue {
 struct WalIo {
     sink: FrameWal,
     fold: CheckpointState,
-    /// The owner / account strings the fold's rows share.
+    /// The principals the fold's rows share.
     names: NamePool,
     events_since_ckpt: u64,
     /// Information queries counted per account and not yet settled into
@@ -159,7 +159,7 @@ impl Wal {
                 stats.events_since_checkpoint += 1;
                 // A decoded checkpoint is moved into the fold, not cloned.
                 if let WalEvent::Checkpoint(ck) = ev {
-                    fold.replace(*ck);
+                    fold = *ck;
                     stats.events_since_checkpoint = 0;
                     stats.checkpoint_used = true;
                 } else {
@@ -237,9 +237,7 @@ impl Wal {
     /// Read the fold's row for one job, under the I/O lock, without
     /// copying it. `read` must not call back into the log.
     pub fn with_job<R>(&self, job_id: u64, read: impl FnOnce(&RecoveredJob) -> R) -> Option<R> {
-        let io = self.io.lock();
-        let state = &io.fold.state;
-        state.position(job_id).map(|at| read(&state.jobs[at]))
+        self.io.lock().fold.state.jobs.find(job_id).map(read)
     }
 
     /// Attach a telemetry handle. Publishes the recovery damage gauges
@@ -472,7 +470,8 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::super::event::fixtures::sample_events;
-    use super::super::frame::checkpoint_frame;
+    use super::super::fold::JobRows;
+    use super::super::frame::{checkpoint_frame, frame_batch};
     use super::super::{FileWal, FrameWal, MemStorage};
     use super::*;
     use infogram_proto::message::JobStateCode;
@@ -620,7 +619,7 @@ mod tests {
             };
             wal.commit(SimTime::ZERO, &[submitted]).unwrap();
         }
-        let table = wal.with_fold(|fold| checkpoint_frame(fold).len() as u64);
+        let table = wal.with_fold(|fold| checkpoint_frame(fold, 0).len() as u64);
         assert!(table > 4 * cfg.segment_max_bytes);
 
         let before = metrics.counter_value("wal.checkpoints");
@@ -799,8 +798,16 @@ mod tests {
     /// and a later `Finished` finds the row that moved.
     #[test]
     fn a_checkpoint_in_commit_order_loads_in_id_order() {
-        let mut ck = CheckpointState::from_events(&[submitted(1), submitted(2), submitted(3)]);
-        ck.state.jobs.swap(1, 2);
+        // Jobs 1, 3, 2, as a fold before ISSUE 19 wrote them.
+        let row = |id: u64| {
+            format!("\x1f{id}\x1f(executable=job{id})\x1f/O=Grid/CN=Alice\x1falice\x1f-\x1f-")
+        };
+        let payload = format!(
+            "CKPT\x1f1\x1f3\x1f3\x1f1{}{}{}\x1falice\x1f3\x1f0\x1f0\x1f0\x1f0",
+            row(1),
+            row(3),
+            row(2)
+        );
         let finished = WalEvent::Finished {
             job_id: 2,
             state: JobStateCode::Failed,
@@ -808,19 +815,16 @@ mod tests {
             wall_seconds: 0.5,
         };
         let storage = MemStorage::new();
-        let mut sink = FrameWal::open(storage.clone()).unwrap();
-        sink.install_checkpoint(&ck).unwrap();
-        sink.append_batch(&[finished.encode().as_str()], true)
-            .unwrap();
-        drop(sink);
+        storage.preload(1, frame_batch(&[&payload, &finished.encode()]));
 
         let wal = Wal::new(Box::new(FrameWal::open(storage).unwrap()));
         assert!(wal.recovery_stats().checkpoint_used);
+        assert_eq!(wal.recovery_stats().events_since_checkpoint, 1);
         let rows = wal.with_fold(|fold| fold.state.jobs.clone());
         let ends: Vec<_> = rows.iter().map(|job| (job.job_id, job.finished)).collect();
         let failed = Some((JobStateCode::Failed, Some(7)));
         assert_eq!(ends, [(1, None), (2, failed), (3, None)]);
-        assert_eq!(&*rows[1].rsl, "(executable=job2)");
+        assert_eq!(&*rows.find(2).unwrap().rsl, "(executable=job2)");
         assert_eq!(wal.with_job(2, |job| job.finished), Some(failed));
         assert_eq!(wal.with_job(4, |job| job.job_id), None);
         assert_eq!(wal.with_fold(|fold| fold.accounts["alice"].failed), 1);
@@ -837,7 +841,7 @@ mod tests {
                 committer.join().unwrap().unwrap();
             }
         });
-        let ids = |jobs: &[RecoveredJob]| jobs.iter().map(|job| job.job_id).collect::<Vec<_>>();
+        let ids = |jobs: &JobRows| jobs.iter().map(|job| job.job_id).collect::<Vec<_>>();
         assert_eq!(wal.with_fold(|fold| ids(&fold.state.jobs)), [1, 2, 3, 4]);
         assert_eq!(
             wal.with_job(1, |job| job.rsl.to_string()).as_deref(),

@@ -2,12 +2,11 @@
 //! `\x1f`-separated payload. Nothing outside this file knows a tag or
 //! an escape.
 
-use super::fold::{AccountUsage, CheckpointState, NamePool, RecoveredJob, RecoveredState};
+use super::fold::{AccountUsage, CheckpointState, JobRows, NamePool, RecoveredJob, RecoveredState};
 use infogram_proto::message::JobStateCode;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
 
 const SEP: char = '\x1f';
 
@@ -18,6 +17,17 @@ const CHECKPOINT_TAG: &str = "CKPT";
 /// record kind.
 pub(super) fn checkpoint_body(payload: &str) -> Option<&str> {
     payload.strip_prefix(CHECKPOINT_TAG)?.strip_prefix(SEP)
+}
+
+/// Bytes of a payload's start that [`starts_checkpoint`] needs.
+pub(super) const CHECKPOINT_PREFIX_LEN: usize = CHECKPOINT_TAG.len() + 1;
+
+/// Whether a payload beginning with `prefix` is a checkpoint, judged by
+/// its first [`CHECKPOINT_PREFIX_LEN`] bytes alone.
+pub(super) fn starts_checkpoint(prefix: &[u8]) -> bool {
+    prefix
+        .strip_prefix(CHECKPOINT_TAG.as_bytes())
+        .is_some_and(|rest| rest.first() == Some(&(SEP as u8)))
 }
 
 /// One logged event.
@@ -263,8 +273,8 @@ impl CheckpointState {
                 "{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}",
                 j.job_id,
                 Esc(&j.rsl),
-                Esc(&j.owner),
-                Esc(&j.account)
+                Esc(j.owner()),
+                Esc(j.account())
             );
             let _ = match j.finished {
                 None => write!(out, "-{SEP}-"),
@@ -306,22 +316,23 @@ impl CheckpointState {
             return None;
         }
         let mut names = NamePool::default();
-        let mut jobs = Vec::with_capacity(njobs);
+        let mut jobs = JobRows::default();
         for _ in 0..njobs {
             let job_id: u64 = it.next()?.parse().ok()?;
-            let rsl = Arc::from(unesc(it.next()?)?);
-            let owner = names.intern(&unesc(it.next()?)?);
-            let account = names.intern(&unesc(it.next()?)?);
+            let rsl = unesc(it.next()?)?.into();
+            let owner = unesc(it.next()?)?;
+            let principal = names.intern(&owner, &unesc(it.next()?)?);
             let finished = match (it.next()?, it.next()?) {
                 ("-", _) => None,
                 (state, "-") => Some((parse_state(state)?, None)),
                 (state, exit) => Some((parse_state(state)?, Some(exit.parse().ok()?))),
             };
-            jobs.push(RecoveredJob {
+            // A checkpoint written while rows sat in commit order loads
+            // in id order.
+            jobs.insert(RecoveredJob {
                 job_id,
                 rsl,
-                owner,
-                account,
+                principal,
                 finished,
             });
         }
@@ -435,6 +446,7 @@ pub(super) mod fixtures {
 mod tests {
     use super::fixtures::{golden_fold, sample_events};
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -521,18 +533,23 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_rows_share_their_identity_strings() {
+    fn checkpoint_rows_share_their_principal() {
         let WalEvent::Checkpoint(ck) =
             WalEvent::decode(&WalEvent::Checkpoint(Box::new(golden_fold())).encode()).unwrap()
         else {
             panic!("a checkpoint decodes to a checkpoint");
         };
-        let jobs = &ck.state.jobs;
-        assert!(Arc::ptr_eq(&jobs[0].owner, &jobs[2].owner));
-        assert!(Arc::ptr_eq(&jobs[0].account, &jobs[2].account));
-        // A clone copies the table, not the text.
+        let job = |id| ck.state.jobs.find(id).unwrap();
+        assert!(Arc::ptr_eq(&job(1).principal, &job(3).principal));
+        assert!(!Arc::ptr_eq(&job(1).principal, &job(2).principal));
+        assert_eq!(job(2).owner(), "/O=Grid/CN=Eve\x1fMallory\r\n");
+        assert_eq!(job(2).account(), "eve%1F\x1f");
+        // A clone copies no row: the text is where it was.
         let copy = ck.clone();
-        assert!(Arc::ptr_eq(&copy.state.jobs[1].rsl, &jobs[1].rsl));
+        assert!(std::ptr::eq(
+            &*copy.state.jobs.find(2).unwrap().rsl,
+            &*job(2).rsl
+        ));
     }
 }
 
@@ -595,7 +612,7 @@ mod proptests {
             let WalEvent::Checkpoint(ck) = decoded else {
                 panic!("a checkpoint decodes to a checkpoint");
             };
-            prop_assert_eq!(checkpoint_frame(&ck)[8..].to_vec(), first.into_bytes());
+            prop_assert_eq!(checkpoint_frame(&ck, 0)[8..].to_vec(), first.into_bytes());
         }
     }
 }

@@ -2,7 +2,7 @@
 //! knows the layout — building frames, scanning them back, classifying
 //! damage.
 
-use super::event::checkpoint_body;
+use super::event::{checkpoint_body, starts_checkpoint, CHECKPOINT_PREFIX_LEN};
 use super::fold::CheckpointState;
 
 /// Bytes of `len` + `crc32` in front of every payload.
@@ -82,10 +82,13 @@ pub(super) fn frame_batch(payloads: &[&str]) -> Vec<u8> {
     buf
 }
 
-/// One frame holding `checkpoint`, encoded once: the payload is written
-/// behind an eight-byte placeholder that then receives length and CRC.
-pub(super) fn checkpoint_frame(checkpoint: &CheckpointState) -> Vec<u8> {
-    let mut frame = "\0".repeat(HEADER);
+/// One frame holding `checkpoint`, encoded once into a buffer of
+/// `capacity` bytes (it grows past that if it must): the payload is
+/// written behind an eight-byte placeholder that then receives length and
+/// CRC.
+pub(super) fn checkpoint_frame(checkpoint: &CheckpointState, capacity: usize) -> Vec<u8> {
+    let mut frame = String::with_capacity(capacity.max(HEADER));
+    frame.extend(std::iter::repeat_n('\0', HEADER));
     checkpoint.encode_into(&mut frame);
     let mut frame = frame.into_bytes();
     let (header, payload) = frame.split_at_mut(HEADER);
@@ -161,6 +164,27 @@ pub(super) fn head_checkpoint_len(bytes: &[u8]) -> usize {
         },
     );
     len
+}
+
+/// Bytes of a segment's start that [`declared_head_checkpoint`] reads.
+pub(super) const HEAD_PROBE: usize = HEADER + CHECKPOINT_PREFIX_LEN;
+
+/// The size a segment's first frame declares, if its payload starts like
+/// a checkpoint's and the frame fits in the segment's `seg_len` bytes;
+/// else 0. Only `head` — the segment's first [`HEAD_PROBE`] bytes — is
+/// read and nothing is checksummed: a damaged head only moves when the
+/// next checkpoint is cut, while [`head_checkpoint_len`] decides what
+/// recovery replays.
+pub(super) fn declared_head_checkpoint(head: &[u8], seg_len: u64) -> u64 {
+    let [a, b, c, d, _, _, _, _, payload @ ..] = head else {
+        return 0;
+    };
+    let size = HEADER as u64 + u32::from_le_bytes([*a, *b, *c, *d]) as u64;
+    if starts_checkpoint(payload) && size <= seg_len {
+        size
+    } else {
+        0
+    }
 }
 
 /// What recovery salvaged (and could not salvage) from the log. Surfaced

@@ -48,8 +48,9 @@
 //!
 //! - `event` — the text codec: record tags, field escaping, the
 //!   checkpoint payload.
-//! - `fold` — what the log amounts to: job table, accounting, how each
-//!   event changes them.
+//! - `fold` — what the log amounts to: job table (rows in shared chunks,
+//!   one interned principal per row), accounting, how each event changes
+//!   them.
 //! - `frame` — the frame layout, the CRC, damage classification.
 //! - `storage` — numbered byte segments: the simulator's crashable disk
 //!   and real files.
@@ -68,8 +69,8 @@ mod storage;
 
 pub use commit::{Wal, WalConfig, WalError};
 pub use event::WalEvent;
-pub(crate) use fold::NamePool;
-pub use fold::{AccountUsage, CheckpointState, RecoveredJob, RecoveredState};
+pub use fold::{AccountUsage, CheckpointState, JobRows, RecoveredJob, RecoveredState, Rows};
+pub(crate) use fold::{NamePool, Principal};
 pub use frame::RecoveryStats;
 pub use sink::{FileWal, FrameWal};
 pub use storage::{FileStorage, MemStorage, WalStorage};

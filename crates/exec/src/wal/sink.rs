@@ -3,7 +3,8 @@
 
 use super::fold::CheckpointState;
 use super::frame::{
-    checkpoint_frame, frame_batch, head_checkpoint_len, scan_frames, RecoveryStats,
+    checkpoint_frame, declared_head_checkpoint, frame_batch, head_checkpoint_len, scan_frames,
+    RecoveryStats, HEAD_PROBE,
 };
 use super::storage::{FileStorage, WalStorage};
 use std::io;
@@ -23,6 +24,9 @@ pub struct FrameWal {
     /// The head must not count towards `segment_max_bytes`, or a job
     /// table larger than one segment is re-written on every append.
     tail_len: u64,
+    /// Bytes of the newest checkpoint frame: the one this sink last cut,
+    /// or the one heading the active segment when it opened.
+    checkpoint_len: u64,
     next_seg: u64,
     /// Set after any append/sync error: the active segment's tail may be
     /// garbage (short write), so the next append rotates to a fresh
@@ -43,16 +47,21 @@ impl FrameWal {
                 1
             }
         };
-        let tail_len = storage
-            .read(active)
-            .map(|b| (b.len() - head_checkpoint_len(&b)) as u64)
-            .unwrap_or(0);
+        // The head frame's declared size is all this needs of the segment.
+        let (checkpoint_len, tail_len) = storage
+            .head(active, HEAD_PROBE)
+            .map(|(head, len)| {
+                let checkpoint = declared_head_checkpoint(&head, len);
+                (checkpoint, len - checkpoint)
+            })
+            .unwrap_or((0, 0));
         Ok(FrameWal {
             storage,
             next_seg: active + 1,
             segs,
             active,
             tail_len,
+            checkpoint_len,
             poisoned: false,
         })
     }
@@ -124,7 +133,7 @@ impl FrameWal {
     /// into the frame buffer, and reclaim older history. Returns how many
     /// segments were reclaimed.
     pub fn install_checkpoint(&mut self, checkpoint: &CheckpointState) -> io::Result<u64> {
-        let buf = checkpoint_frame(checkpoint);
+        let buf = checkpoint_frame(checkpoint, self.checkpoint_capacity(checkpoint));
         let seg = self.next_seg;
         self.next_seg += 1;
         // Durable new segment BEFORE reclaiming old ones: a crash between
@@ -145,9 +154,19 @@ impl FrameWal {
         });
         self.segs.push(seg);
         self.active = seg;
+        self.checkpoint_len = buf.len() as u64;
         self.tail_len = 0;
         self.poisoned = false;
         Ok(reclaimed)
+    }
+
+    /// A buffer for `checkpoint`'s frame: the newest frame plus what was
+    /// logged since — a record's frame is longer than what it adds to the
+    /// table — plus the query counts a checkpoint settles without a
+    /// record, a `u64`'s 20 digits per account at most. (Past that, as
+    /// when the table came from elsewhere, the buffer grows.)
+    fn checkpoint_capacity(&self, checkpoint: &CheckpointState) -> usize {
+        (self.checkpoint_len + self.tail_len) as usize + 20 * checkpoint.accounts.len()
     }
 }
 
@@ -167,6 +186,7 @@ impl FileWal {
 #[cfg(test)]
 mod tests {
     use super::super::event::fixtures::golden_fold;
+    use super::super::fold::NamePool;
     use super::super::{MemStorage, RecoveredState, Wal, WalConfig, WalEvent};
     use super::*;
     use infogram_proto::message::JobStateCode;
@@ -204,6 +224,96 @@ mod tests {
             WalEvent::decode(payload),
             Some(WalEvent::Checkpoint(Box::new(golden_fold())))
         );
+    }
+
+    /// Opening reads the active segment's head, not the segment: on
+    /// either storage, the bytes appended after its head checkpoint come
+    /// out as they did when the whole segment was read and checksummed.
+    #[test]
+    fn open_measures_the_tail_from_the_head_alone() {
+        let checkpoint = checkpoint_frame(&golden_fold(), 0);
+        let records = frame_batch(&["START\x1f1", "STATE\x1f1\x1fACTIVE"]);
+        let cases = [
+            Vec::new(),
+            [&checkpoint[..], &records].concat(),
+            records.clone(),
+            // A torn tail, and a torn head.
+            [&checkpoint[..], &records[..records.len() - 3]].concat(),
+            checkpoint[..checkpoint.len() - 1].to_vec(),
+        ];
+        let dir = std::env::temp_dir().join(format!("infogram-head-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (case, bytes) in cases.iter().enumerate() {
+            let whole_read = (bytes.len() - head_checkpoint_len(bytes)) as u64;
+            // The simulator's disk, the head split across its durable and
+            // volatile bytes.
+            let mem = MemStorage::new();
+            let durable = bytes.len().min(HEAD_PROBE - 3);
+            mem.preload(1, bytes[..durable].to_vec());
+            mem.append(1, &bytes[durable..]).unwrap();
+            let prefix = dir.join(format!("case{case}.wal"));
+            std::fs::write(dir.join(format!("case{case}.wal.1")), bytes).unwrap();
+            let file = Arc::new(FileStorage::open(prefix).unwrap());
+            let storages: [Arc<dyn WalStorage>; 2] = [mem, file];
+            for storage in storages {
+                let (head, len) = storage.head(1, HEAD_PROBE).unwrap();
+                assert_eq!(head, bytes[..bytes.len().min(HEAD_PROBE)], "case {case}");
+                assert_eq!(len, bytes.len() as u64, "case {case}");
+                let sink = FrameWal::open(storage).unwrap();
+                assert_eq!(sink.tail_len(), whole_read, "case {case}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every checkpoint frame fits the buffer reserved for it, so a cut
+    /// under `exec.wal.io` never copies a half-encoded frame: the first
+    /// cut of a log, later cuts of a table that doubles or grows by a
+    /// tenth in between (`job_submit`'s grows by 14–50 %), cuts after a
+    /// reopen, new accounts and query counts settled without a record.
+    #[test]
+    fn a_checkpoint_frame_fits_its_buffer() {
+        let storage = MemStorage::new();
+        let mut sink = FrameWal::open(storage.clone()).unwrap();
+        let mut fold = CheckpointState::default();
+        let mut names = NamePool::default();
+        for job_id in 1..=4_000u64 {
+            let account = format!("user{}", job_id % 1_000 / 300);
+            let events = [
+                WalEvent::Submitted {
+                    job_id,
+                    rsl: format!("&(executable=simwork)(arguments={})", job_id % 10),
+                    owner: format!("/O=Grid/CN={account}"),
+                    account: account.clone(),
+                },
+                WalEvent::StateChanged {
+                    job_id,
+                    state: JobStateCode::Active,
+                },
+                WalEvent::Finished {
+                    job_id,
+                    state: JobStateCode::Done,
+                    exit_code: Some(0),
+                    wall_seconds: 0.001 * job_id as f64,
+                },
+            ];
+            for ev in &events {
+                sink.append_batch(&[&ev.encode()], false).unwrap();
+                fold.apply(ev, &mut names);
+            }
+            fold.count_info_queries(&format!("reader{}", job_id / 1_000), job_id);
+            if job_id % 400 == 0 {
+                let frame = checkpoint_frame(&fold, 0).len();
+                let reserved = sink.checkpoint_capacity(&fold);
+                assert!(frame <= reserved, "job {job_id}: {frame} > {reserved}");
+                sink.install_checkpoint(&fold).unwrap();
+                assert_eq!(sink.checkpoint_len, frame as u64);
+            }
+            if job_id % 1_000 == 100 {
+                sink = FrameWal::open(storage.clone()).unwrap();
+            }
+        }
     }
 
     fn contract_cfg() -> WalConfig {

@@ -4,7 +4,7 @@
 use infogram_sim::fault::{AppendVerdict, DiskFaultPlan, SyncVerdict, DISK_CRASHED_DETAIL};
 use parking_lot::{lock_class, Mutex};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -15,6 +15,9 @@ pub trait WalStorage: Send + Sync + std::fmt::Debug {
     fn segments(&self) -> io::Result<Vec<u64>>;
     /// Read a whole segment; absent segments read as empty.
     fn read(&self, seg: u64) -> io::Result<Vec<u8>>;
+    /// The first `n` bytes of a segment (fewer if it is shorter) and its
+    /// length, without reading the rest; absent segments read as empty.
+    fn head(&self, seg: u64, n: usize) -> io::Result<(Vec<u8>, u64)>;
     /// Append bytes to a segment (creating it if absent). May write a
     /// prefix and fail (short/torn write).
     fn append(&self, seg: u64, bytes: &[u8]) -> io::Result<()>;
@@ -134,6 +137,20 @@ impl WalStorage for MemStorage {
                 all
             })
             .unwrap_or_default())
+    }
+
+    fn head(&self, seg: u64, n: usize) -> io::Result<(Vec<u8>, u64)> {
+        let st = self.state.lock();
+        if st.crashed {
+            return Err(Self::err(DISK_CRASHED_DETAIL));
+        }
+        let Some(s) = st.segs.get(&seg) else {
+            return Ok((Vec::new(), 0));
+        };
+        let durable = &s.durable[..n.min(s.durable.len())];
+        let volatile = &s.volatile[..(n - durable.len()).min(s.volatile.len())];
+        let len = (s.durable.len() + s.volatile.len()) as u64;
+        Ok(([durable, volatile].concat(), len))
     }
 
     fn append(&self, seg: u64, bytes: &[u8]) -> io::Result<()> {
@@ -279,6 +296,18 @@ impl WalStorage for FileStorage {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
             Err(e) => Err(e),
         }
+    }
+
+    fn head(&self, seg: u64, n: usize) -> io::Result<(Vec<u8>, u64)> {
+        let file = match std::fs::File::open(self.seg_path(seg)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+            Err(e) => return Err(e),
+        };
+        let len = file.metadata()?.len();
+        let mut head = Vec::with_capacity(n);
+        file.take(n as u64).read_to_end(&mut head)?;
+        Ok((head, len))
     }
 
     fn append(&self, seg: u64, bytes: &[u8]) -> io::Result<()> {

@@ -50,7 +50,8 @@ echo "==> cargo test --workspace"
 cargo test --workspace -q
 
 echo "==> job_memory ceilings, release build"
-cargo test --release -q -p infogram-exec --test job_memory -- --nocapture
+# One thread, so the printed table is not interleaved with `test … ok`.
+cargo test --release -q -p infogram-exec --test job_memory -- --nocapture --test-threads=1
 
 sh scripts/check_lockdep.sh
 
