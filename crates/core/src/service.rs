@@ -92,14 +92,22 @@ impl InfoGramService {
         // this service writes into.
         info.register_metrics_provider(metrics.clone());
 
-        // Port for job handles: parse from the bind address when present.
-        let (hostname, port) = match params.bind_addr.rsplit_once(':') {
-            Some((h, p)) => (h.to_string(), p.parse().unwrap_or(0)),
-            None => (params.bind_addr.clone(), 0),
-        };
+        // Bind before the engine exists: a job handle names the port the
+        // listener resolved (`host:0` picks one), which is where another
+        // client reconnects to (§2).
+        let listener = transport.listen(&params.bind_addr)?;
+        let port = listener
+            .local_addr()
+            .rsplit_once(':')
+            .and_then(|(_, p)| p.parse().ok())
+            .unwrap_or(0);
+        let hostname = params
+            .bind_addr
+            .rsplit_once(':')
+            .map_or(params.bind_addr.as_str(), |(h, _)| h);
         let engine_config = EngineConfig {
             service_name: params.service_name.clone(),
-            hostname,
+            hostname: hostname.to_string(),
             port,
         };
         let engine = JobEngine::new(
@@ -172,13 +180,12 @@ impl InfoGramService {
         let server = GramServer::start(
             Arc::clone(&engine),
             dispatcher,
-            transport,
-            &params.bind_addr,
+            listener,
             params.credential,
             params.trust_roots,
             params.authorizer,
             clock,
-        )?;
+        );
         Ok(Arc::new(InfoGramService {
             server,
             info,

@@ -17,7 +17,7 @@ use crate::engine::{JobEngine, SubmitError};
 use crate::wal::Wal;
 use infogram_gsi::{wire_server_respond, wire_server_verify, Authorizer, Certificate, Credential};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
-use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
+use infogram_proto::transport::{Acceptor, Conn, Listener};
 use infogram_proto::{JobHandle, Outbox};
 use infogram_rsl::{RequestKind, XrslRequest};
 use infogram_sim::clock::SharedClock;
@@ -300,19 +300,18 @@ struct Gatekeeper {
 }
 
 impl GramServer {
-    /// Start a server: bind, spawn the accept loop, serve until
-    /// [`GramServer::shutdown`].
-    #[allow(clippy::too_many_arguments)]
+    /// Start a server on a bound `listener` — bound before the engine is
+    /// built, so the engine's handles name the port `listener` resolved
+    /// — and serve until [`GramServer::shutdown`].
     pub fn start(
         engine: Arc<JobEngine>,
         dispatcher: Arc<dyn RequestDispatcher>,
-        transport: &dyn Transport,
-        bind_addr: &str,
+        listener: Box<dyn Listener>,
         credential: Credential,
         trust_roots: Vec<Certificate>,
         authorizer: Arc<Authorizer>,
         clock: SharedClock,
-    ) -> Result<Arc<Self>, ProtoError> {
+    ) -> Arc<Self> {
         let telemetry = engine.metrics();
         let gatekeeper = Gatekeeper {
             connections: telemetry.counter("gram.connections"),
@@ -326,10 +325,8 @@ impl GramServer {
             authorizer,
             clock,
         };
-        let acceptor = Acceptor::start(transport, bind_addr, move |conn| {
-            gatekeeper.serve_connection(conn)
-        })?;
-        Ok(Arc::new(GramServer { engine, acceptor }))
+        let acceptor = Acceptor::serve(listener, move |conn| gatekeeper.serve_connection(conn));
+        Arc::new(GramServer { engine, acceptor })
     }
 
     /// The bound address clients connect to.

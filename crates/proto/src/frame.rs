@@ -4,8 +4,13 @@
 //! by the payload. Used directly by the TCP transport; the in-memory
 //! transport passes whole messages and only charges the frame overhead to
 //! its byte accounting.
+//!
+//! A frame is handed to the writer in one `write_vectored` call (length
+//! and payload as two slices, no copy): on a `TCP_NODELAY` socket a
+//! second `write` is a second segment and a second wake-up of the
+//! reader, which has the length and blocks until the payload follows.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Upper bound on a frame payload (16 MiB) — a malformed or hostile
 /// length prefix must not drive an allocation.
@@ -43,13 +48,24 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Write one frame.
+/// Write one frame: one `write_vectored` of length and payload, looping
+/// only if the writer accepts part of it. A writer without vectored
+/// writes (the trait's default) degrades to one `write` per slice.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(payload.len()));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let header = (payload.len() as u32).to_be_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -99,6 +115,76 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), vec![0xffu8; 100]);
         assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
+    }
+
+    /// A socket-like writer: counts the calls that reach it and takes at
+    /// most `max` bytes per call.
+    struct Socket {
+        bytes: Vec<u8>,
+        calls: usize,
+        max: usize,
+    }
+
+    impl Socket {
+        fn new(max: usize) -> Self {
+            Socket {
+                bytes: Vec::new(),
+                calls: 0,
+                max,
+            }
+        }
+    }
+
+    impl Write for Socket {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let before = self.bytes.len();
+            for b in bufs {
+                let room = self.max - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [&b""[..], b"(info=Memory)", &[7u8; 40_000]] {
+            let mut socket = Socket::new(usize::MAX);
+            write_frame(&mut socket, payload).unwrap();
+            assert_eq!(socket.calls, 1, "{} payload bytes", payload.len());
+            let mut r = Cursor::new(socket.bytes);
+            assert_eq!(read_frame(&mut r).unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn a_partial_write_is_resumed_where_it_stopped() {
+        let payload: Vec<u8> = (0..=255).collect();
+        for max in [1, 3, 4, 5, 100] {
+            let mut socket = Socket::new(max);
+            write_frame(&mut socket, &payload).unwrap();
+            assert_eq!(socket.calls, (payload.len() + 4).div_ceil(max));
+            let mut r = Cursor::new(socket.bytes);
+            assert_eq!(read_frame(&mut r).unwrap(), payload, "{max} bytes a call");
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error() {
+        let mut socket = Socket::new(0);
+        assert!(matches!(
+            write_frame(&mut socket, b"x"),
+            Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::WriteZero
+        ));
     }
 
     #[test]

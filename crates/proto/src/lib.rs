@@ -13,7 +13,8 @@
 //!   encoding. Info queries travel as ordinary submits whose RSL carries
 //!   `(info=...)` tags.
 //! * [`handle`] — GlobusID-style job contact handles
-//!   (`x-infogram://host:port/jobid/epoch`).
+//!   (`x-infogram://host:port/jobid/epoch` to a user; their four fields
+//!   on the wire).
 //! * [`record`] — information records: namespaced attributes with
 //!   quality-of-information annotations.
 //! * [`render`] — LDIF, XML, and plain renderers for records (§6.6
@@ -24,7 +25,7 @@
 //!   renderer-round-trippable.
 //! * [`outbox`] — bounded per-connection frame queues with
 //!   slow-consumer eviction, the backpressure half of the push path.
-//! * [`frame`] — length-prefixed framing.
+//! * [`frame`] — length-prefixed framing, one write per frame.
 //! * [`transport`] — the [`transport::Transport`] abstraction with an
 //!   in-memory channel network (deterministic, latency-modelled) and a
 //!   real TCP implementation.

@@ -10,8 +10,9 @@
 use crate::handle::JobHandle;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Protocol version carried in every request.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Protocol version carried in every request and reply. 3: a job handle
+/// is sent as its fields, not as its `x-infogram://` string.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// GRAM-flavoured error codes.
 pub mod codes {
@@ -308,13 +309,69 @@ pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| err("invalid utf-8"))
 }
 
+/// Append `v` as unsigned LEB128: seven bits per byte, low group first,
+/// the high bit set on every byte but the last (at most 10 bytes).
+fn put_varint(buf: &mut BytesMut, mut v: u64) {
+    while v >= 0x80 {
+        buf.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.put_u8(v as u8);
+}
+
+fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        if !buf.has_remaining() {
+            return Err(err("truncated varint"));
+        }
+        let byte = buf.get_u8();
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            // The tenth byte carries bit 63 alone.
+            return if shift == 63 && byte > 1 {
+                Err(err("varint overflows u64"))
+            } else {
+                Ok(v)
+            };
+        }
+    }
+    Err(err("varint longer than 10 bytes"))
+}
+
+/// A handle crosses the wire as its fields: varint host length, host
+/// bytes, big-endian `u16` port, varint job id, varint epoch — 15 bytes
+/// for `127.0.0.1` and a job id of 128–16 383, where the
+/// `x-infogram://…` string cost 35.
 fn put_handle(buf: &mut BytesMut, h: &JobHandle) {
-    put_str(buf, &h.to_string());
+    put_varint(buf, h.host.len() as u64);
+    buf.put_slice(h.host.as_bytes());
+    buf.put_slice(&h.port.to_be_bytes());
+    put_varint(buf, h.job_id);
+    put_varint(buf, h.epoch);
 }
 
 fn get_handle(buf: &mut Bytes) -> Result<JobHandle, WireError> {
-    let s = get_str(buf)?;
-    JobHandle::parse(&s).map_err(|e| err(&e.to_string()))
+    let len = get_varint(buf)?;
+    // Checked against what arrived before anything is allocated.
+    if len > buf.remaining() as u64 {
+        return Err(err("truncated handle host"));
+    }
+    let len = len as usize;
+    let host = std::str::from_utf8(&buf.chunk()[..len])
+        .map_err(|_| err("invalid utf-8 in handle host"))?
+        .to_string();
+    buf.advance(len);
+    if buf.remaining() < 2 {
+        return Err(err("truncated handle port"));
+    }
+    let port = u16::from_be_bytes([buf.get_u8(), buf.get_u8()]);
+    Ok(JobHandle {
+        host,
+        port,
+        job_id: get_varint(buf)?,
+        epoch: get_varint(buf)?,
+    })
 }
 
 impl Request {
@@ -757,6 +814,94 @@ mod tests {
     }
 
     #[test]
+    fn a_handle_is_its_fields_on_the_wire() {
+        let status = Request::Status {
+            handle: JobHandle::new("127.0.0.1", 2119, 1, 1),
+        };
+        let golden = [&[3, 1, 9][..], b"127.0.0.1", &[0x08, 0x47, 0x01, 0x01]].concat();
+        assert_eq!(status.encode(), golden);
+        assert_eq!(Request::decode(&golden).unwrap(), status);
+        // A job id of 128..16 384, as in a long run: two varint bytes,
+        // a 15-byte handle.
+        let accepted = Reply::JobAccepted {
+            handle: JobHandle::new("127.0.0.1", 40_123, 4242, 1),
+        };
+        let golden = [
+            &[3, 0, 9][..],
+            b"127.0.0.1",
+            &[0x9c, 0xbb, 0x92, 0x21, 0x01],
+        ]
+        .concat();
+        assert_eq!(accepted.encode(), golden);
+        assert_eq!(golden.len() - 2, 15);
+    }
+
+    #[test]
+    fn varint_boundaries_roundtrip() {
+        for (v, len) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::MAX >> 1, 9),
+            (u64::MAX, 10),
+        ] {
+            let mut buf = BytesMut::with_capacity(10);
+            put_varint(&mut buf, v);
+            assert_eq!(buf.len(), len, "{v}");
+            let mut bytes = buf.freeze();
+            assert_eq!(get_varint(&mut bytes).unwrap(), v);
+            assert!(!bytes.has_remaining());
+        }
+    }
+
+    #[test]
+    fn a_v2_frame_is_refused_not_misparsed() {
+        // What protocol 2 sent: the handle as a u32-length string.
+        let url = b"x-infogram://127.0.0.1:2119/1/1";
+        let v2 = |tag: u8| [&[2, tag][..], &(url.len() as u32).to_be_bytes(), url].concat();
+        let refusal = "unsupported protocol version 2";
+        assert_eq!(Request::decode(&v2(1)).unwrap_err().reason, refusal);
+        assert_eq!(Reply::decode(&v2(0)).unwrap_err().reason, refusal);
+    }
+
+    #[test]
+    fn hostile_handle_fields_are_typed_errors() {
+        let refusal = |handle: &[u8]| {
+            Request::decode(&[&[PROTOCOL_VERSION, 1][..], handle].concat())
+                .unwrap_err()
+                .reason
+        };
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        let mut over = vec![0xff; 9];
+        over.push(0x02);
+        for (handle, reason) in [
+            (vec![0x80; 11], "varint longer than 10 bytes"),
+            (over, "varint overflows u64"),
+            // The host length says u64::MAX; nothing is allocated for it.
+            (max, "truncated handle host"),
+            (vec![5, b'a', b'b'], "truncated handle host"),
+            (
+                vec![2, 0xc3, 0x28, 0, 1, 1, 1],
+                "invalid utf-8 in handle host",
+            ),
+            (vec![1, b'h', 0], "truncated handle port"),
+            (vec![1, b'h', 0, 1], "truncated varint"),
+            (vec![1, b'h', 0, 1, 0x81], "truncated varint"),
+            (vec![1, b'h', 0, 1, 1], "truncated varint"),
+            (vec![], "truncated varint"),
+        ] {
+            assert_eq!(refusal(&handle), reason, "{handle:?}");
+        }
+        // Every field at its largest decodes.
+        let h = JobHandle::new(&"h".repeat(300), u16::MAX, u64::MAX, u64::MAX);
+        let status = Request::Status { handle: h };
+        assert_eq!(Request::decode(&status.encode()).unwrap(), status);
+    }
+
+    #[test]
     fn unicode_rsl_survives() {
         let r = Request::Submit {
             rsl: "(arguments=\"grüße 世界\")".to_string(),
@@ -887,6 +1032,24 @@ mod proptests {
         fn error_roundtrip(code in any::<u32>(), message in "\\PC{0,64}") {
             let r = Reply::Error { code, message };
             prop_assert_eq!(Reply::decode(&r.encode()).unwrap(), r);
+        }
+
+        /// Hosts of 0–300 bytes cross the one-byte length varint; ids
+        /// and epochs shifted right by 0–63 bits cover every varint
+        /// length up to `u64::MAX`'s ten bytes.
+        #[test]
+        fn handle_roundtrip(
+            host in prop::collection::vec(0u8..128, 0..301),
+            port in any::<u16>(),
+            id in (any::<u64>(), 0u32..64),
+            epoch in (any::<u64>(), 0u32..64),
+        ) {
+            let host = String::from_utf8(host).unwrap();
+            let handle = JobHandle::new(&host, port, id.0 >> id.1, epoch.0 >> epoch.1);
+            let status = Request::Status { handle: handle.clone() };
+            prop_assert_eq!(Request::decode(&status.encode()).unwrap(), status);
+            let event = Reply::Event { handle, state: JobStateCode::Active };
+            prop_assert_eq!(Reply::decode(&event.encode()).unwrap(), event);
         }
     }
 }

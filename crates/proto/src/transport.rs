@@ -136,7 +136,17 @@ impl Acceptor {
         bind_addr: &str,
         handler: impl Fn(Arc<dyn Conn>) + Send + Sync + 'static,
     ) -> Result<Acceptor, ProtoError> {
-        let listener: Arc<dyn Listener> = Arc::from(transport.listen(bind_addr)?);
+        Ok(Self::serve(transport.listen(bind_addr)?, handler))
+    }
+
+    /// Serve an already bound `listener` — for a server whose state must
+    /// know the resolved address (a job handle names the port) before
+    /// the first connection is accepted.
+    pub fn serve(
+        listener: Box<dyn Listener>,
+        handler: impl Fn(Arc<dyn Conn>) + Send + Sync + 'static,
+    ) -> Acceptor {
+        let listener: Arc<dyn Listener> = Arc::from(listener);
         let addr = listener.local_addr();
         let handler = Arc::new(handler);
         let accepting = Arc::clone(&listener);
@@ -153,11 +163,11 @@ impl Acceptor {
                 std::thread::spawn(move || handler(conn));
             }
         });
-        Ok(Acceptor {
+        Acceptor {
             addr,
             listener,
             accept_thread: Mutex::new(Some(accept_thread)),
-        })
+        }
     }
 
     /// The bound address (with any `:0` port resolved).

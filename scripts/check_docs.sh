@@ -13,6 +13,9 @@
 #   of `crates/*/src` and the first column of DESIGN §13.2's table are
 #   the same set (the table's `a.{b,c}` groups count as `a.b` and
 #   `a.c`): a new class needs its row, a deleted one takes its row along.
+# - protocol version: `PROTOCOL_VERSION` in crates/proto/src/message.rs
+#   is the one version DESIGN §8.1 names as `PROTOCOL_VERSION = n`, so a
+#   wire change bumps the version and its documentation together.
 #
 # Works fully offline — all external dependencies are vendored under
 # shims/ (see shims/README.md), so no registry access is needed.
@@ -47,6 +50,16 @@ unused="$(echo "$named" | grep -vxF -e "$used" || true)"
 if [ -n "$unnamed$unused" ]; then
     [ -z "$unnamed" ] || printf 'lock classes not named in DESIGN §13.2:\n%s\n' "$unnamed" >&2
     [ -z "$unused" ] || printf 'DESIGN §13.2 rows naming no lock class in crates/*/src:\n%s\n' "$unused" >&2
+    exit 1
+fi
+
+echo "==> PROTOCOL_VERSION in crates/proto is the version DESIGN §8.1 documents"
+code="$(sed -n 's/^pub const PROTOCOL_VERSION: u8 = \([0-9]*\);$/\1/p' crates/proto/src/message.rs)"
+doc="$(awk '/^### 8\.1 /{on=1; next} /^##+ /{on=0} on' DESIGN.md |
+    grep -o '`PROTOCOL_VERSION = [0-9]*`' | tr -dc '0-9\n' | sort -u)"
+if [ -z "$code" ] || [ "$code" != "$doc" ]; then
+    printf 'PROTOCOL_VERSION is %s in crates/proto/src/message.rs; DESIGN §8.1 documents %s\n' \
+        "${code:-no value}" "$(echo ${doc:-none})" >&2
     exit 1
 fi
 

@@ -91,9 +91,11 @@ ORDER = [
      "Measured: the claim quantified across the job/info mix. The unified "
      "service does the same work with exactly half the connections and "
      "handshakes at every p_info, at equal-or-better latency. Byte volume "
-     "is comparable (the unified LDIF bodies run larger at high info "
-     "fractions because they carry the quality/age annotations the MDS "
-     "view lacks). The structural table is Figure 2 vs Figure 4 in rows. "
+     "is at parity or a few percent lower for the unified service "
+     "(bytes-win 1.02-1.04x); the job half of both worlds speaks the same "
+     "GRAMP-like protocol, so a job handle costs the same field encoding "
+     "(DESIGN §8.1) on either side. The structural table is Figure 2 vs "
+     "Figure 4 in rows. "
      "**This is the paper's thesis, and it holds.**"),
     ("E5", "E5 — caching beats exec-per-request (§5.1)",
      "Paper claim: `it would be wasteful to execute the command requesting "

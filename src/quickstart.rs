@@ -20,6 +20,7 @@ use infogram_info::config::ServiceConfig;
 use infogram_mds::gris::Gris;
 use infogram_mds::service::{Directory, MdsServer};
 use infogram_proto::transport::mem::MemNetwork;
+use infogram_proto::transport::Transport;
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
 use infogram_sim::{SimTime, SplitMix64, SystemClock};
@@ -205,18 +206,19 @@ impl Sandbox {
                 infogram_exec::backend::ForkBackend::new(Arc::clone(&registry)),
                 MetricSet::new(),
             );
+            let listener = net
+                .listen(&format!("{}:2120", cfg.hostname))
+                // lint:allow(unwrap) — quickstart sandbox: fail fast on misconfiguration
+                .expect("baseline GRAM binds");
             let gram = infogram_exec::gram::GramServer::start(
                 Arc::clone(&engine),
                 infogram_exec::gram::JobsOnlyDispatcher::new(engine),
-                &net,
-                &format!("{}:2120", cfg.hostname),
+                listener,
                 service_cred.clone(),
                 roots.clone(),
                 Arc::clone(&authorizer),
                 clock.clone(),
-            )
-            // lint:allow(unwrap) — quickstart sandbox: fail fast on misconfiguration
-            .expect("baseline GRAM starts");
+            );
             let gris = Gris::new(Arc::clone(service.info_service()));
             let mds = MdsServer::start(
                 Directory::Gris(gris),
