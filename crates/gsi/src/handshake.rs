@@ -15,6 +15,7 @@
 
 use crate::cert::{verify_chain, CertError, Certificate, Credential};
 use crate::dn::Dn;
+use crate::wire::{self, WireParseError};
 use infogram_sim::{SimTime, SplitMix64};
 
 /// Number of wire messages a full mutual handshake costs.
@@ -31,7 +32,7 @@ pub enum HandshakeError {
         side: &'static str,
     },
     /// A wire message was malformed.
-    Malformed(String),
+    Malformed(WireParseError),
 }
 
 impl std::fmt::Display for HandshakeError {
@@ -41,7 +42,9 @@ impl std::fmt::Display for HandshakeError {
             HandshakeError::BadProof { side } => {
                 write!(f, "handshake: bad proof of possession from {side}")
             }
-            HandshakeError::Malformed(s) => write!(f, "handshake: malformed message: {s}"),
+            HandshakeError::Malformed(e) => {
+                write!(f, "handshake: malformed message: {}", e.reason)
+            }
         }
     }
 }
@@ -113,20 +116,36 @@ pub fn authenticate(
 }
 
 // ---------------------------------------------------------------------
-// Wire-level handshake: the same 3 messages as byte payloads, used by the
-// gatekeepers over real connections.
+// Wire-level handshake: the same 3 messages as binary payloads, used by
+// the gatekeepers over real connections. Nonces and proofs are 8 bytes
+// little-endian; a chain is `wire::encode_chain`'s.
 //
-//   M1  client → server   HELLO  <client nonce> <client chain>
-//   M2  server → client   RESP   <server nonce> <sig over client nonce>
-//                                <server chain>
-//   M3  client → server   FIN    <sig over server nonce>
+//   M1  client → server   HELLO  tag, client nonce, client chain
+//   M2  server → client   RESP   tag, server nonce, proof over client
+//                                nonce, server chain
+//   M3  client → server   FIN    tag, proof over server nonce
 // ---------------------------------------------------------------------
 
-const FIELD_SEP: char = '\x1f';
-const SECTION_SEP: char = '\x1e';
+// Message tags: bytes UTF-8 never uses, so no text — a text-form
+// handshake, a stray request line — starts with one, and none is
+// `proto`'s `PROTOCOL_VERSION` (3) or the MDS's `'M'`, so no handshake
+// message reads as a request or reply of either protocol.
+const HELLO: u8 = 0xf5;
+const RESP: u8 = 0xf6;
+const FIN: u8 = 0xf7;
 
-fn malformed(what: &str) -> HandshakeError {
-    HandshakeError::Malformed(what.to_string())
+impl From<WireParseError> for HandshakeError {
+    fn from(e: WireParseError) -> Self {
+        HandshakeError::Malformed(e)
+    }
+}
+
+/// The fields of `msg` after its tag, if the tag is `tag`.
+fn open<'a>(msg: &'a [u8], tag: u8, refusal: &str) -> Result<&'a [u8], HandshakeError> {
+    match msg.split_first() {
+        Some((&t, rest)) if t == tag => Ok(rest),
+        _ => Err(HandshakeError::Malformed(wire::err(refusal))),
+    }
 }
 
 /// Server-side state between M1/M2 and M3.
@@ -144,11 +163,10 @@ pub struct ServerPending {
 /// client nonce to keep for [`wire_client_finish`].
 pub fn wire_client_hello(client: &Credential, rng: &mut SplitMix64) -> (Vec<u8>, u64) {
     let nonce = rng.next_u64();
-    let payload = format!(
-        "HELLO{FIELD_SEP}{nonce}{SECTION_SEP}{}",
-        crate::wire::encode_chain(&client.chain)
-    );
-    (payload.into_bytes(), nonce)
+    let mut payload = vec![HELLO];
+    payload.extend_from_slice(&nonce.to_le_bytes());
+    wire::put_chain(&mut payload, &client.chain);
+    (payload, nonce)
 }
 
 /// Server step: validate the HELLO, produce the RESP payload and the
@@ -160,30 +178,21 @@ pub fn wire_server_respond(
     now: SimTime,
     rng: &mut SplitMix64,
 ) -> Result<(Vec<u8>, ServerPending), HandshakeError> {
-    let text = std::str::from_utf8(hello).map_err(|_| malformed("HELLO utf-8"))?;
-    let (head, chain_str) = text
-        .split_once(SECTION_SEP)
-        .ok_or_else(|| malformed("HELLO sections"))?;
-    let (tag, nonce_str) = head
-        .split_once(FIELD_SEP)
-        .ok_or_else(|| malformed("HELLO header"))?;
-    if tag != "HELLO" {
-        return Err(malformed("HELLO tag"));
-    }
-    let client_nonce: u64 = nonce_str.parse().map_err(|_| malformed("HELLO nonce"))?;
-    let client_chain =
-        crate::wire::decode_chain(chain_str).map_err(|e| malformed(&e.to_string()))?;
+    let mut r = open(hello, HELLO, "not a HELLO")?;
+    let client_nonce = wire::get_u64(&mut r)?;
+    let client_chain = wire::get_chain(&mut r)?;
+    wire::end(r)?;
     let client_identity =
         verify_chain(&client_chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
 
     let server_nonce = rng.next_u64();
     let proof = server.key.sign(&client_nonce.to_le_bytes());
-    let payload = format!(
-        "RESP{FIELD_SEP}{server_nonce}{FIELD_SEP}{proof}{SECTION_SEP}{}",
-        crate::wire::encode_chain(&server.chain)
-    );
+    let mut payload = vec![RESP];
+    payload.extend_from_slice(&server_nonce.to_le_bytes());
+    payload.extend_from_slice(&proof.to_le_bytes());
+    wire::put_chain(&mut payload, &server.chain);
     Ok((
-        payload.into_bytes(),
+        payload,
         ServerPending {
             client_identity,
             client_leaf_key: client_chain[0].subject_key,
@@ -203,24 +212,11 @@ pub fn wire_client_finish(
     client_nonce: u64,
     now: SimTime,
 ) -> Result<(Vec<u8>, SecurityContext), HandshakeError> {
-    let text = std::str::from_utf8(resp).map_err(|_| malformed("RESP utf-8"))?;
-    let (head, chain_str) = text
-        .split_once(SECTION_SEP)
-        .ok_or_else(|| malformed("RESP sections"))?;
-    let mut fields = head.split(FIELD_SEP);
-    if fields.next() != Some("RESP") {
-        return Err(malformed("RESP tag"));
-    }
-    let server_nonce: u64 = fields
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| malformed("RESP nonce"))?;
-    let server_proof: u64 = fields
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| malformed("RESP proof"))?;
-    let server_chain =
-        crate::wire::decode_chain(chain_str).map_err(|e| malformed(&e.to_string()))?;
+    let mut r = open(resp, RESP, "not a RESP")?;
+    let server_nonce = wire::get_u64(&mut r)?;
+    let server_proof = wire::get_u64(&mut r)?;
+    let server_chain = wire::get_chain(&mut r)?;
+    wire::end(r)?;
     let server_identity =
         verify_chain(&server_chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
     if !server_chain[0]
@@ -230,9 +226,10 @@ pub fn wire_client_finish(
         return Err(HandshakeError::BadProof { side: "server" });
     }
     let fin_proof = client.key.sign(&server_nonce.to_le_bytes());
-    let payload = format!("FIN{FIELD_SEP}{fin_proof}");
+    let mut payload = vec![FIN];
+    payload.extend_from_slice(&fin_proof.to_le_bytes());
     Ok((
-        payload.into_bytes(),
+        payload,
         SecurityContext {
             peer: server_identity,
             local: client.base_identity(),
@@ -246,14 +243,9 @@ pub fn wire_server_verify(
     pending: &ServerPending,
     fin: &[u8],
 ) -> Result<SecurityContext, HandshakeError> {
-    let text = std::str::from_utf8(fin).map_err(|_| malformed("FIN utf-8"))?;
-    let (tag, proof_str) = text
-        .split_once(FIELD_SEP)
-        .ok_or_else(|| malformed("FIN header"))?;
-    if tag != "FIN" {
-        return Err(malformed("FIN tag"));
-    }
-    let proof: u64 = proof_str.parse().map_err(|_| malformed("FIN proof"))?;
+    let mut r = open(fin, FIN, "not a FIN")?;
+    let proof = wire::get_u64(&mut r)?;
+    wire::end(r)?;
     if !pending
         .client_leaf_key
         .verify(&pending.server_nonce.to_le_bytes(), proof)
@@ -392,6 +384,147 @@ mod tests {
     fn handshake_message_count_is_three() {
         // The constant the protocol-overhead experiments rely on.
         assert_eq!(HANDSHAKE_MESSAGES, 3);
+    }
+
+    /// Credentials shaped like the e21 benchmark's
+    /// (`benchmark/src/world.rs`): the same DNs, a one-year lifetime from
+    /// time zero, so serials 2 and 3 and the same field lengths.
+    fn e21_shaped(seed: u64) -> (Credential, Credential, Vec<Certificate>, SplitMix64) {
+        let mut rng = SplitMix64::new(seed);
+        let year = Duration::from_secs(365 * 86_400);
+        let ca = CertificateAuthority::new_root(
+            &Dn::user("Grid", "CA", "E21 Root CA"),
+            &mut rng,
+            SimTime::ZERO,
+            year,
+        );
+        let user = ca.issue(
+            &Dn::user("Grid", "Bench", "e21-client"),
+            &mut rng,
+            SimTime::ZERO,
+            year,
+        );
+        let service = ca.issue(
+            &Dn::user("Grid", "Hosts", "127.0.0.1"),
+            &mut rng,
+            SimTime::ZERO,
+            year,
+        );
+        (user, service, vec![ca.certificate().clone()], rng)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// HELLO, RESP and FIN with e21's credentials; `scripts/check_docs.sh`
+    /// holds DESIGN §8.1's handshake table to these three.
+    const E21_HELLO_BYTES: usize = 97;
+    const E21_RESP_BYTES: usize = 104;
+    const E21_FIN_BYTES: usize = 9;
+
+    #[test]
+    fn wire_handshake_golden_bytes() {
+        // A DN is its RDN count, then length + UTF-8 of each attribute
+        // and value.
+        const ROOT: &str = "03014f0447726964024f5502434102434e0b45323120526f6f74204341";
+        const YEAR: &str = "80808cedb2ba8238"; // 365 days in ns
+        let hello = [
+            "f5",               // HELLO
+            "c175bb0b0a05ada6", // client nonce
+            "01",               // one certificate
+            // subject /O=Grid/OU=Bench/CN=e21-client
+            "03014f0447726964024f550542656e636802434e0a6532312d636c69656e74",
+            ROOT,               // issuer /O=Grid/OU=CA/CN=E21 Root CA
+            "02",               // serial
+            "00",               // not_before
+            YEAR,               // not_after
+            "bfd5fe2529ff4fea", // key
+            "236de28f7003e128", // signature
+            "01",               // end entity
+        ]
+        .concat();
+        let resp = [
+            "f6",               // RESP
+            "e93e7f0c9afe1017", // server nonce
+            "8021f2ac80c236b9", // proof over the client nonce
+            "01",
+            // subject /O=Grid/OU=Hosts/CN=127.0.0.1
+            "03014f0447726964024f5505486f73747302434e093132372e302e302e31",
+            ROOT,
+            "03",
+            "00",
+            YEAR,
+            "bfc65e78feae6486",
+            "5050fa2728e8b6e3",
+            "01",
+        ]
+        .concat();
+        let fin = "f73ca1a8e7467176b8"; // FIN, proof
+
+        let (user, service, roots, mut rng) = e21_shaped(21);
+        let now = SimTime::from_secs(1);
+        let (m1, nonce) = wire_client_hello(&user, &mut rng);
+        let (m2, pending) = wire_server_respond(&service, &roots, &m1, now, &mut rng).unwrap();
+        let (m3, _) = wire_client_finish(&user, &roots, &m2, nonce, now).unwrap();
+        wire_server_verify(&pending, &m3).unwrap();
+        assert_eq!(hex(&m1), hello);
+        assert_eq!(hex(&m2), resp);
+        assert_eq!(hex(&m3), fin);
+    }
+
+    /// The sizes hold for any seed: nonces, keys and signatures are
+    /// fixed-width, and the serials and lifetimes are the same.
+    #[test]
+    fn wire_handshake_sizes_with_e21_credentials() {
+        for seed in [1, 21, 0xe21, u64::MAX] {
+            let (user, service, roots, mut rng) = e21_shaped(seed);
+            let (m1, nonce) = wire_client_hello(&user, &mut rng);
+            let (m2, _) =
+                wire_server_respond(&service, &roots, &m1, SimTime::ZERO, &mut rng).unwrap();
+            let (m3, _) = wire_client_finish(&user, &roots, &m2, nonce, SimTime::ZERO).unwrap();
+            assert_eq!(
+                [m1.len(), m2.len(), m3.len()],
+                [E21_HELLO_BYTES, E21_RESP_BYTES, E21_FIN_BYTES],
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// A DN is sent as its RDN pairs, so one a CA issued authenticates
+    /// over the wire exactly as it does in process — including values a
+    /// text form would trim or split.
+    #[test]
+    fn every_dn_a_ca_issues_authenticates_over_the_wire() {
+        let mut w = world();
+        let host = w.ca.issue(
+            &Dn::user("Grid", "Hosts", "gk"),
+            &mut w.rng,
+            SimTime::ZERO,
+            Duration::from_secs(86_400),
+        );
+        let roots = [w.ca.certificate().clone()];
+        let now = SimTime::from_secs(1);
+        for cn in [" Alice", "Alice ", "Al\x1eice", "Al\x1fice"] {
+            let dn = Dn::from_rdns(vec![
+                ("O".to_string(), "Grid".to_string()),
+                ("OU".to_string(), "ANL".to_string()),
+                ("CN".to_string(), cn.to_string()),
+            ])
+            .unwrap();
+            let user =
+                w.ca.issue(&dn, &mut w.rng, SimTime::ZERO, Duration::from_secs(86_400));
+            let (_, in_process) = authenticate(&user, &host, &roots, now, &mut w.rng).unwrap();
+            assert_eq!(in_process.peer, dn);
+
+            let (m1, nonce) = wire_client_hello(&user, &mut w.rng);
+            let (m2, pending) = wire_server_respond(&host, &roots, &m1, now, &mut w.rng)
+                .unwrap_or_else(|e| panic!("{cn:?}: {e}"));
+            let (m3, cctx) = wire_client_finish(&user, &roots, &m2, nonce, now).unwrap();
+            let sctx = wire_server_verify(&pending, &m3).unwrap();
+            assert_eq!(sctx.peer, dn, "{cn:?}");
+            assert_eq!(cctx.local, dn, "{cn:?}");
+        }
     }
 
     #[test]

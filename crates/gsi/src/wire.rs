@@ -1,16 +1,44 @@
 //! Wire encoding for certificate chains.
 //!
 //! The gatekeeper handshake sends certificate chains as the first frames
-//! of every connection. Certificates encode as text records with
-//! ASCII unit/record separators (`\x1F` between fields, `\x1E` between
-//! certificates), which no DN or number can contain.
+//! of every connection. A chain travels as its fields, in binary:
+//!
+//! * a chain is a varint count, then its certificates, leaf first;
+//! * a certificate is its subject and issuer, its serial, `not_before`
+//!   and `not_after` (unsigned LEB128 varints, times in nanoseconds), its
+//!   key and its signature (8 bytes little-endian each), and its type —
+//!   one byte, followed for a proxy by its varint delegation depth;
+//! * a DN is a varint count of RDNs, each an attribute and a value
+//!   written as varint length + UTF-8.
+//!
+//! Decoding rebuilds each DN from its pairs with [`Dn::from_rdns`], so
+//! every DN a CA can issue — leading or trailing spaces, control bytes
+//! and all — reads back as it was signed. Every count and length is
+//! checked against the bytes that arrived before anything is allocated
+//! for it.
 
 use crate::cert::{CertType, Certificate, PublicKey};
 use crate::dn::Dn;
-use infogram_sim::SimTime;
+use infogram_sim::{varint, SimTime};
 
-const FIELD_SEP: char = '\x1f';
-const CERT_SEP: char = '\x1e';
+/// The most certificates a chain, and RDNs a DN, may hold on the wire —
+/// far deeper than any delegation a grid uses. A decoded item takes more
+/// memory than its bytes on the wire (an RDN 48 bytes, a certificate 96,
+/// before their strings), so this bounds what a message of many tiny
+/// items can make the decoder allocate.
+pub const MAX_ITEMS: u64 = 64;
+
+/// The fewest bytes an RDN takes: two one-byte lengths and a byte of
+/// each string ([`Dn::from_rdns`] refuses empty ones).
+const MIN_RDN_LEN: usize = 4;
+
+/// The fewest bytes a certificate takes: two one-RDN DNs, three one-byte
+/// varints, key, signature and type.
+const MIN_CERT_LEN: usize = 2 * (1 + MIN_RDN_LEN) + 3 + 8 + 8 + 1;
+
+const TYPE_CA: u8 = 0;
+const TYPE_END_ENTITY: u8 = 1;
+const TYPE_PROXY: u8 = 2;
 
 /// A chain failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,76 +55,222 @@ impl std::fmt::Display for WireParseError {
 
 impl std::error::Error for WireParseError {}
 
-fn err(reason: &str) -> WireParseError {
+pub(crate) fn err(reason: &str) -> WireParseError {
     WireParseError {
         reason: reason.to_string(),
     }
 }
 
-fn encode_cert(c: &Certificate) -> String {
-    let type_str = match c.cert_type {
-        CertType::Ca => "CA".to_string(),
-        CertType::EndEntity => "EE".to_string(),
-        CertType::Proxy { depth_remaining } => format!("P{depth_remaining}"),
-    };
-    [
-        c.subject.to_string(),
-        c.issuer.to_string(),
-        c.serial.to_string(),
-        c.not_before.as_nanos().to_string(),
-        c.not_after.as_nanos().to_string(),
-        c.subject_key.0.to_string(),
-        type_str,
-        c.signature.to_string(),
-    ]
-    .join(&FIELD_SEP.to_string())
+fn put_varint(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&varint::encode(v));
 }
 
-fn decode_cert(s: &str) -> Result<Certificate, WireParseError> {
-    let fields: Vec<&str> = s.split(FIELD_SEP).collect();
-    if fields.len() != 8 {
-        return Err(err(&format!("expected 8 fields, got {}", fields.len())));
+fn get_varint(r: &mut &[u8]) -> Result<u64, WireParseError> {
+    let (v, len) = varint::decode(r).map_err(|e| WireParseError {
+        reason: e.to_string(),
+    })?;
+    *r = &r[len..];
+    Ok(v)
+}
+
+fn get_u8(r: &mut &[u8]) -> Result<u8, WireParseError> {
+    let (&b, rest) = r.split_first().ok_or_else(|| err("truncated byte"))?;
+    *r = rest;
+    Ok(b)
+}
+
+/// A `u64`, 8 bytes little-endian.
+pub(crate) fn get_u64(r: &mut &[u8]) -> Result<u64, WireParseError> {
+    let (head, rest) = r
+        .split_first_chunk::<8>()
+        .ok_or_else(|| err("truncated u64"))?;
+    *r = rest;
+    Ok(u64::from_le_bytes(*head))
+}
+
+/// Refuse bytes after the last field.
+pub(crate) fn end(r: &[u8]) -> Result<(), WireParseError> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(err("trailing bytes"))
     }
-    let cert_type = match fields[6] {
-        "CA" => CertType::Ca,
-        "EE" => CertType::EndEntity,
-        p => {
-            let depth = p
-                .strip_prefix('P')
-                .and_then(|d| d.parse().ok())
-                .ok_or_else(|| err(&format!("bad cert type '{p}'")))?;
-            CertType::Proxy {
-                depth_remaining: depth,
-            }
-        }
-    };
-    Ok(Certificate {
-        subject: Dn::parse(fields[0]).map_err(|e| err(&e.to_string()))?,
-        issuer: Dn::parse(fields[1]).map_err(|e| err(&e.to_string()))?,
-        serial: fields[2].parse().map_err(|_| err("bad serial"))?,
-        not_before: SimTime::from_nanos(fields[3].parse().map_err(|_| err("bad not_before"))?),
-        not_after: SimTime::from_nanos(fields[4].parse().map_err(|_| err("bad not_after"))?),
-        subject_key: PublicKey(fields[5].parse().map_err(|_| err("bad key"))?),
-        cert_type,
-        signature: fields[7].parse().map_err(|_| err("bad signature"))?,
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// A string, borrowed from the message once its length and UTF-8 are
+/// checked.
+fn take_str<'a>(r: &mut &'a [u8]) -> Result<&'a str, WireParseError> {
+    let len = get_varint(r)?;
+    if len > r.len() as u64 {
+        return Err(err("truncated string"));
+    }
+    let (s, rest) = r.split_at(len as usize);
+    *r = rest;
+    std::str::from_utf8(s).map_err(|_| err("invalid utf-8"))
+}
+
+/// A varint count of items of at least `min_len` bytes each, refused
+/// past [`MAX_ITEMS`] or past what the remaining bytes could hold.
+fn take_count(r: &mut &[u8], min_len: usize, too_many: &str) -> Result<usize, WireParseError> {
+    let count = get_varint(r)?;
+    if count > MAX_ITEMS || count > (r.len() / min_len) as u64 {
+        return Err(err(too_many));
+    }
+    Ok(count as usize)
+}
+
+fn put_dn(out: &mut Vec<u8>, dn: &Dn) {
+    put_varint(out, dn.rdns().len() as u64);
+    for (attr, value) in dn.rdns() {
+        put_str(out, attr);
+        put_str(out, value);
+    }
+}
+
+/// A DN as it lies in the message: `count` RDNs whose lengths and UTF-8
+/// are checked, nothing allocated yet.
+struct RawDn<'a> {
+    count: usize,
+    bytes: &'a [u8],
+}
+
+fn take_dn<'a>(r: &mut &'a [u8]) -> Result<RawDn<'a>, WireParseError> {
+    let count = take_count(r, MIN_RDN_LEN, "too many RDNs")?;
+    let start = *r;
+    for _ in 0..2 * count {
+        take_str(r)?;
+    }
+    Ok(RawDn {
+        count,
+        bytes: &start[..start.len() - r.len()],
     })
 }
 
-/// Encode a chain, leaf first.
-pub fn encode_chain(chain: &[Certificate]) -> String {
-    chain
-        .iter()
-        .map(encode_cert)
-        .collect::<Vec<_>>()
-        .join(&CERT_SEP.to_string())
+impl RawDn<'_> {
+    fn build(self) -> Result<Dn, WireParseError> {
+        let mut r = self.bytes;
+        let mut rdns = Vec::with_capacity(self.count);
+        for _ in 0..self.count {
+            rdns.push((take_str(&mut r)?.to_string(), take_str(&mut r)?.to_string()));
+        }
+        Dn::from_rdns(rdns).map_err(|e| WireParseError { reason: e.reason })
+    }
 }
 
-/// Decode a chain, leaf first.
-pub fn decode_chain(s: &str) -> Result<Vec<Certificate>, WireParseError> {
-    if s.is_empty() {
+fn put_cert(out: &mut Vec<u8>, c: &Certificate) {
+    put_dn(out, &c.subject);
+    put_dn(out, &c.issuer);
+    put_varint(out, c.serial);
+    put_varint(out, c.not_before.as_nanos());
+    put_varint(out, c.not_after.as_nanos());
+    out.extend_from_slice(&c.subject_key.0.to_le_bytes());
+    out.extend_from_slice(&c.signature.to_le_bytes());
+    match c.cert_type {
+        CertType::Ca => out.push(TYPE_CA),
+        CertType::EndEntity => out.push(TYPE_END_ENTITY),
+        CertType::Proxy { depth_remaining } => {
+            out.push(TYPE_PROXY);
+            put_varint(out, depth_remaining.into());
+        }
+    }
+}
+
+/// A certificate as it lies in the message, every field checked.
+struct RawCert<'a> {
+    subject: RawDn<'a>,
+    issuer: RawDn<'a>,
+    serial: u64,
+    not_before: SimTime,
+    not_after: SimTime,
+    subject_key: PublicKey,
+    signature: u64,
+    cert_type: CertType,
+}
+
+fn take_cert<'a>(r: &mut &'a [u8]) -> Result<RawCert<'a>, WireParseError> {
+    // Fields are read in the order written: a struct literal evaluates
+    // its fields as they appear.
+    Ok(RawCert {
+        subject: take_dn(r)?,
+        issuer: take_dn(r)?,
+        serial: get_varint(r)?,
+        not_before: SimTime::from_nanos(get_varint(r)?),
+        not_after: SimTime::from_nanos(get_varint(r)?),
+        subject_key: PublicKey(get_u64(r)?),
+        signature: get_u64(r)?,
+        cert_type: match get_u8(r)? {
+            TYPE_CA => CertType::Ca,
+            TYPE_END_ENTITY => CertType::EndEntity,
+            TYPE_PROXY => CertType::Proxy {
+                depth_remaining: u32::try_from(get_varint(r)?)
+                    .map_err(|_| err("proxy depth past u32"))?,
+            },
+            _ => return Err(err("bad certificate type")),
+        },
+    })
+}
+
+impl RawCert<'_> {
+    fn build(self) -> Result<Certificate, WireParseError> {
+        Ok(Certificate {
+            subject: self.subject.build()?,
+            issuer: self.issuer.build()?,
+            serial: self.serial,
+            not_before: self.not_before,
+            not_after: self.not_after,
+            subject_key: self.subject_key,
+            cert_type: self.cert_type,
+            signature: self.signature,
+        })
+    }
+}
+
+/// Append a chain, leaf first.
+pub(crate) fn put_chain(out: &mut Vec<u8>, chain: &[Certificate]) {
+    put_varint(out, chain.len() as u64);
+    for c in chain {
+        put_cert(out, c);
+    }
+}
+
+/// Read a chain, leaf first; an empty one is refused. Two passes: the
+/// first checks every certificate's fields and allocates nothing, so a
+/// message that ends early or lies about a length costs no memory; the
+/// second builds the certificates.
+pub(crate) fn get_chain(r: &mut &[u8]) -> Result<Vec<Certificate>, WireParseError> {
+    let count = take_count(r, MIN_CERT_LEN, "too many certificates")?;
+    if count == 0 {
         return Err(err("empty chain"));
     }
-    s.split(CERT_SEP).map(decode_cert).collect()
+    let mut checked = *r;
+    for _ in 0..count {
+        take_cert(r)?;
+    }
+    let mut chain = Vec::with_capacity(count);
+    for _ in 0..count {
+        chain.push(take_cert(&mut checked)?.build()?);
+    }
+    Ok(chain)
+}
+
+/// Encode a chain, leaf first.
+pub fn encode_chain(chain: &[Certificate]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_chain(&mut out, chain);
+    out
+}
+
+/// Decode a chain, leaf first: exactly the bytes of one chain.
+pub fn decode_chain(bytes: &[u8]) -> Result<Vec<Certificate>, WireParseError> {
+    let mut r = bytes;
+    let chain = get_chain(&mut r)?;
+    end(r)?;
+    Ok(chain)
 }
 
 #[cfg(test)]
@@ -104,6 +278,7 @@ mod tests {
     use super::*;
     use crate::cert::CertificateAuthority;
     use infogram_sim::SplitMix64;
+    use proptest::prelude::*;
     use std::time::Duration;
 
     #[test]
@@ -136,11 +311,12 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode_chain("").is_err());
-        assert!(decode_chain("not a cert").is_err());
-        assert!(decode_chain("a\x1fb\x1fc").is_err());
+        assert!(decode_chain(b"").is_err());
+        assert!(decode_chain(b"not a cert").is_err());
+        assert!(decode_chain(b"a\x1fb\x1fc").is_err());
         // Tampered field still decodes but signature verification will
-        // fail downstream; a non-numeric serial fails here.
+        // fail downstream; a certificate type that does not exist fails
+        // here.
         let mut rng = SplitMix64::new(6);
         let ca = CertificateAuthority::new_root(
             &Dn::user("G", "C", "R"),
@@ -148,8 +324,72 @@ mod tests {
             SimTime::ZERO,
             Duration::from_secs(1000),
         );
-        let enc = encode_chain(std::slice::from_ref(ca.certificate()));
-        let corrupted = enc.replace(&ca.certificate().serial.to_string(), "NaN");
+        let mut corrupted = encode_chain(std::slice::from_ref(ca.certificate()));
+        *corrupted.last_mut().unwrap() = 9;
         assert!(decode_chain(&corrupted).is_err());
+    }
+
+    /// RDN text: non-empty, no `/` or `=` — what `Dn::from_rdns`
+    /// accepts — drawn from an alphabet with the characters a text
+    /// encoding would trip on (spaces, the ASCII separators, NUL,
+    /// newlines) and multibyte ones, long enough to need a two-byte
+    /// length.
+    fn rdn_text() -> impl Strategy<Value = String> {
+        const ALPHABET: [char; 12] = [
+            ' ', '\x1e', '\x1f', '\0', '\n', 'a', 'Z', '7', ',', 'ü', '語', '\u{7f}',
+        ];
+        prop::collection::vec(0..ALPHABET.len(), 1..60)
+            .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    fn dn() -> impl Strategy<Value = Dn> {
+        prop::collection::vec((rdn_text(), rdn_text()), 1..6)
+            .prop_map(|rdns| Dn::from_rdns(rdns).unwrap())
+    }
+
+    fn cert_type() -> impl Strategy<Value = CertType> {
+        prop_oneof![
+            Just(CertType::Ca),
+            Just(CertType::EndEntity),
+            any::<u32>().prop_map(|depth_remaining| CertType::Proxy { depth_remaining }),
+        ]
+    }
+
+    fn certificate() -> impl Strategy<Value = Certificate> {
+        (
+            (dn(), dn()),
+            (any::<u64>(), 0..64u32),
+            (any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<u64>()),
+            cert_type(),
+        )
+            .prop_map(
+                |(
+                    (subject, issuer),
+                    (serial, shift),
+                    (before, after),
+                    (key, signature),
+                    cert_type,
+                )| {
+                    Certificate {
+                        subject,
+                        issuer,
+                        // Shifted so every varint length turns up.
+                        serial: serial >> shift,
+                        not_before: SimTime::from_nanos(before >> shift),
+                        not_after: SimTime::from_nanos(after),
+                        subject_key: PublicKey(key),
+                        cert_type,
+                        signature,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #[test]
+        fn any_chain_roundtrips(chain in prop::collection::vec(certificate(), 1..5)) {
+            prop_assert_eq!(decode_chain(&encode_chain(&chain)).unwrap(), chain);
+        }
     }
 }

@@ -33,6 +33,8 @@
 //!   ([`timer::TimerWheel`]) backing the adaptive refresh scheduler and
 //!   the GIIS member re-pull loop; the caller supplies `now`, so it runs
 //!   identically under both clocks and inside the model checker.
+//! * [`varint`] — the unsigned LEB128 integers the binary wire formats
+//!   share (job handle fields, GSI certificate chains).
 //! * [`lockdep`] — a Linux-lockdep-style lock-order and blocking-
 //!   section analyzer (re-exported from the instrumented `parking_lot`
 //!   shim) that watches every lock acquisition in ordinary test runs
@@ -54,6 +56,7 @@ pub mod net;
 pub mod par;
 pub mod rng;
 pub mod timer;
+pub mod varint;
 pub mod workload;
 
 pub use clock::{Clock, ManualClock, SharedClock, SimTime, SystemClock};

@@ -16,6 +16,9 @@
 # - protocol version: `PROTOCOL_VERSION` in crates/proto/src/message.rs
 #   is the one version DESIGN §8.1 names as `PROTOCOL_VERSION = n`, so a
 #   wire change bumps the version and its documentation together.
+# - handshake sizes: the HELLO, RESP and FIN sizes the golden test in
+#   crates/gsi/src/handshake.rs pins (`E21_<MSG>_BYTES`) are the ones
+#   DESIGN §8.1's handshake table names as `<MSG> = n`.
 #
 # Works fully offline — all external dependencies are vendored under
 # shims/ (see shims/README.md), so no registry access is needed.
@@ -54,13 +57,24 @@ if [ -n "$unnamed$unused" ]; then
 fi
 
 echo "==> PROTOCOL_VERSION in crates/proto is the version DESIGN §8.1 documents"
+section81="$(awk '/^### 8\.1 /{on=1; next} /^##+ /{on=0} on' DESIGN.md)"
 code="$(sed -n 's/^pub const PROTOCOL_VERSION: u8 = \([0-9]*\);$/\1/p' crates/proto/src/message.rs)"
-doc="$(awk '/^### 8\.1 /{on=1; next} /^##+ /{on=0} on' DESIGN.md |
-    grep -o '`PROTOCOL_VERSION = [0-9]*`' | tr -dc '0-9\n' | sort -u)"
+doc="$(echo "$section81" | grep -o '`PROTOCOL_VERSION = [0-9]*`' | tr -dc '0-9\n' | sort -u)"
 if [ -z "$code" ] || [ "$code" != "$doc" ]; then
     printf 'PROTOCOL_VERSION is %s in crates/proto/src/message.rs; DESIGN §8.1 documents %s\n' \
         "${code:-no value}" "$(echo ${doc:-none})" >&2
     exit 1
 fi
+
+echo "==> handshake sizes in crates/gsi are the sizes DESIGN §8.1 documents"
+for msg in HELLO RESP FIN; do
+    code="$(sed -n "s/^ *const E21_${msg}_BYTES: usize = \([0-9]*\);$/\1/p" crates/gsi/src/handshake.rs)"
+    doc="$(echo "$section81" | grep -o "\`$msg = [0-9]*\`" | tr -dc '0-9\n' | sort -u)"
+    if [ -z "$code" ] || [ "$code" != "$doc" ]; then
+        printf '%s is %s bytes in crates/gsi/src/handshake.rs; DESIGN §8.1 documents %s\n' \
+            "$msg" "${code:-no value}" "$(echo ${doc:-none})" >&2
+        exit 1
+    fi
+done
 
 echo "==> docs and lints clean"

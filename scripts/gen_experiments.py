@@ -91,10 +91,12 @@ ORDER = [
      "Measured: the claim quantified across the job/info mix. The unified "
      "service does the same work with exactly half the connections and "
      "handshakes at every p_info, at equal-or-better latency. Byte volume "
-     "is at parity or a few percent lower for the unified service "
-     "(bytes-win 1.02-1.04x); the job half of both worlds speaks the same "
-     "GRAMP-like protocol, so a job handle costs the same field encoding "
-     "(DESIGN §8.1) on either side. The structural table is Figure 2 vs "
+     "is at parity or up to 2% lower for the unified service (bytes-win "
+     "1.00-1.02x, from 1.02-1.04x before the GSI handshake went binary: "
+     "the baseline's second handshake per client now costs 228 B, not "
+     "~362); the job half of both worlds speaks the same GRAMP-like "
+     "protocol, so a job handle costs the same field encoding (DESIGN "
+     "§8.1) on either side. The structural table is Figure 2 vs "
      "Figure 4 in rows. "
      "**This is the paper's thesis, and it holds.**"),
     ("E5", "E5 — caching beats exec-per-request (§5.1)",

@@ -17,13 +17,14 @@ use infogram::gsi::{
 use infogram::host::commands::{ChargeMode, CommandRegistry};
 use infogram::host::machine::SimulatedHost;
 use infogram::info::config::ServiceConfig;
-use infogram::proto::message::{codes, JobStateCode, Reply, Request};
+use infogram::mds::protocol::{MdsReply, MDS_PROTOCOL_VERSION};
+use infogram::proto::message::{codes, JobStateCode, Reply, Request, PROTOCOL_VERSION};
 use infogram::proto::transport::tcp::TcpTransport;
 use infogram::proto::transport::{Conn, Transport};
 use infogram::proto::JobHandle;
 use infogram::sim::clock::SharedClock;
 use infogram::sim::metrics::MetricSet;
-use infogram::sim::{SimTime, SplitMix64, SystemClock};
+use infogram::sim::{varint, SimTime, SplitMix64, SystemClock};
 use infogram_client::InfoGramClient;
 use std::sync::Arc;
 use std::time::Duration;
@@ -205,6 +206,78 @@ fn a_malformed_request_leaves_its_connection_serving() {
             assert!(body.contains("Memory"), "{body}");
         }
         other => panic!("(info=Memory) answered {other:?}"),
+    }
+    w.service.shutdown();
+}
+
+/// How the handshake's HELLO was spelled before it went binary: decimal
+/// fields between ASCII unit (`\x1f`) and record (`\x1e`) separators.
+fn text_form_hello(user: &Credential) -> Vec<u8> {
+    let c = &user.chain[0];
+    let cert = [
+        c.subject.to_string(),
+        c.issuer.to_string(),
+        c.serial.to_string(),
+        c.not_before.as_nanos().to_string(),
+        c.not_after.as_nanos().to_string(),
+        c.subject_key.0.to_string(),
+        "EE".to_string(), // an end entity
+        c.signature.to_string(),
+    ]
+    .join("\x1f");
+    format!("HELLO\x1f42\x1e{cert}").into_bytes()
+}
+
+/// A HELLO the gatekeeper cannot read is refused with `AUTHENTICATION`,
+/// and the service goes on: a fresh connection authenticates and is
+/// answered.
+#[test]
+fn an_unreadable_hello_is_refused_and_the_next_connection_served() {
+    let w = TcpWorld::start();
+    let (hello, _) = wire_client_hello(&w.user, &mut SplitMix64::new(3));
+    // Tag and 8-byte nonce, then the chain's certificate count.
+    let count_at = 9;
+    assert_eq!(hello[count_at], 1);
+    let claims_2_60 = [
+        &hello[..count_at],
+        &varint::encode(1 << 60),
+        &hello[count_at + 1..],
+    ]
+    .concat();
+    for bytes in [
+        text_form_hello(&w.user),
+        hello[..hello.len() / 2].to_vec(),
+        claims_2_60,
+    ] {
+        let conn = w.transport.connect(w.service.addr()).unwrap();
+        conn.send(&bytes).unwrap();
+        match Reply::decode(&conn.recv().unwrap()).unwrap() {
+            Reply::Error { code, .. } => assert_eq!(code, codes::AUTHENTICATION, "{bytes:?}"),
+            other => panic!("{bytes:?} answered {other:?}"),
+        }
+
+        let result = w.connect(w.service.addr()).info("Memory").unwrap();
+        assert_eq!(result.record_count, 1);
+    }
+    w.service.shutdown();
+}
+
+/// No handshake message reads as a request or reply of either protocol
+/// in the tree: its tag is neither protocol's version byte.
+#[test]
+fn handshake_messages_are_neither_infogram_nor_mds_messages() {
+    let w = TcpWorld::start();
+    let conn = w.transport.connect(w.service.addr()).unwrap();
+    let (hello, nonce) = wire_client_hello(&w.user, &mut SplitMix64::new(5));
+    conn.send(&hello).unwrap();
+    let resp = conn.recv().unwrap();
+    let (fin, _) = wire_client_finish(&w.user, &w.roots, &resp, nonce, w.clock.now()).unwrap();
+    for message in [&hello, &resp, &fin] {
+        assert_ne!(message[0], PROTOCOL_VERSION);
+        assert_ne!(message[0], MDS_PROTOCOL_VERSION);
+        assert!(Reply::decode(message).is_err(), "{message:?}");
+        assert!(Request::decode(message).is_err(), "{message:?}");
+        assert!(MdsReply::decode(message).is_err(), "{message:?}");
     }
     w.service.shutdown();
 }
