@@ -9,19 +9,27 @@
 //! path includes delta encode + frame build + decode, exactly what a
 //! connection outbox would carry.
 //!
+//! A second, engine-level row times one job transition against a
+//! running `InfoGramService` with no other connection open and with
+//! 1 000 idle authenticated ones (100 in quick mode) on a `MemNetwork`:
+//! a transition should cost the same either way, since only the job's
+//! own subscribers hear of it.
+//!
 //! Env knobs: `E19_QUICK=1` shrinks the population for smoke runs;
 //! `E19_JSON=<path>` writes a machine-readable result with a `pass`
 //! flag (used by `scripts/bench_smoke.sh`).
 
+use infogram::quickstart::Sandbox;
 use infogram_bench::{banner, table};
 use infogram_info::sub::{SinkClosed, SubSink, SubscriptionHub};
 use infogram_proto::message::Reply;
 use infogram_proto::record::InfoRecord;
+use infogram_rsl::XrslRequest;
 use infogram_sim::metrics::MetricSet;
 use infogram_sim::ManualClock;
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const KEYWORDS: usize = 64;
 const ROUNDS: u64 = 20;
@@ -76,6 +84,49 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
+/// Median wall time, in microseconds, of the `status` call that finds a
+/// job transition, against a sandbox service holding `idle` other
+/// authenticated connections that send nothing. The job fails after a
+/// millisecond and restarts, `rounds` times: each round is two
+/// transitions (ACTIVE → PENDING on the restart, PENDING → ACTIVE on the
+/// next poll).
+fn transition_us(idle: usize, rounds: u32) -> f64 {
+    let sandbox = Sandbox::start();
+    let clients: Vec<_> = (0..idle).map(|_| sandbox.connect_client()).collect();
+    // The last connections finish setting up after their client returns.
+    std::thread::sleep(Duration::from_millis(50));
+    let engine = sandbox.service.engine();
+    let rsl = format!(
+        "&(executable=simwork)(arguments=1 5)(restartonfail={})",
+        2 * rounds
+    );
+    let spec = XrslRequest::from_text(&rsl)
+        .expect("xRSL")
+        .job
+        .expect("job");
+    let handle = engine
+        .submit(&rsl, spec, "/O=Grid/OU=ANL/CN=Gregor", "gregor")
+        .expect("accepted");
+    let mut last = engine.status(handle.job_id).expect("known").state;
+    let mut samples = Vec::with_capacity(2 * rounds as usize);
+    for _ in 0..rounds {
+        std::thread::sleep(Duration::from_millis(2));
+        for _ in 0..2 {
+            let t = Instant::now();
+            let state = engine.status(handle.job_id).expect("known").state;
+            let us = t.elapsed().as_secs_f64() * 1e6;
+            if state != last {
+                samples.push(us);
+            }
+            last = state;
+        }
+    }
+    drop(clients);
+    sandbox.shutdown();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    percentile(&samples, 0.5)
+}
+
 fn main() {
     let quick = std::env::var("E19_QUICK").is_ok_and(|v| v == "1");
     let population: usize = if quick { 10_000 } else { 100_000 };
@@ -99,6 +150,7 @@ fn main() {
         let sink = CountingSink::new();
         hub.subscribe(
             std::slice::from_ref(&keyword(i % KEYWORDS)),
+            "bench",
             Arc::clone(&sink) as Arc<dyn SubSink>,
         );
         sinks.push(sink);
@@ -178,11 +230,29 @@ fn main() {
         ]],
     );
 
-    let pass = delivered == expected && gaps == 0 && short == 0 && p99_per_sub < 100.0;
+    // --- engine row: one job transition, with and without idle peers ---
+    let idle: usize = if quick { 100 } else { 1_000 };
+    let rounds = if quick { 200 } else { 500 };
+    let alone_us = transition_us(0, rounds);
+    let crowded_us = transition_us(idle, rounds);
+    println!("\n-- one job transition (median `status` that finds it) --");
+    table(
+        &["idle connections", "transition (us)"],
+        &[
+            vec!["0".to_string(), format!("{alone_us:.2}")],
+            vec![idle.to_string(), format!("{crowded_us:.2}")],
+        ],
+    );
+
+    // Flat: idle peers add nothing to a transition (at 100 of them, a
+    // per-connection watcher more than doubled it).
+    let flat = crowded_us <= 1.5 * alone_us + 2.0;
+    let pass = delivered == expected && gaps == 0 && short == 0 && p99_per_sub < 100.0 && flat;
     println!(
         "\nreading: {delivered}/{expected} deliveries, {gaps} gapped and {short} short \
          subscribers (zero missed updates), p99 fan-out {p99:.0}us for {per_keyword} \
-         subscribers ({p99_per_sub:.2}us each); pass={pass}"
+         subscribers ({p99_per_sub:.2}us each); a transition costs {alone_us:.2}us \
+         alone and {crowded_us:.2}us beside {idle} idle connections; pass={pass}"
     );
 
     if let Ok(path) = std::env::var("E19_JSON") {
@@ -199,6 +269,9 @@ fn main() {
              \"notify_p50_us\": {p50:.1},\n  \
              \"notify_p99_us\": {p99:.1},\n  \
              \"p99_per_subscriber_us\": {p99_per_sub:.3},\n  \
+             \"idle_connections\": {idle},\n  \
+             \"transition_us_alone\": {alone_us:.2},\n  \
+             \"transition_us_beside_idle\": {crowded_us:.2},\n  \
              \"pass\": {pass}\n}}\n"
         );
         std::fs::write(&path, json).expect("write E19_JSON");
@@ -207,6 +280,7 @@ fn main() {
     assert!(
         pass,
         "push-sub acceptance failed: {delivered}/{expected} deliveries, \
-         {gaps} gapped, {short} short, p99/subscriber {p99_per_sub:.2}us"
+         {gaps} gapped, {short} short, p99/subscriber {p99_per_sub:.2}us, \
+         transition {alone_us:.2}us alone vs {crowded_us:.2}us beside {idle} idle"
     );
 }

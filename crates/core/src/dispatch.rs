@@ -9,7 +9,7 @@
 use infogram_exec::gram::{self, ConnCtx, RequestDispatcher};
 use infogram_exec::JobEngine;
 use infogram_info::service::{InfoServiceError, InformationService, QueryOptions};
-use infogram_info::{OutboxSink, QueryError, RefreshScheduler, SubscriptionHub, JOBS_KEYWORD};
+use infogram_info::{QueryError, RefreshScheduler, SubscriptionHub, JOBS_KEYWORD};
 use infogram_proto::message::{codes, Reply, Request};
 use infogram_rsl::{RequestAction, RequestKind, XrslRequest};
 use infogram_sim::metrics::{Counter, Histogram};
@@ -54,14 +54,17 @@ pub struct InfoGramDispatcher {
 
 impl InfoGramDispatcher {
     /// Wire a job engine and an information service together. Also
-    /// installs the engine-wide state-change watcher that publishes job
-    /// transitions to `(action=subscribe)(info=jobs)` subscribers.
+    /// registers the engine observer that publishes each job transition
+    /// to the `(action=subscribe)(info=jobs)` subscribers of the job's
+    /// account.
     pub fn new(engine: Arc<JobEngine>, info: Arc<InformationService>) -> Arc<Self> {
         let t = engine.metrics().clone();
         let hub = SubscriptionHub::new(engine.clock().clone(), info.hostname(), t.clone());
         {
             let hub = Arc::clone(&hub);
-            engine.on_state_change(move |handle, state| hub.notify_job(&handle, state));
+            engine.on_state_change(move |handle, state, account| {
+                hub.notify_job(handle, state, account)
+            });
         }
         Arc::new(InfoGramDispatcher {
             job: KindMetrics::intern(&t, "job"),
@@ -185,7 +188,7 @@ impl InfoGramDispatcher {
             keywords.push(si.keyword().to_string());
         }
         ctx.count_info_query(self.engine.wal(), account);
-        let id = self.hub.subscribe(&keywords, OutboxSink::new(outbox));
+        let id = self.hub.subscribe(&keywords, account, outbox);
         ctx.sub_ids.push(id);
         Reply::Subscribed {
             id,
@@ -285,8 +288,9 @@ impl RequestDispatcher for InfoGramDispatcher {
     fn connection_closed(&self, ctx: &mut ConnCtx) {
         // The peer is gone: silently release every subscription it
         // still holds (no SubEnd — there is nobody to read it).
-        self.hub.drop_all(&ctx.sub_ids);
-        ctx.sub_ids.clear();
+        for id in ctx.sub_ids.drain(..) {
+            self.hub.unsubscribe(id);
+        }
     }
 }
 
@@ -678,6 +682,68 @@ mod tests {
             Arc::from(listener.accept().unwrap());
         let outbox = infogram_proto::Outbox::new(server, 32);
         (ConnCtx::new(outbox), client)
+    }
+
+    /// The states of the Events a connection's client was sent, once the
+    /// connection is gone (and its outbox with it).
+    fn events(ctx: ConnCtx, client: Box<dyn infogram_proto::transport::Conn>) -> Vec<JobStateCode> {
+        drop(ctx);
+        let mut states = Vec::new();
+        while let Ok(frame) = client.recv() {
+            match Reply::decode(&frame) {
+                Ok(Reply::Event { state, .. }) => states.push(state),
+                other => panic!("{other:?}"),
+            }
+        }
+        states
+    }
+
+    /// A callback client is sent every transition of its job after the
+    /// first, in order — a restart's PENDING included, which a fork job
+    /// that starts ACTIVE used to lose — and nobody else is sent any:
+    /// not a `callback=false` submitter, not a detached one, not the
+    /// connection whose polls drove the transitions.
+    #[test]
+    fn callback_events_reach_the_submitter_alone_restart_included() {
+        use JobStateCode::{Active, Failed, Pending};
+        let (clock, d) = world();
+        let (mut submitter, submitter_wire) = outbox_ctx();
+        let (mut quiet, quiet_wire) = outbox_ctx();
+        let (mut poller, poller_wire) = outbox_ctx();
+        let restarting = "&(executable=simwork)(arguments=100 5)(restartonfail=1)";
+        let submit = |ctx: &mut ConnCtx, callback: bool| {
+            let rsl = restarting.to_string();
+            match d.dispatch("/O=Grid/CN=T", "t", Request::Submit { rsl, callback }, ctx) {
+                Reply::JobAccepted { handle } => handle,
+                other => panic!("{other:?}"),
+            }
+        };
+        let handles = [
+            submit(&mut submitter, true),
+            submit(&mut quiet, false),
+            submit(&mut ConnCtx::detached(), true),
+        ];
+        let mut poll = || {
+            handles.clone().map(|handle| {
+                match d.dispatch("/O=Grid/CN=T", "t", Request::Status { handle }, &mut poller) {
+                    Reply::JobStatus { state, .. } => state,
+                    other => panic!("{other:?}"),
+                }
+            })
+        };
+        clock.advance(Duration::from_millis(100));
+        assert_eq!(
+            poll(),
+            [Pending; 3],
+            "the first attempt failed and restarted"
+        );
+        assert_eq!(poll(), [Active; 3]);
+        clock.advance(Duration::from_millis(100));
+        assert_eq!(poll(), [Failed; 3]);
+        assert_eq!(poll(), [Failed; 3]);
+        assert_eq!(events(submitter, submitter_wire), [Pending, Active, Failed]);
+        assert_eq!(events(quiet, quiet_wire), []);
+        assert_eq!(events(poller, poller_wire), []);
     }
 
     /// A reply reduced to what routing decides: its tag, plus the code

@@ -158,8 +158,9 @@ impl InfoGramService {
             std::thread::spawn(move || {
                 while running.load(Ordering::SeqCst) {
                     // Job state is otherwise pulled lazily by status
-                    // queries; a `jobs` subscription is standing demand
-                    // for every transition, so poll on its behalf.
+                    // queries; a `jobs` subscription (of any account) is
+                    // standing demand for its jobs' transitions, so poll
+                    // on its behalf.
                     if hub.has_subscribers(JOBS_KEYWORD) {
                         engine.poll_active();
                     }

@@ -4,14 +4,16 @@
 //! gets an entry that tracks its backend, drives its state machine on
 //! every observation, enforces `maxtime` and the xRSL `timeout`/`action`
 //! extension (§6.6), performs the automatic restart-on-failure of §6.1,
-//! writes every transition to the logging service (§6), and notifies
-//! registered watchers (the client event callbacks of §2).
+//! writes every transition to the logging service (§6), pushes it to the
+//! submitting connection when that client asked for event callbacks (§2),
+//! and tells the engine's observers.
 
 use crate::backend::{BackendError, BackendJobRef, BackendStatus, ExecBackend};
 use crate::wal::{NamePool, Principal, RecoveredJob, RecoveryStats, Wal, WalError, WalEvent};
 use infogram_host::machine::SimulatedHost;
 use infogram_proto::handle::JobHandle;
-use infogram_proto::message::JobStateCode;
+use infogram_proto::message::{JobStateCode, Reply};
+use infogram_proto::Outbox;
 use infogram_rsl::{JobRequest, JobType, TimeoutAction, XrslRequest};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
@@ -19,7 +21,7 @@ use infogram_sim::SimTime;
 use parking_lot::{lock_class, Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Engine identity: where handles point and which resource name contracts
@@ -131,6 +133,10 @@ struct JobEntry {
     /// [`JobEngine::settle`] removes it (or clears the flag if the WAL
     /// rejects the commit, so a later refresh retries).
     finishing: bool,
+    /// The submitting connection's outbox, if it asked for event callbacks
+    /// (§2); dangling otherwise. Held weakly: a job never keeps a
+    /// connection open, and the reference leaves with the entry.
+    callback: Weak<Outbox>,
 }
 
 /// A terminal transition discovered under the jobs lock, to be committed
@@ -155,15 +161,76 @@ struct JobTable {
     /// not survive a restart. A job that printed nothing has no entry.
     outputs: HashMap<u64, Box<str>>,
     identities: NamePool,
+    /// Engine-wide observers. Registration replaces the whole list, so a
+    /// transition takes a reference to it under the lock that found it.
+    observers: Arc<Vec<Observer>>,
 }
 
-type Watcher = Arc<dyn Fn(JobHandle, JobStateCode) + Send + Sync>;
+/// Told of a job transition: the job's handle, its new state and the
+/// local account that owns it.
+type Observer = Arc<dyn Fn(&JobHandle, JobStateCode, &str) + Send + Sync>;
+
+/// Transitions found under the jobs lock, announced once it is released.
+struct Announcements {
+    /// The table's observers, as that critical section saw them.
+    observers: Arc<Vec<Observer>>,
+    transitions: Vec<(JobHandle, JobStateCode, Arc<Principal>)>,
+    /// Callback outboxes an Event went into, to be drained.
+    outboxes: Vec<Arc<Outbox>>,
+}
+
+impl JobTable {
+    /// Start collecting what a critical section on this table finds.
+    fn announcements(&self) -> Announcements {
+        Announcements {
+            observers: Arc::clone(&self.observers),
+            transitions: Vec::new(),
+            outboxes: Vec::new(),
+        }
+    }
+}
+
+impl Announcements {
+    /// Record a transition for the observers.
+    fn tell(&mut self, principal: &Arc<Principal>, handle: JobHandle, state: JobStateCode) {
+        self.transitions
+            .push((handle, state, Arc::clone(principal)));
+    }
+
+    /// Record a transition of `entry`, whose Event goes into the
+    /// submitter's callback outbox now, under the jobs lock. A push never
+    /// blocks and the outbox is FIFO, so Events reach the wire in the
+    /// order this lock saw the transitions.
+    fn record(&mut self, entry: &JobEntry, handle: JobHandle, state: JobStateCode) {
+        if let Some(outbox) = entry.callback.upgrade() {
+            // A full or closed outbox loses the Event, as it would a reply.
+            let event = Reply::Event {
+                handle: handle.clone(),
+                state,
+            };
+            let _ = outbox.push(event.encode());
+            self.outboxes.push(outbox);
+        }
+        self.tell(&entry.principal, handle, state);
+    }
+
+    /// With no engine lock held: flush the outboxes, then tell the
+    /// observers. Observers reach the subscription hub, whose delivery
+    /// can wait on a peer — never under an engine lock (DESIGN §13).
+    fn deliver(self) {
+        for outbox in self.outboxes {
+            let _ = outbox.drain();
+        }
+        for (handle, state, principal) in &self.transitions {
+            for observer in self.observers.iter() {
+                observer(handle, *state, principal.account());
+            }
+        }
+    }
+}
 
 /// `(kind, queue name, backend)` as resolved for one submission.
 type ResolvedBackend = (BackendKind, Option<String>, Arc<dyn ExecBackend>);
-
-/// Identifier of a registered watcher (for removal at connection end).
-pub type WatcherId = u64;
 
 /// The J-GRAM job engine.
 pub struct JobEngine {
@@ -177,8 +244,6 @@ pub struct JobEngine {
     queues: RwLock<HashMap<String, Arc<dyn ExecBackend>>>,
     default_queue: RwLock<Option<String>>,
     jobs: Mutex<JobTable>,
-    watchers: Mutex<HashMap<WatcherId, Watcher>>,
-    next_watcher_id: AtomicU64,
     /// Host whose filesystem receives `(stdout=...)`/`(stderr=...)`
     /// redirections, when configured.
     stdio_host: RwLock<Option<Arc<SimulatedHost>>>,
@@ -224,8 +289,6 @@ impl JobEngine {
             queues: RwLock::with_class(HashMap::new(), lock_class!("exec.engine.queues")),
             default_queue: RwLock::with_class(None, lock_class!("exec.engine.default_queue")),
             jobs: Mutex::with_class(JobTable::default(), lock_class!("exec.engine.jobs")),
-            watchers: Mutex::with_class(HashMap::new(), lock_class!("exec.engine.watchers")),
-            next_watcher_id: AtomicU64::new(1),
             stdio_host: RwLock::with_class(None, lock_class!("exec.engine.stdio_host")),
             metrics,
         })
@@ -280,20 +343,18 @@ impl JobEngine {
         &self.clock
     }
 
-    /// Register a watcher invoked on every job state change. Returns an
-    /// id for [`JobEngine::remove_watcher`].
+    /// Register an observer of every job transition, initial states
+    /// included: it is told the job's handle, new state and owning
+    /// account, with no engine lock held. Observers live as long as the
+    /// engine.
     pub fn on_state_change(
         &self,
-        watcher: impl Fn(JobHandle, JobStateCode) + Send + Sync + 'static,
-    ) -> WatcherId {
-        let id = self.next_watcher_id.fetch_add(1, Ordering::Relaxed);
-        self.watchers.lock().insert(id, Arc::new(watcher));
-        id
-    }
-
-    /// Remove a watcher (idempotent).
-    pub fn remove_watcher(&self, id: WatcherId) {
-        self.watchers.lock().remove(&id);
+        observer: impl Fn(&JobHandle, JobStateCode, &str) + Send + Sync + 'static,
+    ) {
+        let mut jobs = self.jobs.lock();
+        let mut observers = Vec::clone(&jobs.observers);
+        observers.push(Arc::new(observer));
+        jobs.observers = Arc::new(observers);
     }
 
     /// The engine's logging service (tests and benches reach through to
@@ -395,6 +456,21 @@ impl JobEngine {
         owner: &str,
         account: &str,
     ) -> Result<JobHandle, SubmitError> {
+        self.submit_with_callback(rsl_text, spec, owner, account, None)
+    }
+
+    /// [`JobEngine::submit`], and with a `callback` outbox every later
+    /// transition of the job is pushed into it as a `Reply::Event` (§2:
+    /// the job manager "interacts thereafter with the client"). The
+    /// initial state is not sent.
+    pub fn submit_with_callback(
+        &self,
+        rsl_text: &str,
+        spec: JobRequest,
+        owner: &str,
+        account: &str,
+        callback: Option<&Arc<Outbox>>,
+    ) -> Result<JobHandle, SubmitError> {
         let now = self.clock.now();
         // Fast-path rejection while degraded: don't even start a backend
         // job we could not durably record.
@@ -432,38 +508,31 @@ impl JobEngine {
             };
             return Err(SubmitError::WalUnavailable { retry_after_ms });
         }
-        {
+        let handle = self.handle_for(job_id);
+        let news = {
             let mut jobs = self.jobs.lock();
+            let mut news = jobs.announcements();
+            let principal = jobs.identities.intern(owner, account);
+            news.tell(&principal, handle.clone(), initial_state);
             let entry = JobEntry {
-                principal: jobs.identities.intern(owner, account),
+                principal,
                 output,
                 state: initial_state,
                 live: Box::new(live),
                 finishing: false,
+                callback: callback.map_or_else(Weak::new, Arc::downgrade),
             };
             jobs.entries.insert(job_id, entry);
-        }
+            news
+        };
         self.metrics.counter("jobs.submitted").incr();
         self.metrics.event(
             now.as_secs_f64(),
             "job.state",
             &format!("job {job_id}: submitted ({initial_state})"),
         );
-        let handle = self.handle_for(job_id);
-        self.notify(&handle, initial_state);
+        news.deliver();
         Ok(handle)
-    }
-
-    fn notify(&self, handle: &JobHandle, state: JobStateCode) {
-        // Watcher callbacks reach into the subscription hub (and from
-        // there the outbox and transport), so invoking them under the
-        // watchers lock would order it against every lock those layers
-        // take — and block watcher (de)registration behind a slow
-        // subscriber. Snapshot the registry and call with nothing held.
-        let snapshot: Vec<Watcher> = self.watchers.lock().values().cloned().collect();
-        for w in snapshot {
-            w(handle.clone(), state);
-        }
     }
 
     fn backend_of(&self, live: &LiveJob) -> Arc<dyn ExecBackend> {
@@ -483,18 +552,16 @@ impl JobEngine {
     /// Returns the (possibly new) state.
     ///
     /// Callers hold the `jobs` lock (they hand in `&mut JobEntry` from
-    /// the locked map), so discovered transitions are *queued* instead of
-    /// acted on inline: non-terminal transitions into `pending` (watcher
-    /// callbacks reach the subscription hub and the connection outbox,
-    /// and must run with the jobs lock released — DESIGN §13), a terminal
-    /// one into `finish` (the WAL commit ticket blocks on a condvar,
-    /// doubly illegal under the lock). [`JobEngine::settle`] acts on both
-    /// after release.
+    /// the locked table), so a non-terminal transition is recorded into
+    /// `news` — its Event pushed, the rest announced after release — and
+    /// a terminal one queued into `finish` (the WAL commit ticket blocks
+    /// on a condvar, illegal under the lock). [`JobEngine::settle`] acts
+    /// on both after release.
     fn refresh(
         &self,
         job_id: u64,
         entry: &mut JobEntry,
-        pending: &mut Vec<(JobHandle, JobStateCode)>,
+        news: &mut Announcements,
         finish: &mut Option<PendingFinish>,
     ) -> JobStateCode {
         if entry.finishing {
@@ -586,7 +653,7 @@ impl JobEngine {
                     "job.state",
                     &format!("job {job_id}: {old_state} -> {new_state}"),
                 );
-                pending.push((self.handle_for(job_id), new_state));
+                news.record(entry, self.handle_for(job_id), new_state);
             }
         }
         entry.state
@@ -615,22 +682,21 @@ impl JobEngine {
         });
     }
 
-    /// Act on what refresh queued, with no engine lock held: watcher
-    /// notifications first, then the terminal transition, if any, is
-    /// group-committed to the WAL and — only once durable, so the log's
-    /// row already says how the job ended — its entry leaves the table
-    /// and the transition is announced. A failed commit clears the
-    /// `finishing` flag so a later refresh retries (the backend's view of
-    /// a finished job is stable). Returns how the job ended, if it did
-    /// and the log has it.
+    /// Act on what refresh found, with no engine lock held: its
+    /// transitions are announced first, then the terminal transition, if
+    /// any, is group-committed to the WAL and — only once durable, so the
+    /// log's row already says how the job ended — its entry leaves the
+    /// table, its Event pushed in the same critical section, and the
+    /// transition is announced. A failed commit clears the `finishing`
+    /// flag so a later refresh retries (the backend's view of a finished
+    /// job is stable). Returns how the job ended, if it did and the log
+    /// has it.
     fn settle(
         &self,
-        notifications: Vec<(JobHandle, JobStateCode)>,
+        news: Announcements,
         finish: Option<PendingFinish>,
     ) -> Option<(JobStateCode, Option<i32>)> {
-        for (handle, state) in notifications {
-            self.notify(&handle, state);
-        }
+        news.deliver();
         let f = finish?;
         if !self.commit_finish(&f) {
             if let Some(entry) = self.jobs.lock().entries.get_mut(&f.job_id) {
@@ -638,8 +704,9 @@ impl JobEngine {
             }
             return None;
         }
-        let retired = {
+        let (retired, news) = {
             let mut jobs = self.jobs.lock();
+            let mut news = jobs.announcements();
             let mut retired = jobs.entries.remove(&f.job_id);
             if let Some(entry) = &mut retired {
                 // Stdout/stderr redirection onto the service-side
@@ -661,15 +728,16 @@ impl JobEngine {
                     let output = std::mem::take(&mut entry.output);
                     jobs.outputs.insert(f.job_id, output.into_boxed_str());
                 }
+                news.record(entry, self.finished(&f), f.state);
             }
-            retired.map(|entry| (entry, self.finished(&f)))
+            (retired, news)
         };
         // The backend's record of the job is reaped, and the entry freed,
         // with no lock held.
-        if let Some((entry, (handle, state))) = retired {
+        if let Some(entry) = retired {
             self.backend_of(&entry.live).release(&entry.live.job_ref);
             drop(entry);
-            self.notify(&handle, state);
+            news.deliver();
         }
         Some((f.state, f.exit_code))
     }
@@ -692,8 +760,8 @@ impl JobEngine {
     }
 
     /// Count and journal a terminal transition that is durable; returns
-    /// what the watchers are to be told.
-    fn finished(&self, f: &PendingFinish) -> (JobHandle, JobStateCode) {
+    /// the job's handle, to announce it with.
+    fn finished(&self, f: &PendingFinish) -> JobHandle {
         self.metrics
             .counter(match f.state {
                 JobStateCode::Done => "jobs.done",
@@ -713,19 +781,23 @@ impl JobEngine {
             "job.state",
             &format!("job {}: finished {}{exit}", f.job_id, f.state),
         );
-        (self.handle_for(f.job_id), f.state)
+        self.handle_for(f.job_id)
     }
 
     /// Drive one job's state machine (if it still has one) and settle
     /// what that discovers: how the job ended, if this poll is the one
     /// that found out.
     fn poll(&self, job_id: u64) -> Option<(JobStateCode, Option<i32>)> {
-        let mut pending = Vec::new();
         let mut finish = None;
-        if let Some(entry) = self.jobs.lock().entries.get_mut(&job_id) {
-            self.refresh(job_id, entry, &mut pending, &mut finish);
-        }
-        self.settle(pending, finish)
+        let news = {
+            let mut jobs = self.jobs.lock();
+            let mut news = jobs.announcements();
+            if let Some(entry) = jobs.entries.get_mut(&job_id) {
+                self.refresh(job_id, entry, &mut news, &mut finish);
+            }
+            news
+        };
+        self.settle(news, finish)
     }
 
     /// The log's row for a job that is not in the table, if that row is
@@ -780,8 +852,8 @@ impl JobEngine {
         })
     }
 
-    /// Refresh every job in flight against its backend, firing the state
-    /// watchers for any transition discovered. Job state is otherwise
+    /// Refresh every job in flight against its backend, announcing any
+    /// transition discovered. Job state is otherwise
     /// pulled lazily by `status`/`cancel`; the push-subscription driver
     /// calls this while the `jobs` channel has subscribers, so
     /// transitions stream to them without any client polling.
@@ -796,33 +868,26 @@ impl JobEngine {
     /// the WAL refuses to durably record the cancellation — honest: the
     /// caller is only told "canceled" once it would survive a restart).
     pub fn cancel(&self, job_id: u64) -> bool {
-        let mut pending = Vec::new();
         let mut finish = None;
-        let attempted = {
+        let (attempted, news) = {
             let mut jobs = self.jobs.lock();
+            let mut news = jobs.announcements();
             let Some(entry) = jobs.entries.get_mut(&job_id) else {
                 return false; // unknown, or already terminal
             };
-            self.refresh(job_id, entry, &mut pending, &mut finish);
-            if entry.finishing {
-                false
-            } else {
+            self.refresh(job_id, entry, &mut news, &mut finish);
+            let attempted = !entry.finishing;
+            if attempted {
                 self.backend_of(&entry.live).cancel(&entry.live.job_ref);
                 let now = self.clock.now();
-                self.queue_finish(
-                    job_id,
-                    entry,
-                    JobStateCode::Canceled,
-                    None,
-                    now,
-                    &mut finish,
-                );
-                true
+                let canceled = JobStateCode::Canceled;
+                self.queue_finish(job_id, entry, canceled, None, now, &mut finish);
             }
+            (attempted, news)
         };
         // A refresh can discover a terminal transition even when the
         // cancel itself loses the race — settle whatever was queued.
-        let ended = self.settle(pending, finish);
+        let ended = self.settle(news, finish);
         attempted && matches!(ended, Some((JobStateCode::Canceled, _)))
     }
 
@@ -932,8 +997,9 @@ impl JobEngine {
                     wall: Duration::ZERO,
                 };
                 if self.commit_finish(&failed) {
-                    let (handle, state) = self.finished(&failed);
-                    self.notify(&handle, state);
+                    let mut news = self.jobs.lock().announcements();
+                    news.tell(&job.principal, self.finished(&failed), failed.state);
+                    news.deliver();
                 }
                 continue;
             };
@@ -945,6 +1011,7 @@ impl JobEngine {
                     state: initial,
                     live: Box::new(live),
                     finishing: false,
+                    callback: Weak::new(),
                 },
             );
             self.wal.record(
@@ -1160,13 +1227,15 @@ mod tests {
         let w = world();
         let seen: Arc<Mutex<Vec<JobStateCode>>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
-        w.engine.on_state_change(move |_h, s| seen2.lock().push(s));
+        w.engine.on_state_change(move |_h, s, account| {
+            assert_eq!(account, "tester");
+            seen2.lock().push(s);
+        });
         let h = submit(&w, "(executable=simwork)(arguments=200)");
         w.clock.advance(Duration::from_millis(200));
         w.engine.status(h.job_id).unwrap();
         let states = seen.lock().clone();
-        assert_eq!(states.first(), Some(&JobStateCode::Active));
-        assert_eq!(states.last(), Some(&JobStateCode::Done));
+        assert_eq!(states, [JobStateCode::Active, JobStateCode::Done]);
     }
 
     #[test]

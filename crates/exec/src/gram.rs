@@ -23,8 +23,6 @@ use infogram_rsl::{RequestKind, XrslRequest};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge};
 use infogram_sim::SplitMix64;
-use parking_lot::{lock_class, Mutex};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,16 +33,16 @@ pub const DEFAULT_OUTBOX_CAPACITY: usize = 256;
 /// Per-connection dispatch state, owned by the connection's service loop
 /// and threaded through every [`RequestDispatcher::dispatch`] call.
 ///
-/// It carries the four things a reply path may need beyond the request
+/// It carries the three things a reply path may need beyond the request
 /// itself: the connection's bounded [`Outbox`] (absent for *detached*
 /// dispatch — the WS gateway and unit tests — where unsolicited pushes
-/// have nowhere to go), the job-callback map the event watcher consults,
-/// the push-subscription ids registered over this connection so the
-/// dispatcher can drop them from the hub at teardown, and its account's
-/// information-query counter.
+/// have nowhere to go), which a `callback=true` submission hands to the
+/// engine for the job's Events; the push-subscription ids registered over
+/// this connection so the dispatcher can drop them from the hub at
+/// teardown; and its account's information-query counter.
+#[derive(Default)]
 pub struct ConnCtx {
     outbox: Option<Arc<Outbox>>,
-    job_subs: Arc<Mutex<HashMap<u64, JobStateCode>>>,
     /// Taken from the log by the connection's first information query.
     info_queries: Option<Arc<AtomicU64>>,
     /// Push-subscription ids (`(action=subscribe)`) registered over this
@@ -62,22 +60,10 @@ impl ConnCtx {
     }
 
     /// A context with no push channel: `(action=subscribe)` must be
-    /// refused, job callbacks are recorded but never delivered. Used by
-    /// the WS gateway (request/response only) and by tests.
+    /// refused, and a `callback=true` submission registers no callback at
+    /// all. Used by the WS gateway (request/response only) and by tests.
     pub fn detached() -> Self {
-        ConnCtx {
-            outbox: None,
-            // Held across the outbox send in the job-event watcher so
-            // Events reach the wire in transition order — one of the two
-            // allowed holds at the `proto.outbox.send` blocking point
-            // (DESIGN §13).
-            job_subs: Arc::new(Mutex::with_class(
-                HashMap::new(),
-                lock_class!("exec.gram.job_subs"),
-            )),
-            info_queries: None,
-            sub_ids: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Count one information query for the accounting report. The
@@ -96,21 +82,10 @@ impl ConnCtx {
     pub fn outbox(&self) -> Option<&Arc<Outbox>> {
         self.outbox.as_ref()
     }
-
-    /// Register a job for state-change callbacks over this connection.
-    pub fn subscribe_job(&self, job_id: u64) {
-        self.job_subs.lock().insert(job_id, JobStateCode::Pending);
-    }
-
-    /// The job-callback map shared with the connection's event watcher.
-    pub fn job_subs(&self) -> Arc<Mutex<HashMap<u64, JobStateCode>>> {
-        Arc::clone(&self.job_subs)
-    }
 }
 
 /// A running GRAM (or GRAM-shaped) server.
 pub struct GramServer {
-    engine: Arc<JobEngine>,
     acceptor: Acceptor,
 }
 
@@ -126,8 +101,8 @@ impl std::fmt::Debug for GramServer {
 /// and the InfoGram service share the gatekeeper and differ only here.
 pub trait RequestDispatcher: Send + Sync + 'static {
     /// Answer one request from an authenticated `(owner, account)` pair.
-    /// `ctx` is the per-connection state: job-callback registration and
-    /// (when the transport supports pushes) the connection's outbox for
+    /// `ctx` is the per-connection state, with (when the transport
+    /// supports pushes) the connection's outbox for job Events and
     /// `(action=subscribe)` streams.
     fn dispatch(&self, owner: &str, account: &str, request: Request, ctx: &mut ConnCtx) -> Reply;
 
@@ -173,17 +148,13 @@ pub fn submit_job(
     rsl: &str,
     req: XrslRequest,
     callback: bool,
-    ctx: &mut ConnCtx,
+    ctx: &ConnCtx,
 ) -> Reply {
     // lint:allow(unwrap) — kind() returns Job only when the job spec is present
     let spec = req.job.expect("kind Job implies job");
-    match engine.submit(rsl, spec, owner, account) {
-        Ok(handle) => {
-            if callback {
-                ctx.subscribe_job(handle.job_id);
-            }
-            Reply::JobAccepted { handle }
-        }
+    let outbox = ctx.outbox().filter(|_| callback);
+    match engine.submit_with_callback(rsl, spec, owner, account, outbox) {
+        Ok(handle) => Reply::JobAccepted { handle },
         // WAL degraded: honest read-only refusal with a machine-readable
         // retry hint (PR 5 taxonomy), never a silent ack of a submission
         // the log could not make durable.
@@ -318,7 +289,7 @@ impl GramServer {
             active: telemetry.gauge("gram.connections.active"),
             auth_failures: telemetry.counter("gram.auth_failures"),
             requests: telemetry.counter("gram.requests"),
-            engine: Arc::clone(&engine),
+            engine,
             dispatcher,
             credential,
             trust_roots,
@@ -326,17 +297,12 @@ impl GramServer {
             clock,
         };
         let acceptor = Acceptor::serve(listener, move |conn| gatekeeper.serve_connection(conn));
-        Arc::new(GramServer { engine, acceptor })
+        Arc::new(GramServer { acceptor })
     }
 
     /// The bound address clients connect to.
     pub fn addr(&self) -> &str {
         self.acceptor.addr()
-    }
-
-    /// The engine behind this server.
-    pub fn engine(&self) -> &Arc<JobEngine> {
-        &self.engine
     }
 
     /// Stop accepting and unblock the accept loop.
@@ -400,27 +366,6 @@ impl Gatekeeper {
         let outbox = Outbox::new(Arc::clone(&conn), DEFAULT_OUTBOX_CAPACITY);
         let mut ctx = ConnCtx::new(Arc::clone(&outbox));
 
-        // ---- event callbacks: watcher pushing Events over this conn ----
-        let watcher_id = {
-            let subscriptions = ctx.job_subs();
-            let event_outbox = Arc::clone(&outbox);
-            self.engine.on_state_change(move |handle, state| {
-                // `job_subs` stays held across the send on purpose:
-                // dropping it first would let two racing transitions
-                // deliver their Events out of order. The outbox is
-                // bounded and fail-fast, so the hold is short — this is
-                // the `exec.gram.job_subs` exception at the
-                // `proto.outbox.send` blocking point (DESIGN §13).
-                let mut subs = subscriptions.lock();
-                if let Some(last) = subs.get_mut(&handle.job_id) {
-                    if *last != state {
-                        *last = state;
-                        let _ = event_outbox.send(Reply::Event { handle, state }.encode());
-                    }
-                }
-            })
-        };
-
         // ---- request loop (ends when the client hangs up) ----
         while let Ok(bytes) = conn.recv() {
             self.requests.incr();
@@ -437,7 +382,6 @@ impl Gatekeeper {
                 break;
             }
         }
-        self.engine.remove_watcher(watcher_id);
         self.dispatcher.connection_closed(&mut ctx);
         outbox.close();
     }

@@ -59,5 +59,5 @@ pub use provider::{
 pub use quality::DegradationFn;
 pub use sched::{RefreshScheduler, TickReport, WatchError};
 pub use service::{InfoServiceError, InformationService};
-pub use sub::{OutboxSink, SinkClosed, SubSink, SubscriptionHub, JOBS_KEYWORD};
+pub use sub::{SinkClosed, SubSink, SubscriptionHub, JOBS_KEYWORD};
 pub use supervisor::{Admission, BreakerState, Supervisor, SupervisorConfig};

@@ -32,7 +32,9 @@
 //! Job-state transitions push through the same machinery under the
 //! virtual keyword [`JOBS_KEYWORD`]: each transition becomes a tiny
 //! record (`jobs:handle`, `jobs:state`), diffed and versioned like any
-//! other keyword.
+//! other keyword — in one channel per local account, so a subscriber
+//! sees the jobs of the account it is mapped to: those it may poll and
+//! cancel.
 
 use crate::entry::{Snapshot, SystemInformation};
 use infogram_proto::delta::{encode_deltas, RecordDelta};
@@ -59,9 +61,8 @@ pub struct SinkClosed {
     pub message: String,
 }
 
-/// Where a subscription's frames go. The gatekeeper wraps each
-/// connection's bounded [`Outbox`] in
-/// one of these; tests and the bench substitute counting sinks.
+/// Where a subscription's frames go: a connection's bounded [`Outbox`]
+/// on the wire; tests and the bench substitute counting sinks.
 pub trait SubSink: Send + Sync {
     /// Deliver one encoded frame. An `Err` evicts the subscription:
     /// implementations must not block — a bounded outbox fails fast on
@@ -72,31 +73,13 @@ pub trait SubSink: Send + Sync {
     fn close(&self, frame: Vec<u8>);
 }
 
-/// The production [`SubSink`]: frames go into the connection's bounded
-/// [`Outbox`]. A full outbox is a slow consumer — `deliver` fails with
-/// [`codes::SLOW_CONSUMER`] and the hub evicts; it never blocks the
-/// refresh scheduler behind a stuck peer.
-pub struct OutboxSink {
-    outbox: Arc<Outbox>,
-}
-
-impl OutboxSink {
-    /// Wrap a connection's outbox.
-    pub fn new(outbox: Arc<Outbox>) -> Arc<Self> {
-        Arc::new(OutboxSink { outbox })
-    }
-}
-
-impl SubSink for OutboxSink {
+/// The production sink. A full outbox is a slow consumer — `deliver`
+/// fails with [`codes::SLOW_CONSUMER`] and the hub evicts; it never
+/// blocks the refresh scheduler behind a stuck peer.
+impl SubSink for Outbox {
     fn deliver(&self, frame: Vec<u8>) -> Result<(), SinkClosed> {
-        match self.outbox.push(frame) {
-            Ok(()) => match self.outbox.drain() {
-                Ok(_) => Ok(()),
-                Err(_) => Err(SinkClosed {
-                    code: codes::INTERNAL,
-                    message: "connection closed".to_string(),
-                }),
-            },
+        match self.send(frame) {
+            Ok(()) => Ok(()),
             Err(OutboxError::Overflow { capacity }) => Err(SinkClosed {
                 code: codes::SLOW_CONSUMER,
                 message: format!(
@@ -112,14 +95,23 @@ impl SubSink for OutboxSink {
     }
 
     fn close(&self, frame: Vec<u8>) {
-        self.outbox.close_with(frame);
+        self.close_with(frame);
     }
 }
 
 struct SubEntry {
     sink: Arc<dyn SubSink>,
-    /// Lowercased channel keys this subscription joined.
-    keywords: Vec<String>,
+    /// The channels this subscription joined.
+    channels: Vec<Channel>,
+}
+
+/// What a channel carries: one keyword, or the jobs of one account.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Channel {
+    /// A keyword, lowercased (keywords are case-insensitive).
+    Keyword(String),
+    /// The jobs of one local account, as spelled (accounts are not).
+    Jobs(String),
 }
 
 struct KeywordChannel {
@@ -155,7 +147,7 @@ impl KeywordChannel {
 struct HubState {
     next_id: u64,
     subs: HashMap<u64, SubEntry>,
-    channels: HashMap<String, KeywordChannel>,
+    channels: HashMap<Channel, KeywordChannel>,
 }
 
 struct HubTelemetry {
@@ -212,23 +204,28 @@ impl SubscriptionHub {
         self.state.lock().subs.len()
     }
 
-    /// Whether any live subscription watches `keyword` — standing
-    /// demand the refresh scheduler's cold-skip gate must honor: a
-    /// subscriber is a client that *already asked* for every future
-    /// value.
+    /// Whether any live subscription watches `keyword` (for
+    /// [`JOBS_KEYWORD`], any account's jobs) — standing demand the
+    /// refresh scheduler's cold-skip gate must honor: a subscriber is a
+    /// client that *already asked* for every future value.
     pub fn has_subscribers(&self, keyword: &str) -> bool {
         let key = keyword.to_ascii_lowercase();
-        self.state
-            .lock()
-            .channels
-            .get(&key)
-            .is_some_and(|c| !c.subscribers.is_empty())
+        let st = self.state.lock();
+        let watched = |ch: &KeywordChannel| !ch.subscribers.is_empty();
+        if key == JOBS_KEYWORD {
+            let mut jobs = st
+                .channels
+                .iter()
+                .filter(|(c, _)| matches!(c, Channel::Jobs(_)));
+            return jobs.any(|(_, ch)| watched(ch));
+        }
+        st.channels.get(&Channel::Keyword(key)).is_some_and(watched)
     }
 
     /// The current version of a keyword's channel (0 before the first
     /// pushed update).
     pub fn channel_version(&self, keyword: &str) -> u64 {
-        let key = keyword.to_ascii_lowercase();
+        let key = Channel::Keyword(keyword.to_ascii_lowercase());
         self.state
             .lock()
             .channels
@@ -236,15 +233,20 @@ impl SubscriptionHub {
             .map_or(0, |c| c.version)
     }
 
-    /// Register a persistent query over `keywords`, delivering to
-    /// `sink`. Returns the subscription id. Channels that already hold
-    /// a snapshot deliver it immediately as a full-snapshot delta at
-    /// the channel's current version — a resubscribing client restarts
-    /// from ground truth, so a reconnect never shows a gap.
-    pub fn subscribe(&self, keywords: &[String], sink: Arc<dyn SubSink>) -> u64 {
-        let mut keys: Vec<String> = Vec::new();
+    /// Register a persistent query over `keywords` for a subscriber
+    /// mapped to the local `account` (whose jobs [`JOBS_KEYWORD`]
+    /// names), delivering to `sink`. Returns the subscription id.
+    /// Channels that already hold a snapshot deliver it immediately as a
+    /// full-snapshot delta at the channel's current version — a
+    /// resubscribing client restarts from ground truth, so a reconnect
+    /// never shows a gap.
+    pub fn subscribe(&self, keywords: &[String], account: &str, sink: Arc<dyn SubSink>) -> u64 {
+        let mut keys: Vec<Channel> = Vec::new();
         for kw in keywords {
-            let key = kw.to_ascii_lowercase();
+            let key = match kw.to_ascii_lowercase() {
+                jobs if jobs == JOBS_KEYWORD => Channel::Jobs(account.to_string()),
+                key => Channel::Keyword(key),
+            };
             if !keys.contains(&key) {
                 keys.push(key);
             }
@@ -257,7 +259,7 @@ impl SubscriptionHub {
                 id,
                 SubEntry {
                     sink: Arc::clone(&sink),
-                    keywords: Vec::new(),
+                    channels: Vec::new(),
                 },
             );
             self.telemetry.active.set(st.subs.len() as f64);
@@ -284,7 +286,7 @@ impl SubscriptionHub {
                 let Some(entry) = st.subs.get_mut(&id) else {
                     return id; // unsubscribed/evicted mid-join
                 };
-                entry.keywords.push(key.clone());
+                entry.channels.push(key.clone());
                 // lint:allow(unwrap) — the channel was created above and
                 // channels are never removed
                 let ch = st.channels.get_mut(&key).expect("channel exists");
@@ -315,17 +317,6 @@ impl SubscriptionHub {
         existed
     }
 
-    /// Drop every subscription delivering to sinks the connection
-    /// owned (connection teardown). `ids` comes from the connection's
-    /// bookkeeping.
-    pub fn drop_all(&self, ids: &[u64]) {
-        let mut st = self.state.lock();
-        for id in ids {
-            Self::remove_locked(&mut st, *id);
-        }
-        self.telemetry.active.set(st.subs.len() as f64);
-    }
-
     /// Evict a subscription (slow consumer, dead sink): remove it and
     /// push a best-effort final `SubEnd` frame through the sink's
     /// close path.
@@ -350,7 +341,7 @@ impl SubscriptionHub {
 
     fn remove_locked(st: &mut HubState, id: u64) -> Option<SubEntry> {
         let entry = st.subs.remove(&id)?;
-        for key in &entry.keywords {
+        for key in &entry.channels {
             if let Some(ch) = st.channels.get_mut(key) {
                 ch.subscribers.retain(|s| *s != id);
             }
@@ -365,20 +356,25 @@ impl SubscriptionHub {
         self.notify_record(si.keyword(), self.snapshot_record(si.keyword(), snap));
     }
 
-    /// Push a job-state transition under the [`JOBS_KEYWORD`] channel.
-    pub fn notify_job(&self, handle: &JobHandle, state: JobStateCode) {
+    /// Push a transition of a job `account` owns into that account's
+    /// [`JOBS_KEYWORD`] channel.
+    pub fn notify_job(&self, handle: &JobHandle, state: JobStateCode, account: &str) {
         let mut rec = InfoRecord::new(JOBS_KEYWORD, &self.hostname);
         rec.push("handle", &handle.to_string());
         rec.push("state", &state.to_string());
-        self.notify_record(JOBS_KEYWORD, rec);
+        self.notify_channel(Channel::Jobs(account.to_string()), rec);
+    }
+
+    /// Push one record into `keyword`'s channel.
+    pub fn notify_record(&self, keyword: &str, record: InfoRecord) {
+        self.notify_channel(Channel::Keyword(keyword.to_ascii_lowercase()), record);
     }
 
     /// Core fan-out: version the channel, diff against its last
     /// record, encode once, deliver to every subscriber. O(N) in the
-    /// channel's subscriber count; subscribers of other keywords are
+    /// channel's subscriber count; subscribers of other channels are
     /// never touched.
-    pub fn notify_record(&self, keyword: &str, record: InfoRecord) {
-        let key = keyword.to_ascii_lowercase();
+    fn notify_channel(&self, key: Channel, record: InfoRecord) {
         let Some(delivery) = self
             .state
             .lock()
@@ -435,7 +431,7 @@ impl SubscriptionHub {
     /// Never called by service code.
     #[doc(hidden)]
     pub fn debug_acquire_in_reverse_order(&self, keyword: &str) {
-        let key = keyword.to_ascii_lowercase();
+        let key = Channel::Keyword(keyword.to_ascii_lowercase());
         let st = self.state.lock();
         if let Some(ch) = st.channels.get(&key) {
             let delivery = Arc::clone(&ch.delivery);
@@ -534,7 +530,7 @@ mod tests {
         let sinks: Vec<_> = (0..3).map(|_| CollectingSink::new()).collect();
         let ids: Vec<u64> = sinks
             .iter()
-            .map(|s| h.subscribe(&["Memory".to_string()], s.clone() as Arc<dyn SubSink>))
+            .map(|s| h.subscribe(&["Memory".to_string()], "t", s.clone() as Arc<dyn SubSink>))
             .collect();
         assert_eq!(ids, vec![1, 2, 3]);
         for round in 0..4 {
@@ -558,12 +554,20 @@ mod tests {
     fn late_subscriber_starts_from_a_full_snapshot() {
         let h = hub();
         let early = CollectingSink::new();
-        h.subscribe(&["Memory".to_string()], early.clone() as Arc<dyn SubSink>);
+        h.subscribe(
+            &["Memory".to_string()],
+            "t",
+            early.clone() as Arc<dyn SubSink>,
+        );
         h.notify_record("Memory", record("Memory", "1"));
         h.notify_record("Memory", record("Memory", "2"));
 
         let late = CollectingSink::new();
-        h.subscribe(&["Memory".to_string()], late.clone() as Arc<dyn SubSink>);
+        h.subscribe(
+            &["Memory".to_string()],
+            "t",
+            late.clone() as Arc<dyn SubSink>,
+        );
         let replies = late.replies();
         assert_eq!(replies.len(), 1, "immediate initial delivery");
         let Reply::Update { deltas, .. } = &replies[0] else {
@@ -583,8 +587,12 @@ mod tests {
         let h = hub();
         let healthy = CollectingSink::new();
         let slow = CollectingSink::failing_after(1);
-        h.subscribe(&["CPU".to_string()], healthy.clone() as Arc<dyn SubSink>);
-        let slow_id = h.subscribe(&["CPU".to_string()], slow.clone() as Arc<dyn SubSink>);
+        h.subscribe(
+            &["CPU".to_string()],
+            "t",
+            healthy.clone() as Arc<dyn SubSink>,
+        );
+        let slow_id = h.subscribe(&["CPU".to_string()], "t", slow.clone() as Arc<dyn SubSink>);
         h.notify_record("CPU", record("CPU", "1"));
         assert_eq!(h.active(), 2);
         h.notify_record("CPU", record("CPU", "2"));
@@ -604,7 +612,11 @@ mod tests {
     fn unsubscribe_stops_delivery_and_unversioned_keywords_stay_silent() {
         let h = hub();
         let sink = CollectingSink::new();
-        let id = h.subscribe(&["Memory".to_string()], sink.clone() as Arc<dyn SubSink>);
+        let id = h.subscribe(
+            &["Memory".to_string()],
+            "t",
+            sink.clone() as Arc<dyn SubSink>,
+        );
         h.notify_record("Memory", record("Memory", "1"));
         assert!(h.unsubscribe(id));
         assert!(!h.unsubscribe(id), "second unsubscribe reports missing");
@@ -617,16 +629,20 @@ mod tests {
     }
 
     #[test]
-    fn job_transitions_push_under_the_jobs_channel() {
+    fn job_transitions_push_under_the_owners_jobs_channel() {
         let h = hub();
-        let sink = CollectingSink::new();
-        h.subscribe(
-            &[JOBS_KEYWORD.to_string()],
-            sink.clone() as Arc<dyn SubSink>,
-        );
+        let subscribe = |account: &str| {
+            let sink = CollectingSink::new();
+            let jobs = [JOBS_KEYWORD.to_string()];
+            h.subscribe(&jobs, account, sink.clone() as Arc<dyn SubSink>);
+            sink
+        };
+        let (sink, other, shouting) = (subscribe("t"), subscribe("u"), subscribe("T"));
+        assert!(h.has_subscribers("Jobs"));
         let handle = JobHandle::new("node0.grid", 2119, 7, 1);
-        h.notify_job(&handle, JobStateCode::Active);
-        h.notify_job(&handle, JobStateCode::Done);
+        h.notify_job(&handle, JobStateCode::Active, "t");
+        h.notify_job(&handle, JobStateCode::Done, "t");
+        assert!(other.replies().is_empty() && shouting.replies().is_empty());
         let replies = sink.replies();
         assert_eq!(replies.len(), 2);
         let Reply::Update { deltas, .. } = &replies[1] else {
@@ -643,7 +659,11 @@ mod tests {
     fn empty_deltas_keep_the_version_stream_contiguous() {
         let h = hub();
         let sink = CollectingSink::new();
-        h.subscribe(&["Memory".to_string()], sink.clone() as Arc<dyn SubSink>);
+        h.subscribe(
+            &["Memory".to_string()],
+            "t",
+            sink.clone() as Arc<dyn SubSink>,
+        );
         h.notify_record("Memory", record("Memory", "same"));
         h.notify_record("Memory", record("Memory", "same"));
         let replies = sink.replies();

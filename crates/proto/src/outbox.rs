@@ -101,19 +101,9 @@ impl Outbox {
         })
     }
 
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Currently queued (pushed but not yet drained) frames.
     pub fn queued(&self) -> usize {
         self.state.lock().queue.len()
-    }
-
-    /// Whether the outbox was closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
     }
 
     /// Enqueue one frame. Never sends, never blocks: the capacity check
@@ -158,17 +148,14 @@ impl Outbox {
                 }
             };
             // A sink delivery can block on the peer's transport for as
-            // long as the transport likes. Two documented exceptions may
+            // long as the transport likes. One documented exception may
             // be held here (DESIGN §13): the per-channel delivery lock
-            // (DESIGN §12: it exists to serialize exactly this send) and
-            // the per-connection job-event dedup lock, which serializes
-            // job Events into transition order the same way. The outbox's
+            // (DESIGN §12: it exists to serialize exactly this send). Job
+            // Events need no such lock: the engine pushes them in
+            // transition order and drains with nothing held. The outbox's
             // own state lock is released above, and nothing else may be
             // held.
-            lockdep::blocking_point(
-                "proto.outbox.send",
-                &["info.sub.delivery", "exec.gram.job_subs"],
-            );
+            lockdep::blocking_point("proto.outbox.send", &["info.sub.delivery"]);
             if self.conn.send(&frame).is_err() {
                 let mut st = self.state.lock();
                 st.draining = false;
@@ -269,7 +256,6 @@ mod tests {
             vec![9],
             "the eviction notice jumps the discarded backlog"
         );
-        assert!(ob.is_closed());
         assert_eq!(ob.push(vec![3]), Err(OutboxError::Closed));
     }
 

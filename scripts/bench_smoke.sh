@@ -14,7 +14,9 @@
 #   - e19_push_sub (quick: 10k subscriptions) writes
 #     BENCH_push_sub.json; asserts every subscriber receives every
 #     version of its keyword exactly once in order (zero missed
-#     updates) with bounded p99 per-subscriber fan-out cost.
+#     updates) with bounded p99 per-subscriber fan-out cost, and that
+#     a job transition costs the same beside 100 idle connections as
+#     alone.
 #
 # Each bench asserts its own acceptance criterion and exits non-zero on
 # regression, so this doubles as a CI gate. A few seconds total.

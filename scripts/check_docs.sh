@@ -12,7 +12,8 @@
 # - lock classes: the `lock_class!("…")` literals in the non-test part
 #   of `crates/*/src` and the first column of DESIGN §13.2's table are
 #   the same set (the table's `a.{b,c}` groups count as `a.b` and
-#   `a.c`): a new class needs its row, a deleted one takes its row along.
+#   `a.c`): a new class needs its row, a deleted one takes its row along;
+#   and the section's "The count is n" sentence says how many there are.
 # - protocol version: `PROTOCOL_VERSION` in crates/proto/src/message.rs
 #   is the one version DESIGN §8.1 names as `PROTOCOL_VERSION = n`, so a
 #   wire change bumps the version and its documentation together.
@@ -53,6 +54,14 @@ unused="$(echo "$named" | grep -vxF -e "$used" || true)"
 if [ -n "$unnamed$unused" ]; then
     [ -z "$unnamed" ] || printf 'lock classes not named in DESIGN §13.2:\n%s\n' "$unnamed" >&2
     [ -z "$unused" ] || printf 'DESIGN §13.2 rows naming no lock class in crates/*/src:\n%s\n' "$unused" >&2
+    exit 1
+fi
+count="$(echo "$used" | grep -c .)"
+stated="$(awk '/^### 13\.2 /{on=1; next} /^##+ /{on=0} on' DESIGN.md |
+    sed -n 's/^The count is \([0-9]*\).*/\1/p')"
+if [ "$count" != "$stated" ]; then
+    printf 'crates/*/src has %s lock classes; DESIGN §13.2 says "The count is %s"\n' \
+        "$count" "${stated:-(no count)}" >&2
     exit 1
 fi
 

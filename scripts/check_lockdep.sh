@@ -13,7 +13,10 @@
 #   - tests/lockdep.rs — the analyzer's own acceptance tests (cycle
 #     detection, guard-across-blocking, held-at-exit, and the seeded
 #     SubscriptionHub inversion). These capture their reports, so a
-#     *seeded* violation is asserted on rather than printed.
+#     *seeded* violation is asserted on rather than printed. It also
+#     runs tests/model_sub.rs's callback scenario on OS threads: job
+#     Events pushed under exec.engine.jobs (the exec.engine.jobs ->
+#     proto.outbox.state order) must draw no report.
 #   - tests/push_sub.rs and tests/refresh_sched.rs — the two most
 #     lock-heavy integration suites (delivery fan-out, scheduler wheel,
 #     eviction under ticks) run as zero-finding sweeps.

@@ -248,9 +248,13 @@ ORDER = [
      "exactly once, in order — zero missed updates across 2M deliveries — "
      "and fan-out cost is O(subscribers-of-keyword): p99 notify latency "
      "divided by the keyword's subscriber count stays in the low "
-     "microseconds. Smoke gate: `scripts/bench_smoke.sh` runs the quick "
-     "variant (10k subscriptions) and fails unless `BENCH_push_sub.json` "
-     "reports `pass: true`."),
+     "microseconds. A second, engine-level row times one job transition "
+     "against a running service alone and beside 1 000 idle authenticated "
+     "connections: it reads flat, because a job's Events go to its own "
+     "submitter and one observer, not to a watcher per connection. Smoke "
+     "gate: `scripts/bench_smoke.sh` runs the quick variant (10k "
+     "subscriptions, 100 idle connections) and fails unless "
+     "`BENCH_push_sub.json` reports `pass: true`."),
     ("E20", "E20 — crash storm: the WAL under injected disk faults",
      "Paper claim (\u00a76): `Logging and check pointing is enabled through "
      "a logging service ... the log can be used to restart our InfoGRAM "

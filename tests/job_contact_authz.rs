@@ -244,3 +244,93 @@ fn finished_job_keeps_its_contact_check_across_a_restart() {
     second.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn a_jobs_subscription_streams_only_its_own_accounts_jobs() {
+    // `(info=jobs)` pushes what `status` answers, so it shows a job to
+    // the identities `may_contact` lets poll it, and to nobody else.
+    use infogram::core::InfoGramDispatcher;
+    use infogram::exec::gram::{ConnCtx, RequestDispatcher};
+    use infogram::proto::message::{Reply, Request};
+    use infogram::proto::transport::{mem::MemNetwork, Conn, Transport};
+    use infogram::proto::Outbox;
+    use std::sync::Arc;
+    let sandbox = Sandbox::start();
+    let dispatcher = InfoGramDispatcher::new(
+        Arc::clone(sandbox.service.engine()),
+        Arc::clone(sandbox.service.info_service()),
+    );
+    let submit = |rsl: &str| Request::Submit {
+        rsl: rsl.to_string(),
+        callback: false,
+    };
+    let net = MemNetwork::ideal();
+    let listener = net.listen("watch.grid:1").unwrap();
+    // `owner`, mapped to `account`, subscribes over a connection of its own.
+    let subscribe = |owner: &str, account: &str| {
+        let client = net.connect("watch.grid:1").unwrap();
+        let server: Arc<dyn Conn> = Arc::from(listener.accept().unwrap());
+        let mut ctx = ConnCtx::new(Outbox::new(server, 32));
+        let reply = dispatcher.dispatch(
+            owner,
+            account,
+            submit("(action=subscribe)(info=jobs)"),
+            &mut ctx,
+        );
+        assert!(
+            matches!(reply, Reply::Subscribed { count: 1, .. }),
+            "{reply:?}"
+        );
+        (ctx, client)
+    };
+    let watchers = [
+        subscribe("/O=Grid/CN=Mallory", "mallory"),
+        subscribe("/O=Grid/CN=AliceProxyService", "alice"),
+    ];
+
+    // Alice submits and cancels: two transitions.
+    let alice = |request| {
+        dispatcher.dispatch(
+            "/O=Grid/CN=Alice",
+            "alice",
+            request,
+            &mut ConnCtx::detached(),
+        )
+    };
+    let handle = match alice(submit("(executable=simwork)(arguments=60000)")) {
+        Reply::JobAccepted { handle } => handle,
+        other => panic!("{other:?}"),
+    };
+    match alice(Request::Cancel {
+        handle: handle.clone(),
+    }) {
+        Reply::JobStatus { state, .. } => assert_eq!(state, JobStateCode::Canceled),
+        other => panic!("{other:?}"),
+    }
+
+    // Every attribute each watcher was pushed, once its connection ends.
+    let [mallory, same_account] = watchers.map(|(mut ctx, client)| {
+        dispatcher.connection_closed(&mut ctx);
+        drop(ctx);
+        let mut pushed = Vec::new();
+        while let Ok(frame) = client.recv() {
+            let Ok(Reply::Update { deltas, .. }) = Reply::decode(&frame) else {
+                panic!("not an update: {frame:?}");
+            };
+            for attr in deltas.into_iter().flat_map(|delta| delta.changed) {
+                pushed.push(format!("{}={}", attr.name, attr.value));
+            }
+        }
+        pushed
+    });
+    assert_eq!(mallory, Vec::<String>::new(), "another account's job");
+    assert_eq!(
+        same_account,
+        [
+            format!("jobs:handle={handle}"),
+            "jobs:state=ACTIVE".to_string(),
+            "jobs:state=CANCELED".to_string(),
+        ]
+    );
+    sandbox.shutdown();
+}

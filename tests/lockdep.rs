@@ -11,6 +11,10 @@
 //!   `SubscriptionHub` is caught with both chains naming the real
 //!   classes from `crates/info/src/sub.rs`.
 //!
+//! and a job whose callback Events are pushed under `exec.engine.jobs`
+//! (`exec.engine.jobs → proto.outbox.state`), polled from two threads,
+//! draws no report at all: nothing is held across the send.
+//!
 //! Every test wraps the offending section in [`lockdep::capture`], so
 //! the reports are asserted on instead of failing the zero-findings
 //! sweep in `scripts/check_lockdep.sh`. Distinct class labels per test
@@ -24,6 +28,9 @@ use infogram::sim::metrics::MetricSet;
 use infogram::sim::{par, ManualClock};
 use parking_lot::{lock_class, Mutex};
 use std::sync::Arc;
+
+#[path = "support/callback_race.rs"]
+mod callback_race;
 
 /// Lockdep is on under `cfg(debug_assertions)` or `INFOGRAM_LOCKDEP=1`;
 /// a `--release` test run without the env var legitimately sees none of
@@ -125,7 +132,7 @@ fn seeded_hub_inversion_is_caught() {
     // Normal operation: subscribe + push one update. Both paths take
     // the per-keyword delivery lock first and the hub state lock
     // second, teaching lockdep the legal order.
-    hub.subscribe(&["date".to_string()], Arc::new(NullSink));
+    hub.subscribe(&["date".to_string()], "t", Arc::new(NullSink));
     hub.notify_record("date", InfoRecord::new("Date", "node0.grid"));
 
     // The seeded regression takes them in reverse. Single-threaded and
@@ -141,4 +148,18 @@ fn seeded_hub_inversion_is_caught() {
     assert!(inv.text.contains("prior order:"), "{}", inv.text);
     // Both chains point into the hub implementation.
     assert!(inv.text.contains("sub.rs"), "{}", inv.text);
+}
+
+#[test]
+fn callback_events_pushed_under_the_jobs_lock_draw_no_report() {
+    let race = |a, b| {
+        let (a, b) = (std::thread::spawn(a), std::thread::spawn(b));
+        a.join().expect("poller");
+        b.join().expect("poller");
+    };
+    let (_, reports) = lockdep::capture(|| {
+        callback_race::polled_from_two_threads(ManualClock::new(), race, race);
+    });
+    let texts: Vec<&str> = reports.iter().map(|r| r.text.as_str()).collect();
+    assert!(texts.is_empty(), "{texts:#?}");
 }

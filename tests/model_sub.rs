@@ -29,6 +29,11 @@
 //!   lock, delivery lock, outbox close) interleaved with a concurrent
 //!   subscribe on the same channel always terminates, leaving the
 //!   healthy subscriber live and the keyword scheduled.
+//! * **A job's Events follow its transitions** — two threads polling a
+//!   restarting job whose entry holds a callback outbox send its client
+//!   each transition exactly once, in transition order, whether they
+//!   race the restart or the end (`support/callback_race.rs`, which
+//!   `tests/lockdep.rs` also runs).
 
 #![cfg(feature = "model")]
 // Test harness: panic-on-failure is the error policy here — and inside a
@@ -38,8 +43,7 @@
 use infogram::info::config::SchedConfig;
 use infogram::info::provider::FnProvider;
 use infogram::info::{
-    DegradationFn, OutboxSink, RefreshScheduler, SinkClosed, SubSink, SubscriptionHub,
-    SystemInformation,
+    DegradationFn, RefreshScheduler, SinkClosed, SubSink, SubscriptionHub, SystemInformation,
 };
 use infogram::proto::message::Reply;
 use infogram::proto::record::InfoRecord;
@@ -50,6 +54,9 @@ use infogram::sim::model;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
+
+#[path = "support/callback_race.rs"]
+mod callback_race;
 
 fn regression_config() -> model::Config {
     // Environment-independent: the regression must be found (and the
@@ -267,7 +274,7 @@ fn concurrent_notifies_deliver_every_version_exactly_once_in_order() {
             let clock = model::virtual_clock();
             let hub = hub_on(clock);
             let sink = CollectingSink::new();
-            hub.subscribe(&["K".to_string()], sink.clone() as Arc<dyn SubSink>);
+            hub.subscribe(&["K".to_string()], "t", sink.clone() as Arc<dyn SubSink>);
 
             let h1 = Arc::clone(&hub);
             let h2 = Arc::clone(&hub);
@@ -297,7 +304,7 @@ fn joiner_racing_a_notify_starts_full_and_ends_current() {
         let hub = hub_on(clock);
         // Warm the channel to version 1 via an established subscriber.
         let early = CollectingSink::new();
-        hub.subscribe(&["K".to_string()], early.clone() as Arc<dyn SubSink>);
+        hub.subscribe(&["K".to_string()], "t", early.clone() as Arc<dyn SubSink>);
         hub.notify_record("K", record("K", "1"));
 
         let late = CollectingSink::new();
@@ -305,7 +312,7 @@ fn joiner_racing_a_notify_starts_full_and_ends_current() {
         let h2 = Arc::clone(&hub);
         let late2 = late.clone();
         let a = model::spawn(move || {
-            h1.subscribe(&["K".to_string()], late2 as Arc<dyn SubSink>);
+            h1.subscribe(&["K".to_string()], "t", late2 as Arc<dyn SubSink>);
         });
         let b = model::spawn(move || h2.notify_record("K", record("K", "2")));
         a.join();
@@ -356,7 +363,7 @@ fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
         // lock → delivery lock → outbox close) while a healthy
         // subscriber races to join the same channel.
         let doomed = Outbox::new(Arc::new(DeadConn), 4);
-        hub.subscribe(&["K".to_string()], OutboxSink::new(doomed));
+        hub.subscribe(&["K".to_string()], "t", doomed);
         let healthy = CollectingSink::new();
 
         let s1 = Arc::clone(&sched);
@@ -366,7 +373,7 @@ fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
             s1.tick();
         });
         let b = model::spawn(move || {
-            h2.subscribe(&["K".to_string()], healthy2 as Arc<dyn SubSink>);
+            h2.subscribe(&["K".to_string()], "t", healthy2 as Arc<dyn SubSink>);
         });
         a.join();
         b.join();
@@ -382,5 +389,36 @@ fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
         for pair in versions.windows(2) {
             assert_eq!(pair[1], pair[0] + 1, "gap in {versions:?}");
         }
+    });
+}
+
+// ---------------------------------------------------------------------
+// A job's Events follow its transitions
+// ---------------------------------------------------------------------
+
+fn race(a: callback_race::Poller, b: callback_race::Poller) {
+    let (a, b) = (model::spawn(a), model::spawn(b));
+    a.join();
+    b.join();
+}
+
+fn one_then_the_other(a: callback_race::Poller, b: callback_race::Poller) {
+    a();
+    b();
+}
+
+#[test]
+fn callback_events_keep_transition_order_when_polls_race_a_restart() {
+    model::check("callback Events vs two pollers racing a restart", || {
+        let clock = model::virtual_clock();
+        callback_race::polled_from_two_threads(clock, race, one_then_the_other);
+    });
+}
+
+#[test]
+fn the_last_callback_event_is_sent_once_when_polls_race_the_end() {
+    model::check("callback Events vs two pollers racing the end", || {
+        let clock = model::virtual_clock();
+        callback_race::polled_from_two_threads(clock, one_then_the_other, race);
     });
 }

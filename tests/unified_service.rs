@@ -608,3 +608,134 @@ fn rsl_variables_reach_the_job_and_the_query() {
     }
     sandbox.shutdown();
 }
+
+/// A client submits with `callback=true` and hangs up before its job
+/// ends. The engine holds the connection's outbox weakly, so the outbox
+/// goes with the connection — a long job keeps no socket open — and the
+/// job's end, with nobody left to tell, is an ordinary poll from a later
+/// connection.
+#[test]
+fn a_callback_job_outlives_its_connection() {
+    use infogram::core::InfoGramDispatcher;
+    use infogram::exec::gram::{ConnCtx, GramServer, RequestDispatcher};
+    use infogram::gsi::{Authorizer, CertificateAuthority, Dn, GridMap};
+    use infogram::proto::message::{Reply, Request};
+    use infogram::proto::transport::Transport;
+    use infogram::proto::Outbox;
+    use infogram::sim::{SimTime, SplitMix64};
+    use infogram_client::InfoGramClient;
+    use parking_lot::Mutex;
+    use std::sync::{Arc, Weak};
+
+    /// The unified dispatcher, keeping a weak reference to the outbox
+    /// of the last connection it served.
+    struct Spy {
+        inner: Arc<InfoGramDispatcher>,
+        outbox: Mutex<Weak<Outbox>>,
+    }
+    impl RequestDispatcher for Spy {
+        fn dispatch(
+            &self,
+            owner: &str,
+            account: &str,
+            request: Request,
+            ctx: &mut ConnCtx,
+        ) -> Reply {
+            if let Some(outbox) = ctx.outbox() {
+                *self.outbox.lock() = Arc::downgrade(outbox);
+            }
+            self.inner.dispatch(owner, account, request, ctx)
+        }
+        fn connection_closed(&self, ctx: &mut ConnCtx) {
+            self.inner.connection_closed(ctx);
+        }
+    }
+
+    let sandbox = Sandbox::start();
+    let engine = sandbox.service.engine();
+    let mut rng = SplitMix64::new(24);
+    let year = Duration::from_secs(365 * 86_400);
+    let ca = CertificateAuthority::new_root(
+        &Dn::user("Grid", "CA", "Spy"),
+        &mut rng,
+        SimTime::ZERO,
+        year,
+    );
+    let user = ca.issue(
+        &Dn::user("Grid", "ANL", "Gregor"),
+        &mut rng,
+        SimTime::ZERO,
+        year,
+    );
+    let host = ca.issue(
+        &Dn::user("Grid", "Hosts", "spy.grid"),
+        &mut rng,
+        SimTime::ZERO,
+        year,
+    );
+    let roots = vec![ca.certificate().clone()];
+    let mut gridmap = GridMap::new();
+    gridmap.add(Dn::user("Grid", "ANL", "Gregor"), &["gregor"]);
+    let spy = Arc::new(Spy {
+        inner: InfoGramDispatcher::new(
+            Arc::clone(engine),
+            Arc::clone(sandbox.service.info_service()),
+        ),
+        outbox: Mutex::new(Weak::new()),
+    });
+    let server = GramServer::start(
+        Arc::clone(engine),
+        Arc::clone(&spy) as Arc<dyn RequestDispatcher>,
+        sandbox.net.listen("spy.grid:0").unwrap(),
+        host,
+        roots.clone(),
+        Arc::new(Authorizer::gridmap_only(gridmap)),
+        sandbox.clock.clone(),
+    );
+    let connect = || {
+        InfoGramClient::connect(
+            &sandbox.net,
+            server.addr(),
+            &user,
+            &roots,
+            sandbox.clock.clone(),
+        )
+        .unwrap()
+    };
+    let active = || engine.metrics().gauge_value("gram.connections.active");
+
+    let mut client = connect();
+    let handle = client
+        .submit("(executable=simwork)(arguments=300)", true)
+        .unwrap();
+    let outbox = spy.outbox.lock().clone();
+    assert!(outbox.upgrade().is_some(), "the connection is open");
+    drop(client);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while active() != 0.0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the connection never ended"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        outbox.upgrade().is_none(),
+        "the job kept its connection's outbox"
+    );
+    assert_eq!(engine.live_jobs(), 1, "the job outlived the connection");
+
+    let mut later = connect();
+    let (state, exit, _) = later
+        .wait_terminal(&handle, wait_opts().0, wait_opts().1)
+        .unwrap();
+    assert_eq!((state, exit), (JobStateCode::Done, Some(0)));
+    assert_eq!(
+        later.next_event(),
+        None,
+        "no Event strays onto another connection"
+    );
+    drop(later);
+    server.shutdown();
+    sandbox.shutdown();
+}
