@@ -5,7 +5,7 @@
 //! honestly tagged degraded) where it does not — instead of surfacing
 //! INTERNAL errors at the storm's rate.
 //!
-//! The storm is scripted: `FaultPlan::storm(seed, profile)` draws every
+//! The storm is scripted: `Plan::storm(seed, storm)` draws every
 //! injection from a seeded PRNG, the world runs on a virtual clock with
 //! command costs (and injected stalls) charged to it, and queries are
 //! issued one keyword at a time — so the whole run is deterministic and
@@ -19,7 +19,7 @@ use infogram_bench::{banner, manual_world_with_config, table};
 use infogram_info::config::{ServiceConfig, TABLE1_TEXT};
 use infogram_info::service::QueryOptions;
 use infogram_rsl::InfoSelector;
-use infogram_sim::fault::{FaultPlan, StormProfile};
+use infogram_sim::fault::{Plan, Storm};
 use std::time::{Duration, Instant};
 
 /// World + storm seed: same seed, same storm, same tallies.
@@ -46,10 +46,10 @@ fn storm_config() -> ServiceConfig {
 /// The storm: Table 1 defaults for fail/hang/slow probabilities, but
 /// hangs long enough (300 ms) to blow the TTL-proportional deadline
 /// budgets, so the breach path is exercised too.
-fn storm_profile() -> StormProfile {
-    StormProfile {
+fn storm() -> Storm {
+    Storm {
         hang_for: Duration::from_millis(300),
-        ..StormProfile::default()
+        ..Storm::default()
     }
 }
 
@@ -82,9 +82,7 @@ fn run_storm(rounds: usize) -> (Tally, f64) {
             .answer(std::slice::from_ref(sel), &opts)
             .expect("warm-up");
     }
-    world
-        .registry
-        .set_fault_plan(FaultPlan::storm(SEED, storm_profile()));
+    world.registry.set_fault_plan(Plan::storm(SEED, storm()));
 
     let mut tally = Tally::default();
     let start = Instant::now();

@@ -41,7 +41,7 @@ use infogram_host::commands::{ChargeMode, CommandRegistry};
 use infogram_host::machine::SimulatedHost;
 use infogram_obs::MetricSet;
 use infogram_rsl::XrslRequest;
-use infogram_sim::fault::{DiskFaultPlan, DiskStormProfile};
+use infogram_sim::fault::{Plan, Storm};
 use infogram_sim::ManualClock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -103,7 +103,7 @@ struct Tally {
 /// Returns the tallies plus the recovery wall-clock seconds.
 fn run_storm(rounds: u64) -> (Tally, f64) {
     let mut t = Tally::default();
-    let plan = DiskFaultPlan::storm(SEED, DiskStormProfile::default());
+    let plan = Plan::storm(SEED, Storm::default());
     // Power loss mid-storm: the disk dies at a scripted append index.
     plan.crash_after_appends(rounds);
     let storage = MemStorage::with_plan(Some(Arc::clone(&plan)));
@@ -129,7 +129,7 @@ fn run_storm(rounds: u64) -> (Tally, f64) {
             }
         }
     }
-    t.crashed_mid_storm = plan.crashed();
+    t.crashed_mid_storm = storage.crashed();
     drop(engine); // kill -9: volatile bytes are already gone
 
     // --- second incarnation over the surviving durable bytes ---

@@ -1001,8 +1001,8 @@ mod tests {
     #[test]
     fn a_read_cannot_break_the_log() {
         use infogram_exec::{FrameWal, MemStorage};
-        use infogram_sim::fault::DiskFaultPlan;
-        let disk = DiskFaultPlan::new();
+        use infogram_sim::fault::Plan;
+        let disk = Plan::new();
         let storage = MemStorage::with_plan(Some(Arc::clone(&disk)));
         let (_c, d) = world_on(Wal::new(Box::new(FrameWal::open(storage).unwrap())));
         disk.fill_disk();

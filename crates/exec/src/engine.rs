@@ -1414,8 +1414,8 @@ mod tests {
     #[test]
     fn a_job_the_restart_cannot_launch_is_failed_not_forgotten() {
         use crate::wal::{FrameWal, MemStorage};
-        use infogram_sim::fault::DiskFaultPlan;
-        let disk = DiskFaultPlan::new();
+        use infogram_sim::fault::Plan;
+        let disk = Plan::new();
         let storage = MemStorage::with_plan(Some(Arc::clone(&disk)));
         let open = || Wal::new(Box::new(FrameWal::open(storage.clone()).unwrap()));
         let unfinished = |w: &World| {
@@ -1588,8 +1588,8 @@ mod tests {
     #[test]
     fn a_submission_the_log_refuses_leaves_no_process_behind() {
         use crate::wal::{FrameWal, MemStorage};
-        use infogram_sim::fault::DiskFaultPlan;
-        let disk = DiskFaultPlan::new();
+        use infogram_sim::fault::Plan;
+        let disk = Plan::new();
         let storage = MemStorage::with_plan(Some(Arc::clone(&disk)));
         let w = world_on(Wal::new(Box::new(FrameWal::open(storage).unwrap())));
         disk.fill_disk();

@@ -475,7 +475,7 @@ mod tests {
     use super::super::{FileWal, FrameWal, MemStorage};
     use super::*;
     use infogram_proto::message::JobStateCode;
-    use infogram_sim::fault::{DiskFault, DiskFaultPlan};
+    use infogram_sim::fault::Plan;
 
     fn commit_all(wal: &Wal, events: &[WalEvent]) {
         for ev in events {
@@ -643,8 +643,8 @@ mod tests {
 
     #[test]
     fn commit_fails_and_degrades_on_disk_fault() {
-        let plan = DiskFaultPlan::new();
-        plan.fault_append(0, DiskFault::FailAppend);
+        let plan = Plan::new();
+        plan.fail_append(0);
         let storage = MemStorage::with_plan(Some(plan));
         let cfg = WalConfig::default();
         let wal = Wal::with_config(Box::new(FrameWal::open(storage).unwrap()), cfg);
@@ -667,8 +667,8 @@ mod tests {
 
     #[test]
     fn a_failed_relaxed_append_is_dropped_and_counted() {
-        let plan = DiskFaultPlan::new();
-        plan.fault_append(0, DiskFault::FailAppend);
+        let plan = Plan::new();
+        plan.fail_append(0);
         let storage = MemStorage::with_plan(Some(plan));
         let metrics = MetricSet::new();
         let mut wal = Wal::new(Box::new(FrameWal::open(storage).unwrap()));
@@ -763,7 +763,7 @@ mod tests {
 
     #[test]
     fn fsync_failure_fails_the_commit_but_rotation_recovers() {
-        let plan = DiskFaultPlan::new();
+        let plan = Plan::new();
         plan.fail_sync(0);
         let storage = MemStorage::with_plan(Some(plan));
         let cfg = WalConfig::default();

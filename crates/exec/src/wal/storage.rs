@@ -1,7 +1,7 @@
 //! Storage: numbered segments of raw bytes under a sink — the
 //! simulator's crashable disk and the real one.
 
-use infogram_sim::fault::{AppendVerdict, DiskFaultPlan, SyncVerdict, DISK_CRASHED_DETAIL};
+use infogram_sim::fault::{AppendVerdict, Plan, SyncVerdict, DISK_CRASHED_DETAIL};
 use parking_lot::{lock_class, Mutex};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
@@ -19,7 +19,7 @@ pub trait WalStorage: Send + Sync + std::fmt::Debug {
     /// length, without reading the rest; absent segments read as empty.
     fn head(&self, seg: u64, n: usize) -> io::Result<(Vec<u8>, u64)>;
     /// Append bytes to a segment (creating it if absent). May write a
-    /// prefix and fail (short/torn write).
+    /// prefix and fail (short write).
     fn append(&self, seg: u64, bytes: &[u8]) -> io::Result<()>;
     /// Make everything appended to `seg` durable (fsync).
     fn sync(&self, seg: u64) -> io::Result<()>;
@@ -41,16 +41,28 @@ struct MemStorageState {
     crashed: bool,
 }
 
+impl MemStorageState {
+    /// Power loss: unsynced bytes vanish from every segment, and every
+    /// operation fails until restart.
+    fn lose_power(&mut self) {
+        self.crashed = true;
+        for seg in self.segs.values_mut() {
+            seg.volatile.clear();
+        }
+    }
+}
+
 /// In-memory [`WalStorage`] with an explicit durable/volatile split and a
-/// [`DiskFaultPlan`] hook — the simulator's disk, where torn writes, fsync
-/// failures, disk-full and crash-after-k-appends are injected
+/// fault [`Plan`] hook — the simulator's disk, where short writes, failed
+/// appends and fsyncs, a full disk and crash-after-k-appends are injected
 /// deterministically. [`MemStorage::crash`] models power loss (volatile
 /// bytes vanish); [`MemStorage::restart`] brings the disk back with only
-/// durable bytes.
+/// durable bytes. The crash latch is the storage's own: the plan is not
+/// consulted while the disk is down.
 #[derive(Debug)]
 pub struct MemStorage {
     state: Mutex<MemStorageState>,
-    plan: Option<Arc<DiskFaultPlan>>,
+    plan: Option<Arc<Plan>>,
 }
 
 impl MemStorage {
@@ -60,7 +72,7 @@ impl MemStorage {
     }
 
     /// An in-memory disk whose appends/syncs consult `plan`.
-    pub fn with_plan(plan: Option<Arc<DiskFaultPlan>>) -> Arc<Self> {
+    pub fn with_plan(plan: Option<Arc<Plan>>) -> Arc<Self> {
         Arc::new(MemStorage {
             state: Mutex::with_class(
                 MemStorageState::default(),
@@ -73,20 +85,19 @@ impl MemStorage {
     /// Simulate power loss: unsynced bytes vanish, every subsequent
     /// operation fails until [`MemStorage::restart`].
     pub fn crash(&self) {
-        let mut st = self.state.lock();
-        st.crashed = true;
-        for seg in st.segs.values_mut() {
-            seg.volatile.clear();
-        }
+        self.state.lock().lose_power();
     }
 
-    /// Bring the disk back after a [`MemStorage::crash`] — only durable
-    /// bytes remain. Also resets the fault plan's crashed latch.
+    /// Bring the disk back after a crash — only durable bytes remain. A
+    /// full disk stays full: that latch is the plan's.
     pub fn restart(&self) {
         self.state.lock().crashed = false;
-        if let Some(p) = &self.plan {
-            p.restart();
-        }
+    }
+
+    /// Whether the disk is down (every operation fails until
+    /// [`MemStorage::restart`]).
+    pub fn crashed(&self) -> bool {
+        self.state.lock().crashed
     }
 
     /// The durable (post-crash) contents of a segment — test harness
@@ -179,26 +190,9 @@ impl WalStorage for MemStorage {
                     .extend_from_slice(&bytes[..keep]);
                 Err(Self::err("short write (injected)"))
             }
-            AppendVerdict::Torn { keep } => {
-                // A torn write is a prefix that reached the platter right
-                // as the power died: it lands durable, everything
-                // volatile (all segments) is lost.
-                let s = st.segs.entry(seg).or_default();
-                s.durable.extend_from_slice(&s.volatile);
-                s.durable.extend_from_slice(&bytes[..keep]);
-                s.volatile.clear();
-                st.crashed = true;
-                for other in st.segs.values_mut() {
-                    other.volatile.clear();
-                }
-                Err(Self::err(DISK_CRASHED_DETAIL))
-            }
             AppendVerdict::Fail { detail } => Err(Self::err(detail)),
             AppendVerdict::Crash => {
-                st.crashed = true;
-                for s in st.segs.values_mut() {
-                    s.volatile.clear();
-                }
+                st.lose_power();
                 Err(Self::err(DISK_CRASHED_DETAIL))
             }
         }
@@ -338,5 +332,56 @@ impl WalStorage for FileStorage {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn crashed_err<T: std::fmt::Debug>(r: io::Result<T>) -> bool {
+        matches!(r, Err(e) if e.to_string() == DISK_CRASHED_DETAIL)
+    }
+
+    #[test]
+    fn the_storage_owns_the_crash_latch() {
+        let plan = Plan::new();
+        plan.crash_after_appends(2);
+        let disk = MemStorage::with_plan(Some(Arc::clone(&plan)));
+        disk.preload(0, b"old".to_vec());
+        disk.append(0, b"aa").unwrap();
+        disk.append(1, b"bb").unwrap();
+        // The third append crashes: no byte of it lands, and the unsynced
+        // bytes of every segment are gone.
+        assert!(crashed_err(disk.append(0, b"cc")));
+        assert!(disk.crashed());
+        assert_eq!(disk.durable_bytes(0), b"old");
+        assert_eq!(disk.durable_bytes(1), b"");
+        // While crashed, every operation fails — the plan is not asked.
+        assert!(crashed_err(disk.append(0, b"dd")));
+        assert!(crashed_err(disk.sync(0)));
+        assert!(crashed_err(disk.read(0)));
+        assert!(crashed_err(disk.segments()));
+        // Restart heals the disk with only durable bytes.
+        disk.restart();
+        assert!(!disk.crashed());
+        assert_eq!(disk.read(0).unwrap(), b"old");
+        assert_eq!(disk.read(1).unwrap(), b"");
+        disk.append(0, b"ee").unwrap();
+        disk.sync(0).unwrap();
+        assert_eq!(disk.durable_bytes(0), b"oldee");
+    }
+
+    #[test]
+    fn a_full_disk_stays_full_across_restart() {
+        let plan = Plan::new();
+        let disk = MemStorage::with_plan(Some(Arc::clone(&plan)));
+        plan.fill_disk();
+        disk.crash();
+        disk.restart();
+        let full = disk.append(0, b"x").unwrap_err();
+        assert_eq!(full.to_string(), "disk full (injected)");
+        plan.free_space();
+        disk.append(0, b"x").unwrap();
     }
 }

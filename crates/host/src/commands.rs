@@ -12,8 +12,8 @@
 
 use crate::machine::SimulatedHost;
 use crate::procfs;
-use infogram_sim::fault::{FaultPlan, Injection};
-use infogram_sim::{ManualClock, SplitMix64};
+use infogram_sim::fault::{Fault, Plan, EXIT_HUNG, EXIT_INJECTED};
+use infogram_sim::{par, ManualClock, SplitMix64};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,7 +109,7 @@ pub struct CommandRegistry {
     specs: RwLock<HashMap<String, CommandSpec>>,
     rng: Mutex<SplitMix64>,
     charge: ChargeMode,
-    faults: RwLock<Option<Arc<FaultPlan>>>,
+    faults: RwLock<Option<Arc<Plan>>>,
 }
 
 impl CommandRegistry {
@@ -171,7 +171,7 @@ impl CommandRegistry {
     ///
     /// [`execute`]: CommandRegistry::execute
     /// [`plan`]: CommandRegistry::plan
-    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) {
+    pub fn set_fault_plan(&self, plan: Arc<Plan>) {
         *self.faults.write() = Some(plan);
     }
 
@@ -207,51 +207,45 @@ impl CommandRegistry {
                 .ok_or_else(|| CommandError::UnknownCommand(basename.to_string()))?;
             (Arc::clone(&spec.handler), spec.cost.clone())
         };
-        let cost = cost_model.sample(&mut self.rng.lock());
-        let injection = {
-            let faults = self.faults.read();
-            match faults.as_ref() {
-                Some(plan) => plan.decide(basename, self.host.clock().now()),
-                None => Injection::Healthy,
-            }
+        let cost = self.sample_cost(&cost_model);
+        let fault = self.faults.read().as_ref().and_then(|p| p.decide(basename));
+        let (extra, failure) = match fault {
+            None => (Duration::ZERO, None),
+            Some(Fault::SlowBy(extra)) => (extra, None),
+            Some(Fault::Fail) => (
+                Duration::ZERO,
+                Some(("fault: injected failure\n", EXIT_INJECTED)),
+            ),
+            // The command stalls (charged so deadline budgets see it),
+            // then is reaped as failed.
+            Some(Fault::Hang(stall)) => (
+                stall,
+                Some(("fault: hung, reaped by watchdog\n", EXIT_HUNG)),
+            ),
         };
-        match injection {
-            Injection::Healthy => {
-                self.charge(cost);
-                let (stdout, exit_code) = handler(&self.host, &tokens[1..]);
-                Ok(CommandOutput {
-                    stdout,
-                    exit_code,
-                    cost,
-                })
+        self.charge(cost + extra);
+        let (stdout, exit_code) = match failure {
+            Some((stdout, exit_code)) => (stdout.to_string(), exit_code),
+            None => handler(&self.host, &tokens[1..]),
+        };
+        Ok(CommandOutput {
+            stdout,
+            exit_code,
+            cost: cost + extra,
+        })
+    }
+
+    /// Draw one execution cost. Concurrent executions in a
+    /// [`par::fan_out`] would take draws from the shared stream in thread
+    /// order, so inside a branch the draw is keyed by the branch and the
+    /// time it sees instead, and a seeded fan-out replays exactly.
+    fn sample_cost(&self, model: &CostModel) -> Duration {
+        match par::branch_id() {
+            Some(branch) => {
+                let at = self.host.clock().now().as_nanos();
+                model.sample(&mut SplitMix64::new(self.host.config().seed ^ branch ^ at))
             }
-            Injection::SlowBy(extra) => {
-                self.charge(cost + extra);
-                let (stdout, exit_code) = handler(&self.host, &tokens[1..]);
-                Ok(CommandOutput {
-                    stdout,
-                    exit_code,
-                    cost: cost + extra,
-                })
-            }
-            Injection::Fail { exit_code, detail } => {
-                self.charge(cost);
-                Ok(CommandOutput {
-                    stdout: format!("fault: {detail}\n"),
-                    exit_code,
-                    cost,
-                })
-            }
-            Injection::Hang(stall) => {
-                // The command stalls for `stall` (charged to the clock so
-                // deadline budgets see it), then is reaped as failed.
-                self.charge(cost + stall);
-                Ok(CommandOutput {
-                    stdout: "fault: hung, reaped by watchdog\n".to_string(),
-                    exit_code: infogram_sim::fault::EXIT_HUNG,
-                    cost: cost + stall,
-                })
-            }
+            None => model.sample(&mut self.rng.lock()),
         }
     }
 
@@ -276,7 +270,7 @@ impl CommandRegistry {
                 .ok_or_else(|| CommandError::UnknownCommand(basename.to_string()))?;
             (Arc::clone(&spec.handler), spec.cost.clone())
         };
-        let mut cost = cost_model.sample(&mut self.rng.lock());
+        let mut cost = self.sample_cost(&cost_model);
         let (stdout, exit_code) = handler(&self.host, &tokens[1..]);
         let mut kept = String::with_capacity(stdout.len());
         for line in stdout.lines() {
@@ -639,10 +633,9 @@ mod tests {
 
     #[test]
     fn fault_plan_shapes_execution() {
-        use infogram_sim::fault::{Fault, FaultPlan, EXIT_HUNG, EXIT_INJECTED};
         let (clock, reg) = registry();
         reg.set_cost("cpuload", CostModel::Fixed(Duration::from_millis(10)));
-        let plan = FaultPlan::new();
+        let plan = Plan::new();
         plan.script(
             "cpuload",
             vec![

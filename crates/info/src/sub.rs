@@ -12,7 +12,7 @@
 //! ids subscribed to it, so a refresh diffs once, encodes once, and
 //! stamps per-subscriber frames.
 //!
-//! Delivery discipline (model-checked in `tests/model_sub.rs`):
+//! The delivery discipline (model-checked in `tests/model_sub.rs`):
 //!
 //! * the hub's *state* lock is **never** held across a sink delivery —
 //!   fan-out collects `(id, sink)` pairs under the lock and delivers

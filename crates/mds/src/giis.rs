@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn open_member_serves_cached_records() {
-        use infogram_sim::fault::{Fault, FaultPlan};
+        use infogram_sim::fault::{Fault, Plan};
         let clock = ManualClock::new();
         let giis = Giis::new(clock.clone(), Duration::from_secs(30));
         let mut regs = Vec::new();
@@ -382,7 +382,7 @@ mod tests {
         // GIIS cache expires, every snapshot is far past its (Binary)
         // lifetime, so node00's GRIS fails hard instead of stale-serving
         // — the aggregate must fall back to its own cached copy.
-        let plan = FaultPlan::new();
+        let plan = Plan::new();
         for cmd in ["date", "sysinfo", "cpuload", "ls"] {
             plan.script(cmd, vec![Fault::Fail; 12]);
         }

@@ -1,17 +1,16 @@
 //! In-memory channel transport with a simulated link.
 //!
 //! A [`MemNetwork`] is a private universe of named endpoints. Connections
-//! are pairs of crossbeam channels; every message is charged a delay (and
-//! possibly dropped) by the network's [`Link`] model, and all traffic is
+//! are pairs of crossbeam channels; every message is delayed by the
+//! network's [`Link`] model (links never drop one), and all traffic is
 //! counted into a [`MetricSet`] under `net.connections`, `net.messages`,
 //! and `net.bytes`.
 
 use super::{Conn, Listener, NetCounters, ProtoError, Transport};
-use crate::frame::FRAME_OVERHEAD;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
-use infogram_sim::net::{Delivery, Link};
+use infogram_sim::net::Link;
 use infogram_sim::{SimTime, SystemClock};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -44,7 +43,7 @@ impl std::fmt::Debug for MemNetwork {
 }
 
 impl MemNetwork {
-    /// An ideal (zero-latency, lossless) network on a fresh system clock.
+    /// An ideal (zero-latency) network on a fresh system clock.
     pub fn ideal() -> Arc<Self> {
         Self::new(SystemClock::shared(), Link::ideal(), MetricSet::new())
     }
@@ -66,11 +65,6 @@ impl MemNetwork {
     /// The metric sink traffic is counted into.
     pub fn metrics(&self) -> &MetricSet {
         &self.metrics
-    }
-
-    /// The link model.
-    pub fn link(&self) -> &Arc<Link> {
-        &self.link
     }
 }
 
@@ -174,19 +168,11 @@ struct MemConn {
 
 impl Conn for MemConn {
     fn send(&self, msg: &[u8]) -> Result<(), ProtoError> {
-        match self.link.transmit(msg.len() + FRAME_OVERHEAD) {
-            Delivery::After(delay) => {
-                let deliver_at = self.clock.now().plus(delay);
-                self.counters.sent(msg.len());
-                self.tx
-                    .send((deliver_at, msg.to_vec()))
-                    .map_err(|_| ProtoError::Closed)
-            }
-            // Loss on a reliable-channel model: the message vanishes, as
-            // UDP-style loss would. Request/reply protocols running over a
-            // lossy link must apply their own timeouts.
-            Delivery::Dropped => Ok(()),
-        }
+        let deliver_at = self.clock.now().plus(self.link.delay());
+        self.counters.sent(msg.len());
+        self.tx
+            .send((deliver_at, msg.to_vec()))
+            .map_err(|_| ProtoError::Closed)
     }
 
     fn recv(&self) -> Result<Vec<u8>, ProtoError> {
@@ -206,6 +192,7 @@ impl Conn for MemConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FRAME_OVERHEAD;
     use std::time::Duration;
 
     #[test]
@@ -295,7 +282,6 @@ mod tests {
             SystemClock::shared(),
             Link::new(
                 infogram_sim::net::LatencyModel::Fixed(Duration::from_millis(20)),
-                0.0,
                 1,
             ),
             metrics,

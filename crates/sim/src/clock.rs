@@ -148,29 +148,35 @@ impl Clock for SystemClock {
 /// `ManualClock` is the workhorse of the deterministic experiments: the TTL
 /// cache (E5), degradation (E6), response modes (E7), and contract (E13)
 /// benchmarks all sweep simulated hours through it without real waiting.
+///
+/// Inside a [`fan_out`](crate::par::fan_out) item, [`advance`] and
+/// [`now`] act on the item's own timeline until the join (see
+/// [`crate::par`]).
+///
+/// [`advance`]: ManualClock::advance
+/// [`now`]: Clock::now
 #[derive(Debug, Default)]
 pub struct ManualClock {
-    nanos: AtomicU64,
+    /// Shared with the fan-out branches that charge this clock.
+    nanos: Arc<AtomicU64>,
 }
 
 impl ManualClock {
     /// A clock starting at `t = 0`.
     pub fn new() -> Arc<Self> {
-        Arc::new(ManualClock {
-            nanos: AtomicU64::new(0),
-        })
+        Self::starting_at(SimTime::ZERO)
     }
 
     /// A clock starting at the given time.
     pub fn starting_at(t: SimTime) -> Arc<Self> {
         Arc::new(ManualClock {
-            nanos: AtomicU64::new(t.0),
+            nanos: Arc::new(AtomicU64::new(t.0)),
         })
     }
 
     /// Advance the clock by `d`, waking any sleepers whose deadline passed.
     pub fn advance(&self, d: Duration) {
-        self.nanos.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
+        crate::par::advance(&self.nanos, d.as_nanos() as u64);
     }
 
     /// Jump the clock to an absolute time. Panics if `t` is in the past —
@@ -183,7 +189,8 @@ impl ManualClock {
 
 impl Clock for ManualClock {
     fn now(&self) -> SimTime {
-        SimTime(self.nanos.load(Ordering::SeqCst))
+        let base = self.nanos.load(Ordering::SeqCst);
+        SimTime(base.saturating_add(crate::par::pending(&self.nanos)))
     }
 
     fn sleep(&self, d: Duration) {

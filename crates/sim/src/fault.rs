@@ -1,73 +1,47 @@
-//! Deterministic fault injection for provider commands.
+//! Deterministic fault injection: one seeded [`Plan`] for provider
+//! commands and for the WAL's disk.
 //!
-//! A [`FaultPlan`] scripts failures against named targets (command
-//! basenames, i.e. the executables behind information keywords). The
-//! command registry consults the plan on every execution and applies the
-//! next scripted [`Fault`] for that target, so every failure mode —
-//! nonzero exits, hangs, slowdowns, crash-and-restart windows — is
-//! reproducible under both the system clock and the virtual clock, and
-//! explorable by `sim::model`.
+//! A plan acts only where it is attached: the command registry consults
+//! it on every provider execution (`CommandRegistry::set_fault_plan`),
+//! a simulated disk on every append and fsync (`MemStorage::with_plan`).
+//! The plan only *decides*; charging a hang to the clock or dropping
+//! unsynced bytes is the caller's job, so decisions stay pure.
 //!
-//! Two modes:
+//! Faults are scripted or drawn from a seeded storm:
 //!
-//! * **Scripted** ([`FaultPlan::script`]): a per-target sequence of
-//!   faults consumed one per execution; once the sequence is exhausted
-//!   the target is healthy again. This is what the fault-supervisor
-//!   tests use — "fail 3×, then recover" is `script(k, vec![Fail; 3])`.
-//! * **Storm** ([`FaultPlan::storm`]): every execution of every target
-//!   draws from a seeded PRNG with configured fault probabilities.
-//!   Chaos smoke and the `e17_fault_storm` bench use this; the seed
-//!   makes any run replayable byte-for-byte.
+//! * **Scripted** ([`Plan::new`]): [`Plan::script`] queues provider
+//!   faults per target (command basename) — "fail 3×, then recover" is
+//!   `script(k, vec![Fail; 3])`; [`Plan::fail_append`],
+//!   [`Plan::fail_sync`], [`Plan::crash_after_appends`] and
+//!   [`Plan::fill_disk`] script the disk by operation count.
+//! * **Storm** ([`Plan::storm`]): every execution and every disk
+//!   operation draws from one seed with the probabilities of a
+//!   [`Storm`]. Scripts still take precedence.
 //!
-//! The plan only *decides*; applying the decision (charging the hang
-//! duration to the clock, shaping the exit code) is the command
-//! registry's job, so decisions stay pure and deterministic.
+//! One seed, one stream per domain: each provider target draws from
+//! `SplitMix64::new(seed ^ fnv1a(target))` and the disk from
+//! `SplitMix64::new(seed)`, so fan-out across targets and disk traffic
+//! between provider calls cannot perturb any stream, and a storm
+//! replays byte for byte under either clock and the model checker.
 
-use crate::clock::SimTime;
 use crate::rng::SplitMix64;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One scripted failure mode for a single execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One provider failure mode, applied to a single execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// The command runs (cost charged as usual) but exits nonzero.
+    /// The command runs (cost charged as usual) but exits
+    /// [`EXIT_INJECTED`].
     Fail,
-    /// The command stalls for the given duration, then is reaped as
-    /// failed — modelling a hung backend killed by a watchdog. The
-    /// duration is charged to the clock *in addition to* the normal
-    /// execution cost, so deadline budgets observe the stall.
+    /// The command stalls for the given duration *in addition to* its
+    /// cost, then is reaped as failed ([`EXIT_HUNG`]) — a hung backend
+    /// killed by a watchdog; deadline budgets observe the stall.
     Hang(Duration),
     /// The command succeeds, but only after an extra delay — a slow
     /// backend, not a broken one.
-    SlowBy(Duration),
-    /// The target crashes: this and every subsequent execution fails
-    /// instantly until `restart_after` has elapsed on the clock, at
-    /// which point the target is healthy again (and the script resumes).
-    Crash {
-        /// How long the target stays down after the crash.
-        restart_after: Duration,
-    },
-}
-
-/// What the registry should do for one execution, as decided by the plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Injection {
-    /// Run the command normally.
-    Healthy,
-    /// Charge normal cost, then fail with this exit code and detail.
-    Fail {
-        /// Exit code to report (nonzero).
-        exit_code: i32,
-        /// Human-readable cause, e.g. `injected failure`.
-        detail: &'static str,
-    },
-    /// Charge the stall duration, then fail (hung, reaped by watchdog).
-    Hang(Duration),
-    /// Charge the extra delay, then run the command normally.
     SlowBy(Duration),
 }
 
@@ -75,61 +49,78 @@ pub enum Injection {
 pub const EXIT_INJECTED: i32 = 13;
 /// Exit code reported for a hung-then-reaped execution.
 pub const EXIT_HUNG: i32 = 124;
-/// Exit code reported while a crashed target is down.
-pub const EXIT_CRASHED: i32 = 137;
 
-#[derive(Debug, Default)]
-struct Script {
-    seq: Vec<Fault>,
-    next: usize,
-    /// While set, every execution fails instantly until the clock
-    /// reaches this time.
-    down_until: Option<SimTime>,
+/// What a disk must do with one append.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AppendVerdict {
+    /// Write every byte normally.
+    Write,
+    /// Write only the first `keep` bytes (unsynced), then report an
+    /// I/O error.
+    Short {
+        /// Bytes that land.
+        keep: usize,
+    },
+    /// Write nothing; report an I/O error with this detail.
+    Fail {
+        /// Human-readable cause, e.g. `injected append failure`.
+        detail: &'static str,
+    },
+    /// Lose power before writing: drop every unsynced byte and fail
+    /// every operation until the disk restarts.
+    Crash,
 }
 
-/// Storm-mode probabilities (all per-execution, independent draws).
+/// What a disk must do with one fsync.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncVerdict {
+    /// Promote unsynced bytes to durable as usual.
+    Sync,
+    /// Report an I/O error; the bytes stay unsynced (a later successful
+    /// sync may still promote them).
+    Fail,
+}
+
+/// Error detail a disk reports while crashed.
+pub const DISK_CRASHED_DETAIL: &str = "storage crashed (injected)";
+
+/// Storm probabilities, every one an independent draw per operation.
 #[derive(Debug, Clone)]
-pub struct StormProfile {
-    /// Probability an execution fails outright.
+pub struct Storm {
+    /// Probability a provider execution fails outright.
     pub fail_p: f64,
-    /// Probability an execution hangs for [`StormProfile::hang_for`].
+    /// Probability a provider execution hangs for [`Storm::hang_for`].
     pub hang_p: f64,
-    /// Probability an execution is slowed by [`StormProfile::slow_by`].
+    /// Probability a provider execution is slowed by [`Storm::slow_by`].
     pub slow_p: f64,
     /// Stall duration for injected hangs.
     pub hang_for: Duration,
     /// Extra delay for injected slowdowns.
     pub slow_by: Duration,
+    /// Probability an append fails outright.
+    pub append_fail_p: f64,
+    /// Probability an append is a short write (a random prefix lands).
+    pub short_p: f64,
+    /// Probability an fsync fails.
+    pub fsync_fail_p: f64,
 }
 
-impl Default for StormProfile {
-    /// The scripted "10% provider-failure storm": 10% fails, 2% hangs,
-    /// 5% slowdowns, with short stalls suitable for wall-clock runs.
+impl Default for Storm {
+    /// The "10% provider-failure storm" (10% fails, 2% hangs of 30 ms,
+    /// 5% slowdowns of 10 ms — short enough for wall-clock runs) over a
+    /// flaky disk (2% failed appends, 1% short writes, 2% failed fsyncs).
     fn default() -> Self {
-        StormProfile {
+        Storm {
             fail_p: 0.10,
             hang_p: 0.02,
             slow_p: 0.05,
             hang_for: Duration::from_millis(30),
             slow_by: Duration::from_millis(10),
+            append_fail_p: 0.02,
+            short_p: 0.01,
+            fsync_fail_p: 0.02,
         }
     }
-}
-
-#[derive(Debug)]
-enum Mode {
-    Scripted,
-    Storm {
-        seed: u64,
-        /// Per-target draw streams, created lazily from `seed` mixed
-        /// with the target name. Independent streams keep storm replay
-        /// byte-identical even when fetches for *different* targets
-        /// run concurrently (fan-out): interleaving across targets
-        /// cannot perturb any one target's draw sequence. Draws for
-        /// the *same* target stay ordered by the plan mutex.
-        streams: HashMap<String, SplitMix64>,
-        profile: StormProfile,
-    },
 }
 
 /// FNV-1a over the target name: a stable, platform-independent stream
@@ -143,331 +134,99 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// A deterministic, shareable fault-injection plan.
+/// A deterministic, shareable fault plan. See the [module docs](self).
 ///
-/// Thread-safe; one plan is typically shared by a command registry and
-/// the test that scripts it. All interior state (script cursors, crash
-/// windows, the per-target storm streams) lives behind one mutex, so
-/// concurrent executions serialize their draws; per-target streams
-/// make the draw *sequences* independent of cross-target interleaving,
-/// so seeded storms replay byte-identically even under fan-out.
+/// All state sits behind one mutex, so concurrent callers serialize
+/// their draws; the per-domain streams make the draw *sequences*
+/// independent of how the domains interleave.
 #[derive(Debug)]
-pub struct FaultPlan {
-    state: Mutex<PlanState>,
-    injected: AtomicU64,
+pub struct Plan {
+    state: Mutex<State>,
 }
 
 #[derive(Debug)]
-struct PlanState {
-    scripts: HashMap<String, Script>,
-    mode: Mode,
-}
-
-impl FaultPlan {
-    /// An empty scripted plan: every target healthy until scripted.
-    pub fn new() -> Arc<Self> {
-        Arc::new(FaultPlan {
-            state: Mutex::new(PlanState {
-                scripts: HashMap::new(),
-                mode: Mode::Scripted,
-            }),
-            injected: AtomicU64::new(0),
-        })
-    }
-
-    /// A seeded storm: every execution of every target draws faults
-    /// from `profile` using a PRNG seeded with `seed`. Targets can
-    /// still be scripted on top; scripts take precedence for their
-    /// target until exhausted.
-    pub fn storm(seed: u64, profile: StormProfile) -> Arc<Self> {
-        Arc::new(FaultPlan {
-            state: Mutex::new(PlanState {
-                scripts: HashMap::new(),
-                mode: Mode::Storm {
-                    seed,
-                    streams: HashMap::new(),
-                    profile,
-                },
-            }),
-            injected: AtomicU64::new(0),
-        })
-    }
-
-    /// Script a fault sequence for one target (command basename).
-    /// Replaces any existing script for that target.
-    pub fn script(&self, target: &str, seq: Vec<Fault>) {
-        let mut st = self.state.lock();
-        st.scripts.insert(
-            target.to_string(),
-            Script {
-                seq,
-                next: 0,
-                down_until: None,
-            },
-        );
-    }
-
-    /// Total number of injections applied so far (all targets).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Decide what happens to the next execution of `target` at `now`.
-    ///
-    /// Consumes one scripted fault (if any remain), manages crash
-    /// windows, and falls back to storm draws when configured.
-    pub fn decide(&self, target: &str, now: SimTime) -> Injection {
-        let mut st = self.state.lock();
-        // A crash window in force dominates everything else.
-        if let Some(script) = st.scripts.get_mut(target) {
-            if let Some(until) = script.down_until {
-                if now < until {
-                    drop(st);
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    return Injection::Fail {
-                        exit_code: EXIT_CRASHED,
-                        detail: "injected crash (target down)",
-                    };
-                }
-                script.down_until = None; // restarted
-            }
-            if script.next < script.seq.len() {
-                let fault = script.seq[script.next].clone();
-                script.next += 1;
-                let injection = match fault {
-                    Fault::Fail => Injection::Fail {
-                        exit_code: EXIT_INJECTED,
-                        detail: "injected failure",
-                    },
-                    Fault::Hang(d) => Injection::Hang(d),
-                    Fault::SlowBy(d) => Injection::SlowBy(d),
-                    Fault::Crash { restart_after } => {
-                        script.down_until = Some(now.plus(restart_after));
-                        Injection::Fail {
-                            exit_code: EXIT_CRASHED,
-                            detail: "injected crash (target down)",
-                        }
-                    }
-                };
-                drop(st);
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return injection;
-            }
-        }
-        if let Mode::Storm {
-            seed,
-            streams,
-            profile,
-        } = &mut st.mode
-        {
-            let stream = streams
-                .entry(target.to_string())
-                .or_insert_with(|| SplitMix64::new(*seed ^ fnv1a(target)));
-            let draw = stream.next_f64();
-            let injection = if draw < profile.fail_p {
-                Some(Injection::Fail {
-                    exit_code: EXIT_INJECTED,
-                    detail: "injected failure",
-                })
-            } else if draw < profile.fail_p + profile.hang_p {
-                Some(Injection::Hang(profile.hang_for))
-            } else if draw < profile.fail_p + profile.hang_p + profile.slow_p {
-                Some(Injection::SlowBy(profile.slow_by))
-            } else {
-                None
-            };
-            if let Some(injection) = injection {
-                drop(st);
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return injection;
-            }
-        }
-        Injection::Healthy
-    }
-}
-
-// ---------------------------------------------------------------------
-// Disk faults
-// ---------------------------------------------------------------------
-
-/// One scripted disk failure mode, applied to a single storage
-/// operation of a WAL storage (`infogram_exec::wal::WalStorage`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiskFault {
-    /// The append fails outright; nothing reaches the medium.
-    FailAppend,
-    /// Short write: only the first `keep` bytes of the append are
-    /// written (unsynced), and the append reports an error.
-    ShortWrite {
-        /// Bytes of the payload that do land before the error.
-        keep: usize,
-    },
-    /// Torn write: the first `keep` bytes reach the *durable* medium,
-    /// then the whole storage crashes — everything unsynced is dropped
-    /// and the torn frame prefix is what recovery will find.
-    TornWrite {
-        /// Bytes of the payload that survive the crash.
-        keep: usize,
-    },
-    /// The disk is full: this append — and every later one until
-    /// [`DiskFaultPlan::free_space`] — fails with nothing written.
-    DiskFull,
-    /// The storage crashes *before* this append: unsynced bytes are
-    /// dropped and every operation fails until [`DiskFaultPlan::restart`].
-    Crash,
-}
-
-/// What a storage implementation must do with one append, as decided by
-/// the plan. The plan only *decides*; dropping unsynced bytes on a
-/// crash verdict is the storage's job, so decisions stay pure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AppendVerdict {
-    /// Write every byte normally.
-    Write,
-    /// Write only the first `keep` bytes (unsynced), then report an
-    /// I/O error.
-    Short {
-        /// Bytes that land.
-        keep: usize,
-    },
-    /// Persist the first `keep` bytes *durably*, crash the storage
-    /// (drop all unsynced bytes), then report an I/O error.
-    Torn {
-        /// Bytes that survive.
-        keep: usize,
-    },
-    /// Write nothing; report an I/O error with this detail.
-    Fail {
-        /// Human-readable cause, e.g. `injected append failure`.
-        detail: &'static str,
-    },
-    /// Crash before writing anything: drop unsynced bytes, then report
-    /// an I/O error; every later operation fails until restart.
-    Crash,
-}
-
-/// What a storage implementation must do with one fsync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncVerdict {
-    /// Promote unsynced bytes to durable as usual.
-    Sync,
-    /// Report an I/O error; the unsynced bytes stay unsynced (a later
-    /// successful sync may still promote them).
-    Fail,
-}
-
-/// Storm-mode probabilities for disk operations (independent draws,
-/// keyed by operation count — never by time — so the sequence is
-/// identical under both clocks and the model checker).
-#[derive(Debug, Clone)]
-pub struct DiskStormProfile {
-    /// Probability an append fails outright.
-    pub fail_p: f64,
-    /// Probability an append is a short write (a random prefix lands).
-    pub short_p: f64,
-    /// Probability an fsync fails.
-    pub fsync_fail_p: f64,
-}
-
-impl Default for DiskStormProfile {
-    /// A flaky-disk storm: 2% failed appends, 1% short writes, 2%
-    /// failed fsyncs.
-    fn default() -> Self {
-        DiskStormProfile {
-            fail_p: 0.02,
-            short_p: 0.01,
-            fsync_fail_p: 0.02,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct DiskPlanState {
-    /// Scripted faults keyed by global append index (0 = the first
-    /// append the plan ever sees).
-    append_faults: BTreeMap<u64, DiskFault>,
-    /// Global sync indices whose fsync fails.
-    sync_failures: BTreeSet<u64>,
-    /// Crash the storage when the append counter reaches this index.
+struct State {
+    seed: u64,
+    storm: Option<Storm>,
+    /// Scripted provider faults per target, consumed front first.
+    scripts: HashMap<String, VecDeque<Fault>>,
+    /// Provider draw streams per target, created on first use.
+    streams: HashMap<String, SplitMix64>,
+    /// The disk's draw stream (appends and fsyncs share it).
+    disk: SplitMix64,
+    /// Appends and fsyncs decided so far: the indices scripts key on.
+    appends: u64,
+    syncs: u64,
+    fail_appends: BTreeSet<u64>,
+    fail_syncs: BTreeSet<u64>,
     crash_at_append: Option<u64>,
     /// Disk-full latch: every append fails until space is freed.
     full: bool,
-    appends_seen: u64,
-    syncs_seen: u64,
-    storm: Option<(SplitMix64, DiskStormProfile)>,
 }
 
-/// A deterministic, shareable *disk* fault-injection plan, consulted by
-/// WAL storage implementations on every append/fsync.
-///
-/// The same two modes as [`FaultPlan`]: per-operation scripts
-/// ([`DiskFaultPlan::fault_append`], [`DiskFaultPlan::fail_sync`],
-/// [`DiskFaultPlan::crash_after_appends`]) and a seeded storm
-/// ([`DiskFaultPlan::storm`]). All decisions are keyed by operation
-/// count, never by time, so a seeded plan replays identically under
-/// the system clock, the virtual clock, and `sim::model`.
-#[derive(Debug)]
-pub struct DiskFaultPlan {
-    state: Mutex<DiskPlanState>,
-    crashed: AtomicBool,
-    injected: AtomicU64,
-}
-
-/// Error detail reported by storages while the plan says crashed.
-pub const DISK_CRASHED_DETAIL: &str = "storage crashed (injected)";
-
-impl DiskFaultPlan {
-    /// An empty scripted plan: every operation healthy until scripted.
-    pub fn new() -> Arc<Self> {
-        Arc::new(DiskFaultPlan {
-            state: Mutex::new(DiskPlanState {
-                append_faults: BTreeMap::new(),
-                sync_failures: BTreeSet::new(),
+impl Plan {
+    fn with(seed: u64, storm: Option<Storm>) -> Arc<Self> {
+        Arc::new(Plan {
+            state: Mutex::new(State {
+                seed,
+                storm,
+                scripts: HashMap::new(),
+                streams: HashMap::new(),
+                disk: SplitMix64::new(seed),
+                appends: 0,
+                syncs: 0,
+                fail_appends: BTreeSet::new(),
+                fail_syncs: BTreeSet::new(),
                 crash_at_append: None,
                 full: false,
-                appends_seen: 0,
-                syncs_seen: 0,
-                storm: None,
             }),
-            crashed: AtomicBool::new(false),
-            injected: AtomicU64::new(0),
         })
     }
 
-    /// A seeded storm: every append/fsync draws from `profile` using a
-    /// PRNG seeded with `seed`. Scripted faults take precedence for
-    /// their operation index.
-    pub fn storm(seed: u64, profile: DiskStormProfile) -> Arc<Self> {
-        let plan = DiskFaultPlan::new();
-        plan.state.lock().storm = Some((SplitMix64::new(seed), profile));
-        plan
+    /// A plan with no faults: everything healthy until scripted.
+    pub fn new() -> Arc<Self> {
+        Self::with(0, None)
     }
 
-    /// Script `fault` against the `in_appends`-th *upcoming* append
-    /// (0 = the very next one).
-    pub fn fault_append(&self, in_appends: u64, fault: DiskFault) {
+    /// A seeded storm: every provider execution and disk operation
+    /// draws from `storm`'s probabilities.
+    pub fn storm(seed: u64, storm: Storm) -> Arc<Self> {
+        Self::with(seed, Some(storm))
+    }
+
+    /// Queue faults for the next executions of one target (command
+    /// basename), replacing any earlier script for it. Once the queue is
+    /// empty the target is healthy again (or back in the storm).
+    pub fn script(&self, target: &str, faults: Vec<Fault>) {
+        self.state
+            .lock()
+            .scripts
+            .insert(target.to_string(), faults.into());
+    }
+
+    /// Fail the `in_appends`-th upcoming append (0 = the very next one).
+    pub fn fail_append(&self, in_appends: u64) {
         let mut st = self.state.lock();
-        let idx = st.appends_seen + in_appends;
-        st.append_faults.insert(idx, fault);
+        let idx = st.appends + in_appends;
+        st.fail_appends.insert(idx);
     }
 
-    /// Script the `in_syncs`-th *upcoming* fsync (0 = the very next
-    /// one) to fail.
+    /// Fail the `in_syncs`-th upcoming fsync (0 = the very next one).
     pub fn fail_sync(&self, in_syncs: u64) {
         let mut st = self.state.lock();
-        let idx = st.syncs_seen + in_syncs;
-        st.sync_failures.insert(idx);
+        let idx = st.syncs + in_syncs;
+        st.fail_syncs.insert(idx);
     }
 
-    /// Crash the storage after `k` more successful appends (the
-    /// `k+1`-th upcoming append crashes before writing).
+    /// Crash the disk after `k` more appends: the `k+1`-th upcoming
+    /// append crashes before writing.
     pub fn crash_after_appends(&self, k: u64) {
         let mut st = self.state.lock();
-        st.crash_at_append = Some(st.appends_seen + k);
+        st.crash_at_append = Some(st.appends + k);
     }
 
     /// Latch the disk-full condition: every append fails until
-    /// [`DiskFaultPlan::free_space`].
+    /// [`Plan::free_space`]. A full disk stays full across restarts.
     pub fn fill_disk(&self) {
         self.state.lock().full = true;
     }
@@ -477,99 +236,64 @@ impl DiskFaultPlan {
         self.state.lock().full = false;
     }
 
-    /// Whether the simulated storage is currently crashed (every
-    /// operation fails until [`DiskFaultPlan::restart`]).
-    pub fn crashed(&self) -> bool {
-        self.crashed.load(Ordering::Acquire)
-    }
-
-    /// Bring a crashed storage back (the simulated machine rebooted).
-    /// Does *not* clear a disk-full latch — a full disk stays full
-    /// across reboots.
-    pub fn restart(&self) {
-        self.crashed.store(false, Ordering::Release);
-    }
-
-    /// Total number of injections applied so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Appends decided so far (for scripting relative to "now").
-    pub fn appends_seen(&self) -> u64 {
-        self.state.lock().appends_seen
+    /// The fault for the next execution of `target`, if any.
+    pub fn decide(&self, target: &str) -> Option<Fault> {
+        let mut st = self.state.lock();
+        let st = &mut *st;
+        if let Some(fault) = st.scripts.get_mut(target).and_then(VecDeque::pop_front) {
+            return Some(fault);
+        }
+        let storm = st.storm.as_ref()?;
+        let seed = st.seed;
+        let draw = st
+            .streams
+            .entry(target.to_string())
+            .or_insert_with(|| SplitMix64::new(seed ^ fnv1a(target)))
+            .next_f64();
+        if draw < storm.fail_p {
+            Some(Fault::Fail)
+        } else if draw < storm.fail_p + storm.hang_p {
+            Some(Fault::Hang(storm.hang_for))
+        } else if draw < storm.fail_p + storm.hang_p + storm.slow_p {
+            Some(Fault::SlowBy(storm.slow_by))
+        } else {
+            None
+        }
     }
 
     /// Decide what happens to the next append of `len` bytes.
     pub fn on_append(&self, len: usize) -> AppendVerdict {
-        if self.crashed() {
-            return AppendVerdict::Fail {
-                detail: DISK_CRASHED_DETAIL,
-            };
-        }
         let mut st = self.state.lock();
-        let idx = st.appends_seen;
-        st.appends_seen += 1;
+        let st = &mut *st;
+        let idx = st.appends;
+        st.appends += 1;
         if st.crash_at_append == Some(idx) {
             st.crash_at_append = None;
-            drop(st);
-            self.crashed.store(true, Ordering::Release);
-            self.injected.fetch_add(1, Ordering::Relaxed);
             return AppendVerdict::Crash;
         }
-        if let Some(fault) = st.append_faults.remove(&idx) {
-            let verdict = match fault {
-                DiskFault::FailAppend => AppendVerdict::Fail {
-                    detail: "injected append failure",
-                },
-                DiskFault::ShortWrite { keep } => AppendVerdict::Short {
-                    keep: keep.min(len),
-                },
-                DiskFault::TornWrite { keep } => {
-                    self.crashed.store(true, Ordering::Release);
-                    AppendVerdict::Torn {
-                        keep: keep.min(len),
-                    }
-                }
-                DiskFault::DiskFull => {
-                    st.full = true;
-                    AppendVerdict::Fail {
-                        detail: "disk full (injected)",
-                    }
-                }
-                DiskFault::Crash => {
-                    self.crashed.store(true, Ordering::Release);
-                    AppendVerdict::Crash
-                }
+        if st.fail_appends.remove(&idx) {
+            return AppendVerdict::Fail {
+                detail: "injected append failure",
             };
-            drop(st);
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            return verdict;
         }
         if st.full {
-            drop(st);
-            self.injected.fetch_add(1, Ordering::Relaxed);
             return AppendVerdict::Fail {
                 detail: "disk full (injected)",
             };
         }
-        if let Some((rng, profile)) = &mut st.storm {
-            let draw = rng.next_f64();
-            if draw < profile.fail_p {
-                drop(st);
-                self.injected.fetch_add(1, Ordering::Relaxed);
+        if let Some(storm) = &st.storm {
+            let draw = st.disk.next_f64();
+            if draw < storm.append_fail_p {
                 return AppendVerdict::Fail {
                     detail: "injected append failure",
                 };
             }
-            if draw < profile.fail_p + profile.short_p {
+            if draw < storm.append_fail_p + storm.short_p {
                 let keep = if len == 0 {
                     0
                 } else {
-                    rng.below(len as u64 + 1) as usize
+                    st.disk.below(len as u64 + 1) as usize
                 };
-                drop(st);
-                self.injected.fetch_add(1, Ordering::Relaxed);
                 return AppendVerdict::Short { keep };
             }
         }
@@ -578,25 +302,21 @@ impl DiskFaultPlan {
 
     /// Decide what happens to the next fsync.
     pub fn on_sync(&self) -> SyncVerdict {
-        if self.crashed() {
-            return SyncVerdict::Fail;
-        }
         let mut st = self.state.lock();
-        let idx = st.syncs_seen;
-        st.syncs_seen += 1;
-        if st.sync_failures.remove(&idx) {
-            drop(st);
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            return SyncVerdict::Fail;
+        let st = &mut *st;
+        let idx = st.syncs;
+        st.syncs += 1;
+        let scripted = st.fail_syncs.remove(&idx);
+        if scripted
+            || st
+                .storm
+                .as_ref()
+                .is_some_and(|s| st.disk.next_f64() < s.fsync_fail_p)
+        {
+            SyncVerdict::Fail
+        } else {
+            SyncVerdict::Sync
         }
-        if let Some((rng, profile)) = &mut st.storm {
-            if rng.next_f64() < profile.fsync_fail_p {
-                drop(st);
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return SyncVerdict::Fail;
-            }
-        }
-        SyncVerdict::Sync
     }
 }
 
@@ -604,11 +324,109 @@ impl DiskFaultPlan {
 mod tests {
     use super::*;
 
-    const T0: SimTime = SimTime::ZERO;
+    const E17_SEED: u64 = 0xe17_fa11;
+    const E20_SEED: u64 = 0xe20_0c4a;
+
+    // The first 64 draws of e17's storm (two targets) and of e20's disk
+    // storm, recorded before the provider and disk plans became one
+    // `Plan`. Moving them changes what e17 and e20 measure.
+    const GOLDEN_CPULOAD: &str = "...............F..H...F....F..........S.HF...S..HS..S......S....";
+    const GOLDEN_DATE: &str = ".......S.FF.........F..........F....................F.F....FF.F.";
+    const GOLDEN_APPENDS: &str = ".................................S..............................";
+    const GOLDEN_SHORT_KEEP: usize = 38;
+    const GOLDEN_SYNCS: &str = "..........................F.....F...............................";
+
+    fn e17_storm() -> Storm {
+        Storm {
+            hang_for: Duration::from_millis(300),
+            ..Storm::default()
+        }
+    }
+
+    fn provider_char(fault: Option<Fault>) -> char {
+        match fault {
+            None => '.',
+            Some(Fault::Fail) => 'F',
+            Some(Fault::Hang(d)) => {
+                assert_eq!(d, Duration::from_millis(300));
+                'H'
+            }
+            Some(Fault::SlowBy(d)) => {
+                assert_eq!(d, Duration::from_millis(10));
+                'S'
+            }
+        }
+    }
+
+    fn append_char(verdict: AppendVerdict) -> char {
+        match verdict {
+            AppendVerdict::Write => '.',
+            AppendVerdict::Fail { .. } => 'F',
+            AppendVerdict::Short { keep } => {
+                assert_eq!(keep, GOLDEN_SHORT_KEEP);
+                'S'
+            }
+            AppendVerdict::Crash => 'C',
+        }
+    }
+
+    fn sync_char(verdict: SyncVerdict) -> char {
+        match verdict {
+            SyncVerdict::Sync => '.',
+            SyncVerdict::Fail => 'F',
+        }
+    }
 
     #[test]
-    fn scripted_sequence_consumed_in_order_then_healthy() {
-        let plan = FaultPlan::new();
+    fn storm_draws_match_the_golden_sequences() {
+        let plan = Plan::storm(E17_SEED, e17_storm());
+        for (target, golden) in [("cpuload", GOLDEN_CPULOAD), ("date", GOLDEN_DATE)] {
+            let drawn: String = (0..64)
+                .map(|_| provider_char(plan.decide(target)))
+                .collect();
+            assert_eq!(drawn, golden, "{target}");
+        }
+        let plan = Plan::storm(E20_SEED, Storm::default());
+        let appends: String = (0..64).map(|_| append_char(plan.on_append(64))).collect();
+        let syncs: String = (0..64).map(|_| sync_char(plan.on_sync())).collect();
+        assert_eq!(appends, GOLDEN_APPENDS);
+        assert_eq!(syncs, GOLDEN_SYNCS);
+    }
+
+    #[test]
+    fn interleaved_domains_leave_every_stream_unchanged() {
+        // The e17 seed's provider streams with disk traffic between draws.
+        let plan = Plan::storm(E17_SEED, e17_storm());
+        let (mut cpuload, mut date) = (String::new(), String::new());
+        for _ in 0..64 {
+            cpuload.push(provider_char(plan.decide("cpuload")));
+            let _ = plan.on_append(64);
+            date.push(provider_char(plan.decide("date")));
+            let _ = plan.on_sync();
+        }
+        assert_eq!(cpuload, GOLDEN_CPULOAD);
+        assert_eq!(date, GOLDEN_DATE);
+        // The e20 seed's disk stream with provider draws between operations.
+        let plan = Plan::storm(E20_SEED, Storm::default());
+        let appends: String = (0..64)
+            .map(|_| {
+                let _ = plan.decide("cpuload");
+                append_char(plan.on_append(64))
+            })
+            .collect();
+        let syncs: String = (0..64)
+            .map(|_| {
+                let _ = plan.decide("date");
+                sync_char(plan.on_sync())
+            })
+            .collect();
+        assert_eq!(appends, GOLDEN_APPENDS);
+        assert_eq!(syncs, GOLDEN_SYNCS);
+    }
+
+    #[test]
+    fn scripted_faults_consumed_in_order_then_healthy() {
+        let plan = Plan::new();
         plan.script(
             "cpuload",
             vec![
@@ -617,61 +435,41 @@ mod tests {
                 Fault::Hang(Duration::from_millis(50)),
             ],
         );
-        assert!(matches!(plan.decide("cpuload", T0), Injection::Fail { .. }));
+        assert_eq!(plan.decide("cpuload"), Some(Fault::Fail));
         assert_eq!(
-            plan.decide("cpuload", T0),
-            Injection::SlowBy(Duration::from_millis(5))
+            plan.decide("cpuload"),
+            Some(Fault::SlowBy(Duration::from_millis(5)))
         );
         assert_eq!(
-            plan.decide("cpuload", T0),
-            Injection::Hang(Duration::from_millis(50))
+            plan.decide("cpuload"),
+            Some(Fault::Hang(Duration::from_millis(50)))
         );
-        assert_eq!(plan.decide("cpuload", T0), Injection::Healthy);
+        assert_eq!(plan.decide("cpuload"), None);
         // Other targets unaffected throughout.
-        assert_eq!(plan.decide("date", T0), Injection::Healthy);
-        assert_eq!(plan.injected(), 3);
+        assert_eq!(plan.decide("date"), None);
     }
 
     #[test]
-    fn crash_holds_target_down_until_restart() {
-        let plan = FaultPlan::new();
-        plan.script(
-            "sysinfo",
-            vec![Fault::Crash {
-                restart_after: Duration::from_secs(10),
-            }],
+    fn script_takes_precedence_over_storm() {
+        let plan = Plan::storm(
+            7,
+            Storm {
+                fail_p: 0.0,
+                hang_p: 0.0,
+                slow_p: 0.0,
+                ..Storm::default()
+            },
         );
-        assert!(matches!(
-            plan.decide("sysinfo", T0),
-            Injection::Fail {
-                exit_code: EXIT_CRASHED,
-                ..
-            }
-        ));
-        // Still down 5s in.
-        let t5 = T0.plus(Duration::from_secs(5));
-        assert!(matches!(plan.decide("sysinfo", t5), Injection::Fail { .. }));
-        // Back up after the restart window.
-        let t10 = T0.plus(Duration::from_secs(10));
-        assert_eq!(plan.decide("sysinfo", t10), Injection::Healthy);
+        plan.script("date", vec![Fault::Fail]);
+        assert_eq!(plan.decide("date"), Some(Fault::Fail));
+        // Script exhausted, zero-probability storm: healthy.
+        assert_eq!(plan.decide("date"), None);
     }
 
     #[test]
-    fn storm_is_seed_deterministic() {
-        let a = FaultPlan::storm(42, StormProfile::default());
-        let b = FaultPlan::storm(42, StormProfile::default());
-        let seq_a: Vec<Injection> = (0..200).map(|_| a.decide("cpuload", T0)).collect();
-        let seq_b: Vec<Injection> = (0..200).map(|_| b.decide("cpuload", T0)).collect();
-        assert_eq!(seq_a, seq_b);
-        assert!(seq_a.iter().any(|i| *i != Injection::Healthy));
-        assert!(seq_a.contains(&Injection::Healthy));
-    }
-
-    #[test]
-    fn disk_plan_scripted_faults_hit_their_op_index() {
-        let plan = DiskFaultPlan::new();
-        plan.fault_append(1, DiskFault::FailAppend);
-        plan.fault_append(2, DiskFault::ShortWrite { keep: 3 });
+    fn disk_scripts_hit_their_op_index() {
+        let plan = Plan::new();
+        plan.fail_append(1);
         plan.fail_sync(0);
         assert_eq!(plan.on_append(10), AppendVerdict::Write);
         assert_eq!(
@@ -680,88 +478,35 @@ mod tests {
                 detail: "injected append failure"
             }
         );
-        assert_eq!(plan.on_append(10), AppendVerdict::Short { keep: 3 });
         assert_eq!(plan.on_append(10), AppendVerdict::Write);
         assert_eq!(plan.on_sync(), SyncVerdict::Fail);
         assert_eq!(plan.on_sync(), SyncVerdict::Sync);
-        assert_eq!(plan.injected(), 3);
     }
 
     #[test]
-    fn disk_plan_crash_after_k_appends_then_restart() {
-        let plan = DiskFaultPlan::new();
+    fn crash_after_k_appends() {
+        let plan = Plan::new();
         plan.crash_after_appends(2);
         assert_eq!(plan.on_append(1), AppendVerdict::Write);
         assert_eq!(plan.on_append(1), AppendVerdict::Write);
         assert_eq!(plan.on_append(1), AppendVerdict::Crash);
-        assert!(plan.crashed());
-        // While crashed, everything fails.
-        assert_eq!(
-            plan.on_append(1),
-            AppendVerdict::Fail {
-                detail: DISK_CRASHED_DETAIL
-            }
-        );
-        assert_eq!(plan.on_sync(), SyncVerdict::Fail);
-        plan.restart();
-        assert!(!plan.crashed());
+        // One crash, not a latch: the disk keeps the crashed state.
         assert_eq!(plan.on_append(1), AppendVerdict::Write);
-        assert_eq!(plan.on_sync(), SyncVerdict::Sync);
     }
 
     #[test]
-    fn disk_plan_torn_write_crashes_with_prefix() {
-        let plan = DiskFaultPlan::new();
-        plan.fault_append(0, DiskFault::TornWrite { keep: 99 });
-        // keep is clamped to the payload length.
-        assert_eq!(plan.on_append(7), AppendVerdict::Torn { keep: 7 });
-        assert!(plan.crashed());
-    }
-
-    #[test]
-    fn disk_plan_full_latches_until_freed() {
-        let plan = DiskFaultPlan::new();
-        plan.fault_append(0, DiskFault::DiskFull);
-        assert!(matches!(plan.on_append(1), AppendVerdict::Fail { .. }));
-        assert!(matches!(
-            plan.on_append(1),
-            AppendVerdict::Fail {
-                detail: "disk full (injected)"
-            }
-        ));
+    fn full_disk_latches_until_freed() {
+        let plan = Plan::new();
+        plan.fill_disk();
+        for _ in 0..2 {
+            assert_eq!(
+                plan.on_append(1),
+                AppendVerdict::Fail {
+                    detail: "disk full (injected)"
+                }
+            );
+        }
         plan.free_space();
         assert_eq!(plan.on_append(1), AppendVerdict::Write);
-    }
-
-    #[test]
-    fn disk_storm_is_seed_deterministic() {
-        let mk = || DiskFaultPlan::storm(99, DiskStormProfile::default());
-        let (a, b) = (mk(), mk());
-        let seq_a: Vec<AppendVerdict> = (0..400).map(|_| a.on_append(64)).collect();
-        let seq_b: Vec<AppendVerdict> = (0..400).map(|_| b.on_append(64)).collect();
-        assert_eq!(seq_a, seq_b);
-        assert!(seq_a.iter().any(|v| *v != AppendVerdict::Write));
-        assert!(seq_a.contains(&AppendVerdict::Write));
-        let syncs_a: Vec<SyncVerdict> = (0..400).map(|_| a.on_sync()).collect();
-        let syncs_b: Vec<SyncVerdict> = (0..400).map(|_| b.on_sync()).collect();
-        assert_eq!(syncs_a, syncs_b);
-        assert!(syncs_a.contains(&SyncVerdict::Fail));
-    }
-
-    #[test]
-    fn script_takes_precedence_over_storm() {
-        let plan = FaultPlan::storm(
-            7,
-            StormProfile {
-                fail_p: 0.0,
-                hang_p: 0.0,
-                slow_p: 0.0,
-                ..StormProfile::default()
-            },
-        );
-        plan.script("date", vec![Fault::Fail]);
-        assert!(matches!(plan.decide("date", T0), Injection::Fail { .. }));
-        // Script exhausted, zero-probability storm: healthy.
-        assert_eq!(plan.decide("date", T0), Injection::Healthy);
     }
 }

@@ -15,20 +15,21 @@
 //!   benchmarks sweep hours of simulated cache behaviour in milliseconds.
 //! * [`rng::SplitMix64`] — a tiny, seedable, reproducible PRNG plus the
 //!   distributions the workload models need.
-//! * [`net`] — latency/jitter/loss models for the simulated network links
-//!   used by the in-memory transport.
+//! * [`net`] — latency models for the simulated network links used by
+//!   the in-memory transport; links delay messages, they do not lose them.
 //! * [`stats`] — streaming mean/stddev (Welford) and percentile summaries
 //!   used by the performance tag (§6.6 of the paper) and by the benchmark
 //!   harness.
 //! * [`workload`] — open- and closed-loop arrival processes for the
 //!   client populations driving the experiments.
-//! * [`fault`] — deterministic fault injection: scripted or seeded-storm
-//!   [`FaultPlan`]s that the command registry consults on every
-//!   execution, so provider failures (exits, hangs, slowdowns, crash
-//!   windows) replay identically under both clocks.
+//! * [`fault`] — deterministic fault injection: one scripted or
+//!   seeded-storm [`fault::Plan`] for provider commands (exits, hangs,
+//!   slowdowns) and the WAL's disk (failed or short appends, failed
+//!   fsyncs, a full disk, power loss), replayed identically under both
+//!   clocks.
 //! * [`par`] — the scoped, order-preserving scatter-gather fan-out used
-//!   by `(info=all)` answering, aggregate member queries, and GIIS
-//!   member pulls.
+//!   by `(info=all)` answering, scheduled refreshes, and GIIS member
+//!   pulls; its items run in parallel in virtual time too.
 //! * [`timer`] — a deterministic, clock-agnostic timer queue
 //!   ([`timer::TimerWheel`]) backing the adaptive refresh scheduler and
 //!   the GIIS member re-pull loop; the caller supplies `now`, so it runs
@@ -60,10 +61,6 @@ pub mod varint;
 pub mod workload;
 
 pub use clock::{Clock, ManualClock, SharedClock, SimTime, SystemClock};
-pub use fault::{
-    AppendVerdict, DiskFault, DiskFaultPlan, DiskStormProfile, Fault, FaultPlan, Injection,
-    StormProfile, SyncVerdict,
-};
 pub use infogram_obs::stats;
 pub use par::{fan_out, fan_out_bounded};
 pub use rng::SplitMix64;

@@ -1,10 +1,11 @@
 //! Simulated network links.
 //!
-//! The in-memory transport in `infogram-proto` charges every message a
-//! delay drawn from a [`LatencyModel`] and may drop it according to a loss
-//! probability, so the protocol-count experiments (Figures 2–4) can show
-//! how connection and handshake overhead scales with link quality without a
-//! real network.
+//! The in-memory transport in `infogram-proto` delays every message by a
+//! draw from its link's [`LatencyModel`], so the protocol-count experiments
+//! (Figures 2–4) can show how connection and handshake overhead scales with
+//! link latency without a real network. Links do not lose messages: nothing
+//! in `proto` has a read deadline yet, so a lost frame would leave its peer
+//! blocked in `recv` for ever.
 
 use crate::rng::SplitMix64;
 use parking_lot::Mutex;
@@ -33,107 +34,47 @@ pub enum LatencyModel {
     },
 }
 
-impl LatencyModel {
-    /// Draw one one-way delay.
-    pub fn sample(&self, rng: &mut SplitMix64) -> Duration {
-        match self {
-            LatencyModel::Instant => Duration::ZERO,
-            LatencyModel::Fixed(d) => *d,
-            LatencyModel::Uniform { min, max } => {
-                let lo = min.as_secs_f64();
-                let hi = max.as_secs_f64().max(lo);
-                Duration::from_secs_f64(rng.uniform(lo, hi))
-            }
-            LatencyModel::Normal { mean, std_dev } => {
-                let x = rng.normal(mean.as_secs_f64(), std_dev.as_secs_f64());
-                Duration::from_secs_f64(x.max(0.0))
-            }
-        }
-    }
-}
-
-/// A simulated bidirectional link: latency model, loss probability, and
-/// running traffic accounting.
+/// A simulated bidirectional link: a latency model and the seeded
+/// stream its delays are drawn from.
 #[derive(Debug)]
 pub struct Link {
     latency: LatencyModel,
-    loss_probability: f64,
-    state: Mutex<LinkState>,
-}
-
-#[derive(Debug)]
-struct LinkState {
-    rng: SplitMix64,
-    messages: u64,
-    bytes: u64,
-    dropped: u64,
-}
-
-/// The verdict for one message offered to a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Deliver after the contained delay.
-    After(Duration),
-    /// The link dropped the message.
-    Dropped,
+    rng: Mutex<SplitMix64>,
 }
 
 impl Link {
     /// A perfect, zero-latency link (the default for tests).
     pub fn ideal() -> Self {
-        Link::new(LatencyModel::Instant, 0.0, 0)
+        Link::new(LatencyModel::Instant, 0)
     }
 
-    /// A link with the given latency model, loss probability in `[0,1]`,
-    /// and RNG seed.
-    pub fn new(latency: LatencyModel, loss_probability: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&loss_probability),
-            "loss probability out of range"
-        );
+    /// A link with the given latency model and RNG seed.
+    pub fn new(latency: LatencyModel, seed: u64) -> Self {
         Link {
             latency,
-            loss_probability,
-            state: Mutex::new(LinkState {
-                rng: SplitMix64::new(seed),
-                messages: 0,
-                bytes: 0,
-                dropped: 0,
-            }),
+            rng: Mutex::new(SplitMix64::new(seed)),
         }
     }
 
-    /// Offer a message of `bytes` bytes to the link; returns the delivery
-    /// verdict and updates the accounting.
-    pub fn transmit(&self, bytes: usize) -> Delivery {
-        let mut st = self.state.lock();
-        let dropped = {
-            let p = self.loss_probability;
-            p > 0.0 && st.rng.chance(p)
-        };
-        if dropped {
-            st.dropped += 1;
-            return Delivery::Dropped;
+    /// The one-way delay of the next message. Instant and fixed links
+    /// draw nothing, so they take no lock.
+    pub fn delay(&self) -> Duration {
+        match &self.latency {
+            LatencyModel::Instant => Duration::ZERO,
+            LatencyModel::Fixed(d) => *d,
+            LatencyModel::Uniform { min, max } => {
+                let lo = min.as_secs_f64();
+                let hi = max.as_secs_f64().max(lo);
+                Duration::from_secs_f64(self.rng.lock().uniform(lo, hi))
+            }
+            LatencyModel::Normal { mean, std_dev } => {
+                let x = self
+                    .rng
+                    .lock()
+                    .normal(mean.as_secs_f64(), std_dev.as_secs_f64());
+                Duration::from_secs_f64(x.max(0.0))
+            }
         }
-        let delay = self.latency.sample(&mut st.rng);
-        st.messages += 1;
-        st.bytes += bytes as u64;
-        Delivery::After(delay)
-    }
-
-    /// Messages successfully carried.
-    pub fn messages(&self) -> u64 {
-        self.state.lock().messages
-    }
-
-    /// Bytes successfully carried.
-    pub fn bytes(&self) -> u64 {
-        self.state.lock().bytes
-    }
-
-    /// Messages dropped.
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().dropped
     }
 }
 
@@ -143,21 +84,14 @@ mod tests {
 
     #[test]
     fn instant_link_delivers_immediately() {
-        let link = Link::ideal();
-        match link.transmit(100) {
-            Delivery::After(d) => assert_eq!(d, Duration::ZERO),
-            Delivery::Dropped => panic!("ideal link dropped"),
-        }
-        assert_eq!(link.messages(), 1);
-        assert_eq!(link.bytes(), 100);
-        assert_eq!(link.dropped(), 0);
+        assert_eq!(Link::ideal().delay(), Duration::ZERO);
     }
 
     #[test]
     fn fixed_latency() {
-        let link = Link::new(LatencyModel::Fixed(Duration::from_millis(5)), 0.0, 1);
+        let link = Link::new(LatencyModel::Fixed(Duration::from_millis(5)), 1);
         for _ in 0..10 {
-            assert_eq!(link.transmit(1), Delivery::After(Duration::from_millis(5)));
+            assert_eq!(link.delay(), Duration::from_millis(5));
         }
     }
 
@@ -168,50 +102,23 @@ mod tests {
                 min: Duration::from_millis(1),
                 max: Duration::from_millis(3),
             },
-            0.0,
             2,
         );
         for _ in 0..1000 {
-            match link.transmit(1) {
-                Delivery::After(d) => {
-                    assert!(d >= Duration::from_millis(1) && d <= Duration::from_millis(3))
-                }
-                Delivery::Dropped => panic!("unexpected drop"),
-            }
+            let d = link.delay();
+            assert!(d >= Duration::from_millis(1) && d <= Duration::from_millis(3));
         }
     }
 
     #[test]
-    fn lossy_link_drops_about_right() {
-        let link = Link::new(LatencyModel::Instant, 0.3, 3);
-        for _ in 0..10_000 {
-            let _ = link.transmit(1);
-        }
-        let rate = link.dropped() as f64 / 10_000.0;
-        assert!((rate - 0.3).abs() < 0.03, "drop rate {rate}");
-    }
-
-    #[test]
-    fn normal_latency_nonnegative() {
-        let link = Link::new(
-            LatencyModel::Normal {
-                mean: Duration::from_micros(10),
-                std_dev: Duration::from_micros(50),
-            },
-            0.0,
-            4,
-        );
+    fn normal_latency_is_seeded() {
+        let model = LatencyModel::Normal {
+            mean: Duration::from_micros(10),
+            std_dev: Duration::from_micros(50),
+        };
+        let (a, b) = (Link::new(model.clone(), 4), Link::new(model, 4));
         for _ in 0..1000 {
-            match link.transmit(1) {
-                Delivery::After(_) => {}
-                Delivery::Dropped => panic!("unexpected drop"),
-            }
+            assert_eq!(a.delay(), b.delay());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "loss probability")]
-    fn rejects_bad_loss() {
-        let _ = Link::new(LatencyModel::Instant, 1.5, 0);
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Every provider execution rolls the storm dice — 10% fail, 2% hang,
 //! 5% run slow — while a real client hammers queries and submits a few
-//! jobs over the in-memory network. The service's WAL rides on a
-//! fault-injected disk of its own (failed appends, short writes,
-//! failed fsyncs), so job submissions can be honestly refused with
+//! jobs over the in-memory network. The same plan makes the service's
+//! WAL disk misbehave (failed appends, short writes, failed fsyncs),
+//! so job submissions can be honestly refused with
 //! `UNAVAILABLE` + a retry hint while the log is read-only. The run
 //! must finish with zero panics, a bounded query-error rate, and every
 //! submission eventually accepted once the log heals: the fault-domain
@@ -13,9 +13,9 @@
 //! stale answers, and the WAL turns disk carnage into bounded
 //! read-only windows — never INTERNAL errors or silent acks.
 //!
-//! The storm is seeded: the seed is printed up front and can be pinned
-//! with `SEED=<n>` to replay a failing run exactly (same draws, same
-//! injections). `ROUNDS=<n>` scales the run length.
+//! The storm is seeded: one seed drives both domains, is printed up
+//! front and can be pinned with `SEED=<n>` to replay a failing run's
+//! draws exactly. `ROUNDS=<n>` scales the run length.
 //!
 //! Driven by `scripts/chaos_smoke.sh`.
 
@@ -23,7 +23,7 @@ use infogram::exec::{FrameWal, MemStorage, WalStorage};
 use infogram::info::config::{ServiceConfig, TABLE1_TEXT};
 use infogram::proto::message::{codes, JobStateCode};
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram::sim::fault::{DiskFaultPlan, DiskStormProfile, FaultPlan, StormProfile};
+use infogram::sim::fault::{Plan, Storm};
 use infogram_client::ClientError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,21 +52,26 @@ fn main() {
     for kw in KEYWORDS {
         text.push_str(&format!("@degradation {kw} linear 5000\n"));
     }
-    // The WAL's disk weathers its own storm: failed appends / short
-    // writes / failed fsyncs flip the job log read-only for its retry
-    // window; submissions then get UNAVAILABLE with a retry hint instead
-    // of a silent ack. Only jobs write to the log — some twenty appends a
-    // run, the 200 queries none — so the odds are per job record, set for
+    // One plan, one seed, two domains. Providers: the sandbox charges
+    // costs by really sleeping, so injected stalls stay short (they still
+    // blow TTL-0 budgets). The WAL's disk: failed appends / short writes /
+    // failed fsyncs flip the job log read-only for its retry window;
+    // submissions then get UNAVAILABLE with a retry hint instead of a
+    // silent ack. Only jobs write to the log — some twenty appends a run,
+    // the 200 queries none — so the disk odds are per job record, set for
     // about one fault per run.
-    let disk_plan = DiskFaultPlan::storm(
-        seed.wrapping_add(0xd15c),
-        DiskStormProfile {
-            fail_p: 0.03,
+    let plan = Plan::storm(
+        seed,
+        Storm {
+            hang_for: Duration::from_millis(20),
+            slow_by: Duration::from_millis(2),
+            append_fail_p: 0.03,
             short_p: 0.01,
             fsync_fail_p: 0.03,
+            ..Storm::default()
         },
     );
-    let disk = MemStorage::with_plan(Some(Arc::clone(&disk_plan)));
+    let disk = MemStorage::with_plan(Some(Arc::clone(&plan)));
     let wal_sink = FrameWal::open(Arc::clone(&disk) as Arc<dyn WalStorage>).expect("open wal");
     let sandbox = Sandbox::start_with(SandboxConfig {
         config: ServiceConfig::parse(&text).expect("config"),
@@ -80,16 +85,7 @@ fn main() {
     for kw in KEYWORDS {
         client.info(kw).expect("warm-up");
     }
-    sandbox.registry.set_fault_plan(FaultPlan::storm(
-        seed,
-        StormProfile {
-            // The sandbox charges costs by really sleeping, so keep the
-            // injected stalls short (they still blow TTL-0 budgets).
-            hang_for: Duration::from_millis(20),
-            slow_by: Duration::from_millis(2),
-            ..StormProfile::default()
-        },
-    ));
+    sandbox.registry.set_fault_plan(plan);
 
     let mut queries = 0u64;
     let mut fresh = 0u64;

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Crash-consistency gate: the restart-recovery and crash-storm suites,
-# with disk-fault injection (sim::fault::DiskFaultPlan) forced on where
-# the scenario calls for a misbehaving disk.
+# with a sim::fault::Plan attached to the simulated disk
+# (MemStorage::with_plan) where the scenario calls for a misbehaving one.
 #
 #   - tests/restart_recovery.rs — kill a service with jobs in flight,
 #     restart a new incarnation over the same file-backed WAL: jobs

@@ -50,7 +50,7 @@ pub struct SandboxConfig {
     pub wal_sink: Option<FrameWal>,
     /// Also start the baseline separate GRAM + MDS services.
     pub with_baseline: bool,
-    /// Network link model (latency / loss); `None` = ideal link.
+    /// Network link model (latency); `None` = ideal link.
     pub link: Option<infogram_sim::net::Link>,
 }
 

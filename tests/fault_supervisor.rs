@@ -12,7 +12,7 @@ use infogram::info::BreakerState;
 use infogram::proto::message::codes;
 use infogram::quickstart::{Sandbox, SandboxConfig};
 use infogram::sim::clock::Clock;
-use infogram::sim::fault::{Fault, FaultPlan, StormProfile};
+use infogram::sim::fault::{Fault, Plan, Storm};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::ManualClock;
 use infogram_client::{ClientError, RetryPolicy};
@@ -49,7 +49,7 @@ fn breaker_trips_after_failures_and_half_open_probe_recovers() {
     let entry = info.lookup("Probe").expect("configured");
 
     // 3 supervised fetches x (1 attempt + 2 retries) consume 9 faults.
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     plan.script("date", vec![Fault::Fail; 9]);
     registry.set_fault_plan(plan);
 
@@ -96,7 +96,7 @@ fn stale_serve_quality_decays_until_hard_failure() {
     assert!(!fresh.stale);
     let produced_at = fresh.produced_at;
 
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     plan.script("sysinfo", vec![Fault::Fail; 100]);
     registry.set_fault_plan(plan);
 
@@ -134,7 +134,7 @@ fn deadline_budget_stops_retries_over_a_hang() {
     assert_eq!(entry.execution_count(), 1);
 
     // The provider hangs for 30 virtual seconds — far over the budget.
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     plan.script("cpuload", vec![Fault::Hang(Duration::from_secs(30))]);
     registry.set_fault_plan(plan);
 
@@ -163,13 +163,13 @@ fn seeded_fault_storm_replays_byte_identically() {
     fn run(seed: u64) -> String {
         let (clock, registry, info, _metrics) =
             manual_service("100 Date date -u\n100 CPU /sbin/sysinfo.exe -cpu\n");
-        registry.set_fault_plan(FaultPlan::storm(
+        registry.set_fault_plan(Plan::storm(
             seed,
-            StormProfile {
+            Storm {
                 fail_p: 0.30,
                 hang_p: 0.05,
                 slow_p: 0.10,
-                ..StormProfile::default()
+                ..Storm::default()
             },
         ));
         let mut log = String::new();
@@ -210,7 +210,7 @@ fn degraded_answers_reach_the_client_never_internal() {
 
     // Every subsequent `date` execution fails. The client keeps getting
     // answers — degraded, honestly aged — never an INTERNAL error.
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     plan.script("date", vec![Fault::Fail; 1000]);
     sandbox.registry.set_fault_plan(plan);
 
@@ -253,7 +253,7 @@ fn xrsl_timeout_tightens_the_deadline_budget_over_a_hang() {
     assert_eq!(entry.execution_count(), 1);
 
     let hang = || {
-        let plan = FaultPlan::new();
+        let plan = Plan::new();
         plan.script("uptime", vec![Fault::Hang(Duration::from_millis(200))]);
         sandbox.registry.set_fault_plan(plan);
     };
@@ -302,7 +302,7 @@ fn breaker_open_rejection_carries_retry_after_and_client_honors_it() {
 
     // Exactly 9 failures: three supervised fetches (1 + 2 retries each)
     // trip the breaker, leaving a healthy provider behind it.
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     plan.script("uptime", vec![Fault::Fail; 9]);
     sandbox.registry.set_fault_plan(plan);
 
@@ -368,7 +368,7 @@ fn giis_keeps_serving_records_of_an_open_member() {
     // All providers of the (only) member fail; its snapshots are far
     // past their Binary lifetimes by the next expiry, so the member pull
     // fails hard — yet the aggregate answer does not shrink.
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     for cmd in ["date", "sysinfo", "cpuload", "ls"] {
         plan.script(cmd, vec![Fault::Fail; 30]);
     }

@@ -26,8 +26,9 @@
 #![allow(clippy::unwrap_used)]
 
 use infogram::exec::{FrameWal, MemStorage, Wal, WalEvent, WalStorage};
+use infogram::sim::fault::Plan;
 use infogram::sim::model;
-use infogram::sim::{DiskFaultPlan, SimTime};
+use infogram::sim::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
@@ -224,7 +225,7 @@ fn shipped_wal_never_acks_before_durable() {
 #[test]
 fn racing_committers_get_ok_durable_or_an_error() {
     let report = model::explore(&bounded_config(), || {
-        let plan = DiskFaultPlan::new();
+        let plan = Plan::new();
         plan.fail_sync(0); // the first fsync (whichever batch wins) fails
         let storage = MemStorage::with_plan(Some(plan));
         let wal = Arc::new(Wal::new(Box::new(

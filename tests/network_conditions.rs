@@ -9,11 +9,7 @@ use std::time::{Duration, Instant};
 #[test]
 fn service_works_over_a_slow_link() {
     let sandbox = Sandbox::start_with(SandboxConfig {
-        link: Some(Link::new(
-            LatencyModel::Fixed(Duration::from_millis(5)),
-            0.0,
-            42,
-        )),
+        link: Some(Link::new(LatencyModel::Fixed(Duration::from_millis(5)), 42)),
         ..Default::default()
     });
     let t0 = Instant::now();
@@ -42,7 +38,6 @@ fn jittery_link_answers_remain_correct() {
                 min: Duration::from_micros(100),
                 max: Duration::from_millis(3),
             },
-            0.0,
             7,
         )),
         ..Default::default()

@@ -11,7 +11,7 @@ use infogram::info::config::{SchedConfig, ServiceConfig};
 use infogram::info::sched::{RefreshScheduler, WatchError};
 use infogram::info::service::{InformationService, QueryOptions};
 use infogram::sim::clock::Clock;
-use infogram::sim::fault::{Fault, FaultPlan};
+use infogram::sim::fault::{Fault, Plan};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::ManualClock;
 use infogram_rsl::InfoSelector;
@@ -196,7 +196,7 @@ fn broken_provider_parks_behind_the_breaker() {
     // must park the keyword (reschedule past the cool-down) rather than
     // hot-loop it, and resume refreshing once the provider heals.
     let (clock, registry, info, metrics) = manual_service("100 Flaky date -u\n");
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     plan.script("date", vec![Fault::Fail; 30]);
     registry.set_fault_plan(plan);
 
@@ -279,7 +279,7 @@ fn refresh_ledger_balances_against_cache_installs() {
     // refreshes land on neither side of the ledger.
     let cfg = "100 Date date -u\n80 Memory free\n100 Flaky date -u\n";
     let (clock, registry, info, metrics) = manual_service(cfg);
-    let plan = FaultPlan::new();
+    let plan = Plan::new();
     plan.script("date", vec![Fault::Fail, Fault::Fail]);
     registry.set_fault_plan(plan);
 

@@ -24,7 +24,8 @@
 use infogram::exec::{FrameWal, MemStorage, RecoveredState, Wal, WalConfig, WalEvent, WalStorage};
 use infogram::proto::message::{codes, JobStateCode};
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram::sim::{DiskFaultPlan, SimTime};
+use infogram::sim::fault::Plan;
+use infogram::sim::SimTime;
 use infogram_client::ClientError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -260,7 +261,7 @@ fn mid_log_corruption_is_skipped_and_the_rest_replays() {
 
 #[test]
 fn full_disk_surfaces_unavailable_on_the_wire_and_heals() {
-    let plan = DiskFaultPlan::new();
+    let plan = Plan::new();
     let storage = MemStorage::with_plan(Some(Arc::clone(&plan)));
     let sink = FrameWal::open(Arc::clone(&storage) as Arc<dyn WalStorage>).unwrap();
     let sandbox = Sandbox::start_with(SandboxConfig {
