@@ -16,6 +16,7 @@
 use crate::cert::{verify_chain, CertError, Certificate, Credential};
 use crate::dn::Dn;
 use crate::wire::{self, WireParseError};
+use infogram_sim::wire::Reader;
 use infogram_sim::{SimTime, SplitMix64};
 
 /// Number of wire messages a full mutual handshake costs.
@@ -140,12 +141,21 @@ impl From<WireParseError> for HandshakeError {
     }
 }
 
-/// The fields of `msg` after its tag, if the tag is `tag`.
-fn open<'a>(msg: &'a [u8], tag: u8, refusal: &str) -> Result<&'a [u8], HandshakeError> {
-    match msg.split_first() {
-        Some((&t, rest)) if t == tag => Ok(rest),
-        _ => Err(HandshakeError::Malformed(wire::err(refusal))),
+/// Read the fields of `msg` after its tag with `fields`, if the tag is
+/// `tag`; bytes after them are refused.
+fn read<T>(
+    msg: &[u8],
+    tag: u8,
+    refusal: &str,
+    fields: impl FnOnce(&mut Reader<'_>) -> Result<T, WireParseError>,
+) -> Result<T, HandshakeError> {
+    let mut r = Reader::new(msg);
+    if r.u8("tag") != Ok(tag) {
+        return Err(HandshakeError::Malformed(wire::err(refusal)));
     }
+    let out = fields(&mut r)?;
+    r.finish().map_err(WireParseError::from)?;
+    Ok(out)
 }
 
 /// Server-side state between M1/M2 and M3.
@@ -178,10 +188,9 @@ pub fn wire_server_respond(
     now: SimTime,
     rng: &mut SplitMix64,
 ) -> Result<(Vec<u8>, ServerPending), HandshakeError> {
-    let mut r = open(hello, HELLO, "not a HELLO")?;
-    let client_nonce = wire::get_u64(&mut r)?;
-    let client_chain = wire::get_chain(&mut r)?;
-    wire::end(r)?;
+    let (client_nonce, client_chain) = read(hello, HELLO, "not a HELLO", |r| {
+        Ok((u64::from_le_bytes(r.array("nonce")?), wire::read_chain(r)?))
+    })?;
     let client_identity =
         verify_chain(&client_chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
 
@@ -212,11 +221,13 @@ pub fn wire_client_finish(
     client_nonce: u64,
     now: SimTime,
 ) -> Result<(Vec<u8>, SecurityContext), HandshakeError> {
-    let mut r = open(resp, RESP, "not a RESP")?;
-    let server_nonce = wire::get_u64(&mut r)?;
-    let server_proof = wire::get_u64(&mut r)?;
-    let server_chain = wire::get_chain(&mut r)?;
-    wire::end(r)?;
+    let (server_nonce, server_proof, server_chain) = read(resp, RESP, "not a RESP", |r| {
+        Ok((
+            u64::from_le_bytes(r.array("nonce")?),
+            u64::from_le_bytes(r.array("proof")?),
+            wire::read_chain(r)?,
+        ))
+    })?;
     let server_identity =
         verify_chain(&server_chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
     if !server_chain[0]
@@ -243,9 +254,9 @@ pub fn wire_server_verify(
     pending: &ServerPending,
     fin: &[u8],
 ) -> Result<SecurityContext, HandshakeError> {
-    let mut r = open(fin, FIN, "not a FIN")?;
-    let proof = wire::get_u64(&mut r)?;
-    wire::end(r)?;
+    let proof = read(fin, FIN, "not a FIN", |r| {
+        Ok(u64::from_le_bytes(r.array("proof")?))
+    })?;
     if !pending
         .client_leaf_key
         .verify(&pending.server_nonce.to_le_bytes(), proof)

@@ -13,12 +13,13 @@
 //!
 //! Decoding rebuilds each DN from its pairs with [`Dn::from_rdns`], so
 //! every DN a CA can issue — leading or trailing spaces, control bytes
-//! and all — reads back as it was signed. Every count and length is
-//! checked against the bytes that arrived before anything is allocated
-//! for it.
+//! and all — reads back as it was signed. It reads through
+//! [`Reader`], so every count and length is checked against the bytes
+//! that arrived before anything is allocated for it.
 
 use crate::cert::{CertType, Certificate, PublicKey};
 use crate::dn::Dn;
+use infogram_sim::wire::{ReadError, Reader};
 use infogram_sim::{varint, SimTime};
 
 /// The most certificates a chain, and RDNs a DN, may hold on the wire —
@@ -61,67 +62,19 @@ pub(crate) fn err(reason: &str) -> WireParseError {
     }
 }
 
+impl From<ReadError> for WireParseError {
+    fn from(e: ReadError) -> Self {
+        err(&e.to_string())
+    }
+}
+
 fn put_varint(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&varint::encode(v));
-}
-
-fn get_varint(r: &mut &[u8]) -> Result<u64, WireParseError> {
-    let (v, len) = varint::decode(r).map_err(|e| WireParseError {
-        reason: e.to_string(),
-    })?;
-    *r = &r[len..];
-    Ok(v)
-}
-
-fn get_u8(r: &mut &[u8]) -> Result<u8, WireParseError> {
-    let (&b, rest) = r.split_first().ok_or_else(|| err("truncated byte"))?;
-    *r = rest;
-    Ok(b)
-}
-
-/// A `u64`, 8 bytes little-endian.
-pub(crate) fn get_u64(r: &mut &[u8]) -> Result<u64, WireParseError> {
-    let (head, rest) = r
-        .split_first_chunk::<8>()
-        .ok_or_else(|| err("truncated u64"))?;
-    *r = rest;
-    Ok(u64::from_le_bytes(*head))
-}
-
-/// Refuse bytes after the last field.
-pub(crate) fn end(r: &[u8]) -> Result<(), WireParseError> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(err("trailing bytes"))
-    }
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// A string, borrowed from the message once its length and UTF-8 are
-/// checked.
-fn take_str<'a>(r: &mut &'a [u8]) -> Result<&'a str, WireParseError> {
-    let len = get_varint(r)?;
-    if len > r.len() as u64 {
-        return Err(err("truncated string"));
-    }
-    let (s, rest) = r.split_at(len as usize);
-    *r = rest;
-    std::str::from_utf8(s).map_err(|_| err("invalid utf-8"))
-}
-
-/// A varint count of items of at least `min_len` bytes each, refused
-/// past [`MAX_ITEMS`] or past what the remaining bytes could hold.
-fn take_count(r: &mut &[u8], min_len: usize, too_many: &str) -> Result<usize, WireParseError> {
-    let count = get_varint(r)?;
-    if count > MAX_ITEMS || count > (r.len() / min_len) as u64 {
-        return Err(err(too_many));
-    }
-    Ok(count as usize)
 }
 
 fn put_dn(out: &mut Vec<u8>, dn: &Dn) {
@@ -132,31 +85,38 @@ fn put_dn(out: &mut Vec<u8>, dn: &Dn) {
     }
 }
 
+/// One RDN, borrowed from the message: its attribute and value, each a
+/// varint length and UTF-8.
+fn read_rdn<'a>(r: &mut Reader<'a>) -> Result<(&'a str, &'a str), ReadError> {
+    let len = r.varint()?;
+    let attr = r.str(len, "RDN attribute")?;
+    let len = r.varint()?;
+    Ok((attr, r.str(len, "RDN value")?))
+}
+
 /// A DN as it lies in the message: `count` RDNs whose lengths and UTF-8
 /// are checked, nothing allocated yet.
 struct RawDn<'a> {
     count: usize,
-    bytes: &'a [u8],
+    at: Reader<'a>,
 }
 
-fn take_dn<'a>(r: &mut &'a [u8]) -> Result<RawDn<'a>, WireParseError> {
-    let count = take_count(r, MIN_RDN_LEN, "too many RDNs")?;
-    let start = *r;
-    for _ in 0..2 * count {
-        take_str(r)?;
+fn take_dn<'a>(r: &mut Reader<'a>) -> Result<RawDn<'a>, ReadError> {
+    let claimed = r.varint()?;
+    let count = r.count(claimed, MIN_RDN_LEN, MAX_ITEMS, "RDNs")?;
+    let at = r.clone();
+    for _ in 0..count {
+        read_rdn(r)?;
     }
-    Ok(RawDn {
-        count,
-        bytes: &start[..start.len() - r.len()],
-    })
+    Ok(RawDn { count, at })
 }
 
 impl RawDn<'_> {
-    fn build(self) -> Result<Dn, WireParseError> {
-        let mut r = self.bytes;
+    fn build(mut self) -> Result<Dn, WireParseError> {
         let mut rdns = Vec::with_capacity(self.count);
         for _ in 0..self.count {
-            rdns.push((take_str(&mut r)?.to_string(), take_str(&mut r)?.to_string()));
+            let (attr, value) = read_rdn(&mut self.at)?;
+            rdns.push((attr.to_owned(), value.to_owned()));
         }
         Dn::from_rdns(rdns).map_err(|e| WireParseError { reason: e.reason })
     }
@@ -192,22 +152,22 @@ struct RawCert<'a> {
     cert_type: CertType,
 }
 
-fn take_cert<'a>(r: &mut &'a [u8]) -> Result<RawCert<'a>, WireParseError> {
+fn take_cert<'a>(r: &mut Reader<'a>) -> Result<RawCert<'a>, WireParseError> {
     // Fields are read in the order written: a struct literal evaluates
     // its fields as they appear.
     Ok(RawCert {
         subject: take_dn(r)?,
         issuer: take_dn(r)?,
-        serial: get_varint(r)?,
-        not_before: SimTime::from_nanos(get_varint(r)?),
-        not_after: SimTime::from_nanos(get_varint(r)?),
-        subject_key: PublicKey(get_u64(r)?),
-        signature: get_u64(r)?,
-        cert_type: match get_u8(r)? {
+        serial: r.varint()?,
+        not_before: SimTime::from_nanos(r.varint()?),
+        not_after: SimTime::from_nanos(r.varint()?),
+        subject_key: PublicKey(u64::from_le_bytes(r.array("key")?)),
+        signature: u64::from_le_bytes(r.array("signature")?),
+        cert_type: match r.u8("certificate type")? {
             TYPE_CA => CertType::Ca,
             TYPE_END_ENTITY => CertType::EndEntity,
             TYPE_PROXY => CertType::Proxy {
-                depth_remaining: u32::try_from(get_varint(r)?)
+                depth_remaining: u32::try_from(r.varint()?)
                     .map_err(|_| err("proxy depth past u32"))?,
             },
             _ => return Err(err("bad certificate type")),
@@ -242,12 +202,13 @@ pub(crate) fn put_chain(out: &mut Vec<u8>, chain: &[Certificate]) {
 /// first checks every certificate's fields and allocates nothing, so a
 /// message that ends early or lies about a length costs no memory; the
 /// second builds the certificates.
-pub(crate) fn get_chain(r: &mut &[u8]) -> Result<Vec<Certificate>, WireParseError> {
-    let count = take_count(r, MIN_CERT_LEN, "too many certificates")?;
+pub(crate) fn read_chain(r: &mut Reader<'_>) -> Result<Vec<Certificate>, WireParseError> {
+    let claimed = r.varint()?;
+    let count = r.count(claimed, MIN_CERT_LEN, MAX_ITEMS, "certificates")?;
     if count == 0 {
         return Err(err("empty chain"));
     }
-    let mut checked = *r;
+    let mut checked = r.clone();
     for _ in 0..count {
         take_cert(r)?;
     }
@@ -267,9 +228,9 @@ pub fn encode_chain(chain: &[Certificate]) -> Vec<u8> {
 
 /// Decode a chain, leaf first: exactly the bytes of one chain.
 pub fn decode_chain(bytes: &[u8]) -> Result<Vec<Certificate>, WireParseError> {
-    let mut r = bytes;
-    let chain = get_chain(&mut r)?;
-    end(r)?;
+    let mut r = Reader::new(bytes);
+    let chain = read_chain(&mut r)?;
+    r.finish()?;
     Ok(chain)
 }
 

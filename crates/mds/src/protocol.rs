@@ -11,8 +11,10 @@
 //! them); replies carry entries in an LDIF-like text body.
 
 use crate::dit::{DirEntry, Scope};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use infogram_gsi::Dn;
+use infogram_proto::message::{put_str, read_str};
+use infogram_sim::wire::{ReadError, Reader};
 
 /// Protocol version byte. Distinct from the GRAM protocol's version so
 /// cross-protocol confusion fails loudly.
@@ -72,20 +74,19 @@ fn err(reason: &str) -> MdsWireError {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+impl From<ReadError> for MdsWireError {
+    fn from(e: ReadError) -> Self {
+        err(&e.to_string())
+    }
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, MdsWireError> {
-    if buf.remaining() < 4 {
-        return Err(err("truncated length"));
+/// A reader past the version byte, if it is [`MDS_PROTOCOL_VERSION`].
+fn open(bytes: &[u8]) -> Result<Reader<'_>, MdsWireError> {
+    let mut r = Reader::new(bytes);
+    match r.u8("protocol version")? {
+        MDS_PROTOCOL_VERSION => Ok(r),
+        _ => Err(err("not an MDS protocol message")),
     }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(err("truncated string"));
-    }
-    String::from_utf8(buf.copy_to_bytes(len).to_vec()).map_err(|_| err("bad utf-8"))
 }
 
 fn scope_to_u8(s: Scope) -> u8 {
@@ -128,33 +129,17 @@ impl MdsRequest {
 
     /// Decode from wire bytes.
     pub fn decode(bytes: &[u8]) -> Result<MdsRequest, MdsWireError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 2 {
-            return Err(err("truncated request"));
-        }
-        if buf.get_u8() != MDS_PROTOCOL_VERSION {
-            return Err(err("not an MDS protocol message"));
-        }
-        let req = match buf.get_u8() {
-            0 => {
-                let base = get_str(&mut buf)?;
-                if buf.remaining() < 1 {
-                    return Err(err("truncated scope"));
-                }
-                let scope = scope_from_u8(buf.get_u8()).ok_or_else(|| err("bad scope"))?;
-                let filter = get_str(&mut buf)?;
-                MdsRequest::Search {
-                    base,
-                    scope,
-                    filter,
-                }
-            }
+        let mut r = open(bytes)?;
+        let req = match r.u8("request tag")? {
+            0 => MdsRequest::Search {
+                base: read_str(&mut r, "search base")?.to_owned(),
+                scope: scope_from_u8(r.u8("scope")?).ok_or_else(|| err("bad scope"))?,
+                filter: read_str(&mut r, "filter")?.to_owned(),
+            },
             1 => MdsRequest::Unbind,
             t => return Err(err(&format!("unknown request tag {t}"))),
         };
-        if buf.has_remaining() {
-            return Err(err("trailing bytes"));
-        }
+        r.finish()?;
         Ok(req)
     }
 }
@@ -180,32 +165,18 @@ impl MdsReply {
 
     /// Decode from wire bytes.
     pub fn decode(bytes: &[u8]) -> Result<MdsReply, MdsWireError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 2 {
-            return Err(err("truncated reply"));
-        }
-        if buf.get_u8() != MDS_PROTOCOL_VERSION {
-            return Err(err("not an MDS protocol message"));
-        }
-        let reply = match buf.get_u8() {
-            0 => {
-                let body = get_str(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(err("truncated count"));
-                }
-                MdsReply::SearchResult {
-                    body,
-                    count: buf.get_u32(),
-                }
-            }
+        let mut r = open(bytes)?;
+        let reply = match r.u8("reply tag")? {
+            0 => MdsReply::SearchResult {
+                body: read_str(&mut r, "body")?.to_owned(),
+                count: u32::from_be_bytes(r.array("entry count")?),
+            },
             1 => MdsReply::Error {
-                message: get_str(&mut buf)?,
+                message: read_str(&mut r, "error message")?.to_owned(),
             },
             t => return Err(err(&format!("unknown reply tag {t}"))),
         };
-        if buf.has_remaining() {
-            return Err(err("trailing bytes"));
-        }
+        r.finish()?;
         Ok(reply)
     }
 }

@@ -18,8 +18,10 @@
 //! its attributes — `diff` degrades to a full snapshot (`full=true`)
 //! rather than approximate.
 
+use crate::message::{read_str, WireError};
 use crate::record::{Attribute, InfoRecord};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
+use infogram_sim::wire::{ReadError, Reader};
 
 /// A delta failed to decode or apply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,79 +280,82 @@ impl RecordDelta {
         }
     }
 
-    /// Decode one delta from `buf` (inverse of [`Self::encode_into`]).
-    pub(crate) fn decode_from(buf: &mut Bytes) -> Result<RecordDelta, DeltaError> {
-        let get_str =
-            |buf: &mut Bytes| crate::message::get_str(buf).map_err(|e| err(&e.to_string()));
-        let keyword = get_str(buf)?;
-        let host = get_str(buf)?;
-        if buf.remaining() < 9 {
-            return Err(err("truncated delta header"));
-        }
-        let version = buf.get_u64();
-        let flags = buf.get_u8();
+    /// Read one delta (inverse of [`Self::encode_into`]).
+    fn read(r: &mut Reader<'_>) -> Result<RecordDelta, WireError> {
+        let keyword = read_str(r, "delta keyword")?.to_owned();
+        let host = read_str(r, "delta host")?.to_owned();
+        let version = u64::from_be_bytes(r.array("delta version")?);
+        let flags = r.u8("delta flags")?;
         if flags & !7 != 0 {
-            return Err(err("unknown delta flags"));
+            return Err(crate::message::err("unknown delta flags"));
         }
-        let full = flags & 1 != 0;
-        let degraded = flags & 2 != 0;
-        let stale_age_secs = if flags & 4 != 0 {
-            if buf.remaining() < 8 {
-                return Err(err("truncated stale age"));
-            }
-            Some(buf.get_f64())
-        } else {
-            None
-        };
-        if buf.remaining() < 4 {
-            return Err(err("truncated changed count"));
-        }
-        let n_changed = buf.get_u32() as usize;
-        let mut changed = Vec::new();
-        for _ in 0..n_changed {
-            let name = get_str(buf)?;
-            let value = get_str(buf)?;
-            if buf.remaining() < 1 {
-                return Err(err("truncated attribute flags"));
-            }
-            let aflags = buf.get_u8();
-            if aflags & !3 != 0 {
-                return Err(err("unknown attribute flags"));
-            }
-            let mut attr = Attribute::new(&name, &value);
-            if aflags & 1 != 0 {
-                if buf.remaining() < 8 {
-                    return Err(err("truncated quality"));
-                }
-                attr.quality = Some(buf.get_f64());
-            }
-            if aflags & 2 != 0 {
-                if buf.remaining() < 8 {
-                    return Err(err("truncated age"));
-                }
-                attr.age_secs = Some(buf.get_f64());
-            }
-            changed.push(attr);
-        }
-        if buf.remaining() < 4 {
-            return Err(err("truncated removed count"));
-        }
-        let n_removed = buf.get_u32() as usize;
-        let mut removed = Vec::new();
-        for _ in 0..n_removed {
-            removed.push(get_str(buf)?);
-        }
+        // The stale age, then the two lists: read in the order written.
         Ok(RecordDelta {
             keyword,
             host,
             version,
-            full,
-            changed,
-            removed,
-            degraded,
-            stale_age_secs,
+            full: flags & 1 != 0,
+            degraded: flags & 2 != 0,
+            stale_age_secs: read_f64_if(r, flags & 4 != 0, "stale age")?,
+            changed: read_list(r, MIN_ATTRIBUTE_LEN, "changed attributes", |r| {
+                let name = read_str(r, "attribute name")?.to_owned();
+                let value = read_str(r, "attribute value")?.to_owned();
+                let aflags = r.u8("attribute flags")?;
+                if aflags & !3 != 0 {
+                    return Err(crate::message::err("unknown attribute flags"));
+                }
+                Ok(Attribute {
+                    name,
+                    value,
+                    quality: read_f64_if(r, aflags & 1 != 0, "quality")?,
+                    age_secs: read_f64_if(r, aflags & 2 != 0, "age")?,
+                })
+            })?,
+            removed: read_list(r, MIN_NAME_LEN, "removed names", |r| {
+                Ok(read_str(r, "removed name")?.to_owned())
+            })?,
         })
     }
+}
+
+/// The fewest bytes a delta takes: two empty strings, its version and
+/// flags, and two empty lists.
+const MIN_DELTA_LEN: usize = 4 + 4 + 8 + 1 + 4 + 4;
+/// The fewest bytes a changed attribute takes: two empty strings and its
+/// flags.
+const MIN_ATTRIBUTE_LEN: usize = 4 + 4 + 1;
+/// The fewest bytes a removed name takes: an empty string.
+const MIN_NAME_LEN: usize = 4;
+
+/// A big-endian `f64`, if its flag is set.
+fn read_f64_if(
+    r: &mut Reader<'_>,
+    present: bool,
+    field: &'static str,
+) -> Result<Option<f64>, ReadError> {
+    Ok(if present {
+        Some(f64::from_be_bytes(r.array(field)?))
+    } else {
+        None
+    })
+}
+
+/// A `u32` count of items of at least `min_len` bytes each, then the
+/// items. The count is held to the bytes left before room is reserved
+/// for it.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    min_len: usize,
+    field: &'static str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let claimed = u32::from_be_bytes(r.array(field)?);
+    let n = r.count(claimed.into(), min_len, u64::MAX, field)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(item(r)?);
+    }
+    Ok(items)
 }
 
 /// Encode a batch of deltas to a standalone payload. Combined with
@@ -365,17 +370,9 @@ pub fn encode_deltas(deltas: &[RecordDelta]) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Decode a batch encoded by [`encode_deltas`], consuming from `buf`.
-pub(crate) fn decode_deltas(buf: &mut Bytes) -> Result<Vec<RecordDelta>, DeltaError> {
-    if buf.remaining() < 4 {
-        return Err(err("truncated delta count"));
-    }
-    let n = buf.get_u32() as usize;
-    let mut deltas = Vec::new();
-    for _ in 0..n {
-        deltas.push(RecordDelta::decode_from(buf)?);
-    }
-    Ok(deltas)
+/// Read a batch encoded by [`encode_deltas`].
+pub(crate) fn read_deltas(r: &mut Reader<'_>) -> Result<Vec<RecordDelta>, WireError> {
+    read_list(r, MIN_DELTA_LEN, "deltas", RecordDelta::read)
 }
 
 #[cfg(test)]
@@ -465,24 +462,9 @@ mod tests {
             RecordDelta::diff(Some(&prev), &next, 2),
         ];
         let bytes = encode_deltas(&deltas);
-        let mut buf = Bytes::copy_from_slice(&bytes);
-        let decoded = decode_deltas(&mut buf).unwrap();
-        assert!(!buf.has_remaining());
-        assert_eq!(decoded, deltas);
-    }
-
-    #[test]
-    fn binary_rejects_truncations() {
-        let mut next = snapshot(&[("total", "4096")]);
-        next.attributes[0].quality = Some(0.5);
-        let bytes = encode_deltas(&[RecordDelta::diff(None, &next, 1)]);
-        for cut in 0..bytes.len() {
-            let mut buf = Bytes::copy_from_slice(&bytes[..cut]);
-            assert!(
-                decode_deltas(&mut buf).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
+        let mut r = Reader::new(&bytes);
+        assert_eq!(read_deltas(&mut r).unwrap(), deltas);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! of a job handle. One protocol, two behaviours.
 
 use crate::handle::JobHandle;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use infogram_sim::varint;
+use infogram_sim::wire::{ReadError, Reader};
 
 /// Protocol version carried in every request and reply. 3: a job handle
 /// is sent as its fields, not as its `x-infogram://` string.
@@ -287,39 +288,42 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn err(reason: &str) -> WireError {
+pub(crate) fn err(reason: &str) -> WireError {
     WireError {
         reason: reason.to_string(),
     }
 }
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
+impl From<ReadError> for WireError {
+    fn from(e: ReadError) -> Self {
+        err(&e.to_string())
+    }
+}
+
+/// A reader past the version byte, if it is [`PROTOCOL_VERSION`].
+fn open(bytes: &[u8]) -> Result<Reader<'_>, WireError> {
+    let mut r = Reader::new(bytes);
+    match r.u8("protocol version")? {
+        PROTOCOL_VERSION => Ok(r),
+        version => Err(err(&format!("unsupported protocol version {version}"))),
+    }
+}
+
+/// Append `s` as a `u32` length and its UTF-8: how strings travel in
+/// this protocol and in the MDS's.
+pub fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    if buf.remaining() < 4 {
-        return Err(err("truncated string length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(err("truncated string body"));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| err("invalid utf-8"))
+/// A string as [`put_str`] writes it, borrowed from the message.
+pub fn read_str<'a>(r: &mut Reader<'a>, field: &'static str) -> Result<&'a str, ReadError> {
+    let len = u32::from_be_bytes(r.array(field)?);
+    r.str(len.into(), field)
 }
 
 fn put_varint(buf: &mut BytesMut, v: u64) {
     buf.put_slice(&varint::encode(v));
-}
-
-fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
-    let (v, len) = varint::decode(buf.chunk()).map_err(|e| WireError {
-        reason: e.to_string(),
-    })?;
-    buf.advance(len);
-    Ok(v)
 }
 
 /// A handle crosses the wire as its fields: varint host length, host
@@ -334,27 +338,20 @@ fn put_handle(buf: &mut BytesMut, h: &JobHandle) {
     put_varint(buf, h.epoch);
 }
 
-fn get_handle(buf: &mut Bytes) -> Result<JobHandle, WireError> {
-    let len = get_varint(buf)?;
-    // Checked against what arrived before anything is allocated.
-    if len > buf.remaining() as u64 {
-        return Err(err("truncated handle host"));
-    }
-    let len = len as usize;
-    let host = std::str::from_utf8(&buf.chunk()[..len])
-        .map_err(|_| err("invalid utf-8 in handle host"))?
-        .to_string();
-    buf.advance(len);
-    if buf.remaining() < 2 {
-        return Err(err("truncated handle port"));
-    }
-    let port = u16::from_be_bytes([buf.get_u8(), buf.get_u8()]);
+fn read_handle(r: &mut Reader<'_>) -> Result<JobHandle, ReadError> {
+    let len = r.varint()?;
+    // Fields are read in the order written: a struct literal evaluates
+    // its fields as they appear.
     Ok(JobHandle {
-        host,
-        port,
-        job_id: get_varint(buf)?,
-        epoch: get_varint(buf)?,
+        host: r.str(len, "handle host")?.to_owned(),
+        port: u16::from_be_bytes(r.array("handle port")?),
+        job_id: r.varint()?,
+        epoch: r.varint()?,
     })
+}
+
+fn read_state(r: &mut Reader<'_>) -> Result<JobStateCode, WireError> {
+    JobStateCode::from_u8(r.u8("job state")?).ok_or_else(|| err("bad job state"))
 }
 
 impl Request {
@@ -383,37 +380,26 @@ impl Request {
 
     /// Decode from wire bytes.
     pub fn decode(bytes: &[u8]) -> Result<Request, WireError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 2 {
-            return Err(err("truncated request"));
-        }
-        let version = buf.get_u8();
-        if version != PROTOCOL_VERSION {
-            return Err(err(&format!("unsupported protocol version {version}")));
-        }
-        let tag = buf.get_u8();
-        let req = match tag {
+        let mut r = open(bytes)?;
+        let req = match r.u8("request tag")? {
             0 => Request::Submit {
-                rsl: get_str(&mut buf)?,
-                callback: {
-                    if buf.remaining() < 1 {
-                        return Err(err("truncated callback flag"));
-                    }
-                    buf.get_u8() != 0
+                rsl: read_str(&mut r, "rsl")?.to_owned(),
+                callback: match r.u8("callback flag")? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(err("bad callback flag")),
                 },
             },
             1 => Request::Status {
-                handle: get_handle(&mut buf)?,
+                handle: read_handle(&mut r)?,
             },
             2 => Request::Cancel {
-                handle: get_handle(&mut buf)?,
+                handle: read_handle(&mut r)?,
             },
             3 => Request::Ping,
             other => return Err(err(&format!("unknown request tag {other}"))),
         };
-        if buf.has_remaining() {
-            return Err(err("trailing bytes in request"));
-        }
+        r.finish()?;
         Ok(req)
     }
 }
@@ -484,107 +470,50 @@ impl Reply {
 
     /// Decode from wire bytes.
     pub fn decode(bytes: &[u8]) -> Result<Reply, WireError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 2 {
-            return Err(err("truncated reply"));
-        }
-        let version = buf.get_u8();
-        if version != PROTOCOL_VERSION {
-            return Err(err(&format!("unsupported protocol version {version}")));
-        }
-        let tag = buf.get_u8();
-        let reply = match tag {
+        let mut r = open(bytes)?;
+        let reply = match r.u8("reply tag")? {
             0 => Reply::JobAccepted {
-                handle: get_handle(&mut buf)?,
+                handle: read_handle(&mut r)?,
             },
-            1 => {
-                let handle = get_handle(&mut buf)?;
-                if buf.remaining() < 2 {
-                    return Err(err("truncated status"));
-                }
-                let state =
-                    JobStateCode::from_u8(buf.get_u8()).ok_or_else(|| err("bad job state"))?;
-                let exit_code = match buf.get_u8() {
+            1 => Reply::JobStatus {
+                handle: read_handle(&mut r)?,
+                state: read_state(&mut r)?,
+                exit_code: match r.u8("exit-code flag")? {
                     0 => None,
-                    1 => {
-                        if buf.remaining() < 4 {
-                            return Err(err("truncated exit code"));
-                        }
-                        Some(buf.get_i32())
-                    }
+                    1 => Some(i32::from_be_bytes(r.array("exit code")?)),
                     _ => return Err(err("bad exit-code flag")),
-                };
-                let output = get_str(&mut buf)?;
-                Reply::JobStatus {
-                    handle,
-                    state,
-                    exit_code,
-                    output,
-                }
-            }
-            2 => {
-                let body = get_str(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(err("truncated record count"));
-                }
-                Reply::InfoResult {
-                    body,
-                    record_count: buf.get_u32(),
-                }
-            }
-            3 => {
-                let handle = get_handle(&mut buf)?;
-                if buf.remaining() < 1 {
-                    return Err(err("truncated event"));
-                }
-                let state =
-                    JobStateCode::from_u8(buf.get_u8()).ok_or_else(|| err("bad job state"))?;
-                Reply::Event { handle, state }
-            }
-            4 => {
-                if buf.remaining() < 4 {
-                    return Err(err("truncated error code"));
-                }
-                let code = buf.get_u32();
-                Reply::Error {
-                    code,
-                    message: get_str(&mut buf)?,
-                }
-            }
+                },
+                output: read_str(&mut r, "output")?.to_owned(),
+            },
+            2 => Reply::InfoResult {
+                body: read_str(&mut r, "body")?.to_owned(),
+                record_count: u32::from_be_bytes(r.array("record count")?),
+            },
+            3 => Reply::Event {
+                handle: read_handle(&mut r)?,
+                state: read_state(&mut r)?,
+            },
+            4 => Reply::Error {
+                code: u32::from_be_bytes(r.array("error code")?),
+                message: read_str(&mut r, "error message")?.to_owned(),
+            },
             5 => Reply::Pong,
-            6 => {
-                if buf.remaining() < 12 {
-                    return Err(err("truncated subscription ack"));
-                }
-                Reply::Subscribed {
-                    id: buf.get_u64(),
-                    count: buf.get_u32(),
-                }
-            }
-            7 => {
-                if buf.remaining() < 8 {
-                    return Err(err("truncated update"));
-                }
-                let id = buf.get_u64();
-                let deltas =
-                    crate::delta::decode_deltas(&mut buf).map_err(|e| err(&e.to_string()))?;
-                Reply::Update { id, deltas }
-            }
-            8 => {
-                if buf.remaining() < 12 {
-                    return Err(err("truncated subscription end"));
-                }
-                Reply::SubEnd {
-                    id: buf.get_u64(),
-                    code: buf.get_u32(),
-                    message: get_str(&mut buf)?,
-                }
-            }
+            6 => Reply::Subscribed {
+                id: u64::from_be_bytes(r.array("subscription id")?),
+                count: u32::from_be_bytes(r.array("keyword count")?),
+            },
+            7 => Reply::Update {
+                id: u64::from_be_bytes(r.array("subscription id")?),
+                deltas: crate::delta::read_deltas(&mut r)?,
+            },
+            8 => Reply::SubEnd {
+                id: u64::from_be_bytes(r.array("subscription id")?),
+                code: u32::from_be_bytes(r.array("end code")?),
+                message: read_str(&mut r, "end message")?.to_owned(),
+            },
             other => return Err(err(&format!("unknown reply tag {other}"))),
         };
-        if buf.has_remaining() {
-            return Err(err("trailing bytes in reply"));
-        }
+        r.finish()?;
         Ok(reply)
     }
 }
@@ -715,34 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_truncated_subscription_frames() {
-        let mut rec = crate::record::InfoRecord::new("Memory", "node0.grid");
-        rec.push("total", "4096");
-        let frames = [
-            Reply::Subscribed { id: 1, count: 1 }.encode(),
-            Reply::Update {
-                id: 1,
-                deltas: vec![crate::delta::RecordDelta::diff(None, &rec, 1)],
-            }
-            .encode(),
-            Reply::SubEnd {
-                id: 1,
-                code: 0,
-                message: "done".to_string(),
-            }
-            .encode(),
-        ];
-        for full in frames {
-            for cut in 1..full.len() {
-                assert!(
-                    Reply::decode(&full[..cut]).is_err(),
-                    "truncation at {cut} accepted"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn state_name_roundtrip() {
         for state in [
             JobStateCode::Pending,
@@ -779,21 +680,17 @@ mod tests {
         let mut bytes = Request::Ping.encode();
         bytes.push(0);
         assert!(Request::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn rejects_truncations() {
-        let full = Request::Submit {
-            rsl: "(info=all)".to_string(),
+        // A callback flag is 0 or 1, as written.
+        let mut bytes = Request::Submit {
+            rsl: String::new(),
             callback: true,
         }
         .encode();
-        for cut in 1..full.len() {
-            assert!(
-                Request::decode(&full[..cut]).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
+        *bytes.last_mut().unwrap() = 2;
+        assert_eq!(
+            Request::decode(&bytes).unwrap_err().reason,
+            "bad callback flag"
+        );
     }
 
     #[test]

@@ -1,88 +1,28 @@
 //! Hostile bytes over the message codec and the framing.
 //!
-//! Every message that carries a job handle, and the frames around them,
-//! is truncated at every byte and has every byte flipped (each single
-//! bit, and all eight at once). Whatever arrives, decoding returns —
-//! never panics — with a typed `WireError` / `FrameError` or a message,
-//! and asks the allocator for nothing larger than the frame it was given
-//! (plus an error message's worth): a length field is checked against
-//! the bytes that arrived before anything is allocated for it.
+//! Every request, every reply (an update with a full, a compact and a
+//! degraded delta), and a stream of frames go through the shared sweep
+//! (`tests/support/hostile.rs`). Whatever arrives, decoding returns —
+//! never panics — with a typed `WireError` / `FrameError` or a message
+//! that re-encodes to exactly the bytes it came from, and asks the
+//! allocator for nothing larger than the frame it was given plus an
+//! error message's worth. An update may ask for more, within the bound
+//! derived at `update_bound`.
 
 // Test harness: panic-on-failure is the error policy here.
 #![allow(clippy::unwrap_used)]
 
+use infogram_proto::delta::RecordDelta;
 use infogram_proto::frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
-use infogram_proto::message::{JobStateCode, Reply, Request};
+use infogram_proto::message::{codes, JobStateCode, Reply, Request};
+use infogram_proto::record::{Attribute, InfoRecord};
 use infogram_proto::JobHandle;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::Cursor;
 
-thread_local! {
-    /// The largest single request the calling thread made of the
-    /// allocator since [`largest_request`] last reset it.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;
 
-fn note(size: usize) {
-    // `try_with`: a thread being torn down may allocate after its locals
-    // are gone; that is nobody's measurement.
-    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
-}
-
-/// The system allocator, remembering the largest request per thread.
-struct Watching;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the bookkeeping touches only a `Cell` in a
-// const-initialised thread local (no allocation, no destructor) and
-// never the returned memory.
-unsafe impl GlobalAlloc for Watching {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Watching = Watching;
-
-/// Run `f`; return its result and the largest allocation it asked for.
-fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|c| c.set(0));
-    let out = f();
-    (out, LARGEST.with(Cell::get))
-}
-
-/// What an error message may cost on top of the frame.
-const MESSAGE_ALLOWANCE: usize = 64;
-
-/// Every corruption of `bytes` the sweeps feed a decoder: each strict
-/// prefix, then each byte with each single bit flipped and with all
-/// eight flipped.
-fn corruptions(bytes: &[u8]) -> impl Iterator<Item = (bool, Vec<u8>)> + '_ {
-    let cuts = (0..bytes.len()).map(|cut| (true, bytes[..cut].to_vec()));
-    let flips = (0..bytes.len()).flat_map(move |at| {
-        (0..8).map(|bit| 1u8 << bit).chain([0xff]).map(move |mask| {
-            let mut flipped = bytes.to_vec();
-            flipped[at] ^= mask;
-            (false, flipped)
-        })
-    });
-    cuts.chain(flips)
-}
+use hostile::{corruptions, input_plus_message, largest_request, sweep, MESSAGE_ALLOWANCE};
 
 fn handles() -> Vec<JobHandle> {
     vec![
@@ -135,38 +75,119 @@ fn handle_replies() -> Vec<Reply> {
     out
 }
 
+/// Replies without a handle: every variant, and an update carrying a
+/// full, a compact and a degraded delta.
+fn other_replies() -> Vec<Reply> {
+    let mut prev = InfoRecord::new("Memory", "node0.grid");
+    prev.push("total", "4096");
+    prev.push("free", "1024");
+    let mut next = InfoRecord::new("Memory", "node0.grid");
+    next.push("total", "4096");
+    next.push("free", "512");
+    next.push("buffers", "3");
+    let mut degraded = next.clone();
+    degraded.degraded = true;
+    degraded.stale_age_secs = Some(12.5);
+    degraded.attributes[0].quality = Some(0.25);
+    degraded.attributes[0].age_secs = Some(12.5);
+    vec![
+        Reply::InfoResult {
+            body: "dn: kw=Memory\nMemory-total: 42\n".to_string(),
+            record_count: 1,
+        },
+        Reply::Error {
+            code: codes::AUTHORIZATION,
+            message: "no gridmap entry".to_string(),
+        },
+        Reply::Subscribed { id: 7, count: 2 },
+        Reply::SubEnd {
+            id: 7,
+            code: codes::SLOW_CONSUMER,
+            message: "outbox overflow".to_string(),
+        },
+        Reply::Update {
+            id: 7,
+            deltas: vec![
+                RecordDelta::diff(None, &prev, 1),
+                RecordDelta::diff(Some(&prev), &next, 2),
+                RecordDelta::diff(Some(&next), &degraded, 3),
+            ],
+        },
+    ]
+}
+
+/// The fewest bytes a changed attribute takes in an update: two empty
+/// strings (a `u32` length each) and its flags byte.
+const MIN_ATTRIBUTE_LEN: usize = 4 + 4 + 1;
+
+/// An update's bound. A delta's attribute list is reserved at the count
+/// it claims once that count is held to the bytes left, so `n` bytes can
+/// make the decoder ask for room for `n / MIN_ATTRIBUTE_LEN` attributes
+/// at once. An attribute takes more memory than its bytes on the wire
+/// (80 bytes on a 64-bit host, before its strings), so this bound is
+/// larger than the message. No other list comes closer to its bytes: a
+/// delta takes 25 bytes and 128 in memory, a removed name 4 and 24.
+fn update_bound(len: usize) -> usize {
+    let attributes = len / MIN_ATTRIBUTE_LEN * std::mem::size_of::<Attribute>();
+    attributes.max(len) + MESSAGE_ALLOWANCE
+}
+
 #[test]
 fn request_decode_survives_every_cut_and_flip() {
     for request in requests() {
-        for (cut, bytes) in corruptions(&request.encode()) {
-            let (result, largest) = largest_request(|| Request::decode(&bytes));
-            if let Ok(decoded) = result {
-                assert!(!cut, "a truncated {request:?} decoded as {decoded:?}");
-            }
-            assert!(
-                largest <= bytes.len() + MESSAGE_ALLOWANCE,
-                "{largest} bytes asked for decoding {} bytes of {request:?}",
-                bytes.len()
-            );
-        }
+        sweep(
+            &format!("{request:?}"),
+            &request.encode(),
+            input_plus_message,
+            Request::decode,
+            Some(&Request::encode),
+        );
     }
 }
 
 #[test]
 fn reply_decode_survives_every_cut_and_flip_of_a_handle_reply() {
     for reply in handle_replies() {
-        for (cut, bytes) in corruptions(&reply.encode()) {
-            let (result, largest) = largest_request(|| Reply::decode(&bytes));
-            if let Ok(decoded) = result {
-                assert!(!cut, "a truncated {reply:?} decoded as {decoded:?}");
-            }
-            assert!(
-                largest <= bytes.len() + MESSAGE_ALLOWANCE,
-                "{largest} bytes asked for decoding {} bytes of {reply:?}",
-                bytes.len()
-            );
-        }
+        sweep(
+            &format!("{reply:?}"),
+            &reply.encode(),
+            input_plus_message,
+            Reply::decode,
+            Some(&Reply::encode),
+        );
     }
+}
+
+#[test]
+fn reply_decode_survives_every_cut_and_flip_of_every_other_reply() {
+    for reply in other_replies() {
+        let bound = match reply {
+            Reply::Update { .. } => update_bound,
+            _ => input_plus_message,
+        };
+        sweep(
+            &format!("{reply:?}"),
+            &reply.encode(),
+            bound,
+            Reply::decode,
+            Some(&Reply::encode),
+        );
+    }
+}
+
+#[test]
+fn an_update_of_empty_attributes_stays_within_its_bound() {
+    let mut rec = InfoRecord::new("", "");
+    rec.attributes = vec![Attribute::new("", ""); 200];
+    let update = Reply::Update {
+        id: 1,
+        deltas: vec![RecordDelta::diff(None, &rec, 1)],
+    };
+    let bytes = update.encode();
+    let (decoded, largest) = largest_request(|| Reply::decode(&bytes));
+    assert_eq!(decoded.unwrap(), update);
+    assert!(largest > bytes.len() + MESSAGE_ALLOWANCE, "{largest}");
+    assert!(largest <= update_bound(bytes.len()), "{largest}");
 }
 
 #[test]

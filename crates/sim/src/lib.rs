@@ -36,6 +36,9 @@
 //!   identically under both clocks and inside the model checker.
 //! * [`varint`] — the unsigned LEB128 integers the binary wire formats
 //!   share (job handle fields, GSI certificate chains).
+//! * [`wire`] — the one reader every binary decoder uses
+//!   ([`wire::Reader`]): each field checked against the bytes left, each
+//!   count against the room for its items and a cap, no trailing bytes.
 //! * [`lockdep`] — a Linux-lockdep-style lock-order and blocking-
 //!   section analyzer (re-exported from the instrumented `parking_lot`
 //!   shim) that watches every lock acquisition in ordinary test runs
@@ -58,6 +61,7 @@ pub mod par;
 pub mod rng;
 pub mod timer;
 pub mod varint;
+pub mod wire;
 pub mod workload;
 
 pub use clock::{Clock, ManualClock, SharedClock, SimTime, SystemClock};

@@ -49,6 +49,9 @@ pub enum VarintError {
     Overflow,
     /// Ten bytes all had the continuation bit set.
     TooLong,
+    /// The last byte is a zero after the first: a shorter encoding of the
+    /// same value exists, and [`encode`] writes only that one.
+    Overlong,
 }
 
 impl std::fmt::Display for VarintError {
@@ -57,6 +60,7 @@ impl std::fmt::Display for VarintError {
             VarintError::Truncated => "truncated varint",
             VarintError::Overflow => "varint overflows u64",
             VarintError::TooLong => "varint longer than 10 bytes",
+            VarintError::Overlong => "overlong varint",
         })
     }
 }
@@ -74,6 +78,8 @@ pub fn decode(bytes: &[u8]) -> Result<(u64, usize), VarintError> {
             // The tenth byte carries bit 63 alone.
             return if shift == 63 && byte > 1 {
                 Err(VarintError::Overflow)
+            } else if i > 0 && byte == 0 {
+                Err(VarintError::Overlong)
             } else {
                 Ok((v, i + 1))
             };
@@ -120,6 +126,7 @@ mod tests {
             (vec![0x80; 10], VarintError::TooLong),
             (vec![0x80; 11], VarintError::TooLong),
             (over, VarintError::Overflow),
+            (vec![0x81, 0x00], VarintError::Overlong),
         ] {
             assert_eq!(decode(&bytes), Err(e), "{bytes:?}");
         }

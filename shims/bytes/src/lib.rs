@@ -2,94 +2,16 @@
 //!
 //! The build environment for this repository has no access to crates.io
 //! (see `shims/README.md`), so the workspace vendors a minimal,
-//! API-compatible subset of the `bytes` surface it actually uses:
-//! the [`Buf`]/[`BufMut`] traits and the [`Bytes`]/[`BytesMut`]
-//! containers, backed by plain `Vec<u8>` (no zero-copy reference
-//! counting — `copy_to_bytes` really copies, which is also what the
-//! real crate does for non-contiguous sources).
+//! API-compatible subset of the `bytes` surface it actually uses: the
+//! write half the encoders need, the [`BufMut`] trait and the
+//! [`BytesMut`] container, backed by plain `Vec<u8>`. Decoders read
+//! through `infogram_sim::wire::Reader` instead, so the read half
+//! (`Buf`, `Bytes`) is not vendored.
 //!
 //! Multi-byte integers use network byte order (big-endian), matching
-//! the real crate's `get_u32`/`put_u32` family.
+//! the real crate's `put_u32` family.
 
 use std::fmt;
-
-/// Read access to a cursor over a byte buffer.
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-
-    /// The unconsumed bytes.
-    fn chunk(&self) -> &[u8];
-
-    /// Skip `cnt` consumed bytes.
-    ///
-    /// # Panics
-    /// Panics if `cnt > self.remaining()`.
-    fn advance(&mut self, cnt: usize);
-
-    /// Whether any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Consume one byte.
-    ///
-    /// # Panics
-    /// Panics if the buffer is empty.
-    fn get_u8(&mut self) -> u8 {
-        let b = self.chunk()[0];
-        self.advance(1);
-        b
-    }
-
-    /// Consume a big-endian `u32`.
-    ///
-    /// # Panics
-    /// Panics if fewer than 4 bytes remain.
-    fn get_u32(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_be_bytes(raw)
-    }
-
-    /// Consume a big-endian `i32`.
-    ///
-    /// # Panics
-    /// Panics if fewer than 4 bytes remain.
-    fn get_i32(&mut self) -> i32 {
-        self.get_u32() as i32
-    }
-
-    /// Consume a big-endian `u64`.
-    ///
-    /// # Panics
-    /// Panics if fewer than 8 bytes remain.
-    fn get_u64(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        u64::from_be_bytes(raw)
-    }
-
-    /// Consume a big-endian IEEE-754 `f64`.
-    ///
-    /// # Panics
-    /// Panics if fewer than 8 bytes remain.
-    fn get_f64(&mut self) -> f64 {
-        f64::from_bits(self.get_u64())
-    }
-
-    /// Consume `len` bytes into an owned [`Bytes`].
-    ///
-    /// # Panics
-    /// Panics if fewer than `len` bytes remain.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
-        self.advance(len);
-        out
-    }
-}
 
 /// Append access to a growable byte buffer.
 pub trait BufMut {
@@ -122,83 +44,6 @@ pub trait BufMut {
     }
 }
 
-/// An immutable byte buffer that consumes from the front via [`Buf`].
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct Bytes {
-    data: Vec<u8>,
-    pos: usize,
-}
-
-impl Bytes {
-    /// Create an empty buffer.
-    pub const fn new() -> Self {
-        Bytes {
-            data: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// Create a buffer holding a copy of `src`.
-    pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes {
-            data: src.to_vec(),
-            pos: 0,
-        }
-    }
-
-    /// Unconsumed length.
-    pub fn len(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// Whether all bytes have been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy the unconsumed bytes into a `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data[self.pos..].to_vec()
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        &self.data[self.pos..]
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.remaining(), "advance past end of buffer");
-        self.pos += cnt;
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.data[self.pos..]
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(data: Vec<u8>) -> Self {
-        Bytes { data, pos: 0 }
-    }
-}
-
-impl fmt::Debug for Bytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "b\"")?;
-        for &b in self.as_ref() {
-            write!(f, "{}", std::ascii::escape_default(b))?;
-        }
-        write!(f, "\"")
-    }
-}
-
 /// A growable byte buffer that appends via [`BufMut`].
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct BytesMut(Vec<u8>);
@@ -227,14 +72,6 @@ impl BytesMut {
     /// Copy the contents into a `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.0.clone()
-    }
-
-    /// Convert into an immutable [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.0,
-            pos: 0,
-        }
     }
 }
 
@@ -271,7 +108,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn integer_roundtrip_is_big_endian() {
+    fn integers_are_big_endian() {
         let mut buf = BytesMut::with_capacity(16);
         buf.put_u8(0xAB);
         buf.put_u32(0x0102_0304);
@@ -280,34 +117,5 @@ mod tests {
             buf.as_ref(),
             &[0xAB, 1, 2, 3, 4, 0xFF, 0xFF, 0xFF, 0xFE][..]
         );
-
-        let mut rd = Bytes::copy_from_slice(buf.as_ref());
-        assert_eq!(rd.remaining(), 9);
-        assert_eq!(rd.get_u8(), 0xAB);
-        assert_eq!(rd.get_u32(), 0x0102_0304);
-        assert_eq!(rd.get_i32(), -2);
-        assert!(!rd.has_remaining());
-    }
-
-    #[test]
-    fn copy_to_bytes_consumes_prefix() {
-        let mut rd = Bytes::copy_from_slice(b"hello world");
-        let hello = rd.copy_to_bytes(5);
-        assert_eq!(hello.to_vec(), b"hello");
-        assert_eq!(rd.to_vec(), b" world");
-    }
-
-    #[test]
-    #[should_panic(expected = "advance past end")]
-    fn advance_past_end_panics() {
-        let mut rd = Bytes::copy_from_slice(b"x");
-        rd.advance(2);
-    }
-
-    #[test]
-    fn freeze_preserves_contents() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"abc");
-        assert_eq!(buf.freeze().to_vec(), b"abc");
     }
 }
