@@ -14,7 +14,7 @@
 //! flag (used by `scripts/bench_smoke.sh`).
 
 use infogram_bench::{banner, manual_world_with_config, table};
-use infogram_info::config::{SchedConfig, ServiceConfig};
+use infogram_info::config::ServiceConfig;
 use infogram_info::sched::RefreshScheduler;
 use infogram_info::service::QueryOptions;
 use infogram_rsl::InfoSelector;
@@ -97,7 +97,7 @@ fn run_scheduled(rounds: usize) -> (Tally, f64) {
     let config = ServiceConfig::parse(CONFIG).expect("config");
     let world = manual_world_with_config(SEED, &config);
     let metrics = world.info.metrics();
-    let sched = RefreshScheduler::new(world.clock.clone(), SchedConfig::default(), metrics.clone());
+    let sched = RefreshScheduler::new(world.clock.clone(), metrics.clone());
     sched.watch_service(&world.info);
     sched.tick(); // seed every cache before traffic starts
 

@@ -11,9 +11,8 @@
 #![allow(clippy::unwrap_used)]
 
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram_bench::{banner, fmt_secs, table};
+use infogram_bench::{banner, fmt_secs, table, Summary};
 use infogram_client::GramClient;
-use infogram_obs::Summary;
 use std::time::{Duration, Instant};
 
 fn main() {

@@ -16,6 +16,7 @@ use infogram_info::service::InformationService;
 use infogram_obs::MetricSet;
 use infogram_sim::ManualClock;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Print an experiment banner.
 pub fn banner(id: &str, title: &str, expectation: &str) {
@@ -112,6 +113,43 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
+/// Mean and percentiles of a batch of latencies, in seconds: the rows
+/// of the Figure 1–4 tables.
+pub struct Summary {
+    sorted: Vec<f64>,
+}
+
+impl Summary {
+    /// Summarize durations; the input order is irrelevant.
+    pub fn from_durations(ds: &[Duration]) -> Self {
+        let mut sorted: Vec<f64> = ds.iter().map(Duration::as_secs_f64).collect();
+        sorted.sort_by(f64::total_cmp);
+        Summary { sorted }
+    }
+
+    /// Mean of the samples (0 if empty).
+    pub fn mean(&self) -> f64 {
+        self.sorted.iter().sum::<f64>() / self.sorted.len().max(1) as f64
+    }
+
+    /// The `q`-quantile (`0.0 ≤ q ≤ 1.0`), interpolated linearly between
+    /// the nearest ranks. Returns 0 for an empty summary.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.sorted.is_empty() {
+            return 0.0;
+        }
+        let pos = q.clamp(0.0, 1.0) * (self.sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        let frac = pos - lo as f64;
+        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
+    }
+
+    /// Median.
+    pub fn median(&self) -> f64 {
+        self.quantile(0.5)
+    }
+}
+
 /// Format a ratio as `x.yz×`.
 pub fn fmt_ratio(r: f64) -> String {
     format!("{r:.2}x")
@@ -126,6 +164,23 @@ mod tests {
         let w = manual_world(1);
         assert_eq!(w.info.keywords().len(), 5);
         assert_eq!(w.host.hostname(), "node00.grid.example.org");
+    }
+
+    #[test]
+    fn summary_quantiles() {
+        let ms: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
+        let s = Summary::from_durations(&ms);
+        assert!((s.mean() - 0.0505).abs() < 1e-12);
+        assert!((s.median() - 0.0505).abs() < 1e-12);
+        assert!((s.quantile(0.0) - 0.001).abs() < 1e-12);
+        assert!((s.quantile(1.0) - 0.100).abs() < 1e-12);
+        assert!((s.quantile(0.95) - 0.09505).abs() < 1e-9);
+    }
+
+    #[test]
+    fn summary_empty() {
+        let s = Summary::from_durations(&[]);
+        assert_eq!((s.mean(), s.median()), (0.0, 0.0));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Connections, messages, and bytes come from the in-memory network's
 //! accounting; latencies are wall-clock per request.
 
+use crate::Summary;
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram_obs::Summary;
 use infogram_sim::workload::MixedWorkload;
 use infogram_sim::SplitMix64;
 use std::time::{Duration, Instant};

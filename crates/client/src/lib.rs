@@ -22,4 +22,4 @@ pub mod unified;
 
 pub use dual::DualClient;
 pub use gram::{ClientError, GramClient};
-pub use unified::{InfoGramClient, QueryBuilder, QueryResult, RetryPolicy, SubUpdate};
+pub use unified::{InfoGramClient, QueryBuilder, QueryResult, SubUpdate};

@@ -138,11 +138,6 @@ impl QueryResult {
             .fold(None, |acc, a| Some(acc.map_or(a, |m: f64| m.max(a))))
     }
 
-    /// Only the records produced by a live provider run.
-    pub fn fresh_records(&self) -> impl Iterator<Item = &InfoRecord> {
-        self.records.iter().filter(|r| !r.degraded)
-    }
-
     /// The records, but only if *none* of them are degraded — callers
     /// that cannot tolerate stale data get [`ClientError::Degraded`]
     /// instead of silently consuming last-known-good values.
@@ -156,38 +151,18 @@ impl QueryResult {
     }
 }
 
-/// How the client retries connection-level failures and breaker-open
-/// (`UNAVAILABLE`) rejections.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts per operation (first try included).
-    pub max_attempts: u32,
-    /// First backoff delay; doubled per subsequent attempt.
-    pub backoff_base: Duration,
-    /// Hard cap on any single delay, including honored server hints.
-    pub backoff_max: Duration,
-    /// Relative jitter applied to backoff delays, in `[0, 1)`.
-    pub jitter: f64,
-    /// Whether to sleep out the server's `retry-after-ms=` hint and
-    /// retry on a breaker-open rejection (otherwise it surfaces as
-    /// [`ClientError::Server`]).
-    pub honor_retry_after: bool,
-    /// Seed for the deterministic jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
-            jitter: 0.2,
-            honor_retry_after: true,
-            seed: 0x0072_6574_7279, // "retry"
-        }
-    }
-}
+/// Attempts per operation, the first try included, after a transport
+/// failure or a breaker-open (`UNAVAILABLE`) rejection.
+const RETRY_ATTEMPTS: u32 = 3;
+/// First backoff delay; doubled per subsequent attempt, so with three
+/// attempts it is 50 ms, 100 ms or 200 ms before jitter.
+const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Cap on an honored server `retry-after-ms=` hint.
+const RETRY_HINT_MAX: Duration = Duration::from_secs(2);
+/// Relative jitter: each delay is scaled by a factor in `[0.8, 1.2]`.
+const RETRY_JITTER: f64 = 0.2;
+/// Seed of the deterministic jitter stream ("retry").
+const RETRY_SEED: u64 = 0x0072_6574_7279;
 
 /// Everything needed to re-establish a dropped session.
 struct ReconnectState {
@@ -196,7 +171,6 @@ struct ReconnectState {
     credential: Credential,
     trust_roots: Vec<Certificate>,
     clock: SharedClock,
-    policy: RetryPolicy,
     rng: SplitMix64,
     reconnects: u64,
 }
@@ -204,18 +178,9 @@ struct ReconnectState {
 impl ReconnectState {
     /// Jittered exponential delay before retry number `attempt` (1-based).
     fn backoff(&mut self, attempt: u32) -> Duration {
-        let exp = attempt.saturating_sub(1).min(16);
-        let raw = self
-            .policy
-            .backoff_base
-            .saturating_mul(1u32 << exp)
-            .min(self.policy.backoff_max);
-        let j = self.policy.jitter.clamp(0.0, 0.99);
-        if j == 0.0 {
-            return raw;
-        }
+        let raw = RETRY_BACKOFF_BASE * (1 << (attempt - 1));
         let unit = (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 1.0 - j + 2.0 * j * unit;
+        let factor = 1.0 - RETRY_JITTER + 2.0 * RETRY_JITTER * unit;
         Duration::from_nanos((raw.as_nanos() as f64 * factor) as u64)
     }
 }
@@ -316,18 +281,17 @@ impl InfoGramClient {
     /// Connect with transparent reconnect-and-retry: connection-level
     /// failures re-establish the session (handshake included) after a
     /// capped, jittered exponential backoff, and breaker-open
-    /// rejections honor the server's `retry-after-ms=` hint. The
-    /// transport is owned so the session can be rebuilt at any time.
+    /// rejections honor the server's `retry-after-ms=` hint, for up to
+    /// three attempts per operation. The transport is owned so the
+    /// session can be rebuilt at any time.
     pub fn connect_with_retry(
         transport: Arc<dyn Transport>,
         addr: &str,
         credential: &Credential,
         trust_roots: &[Certificate],
         clock: SharedClock,
-        policy: RetryPolicy,
     ) -> Result<InfoGramClient, ClientError> {
         let gram = GramClient::connect(&*transport, addr, credential, trust_roots, clock.clone())?;
-        let rng = SplitMix64::new(policy.seed);
         Ok(InfoGramClient {
             gram,
             subscription: None,
@@ -337,8 +301,7 @@ impl InfoGramClient {
                 credential: credential.clone(),
                 trust_roots: trust_roots.to_vec(),
                 clock,
-                policy,
-                rng,
+                rng: SplitMix64::new(RETRY_SEED),
                 reconnects: 0,
             }),
         })
@@ -358,8 +321,8 @@ impl InfoGramClient {
     }
 
     /// Issue one request, transparently reconnecting on transport
-    /// failures and sleeping out breaker-open rejections, per the
-    /// [`RetryPolicy`]. Without a policy this is a plain request.
+    /// failures and sleeping out breaker-open rejections. Without
+    /// [`InfoGramClient::connect_with_retry`] this is a plain request.
     fn request_resilient(&mut self, request: &Request) -> Result<Reply, ClientError> {
         if self.reconnect.is_none() {
             return self.gram.request(request);
@@ -370,9 +333,8 @@ impl InfoGramClient {
             let outcome = self.gram.request(request);
             // lint:allow(unwrap) — reconnect checked Some on entry and is never cleared
             let st = self.reconnect.as_mut().expect("reconnect state present");
-            let max = st.policy.max_attempts.max(1);
             match outcome {
-                Err(ClientError::Transport(_)) if attempt < max => {
+                Err(ClientError::Transport(_)) if attempt < RETRY_ATTEMPTS => {
                     let delay = st.backoff(attempt);
                     st.clock.sleep(delay);
                     match GramClient::connect(
@@ -394,9 +356,7 @@ impl InfoGramClient {
                     }
                 }
                 Ok(Reply::Error { code, ref message })
-                    if code == codes::UNAVAILABLE
-                        && st.policy.honor_retry_after
-                        && attempt < max =>
+                    if code == codes::UNAVAILABLE && attempt < RETRY_ATTEMPTS =>
                 {
                     // A millisecond of margin on top of the hint: the
                     // wire hint has millisecond resolution, so sleeping
@@ -405,7 +365,7 @@ impl InfoGramClient {
                     let hint = parse_retry_after(message)
                         .map(|h| h + Duration::from_millis(1))
                         .unwrap_or_else(|| st.backoff(attempt))
-                        .min(st.policy.backoff_max);
+                        .min(RETRY_HINT_MAX);
                     st.clock.sleep(hint);
                 }
                 other => return other,
@@ -529,13 +489,6 @@ impl InfoGramClient {
         self.subscription.as_ref().map(|s| s.id)
     }
 
-    /// The last applied `(version, record)` for a subscribed keyword.
-    pub fn subscribed_snapshot(&self, keyword: &str) -> Option<(u64, InfoRecord)> {
-        self.subscription
-            .as_ref()
-            .and_then(|s| s.snapshots.get(&keyword.to_ascii_lowercase()).cloned())
-    }
-
     /// Block until the next update batch on the tracked subscription,
     /// with deltas applied into full records and per-keyword version
     /// contiguity verified (a gap is a protocol error — the delivery
@@ -609,7 +562,6 @@ impl InfoGramClient {
     fn resubscribe(&mut self) -> Result<(), ClientError> {
         // lint:allow(unwrap) — caller checked reconnect.is_some()
         let st = self.reconnect.as_mut().expect("reconnect state present");
-        let max = st.policy.max_attempts.max(1);
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
@@ -627,7 +579,7 @@ impl InfoGramClient {
                     self.gram = gram;
                     break;
                 }
-                Err(ClientError::Transport(_)) if attempt < max => {}
+                Err(ClientError::Transport(_)) if attempt < RETRY_ATTEMPTS => {}
                 Err(e) => return Err(e),
             }
         }
@@ -732,34 +684,26 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_and_deterministic() {
+    fn backoff_doubles_with_seeded_jitter() {
         let mk = || ReconnectState {
             transport: Arc::new(infogram_proto::transport::mem::MemNetwork::ideal()),
             addr: "h:1".into(),
             credential: test_credential(),
             trust_roots: Vec::new(),
             clock: infogram_sim::ManualClock::new(),
-            policy: RetryPolicy {
-                jitter: 0.0,
-                ..RetryPolicy::default()
-            },
-            rng: SplitMix64::new(1),
+            rng: SplitMix64::new(RETRY_SEED),
             reconnects: 0,
         };
-        let mut st = mk();
-        assert_eq!(st.backoff(1), Duration::from_millis(50));
-        assert_eq!(st.backoff(2), Duration::from_millis(100));
-        assert_eq!(st.backoff(20), Duration::from_secs(2), "capped");
-        // With jitter, the stream is seed-deterministic.
-        let mut a = mk();
-        let mut b = mk();
-        a.policy.jitter = 0.2;
-        b.policy.jitter = 0.2;
-        for attempt in 1..6 {
+        let (mut a, mut b) = (mk(), mk());
+        for attempt in 1..=RETRY_ATTEMPTS {
             let d = a.backoff(attempt);
-            assert_eq!(d, b.backoff(attempt));
+            assert_eq!(d, b.backoff(attempt), "the stream is seed-deterministic");
+            // 50 ms doubled per attempt, then jittered ±20 %.
             let raw = Duration::from_millis(50) * (1 << (attempt - 1));
-            assert!(d >= raw.mul_f64(0.8) && d <= raw.mul_f64(1.2));
+            assert!(
+                d >= raw.mul_f64(0.8) && d <= raw.mul_f64(1.2),
+                "attempt {attempt}: {d:?}"
+            );
         }
     }
 
@@ -778,7 +722,6 @@ mod tests {
         };
         assert!(result.degraded());
         assert_eq!(result.stale_age_secs(), Some(17.5));
-        assert_eq!(result.fresh_records().count(), 1);
         match result.require_fresh() {
             Err(ClientError::Degraded { stale_age_secs }) => {
                 assert_eq!(stale_age_secs, Some(17.5));

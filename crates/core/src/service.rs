@@ -15,7 +15,7 @@ use infogram_gsi::{Authorizer, Certificate, Credential};
 use infogram_host::commands::CommandRegistry;
 use infogram_host::machine::SimulatedHost;
 use infogram_host::queue::BatchQueue;
-use infogram_info::config::{SchedConfig, ServiceConfig};
+use infogram_info::config::ServiceConfig;
 use infogram_info::service::InformationService;
 use infogram_info::{RefreshScheduler, SubscriptionHub, JOBS_KEYWORD};
 use infogram_proto::transport::{ProtoError, Transport};
@@ -142,7 +142,7 @@ impl InfoGramService {
         // nobody subscribes to refreshes nothing in the background and
         // on-demand query behaviour is exactly as before.
         let hub = Arc::clone(dispatcher.hub());
-        let sched = RefreshScheduler::new(clock.clone(), SchedConfig::default(), metrics.clone());
+        let sched = RefreshScheduler::new(clock.clone(), metrics.clone());
         sched.set_hub(Arc::clone(&hub));
         dispatcher.set_scheduler(Arc::clone(&sched));
         let driver_running = Arc::new(AtomicBool::new(true));

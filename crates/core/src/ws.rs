@@ -110,7 +110,6 @@ pub fn encode_request(req: &Request) -> String {
 
 /// Decode an XML envelope into a protocol request.
 pub fn decode_request(xml: &str) -> Result<Request, WsError> {
-    let xml = std::str::from_utf8(xml.as_bytes()).map_err(|_| err("not utf-8"))?;
     if !xml.contains(WS_NAMESPACE) {
         return Err(err("missing infogram namespace"));
     }
@@ -119,9 +118,12 @@ pub fn decode_request(xml: &str) -> Result<Request, WsError> {
     }
     if xml.contains("<submit") {
         let rsl = tag_content(xml, "rsl").ok_or_else(|| err("submit lacks <rsl>"))?;
-        let callback = tag_attr(xml, "submit", "callback")
-            .map(|v| v == "true")
-            .unwrap_or(false);
+        // Only what `encode_request` writes: `"true"` or `"false"`.
+        let callback = match tag_attr(xml, "submit", "callback").as_deref() {
+            Some("true") => true,
+            Some("false") => false,
+            _ => return Err(err("bad callback flag")),
+        };
         return Ok(Request::Submit { rsl, callback });
     }
     for (tag, make) in [("status", true), ("cancel", false)] {
@@ -211,7 +213,10 @@ pub fn decode_reply(xml: &str) -> Result<Reply, WsError> {
         let state = tag_attr(xml, "jobStatus", "state")
             .and_then(|s| JobStateCode::from_name(&s))
             .ok_or_else(|| err("bad state"))?;
-        let exit_code = tag_attr(xml, "jobStatus", "exit").and_then(|e| e.parse().ok());
+        let exit_code = match tag_attr(xml, "jobStatus", "exit") {
+            Some(e) => Some(e.parse().map_err(|_| err("bad exit code"))?),
+            None => None,
+        };
         let output = tag_content(xml, "output").unwrap_or_default();
         return Ok(Reply::JobStatus {
             handle: JobHandle::parse(&h).map_err(|e| err(&e.to_string()))?,
@@ -450,6 +455,28 @@ mod tests {
         assert!(decode_request(&envelope("<unknown/>")).is_err());
         assert!(decode_reply("plain text").is_err());
         assert!(decode_request(&envelope("<submit callback=\"x\"></submit>")).is_err());
+        // The decoders accept only what the encoders write.
+        let rsl = "<rsl>(info=cpu)</rsl>";
+        for flag in [
+            "<submit callback=\"yes\">",
+            "<submit callback=\"TRUE\">",
+            "<submit>",
+        ] {
+            let e = decode_request(&envelope(&format!("{flag}{rsl}</submit>"))).unwrap_err();
+            assert_eq!(e.reason, "bad callback flag", "{flag}");
+        }
+        let status = |exit: &str| {
+            envelope(&format!(
+                "<jobStatus state=\"DONE\" exit=\"{exit}\"><handle>{}</handle>\
+                 <output></output></jobStatus>",
+                handle()
+            ))
+        };
+        assert!(decode_reply(&status("0")).is_ok());
+        for exit in ["", "zero", "1.5", "99999999999"] {
+            let e = decode_reply(&status(exit)).unwrap_err();
+            assert_eq!(e.reason, "bad exit code", "{exit:?}");
+        }
     }
 
     /// Every connection counts on a handle of its own, and they all add

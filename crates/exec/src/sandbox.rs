@@ -117,17 +117,6 @@ impl Jarlet {
         }
         Ok(Jarlet { ops })
     }
-
-    /// Total compute units the program would burn.
-    pub fn compute_units(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                Op::Compute(u) => *u,
-                _ => 0,
-            })
-            .sum()
-    }
 }
 
 /// Capability policy for a jarlet run — what the "trusted environment"
@@ -341,7 +330,6 @@ mod tests {
     fn parse_program() {
         let j = Jarlet::parse("compute 10; read /data/x; print done").unwrap();
         assert_eq!(j.ops.len(), 3);
-        assert_eq!(j.compute_units(), 10);
         assert_eq!(j.ops[2], Op::Print("done".to_string()));
     }
 

@@ -110,11 +110,6 @@ impl Contract {
         }
     }
 
-    /// An unconditional grant for one identity on one resource.
-    pub fn allow_always(dn: Dn, resource: &str) -> Self {
-        Contract::new(SubjectMatch::Exact(dn), resource, vec![Window::Always])
-    }
-
     /// Whether this contract authorizes `dn` on `resource` at `now`.
     pub fn authorizes(&self, dn: &Dn, resource: &str, now: SimTime) -> bool {
         (self.resource == "*" || self.resource == resource)
@@ -204,7 +199,7 @@ mod tests {
     fn proxy_authorized_via_base_identity() {
         let x = Dn::user("Grid", "ANL", "User X");
         let proxy = x.child("CN", "proxy");
-        let c = Contract::allow_always(x, "res");
+        let c = Contract::new(SubjectMatch::Exact(x), "res", vec![Window::Always]);
         assert!(c.authorizes(&proxy, "res", SimTime::ZERO));
     }
 

@@ -132,17 +132,6 @@ impl Dn {
         }
         Dn { rdns }
     }
-
-    /// Render in the LDAP comma form, leaf-most first:
-    /// `CN=Name, OU=ANL, O=Grid`.
-    pub fn to_ldap_string(&self) -> String {
-        self.rdns
-            .iter()
-            .rev()
-            .map(|(a, v)| format!("{a}={v}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 }
 
 impl fmt::Display for Dn {
@@ -173,12 +162,6 @@ mod tests {
         assert_eq!(dn.to_string(), s);
         assert_eq!(dn.common_name(), Some("Gregor von Laszewski"));
         assert_eq!(dn.rdns().len(), 3);
-    }
-
-    #[test]
-    fn ldap_form() {
-        let dn = Dn::user("Grid", "ANL", "Jarek Gawor");
-        assert_eq!(dn.to_ldap_string(), "CN=Jarek Gawor, OU=ANL, O=Grid");
     }
 
     #[test]

@@ -105,13 +105,6 @@ impl GridMap {
             .map(|v| v.as_slice())
     }
 
-    /// Whether the DN may use the given local account.
-    pub fn permits(&self, dn: &Dn, account: &str) -> bool {
-        self.accounts(dn)
-            .map(|a| a.iter().any(|x| x == account))
-            .unwrap_or(false)
-    }
-
     /// Number of mapped identities.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -161,8 +154,6 @@ mod tests {
         let map = GridMap::parse(SAMPLE).unwrap();
         let dn = Dn::user("Grid", "ANL", "Jarek Gawor");
         assert_eq!(map.lookup(&dn), Some("gawor"));
-        assert!(map.permits(&dn, "globus"));
-        assert!(!map.permits(&dn, "root"));
         assert_eq!(map.accounts(&dn).unwrap().len(), 2);
     }
 
@@ -171,7 +162,6 @@ mod tests {
         let map = GridMap::parse(SAMPLE).unwrap();
         let dn = Dn::user("Grid", "ANL", "Nobody");
         assert_eq!(map.lookup(&dn), None);
-        assert!(!map.permits(&dn, "gregor"));
     }
 
     #[test]

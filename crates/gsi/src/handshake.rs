@@ -9,18 +9,13 @@
 //!    client nonce
 //! 3. client → server: signature over the server nonce
 //!
-//! — after which both sides hold a [`SecurityContext`]. The message count
-//! is exported as [`HANDSHAKE_MESSAGES`] so the protocol-overhead
-//! experiments (Figures 2/4) can charge it per connection.
+//! — after which both sides hold a [`SecurityContext`].
 
 use crate::cert::{verify_chain, CertError, Certificate, Credential};
 use crate::dn::Dn;
 use crate::wire::{self, WireParseError};
 use infogram_sim::wire::Reader;
 use infogram_sim::{SimTime, SplitMix64};
-
-/// Number of wire messages a full mutual handshake costs.
-pub const HANDSHAKE_MESSAGES: u64 = 3;
 
 /// Why a handshake failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,8 +62,8 @@ pub struct SecurityContext {
 /// credential, both validating against `trust_roots` at time `now`.
 ///
 /// Returns the client-side and server-side security contexts. The wire
-/// cost is [`HANDSHAKE_MESSAGES`]; callers that meter traffic must charge
-/// it themselves (the transports in `infogram-proto` do).
+/// cost is three messages; callers that meter traffic must charge it
+/// themselves (the transports in `infogram-proto` do).
 pub fn authenticate(
     client: &Credential,
     server: &Credential,
@@ -389,12 +384,6 @@ mod tests {
             Err(HandshakeError::BadChain(CertError::UntrustedRoot { .. })) => {}
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn handshake_message_count_is_three() {
-        // The constant the protocol-overhead experiments rely on.
-        assert_eq!(HANDSHAKE_MESSAGES, 3);
     }
 
     /// Credentials shaped like the e21 benchmark's

@@ -44,6 +44,6 @@ pub use dn::Dn;
 pub use gridmap::GridMap;
 pub use handshake::{
     authenticate, wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify,
-    HandshakeError, SecurityContext, ServerPending, HANDSHAKE_MESSAGES,
+    HandshakeError, SecurityContext, ServerPending,
 };
 pub use policy::{Authorizer, AuthzDecision, AuthzError};

@@ -10,7 +10,6 @@ use crate::contract::Contract;
 use crate::dn::Dn;
 use crate::gridmap::GridMap;
 use infogram_sim::SimTime;
-use parking_lot::RwLock;
 
 /// Why authorization failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,8 +58,8 @@ pub struct AuthzDecision {
 /// some contract must also cover the (subject, resource, time) triple.
 #[derive(Debug)]
 pub struct Authorizer {
-    gridmap: RwLock<GridMap>,
-    contracts: RwLock<Vec<Contract>>,
+    gridmap: GridMap,
+    contracts: Vec<Contract>,
     require_contracts: bool,
 }
 
@@ -68,8 +67,8 @@ impl Authorizer {
     /// Gridmap-only policy (classic GRAM).
     pub fn gridmap_only(gridmap: GridMap) -> Self {
         Authorizer {
-            gridmap: RwLock::new(gridmap),
-            contracts: RwLock::new(Vec::new()),
+            gridmap,
+            contracts: Vec::new(),
             require_contracts: false,
         }
     }
@@ -77,20 +76,10 @@ impl Authorizer {
     /// Gridmap + mandatory contracts (the InfoGram extension).
     pub fn with_contracts(gridmap: GridMap, contracts: Vec<Contract>) -> Self {
         Authorizer {
-            gridmap: RwLock::new(gridmap),
-            contracts: RwLock::new(contracts),
+            gridmap,
+            contracts,
             require_contracts: true,
         }
-    }
-
-    /// Add a contract at runtime.
-    pub fn add_contract(&self, contract: Contract) {
-        self.contracts.write().push(contract);
-    }
-
-    /// Replace the gridmap (simulating a `grid-mapfile` reload).
-    pub fn reload_gridmap(&self, gridmap: GridMap) {
-        *self.gridmap.write() = gridmap;
     }
 
     /// Authorize `dn` to use `resource` at `now`.
@@ -103,7 +92,6 @@ impl Authorizer {
         let base = dn.base_identity();
         let account = self
             .gridmap
-            .read()
             .lookup(&base)
             .map(|s| s.to_string())
             .ok_or_else(|| AuthzError::NotMapped {
@@ -112,7 +100,6 @@ impl Authorizer {
         if self.require_contracts {
             let ok = self
                 .contracts
-                .read()
                 .iter()
                 .any(|c| c.authorizes(&base, resource, now));
             if !ok {
@@ -192,28 +179,5 @@ mod tests {
             a.authorize(&Dn::user("Grid", "X", "Nobody"), "cluster", three_pm),
             Err(AuthzError::NotMapped { .. })
         ));
-    }
-
-    #[test]
-    fn contracts_addable_at_runtime() {
-        let gregor = Dn::user("Grid", "ANL", "Gregor");
-        let a = Authorizer::with_contracts(gridmap(), vec![]);
-        assert!(a.authorize(&gregor, "res", SimTime::ZERO).is_err());
-        a.add_contract(Contract::allow_always(gregor.clone(), "res"));
-        assert!(a.authorize(&gregor, "res", SimTime::ZERO).is_ok());
-    }
-
-    #[test]
-    fn gridmap_reload() {
-        let a = Authorizer::gridmap_only(GridMap::new());
-        let dn = Dn::user("Grid", "ANL", "Late Addition");
-        assert!(a.authorize(&dn, "r", SimTime::ZERO).is_err());
-        let mut m = GridMap::new();
-        m.add(dn.clone(), &["late"]);
-        a.reload_gridmap(m);
-        assert_eq!(
-            a.authorize(&dn, "r", SimTime::ZERO).unwrap().local_account,
-            "late"
-        );
     }
 }

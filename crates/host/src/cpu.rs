@@ -14,10 +14,17 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Mean-reversion strength per step, in `(0, 1]`.
+const PHI: f64 = 0.1;
+/// Innovation standard deviation per step.
+const SIGMA: f64 = 0.15;
+/// Process time step.
+const STEP: Duration = Duration::from_secs(1);
+
 /// Mean-reverting stochastic CPU load.
 ///
-/// The process advances in fixed `step` increments:
-/// `x' = x + phi * (mean - x) + sigma * N(0,1)`, clamped to
+/// The process advances in fixed 1-second `STEP`s:
+/// `x' = x + PHI * (mean - x) + SIGMA * N(0,1)`, clamped to
 /// `[0, max_load]`. One-, five-, and fifteen-minute exponentially weighted
 /// averages are maintained alongside, mirroring `/proc/loadavg`.
 #[derive(Debug)]
@@ -26,14 +33,8 @@ pub struct CpuLoadModel {
     inner: Mutex<LoadState>,
     /// Long-run mean load.
     mean: f64,
-    /// Mean-reversion strength per step, in `(0, 1]`.
-    phi: f64,
-    /// Innovation standard deviation per step.
-    sigma: f64,
     /// Upper clamp (roughly the CPU count).
     max_load: f64,
-    /// Process time step.
-    step: Duration,
 }
 
 #[derive(Debug)]
@@ -48,8 +49,8 @@ struct LoadState {
 }
 
 impl CpuLoadModel {
-    /// A load process with sensible defaults: 1-second steps, mean
-    /// reversion 0.1, innovation 0.15.
+    /// A load process with 1-second steps, mean reversion 0.1 and
+    /// innovation 0.15.
     pub fn new(clock: Arc<dyn Clock>, seed: u64, mean: f64, max_load: f64) -> Self {
         CpuLoadModel {
             clock,
@@ -62,36 +63,20 @@ impl CpuLoadModel {
                 load15: mean,
             }),
             mean,
-            phi: 0.1,
-            sigma: 0.15,
             max_load,
-            step: Duration::from_secs(1),
         }
     }
 
-    /// Override the process volatility (used by the degradation benchmarks
-    /// to sweep how fast information goes stale).
-    pub fn with_dynamics(mut self, phi: f64, sigma: f64, step: Duration) -> Self {
-        assert!(phi > 0.0 && phi <= 1.0, "phi out of range");
-        assert!(sigma >= 0.0, "sigma negative");
-        assert!(step > Duration::ZERO, "zero step");
-        self.phi = phi;
-        self.sigma = sigma;
-        self.step = step;
-        self
-    }
-
     fn advance_to(&self, t: SimTime, st: &mut LoadState) {
-        let step_ns = self.step.as_nanos() as u64;
+        let step_ns = STEP.as_nanos() as u64;
         // EWMA decay constants per step for 1/5/15-minute averages.
-        let dt = self.step.as_secs_f64();
+        let dt = STEP.as_secs_f64();
         let a1 = (-dt / 60.0).exp();
         let a5 = (-dt / 300.0).exp();
         let a15 = (-dt / 900.0).exp();
         while st.advanced_to.as_nanos() + step_ns <= t.as_nanos() {
             let noise = st.rng.standard_normal();
-            let x =
-                st.instantaneous + self.phi * (self.mean - st.instantaneous) + self.sigma * noise;
+            let x = st.instantaneous + PHI * (self.mean - st.instantaneous) + SIGMA * noise;
             st.instantaneous = x.clamp(0.0, self.max_load);
             st.load1 = a1 * st.load1 + (1.0 - a1) * st.instantaneous;
             st.load5 = a5 * st.load5 + (1.0 - a5) * st.instantaneous;

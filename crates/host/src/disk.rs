@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct DiskModel {
     total: u64,
-    used: RwLock<u64>,
+    used: u64,
 }
 
 impl DiskModel {
@@ -20,7 +20,7 @@ impl DiskModel {
     pub fn new(total: u64, used: u64) -> Self {
         DiskModel {
             total,
-            used: RwLock::new(used.min(total)),
+            used: used.min(total),
         }
     }
 
@@ -31,28 +31,12 @@ impl DiskModel {
 
     /// Bytes in use.
     pub fn used(&self) -> u64 {
-        *self.used.read()
+        self.used
     }
 
     /// Bytes free.
     pub fn free(&self) -> u64 {
-        self.total - *self.used.read()
-    }
-
-    /// Consume `bytes`; returns false (and changes nothing) if full.
-    pub fn consume(&self, bytes: u64) -> bool {
-        let mut used = self.used.write();
-        if *used + bytes > self.total {
-            return false;
-        }
-        *used += bytes;
-        true
-    }
-
-    /// Free `bytes` (saturating).
-    pub fn reclaim(&self, bytes: u64) {
-        let mut used = self.used.write();
-        *used = used.saturating_sub(bytes);
+        self.total - self.used
     }
 }
 
@@ -132,11 +116,6 @@ impl MemFs {
         out.dedup();
         out
     }
-
-    /// Number of files in the filesystem.
-    pub fn file_count(&self) -> usize {
-        self.files.read().len()
-    }
 }
 
 #[cfg(test)]
@@ -146,14 +125,9 @@ mod tests {
     #[test]
     fn disk_accounting() {
         let d = DiskModel::new(1000, 300);
-        assert_eq!(d.free(), 700);
-        assert!(d.consume(700));
-        assert!(!d.consume(1));
-        assert_eq!(d.free(), 0);
-        d.reclaim(500);
-        assert_eq!(d.used(), 500);
-        d.reclaim(10_000);
-        assert_eq!(d.used(), 0);
+        assert_eq!((d.used(), d.free()), (300, 700));
+        let full = DiskModel::new(1000, 5000);
+        assert_eq!((full.used(), full.free()), (1000, 0), "used is clamped");
     }
 
     #[test]
@@ -197,7 +171,6 @@ mod tests {
         fs.write("/a", "1");
         assert!(fs.remove("/a"));
         assert!(!fs.remove("/a"));
-        assert_eq!(fs.file_count(), 0);
     }
 }
 

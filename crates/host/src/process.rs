@@ -193,16 +193,6 @@ impl ProcessTable {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drop records of exited processes (the moral equivalent of reaping).
-    pub fn reap(&self) -> usize {
-        let now = self.clock.now();
-        let mut st = self.inner.lock();
-        let before = st.procs.len();
-        st.procs
-            .retain(|_, p| p.forced.is_none() && now < p.deadline);
-        before - st.procs.len()
-    }
 }
 
 #[cfg(test)]
@@ -278,14 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn running_count_and_reap() {
+    fn running_count_drops_as_processes_exit() {
         let (clock, t) = table();
         let _a = t.spawn("a", Duration::from_secs(1), 0);
         let _b = t.spawn("b", Duration::from_secs(10), 0);
         assert_eq!(t.running_count(), 2);
         clock.advance(Duration::from_secs(2));
-        assert_eq!(t.running_count(), 1);
-        assert_eq!(t.reap(), 1);
         assert_eq!(t.running_count(), 1);
     }
 

@@ -58,17 +58,6 @@ pub fn parse_loadavg_load1(text: &str) -> Option<f64> {
     text.split_whitespace().next()?.parse().ok()
 }
 
-/// Parse `MemFree` (bytes) out of a rendered `/proc/meminfo`.
-pub fn parse_meminfo_free_bytes(text: &str) -> Option<u64> {
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("MemFree:") {
-            let kb: u64 = rest.trim().trim_end_matches(" kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,9 +80,13 @@ mod tests {
         let clock = ManualClock::new();
         let host = SimulatedHost::default_on(clock);
         let text = render_meminfo(&host);
-        let free = parse_meminfo_free_bytes(&text).unwrap();
+        let kb: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("MemFree:"))
+            .and_then(|rest| rest.trim().trim_end_matches(" kB").trim().parse().ok())
+            .expect("MemFree line");
         // kB truncation loses < 1 kB.
-        assert!(free.abs_diff(host.memory.free()) < 1024);
+        assert!((kb * 1024).abs_diff(host.memory.free()) < 1024);
     }
 
     #[test]
@@ -122,6 +115,5 @@ mod tests {
     fn parse_rejects_garbage() {
         assert_eq!(parse_loadavg_load1(""), None);
         assert_eq!(parse_loadavg_load1("not-a-number x"), None);
-        assert_eq!(parse_meminfo_free_bytes("nothing here"), None);
     }
 }

@@ -455,11 +455,6 @@ impl Matchmaker {
         }
     }
 
-    /// Whether any machine in the pool could ever run this job.
-    pub fn can_match(&self, job: &BatchJob) -> bool {
-        self.machines.iter().any(|m| m.matches(job))
-    }
-
     fn sweep(&self, st: &mut MatchState, now: SimTime) {
         loop {
             // Match pending jobs (in submit order) to free machines at the
@@ -722,9 +717,6 @@ mod tests {
         let linux_job = BatchJob::simple("lj", "u", secs(5)).requiring("os", "linux");
         let solaris_job = BatchJob::simple("sj", "u", secs(5)).requiring("os", "solaris");
         let impossible = BatchJob::simple("ij", "u", secs(5)).requiring("os", "plan9");
-        assert!(pool.can_match(&linux_job));
-        assert!(!pool.can_match(&impossible));
-
         let a = pool.submit(linux_job);
         let b = pool.submit(solaris_job);
         let c = pool.submit(impossible);

@@ -169,52 +169,6 @@ impl ServiceConfig {
     }
 }
 
-/// Tunables for the adaptive refresh scheduler ([`crate::sched`]).
-///
-/// The defaults suit the Table 1 workload; the README operator guide
-/// ("Tuning and observing refresh") walks through when to move each
-/// knob.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedConfig {
-    /// Prefetch lead = `mean + lead_sigma × stddev` of the keyword's
-    /// observed provider latency (the §6.6 performance tag). Larger
-    /// values start refreshes earlier, trading provider executions for
-    /// hit rate on slow or jittery providers.
-    pub lead_sigma: f64,
-    /// Floor on the prefetch lead, applied even when the performance
-    /// catalog is empty (a new keyword has no samples yet).
-    pub min_lead: Duration,
-    /// Ceiling on the lead as a fraction of the TTL in `(0, 1)`: a
-    /// pathological latency estimate must not collapse the effective
-    /// refresh period to zero.
-    pub max_lead_fraction: f64,
-    /// Floor on the interval between two scheduled refreshes of one
-    /// keyword — the refresh-storm guard. Parked and failed keywords
-    /// are never rescheduled closer than this.
-    pub min_interval: Duration,
-    /// Refreshes dispatched per tick batch (one `sim::par` fan-out).
-    /// Keywords past this cap stay queued for the next tick, lowest
-    /// predicted staleness cost trimmed first.
-    pub max_batch: usize,
-    /// Demand gate: a keyword with zero queries since its previous
-    /// scheduled visit is *cold* — its refresh is skipped and the next
-    /// demand check is pushed one TTL out.
-    pub idle_skip: bool,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            lead_sigma: 2.0,
-            min_lead: Duration::from_millis(1),
-            max_lead_fraction: 0.5,
-            min_interval: Duration::from_millis(10),
-            max_batch: 8,
-            idle_skip: true,
-        }
-    }
-}
-
 /// The exact rows of Table 1: "The InfoGram configuration file provides a
 /// mapping between keywords and information providers".
 // lint:config-table

@@ -16,7 +16,7 @@
 
 use crate::provider::{InfoProvider, ProviderError};
 use crate::quality::DegradationFn;
-use crate::supervisor::{Admission, BreakerState, Supervisor, SupervisorConfig};
+use crate::supervisor::{self, Admission, BreakerState, Supervisor};
 use infogram_proto::render::{self, AttrRef};
 use infogram_rsl::OutputFormat;
 use infogram_sim::clock::SharedClock;
@@ -297,7 +297,7 @@ impl SystemInformation {
         ttl: Duration,
         degradation: DegradationFn,
     ) -> Arc<Self> {
-        let supervisor = Supervisor::new(provider.keyword(), SupervisorConfig::default());
+        let supervisor = Supervisor::new(provider.keyword());
         let state = EntryState {
             perf: Welford::new(),
             ..EntryState::default()
@@ -384,12 +384,6 @@ impl SystemInformation {
     pub fn validity(&self) -> Duration {
         self.age()
             .map_or(Duration::ZERO, |age| self.ttl.saturating_sub(age))
-    }
-
-    /// Quality of the currently cached value under the degradation
-    /// function; `None` if never produced.
-    pub fn current_quality(&self) -> Option<f64> {
-        self.age().map(|age| self.degradation.quality(age))
     }
 
     /// `Ok` while `value` is within its TTL (never, at TTL 0).
@@ -500,13 +494,6 @@ impl SystemInformation {
         self.supervisor.state()
     }
 
-    /// The deadline budget used when a query carries no explicit
-    /// `(timeout=...)`: TTL-proportional with a floor, per the
-    /// supervisor config.
-    pub fn default_deadline(&self) -> Duration {
-        self.supervisor.config().deadline_for(self.ttl)
-    }
-
     fn publish_breaker_gauge(&self) {
         if let Some(t) = self.telemetry.get() {
             t.breaker.set(self.supervisor.state() as u32 as f64);
@@ -522,7 +509,7 @@ impl SystemInformation {
     ///   [`QueryError::Unavailable`] carrying the retry-after hint when
     ///   nothing is cached.
     /// * Transient provider failures are retried in-fetch (bounded by
-    ///   the config's `max_retries`; a half-open probe gets none).
+    ///   two retries; a half-open probe gets none).
     ///   Configuration errors ([`ProviderError::is_transient`] false)
     ///   are never retried and never counted toward the breaker.
     /// * The whole fetch runs under a deadline budget: `deadline` if
@@ -580,18 +567,14 @@ impl SystemInformation {
                 Err(err)
             }
         };
-        let budget = deadline.unwrap_or_else(|| self.default_deadline());
+        let budget = deadline.unwrap_or_else(|| supervisor::default_deadline(self.ttl));
         let probe = match self.supervisor.admit(self.clock.now()) {
             Admission::Deferred { retry_after } => {
                 return fail(QueryError::Unavailable { retry_after })
             }
             Admission::Execute { probe } => probe,
         };
-        let retries = if probe {
-            0
-        } else {
-            self.supervisor.config().max_retries
-        };
+        let retries = if probe { 0 } else { supervisor::MAX_RETRIES };
         let started = self.clock.now();
         let mut last_err = None;
         for attempt in 0..=retries {
@@ -711,7 +694,6 @@ mod tests {
         assert_eq!(si.query_state(), Err(QueryError::NeverProduced));
         assert_eq!(si.last_state(), Err(QueryError::NeverProduced));
         assert_eq!(si.validity(), Duration::ZERO);
-        assert_eq!(si.current_quality(), None);
     }
 
     #[test]
@@ -987,16 +969,5 @@ mod tests {
         assert_eq!(n, 4);
         assert!((mean - 0.025).abs() < 1e-9, "mean {mean}");
         assert!(std < 1e-9, "constant cost has zero stddev");
-    }
-
-    #[test]
-    fn quality_degrades_with_age() {
-        let (clock, _calls, si) = entry_with_ttl(100); // linear over 200ms
-        si.update_state().unwrap();
-        assert!((si.current_quality().unwrap() - 1.0).abs() < 1e-9);
-        clock.advance(Duration::from_millis(100));
-        assert!((si.current_quality().unwrap() - 0.5).abs() < 1e-9);
-        clock.advance(Duration::from_millis(200));
-        assert_eq!(si.current_quality().unwrap(), 0.0);
     }
 }

@@ -8,8 +8,8 @@
 //! * [`provider`] — information providers: "(a) calls to a system command
 //!   via the Java runtime exec (b) a query to a function exposing Java
 //!   runtime information such as load, memory, or disk space (c) or a
-//!   read function from a file" (§6.2). All three cases exist here, over
-//!   the simulated host.
+//!   read function from a file" (§6.2). Cases (a) and (b) exist here,
+//!   over the simulated host; nothing configures a case (c) provider.
 //! * [`entry::SystemInformation`] — the paper's `SystemInformation`
 //!   interface: non-blocking `query_state`, blocking coalesced
 //!   `update_state` guarded by a monitor, a `delay` throttle, TTL
@@ -51,13 +51,11 @@ pub mod service;
 pub mod sub;
 pub mod supervisor;
 
-pub use config::{ConfigEntry, ConfigError, SchedConfig, ServiceConfig, TABLE1_TEXT};
+pub use config::{ConfigEntry, ConfigError, ServiceConfig, TABLE1_TEXT};
 pub use entry::{QueryError, Snapshot, SystemInformation};
-pub use provider::{
-    CommandProvider, FileProvider, FnProvider, InfoProvider, ProviderError, RuntimeProvider,
-};
+pub use provider::{CommandProvider, FnProvider, InfoProvider, ProviderError, RuntimeProvider};
 pub use quality::DegradationFn;
 pub use sched::{RefreshScheduler, TickReport, WatchError};
 pub use service::{InfoServiceError, InformationService};
 pub use sub::{SinkClosed, SubSink, SubscriptionHub, JOBS_KEYWORD};
-pub use supervisor::{Admission, BreakerState, Supervisor, SupervisorConfig};
+pub use supervisor::{Admission, BreakerState, Supervisor};

@@ -9,14 +9,13 @@
 //! * case (a) → [`CommandProvider`] over the simulated host's command
 //!   registry;
 //! * case (b) → [`RuntimeProvider`] querying the host models directly;
-//! * case (c) → [`FileProvider`] reading the host's `/proc`-style files;
+//! * case (c) has no provider: nothing configures one;
 //! * plus [`FnProvider`] wrapping a closure, for tests and custom
 //!   integrations ("the integration of new information providers can be
 //!   performed through the implementation of interfaces").
 
 use infogram_host::commands::{parse_kv_output, CommandRegistry};
 use infogram_host::machine::SimulatedHost;
-use infogram_host::procfs;
 use infogram_sim::metrics::MetricSet;
 use std::sync::Arc;
 
@@ -24,8 +23,8 @@ use std::sync::Arc;
 ///
 /// The taxonomy matters to the fault supervisor: *transient* errors
 /// (nonzero exits, custom failures) are retried and counted toward the
-/// circuit breaker, while *configuration* errors (unknown executable,
-/// missing file) are permanent — retrying them is pointless, so they are
+/// circuit breaker, while *configuration* errors (an unknown executable)
+/// are permanent — retrying them is pointless, so they are
 /// surfaced immediately and never open the breaker. See
 /// [`ProviderError::is_transient`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,11 +46,6 @@ pub enum ProviderError {
         /// The resolver's message, e.g. `unknown command: probe`.
         detail: String,
     },
-    /// The backing file does not exist (configuration error).
-    FileMissing {
-        /// The missing path.
-        path: String,
-    },
     /// Custom provider failure (treated as transient).
     Other(String),
 }
@@ -63,7 +57,7 @@ impl ProviderError {
     pub fn is_transient(&self) -> bool {
         match self {
             ProviderError::CommandFailed { .. } | ProviderError::Other(_) => true,
-            ProviderError::UnknownCommand { .. } | ProviderError::FileMissing { .. } => false,
+            ProviderError::UnknownCommand { .. } => false,
         }
     }
 }
@@ -80,7 +74,6 @@ impl std::fmt::Display for ProviderError {
                     "command '{command}' failed: {detail} (configuration error)"
                 )
             }
-            ProviderError::FileMissing { path } => write!(f, "file missing: {path}"),
             ProviderError::Other(s) => write!(f, "provider error: {s}"),
         }
     }
@@ -221,55 +214,6 @@ impl InfoProvider for RuntimeProvider {
     }
 }
 
-/// Case (c): read a file from the host filesystem. `/proc` paths are
-/// refreshed from the live models before reading, like the real procfs.
-pub struct FileProvider {
-    keyword: String,
-    path: String,
-    host: Arc<SimulatedHost>,
-}
-
-impl FileProvider {
-    /// A provider reading `path` for `keyword`.
-    pub fn new(keyword: &str, path: &str, host: Arc<SimulatedHost>) -> Self {
-        FileProvider {
-            keyword: keyword.to_string(),
-            path: path.to_string(),
-            host,
-        }
-    }
-}
-
-impl InfoProvider for FileProvider {
-    fn keyword(&self) -> &str {
-        &self.keyword
-    }
-
-    fn produce(&self) -> Result<Vec<(String, String)>, ProviderError> {
-        if self.path.starts_with("/proc/") {
-            procfs::sync_procfs(&self.host);
-        }
-        let text =
-            self.host
-                .fs
-                .read_text(&self.path)
-                .ok_or_else(|| ProviderError::FileMissing {
-                    path: self.path.clone(),
-                })?;
-        // `key: value` lines if the file has them, else the whole content.
-        let kvs = parse_kv_output(&text);
-        if kvs.is_empty() {
-            Ok(vec![("content".to_string(), text.trim_end().to_string())])
-        } else {
-            Ok(kvs)
-        }
-    }
-
-    fn source(&self) -> String {
-        format!("file:{}", self.path)
-    }
-}
-
 /// The built-in `Metrics:` keyword — the service describing itself.
 ///
 /// Flattens the shared telemetry handle's snapshot (counters, gauges,
@@ -394,10 +338,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert!(!ProviderError::FileMissing {
-            path: "/x".to_string()
-        }
-        .is_transient());
         assert!(ProviderError::Other("boom".to_string()).is_transient());
     }
 
@@ -426,36 +366,6 @@ mod tests {
             .iter()
             .any(|(k, v)| k == "hostname" && v == "node00.grid.example.org"));
         assert!(attrs.iter().any(|(k, _)| k == "cpus"));
-    }
-
-    #[test]
-    fn file_provider_proc_loadavg() {
-        let (clock, host, _reg) = world();
-        clock.advance(Duration::from_secs(10));
-        let p = FileProvider::new("LoadAvg", "/proc/loadavg", host);
-        let attrs = p.produce().unwrap();
-        // loadavg has no colon-separated pairs; whole content captured.
-        assert_eq!(attrs.len(), 1);
-        assert_eq!(attrs[0].0, "content");
-        assert!(attrs[0].1.split_whitespace().count() >= 4);
-    }
-
-    #[test]
-    fn file_provider_meminfo_parses_pairs() {
-        let (_c, host, _reg) = world();
-        let p = FileProvider::new("MemInfo", "/proc/meminfo", host);
-        let attrs = p.produce().unwrap();
-        assert!(attrs.iter().any(|(k, _)| k == "MemTotal"));
-    }
-
-    #[test]
-    fn file_provider_missing() {
-        let (_c, host, _reg) = world();
-        let p = FileProvider::new("X", "/no/such/file", host);
-        assert!(matches!(
-            p.produce(),
-            Err(ProviderError::FileMissing { .. })
-        ));
     }
 
     #[test]

@@ -18,15 +18,14 @@
 //! From these it maintains one [`TimerWheel`] over all watched keywords:
 //!
 //! * **prefetch** — a hot keyword's refresh is scheduled a *lead* of
-//!   `mean + lead_sigma × stddev` before its TTL expires, so the fresh
+//!   `mean + 2 × stddev` before its TTL expires, so the fresh
 //!   value lands just as the old one dies and steady traffic never
 //!   misses;
 //! * **skip** — a keyword with zero queries since its last visit is
 //!   cold: its refresh is skipped and a demand check is pushed one TTL
 //!   out (`sched.skipped`);
 //! * **batch** — co-expiring refreshes dispatch through one
-//!   [`fan_out`], capped at
-//!   [`SchedConfig::max_batch`] per tick with the *highest* predicted
+//!   [`fan_out`], capped at eight per tick with the *highest* predicted
 //!   staleness cost refreshed first;
 //! * **park** — a keyword whose supervisor is holding the provider
 //!   closed (breaker open, backoff gate armed) is rescheduled past the
@@ -34,7 +33,7 @@
 //!   scheduler never hot-loops a broken provider and never steals the
 //!   half-open probe from real queries;
 //! * **evict** — a keyword whose provider fails *non-transiently*
-//!   (unknown command, missing file) leaves the queue entirely
+//!   (an unknown command) leaves the queue entirely
 //!   (`sched.evicted`); refreshing a config error forever is the one
 //!   thing strictly worse than a cache miss.
 //!
@@ -48,7 +47,6 @@
 //!
 //! [`Supervisor::retry_hint`]: crate::supervisor::Supervisor::retry_hint
 
-use crate::config::SchedConfig;
 use crate::entry::{QueryError, Snapshot, SystemInformation};
 use crate::service::{InformationService, KeywordMetrics};
 use crate::sub::SubscriptionHub;
@@ -60,6 +58,21 @@ use parking_lot::{lock_class, Mutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The prefetch lead is `mean + LEAD_SIGMA × stddev` of the keyword's
+/// observed provider latency (the §6.6 performance tag).
+const LEAD_SIGMA: f64 = 2.0;
+/// Floor on the lead, which applies while a keyword has no samples yet.
+const MIN_LEAD: Duration = Duration::from_millis(1);
+/// Ceiling on the lead as a fraction of the TTL, so that a pathological
+/// latency estimate cannot collapse the refresh period to zero.
+const MAX_LEAD_FRACTION: f64 = 0.5;
+/// The refresh-storm guard: no keyword, parked, failed or deferred, is
+/// rescheduled closer than this.
+const MIN_INTERVAL: Duration = Duration::from_millis(10);
+/// Refreshes dispatched per tick (one `sim::par` fan-out), the highest
+/// predicted staleness cost first; the rest wait one [`MIN_INTERVAL`].
+const MAX_BATCH: usize = 8;
 
 /// Why [`RefreshScheduler::watch`] refused a keyword.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,7 +181,6 @@ struct InFlight {
 /// The central refresh scheduler. See the [module docs](self).
 pub struct RefreshScheduler {
     clock: SharedClock,
-    config: SchedConfig,
     metrics: MetricSet,
     telemetry: SchedTelemetry,
     state: Mutex<SchedState>,
@@ -183,7 +195,6 @@ impl std::fmt::Debug for RefreshScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RefreshScheduler")
             .field("watched", &self.watched())
-            .field("config", &self.config)
             .finish_non_exhaustive()
     }
 }
@@ -192,11 +203,10 @@ impl RefreshScheduler {
     /// A scheduler with no watched keywords. `metrics` receives the
     /// `sched.*` instruments; pass the service's own set so
     /// `(info=metrics)` surfaces them.
-    pub fn new(clock: SharedClock, config: SchedConfig, metrics: MetricSet) -> Arc<Self> {
+    pub fn new(clock: SharedClock, metrics: MetricSet) -> Arc<Self> {
         let telemetry = SchedTelemetry::intern(&metrics);
         Arc::new(RefreshScheduler {
             clock,
-            config,
             metrics,
             telemetry,
             state: Mutex::with_class(
@@ -209,11 +219,6 @@ impl RefreshScheduler {
             ),
             hub: Mutex::with_class(None, lock_class!("info.sched.hub")),
         })
-    }
-
-    /// The active tunables.
-    pub fn config(&self) -> &SchedConfig {
-        &self.config
     }
 
     /// Wire a [`SubscriptionHub`]: from now on every successful refresh
@@ -273,7 +278,7 @@ impl RefreshScheduler {
         // First due time: the remaining validity minus the prefetch
         // lead. A never-produced entry has zero validity — it is due
         // immediately, and the first tick seeds its cache.
-        let lead = self.lead_for(&si);
+        let lead = Self::lead_for(&si);
         let due = now.plus(si.validity().saturating_sub(lead));
         let seen = km.as_ref().map_or(0, |k| k.hits.get() + k.misses.get());
         let staleness = self
@@ -339,20 +344,18 @@ impl RefreshScheduler {
         }
     }
 
-    /// The prefetch lead for an entry: `mean + lead_sigma × stddev` of
+    /// The prefetch lead for an entry: `mean + LEAD_SIGMA × stddev` of
     /// its observed provider latency, clamped to
-    /// `[min_lead, ttl × max_lead_fraction]`.
-    fn lead_for(&self, si: &SystemInformation) -> Duration {
+    /// `[MIN_LEAD, ttl × MAX_LEAD_FRACTION]`.
+    fn lead_for(si: &SystemInformation) -> Duration {
         let (mean, std, samples) = si.average_update_time();
         let raw = if samples == 0 {
-            self.config.min_lead
+            MIN_LEAD
         } else {
-            Duration::from_secs_f64((mean + self.config.lead_sigma * std).max(0.0))
+            Duration::from_secs_f64((mean + LEAD_SIGMA * std).max(0.0))
         };
-        let cap = si
-            .ttl()
-            .mul_f64(self.config.max_lead_fraction.clamp(0.0, 1.0));
-        raw.clamp(self.config.min_lead.min(cap), cap.max(self.config.min_lead))
+        let cap = si.ttl().mul_f64(MAX_LEAD_FRACTION);
+        raw.clamp(MIN_LEAD.min(cap), cap.max(MIN_LEAD))
     }
 
     /// Predicted staleness cost: observed demand (queries/s) × expected
@@ -411,8 +414,8 @@ impl RefreshScheduler {
                 // A keyword with live push subscribers is never cold:
                 // its subscribers asked for every future value.
                 let subscribed = hub.as_ref().is_some_and(|h| h.has_subscribers(&key));
-                if self.config.idle_skip && t.primed && delta == Some(0) && !subscribed {
-                    let ttl = t.si.ttl().max(self.config.min_interval);
+                if t.primed && delta == Some(0) && !subscribed {
+                    let ttl = t.si.ttl().max(MIN_INTERVAL);
                     t.ticket = Some(st.wheel.schedule(now.plus(ttl), key.clone()));
                     self.telemetry.skipped.incr();
                     report.skipped += 1;
@@ -420,7 +423,7 @@ impl RefreshScheduler {
                 }
                 // Park: the supervisor is holding the provider closed.
                 if let Some(hint) = t.si.supervisor().retry_hint(now) {
-                    let wait = hint.max(self.config.min_interval);
+                    let wait = hint.max(MIN_INTERVAL);
                     t.ticket = Some(st.wheel.schedule(now.plus(wait), key.clone()));
                     self.telemetry.parked.incr();
                     report.parked += 1;
@@ -436,15 +439,15 @@ impl RefreshScheduler {
             // Batch cap: keep the costliest refreshes, push the rest
             // one storm-guard interval out (they stay pending — no
             // lost wakeups, just a later seat).
-            if batch.len() > self.config.max_batch.max(1) {
+            if batch.len() > MAX_BATCH {
                 batch.sort_by(|a, b| {
                     b.cost
                         .partial_cmp(&a.cost)
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
-                for spill in batch.split_off(self.config.max_batch.max(1)) {
+                for spill in batch.split_off(MAX_BATCH) {
                     if let Some(t) = st.tracked.get_mut(&spill.key) {
-                        let at = now.plus(self.config.min_interval);
+                        let at = now.plus(MIN_INTERVAL);
                         t.ticket = Some(st.wheel.schedule(at, spill.key.clone()));
                     }
                     self.telemetry.deferred.incr();
@@ -490,7 +493,7 @@ impl RefreshScheduler {
                     Err(QueryError::Unavailable { retry_after }) => {
                         // Lost the race with a real query for admission;
                         // the supervisor's hint says when to return.
-                        let wait = retry_after.max(self.config.min_interval);
+                        let wait = retry_after.max(MIN_INTERVAL);
                         self.park(&mut st, &flight.key, now.plus(wait));
                         self.telemetry.parked.incr();
                         report.parked += 1;
@@ -502,8 +505,8 @@ impl RefreshScheduler {
                             .si
                             .supervisor()
                             .retry_hint(self.clock.now())
-                            .unwrap_or(self.config.min_interval)
-                            .max(self.config.min_interval);
+                            .unwrap_or(MIN_INTERVAL)
+                            .max(MIN_INTERVAL);
                         self.park(&mut st, &flight.key, self.clock.now().plus(wait));
                         self.telemetry.parked.incr();
                         report.parked += 1;
@@ -529,11 +532,9 @@ impl RefreshScheduler {
             return;
         };
         t.primed = true;
-        let lead = self.lead_for(&t.si);
+        let lead = Self::lead_for(&t.si);
         let expiry = snap.produced_at.plus(t.si.ttl());
-        let due = expiry
-            .minus(lead)
-            .max(self.clock.now().plus(self.config.min_interval));
+        let due = expiry.minus(lead).max(self.clock.now().plus(MIN_INTERVAL));
         t.ticket = Some(st.wheel.schedule(due, key.to_string()));
     }
 
@@ -572,7 +573,7 @@ mod tests {
     }
 
     fn sched(clock: Arc<ManualClock>) -> Arc<RefreshScheduler> {
-        RefreshScheduler::new(clock, SchedConfig::default(), MetricSet::new())
+        RefreshScheduler::new(clock, MetricSet::new())
     }
 
     #[test]
@@ -628,7 +629,7 @@ mod tests {
     fn cold_keyword_with_demand_wiring_is_skipped() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), SchedConfig::default(), metrics.clone());
+        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let km = KeywordMetrics::intern(&metrics, "Date");
         let si = entry(clock.clone(), "Date", TTL, Arc::clone(&calls));
@@ -657,7 +658,7 @@ mod tests {
     fn config_error_evicts_instead_of_retrying() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), SchedConfig::default(), metrics.clone());
+        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&calls);
         let si = SystemInformation::new(
@@ -689,7 +690,7 @@ mod tests {
     fn open_breaker_parks_the_keyword() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), SchedConfig::default(), metrics.clone());
+        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&calls);
         let si = SystemInformation::new(
@@ -728,27 +729,24 @@ mod tests {
     #[test]
     fn batch_cap_defers_cheapest_and_refreshes_costliest() {
         let clock = ManualClock::new();
-        let config = SchedConfig {
-            max_batch: 2,
-            ..SchedConfig::default()
-        };
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), config, metrics.clone());
+        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
-        for kw in ["A", "B", "C", "D"] {
-            s.watch(entry(clock.clone(), kw, TTL, Arc::clone(&calls)), None)
+        for i in 0..MAX_BATCH + 2 {
+            let kw = format!("K{i}");
+            s.watch(entry(clock.clone(), &kw, TTL, Arc::clone(&calls)), None)
                 .unwrap();
         }
-        // All four are due immediately; only two may dispatch.
+        // All ten are due immediately; only eight may dispatch.
         let r = s.tick();
-        assert_eq!(r.refreshed, 2);
+        assert_eq!(r.refreshed, MAX_BATCH);
         assert_eq!(r.deferred, 2);
         assert_eq!(metrics.counter_value("sched.deferred"), 2);
         // The spilled pair is still pending, one storm-guard out.
-        clock.advance(SchedConfig::default().min_interval);
+        clock.advance(MIN_INTERVAL);
         let r = s.tick();
         assert_eq!(r.refreshed, 2);
-        assert_eq!(calls.load(Ordering::SeqCst), 4, "nobody was lost");
+        assert_eq!(calls.load(Ordering::SeqCst), 10, "nobody was lost");
     }
 
     #[test]
@@ -772,7 +770,7 @@ mod tests {
     fn staleness_gauge_tracks_demand_times_latency() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), SchedConfig::default(), metrics.clone());
+        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
         let km = KeywordMetrics::intern(&metrics, "CPU");
         let c2 = clock.clone();
         let si = SystemInformation::new(

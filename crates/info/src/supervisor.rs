@@ -58,52 +58,29 @@ pub enum BreakerState {
     HalfOpen = 2,
 }
 
-/// Tunables for one keyword's supervisor.
-#[derive(Debug, Clone)]
-pub struct SupervisorConfig {
-    /// Consecutive transient failures that trip the breaker.
-    pub failure_threshold: u32,
-    /// Base cool-down after tripping (doubles on each failed probe, up
-    /// to [`SupervisorConfig::open_max`]).
-    pub open_for: Duration,
-    /// Cool-down ceiling.
-    pub open_max: Duration,
-    /// Bounded in-fetch retries after the first transient failure.
-    pub max_retries: u32,
-    /// Base of the jittered exponential backoff gate between fetches.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a factor
-    /// drawn uniformly from `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
-    /// Deadline budget floor (used directly for TTL-0 keywords).
-    pub deadline_floor: Duration,
-    /// Default deadline budget = `max(ttl × factor, deadline_floor)`.
-    pub deadline_ttl_factor: u32,
-}
+/// Consecutive transient failures that trip the breaker.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Base cool-down after tripping; it doubles on each failed probe.
+const OPEN_FOR: Duration = Duration::from_millis(500);
+/// Cool-down ceiling.
+const OPEN_MAX: Duration = Duration::from_secs(30);
+/// Bounded in-fetch retries after the first transient failure.
+pub(crate) const MAX_RETRIES: u32 = 2;
+/// Base of the exponential backoff gate between fetches. The gate only
+/// arms below [`FAILURE_THRESHOLD`], so it is 25 ms or 50 ms.
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+/// Jitter fraction: each delay is scaled by a factor drawn uniformly
+/// from `[1 - JITTER, 1 + JITTER]`.
+const JITTER: f64 = 0.2;
+/// Deadline budget floor (the whole budget of a TTL-0 keyword).
+const DEADLINE_FLOOR: Duration = Duration::from_millis(250);
+/// The TTL multiple a fetch may spend before its budget is breached.
+const DEADLINE_TTL_FACTOR: u32 = 4;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            failure_threshold: 3,
-            open_for: Duration::from_millis(500),
-            open_max: Duration::from_secs(30),
-            max_retries: 2,
-            backoff_base: Duration::from_millis(25),
-            backoff_max: Duration::from_secs(2),
-            jitter: 0.2,
-            deadline_floor: Duration::from_millis(250),
-            deadline_ttl_factor: 4,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// The default deadline budget for a keyword with this TTL.
-    pub fn deadline_for(&self, ttl: Duration) -> Duration {
-        (ttl * self.deadline_ttl_factor).max(self.deadline_floor)
-    }
+/// The deadline budget of a fetch whose query names no `(timeout=…)`:
+/// `max(ttl × 4, 250 ms)`.
+pub(crate) fn default_deadline(ttl: Duration) -> Duration {
+    (ttl * DEADLINE_TTL_FACTOR).max(DEADLINE_FLOOR)
 }
 
 /// What [`Supervisor::admit`] decided for one fetch.
@@ -125,7 +102,6 @@ pub enum Admission {
 
 #[derive(Debug)]
 struct Inner {
-    config: SupervisorConfig,
     /// Jitter source, seeded from the keyword (deterministic replay).
     rng: SplitMix64,
     state: BreakerState,
@@ -159,8 +135,8 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 impl Supervisor {
-    /// A closed supervisor for `keyword` with the given tunables.
-    pub fn new(keyword: &str, config: SupervisorConfig) -> Self {
+    /// A closed supervisor for `keyword`.
+    pub fn new(keyword: &str) -> Self {
         Supervisor {
             inner: Mutex::with_class(
                 Inner {
@@ -168,24 +144,13 @@ impl Supervisor {
                     state: BreakerState::Closed,
                     streak: 0,
                     open_until: SimTime::ZERO,
-                    open_len: config.open_for,
+                    open_len: OPEN_FOR,
                     not_before: SimTime::ZERO,
                     probing: false,
-                    config,
                 },
                 lock_class!("info.supervisor.inner"),
             ),
         }
-    }
-
-    /// Replace the tunables (existing breaker state is kept).
-    pub fn set_config(&self, config: SupervisorConfig) {
-        self.inner.lock().config = config;
-    }
-
-    /// A copy of the current tunables.
-    pub fn config(&self) -> SupervisorConfig {
-        self.inner.lock().config.clone()
     }
 
     /// Current breaker position.
@@ -226,7 +191,7 @@ impl Supervisor {
                 if inner.probing {
                     // One probe at a time; others wait a short beat.
                     Admission::Deferred {
-                        retry_after: inner.config.backoff_base,
+                        retry_after: BACKOFF_BASE,
                     }
                 } else {
                     inner.probing = true;
@@ -253,9 +218,7 @@ impl Supervisor {
             // Cool-down elapsed (or half-open with a probe in flight):
             // leave the probe to a real query; check back in one
             // backoff beat.
-            BreakerState::Open | BreakerState::HalfOpen if inner.probing => {
-                Some(inner.config.backoff_base)
-            }
+            BreakerState::Open | BreakerState::HalfOpen if inner.probing => Some(BACKOFF_BASE),
             BreakerState::Open | BreakerState::HalfOpen => None,
         }
     }
@@ -268,7 +231,7 @@ impl Supervisor {
         inner.streak = 0;
         inner.probing = false;
         inner.not_before = SimTime::ZERO;
-        inner.open_len = inner.config.open_for;
+        inner.open_len = OPEN_FOR;
     }
 
     /// Record a failed (transient) provider execution at `now`; `probe`
@@ -280,27 +243,22 @@ impl Supervisor {
         inner.streak = inner.streak.saturating_add(1);
         if probe {
             // Failed probe: re-open, doubled cool-down.
-            inner.open_len = (inner.open_len * 2).min(inner.config.open_max);
+            inner.open_len = (inner.open_len * 2).min(OPEN_MAX);
             inner.open_until = now.plus(scale(inner.open_len, jitter));
             inner.state = BreakerState::Open;
-        } else if inner.streak >= inner.config.failure_threshold {
-            inner.open_len = inner.config.open_for;
+        } else if inner.streak >= FAILURE_THRESHOLD {
+            inner.open_len = OPEN_FOR;
             inner.open_until = now.plus(scale(inner.open_len, jitter));
             inner.state = BreakerState::Open;
         } else {
             // Below the threshold: exponential not-before gate.
-            let exp = inner.streak.saturating_sub(1).min(16);
-            let delay = inner
-                .config
-                .backoff_base
-                .saturating_mul(1u32 << exp)
-                .min(inner.config.backoff_max);
+            let delay = BACKOFF_BASE * (1 << (inner.streak - 1));
             inner.not_before = now.plus(scale(delay, jitter));
         }
         inner.state
     }
 
-    /// Record a *configuration* failure (unknown command, missing file):
+    /// Record a *configuration* failure (an unknown command):
     /// clears any in-flight probe without counting toward the breaker —
     /// retrying a config error is pointless, but so is tripping the
     /// breaker over it. A failed probe still re-opens the breaker (the
@@ -316,14 +274,10 @@ impl Supervisor {
 }
 
 impl Inner {
-    /// A jitter factor in `[1 - jitter, 1 + jitter]`, drawn from the
+    /// A jitter factor in `[1 - JITTER, 1 + JITTER]`, drawn from the
     /// keyword-seeded PRNG.
     fn jittered_factor(&mut self) -> f64 {
-        let jitter = self.config.jitter;
-        if jitter <= 0.0 {
-            return 1.0;
-        }
-        1.0 - jitter + 2.0 * jitter * self.rng.next_f64()
+        1.0 - JITTER + 2.0 * JITTER * self.rng.next_f64()
     }
 }
 
@@ -335,133 +289,108 @@ fn scale(d: Duration, factor: f64) -> Duration {
 mod tests {
     use super::*;
 
-    fn config() -> SupervisorConfig {
-        SupervisorConfig {
-            jitter: 0.0, // deterministic delays for exact assertions
-            ..SupervisorConfig::default()
-        }
-    }
-
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
     }
 
+    /// How long `s` defers a fetch arriving at `now`.
+    fn deferral(s: &Supervisor, now: SimTime) -> Duration {
+        match s.admit(now) {
+            Admission::Deferred { retry_after } => retry_after,
+            other => panic!("expected a deferral at {now:?}, got {other:?}"),
+        }
+    }
+
+    /// `d` is `base` scaled by a factor in the jitter band.
+    fn jittered(d: Duration, base: Duration) -> bool {
+        d >= base.mul_f64(1.0 - JITTER) && d <= base.mul_f64(1.0 + JITTER)
+    }
+
     #[test]
     fn trips_after_threshold_and_recovers_via_probe() {
-        let s = Supervisor::new("K", config());
-        assert_eq!(s.admit(t(0)), Admission::Execute { probe: false });
-        s.on_failure(t(0), false);
-        assert_eq!(s.state(), BreakerState::Closed);
-        // Backoff gate defers until 25ms.
-        assert!(matches!(s.admit(t(1)), Admission::Deferred { .. }));
-        assert_eq!(s.admit(t(25)), Admission::Execute { probe: false });
-        s.on_failure(t(25), false);
-        assert_eq!(s.admit(t(80)), Admission::Execute { probe: false });
-        s.on_failure(t(80), false); // third: trips
+        let s = Supervisor::new("K");
+        let mut now = t(0);
+        // Below the threshold each failure arms a backoff gate: 25 ms,
+        // then 50 ms, each jittered.
+        for (streak, gate) in [(1, 25), (2, 50)] {
+            assert_eq!(s.admit(now), Admission::Execute { probe: false });
+            s.on_failure(now, false);
+            assert_eq!((s.state(), s.streak()), (BreakerState::Closed, streak));
+            let wait = deferral(&s, now);
+            assert!(jittered(wait, Duration::from_millis(gate)), "{wait:?}");
+            now = now.plus(wait);
+        }
+        assert_eq!(s.admit(now), Admission::Execute { probe: false });
+        s.on_failure(now, false); // third: trips
         assert_eq!(s.state(), BreakerState::Open);
         // Open defers with the cool-down as the retry hint.
-        match s.admit(t(81)) {
-            Admission::Deferred { retry_after } => {
-                assert_eq!(retry_after, Duration::from_millis(499));
-            }
-            other => panic!("{other:?}"),
-        }
+        let cool_down = deferral(&s, now);
+        assert!(jittered(cool_down, OPEN_FOR), "{cool_down:?}");
         // Cool-down over: exactly one probe.
-        assert_eq!(s.admit(t(580)), Admission::Execute { probe: true });
+        now = now.plus(cool_down);
+        assert_eq!(s.admit(now), Admission::Execute { probe: true });
         assert_eq!(s.state(), BreakerState::HalfOpen);
-        assert!(matches!(s.admit(t(580)), Admission::Deferred { .. }));
+        assert_eq!(deferral(&s, now), BACKOFF_BASE, "one probe at a time");
         s.on_success();
-        assert_eq!(s.state(), BreakerState::Closed);
-        assert_eq!(s.streak(), 0);
-        assert_eq!(s.admit(t(581)), Admission::Execute { probe: false });
+        assert_eq!((s.state(), s.streak()), (BreakerState::Closed, 0));
+        assert_eq!(s.admit(now), Admission::Execute { probe: false });
     }
 
     #[test]
-    fn failed_probe_doubles_cooldown() {
-        let s = Supervisor::new("K", config());
-        for i in 0..3 {
-            s.admit(t(i));
-            s.on_failure(t(i), false);
+    fn failed_probes_double_the_cool_down_up_to_its_cap() {
+        let s = Supervisor::new("K");
+        for _ in 0..FAILURE_THRESHOLD {
+            s.on_failure(t(0), false);
         }
-        assert_eq!(s.state(), BreakerState::Open);
-        // First cool-down 500ms.
-        assert_eq!(s.admit(t(502 + 2)), Admission::Execute { probe: true });
-        s.on_failure(t(504), true);
-        assert_eq!(s.state(), BreakerState::Open);
-        // Doubled: deferred until ~1504.
-        match s.admit(t(504)) {
-            Admission::Deferred { retry_after } => {
-                assert_eq!(retry_after, Duration::from_millis(1000));
-            }
-            other => panic!("{other:?}"),
+        let (mut now, mut base) = (t(0), OPEN_FOR);
+        for _ in 0..8 {
+            assert_eq!(s.state(), BreakerState::Open);
+            let cool_down = deferral(&s, now);
+            assert!(jittered(cool_down, base), "{cool_down:?} from {base:?}");
+            now = now.plus(cool_down);
+            assert_eq!(s.admit(now), Admission::Execute { probe: true });
+            s.on_failure(now, true);
+            base = (base * 2).min(OPEN_MAX);
         }
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let mut cfg = config();
-        cfg.failure_threshold = 100; // never trip; isolate the gate
-        cfg.backoff_max = Duration::from_millis(80);
-        let s = Supervisor::new("K", cfg);
-        let mut now = t(0);
-        let mut delays = Vec::new();
-        for _ in 0..5 {
-            assert!(matches!(s.admit(now), Admission::Execute { .. }));
-            s.on_failure(now, false);
-            match s.admit(now) {
-                Admission::Deferred { retry_after } => {
-                    delays.push(retry_after);
-                    now = now.plus(retry_after);
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(
-            delays,
-            [25, 50, 80, 80, 80].map(Duration::from_millis).to_vec()
-        );
+        assert_eq!(base, OPEN_MAX, "500 ms doubled six times passes the cap");
     }
 
     #[test]
     fn jitter_is_seed_deterministic_per_keyword() {
         let mk = || {
-            let s = Supervisor::new("CPULoad", SupervisorConfig::default());
+            let s = Supervisor::new("CPULoad");
             s.on_failure(t(0), false);
-            match s.admit(t(0)) {
-                Admission::Deferred { retry_after } => retry_after,
-                other => panic!("{other:?}"),
-            }
+            deferral(&s, t(0))
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a, b, "same keyword, same seed, same jitter");
-        let base = Duration::from_millis(25);
-        assert!(a >= base.mul_f64(0.8) && a <= base.mul_f64(1.2), "{a:?}");
+        assert!(jittered(a, BACKOFF_BASE), "{a:?}");
     }
 
     #[test]
     fn config_failure_does_not_count_but_clears_probe() {
-        let s = Supervisor::new("K", config());
+        let s = Supervisor::new("K");
         s.admit(t(0));
         s.on_config_failure(t(0), false);
         assert_eq!(s.streak(), 0);
         assert_eq!(s.state(), BreakerState::Closed);
         assert_eq!(s.admit(t(0)), Admission::Execute { probe: false });
         // Trip, probe, config failure during probe → back to Open.
-        for i in 0..3 {
-            s.on_failure(t(i), false);
+        for _ in 0..FAILURE_THRESHOLD {
+            s.on_failure(t(0), false);
         }
-        assert_eq!(s.admit(t(600)), Admission::Execute { probe: true });
-        s.on_config_failure(t(600), true);
+        let now = t(0).plus(deferral(&s, t(0)));
+        assert_eq!(s.admit(now), Admission::Execute { probe: true });
+        s.on_config_failure(now, true);
         assert_eq!(s.state(), BreakerState::Open);
     }
 
     #[test]
     fn deadline_budget_is_ttl_proportional_with_floor() {
-        let cfg = SupervisorConfig::default();
         assert_eq!(
-            cfg.deadline_for(Duration::from_millis(100)),
+            default_deadline(Duration::from_millis(100)),
             Duration::from_millis(400)
         );
-        assert_eq!(cfg.deadline_for(Duration::ZERO), Duration::from_millis(250));
+        assert_eq!(default_deadline(Duration::ZERO), Duration::from_millis(250));
     }
 }

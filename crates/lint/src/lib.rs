@@ -31,6 +31,12 @@
 //!   model-checker instrumentation that rides on it; service code should
 //!   fan out through `sim::par` or justify the long-lived thread with a
 //!   suppression.
+//! * **`no-caller`** — a `pub` fn, const, static, struct, enum, trait
+//!   or type in `crates/*/src` or `src/` whose name appears nowhere
+//!   outside its own definition, its own `impl` blocks, `pub use`
+//!   re-exports and its file's `#[cfg(test)]` module. Callers are
+//!   searched in every `*.rs` file, `benchmark/` included; see
+//!   `no_caller.rs` for what counts.
 //!
 //! The linter is deliberately token-oriented: it masks comments and string
 //! literals with a tiny lexer and then pattern-matches lines, which keeps
@@ -43,6 +49,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 mod mask;
+mod no_caller;
 
 pub use mask::mask_code;
 
@@ -71,6 +78,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "thread-spawn",
         "raw std::thread::spawn outside crates/sim — use sim::par or justify",
+    ),
+    (
+        "no-caller",
+        "pub item named nowhere but its definition, impls, re-exports and own tests",
     ),
 ];
 
@@ -526,6 +537,7 @@ pub fn lint_config_file(rel: &Path, text: &str) -> Vec<Finding> {
 /// by path and line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
+    let mut sources = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let mut entries: Vec<_> = std::fs::read_dir(&dir)?
@@ -549,6 +561,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             if name.ends_with(".rs") {
                 if let Ok(src) = std::fs::read_to_string(&path) {
                     findings.extend(lint_rust_file(&rel, &src));
+                    sources.push((rel, src));
                 }
             } else if name.ends_with(".cfg") {
                 if let Ok(text) = std::fs::read_to_string(&path) {
@@ -557,6 +570,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             }
         }
     }
+    findings.extend(no_caller::no_caller(&sources));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
@@ -745,6 +759,75 @@ pub const T: &str = \"\\
     fn shims_are_skipped() {
         let src = "fn f() { x.unwrap(); println!(\"y\"); }\n";
         assert!(lint("shims/parking_lot/src/lib.rs", src).is_empty());
+    }
+
+    fn callers(files: &[(&str, &str)]) -> Vec<Finding> {
+        let files: Vec<(PathBuf, String)> = files
+            .iter()
+            .map(|(rel, src)| (PathBuf::from(rel), src.to_string()))
+            .collect();
+        no_caller::no_caller(&files)
+    }
+
+    #[test]
+    fn no_caller_flags_a_pub_fn_nothing_names() {
+        let f = callers(&[(
+            "crates/info/src/x.rs",
+            "pub fn orphan() -> u8 {\n    0\n}\n",
+        )]);
+        assert_eq!(f.len(), 1);
+        assert_eq!((f[0].rule, f[0].line), ("no-caller", 1));
+        assert!(f[0].message.contains("pub fn orphan"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn no_caller_is_cleared_by_another_file_or_the_benchmark() {
+        let def = ("crates/info/src/x.rs", "pub const fn used() -> u8 { 0 }\n");
+        assert!(callers(&[def, ("tests/t.rs", "fn t() { used(); }\n")]).is_empty());
+        let bench = ("benchmark/src/main.rs", "fn main() { x::used(); }\n");
+        assert!(callers(&[def, bench]).is_empty());
+        // A use elsewhere in the defining file, outside its tests, counts.
+        let own = "pub fn used() {}\nfn other() { used(); }\n";
+        assert!(callers(&[("src/y.rs", own)]).is_empty());
+    }
+
+    #[test]
+    fn no_caller_ignores_reexports_own_tests_impls_and_comments() {
+        let def = "\
+pub struct Orphan;
+impl Orphan {
+    pub fn make() -> Orphan {
+        Orphan
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = super::Orphan::make(); }
+}
+";
+        let lib = "pub use x::{\n    Orphan,\n};\n// Orphan::make in prose\n";
+        let f = callers(&[
+            ("crates/info/src/x.rs", def),
+            ("crates/info/src/lib.rs", lib),
+        ]);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 3], "{f:?}");
+    }
+
+    #[test]
+    fn no_caller_skips_what_is_not_a_public_library_item() {
+        let src = "fn private() {}\npub(crate) fn krate() {}\npub mod m;\n\
+                   #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        assert!(callers(&[("crates/info/src/x.rs", src)]).is_empty());
+        let public = "pub fn f() {}\n";
+        assert!(callers(&[("crates/lint/src/main.rs", public)]).is_empty());
+        assert!(callers(&[("tests/support/x.rs", public)]).is_empty());
+    }
+
+    #[test]
+    fn no_caller_suppression() {
+        let src = "// lint:allow(no-caller) — the entry point a host calls\npub fn hook() {}\n";
+        assert!(callers(&[("src/x.rs", src)]).is_empty());
     }
 
     #[test]

@@ -51,7 +51,6 @@ impl From<ProtoError> for MdsClientError {
 pub struct MdsClient {
     conn: Box<dyn Conn>,
     context: SecurityContext,
-    searches: u64,
 }
 
 impl std::fmt::Debug for MdsClient {
@@ -87,21 +86,12 @@ impl MdsClient {
             Ok(MdsReply::Error { message }) => return Err(MdsClientError::BindFailed(message)),
             Err(e) => return Err(MdsClientError::Protocol(e.to_string())),
         }
-        Ok(MdsClient {
-            conn,
-            context,
-            searches: 0,
-        })
+        Ok(MdsClient { conn, context })
     }
 
     /// The authenticated server identity.
     pub fn server_identity(&self) -> &SecurityContext {
         &self.context
-    }
-
-    /// Searches issued on this session.
-    pub fn search_count(&self) -> u64 {
-        self.searches
     }
 
     /// Issue one search.
@@ -118,17 +108,11 @@ impl MdsClient {
         };
         self.conn.send(&req.encode())?;
         let bytes = self.conn.recv()?;
-        self.searches += 1;
         match MdsReply::decode(&bytes) {
             Ok(MdsReply::SearchResult { body, .. }) => Ok(entries_from_text(&body)),
             Ok(MdsReply::Error { message }) => Err(MdsClientError::Server(message)),
             Err(e) => Err(MdsClientError::Protocol(e.to_string())),
         }
-    }
-
-    /// Close the session politely.
-    pub fn unbind(self) {
-        let _ = self.conn.send(&MdsRequest::Unbind.encode());
     }
 }
 
@@ -207,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn bind_search_unbind() {
+    fn bind_then_search() {
         let w = world();
         let mut client =
             MdsClient::bind(&w.net, w.server.addr(), &w.user, &w.roots, &w.clock).unwrap();
@@ -218,8 +202,6 @@ mod tests {
         let entries = client.search("/o=Grid", Scope::Sub, "(kw=Memory)").unwrap();
         assert_eq!(entries.len(), 1);
         assert!(entries[0].first("Memory-total").is_some());
-        assert_eq!(client.search_count(), 1);
-        client.unbind();
         w.server.shutdown();
     }
 

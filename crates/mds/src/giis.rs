@@ -114,11 +114,6 @@ impl Giis {
         self.register_source(AggregateSource::Gris(gris));
     }
 
-    /// Register a lower-level GIIS (hierarchical aggregation).
-    pub fn register_aggregate(&self, child: Arc<Giis>) {
-        self.register_source(AggregateSource::Giis(child));
-    }
-
     /// Register any aggregate source. The member is due for its first
     /// pull immediately.
     pub fn register_source(&self, source: AggregateSource) {
@@ -317,7 +312,7 @@ mod tests {
                 );
                 site_giis.register(Gris::new(info));
             }
-            org.register_aggregate(site_giis);
+            org.register_source(AggregateSource::Giis(site_giis));
         }
         assert_eq!(org.member_count(), 2, "two site aggregates");
         let hosts = org.search_all(&Filter::parse("(objectclass=GridResource)").unwrap());

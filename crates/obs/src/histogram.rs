@@ -90,16 +90,6 @@ impl Histogram {
         }
         (1u64 << (BUCKETS - 1)) as f64 / 1e6
     }
-
-    /// Per-bucket counts, for rendering and tests. Entry `i` is the count
-    /// of observations in `[2^i, 2^(i+1))` microseconds.
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
-        let mut out = [0u64; BUCKETS];
-        for (slot, c) in out.iter_mut().zip(&self.counts) {
-            *slot = c.load(Ordering::Relaxed);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -165,6 +155,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(h.count(), 4000);
-        assert_eq!(h.bucket_counts().iter().sum::<u64>(), 4000);
+        let bucketed: u64 = h.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        assert_eq!(bucketed, 4000);
     }
 }

@@ -20,8 +20,8 @@
 //! * [`Recorder`] — streaming count + mean, O(1) memory.
 //! * [`EventRing`] — bounded ring of recent structured [`Event`]s.
 //! * [`Telemetry`] — the named, shareable bag of all of the above.
-//! * [`stats`] — Welford accumulators and percentile summaries backing
-//!   the paper's `performance` tag (§6.6).
+//! * [`stats`] — the Welford accumulator backing the paper's
+//!   `performance` tag (§6.6).
 
 pub mod events;
 pub mod histogram;
@@ -32,7 +32,7 @@ pub mod telemetry;
 pub use events::{Event, EventRing};
 pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge, Recorder};
-pub use stats::{Summary, Welford};
+pub use stats::Welford;
 pub use telemetry::Telemetry;
 
 /// Backwards-compatible name: the pre-telemetry bench harness called the

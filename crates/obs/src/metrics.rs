@@ -62,8 +62,7 @@ impl Gauge {
 
 /// A streaming count + mean of samples (seconds) in constant memory, so
 /// a running service can record into it forever. For percentiles use
-/// [`crate::Histogram`] (bucketed, lock-free) or, offline,
-/// [`crate::Summary::from_samples`].
+/// [`crate::Histogram`] (bucketed, lock-free).
 #[derive(Debug, Default)]
 pub struct Recorder(Mutex<Welford>);
 

@@ -3,8 +3,7 @@
 //! The paper's `performance` xRSL tag "returns the number of seconds and the
 //! standard deviation about how long it takes to obtain a particular
 //! information value" (§6.6) — that is a streaming mean/stddev, implemented
-//! here with Welford's algorithm. The benchmark harness additionally wants
-//! percentiles, provided by [`Summary`].
+//! here with Welford's algorithm.
 
 use std::time::Duration;
 
@@ -89,105 +88,6 @@ impl Welford {
             self.max
         }
     }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A batch summary with percentiles, built from stored samples.
-///
-/// Used by the benchmark harness where we want p50/p95/p99 latency rows in
-/// the printed tables.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    sorted: Vec<f64>,
-    welford: Welford,
-}
-
-impl Summary {
-    /// Summarize a set of samples. The input order is irrelevant.
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
-        samples.retain(|x| x.is_finite());
-        samples.sort_by(f64::total_cmp);
-        let mut welford = Welford::new();
-        for &s in &samples {
-            welford.record(s);
-        }
-        Summary {
-            sorted: samples,
-            welford,
-        }
-    }
-
-    /// Summarize durations, in seconds.
-    pub fn from_durations(ds: &[Duration]) -> Self {
-        Self::from_samples(ds.iter().map(|d| d.as_secs_f64()).collect())
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Mean of the samples.
-    pub fn mean(&self) -> f64 {
-        self.welford.mean()
-    }
-
-    /// Standard deviation of the samples.
-    pub fn std_dev(&self) -> f64 {
-        self.welford.std_dev()
-    }
-
-    /// The `q`-quantile (`0.0 ≤ q ≤ 1.0`) by nearest-rank with linear
-    /// interpolation. Returns 0 for an empty summary.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (self.sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            self.sorted[lo]
-        } else {
-            let frac = pos - lo as f64;
-            self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
-        }
-    }
-
-    /// Median.
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// Minimum sample (0 if empty).
-    pub fn min(&self) -> f64 {
-        self.sorted.first().copied().unwrap_or(0.0)
-    }
-
-    /// Maximum sample (0 if empty).
-    pub fn max(&self) -> f64 {
-        self.sorted.last().copied().unwrap_or(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -216,79 +116,5 @@ mod tests {
         w.record(3.5);
         assert_eq!(w.mean(), 3.5);
         assert_eq!(w.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.std_dev() - all.std_dev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.record(1.0);
-        a.record(2.0);
-        let before = a.clone();
-        a.merge(&Welford::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut e = Welford::new();
-        e.merge(&before);
-        assert_eq!(e.count(), 2);
-        assert!((e.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_quantiles() {
-        let s = Summary::from_samples((1..=100).map(|i| i as f64).collect());
-        assert_eq!(s.count(), 100);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 100.0);
-        assert!((s.median() - 50.5).abs() < 1e-12);
-        assert!((s.quantile(0.0) - 1.0).abs() < 1e-12);
-        assert!((s.quantile(1.0) - 100.0).abs() < 1e-12);
-        assert!((s.quantile(0.95) - 95.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_empty() {
-        let s = Summary::from_samples(vec![]);
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.median(), 0.0);
-        assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn summary_filters_non_finite() {
-        let s = Summary::from_samples(vec![1.0, f64::NAN, 3.0, f64::INFINITY]);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.max(), 3.0);
-    }
-
-    #[test]
-    fn summary_from_durations() {
-        let s = Summary::from_durations(&[
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-            Duration::from_millis(30),
-        ]);
-        assert!((s.mean() - 0.020).abs() < 1e-12);
     }
 }

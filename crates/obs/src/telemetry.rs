@@ -1,6 +1,6 @@
 //! The shared [`Telemetry`] handle: a named bag of every instrument.
 
-use crate::events::{Event, EventRing};
+use crate::events::EventRing;
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Recorder};
 use parking_lot::Mutex;
@@ -87,11 +87,6 @@ impl Telemetry {
     /// service clock reading, in seconds since the service epoch.
     pub fn event(&self, at_secs: f64, kind: &str, detail: &str) -> u64 {
         self.inner.events.push(at_secs, kind, detail)
-    }
-
-    /// The retained recent events, oldest first.
-    pub fn recent_events(&self) -> Vec<Event> {
-        self.inner.events.recent()
     }
 
     /// Current value of a counter (0 if it was never touched).

@@ -174,65 +174,6 @@ impl RecordDelta {
         !self.full && self.changed.is_empty() && self.removed.is_empty()
     }
 
-    // -- renderer bridge ------------------------------------------------
-
-    /// Project the delta into an [`InfoRecord`] so it can travel through
-    /// the LDIF/XML renderers. Delta-specific structure (version, the
-    /// full flag, removals) rides as `infogram-delta-*` attributes next
-    /// to the changed ones; the degraded/stale-age annotations use the
-    /// record-level fields the renderers already serialize.
-    pub fn to_record(&self) -> InfoRecord {
-        let mut rec = InfoRecord::new(&self.keyword, &self.host);
-        rec.degraded = self.degraded;
-        rec.stale_age_secs = self.stale_age_secs;
-        rec.attributes.push(Attribute::new(
-            "infogram-delta-version",
-            &self.version.to_string(),
-        ));
-        if self.full {
-            rec.attributes
-                .push(Attribute::new("infogram-delta-full", "TRUE"));
-        }
-        for name in &self.removed {
-            rec.attributes
-                .push(Attribute::new("infogram-delta-removed", name));
-        }
-        rec.attributes.extend(self.changed.iter().cloned());
-        rec
-    }
-
-    /// Recover a delta from its [`Self::to_record`] projection.
-    pub fn from_record(rec: &InfoRecord) -> Result<RecordDelta, DeltaError> {
-        let mut version = None;
-        let mut full = false;
-        let mut removed = Vec::new();
-        let mut changed = Vec::new();
-        for a in &rec.attributes {
-            match a.name.as_str() {
-                "infogram-delta-version" => {
-                    version = Some(
-                        a.value
-                            .parse::<u64>()
-                            .map_err(|_| err("bad delta version"))?,
-                    );
-                }
-                "infogram-delta-full" => full = a.value == "TRUE",
-                "infogram-delta-removed" => removed.push(a.value.clone()),
-                _ => changed.push(a.clone()),
-            }
-        }
-        Ok(RecordDelta {
-            keyword: rec.keyword.clone(),
-            host: rec.host.clone(),
-            version: version.ok_or_else(|| err("record carries no delta version"))?,
-            full,
-            changed,
-            removed,
-            degraded: rec.degraded,
-            stale_age_secs: rec.stale_age_secs,
-        })
-    }
-
     // -- binary codec ---------------------------------------------------
 
     /// Append the wire encoding to `buf` (used by the `Reply::Update`
@@ -378,7 +319,6 @@ pub(crate) fn read_deltas(r: &mut Reader<'_>) -> Result<Vec<RecordDelta>, WireEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::render::ldif;
 
     fn snapshot(vals: &[(&str, &str)]) -> InfoRecord {
         let mut rec = InfoRecord::new("Memory", "node0.grid");
@@ -465,22 +405,5 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(read_deltas(&mut r).unwrap(), deltas);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn renderer_roundtrip_preserves_delta_and_annotations() {
-        let prev = snapshot(&[("total", "4096"), ("free", "1024"), ("cached", "7")]);
-        let mut next = snapshot(&[("total", "4096"), ("free", "512")]);
-        next.degraded = true;
-        next.stale_age_secs = Some(3.25);
-        let d = RecordDelta::diff(Some(&prev), &next, 5);
-        let text = ldif::render(&[d.to_record()]);
-        assert!(text.contains("infogram-degraded: TRUE"));
-        assert!(text.contains("infogram-delta-version: 5"));
-        let parsed = ldif::parse(&text);
-        assert_eq!(parsed.len(), 1);
-        let back = RecordDelta::from_record(&parsed[0]).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(back.apply(Some(&prev)).unwrap(), next);
     }
 }

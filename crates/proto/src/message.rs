@@ -52,47 +52,6 @@ pub mod codes {
     /// buffer without bound. Carried in the final [`super::Reply::SubEnd`]
     /// frame of the evicted subscription.
     pub const SLOW_CONSUMER: u32 = 36;
-
-    /// Every assigned error code with its name — the single place a new
-    /// code must be added. `tests::wire_tags_are_unique` fails if a
-    /// future change reuses a number or forgets to list one here.
-    pub const CATALOG: &[(u32, &str)] = &[
-        (BAD_RSL, "BAD_RSL"),
-        (AUTHENTICATION, "AUTHENTICATION"),
-        (AUTHORIZATION, "AUTHORIZATION"),
-        (NO_SUCH_JOB, "NO_SUCH_JOB"),
-        (NO_SUCH_KEYWORD, "NO_SUCH_KEYWORD"),
-        (AMBIGUOUS_REQUEST, "AMBIGUOUS_REQUEST"),
-        (EXECUTION_FAILED, "EXECUTION_FAILED"),
-        (TIMEOUT_EXCEPTION, "TIMEOUT_EXCEPTION"),
-        (INTERNAL, "INTERNAL"),
-        (UNSUPPORTED, "UNSUPPORTED"),
-        (UNAVAILABLE, "UNAVAILABLE"),
-        (SLOW_CONSUMER, "SLOW_CONSUMER"),
-    ];
-}
-
-/// Canonical wire-tag catalog: the byte after the protocol version that
-/// selects the message variant. The `encode`/`decode` arms below are
-/// hand-written against these numbers; `tests::wire_tags_are_unique`
-/// and `tests::encoders_agree_with_the_tag_catalog` fail if a future PR
-/// reuses a tag, renumbers a variant, or adds one without extending the
-/// catalog.
-pub mod tags {
-    /// [`super::Request`] variant tags.
-    pub const REQUEST: &[(u8, &str)] = &[(0, "Submit"), (1, "Status"), (2, "Cancel"), (3, "Ping")];
-    /// [`super::Reply`] variant tags.
-    pub const REPLY: &[(u8, &str)] = &[
-        (0, "JobAccepted"),
-        (1, "JobStatus"),
-        (2, "InfoResult"),
-        (3, "Event"),
-        (4, "Error"),
-        (5, "Pong"),
-        (6, "Subscribed"),
-        (7, "Update"),
-        (8, "SubEnd"),
-    ];
 }
 
 /// Client → service messages.
@@ -770,6 +729,43 @@ mod tests {
         assert_eq!(Request::decode(&r.encode()).unwrap(), r);
     }
 
+    /// Every assigned error code with its name — the single place a new
+    /// code must be added. `wire_tags_are_unique` fails if a future
+    /// change reuses a number or forgets to list one here.
+    const ERROR_CODES: &[(u32, &str)] = &[
+        (codes::BAD_RSL, "BAD_RSL"),
+        (codes::AUTHENTICATION, "AUTHENTICATION"),
+        (codes::AUTHORIZATION, "AUTHORIZATION"),
+        (codes::NO_SUCH_JOB, "NO_SUCH_JOB"),
+        (codes::NO_SUCH_KEYWORD, "NO_SUCH_KEYWORD"),
+        (codes::AMBIGUOUS_REQUEST, "AMBIGUOUS_REQUEST"),
+        (codes::EXECUTION_FAILED, "EXECUTION_FAILED"),
+        (codes::TIMEOUT_EXCEPTION, "TIMEOUT_EXCEPTION"),
+        (codes::INTERNAL, "INTERNAL"),
+        (codes::UNSUPPORTED, "UNSUPPORTED"),
+        (codes::UNAVAILABLE, "UNAVAILABLE"),
+        (codes::SLOW_CONSUMER, "SLOW_CONSUMER"),
+    ];
+
+    /// The wire-tag catalog: the byte after the protocol version that
+    /// selects the message variant. The `encode`/`decode` arms are
+    /// hand-written against these numbers; `wire_tags_are_unique` and
+    /// `encoders_agree_with_the_tag_catalog` fail if a change reuses a
+    /// tag, renumbers a variant, or adds one without extending the list.
+    const REQUEST_TAGS: &[(u8, &str)] = &[(0, "Submit"), (1, "Status"), (2, "Cancel"), (3, "Ping")];
+    /// [`Reply`] variant tags.
+    const REPLY_TAGS: &[(u8, &str)] = &[
+        (0, "JobAccepted"),
+        (1, "JobStatus"),
+        (2, "InfoResult"),
+        (3, "Event"),
+        (4, "Error"),
+        (5, "Pong"),
+        (6, "Subscribed"),
+        (7, "Update"),
+        (8, "SubEnd"),
+    ];
+
     fn assert_unique<T: Copy + Ord + std::fmt::Debug>(table: &[(T, &str)], what: &str) {
         let mut seen = std::collections::BTreeMap::new();
         for (num, name) in table {
@@ -781,9 +777,9 @@ mod tests {
 
     #[test]
     fn wire_tags_are_unique() {
-        assert_unique(tags::REQUEST, "request tag");
-        assert_unique(tags::REPLY, "reply tag");
-        assert_unique(codes::CATALOG, "error code");
+        assert_unique(REQUEST_TAGS, "request tag");
+        assert_unique(REPLY_TAGS, "reply tag");
+        assert_unique(ERROR_CODES, "error code");
     }
 
     /// The catalog is only a guard if the hand-written encoders actually
@@ -807,16 +803,16 @@ mod tests {
         ];
         assert_eq!(
             requests.len(),
-            tags::REQUEST.len(),
-            "a Request variant is missing from tags::REQUEST"
+            REQUEST_TAGS.len(),
+            "a Request variant is missing from REQUEST_TAGS"
         );
         for req in &requests {
             let name = format!("{req:?}");
             let bytes = req.encode();
-            let expect = tags::REQUEST
+            let expect = REQUEST_TAGS
                 .iter()
                 .find(|(_, n)| name.starts_with(n))
-                .unwrap_or_else(|| panic!("{name} not in tags::REQUEST"));
+                .unwrap_or_else(|| panic!("{name} not in REQUEST_TAGS"));
             assert_eq!(bytes[1], expect.0, "request tag drifted for {name}");
         }
         let replies = [
@@ -855,16 +851,16 @@ mod tests {
         ];
         assert_eq!(
             replies.len(),
-            tags::REPLY.len(),
-            "a Reply variant is missing from tags::REPLY"
+            REPLY_TAGS.len(),
+            "a Reply variant is missing from REPLY_TAGS"
         );
         for reply in &replies {
             let name = format!("{reply:?}");
             let bytes = reply.encode();
-            let expect = tags::REPLY
+            let expect = REPLY_TAGS
                 .iter()
                 .find(|(_, n)| name.starts_with(n))
-                .unwrap_or_else(|| panic!("{name} not in tags::REPLY"));
+                .unwrap_or_else(|| panic!("{name} not in REPLY_TAGS"));
             assert_eq!(bytes[1], expect.0, "reply tag drifted for {name}");
         }
     }

@@ -31,18 +31,6 @@ impl Attribute {
             age_secs: None,
         }
     }
-
-    /// Attach a quality annotation.
-    pub fn with_quality(mut self, q: f64) -> Self {
-        self.quality = Some(q);
-        self
-    }
-
-    /// Attach an age annotation.
-    pub fn with_age(mut self, age_secs: f64) -> Self {
-        self.age_secs = Some(age_secs);
-        self
-    }
 }
 
 /// The output of one information provider.
@@ -151,15 +139,6 @@ mod tests {
         assert_eq!(r.get("count").unwrap().value, "4");
         assert_eq!(r.get("CPU:count").unwrap().value, "4");
         assert!(r.get("missing").is_none());
-    }
-
-    #[test]
-    fn annotations() {
-        let a = Attribute::new("CPULoad:load", "0.93")
-            .with_quality(0.8)
-            .with_age(12.5);
-        assert_eq!(a.quality, Some(0.8));
-        assert_eq!(a.age_secs, Some(12.5));
     }
 
     #[test]

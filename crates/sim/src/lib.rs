@@ -14,14 +14,13 @@
 //!   take a `Clock`, which makes every test deterministic and lets the
 //!   benchmarks sweep hours of simulated cache behaviour in milliseconds.
 //! * [`rng::SplitMix64`] — a tiny, seedable, reproducible PRNG plus the
-//!   distributions the workload models need.
+//!   distributions the host and network models need.
 //! * [`net`] — latency models for the simulated network links used by
 //!   the in-memory transport; links delay messages, they do not lose them.
-//! * [`stats`] — streaming mean/stddev (Welford) and percentile summaries
-//!   used by the performance tag (§6.6 of the paper) and by the benchmark
-//!   harness.
-//! * [`workload`] — open- and closed-loop arrival processes for the
-//!   client populations driving the experiments.
+//! * [`Welford`] — the streaming mean/stddev behind the performance tag
+//!   (§6.6 of the paper), re-exported from `infogram-obs`.
+//! * [`workload`] — the seeded mix of information queries and job
+//!   submissions behind the Figure 2–4 experiments.
 //! * [`fault`] — deterministic fault injection: one scripted or
 //!   seeded-storm [`fault::Plan`] for provider commands (exits, hangs,
 //!   slowdowns) and the WAL's disk (failed or short appends, failed
@@ -65,8 +64,7 @@ pub mod wire;
 pub mod workload;
 
 pub use clock::{Clock, ManualClock, SharedClock, SimTime, SystemClock};
-pub use infogram_obs::stats;
+pub use infogram_obs::Welford;
 pub use par::{fan_out, fan_out_bounded};
 pub use rng::SplitMix64;
-pub use stats::{Summary, Welford};
 pub use timer::TimerWheel;

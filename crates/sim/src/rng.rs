@@ -1,7 +1,7 @@
 //! Deterministic random number generation.
 //!
 //! Every stochastic model in the reproduction (CPU-load processes, command
-//! cost distributions, arrival processes, network jitter) draws from a
+//! cost distributions, workload mixes, network jitter) draws from a
 //! seedable [`SplitMix64`] so that a fixed seed reproduces an experiment
 //! bit-for-bit. We deliberately avoid thread-local global RNGs.
 
@@ -63,14 +63,6 @@ impl SplitMix64 {
         self.next_f64() < p
     }
 
-    /// Exponential with the given mean (inter-arrival times of a Poisson
-    /// process).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        debug_assert!(mean > 0.0);
-        let u = 1.0 - self.next_f64(); // in (0, 1]
-        -mean * u.ln()
-    }
-
     /// Standard normal via Box–Muller.
     pub fn standard_normal(&mut self) -> f64 {
         let u1 = 1.0 - self.next_f64(); // avoid ln(0)
@@ -83,26 +75,10 @@ impl SplitMix64 {
         mean + std_dev * self.standard_normal()
     }
 
-    /// Pareto with scale `x_m` and shape `alpha` (heavy-tailed job service
-    /// times).
-    pub fn pareto(&mut self, x_m: f64, alpha: f64) -> f64 {
-        debug_assert!(x_m > 0.0 && alpha > 0.0);
-        let u = 1.0 - self.next_f64();
-        x_m / u.powf(1.0 / alpha)
-    }
-
     /// Pick a uniformly random element of a non-empty slice.
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty(), "pick from empty slice");
         &xs[self.below(xs.len() as u64) as usize]
-    }
-
-    /// In-place Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -145,14 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_close() {
-        let mut r = SplitMix64::new(11);
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| r.exponential(5.0)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
     fn normal_moments_close() {
         let mut r = SplitMix64::new(13);
         let n = 200_000;
@@ -173,24 +141,6 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = SplitMix64::new(19);
-        for _ in 0..10_000 {
-            assert!(r.pareto(1.5, 2.0) >= 1.5);
-        }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SplitMix64::new(23);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

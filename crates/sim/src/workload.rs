@@ -1,112 +1,10 @@
-//! Workload generators for the experiments.
+//! The mixed information/job workload of the paper's Figures 2 and 4.
 //!
-//! Two client-population shapes drive the benchmark harness:
-//!
-//! * **Open loop** — requests arrive by an arrival process regardless of
-//!   completion (Poisson, uniform, or bursty on/off), modelling "a large
-//!   number of clients that need to know the CPU load of a remote compute
-//!   resource" (§5.1 of the paper).
-//! * **Closed loop** — a fixed population of clients that each issue a
-//!   request, wait for the reply, think, and repeat; used for the
-//!   separate-vs-unified service comparisons (Figures 2–4).
+//! A client of the unified service interleaves information queries and
+//! job submissions on one connection; [`MixedWorkload`] draws that mix
+//! from a seed.
 
 use crate::rng::SplitMix64;
-use std::time::Duration;
-
-/// An arrival process producing inter-arrival gaps.
-#[derive(Debug, Clone)]
-pub enum ArrivalProcess {
-    /// Poisson arrivals at `rate_per_sec`.
-    Poisson {
-        /// Mean arrival rate per second.
-        rate_per_sec: f64,
-    },
-    /// Evenly spaced arrivals at `rate_per_sec`.
-    Uniform {
-        /// Arrival rate per second.
-        rate_per_sec: f64,
-    },
-    /// Markov-modulated on/off bursts: Poisson at `burst_rate_per_sec`
-    /// while "on", silent while "off", with exponentially distributed
-    /// phase durations.
-    Bursty {
-        /// Arrival rate inside a burst.
-        burst_rate_per_sec: f64,
-        /// Mean duration of an on-phase.
-        mean_on: Duration,
-        /// Mean duration of an off-phase.
-        mean_off: Duration,
-    },
-}
-
-/// Iterator-style generator of arrival offsets from time zero.
-#[derive(Debug, Clone)]
-pub struct ArrivalGen {
-    process: ArrivalProcess,
-    rng: SplitMix64,
-    cursor: f64,
-    /// Remaining seconds of the current on-phase (bursty only).
-    on_left: f64,
-}
-
-impl ArrivalGen {
-    /// Start a generator for the given process and seed.
-    pub fn new(process: ArrivalProcess, seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        let on_left = match &process {
-            ArrivalProcess::Bursty { mean_on, .. } => rng.exponential(mean_on.as_secs_f64()),
-            _ => 0.0,
-        };
-        ArrivalGen {
-            process,
-            rng,
-            cursor: 0.0,
-            on_left,
-        }
-    }
-
-    /// Absolute offset of the next arrival, from experiment start.
-    pub fn next_arrival(&mut self) -> Duration {
-        let gap = match &self.process {
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                self.rng.exponential(1.0 / rate_per_sec.max(1e-12))
-            }
-            ArrivalProcess::Uniform { rate_per_sec } => 1.0 / rate_per_sec.max(1e-12),
-            ArrivalProcess::Bursty {
-                burst_rate_per_sec,
-                mean_on,
-                mean_off,
-            } => {
-                let mut gap = self.rng.exponential(1.0 / burst_rate_per_sec.max(1e-12));
-                // Consume on-time; whenever the on-phase is exhausted,
-                // insert an off-phase and start a new on-phase.
-                while gap > self.on_left {
-                    gap -= self.on_left;
-                    let off = self.rng.exponential(mean_off.as_secs_f64());
-                    self.cursor += off;
-                    self.on_left = self.rng.exponential(mean_on.as_secs_f64());
-                }
-                self.on_left -= gap;
-                gap
-            }
-        };
-        self.cursor += gap;
-        Duration::from_secs_f64(self.cursor)
-    }
-
-    /// Generate all arrivals within `[0, horizon)`.
-    pub fn arrivals_until(&mut self, horizon: Duration) -> Vec<Duration> {
-        let mut out = Vec::new();
-        loop {
-            let t = self.next_arrival();
-            if t >= horizon {
-                break;
-            }
-            out.push(t);
-        }
-        out
-    }
-}
 
 /// The kind of request a mixed grid workload issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,89 +53,9 @@ impl MixedWorkload {
     }
 }
 
-/// Think-time model for closed-loop clients.
-#[derive(Debug, Clone)]
-pub enum ThinkTime {
-    /// No pause between requests (stress mode).
-    None,
-    /// Fixed pause.
-    Fixed(Duration),
-    /// Exponentially distributed pause with the given mean.
-    Exponential(Duration),
-}
-
-impl ThinkTime {
-    /// Draw one think-time.
-    pub fn sample(&self, rng: &mut SplitMix64) -> Duration {
-        match self {
-            ThinkTime::None => Duration::ZERO,
-            ThinkTime::Fixed(d) => *d,
-            ThinkTime::Exponential(mean) => {
-                Duration::from_secs_f64(rng.exponential(mean.as_secs_f64()))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn poisson_rate_approximately_held() {
-        let mut g = ArrivalGen::new(
-            ArrivalProcess::Poisson {
-                rate_per_sec: 100.0,
-            },
-            1,
-        );
-        let arrivals = g.arrivals_until(Duration::from_secs(50));
-        let rate = arrivals.len() as f64 / 50.0;
-        assert!((rate - 100.0).abs() < 5.0, "rate {rate}");
-    }
-
-    #[test]
-    fn uniform_evenly_spaced() {
-        let mut g = ArrivalGen::new(ArrivalProcess::Uniform { rate_per_sec: 10.0 }, 2);
-        let a = g.next_arrival();
-        let b = g.next_arrival();
-        assert!((b.as_secs_f64() - a.as_secs_f64() - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn arrivals_monotonic() {
-        let mut g = ArrivalGen::new(
-            ArrivalProcess::Bursty {
-                burst_rate_per_sec: 200.0,
-                mean_on: Duration::from_millis(100),
-                mean_off: Duration::from_millis(400),
-            },
-            3,
-        );
-        let xs = g.arrivals_until(Duration::from_secs(10));
-        assert!(!xs.is_empty());
-        for w in xs.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
-    }
-
-    #[test]
-    fn bursty_rate_lower_than_burst_rate() {
-        let mut g = ArrivalGen::new(
-            ArrivalProcess::Bursty {
-                burst_rate_per_sec: 1000.0,
-                mean_on: Duration::from_millis(100),
-                mean_off: Duration::from_millis(300),
-            },
-            4,
-        );
-        let xs = g.arrivals_until(Duration::from_secs(20));
-        let rate = xs.len() as f64 / 20.0;
-        // Duty cycle is ~25%, so the effective rate should be well below
-        // the in-burst rate and in the rough vicinity of 250/s.
-        assert!(rate < 600.0, "rate {rate}");
-        assert!(rate > 80.0, "rate {rate}");
-    }
 
     #[test]
     fn mixed_workload_fraction() {
@@ -263,21 +81,5 @@ mod tests {
             .take(100)
             .iter()
             .all(|k| *k == RequestKind::JobSubmit));
-    }
-
-    #[test]
-    fn think_time_models() {
-        let mut rng = SplitMix64::new(8);
-        assert_eq!(ThinkTime::None.sample(&mut rng), Duration::ZERO);
-        assert_eq!(
-            ThinkTime::Fixed(Duration::from_millis(7)).sample(&mut rng),
-            Duration::from_millis(7)
-        );
-        let mean = Duration::from_millis(50);
-        let n = 20_000;
-        let total: f64 = (0..n)
-            .map(|_| ThinkTime::Exponential(mean).sample(&mut rng).as_secs_f64())
-            .sum();
-        assert!((total / n as f64 - 0.05).abs() < 0.005);
     }
 }

@@ -11,13 +11,13 @@
 //! reproducibly. The same tick-driven loop works on the system clock —
 //! see `drive` below: nothing in the scheduler sleeps or spawns, so a
 //! wall-clock deployment is just `sleep(next_deadline - now)` between
-//! ticks. The knobs live in [`infogram::info::SchedConfig`]; the
-//! `sched.*` instruments are readable here via the `Metrics:` keyword
+//! ticks. Its constants (a lead of mean + 2σ, a 10 ms storm guard, eight
+//! refreshes per tick) live in `info::sched`; the `sched.*` instruments are readable here via the `Metrics:` keyword
 //! (`(info=metrics)`), exactly as an operator would poll them.
 
 use infogram::host::commands::{ChargeMode, CommandRegistry};
 use infogram::host::machine::SimulatedHost;
-use infogram::info::config::{SchedConfig, ServiceConfig};
+use infogram::info::config::ServiceConfig;
 use infogram::info::service::{InformationService, QueryOptions};
 use infogram::info::{RefreshScheduler, TABLE1_TEXT};
 use infogram::rsl::InfoSelector;
@@ -53,17 +53,7 @@ fn main() {
     );
     info.register_metrics_provider(metrics.clone());
 
-    // The operator knobs, spelled out (these are the defaults — see the
-    // README's "Tuning and observing refresh" guide for when to move them).
-    let config = SchedConfig {
-        lead_sigma: 2.0,                         // prefetch mean + 2σ early
-        min_lead: Duration::from_millis(1),      // floor when unmeasured
-        max_lead_fraction: 0.5,                  // never lead > TTL/2
-        min_interval: Duration::from_millis(10), // refresh-storm guard
-        max_batch: 8,                            // per-tick fan-out cap
-        idle_skip: true,                         // cold keywords skip
-    };
-    let sched = RefreshScheduler::new(clock.clone(), config, metrics.clone());
+    let sched = RefreshScheduler::new(clock.clone(), metrics.clone());
     let watched = sched.watch_service(&info);
     println!(
         "watching {watched} of {} keywords (TTL-0 rows are left on-demand)\n",

@@ -20,6 +20,8 @@
 # - handshake sizes: the HELLO, RESP and FIN sizes the golden test in
 #   crates/gsi/src/handshake.rs pins (`E21_<MSG>_BYTES`) are the ones
 #   DESIGN §8.1's handshake table names as `<MSG> = n`.
+# - CHANGES.md budget: the newest entry (the one naming the highest
+#   ISSUE number) is at most 1 536 bytes; older entries are exempt.
 #
 # Works fully offline — all external dependencies are vendored under
 # shims/ (see shims/README.md), so no registry access is needed.
@@ -85,5 +87,20 @@ for msg in HELLO RESP FIN; do
         exit 1
     fi
 done
+
+echo "==> the newest CHANGES.md entry is at most 1 536 bytes"
+# An entry is a `- ` line plus the two-space-indented lines under it;
+# `LC_ALL=C` makes `length` count bytes.
+set -- $(LC_ALL=C awk '
+    /^- / { n++; if (match($0, /ISSUE [0-9]+/)) issue[n] = substr($0, RSTART + 6, RLENGTH - 6) + 0 }
+    n && /^(- |  )/ { bytes[n] += length($0) + 1 }
+    END {
+        for (i = 1; i <= n; i++) if (issue[i] > issue[top]) top = i
+        print issue[top] + 0, bytes[top] + 0
+    }' CHANGES.md)
+if [ "$1" = 0 ] || [ "$2" -gt 1536 ]; then
+    printf 'CHANGES.md: the newest entry (ISSUE %s) is %s bytes; the budget is 1536\n' "$1" "$2" >&2
+    exit 1
+fi
 
 echo "==> docs and lints clean"

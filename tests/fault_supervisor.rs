@@ -15,7 +15,7 @@ use infogram::sim::clock::Clock;
 use infogram::sim::fault::{Fault, Plan, Storm};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::ManualClock;
-use infogram_client::{ClientError, RetryPolicy};
+use infogram_client::ClientError;
 use infogram_rsl::InfoSelector;
 use std::sync::Arc;
 use std::time::Duration;
@@ -329,11 +329,6 @@ fn breaker_open_rejection_carries_retry_after_and_client_honors_it() {
         &sandbox.user,
         &sandbox.roots,
         sandbox.clock.clone(),
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(5),
-            ..RetryPolicy::default()
-        },
     )
     .expect("connects");
     let r = retrying.info("Recover").expect("recovered after hint");

@@ -39,6 +39,9 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
 
+#[path = "support/model_pair.rs"]
+mod model_pair;
+
 const TTL: Duration = Duration::from_millis(10);
 
 /// A provider that replays a script: call 1 caches v=1, call 2 expires
@@ -138,19 +141,9 @@ impl<P: Fn() -> Result<u64, ProviderError>> BuggyEntry<P> {
     }
 }
 
-fn regression_config() -> model::Config {
-    // Environment-independent: the regression must be found (and the
-    // fixed code exhaustively cleared) regardless of EXHAUSTIVE=….
-    model::Config {
-        max_executions: 50_000,
-        preemption_bound: usize::MAX,
-        max_steps: 10_000,
-    }
-}
-
 #[test]
 fn model_finds_seeded_stale_waiter_bug() {
-    let report = model::explore(&regression_config(), || {
+    let report = model::explore(&model_pair::regression_config(), || {
         let clock = model::virtual_clock();
         let (_calls, produce) = scripted_fail_second(Arc::clone(&clock));
         let entry = Arc::new(BuggyEntry::new(produce, clock.clone() as SharedClock));
@@ -174,18 +167,7 @@ fn model_finds_seeded_stale_waiter_bug() {
             h.join();
         }
     });
-    let violation = report
-        .violation
-        .as_ref()
-        .expect("the model checker must find the seeded stale-waiter bug");
-    assert!(
-        violation.message.contains("stale value served"),
-        "unexpected violation: {violation:?}"
-    );
-    assert!(
-        !violation.schedule.is_empty(),
-        "a failing schedule must be reported for replay"
-    );
+    model_pair::expect_found(&report, "stale value served");
 }
 
 #[test]
@@ -193,7 +175,7 @@ fn fixed_entry_passes_the_stale_waiter_scenario() {
     // The shipped SystemInformation under the *identical* scenario: the
     // generation check makes the woken waiter notice the failed refresh,
     // fall back only to a TTL-valid value, and otherwise retry.
-    let report = model::explore(&regression_config(), || {
+    let report = model::explore(&model_pair::regression_config(), || {
         let clock = model::virtual_clock();
         let (_calls, produce) = scripted_fail_second(Arc::clone(&clock));
         let si = SystemInformation::new(
@@ -223,12 +205,7 @@ fn fixed_entry_passes_the_stale_waiter_scenario() {
             h.join();
         }
     });
-    assert!(
-        report.violation.is_none(),
-        "fixed SystemInformation must survive every schedule: {:?}",
-        report.violation
-    );
-    assert!(report.complete, "state space must be exhausted: {report:?}");
+    model_pair::expect_cleared(&report);
 }
 
 // ---------------------------------------------------------------------

@@ -31,34 +31,15 @@
 #![allow(clippy::unwrap_used)]
 
 use infogram::info::provider::{FnProvider, ProviderError};
-use infogram::info::{
-    Admission, BreakerState, DegradationFn, Supervisor, SupervisorConfig, SystemInformation,
-};
+use infogram::info::{Admission, BreakerState, DegradationFn, Supervisor, SystemInformation};
 use infogram::sim::model;
 use infogram::sim::{Clock, SimTime};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn regression_config() -> model::Config {
-    // Environment-independent: the regression must be found (and the
-    // fixed code exhaustively cleared) regardless of EXHAUSTIVE=….
-    model::Config {
-        max_executions: 50_000,
-        preemption_bound: usize::MAX,
-        max_steps: 10_000,
-    }
-}
-
-/// Breaker tunables with jitter off so gate arithmetic is exact.
-fn breaker_config(failure_threshold: u32) -> SupervisorConfig {
-    SupervisorConfig {
-        failure_threshold,
-        max_retries: 0,
-        jitter: 0.0,
-        ..SupervisorConfig::default()
-    }
-}
+#[path = "support/model_pair.rs"]
+mod model_pair;
 
 // ---------------------------------------------------------------------
 // Seeded regression: probe admission split into check + claim
@@ -134,8 +115,8 @@ fn probe_race_scenario(
     admit: Arc<dyn Fn(SimTime) -> Admission + Send + Sync>,
     on_probe_success: Arc<dyn Fn() + Send + Sync>,
 ) {
-    // Cool-down (500 ms, jitter off) has just elapsed.
-    let now = SimTime::from_millis(600);
+    // The cool-down (500 ms, at most 600 ms with its jitter) is over.
+    let now = SimTime::from_millis(700);
     let probes_in_flight = Arc::new(Mutex::new(0u32));
     let mut handles = Vec::new();
     for _ in 0..2 {
@@ -163,7 +144,7 @@ fn probe_race_scenario(
 
 #[test]
 fn model_finds_seeded_double_probe_bug() {
-    let report = model::explore(&regression_config(), || {
+    let report = model::explore(&model_pair::regression_config(), || {
         let b = Arc::new(BuggyBreaker::tripped(SimTime::from_millis(500)));
         let b2 = Arc::clone(&b);
         probe_race_scenario(
@@ -171,18 +152,7 @@ fn model_finds_seeded_double_probe_bug() {
             Arc::new(move || b2.on_probe_success()),
         );
     });
-    let violation = report
-        .violation
-        .as_ref()
-        .expect("the model checker must find the seeded double-probe bug");
-    assert!(
-        violation.message.contains("two half-open probes"),
-        "unexpected violation: {violation:?}"
-    );
-    assert!(
-        !violation.schedule.is_empty(),
-        "a failing schedule must be reported for replay"
-    );
+    model_pair::expect_found(&report, "two half-open probes");
 }
 
 #[test]
@@ -192,8 +162,8 @@ fn shipped_supervisor_passes_the_probe_race_scenario() {
     // section that observes it, so the second fetch is always deferred
     // (or, after the first probe already closed the breaker, admitted
     // as an ordinary non-probe fetch — which holds no probe token).
-    let report = model::explore(&regression_config(), || {
-        let s = Arc::new(Supervisor::new("K", breaker_config(3)));
+    let report = model::explore(&model_pair::regression_config(), || {
+        let s = Arc::new(Supervisor::new("K"));
         // Trip it: three straight transient failures at t=0.
         for _ in 0..3 {
             s.on_failure(SimTime::ZERO, false);
@@ -205,12 +175,7 @@ fn shipped_supervisor_passes_the_probe_race_scenario() {
             Arc::new(move || s2.on_success()),
         );
     });
-    assert!(
-        report.violation.is_none(),
-        "shipped Supervisor must survive every schedule: {:?}",
-        report.violation
-    );
-    assert!(report.complete, "state space must be exhausted: {report:?}");
+    model_pair::expect_cleared(&report);
 }
 
 // ---------------------------------------------------------------------
@@ -220,8 +185,11 @@ fn shipped_supervisor_passes_the_probe_race_scenario() {
 #[test]
 fn racing_failures_leave_the_breaker_in_a_consistent_state() {
     model::check("breaker transitions under racing failures", || {
-        let s = Arc::new(Supervisor::new("K", breaker_config(2)));
-        let now = SimTime::ZERO;
+        // One failure already on the streak and its backoff gate passed:
+        // the next two failures are the second and the third (trip).
+        let s = Arc::new(Supervisor::new("K"));
+        s.on_failure(SimTime::ZERO, false);
+        let now = SimTime::from_millis(100);
         let failures = Arc::new(Mutex::new(0u32));
         let mut handles = Vec::new();
         for _ in 0..2 {
@@ -243,7 +211,7 @@ fn racing_failures_leave_the_breaker_in_a_consistent_state() {
             h.join();
         }
         // Depending on the interleaving, the second fetch was either
-        // admitted too (both saw the fresh Closed breaker) or deferred
+        // admitted too (both saw the Closed breaker past its gate) or deferred
         // by the first failure's backoff gate. Both outcomes — and only
         // those two — are legal, and each must be internally consistent.
         let failed = *failures.lock();
@@ -251,7 +219,7 @@ fn racing_failures_leave_the_breaker_in_a_consistent_state() {
             2 => {
                 // Threshold met: tripped, and fetches defer with a hint.
                 assert_eq!(s.state(), BreakerState::Open);
-                assert_eq!(s.streak(), 2);
+                assert_eq!(s.streak(), 3);
                 match s.admit(now) {
                     Admission::Deferred { retry_after } => assert!(retry_after > Duration::ZERO),
                     other => panic!("open breaker must defer: {other:?}"),
@@ -261,13 +229,13 @@ fn racing_failures_leave_the_breaker_in_a_consistent_state() {
                 // Sub-threshold: still Closed, but the backoff gate is
                 // armed — an immediate retry is deferred, not admitted.
                 assert_eq!(s.state(), BreakerState::Closed);
-                assert_eq!(s.streak(), 1);
+                assert_eq!(s.streak(), 2);
                 assert!(
                     matches!(s.admit(now), Admission::Deferred { .. }),
                     "backoff gate must defer an immediate retry"
                 );
             }
-            n => panic!("a fresh Closed breaker admits the first fetch (got {n} failures)"),
+            n => panic!("a Closed breaker past its gate admits the first fetch (got {n} failures)"),
         }
     });
 }
@@ -304,14 +272,16 @@ fn open_breaker_stale_serves_without_running_the_provider() {
                 lifetime: Duration::from_secs(60),
             },
         );
-        si.supervisor().set_config(breaker_config(1));
-        // Seed the cache, expire it, then trip the breaker with one
-        // failed supervised refresh (threshold 1, no retries).
+        // Seed the cache, expire it, then trip the breaker with three
+        // failed supervised refreshes, each past the previous one's
+        // backoff gate.
         let seeded_at = clock.now();
         si.update_state().unwrap();
-        clock.advance(Duration::from_millis(20));
-        let tripping = si.fetch_supervised(None).unwrap();
-        assert!(tripping.stale, "the failed refresh falls back to stale");
+        for _ in 0..3 {
+            clock.advance(Duration::from_millis(100));
+            let failed = si.fetch_supervised(None).unwrap();
+            assert!(failed.stale, "a failed refresh falls back to stale");
+        }
         assert_eq!(si.breaker_state(), BreakerState::Open);
         let executed_when_opened = *calls.lock();
 

@@ -30,11 +30,8 @@
 // model scenario a panic IS the violation signal the explorer looks for.
 #![allow(clippy::unwrap_used)]
 
-use infogram::info::config::SchedConfig;
 use infogram::info::provider::{FnProvider, ProviderError};
-use infogram::info::{
-    BreakerState, DegradationFn, RefreshScheduler, SupervisorConfig, SystemInformation,
-};
+use infogram::info::{BreakerState, DegradationFn, RefreshScheduler, SystemInformation};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::model;
 use infogram::sim::timer::{Ticket, TimerWheel};
@@ -43,17 +40,10 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-const TTL: Duration = Duration::from_millis(100);
+#[path = "support/model_pair.rs"]
+mod model_pair;
 
-fn regression_config() -> model::Config {
-    // Environment-independent: the regression must be found (and the
-    // fixed code exhaustively cleared) regardless of EXHAUSTIVE=….
-    model::Config {
-        max_executions: 50_000,
-        preemption_bound: usize::MAX,
-        max_steps: 10_000,
-    }
-}
+const TTL: Duration = Duration::from_millis(100);
 
 /// A watched entry over a call-counting provider. `fail` scripts the
 /// provider to always fail transiently (for the breaker scenarios).
@@ -82,7 +72,7 @@ fn counting_entry(
 }
 
 fn sched_on(clock: infogram::sim::clock::SharedClock) -> Arc<RefreshScheduler> {
-    RefreshScheduler::new(clock, SchedConfig::default(), MetricSet::new())
+    RefreshScheduler::new(clock, MetricSet::new())
 }
 
 // ---------------------------------------------------------------------
@@ -149,7 +139,7 @@ impl BuggySched {
 
 #[test]
 fn model_finds_seeded_double_enqueue_bug() {
-    let report = model::explore(&regression_config(), || {
+    let report = model::explore(&model_pair::regression_config(), || {
         let s = Arc::new(BuggySched::watched(SimTime::ZERO));
         let now = SimTime::from_millis(100);
         let s1 = Arc::clone(&s);
@@ -164,18 +154,7 @@ fn model_finds_seeded_double_enqueue_bug() {
             "a superseded in-flight refresh must not re-enqueue: {pending} entries for one keyword"
         );
     });
-    let violation = report
-        .violation
-        .as_ref()
-        .expect("the model checker must find the seeded double-enqueue bug");
-    assert!(
-        violation.message.contains("must not re-enqueue"),
-        "unexpected violation: {violation:?}"
-    );
-    assert!(
-        !violation.schedule.is_empty(),
-        "a failing schedule must be reported for replay"
-    );
+    model_pair::expect_found(&report, "must not re-enqueue");
 }
 
 #[test]
@@ -185,47 +164,55 @@ fn shipped_scheduler_passes_the_rewatch_race_scenario() {
     // re-watches it. The epoch stamped at watch time and re-checked at
     // flight completion makes every interleaving land in the same state:
     // one watched keyword, one pending wheel entry.
-    let report = model::explore(&regression_config(), || {
-        let clock = model::virtual_clock();
-        let (si, calls) = counting_entry(clock.clone(), false);
-        let sched = sched_on(clock.clone());
-        sched.watch(Arc::clone(&si), None).unwrap();
-
-        let s1 = Arc::clone(&sched);
-        let s2 = Arc::clone(&sched);
-        let si2 = Arc::clone(&si);
-        let a = model::spawn(move || {
-            s1.tick();
-        });
-        let b = model::spawn(move || {
-            s2.watch(si2, None).unwrap();
-        });
-        a.join();
-        b.join();
-
-        assert_eq!(sched.watched(), 1);
-        assert_eq!(
-            sched.pending(),
-            1,
-            "exactly one pending entry per keyword — no lost wakeup, no double-enqueue"
-        );
-        assert_eq!(*calls.lock(), 1, "the race runs the provider exactly once");
-
-        // The surviving entry is live: one full period later, exactly
-        // one more refresh happens (a lost wakeup would run zero; a
-        // double-enqueue would run two).
-        clock.advance(TTL + TTL);
-        sched.tick();
-        assert_eq!(
-            *calls.lock(),
-            2,
-            "the keyword keeps refreshing after the race"
-        );
-    });
+    //
+    // Within two preemptions the space is exhausted (361 schedules). The
+    // unbounded run does not finish in its 50 000 executions, but it
+    // reaches schedules with three or more preemptions, so it runs too.
+    let bounded = model::explore(&model_pair::bounded_config(), rewatch_race);
+    model_pair::expect_cleared(&bounded);
+    let unbounded = model::explore(&model_pair::regression_config(), rewatch_race);
     assert!(
-        report.violation.is_none(),
-        "shipped RefreshScheduler must survive every schedule: {:?}",
-        report.violation
+        unbounded.violation.is_none(),
+        "the shipped RefreshScheduler must survive every schedule: {:?}",
+        unbounded.violation
+    );
+}
+
+fn rewatch_race() {
+    let clock = model::virtual_clock();
+    let (si, calls) = counting_entry(clock.clone(), false);
+    let sched = sched_on(clock.clone());
+    sched.watch(Arc::clone(&si), None).unwrap();
+
+    let s1 = Arc::clone(&sched);
+    let s2 = Arc::clone(&sched);
+    let si2 = Arc::clone(&si);
+    let a = model::spawn(move || {
+        s1.tick();
+    });
+    let b = model::spawn(move || {
+        s2.watch(si2, None).unwrap();
+    });
+    a.join();
+    b.join();
+
+    assert_eq!(sched.watched(), 1);
+    assert_eq!(
+        sched.pending(),
+        1,
+        "exactly one pending entry per keyword — no lost wakeup, no double-enqueue"
+    );
+    assert_eq!(*calls.lock(), 1, "the race runs the provider exactly once");
+
+    // The surviving entry is live: one full period later, exactly one
+    // more refresh happens (a lost wakeup would run zero; a
+    // double-enqueue would run two).
+    clock.advance(TTL + TTL);
+    sched.tick();
+    assert_eq!(
+        *calls.lock(),
+        2,
+        "the keyword keeps refreshing after the race"
     );
 }
 
@@ -275,19 +262,17 @@ fn tripped_provider_parks_with_a_future_deadline() {
     model::check("breaker-open keyword never busy-loops", || {
         let clock = model::virtual_clock();
         let (si, calls) = counting_entry(clock.clone(), true);
-        // Threshold 1, no retries, jitter off: the first failure trips
-        // the breaker and the gate arithmetic is exact.
-        si.supervisor().set_config(SupervisorConfig {
-            failure_threshold: 1,
-            max_retries: 0,
-            jitter: 0.0,
-            ..SupervisorConfig::default()
-        });
+        // Two failed fetches already on the streak, their backoff gate
+        // passed: the next failed refresh is the third, which trips.
+        for _ in 0..2 {
+            si.supervisor().on_failure(clock.now(), false);
+        }
+        clock.advance(Duration::from_secs(1));
         let sched = sched_on(clock.clone());
         sched.watch(Arc::clone(&si), None).unwrap();
 
-        // Two racing ticks: one claims the due keyword and burns the
-        // (zero-retry) budget; the other must not double-execute.
+        // Two racing ticks: one claims the due keyword and burns its
+        // budget of 1 + 2 retries; the other must not double-execute.
         let mut handles = Vec::new();
         for _ in 0..2 {
             let sched = Arc::clone(&sched);
@@ -298,7 +283,7 @@ fn tripped_provider_parks_with_a_future_deadline() {
         for h in handles {
             h.join();
         }
-        assert_eq!(*calls.lock(), 1, "one bounded refresh, no pile-on");
+        assert_eq!(*calls.lock(), 3, "one bounded refresh, no pile-on");
         assert_eq!(si.breaker_state(), BreakerState::Open);
         assert_eq!(sched.watched(), 1, "transient failures never evict");
         let deadline = sched
@@ -314,6 +299,6 @@ fn tripped_provider_parks_with_a_future_deadline() {
         for _ in 0..3 {
             sched.tick();
         }
-        assert_eq!(*calls.lock(), 1, "an open breaker is never hot-looped");
+        assert_eq!(*calls.lock(), 3, "an open breaker is never hot-looped");
     });
 }

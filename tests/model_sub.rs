@@ -40,7 +40,6 @@
 // model scenario a panic IS the violation signal the explorer looks for.
 #![allow(clippy::unwrap_used)]
 
-use infogram::info::config::SchedConfig;
 use infogram::info::provider::FnProvider;
 use infogram::info::{
     DegradationFn, RefreshScheduler, SinkClosed, SubSink, SubscriptionHub, SystemInformation,
@@ -55,18 +54,11 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
+#[path = "support/model_pair.rs"]
+mod model_pair;
+
 #[path = "support/callback_race.rs"]
 mod callback_race;
-
-fn regression_config() -> model::Config {
-    // Environment-independent: the regression must be found (and the
-    // fixed code exhaustively cleared) regardless of EXHAUSTIVE=….
-    model::Config {
-        max_executions: 50_000,
-        preemption_bound: usize::MAX,
-        max_steps: 10_000,
-    }
-}
 
 /// A connection that accepts every frame (the outbox scenarios only
 /// exercise queueing, not the wire).
@@ -183,7 +175,7 @@ impl BuggyOutbox {
 
 #[test]
 fn model_finds_seeded_outbox_overcommit_bug() {
-    let report = model::explore(&regression_config(), || {
+    let report = model::explore(&model_pair::regression_config(), || {
         let outbox = Arc::new(BuggyOutbox {
             queue: Mutex::new(Vec::new()),
             capacity: 1,
@@ -205,23 +197,12 @@ fn model_finds_seeded_outbox_overcommit_bug() {
             outbox.capacity
         );
     });
-    let violation = report
-        .violation
-        .as_ref()
-        .expect("the model checker must find the seeded check-then-act bug");
-    assert!(
-        violation.message.contains("overcommitted"),
-        "unexpected violation: {violation:?}"
-    );
-    assert!(
-        !violation.schedule.is_empty(),
-        "a failing schedule must be reported for replay"
-    );
+    model_pair::expect_found(&report, "overcommitted");
 }
 
 #[test]
 fn shipped_outbox_passes_the_concurrent_push_scenario() {
-    let report = model::explore(&regression_config(), || {
+    let report = model::explore(&model_pair::regression_config(), || {
         let outbox = Outbox::new(Arc::new(NullConn), 1);
         let results: Arc<Mutex<Vec<Result<(), OutboxError>>>> = Arc::new(Mutex::new(Vec::new()));
         let o1 = Arc::clone(&outbox);
@@ -255,11 +236,7 @@ fn shipped_outbox_passes_the_concurrent_push_scenario() {
         assert_eq!(outbox.drain().expect("open"), 1);
         assert_eq!(outbox.queued(), 0);
     });
-    assert!(
-        report.violation.is_none(),
-        "shipped Outbox must survive every schedule: {:?}",
-        report.violation
-    );
+    model_pair::expect_cleared(&report);
 }
 
 // ---------------------------------------------------------------------
@@ -354,7 +331,7 @@ fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
                 lifetime: Duration::from_secs(60),
             },
         );
-        let sched = RefreshScheduler::new(clock, SchedConfig::default(), MetricSet::new());
+        let sched = RefreshScheduler::new(clock, MetricSet::new());
         sched.set_hub(Arc::clone(&hub));
         sched.watch(si, None).unwrap();
 

@@ -32,29 +32,8 @@ use infogram::sim::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
-fn regression_config() -> model::Config {
-    // Environment-independent: the regression must be found regardless
-    // of EXHAUSTIVE=….
-    model::Config {
-        max_executions: 50_000,
-        preemption_bound: usize::MAX,
-        max_steps: 10_000,
-    }
-}
-
-fn bounded_config() -> model::Config {
-    // The shipped `Wal` touches several lock classes per commit (queue,
-    // degraded latch, io, frames, storage), so the unpruned schedule
-    // space dwarfs `max_executions`. CHESS-style preemption bounding
-    // keeps the space exhaustible while still covering every schedule
-    // reachable with ≤ 2 forced preemptions — the class the seeded
-    // group-commit bug (and its relatives) live in.
-    model::Config {
-        max_executions: 50_000,
-        preemption_bound: 2,
-        max_steps: 10_000,
-    }
-}
+#[path = "support/model_pair.rs"]
+mod model_pair;
 
 /// True if `needle` is somewhere in the durable (crash-surviving) bytes
 /// of the storage — frames embed payloads verbatim, so a committed
@@ -143,7 +122,7 @@ impl BuggyGroupWal {
 
 #[test]
 fn model_finds_seeded_ack_before_durable_bug() {
-    let report = model::explore(&regression_config(), || {
+    let report = model::explore(&model_pair::regression_config(), || {
         let storage = MemStorage::new();
         let wal = Arc::new(BuggyGroupWal::new(Arc::clone(&storage)));
         let mut handles = Vec::new();
@@ -162,18 +141,7 @@ fn model_finds_seeded_ack_before_durable_bug() {
             h.join();
         }
     });
-    let violation = report
-        .violation
-        .as_ref()
-        .expect("the model checker must find the seeded ack-before-durable bug");
-    assert!(
-        violation.message.contains("acked before durable"),
-        "unexpected violation: {violation:?}"
-    );
-    assert!(
-        !violation.schedule.is_empty(),
-        "a failing schedule must be reported for replay"
-    );
+    model_pair::expect_found(&report, "acked before durable");
 }
 
 // ---------------------------------------------------------------------
@@ -182,7 +150,7 @@ fn model_finds_seeded_ack_before_durable_bug() {
 
 #[test]
 fn shipped_wal_never_acks_before_durable() {
-    let report = model::explore(&bounded_config(), || {
+    let report = model::explore(&model_pair::bounded_config(), || {
         let storage = MemStorage::new();
         let wal = Arc::new(Wal::new(Box::new(
             FrameWal::open(Arc::clone(&storage) as Arc<dyn WalStorage>).unwrap(),
@@ -207,15 +175,7 @@ fn shipped_wal_never_acks_before_durable() {
             h.join();
         }
     });
-    assert!(
-        report.violation.is_none(),
-        "shipped Wal must survive every schedule: {:?}",
-        report.violation
-    );
-    assert!(
-        report.complete,
-        "bounded state space must be exhausted: {report:?}"
-    );
+    model_pair::expect_cleared(&report);
 }
 
 // ---------------------------------------------------------------------
@@ -224,7 +184,7 @@ fn shipped_wal_never_acks_before_durable() {
 
 #[test]
 fn racing_committers_get_ok_durable_or_an_error() {
-    let report = model::explore(&bounded_config(), || {
+    let report = model::explore(&model_pair::bounded_config(), || {
         let plan = Plan::new();
         plan.fail_sync(0); // the first fsync (whichever batch wins) fails
         let storage = MemStorage::with_plan(Some(plan));
@@ -253,13 +213,5 @@ fn racing_committers_get_ok_durable_or_an_error() {
             h.join();
         }
     });
-    assert!(
-        report.violation.is_none(),
-        "shipped Wal must be failure-honest on every schedule: {:?}",
-        report.violation
-    );
-    assert!(
-        report.complete,
-        "bounded state space must be exhausted: {report:?}"
-    );
+    model_pair::expect_cleared(&report);
 }

@@ -17,9 +17,8 @@
 use infogram::proto::message::codes;
 use infogram::proto::record::InfoRecord;
 use infogram::quickstart::Sandbox;
-use infogram_client::{ClientError, InfoGramClient, RetryPolicy};
+use infogram_client::{ClientError, InfoGramClient};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 /// Subscribe → initial full snapshot → live deltas with contiguous
 /// versions → clean unsubscribe. The refresh wheel starts empty; the
@@ -211,11 +210,6 @@ fn resubscribe_after_reconnect_shows_no_gap() {
         &sandbox.user,
         &sandbox.roots,
         sandbox.clock.clone(),
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(5),
-            ..RetryPolicy::default()
-        },
     )
     .expect("connects");
 

@@ -7,7 +7,7 @@
 
 use infogram::host::commands::{ChargeMode, CommandRegistry};
 use infogram::host::machine::SimulatedHost;
-use infogram::info::config::{SchedConfig, ServiceConfig};
+use infogram::info::config::ServiceConfig;
 use infogram::info::sched::{RefreshScheduler, WatchError};
 use infogram::info::service::{InformationService, QueryOptions};
 use infogram::sim::clock::Clock;
@@ -40,7 +40,7 @@ fn manual_service(config_text: &str) -> World {
 }
 
 fn scheduler(clock: Arc<ManualClock>, metrics: MetricSet) -> Arc<RefreshScheduler> {
-    RefreshScheduler::new(clock, SchedConfig::default(), metrics)
+    RefreshScheduler::new(clock, metrics)
 }
 
 /// Advance the clock to the scheduler's next deadline and tick.
