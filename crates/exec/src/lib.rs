@@ -44,5 +44,5 @@ pub use gram::{
 pub use sandbox::{ExecMode, Jarlet, Policy, SandboxOutcome};
 pub use wal::{
     AccountUsage, CheckpointState, FileStorage, FileWal, FrameWal, MemStorage, RecoveredJob,
-    RecoveredState, RecoveryStats, Wal, WalConfig, WalError, WalEvent, WalStorage,
+    RecoveredState, RecoveryStats, Wal, WalConfig, WalError, WalEvent, WalStorage, IO_BUF,
 };

@@ -152,19 +152,16 @@ impl Wal {
     pub fn with_config(sink: Box<FrameWal>, cfg: WalConfig) -> Self {
         let mut fold = CheckpointState::default();
         let mut names = NamePool::default();
-        let stats = sink.load(&mut |p, stats| match WalEvent::decode(p) {
-            None => stats.corrupt_frames += 1,
-            Some(ev) => {
-                stats.events_replayed += 1;
-                stats.events_since_checkpoint += 1;
-                // A decoded checkpoint is moved into the fold, not cloned.
-                if let WalEvent::Checkpoint(ck) = ev {
-                    fold = *ck;
-                    stats.events_since_checkpoint = 0;
-                    stats.checkpoint_used = true;
-                } else {
-                    fold.apply(&ev, &mut names);
-                }
+        let stats = sink.load(&mut |ev, stats| {
+            stats.events_replayed += 1;
+            stats.events_since_checkpoint += 1;
+            // A decoded checkpoint is moved into the fold, not cloned.
+            if let WalEvent::Checkpoint(ck) = ev {
+                fold = *ck;
+                stats.events_since_checkpoint = 0;
+                stats.checkpoint_used = true;
+            } else {
+                fold.apply(&ev, &mut names);
             }
         });
         Wal {
@@ -453,10 +450,7 @@ impl Wal {
     /// Load and decode every recoverable event, skipping corrupt records.
     pub fn events(&self) -> Vec<WalEvent> {
         let mut events = Vec::new();
-        self.io
-            .lock()
-            .sink
-            .load(&mut |p, _| events.extend(WalEvent::decode(p)));
+        self.io.lock().sink.load(&mut |ev, _| events.push(ev));
         events
     }
 }
@@ -471,7 +465,7 @@ const _: fn() = || {
 mod tests {
     use super::super::event::fixtures::sample_events;
     use super::super::fold::JobRows;
-    use super::super::frame::{checkpoint_frame, frame_batch};
+    use super::super::frame::{frame_batch, CheckpointFrame};
     use super::super::{FileWal, FrameWal, MemStorage};
     use super::*;
     use infogram_proto::message::JobStateCode;
@@ -619,7 +613,7 @@ mod tests {
             };
             wal.commit(SimTime::ZERO, &[submitted]).unwrap();
         }
-        let table = wal.with_fold(|fold| checkpoint_frame(fold, 0).len() as u64);
+        let table = wal.with_fold(|fold| CheckpointFrame::measure(fold).len() as u64);
         assert!(table > 4 * cfg.segment_max_bytes);
 
         let before = metrics.counter_value("wal.checkpoints");

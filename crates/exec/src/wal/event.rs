@@ -6,7 +6,8 @@ use super::fold::{AccountUsage, CheckpointState, JobRows, NamePool, RecoveredJob
 use infogram_proto::message::JobStateCode;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::BufRead;
 
 const SEP: char = '\x1f';
 
@@ -210,7 +211,8 @@ impl WalEvent {
         // A checkpoint carries six fields per job: walked in place, never
         // collected.
         if let Some(body) = checkpoint_body(line) {
-            return CheckpointState::decode(body).map(|ck| WalEvent::Checkpoint(Box::new(ck)));
+            return CheckpointState::decode(body.as_bytes())
+                .map(|ck| WalEvent::Checkpoint(Box::new(ck)));
         }
         let fields: Vec<&str> = line.split(SEP).collect();
         match fields.as_slice() {
@@ -251,41 +253,41 @@ impl CheckpointState {
     /// The checkpoint as one record payload.
     pub(super) fn encode(&self) -> String {
         let mut out = String::new();
-        self.encode_into(&mut out);
+        // Writing to a `String` cannot fail.
+        let _ = self.encode_into(&mut out);
         out
     }
 
-    /// Append the record payload to `out` — straight into the caller's
-    /// buffer, with no per-job temporaries.
-    pub(super) fn encode_into(&self, out: &mut String) {
-        // Writing to a `String` cannot fail.
-        let _ = write!(
+    /// Write the record payload to `out` — straight into the caller's
+    /// writer, with no per-job temporaries.
+    pub(super) fn encode_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
             out,
             "{CHECKPOINT_TAG}{SEP}{}{SEP}{}{SEP}{}{SEP}{}",
             self.state.last_epoch,
             self.state.last_job_id,
             self.state.jobs.len(),
             self.accounts.len()
-        );
+        )?;
         for j in &self.state.jobs {
-            let _ = write!(
+            write!(
                 out,
                 "{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}",
                 j.job_id,
                 Esc(&j.rsl),
                 Esc(j.owner()),
                 Esc(j.account())
-            );
-            let _ = match j.finished {
+            )?;
+            match j.finished {
                 None => write!(out, "-{SEP}-"),
                 Some((s, None)) => write!(out, "{}{SEP}-", state_str(s)),
                 Some((s, Some(exit))) => write!(out, "{}{SEP}{exit}", state_str(s)),
-            };
+            }?;
         }
         for (name, u) in &self.accounts {
             // `{}` (shortest round-trip) formatting so wall seconds
             // survive arbitrarily many checkpoint/recover cycles.
-            let _ = write!(
+            write!(
                 out,
                 "{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}{}",
                 Esc(name),
@@ -294,38 +296,41 @@ impl CheckpointState {
                 u.failed,
                 u.wall_seconds,
                 u.info_queries
-            );
+            )?;
         }
+        Ok(())
     }
 
-    /// Decode a [`checkpoint_body`].
-    fn decode(body: &str) -> Option<CheckpointState> {
-        let mut it = body.split(SEP);
+    /// Decode a [`checkpoint_body`] field by field as `body` yields it —
+    /// a `&str` payload, or a frame streaming off the disk — holding one
+    /// field at a time. What is allocated is what the fields hold.
+    pub(super) fn decode(body: impl BufRead) -> Option<CheckpointState> {
+        let mut it = Fields {
+            src: body,
+            field: Vec::new(),
+            last: false,
+        };
         let last_epoch: u64 = it.next()?.parse().ok()?;
         let last_job_id: u64 = it.next()?.parse().ok()?;
         let njobs: usize = it.next()?.parse().ok()?;
         let naccounts: usize = it.next()?.parse().ok()?;
-        // The counts come from the log: hold them against the payload's
-        // own field count before allocating for them.
-        let fields = 1 + body.bytes().filter(|&b| b == SEP as u8).count();
-        let claimed = njobs
-            .checked_add(naccounts)?
-            .checked_mul(6)?
-            .checked_add(4)?;
-        if fields != claimed {
-            return None;
-        }
         let mut names = NamePool::default();
         let mut jobs = JobRows::default();
+        let mut owner = String::new();
         for _ in 0..njobs {
             let job_id: u64 = it.next()?.parse().ok()?;
             let rsl = unesc(it.next()?)?.into();
-            let owner = unesc(it.next()?)?;
+            owner.clear();
+            owner.push_str(&unesc(it.next()?)?);
             let principal = names.intern(&owner, &unesc(it.next()?)?);
-            let finished = match (it.next()?, it.next()?) {
-                ("-", _) => None,
-                (state, "-") => Some((parse_state(state)?, None)),
-                (state, exit) => Some((parse_state(state)?, Some(exit.parse().ok()?))),
+            let state = match it.next()? {
+                "-" => None,
+                state => Some(parse_state(state)?),
+            };
+            let finished = match (state, it.next()?) {
+                (None, _) => None,
+                (Some(state), "-") => Some((state, None)),
+                (Some(state), exit) => Some((state, Some(exit.parse().ok()?))),
             };
             // A checkpoint written while rows sat in commit order loads
             // in id order.
@@ -350,7 +355,8 @@ impl CheckpointState {
                 },
             );
         }
-        Some(CheckpointState {
+        // Exactly the fields the counts claim: the last one ended the body.
+        it.last.then_some(CheckpointState {
             state: RecoveredState {
                 last_epoch,
                 last_job_id,
@@ -358,6 +364,33 @@ impl CheckpointState {
             },
             accounts,
         })
+    }
+}
+
+/// The `SEP`-separated fields of a checkpoint body, read from `src` one
+/// at a time into one reused buffer.
+struct Fields<R> {
+    src: R,
+    field: Vec<u8>,
+    /// The field read last ended the body.
+    last: bool,
+}
+
+impl<R: BufRead> Fields<R> {
+    /// The next field; `None` past the last, for a field that is not
+    /// UTF-8, and if `src` fails.
+    fn next(&mut self) -> Option<&str> {
+        if self.last {
+            return None;
+        }
+        self.field.clear();
+        self.src.read_until(SEP as u8, &mut self.field).ok()?;
+        if self.field.last() == Some(&(SEP as u8)) {
+            self.field.pop();
+        } else {
+            self.last = true;
+        }
+        std::str::from_utf8(&self.field).ok()
     }
 }
 
@@ -555,7 +588,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::super::frame::checkpoint_frame;
+    use super::super::frame::CheckpointFrame;
     use super::*;
     use proptest::prelude::*;
 
@@ -612,7 +645,9 @@ mod proptests {
             let WalEvent::Checkpoint(ck) = decoded else {
                 panic!("a checkpoint decodes to a checkpoint");
             };
-            prop_assert_eq!(checkpoint_frame(&ck, 0)[8..].to_vec(), first.into_bytes());
+            let mut frame = Vec::new();
+            CheckpointFrame::measure(&ck).write_to(&mut frame).unwrap();
+            prop_assert_eq!(frame[8..].to_vec(), first.into_bytes());
         }
     }
 }

@@ -71,6 +71,6 @@ pub use commit::{Wal, WalConfig, WalError};
 pub use event::WalEvent;
 pub use fold::{AccountUsage, CheckpointState, JobRows, RecoveredJob, RecoveredState, Rows};
 pub(crate) use fold::{NamePool, Principal};
-pub use frame::RecoveryStats;
+pub use frame::{RecoveryStats, IO_BUF};
 pub use sink::{FileWal, FrameWal};
 pub use storage::{FileStorage, MemStorage, WalStorage};

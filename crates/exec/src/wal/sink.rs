@@ -1,10 +1,11 @@
 //! The sink: record payloads as checksummed frames over a storage. Plain
 //! state — the `Wal` that owns it only touches it under `exec.wal.io`.
 
+use super::event::WalEvent;
 use super::fold::CheckpointState;
 use super::frame::{
-    checkpoint_frame, declared_head_checkpoint, frame_batch, head_checkpoint_len, scan_frames,
-    RecoveryStats, HEAD_PROBE,
+    declared_head_checkpoint, frame_batch, head_is_checkpoint, scan_segment, CheckpointFrame,
+    RecoveryStats,
 };
 use super::storage::{FileStorage, WalStorage};
 use std::io;
@@ -24,9 +25,6 @@ pub struct FrameWal {
     /// The head must not count towards `segment_max_bytes`, or a job
     /// table larger than one segment is re-written on every append.
     tail_len: u64,
-    /// Bytes of the newest checkpoint frame: the one this sink last cut,
-    /// or the one heading the active segment when it opened.
-    checkpoint_len: u64,
     next_seg: u64,
     /// Set after any append/sync error: the active segment's tail may be
     /// garbage (short write), so the next append rotates to a fresh
@@ -48,20 +46,16 @@ impl FrameWal {
             }
         };
         // The head frame's declared size is all this needs of the segment.
-        let (checkpoint_len, tail_len) = storage
-            .head(active, HEAD_PROBE)
-            .map(|(head, len)| {
-                let checkpoint = declared_head_checkpoint(&head, len);
-                (checkpoint, len - checkpoint)
-            })
-            .unwrap_or((0, 0));
+        let tail_len = storage
+            .reader(active)
+            .map(|(head, len)| len - declared_head_checkpoint(head, len))
+            .unwrap_or(0);
         Ok(FrameWal {
             storage,
             next_seg: active + 1,
             segs,
             active,
             tail_len,
-            checkpoint_len,
             poisoned: false,
         })
     }
@@ -89,10 +83,14 @@ impl FrameWal {
         written
     }
 
-    /// Hand every payload recoverable from storage (checkpoint + tail)
-    /// to `visit`, in log order and in place, with the damage accounting
-    /// so far (which `visit` may add to).
-    pub(super) fn load(&self, visit: &mut dyn FnMut(&str, &mut RecoveryStats)) -> RecoveryStats {
+    /// Hand every event recoverable from storage (checkpoint + tail) to
+    /// `visit`, in log order, with the damage accounting so far (which
+    /// `visit` may add to). Each segment streams through a bounded
+    /// buffer: what is held is what was decoded.
+    pub(super) fn load(
+        &self,
+        visit: &mut dyn FnMut(WalEvent, &mut RecoveryStats),
+    ) -> RecoveryStats {
         let mut stats = RecoveryStats::default();
         let mut segs = match self.storage.segments() {
             Ok(s) => s,
@@ -106,17 +104,22 @@ impl FrameWal {
         // Newest segment headed by a checkpoint bounds the replay.
         let mut start = 0usize;
         for i in (1..segs.len()).rev() {
-            if let Ok(bytes) = self.storage.read(segs[i]) {
-                if head_checkpoint_len(&bytes) > 0 {
-                    start = i;
-                    break;
-                }
+            let probe = self.storage.reader(segs[i]);
+            if probe
+                .and_then(|(src, len)| head_is_checkpoint(src, len))
+                .unwrap_or(false)
+            {
+                start = i;
+                break;
             }
         }
         for &seg in &segs[start..] {
-            match self.storage.read(seg) {
-                Ok(bytes) => scan_frames(&bytes, &mut stats, visit),
-                Err(_) => stats.io_errors += 1,
+            let scan = self.storage.reader(seg);
+            if scan
+                .and_then(|(src, len)| scan_segment(src, len, &mut stats, visit))
+                .is_err()
+            {
+                stats.io_errors += 1;
             }
         }
         stats.segments_read = (segs.len() - start) as u64;
@@ -129,18 +132,19 @@ impl FrameWal {
         self.tail_len
     }
 
-    /// Start a new segment headed by `checkpoint`, serialized straight
-    /// into the frame buffer, and reclaim older history. Returns how many
-    /// segments were reclaimed.
+    /// Start a new segment headed by `checkpoint` and reclaim older
+    /// history. The frame is measured, then encoded straight into one
+    /// append through a bounded writer. Returns how many segments were
+    /// reclaimed.
     pub fn install_checkpoint(&mut self, checkpoint: &CheckpointState) -> io::Result<u64> {
-        let buf = checkpoint_frame(checkpoint, self.checkpoint_capacity(checkpoint));
+        let frame = CheckpointFrame::measure(checkpoint);
         let seg = self.next_seg;
         self.next_seg += 1;
         // Durable new segment BEFORE reclaiming old ones: a crash between
         // the two leaves extra history, never a hole.
         if let Err(e) = self
             .storage
-            .append(seg, &buf)
+            .append_with(seg, frame.len(), &mut |out| frame.write_to(out))
             .and_then(|()| self.storage.sync(seg))
         {
             let _ = self.storage.remove(seg);
@@ -154,19 +158,9 @@ impl FrameWal {
         });
         self.segs.push(seg);
         self.active = seg;
-        self.checkpoint_len = buf.len() as u64;
         self.tail_len = 0;
         self.poisoned = false;
         Ok(reclaimed)
-    }
-
-    /// A buffer for `checkpoint`'s frame: the newest frame plus what was
-    /// logged since — a record's frame is longer than what it adds to the
-    /// table — plus the query counts a checkpoint settles without a
-    /// record, a `u64`'s 20 digits per account at most. (Past that, as
-    /// when the table came from elsewhere, the buffer grows.)
-    fn checkpoint_capacity(&self, checkpoint: &CheckpointState) -> usize {
-        (self.checkpoint_len + self.tail_len) as usize + 20 * checkpoint.accounts.len()
     }
 }
 
@@ -186,12 +180,12 @@ impl FileWal {
 #[cfg(test)]
 mod tests {
     use super::super::event::fixtures::golden_fold;
-    use super::super::fold::NamePool;
-    use super::super::{MemStorage, RecoveredState, Wal, WalConfig, WalEvent};
+    use super::super::{MemStorage, RecoveredState, Wal, WalConfig};
     use super::*;
     use infogram_proto::message::JobStateCode;
     use infogram_sim::metrics::MetricSet;
     use infogram_sim::SimTime;
+    use std::io::Read;
 
     /// What `FrameWal::install_checkpoint` appended for [`golden_fold`]
     /// before the encoder wrote into the frame buffer (captured from
@@ -231,25 +225,36 @@ mod tests {
     /// out as they did when the whole segment was read and checksummed.
     #[test]
     fn open_measures_the_tail_from_the_head_alone() {
-        let checkpoint = checkpoint_frame(&golden_fold(), 0);
+        let mut checkpoint = Vec::new();
+        let golden = golden_fold();
+        CheckpointFrame::measure(&golden)
+            .write_to(&mut checkpoint)
+            .unwrap();
         let records = frame_batch(&["START\x1f1", "STATE\x1f1\x1fACTIVE"]);
+        let n = records.len() as u64;
+        // Each segment, and the tail a whole-segment scan measures.
         let cases = [
-            Vec::new(),
-            [&checkpoint[..], &records].concat(),
-            records.clone(),
+            (Vec::new(), 0),
+            ([&checkpoint[..], &records].concat(), n),
+            (records.clone(), n),
             // A torn tail, and a torn head.
-            [&checkpoint[..], &records[..records.len() - 3]].concat(),
-            checkpoint[..checkpoint.len() - 1].to_vec(),
+            (
+                [&checkpoint[..], &records[..records.len() - 3]].concat(),
+                n - 3,
+            ),
+            (
+                checkpoint[..checkpoint.len() - 1].to_vec(),
+                checkpoint.len() as u64 - 1,
+            ),
         ];
         let dir = std::env::temp_dir().join(format!("infogram-head-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        for (case, bytes) in cases.iter().enumerate() {
-            let whole_read = (bytes.len() - head_checkpoint_len(bytes)) as u64;
+        for (case, (bytes, tail)) in cases.iter().enumerate() {
             // The simulator's disk, the head split across its durable and
             // volatile bytes.
             let mem = MemStorage::new();
-            let durable = bytes.len().min(HEAD_PROBE - 3);
+            let durable = bytes.len().min(10);
             mem.preload(1, bytes[..durable].to_vec());
             mem.append(1, &bytes[durable..]).unwrap();
             let prefix = dir.join(format!("case{case}.wal"));
@@ -257,63 +262,16 @@ mod tests {
             let file = Arc::new(FileStorage::open(prefix).unwrap());
             let storages: [Arc<dyn WalStorage>; 2] = [mem, file];
             for storage in storages {
-                let (head, len) = storage.head(1, HEAD_PROBE).unwrap();
-                assert_eq!(head, bytes[..bytes.len().min(HEAD_PROBE)], "case {case}");
-                assert_eq!(len, bytes.len() as u64, "case {case}");
+                let (mut reader, len) = storage.reader(1).unwrap();
+                let mut read = Vec::new();
+                reader.read_to_end(&mut read).unwrap();
+                assert_eq!((&read, len), (bytes, bytes.len() as u64), "case {case}");
+                drop(reader);
                 let sink = FrameWal::open(storage).unwrap();
-                assert_eq!(sink.tail_len(), whole_read, "case {case}");
+                assert_eq!(sink.tail_len(), *tail, "case {case}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Every checkpoint frame fits the buffer reserved for it, so a cut
-    /// under `exec.wal.io` never copies a half-encoded frame: the first
-    /// cut of a log, later cuts of a table that doubles or grows by a
-    /// tenth in between (`job_submit`'s grows by 14–50 %), cuts after a
-    /// reopen, new accounts and query counts settled without a record.
-    #[test]
-    fn a_checkpoint_frame_fits_its_buffer() {
-        let storage = MemStorage::new();
-        let mut sink = FrameWal::open(storage.clone()).unwrap();
-        let mut fold = CheckpointState::default();
-        let mut names = NamePool::default();
-        for job_id in 1..=4_000u64 {
-            let account = format!("user{}", job_id % 1_000 / 300);
-            let events = [
-                WalEvent::Submitted {
-                    job_id,
-                    rsl: format!("&(executable=simwork)(arguments={})", job_id % 10),
-                    owner: format!("/O=Grid/CN={account}"),
-                    account: account.clone(),
-                },
-                WalEvent::StateChanged {
-                    job_id,
-                    state: JobStateCode::Active,
-                },
-                WalEvent::Finished {
-                    job_id,
-                    state: JobStateCode::Done,
-                    exit_code: Some(0),
-                    wall_seconds: 0.001 * job_id as f64,
-                },
-            ];
-            for ev in &events {
-                sink.append_batch(&[&ev.encode()], false).unwrap();
-                fold.apply(ev, &mut names);
-            }
-            fold.count_info_queries(&format!("reader{}", job_id / 1_000), job_id);
-            if job_id % 400 == 0 {
-                let frame = checkpoint_frame(&fold, 0).len();
-                let reserved = sink.checkpoint_capacity(&fold);
-                assert!(frame <= reserved, "job {job_id}: {frame} > {reserved}");
-                sink.install_checkpoint(&fold).unwrap();
-                assert_eq!(sink.checkpoint_len, frame as u64);
-            }
-            if job_id % 1_000 == 100 {
-                sink = FrameWal::open(storage.clone()).unwrap();
-            }
-        }
     }
 
     fn contract_cfg() -> WalConfig {

@@ -13,14 +13,23 @@ use std::sync::Arc;
 pub trait WalStorage: Send + Sync + std::fmt::Debug {
     /// Segment numbers currently present, in any order.
     fn segments(&self) -> io::Result<Vec<u64>>;
-    /// Read a whole segment; absent segments read as empty.
-    fn read(&self, seg: u64) -> io::Result<Vec<u8>>;
-    /// The first `n` bytes of a segment (fewer if it is shorter) and its
-    /// length, without reading the rest; absent segments read as empty.
-    fn head(&self, seg: u64, n: usize) -> io::Result<(Vec<u8>, u64)>;
+    /// A reader of a segment's bytes, and how many there are; an absent
+    /// segment reads as empty. The caller decides how much it holds.
+    fn reader(&self, seg: u64) -> io::Result<(Box<dyn Read + '_>, u64)>;
+    /// Append `len` bytes to a segment (creating it if absent), as `write`
+    /// produces them: one append, however many writes it takes. May write
+    /// a prefix and fail (short write).
+    fn append_with(
+        &self,
+        seg: u64,
+        len: usize,
+        write: &mut dyn FnMut(&mut dyn Write) -> io::Result<()>,
+    ) -> io::Result<()>;
     /// Append bytes to a segment (creating it if absent). May write a
     /// prefix and fail (short write).
-    fn append(&self, seg: u64, bytes: &[u8]) -> io::Result<()>;
+    fn append(&self, seg: u64, bytes: &[u8]) -> io::Result<()> {
+        self.append_with(seg, bytes.len(), &mut |out| out.write_all(bytes))
+    }
     /// Make everything appended to `seg` durable (fsync).
     fn sync(&self, seg: u64) -> io::Result<()>;
     /// Delete a segment.
@@ -134,68 +143,57 @@ impl WalStorage for MemStorage {
         Ok(st.segs.keys().copied().collect())
     }
 
-    fn read(&self, seg: u64) -> io::Result<Vec<u8>> {
+    fn reader(&self, seg: u64) -> io::Result<(Box<dyn Read + '_>, u64)> {
         let st = self.state.lock();
         if st.crashed {
             return Err(Self::err(DISK_CRASHED_DETAIL));
         }
-        Ok(st
+        let len = st
             .segs
             .get(&seg)
-            .map(|s| {
-                let mut all = s.durable.clone();
-                all.extend_from_slice(&s.volatile);
-                all
-            })
-            .unwrap_or_default())
-    }
-
-    fn head(&self, seg: u64, n: usize) -> io::Result<(Vec<u8>, u64)> {
-        let st = self.state.lock();
-        if st.crashed {
-            return Err(Self::err(DISK_CRASHED_DETAIL));
-        }
-        let Some(s) = st.segs.get(&seg) else {
-            return Ok((Vec::new(), 0));
+            .map_or(0, |s| s.durable.len() + s.volatile.len());
+        let reader = MemReader {
+            storage: self,
+            seg,
+            at: 0,
         };
-        let durable = &s.durable[..n.min(s.durable.len())];
-        let volatile = &s.volatile[..(n - durable.len()).min(s.volatile.len())];
-        let len = (s.durable.len() + s.volatile.len()) as u64;
-        Ok(([durable, volatile].concat(), len))
+        Ok((Box::new(reader), len as u64))
     }
 
-    fn append(&self, seg: u64, bytes: &[u8]) -> io::Result<()> {
+    fn append_with(
+        &self,
+        seg: u64,
+        len: usize,
+        write: &mut dyn FnMut(&mut dyn Write) -> io::Result<()>,
+    ) -> io::Result<()> {
         let mut st = self.state.lock();
         if st.crashed {
             return Err(Self::err(DISK_CRASHED_DETAIL));
         }
         let verdict = match &self.plan {
-            Some(p) => p.on_append(bytes.len()),
+            Some(p) => p.on_append(len),
             None => AppendVerdict::Write,
         };
-        match verdict {
-            AppendVerdict::Write => {
-                st.segs
-                    .entry(seg)
-                    .or_default()
-                    .volatile
-                    .extend_from_slice(bytes);
-                Ok(())
-            }
-            AppendVerdict::Short { keep } => {
-                st.segs
-                    .entry(seg)
-                    .or_default()
-                    .volatile
-                    .extend_from_slice(&bytes[..keep]);
-                Err(Self::err("short write (injected)"))
-            }
-            AppendVerdict::Fail { detail } => Err(Self::err(detail)),
+        // A short write fails even when all `len` bytes land.
+        let (keep, short) = match verdict {
+            AppendVerdict::Write => (len, false),
+            AppendVerdict::Short { keep } => (keep, true),
+            AppendVerdict::Fail { detail } => return Err(Self::err(detail)),
             AppendVerdict::Crash => {
                 st.lose_power();
-                Err(Self::err(DISK_CRASHED_DETAIL))
+                return Err(Self::err(DISK_CRASHED_DETAIL));
             }
+        };
+        let volatile = &mut st.segs.entry(seg).or_default().volatile;
+        let start = volatile.len();
+        volatile.reserve(len);
+        let written = write(volatile);
+        volatile.truncate(start + keep);
+        written?;
+        if short {
+            return Err(Self::err("short write (injected)"));
         }
+        Ok(())
     }
 
     fn sync(&self, seg: u64) -> io::Result<()> {
@@ -226,6 +224,34 @@ impl WalStorage for MemStorage {
         }
         st.segs.remove(&seg);
         Ok(())
+    }
+}
+
+/// A [`MemStorage`] segment, copied out a read at a time under the
+/// storage's lock.
+struct MemReader<'a> {
+    storage: &'a MemStorage,
+    seg: u64,
+    at: usize,
+}
+
+impl Read for MemReader<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let st = self.storage.state.lock();
+        if st.crashed {
+            return Err(MemStorage::err(DISK_CRASHED_DETAIL));
+        }
+        let Some(s) = st.segs.get(&self.seg) else {
+            return Ok(0);
+        };
+        let from = match self.at.checked_sub(s.durable.len()) {
+            None => &s.durable[self.at..],
+            Some(at) => s.volatile.get(at..).unwrap_or_default(),
+        };
+        let n = from.len().min(out.len());
+        out[..n].copy_from_slice(&from[..n]);
+        self.at += n;
+        Ok(n)
     }
 }
 
@@ -284,27 +310,23 @@ impl WalStorage for FileStorage {
         Ok(out)
     }
 
-    fn read(&self, seg: u64) -> io::Result<Vec<u8>> {
-        match std::fs::read(self.seg_path(seg)) {
-            Ok(b) => Ok(b),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+    fn reader(&self, seg: u64) -> io::Result<(Box<dyn Read + '_>, u64)> {
+        match std::fs::File::open(self.seg_path(seg)) {
+            Ok(file) => {
+                let len = file.metadata()?.len();
+                Ok((Box::new(file), len))
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok((Box::new(io::empty()), 0)),
             Err(e) => Err(e),
         }
     }
 
-    fn head(&self, seg: u64, n: usize) -> io::Result<(Vec<u8>, u64)> {
-        let file = match std::fs::File::open(self.seg_path(seg)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e),
-        };
-        let len = file.metadata()?.len();
-        let mut head = Vec::with_capacity(n);
-        file.take(n as u64).read_to_end(&mut head)?;
-        Ok((head, len))
-    }
-
-    fn append(&self, seg: u64, bytes: &[u8]) -> io::Result<()> {
+    fn append_with(
+        &self,
+        seg: u64,
+        _len: usize,
+        write: &mut dyn FnMut(&mut dyn Write) -> io::Result<()>,
+    ) -> io::Result<()> {
         let mut files = self.files.lock();
         let file = match files.entry(seg) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -315,7 +337,7 @@ impl WalStorage for FileStorage {
                     .open(self.seg_path(seg))?,
             ),
         };
-        file.write_all(bytes)
+        write(file)
     }
 
     fn sync(&self, seg: u64) -> io::Result<()> {
@@ -339,6 +361,14 @@ impl WalStorage for FileStorage {
 mod tests {
     use super::*;
 
+    fn read(disk: &MemStorage, seg: u64) -> io::Result<Vec<u8>> {
+        let (mut reader, len) = disk.reader(seg)?;
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        assert_eq!(bytes.len() as u64, len);
+        Ok(bytes)
+    }
+
     fn crashed_err<T: std::fmt::Debug>(r: io::Result<T>) -> bool {
         matches!(r, Err(e) if e.to_string() == DISK_CRASHED_DETAIL)
     }
@@ -360,13 +390,13 @@ mod tests {
         // While crashed, every operation fails — the plan is not asked.
         assert!(crashed_err(disk.append(0, b"dd")));
         assert!(crashed_err(disk.sync(0)));
-        assert!(crashed_err(disk.read(0)));
+        assert!(crashed_err(read(&disk, 0)));
         assert!(crashed_err(disk.segments()));
         // Restart heals the disk with only durable bytes.
         disk.restart();
         assert!(!disk.crashed());
-        assert_eq!(disk.read(0).unwrap(), b"old");
-        assert_eq!(disk.read(1).unwrap(), b"");
+        assert_eq!(read(&disk, 0).unwrap(), b"old");
+        assert_eq!(read(&disk, 1).unwrap(), b"");
         disk.append(0, b"ee").unwrap();
         disk.sync(0).unwrap();
         assert_eq!(disk.durable_bytes(0), b"oldee");

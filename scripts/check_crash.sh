@@ -8,9 +8,15 @@
 #     recovered, outcomes kept, accounting intact, epoch advanced.
 #   - tests/wal_crash.rs — the frame-format contract: truncation at
 #     every byte prefix recovers exactly the contained frames, a flip
-#     of any single byte never invents history, a full disk surfaces
-#     UNAVAILABLE + retry-after-ms on the wire (then heals), and
+#     of any single byte never invents history — swept over a history on
+#     MemStorage, and over a segment headed by a checkpoint larger than
+#     the read buffer on MemStorage and on FileStorage — a full disk
+#     surfaces UNAVAILABLE + retry-after-ms on the wire (then heals), and
 #     recovery damage shows up in (info=metrics).
+#   - crates/exec/tests/hostile_wal.rs — recovery's largest allocation:
+#     every cut and bit flip of a small file log, and an intact log many
+#     read buffers long, reopen without asking for more than one
+#     constant at once.
 #   - e20_crash_storm (quick) — a seeded disk-fault storm with a
 #     mid-storm power loss; writes BENCH_crash_storm.json and gates on
 #     its pass flag: zero acked-submission loss, zero resurrected
@@ -29,6 +35,9 @@ cargo test --test restart_recovery -q
 
 echo "==> crash suite: tests/wal_crash.rs"
 cargo test --test wal_crash -q
+
+echo "==> crash suite: crates/exec/tests/hostile_wal.rs"
+cargo test -p infogram-exec --test hostile_wal -q
 
 . scripts/bench_gate.sh
 

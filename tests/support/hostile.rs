@@ -1,7 +1,9 @@
 //! The hostile-bytes sweep the codec suites share:
 //! `crates/proto/tests/hostile_wire.rs`,
-//! `crates/gsi/tests/hostile_handshake.rs` and
-//! `crates/mds/tests/hostile_mds.rs` include it with `#[path]`.
+//! `crates/gsi/tests/hostile_handshake.rs`,
+//! `crates/mds/tests/hostile_mds.rs`, `crates/core/tests/hostile_text.rs`
+//! (the text decoders) and `crates/exec/tests/hostile_wal.rs` (recovery)
+//! include it with `#[path]`.
 //!
 //! Including it declares the test binary's `#[global_allocator]`: the
 //! system allocator, remembering the largest single request per thread.
