@@ -9,7 +9,8 @@
 //! and tells the engine's observers.
 
 use crate::backend::{BackendError, BackendJobRef, BackendStatus, ExecBackend};
-use crate::wal::{NamePool, Principal, RecoveredJob, RecoveryStats, Wal, WalError, WalEvent};
+use crate::chunked::Chunked;
+use crate::wal::{Job, NamePool, Principal, RecoveredJob, RecoveryStats, Wal, WalError, WalEvent};
 use infogram_host::machine::SimulatedHost;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::{JobStateCode, Reply};
@@ -150,10 +151,11 @@ struct PendingFinish {
 struct JobTable {
     /// Jobs in flight.
     entries: HashMap<u64, JobEntry>,
-    /// What finished jobs printed — the one thing about them the log does
-    /// not hold (§6 records "the command used and arguments"), so it does
-    /// not survive a restart. A job that printed nothing has no entry.
-    outputs: HashMap<u64, Box<str>>,
+    /// What finished jobs printed, by job id — the one thing about them
+    /// the log does not hold (§6 records "the command used and
+    /// arguments"), so it does not survive a restart. A job that printed
+    /// nothing has no row.
+    outputs: Chunked<u64>,
     identities: NamePool,
     /// Engine-wide observers. Registration replaces the whole list, so a
     /// transition takes a reference to it under the lock that found it.
@@ -710,8 +712,7 @@ impl JobEngine {
                     }
                 }
                 if !entry.output.is_empty() {
-                    let output = std::mem::take(&mut entry.output);
-                    jobs.outputs.insert(f.job_id, output.into_boxed_str());
+                    jobs.outputs.insert(f.job_id, &entry.output);
                 }
                 news.record(entry, self.finished(&f), f.state);
                 self.drop_callback(entry);
@@ -793,7 +794,7 @@ impl JobEngine {
     fn finished_row<R>(
         &self,
         job_id: u64,
-        read: impl FnOnce(&RecoveredJob, (JobStateCode, Option<i32>)) -> R,
+        read: impl FnOnce(Job<'_>, (JobStateCode, Option<i32>)) -> R,
     ) -> Option<R> {
         self.wal
             .with_job(job_id, |job| job.finished.map(|end| read(job, end)))
@@ -817,8 +818,8 @@ impl JobEngine {
                 });
             }
             jobs.outputs
-                .get(&job_id)
-                .map(|output| output.to_string())
+                .find(job_id)
+                .map(|output| output.text().to_string())
                 .unwrap_or_default()
         };
         // Not in the table: finished, or unknown. `settle` removes an
@@ -909,7 +910,7 @@ impl JobEngine {
         let in_flight = self.jobs.lock().entries.contains_key(&job_id);
         self.wal
             .with_job(job_id, |job| {
-                (in_flight || job.finished.is_some()).then(|| job.rsl.to_string())
+                (in_flight || job.finished.is_some()).then(|| job.rsl().to_string())
             })
             .flatten()
     }
@@ -963,7 +964,10 @@ impl JobEngine {
             self.wal.with_fold(|fold| {
                 let mut in_flight = fold.state.unfinished();
                 in_flight.retain(|job| !jobs.entries.contains_key(&job.job_id));
-                let in_flight: Vec<RecoveredJob> = in_flight.into_iter().cloned().collect();
+                let in_flight: Vec<(RecoveredJob, String)> = in_flight
+                    .into_iter()
+                    .map(|job| (job.clone(), job.rsl().to_string()))
+                    .collect();
                 (fold.state.jobs.len(), in_flight)
             })
         };
@@ -971,10 +975,10 @@ impl JobEngine {
             .gauge("wal.recovered_jobs")
             .set(recovered as f64);
         let mut restarted = Vec::new();
-        for job in in_flight {
+        for (job, rsl) in in_flight {
             // Restart it from its logged xRSL.
             let now = self.clock.now();
-            let launched = XrslRequest::from_text(&job.rsl)
+            let launched = XrslRequest::from_text(&rsl)
                 .ok()
                 .and_then(|req| req.job)
                 .and_then(|spec| self.launch(spec, job.account(), now).ok());

@@ -19,6 +19,9 @@
 //!   submissions and state changes "used to restart our InfoGRAM service
 //!   in case it needs to be restarted", plus the simple grid accounting
 //!   the paper plans on top of it.
+//! * [`chunked`] — the one layout for per-job texts: rows sorted by job
+//!   id in shared chunks, each chunk's texts in one buffer. The log's
+//!   job table and the engine's record of job outputs both use it.
 //! * [`sandbox`] — the jarlet interpreter: capability-policed execution
 //!   of untrusted programs, in-process or isolated.
 //! * [`gram`] — the wire-facing GRAM server (gatekeeper: handshake,
@@ -28,6 +31,7 @@
 //!   deficiency InfoGram removes.
 
 pub mod backend;
+pub mod chunked;
 pub mod engine;
 pub mod gram;
 pub mod sandbox;

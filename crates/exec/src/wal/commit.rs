@@ -3,7 +3,7 @@
 //! one sink and one fold that `exec.wal.io` owns together.
 
 use super::event::WalEvent;
-use super::fold::{CheckpointState, NamePool, RecoveredJob};
+use super::fold::{CheckpointState, Job, NamePool};
 use super::frame::RecoveryStats;
 use super::sink::FrameWal;
 use super::storage::MemStorage;
@@ -233,7 +233,7 @@ impl Wal {
 
     /// Read the fold's row for one job, under the I/O lock, without
     /// copying it. `read` must not call back into the log.
-    pub fn with_job<R>(&self, job_id: u64, read: impl FnOnce(&RecoveredJob) -> R) -> Option<R> {
+    pub fn with_job<R>(&self, job_id: u64, read: impl FnOnce(Job<'_>) -> R) -> Option<R> {
         self.io.lock().fold.state.jobs.find(job_id).map(read)
     }
 
@@ -818,7 +818,7 @@ mod tests {
         let ends: Vec<_> = rows.iter().map(|job| (job.job_id, job.finished)).collect();
         let failed = Some((JobStateCode::Failed, Some(7)));
         assert_eq!(ends, [(1, None), (2, failed), (3, None)]);
-        assert_eq!(&*rows.find(2).unwrap().rsl, "(executable=job2)");
+        assert_eq!(rows.find(2).unwrap().rsl(), "(executable=job2)");
         assert_eq!(wal.with_job(2, |job| job.finished), Some(failed));
         assert_eq!(wal.with_job(4, |job| job.job_id), None);
         assert_eq!(wal.with_fold(|fold| fold.accounts["alice"].failed), 1);
@@ -838,7 +838,7 @@ mod tests {
         let ids = |jobs: &JobRows| jobs.iter().map(|job| job.job_id).collect::<Vec<_>>();
         assert_eq!(wal.with_fold(|fold| ids(&fold.state.jobs)), [1, 2, 3, 4]);
         assert_eq!(
-            wal.with_job(1, |job| job.rsl.to_string()).as_deref(),
+            wal.with_job(1, |job| job.rsl().to_string()).as_deref(),
             Some("(executable=job1)")
         );
         // The log keeps commit order; folding it again agrees.

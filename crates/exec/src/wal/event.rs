@@ -269,12 +269,12 @@ impl CheckpointState {
             self.state.jobs.len(),
             self.accounts.len()
         )?;
-        for j in &self.state.jobs {
+        for j in self.state.jobs.iter() {
             write!(
                 out,
                 "{SEP}{}{SEP}{}{SEP}{}{SEP}{}{SEP}",
                 j.job_id,
-                Esc(&j.rsl),
+                Esc(j.rsl()),
                 Esc(j.owner()),
                 Esc(j.account())
             )?;
@@ -303,7 +303,8 @@ impl CheckpointState {
 
     /// Decode a [`checkpoint_body`] field by field as `body` yields it —
     /// a `&str` payload, or a frame streaming off the disk — holding one
-    /// field at a time. What is allocated is what the fields hold.
+    /// field at a time. What is allocated is what the fields hold: each
+    /// xRSL goes straight into its chunk's text buffer.
     pub(super) fn decode(body: impl BufRead) -> Option<CheckpointState> {
         let mut it = Fields {
             src: body,
@@ -316,10 +317,11 @@ impl CheckpointState {
         let naccounts: usize = it.next()?.parse().ok()?;
         let mut names = NamePool::default();
         let mut jobs = JobRows::default();
-        let mut owner = String::new();
+        let (mut rsl, mut owner) = (String::new(), String::new());
         for _ in 0..njobs {
             let job_id: u64 = it.next()?.parse().ok()?;
-            let rsl = unesc(it.next()?)?.into();
+            rsl.clear();
+            rsl.push_str(&unesc(it.next()?)?);
             owner.clear();
             owner.push_str(&unesc(it.next()?)?);
             let principal = names.intern(&owner, &unesc(it.next()?)?);
@@ -334,12 +336,12 @@ impl CheckpointState {
             };
             // A checkpoint written while rows sat in commit order loads
             // in id order.
-            jobs.insert(RecoveredJob {
+            let row = RecoveredJob {
                 job_id,
-                rsl,
                 principal,
                 finished,
-            });
+            };
+            jobs.insert(row, &rsl);
         }
         let mut accounts = BTreeMap::new();
         for _ in 0..naccounts {
@@ -580,8 +582,8 @@ mod tests {
         // A clone copies no row: the text is where it was.
         let copy = ck.clone();
         assert!(std::ptr::eq(
-            &*copy.state.jobs.find(2).unwrap().rsl,
-            &*job(2).rsl
+            copy.state.jobs.find(2).unwrap().rsl(),
+            job(2).rsl()
         ));
     }
 }

@@ -48,9 +48,9 @@
 //!
 //! - `event` — the text codec: record tags, field escaping, the
 //!   checkpoint payload.
-//! - `fold` — what the log amounts to: job table (rows in shared chunks,
-//!   one interned principal per row), accounting, how each event changes
-//!   them.
+//! - `fold` — what the log amounts to: job table (rows and their xRSL
+//!   in shared chunks, [`crate::chunked`]; one interned principal per
+//!   row), accounting, how each event changes them.
 //! - `frame` — the frame layout, the CRC, damage classification.
 //! - `storage` — numbered byte segments: the simulator's crashable disk
 //!   and real files.
@@ -69,7 +69,7 @@ mod storage;
 
 pub use commit::{Wal, WalConfig, WalError};
 pub use event::WalEvent;
-pub use fold::{AccountUsage, CheckpointState, JobRows, RecoveredJob, RecoveredState, Rows};
+pub use fold::{AccountUsage, CheckpointState, Job, JobRows, RecoveredJob, RecoveredState};
 pub(crate) use fold::{NamePool, Principal};
 pub use frame::{RecoveryStats, IO_BUF};
 pub use sink::{FileWal, FrameWal};

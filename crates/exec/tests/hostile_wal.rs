@@ -25,9 +25,11 @@ use infogram_proto::message::JobStateCode;
 use infogram_sim::SimTime;
 use std::path::{Path, PathBuf};
 
-/// The most a reopen may ask for at once: a chunk of the job table (512
-/// rows of 48 bytes, 24 KiB) is the largest thing recovery builds, and
-/// the read buffer is [`IO_BUF`].
+/// The most a reopen may ask for at once: a chunk of the job table — its
+/// 512 rows of 40 bytes (20 KiB), or their texts in one buffer, never
+/// grown past a full chunk of texts as long (512 of at most 37 bytes
+/// here; `job_memory.rs` bounds what a long text asks for) — is the
+/// largest thing recovery builds, and the read buffer is [`IO_BUF`].
 const LARGEST: usize = 4 * IO_BUF;
 
 /// A directory for one test's logs, removed on drop.

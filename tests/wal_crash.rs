@@ -332,7 +332,7 @@ fn sweep_flips(bytes: &[u8], disk: Disk, name: &str) {
                 "{disk:?} flip at {pos}: one frame skipped, the rest replayed"
             );
         }
-        for job in &state.jobs {
+        for job in state.jobs.iter() {
             let want = truth
                 .get(&job.job_id)
                 .unwrap_or_else(|| panic!("{disk:?} flip at {pos}: invented job {}", job.job_id));
