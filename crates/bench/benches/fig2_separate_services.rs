@@ -6,8 +6,9 @@
 //! two connections (two GSI handshakes) and speak two protocols; the
 //! table quantifies what that costs.
 
-use infogram_bench::mixed::{outcome_row, run_baseline, OUTCOME_HEADER};
+use infogram_bench::mixed::{outcome_row, run, OUTCOME_HEADER};
 use infogram_bench::{banner, table};
+use infogram_client::DualClient;
 
 fn main() {
     banner(
@@ -18,7 +19,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for clients in [1usize, 2, 4, 8] {
-        let o = run_baseline(clients, 40, 0.5, 1000 + clients as u64);
+        let o = run::<DualClient>(clients, 40, 0.5, 1000 + clients as u64);
         rows.push(outcome_row(&format!("baseline, {clients} clients"), &o));
     }
     table(&OUTCOME_HEADER, &rows);

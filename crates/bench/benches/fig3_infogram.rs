@@ -5,8 +5,9 @@
 //! queries travel as xRSL submits on the same authenticated connection
 //! the jobs use.
 
-use infogram_bench::mixed::{outcome_row, run_unified, OUTCOME_HEADER};
+use infogram_bench::mixed::{outcome_row, run, OUTCOME_HEADER};
 use infogram_bench::{banner, table};
+use infogram_client::InfoGramClient;
 
 fn main() {
     banner(
@@ -17,7 +18,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for clients in [1usize, 2, 4, 8] {
-        let o = run_unified(clients, 40, 0.5, 1000 + clients as u64);
+        let o = run::<InfoGramClient>(clients, 40, 0.5, 1000 + clients as u64);
         rows.push(outcome_row(&format!("unified, {clients} clients"), &o));
     }
     table(&OUTCOME_HEADER, &rows);

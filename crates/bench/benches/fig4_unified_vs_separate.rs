@@ -7,8 +7,9 @@
 //! quantitative — connection count, handshake work, and bytes on the
 //! wire — and that it costs nothing in latency or throughput.
 
-use infogram_bench::mixed::{run_baseline, run_unified};
+use infogram_bench::mixed::run;
 use infogram_bench::{banner, fmt_ratio, fmt_secs, table};
+use infogram_client::{DualClient, InfoGramClient};
 
 fn main() {
     banner(
@@ -25,8 +26,8 @@ fn main() {
     let mut rows = Vec::new();
     for p_info in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
         let seed = 9000 + (p_info * 100.0) as u64;
-        let base = run_baseline(CLIENTS, REQUESTS, p_info, seed);
-        let uni = run_unified(CLIENTS, REQUESTS, p_info, seed);
+        let base = run::<DualClient>(CLIENTS, REQUESTS, p_info, seed);
+        let uni = run::<InfoGramClient>(CLIENTS, REQUESTS, p_info, seed);
         rows.push(vec![
             format!("{:.0}%", p_info * 100.0),
             base.connections.to_string(),

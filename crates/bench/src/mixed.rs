@@ -3,18 +3,21 @@
 //! A closed-loop population of clients issues a stream of requests, each
 //! an information query with probability `p_info` and a small job
 //! submission otherwise — the traffic of §4's "simple production Grid".
-//! The same workload runs against the two worlds:
+//! The same workload runs against the two worlds, one [`run`] per
+//! client type:
 //!
 //! * **baseline** — separate GRAM + MDS: every client opens two
-//!   connections and speaks two protocols;
-//! * **unified** — one InfoGram service: one connection, one protocol.
+//!   connections and speaks two protocols ([`DualClient`]);
+//! * **unified** — one InfoGram service: one connection, one protocol
+//!   ([`InfoGramClient`]).
 //!
 //! Connections, messages, and bytes come from the in-memory network's
 //! accounting; latencies are wall-clock per request.
 
 use crate::Summary;
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram_sim::workload::MixedWorkload;
+use infogram_client::{DualClient, InfoGramClient};
+use infogram_sim::workload::{MixedWorkload, RequestKind};
 use infogram_sim::SplitMix64;
 use std::time::{Duration, Instant};
 
@@ -38,138 +41,105 @@ pub struct MixedOutcome {
 /// visible next to execution time.
 const JOB_RSL: &str = "(executable=simwork)(arguments=5)";
 
-/// Run the workload against the baseline world (Figure 2).
-pub fn run_baseline(
-    clients: usize,
-    requests_per_client: usize,
-    p_info: f64,
-    seed: u64,
-) -> MixedOutcome {
-    let sandbox = Sandbox::start_with(SandboxConfig {
-        with_baseline: true,
-        seed,
-        ..Default::default()
-    });
-    // with_baseline is set four lines up, so both servers exist.
-    #[allow(clippy::unwrap_used)]
-    let gram_addr = sandbox.baseline_gram.as_ref().unwrap().addr().to_string();
-    #[allow(clippy::unwrap_used)]
-    let mds_addr = sandbox.baseline_mds.as_ref().unwrap().addr().to_string();
-
-    let before_conns = sandbox.net.metrics().counter_value("net.connections");
-    let before_msgs = sandbox.net.metrics().counter_value("net.messages");
-    let before_bytes = sandbox.net.metrics().counter_value("net.bytes");
-    let t0 = Instant::now();
-
-    let mut threads = Vec::new();
-    for c in 0..clients {
-        let net = sandbox.net.clone();
-        let user = sandbox.user.clone();
-        let roots = sandbox.roots.clone();
-        let clock = sandbox.clock.clone();
-        let gram_addr = gram_addr.clone();
-        let mds_addr = mds_addr.clone();
-        threads.push(std::thread::spawn(move || {
-            let mut dual = infogram_client::DualClient::connect(
-                &net, &gram_addr, &mds_addr, &user, &roots, clock,
-            )
-            .expect("dual connect");
-            let mut workload = MixedWorkload::new(p_info, seed ^ (c as u64 + 1));
-            let mut rng = SplitMix64::new(seed ^ 0xc11e ^ c as u64);
-            let mut latencies = Vec::with_capacity(requests_per_client);
-            for _ in 0..requests_per_client {
-                let t = Instant::now();
-                match workload.next_kind() {
-                    infogram_sim::workload::RequestKind::InfoQuery => {
-                        let kw = *rng.pick(&["CPULoad", "Memory", "CPU"]);
-                        dual.info(kw).expect("mds info");
-                    }
-                    infogram_sim::workload::RequestKind::JobSubmit => {
-                        let h = dual.submit(JOB_RSL, false).expect("submit");
-                        dual.wait_terminal(&h, Duration::from_millis(2), Duration::from_secs(10))
-                            .expect("terminal");
-                    }
-                }
-                latencies.push(t.elapsed());
-            }
-            latencies
-        }));
-    }
-    let mut all: Vec<Duration> = Vec::new();
-    for t in threads {
-        all.extend(t.join().expect("client thread"));
-    }
-    let wall = t0.elapsed();
-    let outcome = MixedOutcome {
-        connections: sandbox.net.metrics().counter_value("net.connections") - before_conns,
-        messages: sandbox.net.metrics().counter_value("net.messages") - before_msgs,
-        bytes: sandbox.net.metrics().counter_value("net.bytes") - before_bytes,
-        latency: Summary::from_durations(&all),
-        requests: all.len() as u64,
-        wall,
-    };
-    sandbox.shutdown();
-    outcome
+/// A world's client, as the workload drives it: how it connects and how
+/// it issues each kind of request.
+pub trait WorldClient: Sized {
+    /// Whether the world is the baseline's separate GRAM and MDS.
+    const BASELINE: bool;
+    /// Open one client to the sandbox's world.
+    fn connect(sandbox: &Sandbox) -> Self;
+    /// One information query.
+    fn info(&mut self, keyword: &str);
+    /// Submit the workload's small job and wait until it finishes.
+    fn job(&mut self);
 }
 
-/// Run the workload against the unified world (Figure 3).
-pub fn run_unified(
+/// Figure 2: two connections, two protocols.
+impl WorldClient for DualClient {
+    const BASELINE: bool = true;
+    fn connect(sandbox: &Sandbox) -> Self {
+        sandbox.connect_dual_client()
+    }
+    fn info(&mut self, keyword: &str) {
+        DualClient::info(self, keyword).expect("mds info");
+    }
+    fn job(&mut self) {
+        let h = self.submit(JOB_RSL, false).expect("submit");
+        self.wait_terminal(&h, Duration::from_millis(2), Duration::from_secs(10))
+            .expect("terminal");
+    }
+}
+
+/// Figure 3: one connection, one protocol.
+impl WorldClient for InfoGramClient {
+    const BASELINE: bool = false;
+    fn connect(sandbox: &Sandbox) -> Self {
+        sandbox.connect_client()
+    }
+    fn info(&mut self, keyword: &str) {
+        InfoGramClient::info(self, keyword).expect("info");
+    }
+    fn job(&mut self) {
+        let h = self.submit(JOB_RSL, false).expect("submit");
+        self.wait_terminal(&h, Duration::from_millis(2), Duration::from_secs(10))
+            .expect("terminal");
+    }
+}
+
+/// Run the workload against the world `C` is a client of.
+pub fn run<C: WorldClient>(
     clients: usize,
     requests_per_client: usize,
     p_info: f64,
     seed: u64,
 ) -> MixedOutcome {
     let sandbox = Sandbox::start_with(SandboxConfig {
+        with_baseline: C::BASELINE,
         seed,
         ..Default::default()
     });
-    let before_conns = sandbox.net.metrics().counter_value("net.connections");
-    let before_msgs = sandbox.net.metrics().counter_value("net.messages");
-    let before_bytes = sandbox.net.metrics().counter_value("net.bytes");
+    let counters = || {
+        ["net.connections", "net.messages", "net.bytes"]
+            .map(|c| sandbox.net.metrics().counter_value(c))
+    };
+    let before = counters();
     let t0 = Instant::now();
 
-    let mut threads = Vec::new();
-    for c in 0..clients {
-        let net = sandbox.net.clone();
-        let addr = sandbox.addr().to_string();
-        let user = sandbox.user.clone();
-        let roots = sandbox.roots.clone();
-        let clock = sandbox.clock.clone();
-        threads.push(std::thread::spawn(move || {
-            let mut client =
-                infogram_client::InfoGramClient::connect(&net, &addr, &user, &roots, clock)
-                    .expect("connect");
-            let mut workload = MixedWorkload::new(p_info, seed ^ (c as u64 + 1));
-            let mut rng = SplitMix64::new(seed ^ 0xc11e ^ c as u64);
-            let mut latencies = Vec::with_capacity(requests_per_client);
-            for _ in 0..requests_per_client {
-                let t = Instant::now();
-                match workload.next_kind() {
-                    infogram_sim::workload::RequestKind::InfoQuery => {
-                        let kw = *rng.pick(&["CPULoad", "Memory", "CPU"]);
-                        client.info(kw).expect("info");
+    let all: Vec<Duration> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..clients)
+            .map(|c| {
+                let sandbox = &sandbox;
+                scope.spawn(move || {
+                    let mut client = C::connect(sandbox);
+                    let mut workload = MixedWorkload::new(p_info, seed ^ (c as u64 + 1));
+                    let mut rng = SplitMix64::new(seed ^ 0xc11e ^ c as u64);
+                    let mut latencies = Vec::with_capacity(requests_per_client);
+                    for _ in 0..requests_per_client {
+                        let t = Instant::now();
+                        match workload.next_kind() {
+                            RequestKind::InfoQuery => {
+                                let kw = *rng.pick(&["CPULoad", "Memory", "CPU"]);
+                                client.info(kw)
+                            }
+                            RequestKind::JobSubmit => client.job(),
+                        }
+                        latencies.push(t.elapsed());
                     }
-                    infogram_sim::workload::RequestKind::JobSubmit => {
-                        let h = client.submit(JOB_RSL, false).expect("submit");
-                        client
-                            .wait_terminal(&h, Duration::from_millis(2), Duration::from_secs(10))
-                            .expect("terminal");
-                    }
-                }
-                latencies.push(t.elapsed());
-            }
-            latencies
-        }));
-    }
-    let mut all: Vec<Duration> = Vec::new();
-    for t in threads {
-        all.extend(t.join().expect("client thread"));
-    }
+                    latencies
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("client thread"))
+            .collect()
+    });
     let wall = t0.elapsed();
+    let after = counters();
     let outcome = MixedOutcome {
-        connections: sandbox.net.metrics().counter_value("net.connections") - before_conns,
-        messages: sandbox.net.metrics().counter_value("net.messages") - before_msgs,
-        bytes: sandbox.net.metrics().counter_value("net.bytes") - before_bytes,
+        connections: after[0] - before[0],
+        messages: after[1] - before[1],
+        bytes: after[2] - before[2],
         latency: Summary::from_durations(&all),
         requests: all.len() as u64,
         wall,

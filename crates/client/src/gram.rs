@@ -2,16 +2,16 @@
 //!
 //! Connects, runs the GSI handshake, and then speaks the request/reply
 //! protocol. Asynchronous job events (registered with `callback=true` at
-//! submit) may arrive interleaved with replies; they are buffered and
-//! retrievable with [`GramClient::next_event`] / [`GramClient::wait_event`].
-//! Subscription update frames (`(action=subscribe)`) interleave the same
-//! way and are buffered for [`GramClient::next_update`] /
-//! [`GramClient::wait_update`].
+//! submit) and subscription frames (`(action=subscribe)`) may arrive
+//! interleaved with replies and with each other. One reader takes every
+//! frame off the connection and queues each by kind: events for
+//! [`GramClient::next_event`] / [`GramClient::wait_event`], subscription
+//! frames for [`InfoGramClient`](crate::InfoGramClient), which owns the
+//! subscription.
 
 use infogram_gsi::{
     wire_client_finish, wire_client_hello, Certificate, Credential, SecurityContext,
 };
-use infogram_proto::delta::RecordDelta;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::{JobStateCode, Reply, Request};
 use infogram_proto::transport::{Conn, ProtoError, Transport};
@@ -93,15 +93,35 @@ impl From<ProtoError> for ClientError {
     }
 }
 
+/// The error for a frame that does not answer what was asked: the
+/// service's own error, or a protocol error naming the frame.
+pub(crate) fn unexpected(reply: Reply) -> ClientError {
+    match reply {
+        Reply::Error { code, message } => ClientError::Server { code, message },
+        other => ClientError::Protocol(format!("unexpected reply {other:?}")),
+    }
+}
+
+/// The kinds of frame a session reads, as [`GramClient::read`] sorts them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Want {
+    /// The reply to the request in flight: any frame not of the two
+    /// kinds below.
+    Reply,
+    /// A job event (`callback=true`).
+    Event,
+    /// A subscription frame: an `Update` batch or a `SubEnd`.
+    Push,
+}
+
 /// A connected, authenticated GRAM-protocol session.
 pub struct GramClient {
     conn: Box<dyn Conn>,
     context: SecurityContext,
     clock: SharedClock,
     events: VecDeque<(JobHandle, JobStateCode)>,
-    /// Buffered subscription frames: `Update` batches and unsolicited
-    /// `SubEnd` evictions that arrived interleaved with replies.
-    pushes: VecDeque<Reply>,
+    /// Queued subscription frames: `Update` batches and `SubEnd`s.
+    pub(crate) pushes: VecDeque<Reply>,
     requests_sent: u64,
 }
 
@@ -169,32 +189,51 @@ impl GramClient {
         self.requests_sent
     }
 
-    /// Issue one request, buffering any events or subscription frames
+    /// Issue one request, queueing any events or subscription frames
     /// that arrive before the reply.
     pub fn request(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        self.request_inner(request, false)
+        self.send(request)?;
+        self.read(Want::Reply)
     }
 
-    /// `expect_subend` distinguishes the one request whose *reply* is a
-    /// `SubEnd` (unsubscribe) from an unsolicited eviction notice, which
-    /// is buffered like any push frame.
-    fn request_inner(
-        &mut self,
-        request: &Request,
-        expect_subend: bool,
-    ) -> Result<Reply, ClientError> {
+    /// Send a request without waiting for its reply.
+    pub(crate) fn send(&mut self, request: &Request) -> Result<(), ClientError> {
         self.conn.send(&request.encode())?;
         self.requests_sent += 1;
+        Ok(())
+    }
+
+    /// The one reader of the connection: the next frame of kind `want`,
+    /// taken from its queue if one is waiting there. Every Event and push
+    /// frame read on the way is queued by kind, so none is lost to a
+    /// caller waiting for another kind. Any other frame answers the
+    /// request in flight and is returned whatever `want` is.
+    pub(crate) fn read(&mut self, want: Want) -> Result<Reply, ClientError> {
+        let queued = match want {
+            Want::Reply => None,
+            Want::Event => self
+                .events
+                .pop_front()
+                .map(|(handle, state)| Reply::Event { handle, state }),
+            Want::Push => self.pushes.pop_front(),
+        };
+        if let Some(frame) = queued {
+            return Ok(frame);
+        }
         loop {
-            let bytes = self.conn.recv()?;
-            match Reply::decode(&bytes) {
-                Ok(Reply::Event { handle, state }) => {
-                    self.events.push_back((handle, state));
-                }
-                Ok(push @ Reply::Update { .. }) => self.pushes.push_back(push),
-                Ok(push @ Reply::SubEnd { .. }) if !expect_subend => self.pushes.push_back(push),
-                Ok(reply) => return Ok(reply),
-                Err(e) => return Err(ClientError::Protocol(e.to_string())),
+            let frame = Reply::decode(&self.conn.recv()?)
+                .map_err(|e| ClientError::Protocol(e.to_string()))?;
+            let kind = match frame {
+                Reply::Event { .. } => Want::Event,
+                Reply::Update { .. } | Reply::SubEnd { .. } => Want::Push,
+                _ => return Ok(frame),
+            };
+            if kind == want {
+                return Ok(frame);
+            }
+            match frame {
+                Reply::Event { handle, state } => self.events.push_back((handle, state)),
+                push => self.pushes.push_back(push),
             }
         }
     }
@@ -206,8 +245,7 @@ impl GramClient {
             callback,
         })? {
             Reply::JobAccepted { handle } => Ok(handle),
-            Reply::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -225,8 +263,7 @@ impl GramClient {
                 output,
                 ..
             } => Ok((state, exit_code, output)),
-            Reply::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -236,8 +273,7 @@ impl GramClient {
             handle: handle.clone(),
         })? {
             Reply::JobStatus { .. } => Ok(()),
-            Reply::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -245,7 +281,7 @@ impl GramClient {
     pub fn ping(&mut self) -> Result<(), ClientError> {
         match self.request(&Request::Ping)? {
             Reply::Pong => Ok(()),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -277,99 +313,18 @@ impl GramClient {
     /// Block until an event arrives (callback delivery, §2: "through
     /// event notification to the client through the GRAM Service").
     pub fn wait_event(&mut self) -> Result<(JobHandle, JobStateCode), ClientError> {
-        if let Some(ev) = self.events.pop_front() {
-            return Ok(ev);
-        }
-        let bytes = self.conn.recv()?;
-        match Reply::decode(&bytes) {
-            Ok(Reply::Event { handle, state }) => Ok((handle, state)),
-            Ok(other) => Err(ClientError::Protocol(format!(
-                "expected event, got {other:?}"
-            ))),
-            Err(e) => Err(ClientError::Protocol(e.to_string())),
-        }
-    }
-
-    /// Open a persistent query over the listed keywords:
-    /// `(action=subscribe)(info=K)...`. Returns the server-assigned
-    /// subscription id and the number of keyword channels joined.
-    pub fn subscribe(&mut self, keywords: &[&str]) -> Result<(u64, u32), ClientError> {
-        let rsl: String = keywords
-            .iter()
-            .fold("(action=subscribe)".to_string(), |mut acc, k| {
-                acc.push_str(&format!("(info={k})"));
-                acc
-            });
-        match self.request(&Request::Submit {
-            rsl,
-            callback: false,
-        })? {
-            Reply::Subscribed { id, count } => Ok((id, count)),
-            Reply::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// Close a subscription opened on this session.
-    pub fn unsubscribe(&mut self, id: u64) -> Result<(), ClientError> {
-        match self.request_inner(
-            &Request::Submit {
-                rsl: format!("(action=unsubscribe)(subscription={id})"),
-                callback: false,
-            },
-            true,
-        )? {
-            Reply::SubEnd { .. } => Ok(()),
-            Reply::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// Pop an already-buffered update batch, if any (non-blocking). A
-    /// buffered eviction notice surfaces as
-    /// [`ClientError::SubscriptionEnded`].
-    pub fn next_update(&mut self) -> Option<Result<(u64, Vec<RecordDelta>), ClientError>> {
-        match self.pushes.pop_front() {
-            Some(Reply::Update { id, deltas }) => Some(Ok((id, deltas))),
-            Some(Reply::SubEnd { id, code, message }) => {
-                Some(Err(ClientError::SubscriptionEnded { id, code, message }))
-            }
-            Some(other) => Some(Err(ClientError::Protocol(format!(
-                "unexpected buffered frame {other:?}"
-            )))),
-            None => None,
-        }
-    }
-
-    /// Block until the next update batch arrives on any subscription.
-    /// An eviction notice surfaces as
-    /// [`ClientError::SubscriptionEnded`]; job events arriving meanwhile
-    /// are buffered as usual.
-    pub fn wait_update(&mut self) -> Result<(u64, Vec<RecordDelta>), ClientError> {
-        loop {
-            if let Some(res) = self.next_update() {
-                return res;
-            }
-            let bytes = self.conn.recv()?;
-            match Reply::decode(&bytes) {
-                Ok(push @ (Reply::Update { .. } | Reply::SubEnd { .. })) => {
-                    self.pushes.push_back(push)
-                }
-                Ok(Reply::Event { handle, state }) => self.events.push_back((handle, state)),
-                Ok(other) => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected update, got {other:?}"
-                    )))
-                }
-                Err(e) => return Err(ClientError::Protocol(e.to_string())),
-            }
+        match self.read(Want::Event)? {
+            Reply::Event { handle, state } => Ok((handle, state)),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Fault injection: drop the underlying connection so every later
     /// operation fails with a transport error, exactly as a crashed
     /// link would look from this side. The server observes the hangup
-    /// through its own `recv` failing. Used by reconnect tests.
+    /// through its own `recv` failing. Used by reconnect tests, and by
+    /// [`InfoGramClient`](crate::InfoGramClient) to drop a failed session
+    /// before it resubscribes.
     pub fn sever(&mut self) {
         struct Severed;
         impl Conn for Severed {

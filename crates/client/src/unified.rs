@@ -4,7 +4,7 @@
 //! of jobs" (§6.6): both travel as submits over the same authenticated
 //! connection. [`QueryBuilder`] assembles the xRSL extension tags.
 
-use crate::gram::{ClientError, GramClient};
+use crate::gram::{unexpected, ClientError, GramClient, Want};
 use infogram_gsi::{Certificate, Credential};
 use infogram_proto::delta::RecordDelta;
 use infogram_proto::handle::JobHandle;
@@ -12,7 +12,7 @@ use infogram_proto::message::{codes, JobStateCode, Reply, Request};
 use infogram_proto::record::InfoRecord;
 use infogram_proto::render::{dsml, ldif, xml};
 use infogram_proto::transport::Transport;
-use infogram_rsl::{OutputFormat, ResponseMode};
+use infogram_rsl::{OutputFormat, ResponseMode, XrslRequest};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::SplitMix64;
 use std::collections::HashMap;
@@ -198,12 +198,13 @@ pub struct SubUpdate {
     pub deltas: Vec<RecordDelta>,
 }
 
-/// Client-side state of the one tracked push subscription: per-keyword
-/// last-applied version and snapshot, for delta application and
-/// missed-update detection.
+/// Client-side state of the one tracked push subscription: its request
+/// text, its id, and per-keyword last-applied version and snapshot, for
+/// delta application and missed-update detection.
 struct SubState {
     id: u64,
-    keywords: Vec<String>,
+    /// The `(action=subscribe)(info=K)…` text, sent again to resubscribe.
+    rsl: String,
     /// Lowercased keyword → (last applied version, full record).
     snapshots: HashMap<String, (u64, InfoRecord)>,
 }
@@ -212,28 +213,18 @@ impl SubState {
     /// Apply one received batch: verify version contiguity per keyword
     /// (the service bumps each channel's version by exactly one per
     /// push, so `prev + 1` is the only acceptable compact successor),
-    /// then fold each delta into the running snapshot.
+    /// then fold each delta into the running snapshot. A compact delta
+    /// with no snapshot to fold into is refused by `RecordDelta::apply`.
     fn apply(&mut self, deltas: Vec<RecordDelta>) -> Result<SubUpdate, ClientError> {
         let mut records = Vec::with_capacity(deltas.len());
         for d in &deltas {
             let key = d.keyword.to_ascii_lowercase();
             let prev = self.snapshots.get(&key);
-            if !d.full {
-                match prev {
-                    Some((v, _)) if v + 1 == d.version => {}
-                    Some((v, _)) => {
-                        return Err(ClientError::Protocol(format!(
-                            "missed update on '{}': have version {v}, received {}",
-                            d.keyword, d.version
-                        )))
-                    }
-                    None => {
-                        return Err(ClientError::Protocol(format!(
-                            "compact delta for '{}' without a prior snapshot",
-                            d.keyword
-                        )))
-                    }
-                }
+            if let Some((v, _)) = prev.filter(|(v, _)| !d.full && v + 1 != d.version) {
+                return Err(ClientError::Protocol(format!(
+                    "missed update on '{}': have version {v}, received {}",
+                    d.keyword, d.version
+                )));
             }
             let rec = d
                 .apply(prev.map(|(_, r)| r))
@@ -324,15 +315,13 @@ impl InfoGramClient {
     /// failures and sleeping out breaker-open rejections. Without
     /// [`InfoGramClient::connect_with_retry`] this is a plain request.
     fn request_resilient(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        if self.reconnect.is_none() {
-            return self.gram.request(request);
-        }
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
             let outcome = self.gram.request(request);
-            // lint:allow(unwrap) — reconnect checked Some on entry and is never cleared
-            let st = self.reconnect.as_mut().expect("reconnect state present");
+            let Some(st) = self.reconnect.as_mut() else {
+                return outcome;
+            };
             match outcome {
                 Err(ClientError::Transport(_)) if attempt < RETRY_ATTEMPTS => {
                     let delay = st.backoff(attempt);
@@ -414,10 +403,24 @@ impl InfoGramClient {
     /// Issue a raw xRSL information query. Queries are idempotent, so a
     /// retry policy (see [`InfoGramClient::connect_with_retry`]) applies
     /// here — unlike job submission, which is never replayed.
+    ///
+    /// The reply is parsed in the format the service's own xRSL parser
+    /// reads from `rsl`. A text that parser refuses is still sent: the
+    /// service answers it with `BAD_RSL`.
     pub fn query_rsl(&mut self, rsl: &str) -> Result<QueryResult, ClientError> {
-        let format = detect_format(rsl);
+        let format = XrslRequest::from_text(rsl).map_or(OutputFormat::Ldif, |r| r.format);
+        self.fetch(rsl.to_string(), format)
+    }
+
+    /// Issue a built query.
+    pub fn query(&mut self, builder: &QueryBuilder) -> Result<QueryResult, ClientError> {
+        self.fetch(builder.to_rsl(), builder.format.unwrap_or_default())
+    }
+
+    /// Send an information query and parse its reply as `format`.
+    fn fetch(&mut self, rsl: String, format: OutputFormat) -> Result<QueryResult, ClientError> {
         match self.request_resilient(&Request::Submit {
-            rsl: rsl.to_string(),
+            rsl,
             callback: false,
         })? {
             Reply::InfoResult { body, record_count } => {
@@ -433,14 +436,8 @@ impl InfoGramClient {
                     record_count,
                 })
             }
-            Reply::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
-    }
-
-    /// Issue a built query.
-    pub fn query(&mut self, builder: &QueryBuilder) -> Result<QueryResult, ClientError> {
-        self.query_rsl(&builder.to_rsl())
     }
 
     /// Convenience: fetch one keyword with defaults.
@@ -461,25 +458,53 @@ impl InfoGramClient {
     /// server-assigned subscription id. One subscription is tracked per
     /// client; subscribing again replaces it.
     pub fn subscribe(&mut self, keywords: &[&str]) -> Result<u64, ClientError> {
-        if let Some(old) = self.subscription.take() {
-            // Replace: close the previous stream first (best effort —
-            // the server also reaps it at connection teardown).
-            let _ = self.gram.unsubscribe(old.id);
-        }
-        let (id, _count) = self.gram.subscribe(keywords)?;
+        // Replace: close the previous stream first (best effort — the
+        // server also reaps it at connection teardown).
+        let _ = self.unsubscribe();
+        let rsl = keywords
+            .iter()
+            .fold("(action=subscribe)".to_string(), |mut acc, k| {
+                let _ = write!(acc, "(info={k})");
+                acc
+            });
+        let id = self.open(&rsl)?;
         self.subscription = Some(SubState {
             id,
-            keywords: keywords.iter().map(|k| k.to_string()).collect(),
+            rsl,
             snapshots: HashMap::new(),
         });
         Ok(id)
     }
 
-    /// Close the tracked subscription.
+    /// Send a subscribe text and return the id the service assigned.
+    fn open(&mut self, rsl: &str) -> Result<u64, ClientError> {
+        match self.request_resilient(&Request::Submit {
+            rsl: rsl.to_string(),
+            callback: false,
+        })? {
+            Reply::Subscribed { id, .. } => Ok(id),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Close the tracked subscription. Its reply is a `SubEnd`, so it is
+    /// read as a push frame: frames of the closing stream that precede
+    /// it are dropped, and an eviction notice that crossed the request
+    /// ends the wait the same way.
     pub fn unsubscribe(&mut self) -> Result<(), ClientError> {
-        match self.subscription.take() {
-            Some(sub) => self.gram.unsubscribe(sub.id),
-            None => Ok(()),
+        let Some(sub) = self.subscription.take() else {
+            return Ok(());
+        };
+        self.gram.send(&Request::Submit {
+            rsl: format!("(action=unsubscribe)(subscription={})", sub.id),
+            callback: false,
+        })?;
+        loop {
+            match self.gram.read(Want::Push)? {
+                Reply::SubEnd { id, .. } if id == sub.id => return Ok(()),
+                Reply::Update { .. } | Reply::SubEnd { .. } => {}
+                other => return Err(unexpected(other)),
+            }
         }
     }
 
@@ -492,7 +517,8 @@ impl InfoGramClient {
     /// Block until the next update batch on the tracked subscription,
     /// with deltas applied into full records and per-keyword version
     /// contiguity verified (a gap is a protocol error — the delivery
-    /// pipeline promises none).
+    /// pipeline promises none). Job events arriving meanwhile stay
+    /// queued for [`InfoGramClient::wait_event`].
     ///
     /// With a retry policy, a dropped connection transparently
     /// reconnects *and resubscribes*: the fresh subscription starts
@@ -500,100 +526,61 @@ impl InfoGramClient {
     /// client observes no gap across the reconnect.
     pub fn wait_update(&mut self) -> Result<SubUpdate, ClientError> {
         loop {
-            if self.subscription.is_none() {
+            let Some(sub) = &self.subscription else {
                 return Err(ClientError::Protocol(
                     "no subscription open on this client".to_string(),
                 ));
-            }
-            match self.gram.wait_update() {
-                Ok((id, deltas)) => {
-                    // lint:allow(unwrap) — checked Some at loop entry
-                    let sub = self.subscription.as_mut().expect("subscription present");
-                    if id != sub.id {
-                        // A frame from a pre-reconnect incarnation of
-                        // the stream; the fresh full snapshot follows.
-                        continue;
+            };
+            match self.gram.read(Want::Push) {
+                Ok(frame) => {
+                    if let Some(out) = self.on_push(frame) {
+                        return out;
                     }
-                    return sub.apply(deltas);
                 }
-                Err(ClientError::SubscriptionEnded { id, code, message }) => {
-                    if self.subscription.as_ref().is_some_and(|s| s.id == id) {
-                        self.subscription = None;
+                Err(ClientError::Transport(_)) if self.reconnect.is_some() => {
+                    // Drop the failed session, so `open`'s retry
+                    // reconnects before it resubscribes. The fresh
+                    // stream opens with full snapshots, so delta
+                    // application restarts cleanly.
+                    let rsl = sub.rsl.clone();
+                    self.gram.sever();
+                    let id = self.open(&rsl)?;
+                    if let Some(sub) = &mut self.subscription {
+                        sub.id = id;
+                        sub.snapshots.clear();
                     }
-                    return Err(ClientError::SubscriptionEnded { id, code, message });
-                }
-                Err(ClientError::Transport(e)) => {
-                    if self.reconnect.is_none() {
-                        return Err(ClientError::Transport(e));
-                    }
-                    self.resubscribe()?;
                 }
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// Pop an already-buffered update on the tracked subscription, if
+    /// Pop an already-queued update on the tracked subscription, if
     /// any (non-blocking).
     pub fn next_update(&mut self) -> Option<Result<SubUpdate, ClientError>> {
-        loop {
-            match self.gram.next_update()? {
-                Ok((id, deltas)) => {
-                    let sub = self.subscription.as_mut()?;
-                    if id != sub.id {
-                        continue;
-                    }
-                    return Some(sub.apply(deltas));
-                }
-                Err(ClientError::SubscriptionEnded { id, code, message }) => {
-                    if self.subscription.as_ref().is_some_and(|s| s.id == id) {
-                        self.subscription = None;
-                    }
-                    return Some(Err(ClientError::SubscriptionEnded { id, code, message }));
-                }
-                Err(e) => return Some(Err(e)),
+        while let Some(frame) = self.gram.pushes.pop_front() {
+            if let Some(out) = self.on_push(frame) {
+                return Some(out);
             }
         }
+        None
     }
 
-    /// Re-establish the session after a drop and re-issue the tracked
-    /// subscription. Snapshot state is cleared: the fresh stream opens
-    /// with full snapshots, so delta application restarts cleanly.
-    fn resubscribe(&mut self) -> Result<(), ClientError> {
-        // lint:allow(unwrap) — caller checked reconnect.is_some()
-        let st = self.reconnect.as_mut().expect("reconnect state present");
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            let delay = st.backoff(attempt);
-            st.clock.sleep(delay);
-            match GramClient::connect(
-                &*st.transport,
-                &st.addr,
-                &st.credential,
-                &st.trust_roots,
-                st.clock.clone(),
-            ) {
-                Ok(gram) => {
-                    st.reconnects += 1;
-                    self.gram = gram;
-                    break;
-                }
-                Err(ClientError::Transport(_)) if attempt < RETRY_ATTEMPTS => {}
-                Err(e) => return Err(e),
+    /// One subscription frame: `None` for a frame of a stream this client
+    /// no longer tracks (a pre-reconnect incarnation, or a replaced
+    /// subscription). A `SubEnd` of the tracked stream clears it.
+    fn on_push(&mut self, frame: Reply) -> Option<Result<SubUpdate, ClientError>> {
+        match frame {
+            Reply::Update { id, deltas } => {
+                let sub = self.subscription.as_mut().filter(|s| s.id == id)?;
+                Some(sub.apply(deltas))
             }
+            Reply::SubEnd { id, code, message } => {
+                self.subscription.take_if(|s| s.id == id)?;
+                Some(Err(ClientError::SubscriptionEnded { id, code, message }))
+            }
+            other => Some(Err(unexpected(other))),
         }
-        let keywords = match &self.subscription {
-            Some(sub) => sub.keywords.clone(),
-            None => return Ok(()),
-        };
-        let kws: Vec<&str> = keywords.iter().map(|k| k.as_str()).collect();
-        let (id, _count) = self.gram.subscribe(&kws)?;
-        // lint:allow(unwrap) — checked Some just above
-        let sub = self.subscription.as_mut().expect("subscription present");
-        sub.id = id;
-        sub.snapshots.clear();
-        Ok(())
     }
 
     /// Requests issued on this session.
@@ -613,20 +600,6 @@ fn parse_retry_after(message: &str) -> Option<Duration> {
     let rest = message.split("retry-after-ms=").nth(1)?;
     let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
     digits.parse::<u64>().ok().map(Duration::from_millis)
-}
-
-/// The client knows which format it asked for; mirror the service-side
-/// default (LDIF).
-fn detect_format(rsl: &str) -> OutputFormat {
-    if rsl.contains("(format=xml)") {
-        OutputFormat::Xml
-    } else if rsl.contains("(format=dsml)") {
-        OutputFormat::Dsml
-    } else if rsl.contains("(format=plain)") {
-        OutputFormat::Plain
-    } else {
-        OutputFormat::Ldif
-    }
 }
 
 #[cfg(test)]
@@ -659,14 +632,6 @@ mod tests {
     #[test]
     fn builder_defaults_are_empty() {
         assert_eq!(QueryBuilder::new().keyword("cpu").to_rsl(), "(info=cpu)");
-    }
-
-    #[test]
-    fn format_detection() {
-        assert_eq!(detect_format("(info=x)"), OutputFormat::Ldif);
-        assert_eq!(detect_format("(info=x)(format=xml)"), OutputFormat::Xml);
-        assert_eq!(detect_format("(info=x)(format=plain)"), OutputFormat::Plain);
-        assert_eq!(detect_format("(info=x)(format=dsml)"), OutputFormat::Dsml);
     }
 
     #[test]

@@ -85,29 +85,6 @@ pub enum WalEvent {
     Checkpoint(Box<CheckpointState>),
 }
 
-fn state_str(s: JobStateCode) -> &'static str {
-    match s {
-        JobStateCode::Pending => "PENDING",
-        JobStateCode::Active => "ACTIVE",
-        JobStateCode::Suspended => "SUSPENDED",
-        JobStateCode::Done => "DONE",
-        JobStateCode::Failed => "FAILED",
-        JobStateCode::Canceled => "CANCELED",
-    }
-}
-
-fn parse_state(s: &str) -> Option<JobStateCode> {
-    Some(match s {
-        "PENDING" => JobStateCode::Pending,
-        "ACTIVE" => JobStateCode::Active,
-        "SUSPENDED" => JobStateCode::Suspended,
-        "DONE" => JobStateCode::Done,
-        "FAILED" => JobStateCode::Failed,
-        "CANCELED" => JobStateCode::Canceled,
-        _ => return None,
-    })
-}
-
 /// A free-form field, written escaped so it can never collide with the
 /// record separator or a line break: `%` → `%25`, `\x1f` → `%1F`, `\n` →
 /// `%0A`, `\r` → `%0D`. Owner DNs, accounts, keywords and RSL text all
@@ -179,7 +156,7 @@ impl WalEvent {
                 )
             }
             WalEvent::StateChanged { job_id, state } => {
-                format!("STATE{SEP}{job_id}{SEP}{}", state_str(*state))
+                format!("STATE{SEP}{job_id}{SEP}{state}")
             }
             WalEvent::InfoQueried {
                 owner,
@@ -197,8 +174,7 @@ impl WalEvent {
                 exit_code,
                 wall_seconds,
             } => format!(
-                "FINISH{SEP}{job_id}{SEP}{}{SEP}{}{SEP}{wall_seconds:.3}",
-                state_str(*state),
+                "FINISH{SEP}{job_id}{SEP}{state}{SEP}{}{SEP}{wall_seconds:.3}",
                 exit_code.map(|c| c.to_string()).unwrap_or_default()
             ),
             WalEvent::Checkpoint(ck) => ck.encode(),
@@ -227,7 +203,7 @@ impl WalEvent {
             }),
             ["STATE", job_id, state] => Some(WalEvent::StateChanged {
                 job_id: job_id.parse().ok()?,
-                state: parse_state(state)?,
+                state: JobStateCode::from_name(state)?,
             }),
             ["INFOQ", owner, account, keywords] => Some(WalEvent::InfoQueried {
                 owner: unesc(owner)?.into_owned(),
@@ -236,7 +212,7 @@ impl WalEvent {
             }),
             ["FINISH", job_id, state, exit, wall] => Some(WalEvent::Finished {
                 job_id: job_id.parse().ok()?,
-                state: parse_state(state)?,
+                state: JobStateCode::from_name(state)?,
                 exit_code: if exit.is_empty() {
                     None
                 } else {
@@ -280,8 +256,8 @@ impl CheckpointState {
             )?;
             match j.finished {
                 None => write!(out, "-{SEP}-"),
-                Some((s, None)) => write!(out, "{}{SEP}-", state_str(s)),
-                Some((s, Some(exit))) => write!(out, "{}{SEP}{exit}", state_str(s)),
+                Some((s, None)) => write!(out, "{s}{SEP}-"),
+                Some((s, Some(exit))) => write!(out, "{s}{SEP}{exit}"),
             }?;
         }
         for (name, u) in &self.accounts {
@@ -327,7 +303,7 @@ impl CheckpointState {
             let principal = names.intern(&owner, &unesc(it.next()?)?);
             let state = match it.next()? {
                 "-" => None,
-                state => Some(parse_state(state)?),
+                state => Some(JobStateCode::from_name(state)?),
             };
             let finished = match (state, it.next()?) {
                 (None, _) => None,

@@ -38,6 +38,7 @@
 //!
 //! [`SystemInformation`]: crate::entry::SystemInformation
 
+use infogram_sim::rng::fnv1a;
 use infogram_sim::{SimTime, SplitMix64};
 use parking_lot::{lock_class, Mutex};
 use std::time::Duration;
@@ -122,16 +123,6 @@ struct Inner {
 #[derive(Debug)]
 pub struct Supervisor {
     inner: Mutex<Inner>,
-}
-
-/// FNV-1a over the keyword: a stable, platform-independent jitter seed.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 impl Supervisor {

@@ -119,15 +119,8 @@ impl JobStateCode {
 
     /// Parse the display name back into a state (`"DONE"` → `Done`).
     pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "PENDING" => JobStateCode::Pending,
-            "ACTIVE" => JobStateCode::Active,
-            "SUSPENDED" => JobStateCode::Suspended,
-            "DONE" => JobStateCode::Done,
-            "FAILED" => JobStateCode::Failed,
-            "CANCELED" => JobStateCode::Canceled,
-            _ => return None,
-        })
+        let code = STATE_NAMES.iter().position(|name| *name == s)?;
+        Self::from_u8(code as u8)
     }
 
     fn from_u8(v: u8) -> Option<Self> {
@@ -143,17 +136,21 @@ impl JobStateCode {
     }
 }
 
+/// The one spelling of each job state, indexed by its wire code: the
+/// `Display` form, [`JobStateCode::from_name`]'s input and the job log's
+/// state field.
+const STATE_NAMES: [&str; 6] = [
+    "PENDING",
+    "ACTIVE",
+    "SUSPENDED",
+    "DONE",
+    "FAILED",
+    "CANCELED",
+];
+
 impl std::fmt::Display for JobStateCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            JobStateCode::Pending => "PENDING",
-            JobStateCode::Active => "ACTIVE",
-            JobStateCode::Suspended => "SUSPENDED",
-            JobStateCode::Done => "DONE",
-            JobStateCode::Failed => "FAILED",
-            JobStateCode::Canceled => "CANCELED",
-        };
-        write!(f, "{s}")
+        f.write_str(STATE_NAMES[self.to_u8() as usize])
     }
 }
 

@@ -24,7 +24,7 @@
 //! between provider calls cannot perturb any stream, and a storm
 //! replays byte for byte under either clock and the model checker.
 
-use crate::rng::SplitMix64;
+use crate::rng::{fnv1a, SplitMix64};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -121,17 +121,6 @@ impl Default for Storm {
             fsync_fail_p: 0.02,
         }
     }
-}
-
-/// FNV-1a over the target name: a stable, platform-independent stream
-/// discriminator mixed into the storm seed.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// A deterministic, shareable fault plan. See the [module docs](self).

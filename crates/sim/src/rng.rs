@@ -7,6 +7,17 @@
 
 use std::f64::consts::PI;
 
+/// FNV-1a over a name: a stable, platform-independent seed discriminator,
+/// so a stream derived from a name replays the same on every machine.
+pub fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for b in s.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
 /// The SplitMix64 generator (Steele, Lea, Flood 2014).
 ///
 /// Tiny state, passes BigCrush, and — unlike `rand::thread_rng` — trivially

@@ -33,8 +33,8 @@
 //!
 //! // A self-contained in-process grid: one host, one InfoGram service,
 //! // one authenticated client.
-//! let mut sandbox = Sandbox::start();
-//! let client = sandbox.client();
+//! let sandbox = Sandbox::start();
+//! let mut client = sandbox.connect_client();
 //!
 //! // Information query — one of Table 1's keywords:
 //! let result = client.info("Memory").unwrap();

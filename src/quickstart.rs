@@ -246,13 +246,6 @@ impl Sandbox {
         self.service.addr()
     }
 
-    /// A fresh authenticated unified client.
-    pub fn client(&mut self) -> &'static mut InfoGramClient {
-        // Convenience for doctests: leak one client. Long-running code
-        // should use `connect_client`.
-        Box::leak(Box::new(self.connect_client()))
-    }
-
     /// Connect an owned unified client.
     pub fn connect_client(&self) -> InfoGramClient {
         InfoGramClient::connect(

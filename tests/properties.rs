@@ -409,7 +409,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The render direction is the client's request builder (see
-    /// `GramClient::subscribe`): fold keywords into
+    /// `InfoGramClient::subscribe`): fold keywords into
     /// `(action=subscribe)(info=k)…`. Parsing must recover the action
     /// and the exact selector list, in order.
     #[test]

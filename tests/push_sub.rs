@@ -11,13 +11,16 @@
 //!   encode/decode round trip,
 //! * transparently resubscribes after a severed connection with no
 //!   version gap,
+//! * interleaves job Events and subscription Updates on one connection
+//!   without either wait losing the other's frames,
 //! * is refused a TTL-0 keyword, which nothing would ever push, and
 //! * survives an 8-thread subscribe/unsubscribe storm with the hub
 //!   draining back to zero.
 
+use infogram::info::config::ServiceConfig;
 use infogram::proto::message::codes;
 use infogram::proto::record::InfoRecord;
-use infogram::quickstart::Sandbox;
+use infogram::quickstart::{Sandbox, SandboxConfig};
 use infogram_client::{ClientError, InfoGramClient};
 use std::sync::{Arc, Barrier};
 
@@ -239,6 +242,56 @@ fn resubscribe_after_reconnect_shows_no_gap() {
     // And it keeps flowing: contiguity from the snapshot onward.
     let next = client.wait_update().expect("stream continues");
     assert_eq!(next.id, resubscribed);
+    sandbox.shutdown();
+}
+
+/// Job Events and subscription Updates share one connection, and
+/// neither wait loses the other's frames: the injected Update reaches
+/// the wire while `wait_event` waits for the job, and the next
+/// `wait_update` still returns it.
+#[test]
+fn an_update_that_arrives_during_wait_event_is_kept() {
+    // With a ten-minute TTL and a warm cache, Memory's first scheduled
+    // refresh is minutes away, so the injected record is the channel's
+    // only push.
+    let sandbox = Sandbox::start_with(SandboxConfig {
+        config: ServiceConfig::parse("600000 Memory /sbin/sysinfo.exe -mem").expect("config"),
+        ..Default::default()
+    });
+    let mut client = sandbox.connect_client();
+    client.info("Memory").expect("cache warmed");
+    client.subscribe(&["Memory"]).expect("subscribe accepted");
+    let handle = client
+        .submit("(executable=simwork)(arguments=300)", true)
+        .expect("job accepted");
+
+    let mut injected = InfoRecord::new("Memory", "probe");
+    injected.push("Memory:probe", "injected");
+    sandbox
+        .service
+        .subscriptions()
+        .notify_record("Memory", injected);
+
+    // The job runs for 300 ms, so the Update is on the wire before the
+    // job's terminal Event.
+    loop {
+        let (h, state) = client.wait_event().expect("the job's Event");
+        assert_eq!(h.job_id, handle.job_id);
+        if state.is_terminal() {
+            break;
+        }
+    }
+
+    let update = client.wait_update().expect("the Update was kept");
+    assert_eq!(update.deltas[0].version, 1);
+    assert_eq!(
+        update.records[0]
+            .get("Memory:probe")
+            .expect("the injected record")
+            .value,
+        "injected"
+    );
+    assert!(client.next_update().is_none(), "delivered exactly once");
     sandbox.shutdown();
 }
 

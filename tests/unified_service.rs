@@ -51,6 +51,44 @@ fn info_query_all_formats_over_the_wire() {
     sandbox.shutdown();
 }
 
+/// The client parses a reply in the format the service's own xRSL
+/// parser reads from the text, so every spelling of `format=xml` that
+/// the service accepts parses back to the same record.
+#[test]
+fn every_spelling_of_a_format_parses_back() {
+    let sandbox = Sandbox::start();
+    let mut client = sandbox.connect_client();
+    let pairs = |r: &infogram::proto::record::InfoRecord| -> Vec<(String, String)> {
+        r.attributes
+            .iter()
+            .map(|a| (a.name.clone(), a.value.clone()))
+            .collect()
+    };
+
+    let reference = client.query_rsl("(info=Memory)(format=xml)").unwrap();
+    assert_eq!(reference.records.len(), 1);
+    for text in [
+        "(info=Memory)(Format=xml)",
+        "(info=Memory)(format=\"xml\")",
+        "&(info=Memory) (format = xml)",
+    ] {
+        let result = client.query_rsl(text).unwrap();
+        assert!(
+            result.body.starts_with("<infogram>"),
+            "{text}: {}",
+            result.body
+        );
+        assert_eq!(result.record_count, 1, "{text}");
+        assert_eq!(result.records.len(), 1, "{text}");
+        assert_eq!(
+            pairs(&result.records[0]),
+            pairs(&reference.records[0]),
+            "{text}"
+        );
+    }
+    sandbox.shutdown();
+}
+
 #[test]
 fn concatenated_info_tags_like_the_paper() {
     // §6.6: "(info=memory)(info=cpu)"
