@@ -3,8 +3,7 @@
 
 use infogram_bench::{banner, fmt_secs, table};
 use infogram_gsi::{
-    authenticate, Authorizer, CertificateAuthority, Contract, Credential, Dn, GridMap,
-    SubjectMatch, Window,
+    authenticate, Authorizer, CertificateAuthority, Contract, Credential, Dn, GridMap, Window,
 };
 use infogram_sim::{SimTime, SplitMix64};
 use std::time::{Duration, Instant};
@@ -79,7 +78,7 @@ fn authorization_matrix() {
     let authorizer = Authorizer::with_contracts(
         gridmap,
         vec![Contract::new(
-            SubjectMatch::Exact(alice.clone()),
+            alice.clone(),
             "cluster",
             vec![Window::daily_hours(15, 16)],
         )],

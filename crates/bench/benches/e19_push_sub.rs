@@ -26,7 +26,6 @@ use infogram_proto::message::Reply;
 use infogram_proto::record::InfoRecord;
 use infogram_rsl::XrslRequest;
 use infogram_sim::metrics::MetricSet;
-use infogram_sim::ManualClock;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -140,8 +139,7 @@ fn main() {
          own subscribers, keeping p99 per-subscriber delivery under 100us",
     );
 
-    let clock = ManualClock::new();
-    let hub = SubscriptionHub::new(clock, HOST, MetricSet::new());
+    let hub = SubscriptionHub::new(HOST, MetricSet::new());
 
     // --- enrolment: `population` sinks, round-robin across keywords ---
     let mut sinks: Vec<Arc<CountingSink>> = Vec::with_capacity(population);

@@ -11,7 +11,7 @@
 use infogram_bench::{banner, fmt_secs, manual_world_with_config, table};
 use infogram_info::config::ServiceConfig;
 use infogram_info::entry::SystemInformation;
-use infogram_info::provider::{RuntimeFacet, RuntimeProvider};
+use infogram_info::provider::RuntimeProvider;
 use infogram_info::quality::DegradationFn;
 use infogram_info::service::QueryOptions;
 use infogram_rsl::InfoSelector;
@@ -32,11 +32,7 @@ fn run(degradation: DegradationFn, threshold: Option<f64>) -> Outcome {
     let config = ServiceConfig::parse("600000 Unused true\n").expect("config");
     let w = manual_world_with_config(99, &config);
     let si = SystemInformation::new(
-        Box::new(RuntimeProvider::new(
-            "CPULoad",
-            Arc::clone(&w.host),
-            RuntimeFacet::Load,
-        )),
+        Box::new(RuntimeProvider::new("CPULoad", Arc::clone(&w.host))),
         w.clock.clone(),
         Duration::from_secs(600),
         degradation,

@@ -14,6 +14,7 @@ use infogram_mds::dit::Scope;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::JobStateCode;
 use infogram_proto::record::InfoRecord;
+use infogram_proto::render::ldif;
 use infogram_proto::transport::Transport;
 use infogram_sim::clock::SharedClock;
 use std::time::Duration;
@@ -113,10 +114,7 @@ impl DualClient {
                 }
                 // Undo the LDAP-safe renaming: `Memory-total` →
                 // `Memory:total`.
-                let name = match k.strip_prefix(&format!("{keyword}-")) {
-                    Some(rest) => format!("{keyword}:{rest}"),
-                    None => k.clone(),
-                };
+                let name = ldif::restore_name(k, &keyword);
                 rec.attributes
                     .push(infogram_proto::record::Attribute::new(&name, v));
             }

@@ -277,14 +277,6 @@ impl GramClient {
         }
     }
 
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.request(&Request::Ping)? {
-            Reply::Pong => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// Poll until the job reaches a terminal state or `deadline` passes.
     pub fn wait_terminal(
         &mut self,

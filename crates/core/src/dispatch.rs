@@ -59,7 +59,7 @@ impl InfoGramDispatcher {
     /// account.
     pub fn new(engine: Arc<JobEngine>, info: Arc<InformationService>) -> Arc<Self> {
         let t = engine.metrics().clone();
-        let hub = SubscriptionHub::new(engine.clock().clone(), info.hostname(), t.clone());
+        let hub = SubscriptionHub::new(info.hostname(), t.clone());
         {
             let hub = Arc::clone(&hub);
             engine.on_state_change(move |handle, state, account| {

@@ -16,8 +16,8 @@
 use crate::sandbox::{run_jarlet, ExecMode, Jarlet, Policy};
 use infogram_host::commands::CommandRegistry;
 use infogram_host::machine::SimulatedHost;
-use infogram_host::process::{ExitStatus, Pid, ProcState};
-use infogram_host::queue::{BatchJob, BatchQueue, JobOutcome, QueueJobId};
+use infogram_host::process::{ExitStatus, ProcState};
+use infogram_host::queue::{BatchJob, BatchQueue, JobOutcome};
 use infogram_rsl::JobRequest;
 use std::sync::Arc;
 
@@ -44,14 +44,11 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// A handle to whatever the backend is running.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BackendJobRef {
-    /// Simulated host processes (fork and jarlet backends).
-    Processes(Vec<Pid>),
-    /// Batch queue entries.
-    QueueJobs(Vec<QueueJobId>),
-}
+/// A handle to whatever the backend is running, one id per instance:
+/// host process ids (fork and jarlet backends) or batch queue entries
+/// (queue backend). A job keeps the backend that issued its ref, so a
+/// backend only ever sees its own kind of id.
+pub type BackendJobRef = Vec<u64>;
 
 /// Backend-level job status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +68,6 @@ pub enum BackendStatus {
 
 /// A local scheduler the job manager can drive.
 pub trait ExecBackend: Send + Sync {
-    /// Scheduler name for logs and schema.
-    fn name(&self) -> &str;
     /// Start a job; returns the backend ref and the job's (eventual)
     /// captured output.
     fn submit(
@@ -81,13 +76,13 @@ pub trait ExecBackend: Send + Sync {
         account: &str,
     ) -> Result<(BackendJobRef, String), BackendError>;
     /// Poll current status.
-    fn poll(&self, job_ref: &BackendJobRef) -> BackendStatus;
+    fn poll(&self, job_ref: &[u64]) -> BackendStatus;
     /// Cancel; true if anything was actually stopped.
-    fn cancel(&self, job_ref: &BackendJobRef) -> bool;
+    fn cancel(&self, job_ref: &[u64]) -> bool;
     /// The job behind `job_ref` is terminal and its outcome recorded:
     /// forget it. The engine calls this wherever a ref stops being
     /// polled; the ref must not be used afterwards.
-    fn release(&self, job_ref: &BackendJobRef);
+    fn release(&self, job_ref: &[u64]);
 }
 
 fn command_line(job: &JobRequest) -> String {
@@ -99,15 +94,19 @@ fn command_line(job: &JobRequest) -> String {
 }
 
 /// Reap the processes of a released job (fork and jarlet backends).
-fn release_processes(host: &SimulatedHost, job_ref: &BackendJobRef) {
-    if let BackendJobRef::Processes(pids) = job_ref {
-        for &pid in pids {
-            host.processes.remove(pid);
-        }
+fn release_processes(host: &SimulatedHost, pids: &[u64]) {
+    for &pid in pids {
+        host.processes.remove(pid);
     }
 }
 
-fn poll_processes(host: &SimulatedHost, pids: &[Pid]) -> BackendStatus {
+/// Kill the processes of a job with `signal`; true if any was running.
+fn kill_processes(host: &SimulatedHost, pids: &[u64], signal: i32) -> bool {
+    pids.iter()
+        .fold(false, |any, &pid| host.processes.kill(pid, signal) | any)
+}
+
+fn poll_processes(host: &SimulatedHost, pids: &[u64]) -> BackendStatus {
     let mut exit = 0;
     let mut any_running = false;
     let mut any_canceled = false;
@@ -152,18 +151,9 @@ impl ForkBackend {
     pub fn new(registry: Arc<CommandRegistry>) -> Arc<Self> {
         Arc::new(ForkBackend { registry })
     }
-
-    /// The host processes run on.
-    pub fn host(&self) -> &Arc<SimulatedHost> {
-        self.registry.host()
-    }
 }
 
 impl ExecBackend for ForkBackend {
-    fn name(&self) -> &str {
-        "fork"
-    }
-
     fn submit(
         &self,
         job: &JobRequest,
@@ -175,68 +165,39 @@ impl ExecBackend for ForkBackend {
             .plan(&cmdline)
             .map_err(|e| BackendError::UnknownExecutable(e.to_string()))?;
         let host = self.registry.host();
-        let pids: Vec<Pid> = (0..job.count)
-            .map(|_| {
-                host.processes
-                    .spawn(&cmdline, planned.cost, planned.exit_code)
-            })
+        let pids = (0..job.count)
+            .map(|_| host.processes.spawn(planned.cost, planned.exit_code))
             .collect();
-        Ok((BackendJobRef::Processes(pids), planned.stdout))
+        Ok((pids, planned.stdout))
     }
 
-    fn poll(&self, job_ref: &BackendJobRef) -> BackendStatus {
-        match job_ref {
-            BackendJobRef::Processes(pids) => poll_processes(self.registry.host(), pids),
-            _ => BackendStatus::Canceled,
-        }
+    fn poll(&self, pids: &[u64]) -> BackendStatus {
+        poll_processes(self.registry.host(), pids)
     }
 
-    fn cancel(&self, job_ref: &BackendJobRef) -> bool {
-        match job_ref {
-            BackendJobRef::Processes(pids) => {
-                let host = self.registry.host();
-                let mut any = false;
-                for &pid in pids {
-                    any |= host.processes.kill(pid, 15);
-                }
-                any
-            }
-            _ => false,
-        }
+    fn cancel(&self, pids: &[u64]) -> bool {
+        kill_processes(self.registry.host(), pids, 15)
     }
 
-    fn release(&self, job_ref: &BackendJobRef) {
-        release_processes(self.registry.host(), job_ref);
+    fn release(&self, pids: &[u64]) {
+        release_processes(self.registry.host(), pids);
     }
 }
 
 /// Batch-queue backend over any pool (FIFO, fair-share, or matchmaker).
 pub struct QueueBackend {
-    queue_name: String,
     queue: Arc<BatchQueue>,
     registry: Arc<CommandRegistry>,
 }
 
 impl QueueBackend {
-    /// A backend named `queue_name` feeding `queue`.
-    pub fn new(
-        queue_name: &str,
-        queue: Arc<BatchQueue>,
-        registry: Arc<CommandRegistry>,
-    ) -> Arc<Self> {
-        Arc::new(QueueBackend {
-            queue_name: queue_name.to_string(),
-            queue,
-            registry,
-        })
+    /// A backend feeding `queue`.
+    pub fn new(queue: Arc<BatchQueue>, registry: Arc<CommandRegistry>) -> Arc<Self> {
+        Arc::new(QueueBackend { queue, registry })
     }
 }
 
 impl ExecBackend for QueueBackend {
-    fn name(&self) -> &str {
-        &self.queue_name
-    }
-
     fn submit(
         &self,
         job: &JobRequest,
@@ -256,13 +217,10 @@ impl ExecBackend for QueueBackend {
             }
             ids.push(self.queue.submit(batch_job));
         }
-        Ok((BackendJobRef::QueueJobs(ids), planned.stdout))
+        Ok((ids, planned.stdout))
     }
 
-    fn poll(&self, job_ref: &BackendJobRef) -> BackendStatus {
-        let BackendJobRef::QueueJobs(ids) = job_ref else {
-            return BackendStatus::Canceled;
-        };
+    fn poll(&self, ids: &[u64]) -> BackendStatus {
         let mut exit = 0;
         let mut any_pending = false;
         let mut any_active = false;
@@ -292,24 +250,14 @@ impl ExecBackend for QueueBackend {
         }
     }
 
-    fn cancel(&self, job_ref: &BackendJobRef) -> bool {
-        match job_ref {
-            BackendJobRef::QueueJobs(ids) => {
-                let mut any = false;
-                for id in ids {
-                    any |= self.queue.cancel(*id);
-                }
-                any
-            }
-            _ => false,
-        }
+    fn cancel(&self, ids: &[u64]) -> bool {
+        ids.iter()
+            .fold(false, |any, &id| self.queue.cancel(id) | any)
     }
 
-    fn release(&self, job_ref: &BackendJobRef) {
-        if let BackendJobRef::QueueJobs(ids) = job_ref {
-            for id in ids {
-                self.queue.forget(*id);
-            }
+    fn release(&self, ids: &[u64]) {
+        for &id in ids {
+            self.queue.forget(id);
         }
     }
 }
@@ -328,18 +276,9 @@ impl JarletBackend {
     pub fn new(host: Arc<SimulatedHost>, policy: Policy, mode: ExecMode) -> Arc<Self> {
         Arc::new(JarletBackend { host, policy, mode })
     }
-
-    /// The configured execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
 }
 
 impl ExecBackend for JarletBackend {
-    fn name(&self) -> &str {
-        "jarlet-sandbox"
-    }
-
     fn submit(
         &self,
         job: &JobRequest,
@@ -368,36 +307,23 @@ impl ExecBackend for JarletBackend {
         }
         // Model the job's duration as a process entry so status polling
         // sees it Active while it "runs".
-        let pid = self.host.processes.spawn(
-            &format!("jarlet:{}", job.executable),
-            outcome.runtime,
-            outcome.exit_code,
-        );
-        Ok((BackendJobRef::Processes(vec![pid]), output))
+        let pid = self
+            .host
+            .processes
+            .spawn(outcome.runtime, outcome.exit_code);
+        Ok((vec![pid], output))
     }
 
-    fn poll(&self, job_ref: &BackendJobRef) -> BackendStatus {
-        match job_ref {
-            BackendJobRef::Processes(pids) => poll_processes(&self.host, pids),
-            _ => BackendStatus::Canceled,
-        }
+    fn poll(&self, pids: &[u64]) -> BackendStatus {
+        poll_processes(&self.host, pids)
     }
 
-    fn cancel(&self, job_ref: &BackendJobRef) -> bool {
-        match job_ref {
-            BackendJobRef::Processes(pids) => {
-                let mut any = false;
-                for &pid in pids {
-                    any |= self.host.processes.kill(pid, 9);
-                }
-                any
-            }
-            _ => false,
-        }
+    fn cancel(&self, pids: &[u64]) -> bool {
+        kill_processes(&self.host, pids, 9)
     }
 
-    fn release(&self, job_ref: &BackendJobRef) {
-        release_processes(&self.host, job_ref);
+    fn release(&self, pids: &[u64]) {
+        release_processes(&self.host, pids);
     }
 }
 
@@ -444,10 +370,7 @@ mod tests {
                 "alice",
             )
             .unwrap();
-        match &r {
-            BackendJobRef::Processes(pids) => assert_eq!(pids.len(), 4),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(r.len(), 4);
         assert_eq!(reg.host().processes.running_count(), 4);
         clock.advance(Duration::from_millis(100));
         assert_eq!(backend.poll(&r), BackendStatus::Finished { exit_code: 0 });
@@ -490,7 +413,7 @@ mod tests {
     fn queue_backend_pending_then_active() {
         let (clock, reg) = world();
         let queue = Arc::new(BatchQueue::fifo(clock.clone(), 1));
-        let backend = QueueBackend::new("pbs", Arc::clone(&queue), reg);
+        let backend = QueueBackend::new(Arc::clone(&queue), reg);
         let (a, _) = backend
             .submit(&job("(executable=simwork)(arguments=1000)"), "alice")
             .unwrap();
@@ -514,7 +437,7 @@ mod tests {
             clock.clone(),
             vec![MachineAd::new("m1", &[("os", "linux")])],
         ));
-        let backend = QueueBackend::new("condor", pool, reg);
+        let backend = QueueBackend::new(pool, reg);
         let matching =
             job("&(executable=simwork)(arguments=100)(jobtype=batch)(requirements=(os linux))");
         let impossible =
@@ -532,7 +455,7 @@ mod tests {
     fn queue_cancel() {
         let (clock, reg) = world();
         let queue = Arc::new(BatchQueue::fifo(clock.clone(), 1));
-        let backend = QueueBackend::new("pbs", queue, reg);
+        let backend = QueueBackend::new(queue, reg);
         let (a, _) = backend
             .submit(&job("(executable=simwork)(arguments=5000)"), "a")
             .unwrap();
@@ -574,12 +497,8 @@ mod tests {
                 vec![MachineAd::new("m1", &[])],
             )),
         ];
-        let ids = |r: &BackendJobRef| match r {
-            BackendJobRef::QueueJobs(ids) => ids.clone(),
-            other => panic!("{other:?}"),
-        };
         for queue in queues {
-            let backend = QueueBackend::new("q", Arc::clone(&queue), Arc::clone(&reg));
+            let backend = QueueBackend::new(Arc::clone(&queue), Arc::clone(&reg));
             let spec = job("(executable=simwork)(arguments=1000)");
             let (a, _) = backend.submit(&spec, "alice").unwrap();
             let (b, _) = backend.submit(&spec, "alice").unwrap();
@@ -597,7 +516,7 @@ mod tests {
             let usage = fair.usage_of("alice");
             backend.release(&a);
             backend.release(&c);
-            for id in ids(&a).into_iter().chain(ids(&c)) {
+            for &id in a.iter().chain(&c) {
                 assert_eq!(queue.poll(id), None);
             }
             assert_eq!(fair.usage_of("alice"), usage);

@@ -1070,7 +1070,6 @@ mod tests {
         engine.add_queue(
             "pbs",
             QueueBackend::new(
-                "pbs",
                 Arc::new(BatchQueue::fifo(clock.clone(), 2)),
                 Arc::clone(&registry),
             ),
@@ -1427,7 +1426,7 @@ mod tests {
 
         let first = world_on(open());
         let queue = Arc::new(BatchQueue::fifo(first.clock.clone(), 2));
-        let backend = QueueBackend::new("q", queue, Arc::clone(&first.registry));
+        let backend = QueueBackend::new(queue, Arc::clone(&first.registry));
         first.engine.add_queue("q", backend);
         let rsl = "&(executable=simwork)(arguments=60000)(jobtype=batch)(queue=q)";
         let id = submit(&first, rsl).job_id;

@@ -84,14 +84,6 @@ impl Dn {
         &self.rdns
     }
 
-    /// The leaf-most common name, if the last RDN is a `CN`.
-    pub fn common_name(&self) -> Option<&str> {
-        self.rdns
-            .last()
-            .filter(|(a, _)| a.eq_ignore_ascii_case("CN"))
-            .map(|(_, v)| v.as_str())
-    }
-
     /// A child DN with one extra RDN appended — how proxy certificates
     /// extend their signer's identity (`.../CN=proxy`).
     pub fn child(&self, attr: &str, value: &str) -> Dn {
@@ -160,7 +152,7 @@ mod tests {
         let s = "/O=Grid/OU=ANL/CN=Gregor von Laszewski";
         let dn = Dn::parse(s).unwrap();
         assert_eq!(dn.to_string(), s);
-        assert_eq!(dn.common_name(), Some("Gregor von Laszewski"));
+        assert_eq!(dn.rdns()[2], ("CN".into(), "Gregor von Laszewski".into()));
         assert_eq!(dn.rdns().len(), 3);
     }
 
@@ -207,12 +199,12 @@ mod tests {
     #[test]
     fn whitespace_trimmed() {
         let dn = Dn::parse("  /O=Grid/CN= Spacey Name ").unwrap();
-        assert_eq!(dn.common_name(), Some("Spacey Name"));
+        assert_eq!(dn.rdns()[1], ("CN".into(), "Spacey Name".into()));
     }
 
     #[test]
     fn fromstr_works() {
         let dn: Dn = "/O=Grid/CN=Z".parse().unwrap();
-        assert_eq!(dn.common_name(), Some("Z"));
+        assert_eq!(dn.rdns()[1], ("CN".into(), "Z".into()));
     }
 }

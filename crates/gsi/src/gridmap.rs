@@ -97,24 +97,6 @@ impl GridMap {
             .map(|v| v[0].as_str())
     }
 
-    /// All permitted local accounts for a DN.
-    pub fn accounts(&self, dn: &Dn) -> Option<&[String]> {
-        self.entries
-            .get(dn)
-            .or_else(|| self.entries.get(&dn.base_identity()))
-            .map(|v| v.as_slice())
-    }
-
-    /// Number of mapped identities.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the map has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Render back to the file format (sorted by DN for determinism).
     pub fn render(&self) -> String {
         let mut lines: Vec<String> = self
@@ -144,7 +126,7 @@ mod tests {
     #[test]
     fn parse_sample() {
         let map = GridMap::parse(SAMPLE).unwrap();
-        assert_eq!(map.len(), 3);
+        assert_eq!(map.entries.len(), 3);
         let dn = Dn::user("Grid", "ANL", "Gregor von Laszewski");
         assert_eq!(map.lookup(&dn), Some("gregor"));
     }
@@ -154,7 +136,7 @@ mod tests {
         let map = GridMap::parse(SAMPLE).unwrap();
         let dn = Dn::user("Grid", "ANL", "Jarek Gawor");
         assert_eq!(map.lookup(&dn), Some("gawor"));
-        assert_eq!(map.accounts(&dn).unwrap().len(), 2);
+        assert_eq!(map.entries[&dn], ["gawor", "globus"]);
     }
 
     #[test]
@@ -193,7 +175,7 @@ mod tests {
         let map = GridMap::parse(SAMPLE).unwrap();
         let rendered = map.render();
         let reparsed = GridMap::parse(&rendered).unwrap();
-        assert_eq!(reparsed.len(), map.len());
+        assert_eq!(reparsed.entries, map.entries);
         let dn = Dn::user("Grid", "ISI", "Carl Kesselman");
         assert_eq!(reparsed.lookup(&dn), Some("carl"));
     }
@@ -201,7 +183,7 @@ mod tests {
     #[test]
     fn programmatic_add() {
         let mut map = GridMap::new();
-        assert!(map.is_empty());
+        assert!(map.entries.is_empty());
         map.add(Dn::user("Grid", "DLR", "Andreas Schreiber"), &["andreas"]);
         assert_eq!(
             map.lookup(&Dn::user("Grid", "DLR", "Andreas Schreiber")),

@@ -39,7 +39,7 @@ pub use cert::{
     verify_chain, CertError, CertType, Certificate, CertificateAuthority, Credential, KeyPair,
     PublicKey,
 };
-pub use contract::{Contract, SubjectMatch, Window};
+pub use contract::{Contract, Window};
 pub use dn::Dn;
 pub use gridmap::GridMap;
 pub use handshake::{

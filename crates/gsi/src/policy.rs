@@ -119,7 +119,7 @@ impl Authorizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::{SubjectMatch, Window};
+    use crate::contract::Window;
 
     fn gridmap() -> GridMap {
         let mut m = GridMap::new();
@@ -157,7 +157,7 @@ mod tests {
         let a = Authorizer::with_contracts(
             gridmap(),
             vec![Contract::new(
-                SubjectMatch::Exact(gregor.clone()),
+                gregor.clone(),
                 "cluster",
                 vec![Window::daily_hours(15, 16)],
             )],

@@ -11,7 +11,6 @@
 //! TTL cache measurably beats re-executing (§5.1).
 
 use crate::machine::SimulatedHost;
-use crate::procfs;
 use infogram_sim::fault::{Fault, Plan, EXIT_HUNG, EXIT_INJECTED};
 use infogram_sim::{par, ManualClock, SplitMix64};
 use parking_lot::{Mutex, RwLock};
@@ -256,7 +255,7 @@ impl CommandRegistry {
     /// submitting thread.
     ///
     /// If the planned output contains a `__runtime_ms` pair (emitted by
-    /// `simwork`/`sleep`), that value overrides the sampled cost and is
+    /// `simwork`), that value overrides the sampled cost and is
     /// stripped from the output.
     pub fn plan(&self, command_line: &str) -> Result<CommandOutput, CommandError> {
         let tokens: Vec<&str> = command_line.split_whitespace().collect();
@@ -310,20 +309,6 @@ impl CommandRegistry {
             (format!("value: {}\n", host.date_string()), 0)
         });
 
-        self.register("hostname", fast.clone(), |host, _args| {
-            (format!("value: {}\n", host.hostname()), 0)
-        });
-
-        self.register("uname", fast.clone(), |host, args| {
-            let os = &host.config().os_name;
-            let out = if args.contains(&"-a") {
-                format!("value: {os} {} simd 1 SMP\n", host.hostname())
-            } else {
-                format!("value: {os}\n")
-            };
-            (out, 0)
-        });
-
         self.register("uptime", fast.clone(), |host, _args| {
             let (l1, l5, l15) = host.cpu.load_averages();
             (
@@ -372,7 +357,7 @@ impl CommandRegistry {
 
         // `/usr/local/bin/cpuload.exe` from Table 1: the hot, frequently
         // polled value of §5.1.
-        self.register("cpuload", medium.clone(), |host, _args| {
+        self.register("cpuload", medium, |host, _args| {
             let (l1, l5, l15) = host.cpu.load_averages();
             (
                 format!(
@@ -401,35 +386,11 @@ impl CommandRegistry {
             }
         });
 
-        self.register("cat", fast.clone(), |host, args| match args.first() {
+        self.register("cat", fast, |host, args| match args.first() {
             Some(path) => match host.fs.read_text(path) {
                 Some(text) => (text, 0),
                 None => (format!("cat: {path}: no such file\n"), 1),
             },
-            None => (String::new(), 1),
-        });
-
-        self.register("df", medium, |host, _args| {
-            (
-                format!(
-                    "total: {}\nused: {}\navailable: {}\n",
-                    host.disk.total(),
-                    host.disk.used(),
-                    host.disk.free()
-                ),
-                0,
-            )
-        });
-
-        // `proc` reads a /proc file after refreshing it from the models.
-        self.register("proc", fast, |host, args| match args.first() {
-            Some(path) => {
-                procfs::sync_procfs(host);
-                match host.fs.read_text(path) {
-                    Some(text) => (text, 0),
-                    None => (format!("proc: {path}: no such file\n"), 1),
-                }
-            }
             None => (String::new(), 1),
         });
 
@@ -452,12 +413,6 @@ impl CommandRegistry {
                 format!("__runtime_ms: {ms}\nstatus: simulated work complete\n"),
                 exit,
             )
-        });
-
-        // `sleep <seconds>` — classic job body.
-        self.register("sleep", CostModel::Fixed(Duration::ZERO), |_, args| {
-            let secs: f64 = args.first().and_then(|a| a.parse().ok()).unwrap_or(0.0);
-            (format!("__runtime_ms: {}\n", (secs * 1000.0) as u64), 0)
         });
     }
 }
@@ -593,15 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn proc_command_reads_live_loadavg() {
-        let (clock, reg) = registry();
-        clock.advance(Duration::from_secs(30));
-        let out = reg.execute("proc /proc/loadavg").unwrap();
-        assert_eq!(out.exit_code, 0);
-        assert!(crate::procfs::parse_loadavg_load1(&out.stdout).is_some());
-    }
-
-    #[test]
     fn true_false_exit_codes() {
         let (_c, reg) = registry();
         assert_eq!(reg.execute("true").unwrap().exit_code, 0);
@@ -666,13 +612,5 @@ mod tests {
         // Script exhausted: healthy again.
         assert_eq!(reg.execute("cpuload").unwrap().exit_code, 0);
         reg.clear_fault_plan();
-    }
-
-    #[test]
-    fn sleep_runtime() {
-        let (_c, reg) = registry();
-        let out = reg.plan("sleep 2.5").unwrap();
-        assert_eq!(out.cost, Duration::from_millis(2500));
-        assert_eq!(out.exit_code, 0);
     }
 }

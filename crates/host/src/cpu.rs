@@ -100,11 +100,6 @@ impl CpuLoadModel {
         self.advance_to(now, &mut st);
         (st.load1, st.load5, st.load15)
     }
-
-    /// Long-run mean the process reverts to.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
 }
 
 #[cfg(test)]

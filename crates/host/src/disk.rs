@@ -2,8 +2,8 @@
 //!
 //! Two pieces: a capacity model (for the `sysinfo -disk` style providers)
 //! and [`MemFs`], a path → contents map used for the paper's `ls
-//! /home/gregor` information provider (Table 1), for the `/proc` files, and
-//! for sandbox filesystem-policy tests.
+//! /home/gregor` information provider (Table 1), for the files `cat`
+//! reads, and for sandbox filesystem-policy tests.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;

@@ -9,8 +9,8 @@
 //! 2002 machine room with a deterministic model:
 //!
 //! * [`SimulatedHost`] — one machine: hostname, CPU count, a stochastic
-//!   CPU-load process, memory/disk models, a `/proc`-like read-only
-//!   filesystem, and a process table.
+//!   CPU-load process, memory/disk models, an in-memory filesystem, and
+//!   a process table.
 //! * [`commands`] — a registry mapping command lines to handlers with
 //!   configurable execution-cost distributions; the built-ins mirror
 //!   Table 1 of the paper.
@@ -26,7 +26,6 @@ pub mod disk;
 pub mod machine;
 pub mod memory;
 pub mod process;
-pub mod procfs;
 pub mod queue;
 
 pub use commands::{CommandError, CommandOutput, CommandRegistry, CostModel};

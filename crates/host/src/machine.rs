@@ -18,8 +18,6 @@ pub struct HostConfig {
     pub memory_total: u64,
     /// Disk capacity in bytes.
     pub disk_total: u64,
-    /// Operating system label reported by `uname`.
-    pub os_name: String,
     /// Long-run mean CPU load the stochastic process reverts to.
     pub mean_load: f64,
     /// Master seed; every sub-model forks its own stream from it.
@@ -33,7 +31,6 @@ impl Default for HostConfig {
             cpus: 4,
             memory_total: 4 << 30,
             disk_total: 64 << 30,
-            os_name: "SimLinux 2.4.18".to_string(),
             mean_load: 1.0,
             seed: 0x1f0_6ea3,
         }
@@ -41,7 +38,7 @@ impl Default for HostConfig {
 }
 
 /// One simulated machine: CPU load process, memory, disk, an in-memory
-/// filesystem (with `/proc` and a populated `/home`), and a process table.
+/// filesystem (with a populated `/home`), and a process table.
 ///
 /// Hosts are cheap to construct, deterministic for a fixed
 /// `(config.seed, clock)`, and shared via `Arc` among the services that

@@ -41,14 +41,12 @@ impl ExitStatus {
 
 #[derive(Debug, Clone)]
 struct ProcEntry {
-    started_at: SimTime,
     /// When the process will finish of its own accord.
     deadline: SimTime,
     /// Exit code it will report at the deadline.
     natural_exit: i32,
     /// Set if the process was killed or force-failed before its deadline.
     forced: Option<ExitStatus>,
-    command: String,
 }
 
 /// A table of simulated processes on one host.
@@ -78,7 +76,7 @@ impl ProcessTable {
 
     /// Spawn a process that will run for `runtime` and then exit with
     /// `exit_code`. Returns its pid.
-    pub fn spawn(&self, command: &str, runtime: Duration, exit_code: i32) -> Pid {
+    pub fn spawn(&self, runtime: Duration, exit_code: i32) -> Pid {
         let now = self.clock.now();
         let mut st = self.inner.lock();
         let pid = st.next_pid;
@@ -86,11 +84,9 @@ impl ProcessTable {
         st.procs.insert(
             pid,
             ProcEntry {
-                started_at: now,
                 deadline: now.plus(runtime),
                 natural_exit: exit_code,
                 forced: None,
-                command: command.to_string(),
             },
         );
         pid
@@ -153,20 +149,6 @@ impl ProcessTable {
         }
     }
 
-    /// Time the process has been (or was) alive.
-    pub fn runtime(&self, pid: Pid) -> Option<Duration> {
-        let now = self.clock.now();
-        let st = self.inner.lock();
-        st.procs
-            .get(&pid)
-            .map(|p| now.min(p.deadline).since(p.started_at))
-    }
-
-    /// The command line a pid was spawned with.
-    pub fn command(&self, pid: Pid) -> Option<String> {
-        self.inner.lock().procs.get(&pid).map(|p| p.command.clone())
-    }
-
     /// Number of currently running processes.
     pub fn running_count(&self) -> usize {
         let now = self.clock.now();
@@ -208,7 +190,7 @@ mod tests {
     #[test]
     fn process_runs_then_exits() {
         let (clock, t) = table();
-        let pid = t.spawn("sleep 10", Duration::from_secs(10), 0);
+        let pid = t.spawn(Duration::from_secs(10), 0);
         assert_eq!(t.state(pid), Some(ProcState::Running));
         assert_eq!(t.exit_status(pid), None);
         clock.advance(Duration::from_secs(10));
@@ -220,7 +202,7 @@ mod tests {
     #[test]
     fn nonzero_exit_code() {
         let (clock, t) = table();
-        let pid = t.spawn("false", Duration::from_secs(1), 2);
+        let pid = t.spawn(Duration::from_secs(1), 2);
         clock.advance(Duration::from_secs(1));
         assert_eq!(t.exit_status(pid), Some(ExitStatus::Code(2)));
         assert!(!t.exit_status(pid).unwrap().success());
@@ -229,14 +211,14 @@ mod tests {
     #[test]
     fn kill_running_process() {
         let (clock, t) = table();
-        let pid = t.spawn("spin", Duration::from_secs(100), 0);
+        let pid = t.spawn(Duration::from_secs(100), 0);
         assert!(t.kill(pid, 9));
         assert_eq!(t.state(pid), Some(ProcState::Exited));
         assert_eq!(t.exit_status(pid), Some(ExitStatus::Signaled(9)));
         // Killing twice fails.
         assert!(!t.kill(pid, 9));
         // Killing after natural exit fails.
-        let pid2 = t.spawn("quick", Duration::from_secs(1), 0);
+        let pid2 = t.spawn(Duration::from_secs(1), 0);
         clock.advance(Duration::from_secs(2));
         assert!(!t.kill(pid2, 15));
     }
@@ -244,7 +226,7 @@ mod tests {
     #[test]
     fn failure_injection() {
         let (_clock, t) = table();
-        let pid = t.spawn("job", Duration::from_secs(100), 0);
+        let pid = t.spawn(Duration::from_secs(100), 0);
         assert!(t.inject_failure(pid, 42));
         assert_eq!(t.exit_status(pid), Some(ExitStatus::Code(42)));
     }
@@ -258,20 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn runtime_capped_at_deadline() {
-        let (clock, t) = table();
-        let pid = t.spawn("x", Duration::from_secs(5), 0);
-        clock.advance(Duration::from_secs(3));
-        assert_eq!(t.runtime(pid), Some(Duration::from_secs(3)));
-        clock.advance(Duration::from_secs(100));
-        assert_eq!(t.runtime(pid), Some(Duration::from_secs(5)));
-    }
-
-    #[test]
     fn running_count_drops_as_processes_exit() {
         let (clock, t) = table();
-        let _a = t.spawn("a", Duration::from_secs(1), 0);
-        let _b = t.spawn("b", Duration::from_secs(10), 0);
+        let _a = t.spawn(Duration::from_secs(1), 0);
+        let _b = t.spawn(Duration::from_secs(10), 0);
         assert_eq!(t.running_count(), 2);
         clock.advance(Duration::from_secs(2));
         assert_eq!(t.running_count(), 1);
@@ -280,27 +252,25 @@ mod tests {
     #[test]
     fn a_removed_pid_is_unknown_and_never_reissued() {
         let (clock, t) = table();
-        let a = t.spawn("a", Duration::from_secs(1), 0);
-        let b = t.spawn("b", Duration::from_secs(10), 0);
+        let a = t.spawn(Duration::from_secs(1), 0);
+        let b = t.spawn(Duration::from_secs(10), 0);
         clock.advance(Duration::from_secs(2));
         t.remove(a);
         assert_eq!((t.state(a), t.exit_status(a)), (None, None));
         assert_eq!((t.len(), t.running_count()), (1, 1));
         t.remove(a);
         assert_eq!(t.state(b), Some(ProcState::Running));
-        assert!(t.spawn("c", Duration::from_secs(1), 0) > b);
+        assert!(t.spawn(Duration::from_secs(1), 0) > b);
         t.remove(b);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
     }
 
     #[test]
-    fn pids_unique_and_command_recorded() {
+    fn pids_unique() {
         let (_clock, t) = table();
-        let a = t.spawn("cmd-a", Duration::from_secs(1), 0);
-        let b = t.spawn("cmd-b", Duration::from_secs(1), 0);
+        let a = t.spawn(Duration::from_secs(1), 0);
+        let b = t.spawn(Duration::from_secs(1), 0);
         assert_ne!(a, b);
-        assert_eq!(t.command(a).unwrap(), "cmd-a");
-        assert_eq!(t.command(b).unwrap(), "cmd-b");
     }
 }

@@ -653,9 +653,9 @@ impl SystemInformation {
     /// Number of successful cache installs so far (the `generation`
     /// stamp bumped by every `update_state` that lands a fresh value).
     /// The missed-update ledger in `tests/refresh_sched.rs` balances
-    /// scheduler-reported refreshes against this counter, and the push
-    /// subscription fan-out uses the same ground truth: one generation
-    /// bump ↔ one delivered update per subscriber.
+    /// scheduler-reported refreshes against this counter. A bump from a
+    /// scheduled refresh is one delivered update per subscriber; a bump
+    /// from a query-driven refresh pushes nothing of its own.
     pub fn generation(&self) -> u64 {
         self.state.lock().generation
     }

@@ -142,33 +142,19 @@ impl InfoProvider for CommandProvider {
 }
 
 /// Case (b): query the host models directly, no exec cost — the analogue
-/// of asking the JVM for `freeMemory()`.
+/// of asking the JVM for `freeMemory()`. Reads the CPU load
+/// (instantaneous + 1/5/15-minute averages).
 pub struct RuntimeProvider {
     keyword: String,
     host: Arc<SimulatedHost>,
-    facet: RuntimeFacet,
-}
-
-/// Which runtime quantity a [`RuntimeProvider`] exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeFacet {
-    /// CPU load (instantaneous + 1/5/15-minute averages).
-    Load,
-    /// Memory totals.
-    Memory,
-    /// Disk totals.
-    Disk,
-    /// Uptime and host identity.
-    Host,
 }
 
 impl RuntimeProvider {
-    /// A runtime provider for one facet.
-    pub fn new(keyword: &str, host: Arc<SimulatedHost>, facet: RuntimeFacet) -> Self {
+    /// A CPU-load runtime provider answering for `keyword`.
+    pub fn new(keyword: &str, host: Arc<SimulatedHost>) -> Self {
         RuntimeProvider {
             keyword: keyword.to_string(),
             host,
-            facet,
         }
     }
 }
@@ -179,38 +165,18 @@ impl InfoProvider for RuntimeProvider {
     }
 
     fn produce(&self) -> Result<Vec<(String, String)>, ProviderError> {
-        let h = &self.host;
-        Ok(match self.facet {
-            RuntimeFacet::Load => {
-                let (l1, l5, l15) = h.cpu.load_averages();
-                vec![
-                    ("load".to_string(), format!("{:.4}", h.cpu.current())),
-                    ("load1".to_string(), format!("{l1:.4}")),
-                    ("load5".to_string(), format!("{l5:.4}")),
-                    ("load15".to_string(), format!("{l15:.4}")),
-                ]
-            }
-            RuntimeFacet::Memory => vec![
-                ("total".to_string(), h.memory.total().to_string()),
-                ("used".to_string(), h.memory.used().to_string()),
-                ("free".to_string(), h.memory.free().to_string()),
-            ],
-            RuntimeFacet::Disk => vec![
-                ("total".to_string(), h.disk.total().to_string()),
-                ("used".to_string(), h.disk.used().to_string()),
-                ("free".to_string(), h.disk.free().to_string()),
-            ],
-            RuntimeFacet::Host => vec![
-                ("hostname".to_string(), h.hostname().to_string()),
-                ("os".to_string(), h.config().os_name.clone()),
-                ("cpus".to_string(), h.config().cpus.to_string()),
-                ("uptime".to_string(), format!("{:.1}", h.uptime_secs())),
-            ],
-        })
+        let cpu = &self.host.cpu;
+        let (l1, l5, l15) = cpu.load_averages();
+        Ok(vec![
+            ("load".to_string(), format!("{:.4}", cpu.current())),
+            ("load1".to_string(), format!("{l1:.4}")),
+            ("load5".to_string(), format!("{l5:.4}")),
+            ("load15".to_string(), format!("{l15:.4}")),
+        ])
     }
 
     fn source(&self) -> String {
-        format!("runtime:{:?}", self.facet)
+        "runtime:Load".to_string()
     }
 }
 
@@ -345,7 +311,7 @@ mod tests {
     fn runtime_provider_load_tracks_model() {
         let (clock, host, _reg) = world();
         clock.advance(Duration::from_secs(45));
-        let p = RuntimeProvider::new("CPULoad", Arc::clone(&host), RuntimeFacet::Load);
+        let p = RuntimeProvider::new("CPULoad", Arc::clone(&host));
         let attrs = p.produce().unwrap();
         let load: f64 = attrs
             .iter()
@@ -355,17 +321,6 @@ mod tests {
             .parse()
             .unwrap();
         assert!((load - host.cpu.current()).abs() < 1e-3);
-    }
-
-    #[test]
-    fn runtime_provider_host_facet() {
-        let (_c, host, _reg) = world();
-        let p = RuntimeProvider::new("Host", host, RuntimeFacet::Host);
-        let attrs = p.produce().unwrap();
-        assert!(attrs
-            .iter()
-            .any(|(k, v)| k == "hostname" && v == "node00.grid.example.org"));
-        assert!(attrs.iter().any(|(k, _)| k == "cpus"));
     }
 
     #[test]

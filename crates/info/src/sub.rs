@@ -2,8 +2,8 @@
 //!
 //! `(action=subscribe)` registers a query that *stays open*: instead of
 //! polling, the client receives an incremental
-//! [`RecordDelta`] whenever one of
-//! its keywords refreshes or a job changes state (the condense_db
+//! [`RecordDelta`] whenever the refresh scheduler refreshes one of its
+//! keywords or a job changes state (the condense_db
 //! persistent-query shape — results stream in for as long as the query
 //! is registered). The [`SubscriptionHub`] is the index that makes the
 //! fan-out O(subscribers-of-this-keyword) instead of
@@ -24,10 +24,12 @@
 //!   outboxes turn slow consumers into
 //!   [`codes::SLOW_CONSUMER`](infogram_proto::message::codes) errors,
 //!   not unbounded buffers);
-//! * every refresh bumps the keyword version by exactly one and every
-//!   live subscriber observes it — empty deltas (refresh produced an
+//! * every push bumps the keyword version by exactly one and every live
+//!   subscriber observes it — empty deltas (refresh produced an
 //!   identical record) are still delivered so the version stream stays
-//!   contiguous and a client can *prove* it missed nothing.
+//!   contiguous and a client can *prove* it missed nothing. Only
+//!   scheduled refreshes push: a refresh a query triggers reaches
+//!   subscribers with the keyword's next scheduled refresh, not before.
 //!
 //! Job-state transitions push through the same machinery under the
 //! virtual keyword [`JOBS_KEYWORD`]: each transition becomes a tiny
@@ -41,7 +43,6 @@ use infogram_proto::delta::{encode_deltas, RecordDelta};
 use infogram_proto::message::{codes, update_frame, JobStateCode, Reply};
 use infogram_proto::record::InfoRecord;
 use infogram_proto::{JobHandle, Outbox, OutboxError};
-use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge, MetricSet};
 use parking_lot::{lock_class, Mutex};
 use std::collections::HashMap;
@@ -159,7 +160,6 @@ struct HubTelemetry {
 
 /// The subscription index. See the [module docs](self).
 pub struct SubscriptionHub {
-    clock: SharedClock,
     hostname: String,
     telemetry: HubTelemetry,
     state: Mutex<HubState>,
@@ -178,9 +178,8 @@ impl std::fmt::Debug for SubscriptionHub {
 impl SubscriptionHub {
     /// An empty hub publishing under `hostname`. `metrics` receives the
     /// `sub.*` instruments.
-    pub fn new(clock: SharedClock, hostname: &str, metrics: MetricSet) -> Arc<Self> {
+    pub fn new(hostname: &str, metrics: MetricSet) -> Arc<Self> {
         Arc::new(SubscriptionHub {
-            clock,
             hostname: hostname.to_string(),
             telemetry: HubTelemetry {
                 active: metrics.gauge("sub.active"),
@@ -439,18 +438,13 @@ impl SubscriptionHub {
         }
     }
 
-    /// Convert a cache snapshot into the record pushed to subscribers.
-    /// Values carry no per-attribute age/quality annotations (they are
+    /// Convert a scheduled refresh's snapshot into the record pushed to
+    /// subscribers. A scheduled refresh is never a stale serve, and its
+    /// values carry no per-attribute age/quality annotations (they are
     /// fresh as of the refresh; annotating with query-time age would
-    /// make every unchanged value look changed), but a stale serve
-    /// keeps its record-level degraded/stale-age marks — a degraded
-    /// value is still degraded when pushed.
+    /// make every unchanged value look changed).
     fn snapshot_record(&self, keyword: &str, snap: &Snapshot) -> InfoRecord {
         let mut rec = InfoRecord::new(keyword, &self.hostname);
-        if snap.stale {
-            rec.degraded = true;
-            rec.stale_age_secs = Some(self.clock.now().since(snap.produced_at).as_secs_f64());
-        }
         for (name, value) in snap.attributes.iter() {
             rec.push(name, value);
         }
@@ -462,7 +456,6 @@ impl SubscriptionHub {
 mod tests {
     use super::*;
     use infogram_proto::message::codes;
-    use infogram_sim::ManualClock;
 
     struct CollectingSink {
         frames: Mutex<Vec<Vec<u8>>>,
@@ -515,7 +508,7 @@ mod tests {
     }
 
     fn hub() -> Arc<SubscriptionHub> {
-        SubscriptionHub::new(ManualClock::new(), "node0.grid", MetricSet::new())
+        SubscriptionHub::new("node0.grid", MetricSet::new())
     }
 
     fn record(kw: &str, val: &str) -> InfoRecord {

@@ -29,7 +29,8 @@
 //! * **`no-caller`** — a `pub` fn, const, static, struct, enum, trait
 //!   or type in `crates/*/src` or `src/` whose name appears nowhere
 //!   outside its own definition, its own `impl` blocks, `pub use`
-//!   re-exports and its file's `#[cfg(test)]` module. Callers are
+//!   re-exports and its file's `#[cfg(test)]` module; a method counts
+//!   only calls and paths, not same-named fields. Callers are
 //!   searched in every `*.rs` file, `benchmark/` included; see
 //!   `no_caller.rs` for what counts.
 //!
@@ -654,6 +655,30 @@ mod tests {
         ]);
         let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
         assert_eq!(lines, [1, 3], "{f:?}");
+    }
+
+    #[test]
+    fn no_caller_counts_only_calls_of_a_method() {
+        let def = (
+            "crates/client/src/x.rs",
+            "pub struct C;\nimpl C {\n    pub fn probe(&self) {}\n}\n",
+        );
+        let field = (
+            "src/y.rs",
+            "struct D { probe: u8 }\nfn f(d: D, _: C) -> u8 { d.probe }\n",
+        );
+        let f = callers(&[def, field]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("pub fn probe"), "{}", f[0].message);
+        for call in [
+            "fn f(c: C) { c.probe(); }\n",
+            "fn f() { let _ = C::probe; }\n",
+        ] {
+            assert!(
+                callers(&[def, field, ("tests/t.rs", call)]).is_empty(),
+                "{call}"
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! * in a comment, doc link or string literal (masked by
 //!   [`mask_code`](crate::mask_code)).
 //!
-//! The match is by name alone, so any collision counts as a caller: the
-//! rule can miss a dead item but never flags a live one.
+//! A `pub fn` inside an `impl` block is called only as `.name(`,
+//! `.name::<` or `::name`, so a field or binding of the same name does
+//! not hide it. Any other item matches by name alone. Either way any
+//! collision counts as a caller: the rule can miss a dead item but never
+//! flags a live one.
 
 use crate::{allowed, classify, mask_code, test_region_flags, FileClass, Finding};
 use std::collections::HashMap;
@@ -29,6 +32,8 @@ struct Def<'a> {
     end: usize,
     kind: &'a str,
     name: &'a str,
+    /// A `fn` inside an `impl` block: only a call or a path reaches it.
+    method: bool,
 }
 
 /// Flag every `pub` item in `files` (`(path relative to the root,
@@ -44,6 +49,7 @@ pub(crate) fn no_caller(files: &[(PathBuf, String)]) -> Vec<Finding> {
     let mut impls: HashMap<(usize, &str), Vec<(usize, usize)>> = HashMap::new();
     for (f, (rel, _)) in files.iter().enumerate() {
         let defining = defines_items(rel);
+        let mut file_impls: Vec<(usize, usize)> = Vec::new();
         for (i, line) in lines[f].iter().enumerate() {
             if in_test[f][i] {
                 continue;
@@ -51,16 +57,19 @@ pub(crate) fn no_caller(files: &[(PathBuf, String)]) -> Vec<Finding> {
             if let Some(self_ty) = impl_self_type(line) {
                 let span = (i, item_end(&lines[f], i, true));
                 impls.entry((f, self_ty)).or_default().push(span);
+                file_impls.push(span);
             }
             if let Some((kind, name)) = defining.then(|| pub_item(line)).flatten() {
                 let braced = !matches!(kind, "const" | "static" | "type");
                 let end = item_end(&lines[f], i, braced);
+                let method = kind == "fn" && file_impls.iter().any(|&(s, e)| s < i && i <= e);
                 defs.push(Def {
                     file: f,
                     line: i,
                     end,
                     kind,
                     name,
+                    method,
                 });
             }
         }
@@ -77,13 +86,13 @@ pub(crate) fn no_caller(files: &[(PathBuf, String)]) -> Vec<Finding> {
             if reexport[i] {
                 continue;
             }
-            for tok in idents(line) {
+            for (at, tok) in idents(line) {
                 let Some(ids) = by_name.get(tok) else {
                     continue;
                 };
                 for &d in ids {
                     let def = &defs[d];
-                    if called[d] {
+                    if called[d] || (def.method && !calls_method(line, at, tok)) {
                         continue;
                     }
                     let own_file = def.file == f;
@@ -224,10 +233,19 @@ fn pub_use_flags(lines: &[&str]) -> Vec<bool> {
 }
 
 /// The identifiers on a masked line (a run of `[A-Za-z0-9_]` that does
-/// not start with a digit).
-fn idents(line: &str) -> impl Iterator<Item = &str> {
+/// not start with a digit), each with its byte offset.
+fn idents(line: &str) -> impl Iterator<Item = (usize, &str)> {
     line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| w.as_bytes().first().is_some_and(|b| !b.is_ascii_digit()))
+        .map(move |w| (w.as_ptr() as usize - line.as_ptr() as usize, w))
+        .filter(|(_, w)| w.as_bytes().first().is_some_and(|b| !b.is_ascii_digit()))
+}
+
+/// Whether `name` at byte `at` of a masked line is a method call
+/// (`.name(`, `.name::<`) or a path to it (`::name`).
+fn calls_method(line: &str, at: usize, name: &str) -> bool {
+    let (before, after) = (&line[..at], &line[at + name.len()..]);
+    before.ends_with("::")
+        || before.ends_with('.') && (after.starts_with('(') || after.starts_with("::<"))
 }
 
 fn ident_prefix(s: &str) -> &str {

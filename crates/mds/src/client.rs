@@ -6,9 +6,7 @@
 
 use crate::dit::{DirEntry, Scope};
 use crate::protocol::{entries_from_text, MdsReply, MdsRequest};
-use infogram_gsi::{
-    wire_client_finish, wire_client_hello, Certificate, Credential, SecurityContext,
-};
+use infogram_gsi::{wire_client_finish, wire_client_hello, Certificate, Credential};
 use infogram_proto::transport::{Conn, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::SplitMix64;
@@ -50,14 +48,11 @@ impl From<ProtoError> for MdsClientError {
 /// A bound MDS session.
 pub struct MdsClient {
     conn: Box<dyn Conn>,
-    context: SecurityContext,
 }
 
 impl std::fmt::Debug for MdsClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MdsClient")
-            .field("peer", &self.context.peer.to_string())
-            .finish_non_exhaustive()
+        f.debug_struct("MdsClient").finish_non_exhaustive()
     }
 }
 
@@ -76,7 +71,7 @@ impl MdsClient {
         let (hello, nonce) = wire_client_hello(credential, &mut rng);
         conn.send(&hello)?;
         let resp = conn.recv()?;
-        let (fin, context) = wire_client_finish(credential, trust_roots, &resp, nonce, now)
+        let (fin, _server) = wire_client_finish(credential, trust_roots, &resp, nonce, now)
             .map_err(|e| MdsClientError::BindFailed(e.to_string()))?;
         conn.send(&fin)?;
         // Bind ack (or error).
@@ -86,12 +81,7 @@ impl MdsClient {
             Ok(MdsReply::Error { message }) => return Err(MdsClientError::BindFailed(message)),
             Err(e) => return Err(MdsClientError::Protocol(e.to_string())),
         }
-        Ok(MdsClient { conn, context })
-    }
-
-    /// The authenticated server identity.
-    pub fn server_identity(&self) -> &SecurityContext {
-        &self.context
+        Ok(MdsClient { conn })
     }
 
     /// Issue one search.
@@ -120,7 +110,7 @@ impl MdsClient {
 mod tests {
     use super::*;
     use crate::gris::Gris;
-    use crate::service::{Directory, MdsServer};
+    use crate::service::MdsServer;
     use infogram_gsi::{CertificateAuthority, Dn};
     use infogram_host::commands::{ChargeMode, CommandRegistry};
     use infogram_host::machine::SimulatedHost;
@@ -173,7 +163,7 @@ mod tests {
         let gris = Gris::new(info);
         let net = MemNetwork::ideal();
         let server = MdsServer::start(
-            Directory::Gris(gris),
+            gris,
             &net,
             "mds.grid:2135",
             host_cred,
@@ -195,10 +185,6 @@ mod tests {
         let w = world();
         let mut client =
             MdsClient::bind(&w.net, w.server.addr(), &w.user, &w.roots, &w.clock).unwrap();
-        assert_eq!(
-            client.server_identity().peer,
-            Dn::user("Grid", "Hosts", "mds.grid")
-        );
         let entries = client.search("/o=Grid", Scope::Sub, "(kw=Memory)").unwrap();
         assert_eq!(entries.len(), 1);
         assert!(entries[0].first("Memory-total").is_some());

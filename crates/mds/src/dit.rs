@@ -96,21 +96,6 @@ impl DirectoryTree {
         before - entries.len()
     }
 
-    /// Fetch one entry.
-    pub fn get(&self, dn: &Dn) -> Option<DirEntry> {
-        self.entries.read().get(dn).cloned()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
-
     /// LDAP-style search.
     pub fn search(&self, base: &Dn, scope: Scope, filter: &Filter) -> Vec<DirEntry> {
         self.entries
@@ -183,16 +168,15 @@ mod tests {
         let t = tree();
         t.put(DirEntry::new(
             dn("/o=Grid/hn=node0"),
-            vec![("load".to_string(), "9.0".to_string())],
+            vec![
+                ("objectclass".to_string(), "host".to_string()),
+                ("load".to_string(), "9.0".to_string()),
+            ],
         ));
-        assert_eq!(
-            t.get(&dn("/o=Grid/hn=node0"))
-                .unwrap()
-                .first("load")
-                .unwrap(),
-            "9.0"
-        );
-        assert_eq!(t.len(), 5, "replace does not grow the tree");
+        let node0 = t.search(&dn("/o=Grid/hn=node0"), Scope::Base, &Filter::everything());
+        assert_eq!(node0[0].first("load").unwrap(), "9.0");
+        let all = t.search(&dn("/o=Grid"), Scope::Sub, &Filter::everything());
+        assert_eq!(all.len(), 5, "replace does not grow the tree");
     }
 
     #[test]
@@ -201,7 +185,8 @@ mod tests {
         assert!(t.remove(&dn("/o=Grid/hn=node0/kw=Memory")));
         assert!(!t.remove(&dn("/o=Grid/hn=node0/kw=Memory")));
         assert_eq!(t.remove_subtree(&dn("/o=Grid/hn=node1")), 2);
-        assert_eq!(t.len(), 2);
+        let all = t.search(&dn("/o=Grid"), Scope::Sub, &Filter::everything());
+        assert_eq!(all.len(), 2);
     }
 
     #[test]

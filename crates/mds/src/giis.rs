@@ -6,11 +6,9 @@
 //! information caching function that allows viewing and querying the
 //! information about a resource from a cache."
 //!
-//! The GIIS pulls each registered member's entries into its own tree and
-//! serves searches from that cache until the per-member TTL expires.
-//! Members are GRISes or *other GIISes* — §3's "decentralized maintenance
-//! and operation" implies the aggregates themselves aggregate, so a
-//! site-level GIIS can register into an organization-level one.
+//! The GIIS pulls each registered member GRIS's entries into its own
+//! tree and serves searches from that cache until the per-member TTL
+//! expires.
 
 use crate::dit::{DirEntry, DirectoryTree, Scope};
 use crate::filter::Filter;
@@ -22,37 +20,11 @@ use parking_lot::{lock_class, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Anything a GIIS can aggregate: a leaf GRIS or another GIIS.
-#[derive(Clone)]
-pub enum AggregateSource {
-    /// A per-host GRIS.
-    Gris(Arc<Gris>),
-    /// A lower-level aggregate (hierarchical GIIS).
-    Giis(Arc<Giis>),
-}
-
-impl AggregateSource {
-    fn snapshot(&self) -> Result<Vec<DirEntry>, String> {
-        match self {
-            // A GRIS pull is fallible: its keyword breakers may be open
-            // with nothing cached (or quality floored to zero), in which
-            // case the *aggregate's* cached copy of the member keeps
-            // serving instead of the whole query failing.
-            AggregateSource::Gris(g) => g
-                .try_search_all(&Filter::everything())
-                .map_err(|e| e.to_string()),
-            // A child GIIS absorbs its own members' failures the same
-            // way, so its snapshot is infallible.
-            AggregateSource::Giis(g) => Ok(g.search_all(&Filter::everything())),
-        }
-    }
-}
-
 struct Member {
-    source: AggregateSource,
+    gris: Arc<Gris>,
     /// DNs this member contributed on its last pull, so a re-pull (or a
-    /// shrinking member) replaces exactly its own entries — members may
-    /// share subtrees (every GIIS roots at `/o=Grid`).
+    /// shrinking member) replaces exactly its own entries — members
+    /// share the `/o=Grid` subtree.
     contributed: Vec<Dn>,
 }
 
@@ -109,18 +81,13 @@ impl Giis {
         })
     }
 
-    /// Register a member GRIS.
+    /// Register a member GRIS. It is due for its first pull
+    /// immediately.
     pub fn register(&self, gris: Arc<Gris>) {
-        self.register_source(AggregateSource::Gris(gris));
-    }
-
-    /// Register any aggregate source. The member is due for its first
-    /// pull immediately.
-    pub fn register_source(&self, source: AggregateSource) {
         let mut members = self.members.lock();
         let idx = members.list.len();
         members.list.push(Member {
-            source,
+            gris,
             contributed: Vec::new(),
         });
         members.wheel.schedule(self.clock.now(), idx);
@@ -155,25 +122,28 @@ impl Giis {
         // exactly one pending wheel entry. Popping under the lock is
         // also the no-double-pull guarantee: a concurrent search finds
         // the wheel already drained and pulls nothing.
-        let mut stale: Vec<(usize, AggregateSource)> = Vec::new();
+        let mut stale: Vec<(usize, Arc<Gris>)> = Vec::new();
         {
             let mut members = self.members.lock();
             while let Some(due) = members.wheel.pop_due(now) {
                 let idx = due.item;
-                stale.push((idx, members.list[idx].source.clone()));
+                stale.push((idx, Arc::clone(&members.list[idx].gris)));
             }
         }
         if stale.is_empty() {
             return;
         }
         // Scatter: snapshot every due member concurrently — one slow
-        // member (or a deep child GIIS) no longer serializes the whole
-        // pull round. The members lock is NOT held here: member pulls
-        // execute providers and can block for a long time, and holding
-        // the table lock across them would wedge every concurrent
-        // search behind one slow member (sim::lockdep flags exactly
-        // this pattern). Child sources lock only their own state.
-        let snapshots = infogram_sim::par::fan_out(&stale, |_, (_, src)| src.snapshot());
+        // member no longer serializes the whole pull round. The members
+        // lock is NOT held here: member pulls execute providers and can
+        // block for a long time, and holding the table lock across them
+        // would wedge every concurrent search behind one slow member
+        // (sim::lockdep flags exactly this pattern). A pull is fallible:
+        // a member's keyword breakers may be open with nothing cached,
+        // and then the aggregate's cached copy of it keeps serving.
+        let snapshots = infogram_sim::par::fan_out(&stale, |_, (_, gris)| {
+            gris.try_search_all(&Filter::everything())
+        });
         // Gather: re-acquire and apply tree mutations sequentially, in
         // member order. `list` only ever grows (members are never
         // removed), so the popped indices stay valid across the gap.
@@ -284,45 +254,6 @@ mod tests {
         for e in &under {
             assert!(e.dn.to_string().contains("node01.grid"));
         }
-    }
-
-    #[test]
-    fn hierarchical_giis_of_giis() {
-        // Two site-level aggregates, each over 2 hosts, rolled up into an
-        // organization-level GIIS — §3's decentralized operation.
-        let clock = ManualClock::new();
-        let org = Giis::new(clock.clone(), Duration::from_secs(60));
-        for site in 0..2 {
-            let site_giis = Giis::new(clock.clone(), Duration::from_secs(10));
-            for host_i in 0..2 {
-                let host = SimulatedHost::new(
-                    HostConfig {
-                        hostname: format!("s{site}h{host_i}.grid"),
-                        seed: 9_000 + site * 10 + host_i,
-                        ..Default::default()
-                    },
-                    clock.clone(),
-                );
-                let reg = CommandRegistry::new(host, ChargeMode::Advance(clock.clone()));
-                let info = InformationService::from_config(
-                    &ServiceConfig::table1(),
-                    reg,
-                    clock.clone(),
-                    MetricSet::new(),
-                );
-                site_giis.register(Gris::new(info));
-            }
-            org.register_source(AggregateSource::Giis(site_giis));
-        }
-        assert_eq!(org.member_count(), 2, "two site aggregates");
-        let hosts = org.search_all(&Filter::parse("(objectclass=GridResource)").unwrap());
-        assert_eq!(hosts.len(), 4, "all four hosts visible at the top");
-        let mems = org.search_all(&Filter::parse("(kw=Memory)").unwrap());
-        assert_eq!(mems.len(), 4);
-        // A second top-level search within both TTLs pulls nothing new.
-        let pulls_before = org.pull_count();
-        org.search_all(&Filter::everything());
-        assert_eq!(org.pull_count(), pulls_before);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::dit::{DirEntry, DirectoryTree, Scope};
 use crate::filter::Filter;
 use infogram_gsi::Dn;
 use infogram_info::service::{InfoServiceError, InformationService, QueryOptions};
+use infogram_proto::render::ldif;
 use infogram_rsl::InfoSelector;
 use std::sync::Arc;
 
@@ -45,16 +46,6 @@ impl Gris {
         })
     }
 
-    /// The subtree base this GRIS publishes under.
-    pub fn base(&self) -> &Dn {
-        &self.base
-    }
-
-    /// The backing information service.
-    pub fn info_service(&self) -> &Arc<InformationService> {
-        &self.info
-    }
-
     /// Refresh the directory subtree from the information service
     /// (cached reads — the GRIS does not bypass the provider TTLs).
     pub fn refresh(&self) {
@@ -87,9 +78,7 @@ impl Gris {
                 ("hn".to_string(), rec.host.clone()),
             ];
             for a in &rec.attributes {
-                // LDAP attribute names cannot contain ':'; same mapping as
-                // the LDIF renderer.
-                attributes.push((a.name.replacen(':', "-", 1), a.value.clone()));
+                attributes.push((ldif::safe_name(&a.name), a.value.clone()));
             }
             self.tree.put(DirEntry::new(dn, attributes));
         }
@@ -125,17 +114,13 @@ mod tests {
     use infogram_sim::metrics::MetricSet;
     use infogram_sim::ManualClock;
 
-    fn gris() -> (Arc<ManualClock>, Arc<Gris>) {
+    fn gris() -> (Arc<InformationService>, Arc<Gris>) {
         let clock = ManualClock::new();
         let host = SimulatedHost::default_on(clock.clone());
         let reg = CommandRegistry::new(host, ChargeMode::Advance(clock.clone()));
-        let info = InformationService::from_config(
-            &ServiceConfig::table1(),
-            reg,
-            clock.clone(),
-            MetricSet::new(),
-        );
-        (clock, Gris::new(info))
+        let info =
+            InformationService::from_config(&ServiceConfig::table1(), reg, clock, MetricSet::new());
+        (Arc::clone(&info), Gris::new(info))
     }
 
     #[test]
@@ -175,12 +160,11 @@ mod tests {
 
     #[test]
     fn refresh_respects_provider_cache() {
-        let (_c, g) = gris();
+        let (info, g) = gris();
         g.search_all(&Filter::everything());
         g.search_all(&Filter::everything());
         // Table 1 TTLs: within TTL the second refresh serves from cache
         // (CPULoad has TTL 0 and always executes).
-        let info = g.info_service();
         assert_eq!(info.lookup("Memory").unwrap().execution_count(), 1);
         assert_eq!(info.lookup("CPULoad").unwrap().execution_count(), 2);
     }
@@ -189,7 +173,7 @@ mod tests {
     fn scoped_search() {
         let (_c, g) = gris();
         g.refresh();
-        let base = g.base().clone();
+        let base = Dn::parse("/o=Grid/hn=node00.grid.example.org").unwrap();
         let one = g.search(&base, Scope::One, &Filter::everything());
         assert_eq!(one.len(), 5, "keyword entries are the children");
         let base_only = g.search(&base, Scope::Base, &Filter::everything());

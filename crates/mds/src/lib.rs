@@ -32,6 +32,6 @@ pub mod service;
 pub use client::MdsClient;
 pub use dit::{DirEntry, DirectoryTree, Scope};
 pub use filter::Filter;
-pub use giis::{AggregateSource, Giis};
+pub use giis::Giis;
 pub use gris::Gris;
 pub use service::MdsServer;

@@ -14,6 +14,7 @@ use crate::dit::{DirEntry, Scope};
 use bytes::{BufMut, BytesMut};
 use infogram_gsi::Dn;
 use infogram_proto::message::{put_str, read_str};
+use infogram_proto::render::ldif;
 use infogram_sim::wire::{ReadError, Reader};
 
 /// Protocol version byte. Distinct from the GRAM protocol's version so
@@ -182,16 +183,20 @@ impl MdsReply {
 }
 
 /// Render entries as the reply body: `dn: <slash dn>` then attribute
-/// lines, entries separated by blank lines.
+/// lines, entries separated by blank lines. Values follow LDIF's rule:
+/// one LDIF cannot carry raw (a newline, a trailing `\r`, non-ASCII…)
+/// is written `name:: <base64>`.
 pub fn entries_to_text(entries: &[DirEntry]) -> String {
     let mut out = String::new();
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
             out.push('\n');
         }
-        out.push_str(&format!("dn: {}\n", e.dn));
+        out.push_str("dn");
+        ldif::push_value(&mut out, &e.dn.to_string());
         for (k, v) in &e.attributes {
-            out.push_str(&format!("{k}: {v}\n"));
+            out.push_str(k);
+            ldif::push_value(&mut out, v);
         }
     }
     out
@@ -208,18 +213,18 @@ pub fn entries_from_text(text: &str) -> Vec<DirEntry> {
             }
             continue;
         }
-        let Some((k, v)) = line.split_once(": ") else {
+        let Some((k, v)) = ldif::split_line(line) else {
             continue;
         };
         if k == "dn" {
             if let Some(e) = current.take() {
                 entries.push(e);
             }
-            if let Ok(dn) = Dn::parse(v) {
+            if let Ok(dn) = Dn::parse(&v) {
                 current = Some(DirEntry::new(dn, Vec::new()));
             }
         } else if let Some(e) = current.as_mut() {
-            e.attributes.push((k.to_string(), v.to_string()));
+            e.attributes.push((k.to_string(), v.into_owned()));
         }
     }
     if let Some(e) = current.take() {

@@ -2,12 +2,10 @@
 //!
 //! GSI-authenticated ("the newest implementation of a Grid information
 //! service ... integrates GSI to perform authentication", §3), then an
-//! LDAP-style search loop over the MDS protocol. Can front either a
-//! single GRIS or a GIIS aggregate.
+//! LDAP-style search loop over the MDS protocol, fronting one host's
+//! GRIS.
 
-use crate::dit::{DirEntry, Scope};
 use crate::filter::Filter;
-use crate::giis::Giis;
 use crate::gris::Gris;
 use crate::protocol::{entries_to_text, MdsReply, MdsRequest};
 use infogram_gsi::{wire_server_respond, wire_server_verify, Certificate, Credential, Dn};
@@ -16,24 +14,6 @@ use infogram_sim::clock::SharedClock;
 use infogram_sim::SplitMix64;
 use std::sync::Arc;
 
-/// What an MDS server fronts.
-#[derive(Clone)]
-pub enum Directory {
-    /// A single host's GRIS.
-    Gris(Arc<Gris>),
-    /// A virtual-organization GIIS.
-    Giis(Arc<Giis>),
-}
-
-impl Directory {
-    fn search(&self, base: &Dn, scope: Scope, filter: &Filter) -> Vec<DirEntry> {
-        match self {
-            Directory::Gris(g) => g.search(base, scope, filter),
-            Directory::Giis(g) => g.search(base, scope, filter),
-        }
-    }
-}
-
 /// A running MDS server.
 pub struct MdsServer {
     acceptor: Acceptor,
@@ -41,7 +21,7 @@ pub struct MdsServer {
 
 /// What every connection thread of an [`MdsServer`] shares.
 struct SearchService {
-    directory: Directory,
+    gris: Arc<Gris>,
     credential: Credential,
     trust_roots: Vec<Certificate>,
     clock: SharedClock,
@@ -56,9 +36,9 @@ impl std::fmt::Debug for MdsServer {
 }
 
 impl MdsServer {
-    /// Bind and start serving.
+    /// Bind and start serving `gris`.
     pub fn start(
-        directory: Directory,
+        gris: Arc<Gris>,
         transport: &dyn Transport,
         bind_addr: &str,
         credential: Credential,
@@ -66,7 +46,7 @@ impl MdsServer {
         clock: SharedClock,
     ) -> Result<Arc<Self>, ProtoError> {
         let service = SearchService {
-            directory,
+            gris,
             credential,
             trust_roots,
             clock,
@@ -136,7 +116,7 @@ impl SearchService {
                     filter,
                 }) => match (Dn::parse(&base), Filter::parse(&filter)) {
                     (Ok(base), Ok(filter)) => {
-                        let entries = self.directory.search(&base, scope, &filter);
+                        let entries = self.gris.search(&base, scope, &filter);
                         MdsReply::SearchResult {
                             body: entries_to_text(&entries),
                             count: entries.len() as u32,

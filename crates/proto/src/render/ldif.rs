@@ -63,7 +63,7 @@ fn needs_base64(v: &str) -> bool {
 }
 
 /// `: value\n`, or `:: <base64>\n` for a value LDIF cannot carry.
-fn push_value(out: &mut String, value: &str) {
+pub fn push_value(out: &mut String, value: &str) {
     if needs_base64(value) {
         out.push_str(":: ");
         base64::encode_into(out, value.as_bytes());
@@ -74,9 +74,8 @@ fn push_value(out: &mut String, value: &str) {
     out.push('\n');
 }
 
-/// `Memory:total` → `Memory-total` (LDIF-safe).
-fn push_name(out: &mut String, attr: &AttrRef<'_>) {
-    let (keyword, rest) = attr.split_name();
+/// `Memory` + `total` → `Memory-total` (LDIF-safe).
+fn push_name(out: &mut String, (keyword, rest): (Option<&str>, &str)) {
     if let Some(keyword) = keyword {
         out.push_str(keyword);
         out.push('-');
@@ -84,8 +83,18 @@ fn push_name(out: &mut String, attr: &AttrRef<'_>) {
     out.push_str(rest);
 }
 
+/// An attribute name as LDIF writes it: `Memory:total` → `Memory-total`.
+pub fn safe_name(name: &str) -> String {
+    let split = name
+        .split_once(':')
+        .map_or((None, name), |(k, r)| (Some(k), r));
+    let mut out = String::with_capacity(name.len());
+    push_name(&mut out, split);
+    out
+}
+
 /// `Memory-total` → `Memory:total`, given the record's keyword.
-pub(super) fn restore_name(name: &str, keyword: &str) -> String {
+pub fn restore_name(name: &str, keyword: &str) -> String {
     match strip_keyword(name, keyword) {
         Some(rest) => [keyword, ":", rest].concat(),
         None => name.to_string(),
@@ -149,14 +158,14 @@ pub(super) fn write_head(out: &mut String, head: &Head<'_>, first: bool) {
 /// lines for annotations the head does not carry.
 pub(super) fn write_block<'a>(out: &mut String, attrs: impl Iterator<Item = AttrRef<'a>>) {
     for a in attrs {
-        push_name(out, &a);
+        push_name(out, a.split_name());
         push_value(out, a.value);
         if let Some(q) = a.quality {
-            push_name(out, &a);
+            push_name(out, a.split_name());
             let _ = writeln!(out, ";quality: {q:.4}");
         }
         if let Some(age) = a.age_secs {
-            push_name(out, &a);
+            push_name(out, a.split_name());
             let _ = writeln!(out, ";age: {age:.3}");
         }
     }
@@ -213,6 +222,16 @@ impl Entry {
     }
 }
 
+/// One line's name and value; a `name:: <base64>` value is decoded.
+pub fn split_line(line: &str) -> Option<(&str, Cow<'_, str>)> {
+    let (name, rest) = line.split_once(':')?;
+    let Some(b64) = rest.strip_prefix(": ") else {
+        return Some((name, rest.strip_prefix(' ').unwrap_or(rest).into()));
+    };
+    let text = String::from_utf8(base64::decode(b64).unwrap_or_default());
+    Some((name, text.unwrap_or_default().into()))
+}
+
 /// Parse LDIF produced by [`render`] back into records — by this
 /// renderer or by one that predates the record-level annotations. One
 /// pass; the only allocations are the strings the records own.
@@ -224,14 +243,8 @@ pub fn parse(text: &str) -> Vec<InfoRecord> {
             records.extend(current.take().map(Entry::finish));
             continue;
         }
-        let Some((raw_name, rest)) = line.split_once(':') else {
+        let Some((raw_name, value)) = split_line(line) else {
             continue;
-        };
-        let value: Cow<'_, str> = match rest.strip_prefix(": ") {
-            Some(b64) => Cow::Owned(
-                String::from_utf8(base64::decode(b64).unwrap_or_default()).unwrap_or_default(),
-            ),
-            None => Cow::Borrowed(rest.strip_prefix(' ').unwrap_or(rest)),
         };
         if raw_name == "dn" {
             records.extend(current.take().map(Entry::finish));

@@ -25,13 +25,6 @@ pub enum LatencyModel {
         /// Largest possible delay.
         max: Duration,
     },
-    /// Normal with the given mean and stddev, truncated at zero.
-    Normal {
-        /// Mean delay.
-        mean: Duration,
-        /// Delay standard deviation.
-        std_dev: Duration,
-    },
 }
 
 /// A simulated bidirectional link: a latency model and the seeded
@@ -67,13 +60,6 @@ impl Link {
                 let hi = max.as_secs_f64().max(lo);
                 Duration::from_secs_f64(self.rng.lock().uniform(lo, hi))
             }
-            LatencyModel::Normal { mean, std_dev } => {
-                let x = self
-                    .rng
-                    .lock()
-                    .normal(mean.as_secs_f64(), std_dev.as_secs_f64());
-                Duration::from_secs_f64(x.max(0.0))
-            }
         }
     }
 }
@@ -107,18 +93,6 @@ mod tests {
         for _ in 0..1000 {
             let d = link.delay();
             assert!(d >= Duration::from_millis(1) && d <= Duration::from_millis(3));
-        }
-    }
-
-    #[test]
-    fn normal_latency_is_seeded() {
-        let model = LatencyModel::Normal {
-            mean: Duration::from_micros(10),
-            std_dev: Duration::from_micros(50),
-        };
-        let (a, b) = (Link::new(model.clone(), 4), Link::new(model, 4));
-        for _ in 0..1000 {
-            assert_eq!(a.delay(), b.delay());
         }
     }
 }

@@ -34,12 +34,6 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// Derive an independent child generator; used to give each simulated
-    /// host / client its own stream from one experiment master seed.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ 0x9e37_79b9_7f4a_7c15)
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -152,15 +146,6 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fork_streams_independent() {
-        let mut parent = SplitMix64::new(31);
-        let mut a = parent.fork();
-        let mut b = parent.fork();
-        let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use infogram_host::machine::{HostConfig, SimulatedHost};
 use infogram_host::queue::{BatchQueue, MachineAd};
 use infogram_info::config::ServiceConfig;
 use infogram_mds::gris::Gris;
-use infogram_mds::service::{Directory, MdsServer};
+use infogram_mds::service::MdsServer;
 use infogram_proto::transport::mem::MemNetwork;
 use infogram_proto::transport::Transport;
 use infogram_sim::clock::SharedClock;
@@ -37,8 +37,6 @@ pub struct SandboxConfig {
     pub config: ServiceConfig,
     /// Sandbox mode for jarlet jobs.
     pub sandbox_mode: ExecMode,
-    /// Sandbox policy for jarlet jobs.
-    pub sandbox_policy: Policy,
     /// Contracts; `None` = gridmap-only authorization.
     pub contracts: Option<Vec<Contract>>,
     /// Where the job log goes; `None` is [`Wal::in_memory`], a fresh
@@ -61,7 +59,6 @@ impl Default for SandboxConfig {
             seed: 0x1f06,
             config: ServiceConfig::table1(),
             sandbox_mode: ExecMode::Isolated,
-            sandbox_policy: Policy::restrictive(),
             contracts: None,
             wal_sink: None,
             with_baseline: false,
@@ -170,7 +167,7 @@ impl Sandbox {
                 service_name: "infogram".to_string(),
                 bind_addr: format!("{}:2119", cfg.hostname),
                 config: cfg.config,
-                sandbox_policy: cfg.sandbox_policy,
+                sandbox_policy: Policy::restrictive(),
                 sandbox_mode: cfg.sandbox_mode,
                 credential: service_cred.clone(),
                 trust_roots: roots.clone(),
@@ -212,9 +209,8 @@ impl Sandbox {
                 Arc::clone(&authorizer),
                 clock.clone(),
             );
-            let gris = Gris::new(Arc::clone(service.info_service()));
             let mds = MdsServer::start(
-                Directory::Gris(gris),
+                Gris::new(Arc::clone(service.info_service())),
                 &net,
                 &format!("{}:2135", cfg.hostname),
                 service_cred,

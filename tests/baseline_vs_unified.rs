@@ -79,6 +79,48 @@ fn both_paths_report_the_same_memory_total() {
 }
 
 #[test]
+fn a_value_with_a_newline_or_a_trailing_cr_reads_the_same_on_both_paths() {
+    // A value LDIF cannot carry raw travels as `name:: <base64>` on both
+    // paths, so neither cuts it at a newline nor drops a trailing `\r`.
+    use infogram::info::{DegradationFn, FnProvider, SystemInformation};
+    let sandbox = dual_world();
+    sandbox
+        .service
+        .info_service()
+        .register(SystemInformation::new(
+            Box::new(FnProvider::new("Odd", || {
+                Ok(vec![
+                    ("lines".to_string(), "two\nlines".to_string()),
+                    ("cr".to_string(), "ends in CR\r".to_string()),
+                ])
+            })),
+            sandbox.clock.clone(),
+            Duration::from_secs(600),
+            DegradationFn::default(),
+        ));
+    let mut dual = sandbox.connect_dual_client();
+    let mut unified = sandbox.connect_client();
+
+    let via_mds = dual.info("Odd").unwrap();
+    let via_infogram = unified.info("Odd").unwrap();
+
+    let values = |rec: &infogram::proto::record::InfoRecord| -> Vec<(String, String)> {
+        let attrs = rec.attributes.iter();
+        attrs.map(|a| (a.name.clone(), a.value.clone())).collect()
+    };
+    assert_eq!(via_mds.len(), 1);
+    assert_eq!(
+        values(&via_infogram.records[0]),
+        [
+            ("Odd:lines".to_string(), "two\nlines".to_string()),
+            ("Odd:cr".to_string(), "ends in CR\r".to_string()),
+        ]
+    );
+    assert_eq!(values(&via_mds[0]), values(&via_infogram.records[0]));
+    sandbox.shutdown();
+}
+
+#[test]
 fn dual_client_costs_two_connections() {
     let sandbox = dual_world();
     let before = sandbox.net.metrics().counter_value("net.connections");

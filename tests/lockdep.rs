@@ -128,7 +128,7 @@ fn seeded_hub_inversion_is_caught() {
     if !lockdep_on() {
         return;
     }
-    let hub = SubscriptionHub::new(ManualClock::new(), "node0.grid", MetricSet::new());
+    let hub = SubscriptionHub::new("node0.grid", MetricSet::new());
     // Normal operation: subscribe + push one update. Both paths take
     // the per-keyword delivery lock first and the hub state lock
     // second, teaching lockdep the legal order.

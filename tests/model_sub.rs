@@ -137,8 +137,8 @@ impl SubSink for CollectingSink {
     fn close(&self, _frame: Vec<u8>) {}
 }
 
-fn hub_on(clock: Arc<infogram::sim::ManualClock>) -> Arc<SubscriptionHub> {
-    SubscriptionHub::new(clock, "node0.grid", MetricSet::new())
+fn hub() -> Arc<SubscriptionHub> {
+    SubscriptionHub::new("node0.grid", MetricSet::new())
 }
 
 fn record(kw: &str, val: &str) -> InfoRecord {
@@ -248,8 +248,7 @@ fn concurrent_notifies_deliver_every_version_exactly_once_in_order() {
     model::check(
         "lost/duplicated/reordered update under concurrent notifies",
         || {
-            let clock = model::virtual_clock();
-            let hub = hub_on(clock);
+            let hub = hub();
             let sink = CollectingSink::new();
             hub.subscribe(&["K".to_string()], "t", sink.clone() as Arc<dyn SubSink>);
 
@@ -277,8 +276,7 @@ fn concurrent_notifies_deliver_every_version_exactly_once_in_order() {
 #[test]
 fn joiner_racing_a_notify_starts_full_and_ends_current() {
     model::check("subscribe vs notify version gap", || {
-        let clock = model::virtual_clock();
-        let hub = hub_on(clock);
+        let hub = hub();
         // Warm the channel to version 1 via an established subscriber.
         let early = CollectingSink::new();
         hub.subscribe(&["K".to_string()], "t", early.clone() as Arc<dyn SubSink>);
@@ -320,7 +318,7 @@ fn joiner_racing_a_notify_starts_full_and_ends_current() {
 fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
     model::check("outbox backpressure vs scheduler tick", || {
         let clock = model::virtual_clock();
-        let hub = hub_on(clock.clone());
+        let hub = hub();
         let si = SystemInformation::new(
             Box::new(FnProvider::new("K", || {
                 Ok(vec![("v".to_string(), "1".to_string())])

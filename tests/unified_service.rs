@@ -471,12 +471,12 @@ fn concurrent_clients_share_the_service() {
 
 #[test]
 fn contract_window_enforced_at_connect() {
-    use infogram::gsi::{Contract, Dn, SubjectMatch};
+    use infogram::gsi::{Contract, Dn};
     // Build a sandbox whose authorizer requires a contract that is never
     // active (empty window list).
     let cfg = SandboxConfig {
         contracts: Some(vec![Contract::new(
-            SubjectMatch::Exact(Dn::user("Grid", "ANL", "Gregor")),
+            Dn::user("Grid", "ANL", "Gregor"),
             "infogram",
             vec![],
         )]),
