@@ -123,7 +123,7 @@ impl InfoGramService {
             params.sandbox_mode,
         ));
         for (name, queue) in queues {
-            engine.add_queue(&name, QueueBackend::new(queue, Arc::clone(&registry)));
+            engine.add_queue(&name, QueueBackend::batch(queue, Arc::clone(&registry)));
         }
         // §7 I/O redirection lands on the service host's filesystem.
         engine.set_stdio_host(Arc::clone(&host));

@@ -3,20 +3,21 @@
 //! §2: "The backend tier is easily portable to various scheduling
 //! systems. The Globus Toolkit services provide scheduling interfaces
 //! such as PBS, LSF, Condor, and Unix process fork." The same portability
-//! seam exists here as the [`ExecBackend`] trait with three
-//! implementations:
+//! seam exists here as the [`ExecBackend`] trait. Every job runs in an
+//! `infogram-host` [`BatchQueue`] pool, so one poll, one cancel and one
+//! release serve all of them; the implementations differ in what they
+//! start:
 //!
-//! * [`ForkBackend`] — immediate execution as simulated host processes;
-//! * [`QueueBackend`] — submission into an `infogram-host` batch queue
-//!   (a FIFO or fair-share pool is the PBS/LSF flavour, a matchmaker
-//!   pool the Condor flavour);
-//! * [`JarletBackend`] — sandboxed execution of untrusted jarlet jobs
-//!   (the paper's jar-file support, §7).
+//! * [`QueueBackend`] — a command, planned by the host's registry, in
+//!   the host's fork pool ([`ForkBackend`], the GRAM default) or in a
+//!   batch queue (a FIFO or fair-share pool is the PBS/LSF flavour, a
+//!   matchmaker pool the Condor flavour);
+//! * [`JarletBackend`] — a sandboxed untrusted jarlet job in the host's
+//!   fork pool (the paper's jar-file support, §7).
 
 use crate::sandbox::{run_jarlet, ExecMode, Jarlet, Policy};
 use infogram_host::commands::CommandRegistry;
 use infogram_host::machine::SimulatedHost;
-use infogram_host::process::{ExitStatus, ProcState};
 use infogram_host::queue::{BatchJob, BatchQueue, JobOutcome};
 use infogram_rsl::JobRequest;
 use std::sync::Arc;
@@ -44,10 +45,9 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// A handle to whatever the backend is running, one id per instance:
-/// host process ids (fork and jarlet backends) or batch queue entries
-/// (queue backend). A job keeps the backend that issued its ref, so a
-/// backend only ever sees its own kind of id.
+/// A handle to whatever the backend is running: the pool ids of the
+/// job's instances. A job keeps the backend that issued its ref, so a
+/// backend only ever sees ids of its own pool.
 pub type BackendJobRef = Vec<u64>;
 
 /// Backend-level job status.
@@ -75,165 +75,25 @@ pub trait ExecBackend: Send + Sync {
         job: &JobRequest,
         account: &str,
     ) -> Result<(BackendJobRef, String), BackendError>;
-    /// Poll current status.
-    fn poll(&self, job_ref: &[u64]) -> BackendStatus;
-    /// Cancel; true if anything was actually stopped.
-    fn cancel(&self, job_ref: &[u64]) -> bool;
-    /// The job behind `job_ref` is terminal and its outcome recorded:
-    /// forget it. The engine calls this wherever a ref stops being
-    /// polled; the ref must not be used afterwards.
-    fn release(&self, job_ref: &[u64]);
-}
 
-fn command_line(job: &JobRequest) -> String {
-    if job.arguments.is_empty() {
-        job.executable.clone()
-    } else {
-        format!("{} {}", job.executable, job.arguments.join(" "))
-    }
-}
+    /// The pool this backend's jobs run in.
+    fn pool(&self) -> &BatchQueue;
 
-/// Reap the processes of a released job (fork and jarlet backends).
-fn release_processes(host: &SimulatedHost, pids: &[u64]) {
-    for &pid in pids {
-        host.processes.remove(pid);
-    }
-}
-
-/// Kill the processes of a job with `signal`; true if any was running.
-fn kill_processes(host: &SimulatedHost, pids: &[u64], signal: i32) -> bool {
-    pids.iter()
-        .fold(false, |any, &pid| host.processes.kill(pid, signal) | any)
-}
-
-fn poll_processes(host: &SimulatedHost, pids: &[u64]) -> BackendStatus {
-    let mut exit = 0;
-    let mut any_running = false;
-    let mut any_canceled = false;
-    for &pid in pids {
-        match host.processes.state(pid) {
-            Some(ProcState::Running) => any_running = true,
-            Some(ProcState::Exited) => match host.processes.exit_status(pid) {
-                Some(ExitStatus::Code(c)) => {
-                    if exit == 0 {
-                        exit = c;
-                    }
-                }
-                Some(ExitStatus::Signaled(_)) => any_canceled = true,
-                None => any_running = true,
-            },
-            None => {
-                // Reaped or unknown: treat as finished-with-failure.
-                if exit == 0 {
-                    exit = -1;
-                }
-            }
-        }
-    }
-    if any_running {
-        BackendStatus::Active
-    } else if any_canceled {
-        BackendStatus::Canceled
-    } else {
-        BackendStatus::Finished { exit_code: exit }
-    }
-}
-
-/// Unix-process-fork backend: the GRAM default. Jobs start immediately as
-/// entries in the simulated process table; their runtime is the planned
-/// command cost.
-pub struct ForkBackend {
-    registry: Arc<CommandRegistry>,
-}
-
-impl ForkBackend {
-    /// A fork backend over a command registry.
-    pub fn new(registry: Arc<CommandRegistry>) -> Arc<Self> {
-        Arc::new(ForkBackend { registry })
-    }
-}
-
-impl ExecBackend for ForkBackend {
-    fn submit(
-        &self,
-        job: &JobRequest,
-        _account: &str,
-    ) -> Result<(BackendJobRef, String), BackendError> {
-        let cmdline = command_line(job);
-        let planned = self
-            .registry
-            .plan(&cmdline)
-            .map_err(|e| BackendError::UnknownExecutable(e.to_string()))?;
-        let host = self.registry.host();
-        let pids = (0..job.count)
-            .map(|_| host.processes.spawn(planned.cost, planned.exit_code))
-            .collect();
-        Ok((pids, planned.stdout))
-    }
-
-    fn poll(&self, pids: &[u64]) -> BackendStatus {
-        poll_processes(self.registry.host(), pids)
-    }
-
-    fn cancel(&self, pids: &[u64]) -> bool {
-        kill_processes(self.registry.host(), pids, 15)
-    }
-
-    fn release(&self, pids: &[u64]) {
-        release_processes(self.registry.host(), pids);
-    }
-}
-
-/// Batch-queue backend over any pool (FIFO, fair-share, or matchmaker).
-pub struct QueueBackend {
-    queue: Arc<BatchQueue>,
-    registry: Arc<CommandRegistry>,
-}
-
-impl QueueBackend {
-    /// A backend feeding `queue`.
-    pub fn new(queue: Arc<BatchQueue>, registry: Arc<CommandRegistry>) -> Arc<Self> {
-        Arc::new(QueueBackend { queue, registry })
-    }
-}
-
-impl ExecBackend for QueueBackend {
-    fn submit(
-        &self,
-        job: &JobRequest,
-        account: &str,
-    ) -> Result<(BackendJobRef, String), BackendError> {
-        let cmdline = command_line(job);
-        let planned = self
-            .registry
-            .plan(&cmdline)
-            .map_err(|e| BackendError::UnknownExecutable(e.to_string()))?;
-        let mut ids = Vec::with_capacity(job.count as usize);
-        for _ in 0..job.count {
-            let mut batch_job = BatchJob::simple(&job.executable, account, planned.cost);
-            batch_job.exit_code = planned.exit_code;
-            for (k, v) in &job.requirements {
-                batch_job = batch_job.requiring(k, v);
-            }
-            ids.push(self.queue.submit(batch_job));
-        }
-        Ok((ids, planned.stdout))
-    }
-
+    /// Poll current status. An id the pool no longer holds reads as
+    /// canceled.
     fn poll(&self, ids: &[u64]) -> BackendStatus {
+        let pool = self.pool();
         let mut exit = 0;
         let mut any_pending = false;
         let mut any_active = false;
         let mut any_canceled = false;
-        for id in ids {
-            match self.queue.poll(*id) {
+        for &id in ids {
+            match pool.poll(id) {
                 Some(JobOutcome::Queued) => any_pending = true,
                 Some(JobOutcome::Running { .. }) => any_active = true,
-                Some(JobOutcome::Completed { status, .. }) => {
-                    if let ExitStatus::Code(c) = status {
-                        if exit == 0 {
-                            exit = c;
-                        }
+                Some(JobOutcome::Completed { exit_code, .. }) => {
+                    if exit == 0 {
+                        exit = exit_code;
                     }
                 }
                 Some(JobOutcome::Cancelled) | None => any_canceled = true,
@@ -250,15 +110,88 @@ impl ExecBackend for QueueBackend {
         }
     }
 
+    /// Cancel; true if anything was actually stopped.
     fn cancel(&self, ids: &[u64]) -> bool {
         ids.iter()
-            .fold(false, |any, &id| self.queue.cancel(id) | any)
+            .fold(false, |any, &id| self.pool().cancel(id) | any)
     }
 
+    /// The job behind `ids` is terminal and its outcome recorded: forget
+    /// it. The engine calls this wherever a ref stops being polled; the
+    /// ref must not be used afterwards.
     fn release(&self, ids: &[u64]) {
         for &id in ids {
-            self.queue.forget(id);
+            self.pool().forget(id);
         }
+    }
+}
+
+fn command_line(job: &JobRequest) -> String {
+    if job.arguments.is_empty() {
+        job.executable.clone()
+    } else {
+        format!("{} {}", job.executable, job.arguments.join(" "))
+    }
+}
+
+/// Unix-process-fork backend, the GRAM default: a [`QueueBackend`] over
+/// the host's fork pool, so jobs start immediately and run for the
+/// planned command cost. `ForkBackend::new(registry)` builds one.
+pub type ForkBackend = QueueBackend;
+
+/// Runs commands, planned by the host's registry, in a pool: the host's
+/// fork pool or a batch queue (FIFO, fair-share, or matchmaker).
+pub struct QueueBackend {
+    /// `None`: the host's fork pool.
+    queue: Option<Arc<BatchQueue>>,
+    registry: Arc<CommandRegistry>,
+}
+
+impl QueueBackend {
+    /// A fork backend: jobs run in the fork pool of the registry's host.
+    pub fn new(registry: Arc<CommandRegistry>) -> Arc<Self> {
+        Arc::new(QueueBackend {
+            queue: None,
+            registry,
+        })
+    }
+
+    /// A backend feeding the batch queue `queue`.
+    pub fn batch(queue: Arc<BatchQueue>, registry: Arc<CommandRegistry>) -> Arc<Self> {
+        Arc::new(QueueBackend {
+            queue: Some(queue),
+            registry,
+        })
+    }
+}
+
+impl ExecBackend for QueueBackend {
+    fn submit(
+        &self,
+        job: &JobRequest,
+        account: &str,
+    ) -> Result<(BackendJobRef, String), BackendError> {
+        let cmdline = command_line(job);
+        let planned = self
+            .registry
+            .plan(&cmdline)
+            .map_err(|e| BackendError::UnknownExecutable(e.to_string()))?;
+        let mut ids = Vec::with_capacity(job.count as usize);
+        for _ in 0..job.count {
+            let mut batch_job = BatchJob::new(account, planned.cost);
+            batch_job.exit_code = planned.exit_code;
+            for (k, v) in &job.requirements {
+                batch_job = batch_job.requiring(k, v);
+            }
+            ids.push(self.pool().submit(batch_job));
+        }
+        Ok((ids, planned.stdout))
+    }
+
+    fn pool(&self) -> &BatchQueue {
+        self.queue
+            .as_deref()
+            .unwrap_or(&self.registry.host().processes)
     }
 }
 
@@ -282,7 +215,7 @@ impl ExecBackend for JarletBackend {
     fn submit(
         &self,
         job: &JobRequest,
-        _account: &str,
+        account: &str,
     ) -> Result<(BackendJobRef, String), BackendError> {
         // The program is the staged file at the executable path, or the
         // inline arguments if no such file exists.
@@ -305,25 +238,15 @@ impl ExecBackend for JarletBackend {
         if outcome.host_contaminated {
             output.push_str("WARNING: host contaminated (in-process violation)\n");
         }
-        // Model the job's duration as a process entry so status polling
-        // sees it Active while it "runs".
-        let pid = self
-            .host
-            .processes
-            .spawn(outcome.runtime, outcome.exit_code);
-        Ok((vec![pid], output))
+        // The job runs in the fork pool for its compute time, so status
+        // polling sees it Active while it "runs".
+        let mut run = BatchJob::new(account, outcome.runtime);
+        run.exit_code = outcome.exit_code;
+        Ok((vec![self.pool().submit(run)], output))
     }
 
-    fn poll(&self, pids: &[u64]) -> BackendStatus {
-        poll_processes(&self.host, pids)
-    }
-
-    fn cancel(&self, pids: &[u64]) -> bool {
-        kill_processes(&self.host, pids, 9)
-    }
-
-    fn release(&self, pids: &[u64]) {
-        release_processes(&self.host, pids);
+    fn pool(&self) -> &BatchQueue {
+        &self.host.processes
     }
 }
 
@@ -413,7 +336,7 @@ mod tests {
     fn queue_backend_pending_then_active() {
         let (clock, reg) = world();
         let queue = Arc::new(BatchQueue::fifo(clock.clone(), 1));
-        let backend = QueueBackend::new(Arc::clone(&queue), reg);
+        let backend = QueueBackend::batch(Arc::clone(&queue), reg);
         let (a, _) = backend
             .submit(&job("(executable=simwork)(arguments=1000)"), "alice")
             .unwrap();
@@ -437,7 +360,7 @@ mod tests {
             clock.clone(),
             vec![MachineAd::new("m1", &[("os", "linux")])],
         ));
-        let backend = QueueBackend::new(pool, reg);
+        let backend = QueueBackend::batch(pool, reg);
         let matching =
             job("&(executable=simwork)(arguments=100)(jobtype=batch)(requirements=(os linux))");
         let impossible =
@@ -455,7 +378,7 @@ mod tests {
     fn queue_cancel() {
         let (clock, reg) = world();
         let queue = Arc::new(BatchQueue::fifo(clock.clone(), 1));
-        let backend = QueueBackend::new(queue, reg);
+        let backend = QueueBackend::batch(queue, reg);
         let (a, _) = backend
             .submit(&job("(executable=simwork)(arguments=5000)"), "a")
             .unwrap();
@@ -464,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn release_reaps_the_pids_of_a_finished_job() {
+    fn release_forgets_the_ids_of_a_finished_job() {
         let (clock, reg) = world();
         let backend = ForkBackend::new(Arc::clone(&reg));
         let processes = &reg.host().processes;
@@ -485,6 +408,35 @@ mod tests {
         assert_eq!(backend.poll(&other), BackendStatus::Active);
     }
 
+    /// Fork, batch and jarlet jobs share one status rule: an id the pool
+    /// no longer holds reads as canceled, never as an exit code.
+    #[test]
+    fn an_id_the_pool_no_longer_holds_reads_as_canceled() {
+        let (clock, reg) = world();
+        let host = Arc::clone(reg.host());
+        let queue = Arc::new(BatchQueue::fifo(clock.clone(), 1));
+        let simwork = "(executable=simwork)(arguments=100 3)";
+        let jarlet = r#"(executable=x.jar)(arguments="compute 50")"#;
+        let backends: [(Arc<dyn ExecBackend>, &str, i32); 3] = [
+            (ForkBackend::new(Arc::clone(&reg)), simwork, 3),
+            (QueueBackend::batch(queue, Arc::clone(&reg)), simwork, 3),
+            (
+                JarletBackend::new(host, Policy::permissive(), ExecMode::Isolated),
+                jarlet,
+                0,
+            ),
+        ];
+        for (backend, rsl, exit_code) in backends {
+            let (r, _) = backend.submit(&job(rsl), "alice").unwrap();
+            clock.advance(Duration::from_secs(1));
+            assert_eq!(backend.poll(&r), BackendStatus::Finished { exit_code });
+            backend.release(&r);
+            assert_eq!(backend.poll(&r), BackendStatus::Canceled);
+            assert!(!backend.cancel(&r));
+            assert_eq!(backend.poll(&[u64::MAX]), BackendStatus::Canceled);
+        }
+    }
+
     #[test]
     fn release_makes_every_queue_forget_a_finished_job_and_no_other() {
         let (clock, reg) = world();
@@ -498,7 +450,7 @@ mod tests {
             )),
         ];
         for queue in queues {
-            let backend = QueueBackend::new(Arc::clone(&queue), Arc::clone(&reg));
+            let backend = QueueBackend::batch(Arc::clone(&queue), Arc::clone(&reg));
             let spec = job("(executable=simwork)(arguments=1000)");
             let (a, _) = backend.submit(&spec, "alice").unwrap();
             let (b, _) = backend.submit(&spec, "alice").unwrap();

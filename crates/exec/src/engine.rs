@@ -1069,7 +1069,7 @@ mod tests {
         ));
         engine.add_queue(
             "pbs",
-            QueueBackend::new(
+            QueueBackend::batch(
                 Arc::new(BatchQueue::fifo(clock.clone(), 2)),
                 Arc::clone(&registry),
             ),
@@ -1426,7 +1426,7 @@ mod tests {
 
         let first = world_on(open());
         let queue = Arc::new(BatchQueue::fifo(first.clock.clone(), 2));
-        let backend = QueueBackend::new(queue, Arc::clone(&first.registry));
+        let backend = QueueBackend::batch(queue, Arc::clone(&first.registry));
         first.engine.add_queue("q", backend);
         let rsl = "&(executable=simwork)(arguments=60000)(jobtype=batch)(queue=q)";
         let id = submit(&first, rsl).job_id;
@@ -1553,7 +1553,7 @@ mod tests {
         }
         assert_eq!(w.engine.live_jobs(), 0);
         assert_eq!(w.engine.job_ids(), ids);
-        assert!(w.registry.host().processes.is_empty(), "every pid reaped");
+        assert!(w.registry.host().processes.is_empty(), "every id forgotten");
     }
 
     #[test]
@@ -1571,7 +1571,7 @@ mod tests {
         assert_eq!(
             (processes.len(), processes.running_count()),
             (1, 1),
-            "the first attempt's pid is gone, the second runs"
+            "the first attempt's id is gone, the second runs"
         );
         w.clock.advance(Duration::from_millis(100));
         assert_eq!(

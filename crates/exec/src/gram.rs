@@ -23,6 +23,7 @@ use infogram_rsl::{RequestKind, XrslRequest};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge};
 use infogram_sim::SplitMix64;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -264,6 +265,9 @@ struct Gatekeeper {
     trust_roots: Vec<Certificate>,
     authorizer: Arc<Authorizer>,
     clock: SharedClock,
+    /// Seeds each connection's handshake RNG, so no two connections get
+    /// the same server nonce.
+    nonce_seeds: Mutex<SplitMix64>,
     connections: Arc<Counter>,
     active: Arc<Gauge>,
     auth_failures: Arc<Counter>,
@@ -294,6 +298,7 @@ impl GramServer {
             credential,
             trust_roots,
             authorizer,
+            nonce_seeds: Mutex::new(SplitMix64::new(clock.now().as_nanos() ^ 0x6a7e_5eed)),
             clock,
         };
         let acceptor = Acceptor::serve(listener, move |conn| gatekeeper.serve_connection(conn));
@@ -332,7 +337,7 @@ impl Gatekeeper {
 
         // ---- gatekeeper: 3-message mutual authentication ----
         let now = self.clock.now();
-        let mut rng = SplitMix64::new(now.as_nanos() ^ 0x6a7e_5eed);
+        let mut rng = SplitMix64::new(self.nonce_seeds.lock().next_u64());
         let Ok(hello) = conn.recv() else { return };
         let (resp, pending) =
             match wire_server_respond(&self.credential, &self.trust_roots, &hello, now, &mut rng) {

@@ -193,20 +193,7 @@ impl CommandRegistry {
     /// The executable is resolved by its basename, so the machine-specific
     /// paths of Table 1 all resolve to the simulated implementations.
     pub fn execute(&self, command_line: &str) -> Result<CommandOutput, CommandError> {
-        let tokens: Vec<&str> = command_line.split_whitespace().collect();
-        let exe = tokens.first().ok_or(CommandError::EmptyCommandLine)?;
-        let basename = exe.rsplit('/').next().unwrap_or(exe);
-        // Strip a `.exe` suffix, as in `/sbin/sysinfo.exe`.
-        let basename = basename.strip_suffix(".exe").unwrap_or(basename);
-
-        let (handler, cost_model) = {
-            let specs = self.specs.read();
-            let spec = specs
-                .get(basename)
-                .ok_or_else(|| CommandError::UnknownCommand(basename.to_string()))?;
-            (Arc::clone(&spec.handler), spec.cost.clone())
-        };
-        let cost = self.sample_cost(&cost_model);
+        let (basename, args, handler, cost) = self.resolve(command_line)?;
         let fault = self.faults.read().as_ref().and_then(|p| p.decide(basename));
         let (extra, failure) = match fault {
             None => (Duration::ZERO, None),
@@ -225,13 +212,35 @@ impl CommandRegistry {
         self.charge(cost + extra);
         let (stdout, exit_code) = match failure {
             Some((stdout, exit_code)) => (stdout.to_string(), exit_code),
-            None => handler(&self.host, &tokens[1..]),
+            None => handler(&self.host, &args),
         };
         Ok(CommandOutput {
             stdout,
             exit_code,
             cost: cost + extra,
         })
+    }
+
+    /// Split a command line into the command's basename (path and a
+    /// `.exe` suffix, as in `/sbin/sysinfo.exe`, stripped) and its
+    /// arguments; look the command up and draw its cost.
+    fn resolve<'a>(
+        &self,
+        command_line: &'a str,
+    ) -> Result<(&'a str, Vec<&'a str>, Handler, Duration), CommandError> {
+        let mut tokens = command_line.split_whitespace();
+        let exe = tokens.next().ok_or(CommandError::EmptyCommandLine)?;
+        let basename = exe.rsplit('/').next().unwrap_or(exe);
+        let basename = basename.strip_suffix(".exe").unwrap_or(basename);
+        let (handler, cost_model) = {
+            let specs = self.specs.read();
+            let spec = specs
+                .get(basename)
+                .ok_or_else(|| CommandError::UnknownCommand(basename.to_string()))?;
+            (Arc::clone(&spec.handler), spec.cost.clone())
+        };
+        let cost = self.sample_cost(&cost_model);
+        Ok((basename, tokens.collect(), handler, cost))
     }
 
     /// Draw one execution cost. Concurrent executions in a
@@ -249,28 +258,16 @@ impl CommandRegistry {
     }
 
     /// Plan a command execution without charging its cost: compute the
-    /// output, exit code, and the sampled cost. The fork backend in
-    /// `infogram-exec` uses this to enter a process into the process
-    /// table whose *deadline* models the cost, instead of blocking the
-    /// submitting thread.
+    /// output, exit code, and the sampled cost. The backends in
+    /// `infogram-exec` use this to run a job in a pool for the cost,
+    /// instead of blocking the submitting thread.
     ///
     /// If the planned output contains a `__runtime_ms` pair (emitted by
     /// `simwork`), that value overrides the sampled cost and is
     /// stripped from the output.
     pub fn plan(&self, command_line: &str) -> Result<CommandOutput, CommandError> {
-        let tokens: Vec<&str> = command_line.split_whitespace().collect();
-        let exe = tokens.first().ok_or(CommandError::EmptyCommandLine)?;
-        let basename = exe.rsplit('/').next().unwrap_or(exe);
-        let basename = basename.strip_suffix(".exe").unwrap_or(basename);
-        let (handler, cost_model) = {
-            let specs = self.specs.read();
-            let spec = specs
-                .get(basename)
-                .ok_or_else(|| CommandError::UnknownCommand(basename.to_string()))?;
-            (Arc::clone(&spec.handler), spec.cost.clone())
-        };
-        let mut cost = self.sample_cost(&cost_model);
-        let (stdout, exit_code) = handler(&self.host, &tokens[1..]);
+        let (_, args, handler, mut cost) = self.resolve(command_line)?;
+        let (stdout, exit_code) = handler(&self.host, &args);
         let mut kept = String::with_capacity(stdout.len());
         for line in stdout.lines() {
             if let Some(ms) = line

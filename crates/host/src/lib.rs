@@ -10,12 +10,13 @@
 //!
 //! * [`SimulatedHost`] — one machine: hostname, CPU count, a stochastic
 //!   CPU-load process, memory/disk models, an in-memory filesystem, and
-//!   a process table.
+//!   a fork pool its fork and jarlet jobs run in.
 //! * [`commands`] — a registry mapping command lines to handlers with
 //!   configurable execution-cost distributions; the built-ins mirror
 //!   Table 1 of the paper.
-//! * [`queue`] — batch-scheduler models (FIFO, fair-share, and a
-//!   Condor-style matchmaker) used by the J-GRAM backends.
+//! * [`queue`] — local resource managers (Unix fork, and FIFO,
+//!   fair-share and Condor-style matchmaking batch pools) used by the
+//!   J-GRAM backends.
 //!
 //! Everything is clock- and seed-parameterized, so the caching and
 //! degradation experiments can replay identical "system" behaviour.
@@ -25,11 +26,9 @@ pub mod cpu;
 pub mod disk;
 pub mod machine;
 pub mod memory;
-pub mod process;
 pub mod queue;
 
 pub use commands::{CommandError, CommandOutput, CommandRegistry, CostModel};
 pub use cpu::CpuLoadModel;
 pub use machine::{HostConfig, SimulatedHost};
-pub use process::{ExitStatus, ProcState, ProcessTable};
 pub use queue::{BatchJob, BatchQueue, JobOutcome};

@@ -3,7 +3,7 @@
 use crate::cpu::CpuLoadModel;
 use crate::disk::{DiskModel, MemFs};
 use crate::memory::MemoryModel;
-use crate::process::ProcessTable;
+use crate::queue::BatchQueue;
 use infogram_sim::{Clock, SimTime, SplitMix64};
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ impl Default for HostConfig {
 }
 
 /// One simulated machine: CPU load process, memory, disk, an in-memory
-/// filesystem (with a populated `/home`), and a process table.
+/// filesystem (with a populated `/home`), and a fork pool.
 ///
 /// Hosts are cheap to construct, deterministic for a fixed
 /// `(config.seed, clock)`, and shared via `Arc` among the services that
@@ -56,8 +56,9 @@ pub struct SimulatedHost {
     pub disk: DiskModel,
     /// In-memory filesystem.
     pub fs: MemFs,
-    /// Simulated process table.
-    pub processes: ProcessTable,
+    /// The fork pool fork and jarlet jobs run in (see
+    /// [`BatchQueue::fork`]).
+    pub processes: BatchQueue,
 }
 
 impl SimulatedHost {
@@ -77,7 +78,7 @@ impl SimulatedHost {
             memory: MemoryModel::new(clock.clone(), mem_seed, config.memory_total, 0.2),
             disk: DiskModel::new(config.disk_total, config.disk_total / 4),
             fs: MemFs::new(),
-            processes: ProcessTable::new(clock.clone()),
+            processes: BatchQueue::fork(clock.clone()),
             config,
             clock,
             boot_time,

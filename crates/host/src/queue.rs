@@ -1,10 +1,10 @@
-//! Batch-scheduler models.
+//! Local resource managers.
 //!
 //! GRAM's backend tier "is easily portable to various scheduling systems
 //! ... PBS, LSF, Condor, and Unix process fork" (§2 of the paper). The
-//! J-GRAM backends in `infogram-exec` delegate to one model of all three,
+//! J-GRAM backends in `infogram-exec` delegate to one model of all four,
 //! [`BatchQueue`]: a pool of slots fed by one discrete-event engine, built
-//! three ways.
+//! four ways.
 //!
 //! * [`BatchQueue::fifo`] — a PBS/LSF-style space-shared queue: a fixed
 //!   number of slots, first-come-first-served dispatch.
@@ -13,12 +13,14 @@
 //! * [`BatchQueue::matchmaker`] — a Condor-style pool: each slot is a
 //!   machine with an advertised [`MachineAd`], and a job runs only on a
 //!   machine that satisfies every one of its requirements.
+//! * [`BatchQueue::fork`] — Unix process fork: a pool that never queues.
+//!   It starts with no slots and gives each job that finds none free a
+//!   slot of its own, so every job starts the moment it is submitted.
 //!
 //! Scheduling decisions are replayed lazily up to "now" on the host clock
 //! whenever the queue is observed, so they work identically under real
 //! and virtual time.
 
-use crate::process::ExitStatus;
 use infogram_sim::{Clock, SimTime};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -31,28 +33,23 @@ pub type QueueJobId = u64;
 /// A job as the batch layer sees it.
 #[derive(Debug, Clone)]
 pub struct BatchJob {
-    /// Human-readable name.
-    pub name: String,
-    /// Submitting (local) user.
+    /// Submitting (local) user, charged for fair-share accounting.
     pub user: String,
     /// Service time once started.
     pub runtime: Duration,
-    /// CPUs consumed (used for fair-share accounting).
-    pub cpus: u32,
     /// Exit code the job will report.
     pub exit_code: i32,
-    /// Attribute requirements for matchmaking (ignored by FIFO queues).
+    /// Attribute requirements for matchmaking (ignored by a slot without
+    /// an ad).
     pub requirements: Vec<(String, String)>,
 }
 
 impl BatchJob {
-    /// A simple single-CPU job.
-    pub fn simple(name: &str, user: &str, runtime: Duration) -> Self {
+    /// A job of `user` that runs for `runtime` and exits with 0.
+    pub fn new(user: &str, runtime: Duration) -> Self {
         BatchJob {
-            name: name.to_string(),
             user: user.to_string(),
             runtime,
-            cpus: 1,
             exit_code: 0,
             requirements: Vec::new(),
         }
@@ -81,8 +78,8 @@ pub enum JobOutcome {
         started_at: SimTime,
         /// When the job finished.
         finished_at: SimTime,
-        /// How it ended.
-        status: ExitStatus,
+        /// The code it exited with (0 = success).
+        exit_code: i32,
     },
     /// Cancelled before completion.
     Cancelled,
@@ -95,6 +92,9 @@ enum Policy {
     Fifo,
     /// Least accumulated usage first, ties in submit order.
     FairShare,
+    /// Submit order, and a job no free slot takes gets a new slot:
+    /// nothing waits.
+    Fork,
 }
 
 #[derive(Debug, Clone)]
@@ -124,7 +124,18 @@ struct State {
     usage: BTreeMap<String, f64>,
 }
 
-/// A batch scheduler: a pool of slots and the jobs waiting for them.
+impl State {
+    /// Take a running job out of its slot.
+    fn take_running(&mut self, id: QueueJobId) -> Option<Running> {
+        self.running
+            .iter_mut()
+            .find(|r| r.as_ref().is_some_and(|r| r.id == id))?
+            .take()
+    }
+}
+
+/// A local resource manager: a pool of slots and the jobs waiting for
+/// them.
 ///
 /// A slot without an ad runs any job and ignores its requirements; a
 /// slot with a [`MachineAd`] runs a job only if the ad satisfies every
@@ -135,7 +146,9 @@ struct State {
 pub struct BatchQueue {
     clock: Arc<dyn Clock>,
     policy: Policy,
-    slots: Vec<Option<MachineAd>>,
+    /// The ad of slot `i`, for a matchmaker; no slot of another pool has
+    /// one.
+    ads: Vec<MachineAd>,
     state: Mutex<State>,
 }
 
@@ -143,37 +156,42 @@ impl BatchQueue {
     /// A PBS/LSF-flavoured first-come-first-served queue with `slots`
     /// simultaneous jobs.
     pub fn fifo(clock: Arc<dyn Clock>, slots: usize) -> Self {
-        Self::pool(clock, Policy::Fifo, vec![None; slots])
+        Self::pool(clock, Policy::Fifo, slots, Vec::new())
     }
 
     /// A queue with `slots` simultaneous jobs whose dispatch favours the
     /// users with the least accumulated cpu-seconds.
     pub fn fair_share(clock: Arc<dyn Clock>, slots: usize) -> Self {
-        Self::pool(clock, Policy::FairShare, vec![None; slots])
+        Self::pool(clock, Policy::FairShare, slots, Vec::new())
     }
 
     /// A Condor-style pool over the given machine ads, dispatched in
     /// submit order.
     pub fn matchmaker(clock: Arc<dyn Clock>, machines: Vec<MachineAd>) -> Self {
-        Self::pool(
-            clock,
-            Policy::Fifo,
-            machines.into_iter().map(Some).collect(),
-        )
+        Self::pool(clock, Policy::Fifo, machines.len(), machines)
     }
 
-    fn pool(clock: Arc<dyn Clock>, policy: Policy, slots: Vec<Option<MachineAd>>) -> Self {
-        assert!(!slots.is_empty(), "a pool needs at least one slot");
-        let running = vec![None; slots.len()];
+    /// A Unix-fork pool: every job starts when it is submitted, in a slot
+    /// of its own. It starts with no slots, so building one allocates
+    /// nothing.
+    pub fn fork(clock: Arc<dyn Clock>) -> Self {
+        Self::pool(clock, Policy::Fork, 0, Vec::new())
+    }
+
+    fn pool(clock: Arc<dyn Clock>, policy: Policy, slots: usize, ads: Vec<MachineAd>) -> Self {
+        assert!(
+            slots > 0 || policy == Policy::Fork,
+            "a pool needs at least one slot"
+        );
         BatchQueue {
             clock,
             policy,
-            slots,
+            ads,
             state: Mutex::new(State {
                 next_id: 1,
                 cursor: SimTime::ZERO,
                 pending: Vec::new(),
-                running,
+                running: vec![None; slots],
                 finished: BTreeMap::new(),
                 usage: BTreeMap::new(),
             }),
@@ -188,7 +206,10 @@ impl BatchQueue {
                 let p = st.pending.remove(i);
                 let start = st.cursor.max(p.submitted_at);
                 let run = p.job.runtime;
-                *st.usage.entry(p.job.user).or_insert(0.0) += run.as_secs_f64() * p.job.cpus as f64;
+                *st.usage.entry(p.job.user).or_insert(0.0) += run.as_secs_f64();
+                if slot == st.running.len() {
+                    st.running.push(None);
+                }
                 st.running[slot] = Some(Running {
                     id: p.id,
                     started_at: start,
@@ -213,7 +234,7 @@ impl BatchQueue {
                         JobOutcome::Completed {
                             started_at: r.started_at,
                             finished_at: r.ends_at,
-                            status: ExitStatus::Code(r.exit_code),
+                            exit_code: r.exit_code,
                         },
                     );
                 }
@@ -226,25 +247,28 @@ impl BatchQueue {
     }
 
     /// The next dispatch at the cursor, `(index into pending, slot)`: the
-    /// first job in policy order that a free slot accepts.
+    /// first job in policy order that a free slot accepts. A fork pool's
+    /// slot `running.len()` is the new one it adds.
     fn next_dispatch(&self, st: &State) -> Option<(usize, usize)> {
-        if st.running.iter().all(Option::is_some) {
+        let grows = self.policy == Policy::Fork;
+        if !grows && st.running.iter().all(Option::is_some) {
             return None;
         }
         let mut best = None;
         let mut best_usage = f64::INFINITY;
         for (i, p) in st.pending.iter().enumerate() {
             let usage = match self.policy {
-                Policy::Fifo => 0.0,
+                Policy::Fifo | Policy::Fork => 0.0,
                 Policy::FairShare => st.usage.get(&p.job.user).copied().unwrap_or(0.0),
             };
             if usage >= best_usage {
                 continue;
             }
-            let free = (0..self.slots.len()).find(|&s| {
-                st.running[s].is_none()
-                    && self.slots[s].as_ref().is_none_or(|ad| ad.matches(&p.job))
-            });
+            let free = (0..st.running.len())
+                .find(|&s| {
+                    st.running[s].is_none() && self.ads.get(s).is_none_or(|ad| ad.matches(&p.job))
+                })
+                .or(grows.then_some(st.running.len()));
             if let Some(slot) = free {
                 best = Some((i, slot));
                 best_usage = usage;
@@ -261,7 +285,7 @@ impl BatchQueue {
         st
     }
 
-    /// Enqueue a job; returns its queue-local id.
+    /// Enqueue a job; returns its queue-local id. Ids are never reissued.
     pub fn submit(&self, job: BatchJob) -> QueueJobId {
         let mut st = self.observe();
         // A sweep leaves the cursor at now.
@@ -300,23 +324,34 @@ impl BatchQueue {
         let mut st = self.observe();
         if let Some(i) = st.pending.iter().position(|p| p.id == id) {
             st.pending.remove(i);
-        } else if let Some(slot) = st
-            .running
-            .iter_mut()
-            .find(|r| r.as_ref().is_some_and(|r| r.id == id))
-        {
-            *slot = None;
-        } else {
+        } else if st.take_running(id).is_none() {
             return false;
         }
         st.finished.insert(id, JobOutcome::Cancelled);
         true
     }
 
+    /// End a running job now with `exit_code`, as a crash would (failure
+    /// injection for the restart experiments); false if it is not
+    /// running.
+    pub fn inject_failure(&self, id: QueueJobId, exit_code: i32) -> bool {
+        let mut st = self.observe();
+        let Some(r) = st.take_running(id) else {
+            return false;
+        };
+        let ended = JobOutcome::Completed {
+            started_at: r.started_at,
+            finished_at: st.cursor,
+            exit_code,
+        };
+        st.finished.insert(id, ended);
+        true
+    }
+
     /// Drop the recorded outcome of a completed or cancelled job, whose
     /// id is unknown from here on. A queued or running job is left alone.
     pub fn forget(&self, id: QueueJobId) {
-        self.state.lock().finished.remove(&id);
+        self.observe().finished.remove(&id);
     }
 
     /// Jobs waiting for a slot right now.
@@ -327,6 +362,17 @@ impl BatchQueue {
     /// Jobs running right now.
     pub fn running_count(&self) -> usize {
         self.observe().running.iter().flatten().count()
+    }
+
+    /// Jobs the pool knows: queued, running, or ended and not forgotten.
+    pub fn len(&self) -> usize {
+        let st = self.state.lock();
+        st.pending.len() + st.running.iter().flatten().count() + st.finished.len()
+    }
+
+    /// Whether the pool knows no job at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Accumulated cpu-seconds charged to a user so far.
@@ -377,8 +423,8 @@ mod tests {
     fn fifo_runs_in_order_with_slots() {
         let clock = ManualClock::new();
         let q = BatchQueue::fifo(clock.clone(), 1);
-        let a = q.submit(BatchJob::simple("a", "u1", secs(10)));
-        let b = q.submit(BatchJob::simple("b", "u1", secs(10)));
+        let a = q.submit(BatchJob::new("u1", secs(10)));
+        let b = q.submit(BatchJob::new("u1", secs(10)));
         assert_eq!(
             q.poll(a),
             Some(JobOutcome::Running {
@@ -404,7 +450,7 @@ mod tests {
         let clock = ManualClock::new();
         let q = BatchQueue::fifo(clock.clone(), 3);
         let ids: Vec<_> = (0..3)
-            .map(|i| q.submit(BatchJob::simple(&format!("j{i}"), "u", secs(5))))
+            .map(|_| q.submit(BatchJob::new("u", secs(5))))
             .collect();
         assert_eq!(q.running_count(), 3);
         clock.advance(secs(5));
@@ -417,8 +463,8 @@ mod tests {
     fn fifo_cancel_pending_and_running() {
         let clock = ManualClock::new();
         let q = BatchQueue::fifo(clock.clone(), 1);
-        let a = q.submit(BatchJob::simple("a", "u", secs(100)));
-        let b = q.submit(BatchJob::simple("b", "u", secs(100)));
+        let a = q.submit(BatchJob::new("u", secs(100)));
+        let b = q.submit(BatchJob::new("u", secs(100)));
         assert!(q.cancel(b));
         assert_eq!(q.poll(b), Some(JobOutcome::Cancelled));
         assert!(q.cancel(a));
@@ -432,7 +478,7 @@ mod tests {
         let clock = ManualClock::new();
         let q = BatchQueue::fifo(clock.clone(), 1);
         let ids: Vec<_> = (0..4)
-            .map(|i| q.submit(BatchJob::simple(&format!("{i}"), "u", secs(3))))
+            .map(|_| q.submit(BatchJob::new("u", secs(3))))
             .collect();
         clock.advance(secs(60));
         for (i, id) in ids.iter().enumerate() {
@@ -440,11 +486,11 @@ mod tests {
                 Some(JobOutcome::Completed {
                     started_at,
                     finished_at,
-                    status,
+                    exit_code,
                 }) => {
                     assert_eq!(started_at, SimTime::from_secs(3 * i as u64));
                     assert_eq!(finished_at, SimTime::from_secs(3 * (i as u64 + 1)));
-                    assert!(status.success());
+                    assert_eq!(exit_code, 0);
                 }
                 other => panic!("job {i}: {other:?}"),
             }
@@ -457,9 +503,9 @@ mod tests {
         let q = BatchQueue::fair_share(clock.clone(), 1);
         // Heavy user fills the machine, then queues more; light user's job
         // arrives last but should jump the heavy user's backlog.
-        let _h1 = q.submit(BatchJob::simple("h1", "heavy", secs(10)));
-        let h2 = q.submit(BatchJob::simple("h2", "heavy", secs(10)));
-        let l1 = q.submit(BatchJob::simple("l1", "light", secs(10)));
+        let _h1 = q.submit(BatchJob::new("heavy", secs(10)));
+        let h2 = q.submit(BatchJob::new("heavy", secs(10)));
+        let l1 = q.submit(BatchJob::new("light", secs(10)));
         clock.advance(secs(10)); // h1 done; next dispatch decision
         assert!(
             matches!(q.poll(l1), Some(JobOutcome::Running { .. })),
@@ -475,7 +521,7 @@ mod tests {
     fn fairshare_usage_accumulates() {
         let clock = ManualClock::new();
         let q = BatchQueue::fair_share(clock.clone(), 2);
-        q.submit(BatchJob::simple("a", "alice", secs(30)));
+        q.submit(BatchJob::new("alice", secs(30)));
         assert!((q.usage_of("alice") - 30.0).abs() < 1e-9);
         assert_eq!(q.usage_of("bob"), 0.0);
     }
@@ -490,9 +536,9 @@ mod tests {
                 MachineAd::new("m2", &[("arch", "sparc"), ("os", "solaris")]),
             ],
         );
-        let linux_job = BatchJob::simple("lj", "u", secs(5)).requiring("os", "linux");
-        let solaris_job = BatchJob::simple("sj", "u", secs(5)).requiring("os", "solaris");
-        let impossible = BatchJob::simple("ij", "u", secs(5)).requiring("os", "plan9");
+        let linux_job = BatchJob::new("u", secs(5)).requiring("os", "linux");
+        let solaris_job = BatchJob::new("u", secs(5)).requiring("os", "solaris");
+        let impossible = BatchJob::new("u", secs(5)).requiring("os", "plan9");
         let a = pool.submit(linux_job);
         let b = pool.submit(solaris_job);
         let c = pool.submit(impossible);
@@ -512,8 +558,8 @@ mod tests {
             clock.clone(),
             vec![MachineAd::new("m1", &[("os", "linux")])],
         );
-        let a = pool.submit(BatchJob::simple("a", "u", secs(10)).requiring("os", "linux"));
-        let b = pool.submit(BatchJob::simple("b", "u", secs(10)).requiring("os", "linux"));
+        let a = pool.submit(BatchJob::new("u", secs(10)).requiring("os", "linux"));
+        let b = pool.submit(BatchJob::new("u", secs(10)).requiring("os", "linux"));
         assert!(matches!(pool.poll(a), Some(JobOutcome::Running { .. })));
         assert_eq!(pool.poll(b), Some(JobOutcome::Queued));
         clock.advance(secs(10));
@@ -526,7 +572,7 @@ mod tests {
     fn matchmaker_cancel() {
         let clock = ManualClock::new();
         let pool = BatchQueue::matchmaker(clock.clone(), vec![MachineAd::new("m", &[])]);
-        let a = pool.submit(BatchJob::simple("a", "u", secs(10)));
+        let a = pool.submit(BatchJob::new("u", secs(10)));
         assert!(pool.cancel(a));
         assert_eq!(pool.poll(a), Some(JobOutcome::Cancelled));
         assert_eq!(pool.running_count(), 0);
@@ -536,16 +582,98 @@ mod tests {
     fn nonzero_exit_propagates() {
         let clock = ManualClock::new();
         let q = BatchQueue::fifo(clock.clone(), 1);
-        let mut job = BatchJob::simple("bad", "u", secs(1));
+        let mut job = BatchJob::new("u", secs(1));
         job.exit_code = 3;
         let id = q.submit(job);
         clock.advance(secs(1));
         match q.poll(id) {
-            Some(JobOutcome::Completed { status, .. }) => {
-                assert_eq!(status, ExitStatus::Code(3))
-            }
+            Some(JobOutcome::Completed { exit_code, .. }) => assert_eq!(exit_code, 3),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn fork_pool_starts_every_job_at_once_and_reports_its_exit() {
+        let clock = ManualClock::new();
+        let q = BatchQueue::fork(clock.clone());
+        assert_eq!((q.len(), q.running_count()), (0, 0));
+        let mut failing = BatchJob::new("u", secs(1));
+        failing.exit_code = 2;
+        let ids = [
+            q.submit(BatchJob::new("u", secs(10))),
+            q.submit(failing),
+            q.submit(BatchJob::new("u", secs(10))),
+        ];
+        let started = Some(JobOutcome::Running {
+            started_at: SimTime::ZERO,
+        });
+        for id in ids {
+            assert_eq!(q.poll(id), started);
+        }
+        assert_eq!((q.queued_depth(), q.running_count()), (0, 3));
+        clock.advance(secs(1));
+        let ended = |at, exit_code| {
+            Some(JobOutcome::Completed {
+                started_at: SimTime::ZERO,
+                finished_at: SimTime::from_secs(at),
+                exit_code,
+            })
+        };
+        assert_eq!(q.poll(ids[1]), ended(1, 2));
+        // The freed slot is the next job's, which still starts at once.
+        let late = q.submit(BatchJob::new("u", secs(1)));
+        assert!(
+            matches!(q.poll(late), Some(JobOutcome::Running { started_at }) if started_at == SimTime::from_secs(1))
+        );
+        clock.advance(secs(9));
+        assert_eq!(q.poll(ids[0]), ended(10, 0));
+        assert_eq!(q.running_count(), 0);
+    }
+
+    #[test]
+    fn fork_pool_cancel_and_injected_failure_end_only_a_running_job() {
+        let clock = ManualClock::new();
+        let q = BatchQueue::fork(clock.clone());
+        let a = q.submit(BatchJob::new("u", secs(100)));
+        let b = q.submit(BatchJob::new("u", secs(100)));
+        let short = q.submit(BatchJob::new("u", secs(1)));
+        clock.advance(secs(2));
+        assert!(q.cancel(a));
+        assert_eq!(q.poll(a), Some(JobOutcome::Cancelled));
+        assert!(!q.cancel(a), "second cancel fails");
+        assert!(!q.cancel(short), "an exited job cannot be killed");
+        assert!(!q.inject_failure(a, 1));
+        assert!(q.inject_failure(b, 42));
+        assert_eq!(
+            q.poll(b),
+            Some(JobOutcome::Completed {
+                started_at: SimTime::ZERO,
+                finished_at: SimTime::from_secs(2),
+                exit_code: 42,
+            })
+        );
+        assert!(!q.inject_failure(b, 42), "already ended");
+        assert_eq!(q.poll(999), None);
+        assert!(!q.cancel(999) && !q.inject_failure(999, 1));
+    }
+
+    #[test]
+    fn a_forgotten_id_is_unknown_and_never_reissued() {
+        let clock = ManualClock::new();
+        let q = BatchQueue::fork(clock.clone());
+        let a = q.submit(BatchJob::new("u", secs(1)));
+        let b = q.submit(BatchJob::new("u", secs(10)));
+        clock.advance(secs(2));
+        q.forget(a);
+        q.forget(b);
+        assert_eq!(q.poll(a), None);
+        assert!(
+            matches!(q.poll(b), Some(JobOutcome::Running { .. })),
+            "still running"
+        );
+        assert_eq!((q.len(), q.running_count()), (1, 1));
+        assert!(q.submit(BatchJob::new("u", secs(1))) > b);
+        assert!(!q.is_empty());
     }
 
     /// One seeded run of 240 operations — submits (three users, mixed
@@ -571,7 +699,7 @@ mod tests {
                 0..=4 => {
                     let user = *rng.pick(&users);
                     let runtime = Duration::from_millis(50 * rng.below(8));
-                    let mut job = BatchJob::simple("j", user, runtime);
+                    let mut job = BatchJob::new(user, runtime);
                     job.exit_code = [0, 0, 0, 2][rng.below(4) as usize];
                     for (k, v) in *rng.pick(&reqs) {
                         job = job.requiring(k, v);
@@ -590,7 +718,7 @@ mod tests {
             Some(JobOutcome::Completed {
                 started_at,
                 finished_at,
-                status: ExitStatus::Code(c),
+                exit_code: c,
             }) => format!("{id}:{}-{}/{c}", ms(started_at), ms(finished_at)),
             Some(JobOutcome::Cancelled) => format!("{id}:x"),
             Some(JobOutcome::Queued) => format!("{id}:q"),
@@ -724,11 +852,12 @@ mod proptests {
     }
 
     /// Pool 0 is FIFO, 1 fair-share, 2 a matchmaker whose machines
-    /// alternate between linux and solaris.
+    /// alternate between linux and solaris, 3 a fork pool.
     fn pool(kind: usize, clock: Arc<dyn Clock>, slots: usize) -> BatchQueue {
         match kind {
             0 => BatchQueue::fifo(clock, slots),
             1 => BatchQueue::fair_share(clock, slots),
+            3 => BatchQueue::fork(clock),
             _ => {
                 let os = |m: usize| {
                     if m.is_multiple_of(2) {
@@ -751,16 +880,19 @@ mod proptests {
         /// Under any schedule, on every pool: never more running jobs
         /// than slots; every completed job has finished_at = started_at +
         /// runtime; states only move forward (Queued → Running →
-        /// terminal).
+        /// terminal). A fork pool has no slot limit, but never reports a
+        /// job queued, and each job ends exactly its runtime after its
+        /// submit.
         #[test]
         fn every_pool_keeps_schedule_invariants(
-            kind in 0usize..3,
+            kind in 0usize..4,
             slots in 1usize..4,
             ops in prop::collection::vec(arb_op(), 1..40),
         ) {
             let clock = ManualClock::new();
             let q = pool(kind, clock.clone(), slots);
-            let mut ids: Vec<(QueueJobId, u64)> = Vec::new();
+            let fork = kind == 3;
+            let mut ids: Vec<(QueueJobId, u64, SimTime)> = Vec::new();
             let mut seen_running: std::collections::HashSet<QueueJobId> = Default::default();
             let mut seen_terminal: std::collections::HashSet<QueueJobId> = Default::default();
             for op in ops {
@@ -771,27 +903,29 @@ mod proptests {
                         linux,
                     } => {
                         let user = ["alice", "bob", "carol"][user];
-                        let mut job = BatchJob::simple("j", user, Duration::from_millis(runtime_ms));
+                        let mut job = BatchJob::new(user, Duration::from_millis(runtime_ms));
                         if linux {
                             job = job.requiring("os", "linux");
                         }
-                        ids.push((q.submit(job), runtime_ms));
+                        ids.push((q.submit(job), runtime_ms, clock.now()));
                     }
                     QOp::Advance { ms } => clock.advance(Duration::from_millis(ms)),
                     QOp::Cancel { idx } => {
-                        if let Some(&(id, _)) = ids.get(idx) {
+                        if let Some(&(id, ..)) = ids.get(idx) {
                             let _ = q.cancel(id);
                         }
                     }
                 }
-                prop_assert!(q.running_count() <= slots);
-                for &(id, runtime_ms) in &ids {
+                prop_assert!(fork || q.running_count() <= slots);
+                for &(id, runtime_ms, submitted_at) in &ids {
                     match q.poll(id) {
                         Some(JobOutcome::Queued) => {
+                            prop_assert!(!fork, "a fork pool queued a job");
                             prop_assert!(!seen_running.contains(&id), "ran then re-queued");
                             prop_assert!(!seen_terminal.contains(&id));
                         }
-                        Some(JobOutcome::Running { .. }) => {
+                        Some(JobOutcome::Running { started_at }) => {
+                            prop_assert!(!fork || started_at == submitted_at);
                             seen_running.insert(id);
                             prop_assert!(!seen_terminal.contains(&id), "terminal then running");
                         }
@@ -805,6 +939,7 @@ mod proptests {
                                 finished_at.since(started_at),
                                 Duration::from_millis(runtime_ms)
                             );
+                            prop_assert!(!fork || started_at == submitted_at);
                         }
                         Some(JobOutcome::Cancelled) => {
                             seen_terminal.insert(id);

@@ -12,6 +12,7 @@ use infogram_gsi::{wire_server_respond, wire_server_verify, Certificate, Credent
 use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::SplitMix64;
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A running MDS server.
@@ -25,6 +26,9 @@ struct SearchService {
     credential: Credential,
     trust_roots: Vec<Certificate>,
     clock: SharedClock,
+    /// Seeds each connection's handshake RNG, so no two connections get
+    /// the same server nonce.
+    nonce_seeds: Mutex<SplitMix64>,
 }
 
 impl std::fmt::Debug for MdsServer {
@@ -49,6 +53,7 @@ impl MdsServer {
             gris,
             credential,
             trust_roots,
+            nonce_seeds: Mutex::new(SplitMix64::new(clock.now().as_nanos() ^ 0x4d45_5344)),
             clock,
         };
         let acceptor = Acceptor::start(transport, bind_addr, move |conn| {
@@ -72,7 +77,7 @@ impl SearchService {
     fn serve_connection(&self, conn: Arc<dyn Conn>) {
         // GSI bind.
         let now = self.clock.now();
-        let mut rng = SplitMix64::new(now.as_nanos() ^ 0x4d45_5344);
+        let mut rng = SplitMix64::new(self.nonce_seeds.lock().next_u64());
         let Ok(hello) = conn.recv() else { return };
         let Ok((resp, pending)) =
             wire_server_respond(&self.credential, &self.trust_roots, &hello, now, &mut rng)

@@ -16,7 +16,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`sim`] | clocks (virtual + system), deterministic RNG, simulated links, stats, workloads |
-//! | [`host`] | simulated machines: CPU-load processes, memory/disk, `/proc`, commands, batch queues |
+//! | [`host`] | simulated machines: CPU-load processes, memory/disk, commands, fork and batch pools |
 //! | [`gsi`] | simulated Grid Security Infrastructure: CAs, proxy chains, gridmap, contracts |
 //! | [`rsl`] | the RSL language + the paper's xRSL extension tags |
 //! | [`proto`] | the unified wire protocol, LDIF/XML renderers, in-memory + TCP transports |

@@ -115,11 +115,11 @@ fn injected_process_failure_fails_the_job() {
         .unwrap();
     let (state, _, _) = client.status(&handle).unwrap();
     assert_eq!(state, JobStateCode::Active);
-    // Sabotage: the "kernel" kills the process with a nonzero exit.
-    let pids: Vec<u64> = (1..=4)
-        .filter(|&pid| sandbox.host.processes.inject_failure(pid, 137))
+    // Sabotage: the "kernel" kills the job with a nonzero exit.
+    let ids: Vec<u64> = (1..=4)
+        .filter(|&id| sandbox.host.processes.inject_failure(id, 137))
         .collect();
-    assert!(!pids.is_empty(), "found the job's process to sabotage");
+    assert!(!ids.is_empty(), "found the job's instance to sabotage");
     let (state, exit, _) = client
         .wait_terminal(&handle, Duration::from_millis(5), Duration::from_secs(5))
         .unwrap();
@@ -140,7 +140,7 @@ fn injected_failure_with_retry_budget_restarts() {
         .unwrap();
     // Kill the first incarnation.
     let killed: Vec<u64> = (1..=4)
-        .filter(|&pid| sandbox.host.processes.inject_failure(pid, 1))
+        .filter(|&id| sandbox.host.processes.inject_failure(id, 1))
         .collect();
     assert!(!killed.is_empty());
     // The engine restarts it: next observation is Pending/Active again.
