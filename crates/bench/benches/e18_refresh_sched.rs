@@ -17,8 +17,10 @@ use infogram_bench::{banner, manual_world_with_config, table};
 use infogram_info::config::ServiceConfig;
 use infogram_info::sched::RefreshScheduler;
 use infogram_info::service::QueryOptions;
+use infogram_info::SubscriptionHub;
 use infogram_rsl::InfoSelector;
 use infogram_sim::clock::Clock;
+use infogram_sim::metrics::MetricSet;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xe18_5ced;
@@ -97,7 +99,8 @@ fn run_scheduled(rounds: usize) -> (Tally, f64) {
     let config = ServiceConfig::parse(CONFIG).expect("config");
     let world = manual_world_with_config(SEED, &config);
     let metrics = world.info.metrics();
-    let sched = RefreshScheduler::new(world.clock.clone(), metrics.clone());
+    let hub = SubscriptionHub::new(world.info.hostname(), MetricSet::new());
+    let sched = RefreshScheduler::new(world.clock.clone(), metrics.clone(), hub);
     sched.watch_service(&world.info);
     sched.tick(); // seed every cache before traffic starts
 

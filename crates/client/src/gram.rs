@@ -10,13 +10,12 @@
 //! subscription.
 
 use infogram_gsi::{
-    wire_client_finish, wire_client_hello, Certificate, Credential, SecurityContext,
+    nonce_rng, wire_client_finish, wire_client_hello, Certificate, Credential, SecurityContext,
 };
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::{JobStateCode, Reply, Request};
 use infogram_proto::transport::{Conn, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
-use infogram_sim::SplitMix64;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -144,8 +143,7 @@ impl GramClient {
     ) -> Result<GramClient, ClientError> {
         let conn = transport.connect(addr)?;
         let now = clock.now();
-        let mut rng = SplitMix64::new(now.as_nanos() ^ 0x6772_616d); // "gram"
-        let (hello, nonce) = wire_client_hello(credential, &mut rng);
+        let (hello, nonce) = wire_client_hello(credential, &mut nonce_rng(now));
         conn.send(&hello)?;
         let resp = conn.recv()?;
         // The server may answer the HELLO with a protocol-level error.

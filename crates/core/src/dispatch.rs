@@ -14,7 +14,6 @@ use infogram_proto::message::{codes, Reply, Request};
 use infogram_rsl::{RequestAction, RequestKind, XrslRequest};
 use infogram_sim::metrics::{Counter, Histogram};
 use infogram_sim::SimTime;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Interned per-request-kind instrument handles (`dispatch.<kind>`
@@ -41,9 +40,9 @@ pub struct InfoGramDispatcher {
     engine: Arc<JobEngine>,
     info: Arc<InformationService>,
     hub: Arc<SubscriptionHub>,
-    /// Set once the service wires a refresh scheduler; subscribes then
-    /// put their keywords on the wheel so updates flow without polling.
-    sched: Mutex<Option<Arc<RefreshScheduler>>>,
+    /// Subscribes put their keywords on its wheel, so updates flow
+    /// without polling once something drives its ticks.
+    sched: Arc<RefreshScheduler>,
     job: KindMetrics,
     status: KindMetrics,
     cancel: KindMetrics,
@@ -53,13 +52,15 @@ pub struct InfoGramDispatcher {
 }
 
 impl InfoGramDispatcher {
-    /// Wire a job engine and an information service together. Also
+    /// Wire a job engine and an information service together, with the
+    /// subscription hub and the refresh scheduler that feeds it. Also
     /// registers the engine observer that publishes each job transition
     /// to the `(action=subscribe)(info=jobs)` subscribers of the job's
     /// account.
     pub fn new(engine: Arc<JobEngine>, info: Arc<InformationService>) -> Arc<Self> {
         let t = engine.metrics().clone();
         let hub = SubscriptionHub::new(info.hostname(), t.clone());
+        let sched = RefreshScheduler::new(engine.clock().clone(), t.clone(), Arc::clone(&hub));
         {
             let hub = Arc::clone(&hub);
             engine.on_state_change(move |handle, state, account| {
@@ -74,7 +75,7 @@ impl InfoGramDispatcher {
             info_kind: KindMetrics::intern(&t, "info"),
             sub_kind: KindMetrics::intern(&t, "subscribe"),
             hub,
-            sched: Mutex::new(None),
+            sched,
             engine,
             info,
         })
@@ -85,12 +86,11 @@ impl InfoGramDispatcher {
         &self.hub
     }
 
-    /// Wire the refresh scheduler subscribes register their keywords
-    /// with. Without one, subscriptions still receive job-state pushes
-    /// and any refreshes driven externally, but nothing schedules
-    /// keyword refreshes on their behalf.
-    pub fn set_scheduler(&self, sched: Arc<RefreshScheduler>) {
-        *self.sched.lock() = Some(sched);
+    /// The refresh scheduler subscribes register their keywords with.
+    /// It refreshes nothing until its owner ticks it (the service's
+    /// driver thread does).
+    pub fn scheduler(&self) -> &Arc<RefreshScheduler> {
+        &self.sched
     }
 
     /// The telemetry handle shared with the engine — the WS gateway and
@@ -195,13 +195,10 @@ impl InfoGramDispatcher {
         // Put each keyword on the refresh wheel so updates flow without
         // anyone polling; already-watched keywords keep their schedule
         // and demand history.
-        let sched = self.sched.lock().clone();
-        if let Some(sched) = sched {
-            for si in entries {
-                if !sched.is_watched(si.keyword()) {
-                    let km = self.info.keyword_metrics(si.keyword());
-                    let _ = sched.watch(si, km);
-                }
+        for si in entries {
+            if !self.sched.is_watched(si.keyword()) {
+                let km = self.info.keyword_metrics(si.keyword());
+                let _ = self.sched.watch(si, km);
             }
         }
         ctx.count_info_query(self.engine.wal(), account);

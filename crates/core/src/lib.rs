@@ -37,4 +37,4 @@ pub mod ws;
 
 pub use dispatch::InfoGramDispatcher;
 pub use service::{InfoGramParams, InfoGramService};
-pub use ws::{WsClient, WsGateway};
+pub use ws::WsClient;

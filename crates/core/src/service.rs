@@ -6,9 +6,9 @@
 //! service pair, and the single client protocol over one port.
 
 use crate::dispatch::InfoGramDispatcher;
-use infogram_exec::backend::{ForkBackend, JarletBackend, QueueBackend};
+use infogram_exec::backend::{ExecBackend, ForkBackend, JarletBackend, QueueBackend};
 use infogram_exec::engine::{EngineConfig, JobEngine};
-use infogram_exec::gram::GramServer;
+use infogram_exec::gram;
 use infogram_exec::sandbox::{ExecMode, Policy};
 use infogram_exec::wal::{AccountUsage, Wal};
 use infogram_gsi::{Authorizer, Certificate, Credential};
@@ -18,7 +18,7 @@ use infogram_host::queue::BatchQueue;
 use infogram_info::config::ServiceConfig;
 use infogram_info::service::InformationService;
 use infogram_info::{RefreshScheduler, SubscriptionHub, JOBS_KEYWORD};
-use infogram_proto::transport::{ProtoError, Transport};
+use infogram_proto::transport::{Acceptor, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
 use parking_lot::Mutex;
@@ -49,7 +49,7 @@ pub struct InfoGramParams {
 
 /// A running InfoGram service: one port, both behaviours.
 pub struct InfoGramService {
-    server: Arc<GramServer>,
+    server: Acceptor,
     info: Arc<InformationService>,
     engine: Arc<JobEngine>,
     registry: Arc<CommandRegistry>,
@@ -122,9 +122,10 @@ impl InfoGramService {
             params.sandbox_policy.clone(),
             params.sandbox_mode,
         ));
-        for (name, queue) in queues {
-            engine.add_queue(&name, QueueBackend::batch(queue, Arc::clone(&registry)));
-        }
+        let batch = |(name, queue)| -> (String, Arc<dyn ExecBackend>) {
+            (name, QueueBackend::batch(queue, Arc::clone(&registry)))
+        };
+        engine.set_queues(queues.into_iter().map(batch).collect());
         // §7 I/O redirection lands on the service host's filesystem.
         engine.set_stdio_host(Arc::clone(&host));
         // Restart-from-log: resubmit whatever the previous incarnation
@@ -139,9 +140,7 @@ impl InfoGramService {
         // nobody subscribes to refreshes nothing in the background and
         // on-demand query behaviour is exactly as before.
         let hub = Arc::clone(dispatcher.hub());
-        let sched = RefreshScheduler::new(clock.clone(), metrics.clone());
-        sched.set_hub(Arc::clone(&hub));
-        dispatcher.set_scheduler(Arc::clone(&sched));
+        let sched = Arc::clone(dispatcher.scheduler());
         let driver_running = Arc::new(AtomicBool::new(true));
         let driver = {
             let sched = Arc::clone(&sched);
@@ -176,7 +175,7 @@ impl InfoGramService {
             })
         };
 
-        let server = GramServer::start(
+        let server = gram::serve(
             Arc::clone(&engine),
             dispatcher,
             listener,

@@ -9,7 +9,7 @@
 //! This module is that second step: the *same* operations (submit,
 //! status, cancel, ping — with info queries travelling as submits, as
 //! always) exposed through an XML envelope instead of the binary GRAM
-//! framing. A [`WsGateway`] runs next to the native gatekeeper and
+//! framing. A gateway ([`serve`]) runs next to the native gatekeeper and
 //! forwards every decoded envelope into the very same
 //! [`InfoGramDispatcher`] — one service, two wire syntaxes, which is
 //! exactly the OGSA transition story.
@@ -274,67 +274,43 @@ pub fn decode_reply(xml: &str) -> Result<Reply, WsError> {
     Err(err("no recognized reply in envelope"))
 }
 
-/// A running WS gateway next to a native InfoGram service.
-pub struct WsGateway {
-    acceptor: Acceptor,
-}
-
-impl std::fmt::Debug for WsGateway {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WsGateway")
-            .field("addr", &self.addr())
-            .finish_non_exhaustive()
-    }
-}
-
-impl WsGateway {
-    /// Start a gateway forwarding into `dispatcher` under the given
-    /// gateway principal (`owner` DN string, local `account`).
-    pub fn start(
-        dispatcher: Arc<InfoGramDispatcher>,
-        owner: &str,
-        account: &str,
-        transport: &dyn Transport,
-        bind_addr: &str,
-    ) -> Result<Arc<Self>, ProtoError> {
-        let owner = owner.to_string();
-        let account = account.to_string();
-        let connections = dispatcher.telemetry().counter("ws.connections");
-        let requests = dispatcher.telemetry().counter("ws.requests");
-        let acceptor = Acceptor::start(transport, bind_addr, move |conn| {
-            connections.incr();
-            // Detached: no event callbacks and no push subscriptions
-            // over the WS syntax.
-            let mut ctx = infogram_exec::gram::ConnCtx::detached();
-            while let Ok(bytes) = conn.recv() {
-                requests.incr();
-                let reply = match std::str::from_utf8(&bytes)
-                    .map_err(|_| err("not utf-8"))
-                    .and_then(decode_request)
-                {
-                    Ok(request) => dispatcher.dispatch(&owner, &account, request, &mut ctx),
-                    Err(e) => Reply::Error {
-                        code: infogram_proto::message::codes::BAD_RSL,
-                        message: e.to_string(),
-                    },
-                };
-                if conn.send(encode_reply(&reply).as_bytes()).is_err() {
-                    break;
-                }
+/// Serve a WS gateway next to a native InfoGram service, forwarding
+/// into `dispatcher` under the given gateway principal (`owner` DN
+/// string, local `account`), until the returned acceptor's
+/// [`Acceptor::shutdown`].
+pub fn serve(
+    dispatcher: Arc<InfoGramDispatcher>,
+    owner: &str,
+    account: &str,
+    transport: &dyn Transport,
+    bind_addr: &str,
+) -> Result<Acceptor, ProtoError> {
+    let owner = owner.to_string();
+    let account = account.to_string();
+    let connections = dispatcher.telemetry().counter("ws.connections");
+    let requests = dispatcher.telemetry().counter("ws.requests");
+    Acceptor::start(transport, bind_addr, move |conn| {
+        connections.incr();
+        // Detached: no event callbacks and no push subscriptions
+        // over the WS syntax.
+        let mut ctx = infogram_exec::gram::ConnCtx::detached();
+        while let Ok(bytes) = conn.recv() {
+            requests.incr();
+            let reply = match std::str::from_utf8(&bytes)
+                .map_err(|_| err("not utf-8"))
+                .and_then(decode_request)
+            {
+                Ok(request) => dispatcher.dispatch(&owner, &account, request, &mut ctx),
+                Err(e) => Reply::Error {
+                    code: infogram_proto::message::codes::BAD_RSL,
+                    message: e.to_string(),
+                },
+            };
+            if conn.send(encode_reply(&reply).as_bytes()).is_err() {
+                break;
             }
-        })?;
-        Ok(Arc::new(WsGateway { acceptor }))
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> &str {
-        self.acceptor.addr()
-    }
-
-    /// Stop accepting.
-    pub fn shutdown(&self) {
-        self.acceptor.shutdown();
-    }
+        }
+    })
 }
 
 /// A minimal WS client speaking envelopes.
@@ -488,7 +464,7 @@ mod tests {
             std::sync::Arc::clone(world.service.engine()),
             std::sync::Arc::clone(world.service.info_service()),
         );
-        let gateway = WsGateway::start(
+        let gateway = serve(
             dispatcher,
             "/O=Grid/OU=WS/CN=Gateway",
             "gregor",
@@ -529,7 +505,7 @@ mod tests {
             std::sync::Arc::clone(world.service.engine()),
             std::sync::Arc::clone(world.service.info_service()),
         );
-        let gateway = WsGateway::start(
+        let gateway = serve(
             dispatcher,
             "/O=Grid/OU=WS/CN=Gateway",
             "gregor",

@@ -19,7 +19,7 @@ use infogram_rsl::{JobRequest, JobType, TimeoutAction, XrslRequest};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
 use infogram_sim::SimTime;
-use parking_lot::{lock_class, Mutex, RwLock};
+use parking_lot::{lock_class, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -234,8 +234,8 @@ pub struct JobEngine {
     wal: Wal,
     fork: Arc<dyn ExecBackend>,
     jarlet: OnceLock<Arc<dyn ExecBackend>>,
-    /// Named batch queues in registration order; the first is the default.
-    queues: RwLock<Vec<(String, Arc<dyn ExecBackend>)>>,
+    /// Named batch queues; the first is the default.
+    queues: OnceLock<Vec<(String, Arc<dyn ExecBackend>)>>,
     jobs: Mutex<JobTable>,
     /// Jobs in the table whose submitter's callback outbox is open. It
     /// publishes nothing else (the driver reads it only to decide whether
@@ -283,7 +283,7 @@ impl JobEngine {
             wal,
             fork,
             jarlet: OnceLock::new(),
-            queues: RwLock::with_class(Vec::new(), lock_class!("exec.engine.queues")),
+            queues: OnceLock::new(),
             jobs: Mutex::with_class(JobTable::default(), lock_class!("exec.engine.jobs")),
             callback_jobs: AtomicUsize::new(0),
             stdio_host: OnceLock::new(),
@@ -303,11 +303,11 @@ impl JobEngine {
         let _ = self.stdio_host.set(host);
     }
 
-    /// Register a named batch queue backend. The first registered queue
-    /// is the default for `(jobtype=batch)` without `(queue=...)`, and a
-    /// name registered twice means its first registration.
-    pub fn add_queue(&self, name: &str, backend: Arc<dyn ExecBackend>) {
-        self.queues.write().push((name.to_string(), backend));
+    /// Attach the named batch queue backends. The first queue is the
+    /// default for `(jobtype=batch)` without `(queue=...)`, and a name
+    /// given twice means its first entry. The first list attached stays.
+    pub fn set_queues(&self, queues: Vec<(String, Arc<dyn ExecBackend>)>) {
+        let _ = self.queues.set(queues);
     }
 
     /// The engine's restart generation.
@@ -388,7 +388,7 @@ impl JobEngine {
                 ))
             }),
             JobType::Batch => {
-                let queues = self.queues.read();
+                let queues = self.queues.get().map_or(&[][..], Vec::as_slice);
                 let (_, backend) = match &spec.queue {
                     Some(name) => queues
                         .iter()
@@ -1052,6 +1052,11 @@ mod tests {
     }
 
     fn world_on(wal: Wal) -> World {
+        world_with_queues(wal, &["pbs"])
+    }
+
+    /// A world whose batch queues are `names`, each FIFO over two slots.
+    fn world_with_queues(wal: Wal, names: &[&str]) -> World {
         let clock = ManualClock::new();
         let host = SimulatedHost::default_on(clock.clone());
         let registry = CommandRegistry::new(host, ChargeMode::None);
@@ -1067,13 +1072,14 @@ mod tests {
             Policy::restrictive(),
             ExecMode::Isolated,
         ));
-        engine.add_queue(
-            "pbs",
-            QueueBackend::batch(
-                Arc::new(BatchQueue::fifo(clock.clone(), 2)),
-                Arc::clone(&registry),
-            ),
-        );
+        let queue = |name: &&str| -> (String, Arc<dyn ExecBackend>) {
+            let pool = Arc::new(BatchQueue::fifo(clock.clone(), 2));
+            (
+                name.to_string(),
+                QueueBackend::batch(pool, Arc::clone(&registry)),
+            )
+        };
+        engine.set_queues(names.iter().map(queue).collect());
         World {
             clock,
             registry,
@@ -1424,10 +1430,7 @@ mod tests {
             })
         };
 
-        let first = world_on(open());
-        let queue = Arc::new(BatchQueue::fifo(first.clock.clone(), 2));
-        let backend = QueueBackend::batch(queue, Arc::clone(&first.registry));
-        first.engine.add_queue("q", backend);
+        let first = world_with_queues(open(), &["pbs", "q"]);
         let rsl = "&(executable=simwork)(arguments=60000)(jobtype=batch)(queue=q)";
         let id = submit(&first, rsl).job_id;
         drop(first);

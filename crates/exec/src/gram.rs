@@ -15,15 +15,15 @@
 
 use crate::engine::{JobEngine, SubmitError};
 use crate::wal::Wal;
-use infogram_gsi::{wire_server_respond, wire_server_verify, Authorizer, Certificate, Credential};
+use infogram_gsi::{
+    nonce_rng, wire_server_respond, wire_server_verify, Authorizer, Certificate, Credential,
+};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
 use infogram_proto::transport::{Acceptor, Conn, Listener};
 use infogram_proto::{JobHandle, Outbox};
 use infogram_rsl::{RequestKind, XrslRequest};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge};
-use infogram_sim::SplitMix64;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,19 +82,6 @@ impl ConnCtx {
     /// frames.
     pub fn outbox(&self) -> Option<&Arc<Outbox>> {
         self.outbox.as_ref()
-    }
-}
-
-/// A running GRAM (or GRAM-shaped) server.
-pub struct GramServer {
-    acceptor: Acceptor,
-}
-
-impl std::fmt::Debug for GramServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GramServer")
-            .field("addr", &self.addr())
-            .finish_non_exhaustive()
     }
 }
 
@@ -256,8 +243,8 @@ impl RequestDispatcher for JobsOnlyDispatcher {
     }
 }
 
-/// What every connection thread of a [`GramServer`] shares; the
-/// connection-layer instruments are resolved once, at start.
+/// What every connection thread of a GRAM (or GRAM-shaped) server
+/// shares; the connection-layer instruments are resolved once, at start.
 struct Gatekeeper {
     engine: Arc<JobEngine>,
     dispatcher: Arc<dyn RequestDispatcher>,
@@ -265,55 +252,39 @@ struct Gatekeeper {
     trust_roots: Vec<Certificate>,
     authorizer: Arc<Authorizer>,
     clock: SharedClock,
-    /// Seeds each connection's handshake RNG, so no two connections get
-    /// the same server nonce.
-    nonce_seeds: Mutex<SplitMix64>,
     connections: Arc<Counter>,
     active: Arc<Gauge>,
     auth_failures: Arc<Counter>,
     requests: Arc<Counter>,
 }
 
-impl GramServer {
-    /// Start a server on a bound `listener` — bound before the engine is
-    /// built, so the engine's handles name the port `listener` resolved
-    /// — and serve until [`GramServer::shutdown`].
-    pub fn start(
-        engine: Arc<JobEngine>,
-        dispatcher: Arc<dyn RequestDispatcher>,
-        listener: Box<dyn Listener>,
-        credential: Credential,
-        trust_roots: Vec<Certificate>,
-        authorizer: Arc<Authorizer>,
-        clock: SharedClock,
-    ) -> Arc<Self> {
-        let telemetry = engine.metrics();
-        let gatekeeper = Gatekeeper {
-            connections: telemetry.counter("gram.connections"),
-            active: telemetry.gauge("gram.connections.active"),
-            auth_failures: telemetry.counter("gram.auth_failures"),
-            requests: telemetry.counter("gram.requests"),
-            engine,
-            dispatcher,
-            credential,
-            trust_roots,
-            authorizer,
-            nonce_seeds: Mutex::new(SplitMix64::new(clock.now().as_nanos() ^ 0x6a7e_5eed)),
-            clock,
-        };
-        let acceptor = Acceptor::serve(listener, move |conn| gatekeeper.serve_connection(conn));
-        Arc::new(GramServer { acceptor })
-    }
-
-    /// The bound address clients connect to.
-    pub fn addr(&self) -> &str {
-        self.acceptor.addr()
-    }
-
-    /// Stop accepting and unblock the accept loop.
-    pub fn shutdown(&self) {
-        self.acceptor.shutdown();
-    }
+/// Serve a GRAM (or GRAM-shaped) gatekeeper on a bound `listener` —
+/// bound before the engine is built, so the engine's handles name the
+/// port `listener` resolved — until the returned acceptor's
+/// [`Acceptor::shutdown`].
+pub fn serve(
+    engine: Arc<JobEngine>,
+    dispatcher: Arc<dyn RequestDispatcher>,
+    listener: Box<dyn Listener>,
+    credential: Credential,
+    trust_roots: Vec<Certificate>,
+    authorizer: Arc<Authorizer>,
+    clock: SharedClock,
+) -> Acceptor {
+    let telemetry = engine.metrics();
+    let gatekeeper = Gatekeeper {
+        connections: telemetry.counter("gram.connections"),
+        active: telemetry.gauge("gram.connections.active"),
+        auth_failures: telemetry.counter("gram.auth_failures"),
+        requests: telemetry.counter("gram.requests"),
+        engine,
+        dispatcher,
+        credential,
+        trust_roots,
+        authorizer,
+        clock,
+    };
+    Acceptor::serve(listener, move |conn| gatekeeper.serve_connection(conn))
 }
 
 impl Gatekeeper {
@@ -337,7 +308,7 @@ impl Gatekeeper {
 
         // ---- gatekeeper: 3-message mutual authentication ----
         let now = self.clock.now();
-        let mut rng = SplitMix64::new(self.nonce_seeds.lock().next_u64());
+        let mut rng = nonce_rng(now);
         let Ok(hello) = conn.recv() else { return };
         let (resp, pending) =
             match wire_server_respond(&self.credential, &self.trust_roots, &hello, now, &mut rng) {

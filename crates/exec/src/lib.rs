@@ -42,9 +42,7 @@ pub use backend::{
     QueueBackend,
 };
 pub use engine::{EngineConfig, JobEngine, SubmitError};
-pub use gram::{
-    ConnCtx, GramServer, JobsOnlyDispatcher, RequestDispatcher, DEFAULT_OUTBOX_CAPACITY,
-};
+pub use gram::{ConnCtx, JobsOnlyDispatcher, RequestDispatcher, DEFAULT_OUTBOX_CAPACITY};
 pub use sandbox::{ExecMode, Jarlet, Policy, SandboxOutcome};
 pub use wal::{
     AccountUsage, CheckpointState, FileStorage, FileWal, FrameWal, MemStorage, RecoveredJob,

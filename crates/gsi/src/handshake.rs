@@ -16,6 +16,7 @@ use crate::dn::Dn;
 use crate::wire::{self, WireParseError};
 use infogram_sim::wire::Reader;
 use infogram_sim::{SimTime, SplitMix64};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a handshake failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,63 +59,23 @@ pub struct SecurityContext {
     pub established_at: SimTime,
 }
 
-/// Run a full mutual authentication between a client and server
-/// credential, both validating against `trust_roots` at time `now`.
-///
-/// Returns the client-side and server-side security contexts. The wire
-/// cost is three messages; callers that meter traffic must charge it
-/// themselves (the transports in `infogram-proto` do).
-pub fn authenticate(
-    client: &Credential,
-    server: &Credential,
-    trust_roots: &[Certificate],
-    now: SimTime,
-    rng: &mut SplitMix64,
-) -> Result<(SecurityContext, SecurityContext), HandshakeError> {
-    // Message 1: client chain + nonce.
-    let client_nonce = rng.next_u64().to_le_bytes();
-    let client_id =
-        verify_chain(&client.chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
-
-    // Message 2: server chain + nonce + proof over client nonce.
-    let server_nonce = rng.next_u64().to_le_bytes();
-    let server_id =
-        verify_chain(&server.chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
-    let server_proof = server.key.sign(&client_nonce);
-    if !server.chain[0]
-        .subject_key
-        .verify(&client_nonce, server_proof)
-    {
-        return Err(HandshakeError::BadProof { side: "server" });
-    }
-
-    // Message 3: client proof over server nonce.
-    let client_proof = client.key.sign(&server_nonce);
-    if !client.chain[0]
-        .subject_key
-        .verify(&server_nonce, client_proof)
-    {
-        return Err(HandshakeError::BadProof { side: "client" });
-    }
-
-    Ok((
-        SecurityContext {
-            peer: server_id.clone(),
-            local: client_id.clone(),
-            established_at: now,
-        },
-        SecurityContext {
-            peer: client_id,
-            local: server_id,
-            established_at: now,
-        },
-    ))
+/// The handshake RNG of one endpoint: a client connecting, or a server
+/// accepting one connection. Every endpoint of the process draws from one
+/// lock-free stream — an atomic that steps by SplitMix64's gamma, mixed
+/// on each draw — so no two draws share a state and two endpoints at one
+/// clock reading never send the same nonce; a nonce that repeats lets a
+/// recorded proof over it authenticate a second session. `now`, mixed
+/// in, keeps a restarted process off its predecessor's stream.
+pub fn nonce_rng(now: SimTime) -> SplitMix64 {
+    static STREAM: AtomicU64 = AtomicU64::new(0);
+    let state = STREAM.fetch_add(SplitMix64::GAMMA, Ordering::Relaxed);
+    SplitMix64::new(SplitMix64::new(state).next_u64() ^ now.as_nanos())
 }
 
 // ---------------------------------------------------------------------
-// Wire-level handshake: the same 3 messages as binary payloads, used by
-// the gatekeepers over real connections. Nonces and proofs are 8 bytes
-// little-endian; a chain is `wire::encode_chain`'s.
+// The 3 messages as binary payloads, the only implementation: every
+// client and server runs these four steps. Nonces and proofs are 8 bytes
+// little-endian; a chain is `wire::put_chain`'s.
 //
 //   M1  client → server   HELLO  tag, client nonce, client chain
 //   M2  server → client   RESP   tag, server nonce, proof over client
@@ -276,6 +237,21 @@ mod tests {
         rng: SplitMix64,
     }
 
+    /// The four wire steps, HELLO to verified FIN: the client's context,
+    /// then the server's.
+    fn handshake(
+        client: &Credential,
+        server: &Credential,
+        roots: &[Certificate],
+        now: SimTime,
+        rng: &mut SplitMix64,
+    ) -> Result<(SecurityContext, SecurityContext), HandshakeError> {
+        let (hello, nonce) = wire_client_hello(client, rng);
+        let (resp, pending) = wire_server_respond(server, roots, &hello, now, rng)?;
+        let (fin, client_ctx) = wire_client_finish(client, roots, &resp, nonce, now)?;
+        Ok((client_ctx, wire_server_verify(&pending, &fin)?))
+    }
+
     fn world() -> World {
         let mut rng = SplitMix64::new(7);
         let ca = CertificateAuthority::new_root(
@@ -304,11 +280,13 @@ mod tests {
         );
         let roots = [w.ca.certificate().clone()];
         let (cctx, sctx) =
-            authenticate(&user, &host, &roots, SimTime::from_secs(5), &mut w.rng).unwrap();
+            handshake(&user, &host, &roots, SimTime::from_secs(5), &mut w.rng).unwrap();
         assert_eq!(cctx.peer, Dn::user("Grid", "Hosts", "gatekeeper.anl.gov"));
         assert_eq!(sctx.peer, Dn::user("Grid", "ANL", "Alice"));
         assert_eq!(cctx.local, sctx.peer);
+        assert_eq!(sctx.local, cctx.peer);
         assert_eq!(cctx.established_at, SimTime::from_secs(5));
+        assert_eq!(sctx.established_at, SimTime::from_secs(5));
     }
 
     #[test]
@@ -331,7 +309,7 @@ mod tests {
         );
         let roots = [w.ca.certificate().clone()];
         let (_c, sctx) =
-            authenticate(&proxy, &host, &roots, SimTime::from_secs(1), &mut w.rng).unwrap();
+            handshake(&proxy, &host, &roots, SimTime::from_secs(1), &mut w.rng).unwrap();
         assert_eq!(sctx.peer, Dn::user("Grid", "ANL", "Bob"));
     }
 
@@ -351,7 +329,7 @@ mod tests {
             Duration::from_secs(86_400),
         );
         let roots = [w.ca.certificate().clone()];
-        match authenticate(&user, &host, &roots, SimTime::from_secs(100), &mut w.rng) {
+        match handshake(&user, &host, &roots, SimTime::from_secs(100), &mut w.rng) {
             Err(HandshakeError::BadChain(CertError::Expired { .. })) => {}
             other => panic!("{other:?}"),
         }
@@ -380,7 +358,7 @@ mod tests {
             Duration::from_secs(86_400),
         );
         let roots = [w.ca.certificate().clone()];
-        match authenticate(&user, &evil_host, &roots, SimTime::ZERO, &mut w.rng) {
+        match handshake(&user, &evil_host, &roots, SimTime::ZERO, &mut w.rng) {
             Err(HandshakeError::BadChain(CertError::UntrustedRoot { .. })) => {}
             other => panic!("{other:?}"),
         }
@@ -491,9 +469,9 @@ mod tests {
         }
     }
 
-    /// A DN is sent as its RDN pairs, so one a CA issued authenticates
-    /// over the wire exactly as it does in process — including values a
-    /// text form would trim or split.
+    /// A DN is sent as its RDN pairs, so both ends of the wire see exactly
+    /// the DN the CA issued — including values a text form would trim or
+    /// split.
     #[test]
     fn every_dn_a_ca_issues_authenticates_over_the_wire() {
         let mut w = world();
@@ -514,46 +492,19 @@ mod tests {
             .unwrap();
             let user =
                 w.ca.issue(&dn, &mut w.rng, SimTime::ZERO, Duration::from_secs(86_400));
-            let (_, in_process) = authenticate(&user, &host, &roots, now, &mut w.rng).unwrap();
-            assert_eq!(in_process.peer, dn);
-
-            let (m1, nonce) = wire_client_hello(&user, &mut w.rng);
-            let (m2, pending) = wire_server_respond(&host, &roots, &m1, now, &mut w.rng)
+            let (cctx, sctx) = handshake(&user, &host, &roots, now, &mut w.rng)
                 .unwrap_or_else(|e| panic!("{cn:?}: {e}"));
-            let (m3, cctx) = wire_client_finish(&user, &roots, &m2, nonce, now).unwrap();
-            let sctx = wire_server_verify(&pending, &m3).unwrap();
             assert_eq!(sctx.peer, dn, "{cn:?}");
             assert_eq!(cctx.local, dn, "{cn:?}");
         }
     }
 
     #[test]
-    fn wire_handshake_full_exchange() {
-        let mut w = world();
-        let user = w.ca.issue(
-            &Dn::user("Grid", "ANL", "WireAlice"),
-            &mut w.rng,
-            SimTime::ZERO,
-            Duration::from_secs(86_400),
-        );
-        let host = w.ca.issue(
-            &Dn::user("Grid", "Hosts", "wire-gk"),
-            &mut w.rng,
-            SimTime::ZERO,
-            Duration::from_secs(86_400),
-        );
-        let roots = [w.ca.certificate().clone()];
-        let now = SimTime::from_secs(9);
-
-        let (m1, client_nonce) = wire_client_hello(&user, &mut w.rng);
-        let (m2, pending) = wire_server_respond(&host, &roots, &m1, now, &mut w.rng).unwrap();
-        let (m3, cctx) = wire_client_finish(&user, &roots, &m2, client_nonce, now).unwrap();
-        let sctx = wire_server_verify(&pending, &m3).unwrap();
-
-        assert_eq!(cctx.peer, Dn::user("Grid", "Hosts", "wire-gk"));
-        assert_eq!(sctx.peer, Dn::user("Grid", "ANL", "WireAlice"));
-        assert_eq!(cctx.local, sctx.peer);
-        assert_eq!(sctx.local, cctx.peer);
+    fn no_two_endpoints_at_one_clock_reading_share_a_nonce() {
+        let now = SimTime::from_secs(1);
+        let nonces: std::collections::HashSet<u64> =
+            (0..1_000).map(|_| nonce_rng(now).next_u64()).collect();
+        assert_eq!(nonces.len(), 1_000);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use contract::{Contract, Window};
 pub use dn::Dn;
 pub use gridmap::GridMap;
 pub use handshake::{
-    authenticate, wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify,
+    nonce_rng, wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify,
     HandshakeError, SecurityContext, ServerPending,
 };
 pub use policy::{Authorizer, AuthzDecision, AuthzError};

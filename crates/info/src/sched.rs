@@ -186,9 +186,10 @@ pub struct RefreshScheduler {
     state: Mutex<SchedState>,
     /// Push-subscription fan-out target (see [`SubscriptionHub`]):
     /// every successful refresh is forwarded here *after* the state
-    /// lock drops, and a subscribed keyword counts as standing demand
-    /// for the cold-skip gate.
-    hub: Mutex<Option<Arc<SubscriptionHub>>>,
+    /// lock drops, and a keyword with live subscribers is never
+    /// cold-skipped (a subscription is standing demand — the subscriber
+    /// already asked for every future value).
+    hub: Arc<SubscriptionHub>,
 }
 
 impl std::fmt::Debug for RefreshScheduler {
@@ -200,10 +201,10 @@ impl std::fmt::Debug for RefreshScheduler {
 }
 
 impl RefreshScheduler {
-    /// A scheduler with no watched keywords. `metrics` receives the
-    /// `sched.*` instruments; pass the service's own set so
-    /// `(info=metrics)` surfaces them.
-    pub fn new(clock: SharedClock, metrics: MetricSet) -> Arc<Self> {
+    /// A scheduler with no watched keywords, pushing every refresh into
+    /// `hub`. `metrics` receives the `sched.*` instruments; pass the
+    /// service's own set so `(info=metrics)` surfaces them.
+    pub fn new(clock: SharedClock, metrics: MetricSet, hub: Arc<SubscriptionHub>) -> Arc<Self> {
         let telemetry = SchedTelemetry::intern(&metrics);
         Arc::new(RefreshScheduler {
             clock,
@@ -217,16 +218,8 @@ impl RefreshScheduler {
                 },
                 lock_class!("info.sched.state"),
             ),
-            hub: Mutex::with_class(None, lock_class!("info.sched.hub")),
+            hub,
         })
-    }
-
-    /// Wire a [`SubscriptionHub`]: from now on every successful refresh
-    /// fans out to the keyword's subscribers, and a keyword with live
-    /// subscribers is never cold-skipped (a subscription is standing
-    /// demand — the subscriber already asked for every future value).
-    pub fn set_hub(&self, hub: Arc<SubscriptionHub>) {
-        *self.hub.lock() = Some(hub);
     }
 
     /// Number of keywords currently watched.
@@ -379,9 +372,6 @@ impl RefreshScheduler {
         let now = self.clock.now();
         let mut report = TickReport::default();
         let mut batch: Vec<InFlight> = Vec::new();
-        // Snapshot the hub wiring once per tick; the scheduler's state
-        // lock is ordered strictly before the hub's (never the reverse).
-        let hub = self.hub.lock().clone();
         {
             let mut guard = self.state.lock();
             // Reborrow as a plain `&mut` so the wheel and the tracked
@@ -412,9 +402,9 @@ impl RefreshScheduler {
                 // Cold skip: no demand since the last visit (and the
                 // cache has been seeded) → check again one TTL out.
                 // A keyword with live push subscribers is never cold:
-                // its subscribers asked for every future value.
-                let subscribed = hub.as_ref().is_some_and(|h| h.has_subscribers(&key));
-                if t.primed && delta == Some(0) && !subscribed {
+                // its subscribers asked for every future value. The
+                // state lock is ordered before the hub's, never after.
+                if t.primed && delta == Some(0) && !self.hub.has_subscribers(&key) {
                     let ttl = t.si.ttl().max(MIN_INTERVAL);
                     t.ticket = Some(st.wheel.schedule(now.plus(ttl), key.clone()));
                     self.telemetry.skipped.incr();
@@ -477,9 +467,7 @@ impl RefreshScheduler {
                         self.reschedule_after_refresh(&mut st, &flight.key, &snap);
                         self.telemetry.prefetches.incr();
                         report.refreshed += 1;
-                        if hub.is_some() {
-                            pushed.push((Arc::clone(&flight.si), snap));
-                        }
+                        pushed.push((Arc::clone(&flight.si), snap));
                     }
                     Err(QueryError::Provider(e)) if !e.is_transient() => {
                         // Config error: evict — retrying cannot help.
@@ -514,12 +502,10 @@ impl RefreshScheduler {
                 }
             }
         }
-        if let Some(hub) = &hub {
-            // Fan out with no scheduler lock held: a slow or deadlocked
-            // sink can cost this tick latency, never a lock cycle.
-            for (si, snap) in pushed {
-                hub.notify_refresh(&si, &snap);
-            }
+        // Fan out with no scheduler lock held: a slow or deadlocked sink
+        // can cost this tick latency, never a lock cycle.
+        for (si, snap) in pushed {
+            self.hub.notify_refresh(&si, &snap);
         }
         report.next_deadline = self.state.lock().wheel.next_deadline();
         report
@@ -573,7 +559,13 @@ mod tests {
     }
 
     fn sched(clock: Arc<ManualClock>) -> Arc<RefreshScheduler> {
-        RefreshScheduler::new(clock, MetricSet::new())
+        sched_with(clock, MetricSet::new())
+    }
+
+    /// A scheduler whose hub nobody subscribes to.
+    fn sched_with(clock: Arc<ManualClock>, metrics: MetricSet) -> Arc<RefreshScheduler> {
+        let hub = SubscriptionHub::new("node0.grid", MetricSet::new());
+        RefreshScheduler::new(clock, metrics, hub)
     }
 
     #[test]
@@ -629,7 +621,7 @@ mod tests {
     fn cold_keyword_with_demand_wiring_is_skipped() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
+        let s = sched_with(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let km = KeywordMetrics::intern(&metrics, "Date");
         let si = entry(clock.clone(), "Date", TTL, Arc::clone(&calls));
@@ -658,7 +650,7 @@ mod tests {
     fn config_error_evicts_instead_of_retrying() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
+        let s = sched_with(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&calls);
         let si = SystemInformation::new(
@@ -690,7 +682,7 @@ mod tests {
     fn open_breaker_parks_the_keyword() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
+        let s = sched_with(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&calls);
         let si = SystemInformation::new(
@@ -730,7 +722,7 @@ mod tests {
     fn batch_cap_defers_cheapest_and_refreshes_costliest() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
+        let s = sched_with(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
         for i in 0..MAX_BATCH + 2 {
             let kw = format!("K{i}");
@@ -770,7 +762,7 @@ mod tests {
     fn staleness_gauge_tracks_demand_times_latency() {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
-        let s = RefreshScheduler::new(clock.clone(), metrics.clone());
+        let s = sched_with(clock.clone(), metrics.clone());
         let km = KeywordMetrics::intern(&metrics, "CPU");
         let c2 = clock.clone();
         let si = SystemInformation::new(

@@ -6,12 +6,9 @@
 
 use crate::dit::{DirEntry, Scope};
 use crate::protocol::{entries_from_text, MdsReply, MdsRequest};
-use infogram_gsi::{wire_client_finish, wire_client_hello, Certificate, Credential};
+use infogram_gsi::{nonce_rng, wire_client_finish, wire_client_hello, Certificate, Credential};
 use infogram_proto::transport::{Conn, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
-use infogram_sim::SplitMix64;
-#[cfg(test)]
-use std::sync::Arc;
 
 /// Why an MDS operation failed.
 #[derive(Debug)]
@@ -67,8 +64,7 @@ impl MdsClient {
     ) -> Result<MdsClient, MdsClientError> {
         let conn = transport.connect(addr)?;
         let now = clock.now();
-        let mut rng = SplitMix64::new(now.as_nanos() ^ 0xb1d);
-        let (hello, nonce) = wire_client_hello(credential, &mut rng);
+        let (hello, nonce) = wire_client_hello(credential, &mut nonce_rng(now));
         conn.send(&hello)?;
         let resp = conn.recv()?;
         let (fin, _server) = wire_client_finish(credential, trust_roots, &resp, nonce, now)
@@ -110,21 +106,23 @@ impl MdsClient {
 mod tests {
     use super::*;
     use crate::gris::Gris;
-    use crate::service::MdsServer;
+    use crate::service;
     use infogram_gsi::{CertificateAuthority, Dn};
     use infogram_host::commands::{ChargeMode, CommandRegistry};
     use infogram_host::machine::SimulatedHost;
     use infogram_info::config::ServiceConfig;
     use infogram_info::service::InformationService;
     use infogram_proto::transport::mem::MemNetwork;
+    use infogram_proto::transport::Acceptor;
     use infogram_sim::metrics::MetricSet;
-    use infogram_sim::{SimTime, SystemClock};
+    use infogram_sim::{SimTime, SplitMix64, SystemClock};
+    use std::sync::Arc;
     use std::time::Duration;
 
     struct World {
         clock: SharedClock,
         net: Arc<MemNetwork>,
-        server: Arc<MdsServer>,
+        server: Acceptor,
         user: Credential,
         roots: Vec<Certificate>,
     }
@@ -162,7 +160,7 @@ mod tests {
         );
         let gris = Gris::new(info);
         let net = MemNetwork::ideal();
-        let server = MdsServer::start(
+        let server = service::serve(
             gris,
             &net,
             "mds.grid:2135",

@@ -19,7 +19,8 @@
 //! * [`protocol`] — MDS's own wire protocol (bind/search/unbind) —
 //!   deliberately *different* from the GRAM protocol, because that very
 //!   difference is what Figure 2 charges the baseline for;
-//! * [`service`] / [`client`] — a network-facing MDS server and client.
+//! * [`service`] / [`client`] — a network-facing MDS server
+//!   ([`service::serve`]) and client.
 
 pub mod client;
 pub mod dit;
@@ -34,4 +35,3 @@ pub use dit::{DirEntry, DirectoryTree, Scope};
 pub use filter::Filter;
 pub use giis::Giis;
 pub use gris::Gris;
-pub use service::MdsServer;

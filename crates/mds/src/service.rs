@@ -8,76 +8,47 @@
 use crate::filter::Filter;
 use crate::gris::Gris;
 use crate::protocol::{entries_to_text, MdsReply, MdsRequest};
-use infogram_gsi::{wire_server_respond, wire_server_verify, Certificate, Credential, Dn};
+use infogram_gsi::{
+    nonce_rng, wire_server_respond, wire_server_verify, Certificate, Credential, Dn,
+};
 use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
-use infogram_sim::SplitMix64;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// A running MDS server.
-pub struct MdsServer {
-    acceptor: Acceptor,
-}
-
-/// What every connection thread of an [`MdsServer`] shares.
+/// What every connection thread of an MDS server shares.
 struct SearchService {
     gris: Arc<Gris>,
     credential: Credential,
     trust_roots: Vec<Certificate>,
     clock: SharedClock,
-    /// Seeds each connection's handshake RNG, so no two connections get
-    /// the same server nonce.
-    nonce_seeds: Mutex<SplitMix64>,
 }
 
-impl std::fmt::Debug for MdsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MdsServer")
-            .field("addr", &self.addr())
-            .finish_non_exhaustive()
-    }
-}
-
-impl MdsServer {
-    /// Bind and start serving `gris`.
-    pub fn start(
-        gris: Arc<Gris>,
-        transport: &dyn Transport,
-        bind_addr: &str,
-        credential: Credential,
-        trust_roots: Vec<Certificate>,
-        clock: SharedClock,
-    ) -> Result<Arc<Self>, ProtoError> {
-        let service = SearchService {
-            gris,
-            credential,
-            trust_roots,
-            nonce_seeds: Mutex::new(SplitMix64::new(clock.now().as_nanos() ^ 0x4d45_5344)),
-            clock,
-        };
-        let acceptor = Acceptor::start(transport, bind_addr, move |conn| {
-            service.serve_connection(conn)
-        })?;
-        Ok(Arc::new(MdsServer { acceptor }))
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> &str {
-        self.acceptor.addr()
-    }
-
-    /// Stop accepting.
-    pub fn shutdown(&self) {
-        self.acceptor.shutdown();
-    }
+/// Bind and serve `gris` until the returned acceptor's
+/// [`Acceptor::shutdown`].
+pub fn serve(
+    gris: Arc<Gris>,
+    transport: &dyn Transport,
+    bind_addr: &str,
+    credential: Credential,
+    trust_roots: Vec<Certificate>,
+    clock: SharedClock,
+) -> Result<Acceptor, ProtoError> {
+    let service = SearchService {
+        gris,
+        credential,
+        trust_roots,
+        clock,
+    };
+    Acceptor::start(transport, bind_addr, move |conn| {
+        service.serve_connection(conn)
+    })
 }
 
 impl SearchService {
     fn serve_connection(&self, conn: Arc<dyn Conn>) {
         // GSI bind.
         let now = self.clock.now();
-        let mut rng = SplitMix64::new(self.nonce_seeds.lock().next_u64());
+        let mut rng = nonce_rng(now);
         let Ok(hello) = conn.recv() else { return };
         let Ok((resp, pending)) =
             wire_server_respond(&self.credential, &self.trust_roots, &hello, now, &mut rng)

@@ -10,6 +10,7 @@
 //! second `write` is a second segment and a second wake-up of the
 //! reader, which has the length and blocks until the payload follows.
 
+use crate::transport::ProtoError;
 use std::io::{IoSlice, Read, Write};
 
 /// Upper bound on a frame payload (16 MiB) — a malformed or hostile
@@ -19,41 +20,19 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Bytes of framing overhead per message.
 pub const FRAME_OVERHEAD: usize = 4;
 
-/// A framing failure.
-#[derive(Debug)]
-pub enum FrameError {
-    /// Underlying I/O failed.
-    Io(std::io::Error),
-    /// The peer closed the stream cleanly between frames.
-    Closed,
-    /// A length prefix exceeded [`MAX_FRAME_LEN`].
-    TooLarge(usize),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "frame I/O error: {e}"),
-            FrameError::Closed => write!(f, "connection closed"),
-            FrameError::TooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
+/// The most a frame read asks of the allocator before any payload byte
+/// has arrived. A longer payload's buffer then at most doubles what has
+/// arrived, so a peer that claims [`MAX_FRAME_LEN`] and stalls holds
+/// what it sent, not what it claimed. A frame up to this size is one
+/// allocation of its exact length.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Write one frame: one `write_vectored` of length and payload, looping
 /// only if the writer accepts part of it. A writer without vectored
 /// writes (the trait's default) degrades to one `write` per slice.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
     if payload.len() > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge(payload.len()));
+        return Err(ProtoError::TooLarge(payload.len()));
     }
     let header = (payload.len() as u32).to_be_bytes();
     let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
@@ -70,32 +49,27 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
     Ok(())
 }
 
-/// Read one frame. [`FrameError::Closed`] means the peer hung up cleanly
-/// before a new frame began.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
+/// Read one frame. [`ProtoError::Closed`] means the peer hung up cleanly
+/// before a new frame began; a frame cut short is [`ProtoError::Io`].
+pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
     let mut len_buf = [0u8; 4];
     // Distinguish clean EOF (no bytes of a new frame) from truncation.
     match r.read(&mut len_buf)? {
-        0 => return Err(FrameError::Closed),
-        mut n => {
-            while n < 4 {
-                let more = r.read(&mut len_buf[n..])?;
-                if more == 0 {
-                    return Err(FrameError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "truncated frame header",
-                    )));
-                }
-                n += more;
-            }
-        }
+        0 => return Err(ProtoError::Closed),
+        n => r.read_exact(&mut len_buf[n..])?,
     }
     let len = u32::from_be_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge(len));
+        return Err(ProtoError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let have = payload.len();
+        let next = len.min(have.max(READ_CHUNK / 2) * 2);
+        payload.reserve_exact(next - have);
+        payload.resize(next, 0);
+        r.read_exact(&mut payload[have..])?;
+    }
     Ok(payload)
 }
 
@@ -114,7 +88,7 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), vec![0xffu8; 100]);
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
+        assert!(matches!(read_frame(&mut r), Err(ProtoError::Closed)));
     }
 
     /// A socket-like writer: counts the calls that reach it and takes at
@@ -157,7 +131,8 @@ mod tests {
 
     #[test]
     fn a_frame_is_one_write() {
-        for payload in [&b""[..], b"(info=Memory)", &[7u8; 40_000]] {
+        // The last is read in four growing steps: 64, 128, 256 and 293 KiB.
+        for payload in [&b""[..], b"(info=Memory)", &[7u8; 40_000], &[9u8; 300_000]] {
             let mut socket = Socket::new(usize::MAX);
             write_frame(&mut socket, payload).unwrap();
             assert_eq!(socket.calls, 1, "{} payload bytes", payload.len());
@@ -183,7 +158,7 @@ mod tests {
         let mut socket = Socket::new(0);
         assert!(matches!(
             write_frame(&mut socket, b"x"),
-            Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::WriteZero
+            Err(ProtoError::Io(_))
         ));
     }
 
@@ -193,20 +168,20 @@ mod tests {
         let huge = vec![0u8; MAX_FRAME_LEN + 1];
         assert!(matches!(
             write_frame(&mut buf, &huge),
-            Err(FrameError::TooLarge(_))
+            Err(ProtoError::TooLarge(_))
         ));
     }
 
     #[test]
     fn hostile_length_prefix_rejected() {
         let mut r = Cursor::new(u32::MAX.to_be_bytes().to_vec());
-        assert!(matches!(read_frame(&mut r), Err(FrameError::TooLarge(_))));
+        assert!(matches!(read_frame(&mut r), Err(ProtoError::TooLarge(_))));
     }
 
     #[test]
     fn truncated_header_is_io_error() {
         let mut r = Cursor::new(vec![0u8, 0u8]);
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Io(_))));
+        assert!(matches!(read_frame(&mut r), Err(ProtoError::Io(_))));
     }
 
     #[test]
@@ -215,6 +190,6 @@ mod tests {
         write_frame(&mut buf, b"full payload").unwrap();
         buf.truncate(buf.len() - 3);
         let mut r = Cursor::new(buf);
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Io(_))));
+        assert!(matches!(read_frame(&mut r), Err(ProtoError::Io(_))));
     }
 }

@@ -44,7 +44,7 @@ pub mod render;
 pub mod transport;
 
 pub use delta::{encode_deltas, DeltaError, RecordDelta};
-pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
+pub use frame::{read_frame, write_frame, MAX_FRAME_LEN};
 pub use handle::JobHandle;
 pub use message::{codes, JobStateCode, Reply, Request, WireError};
 pub use outbox::{Outbox, OutboxError};

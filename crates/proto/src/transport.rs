@@ -51,13 +51,9 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-impl From<crate::frame::FrameError> for ProtoError {
-    fn from(e: crate::frame::FrameError) -> Self {
-        match e {
-            crate::frame::FrameError::Closed => ProtoError::Closed,
-            crate::frame::FrameError::Io(e) => ProtoError::Io(e.to_string()),
-            crate::frame::FrameError::TooLarge(n) => ProtoError::TooLarge(n),
-        }
+impl From<std::io::Error> for ProtoError {
+    fn from(e: std::io::Error) -> Self {
+        ProtoError::Io(e.to_string())
     }
 }
 
@@ -117,11 +113,11 @@ impl NetCounters {
     }
 }
 
-/// The accept loop every server (GRAM gatekeeper, WS gateway, MDS)
-/// shares: one bound listener, one joined accept thread, one detached
-/// thread per accepted connection running the server's handler. The
-/// connection-layer limits (worker pool, accept queue, read deadlines)
-/// belong here, once.
+/// A running server: every one (GRAM gatekeeper, WS gateway, MDS) is an
+/// acceptor over its own handler — one bound listener, one joined accept
+/// thread, one detached thread per accepted connection running the
+/// handler. The connection-layer limits (worker pool, accept queue,
+/// deadlines) belong here, once.
 pub struct Acceptor {
     addr: String,
     listener: Arc<dyn Listener>,

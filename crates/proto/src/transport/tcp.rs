@@ -46,7 +46,7 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn listen(&self, addr: &str) -> Result<Box<dyn Listener>, ProtoError> {
-        let listener = TcpListener::bind(addr).map_err(|e| ProtoError::Io(e.to_string()))?;
+        let listener = TcpListener::bind(addr)?;
         Ok(Box::new(TcpListenerWrapper {
             listener,
             counters: Arc::clone(&self.counters),
@@ -59,12 +59,10 @@ impl Transport for TcpTransport {
             if e.kind() == std::io::ErrorKind::ConnectionRefused {
                 ProtoError::ConnectionRefused(addr.to_string())
             } else {
-                ProtoError::Io(e.to_string())
+                e.into()
             }
         })?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| ProtoError::Io(e.to_string()))?;
+        stream.set_nodelay(true)?;
         self.counters.connections.incr();
         Ok(Box::new(TcpConn {
             stream,
@@ -83,10 +81,7 @@ struct TcpListenerWrapper {
 impl Listener for TcpListenerWrapper {
     fn accept(&self) -> Result<Box<dyn Conn>, ProtoError> {
         loop {
-            let (stream, _peer) = self
-                .listener
-                .accept()
-                .map_err(|e| ProtoError::Io(e.to_string()))?;
+            let (stream, _peer) = self.listener.accept()?;
             if self.closed.load(Ordering::SeqCst) {
                 return Err(ProtoError::Closed);
             }
@@ -134,8 +129,7 @@ impl Conn for TcpConn {
     }
 
     fn recv(&self) -> Result<Vec<u8>, ProtoError> {
-        let mut r = &self.stream;
-        Ok(read_frame(&mut r)?)
+        read_frame(&mut &self.stream)
     }
 
     fn peer(&self) -> String {

@@ -3,7 +3,7 @@
 //! Every request, every reply (an update with a full, a compact and a
 //! degraded delta), and a stream of frames go through the shared sweep
 //! (`tests/support/hostile.rs`). Whatever arrives, decoding returns —
-//! never panics — with a typed `WireError` / `FrameError` or a message
+//! never panics — with a typed `WireError` / `ProtoError` or a message
 //! that re-encodes to exactly the bytes it came from, and asks the
 //! allocator for nothing larger than the frame it was given plus an
 //! error message's worth. An update may ask for more, within the bound
@@ -13,9 +13,10 @@
 #![allow(clippy::unwrap_used)]
 
 use infogram_proto::delta::RecordDelta;
-use infogram_proto::frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
+use infogram_proto::frame::{read_frame, write_frame, MAX_FRAME_LEN};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
 use infogram_proto::record::{Attribute, InfoRecord};
+use infogram_proto::transport::ProtoError;
 use infogram_proto::JobHandle;
 use std::io::Cursor;
 
@@ -210,19 +211,32 @@ fn read_frame_survives_every_cut_and_flip() {
             );
             match result {
                 Ok(payload) => assert_eq!(payload.len(), declared),
-                Err(FrameError::Closed) => {
+                Err(ProtoError::Closed) => {
                     assert_eq!(at, bytes.len(), "Closed mid-stream");
                     break;
                 }
-                Err(FrameError::TooLarge(n)) => {
+                Err(ProtoError::TooLarge(n)) => {
                     assert!(n > MAX_FRAME_LEN);
                     break;
                 }
-                Err(FrameError::Io(e)) => {
-                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}");
-                    break;
-                }
+                Err(ProtoError::Io(_)) => break,
+                Err(e) => panic!("{e}"),
             }
         }
     }
+}
+
+/// A header may claim up to `MAX_FRAME_LEN`; what is allocated follows
+/// the bytes that arrive. A peer that claims 16 MiB and sends ten bytes
+/// costs one 64 KiB buffer, not 16 MiB.
+#[test]
+fn a_frame_claiming_16_mib_allocates_what_arrived() {
+    let mut stream = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+    stream.extend_from_slice(b"ten bytes!");
+    let (result, largest) = largest_request(|| read_frame(&mut Cursor::new(&stream)));
+    assert!(matches!(result, Err(ProtoError::Io(_))), "{result:?}");
+    assert!(
+        largest <= 128 * 1024,
+        "{largest} bytes asked for 10 that arrived"
+    );
 }

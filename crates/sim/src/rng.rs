@@ -28,6 +28,9 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The state increment of one draw (the golden ratio in 64 bits).
+    pub const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
     /// Seeded generator. Two generators with the same seed produce the same
     /// stream forever.
     pub fn new(seed: u64) -> Self {
@@ -36,7 +39,7 @@ impl SplitMix64 {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -19,7 +19,7 @@ use infogram::host::commands::{ChargeMode, CommandRegistry};
 use infogram::host::machine::SimulatedHost;
 use infogram::info::config::ServiceConfig;
 use infogram::info::service::{InformationService, QueryOptions};
-use infogram::info::{RefreshScheduler, TABLE1_TEXT};
+use infogram::info::{RefreshScheduler, SubscriptionHub, TABLE1_TEXT};
 use infogram::rsl::InfoSelector;
 use infogram::sim::clock::Clock;
 use infogram::sim::metrics::MetricSet;
@@ -53,7 +53,8 @@ fn main() {
     );
     info.register_metrics_provider(metrics.clone());
 
-    let sched = RefreshScheduler::new(clock.clone(), metrics.clone());
+    let hub = SubscriptionHub::new(info.hostname(), MetricSet::new());
+    let sched = RefreshScheduler::new(clock.clone(), metrics.clone(), hub);
     let watched = sched.watch_service(&info);
     println!(
         "watching {watched} of {} keywords (TTL-0 rows are left on-demand)\n",

@@ -10,7 +10,7 @@
 //! cargo run --example ws_gateway
 //! ```
 
-use infogram::core::ws::{encode_request, WsClient, WsGateway};
+use infogram::core::ws::{self, encode_request, WsClient};
 use infogram::core::InfoGramDispatcher;
 use infogram::proto::message::{Reply, Request};
 use infogram::quickstart::Sandbox;
@@ -23,7 +23,7 @@ fn main() {
         Arc::clone(sandbox.service.engine()),
         Arc::clone(sandbox.service.info_service()),
     );
-    let gateway = WsGateway::start(
+    let gateway = ws::serve(
         dispatcher,
         "/O=Grid/OU=WS/CN=Gateway",
         "gregor",

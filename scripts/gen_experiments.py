@@ -177,8 +177,10 @@ ORDER = [
      "Paper claim: GSI provides authentication; the paper *aspires* to "
      "contracts `such as allow access to this resource from 3 to 4 pm to "
      "user X`.",
-     "Measured: handshake CPU grows linearly with delegation depth (chain "
-     "verification dominates), and the decision matrix implements the "
+     "Measured: handshake CPU grows linearly with delegation depth — the "
+     "cost of the four `wire_*` steps every connection runs, so it includes "
+     "encoding and decoding both chains, not only verifying them — and the "
+     "decision matrix implements the "
      "paper's example literally — Alice inside her 3–4 pm window is allowed "
      "(directly or through a live proxy), outside it denied, with expired "
      "proxies and unmapped users rejected at the right layers."),

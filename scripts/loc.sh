@@ -3,11 +3,13 @@
 #
 # Counts every `*.rs` file under `crates/*/src` and under `src/`. A file
 # is read up to its first line that starts with `#[cfg(test)]` (at
-# column 0), so a trailing in-file test module is not counted. Blank
+# column 0) and is followed by a `mod` or `impl` line, so a trailing
+# in-file test module is not counted; a `#[cfg(test)]` on anything else
+# (an import, a function) is counted and does not end the count. Blank
 # lines and lines whose first non-blank characters are `//` (comments,
 # `///` and `//!` docs) are not counted. Everything else is: code,
-# attributes, braces, and test-only code that comes before the first
-# `#[cfg(test)]` line. Not counted at all: `tests/`, `benches/`,
+# attributes, braces, and test-only code that comes before that line.
+# Not counted at all: `tests/`, `benches/`,
 # `examples/`, `shims/`, `benchmark/` and `crates/*/tests`.
 #
 # Usage: scripts/loc.sh            per-crate lines, then the total
@@ -20,7 +22,12 @@ cd "$(dirname "$0")/.."
 count() {
     find "$@" -name '*.rs' -exec awk '
         FNR == 1 { on = 1 }
-        /^#\[cfg\(test\)\]/ { on = 0 }
+        on && /^#\[cfg\(test\)\]/ {
+            n++
+            if ((getline) <= 0) next
+            if (FNR == 1) on = 1
+            else if ($0 ~ /^(pub(\([a-z]+\))? )?(mod|impl)([ <]|$)/) { on = 0; n-- }
+        }
         on {
             t = $0
             sub(/^[ \t]+/, "", t)

@@ -18,9 +18,9 @@ use infogram_host::machine::{HostConfig, SimulatedHost};
 use infogram_host::queue::{BatchQueue, MachineAd};
 use infogram_info::config::ServiceConfig;
 use infogram_mds::gris::Gris;
-use infogram_mds::service::MdsServer;
+use infogram_mds::service;
 use infogram_proto::transport::mem::MemNetwork;
-use infogram_proto::transport::Transport;
+use infogram_proto::transport::{Acceptor, Transport};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
 use infogram_sim::{SimTime, SplitMix64, SystemClock};
@@ -81,9 +81,9 @@ pub struct Sandbox {
     /// The running unified service.
     pub service: Arc<InfoGramService>,
     /// The baseline GRAM server, if requested.
-    pub baseline_gram: Option<Arc<infogram_exec::gram::GramServer>>,
+    pub baseline_gram: Option<Acceptor>,
     /// The baseline MDS server, if requested.
-    pub baseline_mds: Option<Arc<MdsServer>>,
+    pub baseline_mds: Option<Acceptor>,
     /// The authenticated user's credential.
     pub user: Credential,
     /// Trust anchors.
@@ -200,7 +200,7 @@ impl Sandbox {
                 .listen(&format!("{}:2120", cfg.hostname))
                 // lint:allow(unwrap) — quickstart sandbox: fail fast on misconfiguration
                 .expect("baseline GRAM binds");
-            let gram = infogram_exec::gram::GramServer::start(
+            let gram = infogram_exec::gram::serve(
                 Arc::clone(&engine),
                 infogram_exec::gram::JobsOnlyDispatcher::new(engine),
                 listener,
@@ -209,7 +209,7 @@ impl Sandbox {
                 Arc::clone(&authorizer),
                 clock.clone(),
             );
-            let mds = MdsServer::start(
+            let mds = service::serve(
                 Gris::new(Arc::clone(service.info_service())),
                 &net,
                 &format!("{}:2135", cfg.hostname),

@@ -31,7 +31,9 @@
 #![allow(clippy::unwrap_used)]
 
 use infogram::info::provider::{FnProvider, ProviderError};
-use infogram::info::{BreakerState, DegradationFn, RefreshScheduler, SystemInformation};
+use infogram::info::{
+    BreakerState, DegradationFn, RefreshScheduler, SubscriptionHub, SystemInformation,
+};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::model;
 use infogram::sim::timer::{Ticket, TimerWheel};
@@ -72,7 +74,8 @@ fn counting_entry(
 }
 
 fn sched_on(clock: infogram::sim::clock::SharedClock) -> Arc<RefreshScheduler> {
-    RefreshScheduler::new(clock, MetricSet::new())
+    let hub = SubscriptionHub::new("node0.grid", MetricSet::new());
+    RefreshScheduler::new(clock, MetricSet::new(), hub)
 }
 
 // ---------------------------------------------------------------------

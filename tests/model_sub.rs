@@ -329,8 +329,7 @@ fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
                 lifetime: Duration::from_secs(60),
             },
         );
-        let sched = RefreshScheduler::new(clock, MetricSet::new());
-        sched.set_hub(Arc::clone(&hub));
+        let sched = RefreshScheduler::new(clock, MetricSet::new(), Arc::clone(&hub));
         sched.watch(si, None).unwrap();
 
         // A doomed subscriber: its outbox drains into a dead peer, so

@@ -10,6 +10,7 @@ use infogram::host::machine::SimulatedHost;
 use infogram::info::config::ServiceConfig;
 use infogram::info::sched::{RefreshScheduler, WatchError};
 use infogram::info::service::{InformationService, QueryOptions};
+use infogram::info::SubscriptionHub;
 use infogram::sim::clock::Clock;
 use infogram::sim::fault::{Fault, Plan};
 use infogram::sim::metrics::MetricSet;
@@ -40,7 +41,8 @@ fn manual_service(config_text: &str) -> World {
 }
 
 fn scheduler(clock: Arc<ManualClock>, metrics: MetricSet) -> Arc<RefreshScheduler> {
-    RefreshScheduler::new(clock, metrics)
+    let hub = SubscriptionHub::new("node0.grid", MetricSet::new());
+    RefreshScheduler::new(clock, metrics, hub)
 }
 
 /// Advance the clock to the scheduler's next deadline and tick.

@@ -549,7 +549,7 @@ fn wide_reply_says_quality_and_age_once_per_record() {
 fn text_that_would_kill_the_process_is_bad_rsl_on_a_connection_that_lives_on() {
     // One request from any user (the WS gateway asks for no credentials
     // at all) must not take the service down for everyone.
-    use infogram::core::ws::{WsClient, WsGateway};
+    use infogram::core::ws::{self, WsClient};
     use infogram::core::InfoGramDispatcher;
     use infogram::proto::message::{Reply, Request};
     use std::sync::Arc;
@@ -565,7 +565,7 @@ fn text_that_would_kill_the_process_is_bad_rsl_on_a_connection_that_lives_on() {
         .collect();
     let doubling = format!("(rslsubstitution=(V0 aaaaaaaa)){doubling}(info=$(V40))");
 
-    let gateway = WsGateway::start(
+    let gateway = ws::serve(
         InfoGramDispatcher::new(
             Arc::clone(sandbox.service.engine()),
             Arc::clone(sandbox.service.info_service()),
@@ -659,7 +659,7 @@ fn rsl_variables_reach_the_job_and_the_query() {
 #[test]
 fn a_callback_job_outlives_its_connection() {
     use infogram::core::InfoGramDispatcher;
-    use infogram::exec::gram::{ConnCtx, GramServer, RequestDispatcher};
+    use infogram::exec::gram::{self, ConnCtx, RequestDispatcher};
     use infogram::gsi::{Authorizer, CertificateAuthority, Dn, GridMap};
     use infogram::proto::message::{Reply, Request};
     use infogram::proto::transport::Transport;
@@ -725,7 +725,7 @@ fn a_callback_job_outlives_its_connection() {
         ),
         outbox: Mutex::new(Weak::new()),
     });
-    let server = GramServer::start(
+    let server = gram::serve(
         Arc::clone(engine),
         Arc::clone(&spy) as Arc<dyn RequestDispatcher>,
         sandbox.net.listen("spy.grid:0").unwrap(),
