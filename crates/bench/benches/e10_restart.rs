@@ -1,27 +1,51 @@
 //! E10 — logging, checkpointing, restart (§6, §6.1, §10).
 //!
-//! Part 1: kill a service with W jobs in flight, restart over the same
-//! file-backed log, and measure how many jobs came back and how long
-//! recovery took.
+//! Part 1: kill a service with W jobs in flight, then restart it over the
+//! same file-backed log k times, and measure how many jobs came back, how
+//! long each start took (median and quartiles over the k) and how many
+//! fsyncs a start spent (none: the boot record rides the first ack).
 //!
 //! Part 2: the §6.1 per-job fault tolerance — jobs that fail are
 //! restarted automatically up to their retry budget.
+//!
+//! Env knobs: `E10_QUICK=1` runs fewer rows and restarts for smoke runs;
+//! `E10_JSON=<path>` writes a machine-readable result with a `pass` flag
+//! (every restart recovered every in-flight job, kept 3/3 finished jobs
+//! and spent no fsync), used by `scripts/bench_smoke.sh`.
 
 use infogram::exec::wal::FileWal;
 use infogram::proto::message::JobStateCode;
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram_bench::{banner, fmt_secs, table};
+use infogram_bench::{banner, fmt_secs, table, Summary};
 use std::time::{Duration, Instant};
 
-fn service_restart_row(in_flight: usize) -> Vec<String> {
-    let path = std::env::temp_dir().join(format!(
-        "infogram-bench-e10-{}-{in_flight}.log",
+/// One row of part 1: `k` restarts over one log with `in_flight` jobs.
+struct RestartRow {
+    in_flight: usize,
+    /// Per restart: jobs recovered, finished jobs kept, fsyncs at boot.
+    recovered: Vec<u64>,
+    terminal_kept: Vec<usize>,
+    boot_fsyncs: Vec<u64>,
+    times: Summary,
+}
+
+impl RestartRow {
+    fn pass(&self) -> bool {
+        self.recovered.iter().all(|&n| n == self.in_flight as u64)
+            && self.terminal_kept.iter().all(|&n| n == 3)
+            && self.boot_fsyncs.iter().all(|&n| n == 0)
+    }
+}
+
+fn service_restart_row(in_flight: usize, k: usize) -> RestartRow {
+    let dir = std::env::temp_dir().join(format!(
+        "infogram-bench-e10-{}-{in_flight}",
         std::process::id()
     ));
-    let _ = std::fs::remove_file(&path);
-
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || FileWal::open(dir.join("restart.wal")).expect("wal");
     let first = Sandbox::start_with(SandboxConfig {
-        wal_sink: Some(FileWal::open(&path).expect("wal")),
+        wal_sink: Some(open()),
         ..Default::default()
     });
     let mut client = first.connect_client();
@@ -42,40 +66,44 @@ fn service_restart_row(in_flight: usize) -> Vec<String> {
     first.shutdown();
     drop(client);
 
-    // Restart and measure recovery.
-    let t0 = Instant::now();
-    let second = Sandbox::start_with(SandboxConfig {
-        wal_sink: Some(FileWal::open(&path).expect("wal")),
-        ..Default::default()
-    });
-    let recovery = t0.elapsed();
-    let recovered = second
-        .service
-        .engine()
-        .metrics()
-        .counter_value("jobs.recovered");
-    let terminal_kept = second
-        .service
-        .engine()
-        .job_ids()
-        .iter()
-        .filter(|id| {
-            second
-                .service
-                .engine()
-                .status(**id)
-                .map(|v| v.state == JobStateCode::Done)
-                .unwrap_or(false)
-        })
-        .count();
-    second.shutdown();
-    let _ = std::fs::remove_file(&path);
-    vec![
-        in_flight.to_string(),
-        recovered.to_string(),
-        format!("{terminal_kept}/3"),
-        fmt_secs(recovery.as_secs_f64()),
-    ]
+    // Restart k times and measure each recovery.
+    let (mut recovered, mut terminal_kept, mut boot_fsyncs, mut times) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..k {
+        let t0 = Instant::now();
+        let next = Sandbox::start_with(SandboxConfig {
+            wal_sink: Some(open()),
+            ..Default::default()
+        });
+        times.push(t0.elapsed());
+        let engine = next.service.engine();
+        recovered.push(engine.metrics().counter_value("jobs.recovered"));
+        boot_fsyncs.push(engine.metrics().counter_value("wal.fsyncs"));
+        let done = |id: &u64| {
+            engine
+                .status(*id)
+                .is_some_and(|v| v.state == JobStateCode::Done)
+        };
+        terminal_kept.push(engine.job_ids().iter().filter(|id| done(id)).count());
+        next.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    RestartRow {
+        in_flight,
+        recovered,
+        terminal_kept,
+        boot_fsyncs,
+        times: Summary::from_durations(&times),
+    }
+}
+
+/// A row's values as `lo..hi`, or one number when they agree.
+fn range<T: Ord + std::fmt::Display>(values: &[T]) -> String {
+    match (values.iter().min(), values.iter().max()) {
+        (Some(lo), Some(hi)) if lo != hi => format!("{lo}..{hi}"),
+        (Some(lo), _) => lo.to_string(),
+        _ => String::new(),
+    }
 }
 
 fn auto_restart_row(retries: u32) -> Vec<String> {
@@ -106,32 +134,91 @@ fn auto_restart_row(retries: u32) -> Vec<String> {
 }
 
 fn main() {
+    let quick = std::env::var("E10_QUICK").is_ok_and(|v| v == "1");
+    let (widths, k): (&[usize], usize) = if quick {
+        (&[1, 20], 5)
+    } else {
+        (&[1, 5, 20, 50], 11)
+    };
     banner(
         "E10",
         "restart from the logging service (§6/§6.1/§10)",
         "every in-flight job is resubmitted on restart; finished jobs keep their \
-         outcomes; per-job auto-restart consumes exactly its retry budget",
+         outcomes; a start spends no fsync; per-job auto-restart consumes exactly \
+         its retry budget",
     );
 
-    println!("\n-- service crash + restart over a file-backed WAL --");
-    let rows: Vec<Vec<String>> = [1usize, 5, 20, 50]
+    println!("\n-- service crash, then {k} restarts over a file-backed WAL --");
+    let rows: Vec<RestartRow> = widths.iter().map(|&w| service_restart_row(w, k)).collect();
+    let cells: Vec<Vec<String>> = rows
         .iter()
-        .map(|&w| service_restart_row(w))
+        .map(|r| {
+            vec![
+                r.in_flight.to_string(),
+                range(&r.recovered),
+                format!("{}/3", range(&r.terminal_kept)),
+                range(&r.boot_fsyncs),
+                fmt_secs(r.times.median()),
+                format!(
+                    "{}..{}",
+                    fmt_secs(r.times.quantile(0.25)),
+                    fmt_secs(r.times.quantile(0.75))
+                ),
+            ]
+        })
         .collect();
     table(
-        &["in-flight", "recovered", "terminal-kept", "recovery-time"],
-        &rows,
+        &[
+            "in-flight",
+            "recovered",
+            "terminal-kept",
+            "boot-fsyncs",
+            "recovery-p50",
+            "recovery-p25..p75",
+        ],
+        &cells,
     );
+    let pass = rows.iter().all(RestartRow::pass);
 
     println!("\n-- §6.1 automatic job restart on failure --");
-    let rows: Vec<Vec<String>> = [0u32, 1, 3, 5]
+    let auto: Vec<Vec<String>> = [0u32, 1, 3, 5]
         .iter()
         .map(|&r| auto_restart_row(r))
         .collect();
-    table(&["retry-budget", "restarts", "final-state", "exit"], &rows);
+    table(&["retry-budget", "restarts", "final-state", "exit"], &auto);
     println!(
         "\nreading: recovery is O(in-flight jobs) and every unfinished submission\n\
-         restarts from its logged xRSL (\"the command used and arguments\"); a job\n\
-         with budget N fails only after N automatic restarts."
+         restarts from its logged xRSL (\"the command used and arguments\"); a\n\
+         start waits on no fsync; a job with budget N fails only after N\n\
+         automatic restarts. pass={pass}"
     );
+
+    if let Ok(path) = std::env::var("E10_JSON") {
+        let json_rows: Vec<String> = rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"in_flight\": {}, \"restarts\": {k}, \
+                     \"recovered_min\": {}, \"terminal_kept_min\": {}, \
+                     \"boot_fsyncs_max\": {}, \"recovery_p50_us\": {:.1}, \
+                     \"recovery_p25_us\": {:.1}, \"recovery_p75_us\": {:.1}}}",
+                    r.in_flight,
+                    r.recovered.iter().min().unwrap_or(&0),
+                    r.terminal_kept.iter().min().unwrap_or(&0),
+                    r.boot_fsyncs.iter().max().unwrap_or(&0),
+                    r.times.median() * 1e6,
+                    r.times.quantile(0.25) * 1e6,
+                    r.times.quantile(0.75) * 1e6,
+                )
+            })
+            .collect();
+        let json = format!(
+            "{{\n  \"experiment\": \"e10_restart\",\n  \"rows\": [\n{}\n  ],\n  \
+             \"pass\": {pass}\n}}\n",
+            json_rows.join(",\n")
+        );
+        std::fs::write(&path, json).expect("write E10_JSON");
+        println!("wrote {path}");
+    }
+    assert!(pass, "restart acceptance failed");
 }

@@ -271,10 +271,12 @@ impl JobEngine {
         let (last_epoch, last_job_id) =
             wal.with_fold(|fold| (fold.state.last_epoch, fold.state.last_job_id));
         let epoch = last_epoch + 1;
-        // If the sink is down at boot the engine starts degraded (the
-        // failed probe latches the WAL read-only); it still serves
-        // status/info while rejecting submissions.
-        let _ = wal.commit(clock.now(), &[WalEvent::ServiceStarted { epoch }]);
+        // The boot record is relaxed, so a start waits on no fsync: the
+        // first acked commit's fsync covers it (DESIGN §14). An append
+        // that fails here latches the WAL read-only, and the engine serves
+        // status/info while refusing submissions; a failing fsync is found
+        // by the first submission.
+        wal.record(clock.now(), &WalEvent::ServiceStarted { epoch });
         Arc::new(JobEngine {
             config,
             clock,
@@ -1598,6 +1600,76 @@ mod tests {
         assert!(matches!(refused, Err(SubmitError::WalUnavailable { .. })));
         assert!(w.registry.host().processes.is_empty());
         assert_eq!(w.engine.live_jobs(), 0);
+    }
+
+    /// A start on a file log waits on no fsync: the boot record rides
+    /// the first acked submission's.
+    #[test]
+    fn a_start_on_a_file_log_spends_no_fsync() {
+        use crate::wal::FileWal;
+        let dir = std::env::temp_dir().join(format!("infogram-boot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fsyncs = |w: &World| w.engine.metrics().counter_value("wal.fsyncs");
+        let open = || Wal::new(Box::new(FileWal::open(dir.join("boot.wal")).unwrap()));
+        for epoch in 1..=2 {
+            let w = world_on(open());
+            assert_eq!((w.engine.epoch(), fsyncs(&w)), (epoch, 0), "started");
+            let h = submit(&w, "(executable=simwork)(arguments=10)");
+            assert_eq!((h.epoch, fsyncs(&w)), (epoch, 1), "first ack");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Power is lost before the first ack, or after it, over and over: an
+    /// epoch may come back only while no handle carried it, and no job id
+    /// or `(job_id, epoch)` is ever handed out twice.
+    #[test]
+    fn an_epoch_is_durable_by_its_first_ack() {
+        use crate::wal::{FrameWal, MemStorage};
+        let storage = MemStorage::new();
+        let open = || Wal::new(Box::new(FrameWal::open(storage.clone()).unwrap()));
+        let mut acked: Vec<(u64, u64)> = Vec::new();
+        let mut epochs = Vec::new();
+        for ack in [false, true, false, false, true, true, false] {
+            let w = world_on(open());
+            epochs.push(w.engine.epoch());
+            if ack {
+                let h = submit(&w, "(executable=simwork)(arguments=60000)");
+                assert_eq!(h.epoch, w.engine.epoch());
+                acked.push((h.job_id, h.epoch));
+            }
+            drop(w);
+            storage.crash();
+            storage.restart();
+        }
+        assert_eq!(epochs, [1, 1, 2, 2, 2, 3, 4]);
+        assert_eq!(acked, [(1, 1), (2, 2), (3, 3)]);
+    }
+
+    /// The boot record sits in a segment the first submission's failed
+    /// fsync rotates away from; the retry's ack still makes it durable.
+    #[test]
+    fn an_ack_after_a_failed_fsync_keeps_the_epoch_it_carries() {
+        use crate::wal::{FrameWal, MemStorage};
+        use infogram_sim::fault::Plan;
+        let disk = Plan::new();
+        let storage = MemStorage::with_plan(Some(Arc::clone(&disk)));
+        let open = || Wal::new(Box::new(FrameWal::open(storage.clone()).unwrap()));
+        let w = world_on(open());
+        disk.fail_sync(0);
+        let rsl = "(executable=simwork)(arguments=60000)";
+        let spec = XrslRequest::from_text(rsl).unwrap().job.unwrap();
+        let refused = w.engine.submit(rsl, spec, "/O=Grid/CN=Tester", "tester");
+        assert!(matches!(refused, Err(SubmitError::WalUnavailable { .. })));
+        w.clock.advance(Duration::from_secs(2));
+        let h = submit(&w, rsl);
+        drop(w);
+        storage.crash();
+        storage.restart();
+        let next = world_on(open());
+        assert_eq!(h.epoch, 1);
+        assert_eq!(next.engine.epoch(), 2, "epoch 1 was acked");
+        assert!(next.engine.recover().contains(&h.job_id));
     }
 
     #[test]

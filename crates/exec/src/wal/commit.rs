@@ -149,7 +149,7 @@ impl Wal {
     /// A log over the given sink with explicit tuning. (Boxed because the
     /// frozen `benchmark/` passes a `Box`; there is nothing `dyn` in it.)
     #[allow(clippy::boxed_local)]
-    pub fn with_config(sink: Box<FrameWal>, cfg: WalConfig) -> Self {
+    pub fn with_config(mut sink: Box<FrameWal>, cfg: WalConfig) -> Self {
         let mut fold = CheckpointState::default();
         let mut names = NamePool::default();
         let stats = sink.load(&mut |ev, stats| {

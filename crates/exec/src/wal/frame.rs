@@ -255,7 +255,7 @@ fn next_header(
 
 /// Stream a segment of `seg_len` bytes from `src`, handing each intact
 /// frame's event to `visit` and classifying damage into `stats`: a frame
-/// running past the end is a torn tail (truncate), a complete frame with
+/// running past the end is a torn tail (dropped), a complete frame with
 /// a bad CRC or an undecodable payload is mid-log corruption (skip and
 /// continue). A checkpoint is decoded as it arrives and kept only if its
 /// CRC matches; any other frame is read into one reused buffer.

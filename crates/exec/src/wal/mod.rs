@@ -20,9 +20,10 @@
 //! (in-memory for the simulator, one file per segment on disk). Each
 //! segment is a sequence of **frames**: `[len: u32 LE][crc32: u32 LE]
 //! [payload]`. Recovery scans every frame; a frame that runs past the end
-//! of the segment is a *torn tail* (truncate and continue — the write
-//! never completed), while a fully-present frame with a bad checksum is
-//! *mid-log corruption* (skip, count in `wal.corrupt_frames`).
+//! of the segment is a *torn tail* (dropped — the write never completed;
+//! an active segment that ends in one is never appended to again), while
+//! a fully-present frame with a bad checksum is *mid-log corruption*
+//! (skip, count in `wal.corrupt_frames`).
 //!
 //! Critical events go through [`Wal::commit`], which group-commits: the
 //! calling thread enqueues its payloads and blocks on a commit ticket

@@ -26,11 +26,17 @@ pub struct FrameWal {
     /// table larger than one segment is re-written on every append.
     tail_len: u64,
     next_seg: u64,
-    /// Set after any append/sync error: the active segment's tail may be
-    /// garbage (short write), so the next append rotates to a fresh
-    /// segment — damage stays at segment tails where torn-tail
-    /// truncation handles it.
+    /// Set after any append/sync error, and by a replay that finds the
+    /// active segment ending mid-frame: its tail may be garbage, so the
+    /// next append rotates to a fresh segment — nothing is ever appended
+    /// after a torn tail, and damage stays at segment tails where the
+    /// torn-tail rule drops it.
     poisoned: bool,
+    /// Segments with an append since their last sync, oldest first. A
+    /// durable append syncs them all, so an ack covers every record
+    /// appended before it: a relaxed one (the boot record among them) in
+    /// a segment a failure rotated away from included.
+    unsynced: Vec<u64>,
 }
 
 impl FrameWal {
@@ -38,18 +44,15 @@ impl FrameWal {
     pub fn open(storage: Arc<dyn WalStorage>) -> io::Result<FrameWal> {
         let mut segs = storage.segments()?;
         segs.sort_unstable();
-        let active = match segs.last() {
-            Some(&s) => s,
-            None => {
-                segs.push(1);
-                1
-            }
-        };
         // The head frame's declared size is all this needs of the segment.
-        let tail_len = storage
-            .reader(active)
-            .map(|(head, len)| len - declared_head_checkpoint(head, len))
-            .unwrap_or(0);
+        let (active, tail_len) = match segs.last() {
+            Some(&seg) => {
+                let head = storage.reader(seg);
+                let tail = head.map(|(head, len)| len - declared_head_checkpoint(head, len));
+                (seg, tail.unwrap_or(0))
+            }
+            None => (1, 0),
+        };
         Ok(FrameWal {
             storage,
             next_seg: active + 1,
@@ -57,24 +60,31 @@ impl FrameWal {
             active,
             tail_len,
             poisoned: false,
+            unsynced: Vec::new(),
         })
     }
 
     /// Append a batch of payloads atomically-enough: a crash may tear the
     /// tail of the batch but never reorders it. `durable` requests an
-    /// fsync before returning.
+    /// fsync of every segment appended to since its last one before
+    /// returning.
     pub(super) fn append_batch(&mut self, payloads: &[&str], durable: bool) -> io::Result<()> {
         if self.poisoned {
             self.active = self.next_seg;
             self.next_seg += 1;
-            self.segs.push(self.active);
             self.tail_len = 0;
+        }
+        if self.segs.last() != Some(&self.active) {
+            self.segs.push(self.active);
         }
         let buf = frame_batch(payloads);
         let written = self.storage.append(self.active, &buf).and_then(|()| {
             self.tail_len += buf.len() as u64;
+            if !self.unsynced.contains(&self.active) {
+                self.unsynced.push(self.active);
+            }
             if durable {
-                self.storage.sync(self.active)
+                self.sync_appended()
             } else {
                 Ok(())
             }
@@ -83,23 +93,27 @@ impl FrameWal {
         written
     }
 
+    /// Sync every segment appended to since its last sync.
+    fn sync_appended(&mut self) -> io::Result<()> {
+        for &seg in &self.unsynced {
+            self.storage.sync(seg)?;
+        }
+        self.unsynced.clear();
+        Ok(())
+    }
+
     /// Hand every event recoverable from storage (checkpoint + tail) to
     /// `visit`, in log order, with the damage accounting so far (which
     /// `visit` may add to). Each segment streams through a bounded
-    /// buffer: what is held is what was decoded.
+    /// buffer: what is held is what was decoded. The segments are the
+    /// ones `open` listed plus the ones this sink created since; if the
+    /// active one ends mid-frame, the next append rotates away from it.
     pub(super) fn load(
-        &self,
+        &mut self,
         visit: &mut dyn FnMut(WalEvent, &mut RecoveryStats),
     ) -> RecoveryStats {
         let mut stats = RecoveryStats::default();
-        let mut segs = match self.storage.segments() {
-            Ok(s) => s,
-            Err(_) => {
-                stats.io_errors += 1;
-                return stats;
-            }
-        };
-        segs.sort_unstable();
+        let segs = &self.segs;
         stats.segments_total = segs.len() as u64;
         // Newest segment headed by a checkpoint bounds the replay.
         let mut start = 0usize;
@@ -114,12 +128,12 @@ impl FrameWal {
             }
         }
         for &seg in &segs[start..] {
+            let torn = stats.truncated_tail_bytes;
             let scan = self.storage.reader(seg);
-            if scan
-                .and_then(|(src, len)| scan_segment(src, len, &mut stats, visit))
-                .is_err()
-            {
-                stats.io_errors += 1;
+            let read = scan.and_then(|(src, len)| scan_segment(src, len, &mut stats, visit));
+            stats.io_errors += read.is_err() as u64;
+            if seg == self.active && (read.is_err() || stats.truncated_tail_bytes > torn) {
+                self.poisoned = true;
             }
         }
         stats.segments_read = (segs.len() - start) as u64;
@@ -160,6 +174,8 @@ impl FrameWal {
         self.active = seg;
         self.tail_len = 0;
         self.poisoned = false;
+        // What they held is in the checkpoint.
+        self.unsynced.clear();
         Ok(reclaimed)
     }
 }

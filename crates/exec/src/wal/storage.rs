@@ -5,7 +5,8 @@ use infogram_sim::fault::{AppendVerdict, Plan, SyncVerdict, DISK_CRASHED_DETAIL}
 use parking_lot::{lock_class, Mutex};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Raw segment storage under a [`FrameWal`](super::FrameWal) — numbered
@@ -257,11 +258,17 @@ impl Read for MemReader<'_> {
 
 /// File-backed [`WalStorage`]: segment `n` lives at `<prefix>.<n>`. Real
 /// fsync via `sync_data`; faults are whatever the disk does (injection
-/// lives in [`MemStorage`]).
+/// lives in [`MemStorage`]). `sync_data` does not make a new file's
+/// directory entry durable on every file system, so a segment this
+/// storage created also syncs its directory, once, at its first sync.
 #[derive(Debug)]
 pub struct FileStorage {
     prefix: PathBuf,
-    files: Mutex<HashMap<u64, std::fs::File>>,
+    /// Open segments, each with whether its directory entry still awaits
+    /// a sync.
+    files: Mutex<HashMap<u64, (std::fs::File, bool)>>,
+    /// Directory syncs made so far.
+    dir_syncs: AtomicU64,
 }
 
 impl FileStorage {
@@ -276,6 +283,7 @@ impl FileStorage {
         Ok(FileStorage {
             prefix,
             files: Mutex::with_class(HashMap::new(), lock_class!("exec.wal.file_storage")),
+            dir_syncs: AtomicU64::new(0),
         })
     }
 
@@ -284,20 +292,24 @@ impl FileStorage {
         s.push(format!(".{seg}"));
         PathBuf::from(s)
     }
+
+    /// The directory the segment files live in.
+    fn dir(&self) -> &Path {
+        match self.prefix.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        }
+    }
 }
 
 impl WalStorage for FileStorage {
     fn segments(&self) -> io::Result<Vec<u64>> {
-        let parent = match self.prefix.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => PathBuf::from("."),
-        };
         let stem = match self.prefix.file_name() {
             Some(n) => format!("{}.", n.to_string_lossy()),
             None => return Ok(Vec::new()),
         };
         let mut out = Vec::new();
-        for entry in std::fs::read_dir(parent)? {
+        for entry in std::fs::read_dir(self.dir())? {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
@@ -328,23 +340,37 @@ impl WalStorage for FileStorage {
         write: &mut dyn FnMut(&mut dyn Write) -> io::Result<()>,
     ) -> io::Result<()> {
         let mut files = self.files.lock();
-        let file = match files.entry(seg) {
+        let (file, _) = match files.entry(seg) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => v.insert(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(self.seg_path(seg))?,
-            ),
+            std::collections::hash_map::Entry::Vacant(v) => {
+                let path = self.seg_path(seg);
+                let mut open = std::fs::OpenOptions::new();
+                open.append(true);
+                let opened = match open.clone().create_new(true).open(&path) {
+                    Ok(file) => (file, true),
+                    Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                        (open.open(&path)?, false)
+                    }
+                    Err(e) => return Err(e),
+                };
+                v.insert(opened)
+            }
         };
         write(file)
     }
 
     fn sync(&self, seg: u64) -> io::Result<()> {
-        match self.files.lock().get(&seg) {
-            Some(f) => f.sync_data(),
-            None => Ok(()),
+        let mut files = self.files.lock();
+        let Some((file, new_entry)) = files.get_mut(&seg) else {
+            return Ok(());
+        };
+        file.sync_data()?;
+        if *new_entry {
+            std::fs::File::open(self.dir())?.sync_all()?;
+            self.dir_syncs.fetch_add(1, Ordering::Relaxed);
+            *new_entry = false;
         }
+        Ok(())
     }
 
     fn remove(&self, seg: u64) -> io::Result<()> {
@@ -400,6 +426,44 @@ mod tests {
         disk.append(0, b"ee").unwrap();
         disk.sync(0).unwrap();
         assert_eq!(disk.durable_bytes(0), b"oldee");
+    }
+
+    /// A segment file this storage created syncs its directory once, at
+    /// its first sync; one that already existed, an append alone and
+    /// opening, listing and reading the log sync none.
+    #[test]
+    fn a_created_segment_syncs_its_directory_once() {
+        let dir = std::env::temp_dir().join(format!("infogram-dirsync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("log.wal.1"), b"old").unwrap();
+        let open = || FileStorage::open(dir.join("log.wal")).unwrap();
+        let syncs = |disk: &FileStorage| disk.dir_syncs.load(Ordering::Relaxed);
+
+        let disk = open();
+        assert_eq!(disk.segments().unwrap(), [1]);
+        let (mut reader, len) = disk.reader(1).unwrap();
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes).unwrap();
+        assert_eq!((&bytes[..], len), (&b"old"[..], 3));
+        assert_eq!(syncs(&disk), 0, "open, list and read");
+        disk.append(1, b"er").unwrap();
+        disk.sync(1).unwrap();
+        assert_eq!(syncs(&disk), 0, "segment 1 existed");
+        disk.append(2, b"new").unwrap();
+        assert_eq!(syncs(&disk), 0, "an append alone");
+        for seg in [2, 2, 3, 3] {
+            disk.append(seg, b"+").unwrap();
+            disk.sync(seg).unwrap();
+        }
+        assert_eq!(syncs(&disk), 2, "one per created segment");
+        assert_eq!(std::fs::read(dir.join("log.wal.1")).unwrap(), b"older");
+
+        let reopened = open();
+        reopened.append(3, b"+").unwrap();
+        reopened.sync(3).unwrap();
+        assert_eq!(syncs(&reopened), 0, "segment 3 existed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 #!/bin/sh
 # Smoke-run the acceptance-gated benchmarks and gate on their pass flags.
 #
+#   - e10_restart (quick: 5 restarts each at 1 and 20 jobs in flight)
+#     writes BENCH_restart.json; asserts every restart over a file log
+#     recovers every in-flight job, keeps 3/3 finished ones and spends
+#     no fsync at boot, and reports the median restart time.
 #   - e16_parallel_fanout (quick: 3 rounds per K, 20k hit-path queries)
 #     writes BENCH_parallel_fanout.json; asserts `(info=all)` over 4
 #     slow keywords stays within 1.5x of one provider's cost.
@@ -27,6 +31,7 @@ cd "$(dirname "$0")/.."
 
 . scripts/bench_gate.sh
 
+run_bench_gate e10_restart E10_QUICK E10_JSON BENCH_restart.json
 run_bench_gate e16_parallel_fanout E16_QUICK E16_JSON BENCH_parallel_fanout.json
 run_bench_gate e17_fault_storm E17_QUICK E17_JSON BENCH_fault_storm.json
 run_bench_gate e18_refresh_sched E18_QUICK E18_JSON BENCH_refresh_sched.json

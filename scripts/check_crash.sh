@@ -10,9 +10,13 @@
 #     every byte prefix recovers exactly the contained frames, a flip
 #     of any single byte never invents history — swept over a history on
 #     MemStorage, and over a segment headed by a checkpoint larger than
-#     the read buffer on MemStorage and on FileStorage — a full disk
-#     surfaces UNAVAILABLE + retry-after-ms on the wire (then heals), and
-#     recovery damage shows up in (info=metrics).
+#     the read buffer on MemStorage and on FileStorage — jobs committed
+#     after a torn tail at every byte prefix (MemStorage; the last two
+#     frames' cuts on FileStorage) survive the next reopen, a full disk
+#     surfaces UNAVAILABLE + retry-after-ms on the wire (then heals), a
+#     disk whose every fsync fails is found by the first submission and
+#     one refusing appends is read-only from boot, and recovery damage
+#     shows up in (info=metrics).
 #   - crates/exec/tests/hostile_wal.rs — recovery's largest allocation:
 #     every cut and bit flip of a small file log, and an intact log many
 #     read buffers long, reopen without asking for more than one

@@ -25,11 +25,11 @@
 #![allow(clippy::unwrap_used)]
 
 use infogram::exec::{
-    FileWal, FrameWal, MemStorage, RecoveredState, Wal, WalConfig, WalEvent, WalStorage, IO_BUF,
+    FileStorage, FrameWal, MemStorage, RecoveredState, Wal, WalConfig, WalEvent, WalStorage, IO_BUF,
 };
 use infogram::proto::message::{codes, JobStateCode};
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram::sim::fault::Plan;
+use infogram::sim::fault::{Plan, Storm};
 use infogram::sim::SimTime;
 use infogram_client::ClientError;
 use std::collections::BTreeMap;
@@ -204,23 +204,44 @@ impl Recovery {
         Recovery { disk, dir }
     }
 
-    /// Open a log whose one segment is `bytes` and fold it.
-    fn recover(&self, bytes: &[u8]) -> (Wal, RecoveredState) {
-        let sink = match self.disk {
+    /// A disk whose one segment is `bytes`.
+    fn disk(&self, bytes: &[u8]) -> Arc<dyn WalStorage> {
+        match self.disk {
             Disk::Mem => {
                 let storage = MemStorage::new();
                 storage.preload(1, bytes.to_vec());
-                FrameWal::open(storage).unwrap()
+                storage
             }
             Disk::File => {
                 std::fs::write(self.dir.join("sweep.wal.1"), bytes).unwrap();
-                FileWal::open(self.dir.join("sweep.wal")).unwrap()
+                // The segment a commit after a torn tail rotates to.
+                let _ = std::fs::remove_file(self.dir.join("sweep.wal.2"));
+                Arc::new(FileStorage::open(self.dir.join("sweep.wal")).unwrap())
             }
-        };
-        let wal = Wal::with_config(Box::new(sink), one_segment_cfg());
-        let state = wal.with_fold(|fold| fold.state.clone());
-        (wal, state)
+        }
     }
+
+    /// Open a log whose one segment is `bytes` and fold it.
+    fn recover(&self, bytes: &[u8]) -> (Wal, RecoveredState) {
+        reopen(&self.disk(bytes))
+    }
+}
+
+/// Open the log on `disk` and fold it.
+fn reopen(disk: &Arc<dyn WalStorage>) -> (Wal, RecoveredState) {
+    let sink = FrameWal::open(Arc::clone(disk)).unwrap();
+    let wal = Wal::with_config(Box::new(sink), one_segment_cfg());
+    let state = wal.with_fold(|fold| fold.state.clone());
+    (wal, state)
+}
+
+/// Each job's terminal state, if any, in a recovered table.
+fn table_of(state: &RecoveredState) -> BTreeMap<u64, Option<JobStateCode>> {
+    state
+        .jobs
+        .iter()
+        .map(|j| (j.job_id, j.finished.map(|(s, _)| s)))
+        .collect()
 }
 
 impl Drop for Recovery {
@@ -267,12 +288,42 @@ fn sweep_prefixes(bytes: &[u8], disk: Disk, name: &str) {
             (n - last_end) as u64,
             "{disk:?} prefix {n}: the torn tail is measured"
         );
-        let got: BTreeMap<u64, Option<JobStateCode>> = state
-            .jobs
-            .iter()
-            .map(|j| (j.job_id, j.finished.map(|(s, _)| s)))
-            .collect();
-        assert_eq!(got, want_jobs, "{disk:?} prefix {n}: recovered job table");
+        assert_eq!(
+            table_of(&state),
+            want_jobs,
+            "{disk:?} prefix {n}: recovered job table"
+        );
+    }
+}
+
+/// Reopen each prefix of `bytes` cut at or after `from` on `disk`,
+/// commit two more jobs (one finished) through the reopened log, and
+/// reopen again: the job table is the contained frames' plus the two.
+/// Nothing is appended after a torn tail, where the next recovery would
+/// read the torn header as a frame spanning the new records.
+fn sweep_commits_after_a_torn_tail(bytes: &[u8], from: usize, disk: Disk, name: &str) {
+    let frames = frames_of(bytes);
+    let recovery = Recovery::new(disk, name);
+    let next = outcomes(frames.iter().map(|(_, ev)| ev)).len() as u64 + 1;
+    for n in from..=bytes.len() {
+        let contained = frames.iter().take_while(|(end, _)| *end <= n);
+        let mut want_jobs = outcomes(contained.map(|(_, ev)| ev));
+        want_jobs.insert(next, None);
+        want_jobs.insert(next + 1, Some(JobStateCode::Done));
+
+        let storage = recovery.disk(&bytes[..n]);
+        commit_jobs(&reopen(&storage).0, next..=next + 1);
+        let (wal, state) = reopen(&storage);
+        assert_eq!(
+            wal.recovery_stats().corrupt_frames,
+            0,
+            "{disk:?} prefix {n}: no frame spans the new records"
+        );
+        assert_eq!(
+            table_of(&state),
+            want_jobs,
+            "{disk:?} prefix {n}: the acked jobs after the torn tail"
+        );
     }
 }
 
@@ -296,6 +347,20 @@ fn a_checkpoint_torn_at_every_byte_on_the_simulated_disk_replays_what_is_contain
 #[test]
 fn a_checkpoint_torn_at_every_byte_in_a_file_replays_what_is_contained() {
     sweep_prefixes(&checkpointed_log(), Disk::File, "ckpt-prefix-file");
+}
+
+#[test]
+fn a_commit_after_a_torn_tail_at_every_byte_prefix_survives_the_next_reopen() {
+    sweep_commits_after_a_torn_tail(&scripted_log(), 0, Disk::Mem, "torn-commit-mem");
+}
+
+#[test]
+fn a_commit_after_a_torn_tail_in_a_file_survives_the_next_reopen() {
+    let bytes = scripted_log();
+    let frames = frames_of(&bytes);
+    // Every cut through the last two frames: headers and payloads torn.
+    let from = frames[frames.len() - 3].0;
+    sweep_commits_after_a_torn_tail(&bytes, from, Disk::File, "torn-commit-file");
 }
 
 // ---------------------------------------------------------------------
@@ -452,6 +517,57 @@ fn full_disk_surfaces_unavailable_on_the_wire_and_heals() {
     assert_eq!(state, JobStateCode::Done);
     assert_eq!(engine.metrics().gauge_value("wal.read_only"), 0.0);
 
+    sandbox.shutdown();
+}
+
+/// A service over `plan`'s simulated disk, and the refusal its first
+/// submission gets: `UNAVAILABLE` with a retry hint.
+fn start_and_refuse(plan: &Arc<Plan>) -> (Sandbox, infogram_client::InfoGramClient) {
+    let storage = MemStorage::with_plan(Some(Arc::clone(plan)));
+    let sink = FrameWal::open(storage).unwrap();
+    let sandbox = Sandbox::start_with(SandboxConfig {
+        wal_sink: Some(sink),
+        ..Default::default()
+    });
+    let mut client = sandbox.connect_client();
+    assert!(client.metrics().is_ok(), "information is answered");
+    match client.submit("(executable=simwork)(arguments=10)", false) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, codes::UNAVAILABLE);
+            assert!(message.contains("retry-after-ms="), "{message}");
+        }
+        other => panic!("expected UNAVAILABLE, got {other:?}"),
+    }
+    let engine = sandbox.service.engine();
+    assert_eq!(engine.metrics().gauge_value("wal.read_only"), 1.0);
+    assert_eq!(engine.metrics().counter_value("wal.fsyncs"), 0);
+    (sandbox, client)
+}
+
+#[test]
+fn a_disk_whose_fsync_always_fails_is_found_by_the_first_submission() {
+    let plan = Plan::storm(
+        1,
+        Storm {
+            append_fail_p: 0.0,
+            short_p: 0.0,
+            fsync_fail_p: 1.0,
+            ..Storm::default()
+        },
+    );
+    let (sandbox, _client) = start_and_refuse(&plan);
+    sandbox.shutdown();
+}
+
+#[test]
+fn a_disk_that_refuses_appends_is_read_only_from_boot() {
+    let plan = Plan::new();
+    plan.fill_disk();
+    let (sandbox, mut client) = start_and_refuse(&plan);
+    // The boot record's append failed: read-only before any submission.
+    let engine = sandbox.service.engine();
+    assert_eq!(engine.metrics().counter_value("wal.append_errors"), 1);
+    assert!(client.metrics().is_ok(), "information is still answered");
     sandbox.shutdown();
 }
 
