@@ -17,7 +17,7 @@ use infogram_bench::{banner, manual_world_with_config, table};
 use infogram_info::config::ServiceConfig;
 use infogram_info::sched::RefreshScheduler;
 use infogram_info::service::QueryOptions;
-use infogram_info::SubscriptionHub;
+use infogram_info::{Cause, SubscriptionHub};
 use infogram_rsl::InfoSelector;
 use infogram_sim::clock::Clock;
 use infogram_sim::metrics::MetricSet;
@@ -134,7 +134,7 @@ fn run_polling(rounds: usize) -> Tally {
     let entries = world.info.entries();
     // Seed, then poll each keyword on its own TTL boundary.
     for e in &entries {
-        e.fetch_supervised(None).expect("seed");
+        e.refresh(Cause::Query { deadline: None }).expect("seed");
     }
     let mut last = vec![world.clock.now(); entries.len()];
 
@@ -145,7 +145,8 @@ fn run_polling(rounds: usize) -> Tally {
         world.clock.advance(STEP);
         for (i, e) in entries.iter().enumerate() {
             if world.clock.now().since(last[i]) >= e.ttl() {
-                e.fetch_supervised(None).expect("poll refresh");
+                e.refresh(Cause::Query { deadline: None })
+                    .expect("poll refresh");
                 last[i] = world.clock.now();
             }
         }

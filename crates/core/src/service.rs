@@ -162,15 +162,14 @@ impl InfoGramService {
                         engine.poll_active();
                     }
                     sched.tick();
-                    // Nap toward the next wheel deadline, bounded so
-                    // shutdown stays prompt and an empty wheel does not
-                    // spin.
+                    // Nap toward the next wheel deadline, bounded so an
+                    // empty wheel does not spin; `shutdown` unparks.
                     let nap = sched
                         .next_deadline()
                         .map(|d| d.since(clock.now()))
                         .unwrap_or(Duration::from_millis(25));
                     let nap = nap.clamp(Duration::from_millis(1), Duration::from_millis(25));
-                    std::thread::sleep(nap);
+                    std::thread::park_timeout(nap);
                 }
             })
         };
@@ -241,6 +240,7 @@ impl InfoGramService {
     pub fn shutdown(&self) {
         self.driver_running.store(false, Ordering::SeqCst);
         if let Some(t) = self.driver.lock().take() {
+            t.thread().unpark();
             let _ = t.join();
         }
         self.server.shutdown();
@@ -344,6 +344,24 @@ mod tests {
         assert!(w.service.addr().starts_with("svc.grid:"));
         assert_eq!(w.service.engine().epoch(), 1);
         w.service.shutdown();
+    }
+
+    #[test]
+    fn an_idle_service_shuts_down_without_waiting_out_the_refresh_nap() {
+        // The refresh thread naps up to 25 ms between ticks, and right
+        // after a start it is in its first nap; `shutdown` wakes it
+        // instead of waiting the nap out.
+        let mut shutting_down = std::time::Duration::ZERO;
+        for round in 0..10 {
+            let w = start_default_service(&format!("idle{round}.grid:0"));
+            let started = std::time::Instant::now();
+            w.service.shutdown();
+            shutting_down += started.elapsed();
+        }
+        assert!(
+            shutting_down < std::time::Duration::from_millis(50),
+            "ten shutdowns of an idle service took {shutting_down:?}"
+        );
     }
 
     #[test]

@@ -13,15 +13,36 @@
 //! > milliseconds must pass between consecutive calls of `updateState`
 //! > before the actual information is obtained through a runtime exec
 //! > call."
+//!
+//! Each keyword is also its own fault domain. Beside the cache, the
+//! monitor and `delay`, the entry's one lock holds a three-state circuit
+//! breaker,
+//!
+//! ```text
+//!             3 consecutive failed fetches
+//!   Closed ────────────────────────────────────▶ Open
+//!     ▲                                            │ cool-down elapses
+//!     │ probe succeeds                             ▼
+//!     └─────────────────────────────────────── HalfOpen
+//!                 (probe fails → back to Open, cool-down doubled)
+//! ```
+//!
+//! and one not-before gate shared by the `delay`, the backoff and the
+//! cool-down. Backoff never sleeps (`ManualClock::sleep` would deadlock
+//! a single-threaded test): it is a gate, and a gated query is answered
+//! from the cache. The jitter is seeded from the keyword (FNV-1a), so a
+//! fault scenario replays byte-identically. [`SystemInformation::refresh`]
+//! is the one path to the provider.
 
 use crate::provider::{InfoProvider, ProviderError};
 use crate::quality::DegradationFn;
-use crate::supervisor::{self, Admission, BreakerState, Supervisor};
+use crate::sub::SubscriptionHub;
 use infogram_proto::render::{self, AttrRef};
 use infogram_rsl::OutputFormat;
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge, MetricSet};
-use infogram_sim::{SimTime, Welford};
+use infogram_sim::rng::fnv1a;
+use infogram_sim::{SimTime, SplitMix64, Welford};
 use parking_lot::{lock_class, Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -142,10 +163,10 @@ pub struct Snapshot {
     pub produced_at: SimTime,
     /// Whether this call was served from cache (no provider execution).
     pub from_cache: bool,
-    /// Whether this is a last-known-good value served *because the
-    /// provider failed or was breaker-gated* — a degraded answer. The
-    /// age annotation carries the value's true staleness; consumers
-    /// must report degraded quality, not fresh data.
+    /// Whether this is a cached value past its TTL, served because no
+    /// fresh one could be produced (a failure, the gate) — a degraded
+    /// answer. The age annotation carries the value's true staleness;
+    /// consumers must report degraded quality, not fresh data.
     pub stale: bool,
 }
 
@@ -163,11 +184,11 @@ pub enum QueryError {
     },
     /// The provider failed during a (blocking) update.
     Provider(ProviderError),
-    /// The fault supervisor is holding the provider closed (breaker
-    /// open, or backoff gate in force) and no stale snapshot could be
-    /// served. `retry_after` is the wire-level retry hint.
+    /// The not-before gate (`delay`, backoff or an open breaker) holds
+    /// the provider off and no cached value could be served.
+    /// `retry_after` is the wire-level retry hint.
     Unavailable {
-        /// Time until the supervisor will admit another execution.
+        /// Time until the gate opens.
         retry_after: Duration,
     },
 }
@@ -225,12 +246,62 @@ impl Snapshot {
     }
 }
 
+/// Breaker position of one keyword's fault domain.
+///
+/// The numeric values are the gauge encoding (`info.breaker.<kw>`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BreakerState {
+    /// Healthy: refreshes run the provider once the not-before gate is
+    /// open.
+    Closed = 0,
+    /// Tripped: nothing runs until the cool-down ends; queries are
+    /// served the cached value.
+    Open = 1,
+    /// The one probe a lapsed cool-down admits is running; it holds
+    /// the monitor, so everyone else waits for its outcome.
+    HalfOpen = 2,
+}
+
+/// Consecutive failed fetches that trip the breaker.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Base cool-down after tripping; it doubles on each failed probe.
+const OPEN_FOR: Duration = Duration::from_millis(500);
+/// Cool-down ceiling.
+const OPEN_MAX: Duration = Duration::from_secs(30);
+/// Bounded in-fetch retries after the first transient failure.
+const MAX_RETRIES: u32 = 2;
+/// Base of the exponential backoff after a failed fetch. It only arms
+/// below [`FAILURE_THRESHOLD`], so it is 25 ms or 50 ms.
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+/// Jitter fraction: each backoff and cool-down is scaled by a factor
+/// drawn uniformly from `[1 - JITTER, 1 + JITTER]`.
+const JITTER: f64 = 0.2;
+/// Deadline budget floor (the whole budget of a TTL-0 keyword).
+const DEADLINE_FLOOR: Duration = Duration::from_millis(250);
+/// The TTL multiple a fetch may spend before its budget is breached.
+const DEADLINE_TTL_FACTOR: u32 = 4;
+
+/// Why an entry refreshes. Both causes share the monitor, the gate and
+/// the breaker; they differ in what an answer that is not a fresh
+/// production becomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// A query that needs the provider: a cached miss or
+    /// `(response=immediate)`, which behave alike. It degrades to the
+    /// cached value.
+    Query {
+        /// The `(timeout=…)` budget; `None` is `max(4 × TTL, 250 ms)`.
+        deadline: Option<Duration>,
+    },
+    /// The refresh scheduler. It has no caller to degrade for, so it
+    /// reports [`QueryError::Unavailable`] or [`QueryError::Provider`].
+    Scheduled,
+}
+
 /// Everything the monitor guards — one lock per keyword.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct EntryState {
     cached: Option<CachedValue>,
-    /// Clock time the last real provider execution *started*.
-    last_update_started: Option<SimTime>,
     /// Whether a provider execution is in flight (the monitor).
     updating: bool,
     /// Bumped on every *successful* refresh, so a waiter woken by the
@@ -241,17 +312,67 @@ struct EntryState {
     delay: Duration,
     /// The §6.6 performance catalog: real execution times.
     perf: Welford,
+    /// The one gate: no execution starts before it. Each start sets it
+    /// to start + `delay`; a failed fetch raises it to its backoff or
+    /// the breaker's cool-down.
+    not_before: SimTime,
+    breaker: BreakerState,
+    /// Consecutive failed fetches (reset by a fresh production).
+    streak: u32,
+    /// Current cool-down length (doubles on failed probes).
+    open_len: Duration,
+    /// Jitter source, seeded from the keyword (deterministic replay).
+    rng: SplitMix64,
+}
+
+impl EntryState {
+    /// A fresh production: close the breaker.
+    fn succeeded(&mut self) {
+        self.breaker = BreakerState::Closed;
+        self.streak = 0;
+        self.open_len = OPEN_FOR;
+    }
+
+    /// A fetch at `now` whose last execution failed transiently;
+    /// `probe` marks the half-open probe.
+    fn failed(&mut self, now: SimTime, probe: bool) {
+        let jitter = 1.0 - JITTER + 2.0 * JITTER * self.rng.next_f64();
+        self.streak = self.streak.saturating_add(1);
+        let wait = if probe || self.streak >= FAILURE_THRESHOLD {
+            // A failed probe re-opens with a doubled cool-down.
+            self.open_len = if probe {
+                (self.open_len * 2).min(OPEN_MAX)
+            } else {
+                OPEN_FOR
+            };
+            self.breaker = BreakerState::Open;
+            self.open_len
+        } else {
+            BACKOFF_BASE * (1 << (self.streak - 1))
+        };
+        self.not_before = self.not_before.max(now.plus(wait.mul_f64(jitter)));
+    }
+
+    /// A configuration failure: retrying cannot help, so it never counts
+    /// toward the breaker — but a failed probe still re-opens it (the
+    /// streak that tripped it is unresolved).
+    fn misconfigured(&mut self, now: SimTime, probe: bool) {
+        if probe {
+            self.breaker = BreakerState::Open;
+            self.not_before = self.not_before.max(now.plus(self.open_len));
+        }
+    }
 }
 
 /// Interned per-entry telemetry handles, resolved once when the entry is
-/// wired into a service so the monitor and the delay gate never format a
-/// metric name or take a registry lock on the query path.
+/// wired into a service so the refresh path never formats a metric name
+/// or takes a registry lock.
 #[derive(Debug)]
 struct EntryTelemetry {
     coalesced: Arc<Counter>,
     throttled: Arc<Counter>,
-    /// Supervised-fetch accounting: in-fetch retries, last-known-good
-    /// serves, and deadline-budget breaches (service-wide counters).
+    /// Fetch accounting: in-fetch retries, stale answers, and
+    /// deadline-budget breaches (service-wide counters).
     retries: Arc<Counter>,
     stale_serves: Arc<Counter>,
     deadline_breaches: Arc<Counter>,
@@ -260,7 +381,7 @@ struct EntryTelemetry {
     breaker: Arc<Gauge>,
 }
 
-/// A keyword's provider, cache, monitor, and performance catalog.
+/// A keyword's provider, cache, monitor, breaker and performance catalog.
 pub struct SystemInformation {
     provider: Box<dyn InfoProvider>,
     clock: SharedClock,
@@ -270,11 +391,11 @@ pub struct SystemInformation {
     update_done: Condvar,
     /// Real provider executions (cache misses / refreshes).
     executions: AtomicU64,
-    /// Write-once telemetry handles for monitor/throttle accounting;
-    /// reading them is lock-free.
+    /// Write-once telemetry handles; reading them is lock-free.
     telemetry: OnceLock<EntryTelemetry>,
-    /// The fault-domain supervisor guarding this keyword's provider.
-    supervisor: Supervisor,
+    /// Where every fresh production is pushed, once a refresh scheduler
+    /// watches the keyword. Unset, the check is one atomic load.
+    hub: OnceLock<Arc<SubscriptionHub>>,
 }
 
 impl std::fmt::Debug for SystemInformation {
@@ -297,10 +418,17 @@ impl SystemInformation {
         ttl: Duration,
         degradation: DegradationFn,
     ) -> Arc<Self> {
-        let supervisor = Supervisor::new(provider.keyword());
         let state = EntryState {
+            cached: None,
+            updating: false,
+            generation: 0,
+            delay: Duration::ZERO,
             perf: Welford::new(),
-            ..EntryState::default()
+            not_before: SimTime::ZERO,
+            breaker: BreakerState::Closed,
+            streak: 0,
+            open_len: OPEN_FOR,
+            rng: SplitMix64::new(fnv1a(provider.keyword()) ^ 0x5afe_b0ff),
         };
         Arc::new(SystemInformation {
             provider,
@@ -311,13 +439,13 @@ impl SystemInformation {
             update_done: Condvar::with_class(lock_class!("info.entry.update_done")),
             executions: AtomicU64::new(0),
             telemetry: OnceLock::new(),
-            supervisor,
+            hub: OnceLock::new(),
         })
     }
 
-    /// Attach a telemetry sink. The monitor and the delay gate count the
-    /// calls they collapse into a cached result through it
-    /// (`info.coalesced` and `info.throttled`).
+    /// Attach a telemetry sink: the monitor counts the calls it collapses
+    /// into another's result (`info.coalesced`), the gate the attempts it
+    /// turns away (`info.throttled`), beside the fault counters.
     ///
     /// The counter handles are interned here, once, so the hot path never
     /// takes a lock or formats a metric name. The slot is write-once: the
@@ -332,6 +460,12 @@ impl SystemInformation {
             deadline_breaches: telemetry.counter("info.deadline_breaches"),
             breaker: telemetry.gauge(&format!("info.breaker.{}", self.keyword())),
         });
+    }
+
+    /// Push every later fresh production into `hub`. Write-once, like
+    /// the telemetry slot: the first hub wins.
+    pub(crate) fn push_to(&self, hub: &Arc<SubscriptionHub>) {
+        let _ = self.hub.set(Arc::clone(hub));
     }
 
     /// Bump one of the interned counters, if a sink is attached.
@@ -362,7 +496,7 @@ impl SystemInformation {
     }
 
     /// Set the minimum gap between consecutive real updates (the paper's
-    /// `setDelay`).
+    /// `setDelay`). It applies from the next execution's start.
     pub fn set_delay(&self, delay: Duration) {
         self.state.lock().delay = delay;
     }
@@ -372,18 +506,14 @@ impl SystemInformation {
         self.state.lock().delay
     }
 
-    /// Age of the cached value; `None` if never produced.
-    fn age(&self) -> Option<Duration> {
-        let st = self.state.lock();
-        let cached = st.cached.as_ref()?;
-        Some(self.clock.now().since(cached.produced_at))
-    }
-
     /// Remaining validity of the cached value: the paper's `validity()`.
     /// Zero if never produced or already expired.
     pub fn validity(&self) -> Duration {
-        self.age()
-            .map_or(Duration::ZERO, |age| self.ttl.saturating_sub(age))
+        let st = self.state.lock();
+        st.cached.as_ref().map_or(Duration::ZERO, |c| {
+            self.ttl
+                .saturating_sub(self.clock.now().since(c.produced_at))
+        })
     }
 
     /// `Ok` while `value` is within its TTL (never, at TTL 0).
@@ -410,232 +540,189 @@ impl SystemInformation {
         Ok(Snapshot::of(cached, true, false))
     }
 
-    /// Blocking refresh: the paper's `updateState`.
-    ///
-    /// * Concurrent calls coalesce: only one provider execution runs at a
-    ///   time; waiters reuse its result.
-    /// * A waiter woken after a *failed* in-flight refresh does not blindly
-    ///   reuse whatever old value is cached: it serves the old value only
-    ///   while that value is still within its TTL, and otherwise retries
-    ///   the update itself (propagating its own error if that fails too).
-    /// * The `delay` throttle serves the cached value if the last real
-    ///   execution started less than `delay` ago — "useful in cases where
-    ///   users ask for information more frequently than it can be
-    ///   produced by the system".
+    /// Blocking refresh: the paper's `updateState`, as a query with no
+    /// `(timeout=…)` asks for it ([`SystemInformation::refresh`]).
     pub fn update_state(&self) -> Result<Snapshot, QueryError> {
-        loop {
-            let mut st = self.state.lock();
-            if st.updating {
-                // Monitor: wait for the in-flight update, then reuse it.
-                let seen = st.generation;
-                self.update_done.wait(&mut st);
-                // If the update succeeded (generation moved), reuse its
-                // fresh result even at TTL 0 — it is the result of the
-                // very update this caller waited on. If it failed, an
-                // older value is served only while genuinely valid;
-                // handing out a long-expired value as a coalesced
-                // success would silently mask the failure.
-                if let Some(c) = &st.cached {
-                    if st.generation != seen || self.check_ttl(c).is_ok() {
-                        self.count(|t| &t.coalesced);
-                        return Ok(Snapshot::of(c, true, false));
-                    }
+        self.refresh(Cause::Query { deadline: None })
+    }
+
+    /// The one refresh path. Everything it decides on sits under the one
+    /// `state` lock: the cache, the monitor, the gate and the breaker.
+    ///
+    /// * **Monitor.** One execution runs at a time; a caller that finds
+    ///   one in flight waits and reuses a fresh result. If that execution
+    ///   failed, a query takes the old value only while it is within its
+    ///   TTL; otherwise the caller tries itself.
+    /// * **Gate.** No execution starts before `not_before` = max(last
+    ///   start + `delay`, a failed fetch's backoff or the breaker's
+    ///   cool-down) — "useful in cases where users ask for information
+    ///   more frequently than it can be produced by the system". Past an
+    ///   open breaker's cool-down the next execution is its probe.
+    /// * **Retries.** A transient failure is retried at most twice within
+    ///   the fetch (a probe never), while the deadline budget lasts. A
+    ///   retry the gate turns away ends the fetch.
+    /// * **Breaker.** A fetch books only what its own executions did: a
+    ///   fresh production closes the breaker; a fetch whose last
+    ///   execution failed counts one failure (three in a row trip it) and
+    ///   arms the jittered backoff. Configuration errors are never
+    ///   retried or counted. A coalesced or gated answer books nothing.
+    ///
+    /// Every fresh production bumps the generation and, once a scheduler
+    /// watches the keyword, is pushed to its hub exactly once, whatever
+    /// the cause. Anything else is the cached value, tagged `stale` once
+    /// it is past its TTL: a query gets that answer unless nothing is
+    /// cached or the degradation function has floored its quality to
+    /// zero; [`Cause::Scheduled`] gets the error.
+    pub fn refresh(&self, cause: Cause) -> Result<Snapshot, QueryError> {
+        let degrade = matches!(cause, Cause::Query { .. });
+        let budget = match cause {
+            Cause::Query { deadline: Some(d) } => d,
+            _ => default_deadline(self.ttl),
+        };
+        let started = self.clock.now();
+        let mut st = self.state.lock();
+        while st.updating {
+            let seen = st.generation;
+            self.update_done.wait(&mut st);
+            if let Some(c) = &st.cached {
+                if st.generation != seen || (degrade && self.check_ttl(c).is_ok()) {
+                    self.count(|t| &t.coalesced);
+                    return Ok(Snapshot::of(c, true, false));
                 }
-                // No valid value to fall back on; try an update ourselves.
-                continue;
             }
-            // Delay gate.
-            if !st.delay.is_zero() {
-                if let (Some(last), Some(c)) = (st.last_update_started, &st.cached) {
-                    if self.clock.now().since(last) < st.delay {
-                        self.count(|t| &t.throttled);
-                        return Ok(Snapshot::of(c, true, false));
-                    }
-                }
+        }
+        // From here on this fetch holds the monitor while it executes,
+        // retries included; waiters see only its outcome.
+        let (mut executed, mut probe, mut failure) = (0, false, None);
+        let retry_after = loop {
+            let now = self.clock.now();
+            if now < st.not_before {
+                self.count(|t| &t.throttled);
+                break st.not_before.since(now);
+            }
+            probe = st.breaker == BreakerState::Open;
+            if probe {
+                st.breaker = BreakerState::HalfOpen;
             }
             st.updating = true;
-            st.last_update_started = Some(self.clock.now());
+            st.not_before = now.plus(st.delay);
+            if executed > 0 {
+                self.count(|t| &t.retries);
+            }
+            executed += 1;
             drop(st);
 
-            let started = self.clock.now();
             // A provider execution is an arbitrary external command (a
             // runtime exec in the paper); the monitor flag — not a lock
             // — serializes updates precisely so nothing is held here.
             infogram_sim::lockdep::blocking_point("info.provider.produce", &[]);
             let result = self.provider.produce();
-            let elapsed = self.clock.now().since(started);
+            let finished = self.clock.now();
             self.executions.fetch_add(1, Ordering::Relaxed);
-
-            let mut st = self.state.lock();
-            st.updating = false;
-            // Waiters re-take `state` before they look, so waking them
-            // ahead of the install below is safe on both outcomes.
-            self.update_done.notify_all();
-            let value = CachedValue {
-                attributes: Arc::new(Produced::new(result.map_err(QueryError::Provider)?)),
-                produced_at: self.clock.now(),
-            };
-            let snap = Snapshot::of(&value, false, false);
-            st.cached = Some(value);
-            st.generation = st.generation.wrapping_add(1);
-            st.perf.record_duration(elapsed);
-            return Ok(snap);
-        }
-    }
-
-    /// The fault-domain supervisor guarding this entry's provider.
-    pub fn supervisor(&self) -> &Supervisor {
-        &self.supervisor
-    }
-
-    /// Current breaker position (convenience over
-    /// [`SystemInformation::supervisor`]).
-    pub fn breaker_state(&self) -> BreakerState {
-        self.supervisor.state()
-    }
-
-    fn publish_breaker_gauge(&self) {
-        if let Some(t) = self.telemetry.get() {
-            t.breaker.set(self.supervisor.state() as u32 as f64);
-        }
-    }
-
-    /// Supervised blocking refresh: [`update_state`] wrapped in the
-    /// fault-domain supervisor.
-    ///
-    /// * The breaker/backoff gate is consulted first; a deferred fetch
-    ///   never touches the provider and is served the last-known-good
-    ///   snapshot (tagged `stale`, with its true age) — or fails with
-    ///   [`QueryError::Unavailable`] carrying the retry-after hint when
-    ///   nothing is cached.
-    /// * Transient provider failures are retried in-fetch (bounded by
-    ///   two retries; a half-open probe gets none).
-    ///   Configuration errors ([`ProviderError::is_transient`] false)
-    ///   are never retried and never counted toward the breaker.
-    /// * The whole fetch runs under a deadline budget: `deadline` if
-    ///   given (the xRSL `(timeout=...)` tag), else TTL-proportional.
-    ///   Enforcement is cooperative — elapsed clock time is checked
-    ///   after the provider returns (injected hangs charge the clock,
-    ///   so breaches are observable under both clocks); a breach stops
-    ///   further retries and falls back to the stale snapshot.
-    /// * After the final failure the supervisor computes the jittered
-    ///   exponential backoff as a *not-before gate* rather than
-    ///   sleeping: subsequent fetches stale-serve until the gate opens.
-    ///   (A sleeping backoff would deadlock the virtual clock.)
-    ///
-    /// Hard failure (an `Err`) happens only when no snapshot exists or
-    /// the snapshot's quality has floored to zero under the degradation
-    /// function.
-    ///
-    /// [`update_state`]: SystemInformation::update_state
-    pub fn fetch_supervised(&self, deadline: Option<Duration>) -> Result<Snapshot, QueryError> {
-        self.supervised_refresh(deadline, true)
-    }
-
-    /// Supervised refresh for the background scheduler: identical
-    /// admission, retry, and breaker accounting to
-    /// [`SystemInformation::fetch_supervised`], but failures are
-    /// *reported, not degraded* — a prefetch has no caller to serve a
-    /// stale answer to, and the scheduler needs the raw outcome to
-    /// decide between rescheduling, parking, and evicting:
-    ///
-    /// * [`QueryError::Unavailable`] — the breaker/backoff gate deferred
-    ///   the refresh; `retry_after` is when to try again (park).
-    /// * [`QueryError::Provider`] with a non-transient error — the
-    ///   keyword is misconfigured; refreshing it again is pointless
-    ///   (evict from the refresh queue).
-    /// * [`QueryError::Provider`] with a transient error — the bounded
-    ///   in-fetch retries were exhausted; the supervisor's backoff gate
-    ///   is now armed (park until it opens).
-    pub fn refresh_scheduled(&self) -> Result<Snapshot, QueryError> {
-        self.supervised_refresh(None, false)
-    }
-
-    /// Shared core of the two supervised policies. `degrade` selects
-    /// what a failure becomes: the last-known-good snapshot (interactive
-    /// queries) or the error itself (background refreshes).
-    fn supervised_refresh(
-        &self,
-        deadline: Option<Duration>,
-        degrade: bool,
-    ) -> Result<Snapshot, QueryError> {
-        let fail = |err| {
-            self.publish_breaker_gauge();
-            if degrade {
-                self.stale_serve(err)
-            } else {
-                Err(err)
-            }
-        };
-        let budget = deadline.unwrap_or_else(|| supervisor::default_deadline(self.ttl));
-        let probe = match self.supervisor.admit(self.clock.now()) {
-            Admission::Deferred { retry_after } => {
-                return fail(QueryError::Unavailable { retry_after })
-            }
-            Admission::Execute { probe } => probe,
-        };
-        let retries = if probe { 0 } else { supervisor::MAX_RETRIES };
-        let started = self.clock.now();
-        let mut last_err = None;
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                self.count(|t| &t.retries);
-            }
-            let result = self.update_state();
-            let breached = self.clock.now().since(started) > budget;
+            let breached = finished.since(started) > budget;
             if breached {
                 self.count(|t| &t.deadline_breaches);
             }
+
+            st = self.state.lock();
             match result {
-                Ok(snap) => {
+                Ok(attributes) => {
                     // A late success is still a success: the value is
-                    // cached and fresher than anything stale-servable.
-                    // The breach was counted above.
-                    self.supervisor.on_success();
-                    self.publish_breaker_gauge();
+                    // fresher than anything the cache holds.
+                    let value = CachedValue {
+                        attributes: Arc::new(Produced::new(attributes)),
+                        produced_at: finished,
+                    };
+                    let snap = Snapshot::of(&value, false, false);
+                    st.cached = Some(value);
+                    st.perf.record_duration(finished.since(now));
+                    st.succeeded();
+                    if let Some(hub) = self.hub.get() {
+                        // The monitor stays held across the push, so
+                        // pushes leave in production order and waiters
+                        // wake to the bumped generation after it.
+                        drop(st);
+                        hub.notify_refresh(self, &snap);
+                        st = self.state.lock();
+                    }
+                    st.generation = st.generation.wrapping_add(1);
+                    self.finish(&mut st);
                     return Ok(snap);
                 }
-                Err(QueryError::Provider(e)) if !e.is_transient() => {
-                    // Configuration error: retrying cannot help, and the
-                    // breaker is for transient faults only.
-                    self.supervisor.on_config_failure(self.clock.now(), probe);
-                    return fail(QueryError::Provider(e));
+                Err(e) if !e.is_transient() => {
+                    st.misconfigured(self.clock.now(), probe);
+                    self.finish(&mut st);
+                    return self.answer(&st, degrade, QueryError::Provider(e));
                 }
-                Err(e @ QueryError::Provider(_)) => {
-                    last_err = Some(e);
-                    if breached {
-                        break; // no budget left to retry into
+                Err(e) => {
+                    failure = Some(e);
+                    if probe || executed > MAX_RETRIES || breached {
+                        break Duration::ZERO;
                     }
                 }
-                Err(other) => return Err(other),
             }
-        }
-        self.supervisor.on_failure(self.clock.now(), probe);
-        // lint:allow(unwrap) — the loop always runs at least once and only exits with last_err set
-        fail(last_err.expect("at least one attempt ran"))
+        };
+        // No production of this fetch's own: book its last execution's
+        // failure, if it made one, and answer from the cache.
+        let err = match failure {
+            Some(e) => {
+                st.failed(self.clock.now(), probe);
+                self.finish(&mut st);
+                QueryError::Provider(e)
+            }
+            None => QueryError::Unavailable { retry_after },
+        };
+        self.answer(&st, degrade, err)
     }
 
-    /// Serve the last-known-good snapshot as a degraded answer, or
-    /// propagate `underlying` when nothing (useful) is cached.
-    ///
-    /// The snapshot keeps its true `produced_at`, so the age and
-    /// quality annotations downstream are honest; `stale: true` marks
-    /// it as fault-driven. When the degradation function has floored
-    /// the cached value's quality to zero, the value is worthless and
-    /// the underlying error surfaces instead.
-    fn stale_serve(&self, underlying: QueryError) -> Result<Snapshot, QueryError> {
-        let st = self.state.lock();
-        let Some(c) = &st.cached else {
-            return Err(underlying);
+    /// Release the monitor and publish the breaker position.
+    fn finish(&self, st: &mut EntryState) {
+        st.updating = false;
+        // Waiters re-take `state` before they look, so waking them
+        // before the lock drops is safe.
+        self.update_done.notify_all();
+        if let Some(t) = self.telemetry.get() {
+            t.breaker.set(st.breaker as u32 as f64);
+        }
+    }
+
+    /// What a fetch that produced nothing answers: `err`, or — for a
+    /// query — the cached value with its true `produced_at`, tagged
+    /// `stale` once past its TTL, while its quality is above zero.
+    fn answer(
+        &self,
+        st: &EntryState,
+        degrade: bool,
+        err: QueryError,
+    ) -> Result<Snapshot, QueryError> {
+        let Some(c) = st.cached.as_ref().filter(|_| degrade) else {
+            return Err(err);
         };
         let age = self.clock.now().since(c.produced_at);
         if self.degradation.quality(age) <= 0.0 {
-            return Err(underlying);
+            return Err(err);
         }
-        let snap = Snapshot::of(c, true, true);
-        drop(st);
-        self.count(|t| &t.stale_serves);
-        Ok(snap)
+        let stale = self.check_ttl(c).is_err();
+        if stale {
+            self.count(|t| &t.stale_serves);
+        }
+        Ok(Snapshot::of(c, true, stale))
+    }
+
+    /// When the next execution may start: the gate a refresh scheduler
+    /// parks a keyword behind.
+    pub fn not_before(&self) -> SimTime {
+        self.state.lock().not_before
+    }
+
+    /// Current breaker position.
+    pub fn breaker_state(&self) -> BreakerState {
+        self.state.lock().breaker
+    }
+
+    /// Consecutive failed fetches since the last fresh production.
+    pub fn failure_streak(&self) -> u32 {
+        self.state.lock().streak
     }
 
     /// The paper's `getAverageUpdateTime`: `(mean, std_dev)` of real
@@ -650,22 +737,26 @@ impl SystemInformation {
         self.executions.load(Ordering::Relaxed)
     }
 
-    /// Number of successful cache installs so far (the `generation`
-    /// stamp bumped by every `update_state` that lands a fresh value).
-    /// The missed-update ledger in `tests/refresh_sched.rs` balances
-    /// scheduler-reported refreshes against this counter. A bump from a
-    /// scheduled refresh is one delivered update per subscriber; a bump
-    /// from a query-driven refresh pushes nothing of its own.
+    /// Number of fresh productions so far (the `generation` stamp). Each
+    /// is pushed once to a watching scheduler's hub, whatever caused it,
+    /// so the missed-update ledger in `tests/refresh_sched.rs` balances
+    /// pushed versions against this counter.
     pub fn generation(&self) -> u64 {
         self.state.lock().generation
     }
+}
+
+/// The deadline budget of a fetch whose query names no `(timeout=…)`:
+/// `max(ttl × 4, 250 ms)`.
+fn default_deadline(ttl: Duration) -> Duration {
+    (ttl * DEADLINE_TTL_FACTOR).max(DEADLINE_FLOOR)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::provider::FnProvider;
-    use infogram_sim::{ManualClock, SystemClock};
+    use infogram_sim::{Clock, ManualClock, SystemClock};
 
     fn counted_provider(calls: Arc<AtomicU64>) -> Box<dyn InfoProvider> {
         Box::new(FnProvider::new("K", move || {
@@ -799,21 +890,31 @@ mod tests {
             si.update_state(),
             Err(QueryError::Provider(ProviderError::Other(_)))
         ));
-        // A failure does not poison the entry; the next update may
-        // succeed (here it fails again, but does not deadlock).
-        assert!(si.update_state().is_err());
+        assert_eq!(si.execution_count(), 3, "one execution, two retries");
+        // A failure does not poison the entry: the next call is gated by
+        // the backoff, and says when to come back.
+        assert!(matches!(
+            si.update_state(),
+            Err(QueryError::Unavailable { retry_after }) if retry_after > Duration::ZERO
+        ));
+        assert_eq!(si.execution_count(), 3);
     }
 
     #[test]
     fn delay_throttles_consecutive_updates() {
-        let (clock, calls, si) = entry_with_ttl(1);
+        let (clock, calls, si) = entry_with_ttl(50);
         si.set_delay(Duration::from_millis(100));
         si.update_state().unwrap(); // real execution
         clock.advance(Duration::from_millis(10));
         let snap = si.update_state().unwrap(); // throttled → cached
-        assert!(snap.from_cache);
+        assert!(snap.from_cache && !snap.stale);
+        // Past its TTL, a throttled answer says so.
+        clock.advance(Duration::from_millis(50));
+        let snap = si.update_state().unwrap();
+        assert!(snap.from_cache && snap.stale);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        clock.advance(Duration::from_millis(100));
+        assert_eq!(si.failure_streak(), 0, "a throttled call is no outcome");
+        clock.advance(Duration::from_millis(40));
         let snap = si.update_state().unwrap();
         assert!(!snap.from_cache);
         assert_eq!(calls.load(Ordering::SeqCst), 2);
@@ -880,10 +981,11 @@ mod tests {
     }
 
     #[test]
-    fn waiter_after_failed_refresh_retries_instead_of_serving_expired() {
-        // Script: 1st call caches v=1; 2nd (slow) call fails while a
-        // waiter coalesces on it; the waiter must notice the cached v=1
-        // is long expired, retry, and get the 3rd call's fresh v=3.
+    fn a_fetch_retries_under_the_monitor_and_its_waiter_never_gets_the_expired_value() {
+        // Script: 1st call caches v=1; the 2nd (slow) call fails while a
+        // waiter coalesces on it. The fetch retries with the monitor
+        // still held, so the waiter wakes to the 3rd call's fresh v=3,
+        // never to the long-expired v=1.
         let clock = SystemClock::shared();
         let (calls, provider) = scripted_provider(vec![Ok(1), Err(()), Ok(3)], 40);
         let si = SystemInformation::new(
@@ -895,26 +997,24 @@ mod tests {
         si.update_state().unwrap();
         std::thread::sleep(Duration::from_millis(20)); // v=1 now expired
         let si2 = Arc::clone(&si);
-        let failing = std::thread::spawn(move || si2.update_state());
+        let fetching = std::thread::spawn(move || si2.update_state());
         std::thread::sleep(Duration::from_millis(15)); // let the update start
-        let snap = si.update_state().unwrap();
-        assert!(
-            failing.join().unwrap().is_err(),
-            "the in-flight update itself must surface its failure"
-        );
-        assert_eq!(
-            snap.attributes.first().map(|(_, v)| v.as_str()),
-            Some("3"),
-            "waiter must not be served the expired v=1"
-        );
-        assert!(!snap.from_cache, "the waiter re-executed the provider");
+        let waited = si.update_state().unwrap();
+        let fetched = fetching.join().unwrap().unwrap();
+        assert!(!fetched.from_cache, "the fetch's own retry produced");
+        for snap in [&fetched, &waited] {
+            assert_eq!(snap.attributes.first().map(|(_, v)| v.as_str()), Some("3"));
+        }
+        assert!(waited.from_cache, "the waiter coalesced");
         assert_eq!(calls.load(Ordering::SeqCst), 3);
+        assert_eq!(si.failure_streak(), 0);
     }
 
     #[test]
     fn waiter_after_failed_refresh_still_coalesces_on_valid_cache() {
-        // Same shape, but the old value is still within its TTL when the
-        // in-flight update fails: the waiter may reuse it.
+        // Same shape, but every later call fails and the old value is
+        // still within its TTL: the fetch spends its retries, books one
+        // failure and answers the valid old value; the waiter takes it.
         let clock = SystemClock::shared();
         let (calls, provider) = scripted_provider(vec![Ok(1), Err(())], 40);
         let si = SystemInformation::new(
@@ -925,13 +1025,20 @@ mod tests {
         );
         si.update_state().unwrap();
         let si2 = Arc::clone(&si);
-        let failing = std::thread::spawn(move || si2.update_state());
+        let fetching = std::thread::spawn(move || si2.update_state());
         std::thread::sleep(Duration::from_millis(15));
-        let snap = si.update_state().unwrap();
-        assert!(failing.join().unwrap().is_err());
-        assert!(snap.from_cache, "valid old value serves the waiter");
-        assert_eq!(snap.attributes.first().map(|(_, v)| v.as_str()), Some("1"));
-        assert_eq!(calls.load(Ordering::SeqCst), 2, "waiter did not re-execute");
+        let waited = si.update_state().unwrap();
+        let fetched = fetching.join().unwrap().unwrap();
+        for snap in [&fetched, &waited] {
+            assert!(snap.from_cache && !snap.stale, "valid old value serves");
+            assert_eq!(snap.attributes.first().map(|(_, v)| v.as_str()), Some("1"));
+        }
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            4,
+            "1 + 3, the waiter ran none"
+        );
+        assert_eq!(si.failure_streak(), 1, "one failed fetch");
     }
 
     #[test]
@@ -969,5 +1076,131 @@ mod tests {
         assert_eq!(n, 4);
         assert!((mean - 0.025).abs() < 1e-9, "mean {mean}");
         assert!(std < 1e-9, "constant cost has zero stddev");
+    }
+
+    /// A keyword whose provider `mode` scripts: 0 succeeds, 1 fails
+    /// transiently, 2 fails as a configuration error.
+    fn switchable(keyword: &str) -> (Arc<ManualClock>, Arc<AtomicU64>, Arc<SystemInformation>) {
+        let clock = ManualClock::new();
+        let mode = Arc::new(AtomicU64::new(1));
+        let m2 = Arc::clone(&mode);
+        let si = SystemInformation::new(
+            Box::new(FnProvider::new(keyword, move || {
+                match m2.load(Ordering::SeqCst) {
+                    0 => Ok(vec![("v".to_string(), "1".to_string())]),
+                    1 => Err(ProviderError::Other("down".to_string())),
+                    _ => Err(ProviderError::UnknownCommand {
+                        command: "nope".to_string(),
+                        detail: "not configured".to_string(),
+                    }),
+                }
+            })),
+            clock.clone(),
+            Duration::from_millis(100),
+            DegradationFn::default(),
+        );
+        (clock, mode, si)
+    }
+
+    /// How long the gate holds a fetch arriving now.
+    fn gate(clock: &ManualClock, si: &SystemInformation) -> Duration {
+        si.not_before().since(clock.now())
+    }
+
+    /// `d` is `base` scaled by a factor in the jitter band.
+    fn jittered(d: Duration, base: Duration) -> bool {
+        d >= base.mul_f64(1.0 - JITTER) && d <= base.mul_f64(1.0 + JITTER)
+    }
+
+    #[test]
+    fn trips_after_threshold_and_recovers_via_probe() {
+        let (clock, mode, si) = switchable("K");
+        // Below the threshold each failed fetch arms a backoff: 25 ms,
+        // then 50 ms, each jittered.
+        for (streak, backoff) in [(1, 25), (2, 50)] {
+            assert!(si.refresh(Cause::Scheduled).is_err());
+            assert_eq!(si.breaker_state(), BreakerState::Closed);
+            assert_eq!(si.failure_streak(), streak);
+            let wait = gate(&clock, &si);
+            assert!(jittered(wait, Duration::from_millis(backoff)), "{wait:?}");
+            assert!(matches!(
+                si.refresh(Cause::Scheduled),
+                Err(QueryError::Unavailable { retry_after }) if retry_after == wait
+            ));
+            clock.advance(wait);
+        }
+        assert!(si.refresh(Cause::Scheduled).is_err()); // third: trips
+        assert_eq!(si.breaker_state(), BreakerState::Open);
+        assert_eq!(si.execution_count(), 9);
+        let cool_down = gate(&clock, &si);
+        assert!(jittered(cool_down, OPEN_FOR), "{cool_down:?}");
+        // Cool-down over: exactly one probe, which closes the breaker.
+        clock.advance(cool_down);
+        mode.store(0, Ordering::SeqCst);
+        assert!(!si.refresh(Cause::Scheduled).unwrap().from_cache);
+        assert_eq!(si.breaker_state(), BreakerState::Closed);
+        assert_eq!((si.failure_streak(), si.execution_count()), (0, 10));
+    }
+
+    #[test]
+    fn failed_probes_double_the_cool_down_up_to_its_cap() {
+        let (clock, _mode, si) = switchable("K");
+        while si.breaker_state() != BreakerState::Open {
+            let _ = si.refresh(Cause::Scheduled);
+            clock.set(si.not_before());
+        }
+        let mut base = OPEN_FOR;
+        for _ in 0..8 {
+            let executed = si.execution_count();
+            let _ = si.refresh(Cause::Scheduled);
+            assert_eq!(si.execution_count(), executed + 1, "a probe gets no retry");
+            assert_eq!(si.breaker_state(), BreakerState::Open);
+            base = (base * 2).min(OPEN_MAX);
+            let cool_down = gate(&clock, &si);
+            assert!(jittered(cool_down, base), "{cool_down:?} from {base:?}");
+            clock.set(si.not_before());
+        }
+        assert_eq!(base, OPEN_MAX, "500 ms doubled six times passes the cap");
+    }
+
+    #[test]
+    fn jitter_is_seed_deterministic_per_keyword() {
+        let mk = || {
+            let (clock, _mode, si) = switchable("CPULoad");
+            let _ = si.refresh(Cause::Scheduled);
+            gate(&clock, &si)
+        };
+        let (a, b) = (mk(), mk());
+        assert_eq!(a, b, "same keyword, same seed, same jitter");
+        assert!(jittered(a, BACKOFF_BASE), "{a:?}");
+    }
+
+    #[test]
+    fn config_failure_does_not_count_but_fails_a_probe() {
+        let (clock, mode, si) = switchable("K");
+        mode.store(2, Ordering::SeqCst);
+        assert!(si.refresh(Cause::Scheduled).is_err());
+        assert_eq!(si.execution_count(), 1, "never retried");
+        assert_eq!(si.failure_streak(), 0);
+        assert_eq!(si.breaker_state(), BreakerState::Closed);
+        // Trip, then a probe that meets a config error → back to Open.
+        mode.store(1, Ordering::SeqCst);
+        while si.breaker_state() != BreakerState::Open {
+            let _ = si.refresh(Cause::Scheduled);
+            clock.set(si.not_before());
+        }
+        mode.store(2, Ordering::SeqCst);
+        let _ = si.refresh(Cause::Scheduled);
+        assert_eq!(si.breaker_state(), BreakerState::Open);
+        assert!(gate(&clock, &si) > Duration::ZERO);
+    }
+
+    #[test]
+    fn deadline_budget_is_ttl_proportional_with_floor() {
+        assert_eq!(
+            default_deadline(Duration::from_millis(100)),
+            Duration::from_millis(400)
+        );
+        assert_eq!(default_deadline(Duration::ZERO), Duration::from_millis(250));
     }
 }

@@ -14,7 +14,11 @@
 //!   interface: non-blocking `query_state`, blocking coalesced
 //!   `update_state` guarded by a monitor, a `delay` throttle, TTL
 //!   bookkeeping, and the per-keyword performance catalog behind the
-//!   xRSL `performance` tag.
+//!   xRSL `performance` tag. Each entry is also its own fault domain: a
+//!   Closed → Open → HalfOpen circuit breaker with jittered backoff,
+//!   bounded in-fetch retries and deadline budgets, all under the
+//!   entry's one lock and one `refresh(cause)` path; a failed or gated
+//!   query is answered from the cache, tagged with its true age.
 //! * [`quality`] — degradation functions and quality-of-information
 //!   (§5.2, §6.4).
 //! * [`config`] — the Table 1 configuration file format mapping
@@ -34,12 +38,6 @@
 //!   `(action=subscribe)`: per-keyword channels fan refreshed values
 //!   out to subscribers as versioned record deltas, with slow-consumer
 //!   eviction instead of unbounded buffering.
-//! * [`supervisor`] — the per-keyword fault-domain supervisor: a
-//!   Closed → Open → HalfOpen circuit breaker with non-blocking jittered
-//!   backoff, bounded in-fetch retries, and deadline budgets; failed or
-//!   budget-breached fetches serve the last-known-good snapshot tagged
-//!   with its true age so the degradation function reports honest,
-//!   degraded quality instead of an error.
 
 pub mod config;
 pub mod entry;
@@ -49,13 +47,11 @@ pub mod sched;
 pub mod schema;
 pub mod service;
 pub mod sub;
-pub mod supervisor;
 
 pub use config::{ConfigEntry, ConfigError, ServiceConfig, TABLE1_TEXT};
-pub use entry::{QueryError, Snapshot, SystemInformation};
+pub use entry::{BreakerState, Cause, QueryError, Snapshot, SystemInformation};
 pub use provider::{CommandProvider, FnProvider, InfoProvider, ProviderError, RuntimeProvider};
 pub use quality::DegradationFn;
 pub use sched::{RefreshScheduler, TickReport, WatchError};
 pub use service::{InfoServiceError, InformationService};
 pub use sub::{SinkClosed, SubSink, SubscriptionHub, JOBS_KEYWORD};
-pub use supervisor::{Admission, BreakerState, Supervisor};

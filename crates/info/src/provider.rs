@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 /// Why a provider could not produce its information.
 ///
-/// The taxonomy matters to the fault supervisor: *transient* errors
+/// The taxonomy matters to each keyword's fault domain: *transient* errors
 /// (nonzero exits, custom failures) are retried and counted toward the
 /// circuit breaker, while *configuration* errors (an unknown executable)
 /// are permanent — retrying them is pointless, so they are
@@ -30,7 +30,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProviderError {
     /// The backing command ran but exited nonzero — transient: the
-    /// backend may recover, so the supervisor retries and breaker-counts
+    /// backend may recover, so a refresh retries and breaker-counts
     /// these.
     CommandFailed {
         /// What ran.
@@ -119,7 +119,7 @@ impl InfoProvider for CommandProvider {
 
     fn produce(&self) -> Result<Vec<(String, String)>, ProviderError> {
         // A command the registry cannot resolve is a configuration
-        // error, not a transient failure: classify it so the supervisor
+        // error, not a transient failure: classify it so a refresh
         // never wastes retries on it.
         let out = self.registry.execute(&self.command_line).map_err(|e| {
             ProviderError::UnknownCommand {

@@ -27,11 +27,11 @@
 //! * **batch** — co-expiring refreshes dispatch through one
 //!   [`fan_out`], capped at eight per tick with the *highest* predicted
 //!   staleness cost refreshed first;
-//! * **park** — a keyword whose supervisor is holding the provider
-//!   closed (breaker open, backoff gate armed) is rescheduled past the
-//!   gate via the non-mutating [`Supervisor::retry_hint`] peek — the
-//!   scheduler never hot-loops a broken provider and never steals the
-//!   half-open probe from real queries;
+//! * **park** — a keyword whose entry's gate is shut (`delay`, backoff,
+//!   an open breaker's cool-down) is rescheduled at
+//!   [`SystemInformation::not_before`], the same instant the query path
+//!   waits for — the scheduler never hot-loops a broken provider; past
+//!   the cool-down, its refresh may be the breaker's probe;
 //! * **evict** — a keyword whose provider fails *non-transiently*
 //!   (an unknown command) leaves the queue entirely
 //!   (`sched.evicted`); refreshing a config error forever is the one
@@ -44,10 +44,8 @@
 //! `tests/model_sched.rs`), and behind a trivial sleep-loop driver on
 //! the system clock (see `examples/scheduler.rs`). Nothing here spawns
 //! threads or sleeps.
-//!
-//! [`Supervisor::retry_hint`]: crate::supervisor::Supervisor::retry_hint
 
-use crate::entry::{QueryError, Snapshot, SystemInformation};
+use crate::entry::{Cause, QueryError, Snapshot, SystemInformation};
 use crate::service::{InformationService, KeywordMetrics};
 use crate::sub::SubscriptionHub;
 use infogram_sim::clock::SharedClock;
@@ -101,7 +99,7 @@ pub struct TickReport {
     pub refreshed: usize,
     /// Cold keywords whose refresh was skipped for lack of demand.
     pub skipped: usize,
-    /// Keywords parked behind their supervisor's breaker/backoff gate.
+    /// Keywords parked behind their entry's not-before gate.
     pub parked: usize,
     /// Keywords evicted after a non-transient (config) provider error.
     pub evicted: usize,
@@ -184,11 +182,11 @@ pub struct RefreshScheduler {
     metrics: MetricSet,
     telemetry: SchedTelemetry,
     state: Mutex<SchedState>,
-    /// Push-subscription fan-out target (see [`SubscriptionHub`]):
-    /// every successful refresh is forwarded here *after* the state
-    /// lock drops, and a keyword with live subscribers is never
-    /// cold-skipped (a subscription is standing demand — the subscriber
-    /// already asked for every future value).
+    /// Push-subscription fan-out target (see [`SubscriptionHub`]): each
+    /// watched entry pushes every fresh production here, whatever caused
+    /// it, and a keyword with live subscribers is never cold-skipped (a
+    /// subscription is standing demand — the subscriber already asked
+    /// for every future value).
     hub: Arc<SubscriptionHub>,
 }
 
@@ -253,7 +251,8 @@ impl RefreshScheduler {
 
     /// Watch one entry, optionally wired to the service's per-keyword
     /// query counters (without them the cold-skip gate is off for this
-    /// keyword — demand cannot be observed).
+    /// keyword — demand cannot be observed). From now on the entry
+    /// pushes every fresh production into this scheduler's hub.
     ///
     /// TTL-0 entries are refused with [`WatchError::TtlZero`].
     /// Re-watching a keyword supersedes its previous schedule; an
@@ -278,6 +277,7 @@ impl RefreshScheduler {
             .metrics
             .gauge(&format!("sched.staleness.{}", si.keyword()));
         let key = si.keyword().to_ascii_lowercase();
+        si.push_to(&self.hub);
         let mut st = self.state.lock();
         if let Some(old) = st.tracked.remove(&key) {
             if let Some(t) = old.ticket {
@@ -411,10 +411,11 @@ impl RefreshScheduler {
                     report.skipped += 1;
                     continue;
                 }
-                // Park: the supervisor is holding the provider closed.
-                if let Some(hint) = t.si.supervisor().retry_hint(now) {
-                    let wait = hint.max(MIN_INTERVAL);
-                    t.ticket = Some(st.wheel.schedule(now.plus(wait), key.clone()));
+                // Park: the entry's gate is shut.
+                let gate = t.si.not_before();
+                if gate > now {
+                    let at = gate.max(now.plus(MIN_INTERVAL));
+                    t.ticket = Some(st.wheel.schedule(at, key.clone()));
                     self.telemetry.parked.incr();
                     report.parked += 1;
                     continue;
@@ -445,14 +446,11 @@ impl RefreshScheduler {
                 }
             }
         }
-        // Successful refreshes bound for the subscription fan-out; the
-        // hub is notified only after the scheduler's state lock drops.
-        let mut pushed: Vec<(Arc<SystemInformation>, Snapshot)> = Vec::new();
         if !batch.is_empty() {
             self.telemetry.batch_size.record_secs(batch.len() as f64);
             // One scatter-gather over the co-due keywords; the lock is
-            // *not* held while providers run.
-            let results = fan_out(&batch, |_, f| f.si.refresh_scheduled());
+            // *not* held while providers run (or push to the hub).
+            let results = fan_out(&batch, |_, f| f.si.refresh(Cause::Scheduled));
             let mut st = self.state.lock();
             for (flight, result) in batch.into_iter().zip(results) {
                 // A re-watch or unwatch during the fan-out supersedes
@@ -465,9 +463,12 @@ impl RefreshScheduler {
                 match result {
                     Ok(snap) => {
                         self.reschedule_after_refresh(&mut st, &flight.key, &snap);
-                        self.telemetry.prefetches.incr();
-                        report.refreshed += 1;
-                        pushed.push((Arc::clone(&flight.si), snap));
+                        // A refresh coalesced onto a query's production
+                        // is that query's.
+                        if !snap.from_cache {
+                            self.telemetry.prefetches.incr();
+                            report.refreshed += 1;
+                        }
                     }
                     Err(QueryError::Provider(e)) if !e.is_transient() => {
                         // Config error: evict — retrying cannot help.
@@ -478,34 +479,19 @@ impl RefreshScheduler {
                         self.telemetry.evicted.incr();
                         report.evicted += 1;
                     }
-                    Err(QueryError::Unavailable { retry_after }) => {
-                        // Lost the race with a real query for admission;
-                        // the supervisor's hint says when to return.
-                        let wait = retry_after.max(MIN_INTERVAL);
-                        self.park(&mut st, &flight.key, now.plus(wait));
-                        self.telemetry.parked.incr();
-                        report.parked += 1;
-                    }
                     Err(_) => {
-                        // Transient failure: the supervisor's backoff /
-                        // breaker gate is now armed — park behind it.
-                        let wait = flight
+                        // Gated, or failed and now gated by its backoff
+                        // or the breaker: park behind the gate.
+                        let at = flight
                             .si
-                            .supervisor()
-                            .retry_hint(self.clock.now())
-                            .unwrap_or(MIN_INTERVAL)
-                            .max(MIN_INTERVAL);
-                        self.park(&mut st, &flight.key, self.clock.now().plus(wait));
+                            .not_before()
+                            .max(self.clock.now().plus(MIN_INTERVAL));
+                        self.park(&mut st, &flight.key, at);
                         self.telemetry.parked.incr();
                         report.parked += 1;
                     }
                 }
             }
-        }
-        // Fan out with no scheduler lock held: a slow or deadlocked sink
-        // can cost this tick latency, never a lock cycle.
-        for (si, snap) in pushed {
-            self.hub.notify_refresh(&si, &snap);
         }
         report.next_deadline = self.state.lock().wheel.next_deadline();
         report
@@ -534,6 +520,7 @@ impl RefreshScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::BreakerState;
     use crate::provider::{FnProvider, ProviderError};
     use crate::quality::DegradationFn;
     use infogram_sim::{Clock, ManualClock};
@@ -694,15 +681,16 @@ mod tests {
             TTL,
             DegradationFn::default(),
         );
-        // Trip the breaker through real (supervised) fetches.
-        while si.breaker_state() != crate::supervisor::BreakerState::Open {
-            let _ = si.fetch_supervised(None);
+        // Trip the breaker through real fetches.
+        let query = Cause::Query { deadline: None };
+        while si.breaker_state() != BreakerState::Open {
+            let _ = si.refresh(query);
             clock.advance(Duration::from_secs(3));
         }
         // Re-arm the cool-down from the current time (the failed probe
         // re-opens the breaker with a doubled cool-down).
-        let _ = si.fetch_supervised(None);
-        assert_eq!(si.breaker_state(), crate::supervisor::BreakerState::Open);
+        let _ = si.refresh(query);
+        assert_eq!(si.breaker_state(), BreakerState::Open);
         let tripped_calls = calls.load(Ordering::SeqCst);
         s.watch(si, None).unwrap();
         clock.advance(Duration::from_millis(1));

@@ -6,7 +6,7 @@
 //! catalog when asked — §6.2–6.6 of the paper, in one object.
 
 use crate::config::ServiceConfig;
-use crate::entry::{QueryError, Snapshot, SystemInformation};
+use crate::entry::{Cause, QueryError, Snapshot, SystemInformation};
 use crate::provider::{CommandProvider, TelemetryProvider};
 use crate::quality::DegradationFn;
 use crate::schema::Schema;
@@ -332,17 +332,19 @@ impl InformationService {
         }
     }
 
-    /// Phase two — the paper's blocking `updateState`, under the
-    /// fault-domain supervisor: breaker-gated, retried,
-    /// deadline-budgeted, and stale-serving on failure.
+    /// Phase two — the paper's blocking `updateState`: the entry's one
+    /// refresh path, as a query (breaker-gated, retried,
+    /// deadline-budgeted, answered from the cache when nothing fresh
+    /// comes of it).
     fn refresh(&self, reg: &Registered, opts: &QueryOptions) -> Result<Snapshot, QueryError> {
         let si = &reg.si;
         let before = self.clock.now();
-        let snap = si.fetch_supervised(opts.deadline)?;
+        let snap = si.refresh(Cause::Query {
+            deadline: opts.deadline,
+        })?;
         if snap.from_cache {
-            // Last-known-good in place of a failed/gated refresh, another
-            // caller's refresh the monitor coalesced us onto, or the
-            // previous value under the delay throttle.
+            // The cached value in place of a failed or gated refresh,
+            // or another caller's refresh the monitor coalesced us onto.
             self.count_hit(reg, &snap, true);
         } else {
             self.svc_metrics.refreshes.incr();
@@ -975,7 +977,13 @@ mod tests {
         Forced,
         /// Failed with `NeverProduced`; provider untouched.
         Never,
-        /// The refresh failed; the cached value came back degraded.
+        /// The refresh failed; the cached value, within its TTL, came
+        /// back as it is.
+        Fallback,
+        /// As `Fallback`, on a quality-forced refresh.
+        ForcedFallback,
+        /// The refresh failed; the cached value, past its TTL, came back
+        /// degraded.
         StaleServe,
         /// As `StaleServe`, on a quality-forced refresh.
         ForcedStaleServe,
@@ -990,6 +998,8 @@ mod tests {
                 Outcome::Miss => (true, false, false, &[Q, R, M]),
                 Outcome::Forced => (true, false, false, &[Q, QR, R, M]),
                 Outcome::Never => (false, false, false, &[Q]),
+                Outcome::Fallback => (true, true, false, &[Q, CH, H]),
+                Outcome::ForcedFallback => (true, true, false, &[Q, QR, CH, H]),
                 Outcome::StaleServe => (true, true, true, &[Q, CH, H, S]),
                 Outcome::ForcedStaleServe => (true, true, true, &[Q, QR, CH, H, S]),
             }
@@ -1105,10 +1115,11 @@ mod tests {
                 check_cell(mode, cache, threshold, false, want);
             }
         }
-        // With the provider down, a refresh stale-serves what is cached.
-        check_cell(Immediate, Valid, None, true, Outcome::StaleServe);
+        // With the provider down, a refresh answers what is cached,
+        // tagged stale once past its TTL.
+        check_cell(Immediate, Valid, None, true, Outcome::Fallback);
         check_cell(Cached, Expired, None, true, Outcome::StaleServe);
-        check_cell(Cached, Valid, Some(99.0), true, Outcome::ForcedStaleServe);
+        check_cell(Cached, Valid, Some(99.0), true, Outcome::ForcedFallback);
         check_cell(Cached, Expired, Some(99.0), true, Outcome::ForcedStaleServe);
     }
 

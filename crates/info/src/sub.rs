@@ -2,8 +2,8 @@
 //!
 //! `(action=subscribe)` registers a query that *stays open*: instead of
 //! polling, the client receives an incremental
-//! [`RecordDelta`] whenever the refresh scheduler refreshes one of its
-//! keywords or a job changes state (the condense_db
+//! [`RecordDelta`] whenever one of its keywords is refreshed or a job
+//! changes state (the condense_db
 //! persistent-query shape — results stream in for as long as the query
 //! is registered). The [`SubscriptionHub`] is the index that makes the
 //! fan-out O(subscribers-of-this-keyword) instead of
@@ -27,9 +27,9 @@
 //! * every push bumps the keyword version by exactly one and every live
 //!   subscriber observes it — empty deltas (refresh produced an
 //!   identical record) are still delivered so the version stream stays
-//!   contiguous and a client can *prove* it missed nothing. Only
-//!   scheduled refreshes push: a refresh a query triggers reaches
-//!   subscribers with the keyword's next scheduled refresh, not before.
+//!   contiguous and a client can *prove* it missed nothing. Every fresh
+//!   production of a watched keyword pushes once, whether the scheduler
+//!   or a query caused it.
 //!
 //! Job-state transitions push through the same machinery under the
 //! virtual keyword [`JOBS_KEYWORD`]: each transition becomes a tiny
@@ -348,9 +348,9 @@ impl SubscriptionHub {
         Some(entry)
     }
 
-    /// Push one refreshed snapshot into its keyword channel. Called by
-    /// the refresh scheduler *after* releasing its own state lock; the
-    /// hub lock is released before any sink delivery.
+    /// Push one fresh production into its keyword channel. Called by the
+    /// entry that produced it, holding its monitor but no lock; the hub
+    /// lock is released before any sink delivery.
     pub fn notify_refresh(&self, si: &SystemInformation, snap: &Snapshot) {
         self.notify_record(si.keyword(), self.snapshot_record(si.keyword(), snap));
     }
@@ -438,11 +438,11 @@ impl SubscriptionHub {
         }
     }
 
-    /// Convert a scheduled refresh's snapshot into the record pushed to
-    /// subscribers. A scheduled refresh is never a stale serve, and its
-    /// values carry no per-attribute age/quality annotations (they are
-    /// fresh as of the refresh; annotating with query-time age would
-    /// make every unchanged value look changed).
+    /// Convert a fresh production into the record pushed to subscribers.
+    /// It is never a stale serve, and its values carry no per-attribute
+    /// age/quality annotations (they are fresh as of the refresh;
+    /// annotating with query-time age would make every unchanged value
+    /// look changed).
     fn snapshot_record(&self, keyword: &str, snap: &Snapshot) -> InfoRecord {
         let mut rec = InfoRecord::new(keyword, &self.hostname);
         for (name, value) in snap.attributes.iter() {

@@ -15,11 +15,14 @@
 //!   Diagnostics belong in the telemetry layer (`crates/obs`), which has a
 //!   bounded event ring; stdout belongs to the bench report harness only.
 //! * **`guard-across-call`** — a lock guard held across a `produce` /
-//!   `fetch` / `dispatch` / `update_state` call boundary. Provider and
-//!   dispatch calls can block for a long time (or re-enter the same
-//!   entry), so holding a lock across them invites convoys and deadlocks;
-//!   the concurrency core always drops its guard first (see
-//!   `SystemInformation::update_state`).
+//!   `fetch` / `dispatch` / `update_state` / `refresh(Cause::…)` call
+//!   boundary. Provider and dispatch calls can block for a long time (or
+//!   re-enter the same entry), so holding a lock across them invites
+//!   convoys and deadlocks; the concurrency core always drops its guard
+//!   first (see `SystemInformation::refresh`, the one path to a
+//!   provider). The refresh pattern names its `Cause` argument so that
+//!   the job engine's own `refresh`, which runs under the jobs lock by
+//!   design, is not mistaken for it.
 //! * **`thread-spawn`** — raw `std::thread::spawn` in library crates
 //!   outside `crates/sim`. Ad-hoc threads dodge the `sim::par` scoped
 //!   pool (bounded fan-out, panic propagation) and the lockdep /
@@ -330,7 +333,13 @@ pub fn lint_rust_file(rel: &Path, src: &str) -> Vec<Finding> {
 
 /// The calls that must never run under a held lock guard: provider
 /// executions and request dispatch, all of which can block indefinitely.
-const BLOCKING_CALLS: &[&str] = &[".produce(", ".dispatch(", ".fetch(", ".update_state("];
+const BLOCKING_CALLS: &[&str] = &[
+    ".produce(",
+    ".dispatch(",
+    ".fetch(",
+    ".update_state(",
+    ".refresh(Cause::",
+];
 
 fn guard_across_call(
     rel: &Path,
@@ -356,7 +365,10 @@ fn guard_across_call(
                         rule: "guard-across-call",
                         message: format!(
                             "`{}` call while lock guard `{g}` is held; drop the guard first",
-                            call.trim_start_matches('.').trim_end_matches('(')
+                            call.trim_start_matches('.')
+                                .split('(')
+                                .next()
+                                .unwrap_or(call)
                         ),
                     });
                 }
@@ -560,6 +572,22 @@ fn f(&self) {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "guard-across-call");
         assert_eq!(f[0].line, 3);
+    }
+
+    #[test]
+    fn guard_across_an_entry_refresh_flagged() {
+        let src = "\
+fn f(&self, si: &SystemInformation) {
+    let st = self.state.lock();
+    let snap = si.refresh(Cause::Scheduled);
+    let news = self.refresh(job_id, entry);
+}
+";
+        let f = lint("crates/info/src/x.rs", src);
+        assert_eq!(f.len(), 1, "the job engine's refresh is no provider call");
+        assert_eq!(f[0].rule, "guard-across-call");
+        assert_eq!(f[0].line, 3);
+        assert!(f[0].message.contains("refresh"), "{}", f[0].message);
     }
 
     #[test]

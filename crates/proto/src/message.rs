@@ -44,7 +44,7 @@ pub mod codes {
     /// last-known-good snapshot, or the job log (WAL) is degraded and the
     /// engine is read-only for submissions. The message carries a
     /// machine-readable `retry-after-ms=<n>` hint telling the client when
-    /// the supervisor will admit another provider execution / when the
+    /// the keyword's gate will admit another provider execution / when the
     /// WAL will probe its sink again.
     pub const UNAVAILABLE: u32 = 35;
     /// A push subscriber fell too far behind: its bounded outbox

@@ -7,8 +7,8 @@ use infogram::host::commands::{ChargeMode, CommandRegistry};
 use infogram::host::machine::SimulatedHost;
 use infogram::info::config::ServiceConfig;
 use infogram::info::entry::QueryError;
-use infogram::info::service::{InformationService, QueryOptions};
-use infogram::info::BreakerState;
+use infogram::info::service::{InfoServiceError, InformationService, QueryOptions};
+use infogram::info::{BreakerState, Cause, SystemInformation};
 use infogram::proto::message::codes;
 use infogram::quickstart::{Sandbox, SandboxConfig};
 use infogram::sim::clock::Clock;
@@ -16,9 +16,12 @@ use infogram::sim::fault::{Fault, Plan, Storm};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::ManualClock;
 use infogram_client::ClientError;
-use infogram_rsl::InfoSelector;
+use infogram_rsl::{InfoSelector, ResponseMode};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A query with no `(timeout=…)`: the TTL-proportional budget.
+const QUERY: Cause = Cause::Query { deadline: None };
 
 type World = (
     Arc<ManualClock>,
@@ -54,7 +57,7 @@ fn breaker_trips_after_failures_and_half_open_probe_recovers() {
     registry.set_fault_plan(plan);
 
     for round in 1..=3 {
-        assert!(entry.fetch_supervised(None).is_err(), "round {round}");
+        assert!(entry.refresh(QUERY).is_err(), "round {round}");
         // Step past the (jittered) in-between backoff gate.
         clock.advance(Duration::from_millis(200));
     }
@@ -65,7 +68,7 @@ fn breaker_trips_after_failures_and_half_open_probe_recovers() {
 
     // While cooling, fetches are rejected without running the provider,
     // and the rejection carries a machine-readable retry-after hint.
-    match entry.fetch_supervised(None) {
+    match entry.refresh(QUERY) {
         Err(QueryError::Unavailable { retry_after }) => {
             assert!(retry_after > Duration::ZERO);
             assert!(retry_after <= Duration::from_millis(600), "{retry_after:?}");
@@ -77,11 +80,110 @@ fn breaker_trips_after_failures_and_half_open_probe_recovers() {
     // Past the cool-down the breaker goes half-open: a single probe runs
     // (the script is exhausted, so it succeeds) and closes the breaker.
     clock.advance(Duration::from_secs(1));
-    let snap = entry.fetch_supervised(None).expect("probe succeeds");
+    let snap = entry.refresh(QUERY).expect("probe succeeds");
     assert!(!snap.stale);
     assert_eq!(entry.breaker_state(), BreakerState::Closed);
     assert_eq!(entry.execution_count(), 10, "exactly one probe");
     assert_eq!(metrics.gauge_value("info.breaker.Probe") as u32, 0);
+}
+
+/// One fetch of `Probe`: straight at the entry, or as `(info=Probe)
+/// (response=immediate)` through the service. `Ok` says whether the
+/// answer was tagged stale.
+fn fetch_probe(info: &InformationService, immediate: bool) -> Result<bool, QueryError> {
+    if !immediate {
+        let entry = info.lookup("Probe").expect("configured");
+        return entry.refresh(QUERY).map(|snap| snap.stale);
+    }
+    let opts = QueryOptions {
+        mode: ResponseMode::Immediate,
+        ..Default::default()
+    };
+    match info.answer(&[InfoSelector::Keyword("Probe".to_string())], &opts) {
+        Ok(records) => Ok(records[0].degraded),
+        Err(InfoServiceError::Query(e)) => Err(e),
+        Err(other) => panic!("{other}"),
+    }
+}
+
+/// Table 1's `Probe` with a 100 ms `delay` (plus `extra` lines): one
+/// healthy fetch; 2 s later the provider is down and ten fetches arrive
+/// 1 ms apart. Returns the world, the entry and the ten answers.
+fn delayed_probe(
+    extra: &str,
+    immediate: bool,
+) -> (World, Arc<SystemInformation>, Vec<Result<bool, QueryError>>) {
+    let world = manual_service(&format!("1000 Probe date -u\n@delay Probe 100\n{extra}"));
+    let (clock, registry, info, _) = &world;
+    let entry = info.lookup("Probe").expect("configured");
+    assert_eq!(
+        fetch_probe(info, immediate),
+        Ok(false),
+        "healthy first fetch"
+    );
+    clock.advance(Duration::from_secs(2));
+    let plan = Plan::new();
+    plan.script("date", vec![Fault::Fail; 100]);
+    registry.set_fault_plan(plan);
+    let answers = (0..10)
+        .map(|_| {
+            let answer = fetch_probe(info, immediate);
+            clock.advance(Duration::from_millis(1));
+            answer
+        })
+        .collect();
+    (world, entry, answers)
+}
+
+#[test]
+fn a_retry_the_delay_turns_away_is_no_success_and_expired_answers_say_so() {
+    for immediate in [false, true] {
+        // The value outlives its TTL by a minute of linear decay, so
+        // every answer can fall back on it.
+        let (world, entry, answers) = delayed_probe("@degradation Probe linear 60000\n", immediate);
+        assert_eq!(
+            entry.execution_count(),
+            2,
+            "one provider call: the retry and the other nine wait out the delay"
+        );
+        assert_eq!(
+            answers,
+            vec![Ok(true); 10],
+            "every expired answer is tagged stale"
+        );
+        assert_eq!(entry.breaker_state(), BreakerState::Closed);
+        assert_eq!(
+            entry.failure_streak(),
+            1,
+            "the throttled retry booked nothing"
+        );
+
+        // Past each not-before, one more real failure: the third opens
+        // the breaker.
+        let clock = &world.0;
+        for executions in [3, 4] {
+            clock.set(entry.not_before());
+            assert_eq!(fetch_probe(&world.2, immediate), Ok(true));
+            assert_eq!(entry.execution_count(), executions);
+        }
+        assert_eq!(entry.breaker_state(), BreakerState::Open);
+        assert_eq!(entry.failure_streak(), 3);
+    }
+
+    // The same file with Table 1's default binary degradation: the value
+    // is worthless past its TTL, so the answers are errors — but still
+    // one provider call, and still one failure on the breaker.
+    let (_world, entry, answers) = delayed_probe("", false);
+    assert_eq!(entry.execution_count(), 2);
+    assert!(matches!(answers[0], Err(QueryError::Provider(_))));
+    for answer in &answers[1..] {
+        assert!(
+            matches!(answer, Err(QueryError::Unavailable { retry_after })
+                if *retry_after <= Duration::from_millis(100)),
+            "{answer:?}"
+        );
+    }
+    assert_eq!(entry.failure_streak(), 1);
 }
 
 #[test]
@@ -92,7 +194,7 @@ fn stale_serve_quality_decays_until_hard_failure() {
         manual_service("1000 Mem /sbin/sysinfo.exe -mem\n@degradation Mem linear 10000\n");
     let entry = info.lookup("Mem").expect("configured");
 
-    let fresh = entry.fetch_supervised(None).expect("healthy first fetch");
+    let fresh = entry.refresh(QUERY).expect("healthy first fetch");
     assert!(!fresh.stale);
     let produced_at = fresh.produced_at;
 
@@ -103,7 +205,7 @@ fn stale_serve_quality_decays_until_hard_failure() {
     // 2 s later the TTL has lapsed; the refresh fails and the supervisor
     // serves the last-known-good snapshot tagged with its true age.
     clock.advance(Duration::from_secs(2));
-    let stale = entry.fetch_supervised(None).expect("stale serve");
+    let stale = entry.refresh(QUERY).expect("stale serve");
     assert!(stale.stale);
     assert_eq!(stale.produced_at, produced_at, "true production time kept");
     assert!(metrics.counter_value("info.stale_serves") >= 1);
@@ -122,7 +224,7 @@ fn stale_serve_quality_decays_until_hard_failure() {
     // Once the snapshot's quality floors to zero there is nothing honest
     // left to serve: the query hard-fails instead of returning junk.
     clock.advance(Duration::from_secs(9));
-    assert!(entry.fetch_supervised(None).is_err(), "quality floored");
+    assert!(entry.refresh(QUERY).is_err(), "quality floored");
 }
 
 #[test]
@@ -130,7 +232,7 @@ fn deadline_budget_stops_retries_over_a_hang() {
     let (clock, registry, info, metrics) =
         manual_service("0 Load /usr/local/bin/cpuload.exe\n@degradation Load linear 60000\n");
     let entry = info.lookup("Load").expect("configured");
-    entry.fetch_supervised(None).expect("healthy first fetch");
+    entry.refresh(QUERY).expect("healthy first fetch");
     assert_eq!(entry.execution_count(), 1);
 
     // The provider hangs for 30 virtual seconds — far over the budget.
@@ -140,7 +242,9 @@ fn deadline_budget_stops_retries_over_a_hang() {
 
     let before = clock.now();
     let snap = entry
-        .fetch_supervised(Some(Duration::from_millis(200)))
+        .refresh(Cause::Query {
+            deadline: Some(Duration::from_millis(200)),
+        })
         .expect("stale serve after breach");
     assert!(snap.stale, "hang answered from last-known-good");
     assert_eq!(
@@ -154,7 +258,7 @@ fn deadline_budget_stops_retries_over_a_hang() {
     // The hang consumed the script; after the backoff window the next
     // fetch runs fresh again.
     clock.advance(Duration::from_millis(200));
-    let snap = entry.fetch_supervised(None).expect("recovered");
+    let snap = entry.refresh(QUERY).expect("recovered");
     assert!(!snap.stale);
 }
 

@@ -1,4 +1,6 @@
-//! Model-checked invariants for the provider fault-domain supervisor.
+//! Model-checked invariants for each keyword's fault domain: the circuit
+//! breaker, the not-before gate and the cache they answer from, all under
+//! the entry's one lock.
 //!
 //! Runs only with `--features model` (`scripts/check_model.sh`): each
 //! test hands a small multi-threaded scenario to the schedule explorer
@@ -10,17 +12,22 @@
 //! * **Half-open probe exclusivity (seeded)** — a fixture reintroducing
 //!   a tempting refactor bug (the probe slot is claimed in a *second*
 //!   critical section, a classic check-then-act) must be *caught* by
-//!   the explorer, and the shipped [`Supervisor`] must pass the
+//!   the explorer, and the shipped [`SystemInformation`] must pass the
 //!   identical scenario: an open breaker never admits two concurrent
 //!   probes into a provider it believes is down.
 //! * **Breaker transitions under racing failures** — concurrent failed
-//!   fetches drive the breaker only through legal states: every
-//!   interleaving lands in a consistent (state, streak, gate) triple,
-//!   never a torn hybrid like `Open` with a sub-threshold streak.
+//!   refreshes drive the breaker only through legal states: in every
+//!   interleaving one fetch runs the provider and books one failure,
+//!   and the other finds the backoff armed — never a torn (state,
+//!   streak, gate) triple.
 //! * **Stale-serve honesty** — while the breaker holds fetches off, a
-//!   supervised fetch never runs the provider and never fabricates
-//!   freshness: answers are the last-known-good value, stale-tagged,
-//!   with the original `produced_at` preserved.
+//!   query never runs the provider and never fabricates freshness:
+//!   answers are the last-known-good value, stale-tagged, with the
+//!   original `produced_at` preserved.
+//! * **Delay × failure** — a failing execution and a concurrent query
+//!   under a `delay`: the retry and the query the delay turns away are
+//!   no outcome, so the breaker books the one failure and never a
+//!   success, and no expired value comes back untagged.
 //!
 //! Scenarios are re-executed once per schedule, so each closure builds
 //! all of its state fresh.
@@ -31,9 +38,9 @@
 #![allow(clippy::unwrap_used)]
 
 use infogram::info::provider::{FnProvider, ProviderError};
-use infogram::info::{Admission, BreakerState, DegradationFn, Supervisor, SystemInformation};
+use infogram::info::{BreakerState, Cause, DegradationFn, SystemInformation};
 use infogram::sim::model;
-use infogram::sim::{Clock, SimTime};
+use infogram::sim::{Clock, ManualClock, SimTime};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,17 +48,66 @@ use std::time::Duration;
 #[path = "support/model_pair.rs"]
 mod model_pair;
 
+const TTL: Duration = Duration::from_millis(10);
+
+/// A query with no `(timeout=…)`.
+const QUERY: Cause = Cause::Query { deadline: None };
+
+/// An entry on `clock` whose provider answers its first `healthy` calls
+/// and fails every later one; the body is a schedule window (it takes a
+/// lock). Returns the entry and its call count.
+fn scripted_entry(
+    clock: &Arc<ManualClock>,
+    healthy: u32,
+) -> (Arc<SystemInformation>, Arc<Mutex<u32>>) {
+    let calls = Arc::new(Mutex::new(0u32));
+    let c2 = Arc::clone(&calls);
+    let si = SystemInformation::new(
+        Box::new(FnProvider::new("K", move || {
+            let n = {
+                let mut g = c2.lock();
+                *g += 1;
+                *g
+            };
+            if n <= healthy {
+                return Ok(vec![("v".to_string(), n.to_string())]);
+            }
+            Err(ProviderError::Other("scripted failure".to_string()))
+        })),
+        clock.clone(),
+        TTL,
+        // A long linear decay keeps the cached value useful for the
+        // whole scenario — fallbacks answer instead of erroring.
+        DegradationFn::Linear {
+            lifetime: Duration::from_secs(60),
+        },
+    );
+    (si, calls)
+}
+
+/// Step `clock` to the entry's gate.
+fn open_gate(clock: &ManualClock, si: &SystemInformation) {
+    clock.set(si.not_before().max(clock.now()));
+}
+
 // ---------------------------------------------------------------------
 // Seeded regression: probe admission split into check + claim
 // ---------------------------------------------------------------------
 
-/// The shipped [`Supervisor`] claims the half-open probe slot *inside*
-/// the critical section that checks it. This fixture reintroduces the
-/// tempting refactor that splits the two (say, to compute the jittered
-/// cool-down outside the lock): the eligibility check and the
-/// `probing = true` claim become separate lock acquisitions, and two
-/// racing fetches can both pass the check before either claims —
-/// admitting two concurrent probes.
+/// What the fixture's breaker decided for one fetch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    Execute { probe: bool },
+    Deferred,
+}
+
+/// The shipped entry claims the half-open probe *inside* the critical
+/// section that checks the gate, together with the monitor. This fixture
+/// reintroduces the tempting refactor that splits the two (say, to
+/// compute the jittered cool-down outside the lock): the eligibility
+/// check and the `probing = true` claim become separate lock
+/// acquisitions, and two racing fetches can both pass the check before
+/// either claims — admitting two concurrent probes.
 struct BuggyBreaker {
     inner: Mutex<BuggyInner>,
 }
@@ -88,9 +144,7 @@ impl BuggyBreaker {
             }
         };
         if !eligible {
-            return Admission::Deferred {
-                retry_after: Duration::from_millis(25),
-            };
+            return Admission::Deferred;
         }
         // BUG (reintroduced): the probe slot is claimed in a second
         // lock acquisition — between the eligibility check above and
@@ -107,36 +161,27 @@ impl BuggyBreaker {
     }
 }
 
-/// Two fetches race a breaker whose cool-down has just elapsed. Each
-/// admitted probe holds an in-flight token for the duration of its
-/// (simulated) provider run; the invariant is that the tokens never
-/// overlap — an open breaker admits exactly one probe at a time.
-fn probe_race_scenario(
-    admit: Arc<dyn Fn(SimTime) -> Admission + Send + Sync>,
-    on_probe_success: Arc<dyn Fn() + Send + Sync>,
-) {
-    // The cool-down (500 ms, at most 600 ms with its jitter) is over.
-    let now = SimTime::from_millis(700);
-    let probes_in_flight = Arc::new(Mutex::new(0u32));
-    let mut handles = Vec::new();
-    for _ in 0..2 {
-        let admit = Arc::clone(&admit);
-        let on_probe_success = Arc::clone(&on_probe_success);
-        let probes_in_flight = Arc::clone(&probes_in_flight);
-        handles.push(model::spawn(move || {
-            if let Admission::Execute { probe: true } = admit(now) {
-                {
-                    let mut n = probes_in_flight.lock();
-                    *n += 1;
-                    assert!(*n <= 1, "two half-open probes admitted concurrently");
-                }
-                // The probe "runs the provider" here; a second probe
-                // admitted meanwhile trips the assertion above.
-                *probes_in_flight.lock() -= 1;
-                on_probe_success();
-            }
-        }));
+/// One provider execution of a probe: it holds an in-flight token while
+/// it runs, and two tokens at once is the violation.
+fn run_probe(in_flight: &Mutex<u32>) {
+    {
+        let mut n = in_flight.lock();
+        *n += 1;
+        assert!(*n <= 1, "two half-open probes admitted concurrently");
     }
+    // The probe "runs the provider" here; a second probe admitted
+    // meanwhile trips the assertion above.
+    *in_flight.lock() -= 1;
+}
+
+/// Two fetches race a breaker whose cool-down has just elapsed.
+fn probe_race_scenario(fetch: Arc<dyn Fn() + Send + Sync>) {
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
+            let fetch = Arc::clone(&fetch);
+            model::spawn(move || fetch())
+        })
+        .collect();
     for h in handles {
         h.join();
     }
@@ -146,34 +191,59 @@ fn probe_race_scenario(
 fn model_finds_seeded_double_probe_bug() {
     let report = model::explore(&model_pair::regression_config(), || {
         let b = Arc::new(BuggyBreaker::tripped(SimTime::from_millis(500)));
-        let b2 = Arc::clone(&b);
-        probe_race_scenario(
-            Arc::new(move |now| b.admit(now)),
-            Arc::new(move || b2.on_probe_success()),
-        );
+        let in_flight = Arc::new(Mutex::new(0u32));
+        // The cool-down (500 ms, at most 600 ms with its jitter) is over.
+        let now = SimTime::from_millis(700);
+        probe_race_scenario(Arc::new(move || {
+            if let Admission::Execute { probe: true } = b.admit(now) {
+                run_probe(&in_flight);
+                b.on_probe_success();
+            }
+        }));
     });
     model_pair::expect_found(&report, "two half-open probes");
 }
 
 #[test]
-fn shipped_supervisor_passes_the_probe_race_scenario() {
-    // The shipped Supervisor under the *identical* scenario: the
-    // Open→HalfOpen transition sets `probing` in the same critical
-    // section that observes it, so the second fetch is always deferred
-    // (or, after the first probe already closed the breaker, admitted
-    // as an ordinary non-probe fetch — which holds no probe token).
+fn shipped_entry_passes_the_probe_race_scenario() {
+    // The shipped entry under the *identical* scenario: the Open→HalfOpen
+    // transition claims the monitor in the same critical section that
+    // checks the gate, so the second fetch waits for the probe's outcome
+    // (or, after the probe already closed the breaker, runs as an
+    // ordinary fetch — never beside the probe).
     let report = model::explore(&model_pair::regression_config(), || {
-        let s = Arc::new(Supervisor::new("K"));
-        // Trip it: three straight transient failures at t=0.
-        for _ in 0..3 {
-            s.on_failure(SimTime::ZERO, false);
-        }
-        assert_eq!(s.state(), BreakerState::Open);
-        let s2 = Arc::clone(&s);
-        probe_race_scenario(
-            Arc::new(move |now| s.admit(now)),
-            Arc::new(move || s2.on_success()),
+        let clock = model::virtual_clock();
+        let in_flight = Arc::new(Mutex::new(0u32));
+        let calls = Arc::new(Mutex::new(0u32));
+        let (tokens, c2) = (Arc::clone(&in_flight), Arc::clone(&calls));
+        let si = SystemInformation::new(
+            Box::new(FnProvider::new("K", move || {
+                let n = {
+                    let mut g = c2.lock();
+                    *g += 1;
+                    *g
+                };
+                // Three failed fetches of three executions trip it;
+                // every later execution is healthy.
+                if n <= 9 {
+                    return Err(ProviderError::Other("down".to_string()));
+                }
+                run_probe(&tokens);
+                Ok(vec![("v".to_string(), "1".to_string())])
+            })),
+            clock.clone(),
+            TTL,
+            DegradationFn::default(),
         );
+        while si.breaker_state() != BreakerState::Open {
+            let _ = si.refresh(Cause::Scheduled);
+            open_gate(&clock, &si);
+        }
+        let si2 = Arc::clone(&si);
+        probe_race_scenario(Arc::new(move || {
+            let _ = si2.refresh(Cause::Scheduled);
+        }));
+        assert_eq!(si.breaker_state(), BreakerState::Closed);
     });
     model_pair::expect_cleared(&report);
 }
@@ -185,58 +255,40 @@ fn shipped_supervisor_passes_the_probe_race_scenario() {
 #[test]
 fn racing_failures_leave_the_breaker_in_a_consistent_state() {
     model::check("breaker transitions under racing failures", || {
-        // One failure already on the streak and its backoff gate passed:
-        // the next two failures are the second and the third (trip).
-        let s = Arc::new(Supervisor::new("K"));
-        s.on_failure(SimTime::ZERO, false);
-        let now = SimTime::from_millis(100);
-        let failures = Arc::new(Mutex::new(0u32));
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let s = Arc::clone(&s);
-            let failures = Arc::clone(&failures);
-            handles.push(model::spawn(move || {
-                if let Admission::Execute { probe } = s.admit(now) {
-                    assert!(!probe, "a closed breaker never admits probes");
-                    let after = s.on_failure(now, probe);
-                    assert!(
-                        matches!(after, BreakerState::Closed | BreakerState::Open),
-                        "a failed non-probe fetch lands in Closed (gated) or Open: {after:?}"
-                    );
-                    *failures.lock() += 1;
-                }
-            }));
-        }
+        // One failed fetch already on the streak and its backoff passed:
+        // the next failed fetches are the second and the third (trip).
+        let clock = model::virtual_clock();
+        let (si, calls) = scripted_entry(&clock, 0);
+        let _ = si.refresh(Cause::Scheduled);
+        assert_eq!(si.failure_streak(), 1);
+        open_gate(&clock, &si);
+        let before = *calls.lock();
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let si = Arc::clone(&si);
+                model::spawn(move || {
+                    let result = si.refresh(Cause::Scheduled);
+                    assert!(result.is_err(), "nothing to degrade to: {result:?}");
+                })
+            })
+            .collect();
         for h in handles {
             h.join();
         }
-        // Depending on the interleaving, the second fetch was either
-        // admitted too (both saw the Closed breaker past its gate) or deferred
-        // by the first failure's backoff gate. Both outcomes — and only
-        // those two — are legal, and each must be internally consistent.
-        let failed = *failures.lock();
-        match failed {
-            2 => {
-                // Threshold met: tripped, and fetches defer with a hint.
-                assert_eq!(s.state(), BreakerState::Open);
-                assert_eq!(s.streak(), 3);
-                match s.admit(now) {
-                    Admission::Deferred { retry_after } => assert!(retry_after > Duration::ZERO),
-                    other => panic!("open breaker must defer: {other:?}"),
-                }
-            }
-            1 => {
-                // Sub-threshold: still Closed, but the backoff gate is
-                // armed — an immediate retry is deferred, not admitted.
-                assert_eq!(s.state(), BreakerState::Closed);
-                assert_eq!(s.streak(), 2);
-                assert!(
-                    matches!(s.admit(now), Admission::Deferred { .. }),
-                    "backoff gate must defer an immediate retry"
-                );
-            }
-            n => panic!("a Closed breaker past its gate admits the first fetch (got {n} failures)"),
-        }
+        // A fetch holds the monitor through its retries and books its
+        // failure before it lets go, so the racing fetch either waits for
+        // it or arrives after it, and finds the backoff armed either way:
+        // one fetch ran the provider, and it booked one failure.
+        assert_eq!(
+            (si.breaker_state(), si.failure_streak()),
+            (BreakerState::Closed, 2),
+            "the second failure, sub-threshold"
+        );
+        assert_eq!(*calls.lock() - before, 3, "one fetch: 1 + 2 retries");
+        assert!(
+            si.not_before() > clock.now(),
+            "a failed fetch leaves the gate shut"
+        );
     });
 }
 
@@ -244,42 +296,18 @@ fn racing_failures_leave_the_breaker_in_a_consistent_state() {
 // Stale-serve honesty while the breaker is open
 // ---------------------------------------------------------------------
 
-const TTL: Duration = Duration::from_millis(10);
-
 #[test]
 fn open_breaker_stale_serves_without_running_the_provider() {
     model::check("stale-serve honesty under an open breaker", || {
         let clock = model::virtual_clock();
-        let calls = Arc::new(Mutex::new(0u32));
-        let c2 = Arc::clone(&calls);
-        let si = SystemInformation::new(
-            Box::new(FnProvider::new("K", move || {
-                let n = {
-                    let mut g = c2.lock();
-                    *g += 1;
-                    *g
-                };
-                match n {
-                    1 => Ok(vec![("v".to_string(), "1".to_string())]),
-                    _ => Err(ProviderError::Other("scripted failure".to_string())),
-                }
-            })),
-            clock.clone(),
-            TTL,
-            // A long linear decay keeps the cached value useful for the
-            // whole scenario — stale-serves answer instead of erroring.
-            DegradationFn::Linear {
-                lifetime: Duration::from_secs(60),
-            },
-        );
+        let (si, calls) = scripted_entry(&clock, 1);
         // Seed the cache, expire it, then trip the breaker with three
-        // failed supervised refreshes, each past the previous one's
-        // backoff gate.
+        // failed refreshes, each past the previous one's backoff.
         let seeded_at = clock.now();
         si.update_state().unwrap();
         for _ in 0..3 {
             clock.advance(Duration::from_millis(100));
-            let failed = si.fetch_supervised(None).unwrap();
+            let failed = si.refresh(QUERY).unwrap();
             assert!(failed.stale, "a failed refresh falls back to stale");
         }
         assert_eq!(si.breaker_state(), BreakerState::Open);
@@ -289,7 +317,7 @@ fn open_breaker_stale_serves_without_running_the_provider() {
         for _ in 0..2 {
             let si = Arc::clone(&si);
             handles.push(model::spawn(move || {
-                let snap = si.fetch_supervised(None).unwrap();
+                let snap = si.refresh(QUERY).unwrap();
                 assert!(snap.stale, "an open breaker serves stale-tagged answers");
                 assert!(snap.from_cache);
                 assert_eq!(
@@ -307,5 +335,46 @@ fn open_breaker_stale_serves_without_running_the_provider() {
             "an open breaker never runs the provider"
         );
         assert_eq!(si.breaker_state(), BreakerState::Open);
+    });
+}
+
+// ---------------------------------------------------------------------
+// A delay beside a failing provider
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_delay_beside_a_failure_books_no_success_and_tags_every_expired_answer() {
+    const DELAY: Duration = Duration::from_millis(50);
+    model::check("delay x failure", || {
+        let clock = model::virtual_clock();
+        let (si, calls) = scripted_entry(&clock, 1);
+        si.set_delay(DELAY);
+        let seeded_at = clock.now();
+        si.update_state().unwrap();
+        // Past the TTL and the delay: the next execution may start, and
+        // it fails.
+        clock.advance(Duration::from_millis(100));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let si = Arc::clone(&si);
+                model::spawn(move || {
+                    let snap = si.refresh(QUERY).unwrap();
+                    assert!(
+                        snap.from_cache && snap.stale,
+                        "an expired value served untagged: {snap:?}"
+                    );
+                    assert_eq!(snap.produced_at, seeded_at);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join();
+        }
+        assert_eq!(*calls.lock(), 2, "the delay admits one execution");
+        assert_eq!(
+            (si.breaker_state(), si.failure_streak()),
+            (BreakerState::Closed, 1),
+            "the failure is booked, the throttled attempts are not"
+        );
     });
 }

@@ -32,7 +32,7 @@
 
 use infogram::info::provider::{FnProvider, ProviderError};
 use infogram::info::{
-    BreakerState, DegradationFn, RefreshScheduler, SubscriptionHub, SystemInformation,
+    BreakerState, Cause, DegradationFn, RefreshScheduler, SubscriptionHub, SystemInformation,
 };
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::model;
@@ -268,9 +268,10 @@ fn tripped_provider_parks_with_a_future_deadline() {
         // Two failed fetches already on the streak, their backoff gate
         // passed: the next failed refresh is the third, which trips.
         for _ in 0..2 {
-            si.supervisor().on_failure(clock.now(), false);
+            assert!(si.refresh(Cause::Scheduled).is_err());
+            clock.advance(Duration::from_secs(1));
         }
-        clock.advance(Duration::from_secs(1));
+        *calls.lock() = 0;
         let sched = sched_on(clock.clone());
         sched.watch(Arc::clone(&si), None).unwrap();
 

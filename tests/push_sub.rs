@@ -13,6 +13,8 @@
 //!   version gap,
 //! * interleaves job Events and subscription Updates on one connection
 //!   without either wait losing the other's frames,
+//! * receives exactly one update for a query's own refresh of a
+//!   subscribed keyword, and none for a cache hit,
 //! * is refused a TTL-0 keyword, which nothing would ever push, and
 //! * survives an 8-thread subscribe/unsubscribe storm with the hub
 //!   draining back to zero.
@@ -292,6 +294,43 @@ fn an_update_that_arrives_during_wait_event_is_kept() {
         "injected"
     );
     assert!(client.next_update().is_none(), "delivered exactly once");
+    sandbox.shutdown();
+}
+
+/// A refresh a query causes pushes like a scheduled one: on a
+/// subscribed keyword, `(response=immediate)` delivers exactly one
+/// update, one version on; a cache hit delivers none. The push is in the
+/// outbox before the reply, so it has arrived once the reply has.
+#[test]
+fn a_query_that_refreshes_a_subscribed_keyword_pushes_once() {
+    // A ten-minute TTL and a warm cache: the wheel's first refresh is
+    // minutes away, so every push below is the query's.
+    let sandbox = Sandbox::start_with(SandboxConfig {
+        config: ServiceConfig::parse("600000 Memory /sbin/sysinfo.exe -mem").expect("config"),
+        ..Default::default()
+    });
+    let mut client = sandbox.connect_client();
+    client.info("Memory").expect("cache warmed");
+    client.subscribe(&["Memory"]).expect("subscribe accepted");
+    let version = sandbox.service.subscriptions().channel_version("Memory");
+
+    let fresh = client
+        .query_rsl("(info=Memory)(response=immediate)")
+        .expect("immediate answer");
+    assert!(!fresh.degraded());
+    let pushed = client
+        .next_update()
+        .expect("the refresh pushed")
+        .expect("update");
+    assert_eq!(pushed.deltas[0].version, version + 1, "one version on");
+    assert!(client.next_update().is_none(), "exactly one update");
+
+    client.query_rsl("(info=Memory)").expect("cache hit");
+    assert!(client.next_update().is_none(), "a TTL hit pushes nothing");
+    assert_eq!(
+        sandbox.service.subscriptions().channel_version("Memory"),
+        version + 1
+    );
     sandbox.shutdown();
 }
 

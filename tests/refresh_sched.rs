@@ -10,12 +10,13 @@ use infogram::host::machine::SimulatedHost;
 use infogram::info::config::ServiceConfig;
 use infogram::info::sched::{RefreshScheduler, WatchError};
 use infogram::info::service::{InformationService, QueryOptions};
-use infogram::info::SubscriptionHub;
+use infogram::info::{Cause, SinkClosed, SubSink, SubscriptionHub};
 use infogram::sim::clock::Clock;
 use infogram::sim::fault::{Fault, Plan};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::ManualClock;
-use infogram_rsl::InfoSelector;
+use infogram_rsl::{InfoSelector, ResponseMode};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -188,7 +189,7 @@ fn config_error_keyword_is_evicted_not_retried() {
     assert_eq!(metrics.counter_value("sched.evicted"), 1);
     // On-demand queries still reach the entry (and still fail) — the
     // eviction is from the refresh queue, not from the service.
-    assert!(broken.fetch_supervised(None).is_err());
+    assert!(broken.refresh(Cause::Query { deadline: None }).is_err());
     assert!(broken.execution_count() > after_evict);
 }
 
@@ -270,39 +271,85 @@ fn unwatch_stops_refreshing() {
     assert_eq!(sched.next_deadline(), None);
 }
 
+/// A subscriber that counts the frames it is handed.
+#[derive(Default)]
+struct CountingSink(AtomicU64);
+
+impl SubSink for CountingSink {
+    fn deliver(&self, _frame: Vec<u8>) -> Result<(), SinkClosed> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn close(&self, _frame: Vec<u8>) {}
+}
+
 #[test]
 fn refresh_ledger_balances_against_cache_installs() {
-    // The missed-update ledger: every scheduler-driven refresh it
-    // reports must be accounted for by exactly one cache install — the
-    // same `generation` counter the subscription fan-out versions from.
-    // If a refresh ever completed without installing (a push the hub
-    // would never see) or installed twice (a duplicate push), the two
-    // sums would diverge. A flaky keyword rides along to prove failed
-    // refreshes land on neither side of the ledger.
+    // The missed-update ledger: every fresh production — a scheduled
+    // refresh the wheel reports, or a query's refresh the service counts
+    // as a miss — is exactly one cache install (the `generation` stamp)
+    // and exactly one version pushed to the subscriber. A refresh that
+    // completed without installing (a push the hub would never see) or
+    // installed twice (a duplicate push) would unbalance it. A flaky
+    // keyword rides along to prove failed refreshes land on no side.
     let cfg = "100 Date date -u\n80 Memory free\n100 Flaky date -u\n";
     let (clock, registry, info, metrics) = manual_service(cfg);
     let plan = Plan::new();
     plan.script("date", vec![Fault::Fail, Fault::Fail]);
     registry.set_fault_plan(plan);
 
-    let sched = scheduler(clock.clone(), metrics);
+    let hub = SubscriptionHub::new("node0.grid", MetricSet::new());
+    let keywords = ["Date", "Memory", "Flaky"].map(String::from);
+    let sink = Arc::new(CountingSink::default());
+    hub.subscribe(&keywords, "t", Arc::clone(&sink) as Arc<dyn SubSink>);
+    let sched = RefreshScheduler::new(clock.clone(), metrics, Arc::clone(&hub));
     assert_eq!(sched.watch_service(&info), 3);
 
     let entries = info.entries();
     let before: u64 = entries.iter().map(|e| e.generation()).sum();
+    let immediate = QueryOptions {
+        mode: ResponseMode::Immediate,
+        ..Default::default()
+    };
 
     let mut reported = 0u64;
-    for _ in 0..40 {
+    for round in 0..40 {
         clock.advance(Duration::from_millis(20));
         while sched.next_deadline().is_some_and(|d| d <= clock.now()) {
             reported += sched.tick().refreshed as u64;
         }
+        // Queries between the ticks: an immediate refresh every third
+        // round, a cached read (a hit, or a miss past the TTL) otherwise.
+        // `free` is no command, so Memory's queries fail: no side.
+        let opts = if round % 3 == 0 {
+            &immediate
+        } else {
+            &QueryOptions::default()
+        };
+        let kw = &keywords[round % keywords.len()];
+        let _ = info.answer(&[InfoSelector::Keyword(kw.clone())], opts);
     }
 
     let installed: u64 = entries.iter().map(|e| e.generation()).sum::<u64>() - before;
-    assert!(reported > 0, "the wheel actually turned");
+    let queried: u64 = keywords
+        .iter()
+        .map(|k| info.keyword_metrics(k).expect("registered").misses.get())
+        .sum();
+    let pushed: u64 = keywords.iter().map(|k| hub.channel_version(k)).sum();
+    assert!(reported > 0 && queried > 0, "both causes refreshed");
     assert_eq!(
-        reported, installed,
-        "every reported refresh installs exactly once ({reported} reported, {installed} installed)"
+        reported + queried,
+        installed,
+        "every refresh installs exactly once ({reported} scheduled, {queried} queried)"
+    );
+    assert_eq!(
+        pushed, installed,
+        "every install pushes exactly one version"
+    );
+    assert_eq!(
+        sink.0.load(Ordering::SeqCst),
+        pushed,
+        "and the subscriber got it"
     );
 }
