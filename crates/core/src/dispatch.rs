@@ -93,12 +93,6 @@ impl InfoGramDispatcher {
         &self.sched
     }
 
-    /// The telemetry handle shared with the engine — the WS gateway and
-    /// the `Metrics:` provider instrument through it.
-    pub fn telemetry(&self) -> &infogram_sim::metrics::MetricSet {
-        self.engine.metrics()
-    }
-
     /// Answer an information query.
     fn dispatch_info(&self, account: &str, req: &XrslRequest, ctx: &mut ConnCtx) -> Reply {
         ctx.count_info_query(self.engine.wal(), account);
@@ -138,12 +132,12 @@ impl InfoGramDispatcher {
     /// Open a persistent query: `(action=subscribe)(info=...)`.
     fn dispatch_subscribe(&self, account: &str, req: &XrslRequest, ctx: &mut ConnCtx) -> Reply {
         let Some(outbox) = ctx.outbox() else {
-            // Detached dispatch (the WS gateway, unit tests) has no push
-            // channel — a subscription would have nowhere to stream.
+            // Detached dispatch (in-process callers, unit tests) has no
+            // push channel — a subscription would have nowhere to stream.
             return Reply::Error {
                 code: codes::UNSUPPORTED,
                 message: "(action=subscribe) needs a connection that can carry unsolicited \
-                          frames; the WS syntax is request/response only"
+                          frames"
                     .to_string(),
             };
         };
@@ -664,7 +658,7 @@ mod tests {
 
     #[test]
     fn subscribe_detached_refused() {
-        // Without an outbox (WS gateway, tests) there is no push channel.
+        // Without an outbox (detached dispatch) there is no push channel.
         let (_c, d) = world();
         match dispatch(&d, submit("(action=subscribe)(info=cpu)")) {
             Reply::Error { code, message } => {
@@ -866,7 +860,7 @@ mod tests {
         let gram_only = infogram_exec::JobsOnlyDispatcher::new(Arc::clone(&d.engine));
         let (mut ctx, _client) = outbox_ctx();
         let dispatch_counters = || -> Vec<(String, u64)> {
-            let mut all = d.telemetry().counters_snapshot();
+            let mut all = d.engine.metrics().counters_snapshot();
             all.retain(|(name, _)| name.starts_with("dispatch."));
             all
         };
@@ -1027,7 +1021,7 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        assert_eq!(d.telemetry().counter_value("wal.append_errors"), 0);
+        assert_eq!(d.engine.metrics().counter_value("wal.append_errors"), 0);
         assert_eq!(d.engine.wal_read_only_hint(), None);
         match d.dispatch(
             "/O=Grid/CN=T",
@@ -1041,7 +1035,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(d.telemetry().counter_value("wal.append_errors"), 1);
+        assert_eq!(d.engine.metrics().counter_value("wal.append_errors"), 1);
         assert_eq!(info_queries(&d, "t"), 100);
     }
 

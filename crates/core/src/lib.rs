@@ -25,16 +25,11 @@
 //!   while enabling a gradual transition").
 //! * [`accounting`] — the simple grid accounting derived from the
 //!   logging service.
-//! * [`ws`] — the forwards-compatibility story (§6.6/§10): the same
-//!   dispatcher exposed through a SOAP-shaped XML envelope, the "second
-//!   step" the paper left to OGSA.
 
 pub mod accounting;
 pub mod dispatch;
 pub mod mds_bridge;
 pub mod service;
-pub mod ws;
 
 pub use dispatch::InfoGramDispatcher;
 pub use service::{InfoGramParams, InfoGramService};
-pub use ws::WsClient;

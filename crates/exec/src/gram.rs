@@ -36,11 +36,11 @@ pub const DEFAULT_OUTBOX_CAPACITY: usize = 256;
 ///
 /// It carries the three things a reply path may need beyond the request
 /// itself: the connection's bounded [`Outbox`] (absent for *detached*
-/// dispatch — the WS gateway and unit tests — where unsolicited pushes
-/// have nowhere to go), which a `callback=true` submission hands to the
-/// engine for the job's Events; the push-subscription ids registered over
-/// this connection so the dispatcher can drop them from the hub at
-/// teardown; and its account's information-query counter.
+/// dispatch — in-process callers and unit tests — where unsolicited
+/// pushes have nowhere to go), which a `callback=true` submission hands
+/// to the engine for the job's Events; the push-subscription ids
+/// registered over this connection so the dispatcher can drop them from
+/// the hub at teardown; and its account's information-query counter.
 #[derive(Default)]
 pub struct ConnCtx {
     outbox: Option<Arc<Outbox>>,
@@ -62,7 +62,8 @@ impl ConnCtx {
 
     /// A context with no push channel: `(action=subscribe)` must be
     /// refused, and a `callback=true` submission registers no callback at
-    /// all. Used by the WS gateway (request/response only) and by tests.
+    /// all. Used by in-process callers that dispatch without a
+    /// connection, and by tests.
     pub fn detached() -> Self {
         Self::default()
     }

@@ -144,25 +144,6 @@ impl ServiceConfig {
         ServiceConfig::parse(TABLE1_TEXT).expect("Table 1 config is valid")
     }
 
-    /// Render back to the file format.
-    pub fn render(&self) -> String {
-        let mut out = String::from("# TTL  Keyword  Command\n");
-        for e in &self.entries {
-            out.push_str(&format!(
-                "{} {} {}\n",
-                e.ttl.as_millis(),
-                e.keyword,
-                e.command
-            ));
-        }
-        for e in &self.entries {
-            if e.delay > Duration::ZERO {
-                out.push_str(&format!("@delay {} {}\n", e.keyword, e.delay.as_millis()));
-            }
-        }
-        out
-    }
-
     /// Look up an entry by keyword.
     pub fn get(&self, keyword: &str) -> Option<&ConfigEntry> {
         self.entries.iter().find(|e| e.keyword == keyword)
@@ -259,22 +240,6 @@ mod tests {
     fn comments_and_blanks_ignored() {
         let c = ServiceConfig::parse("# heading\n\n  \n60 Date date -u\n").unwrap();
         assert_eq!(c.entries.len(), 1);
-    }
-
-    #[test]
-    fn render_parse_roundtrip() {
-        let mut original = ServiceConfig::table1();
-        original.entries[0].delay = Duration::from_millis(25);
-        let reparsed = ServiceConfig::parse(&original.render()).unwrap();
-        assert_eq!(reparsed.entries.len(), original.entries.len());
-        assert_eq!(
-            reparsed.get("Date").unwrap().delay,
-            Duration::from_millis(25)
-        );
-        assert_eq!(
-            reparsed.get("list").unwrap().command,
-            "/bin/ls /home/gregor"
-        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::stats::Welford;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -72,11 +71,6 @@ impl Recorder {
         self.0.lock().record(secs);
     }
 
-    /// Record a duration.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_secs_f64());
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.0.lock().count()
@@ -133,7 +127,7 @@ mod tests {
     fn recorder_tracks_count_and_mean() {
         let r = Recorder::default();
         r.record(1.0);
-        r.record_duration(Duration::from_secs(3));
+        r.record(3.0);
         assert_eq!(r.count(), 2);
         assert!((r.mean() - 2.0).abs() < 1e-12);
     }

@@ -47,15 +47,9 @@ use std::fmt::Write;
 pub(super) const OPEN: &str = "<infogram>\n";
 pub(super) const CLOSE: &str = "</infogram>\n";
 
-/// Escape a string for use in XML text content or attribute values.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
-/// Append `s`, escaped as [`escape`] does, to `out`.
-pub fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out`, escaped for use in XML text content or
+/// attribute values.
+pub(super) fn escape_into(out: &mut String, s: &str) {
     let mut rest = s;
     while let Some(i) = rest.find(['&', '<', '>', '"', '\'']) {
         out.push_str(&rest[..i]);
@@ -71,8 +65,8 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push_str(rest);
 }
 
-/// Reverse [`escape`].
-pub fn unescape(s: &str) -> String {
+/// Reverse [`escape_into`].
+pub(super) fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(pos) = rest.find('&') {
@@ -232,13 +226,6 @@ pub(super) fn tag_attrs(fragment: &str) -> impl Iterator<Item = (&str, &str)> {
     })
 }
 
-/// Extract `name="value"` from the inside of a start tag, unescaped.
-pub fn attr_of(fragment: &str, name: &str) -> Option<String> {
-    tag_attrs(fragment)
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| unescape(v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,21 +289,26 @@ mod tests {
         let out = render(std::slice::from_ref(&r));
         assert!(out.contains("stale-age=\"31.250\" age=\"2.500\">"));
         assert_eq!(parse(&out), vec![r]);
+        fn attr<'a>(tag: &'a str, name: &str) -> Option<&'a str> {
+            tag_attrs(tag).find(|(n, _)| *n == name).map(|(_, v)| v)
+        }
         let tag = "keyword=\"K\" stale-age=\"31.250\" hostname=\"x\">";
-        assert_eq!(attr_of(tag, "stale-age").as_deref(), Some("31.250"));
-        assert_eq!(attr_of(tag, "age"), None);
-        assert_eq!(attr_of(tag, "name"), None);
+        assert_eq!(attr(tag, "stale-age"), Some("31.250"));
+        assert_eq!(attr(tag, "age"), None);
+        assert_eq!(attr(tag, "name"), None);
         // Element content that looks like an attribute is not one.
         let mut r = InfoRecord::new("K", "h");
         r.push("v", "age=\"9\" quality=\"0\"");
         let out = render(std::slice::from_ref(&r));
         assert_eq!(parse(&out), vec![r]);
-        assert_eq!(attr_of("name=\"K:v\">age=\"9\"</attribute>", "age"), None);
+        assert_eq!(attr("name=\"K:v\">age=\"9\"</attribute>", "age"), None);
     }
 
     #[test]
     fn escaping() {
-        assert_eq!(escape("a<b&c>\"d'"), "a&lt;b&amp;c&gt;&quot;d&apos;");
+        let mut escaped = String::new();
+        escape_into(&mut escaped, "a<b&c>\"d'");
+        assert_eq!(escaped, "a&lt;b&amp;c&gt;&quot;d&apos;");
         assert_eq!(unescape("a&lt;b&amp;c&gt;&quot;d&apos;"), "a<b&c>\"d'");
         // Lone ampersand survives unescape.
         assert_eq!(unescape("a&b"), "a&b");
@@ -350,7 +342,9 @@ mod proptests {
     proptest! {
         #[test]
         fn escape_unescape_roundtrip(s in "\\PC{0,64}") {
-            prop_assert_eq!(unescape(&escape(&s)), s);
+            let mut escaped = String::new();
+            escape_into(&mut escaped, &s);
+            prop_assert_eq!(unescape(&escaped), s);
         }
 
         #[test]

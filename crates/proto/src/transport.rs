@@ -3,11 +3,11 @@
 //! Two implementations of the same [`Transport`] trait:
 //!
 //! * [`mem::MemNetwork`] — an in-process network of crossbeam channels
-//!   with a latency/loss model from `infogram-sim` and built-in traffic
-//!   accounting. Deterministic, fast, used by tests and by the
-//!   protocol-overhead experiments.
+//!   with a latency model from `infogram-sim` (links delay messages and
+//!   never drop one) and built-in traffic accounting. Deterministic,
+//!   fast, used by tests and by the protocol-overhead experiments.
 //! * [`tcp::TcpTransport`] — real `std::net` TCP with length-prefixed
-//!   frames, used by the runnable examples.
+//!   frames, used by `tests/tcp_transport.rs` and the e21 benchmark.
 //!
 //! Both count connections, messages, and bytes into a
 //! [`infogram_sim::metrics::MetricSet`], which is how Figures 2–4 get
@@ -18,6 +18,7 @@ use infogram_sim::metrics::{Counter, MetricSet};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 pub mod mem;
 pub mod tcp;
@@ -113,7 +114,12 @@ impl NetCounters {
     }
 }
 
-/// A running server: every one (GRAM gatekeeper, WS gateway, MDS) is an
+/// How long the accept loop waits after a failed `accept` before it
+/// accepts again: a listener that fails at once, as one out of file
+/// descriptors does, must not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// A running server: every one (GRAM gatekeeper, MDS) is an
 /// acceptor over its own handler — one bound listener, one joined accept
 /// thread, one detached thread per accepted connection running the
 /// handler. The connection-layer limits (worker pool, accept queue,
@@ -148,15 +154,21 @@ impl Acceptor {
         let accepting = Arc::clone(&listener);
         // lint:allow(thread-spawn) — long-lived accept loop; joined in
         // shutdown, so sim::par's scoped join is the wrong shape.
-        let accept_thread = std::thread::spawn(move || {
-            // `close` is the only stop signal: it fails the pending `accept`.
-            while let Ok(conn) = accepting.accept() {
-                let conn: Arc<dyn Conn> = Arc::from(conn);
-                let handler = Arc::clone(&handler);
-                // lint:allow(thread-spawn) — per-connection server thread
-                // detaches for the connection's lifetime (client-paced, no
-                // bounded join point).
-                std::thread::spawn(move || handler(conn));
+        let accept_thread = std::thread::spawn(move || loop {
+            // `close` is the only stop signal: it makes `accept` return
+            // `Closed`. Any other failure is the host's (out of file
+            // descriptors, a peer gone before it was accepted) and passes.
+            match accepting.accept() {
+                Ok(conn) => {
+                    let conn: Arc<dyn Conn> = Arc::from(conn);
+                    let handler = Arc::clone(&handler);
+                    // lint:allow(thread-spawn) — per-connection server thread
+                    // detaches for the connection's lifetime (client-paced, no
+                    // bounded join point).
+                    std::thread::spawn(move || handler(conn));
+                }
+                Err(ProtoError::Closed) => break,
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         });
         Acceptor {
@@ -187,17 +199,20 @@ mod tests {
     use super::mem::MemNetwork;
     use super::tcp::TcpTransport;
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    fn echo(conn: Arc<dyn Conn>) {
+        while let Ok(msg) = conn.recv() {
+            if conn.send(&msg).is_err() {
+                break;
+            }
+        }
+    }
 
     /// The acceptor contract, on one transport: an echo server on `:0`.
     fn acceptor_contract(transport: &dyn Transport, bind_addr: &str) {
-        let acceptor = Acceptor::start(transport, bind_addr, |conn| {
-            while let Ok(msg) = conn.recv() {
-                if conn.send(&msg).is_err() {
-                    break;
-                }
-            }
-        })
-        .unwrap();
+        let acceptor = Acceptor::start(transport, bind_addr, echo).unwrap();
         // `:0` resolves in `addr()`.
         let addr = acceptor.addr().to_string();
         assert!(!addr.ends_with(":0"), "{addr}");
@@ -229,5 +244,100 @@ mod tests {
     #[test]
     fn acceptor_contract_on_tcp() {
         acceptor_contract(&TcpTransport::new(), "127.0.0.1:0");
+    }
+
+    /// A listener whose `accept` fails with `ProtoError::Io`, as one out
+    /// of file descriptors does, while `failures` lasts, then delegates.
+    struct Failing {
+        inner: Box<dyn Listener>,
+        failures: AtomicUsize,
+        calls: Arc<AtomicUsize>,
+        closed: AtomicBool,
+    }
+
+    impl Failing {
+        fn new(inner: Box<dyn Listener>, failures: usize) -> Self {
+            Failing {
+                inner,
+                failures: AtomicUsize::new(failures),
+                calls: Arc::default(),
+                closed: AtomicBool::new(false),
+            }
+        }
+    }
+
+    impl Listener for Failing {
+        fn accept(&self) -> Result<Box<dyn Conn>, ProtoError> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            if self.closed.load(Ordering::SeqCst) {
+                return Err(ProtoError::Closed);
+            }
+            if self
+                .failures
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+            {
+                return Err(ProtoError::Io("too many open files".to_string()));
+            }
+            self.inner.accept()
+        }
+
+        fn local_addr(&self) -> String {
+            self.inner.local_addr()
+        }
+
+        fn close(&self) {
+            self.closed.store(true, Ordering::SeqCst);
+            self.inner.close();
+        }
+    }
+
+    /// One failed `accept` used to end the accept loop for good: the
+    /// process lived on, and no later connection was ever served.
+    fn a_failed_accept_is_not_the_last(transport: &dyn Transport, bind_addr: &str) {
+        let listener = Failing::new(transport.listen(bind_addr).unwrap(), 1);
+        let acceptor = Acceptor::serve(Box::new(listener), echo);
+        let conn = transport.connect(acceptor.addr()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            conn.send(b"after a failure").unwrap();
+            let _ = tx.send(conn.recv());
+        });
+        let echoed = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(echoed.expect("no echo").unwrap(), b"after a failure");
+        acceptor.shutdown();
+    }
+
+    #[test]
+    fn a_failed_accept_is_not_the_last_on_mem_network() {
+        a_failed_accept_is_not_the_last(&MemNetwork::ideal(), "svc.grid:0");
+    }
+
+    #[test]
+    fn a_failed_accept_is_not_the_last_on_tcp() {
+        a_failed_accept_is_not_the_last(&TcpTransport::new(), "127.0.0.1:0");
+    }
+
+    #[test]
+    fn shutdown_returns_while_accept_keeps_failing() {
+        let network = MemNetwork::ideal();
+        let listener = Failing::new(network.listen("svc.grid:0").unwrap(), usize::MAX);
+        let calls = Arc::clone(&listener.calls);
+        let acceptor = Acceptor::serve(Box::new(listener), echo);
+        // The loop keeps accepting after each failure, backing off.
+        for _ in 0..1000 {
+            if calls.load(Ordering::SeqCst) >= 3 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(calls.load(Ordering::SeqCst) >= 3, "the accept loop stopped");
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            acceptor.shutdown();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("shutdown never returned");
     }
 }

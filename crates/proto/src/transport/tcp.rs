@@ -1,8 +1,9 @@
 //! Real TCP transport.
 //!
-//! Length-prefixed frames over `std::net` sockets. Used by the runnable
-//! examples so the services can actually be spoken to from another
-//! process; the experiments use the deterministic in-memory network.
+//! Length-prefixed frames over `std::net` sockets, so the services can
+//! be spoken to from another process. `tests/tcp_transport.rs` and the
+//! e21 benchmark run over it; the other experiments use the
+//! deterministic in-memory network.
 
 use super::{Conn, Listener, NetCounters, ProtoError, Transport};
 use crate::frame::{read_frame, write_frame};
@@ -81,10 +82,12 @@ struct TcpListenerWrapper {
 impl Listener for TcpListenerWrapper {
     fn accept(&self) -> Result<Box<dyn Conn>, ProtoError> {
         loop {
-            let (stream, _peer) = self.listener.accept()?;
+            let accepted = self.listener.accept();
+            // After `close`, even a failed OS accept is the stop signal.
             if self.closed.load(Ordering::SeqCst) {
                 return Err(ProtoError::Closed);
             }
+            let (stream, _peer) = accepted?;
             if stream.set_nodelay(true).is_err() {
                 continue;
             }

@@ -8,6 +8,12 @@
 //! allocator for nothing larger than the frame it was given plus an
 //! error message's worth. An update may ask for more, within the bound
 //! derived at `update_bound`.
+//!
+//! A GIIS and a client parse a member's LDIF, XML or DSML from whatever
+//! the peer sent. Every corruption of a representative document goes
+//! through each text decoder as its callers read it: bytes that are not
+//! UTF-8 are refused before any decoder runs. Each must return and ask
+//! the allocator for no more at once than `records_bound` of its input.
 
 // Test harness: panic-on-failure is the error policy here.
 #![allow(clippy::unwrap_used)]
@@ -16,6 +22,7 @@ use infogram_proto::delta::RecordDelta;
 use infogram_proto::frame::{read_frame, write_frame, MAX_FRAME_LEN};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
 use infogram_proto::record::{Attribute, InfoRecord};
+use infogram_proto::render::{dsml, ldif, xml};
 use infogram_proto::transport::ProtoError;
 use infogram_proto::JobHandle;
 use std::io::Cursor;
@@ -239,4 +246,67 @@ fn a_frame_claiming_16_mib_allocates_what_arrived() {
         largest <= 128 * 1024,
         "{largest} bytes asked for 10 that arrived"
     );
+}
+
+/// Feed every corruption of `text` to `decode` and hold each call to
+/// `bound(input bytes)`. Unlike `sweep`, a text decoder accepts a cut:
+/// it returns the records it could read.
+fn sweep_text<T>(name: &str, text: &str, bound: fn(usize) -> usize, decode: impl Fn(&str) -> T) {
+    let mut decoded = 0;
+    for (_, bytes) in corruptions(text.as_bytes()) {
+        let Ok(text) = std::str::from_utf8(&bytes) else {
+            continue;
+        };
+        let (_, largest) = largest_request(|| decode(text));
+        assert!(
+            largest <= bound(bytes.len()),
+            "{name}: {largest} bytes asked for at once decoding {} bytes: {text:?}",
+            bytes.len()
+        );
+        decoded += 1;
+    }
+    assert!(decoded > text.len(), "{name}: most corruptions are UTF-8");
+}
+
+/// Records with every annotation the renderers write, and values that
+/// need escaping in each syntax.
+fn records() -> Vec<InfoRecord> {
+    let mut memory = InfoRecord::new("Memory", "node0.grid");
+    memory.push("total", "4294967296");
+    memory.push("free", "1073741824").quality = Some(0.9);
+    let mut date = InfoRecord::new("Date", "node1.grid");
+    date.push("value", "2002-07-24 00:00:00 UTC").age_secs = Some(1.5);
+    date.push("zone", "<&\"grüße\"> : x").quality = Some(0.25);
+    date.degraded = true;
+    date.stale_age_secs = Some(12.0);
+    vec![memory, date]
+}
+
+/// The record parsers' bound. They build a vector of records (96 bytes
+/// each) and one of attributes (80 bytes each) per record, grown by
+/// doubling, from lines of 20 bytes and more: eight times the input, plus
+/// the first growth of each vector.
+fn records_bound(len: usize) -> usize {
+    8 * len + 512
+}
+
+#[test]
+fn ldif_parse_survives_every_cut_and_flip() {
+    let text = ldif::render(&records());
+    assert_eq!(ldif::parse(&text).len(), 2);
+    sweep_text("ldif", &text, records_bound, ldif::parse);
+}
+
+#[test]
+fn xml_parse_survives_every_cut_and_flip() {
+    let text = xml::render(&records());
+    assert_eq!(xml::parse(&text).len(), 2);
+    sweep_text("xml", &text, records_bound, xml::parse);
+}
+
+#[test]
+fn dsml_parse_survives_every_cut_and_flip() {
+    let text = dsml::render(&records());
+    assert_eq!(dsml::parse(&text).len(), 2);
+    sweep_text("dsml", &text, records_bound, dsml::parse);
 }
