@@ -637,7 +637,9 @@ mod tests {
     #[test]
     fn retry_after_hint_parses() {
         assert_eq!(
-            parse_retry_after("provider unavailable (breaker open); retry-after-ms=500"),
+            parse_retry_after(
+                "provider held off (delay, backoff or an open breaker); retry-after-ms=500"
+            ),
             Some(Duration::from_millis(500))
         );
         assert_eq!(

@@ -115,7 +115,8 @@ impl InfoGramDispatcher {
                 code: codes::NO_SUCH_KEYWORD,
                 message: "(response=last) before any value was produced".to_string(),
             },
-            // Breaker open with nothing cached: a distinct, retryable
+            // The not-before gate (delay, backoff or an open breaker)
+            // is shut and nothing is cached: a distinct, retryable
             // rejection whose message carries the `retry-after-ms=` hint
             // (the QueryError Display emits it).
             Err(InfoServiceError::Query(e @ QueryError::Unavailable { .. })) => Reply::Error {

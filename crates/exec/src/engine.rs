@@ -513,11 +513,6 @@ impl JobEngine {
             news
         };
         self.metrics.counter("jobs.submitted").incr();
-        self.metrics.event(
-            now.as_secs_f64(),
-            "job.state",
-            &format!("job {job_id}: submitted ({initial_state})"),
-        );
         news.deliver();
         Ok(handle)
     }
@@ -628,7 +623,6 @@ impl JobEngine {
                 };
                 self.queue_finish(job_id, entry, new_state, exit_code, now, finish);
             } else {
-                let old_state = entry.state;
                 entry.state = new_state;
                 self.wal.record(
                     now,
@@ -636,11 +630,6 @@ impl JobEngine {
                         job_id,
                         state: new_state,
                     },
-                );
-                self.metrics.event(
-                    now.as_secs_f64(),
-                    "job.state",
-                    &format!("job {job_id}: {old_state} -> {new_state}"),
                 );
                 news.record(entry, self.handle_for(job_id), new_state);
             }
@@ -748,8 +737,8 @@ impl JobEngine {
         committed
     }
 
-    /// Count and journal a terminal transition that is durable; returns
-    /// the job's handle, to announce it with.
+    /// Count a terminal transition that is durable; returns the job's
+    /// handle, to announce it with.
     fn finished(&self, f: &PendingFinish) -> JobHandle {
         self.metrics
             .counter(match f.state {
@@ -761,15 +750,6 @@ impl JobEngine {
         // Backend execution latency (submission → terminal state, on the
         // service clock).
         self.metrics.histogram("jobs.wall").record(f.wall);
-        let exit = f
-            .exit_code
-            .map(|c| format!(" (exit {c})"))
-            .unwrap_or_default();
-        self.metrics.event(
-            f.now.as_secs_f64(),
-            "job.state",
-            &format!("job {}: finished {}{exit}", f.job_id, f.state),
-        );
         self.handle_for(f.job_id)
     }
 
@@ -1021,11 +1001,6 @@ impl JobEngine {
                 },
             );
             self.metrics.counter("jobs.recovered").incr();
-            self.metrics.event(
-                now.as_secs_f64(),
-                "job.state",
-                &format!("job {}: recovered ({initial})", job.job_id),
-            );
             restarted.push(job.job_id);
         }
         restarted

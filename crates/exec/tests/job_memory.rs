@@ -43,14 +43,14 @@ mod ceiling {
     pub const LIVE_BYTES: f64 = 1033.0;
     pub const LIVE_ALLOCS: f64 = 9.3;
     /// A finished job that printed a line, per job.
-    pub const FINISHED_BYTES: f64 = 175.0;
-    pub const FINISHED_ALLOCS: f64 = 0.36;
+    pub const FINISHED_BYTES: f64 = 170.0;
+    pub const FINISHED_ALLOCS: f64 = 0.04;
     /// A finished job with its own xRSL and output, per job.
-    pub const DISTINCT_BYTES: f64 = 165.0;
-    pub const DISTINCT_ALLOCS: f64 = 0.35;
+    pub const DISTINCT_BYTES: f64 = 159.0;
+    pub const DISTINCT_ALLOCS: f64 = 0.04;
     /// A finished job that printed nothing, per job.
-    pub const SILENT_BYTES: f64 = 83.0;
-    pub const SILENT_ALLOCS: f64 = 0.34;
+    pub const SILENT_BYTES: f64 = 77.0;
+    pub const SILENT_ALLOCS: f64 = 0.03;
     /// An output-table entry by itself, per entry.
     pub const OUTPUT_BYTES: f64 = 62.0;
     pub const OUTPUT_ALLOCS: f64 = 0.0081;
@@ -73,10 +73,10 @@ mod ceiling {
     /// keeps: a quarter above `IO_BUF`, whatever the table.
     pub const PEAK_BYTES: isize = 10_240;
     /// What `recover()` keeps over 2 000 finished jobs and 3 in flight.
-    pub const RECOVER_BYTES: isize = 2778;
+    pub const RECOVER_BYTES: isize = 2500;
     /// 10 000 counted queries, in all.
-    pub const QUERY_BYTES: isize = 24_576;
-    pub const QUERY_REQUESTS: isize = 100;
+    pub const QUERY_BYTES: isize = 6144;
+    pub const QUERY_REQUESTS: isize = 85;
     /// 10 000 relaxed records on a file log, in all.
     pub const RELAXED_REQUESTS: isize = 45_000;
 }
@@ -259,8 +259,8 @@ fn run_jobs(world: &World, engine: &JobEngine) {
 /// and the host's fork pool while it can still change, in the log's row
 /// afterwards.
 ///
-/// Measured at 2 000 jobs: 140 bytes in 0.28 allocations per job (0.29
-/// in debug builds) — the 40-byte fold row and its xRSL, a 16-byte
+/// Measured at 2 000 jobs: 136 bytes in 0.03 allocations per job (135
+/// in release builds) — the 40-byte fold row and its xRSL, a 16-byte
 /// output row and the 32 bytes printed, and the slack of the last chunk
 /// of each table: nothing allocated for the job alone.
 #[test]
@@ -301,7 +301,7 @@ fn a_finished_job_is_one_row_in_one_place() {
     assert_eq!(engine.job_ids().len(), JOBS + 4);
 
     // A restart builds nothing for a finished job: the engine's side of
-    // recovery is the three jobs in flight. Measured: 2 319 bytes (2 051
+    // recovery is the three jobs in flight. Measured: 2 076 bytes (1 940
     // in release builds).
     drop(engine);
     let engine = world.engine(scratch.wal());
@@ -327,10 +327,9 @@ fn a_finished_job_is_one_row_in_one_place() {
 /// row, and only if it printed anything: `true` prints nothing, so it
 /// costs its fold row ([`what_the_parts_cost`]) and no entry in the
 /// engine's output table, which would be 49 bytes more
-/// ([`an_output_is_a_row_and_its_text`]). Measured at 2 000 jobs: 66
-/// bytes in 0.27 allocations per job — the 40-byte row and its 18-byte
-/// xRSL, and 0.27 allocations that are no job's: the engine's event ring
-/// of 256 filling up.
+/// ([`an_output_is_a_row_and_its_text`]). Measured at 2 000 jobs: 61
+/// bytes in 0.02 allocations per job — the 40-byte row and its 18-byte
+/// xRSL, in chunks of 512.
 #[test]
 fn a_silent_job_keeps_nothing_but_its_row() {
     let scratch = Scratch::new("silent");
@@ -356,8 +355,8 @@ fn a_silent_job_keeps_nothing_but_its_row() {
 
 /// Nothing is shared because it repeats: a job whose xRSL and output are
 /// its own, each as long as [`a_finished_job_is_one_row_in_one_place`]'s,
-/// costs no more than that job. Measured at 2 000 jobs: 132 bytes in
-/// 0.28 allocations per job (that test's engine also keeps the table
+/// costs no more than that job. Measured at 2 000 jobs: 127 bytes in
+/// 0.03 allocations per job (that test's engine also keeps the table
 /// that held 64 jobs in flight at once).
 #[test]
 fn a_job_with_its_own_texts_costs_no_more() {
@@ -604,8 +603,8 @@ fn reopening_the_log_shares_what_it_decodes() {
 /// fold with all of the above: a fresh engine on the in-memory log plus
 /// 10 000 queries counted the way a connection counts them. A query is
 /// an atomic add; what is measured is the engine, its log and one
-/// connection context. Measured: 21 759 bytes and 80 allocator requests
-/// (48 in release builds); the byte ceiling is 24 KiB.
+/// connection context. Measured: 5 215 bytes and 68 allocator requests
+/// (43 in release builds); the byte ceiling is 6 KiB.
 #[test]
 fn a_counted_query_costs_nothing() {
     let world = World::new();
@@ -660,7 +659,7 @@ fn a_relaxed_file_record_builds_its_frame_in_one_request() {
 
 /// The other rows of the "what a job costs" table in DESIGN §14.5: a
 /// job that is still runnable, a row of the log fold by itself, and
-/// cutting a checkpoint. Measured at 2 000 jobs: 826 bytes in 7.44
+/// cutting a checkpoint. Measured at 2 000 jobs: 719 bytes in 6.02
 /// allocations per live job; 76 bytes in 0.011 allocations per fold
 /// row, its rows arriving as racing submitters' do — the 40-byte row and
 /// its 34-byte xRSL, in chunks of 512 that hold their texts in one

@@ -203,7 +203,7 @@ impl std::fmt::Display for QueryError {
             QueryError::Provider(e) => write!(f, "{e}"),
             QueryError::Unavailable { retry_after } => write!(
                 f,
-                "provider unavailable (breaker open); retry-after-ms={}",
+                "provider held off (delay, backoff or an open breaker); retry-after-ms={}",
                 // Round up: a hint must never understate the wait, or a
                 // client sleeping exactly `hint` (worst case: 0 ms from
                 // a sub-millisecond remainder) retries still-early.
@@ -893,11 +893,18 @@ mod tests {
         assert_eq!(si.execution_count(), 3, "one execution, two retries");
         // A failure does not poison the entry: the next call is gated by
         // the backoff, and says when to come back.
-        assert!(matches!(
-            si.update_state(),
-            Err(QueryError::Unavailable { retry_after }) if retry_after > Duration::ZERO
-        ));
+        let err = si.update_state().unwrap_err();
+        assert!(
+            matches!(err, QueryError::Unavailable { retry_after } if retry_after > Duration::ZERO),
+            "{err:?}"
+        );
         assert_eq!(si.execution_count(), 3);
+        // One failed fetch arms a backoff, not the breaker, and the
+        // message says so.
+        assert_eq!(si.breaker_state(), BreakerState::Closed);
+        let message = err.to_string();
+        assert!(!message.contains("breaker open"), "{message}");
+        assert!(message.contains("backoff"), "{message}");
     }
 
     #[test]

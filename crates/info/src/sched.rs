@@ -49,7 +49,7 @@ use crate::entry::{Cause, QueryError, Snapshot, SystemInformation};
 use crate::service::{InformationService, KeywordMetrics};
 use crate::sub::SubscriptionHub;
 use infogram_sim::clock::SharedClock;
-use infogram_sim::metrics::{Counter, Gauge, Histogram, MetricSet};
+use infogram_sim::metrics::{Counter, Gauge, MetricSet, Recorder};
 use infogram_sim::timer::{Ticket, TimerWheel};
 use infogram_sim::{fan_out, SimTime};
 use parking_lot::{lock_class, Mutex};
@@ -116,7 +116,7 @@ struct SchedTelemetry {
     parked: Arc<Counter>,
     evicted: Arc<Counter>,
     deferred: Arc<Counter>,
-    batch_size: Arc<Histogram>,
+    batch_size: Arc<Recorder>,
     watched: Arc<Gauge>,
 }
 
@@ -128,7 +128,7 @@ impl SchedTelemetry {
             parked: metrics.counter("sched.parked"),
             evicted: metrics.counter("sched.evicted"),
             deferred: metrics.counter("sched.deferred"),
-            batch_size: metrics.histogram("sched.batch_size"),
+            batch_size: metrics.recorder("sched.batch_size"),
             watched: metrics.gauge("sched.watched"),
         }
     }
@@ -383,7 +383,7 @@ impl RefreshScheduler {
             }
             for key in due {
                 let Some(t) = st.tracked.get_mut(&key) else {
-                    continue; // unwatched while queued (tombstone raced)
+                    continue; // unwatched while queued
                 };
                 t.ticket = None;
                 // Demand sample: queries since the previous visit.
@@ -447,7 +447,7 @@ impl RefreshScheduler {
             }
         }
         if !batch.is_empty() {
-            self.telemetry.batch_size.record_secs(batch.len() as f64);
+            self.telemetry.batch_size.record(batch.len() as f64);
             // One scatter-gather over the co-due keywords; the lock is
             // *not* held while providers run (or push to the hub).
             let results = fan_out(&batch, |_, f| f.si.refresh(Cause::Scheduled));

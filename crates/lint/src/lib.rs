@@ -12,8 +12,8 @@
 //! * **`unwrap`** — `.unwrap()` / `.expect(...)` in non-test library code.
 //!   Service code must surface structured errors, not panic.
 //! * **`print`** — `println!` / `eprintln!` / `dbg!` in library crates.
-//!   Diagnostics belong in the telemetry layer (`crates/obs`), which has a
-//!   bounded event ring; stdout belongs to the bench report harness only.
+//!   Diagnostics belong in the telemetry layer (`crates/obs`); stdout
+//!   belongs to the bench report harness only.
 //! * **`guard-across-call`** — a lock guard held across a `produce` /
 //!   `fetch` / `dispatch` / `update_state` / `refresh(Cause::…)` call
 //!   boundary. Provider and dispatch calls can block for a long time (or

@@ -52,11 +52,6 @@ impl Histogram {
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    /// Record an observation given in seconds.
-    pub fn record_secs(&self, secs: f64) {
-        self.record(Duration::from_secs_f64(secs.max(0.0)));
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.total.load(Ordering::Relaxed)

@@ -17,19 +17,17 @@
 //! * [`Counter`] — monotonically increasing event count.
 //! * [`Gauge`] — instantaneous level that can move both ways.
 //! * [`Histogram`] — fixed log₂-bucket latency histogram (lock-free).
-//! * [`Recorder`] — streaming count + mean, O(1) memory.
-//! * [`EventRing`] — bounded ring of recent structured [`Event`]s.
+//! * [`Recorder`] — streaming count + mean of unitless samples, O(1)
+//!   memory.
 //! * [`Telemetry`] — the named, shareable bag of all of the above.
 //! * [`stats`] — the Welford accumulator backing the paper's
 //!   `performance` tag (§6.6).
 
-pub mod events;
 pub mod histogram;
 pub mod metrics;
 pub mod stats;
 pub mod telemetry;
 
-pub use events::{Event, EventRing};
 pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge, Recorder};
 pub use stats::Welford;

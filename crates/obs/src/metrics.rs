@@ -59,16 +59,17 @@ impl Gauge {
     }
 }
 
-/// A streaming count + mean of samples (seconds) in constant memory, so
-/// a running service can record into it forever. For percentiles use
-/// [`crate::Histogram`] (bucketed, lock-free).
+/// A streaming count + mean of unitless samples (a batch size, a group
+/// size) in constant memory, so a running service can record into it
+/// forever. Durations go in a [`crate::Histogram`] (bucketed, lock-free,
+/// with percentiles).
 #[derive(Debug, Default)]
 pub struct Recorder(Mutex<Welford>);
 
 impl Recorder {
-    /// Record one sample, in seconds.
-    pub fn record(&self, secs: f64) {
-        self.0.lock().record(secs);
+    /// Record one sample.
+    pub fn record(&self, sample: f64) {
+        self.0.lock().record(sample);
     }
 
     /// Number of samples recorded.

@@ -1,14 +1,12 @@
 //! The shared [`Telemetry`] handle: a named bag of every instrument.
 
-use crate::events::EventRing;
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Recorder};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A named, shareable set of counters, gauges, histograms, recorders, and
-/// a ring of recent events.
+/// A named, shareable set of counters, gauges, histograms and recorders.
 ///
 /// Cloning is cheap and every clone observes the same state, so one handle
 /// is created per service and threaded through the dispatcher, the
@@ -34,12 +32,7 @@ struct TelemetryInner {
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     recorders: Mutex<BTreeMap<String, Arc<Recorder>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    events: EventRing,
 }
-
-/// How many of the newest ring events [`Telemetry::snapshot_attrs`]
-/// includes, keeping a `(info=metrics)` reply readable.
-const SNAPSHOT_EVENTS: usize = 8;
 
 impl Telemetry {
     /// A fresh, empty telemetry set.
@@ -83,12 +76,6 @@ impl Telemetry {
         )
     }
 
-    /// Append a structured event to the shared ring. `at_secs` is the
-    /// service clock reading, in seconds since the service epoch.
-    pub fn event(&self, at_secs: f64, kind: &str, detail: &str) -> u64 {
-        self.inner.events.push(at_secs, kind, detail)
-    }
-
     /// Current value of a counter (0 if it was never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.inner
@@ -128,9 +115,8 @@ impl Telemetry {
     /// * counters and gauges appear under their own dotted names;
     /// * each histogram `h` contributes `h.count`, `h.mean_ms`,
     ///   `h.p50_ms`, `h.p95_ms`, and `h.p99_ms`;
-    /// * each recorder `r` contributes `r.count` and `r.mean_ms`;
-    /// * the event ring contributes `events.recorded` plus the newest
-    ///   events as `event.<seq>`;
+    /// * each recorder `r` contributes `r.count` and `r.mean` (unitless,
+    ///   unscaled);
     /// * the lock-order analyzer contributes `lockdep.classes`,
     ///   `lockdep.edges`, and `lockdep.findings` (all zero when lockdep
     ///   is disabled, e.g. release builds).
@@ -155,19 +141,7 @@ impl Telemetry {
         }
         for (name, r) in self.inner.recorders.lock().iter() {
             attrs.insert(format!("{name}.count"), r.count().to_string());
-            attrs.insert(format!("{name}.mean_ms"), format_ms(r.mean()));
-        }
-        attrs.insert(
-            "events.recorded".to_string(),
-            self.inner.events.total_pushed().to_string(),
-        );
-        let recent = self.inner.events.recent();
-        let newest = recent.len().saturating_sub(SNAPSHOT_EVENTS);
-        for ev in &recent[newest..] {
-            attrs.insert(
-                format!("event.{}", ev.seq),
-                format!("[t={:.3}s] {}: {}", ev.at_secs, ev.kind, ev.detail),
-            );
+            attrs.insert(format!("{name}.mean"), format!("{:.3}", r.mean()));
         }
         attrs.into_iter().collect()
     }
@@ -274,43 +248,22 @@ mod tests {
         t.gauge("queue.depth").set(2.0);
         t.histogram("dispatch.latency")
             .record(Duration::from_millis(5));
-        t.recorder("refresh.latency").record(0.25);
-        t.event(1.5, "job.state", "job 1: Pending -> Active");
+        t.recorder("batch.size").record(2.0);
+        t.recorder("batch.size").record(3.0);
 
         let attrs: BTreeMap<String, String> = t.snapshot_attrs().into_iter().collect();
         assert_eq!(attrs["requests.info"], "3");
         assert_eq!(attrs["queue.depth"], "2");
         assert_eq!(attrs["dispatch.latency.count"], "1");
         assert!(attrs.contains_key("dispatch.latency.p95_ms"));
-        assert_eq!(attrs["refresh.latency.count"], "1");
-        assert_eq!(attrs["refresh.latency.mean_ms"], "250.000");
-        assert_eq!(attrs["events.recorded"], "1");
-        assert!(attrs["event.1"].contains("Pending -> Active"));
+        // A recorder's samples are unitless: its mean is not scaled.
+        assert_eq!(attrs["batch.size.count"], "2");
+        assert_eq!(attrs["batch.size.mean"], "2.500");
 
         // Sorted by attribute name.
         let names: Vec<&String> = attrs.keys().collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn snapshot_attrs_caps_event_spam() {
-        let t = Telemetry::new();
-        for i in 0..100 {
-            t.event(i as f64, "tick", "spam");
-        }
-        let events: Vec<_> = t
-            .snapshot_attrs()
-            .into_iter()
-            .filter(|(k, _)| k.starts_with("event."))
-            .collect();
-        assert_eq!(events.len(), 8);
-        let total = t
-            .snapshot_attrs()
-            .into_iter()
-            .find(|(k, _)| k == "events.recorded")
-            .unwrap();
-        assert_eq!(total.1, "100");
     }
 }

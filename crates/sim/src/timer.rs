@@ -18,13 +18,12 @@
 //!   insertion order (a monotonic sequence number breaks ties), so two
 //!   runs over the same schedule produce byte-identical orderings.
 //!
-//! Cancellation is lazy: [`TimerWheel::cancel`] marks the ticket dead
-//! and the entry is dropped when it would otherwise surface. This keeps
-//! both `schedule` and `cancel` at `O(log n)` / `O(1)` with no heap
-//! rebuilds, at the cost of tombstones occupying the heap until due.
+//! The wheel is one ordered map keyed by (due time, sequence number),
+//! and a [`Ticket`] is its entry's key: `schedule`, `cancel` and
+//! `pop_due` are each one `O(log n)` map operation, and a cancelled
+//! entry leaves nothing behind.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::clock::SimTime;
 
@@ -33,7 +32,7 @@ use crate::clock::SimTime;
 /// Tickets are unique per wheel for the wheel's lifetime; a ticket from
 /// one wheel has no meaning to another.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Ticket(u64);
+pub struct Ticket(SimTime, u64);
 
 /// An entry surfaced by [`TimerWheel::pop_due`].
 #[derive(Debug, PartialEq, Eq)]
@@ -45,27 +44,8 @@ pub struct Due<T> {
     pub item: T,
 }
 
-#[derive(PartialEq, Eq)]
-struct Slot<T> {
-    // Ordered by (due time, insertion sequence): earliest first, FIFO
-    // among entries due at the same instant.
-    key: Reverse<(SimTime, u64)>,
-    item: T,
-}
-
-impl<T: Eq> Ord for Slot<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-impl<T: Eq> PartialOrd for Slot<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A min-heap of `(deadline, payload)` pairs with lazy cancellation.
+/// An ordered queue of `(deadline, payload)` pairs: earliest first,
+/// first-in first-out among entries due at the same instant.
 ///
 /// ```
 /// use infogram_sim::timer::TimerWheel;
@@ -86,24 +66,22 @@ impl<T: Eq> PartialOrd for Slot<T> {
 /// assert!(wheel.is_empty());
 /// ```
 pub struct TimerWheel<T> {
-    heap: BinaryHeap<Slot<(u64, T)>>,
-    live: HashSet<u64>,
-    next_ticket: u64,
+    entries: BTreeMap<(SimTime, u64), T>,
+    next_seq: u64,
 }
 
-impl<T: Eq> Default for TimerWheel<T> {
+impl<T> Default for TimerWheel<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Eq> TimerWheel<T> {
+impl<T> TimerWheel<T> {
     /// An empty wheel.
     pub fn new() -> Self {
         TimerWheel {
-            heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            next_ticket: 0,
+            entries: BTreeMap::new(),
+            next_seq: 0,
         }
     }
 
@@ -112,33 +90,16 @@ impl<T: Eq> TimerWheel<T> {
     /// Entries sharing the same `at` surface in the order they were
     /// scheduled.
     pub fn schedule(&mut self, at: SimTime, item: T) -> Ticket {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.live.insert(ticket);
-        self.heap.push(Slot {
-            key: Reverse((at, ticket)),
-            item: (ticket, item),
-        });
-        Ticket(ticket)
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.entries.insert((at, seq), item);
+        Ticket(at, seq)
     }
 
     /// Cancel a scheduled entry. Returns `false` if the ticket already
     /// fired, was already cancelled, or never belonged to this wheel.
     pub fn cancel(&mut self, ticket: Ticket) -> bool {
-        // The heap entry stays behind as a tombstone and is discarded
-        // when it reaches the top; only the live set is updated here.
-        self.live.remove(&ticket.0)
-    }
-
-    /// Drop tombstoned (cancelled) entries sitting at the top of the
-    /// heap.
-    fn skim(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.live.contains(&top.item.0) {
-                break;
-            }
-            self.heap.pop();
-        }
+        self.entries.remove(&(ticket.0, ticket.1)).is_some()
     }
 
     /// Remove and return the earliest entry due at or before `now`, or
@@ -146,43 +107,35 @@ impl<T: Eq> TimerWheel<T> {
     ///
     /// Call in a loop to drain everything due at the current instant.
     pub fn pop_due(&mut self, now: SimTime) -> Option<Due<T>> {
-        self.skim();
-        let due = matches!(self.heap.peek(), Some(top) if top.key.0 .0 <= now);
-        if !due {
-            return None;
-        }
-        self.heap.pop().map(|slot| {
-            self.live.remove(&slot.item.0);
-            Due {
-                at: slot.key.0 .0,
-                item: slot.item.1,
-            }
+        let entry = self.entries.first_entry().filter(|e| e.key().0 <= now)?;
+        let at = entry.key().0;
+        Some(Due {
+            at,
+            item: entry.remove(),
         })
     }
 
-    /// The deadline of the earliest live entry, or `None` if the wheel
-    /// is empty. This is the "sleep until" hint for polling drivers.
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
-        self.skim();
-        self.heap.peek().map(|top| top.key.0 .0)
+    /// The deadline of the earliest entry, or `None` if the wheel is
+    /// empty. This is the "sleep until" hint for polling drivers.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.entries.first_key_value().map(|(key, _)| key.0)
     }
 
-    /// Number of live (non-cancelled) entries.
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.entries.len()
     }
 
-    /// Whether no live entries remain.
+    /// Whether no entries remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 }
 
-impl<T: Eq + std::fmt::Debug> std::fmt::Debug for TimerWheel<T> {
+impl<T> std::fmt::Debug for TimerWheel<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimerWheel")
             .field("live", &self.len())
-            .field("tombstones", &(self.heap.len() - self.len()))
             .finish()
     }
 }

@@ -124,7 +124,7 @@ if [ "$1" = 0 ] || [ "$2" -gt 1536 ]; then
 fi
 
 echo "==> DESIGN.md is at most its line ceiling"
-DESIGN_CEILING=1417
+DESIGN_CEILING=1415
 lines="$(wc -l < DESIGN.md)"
 if [ "$lines" -gt "$DESIGN_CEILING" ]; then
     printf 'DESIGN.md has %s lines; the ceiling is %s\n' "$lines" "$DESIGN_CEILING" >&2

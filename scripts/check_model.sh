@@ -2,9 +2,8 @@
 # Schedule-exploration model checking for the concurrency core: clippy
 # over the `model` feature configuration (which the default gate never
 # compiles), infogram-sim's own sim::model unit tests (the explorer
-# checking itself), then each suite in SUITES below — tests/<suite>.rs,
-# whose doc comment says which invariants and seeded regressions it
-# holds.
+# checking itself), then every tests/model_*.rs suite, whose doc
+# comment says which invariants and seeded regressions it holds.
 #
 # Bounds: by default explorations use a CHESS-style preemption bound of
 # 2 and a 4000-execution budget per scenario — seconds of wall time.
@@ -19,8 +18,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-SUITES="model_concurrency model_fault model_sched model_sub model_wal"
-
 MODE=bounded
 if [ "${EXHAUSTIVE:-0}" = "1" ]; then
     MODE=exhaustive
@@ -32,8 +29,9 @@ cargo clippy -p infogram-sim -p infogram --all-targets --features model -- -D wa
 echo "==> model suite: infogram-sim (${MODE})"
 cargo test -p infogram-sim --features model -q
 
-for suite in $SUITES; do
-    echo "==> model suite: tests/${suite}.rs (${MODE})"
+for path in tests/model_*.rs; do
+    suite="$(basename "$path" .rs)"
+    echo "==> model suite: ${path} (${MODE})"
     cargo test -p infogram --features model --test "$suite" -q
 done
 

@@ -334,3 +334,64 @@ fn a_jobs_subscription_streams_only_its_own_accounts_jobs() {
     );
     sandbox.shutdown();
 }
+
+#[test]
+fn a_metrics_query_names_no_other_accounts_job() {
+    // `(info=metrics)` is open to every mapped identity, so what it
+    // serves about jobs is aggregates: it names no job, and a job's
+    // trail reaches only the paths `may_contact` guards.
+    use infogram::core::InfoGramDispatcher;
+    use infogram::exec::gram::{ConnCtx, RequestDispatcher};
+    use infogram::proto::message::{Reply, Request};
+    use std::sync::Arc;
+    let sandbox = Sandbox::start();
+    let dispatcher = InfoGramDispatcher::new(
+        Arc::clone(sandbox.service.engine()),
+        Arc::clone(sandbox.service.info_service()),
+    );
+    let ask = |owner: &str, account: &str, request| {
+        dispatcher.dispatch(owner, account, request, &mut ConnCtx::detached())
+    };
+
+    // Alice runs a job to DONE, polling it through the dispatcher.
+    let submit = Request::Submit {
+        rsl: "(executable=simwork)(arguments=10)".to_string(),
+        callback: false,
+    };
+    let handle = match ask("/O=Grid/CN=Alice", "alice", submit) {
+        Reply::JobAccepted { handle } => handle,
+        other => panic!("{other:?}"),
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = Request::Status {
+            handle: handle.clone(),
+        };
+        match ask("/O=Grid/CN=Alice", "alice", status) {
+            Reply::JobStatus {
+                state: JobStateCode::Done,
+                ..
+            } => break,
+            Reply::JobStatus { state, .. } if !state.is_terminal() => {}
+            other => panic!("{other:?}"),
+        }
+        assert!(std::time::Instant::now() < deadline, "job never finished");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Mallory asks the service to describe itself.
+    let query = Request::Submit {
+        rsl: "(info=metrics)".to_string(),
+        callback: false,
+    };
+    let body = match ask("/O=Grid/CN=Mallory", "mallory", query) {
+        Reply::InfoResult { body, .. } => body,
+        other => panic!("{other:?}"),
+    };
+    assert!(body.contains("jobs.done"), "{body}");
+    let job = format!("job {}:", handle.job_id);
+    assert!(!body.contains(&job), "{job} in {body}");
+    let contact = handle.to_string();
+    assert!(!body.contains(&contact), "{contact} in {body}");
+    sandbox.shutdown();
+}

@@ -62,24 +62,22 @@ fn metrics_keyword_reflects_all_four_layers() {
     assert!(rec.get("info.refresh.count").is_some());
 
     // Job-engine layer: lifecycle counters, the wall-time histogram, WAL
-    // append latency, and the structured event trail.
-    assert_eq!(value("jobs.submitted"), "1");
+    // append latency and group-commit sizes.
+    let submitted: u64 = value("jobs.submitted").parse().unwrap();
+    assert_eq!(submitted, 1);
     assert_eq!(value("jobs.done"), "1");
     assert_eq!(value("jobs.wall.count"), "1");
     let wal_appends: u64 = value("wal.append.count").parse().unwrap();
     assert!(wal_appends >= 3, "start + submit + state + finish");
-    let events: Vec<_> = rec
-        .attributes
-        .iter()
-        .filter(|a| a.name.starts_with("Metrics:event."))
-        .collect();
+    // A group size is a count of records, not a duration: its mean is
+    // published unscaled. A submission commits two records (`Submitted`
+    // and its first state), a finish one, so the groups hold three.
+    let groups: f64 = value("wal.group_size.count").parse().unwrap();
+    let group: f64 = value("wal.group_size.mean").parse().unwrap();
+    let committed = (2 * submitted + 1) as f64;
     assert!(
-        events.iter().any(|a| a.value.contains("submitted")),
-        "no submit event in {events:?}"
-    );
-    assert!(
-        events.iter().any(|a| a.value.contains("finished DONE")),
-        "no finish event in {events:?}"
+        (1.0..=committed).contains(&group) && (group * groups - committed).abs() < 0.01,
+        "wal.group_size: {groups} groups, mean {group}"
     );
 
     sandbox.shutdown();
