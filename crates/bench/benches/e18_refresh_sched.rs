@@ -77,12 +77,13 @@ fn query_round(
 }
 
 fn hits_and_misses(world: &infogram_bench::ManualWorld) -> (u64, u64) {
-    QUERIED
-        .iter()
-        .filter_map(|k| world.info.keyword_metrics(k))
-        .fold((0, 0), |(h, m), km| {
-            (h + km.hits.get(), m + km.misses.get())
-        })
+    let count = |name: String| world.info.metrics().counter_value(&name);
+    QUERIED.iter().fold((0, 0), |(h, m), k| {
+        (
+            h + count(format!("info.hits.{k}")),
+            m + count(format!("info.misses.{k}")),
+        )
+    })
 }
 
 fn total_executions(world: &infogram_bench::ManualWorld) -> u64 {

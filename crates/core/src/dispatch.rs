@@ -192,8 +192,7 @@ impl InfoGramDispatcher {
         // and demand history.
         for si in entries {
             if !self.sched.is_watched(si.keyword()) {
-                let km = self.info.keyword_metrics(si.keyword());
-                let _ = self.sched.watch(si, km);
+                let _ = self.sched.watch(si);
             }
         }
         ctx.count_info_query(self.engine.wal(), account);

@@ -837,3 +837,22 @@ fn a_reopen_and_a_cut_peak_at_a_buffer_not_at_the_table() {
         assert!(cut <= CEILING, "{jobs} jobs: a cut peaks {cut} bytes above");
     }
 }
+
+/// (g) what `JobEngine::finished` does per finished job: look up
+/// `jobs.done` and `jobs.wall` by name. A lookup of a known instrument
+/// asks the allocator for nothing; only creating one copies its name.
+#[test]
+fn looking_up_a_known_instrument_allocates_nothing() {
+    let world = World::new();
+    let engine = world.engine(Wal::in_memory());
+    let metrics = engine.metrics();
+    let (done, wall) = (metrics.counter("jobs.done"), metrics.histogram("jobs.wall"));
+    let before = REQUESTS.with(Cell::get);
+    for _ in 0..1_000 {
+        assert!(Arc::ptr_eq(&done, &metrics.counter("jobs.done")));
+        assert!(Arc::ptr_eq(&wall, &metrics.histogram("jobs.wall")));
+    }
+    let requests = REQUESTS.with(Cell::get) - before;
+    println!("2 000 known-instrument lookups: {requests} allocator requests");
+    assert_eq!(requests, 0);
+}

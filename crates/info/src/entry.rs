@@ -40,7 +40,7 @@ use crate::sub::SubscriptionHub;
 use infogram_proto::render::{self, AttrRef};
 use infogram_rsl::OutputFormat;
 use infogram_sim::clock::SharedClock;
-use infogram_sim::metrics::{Counter, Gauge, MetricSet};
+use infogram_sim::metrics::{Counter, Gauge, Histogram, MetricSet};
 use infogram_sim::rng::fnv1a;
 use infogram_sim::{SimTime, SplitMix64, Welford};
 use parking_lot::{lock_class, Condvar, Mutex};
@@ -364,20 +364,34 @@ impl EntryState {
     }
 }
 
-/// Interned per-entry telemetry handles, resolved once when the entry is
-/// wired into a service so the refresh path never formats a metric name
-/// or takes a registry lock.
+/// Every `info` instrument one keyword moves, interned once by
+/// [`SystemInformation::set_telemetry`] so neither the query path nor a
+/// refresh formats a metric name or takes a registry lock. The service
+/// counts through these handles too; the refresh scheduler reads
+/// `hits + misses` as the keyword's demand.
 #[derive(Debug)]
-struct EntryTelemetry {
+pub(crate) struct EntryTelemetry {
+    /// Service-wide: `info.queries`, `info.cache_hits`, `info.refreshes`
+    /// (every fresh production, scheduled or queried),
+    /// `info.quality_refreshes`, and the `info.refresh` latency histogram.
+    pub(crate) queries: Arc<Counter>,
+    pub(crate) cache_hits: Arc<Counter>,
+    refreshes: Arc<Counter>,
+    pub(crate) quality_refreshes: Arc<Counter>,
+    refresh: Arc<Histogram>,
+    /// Service-wide: the monitor's, the gate's and the fetch's counts.
     coalesced: Arc<Counter>,
     throttled: Arc<Counter>,
-    /// Fetch accounting: in-fetch retries, stale answers, and
-    /// deadline-budget breaches (service-wide counters).
     retries: Arc<Counter>,
     stale_serves: Arc<Counter>,
     deadline_breaches: Arc<Counter>,
-    /// `info.breaker.<kw>` — the breaker position as a gauge
-    /// (0 = Closed, 1 = Open, 2 = HalfOpen).
+    /// Per keyword: `info.hits.<kw>`, `info.misses.<kw>` (queries that
+    /// produced), `info.stale.<kw>`, the `info.validity_ms.<kw>` gauge,
+    /// and `info.breaker.<kw>` (0 = Closed, 1 = Open, 2 = HalfOpen).
+    pub(crate) hits: Arc<Counter>,
+    pub(crate) misses: Arc<Counter>,
+    pub(crate) stale: Arc<Counter>,
+    pub(crate) validity_ms: Arc<Gauge>,
     breaker: Arc<Gauge>,
 }
 
@@ -443,23 +457,36 @@ impl SystemInformation {
         })
     }
 
-    /// Attach a telemetry sink: the monitor counts the calls it collapses
-    /// into another's result (`info.coalesced`), the gate the attempts it
-    /// turns away (`info.throttled`), beside the fault counters.
-    ///
-    /// The counter handles are interned here, once, so the hot path never
-    /// takes a lock or formats a metric name. The slot is write-once: the
-    /// first sink wins, and re-registering the same entry elsewhere keeps
-    /// reporting to the original sink.
+    /// Attach a telemetry sink and intern in it every `info` instrument
+    /// this keyword moves: the service's query counts, this entry's
+    /// refresh, monitor, gate and breaker counts, and the per-keyword
+    /// `info.{hits,misses,stale,validity_ms,breaker}.<kw>`. The slot is
+    /// write-once: the first sink wins, and re-registering the same
+    /// entry elsewhere keeps reporting to the original sink.
     pub fn set_telemetry(&self, telemetry: MetricSet) {
+        let kw = self.keyword();
         let _ = self.telemetry.set(EntryTelemetry {
+            queries: telemetry.counter("info.queries"),
+            cache_hits: telemetry.counter("info.cache_hits"),
+            refreshes: telemetry.counter("info.refreshes"),
+            quality_refreshes: telemetry.counter("info.quality_refreshes"),
+            refresh: telemetry.histogram("info.refresh"),
             coalesced: telemetry.counter("info.coalesced"),
             throttled: telemetry.counter("info.throttled"),
             retries: telemetry.counter("info.retries"),
             stale_serves: telemetry.counter("info.stale_serves"),
             deadline_breaches: telemetry.counter("info.deadline_breaches"),
-            breaker: telemetry.gauge(&format!("info.breaker.{}", self.keyword())),
+            hits: telemetry.counter(&format!("info.hits.{kw}")),
+            misses: telemetry.counter(&format!("info.misses.{kw}")),
+            stale: telemetry.counter(&format!("info.stale.{kw}")),
+            validity_ms: telemetry.gauge(&format!("info.validity_ms.{kw}")),
+            breaker: telemetry.gauge(&format!("info.breaker.{kw}")),
         });
+    }
+
+    /// The interned instruments, once a sink is attached.
+    pub(crate) fn telemetry(&self) -> Option<&EntryTelemetry> {
+        self.telemetry.get()
     }
 
     /// Push every later fresh production into `hub`. Write-once, like
@@ -469,7 +496,7 @@ impl SystemInformation {
     }
 
     /// Bump one of the interned counters, if a sink is attached.
-    fn count(&self, pick: impl Fn(&EntryTelemetry) -> &Counter) {
+    pub(crate) fn count(&self, pick: impl Fn(&EntryTelemetry) -> &Counter) {
         if let Some(t) = self.telemetry.get() {
             pick(t).incr();
         }
@@ -567,12 +594,14 @@ impl SystemInformation {
     ///   arms the jittered backoff. Configuration errors are never
     ///   retried or counted. A coalesced or gated answer books nothing.
     ///
-    /// Every fresh production bumps the generation and, once a scheduler
-    /// watches the keyword, is pushed to its hub exactly once, whatever
-    /// the cause. Anything else is the cached value, tagged `stale` once
-    /// it is past its TTL: a query gets that answer unless nothing is
-    /// cached or the degradation function has floored its quality to
-    /// zero; [`Cause::Scheduled`] gets the error.
+    /// Every fresh production, whatever the cause, bumps the generation,
+    /// is counted once (`info.refreshes`, its latency in `info.refresh`,
+    /// the TTL in `info.validity_ms.<kw>`) and, once a scheduler watches
+    /// the keyword, is pushed to its hub exactly once. Anything else is
+    /// the cached value, tagged `stale` once it is past its TTL: a query
+    /// gets that answer unless nothing is cached or the degradation
+    /// function has floored its quality to zero; [`Cause::Scheduled`]
+    /// gets the error.
     pub fn refresh(&self, cause: Cause) -> Result<Snapshot, QueryError> {
         let degrade = matches!(cause, Cause::Query { .. });
         let budget = match cause {
@@ -647,6 +676,14 @@ impl SystemInformation {
                     }
                     st.generation = st.generation.wrapping_add(1);
                     self.finish(&mut st);
+                    drop(st);
+                    if let Some(t) = self.telemetry.get() {
+                        t.refreshes.incr();
+                        // On the entry's clock: simulated command costs
+                        // advance it, free commands record zero.
+                        t.refresh.record(self.clock.now().since(started));
+                        t.validity_ms.set(self.ttl.as_millis() as f64);
+                    }
                     return Ok(snap);
                 }
                 Err(e) if !e.is_transient() => {

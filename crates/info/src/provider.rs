@@ -183,11 +183,11 @@ impl InfoProvider for RuntimeProvider {
 /// The built-in `Metrics:` keyword — the service describing itself.
 ///
 /// Flattens the shared telemetry handle's snapshot (counters, gauges,
-/// histogram quantiles, recorder means, recent events) into plain
-/// `(attribute, value)` pairs, so `(info=metrics)` travels through
-/// exactly the same caching, filtering, quality, and rendering machinery
-/// as every Table 1 keyword. Registered with a TTL of zero, it reads a
-/// live snapshot on every query.
+/// histogram quantiles, recorder means) into plain `(attribute, value)`
+/// pairs, so `(info=metrics)` travels through exactly the same caching,
+/// filtering, quality, and rendering machinery as every Table 1 keyword.
+/// Its entry has a TTL of zero, so it reads a live snapshot on every
+/// query.
 pub struct TelemetryProvider {
     telemetry: MetricSet,
 }

@@ -10,8 +10,8 @@
 //! * the **performance catalog** (§6.6) — per-keyword mean/stddev of
 //!   provider execution time, via
 //!   [`SystemInformation::average_update_time`];
-//! * the **query arrival rate** — the interned `info.hits.<kw>` /
-//!   `info.misses.<kw>` counters the service already bumps per query,
+//! * the **query arrival rate** — the entry's interned `info.hits.<kw>`
+//!   / `info.misses.<kw>` counters the service already bumps per query,
 //!   diffed between scheduler visits so the query hot path pays nothing
 //!   for demand tracking.
 //!
@@ -46,7 +46,7 @@
 //! threads or sleeps.
 
 use crate::entry::{Cause, QueryError, Snapshot, SystemInformation};
-use crate::service::{InformationService, KeywordMetrics};
+use crate::service::InformationService;
 use crate::sub::SubscriptionHub;
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge, MetricSet, Recorder};
@@ -137,10 +137,6 @@ impl SchedTelemetry {
 /// One watched keyword's scheduling state.
 struct Tracked {
     si: Arc<SystemInformation>,
-    /// The service's interned per-keyword query counters, diffed between
-    /// visits for demand; `None` (no service wiring) disables the
-    /// cold-skip gate for this keyword.
-    km: Option<KeywordMetrics>,
     /// The pending wheel entry; `None` only while a tick has the
     /// keyword in flight (popped, not yet rescheduled).
     ticket: Option<Ticket>,
@@ -148,7 +144,7 @@ struct Tracked {
     /// that was re-watched or evicted meanwhile: bumped on every watch,
     /// compared at completion.
     epoch: u64,
-    /// `hits + misses` observed at the previous visit.
+    /// [`demand`] observed at the previous visit.
     seen_queries: u64,
     /// When the previous visit happened (demand-rate denominator).
     last_visit: SimTime,
@@ -249,20 +245,16 @@ impl RefreshScheduler {
         self.state.lock().wheel.len()
     }
 
-    /// Watch one entry, optionally wired to the service's per-keyword
-    /// query counters (without them the cold-skip gate is off for this
-    /// keyword — demand cannot be observed). From now on the entry
-    /// pushes every fresh production into this scheduler's hub.
+    /// Watch one entry. Until it has telemetry attached its demand
+    /// cannot be observed, and the cold-skip gate is off for it. From
+    /// now on the entry pushes every fresh production into this
+    /// scheduler's hub.
     ///
     /// TTL-0 entries are refused with [`WatchError::TtlZero`].
     /// Re-watching a keyword supersedes its previous schedule; an
     /// in-flight refresh from the old schedule completes but no longer
     /// reschedules.
-    pub fn watch(
-        &self,
-        si: Arc<SystemInformation>,
-        km: Option<KeywordMetrics>,
-    ) -> Result<(), WatchError> {
+    pub fn watch(&self, si: Arc<SystemInformation>) -> Result<(), WatchError> {
         if si.ttl().is_zero() {
             return Err(WatchError::TtlZero);
         }
@@ -272,7 +264,7 @@ impl RefreshScheduler {
         // immediately, and the first tick seeds its cache.
         let lead = Self::lead_for(&si);
         let due = now.plus(si.validity().saturating_sub(lead));
-        let seen = km.as_ref().map_or(0, |k| k.hits.get() + k.misses.get());
+        let seen = demand(&si).unwrap_or(0);
         let staleness = self
             .metrics
             .gauge(&format!("sched.staleness.{}", si.keyword()));
@@ -291,7 +283,6 @@ impl RefreshScheduler {
             key,
             Tracked {
                 si,
-                km,
                 ticket: Some(ticket),
                 epoch,
                 seen_queries: seen,
@@ -305,19 +296,12 @@ impl RefreshScheduler {
         Ok(())
     }
 
-    /// Watch every eligible (TTL > 0) keyword of a service, wiring each
-    /// to the service's interned query counters. Returns how many were
-    /// enqueued; TTL-0 keywords (e.g. the `Metrics:` provider) are
-    /// silently left to on-demand execution.
+    /// Watch every eligible (TTL > 0) keyword of a service. Returns how
+    /// many were enqueued; TTL-0 keywords (e.g. the `Metrics:` provider)
+    /// are silently left to on-demand execution.
     pub fn watch_service(&self, service: &InformationService) -> usize {
-        let mut n = 0;
-        for si in service.entries() {
-            let km = service.keyword_metrics(si.keyword());
-            if self.watch(si, km).is_ok() {
-                n += 1;
-            }
-        }
-        n
+        let watched = service.entries().into_iter().map(|si| self.watch(si));
+        watched.filter(Result::is_ok).count()
     }
 
     /// Stop watching a keyword. Returns whether it was watched. An
@@ -387,7 +371,7 @@ impl RefreshScheduler {
                 };
                 t.ticket = None;
                 // Demand sample: queries since the previous visit.
-                let queries = t.km.as_ref().map(|k| k.hits.get() + k.misses.get());
+                let queries = demand(&t.si);
                 let elapsed = now.since(t.last_visit).as_secs_f64();
                 let delta = queries.map(|q| q.saturating_sub(t.seen_queries));
                 if let Some(q) = queries {
@@ -517,6 +501,12 @@ impl RefreshScheduler {
     }
 }
 
+/// The queries an entry has answered, `hits + misses`; `None` until it
+/// has telemetry attached.
+fn demand(si: &SystemInformation) -> Option<u64> {
+    si.telemetry().map(|t| t.hits.get() + t.misses.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,7 +551,7 @@ mod tests {
         let s = sched(clock.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let si = entry(clock, "CPULoad", Duration::ZERO, calls);
-        assert_eq!(s.watch(si, None), Err(WatchError::TtlZero));
+        assert_eq!(s.watch(si), Err(WatchError::TtlZero));
         assert_eq!(s.watched(), 0);
         assert_eq!(s.next_deadline(), None);
     }
@@ -572,7 +562,7 @@ mod tests {
         let s = sched(clock.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let si = entry(clock.clone(), "Date", TTL, Arc::clone(&calls));
-        s.watch(Arc::clone(&si), None).unwrap();
+        s.watch(Arc::clone(&si)).unwrap();
         // Never produced → due immediately.
         let r = s.tick();
         assert_eq!(r.refreshed, 1);
@@ -589,11 +579,11 @@ mod tests {
 
     #[test]
     fn cold_keyword_is_skipped_without_demand_wiring_off() {
-        // No KeywordMetrics → demand unobservable → never skipped.
+        // No telemetry → demand unobservable → never skipped.
         let clock = ManualClock::new();
         let s = sched(clock.clone());
         let calls = Arc::new(AtomicU64::new(0));
-        s.watch(entry(clock.clone(), "Date", TTL, Arc::clone(&calls)), None)
+        s.watch(entry(clock.clone(), "Date", TTL, Arc::clone(&calls)))
             .unwrap();
         for _ in 0..3 {
             if let Some(d) = s.next_deadline() {
@@ -610,9 +600,9 @@ mod tests {
         let metrics = MetricSet::new();
         let s = sched_with(clock.clone(), metrics.clone());
         let calls = Arc::new(AtomicU64::new(0));
-        let km = KeywordMetrics::intern(&metrics, "Date");
         let si = entry(clock.clone(), "Date", TTL, Arc::clone(&calls));
-        s.watch(si, Some(km.clone())).unwrap();
+        si.set_telemetry(metrics.clone());
+        s.watch(si).unwrap();
         // Seed (primes the demand gate).
         s.tick();
         assert_eq!(calls.load(Ordering::SeqCst), 1);
@@ -626,7 +616,7 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 1, "cold: no more executions");
         assert_eq!(metrics.counter_value("sched.skipped"), 3);
         // Demand returns: the next visit refreshes again.
-        km.hits.incr();
+        metrics.counter("info.hits.Date").incr();
         clock.set(s.next_deadline().unwrap().max(clock.now()));
         let r = s.tick();
         assert_eq!(r.refreshed, 1);
@@ -652,7 +642,7 @@ mod tests {
             TTL,
             DegradationFn::default(),
         );
-        s.watch(si, None).unwrap();
+        s.watch(si).unwrap();
         let r = s.tick();
         assert_eq!(r.evicted, 1);
         assert_eq!(s.watched(), 0);
@@ -692,7 +682,7 @@ mod tests {
         let _ = si.refresh(query);
         assert_eq!(si.breaker_state(), BreakerState::Open);
         let tripped_calls = calls.load(Ordering::SeqCst);
-        s.watch(si, None).unwrap();
+        s.watch(si).unwrap();
         clock.advance(Duration::from_millis(1));
         let r = s.tick();
         assert_eq!(r.parked, 1);
@@ -714,7 +704,7 @@ mod tests {
         let calls = Arc::new(AtomicU64::new(0));
         for i in 0..MAX_BATCH + 2 {
             let kw = format!("K{i}");
-            s.watch(entry(clock.clone(), &kw, TTL, Arc::clone(&calls)), None)
+            s.watch(entry(clock.clone(), &kw, TTL, Arc::clone(&calls)))
                 .unwrap();
         }
         // All ten are due immediately; only eight may dispatch.
@@ -735,8 +725,8 @@ mod tests {
         let s = sched(clock.clone());
         let calls = Arc::new(AtomicU64::new(0));
         let si = entry(clock.clone(), "Date", TTL, Arc::clone(&calls));
-        s.watch(Arc::clone(&si), None).unwrap();
-        s.watch(Arc::clone(&si), None).unwrap();
+        s.watch(Arc::clone(&si)).unwrap();
+        s.watch(Arc::clone(&si)).unwrap();
         assert_eq!(s.watched(), 1);
         let r = s.tick();
         assert_eq!(r.refreshed, 1, "exactly one pending entry per keyword");
@@ -751,7 +741,6 @@ mod tests {
         let clock = ManualClock::new();
         let metrics = MetricSet::new();
         let s = sched_with(clock.clone(), metrics.clone());
-        let km = KeywordMetrics::intern(&metrics, "CPU");
         let c2 = clock.clone();
         let si = SystemInformation::new(
             Box::new(FnProvider::new("CPU", move || {
@@ -762,11 +751,12 @@ mod tests {
             TTL,
             DegradationFn::default(),
         );
-        s.watch(si, Some(km.clone())).unwrap();
+        si.set_telemetry(metrics.clone());
+        s.watch(si).unwrap();
         s.tick(); // seed; provider latency now known
                   // 50 queries over the next period.
         for _ in 0..50 {
-            km.hits.incr();
+            metrics.counter("info.hits.CPU").incr();
         }
         clock.set(s.next_deadline().unwrap());
         s.tick();

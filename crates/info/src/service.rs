@@ -15,7 +15,7 @@ use infogram_proto::record::InfoRecord;
 use infogram_proto::render::{self, BodyWriter, Head};
 use infogram_rsl::{InfoSelector, OutputFormat, ResponseMode};
 use infogram_sim::clock::SharedClock;
-use infogram_sim::metrics::{Counter, Gauge, Histogram, MetricSet};
+use infogram_sim::metrics::MetricSet;
 use infogram_sim::{par, SimTime};
 use parking_lot::{lock_class, RwLock};
 use std::collections::BTreeMap;
@@ -63,64 +63,6 @@ pub struct QueryOptions {
     pub deadline: Option<std::time::Duration>,
 }
 
-/// Interned per-keyword telemetry handles, resolved once at
-/// [`InformationService::register`] time so the per-query fetch path
-/// performs zero `format!` calls and zero registry-map lookups.
-#[derive(Debug, Clone)]
-pub struct KeywordMetrics {
-    /// `info.hits.<kw>` — queries served from the cache.
-    pub hits: Arc<Counter>,
-    /// `info.misses.<kw>` — queries that executed the provider.
-    pub misses: Arc<Counter>,
-    /// `info.stale.<kw>` — cached answers served past their TTL.
-    pub stale: Arc<Counter>,
-    /// `info.validity_ms.<kw>` — remaining TTL after the last refresh.
-    pub validity_ms: Arc<Gauge>,
-}
-
-impl KeywordMetrics {
-    /// Intern the per-keyword instruments under the standard names.
-    /// Exposed so the refresh scheduler (and tests) can wire demand
-    /// tracking to entries that are not registered in a service.
-    pub fn intern(metrics: &MetricSet, keyword: &str) -> Self {
-        KeywordMetrics {
-            hits: metrics.counter(&format!("info.hits.{keyword}")),
-            misses: metrics.counter(&format!("info.misses.{keyword}")),
-            stale: metrics.counter(&format!("info.stale.{keyword}")),
-            validity_ms: metrics.gauge(&format!("info.validity_ms.{keyword}")),
-        }
-    }
-}
-
-/// Interned service-wide instrument handles (one set per service).
-#[derive(Debug)]
-struct ServiceMetrics {
-    queries: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    refreshes: Arc<Counter>,
-    quality_refreshes: Arc<Counter>,
-    refresh_latency: Arc<Histogram>,
-}
-
-impl ServiceMetrics {
-    fn intern(metrics: &MetricSet) -> Self {
-        ServiceMetrics {
-            queries: metrics.counter("info.queries"),
-            cache_hits: metrics.counter("info.cache_hits"),
-            refreshes: metrics.counter("info.refreshes"),
-            quality_refreshes: metrics.counter("info.quality_refreshes"),
-            refresh_latency: metrics.histogram("info.refresh"),
-        }
-    }
-}
-
-/// One registered keyword: the entry plus its interned telemetry.
-#[derive(Clone)]
-struct Registered {
-    si: Arc<SystemInformation>,
-    km: KeywordMetrics,
-}
-
 /// What one selector of a query is served from, once either §6.2 phase
 /// has filled it in.
 type Slot = Option<Result<Snapshot, QueryError>>;
@@ -129,7 +71,7 @@ type Slot = Option<Result<Snapshot, QueryError>>;
 /// `Arc` under a briefly-held read lock and then walk the map with no
 /// lock at all, so concurrent fan-out workers never contend on lookups.
 /// Registration (rare) clones the map and swaps the `Arc`.
-type Registry = Arc<BTreeMap<String, Registered>>;
+type Registry = Arc<BTreeMap<String, Arc<SystemInformation>>>;
 
 /// The information service of one host.
 pub struct InformationService {
@@ -137,7 +79,6 @@ pub struct InformationService {
     clock: SharedClock,
     entries: RwLock<Registry>,
     metrics: MetricSet,
-    svc_metrics: ServiceMetrics,
 }
 
 impl std::fmt::Debug for InformationService {
@@ -152,7 +93,6 @@ impl std::fmt::Debug for InformationService {
 impl InformationService {
     /// An empty service for a host.
     pub fn new(hostname: &str, clock: SharedClock, metrics: MetricSet) -> Arc<Self> {
-        let svc_metrics = ServiceMetrics::intern(&metrics);
         Arc::new(InformationService {
             hostname: hostname.to_string(),
             clock,
@@ -161,7 +101,6 @@ impl InformationService {
                 lock_class!("info.service.registry"),
             ),
             metrics,
-            svc_metrics,
         })
     }
 
@@ -190,18 +129,16 @@ impl InformationService {
     }
 
     /// Register a keyword entry (replacing any same-keyword entry). The
-    /// entry is wired into this service's telemetry, so its monitor and
-    /// delay gate contribute to `info.coalesced` / `info.throttled`, and
-    /// its per-keyword counters (`info.hits.<kw>`, `info.misses.<kw>`,
-    /// `info.stale.<kw>`, `info.validity_ms.<kw>`) are interned now so
-    /// no query ever formats a metric name.
+    /// entry is wired into this service's telemetry: every `info`
+    /// instrument it and the service move for it is interned now
+    /// ([`SystemInformation::set_telemetry`]), so no query ever formats
+    /// a metric name.
     pub fn register(&self, si: Arc<SystemInformation>) {
         si.set_telemetry(self.metrics.clone());
-        let km = KeywordMetrics::intern(&self.metrics, si.keyword());
         let key = si.keyword().to_ascii_lowercase();
         let mut entries = self.entries.write();
         let mut next = BTreeMap::clone(&entries);
-        next.insert(key, Registered { si, km });
+        next.insert(key, si);
         *entries = Arc::new(next);
     }
 
@@ -243,32 +180,18 @@ impl InformationService {
     pub fn keywords(&self) -> Vec<String> {
         self.registry()
             .values()
-            .map(|r| r.si.keyword().to_string())
+            .map(|si| si.keyword().to_string())
             .collect()
     }
 
     /// Look up a keyword case-insensitively.
     pub fn lookup(&self, keyword: &str) -> Option<Arc<SystemInformation>> {
-        self.registry()
-            .get(&keyword.to_ascii_lowercase())
-            .map(|r| Arc::clone(&r.si))
-    }
-
-    /// The interned telemetry handles for a keyword, if registered —
-    /// exposed so tests can assert the hot path shares these exact
-    /// instruments rather than re-resolving names per query.
-    pub fn keyword_metrics(&self, keyword: &str) -> Option<KeywordMetrics> {
-        self.registry()
-            .get(&keyword.to_ascii_lowercase())
-            .map(|r| r.km.clone())
+        self.registry().get(&keyword.to_ascii_lowercase()).cloned()
     }
 
     /// All entries (for schema reflection and aggregation).
     pub fn entries(&self) -> Vec<Arc<SystemInformation>> {
-        self.registry()
-            .values()
-            .map(|r| Arc::clone(&r.si))
-            .collect()
+        self.registry().values().cloned().collect()
     }
 
     /// The one place an answer served without executing the provider is
@@ -276,13 +199,13 @@ impl InformationService {
     /// which is within its TTL by construction and so skips the clock
     /// read; `(response=last)`, the delay throttle and a coalesced wait
     /// can all hand back a value older than its TTL.
-    fn count_hit(&self, reg: &Registered, snap: &Snapshot, may_be_old: bool) {
-        self.svc_metrics.cache_hits.incr();
-        reg.km.hits.incr();
-        let ttl = reg.si.ttl();
+    fn count_hit(&self, si: &SystemInformation, snap: &Snapshot, may_be_old: bool) {
+        si.count(|t| &t.cache_hits);
+        si.count(|t| &t.hits);
+        let ttl = si.ttl();
         let old = || !ttl.is_zero() && self.clock.now().since(snap.produced_at) >= ttl;
         if snap.stale || (may_be_old && old()) {
-            reg.km.stale.incr();
+            si.count(|t| &t.stale);
         }
     }
 
@@ -294,14 +217,13 @@ impl InformationService {
     /// A hit costs one `info.entry.state` acquisition, one clock read and
     /// three interned counter increments: no `format!`, no attribute copy,
     /// no refresh bookkeeping.
-    fn query(&self, reg: &Registered, opts: &QueryOptions) -> Option<Result<Snapshot, QueryError>> {
-        let si = &reg.si;
-        self.svc_metrics.queries.incr();
+    fn query(&self, si: &SystemInformation, opts: &QueryOptions) -> Slot {
+        si.count(|t| &t.queries);
         match opts.mode {
             ResponseMode::Immediate => None,
             ResponseMode::Last => Some(
                 si.last_state()
-                    .inspect(|snap| self.count_hit(reg, snap, true)),
+                    .inspect(|snap| self.count_hit(si, snap, true)),
             ),
             ResponseMode::Cached => {
                 // §6.6 quality tag: "If the degradation function of any of
@@ -317,7 +239,7 @@ impl InformationService {
                         if threshold.is_none()
                             || !below(self.clock.now().since(snap.produced_at)) =>
                     {
-                        self.count_hit(reg, &snap, false);
+                        self.count_hit(si, &snap, false);
                         return Some(Ok(snap));
                     }
                     Ok(_) => true,
@@ -325,7 +247,7 @@ impl InformationService {
                     Err(_) => false, // never produced: an ordinary miss
                 };
                 if quality_forced {
-                    self.svc_metrics.quality_refreshes.incr();
+                    si.count(|t| &t.quality_refreshes);
                 }
                 None
             }
@@ -335,28 +257,18 @@ impl InformationService {
     /// Phase two — the paper's blocking `updateState`: the entry's one
     /// refresh path, as a query (breaker-gated, retried,
     /// deadline-budgeted, answered from the cache when nothing fresh
-    /// comes of it).
-    fn refresh(&self, reg: &Registered, opts: &QueryOptions) -> Result<Snapshot, QueryError> {
-        let si = &reg.si;
-        let before = self.clock.now();
+    /// comes of it). The entry counts what it produced; a query counts
+    /// its own miss, or the cached value it got instead.
+    fn refresh(&self, si: &SystemInformation, opts: &QueryOptions) -> Result<Snapshot, QueryError> {
         let snap = si.refresh(Cause::Query {
             deadline: opts.deadline,
         })?;
         if snap.from_cache {
             // The cached value in place of a failed or gated refresh,
             // or another caller's refresh the monitor coalesced us onto.
-            self.count_hit(reg, &snap, true);
+            self.count_hit(si, &snap, true);
         } else {
-            self.svc_metrics.refreshes.incr();
-            reg.km.misses.incr();
-            // Refresh latency on the service clock (simulated command
-            // costs advance it; free commands record zero).
-            self.svc_metrics
-                .refresh_latency
-                .record(self.clock.now().since(before));
-            // Remaining validity of what is now cached — the TTL-expiry
-            // countdown a monitoring client watches.
-            reg.km.validity_ms.set(si.validity().as_millis() as f64);
+            si.count(|t| &t.misses);
         }
         Ok(snap)
     }
@@ -406,12 +318,12 @@ impl InformationService {
         registry: &'r Registry,
         selectors: &[InfoSelector],
         opts: &QueryOptions,
-    ) -> Result<(Vec<Option<&'r Registered>>, Vec<Slot>), InfoServiceError> {
-        let mut items: Vec<Option<&Registered>> = Vec::new();
+    ) -> Result<(Vec<Option<&'r SystemInformation>>, Vec<Slot>), InfoServiceError> {
+        let mut items: Vec<Option<&SystemInformation>> = Vec::new();
         for sel in selectors {
             match sel {
                 InfoSelector::Schema => items.push(None),
-                InfoSelector::All => items.extend(registry.values().map(Some)),
+                InfoSelector::All => items.extend(registry.values().map(|si| Some(&**si))),
                 InfoSelector::Keyword(k) => items.push(Some(
                     registry
                         .get(&k.to_ascii_lowercase())
@@ -420,16 +332,16 @@ impl InformationService {
             }
         }
         let mut slots: Vec<Slot> = items.iter().map(|_| None).collect();
-        let mut misses: Vec<(usize, &Registered)> = Vec::new();
+        let mut misses: Vec<(usize, &SystemInformation)> = Vec::new();
         for (i, item) in items.iter().enumerate() {
-            if let Some(reg) = item {
-                slots[i] = self.query(reg, opts);
+            if let Some(si) = item {
+                slots[i] = self.query(si, opts);
                 if slots[i].is_none() {
-                    misses.push((i, reg));
+                    misses.push((i, si));
                 }
             }
         }
-        let refreshed = par::fan_out(&misses, |_, (_, reg)| self.refresh(reg, opts));
+        let refreshed = par::fan_out(&misses, |_, (_, si)| self.refresh(si, opts));
         for ((i, _), result) in misses.iter().zip(refreshed) {
             slots[*i] = Some(result);
         }
@@ -462,10 +374,10 @@ impl InformationService {
         for (item, slot) in items.iter().zip(slots) {
             match item {
                 None => records.extend(Schema::of(self).to_records(&self.hostname)),
-                Some(reg) => {
+                Some(si) => {
                     // lint:allow(unwrap) — `serve` fills every keyword slot
                     let snap = slot.expect("every fetch item was filled")?;
-                    records.push(self.to_record(&reg.si, &snap, opts, now));
+                    records.push(self.to_record(si, &snap, opts, now));
                 }
             }
         }
@@ -516,25 +428,25 @@ impl InformationService {
             items
                 .iter()
                 .zip(&snaps)
-                .map(|(reg, snap)| reg.zip(snap.as_ref()))
+                .map(|(si, snap)| si.zip(snap.as_ref()))
         };
         let now = self.clock.now();
         let capacity = served()
             .flatten()
-            .map(|(reg, snap)| {
-                let block = snap.cached_block(reg.si.keyword(), format);
+            .map(|(si, snap)| {
+                let block = snap.cached_block(si.keyword(), format);
                 192 + block.map_or(64 * snap.attributes.len(), str::len)
             })
             .sum();
         let mut body = BodyWriter::new(format, capacity);
         for item in served() {
-            let Some((reg, snap)) = item else {
+            let Some((si, snap)) = item else {
                 for rec in Schema::of(self).to_records(&self.hostname) {
                     body.record(&rec);
                 }
                 continue;
             };
-            let keyword = reg.si.keyword();
+            let keyword = si.keyword();
             let age = now.since(snap.produced_at);
             // An empty record has no attribute to take a shared quality
             // and age from; the renderer hoists none.
@@ -544,7 +456,7 @@ impl InformationService {
                 host: &self.hostname,
                 degraded: snap.stale,
                 stale_age_secs: snap.stale.then_some(age.as_secs_f64()),
-                quality: annotated.then(|| reg.si.degradation().quality(age)),
+                quality: annotated.then(|| si.degradation().quality(age)),
                 age_secs: annotated.then_some(age.as_secs_f64()),
             });
             match snap.cached_block(keyword, format) {
@@ -846,9 +758,10 @@ mod tests {
         let (_r, svc) = table1_service_on(&manual, clock.clone());
         let opts = QueryOptions::default();
         svc.answer(&kw("Memory"), &opts).unwrap(); // miss: creates nothing new either
-        let km = svc.keyword_metrics("Memory").unwrap();
-        // The handles cached at register() time are the very instruments
-        // the telemetry set resolves by name.
+        let si = svc.lookup("Memory").unwrap();
+        let km = si.telemetry().unwrap();
+        // The handles the entry interned at register() time are the very
+        // instruments the telemetry set resolves by name.
         assert!(Arc::ptr_eq(
             &km.hits,
             &svc.metrics().counter("info.hits.Memory")

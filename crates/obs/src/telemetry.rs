@@ -18,9 +18,8 @@ use std::sync::Arc;
 /// clone of the same `Arc`, so hot paths should resolve their handles
 /// once (at registration/construction time) and then increment through
 /// the cached `Arc` — a lock-free atomic op with no name formatting, no
-/// map lookup, and no allocation per event. The info service's
-/// per-keyword counters and the dispatcher's per-kind histograms both
-/// work this way.
+/// map lookup, and no allocation per event. A keyword's entry and the
+/// dispatcher's per-kind histograms both work this way.
 #[derive(Debug, Default, Clone)]
 pub struct Telemetry {
     inner: Arc<TelemetryInner>,
@@ -42,38 +41,22 @@ impl Telemetry {
 
     /// Get (or create) the counter with this name.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.inner.counters.lock();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::default())),
-        )
+        intern(&self.inner.counters, name)
     }
 
     /// Get (or create) the gauge with this name.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.inner.gauges.lock();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::default())),
-        )
+        intern(&self.inner.gauges, name)
     }
 
     /// Get (or create) the count + mean recorder with this name.
     pub fn recorder(&self, name: &str) -> Arc<Recorder> {
-        let mut map = self.inner.recorders.lock();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Recorder::default())),
-        )
+        intern(&self.inner.recorders, name)
     }
 
     /// Get (or create) the latency histogram with this name.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.inner.histograms.lock();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::default())),
-        )
+        intern(&self.inner.histograms, name)
     }
 
     /// Current value of a counter (0 if it was never touched).
@@ -145,6 +128,17 @@ impl Telemetry {
         }
         attrs.into_iter().collect()
     }
+}
+
+/// The instrument named `name` in `map`, created if it is not there. A
+/// lookup of a known name allocates nothing: the key is copied only
+/// when an instrument is created.
+fn intern<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock();
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
 }
 
 /// Seconds → milliseconds with fixed 3-decimal precision.

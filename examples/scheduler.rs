@@ -74,12 +74,12 @@ fn main() {
         info.answer(&hot, &opts).expect("hot query");
     }
 
-    let km = info.keyword_metrics("Date").expect("interned");
+    let count = |name: &str| info.metrics().counter_value(name);
     println!(
         "5 virtual seconds of steady traffic on Date (TTL 60 ms in Table 1):\n  \
          {} hits, {} misses — the prefetcher kept the cache warm",
-        km.hits.get(),
-        km.misses.get()
+        count("info.hits.Date"),
+        count("info.misses.Date")
     );
 
     // The operator's view: the scheduler's own instruments, served by

@@ -31,8 +31,9 @@
 #      e21 benchmark still builds against the crates' API and passes its
 #      unit tests (not the 3-minute run); `--locked` fails a
 #      `[dependencies]` edge that would rewrite benchmark/Cargo.lock
-#  11. scripts/loc.sh --total — first-party non-test lines, printed as a
-#      report, not a gate
+#  11. scripts/loc.sh --total — first-party non-test lines, printed; a
+#      gate, not a report: check_docs.sh (step 3) fails above its
+#      LOC_CEILING
 #
 # Works fully offline; expect a few minutes on a cold target dir.
 
@@ -68,6 +69,6 @@ sh scripts/chaos_smoke.sh
 echo "==> benchmark package: build + unit tests"
 (cd benchmark && cargo test --offline --locked -q)
 
-echo "==> first-party non-test lines (scripts/loc.sh, a report): $(sh scripts/loc.sh --total)"
+echo "==> first-party non-test lines (scripts/loc.sh, at most check_docs.sh's LOC_CEILING): $(sh scripts/loc.sh --total)"
 
 echo "==> all gates green"

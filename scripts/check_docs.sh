@@ -29,6 +29,10 @@
 # - DESIGN.md budget: at most DESIGN_CEILING lines. A change that adds
 #   prose cuts as much elsewhere; one that shrinks the document lowers
 #   the ceiling to the new count.
+# - line budget: `scripts/loc.sh --total` (first-party non-test lines)
+#   is at most LOC_CEILING. A change that adds lines raises the ceiling
+#   in its own diff and says why; one that removes lines lowers it to
+#   the new total.
 #
 # Works fully offline — all external dependencies are vendored under
 # shims/ (see shims/README.md), so no registry access is needed.
@@ -124,10 +128,18 @@ if [ "$1" = 0 ] || [ "$2" -gt 1536 ]; then
 fi
 
 echo "==> DESIGN.md is at most its line ceiling"
-DESIGN_CEILING=1415
+DESIGN_CEILING=1414
 lines="$(wc -l < DESIGN.md)"
 if [ "$lines" -gt "$DESIGN_CEILING" ]; then
     printf 'DESIGN.md has %s lines; the ceiling is %s\n' "$lines" "$DESIGN_CEILING" >&2
+    exit 1
+fi
+
+echo "==> first-party non-test lines are at most their ceiling"
+LOC_CEILING=15314
+loc="$(sh scripts/loc.sh --total)"
+if [ "$loc" -gt "$LOC_CEILING" ]; then
+    printf 'scripts/loc.sh --total counts %s lines; the ceiling is %s\n' "$loc" "$LOC_CEILING" >&2
     exit 1
 fi
 

@@ -185,7 +185,7 @@ fn rewatch_race() {
     let clock = model::virtual_clock();
     let (si, calls) = counting_entry(clock.clone(), false);
     let sched = sched_on(clock.clone());
-    sched.watch(Arc::clone(&si), None).unwrap();
+    sched.watch(Arc::clone(&si)).unwrap();
 
     let s1 = Arc::clone(&sched);
     let s2 = Arc::clone(&sched);
@@ -194,7 +194,7 @@ fn rewatch_race() {
         s1.tick();
     });
     let b = model::spawn(move || {
-        s2.watch(si2, None).unwrap();
+        s2.watch(si2).unwrap();
     });
     a.join();
     b.join();
@@ -229,7 +229,7 @@ fn concurrent_ticks_refresh_a_due_keyword_exactly_once() {
         let clock = model::virtual_clock();
         let (si, calls) = counting_entry(clock.clone(), false);
         let sched = sched_on(clock.clone());
-        sched.watch(si, None).unwrap();
+        sched.watch(si).unwrap();
 
         let mut handles = Vec::new();
         for _ in 0..2 {
@@ -273,7 +273,7 @@ fn tripped_provider_parks_with_a_future_deadline() {
         }
         *calls.lock() = 0;
         let sched = sched_on(clock.clone());
-        sched.watch(Arc::clone(&si), None).unwrap();
+        sched.watch(Arc::clone(&si)).unwrap();
 
         // Two racing ticks: one claims the due keyword and burns its
         // budget of 1 + 2 retries; the other must not double-execute.

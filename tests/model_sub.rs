@@ -330,7 +330,7 @@ fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
             },
         );
         let sched = RefreshScheduler::new(clock, MetricSet::new(), Arc::clone(&hub));
-        sched.watch(si, None).unwrap();
+        sched.watch(si).unwrap();
 
         // A doomed subscriber: its outbox drains into a dead peer, so
         // the tick's fan-out must walk the full eviction path (state

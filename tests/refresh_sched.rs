@@ -72,8 +72,8 @@ fn ttl_zero_keywords_are_never_enqueued() {
     );
     let cpuload = info.lookup("CPULoad").expect("configured");
     let m = info.lookup("Metrics").expect("registered");
-    assert_eq!(sched.watch(cpuload, None), Err(WatchError::TtlZero));
-    assert_eq!(sched.watch(m, None), Err(WatchError::TtlZero));
+    assert_eq!(sched.watch(cpuload), Err(WatchError::TtlZero));
+    assert_eq!(sched.watch(m), Err(WatchError::TtlZero));
 
     // Drive several full periods: the TTL-0 providers never execute.
     let cpuload = info.lookup("CPULoad").expect("configured");
@@ -101,8 +101,8 @@ fn steady_traffic_sees_no_misses_after_warmup() {
     assert_eq!(sched.watch_service(&info), 1);
     sched.tick(); // seed the cache
 
-    let km = info.keyword_metrics("Date").expect("registered");
-    let (hits0, misses0) = (km.hits.get(), km.misses.get());
+    let count = |name: &str| metrics.counter_value(name);
+    let (hits0, misses0) = (count("info.hits.Date"), count("info.misses.Date"));
     for _ in 0..200 {
         clock.advance(Duration::from_millis(10));
         // Scheduler runs whenever due work exists; queries in between.
@@ -115,11 +115,32 @@ fn steady_traffic_sees_no_misses_after_warmup() {
         )
         .expect("query");
     }
-    let hits = km.hits.get() - hits0;
-    let misses = km.misses.get() - misses0;
+    let hits = count("info.hits.Date") - hits0;
+    let misses = count("info.misses.Date") - misses0;
     assert_eq!(misses, 0, "steady traffic never misses ({hits} hits)");
     assert_eq!(hits, 200);
     assert!(metrics.counter_value("sched.prefetches") >= 19);
+}
+
+#[test]
+fn a_prefetch_is_counted_like_a_querys_refresh() {
+    // A scheduled refresh is a fresh production like a query's: it moves
+    // `info.refreshes`, times itself into `info.refresh` and sets the
+    // keyword's validity gauge, so `(info=metrics)` shows prefetches and
+    // provider executions equal `info.refreshes` with a scheduler running.
+    let (clock, _registry, info, metrics) = manual_service("100 Date date -u\n");
+    let sched = scheduler(clock.clone(), metrics.clone());
+    assert_eq!(sched.watch_service(&info), 1);
+    assert_eq!(sched.tick().refreshed, 1);
+
+    let refreshes = metrics.counter_value("info.refreshes");
+    assert_eq!(refreshes, 1);
+    assert_eq!(metrics.histogram("info.refresh").count(), 1);
+    assert_eq!(metrics.gauge_value("info.validity_ms.Date"), 100.0);
+    assert_eq!(
+        info.lookup("Date").expect("configured").execution_count(),
+        refreshes
+    );
 }
 
 #[test]
@@ -334,7 +355,7 @@ fn refresh_ledger_balances_against_cache_installs() {
     let installed: u64 = entries.iter().map(|e| e.generation()).sum::<u64>() - before;
     let queried: u64 = keywords
         .iter()
-        .map(|k| info.keyword_metrics(k).expect("registered").misses.get())
+        .map(|k| info.metrics().counter_value(&format!("info.misses.{k}")))
         .sum();
     let pushed: u64 = keywords.iter().map(|k| hub.channel_version(k)).sum();
     assert!(reported > 0 && queried > 0, "both causes refreshed");
