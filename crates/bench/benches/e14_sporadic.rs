@@ -5,9 +5,6 @@
 //! grid becomes useful: time-to-up, time-to-first-job, and the makespan
 //! of a scan→acquire→analyze pipeline, as the node count grows.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram::core::mds_bridge;
 use infogram::mds::filter::Filter;
 use infogram::mds::giis::Giis;

@@ -29,9 +29,6 @@
 //! `E20_JSON=<path>` writes a machine-readable result with a `pass`
 //! flag (used by `scripts/bench_smoke.sh` / `scripts/check_crash.sh`).
 
-// Bench harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram::exec::{
     EngineConfig, ForkBackend, FrameWal, JobEngine, MemStorage, SubmitError, Wal, WalConfig,
     WalStorage,

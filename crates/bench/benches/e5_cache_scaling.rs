@@ -10,9 +10,6 @@
 //! time makes the run exact: a query's latency is precisely the clock
 //! time its answer consumed.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram_bench::{banner, fmt_ratio, fmt_secs, manual_world_with_config, table};
 use infogram_info::config::ServiceConfig;
 use infogram_info::service::QueryOptions;

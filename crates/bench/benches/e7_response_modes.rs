@@ -6,9 +6,6 @@
 //! positions on the latency/freshness plane: `last` is cheapest and
 //! stalest, `immediate` freshest and dearest, `cached` in between.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram_bench::{banner, fmt_secs, manual_world_with_config, table};
 use infogram_info::config::ServiceConfig;
 use infogram_info::service::QueryOptions;

@@ -8,9 +8,6 @@
 //! compare the catalog's reported (mean, σ) against the configured
 //! ground truth.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram_bench::{banner, fmt_secs, manual_world_with_config, table};
 use infogram_host::commands::CostModel;
 use infogram_info::config::ServiceConfig;

@@ -7,9 +7,6 @@
 //! manager (submit: RSL parse, WAL, backend dispatch), and backend
 //! (run: the job's own execution), plus status-poll cost.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram::quickstart::{Sandbox, SandboxConfig};
 use infogram_bench::{banner, fmt_secs, table, Summary};
 use infogram_client::GramClient;

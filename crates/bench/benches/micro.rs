@@ -2,9 +2,8 @@
 //! xRSL extraction, record rendering, wire encoding, and certificate
 //! chain verification.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-// (criterion_group! expands to undocumented pub fns, hence missing_docs.)
-#![allow(clippy::unwrap_used, missing_docs)]
+// criterion_group! expands to undocumented pub fns, hence missing_docs.
+#![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use infogram_gsi::{verify_chain, CertificateAuthority, Dn};

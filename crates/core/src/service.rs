@@ -142,15 +142,15 @@ impl InfoGramService {
         let hub = Arc::clone(dispatcher.hub());
         let sched = Arc::clone(dispatcher.scheduler());
         let driver_running = Arc::new(AtomicBool::new(true));
+        // A long-lived refresh driver, not a fan-out: it outlives any scope
+        // sim::par could provide and is joined explicitly on shutdown.
+        #[expect(clippy::disallowed_methods, reason = "the driver outlives a scope")]
         let driver = {
             let sched = Arc::clone(&sched);
             let hub = Arc::clone(&hub);
             let engine = Arc::clone(&engine);
             let running = Arc::clone(&driver_running);
             let clock = clock.clone();
-            // lint:allow(thread-spawn) — long-lived refresh driver, not a
-            // fan-out: it outlives any scope sim::par could provide and is
-            // joined explicitly on shutdown.
             std::thread::spawn(move || {
                 while running.load(Ordering::SeqCst) {
                     // Job state is otherwise pulled lazily by status
@@ -348,19 +348,25 @@ mod tests {
 
     #[test]
     fn an_idle_service_shuts_down_without_waiting_out_the_refresh_nap() {
-        // The refresh thread naps up to 25 ms between ticks, and right
-        // after a start it is in its first nap; `shutdown` wakes it
-        // instead of waiting the nap out.
-        let mut shutting_down = std::time::Duration::ZERO;
-        for round in 0..10 {
-            let w = start_default_service(&format!("idle{round}.grid:0"));
-            let started = std::time::Instant::now();
-            w.service.shutdown();
-            shutting_down += started.elapsed();
-        }
+        // The refresh thread naps 25 ms between ticks of an empty wheel;
+        // 5 ms after a start it is in its first nap (right after one it
+        // may not have run yet). `shutdown` wakes it instead of waiting
+        // the nap out, which would take about 20 ms a round. The median
+        // is immune to the few rounds a busy host slows.
+        let mut rounds: Vec<std::time::Duration> = (0..10)
+            .map(|round| {
+                let w = start_default_service(&format!("idle{round}.grid:0"));
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                let started = std::time::Instant::now();
+                w.service.shutdown();
+                started.elapsed()
+            })
+            .collect();
+        rounds.sort();
+        let median = rounds[rounds.len() / 2];
         assert!(
-            shutting_down < std::time::Duration::from_millis(50),
-            "ten shutdowns of an idle service took {shutting_down:?}"
+            median < std::time::Duration::from_micros(12_500),
+            "the median idle shutdown took {median:?}, over half the nap: {rounds:?}"
         );
     }
 

@@ -79,7 +79,7 @@ impl<R> Chunk<R> {
             .map_or(self.text.len(), |next| next.at as usize);
         let needed = self.text.len() + text.len();
         // Offsets are 32-bit: 512 texts of 4 GiB exhaust memory first.
-        // lint:allow(unwrap) — held here so an offset never wraps
+        #[expect(clippy::expect_used, reason = "held here so an offset never wraps")]
         u32::try_from(needed).expect("a chunk's texts under 4 GiB");
         if needed > self.text.capacity() {
             // Double, but not past a full chunk of texts as long as these

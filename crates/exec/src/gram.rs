@@ -139,7 +139,7 @@ pub fn submit_job(
     callback: bool,
     ctx: &ConnCtx,
 ) -> Reply {
-    // lint:allow(unwrap) — kind() returns Job only when the job spec is present
+    #[expect(clippy::expect_used, reason = "kind() is Job only with a job spec")]
     let spec = req.job.expect("kind Job implies job");
     let outbox = ctx.outbox().filter(|_| callback);
     match engine.submit_with_callback(rsl, spec, owner, account, outbox) {

@@ -1,4 +1,6 @@
-#![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 //! J-GRAM: the job execution service.
 //!

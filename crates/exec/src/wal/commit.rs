@@ -187,7 +187,7 @@ impl Wal {
     /// A log over a fresh [`MemStorage`]: the same frames, checkpoints and
     /// recovery as a file log, on a disk that lives as long as the log.
     pub fn in_memory() -> Self {
-        // lint:allow(unwrap) — a fresh `MemStorage` cannot fail to open
+        #[expect(clippy::expect_used, reason = "a fresh MemStorage cannot fail to open")]
         let sink = FrameWal::open(MemStorage::new()).expect("fresh MemStorage opens");
         Wal::new(Box::new(sink))
     }
@@ -374,8 +374,9 @@ impl Wal {
         events: impl Iterator<Item = &'a WalEvent>,
         durable: bool,
     ) -> io::Result<()> {
-        // lint:allow(direct-clock) — times the real write (+ fsync) I/O
-        // into the `wal.append` histogram; virtual time would read as zero
+        // The `wal.append` histogram times the real write (+ fsync) I/O;
+        // virtual time would read as zero.
+        #[expect(clippy::disallowed_methods, reason = "times real disk I/O")]
         let start = Instant::now();
         let mut guard = self.io.lock();
         let io = &mut *guard;

@@ -10,9 +10,6 @@
 //! all eight flipped) and an intact log many buffers long, and hold each
 //! reopen's largest request to [`LARGEST`].
 
-// Test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 // Its allocator and `corruptions()`; not its `sweep`, whose decoders
 // refuse every cut — these do not.
 #[allow(dead_code)]

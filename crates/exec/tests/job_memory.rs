@@ -12,9 +12,6 @@
 //! tests can run in parallel. The ceilings hold in debug and release
 //! builds alike: lockdep allocates per lock *class*, not per job.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram_exec::chunked::Chunked;
 use infogram_exec::wal::{
     CheckpointState, FileStorage, FileWal, FrameWal, RecoveredState, Wal, WalConfig, WalEvent,

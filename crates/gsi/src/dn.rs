@@ -69,13 +69,13 @@ impl Dn {
 
     /// Convenience constructor for tests and examples:
     /// `Dn::user("Grid", "ANL", "Gregor von Laszewski")`.
+    #[expect(clippy::expect_used, reason = "from_rdns only rejects invalid keys")]
     pub fn user(org: &str, unit: &str, common_name: &str) -> Self {
         Dn::from_rdns(vec![
             ("O".to_string(), org.to_string()),
             ("OU".to_string(), unit.to_string()),
             ("CN".to_string(), common_name.to_string()),
         ])
-        // lint:allow(unwrap) — fixed RDN keys; from_rdns only rejects empty/invalid keys
         .expect("static RDNs are valid")
     }
 

@@ -9,9 +9,6 @@
 //! for nothing larger than the message it was given (plus an error
 //! message's worth). A chain that decodes re-encodes to its own bytes.
 
-// Test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram_gsi::wire::{decode_chain, encode_chain, MAX_ITEMS};
 use infogram_gsi::{
     wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify,

@@ -138,9 +138,8 @@ impl ServiceConfig {
     }
 
     /// The literal configuration of Table 1 in the paper.
+    #[expect(clippy::expect_used, reason = "`table1_matches_paper` pins the text")]
     pub fn table1() -> ServiceConfig {
-        // lint:allow(unwrap) — TABLE1_TEXT is a constant the unit test
-        // `table1_matches_paper` parses and pins row by row
         ServiceConfig::parse(TABLE1_TEXT).expect("Table 1 config is valid")
     }
 

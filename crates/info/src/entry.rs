@@ -644,7 +644,7 @@ impl SystemInformation {
             // A provider execution is an arbitrary external command (a
             // runtime exec in the paper); the monitor flag — not a lock
             // — serializes updates precisely so nothing is held here.
-            infogram_sim::lockdep::blocking_point("info.provider.produce", &[]);
+            parking_lot::lockdep::blocking_point("info.provider.produce", &[]);
             let result = self.provider.produce();
             let finished = self.clock.now();
             self.executions.fetch_add(1, Ordering::Relaxed);

@@ -375,7 +375,7 @@ impl InformationService {
             match item {
                 None => records.extend(Schema::of(self).to_records(&self.hostname)),
                 Some(si) => {
-                    // lint:allow(unwrap) — `serve` fills every keyword slot
+                    #[expect(clippy::expect_used, reason = "`serve` fills every slot")]
                     let snap = slot.expect("every fetch item was filled")?;
                     records.push(self.to_record(si, &snap, opts, now));
                 }

@@ -286,8 +286,7 @@ impl SubscriptionHub {
                     return id; // unsubscribed/evicted mid-join
                 };
                 entry.channels.push(key.clone());
-                // lint:allow(unwrap) — the channel was created above and
-                // channels are never removed
+                #[expect(clippy::expect_used, reason = "created above, never removed")]
                 let ch = st.channels.get_mut(&key).expect("channel exists");
                 ch.subscribers.push(id);
                 ch.last
@@ -426,7 +425,7 @@ impl SubscriptionHub {
     /// channel's delivery lock *while holding* the hub state lock — the
     /// reverse of every real path (delivery first, then state; DESIGN
     /// §13). Single-threaded and contention-free, so nothing hangs; the
-    /// point is that `sim::lockdep` must still report the inversion.
+    /// point is that `parking_lot::lockdep` must still report the inversion.
     /// Never called by service code.
     #[doc(hidden)]
     pub fn debug_acquire_in_reverse_order(&self, keyword: &str) {

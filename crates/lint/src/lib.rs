@@ -1,19 +1,14 @@
-#![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
-//! `infogram-lint`: project invariants the compiler cannot enforce.
+//! `infogram-lint`: the project invariants no compiler pass can see.
 //!
-//! The workspace has a handful of rules that matter for correctness and
-//! reproducibility but live below the type system's radar:
+//! Clippy holds the policy it can resolve by type: the unwrap/expect,
+//! print and `dbg!` bans and, through `disallowed-methods` in
+//! `clippy.toml`, the clock and thread rules (DESIGN §9.1). This pass
+//! keeps the two rules that are about names, not types:
 //!
-//! * **`direct-clock`** — `std::time::Instant::now` / `SystemTime::now`
-//!   outside `crates/sim`. Every time-dependent code path must go through
-//!   [`Clock`](../infogram_sim/clock/trait.Clock.html) so the deterministic
-//!   experiments and the model checker can drive a virtual clock.
-//! * **`unwrap`** — `.unwrap()` / `.expect(...)` in non-test library code.
-//!   Service code must surface structured errors, not panic.
-//! * **`print`** — `println!` / `eprintln!` / `dbg!` in library crates.
-//!   Diagnostics belong in the telemetry layer (`crates/obs`); stdout
-//!   belongs to the bench report harness only.
 //! * **`guard-across-call`** — a lock guard held across a `produce` /
 //!   `fetch` / `dispatch` / `update_state` / `refresh(Cause::…)` call
 //!   boundary. Provider and dispatch calls can block for a long time (or
@@ -23,12 +18,6 @@
 //!   provider). The refresh pattern names its `Cause` argument so that
 //!   the job engine's own `refresh`, which runs under the jobs lock by
 //!   design, is not mistaken for it.
-//! * **`thread-spawn`** — raw `std::thread::spawn` in library crates
-//!   outside `crates/sim`. Ad-hoc threads dodge the `sim::par` scoped
-//!   pool (bounded fan-out, panic propagation) and the lockdep /
-//!   model-checker instrumentation that rides on it; service code should
-//!   fan out through `sim::par` or justify the long-lived thread with a
-//!   suppression.
 //! * **`no-caller`** — a `pub` fn, const, static, struct, enum, trait
 //!   or type in `crates/*/src` or `src/` whose name appears nowhere
 //!   outside its own definition, its own `impl` blocks, `pub use`
@@ -39,9 +28,8 @@
 //!
 //! The linter is deliberately token-oriented: it masks comments and string
 //! literals with a tiny lexer and then pattern-matches lines, which keeps
-//! a whole-workspace run in the low milliseconds. Findings suppress with a
-//! per-line `// lint:allow(<rule>)` on the offending line or the line
-//! above — every suppression should carry a justification.
+//! a whole-workspace run in the low milliseconds. Neither rule has a
+//! suppression: a finding is fixed, not silenced.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -54,24 +42,8 @@ pub use mask::mask_code;
 /// Every rule the linter knows, as `(id, summary)` pairs.
 pub const RULES: &[(&str, &str)] = &[
     (
-        "direct-clock",
-        "Instant::now / SystemTime::now outside crates/sim — use the sim Clock",
-    ),
-    (
-        "unwrap",
-        ".unwrap() / .expect() in non-test library code — return a structured error",
-    ),
-    (
-        "print",
-        "println!/eprintln!/dbg! in library crates — use the obs telemetry layer",
-    ),
-    (
         "guard-across-call",
         "lock guard held across a produce/fetch/dispatch call boundary",
-    ),
-    (
-        "thread-spawn",
-        "raw std::thread::spawn outside crates/sim — use sim::par or justify",
     ),
     (
         "no-caller",
@@ -105,51 +77,15 @@ impl fmt::Display for Finding {
     }
 }
 
-/// What kind of source file a path is, for rule applicability.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum FileClass {
-    /// Library source of the named crate (`crates/<name>/src`, or the
-    /// umbrella crate's `src/`).
-    Lib(String),
-    /// A binary entry point (`main.rs`, `src/bin/...`).
-    Bin,
-    /// Integration tests, benches, examples: exercised code, panics fine.
-    Harness,
-    /// Not linted (vendored shims, generated output, VCS internals).
-    Skip,
-}
-
-fn classify(rel: &Path) -> FileClass {
+/// Library source: a file under `crates/<name>/src` or the umbrella
+/// crate's `src/`, binaries (`main.rs`, `src/bin/`) not included.
+fn is_lib(rel: &Path) -> bool {
     let s = rel.to_string_lossy().replace('\\', "/");
-    if s.starts_with("shims/") || s.starts_with("target/") || s.starts_with(".git/") {
-        return FileClass::Skip;
-    }
-    if s.ends_with("main.rs") || s.contains("/src/bin/") {
-        return FileClass::Bin;
-    }
-    if s.starts_with("tests/")
-        || s.contains("/tests/")
-        || s.starts_with("examples/")
-        || s.contains("/examples/")
-        || s.contains("/benches/")
-        || s.starts_with("crates/bench/")
-    {
-        // `crates/bench` is the report harness: it measures real wall
-        // time and prints tables to stdout by design.
-        return FileClass::Harness;
-    }
-    if let Some(rest) = s.strip_prefix("crates/") {
-        if let Some((name, tail)) = rest.split_once('/') {
-            if tail.starts_with("src/") {
-                return FileClass::Lib(name.to_string());
-            }
-        }
-        return FileClass::Skip; // crate-level Cargo.toml etc.
-    }
-    if s.starts_with("src/") {
-        return FileClass::Lib("infogram".to_string());
-    }
-    FileClass::Skip
+    let in_src = s.starts_with("src/")
+        || s.strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, tail)| tail.starts_with("src/"));
+    in_src && !s.ends_with("main.rs") && !s.contains("/src/bin/")
 }
 
 /// Per-line `in test code` flags: true for lines inside a `#[cfg(test)]`
@@ -191,144 +127,15 @@ fn test_region_flags(masked: &str) -> Vec<bool> {
     flags
 }
 
-/// Does line `idx` (0-based) or the line above carry a
-/// `lint:allow(<rule>)` for this rule?
-fn allowed(original_lines: &[&str], idx: usize, rule: &str) -> bool {
-    let carries = |line: &str| {
-        line.find("lint:allow(")
-            .map(|at| {
-                let rest = &line[at + "lint:allow(".len()..];
-                match rest.find(')') {
-                    Some(end) => rest[..end]
-                        .split(',')
-                        .any(|r| r.trim().eq_ignore_ascii_case(rule)),
-                    None => false,
-                }
-            })
-            .unwrap_or(false)
-    };
-    if carries(original_lines[idx]) {
-        return true;
-    }
-    // Walk up through the contiguous comment block directly above the
-    // flagged line, so a multi-line justification still carries.
-    let mut k = idx;
-    while k > 0 && original_lines[k - 1].trim_start().starts_with("//") {
-        k -= 1;
-        if carries(original_lines[k]) {
-            return true;
-        }
-    }
-    false
-}
-
 /// Lint one Rust source file. `rel` is the path relative to the lint root
 /// (used for rule applicability and in findings).
 pub fn lint_rust_file(rel: &Path, src: &str) -> Vec<Finding> {
-    let class = classify(rel);
-    if class == FileClass::Skip {
+    if !is_lib(rel) {
         return Vec::new();
     }
     let masked = mask_code(src);
-    let original_lines: Vec<&str> = src.lines().collect();
-    let masked_lines: Vec<&str> = masked.lines().collect();
-    let in_test = test_region_flags(&masked);
-    let mut findings = Vec::new();
-    let mut push = |line_idx: usize, rule: &'static str, message: String| {
-        if !allowed(&original_lines, line_idx, rule) {
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line: line_idx + 1,
-                rule,
-                message,
-            });
-        }
-    };
-
-    let lib_crate = match &class {
-        FileClass::Lib(name) => Some(name.as_str()),
-        _ => None,
-    };
-
-    for (i, line) in masked_lines.iter().enumerate() {
-        let test_line = in_test.get(i).copied().unwrap_or(false);
-
-        // direct-clock: everywhere except crates/sim and test code. Bench
-        // harnesses and examples measure real wall time by design, so
-        // only library and bin code is held to it.
-        if lib_crate.is_some_and(|c| c != "sim") && !test_line {
-            for pat in ["Instant::now", "SystemTime::now"] {
-                if line.contains(pat) {
-                    push(
-                        i,
-                        "direct-clock",
-                        format!("`{pat}` bypasses the sim Clock; take a SharedClock instead"),
-                    );
-                }
-            }
-        }
-
-        // unwrap: non-test library code only.
-        if lib_crate.is_some() && !test_line {
-            if line.contains(".unwrap()") {
-                push(
-                    i,
-                    "unwrap",
-                    "`.unwrap()` in library code; return a structured error".to_string(),
-                );
-            }
-            // `.expect("` with a literal message — plain `.expect(` would
-            // also catch parser-style `self.expect(&Token::RParen)?`
-            // methods, which are ordinary Results.
-            if line.contains(".expect(\"") {
-                push(
-                    i,
-                    "unwrap",
-                    "`.expect(...)` in library code; return a structured error".to_string(),
-                );
-            }
-        }
-
-        // thread-spawn: library crates except crates/sim (which owns the
-        // scoped pool and the deterministic thread wrappers). Tests,
-        // benches, and bins spin up scaffolding threads freely.
-        if lib_crate.is_some_and(|c| c != "sim") && !test_line && line.contains("thread::spawn") {
-            push(
-                i,
-                "thread-spawn",
-                "raw `thread::spawn` bypasses sim::par (bounded fan-out, panic \
-                 propagation, lockdep); use the scoped pool or justify the thread"
-                    .to_string(),
-            );
-        }
-
-        // print: library crates except the bench report harness.
-        if lib_crate.is_some_and(|c| c != "bench") && !test_line {
-            for pat in ["println!", "eprintln!", "print!", "eprint!", "dbg!"] {
-                if line.contains(pat) {
-                    push(
-                        i,
-                        "print",
-                        format!("`{pat}` in a library crate; route through obs telemetry"),
-                    );
-                    break;
-                }
-            }
-        }
-    }
-
-    // guard-across-call: track `let <g> = ....lock()/.read()/.write()`
-    // bindings and flag blocking calls before the guard is dropped.
-    if lib_crate.is_some() {
-        findings.extend(guard_across_call(
-            rel,
-            &masked_lines,
-            &original_lines,
-            &in_test,
-        ));
-    }
-
-    findings
+    let lines: Vec<&str> = masked.lines().collect();
+    guard_across_call(rel, &lines, &test_region_flags(&masked))
 }
 
 /// The calls that must never run under a held lock guard: provider
@@ -341,12 +148,7 @@ const BLOCKING_CALLS: &[&str] = &[
     ".refresh(Cause::",
 ];
 
-fn guard_across_call(
-    rel: &Path,
-    masked_lines: &[&str],
-    original_lines: &[&str],
-    in_test: &[bool],
-) -> Vec<Finding> {
+fn guard_across_call(rel: &Path, masked_lines: &[&str], in_test: &[bool]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut depth: i64 = 0;
     // Active guards: (identifier, depth at binding).
@@ -357,7 +159,7 @@ fn guard_across_call(
         }
         // A blocking call while any guard is live?
         for call in BLOCKING_CALLS {
-            if line.contains(call) && !allowed(original_lines, i, "guard-across-call") {
+            if line.contains(call) {
                 for (g, _) in &guards {
                     findings.push(Finding {
                         file: rel.to_path_buf(),
@@ -478,86 +280,32 @@ mod tests {
     }
 
     #[test]
-    fn direct_clock_flagged_outside_sim() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let f = lint("crates/info/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "direct-clock");
-        assert_eq!(f[0].line, 1);
-        // The same code inside crates/sim is the implementation itself.
-        assert!(lint("crates/sim/src/clock.rs", src).is_empty());
-        // Harness code measures wall time by design.
-        assert!(lint("examples/demo.rs", src).is_empty());
-        assert!(lint("crates/bench/benches/e1.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_flagged_only_in_nontest_lib_code() {
-        let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(lint("crates/rsl/src/p.rs", src).len(), 1);
-        assert!(lint("tests/integration.rs", src).is_empty());
-        let with_tests =
-            "fn f() -> u8 { 0 }\n#[cfg(test)]\nmod tests {\n    fn g() { x.unwrap(); }\n}\n";
-        assert!(lint("crates/rsl/src/p.rs", with_tests).is_empty());
-    }
-
-    #[test]
-    fn expect_flagged() {
-        let src = "fn f() { x.expect(\"boom\"); }\n";
-        assert_eq!(lint("crates/info/src/x.rs", src)[0].rule, "unwrap");
-    }
-
-    #[test]
     fn strings_and_comments_do_not_trip_rules() {
-        let src =
-            "fn f() {\n    let s = \".unwrap() println!\";\n    // Instant::now in prose\n}\n";
+        let src = "\
+fn f(&self) {
+    let st = self.state.lock();
+    let s = \".produce(\";
+    // self.provider.produce() in prose
+}
+";
         assert!(lint("crates/info/src/x.rs", src).is_empty());
     }
 
     #[test]
-    fn allow_suppresses_on_line_or_above() {
-        let same = "fn f() { x.unwrap(); } // lint:allow(unwrap) — startup only\n";
-        assert!(lint("crates/info/src/x.rs", same).is_empty());
-        let above = "// lint:allow(unwrap) — checked by caller\nfn f() { x.unwrap(); }\n";
-        assert!(lint("crates/info/src/x.rs", above).is_empty());
-        let wrong_rule = "fn f() { x.unwrap(); } // lint:allow(print)\n";
-        assert_eq!(lint("crates/info/src/x.rs", wrong_rule).len(), 1);
-    }
-
-    #[test]
-    fn print_flagged_outside_bench() {
-        let src = "fn f() { println!(\"x\"); }\n";
-        assert_eq!(lint("crates/info/src/x.rs", src)[0].rule, "print");
-        assert!(lint("crates/bench/src/lib.rs", src).is_empty());
-        assert!(
-            lint("crates/lint/src/main.rs", src).is_empty(),
-            "bins may print"
-        );
-    }
-
-    #[test]
-    fn thread_spawn_flagged_outside_sim() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        let f = lint("crates/core/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "thread-spawn");
-        // The sim crate implements the thread wrappers themselves.
-        assert!(lint("crates/sim/src/par.rs", src).is_empty());
-        // Harness and bin code spin up scaffolding threads freely.
-        assert!(lint("tests/integration.rs", src).is_empty());
-        assert!(lint("crates/bench/src/mixed.rs", src).is_empty());
-        assert!(lint("crates/lint/src/main.rs", src).is_empty());
-        // Unit-test modules inside a library file are exempt too.
-        let with_tests =
-            "fn f() -> u8 { 0 }\n#[cfg(test)]\nmod tests {\n    fn g() { std::thread::spawn(|| {}); }\n}\n";
-        assert!(lint("crates/core/src/x.rs", with_tests).is_empty());
-    }
-
-    #[test]
-    fn thread_spawn_suppression_carries_reason() {
-        let src = "// lint:allow(thread-spawn) — long-lived acceptor loop\n\
-                   fn f() { std::thread::spawn(|| {}); }\n";
-        assert!(lint("crates/core/src/x.rs", src).is_empty());
+    fn only_non_test_library_code_is_linted() {
+        let src = "fn f(&self) {\n    let st = self.state.lock();\n    self.p.produce();\n}\n";
+        assert_eq!(lint("crates/info/src/x.rs", src).len(), 1);
+        assert_eq!(lint("src/quickstart.rs", src).len(), 1);
+        for rel in [
+            "shims/parking_lot/src/lib.rs",
+            "tests/t.rs",
+            "examples/e.rs",
+            "crates/lint/src/main.rs",
+        ] {
+            assert!(lint(rel, src).is_empty(), "{rel}");
+        }
+        let with_tests = format!("fn g() {{}}\n#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint("crates/info/src/x.rs", &with_tests).is_empty());
     }
 
     #[test]
@@ -624,12 +372,6 @@ fn f(&self) {
 }
 ";
         assert!(lint("crates/info/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn shims_are_skipped() {
-        let src = "fn f() { x.unwrap(); println!(\"y\"); }\n";
-        assert!(lint("shims/parking_lot/src/lib.rs", src).is_empty());
     }
 
     fn callers(files: &[(&str, &str)]) -> Vec<Finding> {
@@ -717,11 +459,5 @@ mod tests {
         let public = "pub fn f() {}\n";
         assert!(callers(&[("crates/lint/src/main.rs", public)]).is_empty());
         assert!(callers(&[("tests/support/x.rs", public)]).is_empty());
-    }
-
-    #[test]
-    fn no_caller_suppression() {
-        let src = "// lint:allow(no-caller) — the entry point a host calls\npub fn hook() {}\n";
-        assert!(callers(&[("src/x.rs", src)]).is_empty());
     }
 }

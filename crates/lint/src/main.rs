@@ -7,8 +7,7 @@
 //! ```
 //!
 //! Exits 0 when the workspace is clean, 1 when there are findings, 2 on
-//! usage or I/O errors. Suppress a finding with `// lint:allow(<rule>)`
-//! on the offending line or the line above.
+//! usage or I/O errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -19,9 +19,9 @@
 //! collision counts as a caller: the rule can miss a dead item but never
 //! flags a live one.
 
-use crate::{allowed, classify, mask_code, test_region_flags, FileClass, Finding};
+use crate::{is_lib, mask_code, test_region_flags, Finding};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// One `pub` item and the lines of its file that are its own.
 struct Def<'a> {
@@ -48,7 +48,7 @@ pub(crate) fn no_caller(files: &[(PathBuf, String)]) -> Vec<Finding> {
     // (file, self type) → the line spans of its impl blocks.
     let mut impls: HashMap<(usize, &str), Vec<(usize, usize)>> = HashMap::new();
     for (f, (rel, _)) in files.iter().enumerate() {
-        let defining = defines_items(rel);
+        let defining = is_lib(rel);
         let mut file_impls: Vec<(usize, usize)> = Vec::new();
         for (i, line) in lines[f].iter().enumerate() {
             if in_test[f][i] {
@@ -109,30 +109,20 @@ pub(crate) fn no_caller(files: &[(PathBuf, String)]) -> Vec<Finding> {
         }
     }
 
-    let mut findings = Vec::new();
-    for (def, _) in defs.iter().zip(&called).filter(|(_, c)| !**c) {
-        let (rel, src) = &files[def.file];
-        let original: Vec<&str> = src.lines().collect();
-        if !allowed(&original, def.line, "no-caller") {
-            findings.push(Finding {
-                file: rel.clone(),
-                line: def.line + 1,
-                rule: "no-caller",
-                message: format!(
-                    "`pub {} {}` has no caller outside its own definition, impls, \
-                     re-exports and tests; delete it",
-                    def.kind, def.name
-                ),
-            });
-        }
-    }
-    findings
-}
-
-/// Library source under `crates/*/src` or `src/`, the bench harness's
-/// included; not a binary.
-fn defines_items(rel: &Path) -> bool {
-    matches!(classify(rel), FileClass::Lib(_)) || rel.starts_with("crates/bench/src")
+    defs.iter()
+        .zip(&called)
+        .filter(|(_, c)| !**c)
+        .map(|(def, _)| Finding {
+            file: files[def.file].0.clone(),
+            line: def.line + 1,
+            rule: "no-caller",
+            message: format!(
+                "`pub {} {}` has no caller outside its own definition, impls, \
+                 re-exports and tests; delete it",
+                def.kind, def.name
+            ),
+        })
+        .collect()
 }
 
 /// `pub [const|async|unsafe|extern ".."] <kind> <name>` on a masked line:

@@ -61,13 +61,12 @@ impl std::fmt::Debug for Giis {
 
 impl Giis {
     /// An aggregate under `/o=Grid` with the given member cache TTL.
+    #[expect(clippy::expect_used, reason = "a fixed literal RDN is valid")]
     pub fn new(clock: SharedClock, cache_ttl: Duration) -> Arc<Self> {
         Arc::new(Giis {
             clock,
             cache_ttl,
-            base: Dn::from_rdns(vec![("o".to_string(), "Grid".to_string())])
-                // lint:allow(unwrap) — fixed literal RDN, cannot fail validation
-                .expect("static DN"),
+            base: Dn::from_rdns(vec![("o".to_string(), "Grid".to_string())]).expect("static DN"),
             tree: DirectoryTree::new(),
             members: Mutex::with_class(
                 MemberTable {
@@ -138,7 +137,7 @@ impl Giis {
         // lock is NOT held here: member pulls execute providers and can
         // block for a long time, and holding the table lock across them
         // would wedge every concurrent search behind one slow member
-        // (sim::lockdep flags exactly this pattern). A pull is fallible:
+        // (lockdep flags exactly this pattern). A pull is fallible:
         // a member's keyword breakers may be open with nothing cached,
         // and then the aggregate's cached copy of it keeps serving.
         let snapshots = infogram_sim::par::fan_out(&stale, |_, (_, gris)| {

@@ -33,11 +33,11 @@ impl std::fmt::Debug for Gris {
 impl Gris {
     /// A GRIS publishing `info` under `/o=Grid/hn=<hostname>`.
     pub fn new(info: Arc<InformationService>) -> Arc<Self> {
+        #[expect(clippy::expect_used, reason = "both RDN keys are fixed literals")]
         let base = Dn::from_rdns(vec![
             ("o".to_string(), "Grid".to_string()),
             ("hn".to_string(), info.hostname().to_string()),
         ])
-        // lint:allow(unwrap) — from_rdns validates keys, both are fixed literals here
         .expect("hostname RDN valid");
         Arc::new(Gris {
             info,

@@ -8,9 +8,6 @@
 //! the message plus an error message's worth. A search result's body
 //! text goes through the same corruptions and its parser returns.
 
-// Test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram_gsi::Dn;
 use infogram_mds::dit::{DirEntry, Scope};
 use infogram_mds::protocol::{entries_from_text, entries_to_text, MdsReply, MdsRequest};

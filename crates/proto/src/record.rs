@@ -67,6 +67,7 @@ impl InfoRecord {
 
     /// Append an attribute, namespacing a bare name with the keyword
     /// (`total` → `Memory:total`). Already-namespaced names pass through.
+    #[expect(clippy::expect_used, reason = "last_mut on the element just pushed")]
     pub fn push(&mut self, name: &str, value: &str) -> &mut Attribute {
         let full = if name.contains(':') {
             name.to_string()
@@ -74,7 +75,6 @@ impl InfoRecord {
             format!("{}:{}", self.keyword, name)
         };
         self.attributes.push(Attribute::new(&full, value));
-        // lint:allow(unwrap) — last_mut on the element pushed one line up
         self.attributes.last_mut().expect("just pushed")
     }
 

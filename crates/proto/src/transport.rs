@@ -152,8 +152,9 @@ impl Acceptor {
         let addr = listener.local_addr();
         let handler = Arc::new(handler);
         let accepting = Arc::clone(&listener);
-        // lint:allow(thread-spawn) — long-lived accept loop; joined in
-        // shutdown, so sim::par's scoped join is the wrong shape.
+        // A long-lived accept loop, joined in shutdown: sim::par's scoped
+        // join is the wrong shape.
+        #[expect(clippy::disallowed_methods, reason = "a long-lived accept loop")]
         let accept_thread = std::thread::spawn(move || loop {
             // `close` is the only stop signal: it makes `accept` return
             // `Closed`. Any other failure is the host's (out of file
@@ -162,9 +163,9 @@ impl Acceptor {
                 Ok(conn) => {
                     let conn: Arc<dyn Conn> = Arc::from(conn);
                     let handler = Arc::clone(&handler);
-                    // lint:allow(thread-spawn) — per-connection server thread
-                    // detaches for the connection's lifetime (client-paced, no
-                    // bounded join point).
+                    // A connection's thread detaches for its lifetime
+                    // (client-paced, no bounded join point).
+                    #[expect(clippy::disallowed_methods, reason = "one thread per connection")]
                     std::thread::spawn(move || handler(conn));
                 }
                 Err(ProtoError::Closed) => break,

@@ -15,9 +15,6 @@
 //! UTF-8 are refused before any decoder runs. Each must return and ask
 //! the allocator for no more at once than `records_bound` of its input.
 
-// Test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram_proto::delta::RecordDelta;
 use infogram_proto::frame::{read_frame, write_frame, MAX_FRAME_LEN};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};

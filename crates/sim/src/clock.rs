@@ -137,7 +137,7 @@ impl Clock for SystemClock {
         // Zero-duration sleeps (a deadline already due) never park, so
         // they are not blocking points.
         if !d.is_zero() {
-            crate::lockdep::blocking_point("sim.clock.sleep", &[]);
+            parking_lot::lockdep::blocking_point("sim.clock.sleep", &[]);
         }
         std::thread::sleep(d);
     }
@@ -197,7 +197,7 @@ impl Clock for ManualClock {
         // A manual-clock sleep blocks until *another thread* advances
         // time — holding a lock here can starve the advancing thread.
         if !d.is_zero() {
-            crate::lockdep::blocking_point("sim.clock.sleep", &[]);
+            parking_lot::lockdep::blocking_point("sim.clock.sleep", &[]);
         }
         let deadline = self.now().plus(d);
         // Under the model checker, sleeping on the execution's clock

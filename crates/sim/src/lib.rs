@@ -1,4 +1,5 @@
-#![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 
 //! Simulation substrate for the InfoGram reproduction.
 //!
@@ -38,11 +39,6 @@
 //! * [`wire`] — the one reader every binary decoder uses
 //!   ([`wire::Reader`]): each field checked against the bytes left, each
 //!   count against the room for its items and a cap, no trailing bytes.
-//! * [`lockdep`] — a Linux-lockdep-style lock-order and blocking-
-//!   section analyzer (re-exported from the instrumented `parking_lot`
-//!   shim) that watches every lock acquisition in ordinary test runs
-//!   and reports order inversions, guards held across declared blocking
-//!   points, and locks leaked past thread exit.
 //! * `model` (behind the `model` feature) — a CHESS/Loom-style schedule
 //!   explorer that drives small multi-threaded scenarios through every
 //!   bounded interleaving of their synchronization points, on the
@@ -51,7 +47,6 @@
 
 pub mod clock;
 pub mod fault;
-pub mod lockdep;
 pub mod metrics;
 #[cfg(feature = "model")]
 pub mod model;

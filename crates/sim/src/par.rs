@@ -172,6 +172,7 @@ where
 ///
 /// Panics in a worker propagate to the caller once all workers have been
 /// joined (the scope re-raises the first panic).
+#[expect(clippy::expect_used, reason = "each index is written once")]
 pub fn fan_out_bounded<T, R, F>(items: &[T], max_threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -190,7 +191,7 @@ where
     // The caller is about to block in the scope join until every worker
     // finishes — unbounded if a task stalls. Holding any lock here would
     // let one slow fan-out wedge every thread that wants that lock.
-    crate::lockdep::blocking_point("sim.par.fan_out_join", &[]);
+    parking_lot::lockdep::blocking_point("sim.par.fan_out_join", &[]);
     let slots: Vec<OnceLock<(R, Branch)>> = (0..n).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
     let run = |_worker: usize| {
@@ -235,8 +236,8 @@ where
         &parent,
         slots
             .into_iter()
-            // lint:allow(unwrap) — the cursor hands out each index exactly once,
-            // and the scope join guarantees every claimed index was written
+            // The cursor hands out each index exactly once, and the scope
+            // join guarantees every claimed index was written.
             .map(|slot| slot.into_inner().expect("every index was claimed"))
             .collect(),
     )

@@ -11,9 +11,6 @@
 //! cargo run --example sporadic_grid
 //! ```
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram::core::mds_bridge;
 use infogram::mds::filter::Filter;
 use infogram::mds::giis::Giis;

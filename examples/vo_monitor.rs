@@ -10,9 +10,6 @@
 //! cargo run --example vo_monitor
 //! ```
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram::core::mds_bridge;
 use infogram::mds::filter::Filter;
 use infogram::mds::giis::Giis;

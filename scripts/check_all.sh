@@ -2,16 +2,17 @@
 # The full local gate, in dependency order:
 #
 #   1. cargo fmt --check — formatting drift fails fast
-#   2. infogram-lint — the workspace's own token-oriented lint pass
-#      (clock discipline, unwrap policy, guard-across-call, raw thread
-#      spawns, pub items without a caller); see crates/lint
+#   2. infogram-lint — the two rules no compiler pass can see
+#      (guard-across-call, pub items without a caller); see crates/lint.
+#      The unwrap, print, clock and thread rules are clippy's, checked
+#      in step 3 (DESIGN §9.1)
 #   3. scripts/check_docs.sh — rustdoc + clippy, warnings as errors
 #   4. cargo test --workspace — every unit, doc, and integration test;
 #      then crates/exec/tests/job_memory.rs once more in release (its
 #      byte and allocation ceilings hold in both builds), printing what
 #      it measured: the table DESIGN §14.5 quotes, beside its ceilings
 #   5. scripts/check_lockdep.sh — lock-order / blocking-section sweep:
-#      the key suites re-run with sim::lockdep forced on, failing on
+#      the key suites re-run with parking_lot::lockdep forced on, failing on
 #      any LOCKDEP finding
 #   6. scripts/check_model.sh — bounded schedule-exploration model
 #      checking of the concurrency core (seconds; EXHAUSTIVE=1 for the

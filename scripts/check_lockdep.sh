@@ -1,5 +1,5 @@
 #!/bin/sh
-# Lock-order and blocking-section analysis sweep (sim::lockdep).
+# Lock-order and blocking-section analysis sweep (parking_lot::lockdep).
 #
 # Lockdep rides inside the instrumented parking_lot shim: every Mutex /
 # RwLock acquisition feeds a per-thread held-stack and a process-global

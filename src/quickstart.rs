@@ -90,6 +90,7 @@ pub struct Sandbox {
     pub roots: Vec<Certificate>,
 }
 
+#[expect(clippy::expect_used, reason = "a sandbox fails fast")]
 impl Sandbox {
     /// Start with defaults.
     pub fn start() -> Sandbox {
@@ -180,7 +181,6 @@ impl Sandbox {
             clock.clone(),
             MetricSet::new(),
         )
-        // lint:allow(unwrap) — quickstart sandbox: fail fast on misconfiguration
         .expect("InfoGram service starts");
 
         // Optional baseline pair (Figure 2): separate GRAM + MDS.
@@ -198,7 +198,6 @@ impl Sandbox {
             );
             let listener = net
                 .listen(&format!("{}:2120", cfg.hostname))
-                // lint:allow(unwrap) — quickstart sandbox: fail fast on misconfiguration
                 .expect("baseline GRAM binds");
             let gram = infogram_exec::gram::serve(
                 Arc::clone(&engine),
@@ -217,7 +216,6 @@ impl Sandbox {
                 roots.clone(),
                 clock.clone(),
             )
-            // lint:allow(unwrap) — quickstart sandbox: fail fast on misconfiguration
             .expect("baseline MDS starts");
             (Some(gram), Some(mds))
         } else {
@@ -251,7 +249,6 @@ impl Sandbox {
             &self.roots,
             self.clock.clone(),
         )
-        // lint:allow(unwrap) — quickstart sandbox: fail fast on misconfiguration
         .expect("client connects")
     }
 
@@ -260,14 +257,12 @@ impl Sandbox {
         let gram = self
             .baseline_gram
             .as_ref()
-            // lint:allow(unwrap) — documented contract: requires with_baseline
             .expect("baseline enabled")
             .addr()
             .to_string();
         let mds = self
             .baseline_mds
             .as_ref()
-            // lint:allow(unwrap) — documented contract: requires with_baseline
             .expect("baseline enabled")
             .addr()
             .to_string();
@@ -279,7 +274,6 @@ impl Sandbox {
             &self.roots,
             self.clock.clone(),
         )
-        // lint:allow(unwrap) — quickstart sandbox: fail fast on misconfiguration
         .expect("dual client connects")
     }
 

@@ -1,4 +1,4 @@
-//! `sim::lockdep` end to end: the always-on lock-order and
+//! `parking_lot::lockdep` end to end: the always-on lock-order and
 //! blocking-section analyzer that instruments the `parking_lot` shim.
 //!
 //! * acquiring two lock classes in both orders anywhere in the process
@@ -23,9 +23,9 @@
 
 use infogram::info::sub::{SinkClosed, SubSink, SubscriptionHub};
 use infogram::proto::record::InfoRecord;
-use infogram::sim::lockdep::{self, ReportKind};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::{par, ManualClock};
+use parking_lot::lockdep::{self, ReportKind};
 use parking_lot::{lock_class, Mutex};
 use std::sync::Arc;
 

@@ -33,9 +33,6 @@
 //! all of its state fresh.
 
 #![cfg(feature = "model")]
-// Test harness: panic-on-failure is the error policy here — and inside a
-// model scenario a panic IS the violation signal the explorer looks for.
-#![allow(clippy::unwrap_used)]
 
 use infogram::info::provider::{FnProvider, ProviderError};
 use infogram::info::{BreakerState, Cause, DegradationFn, SystemInformation};

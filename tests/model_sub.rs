@@ -36,9 +36,6 @@
 //!   `tests/lockdep.rs` also runs).
 
 #![cfg(feature = "model")]
-// Test harness: panic-on-failure is the error policy here — and inside a
-// model scenario a panic IS the violation signal the explorer looks for.
-#![allow(clippy::unwrap_used)]
 
 use infogram::info::provider::FnProvider;
 use infogram::info::{

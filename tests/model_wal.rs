@@ -21,9 +21,6 @@
 //!   error; no interleaving produces an acked-but-lost record.
 
 #![cfg(feature = "model")]
-// Test harness: panic-on-failure is the error policy here — and inside a
-// model scenario a panic IS the violation signal the explorer looks for.
-#![allow(clippy::unwrap_used)]
 
 use infogram::exec::{FrameWal, MemStorage, Wal, WalEvent, WalStorage};
 use infogram::sim::fault::Plan;

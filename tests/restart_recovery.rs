@@ -7,9 +7,6 @@
 //! jobs were restarted, finished jobs kept their outcomes, and the epoch
 //! advanced.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram::exec::wal::FileWal;
 use infogram::proto::message::JobStateCode;
 use infogram::quickstart::{Sandbox, SandboxConfig};

@@ -4,9 +4,6 @@
 //! this file proves the stack also runs over `std::net` sockets — frames,
 //! handshake, info queries and jobs included.
 
-// Test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram::core::{InfoGramParams, InfoGramService};
 use infogram::exec::sandbox::{ExecMode, Policy};
 use infogram::exec::wal::Wal;

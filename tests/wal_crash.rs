@@ -21,9 +21,6 @@
 //! * **Recovery telemetry**: damage found during replay is visible in
 //!   `(info=metrics)`.
 
-// Bench/example/test harness: panic-on-failure is the error policy here.
-#![allow(clippy::unwrap_used)]
-
 use infogram::exec::{
     FileStorage, FrameWal, MemStorage, RecoveredState, Wal, WalConfig, WalEvent, WalStorage, IO_BUF,
 };
