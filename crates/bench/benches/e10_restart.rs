@@ -8,15 +8,13 @@
 //! Part 2: the §6.1 per-job fault tolerance — jobs that fail are
 //! restarted automatically up to their retry budget.
 //!
-//! Env knobs: `E10_QUICK=1` runs fewer rows and restarts for smoke runs;
-//! `E10_JSON=<path>` writes a machine-readable result with a `pass` flag
-//! (every restart recovered every in-flight job, kept 3/3 finished jobs
-//! and spent no fsync), used by `scripts/bench_smoke.sh`.
+//! `BENCH_QUICK=1` runs fewer rows and restarts. Recovery is counted
+//! and gated; restart time is wall clock and reported.
 
 use infogram::exec::wal::FileWal;
 use infogram::proto::message::JobStateCode;
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram_bench::{banner, fmt_secs, table, Summary};
+use infogram_bench::{fmt_secs, row, table, Joined, Report, Summary};
 use std::time::{Duration, Instant};
 
 /// One row of part 1: `k` restarts over one log with `in_flight` jobs.
@@ -27,14 +25,6 @@ struct RestartRow {
     terminal_kept: Vec<usize>,
     boot_fsyncs: Vec<u64>,
     times: Summary,
-}
-
-impl RestartRow {
-    fn pass(&self) -> bool {
-        self.recovered.iter().all(|&n| n == self.in_flight as u64)
-            && self.terminal_kept.iter().all(|&n| n == 3)
-            && self.boot_fsyncs.iter().all(|&n| n == 0)
-    }
 }
 
 fn service_restart_row(in_flight: usize, k: usize) -> RestartRow {
@@ -106,7 +96,9 @@ fn range<T: Ord + std::fmt::Display>(values: &[T]) -> String {
     }
 }
 
-fn auto_restart_row(retries: u32) -> Vec<String> {
+/// The automatic restarts a failing job with budget `retries` got, and
+/// its final state and exit code.
+fn auto_restart_row(retries: u32) -> (u64, String, String) {
     let sandbox = Sandbox::start();
     let mut client = sandbox.connect_client();
     // A job that always fails; it burns its retry budget then fails.
@@ -125,27 +117,23 @@ fn auto_restart_row(retries: u32) -> Vec<String> {
         .metrics()
         .counter_value("jobs.restarts");
     sandbox.shutdown();
-    vec![
-        retries.to_string(),
-        restarts.to_string(),
+    (
+        restarts,
         state.to_string(),
         exit.map(|e| e.to_string()).unwrap_or_default(),
-    ]
+    )
 }
 
 fn main() {
-    let quick = std::env::var("E10_QUICK").is_ok_and(|v| v == "1");
-    let (widths, k): (&[usize], usize) = if quick {
+    let (widths, k): (&[usize], usize) = if infogram_bench::quick() {
         (&[1, 20], 5)
     } else {
         (&[1, 5, 20, 50], 11)
     };
-    banner(
+    let mut report = Report::start(
+        env!("CARGO_CRATE_NAME"),
         "E10",
         "restart from the logging service (§6/§6.1/§10)",
-        "every in-flight job is resubmitted on restart; finished jobs keep their \
-         outcomes; a start spends no fsync; per-job auto-restart consumes exactly \
-         its retry budget",
     );
 
     println!("\n-- service crash, then {k} restarts over a file-backed WAL --");
@@ -153,8 +141,8 @@ fn main() {
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            vec![
-                r.in_flight.to_string(),
+            row![
+                r.in_flight,
                 range(&r.recovered),
                 format!("{}/3", range(&r.terminal_kept)),
                 range(&r.boot_fsyncs),
@@ -163,62 +151,55 @@ fn main() {
                     "{}..{}",
                     fmt_secs(r.times.quantile(0.25)),
                     fmt_secs(r.times.quantile(0.75))
-                ),
+                )
             ]
         })
         .collect();
     table(
-        &[
-            "in-flight",
-            "recovered",
-            "terminal-kept",
-            "boot-fsyncs",
-            "recovery-p50",
-            "recovery-p25..p75",
-        ],
+        "in-flight|recovered|terminal-kept|boot-fsyncs|recovery-p50|recovery-p25..p75",
         &cells,
     );
-    let pass = rows.iter().all(RestartRow::pass);
 
     println!("\n-- §6.1 automatic job restart on failure --");
-    let auto: Vec<Vec<String>> = [0u32, 1, 3, 5]
-        .iter()
-        .map(|&r| auto_restart_row(r))
+    let budgets = [0u32, 1, 3, 5];
+    let auto: Vec<(u64, String, String)> = budgets.iter().map(|&r| auto_restart_row(r)).collect();
+    let cells: Vec<Vec<String>> = (budgets.iter().zip(&auto))
+        .map(|(r, (restarts, state, exit))| row![r, restarts, state.clone(), exit.clone()])
         .collect();
-    table(&["retry-budget", "restarts", "final-state", "exit"], &auto);
-    println!(
-        "\nreading: recovery is O(in-flight jobs) and every unfinished submission\n\
-         restarts from its logged xRSL (\"the command used and arguments\"); a\n\
-         start waits on no fsync; a job with budget N fails only after N\n\
-         automatic restarts. pass={pass}"
-    );
+    table("retry-budget|restarts|final-state|exit", &cells);
 
-    if let Ok(path) = std::env::var("E10_JSON") {
-        let json_rows: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"in_flight\": {}, \"restarts\": {k}, \
-                     \"recovered_min\": {}, \"terminal_kept_min\": {}, \
-                     \"boot_fsyncs_max\": {}, \"recovery_p50_us\": {:.1}, \
-                     \"recovery_p25_us\": {:.1}, \"recovery_p75_us\": {:.1}}}",
-                    r.in_flight,
-                    r.recovered.iter().min().unwrap_or(&0),
-                    r.terminal_kept.iter().min().unwrap_or(&0),
-                    r.boot_fsyncs.iter().max().unwrap_or(&0),
-                    r.times.median() * 1e6,
-                    r.times.quantile(0.25) * 1e6,
-                    r.times.quantile(0.75) * 1e6,
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"experiment\": \"e10_restart\",\n  \"rows\": [\n{}\n  ],\n  \
-             \"pass\": {pass}\n}}\n",
-            json_rows.join(",\n")
-        );
-        std::fs::write(&path, json).expect("write E10_JSON");
-        println!("wrote {path}");
+    let every = |f: &dyn Fn(&RestartRow) -> bool| rows.iter().all(f);
+    let per_row = |f: &dyn Fn(&RestartRow) -> String| rows.iter().map(f).joined();
+    report.claim(
+        "in_flight_jobs_recovered",
+        "every in-flight job is resubmitted on every restart",
+        every(&|r| r.recovered.iter().all(|&n| n == r.in_flight as u64)),
+        per_row(&|r| format!("{}/{}", range(&r.recovered), r.in_flight)),
+    );
+    report.claim(
+        "finished_jobs_keep_outcomes",
+        "finished jobs keep their outcomes: 3/3 DONE after every restart",
+        every(&|r| r.terminal_kept.iter().all(|&n| n == 3)),
+        per_row(&|r| format!("{}/3", range(&r.terminal_kept))),
+    );
+    report.claim(
+        "start_spends_no_fsync",
+        "a start spends no fsync",
+        every(&|r| r.boot_fsyncs.iter().all(|&n| n == 0)),
+        per_row(&|r| range(&r.boot_fsyncs)),
+    );
+    report.claim(
+        "auto_restart_uses_its_budget",
+        "per-job auto-restart consumes exactly its retry budget, then the job fails",
+        (budgets.iter().zip(&auto))
+            .all(|(&r, (restarts, state, _))| *restarts == u64::from(r) && state == "FAILED"),
+        (budgets.iter().zip(&auto))
+            .map(|(r, (restarts, state, _))| format!("{restarts}/{r} {state}"))
+            .joined(),
+    );
+    for r in &rows {
+        let name = format!("recovery_p50_us_at_{}", r.in_flight);
+        report.figure(&name, r.times.median() * 1e6);
     }
-    assert!(pass, "restart acceptance failed");
+    report.finish();
 }

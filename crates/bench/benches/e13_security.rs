@@ -1,7 +1,10 @@
 //! E13 — security (§5.3): handshake cost vs delegation depth, and the
 //! authorization decision matrix (gridmap + time-window contracts).
+//!
+//! The matrix is decided on simulated time and gated; the handshake cost
+//! is wall clock and reported.
 
-use infogram_bench::{banner, fmt_secs, table};
+use infogram_bench::{fmt_secs, row, table, Joined, Report};
 use infogram_gsi::{
     wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify, Authorizer,
     Certificate, CertificateAuthority, Contract, Credential, Dn, GridMap, HandshakeError,
@@ -26,7 +29,8 @@ fn handshake(
     wire_server_verify(&pending, &fin)
 }
 
-fn handshake_cost() {
+/// Seconds per handshake at each proxy depth.
+fn handshake_cost() -> Vec<(usize, f64)> {
     println!(
         "\n-- mutual authentication cost vs proxy chain depth (chains encoded and decoded) --"
     );
@@ -46,6 +50,7 @@ fn handshake_cost() {
     );
 
     let mut rows = Vec::new();
+    let mut costs = Vec::new();
     for depth in [0usize, 1, 2, 4, 8] {
         let mut cred: Credential = ca.issue(
             &Dn::user("Grid", "ANL", "DeepUser"),
@@ -64,16 +69,15 @@ fn handshake_cost() {
             handshake(&cred, &server, &roots, SimTime::from_secs(1), &mut rng).expect("handshake");
         }
         let per = t0.elapsed().as_secs_f64() / REPS as f64;
-        rows.push(vec![
-            depth.to_string(),
-            (cred.chain.len()).to_string(),
-            fmt_secs(per),
-        ]);
+        costs.push((depth, per));
+        rows.push(row![depth, (cred.chain.len()), fmt_secs(per)]);
     }
-    table(&["proxy-depth", "chain-len", "handshake-cpu"], &rows);
+    table("proxy-depth|chain-len|handshake-cpu", &rows);
+    costs
 }
 
-fn authorization_matrix() {
+/// Whether each case of the matrix was allowed.
+fn authorization_matrix() -> Vec<bool> {
     println!("\n-- authorization decision matrix (gridmap + contracts) --");
     let mut rng = SplitMix64::new(6510);
     let ca = CertificateAuthority::new_root(
@@ -135,6 +139,7 @@ fn authorization_matrix() {
         ("mallory (unmapped) @ 3pm", &mallory_cred, three_pm),
     ];
     let mut rows = Vec::new();
+    let mut allowed = Vec::new();
     for (label, cred, when) in cases {
         let verdict = match handshake(cred, &server, &roots, when, &mut rng) {
             Err(e) => format!("DENY (authn: {e})"),
@@ -143,24 +148,41 @@ fn authorization_matrix() {
                 Err(e) => format!("DENY (authz: {e})"),
             },
         };
-        rows.push(vec![label.to_string(), verdict]);
+        allowed.push(verdict.starts_with("ALLOW as alice"));
+        rows.push(row![label, verdict]);
     }
-    table(&["case", "decision"], &rows);
+    table("case|decision", &rows);
+    allowed
 }
 
 fn main() {
-    banner(
+    let mut report = Report::start(
+        env!("CARGO_CRATE_NAME"),
         "E13",
         "GSI handshake + contract authorization (§5.3)",
-        "handshake cost grows linearly with chain length; the decision matrix \
-         matches the paper's 'allow access from 3 to 4 pm to user X' semantics exactly",
     );
-    handshake_cost();
-    authorization_matrix();
-    println!(
-        "\nreading: the handshake's cost — encoding, decoding and verifying both\n\
-         chains — scales with delegation depth; authorization composes gridmap\n\
-         mapping (who are you locally) with contract windows (when may you use\n\
-         this resource)."
+    let costs = handshake_cost();
+    let allowed = authorization_matrix();
+
+    report.claim(
+        "matrix_matches_the_paper",
+        "the decision matrix matches 'allow access from 3 to 4 pm to user X' exactly: \
+         alice in her window, directly or through a live proxy, and nobody else",
+        allowed == [true, false, true, false, false],
+        format!("allowed: {allowed:?}"),
     );
+    // Linear in the chain: the cost per added link stays within 2x of
+    // its mean across the depths.
+    let per_link: Vec<f64> = costs
+        .windows(2)
+        .map(|p| (p[1].1 - p[0].1) / (p[1].0 - p[0].0) as f64)
+        .collect();
+    let mean = per_link.iter().sum::<f64>() / per_link.len() as f64;
+    report.reported(
+        "handshake_linear_in_chain",
+        "handshake cost grows linearly with chain length",
+        per_link.iter().all(|&l| l > mean / 2.0 && l < 2.0 * mean),
+        per_link.iter().map(|&l| fmt_secs(l)).joined() + " per added link",
+    );
+    report.finish();
 }

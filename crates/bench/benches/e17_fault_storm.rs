@@ -11,11 +11,9 @@
 //! issued one keyword at a time — so the whole run is deterministic and
 //! the bench replays itself with the same seed to prove it.
 //!
-//! Env knobs: `E17_QUICK=1` shrinks the round count for smoke runs;
-//! `E17_JSON=<path>` writes a machine-readable result with a `pass`
-//! flag (used by `scripts/bench_smoke.sh`).
+//! `BENCH_QUICK=1` shrinks the round count.
 
-use infogram_bench::{banner, manual_world_with_config, table};
+use infogram_bench::{manual_world_with_config, row, table, Report};
 use infogram_info::config::{ServiceConfig, TABLE1_TEXT};
 use infogram_info::service::QueryOptions;
 use infogram_rsl::InfoSelector;
@@ -111,16 +109,11 @@ fn run_storm(rounds: usize) -> (Tally, f64) {
 }
 
 fn main() {
-    let quick = std::env::var("E17_QUICK").is_ok_and(|v| v == "1");
-    let rounds = if quick { 400 } else { 2000 };
-
-    banner(
+    let rounds = if infogram_bench::quick() { 400 } else { 2000 };
+    let mut report = Report::start(
+        env!("CARGO_CRATE_NAME"),
         "E17",
         "fault storm: supervised fetches under 10% provider failure",
-        "availability stays >=99% while the storm rages — failed fetches \
-         are retried or served last-known-good (tagged degraded), never \
-         surfaced as INTERNAL at the storm's rate; the run replays \
-         byte-identically from its seed",
     );
 
     let (tally, wall) = run_storm(rounds);
@@ -136,31 +129,23 @@ fn main() {
         ROUND_STEP
     );
     table(
-        &[
-            "queries",
-            "fresh",
-            "served stale",
-            "errors",
-            "availability",
-            "stale ratio",
-            "queries/s",
-        ],
-        &[vec![
-            tally.queries.to_string(),
-            tally.fresh.to_string(),
-            tally.stale.to_string(),
-            tally.errors.to_string(),
+        "queries|fresh|served stale|errors|availability|stale ratio|queries/s",
+        &[row![
+            tally.queries,
+            tally.fresh,
+            tally.stale,
+            tally.errors,
             format!("{:.4}", availability),
             format!("{:.4}", stale_ratio),
-            format!("{qps:.0}"),
+            format!("{qps:.0}")
         ]],
     );
     table(
-        &["in-fetch retries", "stale serves", "deadline breaches"],
-        &[vec![
-            tally.retries.to_string(),
-            tally.stale_serves.to_string(),
-            tally.deadline_breaches.to_string(),
+        "in-fetch retries|stale serves|deadline breaches",
+        &[row![
+            tally.retries,
+            tally.stale_serves,
+            tally.deadline_breaches
         ]],
     );
 
@@ -169,52 +154,22 @@ fn main() {
     let (replay, _) = run_storm(rounds);
     let deterministic = replay == tally;
 
-    // Acceptance: the storm actually hit (retries happened), the
-    // supervisor absorbed it (>=99% of queries answered), and the run
-    // is reproducible from its seed.
-    let pass = availability >= 0.99 && tally.retries > 0 && deterministic;
-    println!(
-        "\nreading: {:.2}% of queries answered under the storm \
-         ({} retried executions, {} stale serves, {} deadline breaches); \
-         deterministic replay={deterministic}; pass={pass}",
-        availability * 100.0,
-        tally.retries,
-        tally.stale_serves,
-        tally.deadline_breaches,
+    report.claim(
+        "available_under_storm",
+        "availability stays >=99% while the storm rages (it hit: fetches were retried) — \
+         failed fetches are retried or served last-known-good, tagged degraded",
+        availability >= 0.99 && tally.retries > 0,
+        format!(
+            "{availability:.4} answered, {} retries, {} served stale",
+            tally.retries, tally.stale
+        ),
     );
-
-    if let Ok(path) = std::env::var("E17_JSON") {
-        let json = format!(
-            "{{\n  \"experiment\": \"e17_fault_storm\",\n  \
-             \"seed\": {SEED},\n  \
-             \"rounds\": {rounds},\n  \
-             \"queries\": {},\n  \
-             \"fresh\": {},\n  \
-             \"served_stale\": {},\n  \
-             \"errors\": {},\n  \
-             \"availability\": {availability:.4},\n  \
-             \"served_stale_ratio\": {stale_ratio:.4},\n  \
-             \"retries\": {},\n  \
-             \"stale_serves\": {},\n  \
-             \"deadline_breaches\": {},\n  \
-             \"queries_per_sec\": {qps:.0},\n  \
-             \"deterministic_replay\": {deterministic},\n  \
-             \"pass\": {pass}\n}}\n",
-            tally.queries,
-            tally.fresh,
-            tally.stale,
-            tally.errors,
-            tally.retries,
-            tally.stale_serves,
-            tally.deadline_breaches,
-        );
-        std::fs::write(&path, json).expect("write E17_JSON");
-        println!("wrote {path}");
-    }
-    assert!(
-        pass,
-        "fault-storm acceptance failed: availability {availability:.4}, \
-         retries {}, deterministic {deterministic}",
-        tally.retries
+    report.claim(
+        "replays_from_seed",
+        "the run replays byte-identically from its seed",
+        deterministic,
+        format!("replay equal: {deterministic}"),
     );
+    report.figure("queries_per_sec", qps);
+    report.finish();
 }

@@ -9,11 +9,9 @@
 //! same query schedule; only the refresh policy differs. The scheduler
 //! arm replays itself from the seed to prove determinism.
 //!
-//! Env knobs: `E18_QUICK=1` shrinks the round count for smoke runs;
-//! `E18_JSON=<path>` writes a machine-readable result with a `pass`
-//! flag (used by `scripts/bench_smoke.sh`).
+//! `BENCH_QUICK=1` shrinks the round count.
 
-use infogram_bench::{banner, manual_world_with_config, table};
+use infogram_bench::{manual_world_with_config, row, table, Report};
 use infogram_info::config::ServiceConfig;
 use infogram_info::sched::RefreshScheduler;
 use infogram_info::service::QueryOptions;
@@ -159,16 +157,11 @@ fn run_polling(rounds: usize) -> Tally {
 }
 
 fn main() {
-    let quick = std::env::var("E18_QUICK").is_ok_and(|v| v == "1");
-    let rounds = if quick { 600 } else { 3000 };
-
-    banner(
+    let rounds = if infogram_bench::quick() { 600 } else { 3000 };
+    let mut report = Report::start(
+        env!("CARGO_CRATE_NAME"),
         "E18",
         "adaptive refresh scheduling vs TTL-expiry polling",
-        "steady traffic on prefetched keywords hits >=99.9% of the time, \
-         with strictly fewer provider executions than polling every \
-         keyword each TTL; cold keywords are skipped, not refreshed; \
-         the run replays byte-identically from its seed",
     );
 
     let (sched, wall) = run_scheduled(rounds);
@@ -182,40 +175,33 @@ fn main() {
         rounds, STEP
     );
     table(
+        "arm|queries|hits|misses|hit rate|provider execs",
         &[
-            "arm",
-            "queries",
-            "hits",
-            "misses",
-            "hit rate",
-            "provider execs",
-        ],
-        &[
-            vec![
-                "scheduler".to_string(),
-                sched.queries.to_string(),
-                sched.hits.to_string(),
-                sched.misses.to_string(),
+            row![
+                "scheduler",
+                sched.queries,
+                sched.hits,
+                sched.misses,
                 format!("{hit_rate:.4}"),
-                sched.executions.to_string(),
+                sched.executions
             ],
-            vec![
-                "ttl-polling".to_string(),
-                polling.queries.to_string(),
-                polling.hits.to_string(),
-                polling.misses.to_string(),
+            row![
+                "ttl-polling",
+                polling.queries,
+                polling.hits,
+                polling.misses,
                 format!("{polling_hit_rate:.4}"),
-                polling.executions.to_string(),
+                polling.executions
             ],
         ],
     );
     table(
-        &["prefetches", "cold skips", "execs saved", "queries/s"],
-        &[vec![
-            sched.prefetches.to_string(),
-            sched.skipped.to_string(),
-            (polling.executions.saturating_sub(sched.executions)).to_string(),
-            format!("{qps:.0}"),
+        "prefetches|cold skips|execs saved|queries/s",
+        &[row![
+            sched.prefetches,
+            sched.skipped,
+            (polling.executions.saturating_sub(sched.executions)),
+            format!("{qps:.0}")
         ]],
     );
 
@@ -223,52 +209,39 @@ fn main() {
     let (replay, _) = run_scheduled(rounds);
     let deterministic = replay == sched;
 
-    let pass = hit_rate >= 0.999
-        && sched.executions < polling.executions
-        && sched.skipped > 0
-        && deterministic;
-    println!(
-        "\nreading: {:.2}% hit rate with {} provider executions vs {} under \
-         TTL polling ({} cold skips, {} prefetches); \
-         deterministic replay={deterministic}; pass={pass}",
-        hit_rate * 100.0,
-        sched.executions,
-        polling.executions,
-        sched.skipped,
-        sched.prefetches,
+    report.claim(
+        "prefetched_hits",
+        "steady traffic on prefetched keywords hits >=99.9% of the time",
+        hit_rate >= 0.999,
+        format!(
+            "{hit_rate:.4} ({} hits, {} misses)",
+            sched.hits, sched.misses
+        ),
     );
-
-    if let Ok(path) = std::env::var("E18_JSON") {
-        let json = format!(
-            "{{\n  \"experiment\": \"e18_refresh_sched\",\n  \
-             \"seed\": {SEED},\n  \
-             \"rounds\": {rounds},\n  \
-             \"queries\": {},\n  \
-             \"hits\": {},\n  \
-             \"misses\": {},\n  \
-             \"hit_rate\": {hit_rate:.4},\n  \
-             \"executions\": {},\n  \
-             \"polling_executions\": {},\n  \
-             \"prefetches\": {},\n  \
-             \"cold_skips\": {},\n  \
-             \"queries_per_sec\": {qps:.0},\n  \
-             \"deterministic_replay\": {deterministic},\n  \
-             \"pass\": {pass}\n}}\n",
-            sched.queries,
-            sched.hits,
-            sched.misses,
-            sched.executions,
-            polling.executions,
-            sched.prefetches,
-            sched.skipped,
-        );
-        std::fs::write(&path, json).expect("write E18_JSON");
-        println!("wrote {path}");
-    }
-    assert!(
-        pass,
-        "refresh-sched acceptance failed: hit rate {hit_rate:.4}, \
-         executions {} vs polling {}, skips {}, deterministic {deterministic}",
-        sched.executions, polling.executions, sched.skipped
+    report.claim(
+        "fewer_executions_than_polling",
+        "with strictly fewer provider executions than polling every keyword each TTL",
+        sched.executions < polling.executions,
+        format!(
+            "{} vs {} under polling",
+            sched.executions, polling.executions
+        ),
     );
+    report.claim(
+        "cold_keywords_skipped",
+        "cold keywords are skipped, not refreshed",
+        sched.skipped > 0,
+        format!(
+            "{} cold skips, {} prefetches",
+            sched.skipped, sched.prefetches
+        ),
+    );
+    report.claim(
+        "replays_from_seed",
+        "the run replays byte-identically from its seed",
+        deterministic,
+        format!("replay equal: {deterministic}"),
+    );
+    report.figure("queries_per_sec", qps);
+    report.finish();
 }

@@ -15,12 +15,10 @@
 //! a transition should cost the same either way, since only the job's
 //! own subscribers hear of it.
 //!
-//! Env knobs: `E19_QUICK=1` shrinks the population for smoke runs;
-//! `E19_JSON=<path>` writes a machine-readable result with a `pass`
-//! flag (used by `scripts/bench_smoke.sh`).
+//! `BENCH_QUICK=1` shrinks the population.
 
 use infogram::quickstart::Sandbox;
-use infogram_bench::{banner, table};
+use infogram_bench::{row, table, Report, Summary};
 use infogram_info::sub::{SinkClosed, SubSink, SubscriptionHub};
 use infogram_proto::message::Reply;
 use infogram_proto::record::InfoRecord;
@@ -75,14 +73,6 @@ fn record(kw: &str, round: u64) -> InfoRecord {
     rec
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Median wall time, in microseconds, of the `status` call that finds a
 /// job transition, against a sandbox service holding `idle` other
 /// authenticated connections that send nothing. The job fails after a
@@ -113,30 +103,24 @@ fn transition_us(idle: usize, rounds: u32) -> f64 {
         for _ in 0..2 {
             let t = Instant::now();
             let state = engine.status(handle.job_id).expect("known").state;
-            let us = t.elapsed().as_secs_f64() * 1e6;
             if state != last {
-                samples.push(us);
+                samples.push(t.elapsed());
             }
             last = state;
         }
     }
     drop(clients);
     sandbox.shutdown();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    percentile(&samples, 0.5)
+    Summary::from_durations(&samples).median() * 1e6
 }
 
 fn main() {
-    let quick = std::env::var("E19_QUICK").is_ok_and(|v| v == "1");
+    let quick = infogram_bench::quick();
     let population: usize = if quick { 10_000 } else { 100_000 };
-
-    banner(
+    let mut report = Report::start(
+        env!("CARGO_CRATE_NAME"),
         "E19",
         "push-subscription fan-out at scale",
-        "100k standing subscriptions over 64 keywords: every subscriber \
-         receives every version of its keyword exactly once, in order, \
-         with zero missed updates; fan-out touches only the keyword's \
-         own subscribers, keeping p99 per-subscriber delivery under 100us",
     );
 
     let hub = SubscriptionHub::new(HOST, MetricSet::new());
@@ -158,14 +142,14 @@ fn main() {
     let per_keyword = population / KEYWORDS;
 
     // --- fan-out: ROUNDS updates on every keyword, timed per notify ---
-    let mut notify_us: Vec<f64> = Vec::with_capacity(KEYWORDS * ROUNDS as usize);
+    let mut notify = Vec::with_capacity(KEYWORDS * ROUNDS as usize);
     let drive = Instant::now();
     for round in 1..=ROUNDS {
         for k in 0..KEYWORDS {
             let kw = keyword(k);
             let t = Instant::now();
             hub.notify_record(&kw, record(&kw, round));
-            notify_us.push(t.elapsed().as_secs_f64() * 1e6);
+            notify.push(t.elapsed());
         }
     }
     let drive_secs = drive.elapsed().as_secs_f64();
@@ -187,9 +171,8 @@ fn main() {
     }
     let expected = population as u64 * ROUNDS;
 
-    notify_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let p50 = percentile(&notify_us, 0.50);
-    let p99 = percentile(&notify_us, 0.99);
+    let notify = Summary::from_durations(&notify);
+    let (p50, p99) = (notify.median() * 1e6, notify.quantile(0.99) * 1e6);
     let p99_per_sub = p99 / per_keyword as f64;
     let throughput = delivered as f64 / drive_secs;
 
@@ -198,28 +181,17 @@ fn main() {
          {ROUNDS} rounds --"
     );
     table(
-        &[
-            "deliveries",
-            "expected",
-            "gapped sinks",
-            "short sinks",
-            "deliveries/s",
-        ],
-        &[vec![
-            delivered.to_string(),
-            expected.to_string(),
-            gaps.to_string(),
-            short.to_string(),
-            format!("{throughput:.0}"),
+        "deliveries|expected|gapped sinks|short sinks|deliveries/s",
+        &[row![
+            delivered,
+            expected,
+            gaps,
+            short,
+            format!("{throughput:.0}")
         ]],
     );
     table(
-        &[
-            "subscribe total (s)",
-            "notify p50 (us)",
-            "notify p99 (us)",
-            "p99 per subscriber (us)",
-        ],
+        "subscribe total (s)|notify p50 (us)|notify p99 (us)|p99 per subscriber (us)",
         &[vec![
             format!("{setup_secs:.2}"),
             format!("{p50:.0}"),
@@ -235,50 +207,36 @@ fn main() {
     let crowded_us = transition_us(idle, rounds);
     println!("\n-- one job transition (median `status` that finds it) --");
     table(
-        &["idle connections", "transition (us)"],
+        "idle connections|transition (us)",
         &[
-            vec!["0".to_string(), format!("{alone_us:.2}")],
-            vec![idle.to_string(), format!("{crowded_us:.2}")],
+            row!["0", format!("{alone_us:.2}")],
+            row![idle, format!("{crowded_us:.2}")],
         ],
     );
 
+    report.claim(
+        "every_version_exactly_once",
+        "every subscriber receives every version of its keyword exactly once, in order, \
+         with zero missed updates",
+        delivered == expected && gaps == 0 && short == 0,
+        format!("{delivered}/{expected} deliveries, {gaps} gapped, {short} short"),
+    );
+    report.claim(
+        "fan_out_per_keyword",
+        "fan-out touches only the keyword's own subscribers, keeping p99 per-subscriber \
+         delivery under 100us",
+        p99_per_sub < 100.0,
+        format!("p99 {p99:.0}us for {per_keyword} subscribers, {p99_per_sub:.2}us each"),
+    );
     // Flat: idle peers add nothing to a transition (at 100 of them, a
     // per-connection watcher more than doubled it).
-    let flat = crowded_us <= 1.5 * alone_us + 2.0;
-    let pass = delivered == expected && gaps == 0 && short == 0 && p99_per_sub < 100.0 && flat;
-    println!(
-        "\nreading: {delivered}/{expected} deliveries, {gaps} gapped and {short} short \
-         subscribers (zero missed updates), p99 fan-out {p99:.0}us for {per_keyword} \
-         subscribers ({p99_per_sub:.2}us each); a transition costs {alone_us:.2}us \
-         alone and {crowded_us:.2}us beside {idle} idle connections; pass={pass}"
+    report.claim(
+        "transition_flat_beside_idle_connections",
+        "a job transition costs the same beside idle connections as alone",
+        crowded_us <= 1.5 * alone_us + 2.0,
+        format!("{alone_us:.2}us alone, {crowded_us:.2}us beside {idle} idle"),
     );
-
-    if let Ok(path) = std::env::var("E19_JSON") {
-        let json = format!(
-            "{{\n  \"experiment\": \"e19_push_sub\",\n  \
-             \"population\": {population},\n  \
-             \"keywords\": {KEYWORDS},\n  \
-             \"rounds\": {ROUNDS},\n  \
-             \"deliveries\": {delivered},\n  \
-             \"expected\": {expected},\n  \
-             \"gapped_sinks\": {gaps},\n  \
-             \"short_sinks\": {short},\n  \
-             \"deliveries_per_sec\": {throughput:.0},\n  \
-             \"notify_p50_us\": {p50:.1},\n  \
-             \"notify_p99_us\": {p99:.1},\n  \
-             \"p99_per_subscriber_us\": {p99_per_sub:.3},\n  \
-             \"idle_connections\": {idle},\n  \
-             \"transition_us_alone\": {alone_us:.2},\n  \
-             \"transition_us_beside_idle\": {crowded_us:.2},\n  \
-             \"pass\": {pass}\n}}\n"
-        );
-        std::fs::write(&path, json).expect("write E19_JSON");
-        println!("wrote {path}");
-    }
-    assert!(
-        pass,
-        "push-sub acceptance failed: {delivered}/{expected} deliveries, \
-         {gaps} gapped, {short} short, p99/subscriber {p99_per_sub:.2}us, \
-         transition {alone_us:.2}us alone vs {crowded_us:.2}us beside {idle} idle"
-    );
+    report.figure("notify_p99_us", p99);
+    report.figure("deliveries_per_sec", throughput);
+    report.finish();
 }

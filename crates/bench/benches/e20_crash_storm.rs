@@ -8,32 +8,18 @@
 //! disk misbehaves; the crash kills the service; a second incarnation
 //! recovers over the surviving durable bytes and the storm resumes.
 //!
-//! Acceptance (the durability contract, end to end):
+//! Its claims are the durability contract, end to end. An ack is issued
+//! only once its log record is fsynced, and every fault decision is keyed
+//! by operation count on a virtual clock, so the whole run — acks,
+//! refusals, outcomes, recovery stats — replays from its seed.
 //!
-//! * **zero acked-submission loss** — every submission the engine acked
-//!   is present after recovery (an ack is only issued once the log
-//!   record is fsynced);
-//! * **zero resurrected finished jobs** — every job observed terminal
-//!   before the crash recovers terminal with the same exit code;
-//! * **checkpoint + tail replay** — recovery uses the newest checkpoint
-//!   and replays a bounded tail, not the full history, in bounded time;
-//! * **honest degradation, then healing** — mid-storm faults reject
-//!   submissions (`WalUnavailable`) instead of silently acking, and the
-//!   restarted service accepts work again;
-//! * **deterministic replay** — the whole run (acks, rejections,
-//!   outcomes, recovery stats) reproduces byte-identically from the
-//!   seed, because every fault decision is keyed by operation count on
-//!   a virtual clock.
-//!
-//! Env knobs: `E20_QUICK=1` shrinks the round count for smoke runs;
-//! `E20_JSON=<path>` writes a machine-readable result with a `pass`
-//! flag (used by `scripts/bench_smoke.sh` / `scripts/check_crash.sh`).
+//! `BENCH_QUICK=1` shrinks the round count.
 
 use infogram::exec::{
     EngineConfig, ForkBackend, FrameWal, JobEngine, MemStorage, SubmitError, Wal, WalConfig,
     WalStorage,
 };
-use infogram_bench::{banner, table};
+use infogram_bench::{row, table, Report};
 use infogram_host::commands::{ChargeMode, CommandRegistry};
 use infogram_host::machine::SimulatedHost;
 use infogram_obs::MetricSet;
@@ -172,55 +158,36 @@ fn run_storm(rounds: u64) -> (Tally, f64) {
 }
 
 fn main() {
-    let quick = std::env::var("E20_QUICK").is_ok_and(|v| v == "1");
-    let rounds: u64 = if quick { 80 } else { 400 };
-
-    banner(
+    let rounds: u64 = if infogram_bench::quick() { 80 } else { 400 };
+    let mut report = Report::start(
+        env!("CARGO_CRATE_NAME"),
         "E20",
         "crash storm: WAL durability under disk faults + power loss (§6)",
-        "every acked submission survives a mid-storm crash, every job seen \
-         terminal stays terminal, recovery replays checkpoint + bounded \
-         tail, and the run replays byte-identically from its seed",
     );
 
     let (tally, recovery_secs) = run_storm(rounds);
     println!("\n-- storm: {rounds} rounds, seed {SEED:#x}, crash after {rounds} appends --");
     table(
-        &[
-            "acked",
-            "rejected",
-            "seen-done",
-            "lost-acked",
-            "resurrected",
-            "restarted",
-            "post-acked",
-        ],
-        &[vec![
-            tally.acked.len().to_string(),
-            tally.rejected.to_string(),
-            tally.seen_done.len().to_string(),
-            tally.lost_acked.to_string(),
-            tally.resurrected.to_string(),
-            tally.restarted_in_flight.to_string(),
-            tally.post_acked.to_string(),
+        "acked|rejected|seen-done|lost-acked|resurrected|restarted|post-acked",
+        &[row![
+            tally.acked.len(),
+            tally.rejected,
+            tally.seen_done.len(),
+            tally.lost_acked,
+            tally.resurrected,
+            tally.restarted_in_flight,
+            tally.post_acked
         ]],
     );
     table(
-        &[
-            "checkpoint-used",
-            "events-replayed",
-            "tail-events",
-            "corrupt-frames",
-            "torn-bytes",
-            "recovery-time",
-        ],
-        &[vec![
-            tally.checkpoint_used.to_string(),
-            tally.events_replayed.to_string(),
-            tally.events_since_checkpoint.to_string(),
-            tally.corrupt_frames.to_string(),
-            tally.truncated_tail_bytes.to_string(),
-            format!("{:.1} ms", recovery_secs * 1e3),
+        "checkpoint-used|events-replayed|tail-events|corrupt-frames|torn-bytes|recovery-time",
+        &[row![
+            tally.checkpoint_used,
+            tally.events_replayed,
+            tally.events_since_checkpoint,
+            tally.corrupt_frames,
+            tally.truncated_tail_bytes,
+            format!("{:.1} ms", recovery_secs * 1e3)
         ]],
     );
 
@@ -228,80 +195,57 @@ fn main() {
     let (replay, _) = run_storm(rounds);
     let deterministic = replay == tally;
 
+    report.claim(
+        "acked_survive_crash",
+        "every acked submission survives a mid-storm crash",
+        tally.crashed_mid_storm && !tally.acked.is_empty() && tally.lost_acked == 0,
+        format!(
+            "crashed {}, {} acked, {} lost",
+            tally.crashed_mid_storm,
+            tally.acked.len(),
+            tally.lost_acked
+        ),
+    );
+    report.claim(
+        "terminal_stays_terminal",
+        "every job seen terminal stays terminal",
+        !tally.seen_done.is_empty() && tally.resurrected == 0,
+        format!(
+            "{} seen terminal, {} resurrected",
+            tally.seen_done.len(),
+            tally.resurrected
+        ),
+    );
     // Bounded tail: rotation can defer a checkpoint by one batch, so
     // allow a few batches of slack over the configured cadence.
-    let bounded_tail = tally.events_since_checkpoint <= wal_cfg().checkpoint_every_events * 4;
-    let pass = tally.crashed_mid_storm
-        && tally.lost_acked == 0
-        && tally.resurrected == 0
-        && !tally.acked.is_empty()
-        && !tally.seen_done.is_empty()
-        && tally.checkpoint_used
-        && bounded_tail
-        && recovery_secs < 2.0
-        && tally.post_acked > 0
-        && deterministic;
-
-    println!(
-        "\nreading: {} acked submissions survived a mid-storm power loss with \
-         0 losses and 0 resurrections ({} rejected honestly during faults); \
-         recovery replayed a {}-event tail off a checkpoint in {:.1} ms; \
-         deterministic replay={deterministic}; pass={pass}",
-        tally.acked.len(),
-        tally.rejected,
-        tally.events_since_checkpoint,
-        recovery_secs * 1e3,
-    );
-
-    if let Ok(path) = std::env::var("E20_JSON") {
-        let json = format!(
-            "{{\n  \"experiment\": \"e20_crash_storm\",\n  \
-             \"seed\": {SEED},\n  \
-             \"rounds\": {rounds},\n  \
-             \"acked\": {},\n  \
-             \"rejected\": {},\n  \
-             \"seen_done\": {},\n  \
-             \"lost_acked\": {},\n  \
-             \"resurrected\": {},\n  \
-             \"restarted_in_flight\": {},\n  \
-             \"checkpoint_used\": {},\n  \
-             \"events_replayed\": {},\n  \
-             \"events_since_checkpoint\": {},\n  \
-             \"corrupt_frames\": {},\n  \
-             \"truncated_tail_bytes\": {},\n  \
-             \"recovery_ms\": {:.1},\n  \
-             \"post_acked\": {},\n  \
-             \"post_rejected\": {},\n  \
-             \"deterministic_replay\": {deterministic},\n  \
-             \"pass\": {pass}\n}}\n",
-            tally.acked.len(),
-            tally.rejected,
-            tally.seen_done.len(),
-            tally.lost_acked,
-            tally.resurrected,
-            tally.restarted_in_flight,
+    report.claim(
+        "checkpoint_and_bounded_tail",
+        "recovery replays checkpoint + a bounded tail, in under 2 s",
+        tally.checkpoint_used
+            && tally.events_since_checkpoint <= wal_cfg().checkpoint_every_events * 4
+            && recovery_secs < 2.0,
+        format!(
+            "checkpoint {}, {}-event tail, {:.1} ms",
             tally.checkpoint_used,
-            tally.events_replayed,
             tally.events_since_checkpoint,
-            tally.corrupt_frames,
-            tally.truncated_tail_bytes,
-            recovery_secs * 1e3,
-            tally.post_acked,
-            tally.post_rejected,
-        );
-        std::fs::write(&path, json).expect("write E20_JSON");
-        println!("wrote {path}");
-    }
-    assert!(
-        pass,
-        "crash-storm acceptance failed: crashed={} lost={} resurrected={} \
-         checkpoint_used={} tail={} recovery={recovery_secs:.3}s post_acked={} \
-         deterministic={deterministic}",
-        tally.crashed_mid_storm,
-        tally.lost_acked,
-        tally.resurrected,
-        tally.checkpoint_used,
-        tally.events_since_checkpoint,
-        tally.post_acked,
+            recovery_secs * 1e3
+        ),
     );
+    report.claim(
+        "heals_after_restart",
+        "faults are refused honestly, and the restarted service accepts work again",
+        tally.post_acked > 0,
+        format!(
+            "{} refused during the storm, {} acked after",
+            tally.rejected, tally.post_acked
+        ),
+    );
+    report.claim(
+        "replays_from_seed",
+        "the run replays byte-identically from its seed",
+        deterministic,
+        format!("replay equal: {deterministic}"),
+    );
+    report.figure("recovery_ms", recovery_secs * 1e3);
+    report.finish();
 }

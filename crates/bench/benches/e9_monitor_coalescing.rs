@@ -7,28 +7,41 @@
 //! Part 1 (real threads, real clock): C concurrent updaters against a
 //! slow provider — the monitor must collapse each storm to one provider
 //! execution; without the monitor every caller would execute (C per
-//! storm, the analytic ablation baseline).
+//! storm, the analytic ablation baseline). The provider holds its
+//! execution until all C callers have arrived, so every storm is
+//! concurrent however slowly its threads start, and the count is exact.
 //!
 //! Part 2 (virtual clock): back-to-back `updateState` calls under a
 //! `delay` throttle.
 
-use infogram_bench::{banner, fmt_ratio, table};
+use infogram_bench::{fmt_ratio, row, table, Joined, Report};
 use infogram_info::entry::SystemInformation;
 use infogram_info::provider::FnProvider;
 use infogram_info::quality::DegradationFn;
 use infogram_sim::{ManualClock, SystemClock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Storms per concurrency level.
+const ROUNDS: usize = 5;
+
 fn storm(concurrency: usize) -> (u64, u64) {
-    const ROUNDS: usize = 5;
     let clock = SystemClock::shared();
     let produces = Arc::new(AtomicU64::new(0));
-    let p2 = Arc::clone(&produces);
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let (p2, a2) = (Arc::clone(&produces), Arc::clone(&arrived));
     let si = SystemInformation::new(
         Box::new(FnProvider::new("Slow", move || {
             p2.fetch_add(1, Ordering::SeqCst);
+            // Hold the execution (at most 10 s) until the storm's last
+            // caller has arrived, then give it 30 ms to reach the monitor.
+            for _ in 0..10_000 {
+                if a2.load(Ordering::SeqCst) >= concurrency {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
             std::thread::sleep(Duration::from_millis(30));
             Ok(vec![("v".to_string(), "1".to_string())])
         })),
@@ -37,10 +50,14 @@ fn storm(concurrency: usize) -> (u64, u64) {
         DegradationFn::default(),
     );
     for _ in 0..ROUNDS {
+        arrived.store(0, Ordering::SeqCst);
         let threads: Vec<_> = (0..concurrency)
             .map(|_| {
-                let si = Arc::clone(&si);
-                std::thread::spawn(move || si.update_state().expect("update"))
+                let (si, arrived) = (Arc::clone(&si), Arc::clone(&arrived));
+                std::thread::spawn(move || {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    si.update_state().expect("update")
+                })
             })
             .collect();
         for t in threads {
@@ -73,47 +90,58 @@ fn delay_throttle(delay_ms: u64) -> u64 {
 }
 
 fn main() {
-    banner(
+    let mut report = Report::start(
+        env!("CARGO_CRATE_NAME"),
         "E9",
         "update-monitor coalescing + delay throttle (§6.2)",
-        "the monitor keeps provider executions at 1 per storm regardless of \
-         concurrency; the delay caps execution rate at 1 per delay window",
     );
 
-    println!("\n-- monitor coalescing: C threads × 5 storms, 30 ms provider --");
+    println!("\n-- monitor coalescing: C threads × {ROUNDS} storms, 30 ms provider --");
     let mut rows = Vec::new();
+    let mut storms = Vec::new();
     for c in [1usize, 2, 4, 8, 16, 32] {
         let (execs, naive) = storm(c);
-        rows.push(vec![
-            c.to_string(),
-            execs.to_string(),
-            naive.to_string(),
-            fmt_ratio(naive as f64 / execs as f64),
+        storms.push((c, execs));
+        rows.push(row![
+            c,
+            execs,
+            naive,
+            fmt_ratio(naive as f64 / execs as f64)
         ]);
     }
-    table(
-        &["threads", "execs (monitor)", "execs (no monitor)", "saving"],
-        &rows,
-    );
+    table("threads|execs (monitor)|execs (no monitor)|saving", &rows);
 
     println!("\n-- delay throttle: 100 updateState calls at 10 ms spacing --");
     let mut rows = Vec::new();
+    let mut throttled = Vec::new();
     for delay_ms in [0u64, 20, 50, 100, 500] {
         let execs = delay_throttle(delay_ms);
-        let expected = match 1000u64.checked_div(delay_ms) {
-            None => 100, // delay 0: every call executes
-            Some(per_window) => per_window.min(100) + 1,
-        };
-        rows.push(vec![
-            delay_ms.to_string(),
-            execs.to_string(),
-            format!("~{expected}"),
-        ]);
+        // One execution per delay window of the 1 s the calls span;
+        // delay 0: every call executes.
+        let expected = 1000u64.div_ceil(delay_ms.max(1)).min(100);
+        throttled.push((execs, expected));
+        rows.push(row![delay_ms, execs, expected]);
     }
-    table(&["delay(ms)", "real execs/100 calls", "expected"], &rows);
-    println!(
-        "\nreading: both §6.2 mechanisms behave as specified — concurrent storms\n\
-         collapse to one execution (waiters reuse the in-flight result) and the\n\
-         delay gate serves the cached copy for callers arriving inside the window."
+    table("delay(ms)|execs/100 calls|1 per window", &rows);
+
+    report.claim(
+        "monitor_one_execution_per_storm",
+        "the monitor keeps provider executions at 1 per storm regardless of concurrency",
+        storms.iter().all(|&(_, execs)| execs == ROUNDS as u64),
+        storms
+            .iter()
+            .map(|(c, execs)| format!("{execs} at {c} threads"))
+            .joined()
+            + &format!(" ({ROUNDS} storms)"),
     );
+    report.claim(
+        "delay_one_execution_per_window",
+        "the delay caps executions at exactly 1 per delay window",
+        throttled.iter().all(|(execs, expected)| execs == expected),
+        throttled
+            .iter()
+            .map(|(execs, expected)| format!("{execs}/{expected}"))
+            .joined(),
+    );
+    report.finish();
 }

@@ -6,18 +6,20 @@
 //! gatekeeper (connect: GSI handshake + gridmap authorization), job
 //! manager (submit: RSL parse, WAL, backend dispatch), and backend
 //! (run: the job's own execution), plus status-poll cost.
+//!
+//! The tier costs are wall clock. The one gated on it holds by more than
+//! an order of magnitude; the per-connection handshake is counted.
 
 use infogram::quickstart::{Sandbox, SandboxConfig};
-use infogram_bench::{banner, fmt_secs, table, Summary};
+use infogram_bench::{fmt_secs, row, table, Report, Summary};
 use infogram_client::GramClient;
 use std::time::{Duration, Instant};
 
 fn main() {
-    banner(
+    let mut report = Report::start(
+        env!("CARGO_CRATE_NAME"),
         "F1",
         "GRAM tier latency breakdown (Figure 1)",
-        "the backend tier (job runtime) dominates; gatekeeper cost is per-connection \
-         (handshake), job-manager cost per-request — the same shape as C-GRAM",
     );
 
     let sandbox = Sandbox::start_with(SandboxConfig {
@@ -67,6 +69,7 @@ fn main() {
     }
 
     let mut rows = Vec::new();
+    let mut means = Vec::new();
     for (tier, what, samples) in [
         (
             "gatekeeper",
@@ -78,19 +81,39 @@ fn main() {
         ("backend", "job execution (20 ms simwork)", &t_run),
     ] {
         let s = Summary::from_durations(samples);
-        rows.push(vec![
-            tier.to_string(),
-            what.to_string(),
+        means.push(s.mean());
+        rows.push(row![
+            tier,
+            what,
             fmt_secs(s.mean()),
             fmt_secs(s.median()),
-            fmt_secs(s.quantile(0.95)),
+            fmt_secs(s.quantile(0.95))
         ]);
     }
-    table(&["tier", "operation", "mean", "p50", "p95"], &rows);
-    println!(
-        "\nreading: per-job overhead (gatekeeper + job manager) is small against the\n\
-         backend runtime, and the gatekeeper's share is paid once per *connection* —\n\
-         which is why the one-connection InfoGram saves exactly that column (Fig 4)."
-    );
+    table("tier|operation|mean|p50|p95", &rows);
+    let metrics = sandbox.baseline_metrics.clone();
     sandbox.shutdown();
+
+    let overhead = means[0] + means[1] + means[2];
+    report.claim(
+        "backend_dominates",
+        "the backend tier (job runtime) costs over 10x the gatekeeper and job manager together",
+        means[3] > 10.0 * overhead,
+        format!(
+            "backend {} vs {} (connect + submit + status)",
+            fmt_secs(means[3]),
+            fmt_secs(overhead)
+        ),
+    );
+    let (handshakes, requests) = (
+        metrics.counter_value("gram.handshakes"),
+        metrics.counter_value("gram.requests"),
+    );
+    report.claim(
+        "gatekeeper_cost_per_connection",
+        "the gatekeeper's handshake is paid once per connection, not per request",
+        handshakes == JOBS as u64 && requests > handshakes,
+        format!("{handshakes} handshakes for {JOBS} connections and {requests} requests"),
+    );
+    report.finish();
 }

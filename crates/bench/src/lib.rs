@@ -1,11 +1,12 @@
 //! Shared harness for the experiment benchmarks.
 //!
-//! Every `benches/*.rs` target regenerates one of the paper's artifacts
-//! (Table 1, Figures 1–4) or one claim-driven experiment (E5–E15); the
-//! mapping is in DESIGN.md and the measured results in EXPERIMENTS.md.
-//! Each prints a self-contained text table plus the paper's expected
-//! shape, so `cargo bench` output can be compared row-by-row against
-//! EXPERIMENTS.md.
+//! Every `benches/*.rs` target but `micro` regenerates one of the
+//! paper's artifacts (Table 1, Figures 1 and 4) or one claim-driven
+//! experiment (E5–E20); the mapping is in DESIGN.md and the measured
+//! results in EXPERIMENTS.md. Each prints its tables, then checks its
+//! named claims through one [`Report`], which writes
+//! `target/bench/<bench>.json` and fails the run unless every gated
+//! claim holds.
 
 pub mod mixed;
 
@@ -15,21 +16,176 @@ use infogram_info::config::ServiceConfig;
 use infogram_info::service::InformationService;
 use infogram_obs::MetricSet;
 use infogram_sim::ManualClock;
+use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Print an experiment banner.
-pub fn banner(id: &str, title: &str, expectation: &str) {
-    println!();
-    println!("================================================================");
-    println!("{id}: {title}");
-    println!("expected shape: {expectation}");
-    println!("================================================================");
+/// Whether `BENCH_QUICK=1` asks for a bench's smaller smoke run. Only
+/// the benches too slow to run in full on every gate read it.
+pub fn quick() -> bool {
+    std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
-/// Print an aligned table: a header row then data rows. Column widths are
-/// fitted to the content.
-pub fn table(header: &[&str], rows: &[Vec<String>]) {
+/// One named claim and what was measured for it.
+struct Claim {
+    name: &'static str,
+    text: &'static str,
+    gated: bool,
+    holds: bool,
+    measured: String,
+}
+
+/// One experiment's verdicts. [`Report::start`] prints the banner; each
+/// claim is recorded as holding or not; [`Report::finish`] prints them,
+/// writes `target/bench/<bench>.json` under the workspace root and exits
+/// non-zero unless every gated claim holds (`pass` is their
+/// conjunction).
+pub struct Report {
+    bench: &'static str,
+    claims: Vec<Claim>,
+    figures: Vec<(String, f64)>,
+}
+
+impl Report {
+    /// Print the banner of experiment `id` and start its report; `bench`
+    /// is the bench target's name (`env!("CARGO_CRATE_NAME")`).
+    pub fn start(bench: &'static str, id: &str, title: &str) -> Report {
+        let rule = "=".repeat(64);
+        println!("\n{rule}\n{id}: {title}\n{rule}");
+        Report {
+            bench,
+            claims: Vec::new(),
+            figures: Vec::new(),
+        }
+    }
+
+    /// A claim measured on virtual time or by counting: gated exactly.
+    pub fn claim(&mut self, name: &'static str, text: &'static str, holds: bool, measured: String) {
+        let gated = true;
+        self.claims.push(Claim {
+            name,
+            text,
+            gated,
+            holds,
+            measured,
+        });
+    }
+
+    /// A wall-clock claim: printed and recorded as `reported`, never
+    /// gated, because a shared host's scheduling noise is as large as
+    /// the effect.
+    pub fn reported(
+        &mut self,
+        name: &'static str,
+        text: &'static str,
+        holds: bool,
+        measured: String,
+    ) {
+        let gated = false;
+        self.claims.push(Claim {
+            name,
+            text,
+            gated,
+            holds,
+            measured,
+        });
+    }
+
+    /// A figure recorded in the JSON beside the claims.
+    pub fn figure(&mut self, name: &str, value: f64) {
+        self.figures.push((name.to_string(), value));
+    }
+
+    /// Whether every gated claim holds.
+    fn pass(&self) -> bool {
+        self.claims.iter().all(|c| c.holds || !c.gated)
+    }
+
+    /// The report as JSON: the claims, the figures and `pass`.
+    fn json(&self) -> String {
+        let mut json = format!(
+            "{{\n  \"bench\": \"{}\",\n  \"quick\": {},\n  \"claims\": [",
+            self.bench,
+            quick()
+        );
+        for (i, c) in self.claims.iter().enumerate() {
+            let _ = write!(
+                json,
+                "{}\n    {{\"name\": \"{}\", \"kind\": \"{}\", \"holds\": {}, \"measured\": \"{}\"}}",
+                if i == 0 { "" } else { "," },
+                c.name,
+                if c.gated { "gated" } else { "reported" },
+                c.holds,
+                c.measured.replace('\\', "\\\\").replace('"', "\\\""),
+            );
+        }
+        json.push_str("\n  ],\n  \"figures\": {");
+        for (i, (name, value)) in self.figures.iter().enumerate() {
+            let value = if value.is_finite() {
+                format!("{value}")
+            } else {
+                "null".to_string()
+            };
+            let _ = write!(
+                json,
+                "{}\n    \"{name}\": {value}",
+                if i == 0 { "" } else { "," }
+            );
+        }
+        let _ = write!(json, "\n  }},\n  \"pass\": {}\n}}\n", self.pass());
+        json
+    }
+
+    /// Print the verdicts, write the JSON, and exit with status 1 unless
+    /// every gated claim holds.
+    pub fn finish(self) {
+        println!("\nclaims:");
+        for c in &self.claims {
+            let verdict = match (c.gated, c.holds) {
+                (true, true) => "holds",
+                (true, false) => "DOES NOT HOLD",
+                (false, true) => "reported, holds (wall clock, not gated)",
+                (false, false) => "reported, does not hold (wall clock, not gated)",
+            };
+            println!("  {}: {}\n    {verdict}: {}", c.name, c.text, c.measured);
+        }
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
+        let file = format!("{}.json", self.bench);
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(dir.join(&file), self.json()))
+            .expect("write the bench report");
+        println!("pass={} (target/bench/{file})", self.pass());
+        if !self.pass() {
+            std::process::exit(1);
+        }
+    }
+}
+
+/// A table row: each cell displayed.
+#[macro_export]
+macro_rules! row {
+    ($($cell:expr),* $(,)?) => {
+        vec![$($cell.to_string()),*]
+    };
+}
+
+/// Display an iterator's items joined by ", ": a claim's measured values.
+pub trait Joined {
+    /// The items, displayed and joined by ", ".
+    fn joined(self) -> String;
+}
+
+impl<I: Iterator<Item = T>, T: std::fmt::Display> Joined for I {
+    fn joined(self) -> String {
+        self.map(|t| t.to_string()).collect::<Vec<_>>().join(", ")
+    }
+}
+
+/// Print an aligned table: a header row (column names separated by `|`)
+/// then data rows. Column widths are fitted to the content.
+pub fn table(header: &str, rows: &[Vec<String>]) {
+    let header: Vec<&str> = header.split('|').collect();
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -181,6 +337,19 @@ mod tests {
     fn summary_empty() {
         let s = Summary::from_durations(&[]);
         assert_eq!((s.mean(), s.median()), (0.0, 0.0));
+    }
+
+    #[test]
+    fn only_a_gated_claim_that_does_not_hold_fails_the_report() {
+        let mut r = Report::start("unit", "U", "report");
+        r.reported("slow", "a wall-clock claim", false, "1 ms".to_string());
+        r.claim("counted", "a count", true, "say \"3\"".to_string());
+        assert!(r.pass());
+        assert!(r.json().contains(r#""kind": "reported", "holds": false"#));
+        assert!(r.json().contains(r#""measured": "say \"3\"""#));
+        r.claim("broken", "a count", false, String::new());
+        assert!(!r.pass());
+        assert!(r.json().ends_with("\"pass\": false\n}\n"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The shared mixed-workload runner behind Figures 2–4.
+//! The mixed-workload runner behind Figure 4.
 //!
 //! A closed-loop population of clients issues a stream of requests, each
 //! an information query with probability `p_info` and a small job
@@ -12,7 +12,8 @@
 //!   ([`InfoGramClient`]).
 //!
 //! Connections, messages, and bytes come from the in-memory network's
-//! accounting; latencies are wall-clock per request.
+//! accounting, handshakes and requests from each server's counters;
+//! latencies are wall-clock per request.
 
 use crate::Summary;
 use infogram::quickstart::{Sandbox, SandboxConfig};
@@ -23,6 +24,13 @@ use std::time::{Duration, Instant};
 
 /// What one run of the workload produced.
 pub struct MixedOutcome {
+    /// Servers that completed a handshake: the listeners the workload
+    /// reached.
+    pub servers: u64,
+    /// GSI handshakes the servers completed.
+    pub handshakes: u64,
+    /// The wire protocols whose servers counted requests.
+    pub protocols: Vec<&'static str>,
     /// Connections opened.
     pub connections: u64,
     /// Wire messages exchanged.
@@ -54,7 +62,7 @@ pub trait WorldClient: Sized {
     fn job(&mut self);
 }
 
-/// Figure 2: two connections, two protocols.
+/// The baseline: two connections, two protocols.
 impl WorldClient for DualClient {
     const BASELINE: bool = true;
     fn connect(sandbox: &Sandbox) -> Self {
@@ -70,7 +78,7 @@ impl WorldClient for DualClient {
     }
 }
 
-/// Figure 3: one connection, one protocol.
+/// InfoGram: one connection, one protocol.
 impl WorldClient for InfoGramClient {
     const BASELINE: bool = false;
     fn connect(sandbox: &Sandbox) -> Self {
@@ -102,7 +110,19 @@ pub fn run<C: WorldClient>(
         ["net.connections", "net.messages", "net.bytes"]
             .map(|c| sandbox.net.metrics().counter_value(c))
     };
+    // Every server the world runs, with its counter prefix and protocol.
+    let servers = [
+        (sandbox.service.engine().metrics(), "gram", "GRAMP"),
+        (&sandbox.baseline_metrics, "gram", "GRAMP"),
+        (&sandbox.baseline_metrics, "mds", "LDAP"),
+    ];
+    let server_counts = || {
+        servers.map(|(m, prefix, _)| {
+            ["handshakes", "requests"].map(|c| m.counter_value(&format!("{prefix}.{c}")))
+        })
+    };
     let before = counters();
+    let servers_before = server_counts();
     let t0 = Instant::now();
 
     let all: Vec<Duration> = std::thread::scope(|scope| {
@@ -136,7 +156,18 @@ pub fn run<C: WorldClient>(
     });
     let wall = t0.elapsed();
     let after = counters();
+    let moved: Vec<[u64; 2]> = (server_counts().iter().zip(&servers_before))
+        .map(|(a, b)| [a[0] - b[0], a[1] - b[1]])
+        .collect();
+    let mut protocols: Vec<&'static str> = (servers.iter().zip(&moved))
+        .filter(|(_, m)| m[1] > 0)
+        .map(|((_, _, protocol), _)| *protocol)
+        .collect();
+    protocols.dedup();
     let outcome = MixedOutcome {
+        servers: moved.iter().filter(|m| m[0] > 0).count() as u64,
+        handshakes: moved.iter().map(|m| m[0]).sum(),
+        protocols,
         connections: after[0] - before[0],
         messages: after[1] - before[1],
         bytes: after[2] - before[2],
@@ -147,21 +178,3 @@ pub fn run<C: WorldClient>(
     sandbox.shutdown();
     outcome
 }
-
-/// Rows describing one outcome, shared by the figure benches.
-pub fn outcome_row(label: &str, o: &MixedOutcome) -> Vec<String> {
-    vec![
-        label.to_string(),
-        o.connections.to_string(),
-        o.messages.to_string(),
-        o.bytes.to_string(),
-        crate::fmt_secs(o.latency.mean()),
-        crate::fmt_secs(o.latency.quantile(0.95)),
-        format!("{:.0}", o.requests as f64 / o.wall.as_secs_f64()),
-    ]
-}
-
-/// The header matching [`outcome_row`].
-pub const OUTCOME_HEADER: [&str; 7] = [
-    "world", "conns", "messages", "bytes", "mean-lat", "p95-lat", "req/s",
-];

@@ -256,6 +256,7 @@ struct Gatekeeper {
     connections: Arc<Counter>,
     active: Arc<Gauge>,
     auth_failures: Arc<Counter>,
+    handshakes: Arc<Counter>,
     requests: Arc<Counter>,
 }
 
@@ -277,6 +278,7 @@ pub fn serve(
         connections: telemetry.counter("gram.connections"),
         active: telemetry.gauge("gram.connections.active"),
         auth_failures: telemetry.counter("gram.auth_failures"),
+        handshakes: telemetry.counter("gram.handshakes"),
         requests: telemetry.counter("gram.requests"),
         engine,
         dispatcher,
@@ -324,6 +326,7 @@ impl Gatekeeper {
             Ok(ctx) => ctx,
             Err(e) => return self.refuse(&*conn, codes::AUTHENTICATION, e.to_string()),
         };
+        self.handshakes.incr();
 
         // ---- authorization: gridmap (+ contracts) ----
         let resource = self.engine.config().service_name.clone();

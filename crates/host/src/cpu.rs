@@ -15,9 +15,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Mean-reversion strength per step, in `(0, 1]`.
-const PHI: f64 = 0.1;
+pub const PHI: f64 = 0.1;
 /// Innovation standard deviation per step.
-const SIGMA: f64 = 0.15;
+pub const SIGMA: f64 = 0.15;
 /// Process time step.
 const STEP: Duration = Duration::from_secs(1);
 

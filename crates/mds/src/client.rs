@@ -167,6 +167,7 @@ mod tests {
             host_cred,
             roots.clone(),
             clock.clone(),
+            &MetricSet::new(),
         )
         .unwrap();
         World {

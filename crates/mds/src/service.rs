@@ -13,6 +13,7 @@ use infogram_gsi::{
 };
 use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
+use infogram_sim::metrics::{Counter, MetricSet};
 use std::sync::Arc;
 
 /// What every connection thread of an MDS server shares.
@@ -21,10 +22,13 @@ struct SearchService {
     credential: Credential,
     trust_roots: Vec<Certificate>,
     clock: SharedClock,
+    handshakes: Arc<Counter>,
+    requests: Arc<Counter>,
 }
 
 /// Bind and serve `gris` until the returned acceptor's
-/// [`Acceptor::shutdown`].
+/// [`Acceptor::shutdown`], counting completed binds and requests into
+/// `metrics` as `mds.handshakes` and `mds.requests`.
 pub fn serve(
     gris: Arc<Gris>,
     transport: &dyn Transport,
@@ -32,12 +36,15 @@ pub fn serve(
     credential: Credential,
     trust_roots: Vec<Certificate>,
     clock: SharedClock,
+    metrics: &MetricSet,
 ) -> Result<Acceptor, ProtoError> {
     let service = SearchService {
         gris,
         credential,
         trust_roots,
         clock,
+        handshakes: metrics.counter("mds.handshakes"),
+        requests: metrics.counter("mds.requests"),
     };
     Acceptor::start(transport, bind_addr, move |conn| {
         service.serve_connection(conn)
@@ -74,6 +81,7 @@ impl SearchService {
             );
             return;
         }
+        self.handshakes.incr();
         let _ = conn.send(
             &MdsReply::SearchResult {
                 body: String::new(),
@@ -84,6 +92,7 @@ impl SearchService {
 
         // Search loop.
         while let Ok(bytes) = conn.recv() {
+            self.requests.incr();
             let reply = match MdsRequest::decode(&bytes) {
                 Ok(MdsRequest::Unbind) => break,
                 Ok(MdsRequest::Search {

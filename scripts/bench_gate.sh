@@ -1,16 +1,22 @@
-# Sourced by bench_smoke.sh and check_crash.sh (cwd = repo root).
+#!/bin/sh
+# Run one experiment bench of infogram-bench and fail unless the report
+# it writes, target/bench/<bench>.json, says `"pass": true`.
 #
-# run_bench_gate <bench> <QUICK env> <JSON env> <file>
+# Usage: scripts/bench_gate.sh <bench>
 #
-# Runs one acceptance-gated bench of infogram-bench in its quick mode
-# and fails unless the JSON it wrote reports `"pass": true`. `cargo
-# bench` runs the binary from the package directory, so the output path
-# is anchored at the repo root.
-run_bench_gate() {
-    echo "==> $1 (quick) -> $4"
-    env "$2=1" "$3=$(pwd)/$4" cargo bench -q -p infogram-bench --bench "$1"
-    grep -q '"pass": true' "$4" || {
-        echo "bench gate FAILED: $4 does not report pass=true" >&2
-        exit 1
-    }
+# BENCH_QUICK=1 is set: the benches too slow to run in full on every
+# gate take their smaller smoke run, the rest ignore it. The old report
+# is removed first, so a bench that dies before writing one fails.
+
+set -eu
+
+cd "$(dirname "$0")/.."
+
+report="target/bench/$1.json"
+echo "==> $1 -> $report"
+rm -f "$report"
+BENCH_QUICK=1 cargo bench -q -p infogram-bench --bench "$1"
+grep -q '"pass": true' "$report" || {
+    echo "bench gate FAILED: $report does not report pass=true" >&2
+    exit 1
 }

@@ -17,14 +17,12 @@
 #   6. scripts/check_model.sh — bounded schedule-exploration model
 #      checking of the concurrency core (seconds; EXHAUSTIVE=1 for the
 #      unbounded sweep)
-#   7. scripts/check_crash.sh — crash consistency: restart-recovery
-#      and WAL crash-point suites plus the quick E20 crash storm under
-#      injected disk faults (writes BENCH_crash_storm.json)
-#   8. scripts/bench_smoke.sh — quick E16 + E17 + E18 + E19 runs
-#      gating on the fan-out, fault-storm, refresh-scheduler and
-#      push-subscription acceptance criteria (writes
-#      BENCH_parallel_fanout.json, BENCH_fault_storm.json,
-#      BENCH_refresh_sched.json and BENCH_push_sub.json)
+#   7. scripts/check_crash.sh — crash consistency: the restart-recovery,
+#      WAL crash-point and hostile-log suites
+#   8. scripts/bench_smoke.sh — every experiment bench (Table 1,
+#      Figures 1 and 4, E5–E20; quick mode where a bench has one),
+#      each failing unless its named claims hold (reports under
+#      target/bench/)
 #   9. scripts/chaos_smoke.sh — the full sandbox under a seeded random
 #      fault + disk-fault storm: zero panics, bounded error rate,
 #      replayable seed
@@ -35,12 +33,16 @@
 #  11. scripts/loc.sh --total — first-party non-test lines, printed; a
 #      gate, not a report: check_docs.sh (step 3) fails above its
 #      LOC_CEILING
+#  12. `git status --porcelain` is what it was before step 1: the gate
+#      writes only ignored files
 #
 # Works fully offline; expect a few minutes on a cold target dir.
 
 set -eu
 
 cd "$(dirname "$0")/.."
+
+tree_before="$(git status --porcelain 2>/dev/null || true)"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -71,5 +73,12 @@ echo "==> benchmark package: build + unit tests"
 (cd benchmark && cargo test --offline --locked -q)
 
 echo "==> first-party non-test lines (scripts/loc.sh, at most check_docs.sh's LOC_CEILING): $(sh scripts/loc.sh --total)"
+
+echo "==> the gate left the tree as it found it (git status --porcelain)"
+tree_after="$(git status --porcelain 2>/dev/null || true)"
+if [ "$tree_before" != "$tree_after" ]; then
+    printf 'git status --porcelain before:\n%s\nafter:\n%s\n' "$tree_before" "$tree_after" >&2
+    exit 1
+fi
 
 echo "==> all gates green"

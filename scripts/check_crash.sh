@@ -21,14 +21,11 @@
 #     every cut and bit flip of a small file log, and an intact log many
 #     read buffers long, reopen without asking for more than one
 #     constant at once.
-#   - e20_crash_storm (quick) — a seeded disk-fault storm with a
-#     mid-storm power loss; writes BENCH_crash_storm.json and gates on
-#     its pass flag: zero acked-submission loss, zero resurrected
-#     finished jobs, checkpoint + bounded-tail replay, honest
-#     degradation, byte-identical replay from the seed.
 #
 # (The group-commit schedule exploration lives in tests/model_wal.rs,
-# run by scripts/check_model.sh.)
+# run by scripts/check_model.sh; the e20_crash_storm bench — a seeded
+# disk-fault storm with a mid-storm power loss — is gated with every
+# other bench by scripts/bench_smoke.sh.)
 
 set -eu
 
@@ -42,9 +39,5 @@ cargo test --test wal_crash -q
 
 echo "==> crash suite: crates/exec/tests/hostile_wal.rs"
 cargo test -p infogram-exec --test hostile_wal -q
-
-. scripts/bench_gate.sh
-
-run_bench_gate e20_crash_storm E20_QUICK E20_JSON BENCH_crash_storm.json
 
 echo "==> crash gate ok"

@@ -84,6 +84,9 @@ pub struct Sandbox {
     pub baseline_gram: Option<Acceptor>,
     /// The baseline MDS server, if requested.
     pub baseline_mds: Option<Acceptor>,
+    /// Telemetry of the baseline pair: its GRAM engine's instruments
+    /// (`gram.*`, `jobs.*`, `wal.*`) and the MDS server's `mds.*`.
+    pub baseline_metrics: MetricSet,
     /// The authenticated user's credential.
     pub user: Credential,
     /// Trust anchors.
@@ -184,6 +187,7 @@ impl Sandbox {
         .expect("InfoGram service starts");
 
         // Optional baseline pair (Figure 2): separate GRAM + MDS.
+        let baseline_metrics = MetricSet::new();
         let (baseline_gram, baseline_mds) = if cfg.with_baseline {
             let engine = infogram_exec::engine::JobEngine::new(
                 infogram_exec::engine::EngineConfig {
@@ -194,7 +198,7 @@ impl Sandbox {
                 clock.clone(),
                 Wal::in_memory(),
                 infogram_exec::backend::ForkBackend::new(Arc::clone(&registry)),
-                MetricSet::new(),
+                baseline_metrics.clone(),
             );
             let listener = net
                 .listen(&format!("{}:2120", cfg.hostname))
@@ -215,6 +219,7 @@ impl Sandbox {
                 service_cred,
                 roots.clone(),
                 clock.clone(),
+                &baseline_metrics,
             )
             .expect("baseline MDS starts");
             (Some(gram), Some(mds))
@@ -230,6 +235,7 @@ impl Sandbox {
             service,
             baseline_gram,
             baseline_mds,
+            baseline_metrics,
             user,
             roots,
         }

@@ -134,6 +134,7 @@ fn mds_server(w: &World) -> Acceptor {
         w.server.clone(),
         w.roots.clone(),
         w.clock.clone(),
+        &MetricSet::new(),
     )
     .expect("MDS server binds")
 }
