@@ -134,7 +134,15 @@ fn main() {
         "bytes_not_worse",
         "unified moves no more bytes than the baseline at every mix",
         every_mix(&|base, uni| uni.bytes <= base.bytes),
-        format!("per mix: {}", per_mix(&|o| o.bytes.to_string())),
+        format!(
+            "per mix: {}; per request: {}; per handshake: {}",
+            per_mix(&|o| o.bytes.to_string()),
+            per_mix(&|o| format!(
+                "{:.1}",
+                (o.bytes - o.connect_bytes) as f64 / o.requests as f64
+            )),
+            per_mix(&|o| format!("{:.1}", o.connect_bytes as f64 / o.handshakes as f64)),
+        ),
     );
     report.finish();
 }

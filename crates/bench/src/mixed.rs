@@ -37,6 +37,8 @@ pub struct MixedOutcome {
     pub messages: u64,
     /// Wire bytes exchanged.
     pub bytes: u64,
+    /// Of those, the bytes of the connects: handshakes and their acks.
+    pub connect_bytes: u64,
     /// Per-request latency summary.
     pub latency: Summary,
     /// Total requests completed.
@@ -51,7 +53,7 @@ const JOB_RSL: &str = "(executable=simwork)(arguments=5)";
 
 /// A world's client, as the workload drives it: how it connects and how
 /// it issues each kind of request.
-pub trait WorldClient: Sized {
+pub trait WorldClient: Sized + Send {
     /// Whether the world is the baseline's separate GRAM and MDS.
     const BASELINE: bool;
     /// Open one client to the sandbox's world.
@@ -124,13 +126,14 @@ pub fn run<C: WorldClient>(
     let before = counters();
     let servers_before = server_counts();
     let t0 = Instant::now();
+    // Connected first, so the connects' bytes are counted apart.
+    let connected: Vec<C> = (0..clients).map(|_| C::connect(&sandbox)).collect();
+    let connect_bytes = counters()[2] - before[2];
 
     let all: Vec<Duration> = std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..clients)
-            .map(|c| {
-                let sandbox = &sandbox;
+        let threads: Vec<_> = (connected.into_iter().enumerate())
+            .map(|(c, mut client)| {
                 scope.spawn(move || {
-                    let mut client = C::connect(sandbox);
                     let mut workload = MixedWorkload::new(p_info, seed ^ (c as u64 + 1));
                     let mut rng = SplitMix64::new(seed ^ 0xc11e ^ c as u64);
                     let mut latencies = Vec::with_capacity(requests_per_client);
@@ -171,6 +174,7 @@ pub fn run<C: WorldClient>(
         connections: after[0] - before[0],
         messages: after[1] - before[1],
         bytes: after[2] - before[2],
+        connect_bytes,
         latency: Summary::from_durations(&all),
         requests: all.len() as u64,
         wall,

@@ -19,7 +19,7 @@ use infogram_gsi::{
     nonce_rng, wire_server_respond, wire_server_verify, Authorizer, Certificate, Credential,
 };
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
-use infogram_proto::transport::{Acceptor, Conn, Listener};
+use infogram_proto::transport::{Acceptor, Conn, Listener, HANDSHAKE_DEADLINE};
 use infogram_proto::{JobHandle, Outbox};
 use infogram_rsl::{RequestKind, XrslRequest};
 use infogram_sim::clock::SharedClock;
@@ -312,6 +312,9 @@ impl Gatekeeper {
         // ---- gatekeeper: 3-message mutual authentication ----
         let now = self.clock.now();
         let mut rng = nonce_rng(now);
+        if conn.set_read_deadline(Some(HANDSHAKE_DEADLINE)).is_err() {
+            return;
+        }
         let Ok(hello) = conn.recv() else { return };
         let (resp, pending) =
             match wire_server_respond(&self.credential, &self.trust_roots, &hello, now, &mut rng) {
@@ -335,6 +338,9 @@ impl Gatekeeper {
             Err(e) => return self.refuse(&*conn, codes::AUTHORIZATION, e.to_string()),
         };
         let _ = conn.send(&Reply::Pong.encode()); // authorization ack
+        if conn.set_read_deadline(None).is_err() {
+            return;
+        }
         let owner = decision.grid_identity.to_string();
         let account = decision.local_account;
 

@@ -85,7 +85,7 @@ pub fn nonce_rng(now: SimTime) -> SplitMix64 {
 
 // Message tags: bytes UTF-8 never uses, so no text — a text-form
 // handshake, a stray request line — starts with one, and none is
-// `proto`'s `PROTOCOL_VERSION` (3) or the MDS's `'M'`, so no handshake
+// `proto`'s `PROTOCOL_VERSION` (4) or the MDS's `'M'`, so no handshake
 // message reads as a request or reply of either protocol.
 const HELLO: u8 = 0xf5;
 const RESP: u8 = 0xf6;

@@ -19,8 +19,8 @@
 
 use crate::cert::{CertType, Certificate, PublicKey};
 use crate::dn::Dn;
-use infogram_sim::wire::{ReadError, Reader};
-use infogram_sim::{varint, SimTime};
+use infogram_sim::wire::{put_str, put_varint, ReadError, Reader};
+use infogram_sim::SimTime;
 
 /// The most certificates a chain, and RDNs a DN, may hold on the wire —
 /// far deeper than any delegation a grid uses. A decoded item takes more
@@ -68,15 +68,6 @@ impl From<ReadError> for WireParseError {
     }
 }
 
-fn put_varint(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&varint::encode(v));
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn put_dn(out: &mut Vec<u8>, dn: &Dn) {
     put_varint(out, dn.rdns().len() as u64);
     for (attr, value) in dn.rdns() {
@@ -88,10 +79,7 @@ fn put_dn(out: &mut Vec<u8>, dn: &Dn) {
 /// One RDN, borrowed from the message: its attribute and value, each a
 /// varint length and UTF-8.
 fn read_rdn<'a>(r: &mut Reader<'a>) -> Result<(&'a str, &'a str), ReadError> {
-    let len = r.varint()?;
-    let attr = r.str(len, "RDN attribute")?;
-    let len = r.varint()?;
-    Ok((attr, r.str(len, "RDN value")?))
+    Ok((r.str("RDN attribute")?, r.str("RDN value")?))
 }
 
 /// A DN as it lies in the message: `count` RDNs whose lengths and UTF-8
@@ -167,8 +155,7 @@ fn take_cert<'a>(r: &mut Reader<'a>) -> Result<RawCert<'a>, WireParseError> {
             TYPE_CA => CertType::Ca,
             TYPE_END_ENTITY => CertType::EndEntity,
             TYPE_PROXY => CertType::Proxy {
-                depth_remaining: u32::try_from(r.varint()?)
-                    .map_err(|_| err("proxy depth past u32"))?,
+                depth_remaining: r.varint_u32("proxy depth")?,
             },
             _ => return Err(err("bad certificate type")),
         },

@@ -11,11 +11,9 @@
 //! them); replies carry entries in an LDIF-like text body.
 
 use crate::dit::{DirEntry, Scope};
-use bytes::{BufMut, BytesMut};
 use infogram_gsi::Dn;
-use infogram_proto::message::{put_str, read_str};
 use infogram_proto::render::ldif;
-use infogram_sim::wire::{ReadError, Reader};
+use infogram_sim::wire::{put_str, put_varint, ReadError, Reader};
 
 /// Protocol version byte. Distinct from the GRAM protocol's version so
 /// cross-protocol confusion fails loudly.
@@ -110,22 +108,21 @@ fn scope_from_u8(v: u8) -> Option<Scope> {
 impl MdsRequest {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u8(MDS_PROTOCOL_VERSION);
+        let mut buf = vec![MDS_PROTOCOL_VERSION];
         match self {
             MdsRequest::Search {
                 base,
                 scope,
                 filter,
             } => {
-                buf.put_u8(0);
+                buf.push(0);
                 put_str(&mut buf, base);
-                buf.put_u8(scope_to_u8(*scope));
+                buf.push(scope_to_u8(*scope));
                 put_str(&mut buf, filter);
             }
-            MdsRequest::Unbind => buf.put_u8(1),
+            MdsRequest::Unbind => buf.push(1),
         }
-        buf.to_vec()
+        buf
     }
 
     /// Decode from wire bytes.
@@ -133,9 +130,9 @@ impl MdsRequest {
         let mut r = open(bytes)?;
         let req = match r.u8("request tag")? {
             0 => MdsRequest::Search {
-                base: read_str(&mut r, "search base")?.to_owned(),
+                base: r.str("search base")?.to_owned(),
                 scope: scope_from_u8(r.u8("scope")?).ok_or_else(|| err("bad scope"))?,
-                filter: read_str(&mut r, "filter")?.to_owned(),
+                filter: r.str("filter")?.to_owned(),
             },
             1 => MdsRequest::Unbind,
             t => return Err(err(&format!("unknown request tag {t}"))),
@@ -148,20 +145,20 @@ impl MdsRequest {
 impl MdsReply {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u8(MDS_PROTOCOL_VERSION);
         match self {
             MdsReply::SearchResult { body, count } => {
-                buf.put_u8(0);
+                let mut buf = Vec::with_capacity(body.len() + 16);
+                buf.extend_from_slice(&[MDS_PROTOCOL_VERSION, 0]);
                 put_str(&mut buf, body);
-                buf.put_u32(*count);
+                put_varint(&mut buf, (*count).into());
+                buf
             }
             MdsReply::Error { message } => {
-                buf.put_u8(1);
+                let mut buf = vec![MDS_PROTOCOL_VERSION, 1];
                 put_str(&mut buf, message);
+                buf
             }
         }
-        buf.to_vec()
     }
 
     /// Decode from wire bytes.
@@ -169,11 +166,11 @@ impl MdsReply {
         let mut r = open(bytes)?;
         let reply = match r.u8("reply tag")? {
             0 => MdsReply::SearchResult {
-                body: read_str(&mut r, "body")?.to_owned(),
-                count: u32::from_be_bytes(r.array("entry count")?),
+                body: r.str("body")?.to_owned(),
+                count: r.varint_u32("entry count")?,
             },
             1 => MdsReply::Error {
-                message: read_str(&mut r, "error message")?.to_owned(),
+                message: r.str("error message")?.to_owned(),
             },
             t => return Err(err(&format!("unknown reply tag {t}"))),
         };

@@ -11,7 +11,7 @@ use crate::protocol::{entries_to_text, MdsReply, MdsRequest};
 use infogram_gsi::{
     nonce_rng, wire_server_respond, wire_server_verify, Certificate, Credential, Dn,
 };
-use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport};
+use infogram_proto::transport::{Acceptor, Conn, ProtoError, Transport, HANDSHAKE_DEADLINE};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, MetricSet};
 use std::sync::Arc;
@@ -56,6 +56,9 @@ impl SearchService {
         // GSI bind.
         let now = self.clock.now();
         let mut rng = nonce_rng(now);
+        if conn.set_read_deadline(Some(HANDSHAKE_DEADLINE)).is_err() {
+            return;
+        }
         let Ok(hello) = conn.recv() else { return };
         let Ok((resp, pending)) =
             wire_server_respond(&self.credential, &self.trust_roots, &hello, now, &mut rng)
@@ -89,6 +92,9 @@ impl SearchService {
             }
             .encode(),
         ); // bind ack
+        if conn.set_read_deadline(None).is_err() {
+            return;
+        }
 
         // Search loop.
         while let Ok(bytes) = conn.recv() {

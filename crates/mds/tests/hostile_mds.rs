@@ -6,11 +6,29 @@
 //! a typed `MdsWireError` or a message that re-encodes to exactly the
 //! bytes it came from, and asks the allocator for nothing larger than
 //! the message plus an error message's worth. A search result's body
-//! text goes through the same corruptions and its parser returns.
+//! text goes through the same corruptions and its parser returns. Over
+//! TCP, a peer framing as protocol v3 did, or one that stalls in the
+//! bind, is dropped without a search.
 
-use infogram_gsi::Dn;
+use infogram_gsi::{wire_client_hello, CertificateAuthority, Credential, Dn};
+use infogram_host::commands::{ChargeMode, CommandRegistry};
+use infogram_host::machine::SimulatedHost;
+use infogram_info::config::ServiceConfig;
+use infogram_info::service::InformationService;
 use infogram_mds::dit::{DirEntry, Scope};
-use infogram_mds::protocol::{entries_from_text, entries_to_text, MdsReply, MdsRequest};
+use infogram_mds::gris::Gris;
+use infogram_mds::protocol::{
+    entries_from_text, entries_to_text, MdsReply, MdsRequest, MDS_PROTOCOL_VERSION,
+};
+use infogram_mds::service;
+use infogram_proto::frame::read_frame;
+use infogram_proto::transport::tcp::TcpTransport;
+use infogram_proto::transport::{Acceptor, HANDSHAKE_DEADLINE};
+use infogram_sim::metrics::MetricSet;
+use infogram_sim::{varint, SimTime, SplitMix64, SystemClock};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 #[path = "../../../tests/support/hostile.rs"]
 mod hostile;
@@ -61,6 +79,107 @@ fn reply_decode_survives_every_cut_and_flip() {
             Some(&MdsReply::encode),
         );
     }
+}
+
+#[test]
+fn an_entry_count_past_u32_is_refused() {
+    let past = varint::encode(u64::from(u32::MAX) + 1);
+    let bytes = [&[MDS_PROTOCOL_VERSION, 0, 0][..], &past].concat();
+    let refusal = MdsReply::decode(&bytes).unwrap_err().reason;
+    assert_eq!(refusal, "entry count past u32");
+}
+
+/// An MDS over TCP on `127.0.0.1:0`, its counters, and a client
+/// credential it trusts.
+fn tcp_mds() -> (Acceptor, MetricSet, Credential) {
+    let clock = SystemClock::shared();
+    let mut rng = SplitMix64::new(35);
+    let day = Duration::from_secs(86_400);
+    let ca = CertificateAuthority::new_root(
+        &Dn::user("Grid", "CA", "Root"),
+        &mut rng,
+        SimTime::ZERO,
+        day,
+    );
+    let user = ca.issue(
+        &Dn::user("Grid", "ANL", "Client"),
+        &mut rng,
+        SimTime::ZERO,
+        day,
+    );
+    let host = ca.issue(
+        &Dn::user("Grid", "Hosts", "mds"),
+        &mut rng,
+        SimTime::ZERO,
+        day,
+    );
+    let registry = CommandRegistry::new(SimulatedHost::default_on(clock.clone()), ChargeMode::None);
+    let info = InformationService::from_config(
+        &ServiceConfig::table1(),
+        registry,
+        clock.clone(),
+        MetricSet::new(),
+    );
+    let metrics = MetricSet::new();
+    let roots = vec![ca.certificate().clone()];
+    let transport = TcpTransport::new();
+    let server = service::serve(
+        Gris::new(info),
+        &transport,
+        "127.0.0.1:0",
+        host,
+        roots,
+        clock,
+        &metrics,
+    )
+    .unwrap();
+    (server, metrics, user)
+}
+
+/// A v3 peer frames its HELLO behind a 4-byte length, whose first two
+/// bytes read as an empty frame: no HELLO, so the bind fails and the
+/// search that follows is never read.
+#[test]
+fn a_v3_peer_is_refused_at_the_bind_and_never_searched() {
+    let (server, metrics, user) = tcp_mds();
+    let (hello, _) = wire_client_hello(&user, &mut SplitMix64::new(3));
+    let search = MdsRequest::Search {
+        base: "/o=Grid".to_string(),
+        scope: Scope::Sub,
+        filter: "(kw=Memory)".to_string(),
+    }
+    .encode();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    for message in [&hello, &search] {
+        stream
+            .write_all(&(message.len() as u32).to_be_bytes())
+            .unwrap();
+        stream.write_all(message).unwrap();
+    }
+    let reply = MdsReply::decode(&read_frame(&mut stream).unwrap()).unwrap();
+    assert!(matches!(reply, MdsReply::Error { .. }), "{reply:?}");
+    assert_eq!(metrics.counter_value("mds.handshakes"), 0);
+    assert_eq!(metrics.counter_value("mds.requests"), 0);
+    server.shutdown();
+}
+
+/// A peer that connects and sends nothing is hung up on once the
+/// handshake deadline passes.
+#[test]
+fn a_silent_peer_is_dropped_at_the_handshake_deadline() {
+    let (server, _, _) = tcp_mds();
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(HANDSHAKE_DEADLINE + Duration::from_secs(1)))
+        .unwrap();
+    assert_eq!(stream.read(&mut [0; 16]).unwrap(), 0, "the server hung up");
+    assert!(
+        start.elapsed() >= HANDSHAKE_DEADLINE,
+        "{:?}",
+        start.elapsed()
+    );
+    server.shutdown();
 }
 
 #[test]

@@ -18,10 +18,9 @@
 //! its attributes — `diff` degrades to a full snapshot (`full=true`)
 //! rather than approximate.
 
-use crate::message::{read_str, WireError};
+use crate::message::WireError;
 use crate::record::{Attribute, InfoRecord};
-use bytes::{BufMut, BytesMut};
-use infogram_sim::wire::{ReadError, Reader};
+use infogram_sim::wire::{put_str, put_varint, ReadError, Reader};
 
 /// A delta failed to decode or apply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,54 +177,33 @@ impl RecordDelta {
 
     /// Append the wire encoding to `buf` (used by the `Reply::Update`
     /// frame codec).
-    pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        crate::message::put_str(buf, &self.keyword);
-        crate::message::put_str(buf, &self.host);
-        buf.put_u64(self.version);
-        let mut flags = 0u8;
-        if self.full {
-            flags |= 1;
-        }
-        if self.degraded {
-            flags |= 2;
-        }
-        if self.stale_age_secs.is_some() {
-            flags |= 4;
-        }
-        buf.put_u8(flags);
-        if let Some(age) = self.stale_age_secs {
-            buf.put_f64(age);
-        }
-        buf.put_u32(self.changed.len() as u32);
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        put_str(buf, &self.keyword);
+        put_str(buf, &self.host);
+        put_varint(buf, self.version);
+        let flags = u8::from(self.full)
+            | u8::from(self.degraded) << 1
+            | u8::from(self.stale_age_secs.is_some()) << 2;
+        buf.push(flags);
+        put_f64s(buf, [self.stale_age_secs]);
+        put_varint(buf, self.changed.len() as u64);
         for a in &self.changed {
-            crate::message::put_str(buf, &a.name);
-            crate::message::put_str(buf, &a.value);
-            let mut aflags = 0u8;
-            if a.quality.is_some() {
-                aflags |= 1;
-            }
-            if a.age_secs.is_some() {
-                aflags |= 2;
-            }
-            buf.put_u8(aflags);
-            if let Some(q) = a.quality {
-                buf.put_f64(q);
-            }
-            if let Some(age) = a.age_secs {
-                buf.put_f64(age);
-            }
+            put_str(buf, &a.name);
+            put_str(buf, &a.value);
+            buf.push(u8::from(a.quality.is_some()) | u8::from(a.age_secs.is_some()) << 1);
+            put_f64s(buf, [a.quality, a.age_secs]);
         }
-        buf.put_u32(self.removed.len() as u32);
+        put_varint(buf, self.removed.len() as u64);
         for name in &self.removed {
-            crate::message::put_str(buf, name);
+            put_str(buf, name);
         }
     }
 
     /// Read one delta (inverse of [`Self::encode_into`]).
     fn read(r: &mut Reader<'_>) -> Result<RecordDelta, WireError> {
-        let keyword = read_str(r, "delta keyword")?.to_owned();
-        let host = read_str(r, "delta host")?.to_owned();
-        let version = u64::from_be_bytes(r.array("delta version")?);
+        let keyword = r.str("delta keyword")?.to_owned();
+        let host = r.str("delta host")?.to_owned();
+        let version = r.varint()?;
         let flags = r.u8("delta flags")?;
         if flags & !7 != 0 {
             return Err(crate::message::err("unknown delta flags"));
@@ -239,8 +217,8 @@ impl RecordDelta {
             degraded: flags & 2 != 0,
             stale_age_secs: read_f64_if(r, flags & 4 != 0, "stale age")?,
             changed: read_list(r, MIN_ATTRIBUTE_LEN, "changed attributes", |r| {
-                let name = read_str(r, "attribute name")?.to_owned();
-                let value = read_str(r, "attribute value")?.to_owned();
+                let name = r.str("attribute name")?.to_owned();
+                let value = r.str("attribute value")?.to_owned();
                 let aflags = r.u8("attribute flags")?;
                 if aflags & !3 != 0 {
                     return Err(crate::message::err("unknown attribute flags"));
@@ -253,7 +231,7 @@ impl RecordDelta {
                 })
             })?,
             removed: read_list(r, MIN_NAME_LEN, "removed names", |r| {
-                Ok(read_str(r, "removed name")?.to_owned())
+                Ok(r.str("removed name")?.to_owned())
             })?,
         })
     }
@@ -261,12 +239,24 @@ impl RecordDelta {
 
 /// The fewest bytes a delta takes: two empty strings, its version and
 /// flags, and two empty lists.
-const MIN_DELTA_LEN: usize = 4 + 4 + 8 + 1 + 4 + 4;
+const MIN_DELTA_LEN: usize = 6;
 /// The fewest bytes a changed attribute takes: two empty strings and its
 /// flags.
-const MIN_ATTRIBUTE_LEN: usize = 4 + 4 + 1;
+const MIN_ATTRIBUTE_LEN: usize = 3;
 /// The fewest bytes a removed name takes: an empty string.
-const MIN_NAME_LEN: usize = 4;
+const MIN_NAME_LEN: usize = 1;
+/// A list reserves up front no more memory than one [`Attribute`] per
+/// this many bytes left: the fewest an attribute took when its lengths
+/// were `u32`s. An attribute decodes to 80 bytes from as few as 3, so a
+/// claimed count is trusted no further than that before items decode.
+const RESERVE_LEN: usize = 9;
+
+/// Each present `f64`, big-endian.
+fn put_f64s<const N: usize>(buf: &mut Vec<u8>, values: [Option<f64>; N]) {
+    for v in values.into_iter().flatten() {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
+}
 
 /// A big-endian `f64`, if its flag is set.
 fn read_f64_if(
@@ -281,18 +271,19 @@ fn read_f64_if(
     })
 }
 
-/// A `u32` count of items of at least `min_len` bytes each, then the
-/// items. The count is held to the bytes left before room is reserved
-/// for it.
+/// A varint count of items of at least `min_len` bytes each, then the
+/// items. The count is held to the bytes left; room beyond
+/// [`RESERVE_LEN`]'s budget grows only for items that decode.
 fn read_list<'a, T>(
     r: &mut Reader<'a>,
     min_len: usize,
     field: &'static str,
     mut item: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
-    let claimed = u32::from_be_bytes(r.array(field)?);
-    let n = r.count(claimed.into(), min_len, u64::MAX, field)?;
-    let mut items = Vec::with_capacity(n);
+    let claimed = r.varint()?;
+    let n = r.count(claimed, min_len, u64::MAX, field)?;
+    let budget = r.remaining() / RESERVE_LEN * std::mem::size_of::<Attribute>();
+    let mut items = Vec::with_capacity(n.min(budget / std::mem::size_of::<T>().max(1)));
     for _ in 0..n {
         items.push(item(r)?);
     }
@@ -303,12 +294,12 @@ fn read_list<'a, T>(
 /// [`crate::message::update_frame`], a fan-out encodes the payload once
 /// and stamps each subscriber's id into a cheap per-subscriber copy.
 pub fn encode_deltas(deltas: &[RecordDelta]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(128);
-    buf.put_u32(deltas.len() as u32);
+    let mut buf = Vec::with_capacity(128);
+    put_varint(&mut buf, deltas.len() as u64);
     for d in deltas {
         d.encode_into(&mut buf);
     }
-    buf.to_vec()
+    buf
 }
 
 /// Read a batch encoded by [`encode_deltas`].

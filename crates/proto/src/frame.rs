@@ -1,14 +1,16 @@
 //! Length-prefixed framing.
 //!
-//! Every protocol message travels as a 4-byte big-endian length followed
-//! by the payload. Used directly by the TCP transport; the in-memory
-//! transport passes whole messages and only charges the frame overhead to
-//! its byte accounting.
+//! Every protocol message travels as a header, then the payload. A
+//! payload below 32 KiB has a 2-byte big-endian length with the high bit
+//! clear; a longer one a 4-byte big-endian length with the high bit set.
+//! Each length has one header: a long header under 32 KiB is refused.
+//! Used directly by the TCP transport; the in-memory transport passes
+//! whole messages and charges the header to its byte accounting.
 //!
-//! A frame is handed to the writer in one `write_vectored` call (length
+//! A frame is handed to the writer in one `write_vectored` call (header
 //! and payload as two slices, no copy): on a `TCP_NODELAY` socket a
 //! second `write` is a second segment and a second wake-up of the
-//! reader, which has the length and blocks until the payload follows.
+//! reader, which has the header and blocks until the payload follows.
 
 use crate::transport::ProtoError;
 use std::io::{IoSlice, Read, Write};
@@ -17,8 +19,11 @@ use std::io::{IoSlice, Read, Write};
 /// length prefix must not drive an allocation.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// Bytes of framing overhead per message.
-pub const FRAME_OVERHEAD: usize = 4;
+/// The longest payload a 2-byte header carries.
+const SHORT_MAX: usize = 0x7fff;
+
+/// The high bit of a header's first byte: a 4-byte header.
+const LONG: u8 = 0x80;
 
 /// The most a frame read asks of the allocator before any payload byte
 /// has arrived. A longer payload's buffer then at most doubles what has
@@ -27,15 +32,25 @@ pub const FRAME_OVERHEAD: usize = 4;
 /// allocation of its exact length.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Write one frame: one `write_vectored` of length and payload, looping
+/// The bytes of the header in front of a `payload_len`-byte payload.
+pub fn header_len(payload_len: usize) -> usize {
+    if payload_len <= SHORT_MAX {
+        2
+    } else {
+        4
+    }
+}
+
+/// Write one frame: one `write_vectored` of header and payload, looping
 /// only if the writer accepts part of it. A writer without vectored
 /// writes (the trait's default) degrades to one `write` per slice.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(ProtoError::TooLarge(payload.len()));
     }
-    let header = (payload.len() as u32).to_be_bytes();
-    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let long = (payload.len() as u32 | u32::from(LONG) << 24).to_be_bytes();
+    let header = &long[4 - header_len(payload.len())..];
+    let mut slices = [IoSlice::new(header), IoSlice::new(payload)];
     let mut rest = &mut slices[..];
     while !rest.is_empty() {
         match w.write_vectored(rest) {
@@ -49,16 +64,30 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
     Ok(())
 }
 
-/// Read one frame. [`ProtoError::Closed`] means the peer hung up cleanly
-/// before a new frame began; a frame cut short is [`ProtoError::Io`].
+/// Read one frame: two reads, the 2-byte header and the payload, and one
+/// more for the rest of a 4-byte header. [`ProtoError::Closed`] means
+/// the peer hung up cleanly before a new frame began; a frame cut short
+/// is [`ProtoError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
-    let mut len_buf = [0u8; 4];
+    let mut header = [0u8; 4];
     // Distinguish clean EOF (no bytes of a new frame) from truncation.
-    match r.read(&mut len_buf)? {
+    match r.read(&mut header[..2])? {
         0 => return Err(ProtoError::Closed),
-        n => r.read_exact(&mut len_buf[n..])?,
+        n => r.read_exact(&mut header[n..2])?,
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
+    let len = if header[0] & LONG == 0 {
+        usize::from(u16::from_be_bytes([header[0], header[1]]))
+    } else {
+        r.read_exact(&mut header[2..])?;
+        header[0] &= !LONG;
+        let len = u32::from_be_bytes(header) as usize;
+        if len <= SHORT_MAX {
+            return Err(ProtoError::Io(format!(
+                "a {len}-byte frame with a 4-byte header"
+            )));
+        }
+        len
+    };
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::TooLarge(len));
     }
@@ -147,7 +176,7 @@ mod tests {
         for max in [1, 3, 4, 5, 100] {
             let mut socket = Socket::new(max);
             write_frame(&mut socket, &payload).unwrap();
-            assert_eq!(socket.calls, (payload.len() + 4).div_ceil(max));
+            assert_eq!(socket.calls, (payload.len() + 2).div_ceil(max));
             let mut r = Cursor::new(socket.bytes);
             assert_eq!(read_frame(&mut r).unwrap(), payload, "{max} bytes a call");
         }
@@ -180,8 +209,25 @@ mod tests {
 
     #[test]
     fn truncated_header_is_io_error() {
-        let mut r = Cursor::new(vec![0u8, 0u8]);
+        let mut r = Cursor::new(vec![0u8]);
         assert!(matches!(read_frame(&mut r), Err(ProtoError::Io(_))));
+    }
+
+    #[test]
+    fn a_header_is_2_bytes_below_32_kib_and_4_from_there() {
+        for (len, header) in [
+            (0, &[0u8, 0][..]),
+            (1, &[0, 1]),
+            (0x7fff, &[0x7f, 0xff]),
+            (0x8000, &[0x80, 0, 0x80, 0]),
+            (1 << 20, &[0x80, 0x10, 0, 0]),
+        ] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &vec![7u8; len]).unwrap();
+            assert_eq!(&buf[..header.len()], header, "{len}");
+            assert_eq!(buf.len(), len + header_len(len), "{len}");
+            assert_eq!(read_frame(&mut Cursor::new(buf)).unwrap().len(), len);
+        }
     }
 
     #[test]

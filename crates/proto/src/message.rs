@@ -8,13 +8,12 @@
 //! of a job handle. One protocol, two behaviours.
 
 use crate::handle::JobHandle;
-use bytes::{BufMut, BytesMut};
-use infogram_sim::varint;
-use infogram_sim::wire::{ReadError, Reader};
+use infogram_sim::wire::{put_str, put_varint, ReadError, Reader};
 
-/// Protocol version carried in every request and reply. 3: a job handle
-/// is sent as its fields, not as its `x-infogram://` string.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// Protocol version carried in every request and reply. 4: every integer
+/// inside a message is a varint, and a frame header is 2 bytes below
+/// 32 KiB.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// GRAM-flavoured error codes.
 pub mod codes {
@@ -265,41 +264,22 @@ fn open(bytes: &[u8]) -> Result<Reader<'_>, WireError> {
     }
 }
 
-/// Append `s` as a `u32` length and its UTF-8: how strings travel in
-/// this protocol and in the MDS's.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-/// A string as [`put_str`] writes it, borrowed from the message.
-pub fn read_str<'a>(r: &mut Reader<'a>, field: &'static str) -> Result<&'a str, ReadError> {
-    let len = u32::from_be_bytes(r.array(field)?);
-    r.str(len.into(), field)
-}
-
-fn put_varint(buf: &mut BytesMut, v: u64) {
-    buf.put_slice(&varint::encode(v));
-}
-
 /// A handle crosses the wire as its fields: varint host length, host
 /// bytes, big-endian `u16` port, varint job id, varint epoch — 15 bytes
 /// for `127.0.0.1` and a job id of 128–16 383, where the
 /// `x-infogram://…` string cost 35.
-fn put_handle(buf: &mut BytesMut, h: &JobHandle) {
-    put_varint(buf, h.host.len() as u64);
-    buf.put_slice(h.host.as_bytes());
-    buf.put_slice(&h.port.to_be_bytes());
+fn put_handle(buf: &mut Vec<u8>, h: &JobHandle) {
+    put_str(buf, &h.host);
+    buf.extend_from_slice(&h.port.to_be_bytes());
     put_varint(buf, h.job_id);
     put_varint(buf, h.epoch);
 }
 
 fn read_handle(r: &mut Reader<'_>) -> Result<JobHandle, ReadError> {
-    let len = r.varint()?;
     // Fields are read in the order written: a struct literal evaluates
     // its fields as they appear.
     Ok(JobHandle {
-        host: r.str(len, "handle host")?.to_owned(),
+        host: r.str("handle host")?.to_owned(),
         port: u16::from_be_bytes(r.array("handle port")?),
         job_id: r.varint()?,
         epoch: r.varint()?,
@@ -310,28 +290,34 @@ fn read_state(r: &mut Reader<'_>) -> Result<JobStateCode, WireError> {
     JobStateCode::from_u8(r.u8("job state")?).ok_or_else(|| err("bad job state"))
 }
 
+/// A message's version and tag, with room for its fields and `text`.
+fn head(tag: u8, text: &str) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + text.len());
+    buf.extend_from_slice(&[PROTOCOL_VERSION, tag]);
+    buf
+}
+
 impl Request {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u8(PROTOCOL_VERSION);
+        let mut buf;
         match self {
             Request::Submit { rsl, callback } => {
-                buf.put_u8(0);
+                buf = head(0, rsl);
                 put_str(&mut buf, rsl);
-                buf.put_u8(u8::from(*callback));
+                buf.push(u8::from(*callback));
             }
             Request::Status { handle } => {
-                buf.put_u8(1);
+                buf = head(1, "");
                 put_handle(&mut buf, handle);
             }
             Request::Cancel { handle } => {
-                buf.put_u8(2);
+                buf = head(2, "");
                 put_handle(&mut buf, handle);
             }
-            Request::Ping => buf.put_u8(3),
+            Request::Ping => buf = head(3, ""),
         }
-        buf.to_vec()
+        buf
     }
 
     /// Decode from wire bytes.
@@ -339,7 +325,7 @@ impl Request {
         let mut r = open(bytes)?;
         let req = match r.u8("request tag")? {
             0 => Request::Submit {
-                rsl: read_str(&mut r, "rsl")?.to_owned(),
+                rsl: r.str("rsl")?.to_owned(),
                 callback: match r.u8("callback flag")? {
                     0 => false,
                     1 => true,
@@ -363,11 +349,10 @@ impl Request {
 impl Reply {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u8(PROTOCOL_VERSION);
+        let mut buf;
         match self {
             Reply::JobAccepted { handle } => {
-                buf.put_u8(0);
+                buf = head(0, "");
                 put_handle(&mut buf, handle);
             }
             Reply::JobStatus {
@@ -376,52 +361,51 @@ impl Reply {
                 exit_code,
                 output,
             } => {
-                buf.put_u8(1);
+                buf = head(1, output);
                 put_handle(&mut buf, handle);
-                buf.put_u8(state.to_u8());
+                buf.push(state.to_u8());
                 match exit_code {
+                    // Zigzag: a small code of either sign is one byte.
                     Some(c) => {
-                        buf.put_u8(1);
-                        buf.put_i32(*c);
+                        buf.push(1);
+                        put_varint(&mut buf, u64::from((c << 1 ^ c >> 31) as u32));
                     }
-                    None => buf.put_u8(0),
+                    None => buf.push(0),
                 }
                 put_str(&mut buf, output);
             }
             Reply::InfoResult { body, record_count } => {
-                buf.put_u8(2);
+                buf = head(2, body);
                 put_str(&mut buf, body);
-                buf.put_u32(*record_count);
+                put_varint(&mut buf, (*record_count).into());
             }
             Reply::Event { handle, state } => {
-                buf.put_u8(3);
+                buf = head(3, "");
                 put_handle(&mut buf, handle);
-                buf.put_u8(state.to_u8());
+                buf.push(state.to_u8());
             }
             Reply::Error { code, message } => {
-                buf.put_u8(4);
-                buf.put_u32(*code);
+                buf = head(4, message);
+                put_varint(&mut buf, (*code).into());
                 put_str(&mut buf, message);
             }
-            Reply::Pong => buf.put_u8(5),
+            Reply::Pong => buf = head(5, ""),
             Reply::Subscribed { id, count } => {
-                buf.put_u8(6);
-                buf.put_u64(*id);
-                buf.put_u32(*count);
+                buf = head(6, "");
+                put_varint(&mut buf, *id);
+                put_varint(&mut buf, (*count).into());
             }
             Reply::Update { id, deltas } => {
-                buf.put_u8(7);
-                buf.put_u64(*id);
-                buf.put_slice(&crate::delta::encode_deltas(deltas));
+                buf = update_frame(*id, &crate::delta::encode_deltas(deltas));
             }
             Reply::SubEnd { id, code, message } => {
-                buf.put_u8(8);
-                buf.put_u64(*id);
-                buf.put_u32(*code);
+                buf = head(8, message);
+                put_varint(&mut buf, *id);
+                put_varint(&mut buf, (*code).into());
                 put_str(&mut buf, message);
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Decode from wire bytes.
@@ -436,36 +420,39 @@ impl Reply {
                 state: read_state(&mut r)?,
                 exit_code: match r.u8("exit-code flag")? {
                     0 => None,
-                    1 => Some(i32::from_be_bytes(r.array("exit code")?)),
+                    1 => Some(
+                        r.varint_u32("exit code")
+                            .map(|z| (z >> 1) as i32 ^ -((z & 1) as i32))?,
+                    ),
                     _ => return Err(err("bad exit-code flag")),
                 },
-                output: read_str(&mut r, "output")?.to_owned(),
+                output: r.str("output")?.to_owned(),
             },
             2 => Reply::InfoResult {
-                body: read_str(&mut r, "body")?.to_owned(),
-                record_count: u32::from_be_bytes(r.array("record count")?),
+                body: r.str("body")?.to_owned(),
+                record_count: r.varint_u32("record count")?,
             },
             3 => Reply::Event {
                 handle: read_handle(&mut r)?,
                 state: read_state(&mut r)?,
             },
             4 => Reply::Error {
-                code: u32::from_be_bytes(r.array("error code")?),
-                message: read_str(&mut r, "error message")?.to_owned(),
+                code: r.varint_u32("error code")?,
+                message: r.str("error message")?.to_owned(),
             },
             5 => Reply::Pong,
             6 => Reply::Subscribed {
-                id: u64::from_be_bytes(r.array("subscription id")?),
-                count: u32::from_be_bytes(r.array("keyword count")?),
+                id: r.varint()?,
+                count: r.varint_u32("keyword count")?,
             },
             7 => Reply::Update {
-                id: u64::from_be_bytes(r.array("subscription id")?),
+                id: r.varint()?,
                 deltas: crate::delta::read_deltas(&mut r)?,
             },
             8 => Reply::SubEnd {
-                id: u64::from_be_bytes(r.array("subscription id")?),
-                code: u32::from_be_bytes(r.array("end code")?),
-                message: read_str(&mut r, "end message")?.to_owned(),
+                id: r.varint()?,
+                code: r.varint_u32("end code")?,
+                message: r.str("end message")?.to_owned(),
             },
             other => return Err(err(&format!("unknown reply tag {other}"))),
         };
@@ -483,12 +470,11 @@ impl Reply {
 /// turns the per-subscriber cost into a memcpy — the difference between
 /// O(N) and O(N·record-size-diffing) at 100k subscriptions.
 pub fn update_frame(id: u64, delta_payload: &[u8]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(10 + delta_payload.len());
-    buf.put_u8(PROTOCOL_VERSION);
-    buf.put_u8(7);
-    buf.put_u64(id);
-    buf.put_slice(delta_payload);
-    buf.to_vec()
+    let mut buf = Vec::with_capacity(12 + delta_payload.len());
+    buf.extend_from_slice(&[PROTOCOL_VERSION, 7]);
+    put_varint(&mut buf, id);
+    buf.extend_from_slice(delta_payload);
+    buf
 }
 
 #[cfg(test)]
@@ -581,21 +567,19 @@ mod tests {
     }
 
     #[test]
-    fn update_frame_matches_reply_encoding() {
+    fn update_frame_decodes_as_the_update() {
         let mut rec = crate::record::InfoRecord::new("CPU", "node0.grid");
         rec.push("count", "8");
         let deltas = vec![crate::delta::RecordDelta::diff(None, &rec, 3)];
         let payload = crate::delta::encode_deltas(&deltas);
-        for id in [0u64, 9, u64::MAX] {
-            assert_eq!(
-                update_frame(id, &payload),
-                Reply::Update {
-                    id,
-                    deltas: deltas.clone()
-                }
-                .encode(),
-                "the fast path and the structured encoder must agree"
-            );
+        for (id, id_len) in [(0u64, 1), (9, 1), (300, 2), (u64::MAX, 10)] {
+            let frame = update_frame(id, &payload);
+            assert_eq!(frame.len(), 2 + id_len + payload.len(), "{id}");
+            let update = Reply::Update {
+                id,
+                deltas: deltas.clone(),
+            };
+            assert_eq!(Reply::decode(&frame).unwrap(), update, "{id}");
         }
     }
 
@@ -654,7 +638,7 @@ mod tests {
         let status = Request::Status {
             handle: JobHandle::new("127.0.0.1", 2119, 1, 1),
         };
-        let golden = [&[3, 1, 9][..], b"127.0.0.1", &[0x08, 0x47, 0x01, 0x01]].concat();
+        let golden = [&[4, 1, 9][..], b"127.0.0.1", &[0x08, 0x47, 0x01, 0x01]].concat();
         assert_eq!(status.encode(), golden);
         assert_eq!(Request::decode(&golden).unwrap(), status);
         // A job id of 128..16 384, as in a long run: two varint bytes,
@@ -663,7 +647,7 @@ mod tests {
             handle: JobHandle::new("127.0.0.1", 40_123, 4242, 1),
         };
         let golden = [
-            &[3, 0, 9][..],
+            &[4, 0, 9][..],
             b"127.0.0.1",
             &[0x9c, 0xbb, 0x92, 0x21, 0x01],
         ]
@@ -680,6 +664,9 @@ mod tests {
         let refusal = "unsupported protocol version 2";
         assert_eq!(Request::decode(&v2(1)).unwrap_err().reason, refusal);
         assert_eq!(Reply::decode(&v2(0)).unwrap_err().reason, refusal);
+        // A v3 Ping: the same tag under the previous version byte.
+        let refusal = Request::decode(&[3, 3]).unwrap_err().reason;
+        assert_eq!(refusal, "unsupported protocol version 3");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! [`infogram_sim::metrics::MetricSet`], which is how Figures 2–4 get
 //! their connection/handshake/byte columns.
 
-use crate::frame::FRAME_OVERHEAD;
+use crate::frame::header_len;
 use infogram_sim::metrics::{Counter, MetricSet};
 use parking_lot::Mutex;
 use std::fmt;
@@ -68,6 +68,12 @@ pub trait Conn: Send + Sync {
     fn recv(&self) -> Result<Vec<u8>, ProtoError>;
     /// A printable peer address.
     fn peer(&self) -> String;
+    /// Fail each later `recv` that waits longer than `deadline` for
+    /// bytes; `None` waits without end. A transport without timed reads
+    /// ignores it.
+    fn set_read_deadline(&self, _deadline: Option<Duration>) -> Result<(), ProtoError> {
+        Ok(())
+    }
 }
 
 /// A listening endpoint.
@@ -110,7 +116,8 @@ impl NetCounters {
     /// One message of `payload_len` bytes went out, framed.
     fn sent(&self, payload_len: usize) {
         self.messages.incr();
-        self.bytes.add((payload_len + FRAME_OVERHEAD) as u64);
+        self.bytes
+            .add((payload_len + header_len(payload_len)) as u64);
     }
 }
 
@@ -118,6 +125,11 @@ impl NetCounters {
 /// accepts again: a listener that fails at once, as one out of file
 /// descriptors does, must not spin a core.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// How long a server waits on each read of a connection's handshake,
+/// from its HELLO to its authorization ack: a peer that connects and
+/// sends nothing, or stops mid-frame, is dropped after this.
+pub const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A running server: every one (GRAM gatekeeper, MDS) is an
 /// acceptor over its own handler — one bound listener, one joined accept

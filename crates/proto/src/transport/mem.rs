@@ -192,7 +192,6 @@ impl Conn for MemConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FRAME_OVERHEAD;
     use std::time::Duration;
 
     #[test]
@@ -269,10 +268,8 @@ mod tests {
         t.join().unwrap();
         assert_eq!(net.metrics().counter_value("net.connections"), 1);
         assert_eq!(net.metrics().counter_value("net.messages"), 1);
-        assert_eq!(
-            net.metrics().counter_value("net.bytes"),
-            (96 + FRAME_OVERHEAD) as u64
-        );
+        // As a TCP frame: 96 bytes behind a 2-byte header.
+        assert_eq!(net.metrics().counter_value("net.bytes"), 98);
     }
 
     #[test]

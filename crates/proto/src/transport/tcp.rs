@@ -11,6 +11,7 @@ use infogram_sim::metrics::MetricSet;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// TCP transport with traffic accounting.
 #[derive(Debug)]
@@ -140,6 +141,10 @@ impl Conn for TcpConn {
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "?".to_string())
+    }
+
+    fn set_read_deadline(&self, deadline: Option<Duration>) -> Result<(), ProtoError> {
+        Ok(self.stream.set_read_timeout(deadline)?)
     }
 }
 

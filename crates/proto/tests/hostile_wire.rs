@@ -22,6 +22,7 @@ use infogram_proto::record::{Attribute, InfoRecord};
 use infogram_proto::render::{dsml, ldif, xml};
 use infogram_proto::transport::ProtoError;
 use infogram_proto::JobHandle;
+use infogram_sim::varint;
 use std::io::Cursor;
 
 #[path = "../../../tests/support/hostile.rs"]
@@ -121,19 +122,20 @@ fn other_replies() -> Vec<Reply> {
     ]
 }
 
-/// The fewest bytes a changed attribute takes in an update: two empty
-/// strings (a `u32` length each) and its flags byte.
-const MIN_ATTRIBUTE_LEN: usize = 4 + 4 + 1;
+/// How many bytes left buy a delta list room for one attribute up
+/// front: what an empty attribute took when lengths were `u32`s.
+const RESERVE_LEN: usize = 9;
 
-/// An update's bound. A delta's attribute list is reserved at the count
-/// it claims once that count is held to the bytes left, so `n` bytes can
-/// make the decoder ask for room for `n / MIN_ATTRIBUTE_LEN` attributes
-/// at once. An attribute takes more memory than its bytes on the wire
-/// (80 bytes on a 64-bit host, before its strings), so this bound is
-/// larger than the message. No other list comes closer to its bytes: a
-/// delta takes 25 bytes and 128 in memory, a removed name 4 and 24.
+/// An update's bound. A delta's list reserves room for the count it
+/// claims, held to the bytes left, but never more memory up front than
+/// one attribute per `RESERVE_LEN` bytes left, so `n` bytes can make the
+/// decoder ask for room for `n / RESERVE_LEN` attributes at once. An
+/// attribute takes more memory than its bytes on the wire (80 bytes on
+/// a 64-bit host, before its strings), so this bound is larger than the
+/// message. A list grows past its reservation only for items that
+/// decode, which no corruption of these updates makes numerous.
 fn update_bound(len: usize) -> usize {
-    let attributes = len / MIN_ATTRIBUTE_LEN * std::mem::size_of::<Attribute>();
+    let attributes = len / RESERVE_LEN * std::mem::size_of::<Attribute>();
     attributes.max(len) + MESSAGE_ALLOWANCE
 }
 
@@ -189,10 +191,26 @@ fn an_update_of_empty_attributes_stays_within_its_bound() {
         deltas: vec![RecordDelta::diff(None, &rec, 1)],
     };
     let bytes = update.encode();
+    // Three bytes each: the two empty strings' lengths and the flags.
+    assert!(bytes.len() < 200 * 3 + 16, "{}", bytes.len());
     let (decoded, largest) = largest_request(|| Reply::decode(&bytes));
     assert_eq!(decoded.unwrap(), update);
     assert!(largest > bytes.len() + MESSAGE_ALLOWANCE, "{largest}");
-    assert!(largest <= update_bound(bytes.len()), "{largest}");
+    // Past the reservation the list doubles, and only for attributes
+    // that decoded: at most twice what the 200 take.
+    let decoded = 200 * std::mem::size_of::<Attribute>();
+    assert!(largest <= 2 * decoded + MESSAGE_ALLOWANCE, "{largest}");
+}
+
+/// A frame's header: its length and its own size, if it is all there.
+fn header(bytes: &[u8]) -> Option<(usize, usize)> {
+    match *bytes {
+        [a, b, c, d, ..] if a & 0x80 != 0 => {
+            Some((u32::from_be_bytes([a & 0x7f, b, c, d]) as usize, 4))
+        }
+        [a, b, ..] if a & 0x80 == 0 => Some((usize::from(u16::from_be_bytes([a, b])), 2)),
+        _ => None,
+    }
 }
 
 #[test]
@@ -206,9 +224,7 @@ fn read_frame_survives_every_cut_and_flip() {
         loop {
             let at = r.position() as usize;
             let (result, largest) = largest_request(|| read_frame(&mut r));
-            let declared = bytes
-                .get(at..at + 4)
-                .map_or(0, |p| u32::from_be_bytes(p.try_into().unwrap()) as usize);
+            let declared = header(&bytes[at..]).map_or(0, |(len, _)| len);
             assert!(
                 largest <= declared.min(MAX_FRAME_LEN) + MESSAGE_ALLOWANCE,
                 "{largest} bytes asked for a frame declaring {declared}"
@@ -235,7 +251,7 @@ fn read_frame_survives_every_cut_and_flip() {
 /// costs one 64 KiB buffer, not 16 MiB.
 #[test]
 fn a_frame_claiming_16_mib_allocates_what_arrived() {
-    let mut stream = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+    let mut stream = (MAX_FRAME_LEN as u32 | 1 << 31).to_be_bytes().to_vec();
     stream.extend_from_slice(b"ten bytes!");
     let (result, largest) = largest_request(|| read_frame(&mut Cursor::new(&stream)));
     assert!(matches!(result, Err(ProtoError::Io(_))), "{result:?}");
@@ -243,6 +259,84 @@ fn a_frame_claiming_16_mib_allocates_what_arrived() {
         largest <= 128 * 1024,
         "{largest} bytes asked for 10 that arrived"
     );
+}
+
+/// Each length has one header; a length past `MAX_FRAME_LEN` is refused
+/// before anything is allocated; a cut inside either header is `Io`.
+#[test]
+fn a_frame_header_is_read_one_way() {
+    let refusal = |bytes: &[u8]| largest_request(|| read_frame(&mut Cursor::new(bytes)));
+    for len in [0u32, 5, 0x7fff] {
+        let long = [&(len | 1 << 31).to_be_bytes()[..], &vec![0; len as usize]].concat();
+        assert!(matches!(refusal(&long).0, Err(ProtoError::Io(_))), "{len}");
+    }
+    let past = (MAX_FRAME_LEN as u32 + 1) | 1 << 31;
+    for claim in [past, u32::MAX] {
+        let (result, largest) = refusal(&claim.to_be_bytes());
+        assert!(matches!(result, Err(ProtoError::TooLarge(_))), "{result:?}");
+        assert_eq!(largest, 0, "{claim:#x}");
+    }
+    let mut long = Vec::new();
+    write_frame(&mut long, &[1; 0x8000]).unwrap();
+    for cut in [&[0x00][..], &[0x7f], &long[..1], &long[..2], &long[..3]] {
+        let (result, _) = refusal(cut);
+        assert!(
+            matches!(result, Err(ProtoError::Io(_))),
+            "{cut:?}: {result:?}"
+        );
+    }
+}
+
+/// Every `u32` field is a varint on the wire and refuses one past
+/// `u32::MAX`, so a decode accepts only what an encode writes.
+#[test]
+fn a_u32_field_refuses_a_varint_past_u32() {
+    let past = varint::encode(u64::from(u32::MAX) + 1);
+    let status = Reply::JobStatus {
+        handle: JobHandle::new("h", 1, 1, 1),
+        state: JobStateCode::Done,
+        exit_code: Some(0),
+        output: String::new(),
+    }
+    .encode();
+    // The exit code's byte sits before the output's empty length.
+    let exit_at = status.len() - 2;
+    for (bytes, field) in [
+        ([&[4, 2, 0][..], &past].concat(), "record count"),
+        ([&[4, 4][..], &past, &[0]].concat(), "error code"),
+        ([&[4, 6, 1][..], &past].concat(), "keyword count"),
+        ([&[4, 8, 1][..], &past, &[0]].concat(), "end code"),
+        ([&status[..exit_at], &past, &[0]].concat(), "exit code"),
+    ] {
+        let refusal = Reply::decode(&bytes).unwrap_err().reason;
+        assert_eq!(refusal, format!("{field} past u32"), "{bytes:?}");
+    }
+}
+
+/// The exit code is zigzag-encoded: a small code of either sign is one
+/// byte, and every `i32` crosses.
+#[test]
+fn every_exit_code_round_trips() {
+    for (code, bytes) in [
+        (i32::MIN, 5),
+        (-1, 1),
+        (0, 1),
+        (63, 1),
+        (-64, 1),
+        (64, 2),
+        (i32::MAX, 5),
+    ] {
+        let reply = Reply::JobStatus {
+            handle: JobHandle::new("h", 1, 1, 1),
+            state: JobStateCode::Failed,
+            exit_code: Some(code),
+            output: String::new(),
+        };
+        let encoded = reply.encode();
+        assert_eq!(Reply::decode(&encoded).unwrap(), reply, "{code}");
+        // Version, tag, a 6-byte handle, state, flag, code, empty output.
+        assert_eq!(encoded.len(), 11 + bytes, "{code}");
+    }
 }
 
 /// Feed every corruption of `text` to `decode` and hold each call to

@@ -1,9 +1,9 @@
 //! Unsigned LEB128 varints: seven bits per byte, low group first, the
 //! high bit set on every byte but the last, at most ten bytes.
 //!
-//! The one integer encoding the binary wire formats share: the job handle
-//! fields in `infogram-proto` and the certificate chains of the GSI
-//! handshake in `infogram-gsi`.
+//! The one integer encoding the binary wire formats share: every integer
+//! inside a message of `infogram-proto`, the GSI handshake and the MDS
+//! protocol ([`crate::wire::put_varint`]).
 
 use std::ops::Deref;
 

@@ -1,12 +1,15 @@
-//! A bounds-checked cursor over one received message.
+//! The binary wire codec: [`put_varint`] and [`put_str`] write, a
+//! bounds-checked [`Reader`] reads.
 //!
-//! Every binary decoder in the service reads through [`Reader`]: the
+//! Every binary message in the service is built and read here: the
 //! `proto` requests, replies and record deltas, the GSI handshake and its
-//! certificate chains, and the MDS protocol. A read is checked against
-//! the bytes left and borrows from the message. A count is held to the
-//! bytes that could carry its items and to a cap before anything is
-//! allocated for it. [`Reader::finish`] refuses bytes after the last
-//! field. Each refusal is a [`ReadError`] that names the field.
+//! certificate chains, and the MDS protocol. Every integer inside a
+//! message is an unsigned LEB128 varint and every string a varint length
+//! and UTF-8. A read is checked against the bytes left and borrows from
+//! the message. A count is held to the bytes that could carry its items
+//! and to a cap before anything is allocated for it. [`Reader::finish`]
+//! refuses bytes after the last field. Each refusal is a [`ReadError`]
+//! that names the field.
 
 use crate::varint::{self, VarintError};
 
@@ -22,6 +25,8 @@ pub enum ReadError {
     TooMany(&'static str),
     /// A varint is malformed.
     Varint(VarintError),
+    /// The named `u32` field holds a varint past `u32::MAX`.
+    PastU32(&'static str),
     /// Bytes follow the last field.
     Trailing,
 }
@@ -33,12 +38,24 @@ impl std::fmt::Display for ReadError {
             ReadError::InvalidUtf8(field) => write!(f, "invalid utf-8 in {field}"),
             ReadError::TooMany(field) => write!(f, "too many {field}"),
             ReadError::Varint(e) => e.fmt(f),
+            ReadError::PastU32(field) => write!(f, "{field} past u32"),
             ReadError::Trailing => f.write_str("trailing bytes"),
         }
     }
 }
 
 impl std::error::Error for ReadError {}
+
+/// Append `v` as an unsigned LEB128 varint ([`varint::encode`]).
+pub fn put_varint(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&varint::encode(v));
+}
+
+/// Append `s` as a varint length and its UTF-8.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
 
 /// A cursor over a message: each read takes its field from the front.
 #[derive(Debug, Clone)]
@@ -74,8 +91,13 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
+    /// A varint that must fit the named `u32` field.
+    pub fn varint_u32(&mut self, field: &'static str) -> Result<u32, ReadError> {
+        u32::try_from(self.varint()?).map_err(|_| ReadError::PastU32(field))
+    }
+
     /// The next `n` bytes, borrowed.
-    pub fn bytes(&mut self, n: u64, field: &'static str) -> Result<&'a [u8], ReadError> {
+    fn bytes(&mut self, n: u64, field: &'static str) -> Result<&'a [u8], ReadError> {
         if n > self.rest.len() as u64 {
             return Err(ReadError::Truncated(field));
         }
@@ -84,8 +106,9 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
-    /// The next `n` bytes as UTF-8, borrowed.
-    pub fn str(&mut self, n: u64, field: &'static str) -> Result<&'a str, ReadError> {
+    /// A string as [`put_str`] writes it, borrowed.
+    pub fn str(&mut self, field: &'static str) -> Result<&'a str, ReadError> {
+        let n = self.varint()?;
         std::str::from_utf8(self.bytes(n, field)?).map_err(|_| ReadError::InvalidUtf8(field))
     }
 
@@ -106,6 +129,11 @@ impl<'a> Reader<'a> {
         Ok(claimed as usize)
     }
 
+    /// How many bytes are left.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
     /// The end of the message: refused if bytes are left.
     pub fn finish(self) -> Result<(), ReadError> {
         if self.rest.is_empty() {
@@ -122,15 +150,22 @@ mod tests {
 
     #[test]
     fn reads_take_fields_from_the_front() {
-        let msg = [&[7, 1, 2, 0xac, 0x02, 2][..], "hé".as_bytes()].concat();
+        let mut msg = vec![7, 1, 2, 0xac, 0x02, 2];
+        put_str(&mut msg, "hé");
+        put_varint(&mut msg, u32::MAX.into());
+        assert_eq!(
+            msg[6..],
+            [3, b'h', 0xc3, 0xa9, 0xff, 0xff, 0xff, 0xff, 0x0f]
+        );
         let mut r = Reader::new(&msg);
         assert_eq!(r.u8("tag"), Ok(7));
         assert_eq!(r.array::<2>("port").map(u16::from_be_bytes), Ok(0x0102));
         assert_eq!(r.varint(), Ok(300));
         let n = r.u8("length").unwrap();
         assert_eq!(r.count(n.into(), 1, 2, "items"), Ok(2));
-        assert_eq!(r.clone().bytes(3, "name"), Ok("hé".as_bytes()));
-        assert_eq!(r.str(3, "name"), Ok("hé"));
+        assert_eq!(r.remaining(), 9);
+        assert_eq!(r.str("name"), Ok("hé"));
+        assert_eq!(r.varint_u32("code"), Ok(u32::MAX));
         assert_eq!(r.finish(), Ok(()));
     }
 
@@ -142,14 +177,6 @@ mod tests {
             refused(r.clone().array::<4>("id").map(drop)),
             "truncated id"
         );
-        assert_eq!(
-            refused(r.clone().bytes(4, "body").map(drop)),
-            "truncated body"
-        );
-        assert_eq!(
-            refused(r.clone().str(1, "host").map(drop)),
-            "invalid utf-8 in host"
-        );
         assert_eq!(refused(r.count(4, 1, 8, "RDNs").map(drop)), "too many RDNs");
         assert_eq!(refused(r.count(2, 1, 1, "RDNs").map(drop)), "too many RDNs");
         assert_eq!(refused(r.clone().finish()), "trailing bytes");
@@ -158,6 +185,19 @@ mod tests {
         assert_eq!(
             refused(Reader::new(&[]).u8("tag").map(drop)),
             "truncated tag"
+        );
+        assert_eq!(
+            refused(Reader::new(&[4, b'b']).str("body").map(drop)),
+            "truncated body"
+        );
+        assert_eq!(
+            refused(Reader::new(&[1, 0xff]).str("host").map(drop)),
+            "invalid utf-8 in host"
+        );
+        let past = varint::encode(u64::from(u32::MAX) + 1);
+        assert_eq!(
+            refused(Reader::new(&past).varint_u32("code").map(drop)),
+            "code past u32"
         );
     }
 }

@@ -15,16 +15,19 @@ use infogram::host::commands::{ChargeMode, CommandRegistry};
 use infogram::host::machine::SimulatedHost;
 use infogram::info::config::ServiceConfig;
 use infogram::mds::protocol::{MdsReply, MDS_PROTOCOL_VERSION};
+use infogram::proto::frame::{header_len, read_frame};
 use infogram::proto::message::{codes, JobStateCode, Reply, Request, PROTOCOL_VERSION};
 use infogram::proto::transport::tcp::TcpTransport;
-use infogram::proto::transport::{Conn, Transport};
+use infogram::proto::transport::{Conn, Transport, HANDSHAKE_DEADLINE};
 use infogram::proto::JobHandle;
 use infogram::sim::clock::SharedClock;
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::{varint, SimTime, SplitMix64, SystemClock};
 use infogram_client::InfoGramClient;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A service on `127.0.0.1:0` and what a client needs to reach it.
 struct TcpWorld {
@@ -276,5 +279,111 @@ fn handshake_messages_are_neither_infogram_nor_mds_messages() {
         assert!(Request::decode(message).is_err(), "{message:?}");
         assert!(MdsReply::decode(message).is_err(), "{message:?}");
     }
+    w.service.shutdown();
+}
+
+/// `net.bytes` is what the socket carries: a raw peer counts every byte
+/// a `TcpConn` sends, header included, and the counter grows by as much.
+#[test]
+fn the_meter_counts_every_byte_a_tcp_conn_sends() {
+    let transport = TcpTransport::new();
+    let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = peer.local_addr().unwrap().to_string();
+    for len in [0, 1, 32_767, 32_768, 1 << 20] {
+        let (carried, metered) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let (mut stream, _) = peer.accept().unwrap();
+                let mut all = Vec::new();
+                stream.read_to_end(&mut all).unwrap();
+                all.len()
+            });
+            let before = transport.metrics().counter_value("net.bytes");
+            let conn = transport.connect(&addr).unwrap();
+            conn.send(&vec![7; len]).unwrap();
+            drop(conn);
+            let metered = transport.metrics().counter_value("net.bytes") - before;
+            (reader.join().unwrap(), metered)
+        });
+        assert_eq!(carried, len + header_len(len), "{len}");
+        assert_eq!(metered, carried as u64, "{len}");
+    }
+}
+
+/// A v3 peer frames its HELLO behind a 4-byte length. Its first two
+/// bytes read as an empty frame, which is no HELLO: the gatekeeper
+/// refuses it, and the request the peer sends next is never dispatched.
+#[test]
+fn a_v3_peer_is_refused_at_the_handshake_and_never_dispatched() {
+    let w = TcpWorld::start();
+    let counter = |name: &str| w.service.engine().metrics().counter_value(name);
+    let (hello, _) = wire_client_hello(&w.user, &mut SplitMix64::new(9));
+    let query = Request::Submit {
+        rsl: "(info=Memory)".to_string(),
+        callback: false,
+    }
+    .encode();
+    let mut v3 = Vec::new();
+    for message in [&hello, &query] {
+        v3.extend_from_slice(&(message.len() as u32).to_be_bytes());
+        v3.extend_from_slice(message);
+    }
+    let mut stream = TcpStream::connect(w.service.addr()).unwrap();
+    stream.write_all(&v3).unwrap();
+    match Reply::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+        Reply::Error { code, .. } => assert_eq!(code, codes::AUTHENTICATION),
+        other => panic!("a v3 HELLO answered {other:?}"),
+    }
+    assert_eq!(counter("gram.auth_failures"), 1);
+    assert_eq!(counter("gram.handshakes"), 0);
+    assert_eq!(counter("gram.requests"), 0);
+    assert_eq!(
+        w.connect(w.service.addr())
+            .info("Memory")
+            .unwrap()
+            .record_count,
+        1
+    );
+    w.service.shutdown();
+}
+
+/// A peer that connects and sends nothing, and one that sends one byte
+/// of a header and stops, each hold a connection only until the
+/// handshake deadline; a client connecting meanwhile is served.
+#[test]
+fn a_stalled_handshake_is_dropped_at_its_deadline() {
+    let w = TcpWorld::start();
+    let active = || {
+        w.service
+            .engine()
+            .metrics()
+            .gauge_value("gram.connections.active")
+    };
+    let until = |want: f64, by: Instant| {
+        while active() != want {
+            assert!(
+                Instant::now() < by,
+                "{} connections active, not {want}",
+                active()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let start = Instant::now();
+    let _half_open = TcpStream::connect(w.service.addr()).unwrap();
+    let mut slow_loris = TcpStream::connect(w.service.addr()).unwrap();
+    slow_loris.write_all(&[0]).unwrap();
+    until(2.0, start + Duration::from_secs(1));
+
+    let mut client = w.connect(w.service.addr());
+    assert_eq!(client.info("Memory").unwrap().record_count, 1);
+    assert_eq!(active(), 3.0);
+    drop(client);
+
+    until(0.0, start + HANDSHAKE_DEADLINE + Duration::from_secs(1));
+    assert!(
+        start.elapsed() >= HANDSHAKE_DEADLINE,
+        "{:?}",
+        start.elapsed()
+    );
     w.service.shutdown();
 }
