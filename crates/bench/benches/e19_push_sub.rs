@@ -13,7 +13,8 @@
 //! running `InfoGramService` with no other connection open and with
 //! 1 000 idle authenticated ones (100 in quick mode) on a `MemNetwork`:
 //! a transition should cost the same either way, since only the job's
-//! own subscribers hear of it.
+//! own subscribers hear of it. That is gated as a count — the engine
+//! observers one transition visits — and the times are reported.
 //!
 //! `BENCH_QUICK=1` shrinks the population.
 
@@ -73,13 +74,13 @@ fn record(kw: &str, round: u64) -> InfoRecord {
     rec
 }
 
-/// Median wall time, in microseconds, of the `status` call that finds a
-/// job transition, against a sandbox service holding `idle` other
-/// authenticated connections that send nothing. The job fails after a
-/// millisecond and restarts, `rounds` times: each round is two
-/// transitions (ACTIVE → PENDING on the restart, PENDING → ACTIVE on the
-/// next poll).
-fn transition_us(idle: usize, rounds: u32) -> f64 {
+/// One job transition against a sandbox service holding `idle` other
+/// authenticated connections that send nothing: the median wall time,
+/// in microseconds, of the `status` call that finds it, and the engine
+/// observers it visits. The job fails after a millisecond and restarts,
+/// `rounds` times: each round is two transitions (ACTIVE → PENDING on
+/// the restart, PENDING → ACTIVE on the next poll).
+fn transition(idle: usize, rounds: u32) -> (f64, usize) {
     let sandbox = Sandbox::start();
     let clients: Vec<_> = (0..idle).map(|_| sandbox.connect_client()).collect();
     // The last connections finish setting up after their client returns.
@@ -109,9 +110,10 @@ fn transition_us(idle: usize, rounds: u32) -> f64 {
             last = state;
         }
     }
+    let visits = engine.observer_count();
     drop(clients);
     sandbox.shutdown();
-    Summary::from_durations(&samples).median() * 1e6
+    (Summary::from_durations(&samples).median() * 1e6, visits)
 }
 
 fn main() {
@@ -203,14 +205,14 @@ fn main() {
     // --- engine row: one job transition, with and without idle peers ---
     let idle: usize = if quick { 100 } else { 1_000 };
     let rounds = if quick { 200 } else { 500 };
-    let alone_us = transition_us(0, rounds);
-    let crowded_us = transition_us(idle, rounds);
+    let (alone_us, alone_visits) = transition(0, rounds);
+    let (crowded_us, crowded_visits) = transition(idle, rounds);
     println!("\n-- one job transition (median `status` that finds it) --");
     table(
-        "idle connections|transition (us)",
+        "idle connections|transition (us)|observers visited",
         &[
-            row!["0", format!("{alone_us:.2}")],
-            row![idle, format!("{crowded_us:.2}")],
+            row!["0", format!("{alone_us:.2}"), alone_visits],
+            row![idle, format!("{crowded_us:.2}"), crowded_visits],
         ],
     );
 
@@ -228,11 +230,18 @@ fn main() {
         p99_per_sub < 100.0,
         format!("p99 {p99:.0}us for {per_keyword} subscribers, {p99_per_sub:.2}us each"),
     );
-    // Flat: idle peers add nothing to a transition (at 100 of them, a
-    // per-connection watcher more than doubled it).
+    // Flat: idle peers add nothing to a transition (a per-connection
+    // watcher is one more observer per connection, and at 100 of them
+    // more than doubled its time).
     report.claim(
         "transition_flat_beside_idle_connections",
-        "a job transition costs the same beside idle connections as alone",
+        "a job transition visits as many observers beside idle connections as alone",
+        crowded_visits == alone_visits,
+        format!("{alone_visits} alone, {crowded_visits} beside {idle} idle"),
+    );
+    report.reported(
+        "transition_time_flat_beside_idle_connections",
+        "a job transition takes the same time beside idle connections as alone",
         crowded_us <= 1.5 * alone_us + 2.0,
         format!("{alone_us:.2}us alone, {crowded_us:.2}us beside {idle} idle"),
     );

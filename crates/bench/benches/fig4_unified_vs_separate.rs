@@ -8,6 +8,8 @@
 //! connections, handshakes, protocols spoken) is counted from the running
 //! servers and network, and gated exactly; latency and bytes depend on
 //! how many status polls a job's wall time takes, so they are reported.
+//! At p_info 1 no job runs, so nothing is polled and the bytes that mix
+//! moves are gated too.
 
 use infogram_bench::mixed::{run, MixedOutcome};
 use infogram_bench::{fmt_ratio, fmt_secs, row, table, Joined, Report};
@@ -129,6 +131,13 @@ fn main() {
         "unified mean latency is at parity or better at every mix",
         every_mix(&|base, uni| uni.latency.mean() <= base.latency.mean()),
         format!("per mix: {}", per_mix(&|o| fmt_secs(o.latency.mean()))),
+    );
+    let (_, base, uni) = &runs[MIXES.len() - 1];
+    report.claim(
+        "info_bytes_fewer",
+        "at p_info 1 unified moves fewer bytes than the baseline",
+        uni.bytes < base.bytes,
+        format!("baseline/unified bytes: {}/{}", base.bytes, uni.bytes),
     );
     report.reported(
         "bytes_not_worse",

@@ -72,9 +72,10 @@ impl Report {
         });
     }
 
-    /// A wall-clock claim: printed and recorded as `reported`, never
-    /// gated, because a shared host's scheduling noise is as large as
-    /// the effect.
+    /// A claim printed and recorded as `reported`, never gated: one
+    /// measured on the wall clock, or counted over work whose amount
+    /// the wall clock sets (a job's status polls), because a shared
+    /// host's scheduling noise is as large as the effect.
     pub fn reported(
         &mut self,
         name: &'static str,
@@ -145,8 +146,8 @@ impl Report {
             let verdict = match (c.gated, c.holds) {
                 (true, true) => "holds",
                 (true, false) => "DOES NOT HOLD",
-                (false, true) => "reported, holds (wall clock, not gated)",
-                (false, false) => "reported, does not hold (wall clock, not gated)",
+                (false, true) => "reported, holds (not gated)",
+                (false, false) => "reported, does not hold (not gated)",
             };
             println!("  {}: {}\n    {verdict}: {}", c.name, c.text, c.measured);
         }

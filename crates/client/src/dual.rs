@@ -114,7 +114,9 @@ impl DualClient {
                 }
                 // Undo the LDAP-safe renaming: `Memory-total` →
                 // `Memory:total`.
-                let name = ldif::restore_name(k, &keyword);
+                let Some(name) = ldif::restore_name(k, &keyword) else {
+                    continue;
+                };
                 rec.attributes
                     .push(infogram_proto::record::Attribute::new(&name, v));
             }

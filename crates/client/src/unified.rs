@@ -87,9 +87,10 @@ impl QueryBuilder {
 
     /// Render the xRSL text.
     pub fn to_rsl(&self) -> String {
+        // `(info=a b)` reads as `(info=a)(info=b)`, in fewer bytes.
         let mut out = String::new();
-        for s in &self.selectors {
-            let _ = write!(out, "(info={s})");
+        if !self.selectors.is_empty() {
+            let _ = write!(out, "(info={})", self.selectors.join(" "));
         }
         if let Some(mode) = self.response {
             let _ = write!(out, "(response={})", mode.as_str());
@@ -619,7 +620,7 @@ mod tests {
             .to_rsl();
         assert_eq!(
             rsl,
-            "(info=memory)(info=cpu)(response=immediate)(quality=75)\
+            "(info=memory cpu)(response=immediate)(quality=75)\
              (performance=true)(format=xml)(filter=Memory:free)"
         );
         // And it parses as valid xRSL.

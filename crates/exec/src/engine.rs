@@ -348,6 +348,12 @@ impl JobEngine {
         jobs.observers = Arc::new(observers);
     }
 
+    /// How many observers [`JobEngine::on_state_change`] registered: the
+    /// callbacks every job transition visits.
+    pub fn observer_count(&self) -> usize {
+        self.jobs.lock().observers.len()
+    }
+
     /// The engine's logging service (tests and benches reach through to
     /// inspect the fold or force commits).
     pub fn wal(&self) -> &Wal {

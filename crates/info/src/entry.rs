@@ -83,10 +83,10 @@ impl Produced {
         }
     }
 
-    /// The pairs as the block writers take them, namespaced by `keyword`.
-    pub fn attr_refs<'a>(&'a self, keyword: &'a str) -> impl Iterator<Item = AttrRef<'a>> {
+    /// The pairs as the block writers take them.
+    pub fn attr_refs(&self) -> impl Iterator<Item = AttrRef<'_>> {
         self.iter()
-            .map(move |(name, value)| AttrRef::produced(keyword, name, value))
+            .map(|(name, value)| AttrRef::produced(name, value))
     }
 
     /// The attribute block of these pairs under `keyword` in `format`,
@@ -96,7 +96,7 @@ impl Produced {
         let slot = &self.blocks[block_slot(format)?];
         Some(slot.get_or_init(|| {
             let mut block = String::new();
-            render::write_block(&mut block, format, self.attr_refs(keyword));
+            render::write_block(&mut block, format, keyword, self.attr_refs());
             block.into()
         }))
     }
@@ -837,7 +837,7 @@ mod tests {
         // snapshot of the same production — share that one string.
         let hit = si.query_state().unwrap();
         let block = hit.cached_block("K", OutputFormat::Ldif).unwrap();
-        assert_eq!(block, "K-n: 1\n");
+        assert_eq!(block, "n: 1\n");
         let again = si.last_state().unwrap();
         assert!(std::ptr::eq(
             block,
@@ -847,7 +847,7 @@ mod tests {
         assert!(hit.attributes.blocks[1].get().is_none());
         assert_eq!(
             hit.cached_block("K", OutputFormat::Xml),
-            Some("    <attribute name=\"K:n\">1</attribute>\n  </provider>\n")
+            Some("    <attribute name=\"n\">1</attribute>\n  </provider>\n")
         );
         assert_eq!(hit.cached_block("K", OutputFormat::Plain), None);
         assert!(hit.attributes.blocks[2].get().is_none());

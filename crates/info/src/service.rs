@@ -461,7 +461,7 @@ impl InformationService {
             });
             match snap.cached_block(keyword, format) {
                 Some(block) => body.push_block(block),
-                None => body.block(snap.attributes.attr_refs(keyword)),
+                None => body.block(keyword, snap.attributes.attr_refs()),
             }
         }
         let record_count = body.record_count();

@@ -78,22 +78,13 @@ impl DirectoryTree {
         Self::default()
     }
 
-    /// Insert or replace an entry.
-    pub fn put(&self, entry: DirEntry) {
-        self.entries.write().insert(entry.dn.clone(), entry);
-    }
-
-    /// Remove an entry; returns whether it existed.
-    pub fn remove(&self, dn: &Dn) -> bool {
-        self.entries.write().remove(dn).is_some()
-    }
-
-    /// Remove every entry under (and including) `base`.
-    pub fn remove_subtree(&self, base: &Dn) -> usize {
-        let mut entries = self.entries.write();
-        let before = entries.len();
-        entries.retain(|dn, _| !in_scope(dn, base, Scope::Sub));
-        before - entries.len()
+    /// Replace every entry under (and including) `base` with `entries`,
+    /// built by the caller beforehand, in one write: a search sees the
+    /// old subtree or the new one, never a part of either.
+    pub fn replace_subtree(&self, base: &Dn, entries: Vec<DirEntry>) {
+        let mut tree = self.entries.write();
+        tree.retain(|dn, _| !in_scope(dn, base, Scope::Sub));
+        tree.extend(entries.into_iter().map(|e| (e.dn.clone(), e)));
     }
 
     /// LDAP-style search.
@@ -116,20 +107,19 @@ mod tests {
     }
 
     fn tree() -> DirectoryTree {
-        let t = DirectoryTree::new();
-        t.put(DirEntry::new(
+        let mut entries = vec![DirEntry::new(
             dn("/o=Grid"),
             vec![("objectclass".to_string(), "organization".to_string())],
-        ));
+        )];
         for (host, load) in [("node0", "0.5"), ("node1", "2.5")] {
-            t.put(DirEntry::new(
+            entries.push(DirEntry::new(
                 dn(&format!("/o=Grid/hn={host}")),
                 vec![
                     ("objectclass".to_string(), "host".to_string()),
                     ("load".to_string(), load.to_string()),
                 ],
             ));
-            t.put(DirEntry::new(
+            entries.push(DirEntry::new(
                 dn(&format!("/o=Grid/hn={host}/kw=Memory")),
                 vec![
                     ("objectclass".to_string(), "provider".to_string()),
@@ -137,6 +127,8 @@ mod tests {
                 ],
             ));
         }
+        let t = DirectoryTree::new();
+        t.replace_subtree(&dn("/o=Grid"), entries);
         t
     }
 
@@ -164,29 +156,27 @@ mod tests {
     }
 
     #[test]
-    fn put_replaces() {
+    fn replace_subtree_swaps_that_subtree_only() {
         let t = tree();
-        t.put(DirEntry::new(
+        let everything = Filter::everything();
+        let node0 = DirEntry::new(
             dn("/o=Grid/hn=node0"),
             vec![
                 ("objectclass".to_string(), "host".to_string()),
                 ("load".to_string(), "9.0".to_string()),
             ],
-        ));
-        let node0 = t.search(&dn("/o=Grid/hn=node0"), Scope::Base, &Filter::everything());
-        assert_eq!(node0[0].first("load").unwrap(), "9.0");
-        let all = t.search(&dn("/o=Grid"), Scope::Sub, &Filter::everything());
-        assert_eq!(all.len(), 5, "replace does not grow the tree");
-    }
-
-    #[test]
-    fn remove_and_subtree() {
-        let t = tree();
-        assert!(t.remove(&dn("/o=Grid/hn=node0/kw=Memory")));
-        assert!(!t.remove(&dn("/o=Grid/hn=node0/kw=Memory")));
-        assert_eq!(t.remove_subtree(&dn("/o=Grid/hn=node1")), 2);
-        let all = t.search(&dn("/o=Grid"), Scope::Sub, &Filter::everything());
-        assert_eq!(all.len(), 2);
+        );
+        let cpu = DirEntry::new(
+            dn("/o=Grid/hn=node0/kw=CPU"),
+            vec![("objectclass".to_string(), "provider".to_string())],
+        );
+        t.replace_subtree(&dn("/o=Grid/hn=node0"), vec![node0.clone(), cpu.clone()]);
+        let under = t.search(&dn("/o=Grid/hn=node0"), Scope::Sub, &everything);
+        assert_eq!(under, vec![node0, cpu], "kw=Memory gone, load replaced");
+        let all = t.search(&dn("/o=Grid"), Scope::Sub, &everything);
+        assert_eq!(all.len(), 5, "node1's subtree is untouched");
+        t.replace_subtree(&dn("/o=Grid"), Vec::new());
+        assert!(t.search(&dn("/o=Grid"), Scope::Sub, &everything).is_empty());
     }
 
     #[test]

@@ -20,20 +20,14 @@ use parking_lot::{lock_class, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
 
-struct Member {
-    gris: Arc<Gris>,
-    /// DNs this member contributed on its last pull, so a re-pull (or a
-    /// shrinking member) replaces exactly its own entries — members
-    /// share the `/o=Grid` subtree.
-    contributed: Vec<Dn>,
-}
-
 /// The member list plus its re-pull schedule: each member always has
 /// exactly one pending [`TimerWheel`] entry (its index) due at its next
 /// TTL expiry, so a refresh round pops the due frontier instead of
 /// scanning every member for staleness.
 struct MemberTable {
-    list: Vec<Member>,
+    /// Each member's entries are its GRIS's subtree, so a re-pull (or
+    /// a shrinking member) replaces exactly its own entries.
+    list: Vec<Arc<Gris>>,
     wheel: TimerWheel<usize>,
 }
 
@@ -85,10 +79,7 @@ impl Giis {
     pub fn register(&self, gris: Arc<Gris>) {
         let mut members = self.members.lock();
         let idx = members.list.len();
-        members.list.push(Member {
-            gris,
-            contributed: Vec::new(),
-        });
+        members.list.push(gris);
         members.wheel.schedule(self.clock.now(), idx);
     }
 
@@ -126,7 +117,7 @@ impl Giis {
             let mut members = self.members.lock();
             while let Some(due) = members.wheel.pop_due(now) {
                 let idx = due.item;
-                stale.push((idx, Arc::clone(&members.list[idx].gris)));
+                stale.push((idx, Arc::clone(&members.list[idx])));
             }
         }
         if stale.is_empty() {
@@ -146,10 +137,8 @@ impl Giis {
         // Gather: re-acquire and apply tree mutations sequentially, in
         // member order. `list` only ever grows (members are never
         // removed), so the popped indices stay valid across the gap.
-        let mut guard = self.members.lock();
-        let members = &mut *guard;
-        for ((idx, _), snapshot) in stale.iter().zip(snapshots) {
-            let member = &mut members.list[*idx];
+        let mut members = self.members.lock();
+        for ((idx, gris), snapshot) in stale.iter().zip(snapshots) {
             let entries = match snapshot {
                 Ok(entries) => entries,
                 Err(_why) => {
@@ -163,13 +152,9 @@ impl Giis {
                     continue;
                 }
             };
-            for dn in member.contributed.drain(..) {
-                self.tree.remove(&dn);
-            }
-            member.contributed = entries.iter().map(|e| e.dn.clone()).collect();
-            for e in entries {
-                self.tree.put(e);
-            }
+            // One swap: a search racing this pull reads the member's
+            // whole old subtree or its whole new one.
+            self.tree.replace_subtree(gris.base(), entries);
             members.wheel.schedule(now.plus(self.cache_ttl), *idx);
             self.pulls
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);

@@ -62,14 +62,13 @@ impl Gris {
         let records = self
             .info
             .answer(&[InfoSelector::All], &QueryOptions::default())?;
-        self.tree.remove_subtree(&self.base);
-        self.tree.put(DirEntry::new(
+        let mut entries = vec![DirEntry::new(
             self.base.clone(),
             vec![
                 ("objectclass".to_string(), "GridResource".to_string()),
                 ("hn".to_string(), self.info.hostname().to_string()),
             ],
-        ));
+        )];
         for rec in records {
             let dn = self.base.child("kw", &rec.keyword);
             let mut attributes = vec![
@@ -80,9 +79,17 @@ impl Gris {
             for a in &rec.attributes {
                 attributes.push((ldif::safe_name(&a.name), a.value.clone()));
             }
-            self.tree.put(DirEntry::new(dn, attributes));
+            entries.push(DirEntry::new(dn, attributes));
         }
+        // One swap: a search racing this refresh reads the whole old
+        // subtree or the whole new one.
+        self.tree.replace_subtree(&self.base, entries);
         Ok(())
+    }
+
+    /// The DN this GRIS publishes under, `/o=Grid/hn=<hostname>`.
+    pub fn base(&self) -> &Dn {
+        &self.base
     }
 
     /// Search the (refreshed) subtree.
@@ -167,6 +174,34 @@ mod tests {
         // (CPULoad has TTL 0 and always executes).
         assert_eq!(info.lookup("Memory").unwrap().execution_count(), 1);
         assert_eq!(info.lookup("CPULoad").unwrap().execution_count(), 2);
+    }
+
+    #[test]
+    fn a_search_racing_a_refresh_sees_the_whole_subtree() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (_c, g) = gris();
+        let everything = Filter::everything();
+        assert_eq!(g.search_all(&everything).len(), 6);
+        let done = AtomicBool::new(false);
+        let partial: usize = std::thread::scope(|s| {
+            let searchers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut partial = 0;
+                        while !done.load(Ordering::Relaxed) {
+                            partial += usize::from(g.search_all(&everything).len() != 6);
+                        }
+                        partial
+                    })
+                })
+                .collect();
+            for _ in 0..2_000 {
+                g.refresh();
+            }
+            done.store(true, Ordering::Relaxed);
+            searchers.into_iter().map(|t| t.join().unwrap()).sum()
+        });
+        assert_eq!(partial, 0, "searches that read part of the subtree");
     }
 
     #[test]

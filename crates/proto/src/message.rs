@@ -12,8 +12,10 @@ use infogram_sim::wire::{put_str, put_varint, ReadError, Reader};
 
 /// Protocol version carried in every request and reply. 4: every integer
 /// inside a message is a varint, and a frame header is 2 bytes below
-/// 32 KiB.
-pub const PROTOCOL_VERSION: u8 = 4;
+/// 32 KiB. 5: a reply body names each attribute relative to its record's
+/// keyword (`total`, not `Memory-total`), which a v4 peer would read
+/// without its namespace.
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// GRAM-flavoured error codes.
 pub mod codes {
@@ -638,7 +640,7 @@ mod tests {
         let status = Request::Status {
             handle: JobHandle::new("127.0.0.1", 2119, 1, 1),
         };
-        let golden = [&[4, 1, 9][..], b"127.0.0.1", &[0x08, 0x47, 0x01, 0x01]].concat();
+        let golden = [&[5, 1, 9][..], b"127.0.0.1", &[0x08, 0x47, 0x01, 0x01]].concat();
         assert_eq!(status.encode(), golden);
         assert_eq!(Request::decode(&golden).unwrap(), status);
         // A job id of 128..16 384, as in a long run: two varint bytes,
@@ -647,7 +649,7 @@ mod tests {
             handle: JobHandle::new("127.0.0.1", 40_123, 4242, 1),
         };
         let golden = [
-            &[4, 0, 9][..],
+            &[5, 0, 9][..],
             b"127.0.0.1",
             &[0x9c, 0xbb, 0x92, 0x21, 0x01],
         ]
@@ -664,9 +666,11 @@ mod tests {
         let refusal = "unsupported protocol version 2";
         assert_eq!(Request::decode(&v2(1)).unwrap_err().reason, refusal);
         assert_eq!(Reply::decode(&v2(0)).unwrap_err().reason, refusal);
-        // A v3 Ping: the same tag under the previous version byte.
+        // A v3 request and a v4 reply: a tag under an earlier version.
         let refusal = Request::decode(&[3, 3]).unwrap_err().reason;
         assert_eq!(refusal, "unsupported protocol version 3");
+        let refusal = Reply::decode(&[4, 3]).unwrap_err().reason;
+        assert_eq!(refusal, "unsupported protocol version 4");
     }
 
     #[test]

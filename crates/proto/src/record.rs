@@ -65,11 +65,15 @@ impl InfoRecord {
         }
     }
 
-    /// Append an attribute, namespacing a bare name with the keyword
-    /// (`total` → `Memory:total`). Already-namespaced names pass through.
+    /// Append an attribute, namespacing its name with the keyword unless
+    /// it already is (`total` → `Memory:total`; `Memory:free` passes
+    /// through). A record's attributes all live in its keyword's
+    /// namespace, for a reply body names them relative to it: a foreign
+    /// `Disk:free` is `Memory:Disk:free` here, as in the body.
     #[expect(clippy::expect_used, reason = "last_mut on the element just pushed")]
     pub fn push(&mut self, name: &str, value: &str) -> &mut Attribute {
-        let full = if name.contains(':') {
+        let own = (name.strip_prefix(self.keyword.as_str())).is_some_and(|r| r.starts_with(':'));
+        let full = if own {
             name.to_string()
         } else {
             format!("{}:{}", self.keyword, name)
@@ -128,8 +132,10 @@ mod tests {
         let mut r = InfoRecord::new("Memory", "node0");
         r.push("total", "4096");
         r.push("Memory:free", "1024");
+        r.push("Disk:free", "1");
         assert_eq!(r.attributes[0].name, "Memory:total");
         assert_eq!(r.attributes[1].name, "Memory:free");
+        assert_eq!(r.attributes[2].name, "Memory:Disk:free");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! §6.6: "Nevertheless, it is straightforward to support other formats
 //! such as DSML." The Directory Services Markup Language (v1) expresses
-//! LDAP directory entries in XML. Attribute names follow the LDAP-safe
-//! convention of the LDIF renderer (`Memory:total` → `Memory-total`), so
-//! a DSML consumer sees the same names an LDAP consumer would. The
+//! LDAP directory entries in XML. Attribute names follow the LDIF
+//! renderer: relative to the keyword the entry's DN names
+//! (`Memory:total` is `name="total"`), and the whole LDAP-safe form
+//! `Memory-total` parses to the same name. The
 //! `<entry>` tag carries the record's head exactly as XML's `<provider>`
 //! does; an attribute that differs from it carries `<quality>` / `<age>`
 //! elements (see the [module docs](super)):
@@ -29,13 +30,13 @@
 //!  <directory-entries>
 //!   <entry dn="kw=Memory, hn=node0.grid, o=Grid" quality="1.0000" age="12.345">
 //!    <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
-//!    <attr name="Memory-total"><value>4294967296</value></attr>
-//!    <attr name="Memory-free"><value>1073741824</value></attr>
+//!    <attr name="total"><value>4294967296</value></attr>
+//!    <attr name="free"><value>1073741824</value></attr>
 //!   </entry>
 //!   <entry dn="kw=CPULoad, hn=node0.grid, o=Grid">
 //!    <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
-//!    <attr name="CPULoad-load"><value>0.93</value><quality>0.7500</quality></attr>
-//!    <attr name="CPULoad-note"><value>a&lt;b</value></attr>
+//!    <attr name="load"><value>0.93</value><quality>0.7500</quality></attr>
+//!    <attr name="note"><value>a&lt;b</value></attr>
 //!   </entry>
 //!  </directory-entries>
 //! </dsml>
@@ -46,7 +47,7 @@
 
 use super::ldif::{read_dn, restore_name};
 use super::xml::{escape_into, tag_attrs, unescape, write_head_annotations};
-use super::{AttrRef, Head};
+use super::{written_name, AttrRef, Head};
 use crate::record::{Attribute, InfoRecord};
 use infogram_rsl::OutputFormat;
 use std::fmt::Write;
@@ -66,11 +67,15 @@ pub(super) fn write_head(out: &mut String, head: &Head<'_>) {
 }
 
 /// One `<attr>` per attribute, then the closing `</entry>`.
-pub(super) fn write_block<'a>(out: &mut String, attrs: impl Iterator<Item = AttrRef<'a>>) {
+pub(super) fn write_block<'a>(
+    out: &mut String,
+    keyword: &str,
+    attrs: impl Iterator<Item = AttrRef<'a>>,
+) {
     for a in attrs {
         out.push_str("   <attr name=\"");
-        let (keyword, rest) = a.split_name();
-        if let Some(keyword) = keyword {
+        let (whole, rest) = written_name(keyword, a.name);
+        if let Some(keyword) = whole {
             escape_into(out, keyword);
             out.push('-');
         }
@@ -134,9 +139,12 @@ pub fn parse(text: &str) -> Vec<InfoRecord> {
             let Some((raw_name, rest)) = rest.split_once('"') else {
                 continue;
             };
+            let Some(name) = restore_name(&unescape(raw_name), &rec.keyword) else {
+                continue;
+            };
             let own = |open, close| element(rest, open, close).and_then(|v| v.parse().ok());
             rec.attributes.push(Attribute {
-                name: restore_name(&unescape(raw_name), &rec.keyword),
+                name,
                 value: element(rest, "<value>", "</value>")
                     .map(unescape)
                     .unwrap_or_default(),
@@ -168,7 +176,7 @@ mod tests {
         assert!(out.starts_with("<dsml>"));
         assert!(out.trim_end().ends_with("</dsml>"));
         assert!(out.contains("<entry dn=\"kw=Memory, hn=node0.grid, o=Grid\">"));
-        assert!(out.contains("<attr name=\"Memory-total\">"));
+        assert!(out.contains("<attr name=\"total\">"));
         assert!(out.contains("<value>4294967296</value>"));
         assert!(out.contains("<quality>0.9000</quality>"));
         assert!(out.contains("<age>2.500</age>"));

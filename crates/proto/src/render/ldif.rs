@@ -1,10 +1,12 @@
 //! LDIF rendering — the MDS-compatible output format.
 //!
 //! Each information record becomes one LDIF entry whose DN mirrors the
-//! MDS 2.0 convention (`kw=<Keyword>, hn=<host>, o=Grid`). Because LDIF
-//! attribute names cannot contain `:`, the namespace separator of
-//! `Memory:total` is rendered as `Memory-total` and restored on parse
-//! (the keyword is known from the DN). Values that LDIF cannot carry
+//! MDS 2.0 convention (`kw=<Keyword>, hn=<host>, o=Grid`). The DN names
+//! the keyword, so an attribute line names only what follows it:
+//! `Memory:total` is written `total` and the keyword restored on parse
+//! (see the [module docs](super) for the rule). The whole form an MDS
+//! entry carries, `Memory-total` (LDIF attribute names cannot contain
+//! `:`), parses to the same name. Values that LDIF cannot carry
 //! verbatim (leading space/colon/'<', embedded newlines, non-ASCII) are
 //! base64-encoded with the `attr::` form.
 //!
@@ -12,7 +14,7 @@
 //! `infogram-age` beside the `infogram-degraded` / `infogram-stale-age`
 //! fault annotation, when every attribute shares them; an attribute that
 //! differs from its record carries `;quality` / `;age` companion lines
-//! instead (see the [module docs](super) for the rule):
+//! instead:
 //!
 //! ```
 //! use infogram_proto::record::InfoRecord;
@@ -34,19 +36,22 @@
 //!      objectclass: InfoGramProvider\n\
 //!      infogram-quality: 1.0000\n\
 //!      infogram-age: 12.345\n\
-//!      Memory-total: 4294967296\n\
-//!      Memory-free: 1073741824\n\
+//!      total: 4294967296\n\
+//!      free: 1073741824\n\
 //!      \n\
 //!      dn: kw=CPULoad, hn=node0.grid, o=Grid\n\
 //!      objectclass: InfoGramProvider\n\
-//!      CPULoad-load: 0.93\n\
-//!      CPULoad-load;quality: 0.7500\n\
-//!      CPULoad-note:: IHBhZGRlZA==\n"
+//!      load: 0.93\n\
+//!      load;quality: 0.7500\n\
+//!      note:: IHBhZGRlZA==\n"
 //! );
 //! assert_eq!(ldif::parse(&ldif::render(&records)), records);
+//! // The whole form reads the same.
+//! let whole = "dn: kw=CPULoad, hn=node0.grid, o=Grid\nCPULoad-load: 0.93\n";
+//! assert_eq!(ldif::parse(whole)[0].attributes[0].name, "CPULoad:load");
 //! ```
 
-use super::{base64, AttrRef, Head};
+use super::{base64, full_name, relative_name, written_name, AttrRef, Head};
 use crate::record::{Attribute, InfoRecord};
 use infogram_rsl::OutputFormat;
 use std::borrow::Cow;
@@ -74,45 +79,36 @@ pub fn push_value(out: &mut String, value: &str) {
     out.push('\n');
 }
 
-/// `Memory` + `total` → `Memory-total` (LDIF-safe).
-fn push_name(out: &mut String, (keyword, rest): (Option<&str>, &str)) {
+/// A written name: the relative name, after `<keyword>-` when the
+/// block writes the whole form.
+fn push_name(out: &mut String, (keyword, relative): (Option<&str>, &str)) {
     if let Some(keyword) = keyword {
         out.push_str(keyword);
         out.push('-');
     }
-    out.push_str(rest);
+    out.push_str(relative);
 }
 
-/// An attribute name as LDIF writes it: `Memory:total` → `Memory-total`.
+/// An attribute name in the whole LDIF-safe form an MDS entry carries:
+/// `Memory:total` → `Memory-total`.
 pub fn safe_name(name: &str) -> String {
-    let split = name
-        .split_once(':')
-        .map_or((None, name), |(k, r)| (Some(k), r));
-    let mut out = String::with_capacity(name.len());
-    push_name(&mut out, split);
-    out
+    name.replacen(':', "-", 1)
 }
 
-/// `Memory-total` → `Memory:total`, given the record's keyword.
-pub fn restore_name(name: &str, keyword: &str) -> String {
-    match strip_keyword(name, keyword) {
-        Some(rest) => [keyword, ":", rest].concat(),
-        None => name.to_string(),
-    }
-}
-
-/// The part of an LDIF name after `<keyword>-`.
-fn strip_keyword<'a>(name: &'a str, keyword: &str) -> Option<&'a str> {
-    name.strip_prefix(keyword)?.strip_prefix('-')
+/// An LDIF name of a record of `keyword` → the attribute's name:
+/// `total` and `Memory-total` are both `Memory:total` in a `Memory`
+/// entry. `None` for a relative name under a keyword no block writes
+/// relative names for (longer than
+/// [`RELATIVE_KEYWORD_MAX`](super::RELATIVE_KEYWORD_MAX)).
+pub fn restore_name(name: &str, keyword: &str) -> Option<String> {
+    full_name(name, keyword, '-')
 }
 
 /// Whether the record attribute `full` is what the LDIF name `raw`
 /// restores to — [`restore_name`] without building the string.
 fn same_name(full: &str, raw: &str, keyword: &str) -> bool {
-    match strip_keyword(raw, keyword) {
-        Some(rest) => full.strip_prefix(keyword).and_then(|f| f.strip_prefix(':')) == Some(rest),
-        None => full == raw,
-    }
+    full.strip_prefix(keyword).and_then(|f| f.strip_prefix(':'))
+        == Some(relative_name(raw, keyword, '-'))
 }
 
 /// The entry's head: DN, object class and the record-level annotations.
@@ -155,17 +151,27 @@ pub(super) fn write_head(out: &mut String, head: &Head<'_>, first: bool) {
 }
 
 /// One line per attribute, followed by `;quality` / `;age` companion
-/// lines for annotations the head does not carry.
-pub(super) fn write_block<'a>(out: &mut String, attrs: impl Iterator<Item = AttrRef<'a>>) {
+/// lines for annotations the head does not carry. An LDIF name cannot
+/// hold a `:`, so an attribute whose written name would (`Memory:a:b`
+/// is `a:b`) is left out rather than read back as `Memory:a` = `b: …`.
+pub(super) fn write_block<'a>(
+    out: &mut String,
+    keyword: &str,
+    attrs: impl Iterator<Item = AttrRef<'a>>,
+) {
     for a in attrs {
-        push_name(out, a.split_name());
+        let name = written_name(keyword, a.name);
+        if name.0.unwrap_or_default().contains(':') || name.1.contains(':') {
+            continue;
+        }
+        push_name(out, name);
         push_value(out, a.value);
         if let Some(q) = a.quality {
-            push_name(out, a.split_name());
+            push_name(out, name);
             let _ = writeln!(out, ";quality: {q:.4}");
         }
         if let Some(age) = a.age_secs {
-            push_name(out, a.split_name());
+            push_name(out, name);
             let _ = writeln!(out, ";age: {age:.3}");
         }
     }
@@ -271,9 +277,9 @@ pub fn parse(text: &str) -> Vec<InfoRecord> {
                     if let Some(a) = entry.annotated(base) {
                         a.age_secs = value.parse().ok();
                     }
-                } else {
+                } else if let Some(name) = restore_name(raw_name, &entry.rec.keyword) {
                     entry.rec.attributes.push(Attribute {
-                        name: restore_name(raw_name, &entry.rec.keyword),
+                        name,
                         value: value.into_owned(),
                         quality: None,
                         age_secs: None,
@@ -304,9 +310,9 @@ mod tests {
         let out = render(&sample());
         assert!(out.contains("dn: kw=Memory, hn=node0.grid, o=Grid"));
         assert!(out.contains("objectclass: InfoGramProvider"));
-        assert!(out.contains("Memory-total: 4294967296"));
+        assert!(out.contains("\ntotal: 4294967296"));
         // One attribute of two is annotated: it keeps its companion line.
-        assert!(out.contains("Memory-free;quality: 0.9000"));
+        assert!(out.contains("\nfree;quality: 0.9000"));
         assert!(!out.contains("infogram-quality"));
         // Every attribute of `Date` has the age: it is the record's.
         assert!(out.contains("objectclass: InfoGramProvider\ninfogram-age: 1.500\n"));
@@ -389,9 +395,9 @@ mod tests {
         r.push("leading", " space");
         r.push("unicode", "grüße");
         let out = render(&[r]);
-        assert!(out.contains("Odd-multiline:: "));
-        assert!(out.contains("Odd-leading:: "));
-        assert!(out.contains("Odd-unicode:: "));
+        assert!(out.contains("\nmultiline:: "));
+        assert!(out.contains("\nleading:: "));
+        assert!(out.contains("\nunicode:: "));
         let parsed = parse(&out);
         assert_eq!(parsed[0].get("multiline").unwrap().value, "line1\nline2");
         assert_eq!(parsed[0].get("leading").unwrap().value, " space");
@@ -431,21 +437,24 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
+        /// Any values, under names relative to the keyword that a
+        /// parser could misread: one beginning with the keyword and its
+        /// `-` or `:`, one an LDIF head line uses, or neither. A name
+        /// with a `:` past the keyword's is left out; the rest read back.
         #[test]
         fn ldif_roundtrip_arbitrary_values(
-            keyword in "[A-Za-z][A-Za-z0-9]{0,8}",
-            values in prop::collection::vec("\\PC{0,24}", 1..6),
+            keyword in "[A-Za-z][A-Za-z0-9-]{0,8}",
+            attrs in prop::collection::vec(("\\PC{0,24}", 0usize..6, "[a-z0-9-]{0,6}"), 1..6),
         ) {
+            let (dash, colon) = (format!("{keyword}-"), format!("{keyword}:"));
+            let prefixes = ["", &dash, &colon, "dn", "objectclass", "infogram-"];
             let mut rec = InfoRecord::new(&keyword, "host.grid");
-            for (i, v) in values.iter().enumerate() {
-                rec.push(&format!("attr{i}"), v);
+            for (value, prefix, rest) in &attrs {
+                rec.push(&format!("{keyword}:{}{rest}", prefixes[*prefix]), value);
             }
-            let parsed = parse(&render(&[rec.clone()]));
-            prop_assert_eq!(parsed.len(), 1);
-            for (i, v) in values.iter().enumerate() {
-                let got = parsed[0].get(&format!("attr{i}")).expect("attr present");
-                prop_assert_eq!(&got.value, v);
-            }
+            let mut carried = rec.clone();
+            carried.attributes.retain(|a| a.name.matches(':').count() == 1);
+            prop_assert_eq!(parse(&render(std::slice::from_ref(&rec))), vec![carried]);
         }
     }
 }

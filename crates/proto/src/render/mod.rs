@@ -26,6 +26,27 @@
 //! own and keep accepting the per-attribute form, so bodies written
 //! before the hoisting existed parse to the same records. `plain` is the
 //! debugging format and keeps `[quality=…]` on every line.
+//!
+//! # Names are relative to the record
+//!
+//! A record's attributes all live in its keyword's namespace, so a block
+//! writes each name without it — `Memory:total` is `total` in every
+//! format — and each parser puts the keyword back (`written_name` and
+//! `full_name`, the one rule all three share). The whole form —
+//! `Memory-total` in LDIF and DSML, `Memory:total` in XML, what bodies
+//! used to carry and GRIS entries still do — parses to the same name,
+//! and is written only where the relative name alone would not
+//! round-trip: one that itself begins with `Memory-` or `Memory:`, or
+//! that an LDIF head line uses. A name outside the keyword's namespace
+//! (`Disk:free` in a `Memory` record) is relative to it like a bare one,
+//! as [`InfoRecord::push`] namespaces it: `Memory:Disk:free`.
+//!
+//! A parser rebuilds each name from the keyword it read once, so a body
+//! naming a huge keyword over many short lines would cost the keyword's
+//! length per line. A keyword longer than [`RELATIVE_KEYWORD_MAX`] —
+//! no provider has one — is therefore written whole on every line, and a
+//! parser drops a relative name under such a keyword: what a parse holds
+//! stays in step with what it read.
 
 pub mod base64;
 pub mod dsml;
@@ -58,11 +79,8 @@ pub struct Head<'a> {
 /// `(name, value)` pairs without building one.
 #[derive(Debug, Clone, Copy)]
 pub struct AttrRef<'a> {
-    /// Keyword to namespace a bare `name` with (`total` →
-    /// `Memory:total`, the [`InfoRecord::push`] rule); `None` when
-    /// `name` is already the name to render.
-    pub namespace: Option<&'a str>,
-    /// Attribute name.
+    /// Attribute name in the record's keyword's namespace: whole
+    /// (`Memory:total`) or bare (`total`, as a provider produces it).
     pub name: &'a str,
     /// String value.
     pub value: &'a str,
@@ -73,28 +91,55 @@ pub struct AttrRef<'a> {
 }
 
 impl<'a> AttrRef<'a> {
-    /// A provider's `(name, value)` pair under `keyword`, annotations in
-    /// the head.
-    pub fn produced(keyword: &'a str, name: &'a str, value: &'a str) -> Self {
+    /// A provider's `(name, value)` pair, annotations in the head.
+    pub fn produced(name: &'a str, value: &'a str) -> Self {
         AttrRef {
-            namespace: Some(keyword),
             name,
             value,
             quality: None,
             age_secs: None,
         }
     }
+}
 
-    /// The rendered name split at its namespace separator —
-    /// `(Some("Memory"), "total")` — or `(None, name)` for a name that
-    /// has none.
-    fn split_name(&self) -> (Option<&'a str>, &'a str) {
-        match (self.name.split_once(':'), self.namespace) {
-            (Some((keyword, rest)), _) => (Some(keyword), rest),
-            (None, Some(keyword)) => (Some(keyword), self.name),
-            (None, None) => (None, self.name),
-        }
-    }
+/// The longest keyword a block names attributes relative to; under a
+/// longer one every name is written whole, and a parser refuses a
+/// relative one (see the [module docs](self)).
+pub const RELATIVE_KEYWORD_MAX: usize = 64;
+
+/// How a block writes attribute `name` of a record of `keyword`: the
+/// name relative to the keyword (`Memory:total` and a provider's bare
+/// `total` are both `total`), with `Some(keyword)` when the writer must
+/// prefix it, with its format's separator, to the whole form. That is
+/// when a parser would misread the relative name alone: one beginning
+/// with `<keyword>-` or `<keyword>:` (the parser would strip it), one
+/// an LDIF head line uses, or any under a keyword longer than
+/// [`RELATIVE_KEYWORD_MAX`].
+pub(super) fn written_name<'a>(keyword: &'a str, name: &'a str) -> (Option<&'a str>, &'a str) {
+    let relative = relative_name(name, keyword, ':');
+    let whole = keyword.len() > RELATIVE_KEYWORD_MAX
+        || (relative.strip_prefix(keyword)).is_some_and(|r| r.starts_with(['-', ':']))
+        || matches!(relative, "dn" | "objectclass")
+        || relative.starts_with("infogram-");
+    (whole.then_some(keyword), relative)
+}
+
+/// The part of a written name after the record's keyword: the name
+/// itself, or what follows `<keyword><sep>` in the whole form.
+pub(super) fn relative_name<'a>(written: &'a str, keyword: &str, sep: char) -> &'a str {
+    (written.strip_prefix(keyword))
+        .and_then(|rest| rest.strip_prefix(sep))
+        .unwrap_or(written)
+}
+
+/// The record attribute a written name stands for: `total` and, in the
+/// whole form, `Memory<sep>total` are both `Memory:total` in a record
+/// of `Memory`. `None` for a relative name under a keyword longer than
+/// [`RELATIVE_KEYWORD_MAX`], which no block writes.
+pub(super) fn full_name(written: &str, keyword: &str, sep: char) -> Option<String> {
+    let relative = relative_name(written, keyword, sep);
+    let whole = relative.len() < written.len();
+    (whole || keyword.len() <= RELATIVE_KEYWORD_MAX).then(|| [keyword, ":", relative].concat())
 }
 
 /// The value every attribute carries, when they all carry the same one.
@@ -142,9 +187,10 @@ impl BodyWriter {
         }
     }
 
-    /// Render the open record's attribute block and close the record.
-    pub fn block<'a>(&mut self, attrs: impl Iterator<Item = AttrRef<'a>>) {
-        write_block(&mut self.out, self.format, attrs);
+    /// Render the open record's attribute block, its names relative
+    /// to `keyword`, and close the record.
+    pub fn block<'a>(&mut self, keyword: &str, attrs: impl Iterator<Item = AttrRef<'a>>) {
+        write_block(&mut self.out, self.format, keyword, attrs);
     }
 
     /// Close the open record with a block rendered earlier by
@@ -168,13 +214,15 @@ impl BodyWriter {
             quality,
             age_secs,
         });
-        self.block(rec.attributes.iter().map(|a| AttrRef {
-            namespace: None,
-            name: &a.name,
-            value: &a.value,
-            quality: if quality.is_some() { None } else { a.quality },
-            age_secs: if age_secs.is_some() { None } else { a.age_secs },
-        }));
+        self.block(
+            &rec.keyword,
+            rec.attributes.iter().map(|a| AttrRef {
+                name: &a.name,
+                value: &a.value,
+                quality: if quality.is_some() { None } else { a.quality },
+                age_secs: if age_secs.is_some() { None } else { a.age_secs },
+            }),
+        );
     }
 
     /// Records opened so far.
@@ -193,17 +241,19 @@ impl BodyWriter {
     }
 }
 
-/// Append one record's attribute block (and its closing tag) to `out`.
+/// Append the attribute block (and closing tag) of a record of
+/// `keyword` to `out`.
 pub fn write_block<'a>(
     out: &mut String,
     format: OutputFormat,
+    keyword: &str,
     attrs: impl Iterator<Item = AttrRef<'a>>,
 ) {
     match format {
-        OutputFormat::Ldif => ldif::write_block(out, attrs),
-        OutputFormat::Xml => xml::write_block(out, attrs),
-        OutputFormat::Dsml => dsml::write_block(out, attrs),
-        OutputFormat::Plain => plain::write_block(out, attrs),
+        OutputFormat::Ldif => ldif::write_block(out, keyword, attrs),
+        OutputFormat::Xml => xml::write_block(out, keyword, attrs),
+        OutputFormat::Dsml => dsml::write_block(out, keyword, attrs),
+        OutputFormat::Plain => plain::write_block(out, keyword, attrs),
     }
 }
 
@@ -298,18 +348,18 @@ infogram-degraded: TRUE
 infogram-stale-age: 31.250
 infogram-quality: 0.5000
 infogram-age: 12.345
-Memory-total: 4294967296
-Memory-free: 1073741824
+total: 4294967296
+free: 1073741824
 
 dn: kw=CPULoad, hn=node0.grid, o=Grid
 objectclass: InfoGramProvider
-CPULoad-load: 0.93
-CPULoad-load;quality: 0.7500
-CPULoad-load;age: 3.000
-CPULoad-note:: IGdyw7zDn2UgPCY+ICJ4Ig==
-CPULoad-note;quality: 0.5000
-CPULoad-note;age: 3.000
-CPULoad-bare: age=\"9\"
+load: 0.93
+load;quality: 0.7500
+load;age: 3.000
+note:: IGdyw7zDn2UgPCY+ICJ4Ig==
+note;quality: 0.5000
+note;age: 3.000
+bare: age=\"9\"
 
 dn: kw=Empty, hn=node0.grid, o=Grid
 objectclass: InfoGramProvider
@@ -317,13 +367,13 @@ objectclass: InfoGramProvider
 
     const GOLDEN_XML: &str = r#"<infogram>
   <provider keyword="Memory" host="node0.grid" degraded="true" stale-age="31.250" quality="0.5000" age="12.345">
-    <attribute name="Memory:total">4294967296</attribute>
-    <attribute name="Memory:free">1073741824</attribute>
+    <attribute name="total">4294967296</attribute>
+    <attribute name="free">1073741824</attribute>
   </provider>
   <provider keyword="CPULoad" host="node0.grid">
-    <attribute name="CPULoad:load" quality="0.7500" age="3.000">0.93</attribute>
-    <attribute name="CPULoad:note" quality="0.5000" age="3.000"> grüße &lt;&amp;&gt; &quot;x&quot;</attribute>
-    <attribute name="CPULoad:bare">age=&quot;9&quot;</attribute>
+    <attribute name="load" quality="0.7500" age="3.000">0.93</attribute>
+    <attribute name="note" quality="0.5000" age="3.000"> grüße &lt;&amp;&gt; &quot;x&quot;</attribute>
+    <attribute name="bare">age=&quot;9&quot;</attribute>
   </provider>
   <provider keyword="Empty" host="node0.grid">
   </provider>
@@ -334,14 +384,14 @@ objectclass: InfoGramProvider
  <directory-entries>
   <entry dn="kw=Memory, hn=node0.grid, o=Grid" degraded="true" stale-age="31.250" quality="0.5000" age="12.345">
    <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
-   <attr name="Memory-total"><value>4294967296</value></attr>
-   <attr name="Memory-free"><value>1073741824</value></attr>
+   <attr name="total"><value>4294967296</value></attr>
+   <attr name="free"><value>1073741824</value></attr>
   </entry>
   <entry dn="kw=CPULoad, hn=node0.grid, o=Grid">
    <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
-   <attr name="CPULoad-load"><value>0.93</value><quality>0.7500</quality><age>3.000</age></attr>
-   <attr name="CPULoad-note"><value> grüße &lt;&amp;&gt; &quot;x&quot;</value><quality>0.5000</quality><age>3.000</age></attr>
-   <attr name="CPULoad-bare"><value>age=&quot;9&quot;</value></attr>
+   <attr name="load"><value>0.93</value><quality>0.7500</quality><age>3.000</age></attr>
+   <attr name="note"><value> grüße &lt;&amp;&gt; &quot;x&quot;</value><quality>0.5000</quality><age>3.000</age></attr>
+   <attr name="bare"><value>age=&quot;9&quot;</value></attr>
   </entry>
   <entry dn="kw=Empty, hn=node0.grid, o=Grid">
    <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
@@ -382,6 +432,22 @@ objectclass: InfoGramProvider
     }
 
     #[test]
+    fn a_keyword_past_the_limit_is_written_whole_and_read_back_exactly() {
+        let keyword = "K".repeat(RELATIVE_KEYWORD_MAX + 1);
+        let mut rec = InfoRecord::new(&keyword, "h");
+        rec.push("a", "1");
+        let one = std::slice::from_ref(&rec);
+        let text = ldif::render(one);
+        assert!(text.contains(&format!("\n{keyword}-a: 1\n")));
+        assert_eq!(ldif::parse(&text), one);
+        assert_eq!(xml::parse(&xml::render(one)), one);
+        assert_eq!(dsml::parse(&dsml::render(one)), one);
+        // A relative name under it is refused, not rebuilt from the keyword.
+        let relative = text.replace(&format!("{keyword}-a"), "a");
+        assert!(ldif::parse(&relative)[0].attributes.is_empty());
+    }
+
+    #[test]
     fn plain_keeps_per_attribute_annotations() {
         let out = render(&golden_records(), OutputFormat::Plain);
         assert!(out.starts_with(
@@ -396,9 +462,9 @@ objectclass: InfoGramProvider
         let rec = &golden_records()[0];
         for format in [OutputFormat::Ldif, OutputFormat::Xml, OutputFormat::Dsml] {
             let pairs = [("total", "4294967296"), ("Memory:free", "1073741824")];
-            let attrs = || pairs.iter().map(|(n, v)| AttrRef::produced("Memory", n, v));
+            let attrs = || pairs.iter().map(|(n, v)| AttrRef::produced(n, v));
             let mut block = String::new();
-            write_block(&mut block, format, attrs());
+            write_block(&mut block, format, "Memory", attrs());
             let head = Head {
                 keyword: "Memory",
                 host: "node0.grid",
@@ -412,7 +478,7 @@ objectclass: InfoGramProvider
             cached.push_block(&block);
             let mut direct = BodyWriter::new(format, 0);
             direct.head(&head);
-            direct.block(attrs());
+            direct.block("Memory", attrs());
             let expected = render(std::slice::from_ref(rec), format);
             assert_eq!(cached.record_count(), 1);
             assert_eq!(cached.finish(), expected, "{format}");

@@ -4,7 +4,7 @@
 //! but greppable `[quality=…]` / `[age=…s]` on every line rather than
 //! hoisting them into the record header as LDIF, XML and DSML do.
 
-use super::{AttrRef, Head};
+use super::{relative_name, AttrRef, Head};
 use crate::record::InfoRecord;
 use infogram_rsl::OutputFormat;
 use std::fmt::Write;
@@ -14,13 +14,15 @@ pub(super) fn write_head(out: &mut String, head: &Head<'_>) {
     let _ = writeln!(out, "# {} @ {}", head.keyword, head.host);
 }
 
-/// One `name: value` line per attribute.
-pub(super) fn write_block<'a>(out: &mut String, attrs: impl Iterator<Item = AttrRef<'a>>) {
+/// One `Keyword:name: value` line per attribute.
+pub(super) fn write_block<'a>(
+    out: &mut String,
+    keyword: &str,
+    attrs: impl Iterator<Item = AttrRef<'a>>,
+) {
     for a in attrs {
-        let _ = match a.split_name() {
-            (Some(keyword), rest) => write!(out, "{keyword}:{rest}: {}", a.value),
-            (None, name) => write!(out, "{name}: {}", a.value),
-        };
+        let name = relative_name(a.name, keyword, ':');
+        let _ = write!(out, "{keyword}:{name}: {}", a.value);
         if let Some(q) = a.quality {
             let _ = write!(out, "  [quality={q:.4}]");
         }

@@ -6,7 +6,9 @@
 //! (§5.5). A record is a `<provider>` whose tag carries the head —
 //! `degraded` / `stale-age` on a fault-driven stale serve, `quality` /
 //! `age` when every attribute shares them — and whose `<attribute>`s
-//! carry only what differs from it (see the [module docs](super)):
+//! carry only what differs from it, their names relative to the
+//! keyword (`Memory:total` is `name="total"`; the whole form parses to
+//! the same name; see the [module docs](super)):
 //!
 //! ```
 //! use infogram_proto::record::InfoRecord;
@@ -26,20 +28,23 @@
 //!     xml::render(&records),
 //!     r#"<infogram>
 //!   <provider keyword="Memory" host="node0.grid" quality="1.0000" age="12.345">
-//!     <attribute name="Memory:total">4294967296</attribute>
-//!     <attribute name="Memory:free">1073741824</attribute>
+//!     <attribute name="total">4294967296</attribute>
+//!     <attribute name="free">1073741824</attribute>
 //!   </provider>
 //!   <provider keyword="CPULoad" host="node0.grid">
-//!     <attribute name="CPULoad:load" quality="0.7500">0.93</attribute>
-//!     <attribute name="CPULoad:note">a&lt;b</attribute>
+//!     <attribute name="load" quality="0.7500">0.93</attribute>
+//!     <attribute name="note">a&lt;b</attribute>
 //!   </provider>
 //! </infogram>
 //! "#
 //! );
 //! assert_eq!(xml::parse(&xml::render(&records)), records);
+//! // The whole form reads the same.
+//! let whole = "<provider keyword=\"K\" host=\"h\">\n<attribute name=\"K:a\">1</attribute>\n</provider>";
+//! assert_eq!(xml::parse(whole)[0].attributes[0].name, "K:a");
 //! ```
 
-use super::{AttrRef, Head};
+use super::{full_name, written_name, AttrRef, Head};
 use crate::record::{Attribute, InfoRecord};
 use infogram_rsl::OutputFormat;
 use std::fmt::Write;
@@ -131,11 +136,15 @@ pub(super) fn write_head(out: &mut String, head: &Head<'_>) {
 }
 
 /// One `<attribute>` per attribute, then the closing `</provider>`.
-pub(super) fn write_block<'a>(out: &mut String, attrs: impl Iterator<Item = AttrRef<'a>>) {
+pub(super) fn write_block<'a>(
+    out: &mut String,
+    keyword: &str,
+    attrs: impl Iterator<Item = AttrRef<'a>>,
+) {
     for a in attrs {
         out.push_str("    <attribute name=\"");
-        let (keyword, rest) = a.split_name();
-        if let Some(keyword) = keyword {
+        let (whole, rest) = written_name(keyword, a.name);
+        if let Some(keyword) = whole {
             escape_into(out, keyword);
             out.push(':');
         }
@@ -195,15 +204,19 @@ pub fn parse(text: &str) -> Vec<InfoRecord> {
                 quality: *quality,
                 age_secs: *age_secs,
             };
-            for (name, value) in tag_attrs(rest) {
-                match name {
-                    "name" => attr.name = unescape(value),
+            let mut name = Some(String::new());
+            for (tag, value) in tag_attrs(rest) {
+                match tag {
+                    "name" => name = full_name(&unescape(value), &rec.keyword, ':'),
                     "quality" => attr.quality = value.parse().ok(),
                     "age" => attr.age_secs = value.parse().ok(),
                     _ => {}
                 }
             }
-            rec.attributes.push(attr);
+            if let Some(name) = name {
+                attr.name = name;
+                rec.attributes.push(attr);
+            }
         }
     }
     records
@@ -245,7 +258,7 @@ mod tests {
         assert!(out.starts_with("<infogram>"));
         assert!(out.trim_end().ends_with("</infogram>"));
         assert!(out.contains("<provider keyword=\"Memory\" host=\"node0.grid\">"));
-        assert!(out.contains("<attribute name=\"Memory:total\">4294967296</attribute>"));
+        assert!(out.contains("<attribute name=\"total\">4294967296</attribute>"));
         assert!(out.contains("quality=\"0.7500\""));
         assert!(out.contains("age=\"3.000\""));
     }

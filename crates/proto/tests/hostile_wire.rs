@@ -14,12 +14,15 @@
 //! through each text decoder as its callers read it: bytes that are not
 //! UTF-8 are refused before any decoder runs. Each must return and ask
 //! the allocator for no more at once than `records_bound` of its input.
+//! A parser rebuilds every attribute's name from its record's keyword, so
+//! a body naming a huge keyword over many empty-name lines is held, in
+//! total, to `held_bound` of its input.
 
 use infogram_proto::delta::RecordDelta;
 use infogram_proto::frame::{read_frame, write_frame, MAX_FRAME_LEN};
-use infogram_proto::message::{codes, JobStateCode, Reply, Request};
+use infogram_proto::message::{codes, JobStateCode, Reply, Request, PROTOCOL_VERSION};
 use infogram_proto::record::{Attribute, InfoRecord};
-use infogram_proto::render::{dsml, ldif, xml};
+use infogram_proto::render::{dsml, ldif, xml, RELATIVE_KEYWORD_MAX};
 use infogram_proto::transport::ProtoError;
 use infogram_proto::JobHandle;
 use infogram_sim::varint;
@@ -28,7 +31,9 @@ use std::io::Cursor;
 #[path = "../../../tests/support/hostile.rs"]
 mod hostile;
 
-use hostile::{corruptions, input_plus_message, largest_request, sweep, MESSAGE_ALLOWANCE};
+use hostile::{
+    corruptions, input_plus_message, largest_request, peak_held, sweep, MESSAGE_ALLOWANCE,
+};
 
 fn handles() -> Vec<JobHandle> {
     vec![
@@ -301,11 +306,12 @@ fn a_u32_field_refuses_a_varint_past_u32() {
     .encode();
     // The exit code's byte sits before the output's empty length.
     let exit_at = status.len() - 2;
+    let v = PROTOCOL_VERSION;
     for (bytes, field) in [
-        ([&[4, 2, 0][..], &past].concat(), "record count"),
-        ([&[4, 4][..], &past, &[0]].concat(), "error code"),
-        ([&[4, 6, 1][..], &past].concat(), "keyword count"),
-        ([&[4, 8, 1][..], &past, &[0]].concat(), "end code"),
+        ([&[v, 2, 0][..], &past].concat(), "record count"),
+        ([&[v, 4][..], &past, &[0]].concat(), "error code"),
+        ([&[v, 6, 1][..], &past].concat(), "keyword count"),
+        ([&[v, 8, 1][..], &past, &[0]].concat(), "end code"),
         ([&status[..exit_at], &past, &[0]].concat(), "exit code"),
     ] {
         let refusal = Reply::decode(&bytes).unwrap_err().reason;
@@ -400,4 +406,62 @@ fn dsml_parse_survives_every_cut_and_flip() {
     let text = dsml::render(&records());
     assert_eq!(dsml::parse(&text).len(), 2);
     sweep_text("dsml", &text, records_bound, dsml::parse);
+}
+
+/// What a record parse may hold at once. Each attribute line costs an
+/// `Attribute` (80 bytes, twice that in the doubling vector's spare) and
+/// a name at most `RELATIVE_KEYWORD_MAX + 1` bytes longer than the line;
+/// the shortest line, LDIF's `:\n`, is 2 bytes.
+fn held_bound(len: usize) -> usize {
+    (2 * 80 + RELATIVE_KEYWORD_MAX + 1).div_ceil(2) * len + 1024
+}
+
+/// A text decoder as its callers call it.
+type Parse = fn(&str) -> Vec<InfoRecord>;
+
+#[test]
+fn a_long_keyword_over_many_empty_names_is_held_in_step_with_its_input() {
+    const LINES: usize = 2048;
+    // At the limit every name is rebuilt from the keyword; past it, a
+    // relative name is refused. Rebuilt, the 8 KiB one would hold 16 MiB.
+    for keyword in ["K".repeat(RELATIVE_KEYWORD_MAX), "K".repeat(8192)] {
+        let bodies: [(&str, String, Parse); 3] = [
+            (
+                "ldif",
+                format!("dn: kw={keyword}\n{}", ":\n".repeat(LINES)),
+                ldif::parse,
+            ),
+            (
+                "xml",
+                format!(
+                    "<provider keyword=\"{keyword}\">\n{}</provider>\n",
+                    "<attribute name=\"\">\n".repeat(LINES)
+                ),
+                xml::parse,
+            ),
+            (
+                "dsml",
+                format!(
+                    "<entry dn=\"kw={keyword}\">\n{}</entry>\n",
+                    "<attr name=\"\">\n".repeat(LINES)
+                ),
+                dsml::parse,
+            ),
+        ];
+        for (name, text, parse) in bodies {
+            let (records, held) = peak_held(|| parse(&text));
+            assert!(
+                held <= held_bound(text.len()),
+                "{name}: {held} bytes held parsing {} bytes under a {}-byte keyword",
+                text.len(),
+                keyword.len()
+            );
+            let rebuilt = keyword.len() <= RELATIVE_KEYWORD_MAX;
+            assert_eq!(
+                records[0].attributes.len(),
+                if rebuilt { LINES } else { 0 },
+                "{name}"
+            );
+        }
+    }
 }

@@ -7,8 +7,10 @@
 #      The unwrap, print, clock and thread rules are clippy's, checked
 #      in step 3 (DESIGN §9.1)
 #   3. scripts/check_docs.sh — rustdoc + clippy, warnings as errors
-#   4. cargo test --workspace — every unit, doc, and integration test;
-#      then crates/exec/tests/job_memory.rs once more in release (its
+#   4. cargo test --workspace — every unit, doc, and integration test,
+#      the crash suites of scripts/check_crash.sh among them
+#      (restart recovery, WAL crash points, hostile logs); then
+#      crates/exec/tests/job_memory.rs once more in release (its
 #      byte and allocation ceilings hold in both builds), printing what
 #      it measured: the table DESIGN §14.5 quotes, beside its ceilings
 #   5. scripts/check_lockdep.sh — lock-order / blocking-section sweep:
@@ -17,23 +19,21 @@
 #   6. scripts/check_model.sh — bounded schedule-exploration model
 #      checking of the concurrency core (seconds; EXHAUSTIVE=1 for the
 #      unbounded sweep)
-#   7. scripts/check_crash.sh — crash consistency: the restart-recovery,
-#      WAL crash-point and hostile-log suites
-#   8. scripts/bench_smoke.sh — every experiment bench (Table 1,
+#   7. scripts/bench_smoke.sh — every experiment bench (Table 1,
 #      Figures 1 and 4, E5–E20; quick mode where a bench has one),
 #      each failing unless its named claims hold (reports under
 #      target/bench/)
-#   9. scripts/chaos_smoke.sh — the full sandbox under a seeded random
+#   8. scripts/chaos_smoke.sh — the full sandbox under a seeded random
 #      fault + disk-fault storm: zero panics, bounded error rate,
 #      replayable seed
-#  10. (cd benchmark && cargo test --offline --locked -q) — the frozen
+#   9. (cd benchmark && cargo test --offline --locked -q) — the frozen
 #      e21 benchmark still builds against the crates' API and passes its
 #      unit tests (not the 3-minute run); `--locked` fails a
 #      `[dependencies]` edge that would rewrite benchmark/Cargo.lock
-#  11. scripts/loc.sh --total — first-party non-test lines, printed; a
+#  10. scripts/loc.sh --total — first-party non-test lines, printed; a
 #      gate, not a report: check_docs.sh (step 3) fails above its
 #      LOC_CEILING
-#  12. `git status --porcelain` is what it was before step 1: the gate
+#  11. `git status --porcelain` is what it was before step 1: the gate
 #      writes only ignored files
 #
 # Works fully offline; expect a few minutes on a cold target dir.
@@ -62,8 +62,6 @@ cargo test --release -q -p infogram-exec --test job_memory -- --nocapture --test
 sh scripts/check_lockdep.sh
 
 sh scripts/check_model.sh
-
-sh scripts/check_crash.sh
 
 sh scripts/bench_smoke.sh
 

@@ -1,7 +1,10 @@
 #!/bin/sh
-# Crash-consistency gate: the restart-recovery and crash-storm suites,
-# with a sim::fault::Plan attached to the simulated disk
-# (MemStorage::with_plan) where the scenario calls for a misbehaving one.
+# Crash-consistency suites, on their own: the restart-recovery and
+# crash-storm suites, with a sim::fault::Plan attached to the simulated
+# disk (MemStorage::with_plan) where the scenario calls for a
+# misbehaving one. scripts/check_all.sh runs the same tests, with the
+# same flags, in its `cargo test --workspace` step; run this script to
+# check crash consistency alone.
 #
 #   - tests/restart_recovery.rs — kill a service with jobs in flight,
 #     restart a new incarnation over the same file-backed WAL: jobs

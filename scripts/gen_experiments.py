@@ -74,7 +74,10 @@ ORDER = [
      "status polls a job's wall time takes, so they are reported: the "
      "MDS path refreshes a whole GRIS subtree per search, which is why "
      "the baseline is slower wherever the mix has queries; at all-jobs "
-     "the two are at parity. **The paper's thesis holds, exactly.**"),
+     "the two are at parity. At p_info 1 nothing is polled, so the bytes "
+     "there are gated: a unified reply names each attribute relative to "
+     "its record, and answers for fewer bytes than the MDS path. **The "
+     "paper's thesis holds, exactly.**"),
     ("E5", "E5 — caching beats exec-per-request (§5.1)",
      "`it would be wasteful to execute the command requesting the load "
      "every single time. Instead, it can be more efficient to cache this "
@@ -122,7 +125,8 @@ ORDER = [
      "into the Globus MDS information service architecture`.",
      "`annotated` rows are what the service sends: one quality and one age "
      "per record, said once in the record's head by LDIF and XML and on "
-     "every line by `plain`. DSML is implemented too."),
+     "every line by `plain`, and each attribute named relative to the "
+     "record's keyword except by `plain`. DSML is implemented too."),
     ("E13", "E13 — security: handshake and contracts (§5.3)",
      "GSI authenticates; the paper *aspires* to contracts `such as allow "
      "access to this resource from 3 to 4 pm to user X`.",
@@ -158,7 +162,8 @@ ORDER = [
      "encoding.",
      "A job's Events go to its submitter and one observer, not to a "
      "watcher per connection, so a transition beside idle connections "
-     "costs what it costs alone."),
+     "visits as many observers as alone (gated, a count) and takes as "
+     "long (reported, wall clock)."),
     ("E20", "E20 — crash storm: the WAL under injected disk faults",
      "§6: `the log can be used to restart our InfoGRAM service` — here on "
      "a disk that fails appends and fsyncs and loses power mid-storm "
@@ -176,8 +181,8 @@ plus the reproduction's own performance and resilience properties
 (E16–E20), is regenerated by a dedicated benchmark target; Figures 2 and
 3 are the two worlds of the Figure 4 bench. Each block below ends in
 the bench's named claims, each marked as holding or not: a claim on
-virtual time or a count is gated exactly, a wall-clock claim is
-`reported`. Every bench writes them to `target/bench/<bench>.json`
+virtual time or a count is gated exactly, a claim on the wall clock
+(or on work whose amount it sets) is `reported`. Every bench writes them to `target/bench/<bench>.json`
 with a `pass` flag, and `scripts/bench_smoke.sh` fails unless every
 report passes (E10 and E16–E20 in their `BENCH_QUICK=1` sizes).
 

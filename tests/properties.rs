@@ -346,9 +346,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// DSML/XML/LDIF agree on content for arbitrary single-line values and
-// arbitrary per-attribute annotations: whatever the renderer hoists into
-// the record's head or leaves on the attribute, `parse(render(r)) == r`.
+// DSML/XML/LDIF agree on content for arbitrary single-line values,
+// arbitrary per-attribute annotations and names that are written whole
+// or relative to the keyword: whatever the renderer hoists into the
+// record's head or leaves on the attribute, `parse(render(r)) == r`.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -368,16 +369,20 @@ proptest! {
             4..5,
         ),
         stale_age in prop::option::of(0u32..100_000),
+        // Each name's start, relative to the keyword: nothing, one a
+        // parser would strip (`Kw-`, `Kw:`) or an LDIF head line's.
+        prefixes in prop::collection::vec(0usize..6, 4..5),
     ) {
         use infogram::proto::record::InfoRecord;
         use infogram::proto::render::{dsml, ldif, xml};
+        const PREFIXES: [&str; 6] = ["", "Kw-", "Kw:", "dn", "objectclass", "infogram-"];
         let quality = |k: u32| f64::from(k) / 10_000.0;
         let age = |k: u32| f64::from(k) / 1_000.0;
         let mut rec = InfoRecord::new("Kw", "host.grid");
         rec.degraded = stale_age.is_some();
         rec.stale_age_secs = stale_age.map(age);
         for (i, v) in values.iter().enumerate() {
-            let attr = rec.push(&format!("a{i}"), v);
+            let attr = rec.push(&format!("Kw:{}a{i}", PREFIXES[prefixes[i]]), v);
             let (q, a) = match shape {
                 0 => (Some(shared.0), Some(shared.1)),
                 1 if i != odd % values.len() => (Some(shared.0), Some(shared.1)),
@@ -388,7 +393,11 @@ proptest! {
             attr.age_secs = a.map(age);
         }
         let one = std::slice::from_ref(&rec);
-        prop_assert_eq!(ldif::parse(&ldif::render(one)).as_slice(), one);
+        // An LDIF name cannot carry a `:`: the attributes whose relative
+        // name has one are left out, the rest read back exactly.
+        let mut carried = rec.clone();
+        carried.attributes.retain(|a| !a.name.starts_with("Kw:Kw:"));
+        prop_assert_eq!(ldif::parse(&ldif::render(one)), vec![carried]);
         prop_assert_eq!(xml::parse(&xml::render(one)).as_slice(), one);
         prop_assert_eq!(dsml::parse(&dsml::render(one)).as_slice(), one);
         if shape == 0 {

@@ -6,7 +6,8 @@
 //! `#[path]`.
 //!
 //! Including it declares the test binary's `#[global_allocator]`: the
-//! system allocator, remembering the largest single request per thread.
+//! system allocator, remembering per thread the largest single request
+//! and the most it held at once ([`peak_held`]).
 //! [`sweep`] truncates a message at every byte and flips every byte of
 //! it (each single bit, and all eight at once), and holds whatever reads
 //! it to three things: it returns, never panics; a cut never succeeds;
@@ -22,12 +23,26 @@ thread_local! {
     /// The largest single request the calling thread made of the
     /// allocator since [`largest_request`] last reset it.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes the calling thread allocated less those it freed, and the
+    /// most that ever was, since [`peak_held`] last reset them.
+    static HELD: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
 }
 
-fn note(size: usize) {
+/// Count `grown` more bytes held, after a request of `size` (or a free,
+/// with `grown` negative and `size` 0).
+fn note(size: usize, grown: isize) {
     // `try_with`: a thread being torn down may allocate after its locals
     // are gone; that is nobody's measurement.
     let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+    let _ = HELD.try_with(|c| {
+        let held = c.get().0 + grown;
+        c.set((held, held.max(c.get().1)));
+    });
+}
+
+/// A size as a count of bytes held (no allocation exceeds `isize::MAX`).
+fn signed(size: usize) -> isize {
+    isize::try_from(size).unwrap_or(isize::MAX)
 }
 
 /// The system allocator, remembering the largest request per thread.
@@ -39,18 +54,19 @@ struct Watching;
 // never the returned memory.
 unsafe impl GlobalAlloc for Watching {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), signed(layout.size()));
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -signed(layout.size()));
         // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, signed(new_size) - signed(layout.size()));
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -64,6 +80,18 @@ pub fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
     LARGEST.with(|c| c.set(0));
     let out = f();
     (out, LARGEST.with(Cell::get))
+}
+
+/// Run `f`; return its result and the most it held allocated at once,
+/// its result included.
+#[allow(
+    dead_code,
+    reason = "only the text decoders' suite measures what a parse holds"
+)]
+pub fn peak_held<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    HELD.with(|c| c.set((0, 0)));
+    let out = f();
+    (out, HELD.with(|c| c.get().1.unsigned_abs()))
 }
 
 /// What an error message may cost on top of the input.

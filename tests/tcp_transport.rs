@@ -210,6 +210,51 @@ fn a_malformed_request_leaves_its_connection_serving() {
     w.service.shutdown();
 }
 
+/// A v4 peer's messages carry the v4 version byte: a v5 service refuses
+/// its request rather than answer a body the peer would read without
+/// its attributes' namespace.
+#[test]
+fn a_v4_request_is_refused_and_never_answered() {
+    let w = TcpWorld::start();
+    let queries = || w.service.engine().metrics().counter_value("info.queries");
+    let conn = w.raw_session();
+    let mut v4 = Request::Submit {
+        rsl: "(info=Memory)".to_string(),
+        callback: false,
+    }
+    .encode();
+    assert_eq!(v4[0], PROTOCOL_VERSION);
+    v4[0] = 4;
+    conn.send(&v4).unwrap();
+    match Reply::decode(&conn.recv().unwrap()).unwrap() {
+        Reply::Error { code, message } => {
+            assert_eq!(code, codes::BAD_RSL);
+            assert!(
+                message.contains("unsupported protocol version 4"),
+                "{message}"
+            );
+        }
+        other => panic!("a v4 request answered {other:?}"),
+    }
+    assert_eq!(queries(), 0);
+    // The same request under the current version is answered.
+    v4[0] = PROTOCOL_VERSION;
+    conn.send(&v4).unwrap();
+    let reply = Reply::decode(&conn.recv().unwrap()).unwrap();
+    assert!(
+        matches!(
+            reply,
+            Reply::InfoResult {
+                record_count: 1,
+                ..
+            }
+        ),
+        "{reply:?}"
+    );
+    assert_eq!(queries(), 1);
+    w.service.shutdown();
+}
+
 /// How the handshake's HELLO was spelled before it went binary: decimal
 /// fields between ASCII unit (`\x1f`) and record (`\x1e`) separators.
 fn text_form_hello(user: &Credential) -> Vec<u8> {
