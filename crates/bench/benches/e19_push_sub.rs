@@ -5,9 +5,10 @@
 //! update" ledger), and the p99 per-subscriber fan-out cost must stay
 //! bounded — O(subscribers-of-keyword), not O(all subscriptions).
 //!
-//! Every frame is decoded off the real wire encoding, so the measured
-//! path includes delta encode + frame build + decode, exactly what a
-//! connection outbox would carry.
+//! Every subscriber has its own bounded `Outbox`, and every frame is
+//! decoded off the real wire encoding, so a timed notify is the whole
+//! push: delta encode, frame build and queueing under the hub's lock,
+//! then the drain and decode with no lock held.
 //!
 //! A second, engine-level row times one job transition against a
 //! running `InfoGramService` with no other connection open and with
@@ -20,9 +21,11 @@
 
 use infogram::quickstart::Sandbox;
 use infogram_bench::{row, table, Report, Summary};
-use infogram_info::sub::{SinkClosed, SubSink, SubscriptionHub};
+use infogram_info::sub::SubscriptionHub;
 use infogram_proto::message::Reply;
 use infogram_proto::record::InfoRecord;
+use infogram_proto::transport::{Conn, ProtoError};
+use infogram_proto::{drain_all, Outbox};
 use infogram_rsl::XrslRequest;
 use infogram_sim::metrics::MetricSet;
 use parking_lot::Mutex;
@@ -33,25 +36,18 @@ const KEYWORDS: usize = 64;
 const ROUNDS: u64 = 20;
 const HOST: &str = "bench.grid.example.org";
 
-/// A subscriber endpoint that decodes every frame it is handed and
+/// A subscriber's connection that decodes every frame it is sent and
 /// records the delta versions, exactly as a client applying the stream
 /// would. Never blocks, never fails — the bench measures the hub, not
 /// a slow consumer.
-struct CountingSink {
+#[derive(Default)]
+struct CountingConn {
     versions: Mutex<Vec<u64>>,
 }
 
-impl CountingSink {
-    fn new() -> Arc<Self> {
-        Arc::new(CountingSink {
-            versions: Mutex::new(Vec::new()),
-        })
-    }
-}
-
-impl SubSink for CountingSink {
-    fn deliver(&self, frame: Vec<u8>) -> Result<(), SinkClosed> {
-        let reply = Reply::decode(&frame).expect("wire frame decodes");
+impl Conn for CountingConn {
+    fn send(&self, frame: &[u8]) -> Result<(), ProtoError> {
+        let reply = Reply::decode(frame).expect("wire frame decodes");
         if let Reply::Update { deltas, .. } = reply {
             let mut seen = self.versions.lock();
             for d in &deltas {
@@ -60,8 +56,12 @@ impl SubSink for CountingSink {
         }
         Ok(())
     }
-
-    fn close(&self, _frame: Vec<u8>) {}
+    fn recv(&self) -> Result<Vec<u8>, ProtoError> {
+        Err(ProtoError::Closed)
+    }
+    fn peer(&self) -> String {
+        "subscriber".to_string()
+    }
 }
 
 fn keyword(i: usize) -> String {
@@ -127,15 +127,15 @@ fn main() {
 
     let hub = SubscriptionHub::new(HOST, MetricSet::new());
 
-    // --- enrolment: `population` sinks, round-robin across keywords ---
-    let mut sinks: Vec<Arc<CountingSink>> = Vec::with_capacity(population);
+    // --- enrolment: `population` subscribers, round-robin across keywords ---
+    let mut sinks: Vec<Arc<CountingConn>> = Vec::with_capacity(population);
     let setup = Instant::now();
     for i in 0..population {
-        let sink = CountingSink::new();
+        let sink = Arc::new(CountingConn::default());
         hub.subscribe(
             std::slice::from_ref(&keyword(i % KEYWORDS)),
             "bench",
-            Arc::clone(&sink) as Arc<dyn SubSink>,
+            Outbox::new(Arc::clone(&sink) as Arc<dyn Conn>, 64),
         );
         sinks.push(sink);
     }
@@ -150,7 +150,7 @@ fn main() {
         for k in 0..KEYWORDS {
             let kw = keyword(k);
             let t = Instant::now();
-            hub.notify_record(&kw, record(&kw, round));
+            drain_all(hub.notify_record(&kw, record(&kw, round)));
             notify.push(t.elapsed());
         }
     }

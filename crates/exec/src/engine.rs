@@ -14,7 +14,7 @@ use crate::wal::{Job, NamePool, Principal, RecoveredJob, RecoveryStats, Wal, Wal
 use infogram_host::machine::SimulatedHost;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::{JobStateCode, Reply};
-use infogram_proto::Outbox;
+use infogram_proto::{drain_all, Outbox};
 use infogram_rsl::{JobRequest, JobType, TimeoutAction, XrslRequest};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
@@ -157,46 +157,45 @@ struct JobTable {
     /// nothing has no row.
     outputs: Chunked<u64>,
     identities: NamePool,
-    /// Engine-wide observers. Registration replaces the whole list, so a
-    /// transition takes a reference to it under the lock that found it.
-    observers: Arc<Vec<Observer>>,
+    /// Engine-wide observers, told of each transition under this lock.
+    observers: Vec<Observer>,
 }
 
-/// Told of a job transition: the job's handle, its new state and the
-/// local account that owns it.
-type Observer = Arc<dyn Fn(&JobHandle, JobStateCode, &str) + Send + Sync>;
+/// Told of a job transition, in the `exec.engine.jobs` section that
+/// finds it: the job's handle, its new state and the local account that
+/// owns it. It may only push (never send), and returns the outboxes it
+/// pushed into, which the engine drains once the lock is released.
+type Observer = Box<dyn Fn(&JobHandle, JobStateCode, &str) -> Vec<Arc<Outbox>> + Send + Sync>;
 
-/// Transitions found under the jobs lock, announced once it is released.
-struct Announcements {
-    /// The table's observers, as that critical section saw them.
-    observers: Arc<Vec<Observer>>,
-    transitions: Vec<(JobHandle, JobStateCode, Arc<Principal>)>,
-    /// Callback outboxes an Event went into, to be drained.
+/// What one critical section on the job table announces. Each
+/// transition's Event is pushed into the submitter's callback outbox
+/// and the observers are told, under the jobs lock: a push never
+/// blocks and an outbox is FIFO, so every frame reaches the wire in the
+/// order this lock saw the transitions. `outboxes` are drained
+/// ([`drain_all`]) once the lock is released.
+struct Announcements<'t> {
+    observers: &'t [Observer],
     outboxes: Vec<Arc<Outbox>>,
 }
 
-impl JobTable {
-    /// Start collecting what a critical section on this table finds.
-    fn announcements(&self) -> Announcements {
+impl<'t> Announcements<'t> {
+    fn new(observers: &'t [Observer]) -> Self {
         Announcements {
-            observers: Arc::clone(&self.observers),
-            transitions: Vec::new(),
+            observers,
             outboxes: Vec::new(),
         }
     }
-}
 
-impl Announcements {
-    /// Record a transition for the observers.
-    fn tell(&mut self, principal: &Arc<Principal>, handle: JobHandle, state: JobStateCode) {
-        self.transitions
-            .push((handle, state, Arc::clone(principal)));
+    /// Tell the observers of a transition.
+    fn tell(&mut self, principal: &Principal, handle: &JobHandle, state: JobStateCode) {
+        for observer in self.observers {
+            self.outboxes
+                .extend(observer(handle, state, principal.account()));
+        }
     }
 
-    /// Record a transition of `entry`, whose Event goes into the
-    /// submitter's callback outbox now, under the jobs lock. A push never
-    /// blocks and the outbox is FIFO, so Events reach the wire in the
-    /// order this lock saw the transitions.
+    /// Announce a transition of `entry`: its Event first, then the
+    /// observers.
     fn record(&mut self, entry: &JobEntry, handle: JobHandle, state: JobStateCode) {
         if let Some(outbox) = entry.callback.as_ref().and_then(Weak::upgrade) {
             // A full or closed outbox loses the Event, as it would a reply.
@@ -207,21 +206,7 @@ impl Announcements {
             let _ = outbox.push(event.encode());
             self.outboxes.push(outbox);
         }
-        self.tell(&entry.principal, handle, state);
-    }
-
-    /// With no engine lock held: flush the outboxes, then tell the
-    /// observers. Observers reach the subscription hub, whose delivery
-    /// can wait on a peer — never under an engine lock (DESIGN §13).
-    fn deliver(self) {
-        for outbox in self.outboxes {
-            let _ = outbox.drain();
-        }
-        for (handle, state, principal) in &self.transitions {
-            for observer in self.observers.iter() {
-                observer(handle, *state, principal.account());
-            }
-        }
+        self.tell(&entry.principal, &handle, state);
     }
 }
 
@@ -336,16 +321,15 @@ impl JobEngine {
 
     /// Register an observer of every job transition, initial states
     /// included: it is told the job's handle, new state and owning
-    /// account, with no engine lock held. Observers live as long as the
-    /// engine.
+    /// account under `exec.engine.jobs`, so it sees a job's transitions
+    /// in order. It must not block: it pushes, and returns the outboxes
+    /// it pushed into for the engine to drain after release. Observers
+    /// live as long as the engine.
     pub fn on_state_change(
         &self,
-        observer: impl Fn(&JobHandle, JobStateCode, &str) + Send + Sync + 'static,
+        observer: impl Fn(&JobHandle, JobStateCode, &str) -> Vec<Arc<Outbox>> + Send + Sync + 'static,
     ) {
-        let mut jobs = self.jobs.lock();
-        let mut observers = Vec::clone(&jobs.observers);
-        observers.push(Arc::new(observer));
-        jobs.observers = Arc::new(observers);
+        self.jobs.lock().observers.push(Box::new(observer));
     }
 
     /// How many observers [`JobEngine::on_state_change`] registered: the
@@ -498,11 +482,12 @@ impl JobEngine {
             return Err(SubmitError::WalUnavailable { retry_after_ms });
         }
         let handle = self.handle_for(job_id);
-        let news = {
-            let mut jobs = self.jobs.lock();
-            let mut news = jobs.announcements();
+        let outboxes = {
+            let mut guard = self.jobs.lock();
+            let jobs = &mut *guard;
             let principal = jobs.identities.intern(owner, account);
-            news.tell(&principal, handle.clone(), initial_state);
+            let mut news = Announcements::new(&jobs.observers);
+            news.tell(&principal, &handle, initial_state);
             let callback = callback.map(Arc::downgrade);
             if callback.is_some() {
                 self.callback_jobs.fetch_add(1, Ordering::Relaxed);
@@ -516,10 +501,10 @@ impl JobEngine {
                 callback,
             };
             jobs.entries.insert(job_id, entry);
-            news
+            news.outboxes
         };
         self.metrics.counter("jobs.submitted").incr();
-        news.deliver();
+        drain_all(outboxes);
         Ok(handle)
     }
 
@@ -534,16 +519,15 @@ impl JobEngine {
     /// Returns the (possibly new) state.
     ///
     /// Callers hold the `jobs` lock (they hand in `&mut JobEntry` from
-    /// the locked table), so a non-terminal transition is recorded into
-    /// `news` — its Event pushed, the rest announced after release — and
-    /// a terminal one queued into `finish` (the WAL commit ticket blocks
-    /// on a condvar, illegal under the lock). [`JobEngine::settle`] acts
-    /// on both after release.
+    /// the locked table), so a non-terminal transition is announced into
+    /// `news` at once, and a terminal one queued into `finish` (the WAL
+    /// commit ticket blocks on a condvar, illegal under the lock).
+    /// [`JobEngine::settle`] acts on both after release.
     fn refresh(
         &self,
         job_id: u64,
         entry: &mut JobEntry,
-        news: &mut Announcements,
+        news: &mut Announcements<'_>,
         finish: &mut Option<PendingFinish>,
     ) -> JobStateCode {
         if entry.finishing {
@@ -666,21 +650,21 @@ impl JobEngine {
         });
     }
 
-    /// Act on what refresh found, with no engine lock held: its
-    /// transitions are announced first, then the terminal transition, if
-    /// any, is group-committed to the WAL and — only once durable, so the
-    /// log's row already says how the job ended — its entry leaves the
-    /// table, its Event pushed in the same critical section, and the
-    /// transition is announced. A failed commit clears the `finishing`
+    /// Act on what refresh found, with no engine lock held: the outboxes
+    /// its announcements went into are drained first, then the terminal
+    /// transition, if any, is group-committed to the WAL and — only once
+    /// durable, so the log's row already says how the job ended — its
+    /// entry leaves the table and the transition is announced, in the
+    /// same critical section. A failed commit clears the `finishing`
     /// flag so a later refresh retries (the backend's view of a finished
     /// job is stable). Returns how the job ended, if it did and the log
     /// has it.
     fn settle(
         &self,
-        news: Announcements,
+        outboxes: Vec<Arc<Outbox>>,
         finish: Option<PendingFinish>,
     ) -> Option<(JobStateCode, Option<i32>)> {
-        news.deliver();
+        drain_all(outboxes);
         let f = finish?;
         if !self.commit_finish(&f) {
             if let Some(entry) = self.jobs.lock().entries.get_mut(&f.job_id) {
@@ -688,9 +672,10 @@ impl JobEngine {
             }
             return None;
         }
-        let (retired, news) = {
-            let mut jobs = self.jobs.lock();
-            let mut news = jobs.announcements();
+        let (retired, outboxes) = {
+            let mut guard = self.jobs.lock();
+            let jobs = &mut *guard;
+            let mut news = Announcements::new(&jobs.observers);
             let mut retired = jobs.entries.remove(&f.job_id);
             if let Some(entry) = &mut retired {
                 // Stdout/stderr redirection onto the service-side
@@ -714,15 +699,15 @@ impl JobEngine {
                 news.record(entry, self.finished(&f), f.state);
                 self.drop_callback(entry);
             }
-            (retired, news)
+            (retired, news.outboxes)
         };
         // The backend's record of the job is reaped, and the entry freed,
         // with no lock held.
         if let Some(entry) = retired {
             entry.live.backend.release(&entry.live.job_ref);
             drop(entry);
-            news.deliver();
         }
+        drain_all(outboxes);
         Some((f.state, f.exit_code))
     }
 
@@ -764,15 +749,16 @@ impl JobEngine {
     /// that found out.
     fn poll(&self, job_id: u64) -> Option<(JobStateCode, Option<i32>)> {
         let mut finish = None;
-        let news = {
-            let mut jobs = self.jobs.lock();
-            let mut news = jobs.announcements();
+        let outboxes = {
+            let mut guard = self.jobs.lock();
+            let jobs = &mut *guard;
+            let mut news = Announcements::new(&jobs.observers);
             if let Some(entry) = jobs.entries.get_mut(&job_id) {
                 self.refresh(job_id, entry, &mut news, &mut finish);
             }
-            news
+            news.outboxes
         };
-        self.settle(news, finish)
+        self.settle(outboxes, finish)
     }
 
     /// The log's row for a job that is not in the table, if that row is
@@ -845,9 +831,10 @@ impl JobEngine {
     /// caller is only told "canceled" once it would survive a restart).
     pub fn cancel(&self, job_id: u64) -> bool {
         let mut finish = None;
-        let (attempted, news) = {
-            let mut jobs = self.jobs.lock();
-            let mut news = jobs.announcements();
+        let (attempted, outboxes) = {
+            let mut guard = self.jobs.lock();
+            let jobs = &mut *guard;
+            let mut news = Announcements::new(&jobs.observers);
             let Some(entry) = jobs.entries.get_mut(&job_id) else {
                 return false; // unknown, or already terminal
             };
@@ -859,11 +846,11 @@ impl JobEngine {
                 let canceled = JobStateCode::Canceled;
                 self.queue_finish(job_id, entry, canceled, None, now, &mut finish);
             }
-            (attempted, news)
+            (attempted, news.outboxes)
         };
         // A refresh can discover a terminal transition even when the
         // cancel itself loses the race — settle whatever was queued.
-        let ended = self.settle(news, finish);
+        let ended = self.settle(outboxes, finish);
         attempted && matches!(ended, Some((JobStateCode::Canceled, _)))
     }
 
@@ -982,9 +969,14 @@ impl JobEngine {
                     wall: Duration::ZERO,
                 };
                 if self.commit_finish(&failed) {
-                    let mut news = self.jobs.lock().announcements();
-                    news.tell(&job.principal, self.finished(&failed), failed.state);
-                    news.deliver();
+                    let handle = self.finished(&failed);
+                    let outboxes = {
+                        let jobs = self.jobs.lock();
+                        let mut news = Announcements::new(&jobs.observers);
+                        news.tell(&job.principal, &handle, failed.state);
+                        news.outboxes
+                    };
+                    drain_all(outboxes);
                 }
                 continue;
             };
@@ -1215,6 +1207,7 @@ mod tests {
         w.engine.on_state_change(move |_h, s, account| {
             assert_eq!(account, "tester");
             seen2.lock().push(s);
+            Vec::new()
         });
         let h = submit(&w, "(executable=simwork)(arguments=200)");
         w.clock.advance(Duration::from_millis(200));

@@ -37,6 +37,7 @@
 use crate::provider::{InfoProvider, ProviderError};
 use crate::quality::DegradationFn;
 use crate::sub::SubscriptionHub;
+use infogram_proto::drain_all;
 use infogram_proto::render::{self, AttrRef};
 use infogram_rsl::OutputFormat;
 use infogram_sim::clock::SharedClock;
@@ -666,14 +667,19 @@ impl SystemInformation {
                     st.cached = Some(value);
                     st.perf.record_duration(finished.since(now));
                     st.succeeded();
-                    if let Some(hub) = self.hub.get() {
+                    let pushed = match self.hub.get() {
                         // The monitor stays held across the push, so
-                        // pushes leave in production order and waiters
-                        // wake to the bumped generation after it.
-                        drop(st);
-                        hub.notify_refresh(self, &snap);
-                        st = self.state.lock();
-                    }
+                        // pushes queue in production order and waiters
+                        // wake to the bumped generation after it; the
+                        // send waits for the monitor's release.
+                        Some(hub) => {
+                            drop(st);
+                            let pushed = hub.notify_refresh(self, &snap);
+                            st = self.state.lock();
+                            pushed
+                        }
+                        None => Vec::new(),
+                    };
                     st.generation = st.generation.wrapping_add(1);
                     self.finish(&mut st);
                     drop(st);
@@ -684,6 +690,7 @@ impl SystemInformation {
                         t.refresh.record(self.clock.now().since(started));
                         t.validity_ms.set(self.ttl.as_millis() as f64);
                     }
+                    drain_all(pushed);
                     return Ok(snap);
                 }
                 Err(e) if !e.is_transient() => {

@@ -56,4 +56,4 @@ pub use provider::{CommandProvider, FnProvider, InfoProvider, ProviderError, Run
 pub use quality::DegradationFn;
 pub use sched::{RefreshScheduler, TickReport, WatchError};
 pub use service::{InfoServiceError, InformationService};
-pub use sub::{SinkClosed, SubSink, SubscriptionHub, JOBS_KEYWORD};
+pub use sub::{SubscriptionHub, JOBS_KEYWORD};

@@ -12,18 +12,24 @@
 //! ids subscribed to it, so a refresh diffs once, encodes once, and
 //! stamps per-subscriber frames.
 //!
-//! The delivery discipline (model-checked in `tests/model_sub.rs`):
+//! The delivery discipline — every push the service makes follows it
+//! (model-checked in `tests/model_sub.rs`):
 //!
-//! * the hub's *state* lock is **never** held across a sink delivery —
-//!   fan-out collects `(id, sink)` pairs under the lock and delivers
-//!   outside it, so a slow sink cannot deadlock the refresh scheduler;
-//!   a per-channel *delivery* lock serializes version assignment and
-//!   fan-out instead, so concurrent notifiers (and a subscriber's
-//!   initial snapshot) always reach a sink in version order;
-//! * a failed delivery evicts the subscription immediately (bounded
+//! * a frame is queued with [`Outbox::push`], which never blocks, in
+//!   the critical section that orders it: under the hub's one state
+//!   lock, a notify bumps the version, diffs, and pushes to every
+//!   subscriber's outbox, and a joiner's snapshot is pushed in the
+//!   section that adds the joiner — so every outbox holds its frames in
+//!   version order;
+//! * the outboxes are drained only once every lock is released: the
+//!   hub hands them back to its caller (the refresh path, the job
+//!   engine), so a stuck peer stalls only the thread draining it —
+//!   never the keyword, the refresh monitor or the jobs lock;
+//! * a refused push evicts the subscription immediately (bounded
 //!   outboxes turn slow consumers into
 //!   [`codes::SLOW_CONSUMER`](infogram_proto::message::codes) errors,
-//!   not unbounded buffers);
+//!   not unbounded buffers): its outbox is closed with a final `SubEnd`,
+//!   which the caller's drain flushes;
 //! * every push bumps the keyword version by exactly one and every live
 //!   subscriber observes it — empty deltas (refresh produced an
 //!   identical record) are still delivered so the version stream stays
@@ -36,7 +42,8 @@
 //! record (`jobs:handle`, `jobs:state`), diffed and versioned like any
 //! other keyword — in one channel per local account, so a subscriber
 //! sees the jobs of the account it is mapped to: those it may poll and
-//! cancel.
+//! cancel. The engine tells the hub under the lock that found the
+//! transition, so each channel carries a job's transitions in order.
 
 use crate::entry::{Snapshot, SystemInformation};
 use infogram_proto::delta::{encode_deltas, RecordDelta};
@@ -52,62 +59,8 @@ use std::sync::Arc;
 /// with `(action=subscribe)(info=jobs)`.
 pub const JOBS_KEYWORD: &str = "jobs";
 
-/// A sink refused a frame: the subscription behind it must be evicted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SinkClosed {
-    /// A [`codes`] value explaining the eviction
-    /// ([`codes::SLOW_CONSUMER`] for outbox overflow).
-    pub code: u32,
-    /// Human-readable explanation, forwarded in the final frame.
-    pub message: String,
-}
-
-/// Where a subscription's frames go: a connection's bounded [`Outbox`]
-/// on the wire; tests and the bench substitute counting sinks.
-pub trait SubSink: Send + Sync {
-    /// Deliver one encoded frame. An `Err` evicts the subscription:
-    /// implementations must not block — a bounded outbox fails fast on
-    /// overflow instead of waiting for the consumer.
-    fn deliver(&self, frame: Vec<u8>) -> Result<(), SinkClosed>;
-    /// Best-effort final frame (the `SubEnd` notice) after eviction;
-    /// implementations may discard any undelivered backlog first.
-    fn close(&self, frame: Vec<u8>);
-}
-
-/// The production sink. A full outbox is a slow consumer — `deliver`
-/// fails with [`codes::SLOW_CONSUMER`] and the hub evicts; it never
-/// blocks the refresh scheduler behind a stuck peer.
-impl SubSink for Outbox {
-    fn deliver(&self, frame: Vec<u8>) -> Result<(), SinkClosed> {
-        match self.send(frame) {
-            Ok(()) => Ok(()),
-            Err(OutboxError::Overflow { capacity }) => Err(SinkClosed {
-                code: codes::SLOW_CONSUMER,
-                message: format!(
-                    "subscriber fell behind: outbox full at {capacity} frames; \
-                     drain faster or subscribe to fewer keywords"
-                ),
-            }),
-            Err(OutboxError::Closed) => Err(SinkClosed {
-                code: codes::INTERNAL,
-                message: "connection closed".to_string(),
-            }),
-        }
-    }
-
-    fn close(&self, frame: Vec<u8>) {
-        self.close_with(frame);
-    }
-}
-
-struct SubEntry {
-    sink: Arc<dyn SubSink>,
-    /// The channels this subscription joined.
-    channels: Vec<Channel>,
-}
-
 /// What a channel carries: one keyword, or the jobs of one account.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq)]
 enum Channel {
     /// A keyword, lowercased (keywords are case-insensitive).
     Keyword(String),
@@ -115,40 +68,63 @@ enum Channel {
     Jobs(String),
 }
 
+/// A subscriber whose outbox refused a push, and why.
+type Refused = (u64, Arc<Outbox>, OutboxError);
+
+#[derive(Default)]
 struct KeywordChannel {
     /// Bumped by exactly one per pushed update; subscribers prove
     /// no-missed-updates by version contiguity.
     version: u64,
     /// The last pushed record, the diffing baseline.
     last: Option<InfoRecord>,
-    subscribers: Vec<u64>,
-    /// Serializes version assignment *and* fan-out for this channel —
-    /// held across delivery, while the hub's state lock is not.
-    /// Concurrent notifiers (the refresh driver, job submit threads)
-    /// would otherwise race their deliveries and a subscriber could
-    /// observe v+1 before v; a joining subscriber likewise gets its
-    /// initial snapshot onto the wire before any later version.
-    delivery: Arc<Mutex<()>>,
+    subscribers: Vec<(u64, Arc<Outbox>)>,
 }
 
 impl KeywordChannel {
-    fn new() -> Self {
-        KeywordChannel {
-            version: 0,
-            last: None,
-            subscribers: Vec::new(),
-            // Every per-keyword delivery lock shares one lockdep class:
-            // instances are never nested, and the class orders against
-            // the hub state lock (delivery first — DESIGN §13).
-            delivery: Arc::new(Mutex::with_class((), lock_class!("info.sub.delivery"))),
+    /// Version `record`, diff it against the last one, encode once and
+    /// push it to every subscriber — per subscriber a header, an id
+    /// stamp and a memcpy. Returns every outbox pushed into, and the
+    /// subscribers whose outbox refused the frame.
+    fn publish(&mut self, record: InfoRecord) -> (Vec<Arc<Outbox>>, Vec<Refused>) {
+        self.version += 1;
+        let delta = RecordDelta::diff(self.last.as_ref(), &record, self.version);
+        self.last = Some(record);
+        let (mut pushed, mut refused) = (Vec::new(), Vec::new());
+        if self.subscribers.is_empty() {
+            return (pushed, refused);
         }
+        let payload = encode_deltas(std::slice::from_ref(&delta));
+        pushed.reserve(self.subscribers.len());
+        for (id, outbox) in &self.subscribers {
+            if let Err(e) = outbox.push(update_frame(*id, &payload)) {
+                refused.push((*id, Arc::clone(outbox), e));
+            }
+            pushed.push(Arc::clone(outbox));
+        }
+        (pushed, refused)
     }
 }
 
 struct HubState {
     next_id: u64,
-    subs: HashMap<u64, SubEntry>,
-    channels: HashMap<Channel, KeywordChannel>,
+    /// Each subscription's channels.
+    subs: HashMap<u64, Vec<Channel>>,
+    /// Keyword channels, by lowercased keyword.
+    keywords: HashMap<String, KeywordChannel>,
+    /// [`JOBS_KEYWORD`] channels, by account: looked up by `&str`, so a
+    /// transition of an account nobody subscribed to allocates nothing.
+    jobs: HashMap<String, KeywordChannel>,
+}
+
+impl HubState {
+    /// The map `channel` lives in, and its key there.
+    fn map<'a>(&mut self, channel: &'a Channel) -> (&mut HashMap<String, KeywordChannel>, &'a str) {
+        match channel {
+            Channel::Keyword(k) => (&mut self.keywords, k),
+            Channel::Jobs(a) => (&mut self.jobs, a),
+        }
+    }
 }
 
 struct HubTelemetry {
@@ -170,7 +146,7 @@ impl std::fmt::Debug for SubscriptionHub {
         let st = self.state.lock();
         f.debug_struct("SubscriptionHub")
             .field("subscriptions", &st.subs.len())
-            .field("channels", &st.channels.len())
+            .field("channels", &(st.keywords.len() + st.jobs.len()))
             .finish_non_exhaustive()
     }
 }
@@ -191,7 +167,8 @@ impl SubscriptionHub {
                 HubState {
                     next_id: 1,
                     subs: HashMap::new(),
-                    channels: HashMap::new(),
+                    keywords: HashMap::new(),
+                    jobs: HashMap::new(),
                 },
                 lock_class!("info.sub.hub_state"),
             ),
@@ -212,34 +189,32 @@ impl SubscriptionHub {
         let st = self.state.lock();
         let watched = |ch: &KeywordChannel| !ch.subscribers.is_empty();
         if key == JOBS_KEYWORD {
-            let mut jobs = st
-                .channels
-                .iter()
-                .filter(|(c, _)| matches!(c, Channel::Jobs(_)));
-            return jobs.any(|(_, ch)| watched(ch));
+            return st.jobs.values().any(watched);
         }
-        st.channels.get(&Channel::Keyword(key)).is_some_and(watched)
+        st.keywords.get(&key).is_some_and(watched)
     }
 
     /// The current version of a keyword's channel (0 before the first
     /// pushed update).
     pub fn channel_version(&self, keyword: &str) -> u64 {
-        let key = Channel::Keyword(keyword.to_ascii_lowercase());
+        let key = keyword.to_ascii_lowercase();
         self.state
             .lock()
-            .channels
+            .keywords
             .get(&key)
             .map_or(0, |c| c.version)
     }
 
     /// Register a persistent query over `keywords` for a subscriber
     /// mapped to the local `account` (whose jobs [`JOBS_KEYWORD`]
-    /// names), delivering to `sink`. Returns the subscription id.
-    /// Channels that already hold a snapshot deliver it immediately as a
-    /// full-snapshot delta at the channel's current version — a
-    /// resubscribing client restarts from ground truth, so a reconnect
+    /// names), pushing to `outbox`. Returns the subscription id; the
+    /// caller drains `outbox` once it holds no lock. Channels that
+    /// already hold a snapshot push it, in the critical section that
+    /// adds the joiner, as a full-snapshot delta at the channel's
+    /// current version — so no later version can overtake it, and a
+    /// resubscribing client restarts from ground truth: a reconnect
     /// never shows a gap.
-    pub fn subscribe(&self, keywords: &[String], account: &str, sink: Arc<dyn SubSink>) -> u64 {
+    pub fn subscribe(&self, keywords: &[String], account: &str, outbox: Arc<Outbox>) -> u64 {
         let mut keys: Vec<Channel> = Vec::new();
         for kw in keywords {
             let key = match kw.to_ascii_lowercase() {
@@ -250,191 +225,138 @@ impl SubscriptionHub {
                 keys.push(key);
             }
         }
-        let id = {
-            let mut st = self.state.lock();
-            let id = st.next_id;
-            st.next_id += 1;
-            st.subs.insert(
-                id,
-                SubEntry {
-                    sink: Arc::clone(&sink),
-                    channels: Vec::new(),
-                },
-            );
-            self.telemetry.active.set(st.subs.len() as f64);
-            id
-        };
-        // Join one channel at a time under its delivery lock: once the
-        // id is on a subscriber list, the next notify on that channel
-        // waits until the initial snapshot (if any) is on the wire, so
-        // a joiner can never see version v+1 before its snapshot at v.
-        for key in keys {
-            let delivery = {
-                let mut st = self.state.lock();
-                Arc::clone(
-                    &st.channels
-                        .entry(key.clone())
-                        .or_insert_with(KeywordChannel::new)
-                        .delivery,
-                )
-            };
-            let _order = delivery.lock();
-            let initial = {
-                let mut st = self.state.lock();
-                let st = &mut *st;
-                let Some(entry) = st.subs.get_mut(&id) else {
-                    return id; // unsubscribed/evicted mid-join
-                };
-                entry.channels.push(key.clone());
-                #[expect(clippy::expect_used, reason = "created above, never removed")]
-                let ch = st.channels.get_mut(&key).expect("channel exists");
-                ch.subscribers.push(id);
-                ch.last
-                    .as_ref()
-                    .map(|last| RecordDelta::diff(None, last, ch.version))
-            };
-            if let Some(delta) = initial {
-                let frame = update_frame(id, &encode_deltas(std::slice::from_ref(&delta)));
-                if let Err(closed) = sink.deliver(frame) {
-                    self.evict(id, closed.code, &closed.message);
-                    return id;
+        let mut st = self.state.lock();
+        let id = st.next_id;
+        st.next_id += 1;
+        let mut refused = None;
+        for key in &keys {
+            let (map, name) = st.map(key);
+            let ch = map.entry(name.to_string()).or_default();
+            ch.subscribers.push((id, Arc::clone(&outbox)));
+            let Some(last) = &ch.last else { continue };
+            let delta = RecordDelta::diff(None, last, ch.version);
+            let frame = update_frame(id, &encode_deltas(std::slice::from_ref(&delta)));
+            match outbox.push(frame) {
+                Ok(()) => self.telemetry.delivered.incr(),
+                Err(e) => {
+                    refused = Some(e);
+                    break;
                 }
-                self.telemetry.delivered.incr();
             }
+        }
+        st.subs.insert(id, keys);
+        self.telemetry.active.set(st.subs.len() as f64);
+        if let Some(e) = refused {
+            self.evict(&mut st, id, &outbox, e);
         }
         id
     }
 
     /// End a subscription cleanly. Returns whether it existed. The
     /// `SubEnd` acknowledgement travels as the *reply* to the
-    /// unsubscribe request, not through the sink.
+    /// unsubscribe request, not through the outbox's push stream.
     pub fn unsubscribe(&self, id: u64) -> bool {
         let mut st = self.state.lock();
-        let existed = Self::remove_locked(&mut st, id).is_some();
+        let existed = Self::remove_locked(&mut st, id);
         self.telemetry.active.set(st.subs.len() as f64);
         existed
     }
 
-    /// Evict a subscription (slow consumer, dead sink): remove it and
-    /// push a best-effort final `SubEnd` frame through the sink's
-    /// close path.
-    pub fn evict(&self, id: u64, code: u32, message: &str) {
-        let entry = {
-            let mut st = self.state.lock();
-            let e = Self::remove_locked(&mut st, id);
-            self.telemetry.active.set(st.subs.len() as f64);
-            e
-        };
-        if let Some(entry) = entry {
-            let frame = Reply::SubEnd {
-                id,
-                code,
-                message: message.to_string(),
-            }
-            .encode();
-            entry.sink.close(frame);
-            self.telemetry.evicted.incr();
+    /// Evict a subscription whose outbox refused a push (slow consumer,
+    /// dead connection): remove it and close the outbox with a final
+    /// `SubEnd` — queued, not sent: whoever drains the outbox sends it.
+    fn evict(&self, st: &mut HubState, id: u64, outbox: &Outbox, refused: OutboxError) {
+        if !Self::remove_locked(st, id) {
+            return;
         }
+        self.telemetry.active.set(st.subs.len() as f64);
+        self.telemetry.evicted.incr();
+        let (code, message) = match refused {
+            OutboxError::Overflow { capacity } => (
+                codes::SLOW_CONSUMER,
+                format!(
+                    "subscriber fell behind: outbox full at {capacity} frames; \
+                     drain faster or subscribe to fewer keywords"
+                ),
+            ),
+            OutboxError::Closed => (codes::INTERNAL, "connection closed".to_string()),
+        };
+        outbox.close_with(Reply::SubEnd { id, code, message }.encode());
     }
 
-    fn remove_locked(st: &mut HubState, id: u64) -> Option<SubEntry> {
-        let entry = st.subs.remove(&id)?;
-        for key in &entry.channels {
-            if let Some(ch) = st.channels.get_mut(key) {
-                ch.subscribers.retain(|s| *s != id);
+    fn remove_locked(st: &mut HubState, id: u64) -> bool {
+        let Some(channels) = st.subs.remove(&id) else {
+            return false;
+        };
+        for key in &channels {
+            let (map, name) = st.map(key);
+            if let Some(ch) = map.get_mut(name) {
+                ch.subscribers.retain(|(s, _)| *s != id);
             }
         }
-        Some(entry)
+        true
     }
 
     /// Push one fresh production into its keyword channel. Called by the
-    /// entry that produced it, holding its monitor but no lock; the hub
-    /// lock is released before any sink delivery.
-    pub fn notify_refresh(&self, si: &SystemInformation, snap: &Snapshot) {
-        self.notify_record(si.keyword(), self.snapshot_record(si.keyword(), snap));
+    /// entry that produced it, holding its monitor but no lock.
+    #[must_use = "drain the pushed outboxes once no lock is held"]
+    pub fn notify_refresh(&self, si: &SystemInformation, snap: &Snapshot) -> Vec<Arc<Outbox>> {
+        self.notify_record(si.keyword(), self.snapshot_record(si.keyword(), snap))
     }
 
     /// Push a transition of a job `account` owns into that account's
-    /// [`JOBS_KEYWORD`] channel.
-    pub fn notify_job(&self, handle: &JobHandle, state: JobStateCode, account: &str) {
+    /// [`JOBS_KEYWORD`] channel. The engine calls it under the lock that
+    /// found the transition; without a channel for `account` it
+    /// allocates nothing.
+    #[must_use = "drain the pushed outboxes once no lock is held"]
+    pub fn notify_job(
+        &self,
+        handle: &JobHandle,
+        state: JobStateCode,
+        account: &str,
+    ) -> Vec<Arc<Outbox>> {
+        let mut st = self.state.lock();
+        let Some(ch) = st.jobs.get_mut(account) else {
+            return Vec::new();
+        };
         let mut rec = InfoRecord::new(JOBS_KEYWORD, &self.hostname);
         rec.push("handle", &handle.to_string());
         rec.push("state", &state.to_string());
-        self.notify_channel(Channel::Jobs(account.to_string()), rec);
+        let (pushed, refused) = ch.publish(rec);
+        self.published(&mut st, pushed, refused)
     }
 
-    /// Push one record into `keyword`'s channel.
-    pub fn notify_record(&self, keyword: &str, record: InfoRecord) {
-        self.notify_channel(Channel::Keyword(keyword.to_ascii_lowercase()), record);
+    /// Push one record into `keyword`'s channel. A keyword nobody ever
+    /// subscribed to has no channel and is not versioned. Returns the
+    /// outboxes pushed into, as every notify does: the caller drains
+    /// them ([`drain_all`](infogram_proto::drain_all)) once it holds no
+    /// lock.
+    #[must_use = "drain the pushed outboxes once no lock is held"]
+    pub fn notify_record(&self, keyword: &str, record: InfoRecord) -> Vec<Arc<Outbox>> {
+        let key = keyword.to_ascii_lowercase();
+        let mut st = self.state.lock();
+        let Some(ch) = st.keywords.get_mut(&key) else {
+            return Vec::new();
+        };
+        let (pushed, refused) = ch.publish(record);
+        self.published(&mut st, pushed, refused)
     }
 
-    /// Core fan-out: version the channel, diff against its last
-    /// record, encode once, deliver to every subscriber. O(N) in the
-    /// channel's subscriber count; subscribers of other channels are
-    /// never touched.
-    fn notify_channel(&self, key: Channel, record: InfoRecord) {
-        let Some(delivery) = self
-            .state
-            .lock()
-            .channels
-            .get(&key)
-            .map(|c| Arc::clone(&c.delivery))
-        else {
-            return; // nobody ever subscribed; nothing to version
-        };
-        // Held across the fan-out: concurrent notifiers of this channel
-        // deliver strictly in version order (see `KeywordChannel`).
-        let _order = delivery.lock();
-        let (delta, targets) = {
-            let mut st = self.state.lock();
-            let st = &mut *st;
-            let Some(ch) = st.channels.get_mut(&key) else {
-                return; // unreachable: channels are never removed
-            };
-            ch.version += 1;
-            let delta = RecordDelta::diff(ch.last.as_ref(), &record, ch.version);
-            ch.last = Some(record);
-            let subs = &st.subs;
-            let targets: Vec<(u64, Arc<dyn SubSink>)> = ch
-                .subscribers
-                .iter()
-                .filter_map(|id| subs.get(id).map(|e| (*id, Arc::clone(&e.sink))))
-                .collect();
-            (delta, targets)
-        };
+    /// Count one publication into `pushed` and evict the subscribers
+    /// whose outbox refused it; returns `pushed`, to be drained.
+    fn published(
+        &self,
+        st: &mut HubState,
+        pushed: Vec<Arc<Outbox>>,
+        refused: Vec<Refused>,
+    ) -> Vec<Arc<Outbox>> {
         self.telemetry.updates.incr();
-        if targets.is_empty() {
-            return;
+        let delivered = pushed.len() - refused.len();
+        self.telemetry.delivered.add(delivered as u64);
+        for (id, outbox, e) in refused {
+            self.evict(st, id, &outbox, e);
         }
-        // Encode the payload once; per subscriber the frame build is a
-        // header + id stamp + memcpy.
-        let payload = encode_deltas(std::slice::from_ref(&delta));
-        let mut dead: Vec<(u64, SinkClosed)> = Vec::new();
-        for (id, sink) in targets {
-            match sink.deliver(update_frame(id, &payload)) {
-                Ok(()) => self.telemetry.delivered.incr(),
-                Err(closed) => dead.push((id, closed)),
-            }
-        }
-        for (id, closed) in dead {
-            self.evict(id, closed.code, &closed.message);
-        }
-    }
-
-    /// Seeded lock-order regression for `tests/lockdep.rs`: acquire a
-    /// channel's delivery lock *while holding* the hub state lock — the
-    /// reverse of every real path (delivery first, then state; DESIGN
-    /// §13). Single-threaded and contention-free, so nothing hangs; the
-    /// point is that `parking_lot::lockdep` must still report the inversion.
-    /// Never called by service code.
-    #[doc(hidden)]
-    pub fn debug_acquire_in_reverse_order(&self, keyword: &str) {
-        let key = Channel::Keyword(keyword.to_ascii_lowercase());
-        let st = self.state.lock();
-        if let Some(ch) = st.channels.get(&key) {
-            let delivery = Arc::clone(&ch.delivery);
-            let _order = delivery.lock(); // hub state still held: inversion
-        }
+        pushed
     }
 
     /// Convert a fresh production into the record pushed to subscribers.
@@ -454,33 +376,36 @@ impl SubscriptionHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::FnProvider;
+    use crate::{Cause, DegradationFn};
+    use infogram_proto::drain_all;
     use infogram_proto::message::codes;
+    use infogram_proto::transport::{Conn, ProtoError};
+    use infogram_sim::ManualClock;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
-    struct CollectingSink {
-        frames: Mutex<Vec<Vec<u8>>>,
-        fail_after: Option<usize>,
-        closed_with: Mutex<Option<Vec<u8>>>,
+    /// A subscriber's end of the wire: every frame its outbox sends.
+    #[derive(Default)]
+    struct Wire(Mutex<Vec<Vec<u8>>>);
+
+    impl Conn for Wire {
+        fn send(&self, msg: &[u8]) -> Result<(), ProtoError> {
+            self.0.lock().push(msg.to_vec());
+            Ok(())
+        }
+        fn recv(&self) -> Result<Vec<u8>, ProtoError> {
+            Err(ProtoError::Closed)
+        }
+        fn peer(&self) -> String {
+            "subscriber".to_string()
+        }
     }
 
-    impl CollectingSink {
-        fn new() -> Arc<Self> {
-            Arc::new(CollectingSink {
-                frames: Mutex::new(Vec::new()),
-                fail_after: None,
-                closed_with: Mutex::new(None),
-            })
-        }
-
-        fn failing_after(n: usize) -> Arc<Self> {
-            Arc::new(CollectingSink {
-                frames: Mutex::new(Vec::new()),
-                fail_after: Some(n),
-                closed_with: Mutex::new(None),
-            })
-        }
-
+    impl Wire {
         fn replies(&self) -> Vec<Reply> {
-            self.frames
+            self.0
                 .lock()
                 .iter()
                 .map(|f| Reply::decode(f).expect("valid frame"))
@@ -488,22 +413,13 @@ mod tests {
         }
     }
 
-    impl SubSink for CollectingSink {
-        fn deliver(&self, frame: Vec<u8>) -> Result<(), SinkClosed> {
-            let mut frames = self.frames.lock();
-            if self.fail_after.is_some_and(|n| frames.len() >= n) {
-                return Err(SinkClosed {
-                    code: codes::SLOW_CONSUMER,
-                    message: "scripted overflow".to_string(),
-                });
-            }
-            frames.push(frame);
-            Ok(())
-        }
-
-        fn close(&self, frame: Vec<u8>) {
-            *self.closed_with.lock() = Some(frame);
-        }
+    /// An outbox of `capacity` frames over a fresh wire.
+    fn subscriber(capacity: usize) -> (Arc<Outbox>, Arc<Wire>) {
+        let wire = Arc::new(Wire::default());
+        (
+            Outbox::new(Arc::clone(&wire) as Arc<dyn Conn>, capacity),
+            wire,
+        )
     }
 
     fn hub() -> Arc<SubscriptionHub> {
@@ -516,20 +432,24 @@ mod tests {
         rec
     }
 
+    fn memory() -> [String; 1] {
+        ["Memory".to_string()]
+    }
+
     #[test]
     fn fan_out_reaches_every_subscriber_with_contiguous_versions() {
         let h = hub();
-        let sinks: Vec<_> = (0..3).map(|_| CollectingSink::new()).collect();
-        let ids: Vec<u64> = sinks
+        let subs: Vec<_> = (0..3).map(|_| subscriber(8)).collect();
+        let ids: Vec<u64> = subs
             .iter()
-            .map(|s| h.subscribe(&["Memory".to_string()], "t", s.clone() as Arc<dyn SubSink>))
+            .map(|(outbox, _)| h.subscribe(&memory(), "t", Arc::clone(outbox)))
             .collect();
         assert_eq!(ids, vec![1, 2, 3]);
         for round in 0..4 {
-            h.notify_record("Memory", record("Memory", &round.to_string()));
+            drain_all(h.notify_record("Memory", record("Memory", &round.to_string())));
         }
-        for (sink, id) in sinks.iter().zip(&ids) {
-            let replies = sink.replies();
+        for ((_, wire), id) in subs.iter().zip(&ids) {
+            let replies = wire.replies();
             assert_eq!(replies.len(), 4);
             for (i, reply) in replies.iter().enumerate() {
                 let Reply::Update { id: got, deltas } = reply else {
@@ -545,22 +465,16 @@ mod tests {
     #[test]
     fn late_subscriber_starts_from_a_full_snapshot() {
         let h = hub();
-        let early = CollectingSink::new();
-        h.subscribe(
-            &["Memory".to_string()],
-            "t",
-            early.clone() as Arc<dyn SubSink>,
-        );
-        h.notify_record("Memory", record("Memory", "1"));
-        h.notify_record("Memory", record("Memory", "2"));
+        let (early, _) = subscriber(8);
+        h.subscribe(&memory(), "t", early);
+        drain_all(h.notify_record("Memory", record("Memory", "1")));
+        drain_all(h.notify_record("Memory", record("Memory", "2")));
 
-        let late = CollectingSink::new();
-        h.subscribe(
-            &["Memory".to_string()],
-            "t",
-            late.clone() as Arc<dyn SubSink>,
-        );
-        let replies = late.replies();
+        let (late, wire) = subscriber(8);
+        h.subscribe(&memory(), "t", Arc::clone(&late));
+        assert_eq!(late.queued(), 1, "the snapshot is queued by the join");
+        late.drain().expect("open");
+        let replies = wire.replies();
         assert_eq!(replies.len(), 1, "immediate initial delivery");
         let Reply::Update { deltas, .. } = &replies[0] else {
             panic!("expected update");
@@ -575,48 +489,41 @@ mod tests {
     }
 
     #[test]
-    fn failed_delivery_evicts_and_closes_with_subend() {
+    fn a_refused_push_evicts_and_closes_with_subend() {
         let h = hub();
-        let healthy = CollectingSink::new();
-        let slow = CollectingSink::failing_after(1);
-        h.subscribe(
-            &["CPU".to_string()],
-            "t",
-            healthy.clone() as Arc<dyn SubSink>,
-        );
-        let slow_id = h.subscribe(&["CPU".to_string()], "t", slow.clone() as Arc<dyn SubSink>);
-        h.notify_record("CPU", record("CPU", "1"));
+        let (healthy, healthy_wire) = subscriber(8);
+        // Its peer reads nothing: one undrained frame fills the outbox.
+        let (slow, slow_wire) = subscriber(1);
+        h.subscribe(&["CPU".to_string()], "t", healthy);
+        let slow_id = h.subscribe(&["CPU".to_string()], "t", slow);
+        let _undrained = h.notify_record("CPU", record("CPU", "1"));
         assert_eq!(h.active(), 2);
-        h.notify_record("CPU", record("CPU", "2"));
+        drain_all(h.notify_record("CPU", record("CPU", "2")));
         assert_eq!(h.active(), 1, "the slow consumer was evicted");
-        let closed = slow.closed_with.lock().clone().expect("close frame sent");
-        let Reply::SubEnd { id, code, .. } = Reply::decode(&closed).expect("valid") else {
+        let replies = slow_wire.replies();
+        assert_eq!(replies.len(), 1, "the backlog is discarded");
+        let Reply::SubEnd { id, code, .. } = &replies[0] else {
             panic!("expected SubEnd");
         };
-        assert_eq!(id, slow_id);
-        assert_eq!(code, codes::SLOW_CONSUMER);
+        assert_eq!((*id, *code), (slow_id, codes::SLOW_CONSUMER));
         // The healthy subscriber keeps receiving.
-        h.notify_record("CPU", record("CPU", "3"));
-        assert_eq!(healthy.replies().len(), 3);
+        drain_all(h.notify_record("CPU", record("CPU", "3")));
+        assert_eq!(healthy_wire.replies().len(), 3);
     }
 
     #[test]
     fn unsubscribe_stops_delivery_and_unversioned_keywords_stay_silent() {
         let h = hub();
-        let sink = CollectingSink::new();
-        let id = h.subscribe(
-            &["Memory".to_string()],
-            "t",
-            sink.clone() as Arc<dyn SubSink>,
-        );
-        h.notify_record("Memory", record("Memory", "1"));
+        let (outbox, wire) = subscriber(8);
+        let id = h.subscribe(&memory(), "t", outbox);
+        drain_all(h.notify_record("Memory", record("Memory", "1")));
         assert!(h.unsubscribe(id));
         assert!(!h.unsubscribe(id), "second unsubscribe reports missing");
-        h.notify_record("Memory", record("Memory", "2"));
-        assert_eq!(sink.replies().len(), 1);
+        assert!(h.notify_record("Memory", record("Memory", "2")).is_empty());
+        assert_eq!(wire.replies().len(), 1);
         assert!(!h.has_subscribers("Memory"));
         // A keyword nobody ever subscribed to is not even versioned.
-        h.notify_record("Ghost", record("Ghost", "1"));
+        assert!(h.notify_record("Ghost", record("Ghost", "1")).is_empty());
         assert_eq!(h.channel_version("Ghost"), 0);
     }
 
@@ -624,18 +531,20 @@ mod tests {
     fn job_transitions_push_under_the_owners_jobs_channel() {
         let h = hub();
         let subscribe = |account: &str| {
-            let sink = CollectingSink::new();
-            let jobs = [JOBS_KEYWORD.to_string()];
-            h.subscribe(&jobs, account, sink.clone() as Arc<dyn SubSink>);
-            sink
+            let (outbox, wire) = subscriber(8);
+            h.subscribe(&[JOBS_KEYWORD.to_string()], account, outbox);
+            wire
         };
-        let (sink, other, shouting) = (subscribe("t"), subscribe("u"), subscribe("T"));
+        let (wire, other, shouting) = (subscribe("t"), subscribe("u"), subscribe("T"));
         assert!(h.has_subscribers("Jobs"));
         let handle = JobHandle::new("node0.grid", 2119, 7, 1);
-        h.notify_job(&handle, JobStateCode::Active, "t");
-        h.notify_job(&handle, JobStateCode::Done, "t");
+        drain_all(h.notify_job(&handle, JobStateCode::Active, "t"));
+        drain_all(h.notify_job(&handle, JobStateCode::Done, "t"));
+        assert!(h
+            .notify_job(&handle, JobStateCode::Done, "nobody")
+            .is_empty());
         assert!(other.replies().is_empty() && shouting.replies().is_empty());
-        let replies = sink.replies();
+        let replies = wire.replies();
         assert_eq!(replies.len(), 2);
         let Reply::Update { deltas, .. } = &replies[1] else {
             panic!("expected update");
@@ -650,20 +559,138 @@ mod tests {
     #[test]
     fn empty_deltas_keep_the_version_stream_contiguous() {
         let h = hub();
-        let sink = CollectingSink::new();
-        h.subscribe(
-            &["Memory".to_string()],
-            "t",
-            sink.clone() as Arc<dyn SubSink>,
-        );
-        h.notify_record("Memory", record("Memory", "same"));
-        h.notify_record("Memory", record("Memory", "same"));
-        let replies = sink.replies();
+        let (outbox, wire) = subscriber(8);
+        h.subscribe(&memory(), "t", outbox);
+        drain_all(h.notify_record("Memory", record("Memory", "same")));
+        drain_all(h.notify_record("Memory", record("Memory", "same")));
+        let replies = wire.replies();
         assert_eq!(replies.len(), 2, "identical refreshes still deliver");
         let Reply::Update { deltas, .. } = &replies[1] else {
             panic!("expected update");
         };
         assert!(deltas[0].is_empty());
         assert_eq!(deltas[0].version, 2);
+    }
+
+    /// A peer that stopped reading: each `send` blocks until the test
+    /// opens the gate, and says when the first one has started.
+    struct Stuck {
+        sending: AtomicBool,
+        gate: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+        wire: Wire,
+    }
+
+    impl Stuck {
+        fn new() -> Arc<Self> {
+            Arc::new(Stuck {
+                sending: AtomicBool::new(false),
+                gate: std::sync::Mutex::new(false),
+                opened: std::sync::Condvar::new(),
+                wire: Wire::default(),
+            })
+        }
+
+        fn wait_until_sending(&self) {
+            while !self.sending.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+
+        fn open(&self) {
+            *self.gate.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl Conn for Stuck {
+        fn send(&self, msg: &[u8]) -> Result<(), ProtoError> {
+            self.sending.store(true, Ordering::SeqCst);
+            let open = self.gate.lock().unwrap();
+            drop(self.opened.wait_while(open, |open| !*open).unwrap());
+            self.wire.send(msg)
+        }
+        fn recv(&self) -> Result<Vec<u8>, ProtoError> {
+            Err(ProtoError::Closed)
+        }
+        fn peer(&self) -> String {
+            "stuck".to_string()
+        }
+    }
+
+    /// Run `second` on its own thread while `stuck`'s first send is
+    /// blocked, then open the gate: whether `second` finished before
+    /// the gate opened (waiting at most two seconds for it).
+    fn returns_while_stuck(stuck: &Stuck, second: impl FnOnce() + Send + 'static) -> bool {
+        stuck.wait_until_sending();
+        let (done, finished) = mpsc::channel();
+        let second = std::thread::spawn(move || {
+            second();
+            let _ = done.send(());
+        });
+        let returned = finished.recv_timeout(Duration::from_secs(2)).is_ok();
+        stuck.open();
+        second.join().expect("second caller");
+        returned
+    }
+
+    #[test]
+    fn a_stuck_subscriber_stalls_no_later_notify_of_its_keyword() {
+        let h = hub();
+        let stuck = Stuck::new();
+        h.subscribe(
+            &memory(),
+            "t",
+            Outbox::new(Arc::clone(&stuck) as Arc<dyn Conn>, 8),
+        );
+        let h1 = Arc::clone(&h);
+        let first = std::thread::spawn(move || {
+            drain_all(h1.notify_record("Memory", record("Memory", "1")));
+        });
+        let h2 = Arc::clone(&h);
+        let returned = returns_while_stuck(&stuck, move || {
+            drain_all(h2.notify_record("Memory", record("Memory", "2")));
+        });
+        first.join().expect("first notify");
+        assert!(returned, "the second notify waited for the stuck peer");
+        assert_eq!(h.channel_version("Memory"), 2);
+        let versions: Vec<u64> = (stuck.wire.replies().iter())
+            .filter_map(|r| match r {
+                Reply::Update { deltas, .. } => Some(deltas[0].version),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(versions, [1, 2], "the first drain sent both, in order");
+    }
+
+    #[test]
+    fn a_stuck_subscriber_stalls_no_later_refresh_of_its_keyword() {
+        let h = hub();
+        let si = SystemInformation::new(
+            Box::new(FnProvider::new("Memory", || {
+                Ok(vec![("free".to_string(), "1".to_string())])
+            })),
+            ManualClock::new(),
+            Duration::from_secs(10),
+            DegradationFn::Linear {
+                lifetime: Duration::from_secs(60),
+            },
+        );
+        si.push_to(&h);
+        let stuck = Stuck::new();
+        h.subscribe(
+            &memory(),
+            "t",
+            Outbox::new(Arc::clone(&stuck) as Arc<dyn Conn>, 8),
+        );
+        let si1 = Arc::clone(&si);
+        let first = std::thread::spawn(move || si1.refresh(Cause::Scheduled).map(|_| ()));
+        let si2 = Arc::clone(&si);
+        let returned = returns_while_stuck(&stuck, move || {
+            si2.refresh(Cause::Scheduled).expect("fresh");
+        });
+        first.join().expect("first refresh").expect("fresh");
+        assert!(returned, "the second refresh waited for the stuck peer");
+        assert_eq!((si.execution_count(), h.channel_version("Memory")), (2, 2));
     }
 }

@@ -49,6 +49,6 @@ pub use delta::{encode_deltas, DeltaError, RecordDelta};
 pub use frame::{read_frame, write_frame, MAX_FRAME_LEN};
 pub use handle::JobHandle;
 pub use message::{codes, JobStateCode, Reply, Request, WireError};
-pub use outbox::{Outbox, OutboxError};
+pub use outbox::{drain_all, Outbox, OutboxError};
 pub use record::{Attribute, InfoRecord};
 pub use transport::{Conn, Listener, ProtoError, Transport};

@@ -8,12 +8,13 @@
 //! connection, with two hard rules that `tests/model_sub.rs` checks
 //! under every interleaving:
 //!
-//! 1. **`push` never sends and never blocks.** The refresh scheduler
-//!    calls `push` during fan-out; if it could block on a peer's TCP
-//!    window the whole refresh pipeline would stall behind one slow
-//!    subscriber (and a lock cycle with the drain path could deadlock).
-//!    `push` is a single atomic capacity-check-and-insert under one
-//!    lock acquisition — checking and inserting under *separate*
+//! 1. **`push` never sends and never blocks.** Every push the service
+//!    makes — a subscription's update, a job's Event — is queued inside
+//!    the critical section that orders it (the hub's state lock, the
+//!    engine's jobs lock); if `push` could block on a peer's TCP window,
+//!    one slow subscriber would stall that lock for everyone. `push` is
+//!    a single atomic capacity-check-and-insert under one lock
+//!    acquisition — checking and inserting under *separate*
 //!    acquisitions is the seeded bug the model explorer must catch.
 //! 2. **Overflow is eviction, not waiting.** A full outbox fails the
 //!    push; the subscription layer converts that into a
@@ -22,10 +23,11 @@
 //!    was not reading it anyway) and leaves exactly one final frame —
 //!    the `SubEnd` notice — to be flushed.
 //!
-//! Draining is decoupled from pushing: any thread may call
-//! [`Outbox::drain`], exactly one at a time wins the `draining` flag,
-//! and the winner performs the actual `Conn::send` calls *outside* the
-//! state lock.
+//! Draining is decoupled from pushing and happens with no lock held
+//! ([`drain_all`]): any thread may call [`Outbox::drain`], exactly one
+//! at a time wins the `draining` flag, and the winner performs the
+//! actual `Conn::send` calls *outside* the state lock — so a pusher
+//! whose drain loses returns at once while the winner waits on the peer.
 
 use crate::transport::Conn;
 use parking_lot::{lock_class, lockdep, Mutex};
@@ -147,15 +149,11 @@ impl Outbox {
                     }
                 }
             };
-            // A sink delivery can block on the peer's transport for as
-            // long as the transport likes. One documented exception may
-            // be held here (DESIGN §13): the per-channel delivery lock
-            // (DESIGN §12: it exists to serialize exactly this send). Job
-            // Events need no such lock: the engine pushes them in
-            // transition order and drains with nothing held. The outbox's
-            // own state lock is released above, and nothing else may be
-            // held.
-            lockdep::blocking_point("proto.outbox.send", &["info.sub.delivery"]);
+            // A send can block on the peer's transport for as long as
+            // the transport likes, so nothing may be held here: every
+            // frame was queued in order under the lock that ordered it,
+            // and the FIFO keeps that order (DESIGN §12.2).
+            lockdep::blocking_point("proto.outbox.send", &[]);
             if self.conn.send(&frame).is_err() {
                 let mut st = self.state.lock();
                 st.draining = false;
@@ -177,21 +175,19 @@ impl Outbox {
     }
 
     /// Close the outbox, discarding the backlog and replacing it with
-    /// one `final_frame` (the `SubEnd` eviction notice), then attempt to
-    /// flush it. Subsequent pushes fail with [`OutboxError::Closed`].
+    /// one `final_frame` (the `SubEnd` eviction notice), which the next
+    /// [`Outbox::drain`] flushes. Never sends, so it may run under any
+    /// lock. Subsequent pushes fail with [`OutboxError::Closed`].
     pub fn close_with(&self, final_frame: Vec<u8>) {
-        {
-            let mut st = self.state.lock();
-            if st.closed {
-                return;
-            }
-            // The backlog is what the slow consumer failed to read;
-            // delivering it now would only delay the eviction notice.
-            st.queue.clear();
-            st.queue.push_back(final_frame);
-            st.closed = true;
+        let mut st = self.state.lock();
+        if st.closed {
+            return;
         }
-        let _ = self.drain();
+        // The backlog is what the slow consumer failed to read;
+        // delivering it now would only delay the eviction notice.
+        st.queue.clear();
+        st.queue.push_back(final_frame);
+        st.closed = true;
     }
 
     /// Close without a final frame (connection teardown).
@@ -199,6 +195,15 @@ impl Outbox {
         let mut st = self.state.lock();
         st.closed = true;
         st.queue.clear();
+    }
+}
+
+/// Drain every outbox frames were pushed into, once no lock is held —
+/// the second half of every push the service makes. An outbox named
+/// twice is drained once: the second drain finds it empty.
+pub fn drain_all(outboxes: Vec<Arc<Outbox>>) {
+    for outbox in outboxes {
+        let _ = outbox.drain();
     }
 }
 
@@ -251,6 +256,11 @@ mod tests {
         ob.push(vec![1]).unwrap();
         ob.push(vec![2]).unwrap();
         ob.close_with(vec![9]);
+        assert_eq!(
+            ob.drain(),
+            Ok(1),
+            "closing queues the notice, a drain sends it"
+        );
         assert_eq!(
             client.recv().unwrap(),
             vec![9],

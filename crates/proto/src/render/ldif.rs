@@ -5,8 +5,10 @@
 //! the keyword, so an attribute line names only what follows it:
 //! `Memory:total` is written `total` and the keyword restored on parse
 //! (see the [module docs](super) for the rule). The whole form an MDS
-//! entry carries, `Memory-total` (LDIF attribute names cannot contain
-//! `:`), parses to the same name. Values that LDIF cannot carry
+//! entry carries, `Memory-total`, parses to the same name. An LDIF name
+//! ends at its first `:`, so a `:` in a name is written `%3A`, and the
+//! escape's own `%` is written `%25` (`Memory:a:b` is `a%3Ab`); other
+//! names are written as they are. Values that LDIF cannot carry
 //! verbatim (leading space/colon/'<', embedded newlines, non-ASCII) are
 //! base64-encoded with the `attr::` form.
 //!
@@ -80,13 +82,37 @@ pub fn push_value(out: &mut String, value: &str) {
 }
 
 /// A written name: the relative name, after `<keyword>-` when the
-/// block writes the whole form.
+/// block writes the whole form, escaped.
 fn push_name(out: &mut String, (keyword, relative): (Option<&str>, &str)) {
     if let Some(keyword) = keyword {
-        out.push_str(keyword);
+        push_escaped(out, keyword);
         out.push('-');
     }
-    out.push_str(relative);
+    push_escaped(out, relative);
+}
+
+/// `name` with each `:` written `%3A` and each `%` written `%25`.
+fn push_escaped(out: &mut String, name: &str) {
+    let mut rest = name;
+    while let Some(at) = rest.find([':', '%']) {
+        out.push_str(&rest[..at]);
+        out.push_str(if rest.as_bytes()[at] == b':' {
+            "%3A"
+        } else {
+            "%25"
+        });
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// A name as [`push_escaped`] wrote it → as the record holds it.
+fn unescape(written: &str) -> Cow<'_, str> {
+    if !written.contains('%') {
+        return written.into();
+    }
+    // Every `%` written starts an escape, so no `%3A` straddles one.
+    written.replace("%3A", ":").replace("%25", "%").into()
 }
 
 /// An attribute name in the whole LDIF-safe form an MDS entry carries:
@@ -151,9 +177,7 @@ pub(super) fn write_head(out: &mut String, head: &Head<'_>, first: bool) {
 }
 
 /// One line per attribute, followed by `;quality` / `;age` companion
-/// lines for annotations the head does not carry. An LDIF name cannot
-/// hold a `:`, so an attribute whose written name would (`Memory:a:b`
-/// is `a:b`) is left out rather than read back as `Memory:a` = `b: …`.
+/// lines for annotations the head does not carry.
 pub(super) fn write_block<'a>(
     out: &mut String,
     keyword: &str,
@@ -161,9 +185,6 @@ pub(super) fn write_block<'a>(
 ) {
     for a in attrs {
         let name = written_name(keyword, a.name);
-        if name.0.unwrap_or_default().contains(':') || name.1.contains(':') {
-            continue;
-        }
         push_name(out, name);
         push_value(out, a.value);
         if let Some(q) = a.quality {
@@ -249,9 +270,10 @@ pub fn parse(text: &str) -> Vec<InfoRecord> {
             records.extend(current.take().map(Entry::finish));
             continue;
         }
-        let Some((raw_name, value)) = split_line(line) else {
+        let Some((written, value)) = split_line(line) else {
             continue;
         };
+        let raw_name = &*unescape(written);
         if raw_name == "dn" {
             records.extend(current.take().map(Entry::finish));
             let mut entry = Entry::default();
@@ -439,12 +461,12 @@ mod proptests {
     proptest! {
         /// Any values, under names relative to the keyword that a
         /// parser could misread: one beginning with the keyword and its
-        /// `-` or `:`, one an LDIF head line uses, or neither. A name
-        /// with a `:` past the keyword's is left out; the rest read back.
+        /// `-` or `:`, one an LDIF head line uses, or neither; and names
+        /// holding the escaped `:` and `%`. Every name reads back.
         #[test]
         fn ldif_roundtrip_arbitrary_values(
             keyword in "[A-Za-z][A-Za-z0-9-]{0,8}",
-            attrs in prop::collection::vec(("\\PC{0,24}", 0usize..6, "[a-z0-9-]{0,6}"), 1..6),
+            attrs in prop::collection::vec(("\\PC{0,24}", 0usize..6, "[a-z0-9:%-]{0,6}"), 1..6),
         ) {
             let (dash, colon) = (format!("{keyword}-"), format!("{keyword}:"));
             let prefixes = ["", &dash, &colon, "dn", "objectclass", "infogram-"];
@@ -452,9 +474,7 @@ mod proptests {
             for (value, prefix, rest) in &attrs {
                 rec.push(&format!("{keyword}:{}{rest}", prefixes[*prefix]), value);
             }
-            let mut carried = rec.clone();
-            carried.attributes.retain(|a| a.name.matches(':').count() == 1);
-            prop_assert_eq!(parse(&render(std::slice::from_ref(&rec))), vec![carried]);
+            prop_assert_eq!(parse(&render(std::slice::from_ref(&rec))), vec![rec]);
         }
     }
 }

@@ -39,7 +39,8 @@
 //! round-trip: one that itself begins with `Memory-` or `Memory:`, or
 //! that an LDIF head line uses. A name outside the keyword's namespace
 //! (`Disk:free` in a `Memory` record) is relative to it like a bare one,
-//! as [`InfoRecord::push`] namespaces it: `Memory:Disk:free`.
+//! as [`InfoRecord::push`] namespaces it: `Memory:Disk:free`, written
+//! `Disk%3Afree` in LDIF, whose names cannot hold a `:`.
 //!
 //! A parser rebuilds each name from the keyword it read once, so a body
 //! naming a huge keyword over many short lines would cost the keyword's

@@ -8,8 +8,8 @@
 #      in step 3 (DESIGN §9.1)
 #   3. scripts/check_docs.sh — rustdoc + clippy, warnings as errors
 #   4. cargo test --workspace — every unit, doc, and integration test,
-#      the crash suites of scripts/check_crash.sh among them
-#      (restart recovery, WAL crash points, hostile logs); then
+#      the crash-consistency suites among them (tests/restart_recovery.rs,
+#      tests/wal_crash.rs, crates/exec/tests/hostile_wal.rs); then
 #      crates/exec/tests/job_memory.rs once more in release (its
 #      byte and allocation ceilings hold in both builds), printing what
 #      it measured: the table DESIGN §14.5 quotes, beside its ceilings

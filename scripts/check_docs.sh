@@ -152,7 +152,7 @@ if [ "$1" = 0 ] || [ "$2" -gt 1536 ]; then
 fi
 
 echo "==> DESIGN.md is at most its line ceiling"
-DESIGN_CEILING=1412
+DESIGN_CEILING=1410
 lines="$(wc -l < DESIGN.md)"
 if [ "$lines" -gt "$DESIGN_CEILING" ]; then
     printf 'DESIGN.md has %s lines; the ceiling is %s\n' "$lines" "$DESIGN_CEILING" >&2
@@ -160,7 +160,7 @@ if [ "$lines" -gt "$DESIGN_CEILING" ]; then
 fi
 
 echo "==> first-party non-test lines are at most their ceiling"
-LOC_CEILING=15369
+LOC_CEILING=15331
 loc="$(sh scripts/loc.sh --total)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then
     printf 'scripts/loc.sh --total counts %s lines; the ceiling is %s\n' "$loc" "$LOC_CEILING" >&2

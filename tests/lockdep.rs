@@ -6,14 +6,13 @@
 //!   with both acquisition-site chains,
 //! * a guard held across a declared blocking point (`sim::par`'s scope
 //!   join) is reported,
-//! * a guard still held when its thread exits is reported, and
-//! * the seeded hub-state/delivery-lock inversion regression in
-//!   `SubscriptionHub` is caught with both chains naming the real
-//!   classes from `crates/info/src/sub.rs`.
+//! * a guard still held when its thread exits is reported,
 //!
-//! and a job whose callback Events are pushed under `exec.engine.jobs`
-//! (`exec.engine.jobs → proto.outbox.state`), polled from two threads,
-//! draws no report at all: nothing is held across the send.
+//! and a job whose callback Events and `jobs` subscription updates are
+//! pushed under `exec.engine.jobs` (`exec.engine.jobs →
+//! proto.outbox.state`, `exec.engine.jobs → info.sub.hub_state →
+//! proto.outbox.state`), polled from two threads, draws no report at
+//! all: nothing is held across the send.
 //!
 //! Every test wraps the offending section in [`lockdep::capture`], so
 //! the reports are asserted on instead of failing the zero-findings
@@ -21,9 +20,6 @@
 //! keep the process-global dedup from hiding one test's report behind
 //! another's.
 
-use infogram::info::sub::{SinkClosed, SubSink, SubscriptionHub};
-use infogram::proto::record::InfoRecord;
-use infogram::sim::metrics::MetricSet;
 use infogram::sim::{par, ManualClock};
 use parking_lot::lockdep::{self, ReportKind};
 use parking_lot::{lock_class, Mutex};
@@ -111,43 +107,6 @@ fn guard_held_at_thread_exit_reported() {
         .find(|r| r.kind == ReportKind::HeldAtExit)
         .expect("guard alive at thread exit is reported");
     assert!(held.text.contains("test.lockdep.int.exit"), "{}", held.text);
-}
-
-/// A sink that swallows frames: the test only exercises lock order.
-struct NullSink;
-
-impl SubSink for NullSink {
-    fn deliver(&self, _frame: Vec<u8>) -> Result<(), SinkClosed> {
-        Ok(())
-    }
-    fn close(&self, _frame: Vec<u8>) {}
-}
-
-#[test]
-fn seeded_hub_inversion_is_caught() {
-    if !lockdep_on() {
-        return;
-    }
-    let hub = SubscriptionHub::new("node0.grid", MetricSet::new());
-    // Normal operation: subscribe + push one update. Both paths take
-    // the per-keyword delivery lock first and the hub state lock
-    // second, teaching lockdep the legal order.
-    hub.subscribe(&["date".to_string()], "t", Arc::new(NullSink));
-    hub.notify_record("date", InfoRecord::new("Date", "node0.grid"));
-
-    // The seeded regression takes them in reverse. Single-threaded and
-    // contention-free — nothing hangs — yet lockdep must report it.
-    let (_, reports) = lockdep::capture(|| hub.debug_acquire_in_reverse_order("date"));
-    let inv = reports
-        .iter()
-        .find(|r| r.kind == ReportKind::OrderInversion)
-        .expect("seeded hub inversion reported");
-    assert!(inv.text.contains("info.sub.hub_state"), "{}", inv.text);
-    assert!(inv.text.contains("info.sub.delivery"), "{}", inv.text);
-    assert!(inv.text.contains("this thread:"), "{}", inv.text);
-    assert!(inv.text.contains("prior order:"), "{}", inv.text);
-    // Both chains point into the hub implementation.
-    assert!(inv.text.contains("sub.rs"), "{}", inv.text);
 }
 
 #[test]

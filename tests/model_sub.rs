@@ -25,26 +25,31 @@
 //!   and ends at the channel's final version, with no version hole in
 //!   between.
 //! * **Backpressure never deadlocks the pipeline** — a scheduler tick
-//!   whose fan-out hits a dead connection (the eviction path: state
-//!   lock, delivery lock, outbox close) interleaved with a concurrent
-//!   subscribe on the same channel always terminates, leaving the
-//!   healthy subscriber live and the keyword scheduled.
-//! * **A job's Events follow its transitions** — two threads polling a
-//!   restarting job whose entry holds a callback outbox send its client
-//!   each transition exactly once, in transition order, whether they
-//!   race the restart or the end (`support/callback_race.rs`, which
-//!   `tests/lockdep.rs` also runs).
+//!   whose fan-out overflows a subscriber's outbox in front of a dead
+//!   connection (the eviction path: state lock, outbox close, then a
+//!   drain that fails) interleaved with a concurrent subscribe on the
+//!   same channel always terminates, leaving the healthy subscriber
+//!   live and the keyword scheduled.
+//! * **A job's transitions are pushed in order** — two threads polling
+//!   a restarting job whose entry holds a callback outbox send its
+//!   client each transition exactly once, in transition order, and its
+//!   engine observer and its account's `jobs` subscriber see every
+//!   state in that order, whether the pollers race the restart or the
+//!   end (`support/callback_race.rs`, which `tests/lockdep.rs` also
+//!   runs).
+//!
+//! Every subscriber is an [`Outbox`] over a fake [`Conn`]; a scenario
+//! drains what the hub hands back once it holds no lock, as the
+//! service does.
 
 #![cfg(feature = "model")]
 
 use infogram::info::provider::FnProvider;
-use infogram::info::{
-    DegradationFn, RefreshScheduler, SinkClosed, SubSink, SubscriptionHub, SystemInformation,
-};
+use infogram::info::{DegradationFn, RefreshScheduler, SubscriptionHub, SystemInformation};
 use infogram::proto::message::Reply;
 use infogram::proto::record::InfoRecord;
 use infogram::proto::transport::{Conn, ProtoError};
-use infogram::proto::{Outbox, OutboxError};
+use infogram::proto::{drain_all, Outbox, OutboxError};
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::model;
 use parking_lot::Mutex;
@@ -89,16 +94,22 @@ impl Conn for DeadConn {
     }
 }
 
-/// Records every delivered frame, decoded; never fails.
-struct CollectingSink {
+/// A subscriber's connection: records every frame sent, decoded;
+/// never fails.
+struct CollectingConn {
     replies: Mutex<Vec<Reply>>,
 }
 
-impl CollectingSink {
+impl CollectingConn {
     fn new() -> Arc<Self> {
-        Arc::new(CollectingSink {
+        Arc::new(CollectingConn {
             replies: Mutex::new(Vec::new()),
         })
+    }
+
+    /// An outbox over this connection, roomy enough never to overflow.
+    fn outbox(self: &Arc<Self>) -> Arc<Outbox> {
+        Outbox::new(Arc::clone(self) as Arc<dyn Conn>, 8)
     }
 
     /// The version sequence received, in delivery order.
@@ -123,15 +134,19 @@ impl CollectingSink {
     }
 }
 
-impl SubSink for CollectingSink {
-    fn deliver(&self, frame: Vec<u8>) -> Result<(), SinkClosed> {
+impl Conn for CollectingConn {
+    fn send(&self, frame: &[u8]) -> Result<(), ProtoError> {
         self.replies
             .lock()
-            .push(Reply::decode(&frame).expect("valid frame"));
+            .push(Reply::decode(frame).expect("valid frame"));
         Ok(())
     }
-
-    fn close(&self, _frame: Vec<u8>) {}
+    fn recv(&self) -> Result<Vec<u8>, ProtoError> {
+        Err(ProtoError::Closed)
+    }
+    fn peer(&self) -> String {
+        "subscriber".to_string()
+    }
 }
 
 fn hub() -> Arc<SubscriptionHub> {
@@ -246,13 +261,13 @@ fn concurrent_notifies_deliver_every_version_exactly_once_in_order() {
         "lost/duplicated/reordered update under concurrent notifies",
         || {
             let hub = hub();
-            let sink = CollectingSink::new();
-            hub.subscribe(&["K".to_string()], "t", sink.clone() as Arc<dyn SubSink>);
+            let sink = CollectingConn::new();
+            hub.subscribe(&["K".to_string()], "t", sink.outbox());
 
             let h1 = Arc::clone(&hub);
             let h2 = Arc::clone(&hub);
-            let a = model::spawn(move || h1.notify_record("K", record("K", "a")));
-            let b = model::spawn(move || h2.notify_record("K", record("K", "b")));
+            let a = model::spawn(move || drain_all(h1.notify_record("K", record("K", "a"))));
+            let b = model::spawn(move || drain_all(h2.notify_record("K", record("K", "b"))));
             a.join();
             b.join();
 
@@ -275,18 +290,19 @@ fn joiner_racing_a_notify_starts_full_and_ends_current() {
     model::check("subscribe vs notify version gap", || {
         let hub = hub();
         // Warm the channel to version 1 via an established subscriber.
-        let early = CollectingSink::new();
-        hub.subscribe(&["K".to_string()], "t", early.clone() as Arc<dyn SubSink>);
-        hub.notify_record("K", record("K", "1"));
+        let early = CollectingConn::new();
+        hub.subscribe(&["K".to_string()], "t", early.outbox());
+        drain_all(hub.notify_record("K", record("K", "1")));
 
-        let late = CollectingSink::new();
+        let late = CollectingConn::new();
         let h1 = Arc::clone(&hub);
         let h2 = Arc::clone(&hub);
-        let late2 = late.clone();
+        let late2 = late.outbox();
         let a = model::spawn(move || {
-            h1.subscribe(&["K".to_string()], "t", late2 as Arc<dyn SubSink>);
+            h1.subscribe(&["K".to_string()], "t", Arc::clone(&late2));
+            let _ = late2.drain();
         });
-        let b = model::spawn(move || h2.notify_record("K", record("K", "2")));
+        let b = model::spawn(move || drain_all(h2.notify_record("K", record("K", "2"))));
         a.join();
         b.join();
 
@@ -329,22 +345,25 @@ fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
         let sched = RefreshScheduler::new(clock, MetricSet::new(), Arc::clone(&hub));
         sched.watch(si).unwrap();
 
-        // A doomed subscriber: its outbox drains into a dead peer, so
-        // the tick's fan-out must walk the full eviction path (state
-        // lock → delivery lock → outbox close) while a healthy
-        // subscriber races to join the same channel.
-        let doomed = Outbox::new(Arc::new(DeadConn), 4);
+        // A doomed subscriber: a frame its dead peer never read fills
+        // its outbox, so the tick's fan-out must walk the full eviction
+        // path (state lock → outbox close, then a drain into the dead
+        // peer) while a healthy subscriber races to join the same
+        // channel.
+        let doomed = Outbox::new(Arc::new(DeadConn), 1);
+        doomed.push(vec![0]).expect("room for one");
         hub.subscribe(&["K".to_string()], "t", doomed);
-        let healthy = CollectingSink::new();
+        let healthy = CollectingConn::new();
 
         let s1 = Arc::clone(&sched);
         let h2 = Arc::clone(&hub);
-        let healthy2 = healthy.clone();
+        let healthy2 = healthy.outbox();
         let a = model::spawn(move || {
             s1.tick();
         });
         let b = model::spawn(move || {
-            h2.subscribe(&["K".to_string()], "t", healthy2 as Arc<dyn SubSink>);
+            h2.subscribe(&["K".to_string()], "t", Arc::clone(&healthy2));
+            let _ = healthy2.drain();
         });
         a.join();
         b.join();
@@ -352,7 +371,7 @@ fn eviction_under_a_tick_never_deadlocks_with_a_joining_subscriber() {
         assert_eq!(
             hub.active(),
             1,
-            "the dead sink was evicted and the healthy joiner survives"
+            "the doomed subscriber was evicted and the healthy joiner survives"
         );
         assert_eq!(sched.watched(), 1, "the keyword stays on the wheel");
         // Whatever the joiner received is gap-free.
@@ -379,16 +398,16 @@ fn one_then_the_other(a: callback_race::Poller, b: callback_race::Poller) {
 }
 
 #[test]
-fn callback_events_keep_transition_order_when_polls_race_a_restart() {
-    model::check("callback Events vs two pollers racing a restart", || {
+fn transitions_keep_their_order_when_polls_race_a_restart() {
+    model::check("job pushes vs two pollers racing a restart", || {
         let clock = model::virtual_clock();
         callback_race::polled_from_two_threads(clock, race, one_then_the_other);
     });
 }
 
 #[test]
-fn the_last_callback_event_is_sent_once_when_polls_race_the_end() {
-    model::check("callback Events vs two pollers racing the end", || {
+fn the_last_transition_is_pushed_once_when_polls_race_the_end() {
+    model::check("job pushes vs two pollers racing the end", || {
         let clock = model::virtual_clock();
         callback_race::polled_from_two_threads(clock, one_then_the_other, race);
     });

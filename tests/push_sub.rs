@@ -19,7 +19,9 @@
 //! * survives an 8-thread subscribe/unsubscribe storm with the hub
 //!   draining back to zero.
 
+use infogram::exec::DEFAULT_OUTBOX_CAPACITY;
 use infogram::info::config::ServiceConfig;
+use infogram::proto::drain_all;
 use infogram::proto::message::codes;
 use infogram::proto::record::InfoRecord;
 use infogram::quickstart::{Sandbox, SandboxConfig};
@@ -118,18 +120,34 @@ fn jobs_keyword_pushes_state_transitions() {
 /// `SubEnd` is the last frame the peer ever receives.
 #[test]
 fn eviction_is_a_typed_slow_consumer_error() {
-    let sandbox = Sandbox::start();
+    // With a ten-minute TTL and a warm cache no scheduled refresh pushes
+    // to, or drains, the connection's outbox: the test's pushes are the
+    // channel's only ones, and those it leaves undrained pile up as they
+    // would in front of a peer that stopped reading.
+    let sandbox = Sandbox::start_with(SandboxConfig {
+        config: ServiceConfig::parse("600000 Memory /sbin/sysinfo.exe -mem").expect("config"),
+        ..Default::default()
+    });
     let mut client = sandbox.connect_client();
-
+    client.info("Memory").expect("cache warmed");
     let id = client.subscribe(&["Memory"]).expect("subscribe accepted");
+    let hub = sandbox.service.subscriptions();
+    let probe = |value: &str| {
+        let mut rec = InfoRecord::new("Memory", "probe");
+        rec.push("Memory:probe", value);
+        rec
+    };
+    drain_all(hub.notify_record("Memory", probe("read")));
     let first = client.wait_update().expect("stream is live");
     assert!(first.deltas[0].full);
 
-    sandbox.service.subscriptions().evict(
-        id,
-        codes::SLOW_CONSUMER,
-        "subscriber fell behind (injected)",
-    );
+    // One undrained push more than the outbox holds overflows it.
+    let mut pushed = Vec::new();
+    for _ in 0..=DEFAULT_OUTBOX_CAPACITY {
+        pushed = hub.notify_record("Memory", probe("unread"));
+    }
+    assert_eq!(hub.active(), 0, "the overflow evicted the subscriber");
+    drain_all(pushed);
 
     // Updates already in flight may precede the final notice.
     let err = loop {
@@ -152,7 +170,7 @@ fn eviction_is_a_typed_slow_consumer_error() {
     }
     assert_eq!(client.subscription_id(), None, "client state cleared");
     assert!(
-        client.info("Date").is_err(),
+        client.info("Memory").is_err(),
         "eviction closes the outbox, which terminates the connection"
     );
     sandbox.shutdown();
@@ -179,7 +197,7 @@ fn degraded_annotations_survive_the_push_pipeline() {
     stale.degraded = true;
     stale.stale_age_secs = Some(12.5);
     stale.push("Date:output", "Tue Jul 16 09:00:00 UTC 2002");
-    sandbox.service.subscriptions().notify_record("Date", stale);
+    drain_all(sandbox.service.subscriptions().notify_record("Date", stale));
 
     // Scheduler refreshes may interleave with the injected push; the
     // degraded record arrives with its annotations intact.
@@ -269,10 +287,12 @@ fn an_update_that_arrives_during_wait_event_is_kept() {
 
     let mut injected = InfoRecord::new("Memory", "probe");
     injected.push("Memory:probe", "injected");
-    sandbox
-        .service
-        .subscriptions()
-        .notify_record("Memory", injected);
+    drain_all(
+        sandbox
+            .service
+            .subscriptions()
+            .notify_record("Memory", injected),
+    );
 
     // The job runs for 300 ms, so the Update is on the wire before the
     // job's terminal Event.

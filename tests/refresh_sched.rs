@@ -10,7 +10,9 @@ use infogram::host::machine::SimulatedHost;
 use infogram::info::config::ServiceConfig;
 use infogram::info::sched::{RefreshScheduler, WatchError};
 use infogram::info::service::{InformationService, QueryOptions};
-use infogram::info::{Cause, SinkClosed, SubSink, SubscriptionHub};
+use infogram::info::{Cause, SubscriptionHub};
+use infogram::proto::transport::{Conn, ProtoError};
+use infogram::proto::Outbox;
 use infogram::sim::clock::Clock;
 use infogram::sim::fault::{Fault, Plan};
 use infogram::sim::metrics::MetricSet;
@@ -292,17 +294,21 @@ fn unwatch_stops_refreshing() {
     assert_eq!(sched.next_deadline(), None);
 }
 
-/// A subscriber that counts the frames it is handed.
+/// A subscriber's connection that counts the frames it is sent.
 #[derive(Default)]
-struct CountingSink(AtomicU64);
+struct CountingConn(AtomicU64);
 
-impl SubSink for CountingSink {
-    fn deliver(&self, _frame: Vec<u8>) -> Result<(), SinkClosed> {
+impl Conn for CountingConn {
+    fn send(&self, _frame: &[u8]) -> Result<(), ProtoError> {
         self.0.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
-
-    fn close(&self, _frame: Vec<u8>) {}
+    fn recv(&self) -> Result<Vec<u8>, ProtoError> {
+        Err(ProtoError::Closed)
+    }
+    fn peer(&self) -> String {
+        "subscriber".to_string()
+    }
 }
 
 #[test]
@@ -322,8 +328,9 @@ fn refresh_ledger_balances_against_cache_installs() {
 
     let hub = SubscriptionHub::new("node0.grid", MetricSet::new());
     let keywords = ["Date", "Memory", "Flaky"].map(String::from);
-    let sink = Arc::new(CountingSink::default());
-    hub.subscribe(&keywords, "t", Arc::clone(&sink) as Arc<dyn SubSink>);
+    let sink = Arc::new(CountingConn::default());
+    let outbox = Outbox::new(Arc::clone(&sink) as Arc<dyn Conn>, 1024);
+    hub.subscribe(&keywords, "t", outbox);
     let sched = RefreshScheduler::new(clock.clone(), metrics, Arc::clone(&hub));
     assert_eq!(sched.watch_service(&info), 3);
 
