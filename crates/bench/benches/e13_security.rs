@@ -1,8 +1,9 @@
 //! E13 — security (§5.3): handshake cost vs delegation depth, and the
 //! authorization decision matrix (gridmap + time-window contracts).
 //!
-//! The matrix is decided on simulated time and gated; the handshake cost
-//! is wall clock and reported.
+//! The matrix is decided on simulated time and gated, and so are the
+//! handshake's bytes, counted; the handshake's CPU cost is wall clock
+//! and reported.
 
 use infogram_bench::{fmt_secs, row, table, Joined, Report};
 use infogram_gsi::{
@@ -29,8 +30,33 @@ fn handshake(
     wire_server_verify(&pending, &fin)
 }
 
-/// Seconds per handshake at each proxy depth.
-fn handshake_cost() -> Vec<(usize, f64)> {
+/// The bytes a DN takes on the wire: its RDN count, then each attribute
+/// and value after its length (one byte each, for the short DNs here).
+fn dn_bytes(dn: &Dn) -> usize {
+    1 + dn
+        .rdns()
+        .iter()
+        .map(|(a, v)| 2 + a.len() + v.len())
+        .sum::<usize>()
+}
+
+/// The most a certificate's fields but its DNs take: serial and the two
+/// times (varints, ≤ 10 bytes each), key and signature (8 each), the
+/// kind byte and a proxy's depth (a `u32` varint, ≤ 5).
+const FIXED_FIELDS_MAX: usize = 3 * 10 + 8 + 8 + 1 + 5;
+
+/// One proxy depth's handshake: seconds each, its HELLO and RESP bytes,
+/// and the bytes of its chain's subjects.
+struct DepthCost {
+    depth: usize,
+    secs: f64,
+    hello: usize,
+    resp: usize,
+    subjects: usize,
+}
+
+/// What a handshake costs at each proxy depth.
+fn handshake_cost() -> Vec<DepthCost> {
     println!(
         "\n-- mutual authentication cost vs proxy chain depth (chains encoded and decoded) --"
     );
@@ -63,16 +89,32 @@ fn handshake_cost() -> Vec<(usize, f64)> {
                 .delegate(&mut rng, SimTime::ZERO, Duration::from_secs(43_200), 16)
                 .expect("delegate");
         }
+        let (hello, _) = wire_client_hello(&cred, &mut rng);
+        let (resp, _) =
+            wire_server_respond(&server, &roots, &hello, SimTime::from_secs(1), &mut rng)
+                .expect("respond");
         const REPS: usize = 2_000;
         let t0 = Instant::now();
         for _ in 0..REPS {
             handshake(&cred, &server, &roots, SimTime::from_secs(1), &mut rng).expect("handshake");
         }
-        let per = t0.elapsed().as_secs_f64() / REPS as f64;
-        costs.push((depth, per));
-        rows.push(row![depth, (cred.chain.len()), fmt_secs(per)]);
+        let secs = t0.elapsed().as_secs_f64() / REPS as f64;
+        rows.push(row![
+            depth,
+            (cred.chain.len()),
+            (hello.len()),
+            (resp.len()),
+            fmt_secs(secs)
+        ]);
+        costs.push(DepthCost {
+            depth,
+            secs,
+            hello: hello.len(),
+            resp: resp.len(),
+            subjects: cred.chain.iter().map(|c| dn_bytes(&c.subject)).sum(),
+        });
     }
-    table("proxy-depth|chain-len|handshake-cpu", &rows);
+    table("proxy-depth|chain-len|hello-B|resp-B|handshake-cpu", &rows);
     costs
 }
 
@@ -171,11 +213,36 @@ fn main() {
         allowed == [true, false, true, false, false],
         format!("allowed: {allowed:?}"),
     );
+    // A link's bytes beyond its subject are its fixed fields: no link
+    // repeats its issuer's DN, and the server's RESP does not depend on
+    // the client's chain.
+    let links = |p: &[DepthCost]| (p[1].depth - p[0].depth) as f64;
+    let per_link_bytes: Vec<f64> = costs
+        .windows(2)
+        .map(|p| (p[1].hello - p[0].hello) as f64 / links(p))
+        .collect();
+    let beyond_subjects = costs.windows(2).all(|p| {
+        let added = (p[1].hello - p[0].hello) - (p[1].subjects - p[0].subjects);
+        added as f64 / links(p) <= FIXED_FIELDS_MAX as f64
+    });
+    report.claim(
+        "handshake_bytes_name_no_issuer",
+        "each proxy link a HELLO adds costs its subject and at most 52 B of fixed fields, \
+         no issuer DN, and the RESP is the same at every client depth",
+        beyond_subjects && costs.iter().all(|c| c.resp == costs[0].resp),
+        format!(
+            "HELLO {} B, RESP {} B at depths {}; {} B per added link",
+            costs.iter().map(|c| c.hello).joined(),
+            costs.iter().map(|c| c.resp).joined(),
+            costs.iter().map(|c| c.depth).joined(),
+            per_link_bytes.iter().map(|b| format!("{b:.1}")).joined(),
+        ),
+    );
     // Linear in the chain: the cost per added link stays within 2x of
     // its mean across the depths.
     let per_link: Vec<f64> = costs
         .windows(2)
-        .map(|p| (p[1].1 - p[0].1) / (p[1].0 - p[0].0) as f64)
+        .map(|p| (p[1].secs - p[0].secs) / links(p))
         .collect();
     let mean = per_link.iter().sum::<f64>() / per_link.len() as f64;
     report.reported(

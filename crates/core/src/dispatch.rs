@@ -189,8 +189,9 @@ impl InfoGramDispatcher {
         }
         // Put each keyword on the refresh wheel so updates flow without
         // anyone polling; already-watched keywords keep their schedule
-        // and demand history.
+        // and demand history. A warm keyword's value opens the stream.
         for si in entries {
+            self.hub.seed(&si);
             if !self.sched.is_watched(si.keyword()) {
                 let _ = self.sched.watch(si);
             }

@@ -6,11 +6,16 @@
 
 use std::fmt;
 
+/// One RDN: its attribute and its value.
+pub type Rdn = (Box<str>, Box<str>);
+
 /// An ordered distinguished name: a sequence of `attribute=value` RDNs
-/// from root-most (`O=`) to leaf-most (`CN=`).
+/// from root-most (`O=`) to leaf-most (`CN=`). Boxed, an RDN takes 32
+/// bytes and a DN 16 beside its strings, so a DN or a certificate
+/// decoded from the wire takes no more memory than its bytes there.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Dn {
-    rdns: Vec<(String, String)>,
+    rdns: Box<[Rdn]>,
 }
 
 /// Error parsing a DN string.
@@ -31,12 +36,18 @@ impl std::error::Error for DnParseError {}
 impl Dn {
     /// Build from `(attribute, value)` pairs, root-most first.
     pub fn from_rdns(rdns: Vec<(String, String)>) -> Result<Self, DnParseError> {
+        let rdns = rdns.into_iter().map(|(a, v)| (a.into(), v.into()));
+        Dn::from_boxed(rdns.collect())
+    }
+
+    /// [`Dn::from_rdns`] over RDNs already boxed.
+    pub(crate) fn from_boxed(rdns: Box<[Rdn]>) -> Result<Self, DnParseError> {
         if rdns.is_empty() {
             return Err(DnParseError {
                 reason: "empty DN".to_string(),
             });
         }
-        for (a, v) in &rdns {
+        for (a, v) in &*rdns {
             if a.is_empty() || v.is_empty() {
                 return Err(DnParseError {
                     reason: format!("empty attribute or value in RDN '{a}={v}'"),
@@ -80,56 +91,50 @@ impl Dn {
     }
 
     /// The RDN sequence, root-most first.
-    pub fn rdns(&self) -> &[(String, String)] {
+    pub fn rdns(&self) -> &[Rdn] {
         &self.rdns
     }
 
     /// A child DN with one extra RDN appended — how proxy certificates
     /// extend their signer's identity (`.../CN=proxy`).
     pub fn child(&self, attr: &str, value: &str) -> Dn {
-        let mut rdns = self.rdns.clone();
-        rdns.push((attr.to_string(), value.to_string()));
-        Dn { rdns }
+        let extra = std::iter::once((attr.into(), value.into()));
+        Dn {
+            rdns: self.rdns.iter().cloned().chain(extra).collect(),
+        }
     }
 
     /// Whether `self` is `other` with exactly one extra RDN on the end.
     pub fn is_immediate_child_of(&self, other: &Dn) -> bool {
-        self.rdns.len() == other.rdns.len() + 1 && self.rdns[..other.rdns.len()] == other.rdns
+        self.rdns.len() == other.rdns.len() + 1 && self.rdns[..other.rdns.len()] == *other.rdns
     }
 
     /// Whether this DN names a GSI proxy (leaf RDN is `CN=proxy` or
     /// `CN=limited proxy`).
     pub fn is_proxy_name(&self) -> bool {
-        matches!(
-            self.rdns.last(),
-            Some((a, v)) if a.eq_ignore_ascii_case("CN")
-                && (v == "proxy" || v == "limited proxy")
-        )
+        self.rdns.last().is_some_and(is_proxy_rdn)
     }
 
     /// Strip trailing proxy RDNs to recover the end-entity identity.
     pub fn base_identity(&self) -> Dn {
-        let mut rdns = self.rdns.clone();
-        while rdns.len() > 1 {
-            let last_is_proxy = matches!(
-                rdns.last(),
-                Some((a, v)) if a.eq_ignore_ascii_case("CN")
-                    && (v == "proxy" || v == "limited proxy")
-            );
-            if last_is_proxy {
-                rdns.pop();
-            } else {
-                break;
-            }
+        let mut keep = self.rdns.len();
+        while keep > 1 && is_proxy_rdn(&self.rdns[keep - 1]) {
+            keep -= 1;
         }
-        Dn { rdns }
+        Dn {
+            rdns: self.rdns[..keep].into(),
+        }
     }
+}
+
+fn is_proxy_rdn((a, v): &Rdn) -> bool {
+    a.eq_ignore_ascii_case("CN") && (&**v == "proxy" || &**v == "limited proxy")
 }
 
 impl fmt::Display for Dn {
     /// The Globus slash form.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (a, v) in &self.rdns {
+        for (a, v) in &*self.rdns {
             write!(f, "/{a}={v}")?;
         }
         Ok(())

@@ -14,7 +14,7 @@
 use crate::cert::{verify_chain, CertError, Certificate, Credential};
 use crate::dn::Dn;
 use crate::wire::{self, WireParseError};
-use infogram_sim::wire::Reader;
+use infogram_sim::wire::{ReadError, Reader};
 use infogram_sim::{SimTime, SplitMix64};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -85,15 +85,22 @@ pub fn nonce_rng(now: SimTime) -> SplitMix64 {
 
 // Message tags: bytes UTF-8 never uses, so no text — a text-form
 // handshake, a stray request line — starts with one, and none is
-// `proto`'s `PROTOCOL_VERSION` (4) or the MDS's `'M'`, so no handshake
-// message reads as a request or reply of either protocol.
-const HELLO: u8 = 0xf5;
-const RESP: u8 = 0xf6;
+// `proto`'s `PROTOCOL_VERSION` (5) or the MDS's `'M'`, so no handshake
+// message reads as a request or reply of either protocol. A HELLO or
+// RESP whose chain names its issuers (`f5`, `f6`) is refused by its tag.
+const HELLO: u8 = 0xf8;
+const RESP: u8 = 0xf9;
 const FIN: u8 = 0xf7;
 
 impl From<WireParseError> for HandshakeError {
     fn from(e: WireParseError) -> Self {
         HandshakeError::Malformed(e)
+    }
+}
+
+impl From<ReadError> for HandshakeError {
+    fn from(e: ReadError) -> Self {
+        HandshakeError::Malformed(e.into())
     }
 }
 
@@ -103,14 +110,14 @@ fn read<T>(
     msg: &[u8],
     tag: u8,
     refusal: &str,
-    fields: impl FnOnce(&mut Reader<'_>) -> Result<T, WireParseError>,
+    fields: impl FnOnce(&mut Reader<'_>) -> Result<T, HandshakeError>,
 ) -> Result<T, HandshakeError> {
     let mut r = Reader::new(msg);
     if r.u8("tag") != Ok(tag) {
         return Err(HandshakeError::Malformed(wire::err(refusal)));
     }
     let out = fields(&mut r)?;
-    r.finish().map_err(WireParseError::from)?;
+    r.finish()?;
     Ok(out)
 }
 
@@ -129,7 +136,8 @@ pub struct ServerPending {
 /// client nonce to keep for [`wire_client_finish`].
 pub fn wire_client_hello(client: &Credential, rng: &mut SplitMix64) -> (Vec<u8>, u64) {
     let nonce = rng.next_u64();
-    let mut payload = vec![HELLO];
+    let mut payload = Vec::with_capacity(1 + 8 + wire::chain_len(&client.chain));
+    payload.push(HELLO);
     payload.extend_from_slice(&nonce.to_le_bytes());
     wire::put_chain(&mut payload, &client.chain);
     (payload, nonce)
@@ -145,14 +153,18 @@ pub fn wire_server_respond(
     rng: &mut SplitMix64,
 ) -> Result<(Vec<u8>, ServerPending), HandshakeError> {
     let (client_nonce, client_chain) = read(hello, HELLO, "not a HELLO", |r| {
-        Ok((u64::from_le_bytes(r.array("nonce")?), wire::read_chain(r)?))
+        Ok((
+            u64::from_le_bytes(r.array("nonce")?),
+            wire::read_chain(r, trust_roots)?,
+        ))
     })?;
     let client_identity =
         verify_chain(&client_chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
 
     let server_nonce = rng.next_u64();
     let proof = server.key.sign(&client_nonce.to_le_bytes());
-    let mut payload = vec![RESP];
+    let mut payload = Vec::with_capacity(1 + 8 + 8 + wire::chain_len(&server.chain));
+    payload.push(RESP);
     payload.extend_from_slice(&server_nonce.to_le_bytes());
     payload.extend_from_slice(&proof.to_le_bytes());
     wire::put_chain(&mut payload, &server.chain);
@@ -181,7 +193,7 @@ pub fn wire_client_finish(
         Ok((
             u64::from_le_bytes(r.array("nonce")?),
             u64::from_le_bytes(r.array("proof")?),
-            wire::read_chain(r)?,
+            wire::read_chain(r, trust_roots)?,
         ))
     })?;
     let server_identity =
@@ -397,45 +409,45 @@ mod tests {
 
     /// HELLO, RESP and FIN with e21's credentials; `scripts/check_docs.sh`
     /// holds DESIGN §8.1's handshake table to these three.
-    const E21_HELLO_BYTES: usize = 97;
-    const E21_RESP_BYTES: usize = 104;
+    const E21_HELLO_BYTES: usize = 76;
+    const E21_RESP_BYTES: usize = 83;
     const E21_FIN_BYTES: usize = 9;
 
     #[test]
     fn wire_handshake_golden_bytes() {
         // A DN is its RDN count, then length + UTF-8 of each attribute
-        // and value.
-        const ROOT: &str = "03014f0447726964024f5502434102434e0b45323120526f6f74204341";
+        // and value; the issuer, a trust root, is its name's digest.
+        const ROOT: &str = "7547e03764eb12fb"; // /O=Grid/OU=CA/CN=E21 Root CA
         const YEAR: &str = "80808cedb2ba8238"; // 365 days in ns
         let hello = [
-            "f5",               // HELLO
+            "f8",               // HELLO
             "c175bb0b0a05ada6", // client nonce
             "01",               // one certificate
             // subject /O=Grid/OU=Bench/CN=e21-client
             "03014f0447726964024f550542656e636802434e0a6532312d636c69656e74",
-            ROOT,               // issuer /O=Grid/OU=CA/CN=E21 Root CA
             "02",               // serial
             "00",               // not_before
             YEAR,               // not_after
             "bfd5fe2529ff4fea", // key
             "236de28f7003e128", // signature
-            "01",               // end entity
+            "21",               // end entity, issued by a trust root
+            ROOT,               // issuer
         ]
         .concat();
         let resp = [
-            "f6",               // RESP
+            "f9",               // RESP
             "e93e7f0c9afe1017", // server nonce
             "8021f2ac80c236b9", // proof over the client nonce
             "01",
             // subject /O=Grid/OU=Hosts/CN=127.0.0.1
             "03014f0447726964024f5505486f73747302434e093132372e302e302e31",
-            ROOT,
             "03",
             "00",
             YEAR,
             "bfc65e78feae6486",
             "5050fa2728e8b6e3",
-            "01",
+            "21",
+            ROOT,
         ]
         .concat();
         let fin = "f73ca1a8e7467176b8"; // FIN, proof

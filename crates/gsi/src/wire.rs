@@ -4,27 +4,44 @@
 //! of every connection. A chain travels as its fields, in binary:
 //!
 //! * a chain is a varint count, then its certificates, leaf first;
-//! * a certificate is its subject and issuer, its serial, `not_before`
-//!   and `not_after` (unsigned LEB128 varints, times in nanoseconds), its
-//!   key and its signature (8 bytes little-endian each), and its type —
-//!   one byte, followed for a proxy by its varint delegation depth;
+//! * a certificate is its subject, its serial, `not_before` and
+//!   `not_after` (unsigned LEB128 varints, times in nanoseconds), its key
+//!   and its signature (8 bytes little-endian each), its kind byte — the
+//!   type in the low nibble, the issuer's form in the high one — followed
+//!   for a proxy by its varint delegation depth, and last its issuer;
 //! * a DN is a varint count of RDNs, each an attribute and a value
 //!   written as varint length + UTF-8.
 //!
-//! Decoding rebuilds each DN from its pairs with [`Dn::from_rdns`], so
+//! No issuer the receiver can rebuild is sent. Each is in one of four
+//! forms, and which one is fixed by the chain, so whatever decodes
+//! re-encodes to the same bytes:
+//!
+//! * the next certificate's subject (`0x00`): nothing, for every
+//!   certificate but the last whose issuer it is;
+//! * its own subject (`0x10`): nothing, for a self-signed last
+//!   certificate;
+//! * a trust root (`0x20`): for any other last certificate, an 8-byte
+//!   digest of the issuer's RDN pairs, which the receiver looks up among
+//!   its trust roots — OpenSSL's CApath lookup by `X509_NAME_hash`;
+//! * literal (`0x30`): the DN, for a certificate but the last whose
+//!   issuer is not the next one's subject, so a broken chain still reads
+//!   as one and verification refuses it by name.
+//!
+//! Decoding rebuilds each DN from its pairs as [`Dn::from_rdns`] does, so
 //! every DN a CA can issue — leading or trailing spaces, control bytes
 //! and all — reads back as it was signed. It reads through
 //! [`Reader`], so every count and length is checked against the bytes
 //! that arrived before anything is allocated for it.
 
-use crate::cert::{CertType, Certificate, PublicKey};
-use crate::dn::Dn;
+use crate::cert::{CertError, CertType, Certificate, PublicKey};
+use crate::dn::{Dn, Rdn};
+use crate::handshake::HandshakeError;
 use infogram_sim::wire::{put_str, put_varint, ReadError, Reader};
-use infogram_sim::SimTime;
+use infogram_sim::{varint, SimTime};
 
 /// The most certificates a chain, and RDNs a DN, may hold on the wire —
 /// far deeper than any delegation a grid uses. A decoded item takes more
-/// memory than its bytes on the wire (an RDN 48 bytes, a certificate 96,
+/// memory than its bytes on the wire (an RDN 32 bytes, a certificate 80,
 /// before their strings), so this bounds what a message of many tiny
 /// items can make the decoder allocate.
 pub const MAX_ITEMS: u64 = 64;
@@ -33,13 +50,19 @@ pub const MAX_ITEMS: u64 = 64;
 /// each string ([`Dn::from_rdns`] refuses empty ones).
 const MIN_RDN_LEN: usize = 4;
 
-/// The fewest bytes a certificate takes: two one-RDN DNs, three one-byte
-/// varints, key, signature and type.
-const MIN_CERT_LEN: usize = 2 * (1 + MIN_RDN_LEN) + 3 + 8 + 8 + 1;
+/// The fewest bytes a certificate takes: a one-RDN subject, three
+/// one-byte varints, key, signature and kind, and an issuer that costs
+/// nothing.
+const MIN_CERT_LEN: usize = 1 + MIN_RDN_LEN + 3 + 8 + 8 + 1;
 
 const TYPE_CA: u8 = 0;
 const TYPE_END_ENTITY: u8 = 1;
 const TYPE_PROXY: u8 = 2;
+
+const ISSUER_NEXT: u8 = 0x00;
+const ISSUER_OWN: u8 = 0x10;
+const ISSUER_ROOT: u8 = 0x20;
+const ISSUER_LITERAL: u8 = 0x30;
 
 /// A chain failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +89,21 @@ impl From<ReadError> for WireParseError {
     fn from(e: ReadError) -> Self {
         err(&e.to_string())
     }
+}
+
+/// The 8 bytes a last certificate names its issuer by: FNV-1a over the
+/// DN's RDN pairs, each string after its length. Two names may share
+/// one; the receiver then lets the signature pick.
+fn name_digest(dn: &Dn) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (attr, value) in dn.rdns() {
+        for s in [attr, value] {
+            for b in (s.len() as u64).to_le_bytes().iter().chain(s.as_bytes()) {
+                h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
 }
 
 fn put_dn(out: &mut Vec<u8>, dn: &Dn) {
@@ -100,123 +138,254 @@ fn take_dn<'a>(r: &mut Reader<'a>) -> Result<RawDn<'a>, ReadError> {
 }
 
 impl RawDn<'_> {
-    fn build(mut self) -> Result<Dn, WireParseError> {
+    fn build(&self) -> Result<Dn, WireParseError> {
+        let mut at = self.at.clone();
         let mut rdns = Vec::with_capacity(self.count);
         for _ in 0..self.count {
-            let (attr, value) = read_rdn(&mut self.at)?;
-            rdns.push((attr.to_owned(), value.to_owned()));
+            let (attr, value) = read_rdn(&mut at)?;
+            rdns.push((attr.into(), value.into()));
         }
-        Dn::from_rdns(rdns).map_err(|e| WireParseError { reason: e.reason })
+        Dn::from_boxed(rdns.into()).map_err(|e| WireParseError { reason: e.reason })
     }
 }
 
-fn put_cert(out: &mut Vec<u8>, c: &Certificate) {
+/// The form `c`'s issuer is written in, `next` following it.
+fn issuer_form(c: &Certificate, next: Option<&Certificate>) -> u8 {
+    match next {
+        Some(next) if next.subject == c.issuer => ISSUER_NEXT,
+        Some(_) => ISSUER_LITERAL,
+        None if c.issuer == c.subject => ISSUER_OWN,
+        None => ISSUER_ROOT,
+    }
+}
+
+/// Append `c`, whose successor in the chain is `next`.
+fn put_cert(out: &mut Vec<u8>, c: &Certificate, next: Option<&Certificate>) {
     put_dn(out, &c.subject);
-    put_dn(out, &c.issuer);
     put_varint(out, c.serial);
     put_varint(out, c.not_before.as_nanos());
     put_varint(out, c.not_after.as_nanos());
     out.extend_from_slice(&c.subject_key.0.to_le_bytes());
     out.extend_from_slice(&c.signature.to_le_bytes());
+    let form = issuer_form(c, next);
     match c.cert_type {
-        CertType::Ca => out.push(TYPE_CA),
-        CertType::EndEntity => out.push(TYPE_END_ENTITY),
+        CertType::Ca => out.push(form | TYPE_CA),
+        CertType::EndEntity => out.push(form | TYPE_END_ENTITY),
         CertType::Proxy { depth_remaining } => {
-            out.push(TYPE_PROXY);
+            out.push(form | TYPE_PROXY);
             put_varint(out, depth_remaining.into());
         }
     }
+    match form {
+        ISSUER_ROOT => out.extend_from_slice(&name_digest(&c.issuer).to_le_bytes()),
+        ISSUER_LITERAL => put_dn(out, &c.issuer),
+        _ => {}
+    }
+}
+
+/// An issuer as it lies in the message, in its form.
+enum RawIssuer<'a> {
+    Next,
+    Own,
+    Root(u64),
+    Literal(RawDn<'a>),
 }
 
 /// A certificate as it lies in the message, every field checked.
 struct RawCert<'a> {
     subject: RawDn<'a>,
-    issuer: RawDn<'a>,
     serial: u64,
     not_before: SimTime,
     not_after: SimTime,
     subject_key: PublicKey,
     signature: u64,
     cert_type: CertType,
+    issuer: RawIssuer<'a>,
 }
 
 fn take_cert<'a>(r: &mut Reader<'a>) -> Result<RawCert<'a>, WireParseError> {
-    // Fields are read in the order written: a struct literal evaluates
-    // its fields as they appear.
-    Ok(RawCert {
-        subject: take_dn(r)?,
-        issuer: take_dn(r)?,
-        serial: r.varint()?,
-        not_before: SimTime::from_nanos(r.varint()?),
-        not_after: SimTime::from_nanos(r.varint()?),
-        subject_key: PublicKey(u64::from_le_bytes(r.array("key")?)),
-        signature: u64::from_le_bytes(r.array("signature")?),
-        cert_type: match r.u8("certificate type")? {
-            TYPE_CA => CertType::Ca,
-            TYPE_END_ENTITY => CertType::EndEntity,
-            TYPE_PROXY => CertType::Proxy {
-                depth_remaining: r.varint_u32("proxy depth")?,
-            },
-            _ => return Err(err("bad certificate type")),
+    let subject = take_dn(r)?;
+    let serial = r.varint()?;
+    let not_before = SimTime::from_nanos(r.varint()?);
+    let not_after = SimTime::from_nanos(r.varint()?);
+    let subject_key = PublicKey(u64::from_le_bytes(r.array("key")?));
+    let signature = u64::from_le_bytes(r.array("signature")?);
+    let kind = r.u8("certificate type")?;
+    let cert_type = match kind & 0x0f {
+        TYPE_CA => CertType::Ca,
+        TYPE_END_ENTITY => CertType::EndEntity,
+        TYPE_PROXY => CertType::Proxy {
+            depth_remaining: r.varint_u32("proxy depth")?,
         },
+        _ => return Err(err("bad certificate type")),
+    };
+    let issuer = match kind & 0xf0 {
+        ISSUER_NEXT => RawIssuer::Next,
+        ISSUER_OWN => RawIssuer::Own,
+        ISSUER_ROOT => RawIssuer::Root(u64::from_le_bytes(r.array("issuer digest")?)),
+        ISSUER_LITERAL => RawIssuer::Literal(take_dn(r)?),
+        _ => return Err(err("bad issuer form")),
+    };
+    Ok(RawCert {
+        subject,
+        serial,
+        not_before,
+        not_after,
+        subject_key,
+        signature,
+        cert_type,
+        issuer,
     })
 }
 
 impl RawCert<'_> {
-    fn build(self) -> Result<Certificate, WireParseError> {
-        Ok(Certificate {
-            subject: self.subject.build()?,
-            issuer: self.issuer.build()?,
+    fn build(self, subject: Dn, issuer: Dn) -> Certificate {
+        Certificate {
+            subject,
+            issuer,
             serial: self.serial,
             not_before: self.not_before,
             not_after: self.not_after,
             subject_key: self.subject_key,
             cert_type: self.cert_type,
             signature: self.signature,
-        })
+        }
     }
+}
+
+/// `last`, whose issuer is the trust root `digest` names. Roots whose
+/// names share the digest are each tried, and the one whose key
+/// verifies the signature is taken; if none does, verification refuses
+/// the last one tried.
+fn issued_by_root(
+    last: RawCert<'_>,
+    subject: Dn,
+    digest: u64,
+    roots: &[Certificate],
+) -> Result<Certificate, HandshakeError> {
+    let mut named = roots
+        .iter()
+        .filter(|root| name_digest(&root.subject) == digest);
+    let Some(first) = named.next() else {
+        return Err(HandshakeError::BadChain(CertError::UntrustedRoot {
+            root: format!("issuer digest {digest:016x}"),
+        }));
+    };
+    let mut cert = last.build(subject, first.subject.clone());
+    let mut key = first.subject_key;
+    for root in named {
+        if key.verify(&cert.signed_bytes(), cert.signature) {
+            break;
+        }
+        (cert.issuer, key) = (root.subject.clone(), root.subject_key);
+    }
+    if cert.issuer == cert.subject {
+        // Sent as its own subject, never as a root.
+        return Err(err("bad issuer form").into());
+    }
+    Ok(cert)
 }
 
 /// Append a chain, leaf first.
 pub(crate) fn put_chain(out: &mut Vec<u8>, chain: &[Certificate]) {
+    let start = out.len();
     put_varint(out, chain.len() as u64);
-    for c in chain {
-        put_cert(out, c);
+    for (i, c) in chain.iter().enumerate() {
+        put_cert(out, c, chain.get(i + 1));
     }
+    debug_assert_eq!(out.len() - start, chain_len(chain));
 }
 
-/// Read a chain, leaf first; an empty one is refused. Two passes: the
-/// first checks every certificate's fields and allocates nothing, so a
-/// message that ends early or lies about a length costs no memory; the
-/// second builds the certificates.
-pub(crate) fn read_chain(r: &mut Reader<'_>) -> Result<Vec<Certificate>, WireParseError> {
+/// The bytes [`put_chain`] writes for `chain`: a message reserves them
+/// and asks the allocator once.
+pub(crate) fn chain_len(chain: &[Certificate]) -> usize {
+    let int = |n: u64| varint::encode(n).len();
+    let dn = |dn: &Dn| {
+        let rdn = |(a, v): &Rdn| int(a.len() as u64) + a.len() + int(v.len() as u64) + v.len();
+        int(dn.rdns().len() as u64) + dn.rdns().iter().map(rdn).sum::<usize>()
+    };
+    let mut len = int(chain.len() as u64);
+    for (i, c) in chain.iter().enumerate() {
+        len += dn(&c.subject) + int(c.serial) + int(c.not_before.as_nanos());
+        len += int(c.not_after.as_nanos()) + 8 + 8 + 1;
+        if let CertType::Proxy { depth_remaining } = c.cert_type {
+            len += int(depth_remaining.into());
+        }
+        len += match issuer_form(c, chain.get(i + 1)) {
+            ISSUER_ROOT => 8,
+            ISSUER_LITERAL => dn(&c.issuer),
+            _ => 0,
+        };
+    }
+    len
+}
+
+/// Read a chain, leaf first, naming issuers from `roots`; an empty one
+/// is refused. Two passes: the first checks every certificate's fields
+/// and allocates nothing, so a message that ends early or lies about a
+/// length costs no memory; the second builds the certificates, each
+/// once the next one's subject is known.
+pub(crate) fn read_chain(
+    r: &mut Reader<'_>,
+    roots: &[Certificate],
+) -> Result<Vec<Certificate>, HandshakeError> {
     let claimed = r.varint()?;
     let count = r.count(claimed, MIN_CERT_LEN, MAX_ITEMS, "certificates")?;
     if count == 0 {
-        return Err(err("empty chain"));
+        return Err(err("empty chain").into());
     }
     let mut checked = r.clone();
     for _ in 0..count {
         take_cert(r)?;
     }
     let mut chain = Vec::with_capacity(count);
+    // The certificate before this one, and its subject.
+    let mut held: Option<(RawCert<'_>, Dn)> = None;
     for _ in 0..count {
-        chain.push(take_cert(&mut checked)?.build()?);
+        let cert = take_cert(&mut checked)?;
+        let subject = cert.subject.build()?;
+        if let Some((before, its_subject)) = held.take() {
+            let issuer = match &before.issuer {
+                RawIssuer::Next => subject.clone(),
+                RawIssuer::Literal(dn) => match dn.build()? {
+                    dn if dn == subject => return Err(err("bad issuer form").into()),
+                    dn => dn,
+                },
+                RawIssuer::Own | RawIssuer::Root(_) => return Err(err("bad issuer form").into()),
+            };
+            chain.push(before.build(its_subject, issuer));
+        }
+        held = Some((cert, subject));
     }
+    let Some((last, subject)) = held else {
+        return Err(err("empty chain").into());
+    };
+    chain.push(match last.issuer {
+        RawIssuer::Own => {
+            let issuer = subject.clone();
+            last.build(subject, issuer)
+        }
+        RawIssuer::Root(digest) => issued_by_root(last, subject, digest, roots)?,
+        RawIssuer::Next | RawIssuer::Literal(_) => return Err(err("bad issuer form").into()),
+    });
     Ok(chain)
 }
 
 /// Encode a chain, leaf first.
 pub fn encode_chain(chain: &[Certificate]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(chain_len(chain));
     put_chain(&mut out, chain);
     out
 }
 
-/// Decode a chain, leaf first: exactly the bytes of one chain.
-pub fn decode_chain(bytes: &[u8]) -> Result<Vec<Certificate>, WireParseError> {
+/// Decode a chain, leaf first, naming a last certificate's issuer from
+/// `roots`: exactly the bytes of one chain.
+pub fn decode_chain(
+    bytes: &[u8],
+    roots: &[Certificate],
+) -> Result<Vec<Certificate>, HandshakeError> {
     let mut r = Reader::new(bytes);
-    let chain = read_chain(&mut r)?;
+    let chain = read_chain(&mut r, roots)?;
     r.finish()?;
     Ok(chain)
 }
@@ -247,21 +416,52 @@ mod tests {
         let proxy = user
             .delegate(&mut rng, SimTime::ZERO, Duration::from_secs(3600), 2)
             .unwrap();
+        let roots = [ca.certificate().clone()];
         let encoded = encode_chain(&proxy.chain);
-        let decoded = decode_chain(&encoded).unwrap();
+        let decoded = decode_chain(&encoded, &roots).unwrap();
         assert_eq!(decoded, proxy.chain);
         // The decoded chain still validates.
-        let id =
-            crate::cert::verify_chain(&decoded, &[ca.certificate().clone()], SimTime::from_secs(1))
-                .unwrap();
+        let id = crate::cert::verify_chain(&decoded, &roots, SimTime::from_secs(1)).unwrap();
         assert_eq!(id, Dn::user("Grid", "ANL", "Wire User"));
+    }
+
+    /// A link whose issuer is not the next subject travels with its
+    /// issuer written out, and verification refuses it by name; an
+    /// issuer written out where the next subject names it is refused.
+    #[test]
+    fn an_issuer_is_written_out_only_where_nothing_rebuilds_it() {
+        let mut rng = SplitMix64::new(8);
+        let day = Duration::from_secs(86_400);
+        let root = |name: &str, rng: &mut SplitMix64| {
+            CertificateAuthority::new_root(&Dn::user("Grid", "CA", name), rng, SimTime::ZERO, day)
+        };
+        let (ca, other) = (root("Root", &mut rng), root("Other", &mut rng));
+        let roots = [ca.certificate().clone(), other.certificate().clone()];
+        let user = ca.issue(&Dn::user("Grid", "ANL", "U"), &mut rng, SimTime::ZERO, day);
+
+        let broken = [user.chain[0].clone(), other.certificate().clone()];
+        let decoded = decode_chain(&encode_chain(&broken), &roots).unwrap();
+        assert_eq!(decoded, broken);
+        assert!(matches!(
+            crate::cert::verify_chain(&decoded, &roots, SimTime::ZERO),
+            Err(CertError::BrokenChain { .. })
+        ));
+
+        let proxy = user.delegate(&mut rng, SimTime::ZERO, day, 0).unwrap();
+        let mut spelled = vec![2];
+        put_cert(&mut spelled, &proxy.chain[0], Some(ca.certificate()));
+        put_cert(&mut spelled, &proxy.chain[1], None);
+        assert!(matches!(
+            decode_chain(&spelled, &roots),
+            Err(HandshakeError::Malformed(e)) if e.reason == "bad issuer form"
+        ));
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode_chain(b"").is_err());
-        assert!(decode_chain(b"not a cert").is_err());
-        assert!(decode_chain(b"a\x1fb\x1fc").is_err());
+        assert!(decode_chain(b"", &[]).is_err());
+        assert!(decode_chain(b"not a cert", &[]).is_err());
+        assert!(decode_chain(b"a\x1fb\x1fc", &[]).is_err());
         // Tampered field still decodes but signature verification will
         // fail downstream; a certificate type that does not exist fails
         // here.
@@ -274,7 +474,7 @@ mod tests {
         );
         let mut corrupted = encode_chain(std::slice::from_ref(ca.certificate()));
         *corrupted.last_mut().unwrap() = 9;
-        assert!(decode_chain(&corrupted).is_err());
+        assert!(decode_chain(&corrupted, &[]).is_err());
     }
 
     /// RDN text: non-empty, no `/` or `=` — what `Dn::from_rdns`
@@ -337,7 +537,13 @@ mod tests {
     proptest! {
         #[test]
         fn any_chain_roundtrips(chain in prop::collection::vec(certificate(), 1..5)) {
-            prop_assert_eq!(decode_chain(&encode_chain(&chain)).unwrap(), chain);
+            // The receiver holds the last certificate's issuer as a root.
+            let last = &chain[chain.len() - 1];
+            let root = Certificate {
+                subject: last.issuer.clone(),
+                ..last.clone()
+            };
+            prop_assert_eq!(decode_chain(&encode_chain(&chain), &[root]).unwrap(), chain);
         }
     }
 }

@@ -129,10 +129,10 @@ fn every_cut_and_flip_of_a_proxy_chain_is_a_typed_answer() {
         "chain",
         &chain,
         input_plus_message,
-        decode_chain,
+        |bytes| decode_chain(bytes, &g.roots),
         Some(&|chain: &Vec<_>| encode_chain(chain)),
     );
-    assert_eq!(decode_chain(&chain).unwrap(), g.proxy.chain);
+    assert_eq!(decode_chain(&chain, &g.roots).unwrap(), g.proxy.chain);
 }
 
 /// `bytes` with the byte at `at` replaced by `with`.

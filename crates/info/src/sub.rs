@@ -252,6 +252,23 @@ impl SubscriptionHub {
         id
     }
 
+    /// Give `si`'s keyword a channel holding its cached value, if it has
+    /// none yet and the value is within its TTL: the first subscriber
+    /// then starts from that snapshot instead of waiting up to a TTL for
+    /// the next refresh. A channel that exists keeps its baseline — its
+    /// subscribers' deltas are diffed against it.
+    pub fn seed(&self, si: &SystemInformation) {
+        let Ok(snap) = si.query_state() else { return };
+        let record = self.snapshot_record(si.keyword(), &snap);
+        let mut st = self.state.lock();
+        st.keywords
+            .entry(si.keyword().to_ascii_lowercase())
+            .or_insert_with(|| KeywordChannel {
+                last: Some(record),
+                ..KeywordChannel::default()
+            });
+    }
+
     /// End a subscription cleanly. Returns whether it existed. The
     /// `SubEnd` acknowledgement travels as the *reply* to the
     /// unsubscribe request, not through the outbox's push stream.

@@ -7,8 +7,9 @@
 //! bytes it came from, and asks the allocator for nothing larger than
 //! the message plus an error message's worth. A search result's body
 //! text goes through the same corruptions and its parser returns. Over
-//! TCP, a peer framing as protocol v3 did, or one that stalls in the
-//! bind, is dropped without a search.
+//! TCP, a peer framing as protocol v3 did, one whose chain names every
+//! issuer, or one that stalls or trickles in the bind, is dropped
+//! without a search.
 
 use infogram_gsi::{wire_client_hello, CertificateAuthority, Credential, Dn};
 use infogram_host::commands::{ChargeMode, CommandRegistry};
@@ -32,6 +33,11 @@ use std::time::{Duration, Instant};
 
 #[path = "../../../tests/support/hostile.rs"]
 mod hostile;
+
+#[path = "../../../tests/support/handshake_peers.rs"]
+mod handshake_peers;
+
+use handshake_peers::{named_issuer_hello, trickle_until_dropped};
 
 use hostile::{corruptions, input_plus_message, sweep};
 
@@ -179,6 +185,43 @@ fn a_silent_peer_is_dropped_at_the_handshake_deadline() {
         "{:?}",
         start.elapsed()
     );
+    server.shutdown();
+}
+
+/// A peer still naming every issuer fails the bind on the HELLO's tag,
+/// and the search it sends next is never read.
+#[test]
+fn a_peer_naming_every_issuer_is_refused_at_the_bind_and_never_searched() {
+    let (server, metrics, user) = tcp_mds();
+    let search = MdsRequest::Search {
+        base: "/o=Grid".to_string(),
+        scope: Scope::Sub,
+        filter: "(kw=Memory)".to_string(),
+    }
+    .encode();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    for message in [&named_issuer_hello(&user), &search] {
+        stream
+            .write_all(&(message.len() as u16).to_be_bytes())
+            .unwrap();
+        stream.write_all(message).unwrap();
+    }
+    let reply = MdsReply::decode(&read_frame(&mut stream).unwrap()).unwrap();
+    assert!(matches!(reply, MdsReply::Error { .. }), "{reply:?}");
+    assert_eq!(metrics.counter_value("mds.handshakes"), 0);
+    assert_eq!(metrics.counter_value("mds.requests"), 0);
+    server.shutdown();
+}
+
+/// The bind's deadline counts from accept: a peer trickling its HELLO
+/// one byte a second, so that every read gets a byte long before it
+/// would time out, is hung up on once `HANDSHAKE_DEADLINE` has passed.
+#[test]
+fn a_trickled_hello_is_dropped_at_the_handshake_deadline() {
+    let (server, metrics, user) = tcp_mds();
+    let (hello, _) = wire_client_hello(&user, &mut SplitMix64::new(11));
+    trickle_until_dropped(server.addr(), &hello);
+    assert_eq!(metrics.counter_value("mds.handshakes"), 0);
     server.shutdown();
 }
 

@@ -68,9 +68,10 @@ pub trait Conn: Send + Sync {
     fn recv(&self) -> Result<Vec<u8>, ProtoError>;
     /// A printable peer address.
     fn peer(&self) -> String;
-    /// Fail each later `recv` that waits longer than `deadline` for
-    /// bytes; `None` waits without end. A transport without timed reads
-    /// ignores it.
+    /// Fail each later `recv` once `deadline` has passed since the
+    /// connection was opened (accepted or connected); `None` waits
+    /// without end. A transport without timed reads (`MemConn`) ignores
+    /// it.
     fn set_read_deadline(&self, _deadline: Option<Duration>) -> Result<(), ProtoError> {
         Ok(())
     }
@@ -126,9 +127,10 @@ impl NetCounters {
 /// descriptors does, must not spin a core.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// How long a server waits on each read of a connection's handshake,
-/// from its HELLO to its authorization ack: a peer that connects and
-/// sends nothing, or stops mid-frame, is dropped after this.
+/// How long after accepting a connection a server waits for its
+/// handshake, from its HELLO to its authorization ack: a peer that
+/// connects and sends nothing, stops mid-frame or trickles its bytes is
+/// dropped this long after it connected.
 pub const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A running server: every one (GRAM gatekeeper, MDS) is an

@@ -8,10 +8,11 @@
 use super::{Conn, Listener, NetCounters, ProtoError, Transport};
 use crate::frame::{read_frame, write_frame};
 use infogram_sim::metrics::MetricSet;
+use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// TCP transport with traffic accounting.
 #[derive(Debug)]
@@ -66,11 +67,7 @@ impl Transport for TcpTransport {
         })?;
         stream.set_nodelay(true)?;
         self.counters.connections.incr();
-        Ok(Box::new(TcpConn {
-            stream,
-            counters: Arc::clone(&self.counters),
-            write_lock: parking_lot::Mutex::new(()),
-        }))
+        Ok(Box::new(TcpConn::new(stream, &self.counters)))
     }
 }
 
@@ -92,11 +89,7 @@ impl Listener for TcpListenerWrapper {
             if stream.set_nodelay(true).is_err() {
                 continue;
             }
-            return Ok(Box::new(TcpConn {
-                stream,
-                counters: Arc::clone(&self.counters),
-                write_lock: parking_lot::Mutex::new(()),
-            }));
+            return Ok(Box::new(TcpConn::new(stream, &self.counters)));
         }
     }
 
@@ -121,6 +114,44 @@ struct TcpConn {
     counters: Arc<NetCounters>,
     // Serializes frame writes when two threads share the connection.
     write_lock: parking_lot::Mutex<()>,
+    /// When the connection was accepted or connected.
+    opened: Instant,
+    /// When reads stop waiting, if ever.
+    deadline: parking_lot::Mutex<Option<Instant>>,
+}
+
+impl TcpConn {
+    fn new(stream: TcpStream, counters: &Arc<NetCounters>) -> Self {
+        #[expect(clippy::disallowed_methods, reason = "a socket deadline is wall time")]
+        let opened = Instant::now();
+        TcpConn {
+            stream,
+            counters: Arc::clone(counters),
+            write_lock: parking_lot::Mutex::new(()),
+            opened,
+            deadline: parking_lot::Mutex::new(None),
+        }
+    }
+}
+
+/// A stream read before a point in time: each read waits only for what
+/// is left until then, so a peer trickling bytes cannot stretch it.
+struct Until<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Until<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        #[expect(clippy::disallowed_methods, reason = "a socket deadline is wall time")]
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
 }
 
 impl Conn for TcpConn {
@@ -133,7 +164,14 @@ impl Conn for TcpConn {
     }
 
     fn recv(&self) -> Result<Vec<u8>, ProtoError> {
-        read_frame(&mut &self.stream)
+        let deadline = *self.deadline.lock();
+        match deadline {
+            Some(at) => read_frame(&mut Until {
+                stream: &self.stream,
+                at,
+            }),
+            None => read_frame(&mut &self.stream),
+        }
     }
 
     fn peer(&self) -> String {
@@ -143,8 +181,14 @@ impl Conn for TcpConn {
             .unwrap_or_else(|_| "?".to_string())
     }
 
+    /// The deadline counts from when the connection was opened, so a
+    /// server that sets it on accept bounds the whole handshake.
     fn set_read_deadline(&self, deadline: Option<Duration>) -> Result<(), ProtoError> {
-        Ok(self.stream.set_read_timeout(deadline)?)
+        *self.deadline.lock() = deadline.and_then(|d| self.opened.checked_add(d));
+        if deadline.is_none() {
+            self.stream.set_read_timeout(None)?;
+        }
+        Ok(())
     }
 }
 

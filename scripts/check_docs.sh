@@ -24,7 +24,9 @@
 #   wire change bumps the version and its documentation together.
 # - handshake sizes: the HELLO, RESP and FIN sizes the golden test in
 #   crates/gsi/src/handshake.rs pins (`E21_<MSG>_BYTES`) are the ones
-#   DESIGN §8.1's handshake table names as `<MSG> = n`.
+#   DESIGN §8.1's handshake table names as `<MSG> = n`, and its
+#   `CONNECTION = n` is their sum plus three 2-byte frame headers and
+#   the 4-byte authorization ack.
 # - job memory ceilings: the constants of `mod ceiling` in
 #   crates/exec/tests/job_memory.rs are exactly the `NAME = value` pairs
 #   DESIGN §14.5's table names (values compared as numbers), so a
@@ -113,6 +115,7 @@ if [ -z "$code" ] || [ "$code" != "$doc" ]; then
 fi
 
 echo "==> handshake sizes in crates/gsi are the sizes DESIGN §8.1 documents"
+connection=$((3 * 2 + 4))
 for msg in HELLO RESP FIN; do
     code="$(sed -n "s/^ *const E21_${msg}_BYTES: usize = \([0-9]*\);$/\1/p" crates/gsi/src/handshake.rs)"
     doc="$(echo "$section81" | grep -o "\`$msg = [0-9]*\`" | tr -dc '0-9\n' | sort -u)"
@@ -121,7 +124,14 @@ for msg in HELLO RESP FIN; do
             "$msg" "${code:-no value}" "$(echo ${doc:-none})" >&2
         exit 1
     fi
+    connection=$((connection + code))
 done
+doc="$(echo "$section81" | grep -o '`CONNECTION = [0-9]*`' | tr -dc '0-9\n' | sort -u)"
+if [ "$connection" != "$doc" ]; then
+    printf 'a connection is %s handshake bytes by crates/gsi/src/handshake.rs; DESIGN §8.1 documents %s\n' \
+        "$connection" "$(echo ${doc:-none})" >&2
+    exit 1
+fi
 
 echo "==> job_memory.rs's ceilings are the ones DESIGN §14.5 names"
 code="$(awk '/^mod ceiling \{/{on=1; next} on && /^\}/{exit} on' crates/exec/tests/job_memory.rs |
@@ -160,7 +170,7 @@ if [ "$lines" -gt "$DESIGN_CEILING" ]; then
 fi
 
 echo "==> first-party non-test lines are at most their ceiling"
-LOC_CEILING=15331
+LOC_CEILING=15518
 loc="$(sh scripts/loc.sh --total)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then
     printf 'scripts/loc.sh --total counts %s lines; the ceiling is %s\n' "$loc" "$LOC_CEILING" >&2

@@ -215,7 +215,7 @@ Summary of shapes:
 | E10 | restart from the log | 100% of in-flight jobs recovered, sub-ms median restart, no fsync at start |
 | E11 | sandbox modes trade overhead vs containment | all attacks blocked; 1.05x isolation cost |
 | E12 | LDIF/XML + MDS compatibility | attribute-identical views; µs-scale rendering |
-| E13 | contracts like "3 to 4 pm for user X" | decision matrix matches the example literally |
+| E13 | contracts like "3 to 4 pm for user X" | decision matrix matches the example literally; a proxy link adds its subject and fixed fields, no issuer DN (counted) |
 | E14 | sporadic grids are practical | 16-node grid usable in ~1 ms |
 | E15 | aggregate caching scales the MDS | pulls ∝ 1/TTL, staleness bounded by TTL |
 | E16 | (ours) `(info=all)` must not serialize providers | K=8 slow keywords at ~1.01x one provider's cost; ~1.5 M hits/s (`answer`), ~0.7 M/s dispatched |

@@ -272,8 +272,8 @@ fn resubscribe_after_reconnect_shows_no_gap() {
 #[test]
 fn an_update_that_arrives_during_wait_event_is_kept() {
     // With a ten-minute TTL and a warm cache, Memory's first scheduled
-    // refresh is minutes away, so the injected record is the channel's
-    // only push.
+    // refresh is minutes away, so after the cached snapshot the join
+    // opens with, the injected record is the channel's only push.
     let sandbox = Sandbox::start_with(SandboxConfig {
         config: ServiceConfig::parse("600000 Memory /sbin/sysinfo.exe -mem").expect("config"),
         ..Default::default()
@@ -281,6 +281,8 @@ fn an_update_that_arrives_during_wait_event_is_kept() {
     let mut client = sandbox.connect_client();
     client.info("Memory").expect("cache warmed");
     client.subscribe(&["Memory"]).expect("subscribe accepted");
+    let snapshot = client.wait_update().expect("the cached snapshot");
+    assert_eq!(snapshot.deltas[0].version, 0);
     let handle = client
         .submit("(executable=simwork)(arguments=300)", true)
         .expect("job accepted");
@@ -324,7 +326,8 @@ fn an_update_that_arrives_during_wait_event_is_kept() {
 #[test]
 fn a_query_that_refreshes_a_subscribed_keyword_pushes_once() {
     // A ten-minute TTL and a warm cache: the wheel's first refresh is
-    // minutes away, so every push below is the query's.
+    // minutes away, so every push below, after the cached snapshot the
+    // join opens with, is the query's.
     let sandbox = Sandbox::start_with(SandboxConfig {
         config: ServiceConfig::parse("600000 Memory /sbin/sysinfo.exe -mem").expect("config"),
         ..Default::default()
@@ -332,6 +335,7 @@ fn a_query_that_refreshes_a_subscribed_keyword_pushes_once() {
     let mut client = sandbox.connect_client();
     client.info("Memory").expect("cache warmed");
     client.subscribe(&["Memory"]).expect("subscribe accepted");
+    assert!(client.next_update().expect("the cached snapshot").is_ok());
     let version = sandbox.service.subscriptions().channel_version("Memory");
 
     let fresh = client
@@ -351,6 +355,30 @@ fn a_query_that_refreshes_a_subscribed_keyword_pushes_once() {
         sandbox.service.subscriptions().channel_version("Memory"),
         version + 1
     );
+    sandbox.shutdown();
+}
+
+/// A keyword cached before anyone subscribed opens its first
+/// subscriber's stream with the cached record, at once: with a
+/// ten-minute TTL no refresh would push for minutes.
+#[test]
+fn the_first_subscriber_to_a_warm_keyword_starts_from_its_cached_record() {
+    let sandbox = Sandbox::start_with(SandboxConfig {
+        config: ServiceConfig::parse("600000 Memory /sbin/sysinfo.exe -mem").expect("config"),
+        ..Default::default()
+    });
+    let mut client = sandbox.connect_client();
+    let cached = client.info("Memory").expect("cache warmed");
+    client.subscribe(&["Memory"]).expect("subscribe accepted");
+    let first = client
+        .next_update()
+        .expect("queued before the subscribe reply")
+        .expect("update");
+    assert!(first.deltas[0].full);
+    assert_eq!(first.deltas[0].version, 0);
+    let total = |rec: &InfoRecord| rec.get("Memory:total").map(|a| a.value.clone());
+    assert!(total(&first.records[0]).is_some());
+    assert_eq!(total(&first.records[0]), total(&cached.records[0]));
     sandbox.shutdown();
 }
 

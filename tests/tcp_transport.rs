@@ -29,6 +29,11 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[path = "support/handshake_peers.rs"]
+mod handshake_peers;
+
+use handshake_peers::{named_issuer_hello, trickle_until_dropped};
+
 /// A service on `127.0.0.1:0` and what a client needs to reach it.
 struct TcpWorld {
     clock: SharedClock,
@@ -271,6 +276,52 @@ fn text_form_hello(user: &Credential) -> Vec<u8> {
     ]
     .join("\x1f");
     format!("HELLO\x1f42\x1e{cert}").into_bytes()
+}
+
+/// A peer still naming every issuer is refused by the HELLO's tag, with
+/// `AUTHENTICATION`, before its chain is read as today's encoding; the
+/// service goes on.
+#[test]
+fn a_peer_naming_every_issuer_is_refused_at_the_handshake() {
+    let w = TcpWorld::start();
+    let counter = |name: &str| w.service.engine().metrics().counter_value(name);
+    let conn = w.transport.connect(w.service.addr()).unwrap();
+    conn.send(&named_issuer_hello(&w.user)).unwrap();
+    match Reply::decode(&conn.recv().unwrap()).unwrap() {
+        Reply::Error { code, message } => {
+            assert_eq!(code, codes::AUTHENTICATION);
+            assert!(message.contains("not a HELLO"), "{message}");
+        }
+        other => panic!("an issuer-naming HELLO answered {other:?}"),
+    }
+    assert_eq!(counter("gram.auth_failures"), 1);
+    assert_eq!(counter("gram.handshakes"), 0);
+    assert_eq!(
+        w.connect(w.service.addr())
+            .info("Memory")
+            .unwrap()
+            .record_count,
+        1
+    );
+    w.service.shutdown();
+}
+
+/// The handshake deadline counts from accept: a peer trickling its HELLO
+/// one byte a second, each read fed long before it would time out, is
+/// still dropped once `HANDSHAKE_DEADLINE` has passed.
+#[test]
+fn a_trickled_hello_is_dropped_at_the_handshake_deadline() {
+    let w = TcpWorld::start();
+    let (hello, _) = wire_client_hello(&w.user, &mut SplitMix64::new(11));
+    trickle_until_dropped(w.service.addr(), &hello);
+    assert_eq!(
+        w.service
+            .engine()
+            .metrics()
+            .counter_value("gram.handshakes"),
+        0
+    );
+    w.service.shutdown();
 }
 
 /// A HELLO the gatekeeper cannot read is refused with `AUTHENTICATION`,
