@@ -1,17 +1,19 @@
 //! E13 — security (§5.3): handshake cost vs delegation depth, and the
 //! authorization decision matrix (gridmap + time-window contracts).
 //!
-//! The matrix is decided on simulated time and gated, and so are the
-//! handshake's bytes, counted; the handshake's CPU cost is wall clock
-//! and reported.
+//! The matrix is decided on simulated time and gated, as is when each
+//! allowed session's authorization ends, and so are the handshake's
+//! bytes, counted; the handshake's CPU cost is wall clock and reported.
 
 use infogram_bench::{fmt_secs, row, table, Joined, Report};
 use infogram_gsi::{
-    wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify, Authorizer,
-    Certificate, CertificateAuthority, Contract, Credential, Dn, GridMap, HandshakeError,
-    SecurityContext, Window,
+    accept, wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify,
+    Authorizer, Certificate, CertificateAuthority, Contract, Credential, Dn, GridMap,
+    HandshakeError, SecurityContext, Session, Window,
 };
 use infogram_sim::{SimTime, SplitMix64};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// One handshake as a connection runs it — HELLO, RESP, FIN, each
@@ -28,6 +30,32 @@ fn handshake(
     let (resp, pending) = wire_server_respond(server, roots, &hello, now, rng)?;
     let (fin, _) = wire_client_finish(client, roots, &resp, nonce, now)?;
     wire_server_verify(&pending, &fin)
+}
+
+/// `client`'s bind to a server that `accept`s it for "cluster" at `now`:
+/// the client's side answers each server message in the server's `send`.
+fn bind(
+    client: &Credential,
+    server: &Credential,
+    roots: &[Certificate],
+    authorizer: &Authorizer,
+    now: SimTime,
+) -> Result<Session, HandshakeError> {
+    let (hello, nonce) = wire_client_hello(client, &mut SplitMix64::new(now.as_nanos()));
+    let to_server = RefCell::new(VecDeque::from([hello]));
+    let send = |resp: &[u8]| {
+        let (fin, _) = wire_client_finish(client, roots, resp, nonce, now)?;
+        to_server.borrow_mut().push_back(fin);
+        Ok(())
+    };
+    let recv = || Ok(to_server.borrow_mut().pop_front().unwrap_or_default());
+    accept(server, roots, authorizer, "cluster", now, send, recv)
+}
+
+/// `t` as the hour and minute of its day.
+fn time_of_day(t: SimTime) -> String {
+    let minutes = t.as_nanos() / 60_000_000_000;
+    format!("{:02}:{:02}", minutes / 60 % 24, minutes % 60)
 }
 
 /// The bytes a DN takes on the wire: its RDN count, then each attribute
@@ -118,8 +146,8 @@ fn handshake_cost() -> Vec<DepthCost> {
     costs
 }
 
-/// Whether each case of the matrix was allowed.
-fn authorization_matrix() -> Vec<bool> {
+/// Each case of the matrix: when its authorization ends if allowed.
+fn authorization_matrix() -> Vec<Option<SimTime>> {
     println!("\n-- authorization decision matrix (gridmap + contracts) --");
     let mut rng = SplitMix64::new(6510);
     let ca = CertificateAuthority::new_root(
@@ -137,20 +165,32 @@ fn authorization_matrix() -> Vec<bool> {
     );
 
     let alice = Dn::user("Grid", "ANL", "Alice");
+    let bob = Dn::user("Grid", "ANL", "Bob");
     let mut gridmap = GridMap::new();
     gridmap.add(alice.clone(), &["alice"]);
-    // The paper's example contract: 3–4 pm daily.
+    gridmap.add(bob.clone(), &["bob"]);
+    // The paper's example contract: 3–4 pm daily; and Bob's two
+    // back-to-back windows, 3–4 and 4–5 pm.
     let authorizer = Authorizer::with_contracts(
         gridmap,
-        vec![Contract::new(
-            alice.clone(),
-            "cluster",
-            vec![Window::daily_hours(15, 16)],
-        )],
+        vec![
+            Contract::new(alice.clone(), "cluster", vec![Window::daily_hours(15, 16)]),
+            Contract::new(
+                bob.clone(),
+                "cluster",
+                vec![Window::daily_hours(15, 16), Window::daily_hours(16, 17)],
+            ),
+        ],
     );
 
     let alice_cred = ca.issue(
         &alice,
+        &mut rng,
+        SimTime::ZERO,
+        Duration::from_secs(365 * 86_400),
+    );
+    let bob_cred = ca.issue(
+        &bob,
         &mut rng,
         SimTime::ZERO,
         Duration::from_secs(365 * 86_400),
@@ -169,31 +209,49 @@ fn authorization_matrix() -> Vec<bool> {
     let short_proxy = alice_cred
         .delegate(&mut rng, SimTime::ZERO, Duration::from_secs(3600), 0)
         .expect("proxy");
+    // A one-hour proxy issued at 2:45 pm ends before the window does.
+    let quarter_to_three = SimTime::from_secs(14 * 3600 + 45 * 60);
+    let late_proxy = alice_cred
+        .delegate(&mut rng, quarter_to_three, Duration::from_secs(3600), 0)
+        .expect("proxy");
 
-    let three_pm = SimTime::from_secs(15 * 3600 + 600);
+    let three_pm = SimTime::from_secs(15 * 3600 + 1800);
     let noon = SimTime::from_secs(12 * 3600);
 
     let cases: Vec<(&str, &Credential, SimTime)> = vec![
-        ("alice @ 3pm (in window)", &alice_cred, three_pm),
+        ("alice @ 3:30pm (in window)", &alice_cred, three_pm),
         ("alice @ noon (outside window)", &alice_cred, noon),
-        ("alice's 24h proxy @ 3pm", &day_proxy, three_pm),
-        ("alice's 1h proxy @ 3pm (expired)", &short_proxy, three_pm),
-        ("mallory (unmapped) @ 3pm", &mallory_cred, three_pm),
+        ("alice's 24h proxy @ 3:30pm", &day_proxy, three_pm),
+        (
+            "alice's 1h proxy @ 3:30pm (expired)",
+            &short_proxy,
+            three_pm,
+        ),
+        ("mallory (unmapped) @ 3:30pm", &mallory_cred, three_pm),
+        (
+            "alice's 1h proxy from 2:45pm @ 3:30pm",
+            &late_proxy,
+            three_pm,
+        ),
+        (
+            "bob, windows 3-4pm and 4-5pm, @ 3:30pm",
+            &bob_cred,
+            three_pm,
+        ),
     ];
     let mut rows = Vec::new();
     let mut allowed = Vec::new();
     for (label, cred, when) in cases {
-        let verdict = match handshake(cred, &server, &roots, when, &mut rng) {
-            Err(e) => format!("DENY (authn: {e})"),
-            Ok(sctx) => match authorizer.authorize(&sctx.peer, "cluster", when) {
-                Ok(d) => format!("ALLOW as {}", d.local_account),
-                Err(e) => format!("DENY (authz: {e})"),
-            },
+        let (verdict, until) = match bind(cred, &server, &roots, &authorizer, when) {
+            Ok(s) => (format!("ALLOW as {}", s.account), Some(s.valid_until)),
+            Err(e @ HandshakeError::Unauthorized(_)) => (format!("DENY (authz: {e})"), None),
+            Err(e) => (format!("DENY (authn: {e})"), None),
         };
-        allowed.push(verdict.starts_with("ALLOW as alice"));
-        rows.push(row![label, verdict]);
+        let ends = until.map_or(String::new(), time_of_day);
+        allowed.push(until);
+        rows.push(row![label, verdict, ends]);
     }
-    table("case|decision", &rows);
+    table("case|decision|authorized-until", &rows);
     allowed
 }
 
@@ -206,12 +264,36 @@ fn main() {
     let costs = handshake_cost();
     let allowed = authorization_matrix();
 
+    let hour = |h: u64, m: u64| Some(SimTime::from_secs(h * 3600 + m * 60));
+    let allowed_now: Vec<bool> = allowed.iter().map(Option::is_some).collect();
     report.claim(
         "matrix_matches_the_paper",
         "the decision matrix matches 'allow access from 3 to 4 pm to user X' exactly: \
-         alice in her window, directly or through a live proxy, and nobody else",
-        allowed == [true, false, true, false, false],
-        format!("allowed: {allowed:?}"),
+         alice in her window, directly or through a live proxy, bob in his, and nobody else",
+        allowed_now == [true, false, true, false, false, true, true],
+        format!("allowed: {allowed_now:?}"),
+    );
+    report.claim(
+        "authorization_ends_where_the_window_or_proxy_does",
+        "an allowed session is authorized until its window closes (4 pm), its proxy \
+         expires first (3:45 pm), or a back-to-back window closes (5 pm)",
+        allowed
+            == [
+                hour(16, 0),
+                None,
+                hour(16, 0),
+                None,
+                None,
+                hour(15, 45),
+                hour(17, 0),
+            ],
+        format!(
+            "authorized until: {}",
+            allowed
+                .iter()
+                .map(|t| t.map_or("-".into(), time_of_day))
+                .joined()
+        ),
     );
     // A link's bytes beyond its subject are its fixed fields: no link
     // repeats its issuer's DN, and the server's RESP does not depend on

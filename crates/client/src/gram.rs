@@ -9,9 +9,7 @@
 //! frames for [`InfoGramClient`](crate::InfoGramClient), which owns the
 //! subscription.
 
-use infogram_gsi::{
-    nonce_rng, wire_client_finish, wire_client_hello, Certificate, Credential, SecurityContext,
-};
+use infogram_gsi::{bind, Certificate, Credential, HandshakeError, SecurityContext};
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::{JobStateCode, Reply, Request};
 use infogram_proto::transport::{Conn, ProtoError, Transport};
@@ -92,6 +90,13 @@ impl From<ProtoError> for ClientError {
     }
 }
 
+/// A bind whose handshake failed on this side.
+impl From<HandshakeError> for ClientError {
+    fn from(e: HandshakeError) -> Self {
+        ClientError::Protocol(e.to_string())
+    }
+}
+
 /// The error for a frame that does not answer what was asked: the
 /// service's own error, or a protocol error naming the frame.
 pub(crate) fn unexpected(reply: Reply) -> ClientError {
@@ -142,39 +147,23 @@ impl GramClient {
         clock: SharedClock,
     ) -> Result<GramClient, ClientError> {
         let conn = transport.connect(addr)?;
-        let now = clock.now();
-        let (hello, nonce) = wire_client_hello(credential, &mut nonce_rng(now));
-        conn.send(&hello)?;
-        let resp = conn.recv()?;
-        // The server may answer the HELLO with a protocol-level error.
-        if let Ok(Reply::Error { code, message }) = Reply::decode(&resp) {
-            return Err(ClientError::Denied { code, message });
+        let send = |m: &[u8]| conn.send(m).map_err(ClientError::from);
+        let recv = || conn.recv().map_err(ClientError::from);
+        let (ack, context) = bind(credential, trust_roots, clock.now(), send, recv)?;
+        // Pong, or an Error in place of the RESP or after the FIN:
+        // authentication, gridmap or contract denial.
+        match (Reply::decode(&ack), context) {
+            (Ok(Reply::Pong), Some(context)) => Ok(GramClient {
+                conn,
+                context,
+                clock,
+                events: VecDeque::new(),
+                pushes: VecDeque::new(),
+                requests_sent: 0,
+            }),
+            (Ok(Reply::Error { code, message }), _) => Err(ClientError::Denied { code, message }),
+            (other, _) => Err(ClientError::Protocol(format!("unexpected ack: {other:?}"))),
         }
-        let (fin, context) = wire_client_finish(credential, trust_roots, &resp, nonce, now)
-            .map_err(|e| ClientError::Protocol(e.to_string()))?;
-        conn.send(&fin)?;
-        // Authorization ack: Pong, or Error for gridmap/contract denial.
-        let ack = conn.recv()?;
-        match Reply::decode(&ack) {
-            Ok(Reply::Pong) => {}
-            Ok(Reply::Error { code, message }) => {
-                return Err(ClientError::Denied { code, message })
-            }
-            Ok(other) => {
-                return Err(ClientError::Protocol(format!(
-                    "unexpected authorization ack: {other:?}"
-                )))
-            }
-            Err(e) => return Err(ClientError::Protocol(e.to_string())),
-        }
-        Ok(GramClient {
-            conn,
-            context,
-            clock,
-            events: VecDeque::new(),
-            pushes: VecDeque::new(),
-            requests_sent: 0,
-        })
     }
 
     /// The authenticated service identity.

@@ -10,7 +10,7 @@ use infogram_proto::delta::RecordDelta;
 use infogram_proto::handle::JobHandle;
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
 use infogram_proto::record::InfoRecord;
-use infogram_proto::render::{dsml, ldif, xml};
+use infogram_proto::render::{ldif, xml};
 use infogram_proto::transport::Transport;
 use infogram_rsl::{OutputFormat, ResponseMode, XrslRequest};
 use infogram_sim::clock::SharedClock;
@@ -73,7 +73,7 @@ impl QueryBuilder {
         self
     }
 
-    /// `(format=ldif|xml|dsml|plain)`.
+    /// `(format=ldif|xml|plain)`.
     pub fn format(mut self, format: OutputFormat) -> Self {
         self.format = Some(format);
         self
@@ -428,7 +428,6 @@ impl InfoGramClient {
                 let records = match format {
                     OutputFormat::Ldif => ldif::parse(&body),
                     OutputFormat::Xml => xml::parse(&body),
-                    OutputFormat::Dsml => dsml::parse(&body),
                     OutputFormat::Plain => Vec::new(),
                 };
                 Ok(QueryResult {

@@ -569,7 +569,7 @@ mod tests {
         ));
         let keywords = d.info.keywords();
         assert_eq!(keywords.len(), 7);
-        for format in ["ldif", "xml", "dsml", "plain"] {
+        for format in ["ldif", "xml", "plain"] {
             for k in &keywords {
                 // A miss renders the fresh snapshot into its own body; the
                 // hits after it share the block kept beside the snapshot.
@@ -609,7 +609,7 @@ mod tests {
         // the head — the cached block is served as is.
         clock.advance(Duration::from_secs(20));
         failing.store(true, Ordering::SeqCst);
-        for format in ["ldif", "xml", "dsml", "plain"] {
+        for format in ["ldif", "xml", "plain"] {
             let body = assert_one_answer(&d, &format!("(info=flaky)(format={format})"));
             let marker = match format {
                 "ldif" => "infogram-degraded: TRUE\ninfogram-stale-age: 20.",
@@ -623,7 +623,7 @@ mod tests {
         // `response=last` far past every TTL: the same blocks, heads that
         // say how old they are.
         clock.advance(Duration::from_secs(3600));
-        for format in ["ldif", "xml", "dsml", "plain"] {
+        for format in ["ldif", "xml", "plain"] {
             for k in &keywords {
                 assert_one_answer(&d, &format!("(info={k})(response=last)(format={format})"));
             }
@@ -639,7 +639,7 @@ mod tests {
         let reply = |rsl: &str| assert_one_answer(&d, rsl);
         assert!(reply("(info=n)").contains("\nn: 1\n"));
         let held = Arc::downgrade(&d.info.lookup("N").unwrap().last_state().unwrap().attributes);
-        for format in ["ldif", "xml", "dsml"] {
+        for format in ["ldif", "xml"] {
             assert!(reply(&format!("(info=n)(format={format})")).contains('1'));
         }
         assert!(held.upgrade().is_some(), "cached until the next refresh");

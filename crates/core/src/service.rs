@@ -162,6 +162,8 @@ impl InfoGramService {
                         engine.poll_active();
                     }
                     sched.tick();
+                    // A listen-only subscriber hears of its expiry here.
+                    infogram_proto::drain_all(hub.expire(clock.now()));
                     // Nap toward the next wheel deadline, bounded so an
                     // empty wheel does not spin; `shutdown` unparks.
                     let nap = sched

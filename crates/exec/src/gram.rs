@@ -15,9 +15,7 @@
 
 use crate::engine::{JobEngine, SubmitError};
 use crate::wal::Wal;
-use infogram_gsi::{
-    nonce_rng, wire_server_respond, wire_server_verify, Authorizer, Certificate, Credential,
-};
+use infogram_gsi::{accept, Authorizer, Certificate, Credential, HandshakeError};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request};
 use infogram_proto::transport::{Acceptor, Conn, Listener, HANDSHAKE_DEADLINE};
 use infogram_proto::{JobHandle, Outbox};
@@ -292,8 +290,13 @@ pub fn serve(
 
 impl Gatekeeper {
     /// Count an authentication/authorization failure and tell the peer.
-    fn refuse(&self, conn: &dyn Conn, code: u32, message: String) {
+    fn refuse(&self, conn: &dyn Conn, e: HandshakeError) {
         self.auth_failures.incr();
+        let code = match e {
+            HandshakeError::Unauthorized(_) => codes::AUTHORIZATION,
+            _ => codes::AUTHENTICATION,
+        };
+        let message = e.to_string();
         let _ = conn.send(&Reply::Error { code, message }.encode());
     }
 
@@ -309,52 +312,52 @@ impl Gatekeeper {
         }
         let _active = ActiveGuard(&self.active);
 
-        // ---- gatekeeper: 3-message mutual authentication ----
-        let now = self.clock.now();
-        let mut rng = nonce_rng(now);
+        // ---- gatekeeper: mutual authentication, then gridmap (+ contracts) ----
         if conn.set_read_deadline(Some(HANDSHAKE_DEADLINE)).is_err() {
             return;
         }
-        let Ok(hello) = conn.recv() else { return };
-        let (resp, pending) =
-            match wire_server_respond(&self.credential, &self.trust_roots, &hello, now, &mut rng) {
-                Ok(x) => x,
-                Err(e) => return self.refuse(&*conn, codes::AUTHENTICATION, e.to_string()),
-            };
-        if conn.send(&resp).is_err() {
-            return;
-        }
-        let Ok(fin) = conn.recv() else { return };
-        let ctx = match wire_server_verify(&pending, &fin) {
-            Ok(ctx) => ctx,
-            Err(e) => return self.refuse(&*conn, codes::AUTHENTICATION, e.to_string()),
+        // A transport error is `None`: there is nobody left to refuse.
+        let send = |m: &[u8]| conn.send(m).map_err(|_| None);
+        let recv = || conn.recv().map_err(|_| None);
+        let (cred, roots, authz) = (&self.credential, &self.trust_roots, &*self.authorizer);
+        let (resource, now) = (&self.engine.config().service_name, self.clock.now());
+        let session = match accept(cred, roots, authz, resource, now, send, recv) {
+            Ok(session) => session,
+            Err(None) => return,
+            Err(Some(e)) => return self.refuse(&*conn, e),
         };
         self.handshakes.incr();
-
-        // ---- authorization: gridmap (+ contracts) ----
-        let resource = self.engine.config().service_name.clone();
-        let decision = match self.authorizer.authorize(&ctx.peer, &resource, now) {
-            Ok(d) => d,
-            Err(e) => return self.refuse(&*conn, codes::AUTHORIZATION, e.to_string()),
-        };
         let _ = conn.send(&Reply::Pong.encode()); // authorization ack
         if conn.set_read_deadline(None).is_err() {
             return;
         }
-        let owner = decision.grid_identity.to_string();
-        let account = decision.local_account;
+        let (owner, account) = (session.peer.to_string(), session.account);
 
         // ---- per-connection push state: outbox + dispatch context ----
         // All frames the server originates after authorization — replies,
         // job Events, subscription Updates — flow through one bounded
         // outbox so they interleave in FIFO order on the wire and a stuck
         // peer surfaces as backpressure instead of an unbounded buffer.
-        let outbox = Outbox::new(Arc::clone(&conn), DEFAULT_OUTBOX_CAPACITY);
+        let outbox = Outbox::until(conn.clone(), DEFAULT_OUTBOX_CAPACITY, session.valid_until);
         let mut ctx = ConnCtx::new(Arc::clone(&outbox));
 
-        // ---- request loop (ends when the client hangs up) ----
+        // ---- request loop (ends when the client hangs up, or at the
+        // first request once its authorization has expired: that request
+        // is refused, each subscription gets its SubEnd, and the closed
+        // outbox ends the connection's job Events) ----
         while let Ok(bytes) = conn.recv() {
             self.requests.incr();
+            if self.clock.now() >= session.valid_until {
+                let (code, message) = (codes::AUTHORIZATION, codes::EXPIRED.to_string());
+                let _ = outbox.push(Reply::Error { code, message }.encode());
+                for &id in &ctx.sub_ids {
+                    let message = codes::EXPIRED.to_string();
+                    let _ = outbox.push(Reply::SubEnd { id, code, message }.encode());
+                }
+                // Closed at once, so that no update follows a SubEnd.
+                outbox.close();
+                break;
+            }
             let reply = match Request::decode(&bytes) {
                 Ok(request) => self
                     .dispatcher
@@ -370,5 +373,6 @@ impl Gatekeeper {
         }
         self.dispatcher.connection_closed(&mut ctx);
         outbox.close();
+        let _ = outbox.drain();
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::dn::Dn;
 use infogram_sim::SimTime;
+use std::time::Duration;
 
 const SECS_PER_DAY: u64 = 86_400;
 
@@ -41,6 +42,28 @@ impl Window {
     }
 }
 
+/// When the run of back-to-back `windows` open at `now` closes: `now`
+/// if none is open, [`SimTime::MAX`] if the run lasts a whole day (it
+/// never closes).
+pub(crate) fn run_end(windows: &[&Window], now: SimTime) -> SimTime {
+    let mut end = now;
+    while end < now.plus(Duration::from_secs(SECS_PER_DAY)) {
+        let secs = end.as_nanos() / 1_000_000_000;
+        let sod = secs % SECS_PER_DAY;
+        // A window open past its end of day wraps midnight: it closes
+        // tomorrow.
+        let close = |w: &&Window| {
+            let until = u64::from(w.until_sec);
+            until + SECS_PER_DAY * u64::from(sod >= until)
+        };
+        match windows.iter().filter(|w| w.contains(end)).map(close).max() {
+            Some(close) => end = SimTime::from_secs(secs - sod + close),
+            None => return end,
+        }
+    }
+    SimTime::MAX
+}
+
 /// A grant: subject × resource × windows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Contract {
@@ -62,19 +85,22 @@ impl Contract {
             windows,
         }
     }
-
-    /// Whether this contract authorizes `dn` on `resource` at `now`.
-    pub fn authorizes(&self, dn: &Dn, resource: &str, now: SimTime) -> bool {
-        self.resource == resource
-            && dn.base_identity() == self.subject
-            && self.windows.iter().any(|w| w.contains(now))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::{Authorizer, GridMap};
+
+    impl Contract {
+        /// Whether this contract alone lets `dn` use `resource` at `now`.
+        fn authorizes(&self, dn: &Dn, resource: &str, now: SimTime) -> bool {
+            let mut gridmap = GridMap::new();
+            gridmap.add(dn.base_identity(), &["account"]);
+            let policy = Authorizer::with_contracts(gridmap, vec![self.clone()]);
+            policy.authorize(dn, resource, now).is_ok()
+        }
+    }
 
     fn at_hour(day: u64, hour: u64) -> SimTime {
         SimTime::from_secs(day * SECS_PER_DAY + hour * 3600)
@@ -129,6 +155,33 @@ mod tests {
         let dn = Dn::user("Grid", "ANL", "C");
         let c = Contract::new(dn.clone(), "res", vec![]);
         assert!(!c.authorizes(&dn, "res", SimTime::ZERO));
+    }
+
+    #[test]
+    fn a_run_of_windows_closes_where_its_last_adjacent_window_does() {
+        let (three, four) = (Window::daily_hours(15, 16), Window::daily_hours(16, 17));
+        let half_past_three = at_hour(2, 15).plus(Duration::from_secs(1800));
+        assert_eq!(run_end(&[&three], half_past_three), at_hour(2, 16));
+        assert_eq!(run_end(&[&four, &three], half_past_three), at_hour(2, 17));
+        assert_eq!(
+            run_end(&[&three], at_hour(2, 12)),
+            at_hour(2, 12),
+            "none open"
+        );
+        // A window that wraps midnight closes the next day, or the same
+        // day once past midnight, and runs on into an adjacent one.
+        let (night, small_hours) = (Window::daily_hours(22, 2), Window::daily_hours(2, 3));
+        assert_eq!(run_end(&[&night], at_hour(0, 23)), at_hour(1, 2));
+        assert_eq!(run_end(&[&night], at_hour(1, 1)), at_hour(1, 2));
+        assert_eq!(
+            run_end(&[&night, &small_hours], at_hour(0, 23)),
+            at_hour(1, 3)
+        );
+        // A run that covers the whole day never closes.
+        let day = Window::daily_hours(0, 24);
+        assert_eq!(run_end(&[&day], half_past_three), SimTime::MAX);
+        let (am, pm) = (Window::daily_hours(8, 20), Window::daily_hours(20, 8));
+        assert_eq!(run_end(&[&am, &pm], half_past_three), SimTime::MAX);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::cert::{verify_chain, CertError, Certificate, Credential};
 use crate::dn::Dn;
+use crate::policy::{Authorizer, AuthzError, Session};
 use crate::wire::{self, WireParseError};
 use infogram_sim::wire::{ReadError, Reader};
 use infogram_sim::{SimTime, SplitMix64};
@@ -30,6 +31,8 @@ pub enum HandshakeError {
     },
     /// A wire message was malformed.
     Malformed(WireParseError),
+    /// The authenticated peer may not use the resource.
+    Unauthorized(AuthzError),
 }
 
 impl std::fmt::Display for HandshakeError {
@@ -42,6 +45,7 @@ impl std::fmt::Display for HandshakeError {
             HandshakeError::Malformed(e) => {
                 write!(f, "handshake: malformed message: {}", e.reason)
             }
+            HandshakeError::Unauthorized(e) => e.fmt(f),
         }
     }
 }
@@ -55,8 +59,8 @@ pub struct SecurityContext {
     pub peer: Dn,
     /// The local party's base identity.
     pub local: Dn,
-    /// When the context was established.
-    pub established_at: SimTime,
+    /// When the peer's chain expires: its earliest `not_after`.
+    pub valid_until: SimTime,
 }
 
 /// The handshake RNG of one endpoint: a client connecting, or a server
@@ -66,7 +70,7 @@ pub struct SecurityContext {
 /// clock reading never send the same nonce; a nonce that repeats lets a
 /// recorded proof over it authenticate a second session. `now`, mixed
 /// in, keeps a restarted process off its predecessor's stream.
-pub fn nonce_rng(now: SimTime) -> SplitMix64 {
+fn nonce_rng(now: SimTime) -> SplitMix64 {
     static STREAM: AtomicU64 = AtomicU64::new(0);
     let state = STREAM.fetch_add(SplitMix64::GAMMA, Ordering::Relaxed);
     SplitMix64::new(SplitMix64::new(state).next_u64() ^ now.as_nanos())
@@ -129,7 +133,7 @@ pub struct ServerPending {
     client_leaf_key: crate::cert::PublicKey,
     server_nonce: u64,
     server_identity: Dn,
-    established_at: SimTime,
+    valid_until: SimTime,
 }
 
 /// Client step 1: build the HELLO payload. Returns the payload and the
@@ -175,7 +179,7 @@ pub fn wire_server_respond(
             client_leaf_key: client_chain[0].subject_key,
             server_nonce,
             server_identity: server.base_identity(),
-            established_at: now,
+            valid_until: expiry(&client_chain),
         },
     ))
 }
@@ -212,7 +216,7 @@ pub fn wire_client_finish(
         SecurityContext {
             peer: server_identity,
             local: client.base_identity(),
-            established_at: now,
+            valid_until: expiry(&server_chain),
         },
     ))
 }
@@ -234,8 +238,58 @@ pub fn wire_server_verify(
     Ok(SecurityContext {
         peer: pending.client_identity.clone(),
         local: pending.server_identity.clone(),
-        established_at: pending.established_at,
+        valid_until: pending.valid_until,
     })
+}
+
+/// When a verified chain stops verifying: its earliest `not_after`.
+fn expiry(chain: &[Certificate]) -> SimTime {
+    chain.iter().map(|c| c.not_after).min().unwrap_or_default()
+}
+
+/// The server's half of a bind over `send`/`recv`: read the HELLO, send
+/// the RESP, verify the FIN, then authorize the peer for `resource`. The
+/// caller answers with its own ack or refusal frame. A failure is the
+/// caller's error: its transport's, or a [`HandshakeError`] made one.
+pub fn accept<E: From<HandshakeError>>(
+    server: &Credential,
+    roots: &[Certificate],
+    authorizer: &Authorizer,
+    resource: &str,
+    now: SimTime,
+    mut send: impl FnMut(&[u8]) -> Result<(), E>,
+    mut recv: impl FnMut() -> Result<Vec<u8>, E>,
+) -> Result<Session, E> {
+    let (resp, pending) = wire_server_respond(server, roots, &recv()?, now, &mut nonce_rng(now))?;
+    send(&resp)?;
+    let ctx = wire_server_verify(&pending, &recv()?)?;
+    let authorized = authorizer.authorize(&ctx.peer, resource, now);
+    let mut session = authorized.map_err(HandshakeError::Unauthorized)?;
+    session.valid_until = session.valid_until.min(ctx.valid_until);
+    Ok(session)
+}
+
+/// The client's half of a bind over `send`/`recv`: send the HELLO,
+/// verify the RESP, send the FIN. Returns the server's answer to the FIN,
+/// its ack or refusal frame for the caller to read, and the context; or
+/// with no context the frame the server refused the HELLO with. A
+/// failure is as [`accept`]'s.
+pub fn bind<E: From<HandshakeError>>(
+    client: &Credential,
+    trust_roots: &[Certificate],
+    now: SimTime,
+    mut send: impl FnMut(&[u8]) -> Result<(), E>,
+    mut recv: impl FnMut() -> Result<Vec<u8>, E>,
+) -> Result<(Vec<u8>, Option<SecurityContext>), E> {
+    let (hello, nonce) = wire_client_hello(client, &mut nonce_rng(now));
+    send(&hello)?;
+    let resp = recv()?;
+    if resp.first() != Some(&RESP) {
+        return Ok((resp, None));
+    }
+    let (fin, ctx) = wire_client_finish(client, trust_roots, &resp, nonce, now)?;
+    send(&fin)?;
+    Ok((recv()?, Some(ctx)))
 }
 
 #[cfg(test)]
@@ -297,8 +351,8 @@ mod tests {
         assert_eq!(sctx.peer, Dn::user("Grid", "ANL", "Alice"));
         assert_eq!(cctx.local, sctx.peer);
         assert_eq!(sctx.local, cctx.peer);
-        assert_eq!(cctx.established_at, SimTime::from_secs(5));
-        assert_eq!(sctx.established_at, SimTime::from_secs(5));
+        assert_eq!(cctx.valid_until, SimTime::from_secs(86_400));
+        assert_eq!(sctx.valid_until, SimTime::from_secs(86_400));
     }
 
     #[test]
@@ -509,6 +563,76 @@ mod tests {
             assert_eq!(sctx.peer, dn, "{cn:?}");
             assert_eq!(cctx.local, dn, "{cn:?}");
         }
+    }
+
+    /// `bind` against `accept` for "cluster" at `now`, over two
+    /// channels; the server acks with `ok` or refuses with `no`.
+    fn bound(
+        client: &Credential,
+        server: &Credential,
+        roots: &[Certificate],
+        authorizer: &Authorizer,
+        now: SimTime,
+    ) -> (Result<Session, Option<HandshakeError>>, Vec<u8>) {
+        let (to_server, server_rx) = std::sync::mpsc::channel::<Vec<u8>>();
+        let (to_client, client_rx) = std::sync::mpsc::channel::<Vec<u8>>();
+        std::thread::scope(|scope| {
+            let accepted = scope.spawn(move || {
+                let send = |m: &[u8]| to_client.send(m.to_vec()).map_err(|_| None);
+                let session = accept(server, roots, authorizer, "cluster", now, send, || {
+                    server_rx.recv().map_err(|_| None)
+                });
+                let _ = send(if session.is_ok() { b"ok" } else { b"no" });
+                session
+            });
+            let send = |m: &[u8]| to_server.send(m.to_vec()).map_err(|_| None);
+            let recv = || client_rx.recv().map_err(|_| None);
+            let (ack, _) = bind::<Option<HandshakeError>>(client, roots, now, send, recv).unwrap();
+            (accepted.join().unwrap(), ack)
+        })
+    }
+
+    #[test]
+    fn a_session_lasts_until_its_chain_expires_or_its_contract_run_closes() {
+        let mut w = world();
+        let alice = Dn::user("Grid", "ANL", "Alice");
+        let two_days = Duration::from_secs(2 * 86_400);
+        let user = w.ca.issue(&alice, &mut w.rng, SimTime::ZERO, two_days);
+        let host = w.ca.issue(
+            &Dn::user("Grid", "Hosts", "gk"),
+            &mut w.rng,
+            SimTime::ZERO,
+            two_days,
+        );
+        let roots = [w.ca.certificate().clone()];
+        let hour = |h: u64| SimTime::from_secs(h * 3600);
+        let proxy = user
+            .delegate(&mut w.rng, hour(15), Duration::from_secs(3600), 0)
+            .unwrap();
+        let mut gridmap = crate::GridMap::new();
+        gridmap.add(alice.clone(), &["alice"]);
+        let contract = |from, until| {
+            let window = vec![crate::Window::daily_hours(from, until)];
+            let contracts = vec![crate::Contract::new(alice.clone(), "cluster", window)];
+            Authorizer::with_contracts(gridmap.clone(), contracts)
+        };
+        let half_past_three = hour(15).plus(Duration::from_secs(1800));
+        let gridmap_only = Authorizer::gridmap_only(gridmap.clone());
+        for (client, authorizer, until) in [
+            (&user, &gridmap_only, hour(48)),
+            (&proxy, &gridmap_only, hour(16)),
+            (&user, &contract(15, 16), hour(16)),
+            (&user, &contract(0, 24), hour(48)),
+        ] {
+            let (session, ack) = bound(client, &host, &roots, authorizer, half_past_three);
+            assert_eq!((session.unwrap().valid_until, ack), (until, b"ok".to_vec()));
+        }
+        let (refused, ack) = bound(&user, &host, &roots, &contract(9, 10), half_past_three);
+        assert!(matches!(
+            refused,
+            Err(Some(HandshakeError::Unauthorized(_)))
+        ));
+        assert_eq!(ack, b"no");
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * [`gridmap`] — the gridmap file mapping DNs to local accounts.
 //! * [`contract`] — time-window authorization contracts.
 //! * [`handshake`] — a 3-message mutual-authentication exchange producing
-//!   a [`SecurityContext`].
+//!   a [`SecurityContext`]; [`accept`] and [`bind`] run it, the server's
+//!   half authorizing the peer into a [`Session`].
 //!
 //! # Security disclaimer
 //!
@@ -45,7 +46,7 @@ pub use contract::{Contract, Window};
 pub use dn::Dn;
 pub use gridmap::GridMap;
 pub use handshake::{
-    nonce_rng, wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify,
+    accept, bind, wire_client_finish, wire_client_hello, wire_server_respond, wire_server_verify,
     HandshakeError, SecurityContext, ServerPending,
 };
-pub use policy::{Authorizer, AuthzDecision, AuthzError};
+pub use policy::{Authorizer, AuthzError, Session};

@@ -6,7 +6,7 @@
 //! gridmap, then check any configured contracts for the requested
 //! resource.
 
-use crate::contract::Contract;
+use crate::contract::{run_end, Contract, Window};
 use crate::dn::Dn;
 use crate::gridmap::GridMap;
 use infogram_sim::SimTime;
@@ -42,13 +42,19 @@ impl std::fmt::Display for AuthzError {
 
 impl std::error::Error for AuthzError {}
 
-/// A successful authorization.
+/// A successful authorization: who the peer is, as whom it runs, and
+/// until when.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuthzDecision {
+pub struct Session {
     /// The authenticated grid identity (base identity, proxies resolved).
-    pub grid_identity: Dn,
+    pub peer: Dn,
     /// The local account the request runs as.
-    pub local_account: String,
+    pub account: String,
+    /// When authorization first fails: the close of the run of contract
+    /// windows open now ([`SimTime::MAX`] under a gridmap-only policy),
+    /// or, for a [`crate::accept`]ed connection, its chain's expiry if
+    /// that is sooner.
+    pub valid_until: SimTime,
 }
 
 /// Combined gridmap + contract authorization policy.
@@ -83,12 +89,7 @@ impl Authorizer {
     }
 
     /// Authorize `dn` to use `resource` at `now`.
-    pub fn authorize(
-        &self,
-        dn: &Dn,
-        resource: &str,
-        now: SimTime,
-    ) -> Result<AuthzDecision, AuthzError> {
+    pub fn authorize(&self, dn: &Dn, resource: &str, now: SimTime) -> Result<Session, AuthzError> {
         let base = dn.base_identity();
         let account = self
             .gridmap
@@ -97,21 +98,25 @@ impl Authorizer {
             .ok_or_else(|| AuthzError::NotMapped {
                 dn: base.to_string(),
             })?;
+        let mut valid_until = SimTime::MAX;
         if self.require_contracts {
-            let ok = self
-                .contracts
-                .iter()
-                .any(|c| c.authorizes(&base, resource, now));
-            if !ok {
+            let windows: Vec<&Window> = (self.contracts.iter())
+                .filter(|c| c.resource == resource && c.subject == base)
+                .flat_map(|c| &c.windows)
+                .collect();
+            // Open now, or no contract covers the request.
+            valid_until = run_end(&windows, now);
+            if valid_until == now {
                 return Err(AuthzError::NoContract {
                     dn: base.to_string(),
                     resource: resource.to_string(),
                 });
             }
         }
-        Ok(AuthzDecision {
-            grid_identity: base,
-            local_account: account,
+        Ok(Session {
+            peer: base,
+            account,
+            valid_until,
         })
     }
 }
@@ -119,7 +124,6 @@ impl Authorizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::Window;
 
     fn gridmap() -> GridMap {
         let mut m = GridMap::new();
@@ -134,8 +138,13 @@ mod tests {
         let d = a
             .authorize(&Dn::user("Grid", "ANL", "Gregor"), "any", SimTime::ZERO)
             .unwrap();
-        assert_eq!(d.local_account, "gregor");
-        assert_eq!(d.grid_identity, Dn::user("Grid", "ANL", "Gregor"));
+        assert_eq!(d.account, "gregor");
+        assert_eq!(d.peer, Dn::user("Grid", "ANL", "Gregor"));
+        assert_eq!(
+            d.valid_until,
+            SimTime::MAX,
+            "a gridmap entry does not expire"
+        );
 
         let err = a
             .authorize(&Dn::user("Grid", "ANL", "Stranger"), "any", SimTime::ZERO)
@@ -148,7 +157,7 @@ mod tests {
         let a = Authorizer::gridmap_only(gridmap());
         let proxy = Dn::user("Grid", "ANL", "Gregor").child("CN", "proxy");
         let d = a.authorize(&proxy, "any", SimTime::ZERO).unwrap();
-        assert_eq!(d.local_account, "gregor");
+        assert_eq!(d.account, "gregor");
     }
 
     #[test]
@@ -165,6 +174,14 @@ mod tests {
         let three_pm = SimTime::from_secs(15 * 3600);
         let noon = SimTime::from_secs(12 * 3600);
         assert!(a.authorize(&gregor, "cluster", three_pm).is_ok());
+        let half_past_three = three_pm.plus(std::time::Duration::from_secs(1800));
+        let four_pm = SimTime::from_secs(16 * 3600);
+        assert_eq!(
+            a.authorize(&gregor, "cluster", half_past_three)
+                .unwrap()
+                .valid_until,
+            four_pm
+        );
         assert!(matches!(
             a.authorize(&gregor, "cluster", noon),
             Err(AuthzError::NoContract { .. })
@@ -179,5 +196,27 @@ mod tests {
             a.authorize(&Dn::user("Grid", "X", "Nobody"), "cluster", three_pm),
             Err(AuthzError::NotMapped { .. })
         ));
+    }
+
+    #[test]
+    fn adjacent_contracts_make_one_run() {
+        let gregor = Dn::user("Grid", "ANL", "Gregor");
+        let grant = |resource, from, until| {
+            Contract::new(
+                gregor.clone(),
+                resource,
+                vec![Window::daily_hours(from, until)],
+            )
+        };
+        let a = Authorizer::with_contracts(
+            gridmap(),
+            vec![
+                grant("cluster", 16, 17),
+                grant("other", 17, 18),
+                grant("cluster", 15, 16),
+            ],
+        );
+        let d = a.authorize(&gregor, "cluster", SimTime::from_secs(15 * 3600 + 1800));
+        assert_eq!(d.unwrap().valid_until, SimTime::from_secs(17 * 3600));
     }
 }

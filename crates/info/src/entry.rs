@@ -62,7 +62,7 @@ use std::time::Duration;
 pub struct Produced {
     attributes: Box<[(String, String)]>,
     /// Indexed by [`block_slot`]; write-once, so readers take no lock.
-    blocks: [OnceLock<Box<str>>; 3],
+    blocks: [OnceLock<Box<str>>; 2],
 }
 
 /// The slot of a format whose block is the same in every reply; `plain`
@@ -71,7 +71,6 @@ fn block_slot(format: OutputFormat) -> Option<usize> {
     match format {
         OutputFormat::Ldif => Some(0),
         OutputFormat::Xml => Some(1),
-        OutputFormat::Dsml => Some(2),
         OutputFormat::Plain => None,
     }
 }
@@ -857,7 +856,6 @@ mod tests {
             Some("    <attribute name=\"n\">1</attribute>\n  </provider>\n")
         );
         assert_eq!(hit.cached_block("K", OutputFormat::Plain), None);
-        assert!(hit.attributes.blocks[2].get().is_none());
     }
 
     #[test]

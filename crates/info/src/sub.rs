@@ -51,8 +51,10 @@ use infogram_proto::message::{codes, update_frame, JobStateCode, Reply};
 use infogram_proto::record::InfoRecord;
 use infogram_proto::{JobHandle, Outbox, OutboxError};
 use infogram_sim::metrics::{Counter, Gauge, MetricSet};
+use infogram_sim::SimTime;
 use parking_lot::{lock_class, Mutex};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// The virtual keyword job-state transitions publish under; subscribe
@@ -138,6 +140,9 @@ struct HubTelemetry {
 pub struct SubscriptionHub {
     hostname: String,
     telemetry: HubTelemetry,
+    /// The earliest [`Outbox::valid_until`] of a subscriber, in ns: no
+    /// authorization expires before it. Written under `state`.
+    earliest: AtomicU64,
     state: Mutex<HubState>,
 }
 
@@ -163,6 +168,7 @@ impl SubscriptionHub {
                 evicted: metrics.counter("sub.evicted"),
                 updates: metrics.counter("sub.updates"),
             },
+            earliest: AtomicU64::new(u64::MAX),
             state: Mutex::with_class(
                 HubState {
                     next_id: 1,
@@ -246,8 +252,10 @@ impl SubscriptionHub {
         }
         st.subs.insert(id, keys);
         self.telemetry.active.set(st.subs.len() as f64);
+        self.earliest
+            .fetch_min(outbox.valid_until.as_nanos(), Relaxed);
         if let Some(e) = refused {
-            self.evict(&mut st, id, &outbox, e);
+            self.evict(&mut st, id, &outbox, Some(e));
         }
         id
     }
@@ -280,25 +288,49 @@ impl SubscriptionHub {
     }
 
     /// Evict a subscription whose outbox refused a push (slow consumer,
-    /// dead connection): remove it and close the outbox with a final
-    /// `SubEnd` — queued, not sent: whoever drains the outbox sends it.
-    fn evict(&self, st: &mut HubState, id: u64, outbox: &Outbox, refused: OutboxError) {
+    /// dead connection), or with `None` whose authorization expired:
+    /// remove it and close the outbox with a final `SubEnd` — queued, not
+    /// sent: whoever drains the outbox sends it.
+    fn evict(&self, st: &mut HubState, id: u64, outbox: &Outbox, refused: Option<OutboxError>) {
         if !Self::remove_locked(st, id) {
             return;
         }
         self.telemetry.active.set(st.subs.len() as f64);
         self.telemetry.evicted.incr();
         let (code, message) = match refused {
-            OutboxError::Overflow { capacity } => (
+            Some(OutboxError::Overflow { capacity }) => (
                 codes::SLOW_CONSUMER,
                 format!(
                     "subscriber fell behind: outbox full at {capacity} frames; \
                      drain faster or subscribe to fewer keywords"
                 ),
             ),
-            OutboxError::Closed => (codes::INTERNAL, "connection closed".to_string()),
+            Some(OutboxError::Closed) => (codes::INTERNAL, "connection closed".to_string()),
+            None => (codes::AUTHORIZATION, codes::EXPIRED.to_string()),
         };
         outbox.close_with(Reply::SubEnd { id, code, message }.encode());
+    }
+
+    /// Evict every subscription whose session's authorization has
+    /// expired by `now`, its `SubEnd` saying so ([`codes::AUTHORIZATION`],
+    /// [`codes::EXPIRED`]); a connection's first speaks for the rest. One
+    /// compare while nothing expires.
+    #[must_use = "drain the closed outboxes once no lock is held"]
+    pub fn expire(&self, now: SimTime) -> Vec<Arc<Outbox>> {
+        if now.as_nanos() < self.earliest.load(Relaxed) {
+            return Vec::new();
+        }
+        let mut st = self.state.lock();
+        let channels = st.keywords.values().chain(st.jobs.values());
+        let (expired, live): (Vec<_>, Vec<_>) = channels
+            .flat_map(|ch| ch.subscribers.iter().cloned())
+            .partition(|(_, o)| o.valid_until <= now);
+        let earliest = live.iter().map(|(_, o)| o.valid_until.as_nanos()).min();
+        self.earliest.store(earliest.unwrap_or(u64::MAX), Relaxed);
+        for (id, outbox) in &expired {
+            self.evict(&mut st, *id, outbox, None);
+        }
+        expired.into_iter().map(|(_, o)| o).collect()
     }
 
     fn remove_locked(st: &mut HubState, id: u64) -> bool {
@@ -371,7 +403,7 @@ impl SubscriptionHub {
         let delivered = pushed.len() - refused.len();
         self.telemetry.delivered.add(delivered as u64);
         for (id, outbox, e) in refused {
-            self.evict(st, id, &outbox, e);
+            self.evict(st, id, &outbox, Some(e));
         }
         pushed
     }

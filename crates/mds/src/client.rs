@@ -6,7 +6,7 @@
 
 use crate::dit::{DirEntry, Scope};
 use crate::protocol::{entries_from_text, MdsReply, MdsRequest};
-use infogram_gsi::{nonce_rng, wire_client_finish, wire_client_hello, Certificate, Credential};
+use infogram_gsi::{bind, Certificate, Credential, HandshakeError};
 use infogram_proto::transport::{Conn, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
 
@@ -42,6 +42,13 @@ impl From<ProtoError> for MdsClientError {
     }
 }
 
+/// A bind whose handshake failed on this side.
+impl From<HandshakeError> for MdsClientError {
+    fn from(e: HandshakeError) -> Self {
+        MdsClientError::BindFailed(e.to_string())
+    }
+}
+
 /// A bound MDS session.
 pub struct MdsClient {
     conn: Box<dyn Conn>,
@@ -63,21 +70,14 @@ impl MdsClient {
         clock: &SharedClock,
     ) -> Result<MdsClient, MdsClientError> {
         let conn = transport.connect(addr)?;
-        let now = clock.now();
-        let (hello, nonce) = wire_client_hello(credential, &mut nonce_rng(now));
-        conn.send(&hello)?;
-        let resp = conn.recv()?;
-        let (fin, _server) = wire_client_finish(credential, trust_roots, &resp, nonce, now)
-            .map_err(|e| MdsClientError::BindFailed(e.to_string()))?;
-        conn.send(&fin)?;
-        // Bind ack (or error).
-        let ack = conn.recv()?;
-        match MdsReply::decode(&ack) {
-            Ok(MdsReply::SearchResult { .. }) => {}
-            Ok(MdsReply::Error { message }) => return Err(MdsClientError::BindFailed(message)),
-            Err(e) => return Err(MdsClientError::Protocol(e.to_string())),
+        let send = |m: &[u8]| conn.send(m).map_err(MdsClientError::from);
+        let recv = || conn.recv().map_err(MdsClientError::from);
+        let (ack, context) = bind(credential, trust_roots, clock.now(), send, recv)?;
+        match (MdsReply::decode(&ack), context) {
+            (Ok(MdsReply::SearchResult { .. }), Some(_)) => Ok(MdsClient { conn }),
+            (Ok(MdsReply::Error { message }), _) => Err(MdsClientError::BindFailed(message)),
+            (other, _) => Err(MdsClientError::Protocol(format!("bind answered {other:?}"))),
         }
-        Ok(MdsClient { conn })
     }
 
     /// Issue one search.
@@ -166,6 +166,9 @@ mod tests {
             "mds.grid:2135",
             host_cred,
             roots.clone(),
+            Arc::new(infogram_gsi::Authorizer::gridmap_only(
+                infogram_gsi::GridMap::parse("\"/O=Grid/OU=ANL/CN=Client\" client").unwrap(),
+            )),
             clock.clone(),
             &MetricSet::new(),
         )

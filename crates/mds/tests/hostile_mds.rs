@@ -135,6 +135,9 @@ fn tcp_mds() -> (Acceptor, MetricSet, Credential) {
         "127.0.0.1:0",
         host,
         roots,
+        std::sync::Arc::new(infogram_gsi::Authorizer::gridmap_only(
+            infogram_gsi::GridMap::parse("\"/O=Grid/OU=ANL/CN=Client\" client").unwrap(),
+        )),
         clock,
         &metrics,
     )

@@ -25,6 +25,9 @@ pub mod codes {
     pub const AUTHENTICATION: u32 = 7;
     /// Authorization (gridmap / contract) denied.
     pub const AUTHORIZATION: u32 = 8;
+    /// The message of an [`AUTHORIZATION`] refusal or `SubEnd` once a
+    /// session's authorization has expired.
+    pub const EXPIRED: &str = "authorization-expired";
     /// No such job.
     pub const NO_SUCH_JOB: u32 = 12;
     /// Unknown information keyword.

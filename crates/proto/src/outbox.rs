@@ -30,6 +30,7 @@
 //! whose drain loses returns at once while the winner waits on the peer.
 
 use crate::transport::Conn;
+use infogram_sim::SimTime;
 use parking_lot::{lock_class, lockdep, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -70,6 +71,8 @@ struct OutboxState {
 pub struct Outbox {
     conn: Arc<dyn Conn>,
     capacity: usize,
+    /// When the session this outbox serves stops being authorized.
+    pub valid_until: SimTime,
     state: Mutex<OutboxState>,
 }
 
@@ -89,9 +92,16 @@ impl Outbox {
     /// undelivered frames before pushes start failing with
     /// [`OutboxError::Overflow`].
     pub fn new(conn: Arc<dyn Conn>, capacity: usize) -> Arc<Outbox> {
+        Outbox::until(conn, capacity, SimTime::MAX)
+    }
+
+    /// The outbox of a session authorized until `valid_until`: its
+    /// subscriptions end then.
+    pub fn until(conn: Arc<dyn Conn>, capacity: usize, valid_until: SimTime) -> Arc<Outbox> {
         Arc::new(Outbox {
             conn,
             capacity: capacity.max(1),
+            valid_until,
             state: Mutex::with_class(
                 OutboxState {
                     queue: VecDeque::new(),
@@ -190,11 +200,10 @@ impl Outbox {
         st.closed = true;
     }
 
-    /// Close without a final frame (connection teardown).
+    /// Refuse further pushes (connection teardown); what is queued is
+    /// still drained, and a dead connection's drain drops it.
     pub fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        st.queue.clear();
+        self.state.lock().closed = true;
     }
 }
 

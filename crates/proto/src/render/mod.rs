@@ -1,8 +1,8 @@
 //! Output renderers for information records.
 //!
 //! §6.6: "The format tag defines the format in which the information is
-//! returned. The supported formats are LDIF and XML." We add DSML and a
-//! plain `key: value` format for debugging. Each renderer is paired with
+//! returned. The supported formats are LDIF and XML." We add a plain
+//! `key: value` format for debugging. Each renderer is paired with
 //! enough of a parser to round-trip its own output.
 //!
 //! # The reply body: head + block
@@ -33,7 +33,7 @@
 //! writes each name without it — `Memory:total` is `total` in every
 //! format — and each parser puts the keyword back (`written_name` and
 //! `full_name`, the one rule all three share). The whole form —
-//! `Memory-total` in LDIF and DSML, `Memory:total` in XML, what bodies
+//! `Memory-total` in LDIF, `Memory:total` in XML, what bodies
 //! used to carry and GRIS entries still do — parses to the same name,
 //! and is written only where the relative name alone would not
 //! round-trip: one that itself begins with `Memory-` or `Memory:`, or
@@ -50,7 +50,6 @@
 //! stays in step with what it read.
 
 pub mod base64;
-pub mod dsml;
 pub mod ldif;
 pub mod plain;
 pub mod xml;
@@ -166,7 +165,6 @@ impl BodyWriter {
         let mut out = String::with_capacity(capacity);
         match format {
             OutputFormat::Xml => out.push_str(xml::OPEN),
-            OutputFormat::Dsml => out.push_str(dsml::OPEN),
             OutputFormat::Ldif | OutputFormat::Plain => {}
         }
         BodyWriter {
@@ -183,7 +181,6 @@ impl BodyWriter {
         match self.format {
             OutputFormat::Ldif => ldif::write_head(&mut self.out, head, first),
             OutputFormat::Xml => xml::write_head(&mut self.out, head),
-            OutputFormat::Dsml => dsml::write_head(&mut self.out, head),
             OutputFormat::Plain => plain::write_head(&mut self.out, head),
         }
     }
@@ -235,7 +232,6 @@ impl BodyWriter {
     pub fn finish(mut self) -> String {
         match self.format {
             OutputFormat::Xml => self.out.push_str(xml::CLOSE),
-            OutputFormat::Dsml => self.out.push_str(dsml::CLOSE),
             OutputFormat::Ldif | OutputFormat::Plain => {}
         }
         self.out
@@ -253,7 +249,6 @@ pub fn write_block<'a>(
     match format {
         OutputFormat::Ldif => ldif::write_block(out, keyword, attrs),
         OutputFormat::Xml => xml::write_block(out, keyword, attrs),
-        OutputFormat::Dsml => dsml::write_block(out, keyword, attrs),
         OutputFormat::Plain => plain::write_block(out, keyword, attrs),
     }
 }
@@ -300,8 +295,6 @@ mod tests {
         assert!(ldif.contains("dn:"));
         let xml = render(&records, OutputFormat::Xml);
         assert!(xml.starts_with("<infogram>"));
-        let dsml = render(&records, OutputFormat::Dsml);
-        assert!(dsml.starts_with("<dsml>"));
         let plain = render(&records, OutputFormat::Plain);
         assert!(plain.contains("Memory:total: 4294967296"));
     }
@@ -309,12 +302,7 @@ mod tests {
     #[test]
     fn all_formats_carry_all_attributes() {
         let records = sample();
-        for fmt in [
-            OutputFormat::Ldif,
-            OutputFormat::Xml,
-            OutputFormat::Dsml,
-            OutputFormat::Plain,
-        ] {
+        for fmt in [OutputFormat::Ldif, OutputFormat::Xml, OutputFormat::Plain] {
             let out = render(&records, fmt);
             assert!(out.contains("4294967296"), "{fmt}: missing value");
             assert!(out.contains("0.93"), "{fmt}: missing load");
@@ -381,43 +369,20 @@ objectclass: InfoGramProvider
 </infogram>
 "#;
 
-    const GOLDEN_DSML: &str = r#"<dsml>
- <directory-entries>
-  <entry dn="kw=Memory, hn=node0.grid, o=Grid" degraded="true" stale-age="31.250" quality="0.5000" age="12.345">
-   <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
-   <attr name="total"><value>4294967296</value></attr>
-   <attr name="free"><value>1073741824</value></attr>
-  </entry>
-  <entry dn="kw=CPULoad, hn=node0.grid, o=Grid">
-   <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
-   <attr name="load"><value>0.93</value><quality>0.7500</quality><age>3.000</age></attr>
-   <attr name="note"><value> grüße &lt;&amp;&gt; &quot;x&quot;</value><quality>0.5000</quality><age>3.000</age></attr>
-   <attr name="bare"><value>age=&quot;9&quot;</value></attr>
-  </entry>
-  <entry dn="kw=Empty, hn=node0.grid, o=Grid">
-   <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>
-  </entry>
- </directory-entries>
-</dsml>
-"#;
-
     /// What the renderer before record-level annotations wrote for
     /// [`golden_records`] (captured from it, not reconstructed): quality
     /// and age on every attribute. Clients and GIIS members may hold
     /// such bodies; they must keep parsing to the same records.
     const OLD_LDIF: &str = "dn: kw=Memory, hn=node0.grid, o=Grid\nobjectclass: InfoGramProvider\ninfogram-degraded: TRUE\ninfogram-stale-age: 31.250\nMemory-total: 4294967296\nMemory-total;quality: 0.5000\nMemory-total;age: 12.345\nMemory-free: 1073741824\nMemory-free;quality: 0.5000\nMemory-free;age: 12.345\n\ndn: kw=CPULoad, hn=node0.grid, o=Grid\nobjectclass: InfoGramProvider\nCPULoad-load: 0.93\nCPULoad-load;quality: 0.7500\nCPULoad-load;age: 3.000\nCPULoad-note:: IGdyw7zDn2UgPCY+ICJ4Ig==\nCPULoad-note;quality: 0.5000\nCPULoad-note;age: 3.000\nCPULoad-bare: age=\"9\"\n\ndn: kw=Empty, hn=node0.grid, o=Grid\nobjectclass: InfoGramProvider\n";
     const OLD_XML: &str = "<infogram>\n  <provider keyword=\"Memory\" host=\"node0.grid\" degraded=\"true\" stale-age=\"31.250\">\n    <attribute name=\"Memory:total\" quality=\"0.5000\" age=\"12.345\">4294967296</attribute>\n    <attribute name=\"Memory:free\" quality=\"0.5000\" age=\"12.345\">1073741824</attribute>\n  </provider>\n  <provider keyword=\"CPULoad\" host=\"node0.grid\">\n    <attribute name=\"CPULoad:load\" quality=\"0.7500\" age=\"3.000\">0.93</attribute>\n    <attribute name=\"CPULoad:note\" quality=\"0.5000\" age=\"3.000\"> grüße &lt;&amp;&gt; &quot;x&quot;</attribute>\n    <attribute name=\"CPULoad:bare\">age=&quot;9&quot;</attribute>\n  </provider>\n  <provider keyword=\"Empty\" host=\"node0.grid\">\n  </provider>\n</infogram>\n";
-    const OLD_DSML: &str = "<dsml>\n <directory-entries>\n  <entry dn=\"kw=Memory, hn=node0.grid, o=Grid\">\n   <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>\n   <attr name=\"Memory-total\"><value>4294967296</value><quality>0.5000</quality><age>12.345</age></attr>\n   <attr name=\"Memory-free\"><value>1073741824</value><quality>0.5000</quality><age>12.345</age></attr>\n  </entry>\n  <entry dn=\"kw=CPULoad, hn=node0.grid, o=Grid\">\n   <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>\n   <attr name=\"CPULoad-load\"><value>0.93</value><quality>0.7500</quality><age>3.000</age></attr>\n   <attr name=\"CPULoad-note\"><value> grüße &lt;&amp;&gt; &quot;x&quot;</value><quality>0.5000</quality><age>3.000</age></attr>\n   <attr name=\"CPULoad-bare\"><value>age=&quot;9&quot;</value></attr>\n  </entry>\n  <entry dn=\"kw=Empty, hn=node0.grid, o=Grid\">\n   <objectclass><oc-value>InfoGramProvider</oc-value></objectclass>\n  </entry>\n </directory-entries>\n</dsml>\n";
 
     #[test]
     fn golden_bodies_are_byte_exact_and_roundtrip() {
         let records = golden_records();
         assert_eq!(ldif::render(&records), GOLDEN_LDIF);
         assert_eq!(xml::render(&records), GOLDEN_XML);
-        assert_eq!(dsml::render(&records), GOLDEN_DSML);
         assert_eq!(ldif::parse(GOLDEN_LDIF), records);
         assert_eq!(xml::parse(GOLDEN_XML), records);
-        assert_eq!(dsml::parse(GOLDEN_DSML), records);
     }
 
     #[test]
@@ -425,11 +390,6 @@ objectclass: InfoGramProvider
         let records = golden_records();
         assert_eq!(ldif::parse(OLD_LDIF), records);
         assert_eq!(xml::parse(OLD_XML), records);
-        // The old DSML renderer dropped the degraded annotation.
-        let mut undegraded = records;
-        undegraded[0].degraded = false;
-        undegraded[0].stale_age_secs = None;
-        assert_eq!(dsml::parse(OLD_DSML), undegraded);
     }
 
     #[test]
@@ -442,7 +402,6 @@ objectclass: InfoGramProvider
         assert!(text.contains(&format!("\n{keyword}-a: 1\n")));
         assert_eq!(ldif::parse(&text), one);
         assert_eq!(xml::parse(&xml::render(one)), one);
-        assert_eq!(dsml::parse(&dsml::render(one)), one);
         // A relative name under it is refused, not rebuilt from the keyword.
         let relative = text.replace(&format!("{keyword}-a"), "a");
         assert!(ldif::parse(&relative)[0].attributes.is_empty());
@@ -461,7 +420,7 @@ objectclass: InfoGramProvider
         // What the information service does with a provider's bare
         // `(name, value)` pairs and a cached block.
         let rec = &golden_records()[0];
-        for format in [OutputFormat::Ldif, OutputFormat::Xml, OutputFormat::Dsml] {
+        for format in [OutputFormat::Ldif, OutputFormat::Xml] {
             let pairs = [("total", "4294967296"), ("Memory:free", "1073741824")];
             let attrs = || pairs.iter().map(|(n, v)| AttrRef::produced(n, v));
             let mut block = String::new();

@@ -2,7 +2,7 @@
 //!
 //! Not a wire format — nothing parses it — so it keeps the redundant
 //! but greppable `[quality=…]` / `[age=…s]` on every line rather than
-//! hoisting them into the record header as LDIF, XML and DSML do.
+//! hoisting them into the record header as LDIF and XML do.
 
 use super::{relative_name, AttrRef, Head};
 use crate::record::InfoRecord;

@@ -9,7 +9,7 @@
 //! error message's worth. An update may ask for more, within the bound
 //! derived at `update_bound`.
 //!
-//! A GIIS and a client parse a member's LDIF, XML or DSML from whatever
+//! A GIIS and a client parse a member's LDIF or XML from whatever
 //! the peer sent. Every corruption of a representative document goes
 //! through each text decoder as its callers read it: bytes that are not
 //! UTF-8 are refused before any decoder runs. Each must return and ask
@@ -22,7 +22,7 @@ use infogram_proto::delta::RecordDelta;
 use infogram_proto::frame::{read_frame, write_frame, MAX_FRAME_LEN};
 use infogram_proto::message::{codes, JobStateCode, Reply, Request, PROTOCOL_VERSION};
 use infogram_proto::record::{Attribute, InfoRecord};
-use infogram_proto::render::{dsml, ldif, xml, RELATIVE_KEYWORD_MAX};
+use infogram_proto::render::{ldif, xml, RELATIVE_KEYWORD_MAX};
 use infogram_proto::transport::ProtoError;
 use infogram_proto::JobHandle;
 use infogram_sim::varint;
@@ -401,13 +401,6 @@ fn xml_parse_survives_every_cut_and_flip() {
     sweep_text("xml", &text, records_bound, xml::parse);
 }
 
-#[test]
-fn dsml_parse_survives_every_cut_and_flip() {
-    let text = dsml::render(&records());
-    assert_eq!(dsml::parse(&text).len(), 2);
-    sweep_text("dsml", &text, records_bound, dsml::parse);
-}
-
 /// What a record parse may hold at once. Each attribute line costs an
 /// `Attribute` (80 bytes, twice that in the doubling vector's spare) and
 /// a name at most `RELATIVE_KEYWORD_MAX + 1` bytes longer than the line;
@@ -425,7 +418,7 @@ fn a_long_keyword_over_many_empty_names_is_held_in_step_with_its_input() {
     // At the limit every name is rebuilt from the keyword; past it, a
     // relative name is refused. Rebuilt, the 8 KiB one would hold 16 MiB.
     for keyword in ["K".repeat(RELATIVE_KEYWORD_MAX), "K".repeat(8192)] {
-        let bodies: [(&str, String, Parse); 3] = [
+        let bodies: [(&str, String, Parse); 2] = [
             (
                 "ldif",
                 format!("dn: kw={keyword}\n{}", ":\n".repeat(LINES)),
@@ -438,14 +431,6 @@ fn a_long_keyword_over_many_empty_names_is_held_in_step_with_its_input() {
                     "<attribute name=\"\">\n".repeat(LINES)
                 ),
                 xml::parse,
-            ),
-            (
-                "dsml",
-                format!(
-                    "<entry dn=\"kw={keyword}\">\n{}</entry>\n",
-                    "<attr name=\"\">\n".repeat(LINES)
-                ),
-                dsml::parse,
             ),
         ];
         for (name, text, parse) in bodies {

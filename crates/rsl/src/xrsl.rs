@@ -73,9 +73,6 @@ pub enum OutputFormat {
     Ldif,
     /// XML elements.
     Xml,
-    /// Directory Services Markup Language — "it is straightforward to
-    /// support other formats such as DSML" (§6.6); here it is.
-    Dsml,
     /// Plain `key: value` lines (our debugging addition).
     Plain,
 }
@@ -86,7 +83,6 @@ impl OutputFormat {
         match self {
             OutputFormat::Ldif => "ldif",
             OutputFormat::Xml => "xml",
-            OutputFormat::Dsml => "dsml",
             OutputFormat::Plain => "plain",
         }
     }
@@ -534,9 +530,8 @@ impl XrslRequest {
         let format = match literal(Tag::Format) {
             Some("ldif") => OutputFormat::Ldif,
             Some("xml") => OutputFormat::Xml,
-            Some("dsml") => OutputFormat::Dsml,
             Some("plain") => OutputFormat::Plain,
-            Some(other) => return Err(bad(Tag::Format, other, "ldif, xml, dsml, or plain")),
+            Some(other) => return Err(bad(Tag::Format, other, "ldif, xml, or plain")),
             None => OutputFormat::default(),
         };
         let quality = match literal(Tag::Quality) {
@@ -731,13 +726,9 @@ mod tests {
             OutputFormat::Ldif,
             "LDIF is the MDS-compatible default"
         );
-        assert_eq!(
-            XrslRequest::from_text("(info=cpu)(format=dsml)")
-                .unwrap()
-                .format,
-            OutputFormat::Dsml
-        );
-        assert!(XrslRequest::from_text("(info=cpu)(format=asn1)").is_err());
+        for unknown in ["asn1", "dsml"] {
+            assert!(XrslRequest::from_text(&format!("(info=cpu)(format={unknown})")).is_err());
+        }
     }
 
     #[test]

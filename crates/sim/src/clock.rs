@@ -22,6 +22,8 @@ pub struct SimTime(pub u64);
 impl SimTime {
     /// The zero point of the timeline.
     pub const ZERO: SimTime = SimTime(0);
+    /// The end of the timeline: a time no clock reaches.
+    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from whole nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {

@@ -162,7 +162,7 @@ if [ "$1" = 0 ] || [ "$2" -gt 1536 ]; then
 fi
 
 echo "==> DESIGN.md is at most its line ceiling"
-DESIGN_CEILING=1410
+DESIGN_CEILING=1409
 lines="$(wc -l < DESIGN.md)"
 if [ "$lines" -gt "$DESIGN_CEILING" ]; then
     printf 'DESIGN.md has %s lines; the ceiling is %s\n' "$lines" "$DESIGN_CEILING" >&2
@@ -170,7 +170,7 @@ if [ "$lines" -gt "$DESIGN_CEILING" ]; then
 fi
 
 echo "==> first-party non-test lines are at most their ceiling"
-LOC_CEILING=15518
+LOC_CEILING=15465
 loc="$(sh scripts/loc.sh --total)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then
     printf 'scripts/loc.sh --total counts %s lines; the ceiling is %s\n' "$loc" "$LOC_CEILING" >&2

@@ -126,11 +126,12 @@ ORDER = [
      "`annotated` rows are what the service sends: one quality and one age "
      "per record, said once in the record's head by LDIF and XML and on "
      "every line by `plain`, and each attribute named relative to the "
-     "record's keyword except by `plain`. DSML is implemented too."),
+     "record's keyword except by `plain`."),
     ("E13", "E13 — security: handshake and contracts (§5.3)",
      "GSI authenticates; the paper *aspires* to contracts `such as allow "
      "access to this resource from 3 to 4 pm to user X`.",
-     "The handshake is the four `wire_*` steps every connection runs, "
+     "The matrix binds through `gsi::accept`, the server's half of every "
+     "connection; the cost table times the four `wire_*` steps it runs, "
      "encoding and decoding both chains."),
     ("E14", "E14 — sporadic grids (§8)",
      "InfoGram suits grids `created just for a short period of time during "
@@ -215,7 +216,7 @@ Summary of shapes:
 | E10 | restart from the log | 100% of in-flight jobs recovered, sub-ms median restart, no fsync at start |
 | E11 | sandbox modes trade overhead vs containment | all attacks blocked; 1.05x isolation cost |
 | E12 | LDIF/XML + MDS compatibility | attribute-identical views; µs-scale rendering |
-| E13 | contracts like "3 to 4 pm for user X" | decision matrix matches the example literally; a proxy link adds its subject and fixed fields, no issuer DN (counted) |
+| E13 | contracts like "3 to 4 pm for user X" | decision matrix matches the example literally, and each session ends where its window or proxy does; a proxy link adds its subject and fixed fields, no issuer DN (counted) |
 | E14 | sporadic grids are practical | 16-node grid usable in ~1 ms |
 | E15 | aggregate caching scales the MDS | pulls ∝ 1/TTL, staleness bounded by TTL |
 | E16 | (ours) `(info=all)` must not serialize providers | K=8 slow keywords at ~1.01x one provider's cost; ~1.5 M hits/s (`answer`), ~0.7 M/s dispatched |

@@ -218,6 +218,7 @@ impl Sandbox {
                 &format!("{}:2135", cfg.hostname),
                 service_cred,
                 roots.clone(),
+                Arc::clone(&authorizer),
                 clock.clone(),
                 &baseline_metrics,
             )

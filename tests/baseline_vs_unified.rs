@@ -270,3 +270,52 @@ fn unmapped_user_rejected_by_both_worlds() {
     ));
     sandbox.shutdown();
 }
+
+#[test]
+fn a_trusted_but_unmapped_user_is_refused_by_both_binds() {
+    use infogram::gsi::{CertificateAuthority, Dn};
+    use infogram::mds::client::{MdsClient, MdsClientError};
+    use infogram::sim::{SimTime, SplitMix64};
+    let sandbox = dual_world();
+    // The sandbox's own CA: its key is the first draw of the seed's PRNG.
+    let ca = CertificateAuthority::new_root(
+        &Dn::user("Grid", "CA", "Sandbox Root CA"),
+        &mut SplitMix64::new(SandboxConfig::default().seed),
+        SimTime::ZERO,
+        Duration::from_secs(10 * 365 * 86_400),
+    );
+    assert_eq!(ca.certificate(), &sandbox.roots[0]);
+    let stranger = ca.issue(
+        &Dn::user("Grid", "ANL", "Stranger"),
+        &mut SplitMix64::new(46),
+        SimTime::ZERO,
+        Duration::from_secs(86_400),
+    );
+    match infogram_client::InfoGramClient::connect(
+        &sandbox.net,
+        sandbox.addr(),
+        &stranger,
+        &sandbox.roots,
+        sandbox.clock.clone(),
+    ) {
+        Err(ClientError::Denied { code, message }) => {
+            assert_eq!(code, codes::AUTHORIZATION);
+            assert!(message.contains("no gridmap entry"), "{message}");
+        }
+        other => panic!("{:?}", other.map(|_| "connected")),
+    }
+    let mds_addr = sandbox.baseline_mds.as_ref().unwrap().addr();
+    match MdsClient::bind(
+        &sandbox.net,
+        mds_addr,
+        &stranger,
+        &sandbox.roots,
+        &sandbox.clock,
+    ) {
+        Err(MdsClientError::BindFailed(message)) => {
+            assert!(message.contains("no gridmap entry"), "{message}")
+        }
+        other => panic!("{:?}", other.map(|_| "bound")),
+    }
+    sandbox.shutdown();
+}

@@ -133,6 +133,9 @@ fn mds_server(w: &World) -> Acceptor {
         "mds.grid:0",
         w.server.clone(),
         w.roots.clone(),
+        Arc::new(Authorizer::gridmap_only(
+            GridMap::parse("\"/O=Grid/OU=ANL/CN=Gregor\" gregor").unwrap(),
+        )),
         w.clock.clone(),
         &MetricSet::new(),
     )

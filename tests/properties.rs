@@ -346,7 +346,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// DSML/XML/LDIF agree on content for arbitrary single-line values,
+// XML and LDIF agree on content for arbitrary single-line values,
 // arbitrary per-attribute annotations and names that are written whole
 // or relative to the keyword: whatever the renderer hoists into the
 // record's head or leaves on the attribute, `parse(render(r)) == r`.
@@ -374,7 +374,7 @@ proptest! {
         prefixes in prop::collection::vec(0usize..6, 4..5),
     ) {
         use infogram::proto::record::InfoRecord;
-        use infogram::proto::render::{dsml, ldif, xml};
+        use infogram::proto::render::{ldif, xml};
         const PREFIXES: [&str; 6] = ["", "Kw-", "Kw:", "dn", "objectclass", "infogram-"];
         let quality = |k: u32| f64::from(k) / 10_000.0;
         let age = |k: u32| f64::from(k) / 1_000.0;
@@ -395,7 +395,6 @@ proptest! {
         let one = std::slice::from_ref(&rec);
         prop_assert_eq!(ldif::parse(&ldif::render(one)).as_slice(), one);
         prop_assert_eq!(xml::parse(&xml::render(one)).as_slice(), one);
-        prop_assert_eq!(dsml::parse(&dsml::render(one)).as_slice(), one);
         if shape == 0 {
             // Said once: no per-attribute annotation is left on the wire.
             let text = ldif::render(one);
