@@ -149,7 +149,7 @@ impl GramClient {
         let conn = transport.connect(addr)?;
         let send = |m: &[u8]| conn.send(m).map_err(ClientError::from);
         let recv = || conn.recv().map_err(ClientError::from);
-        let (ack, context) = bind(credential, trust_roots, clock.now(), send, recv)?;
+        let (ack, context) = bind(credential, trust_roots, addr, clock.now(), send, recv)?;
         // Pong, or an Error in place of the RESP or after the FIN:
         // authentication, gridmap or contract denial.
         match (Reply::decode(&ack), context) {

@@ -5,6 +5,8 @@
 //! digests, modelling the *protocol*, not the cryptography.
 
 use crate::dn::Dn;
+use crate::handshake::PeerChains;
+use infogram_sim::rng::{fnv1a_from, FNV_BASIS};
 use infogram_sim::{SimTime, SplitMix64};
 use std::time::Duration;
 
@@ -50,11 +52,7 @@ impl PublicKey {
 /// FNV-1a over the key bytes then the data, finished with a SplitMix
 /// scramble. Fast, stable, good enough for a toy MAC.
 fn mac(key: u64, data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_le_bytes().iter().chain(data.iter()) {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a_from(fnv1a_from(FNV_BASIS, &key.to_le_bytes()), data);
     // scramble
     let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -77,9 +75,18 @@ pub enum CertType {
 }
 
 /// A certificate binding a subject DN to a public key, signed by an
-/// issuer.
+/// issuer: its [`CertFields`], boxed. A proxy link takes ≈ 46 B on the
+/// wire and its fields 80 in memory, so a decoded chain's one array of
+/// unboxed certificates would ask the allocator for more at once than the
+/// message holds (256 B for a 158-B proxy HELLO); boxed, it asks for 8 B
+/// a certificate. What decoding holds in all is bounded by
+/// [`crate::wire::INHERITED_MAX`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
+pub struct Certificate(Box<CertFields>);
+
+/// What a [`Certificate`] holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CertFields {
     /// Who this certificate identifies.
     pub subject: Dn,
     /// Who signed it.
@@ -96,6 +103,25 @@ pub struct Certificate {
     pub cert_type: CertType,
     /// Issuer's signature over the canonical encoding.
     pub signature: u64,
+}
+
+impl From<CertFields> for Certificate {
+    fn from(fields: CertFields) -> Self {
+        Certificate(Box::new(fields))
+    }
+}
+
+impl std::ops::Deref for Certificate {
+    type Target = CertFields;
+    fn deref(&self) -> &CertFields {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Certificate {
+    fn deref_mut(&mut self) -> &mut CertFields {
+        &mut self.0
+    }
 }
 
 impl Certificate {
@@ -189,13 +215,16 @@ impl std::fmt::Display for CertError {
 impl std::error::Error for CertError {}
 
 /// A credential: a private key plus the certificate chain proving the
-/// identity of its public half (leaf first, ending just below the root).
+/// identity of its public half (leaf first, ending just below the root),
+/// and the peer chains it verified in handshakes, which its clones share
+/// and a new or delegated credential starts without.
 #[derive(Debug, Clone)]
 pub struct Credential {
     /// Private key matching `chain[0].subject_key`.
     pub key: KeyPair,
     /// Certificate chain, leaf first.
     pub chain: Vec<Certificate>,
+    pub(crate) peers: PeerChains,
 }
 
 impl Credential {
@@ -240,7 +269,7 @@ impl Credential {
             }
         };
         let key = KeyPair::generate(rng);
-        let mut cert = Certificate {
+        let mut cert = Certificate::from(CertFields {
             subject: leaf.subject.child("CN", "proxy"),
             issuer: leaf.subject.clone(),
             serial: rng.next_u64(),
@@ -252,12 +281,16 @@ impl Credential {
                 depth_remaining: allowed_depth,
             },
             signature: 0,
-        };
+        });
         cert.signature = self.key.sign(&cert.signed_bytes());
         let mut chain = Vec::with_capacity(self.chain.len() + 1);
         chain.push(cert);
         chain.extend(self.chain.iter().cloned());
-        Ok(Credential { key, chain })
+        Ok(Credential {
+            key,
+            chain,
+            peers: PeerChains::default(),
+        })
     }
 }
 
@@ -273,7 +306,7 @@ impl CertificateAuthority {
     /// A new self-signed root CA.
     pub fn new_root(name: &Dn, rng: &mut SplitMix64, now: SimTime, lifetime: Duration) -> Self {
         let key = KeyPair::generate(rng);
-        let mut cert = Certificate {
+        let mut cert = Certificate::from(CertFields {
             subject: name.clone(),
             issuer: name.clone(),
             serial: 1,
@@ -282,7 +315,7 @@ impl CertificateAuthority {
             subject_key: key.public(),
             cert_type: CertType::Ca,
             signature: 0,
-        };
+        });
         cert.signature = key.sign(&cert.signed_bytes());
         CertificateAuthority {
             key,
@@ -308,7 +341,7 @@ impl CertificateAuthority {
         let serial = self
             .next_serial
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut cert = Certificate {
+        let mut cert = Certificate::from(CertFields {
             subject: subject.clone(),
             issuer: self.cert.subject.clone(),
             serial,
@@ -317,11 +350,12 @@ impl CertificateAuthority {
             subject_key: key.public(),
             cert_type: CertType::EndEntity,
             signature: 0,
-        };
+        });
         cert.signature = self.key.sign(&cert.signed_bytes());
         Credential {
             key,
             chain: vec![cert],
+            peers: PeerChains::default(),
         }
     }
 }
@@ -618,7 +652,7 @@ mod tests {
         );
         // Hand-forge a non-proxy cert signed by an end entity.
         let victim_key = KeyPair::generate(&mut rng);
-        let mut forged = Certificate {
+        let mut forged = Certificate::from(CertFields {
             subject: Dn::user("Grid", "ANL", "Forged"),
             issuer: signer.subject().clone(),
             serial: 666,
@@ -627,7 +661,7 @@ mod tests {
             subject_key: victim_key.public(),
             cert_type: CertType::EndEntity,
             signature: 0,
-        };
+        });
         forged.signature = signer.key.sign(&forged.signed_bytes());
         let chain = vec![forged, signer.chain[0].clone()];
         match verify_chain(&chain, &[ca.certificate().clone()], SimTime::ZERO) {

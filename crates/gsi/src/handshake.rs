@@ -9,7 +9,10 @@
 //!    client nonce
 //! 3. client → server: signature over the server nonce
 //!
-//! — after which both sides hold a [`SecurityContext`].
+//! — after which both sides hold a [`SecurityContext`]. A client that
+//! bound to an address before names both chains by digest instead, and
+//! a chain travels only to a peer that does not hold it (the cached
+//! forms, below), as TLS's cached information (RFC 7924) does.
 
 use crate::cert::{verify_chain, CertError, Certificate, Credential};
 use crate::dn::Dn;
@@ -17,7 +20,11 @@ use crate::policy::{Authorizer, AuthzError, Session};
 use crate::wire::{self, WireParseError};
 use infogram_sim::wire::{ReadError, Reader};
 use infogram_sim::{SimTime, SplitMix64};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Why a handshake failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +70,81 @@ pub struct SecurityContext {
     pub valid_until: SimTime,
 }
 
+/// A verified chain, as a table holds it and a handshake reads it.
+type Chain = Arc<[Certificate]>;
+
+/// The most chains a credential holds of each kind: client chains by
+/// digest, server chains by address.
+pub(crate) const PEER_CHAINS: usize = 1024;
+
+/// The peer chains a credential verified, for the cached forms: the
+/// client chains a server accepted, by digest, and the chain a client
+/// verified at each address, with its digest. Clones of the credential
+/// share one table, made at the first clone or the first chain
+/// remembered — none before — the way OpenSSL keeps sessions on an
+/// `SSL_CTX`. A full map drops an arbitrary entry for a new one.
+#[derive(Debug, Default)]
+pub(crate) struct PeerChains(OnceLock<Arc<Mutex<Known>>>);
+
+#[derive(Debug, Default)]
+struct Known {
+    clients: HashMap<u64, Chain>,
+    servers: HashMap<Box<str>, (u64, Chain)>,
+}
+
+impl Clone for PeerChains {
+    /// The same table.
+    fn clone(&self) -> Self {
+        PeerChains(OnceLock::from(Arc::clone(self.shared())))
+    }
+}
+
+impl PeerChains {
+    fn shared(&self) -> &Arc<Mutex<Known>> {
+        self.0.get_or_init(Arc::default)
+    }
+
+    fn client(&self, digest: u64) -> Option<Chain> {
+        self.0.get()?.lock().clients.get(&digest).cloned()
+    }
+
+    fn server(&self, addr: &str) -> Option<(u64, Chain)> {
+        self.0.get()?.lock().servers.get(addr).cloned()
+    }
+
+    fn remember_client(&self, chain: Chain) {
+        let digest = wire::chain_digest(&chain);
+        bounded(&mut self.shared().lock().clients, digest, chain);
+    }
+
+    fn remember_server(&self, addr: &str, chain: Chain) {
+        let entry = (wire::chain_digest(&chain), chain);
+        bounded(&mut self.shared().lock().servers, addr.into(), entry);
+    }
+
+    fn forget_client(&self, digest: u64) {
+        if let Some(known) = self.0.get() {
+            known.lock().clients.remove(&digest);
+        }
+    }
+
+    fn forget_server(&self, addr: &str) {
+        if let Some(known) = self.0.get() {
+            known.lock().servers.remove(addr);
+        }
+    }
+}
+
+/// Insert into a map of at most [`PEER_CHAINS`] entries.
+fn bounded<K: Hash + Eq + Clone, V>(map: &mut HashMap<K, V>, key: K, value: V) {
+    if map.len() >= PEER_CHAINS && !map.contains_key(&key) {
+        if let Some(old) = map.keys().next().cloned() {
+            map.remove(&old);
+        }
+    }
+    map.insert(key, value);
+}
+
 /// The handshake RNG of one endpoint: a client connecting, or a server
 /// accepting one connection. Every endpoint of the process draws from one
 /// lock-free stream — an atomic that steps by SplitMix64's gamma, mixed
@@ -78,13 +160,27 @@ fn nonce_rng(now: SimTime) -> SplitMix64 {
 
 // ---------------------------------------------------------------------
 // The 3 messages as binary payloads, the only implementation: every
-// client and server runs these four steps. Nonces and proofs are 8 bytes
-// little-endian; a chain is `wire::put_chain`'s.
+// client and server runs these steps. Nonces, proofs and digests are 8
+// bytes little-endian; a chain is `wire::put_chain`'s.
 //
 //   M1  client → server   HELLO  tag, client nonce, client chain
 //   M2  server → client   RESP   tag, server nonce, proof over client
 //                                nonce, server chain
 //   M3  client → server   FIN    tag, proof over server nonce
+//
+// A client holding the chain an address presented last sends the cached
+// forms, naming a chain by `wire::chain_digest`:
+//
+//   M1  CACHED_HELLO  tag, client nonce, client chain's digest, server
+//                     chain's digest
+//   M2  a RESP without the server chain where the server's matches
+//       (`CACHED_RESP`); one that asks for the client chain where the
+//       server holds none under its digest (`*_MISS`)
+//   M3  a FIN, plus the client chain after the proof if asked
+//       (`FIN_CHAIN`)
+//
+// A digest is a hint: a chain named wrongly fails its proof, and a
+// chain named is verified at `now` as one sent is.
 // ---------------------------------------------------------------------
 
 // Message tags: bytes UTF-8 never uses, so no text — a text-form
@@ -95,6 +191,18 @@ fn nonce_rng(now: SimTime) -> SplitMix64 {
 const HELLO: u8 = 0xf8;
 const RESP: u8 = 0xf9;
 const FIN: u8 = 0xf7;
+const CACHED_HELLO: u8 = 0xfa;
+const CACHED_RESP: u8 = 0xfb;
+const RESP_MISS: u8 = 0xfc;
+const CACHED_RESP_MISS: u8 = 0xfd;
+const FIN_CHAIN: u8 = 0xfe;
+
+/// The RESP tags by form: the form's [`LEAVES_CHAIN`] bit is set when
+/// the server's chain is left out, its [`ASKS_CHAIN`] bit when the
+/// client's is asked for.
+const RESPS: [u8; 4] = [RESP, CACHED_RESP, RESP_MISS, CACHED_RESP_MISS];
+const LEAVES_CHAIN: usize = 1;
+const ASKS_CHAIN: usize = 2;
 
 impl From<WireParseError> for HandshakeError {
     fn from(e: WireParseError) -> Self {
@@ -130,21 +238,196 @@ fn read<T>(
 pub struct ServerPending {
     /// The client's authenticated base identity.
     pub client_identity: Dn,
-    client_leaf_key: crate::cert::PublicKey,
+    client_chain: Chain,
     server_nonce: u64,
     server_identity: Dn,
-    valid_until: SimTime,
+}
+
+impl ServerPending {
+    /// `chain` verified at `now`, from a client whose RESP carries
+    /// `server_nonce`.
+    fn verified(
+        server: &Credential,
+        roots: &[Certificate],
+        chain: Chain,
+        now: SimTime,
+        server_nonce: u64,
+    ) -> Result<Self, HandshakeError> {
+        let client_identity = verify_chain(&chain, roots, now).map_err(HandshakeError::BadChain)?;
+        Ok(ServerPending {
+            client_identity,
+            client_chain: chain,
+            server_nonce,
+            server_identity: server.base_identity(),
+        })
+    }
+
+    /// The server's context, once `proof` shows the client holds its
+    /// leaf's key.
+    fn proved(&self, proof: u64) -> Result<SecurityContext, HandshakeError> {
+        let nonce = self.server_nonce.to_le_bytes();
+        if !self.client_chain[0].subject_key.verify(&nonce, proof) {
+            return Err(HandshakeError::BadProof { side: "client" });
+        }
+        Ok(SecurityContext {
+            peer: self.client_identity.clone(),
+            local: self.server_identity.clone(),
+            valid_until: expiry(&self.client_chain),
+        })
+    }
+}
+
+/// A message: `tag`, 8-byte `words`, then `chain` if there is one.
+fn message(tag: u8, words: &[u64], chain: Option<&[Certificate]>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + 8 * words.len() + chain.map_or(0, wire::chain_len));
+    out.push(tag);
+    for word in words {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    if let Some(chain) = chain {
+        wire::put_chain(&mut out, chain);
+    }
+    out
+}
+
+/// `N` 8-byte little-endian fields, named `fields`.
+fn words<const N: usize>(
+    r: &mut Reader<'_>,
+    fields: [&'static str; N],
+) -> Result<[u64; N], HandshakeError> {
+    let mut out = [0; N];
+    for (word, field) in out.iter_mut().zip(fields) {
+        *word = u64::from_le_bytes(r.array(field)?);
+    }
+    Ok(out)
+}
+
+/// A full HELLO's nonce and chain.
+fn read_hello(hello: &[u8], roots: &[Certificate]) -> Result<(u64, Chain), HandshakeError> {
+    read(hello, HELLO, "not a HELLO", |r| {
+        Ok((words(r, ["nonce"])?[0], wire::read_chain(r, roots)?.into()))
+    })
+}
+
+/// A RESP of `form` (see [`RESPS`]): the server nonce, the proof over
+/// the client nonce, and the server's chain unless the form leaves it
+/// out.
+fn resp(server: &Credential, form: usize, client_nonce: u64, server_nonce: u64) -> Vec<u8> {
+    let proof = server.key.sign(&client_nonce.to_le_bytes());
+    let chain = (form & LEAVES_CHAIN == 0).then_some(&server.chain[..]);
+    message(RESPS[form], &[server_nonce, proof], chain)
+}
+
+/// The server's half of a handshake of either form over `send`/`recv`,
+/// drawing `server_nonce`: its context. A client chain that arrived in
+/// full and proved its key is remembered; one held under the HELLO's
+/// digest that fails its check or its proof is forgotten — the digest
+/// named a wrong or a dead chain — so the client's next bind sends its
+/// own.
+fn serve<E: From<HandshakeError>>(
+    server: &Credential,
+    roots: &[Certificate],
+    now: SimTime,
+    server_nonce: u64,
+    mut send: impl FnMut(&[u8]) -> Result<(), E>,
+    mut recv: impl FnMut() -> Result<Vec<u8>, E>,
+) -> Result<SecurityContext, E> {
+    let hello = recv()?;
+    let (client_nonce, held, form) = if hello.first() == Some(&CACHED_HELLO) {
+        let [nonce, client, named] = read(&hello, CACHED_HELLO, "not a HELLO", |r| {
+            words(r, ["nonce", "client digest", "server digest"])
+        })?;
+        let ours = named == wire::chain_digest(&server.chain);
+        let form = if ours { LEAVES_CHAIN } else { 0 };
+        match server.peers.client(client) {
+            Some(chain) => (nonce, Some((chain, Some(client))), form),
+            None => (nonce, None, form | ASKS_CHAIN),
+        }
+    } else {
+        let (nonce, chain) = read_hello(&hello, roots)?;
+        (nonce, Some((chain, None)), 0)
+    };
+    let verified = |chain| ServerPending::verified(server, roots, chain, now, server_nonce);
+    let forget = |digest: Option<u64>, e| {
+        if let Some(digest) = digest {
+            server.peers.forget_client(digest);
+        }
+        e
+    };
+    let held = match held {
+        Some((chain, digest)) => Some((verified(chain).map_err(|e| forget(digest, e))?, digest)),
+        None => None,
+    };
+    send(&resp(server, form, client_nonce, server_nonce))?;
+    let fin = recv()?;
+    let (ctx, pending, sent) = match held {
+        Some((pending, digest)) => {
+            let proved = wire_server_verify(&pending, &fin).map_err(|e| forget(digest, e))?;
+            (proved, pending, digest.is_none())
+        }
+        None => {
+            let (proof, chain) = read(&fin, FIN_CHAIN, "not a FIN", |r| {
+                Ok((words(r, ["proof"])?[0], wire::read_chain(r, roots)?.into()))
+            })?;
+            let pending = verified(chain)?;
+            (pending.proved(proof)?, pending, true)
+        }
+    };
+    if sent {
+        server.peers.remember_client(pending.client_chain);
+    }
+    Ok(ctx)
+}
+
+/// The client's reading of a RESP to a HELLO that named the server
+/// chain `named`, or to a full one: the server's chain, sent or named,
+/// verifies at `now` and its leaf signed `client_nonce`. Returns the
+/// FIN — carrying the client chain if the server asked for it — the
+/// context, and the server chain if the RESP sent one.
+fn client_finish(
+    client: &Credential,
+    roots: &[Certificate],
+    resp: &[u8],
+    named: Option<&Chain>,
+    client_nonce: u64,
+    now: SimTime,
+) -> Result<(Vec<u8>, SecurityContext, Option<Chain>), HandshakeError> {
+    let not_a_resp = || HandshakeError::Malformed(wire::err("not a RESP"));
+    let form = RESPS.iter().position(|&tag| resp.first() == Some(&tag));
+    let form = form.filter(|&form| form == 0 || named.is_some());
+    let form = form.ok_or_else(not_a_resp)?;
+    let ([server_nonce, proof], sent) = read(resp, RESPS[form], "not a RESP", |r| {
+        let words = words(r, ["nonce", "proof"])?;
+        let sent = match form & LEAVES_CHAIN {
+            0 => Some(Chain::from(wire::read_chain(r, roots)?)),
+            _ => None,
+        };
+        Ok((words, sent))
+    })?;
+    let chain = sent.as_ref().or(named).ok_or_else(not_a_resp)?;
+    let server_identity = verify_chain(chain, roots, now).map_err(HandshakeError::BadChain)?;
+    let nonce = client_nonce.to_le_bytes();
+    if !chain[0].subject_key.verify(&nonce, proof) {
+        return Err(HandshakeError::BadProof { side: "server" });
+    }
+    let proof = client.key.sign(&server_nonce.to_le_bytes());
+    let fin = match form & ASKS_CHAIN {
+        0 => message(FIN, &[proof], None),
+        _ => message(FIN_CHAIN, &[proof], Some(&client.chain)),
+    };
+    let ctx = SecurityContext {
+        peer: server_identity,
+        local: client.base_identity(),
+        valid_until: expiry(chain),
+    };
+    Ok((fin, ctx, sent))
 }
 
 /// Client step 1: build the HELLO payload. Returns the payload and the
 /// client nonce to keep for [`wire_client_finish`].
 pub fn wire_client_hello(client: &Credential, rng: &mut SplitMix64) -> (Vec<u8>, u64) {
     let nonce = rng.next_u64();
-    let mut payload = Vec::with_capacity(1 + 8 + wire::chain_len(&client.chain));
-    payload.push(HELLO);
-    payload.extend_from_slice(&nonce.to_le_bytes());
-    wire::put_chain(&mut payload, &client.chain);
-    (payload, nonce)
+    (message(HELLO, &[nonce], Some(&client.chain)), nonce)
 }
 
 /// Server step: validate the HELLO, produce the RESP payload and the
@@ -156,32 +439,10 @@ pub fn wire_server_respond(
     now: SimTime,
     rng: &mut SplitMix64,
 ) -> Result<(Vec<u8>, ServerPending), HandshakeError> {
-    let (client_nonce, client_chain) = read(hello, HELLO, "not a HELLO", |r| {
-        Ok((
-            u64::from_le_bytes(r.array("nonce")?),
-            wire::read_chain(r, trust_roots)?,
-        ))
-    })?;
-    let client_identity =
-        verify_chain(&client_chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
-
+    let (client_nonce, chain) = read_hello(hello, trust_roots)?;
     let server_nonce = rng.next_u64();
-    let proof = server.key.sign(&client_nonce.to_le_bytes());
-    let mut payload = Vec::with_capacity(1 + 8 + 8 + wire::chain_len(&server.chain));
-    payload.push(RESP);
-    payload.extend_from_slice(&server_nonce.to_le_bytes());
-    payload.extend_from_slice(&proof.to_le_bytes());
-    wire::put_chain(&mut payload, &server.chain);
-    Ok((
-        payload,
-        ServerPending {
-            client_identity,
-            client_leaf_key: client_chain[0].subject_key,
-            server_nonce,
-            server_identity: server.base_identity(),
-            valid_until: expiry(&client_chain),
-        },
-    ))
+    let pending = ServerPending::verified(server, trust_roots, chain, now, server_nonce)?;
+    Ok((resp(server, 0, client_nonce, server_nonce), pending))
 }
 
 /// Client step 2: validate the RESP, produce the FIN payload and the
@@ -193,32 +454,8 @@ pub fn wire_client_finish(
     client_nonce: u64,
     now: SimTime,
 ) -> Result<(Vec<u8>, SecurityContext), HandshakeError> {
-    let (server_nonce, server_proof, server_chain) = read(resp, RESP, "not a RESP", |r| {
-        Ok((
-            u64::from_le_bytes(r.array("nonce")?),
-            u64::from_le_bytes(r.array("proof")?),
-            wire::read_chain(r, trust_roots)?,
-        ))
-    })?;
-    let server_identity =
-        verify_chain(&server_chain, trust_roots, now).map_err(HandshakeError::BadChain)?;
-    if !server_chain[0]
-        .subject_key
-        .verify(&client_nonce.to_le_bytes(), server_proof)
-    {
-        return Err(HandshakeError::BadProof { side: "server" });
-    }
-    let fin_proof = client.key.sign(&server_nonce.to_le_bytes());
-    let mut payload = vec![FIN];
-    payload.extend_from_slice(&fin_proof.to_le_bytes());
-    Ok((
-        payload,
-        SecurityContext {
-            peer: server_identity,
-            local: client.base_identity(),
-            valid_until: expiry(&server_chain),
-        },
-    ))
+    let (fin, ctx, _) = client_finish(client, trust_roots, resp, None, client_nonce, now)?;
+    Ok((fin, ctx))
 }
 
 /// Server step 2: validate the FIN and produce the server-side context.
@@ -226,20 +463,7 @@ pub fn wire_server_verify(
     pending: &ServerPending,
     fin: &[u8],
 ) -> Result<SecurityContext, HandshakeError> {
-    let proof = read(fin, FIN, "not a FIN", |r| {
-        Ok(u64::from_le_bytes(r.array("proof")?))
-    })?;
-    if !pending
-        .client_leaf_key
-        .verify(&pending.server_nonce.to_le_bytes(), proof)
-    {
-        return Err(HandshakeError::BadProof { side: "client" });
-    }
-    Ok(SecurityContext {
-        peer: pending.client_identity.clone(),
-        local: pending.server_identity.clone(),
-        valid_until: pending.valid_until,
-    })
+    pending.proved(read(fin, FIN, "not a FIN", |r| words(r, ["proof"]))?[0])
 }
 
 /// When a verified chain stops verifying: its earliest `not_after`.
@@ -247,47 +471,62 @@ fn expiry(chain: &[Certificate]) -> SimTime {
     chain.iter().map(|c| c.not_after).min().unwrap_or_default()
 }
 
-/// The server's half of a bind over `send`/`recv`: read the HELLO, send
-/// the RESP, verify the FIN, then authorize the peer for `resource`. The
-/// caller answers with its own ack or refusal frame. A failure is the
-/// caller's error: its transport's, or a [`HandshakeError`] made one.
+/// The server's half of a bind over `send`/`recv`: read the HELLO (full
+/// or cached), send the RESP, verify the FIN, then authorize the peer
+/// for `resource`. The caller answers with its own ack or refusal frame.
+/// A failure is the caller's error: its transport's, or a
+/// [`HandshakeError`] made one.
 pub fn accept<E: From<HandshakeError>>(
     server: &Credential,
     roots: &[Certificate],
     authorizer: &Authorizer,
     resource: &str,
     now: SimTime,
-    mut send: impl FnMut(&[u8]) -> Result<(), E>,
-    mut recv: impl FnMut() -> Result<Vec<u8>, E>,
+    send: impl FnMut(&[u8]) -> Result<(), E>,
+    recv: impl FnMut() -> Result<Vec<u8>, E>,
 ) -> Result<Session, E> {
-    let (resp, pending) = wire_server_respond(server, roots, &recv()?, now, &mut nonce_rng(now))?;
-    send(&resp)?;
-    let ctx = wire_server_verify(&pending, &recv()?)?;
+    let ctx = serve(server, roots, now, nonce_rng(now).next_u64(), send, recv)?;
     let authorized = authorizer.authorize(&ctx.peer, resource, now);
     let mut session = authorized.map_err(HandshakeError::Unauthorized)?;
     session.valid_until = session.valid_until.min(ctx.valid_until);
     Ok(session)
 }
 
-/// The client's half of a bind over `send`/`recv`: send the HELLO,
-/// verify the RESP, send the FIN. Returns the server's answer to the FIN,
-/// its ack or refusal frame for the caller to read, and the context; or
-/// with no context the frame the server refused the HELLO with. A
-/// failure is as [`accept`]'s.
+/// The client's half of a bind to `addr` over `send`/`recv`: send the
+/// HELLO — cached if `client` verified a chain at `addr` before — verify
+/// the RESP, remembering a server chain it sent, and send the FIN. A RESP
+/// that fails to verify forgets the chain held for `addr`, so the next
+/// bind sends a full HELLO.
+/// Returns the server's answer to the FIN, its ack or refusal frame for
+/// the caller to read, and the context; or with no context the frame the
+/// server refused the HELLO with. A failure is as [`accept`]'s.
 pub fn bind<E: From<HandshakeError>>(
     client: &Credential,
     trust_roots: &[Certificate],
+    addr: &str,
     now: SimTime,
     mut send: impl FnMut(&[u8]) -> Result<(), E>,
     mut recv: impl FnMut() -> Result<Vec<u8>, E>,
 ) -> Result<(Vec<u8>, Option<SecurityContext>), E> {
-    let (hello, nonce) = wire_client_hello(client, &mut nonce_rng(now));
-    send(&hello)?;
+    let nonce = nonce_rng(now).next_u64();
+    let named = client.peers.server(addr);
+    send(&match &named {
+        Some((named, _)) => {
+            let words = [nonce, wire::chain_digest(&client.chain), *named];
+            message(CACHED_HELLO, &words, None)
+        }
+        None => message(HELLO, &[nonce], Some(&client.chain)),
+    })?;
     let resp = recv()?;
-    if resp.first() != Some(&RESP) {
+    if !resp.first().is_some_and(|tag| RESPS.contains(tag)) {
         return Ok((resp, None));
     }
-    let (fin, ctx) = wire_client_finish(client, trust_roots, &resp, nonce, now)?;
+    let named = named.map(|(_, chain)| chain);
+    let finished = client_finish(client, trust_roots, &resp, named.as_ref(), nonce, now);
+    let (fin, ctx, sent) = finished.inspect_err(|_| client.peers.forget_server(addr))?;
+    if let Some(chain) = sent {
+        client.peers.remember_server(addr, chain);
+    }
     send(&fin)?;
     Ok((recv()?, Some(ctx)))
 }
@@ -296,6 +535,7 @@ pub fn bind<E: From<HandshakeError>>(
 mod tests {
     use super::*;
     use crate::cert::CertificateAuthority;
+    use std::cell::RefCell;
     use std::time::Duration;
 
     struct World {
@@ -566,30 +806,43 @@ mod tests {
     }
 
     /// `bind` against `accept` for "cluster" at `now`, over two
-    /// channels; the server acks with `ok` or refuses with `no`.
+    /// channels; the server acks with `ok` or refuses with `no`. Returns
+    /// the client's failure or else the server's verdict, and every
+    /// message, in the order sent.
     fn bound(
         client: &Credential,
         server: &Credential,
         roots: &[Certificate],
         authorizer: &Authorizer,
         now: SimTime,
-    ) -> (Result<Session, Option<HandshakeError>>, Vec<u8>) {
+    ) -> (Result<Session, Option<HandshakeError>>, Vec<Vec<u8>>) {
         let (to_server, server_rx) = std::sync::mpsc::channel::<Vec<u8>>();
         let (to_client, client_rx) = std::sync::mpsc::channel::<Vec<u8>>();
-        std::thread::scope(|scope| {
+        let log = Mutex::new(Vec::new());
+        let sent = &log;
+        let session = std::thread::scope(|scope| {
             let accepted = scope.spawn(move || {
-                let send = |m: &[u8]| to_client.send(m.to_vec()).map_err(|_| None);
+                let send = |m: &[u8]| {
+                    sent.lock().push(m.to_vec());
+                    to_client.send(m.to_vec()).map_err(|_| None)
+                };
                 let session = accept(server, roots, authorizer, "cluster", now, send, || {
                     server_rx.recv().map_err(|_| None)
                 });
                 let _ = send(if session.is_ok() { b"ok" } else { b"no" });
                 session
             });
-            let send = |m: &[u8]| to_server.send(m.to_vec()).map_err(|_| None);
+            // Moved, so a client that gives up hangs up on the server.
+            let send = move |m: &[u8]| {
+                sent.lock().push(m.to_vec());
+                to_server.send(m.to_vec()).map_err(|_| None)
+            };
             let recv = || client_rx.recv().map_err(|_| None);
-            let (ack, _) = bind::<Option<HandshakeError>>(client, roots, now, send, recv).unwrap();
-            (accepted.join().unwrap(), ack)
-        })
+            let bound = bind::<Option<HandshakeError>>(client, roots, "gk", now, send, recv);
+            let accepted = accepted.join().unwrap();
+            bound.and(accepted)
+        });
+        (session, log.into_inner())
     }
 
     #[test]
@@ -624,15 +877,246 @@ mod tests {
             (&user, &contract(15, 16), hour(16)),
             (&user, &contract(0, 24), hour(48)),
         ] {
-            let (session, ack) = bound(client, &host, &roots, authorizer, half_past_three);
-            assert_eq!((session.unwrap().valid_until, ack), (until, b"ok".to_vec()));
+            let (session, sent) = bound(client, &host, &roots, authorizer, half_past_three);
+            assert_eq!(
+                (session.unwrap().valid_until, &sent[3]),
+                (until, &b"ok".to_vec())
+            );
         }
-        let (refused, ack) = bound(&user, &host, &roots, &contract(9, 10), half_past_three);
+        let (refused, sent) = bound(&user, &host, &roots, &contract(9, 10), half_past_three);
         assert!(matches!(
             refused,
             Err(Some(HandshakeError::Unauthorized(_)))
         ));
-        assert_eq!(ack, b"no");
+        assert_eq!(sent[3], b"no");
+    }
+
+    /// The cached forms with e21's credentials; `scripts/check_docs.sh`
+    /// holds DESIGN §8.1's `CACHED_*` sizes to these two and the FIN's.
+    const E21_CACHED_HELLO_BYTES: usize = 25;
+    const E21_CACHED_RESP_BYTES: usize = 17;
+
+    #[test]
+    fn cached_handshake_golden_bytes() {
+        let (user, service, roots, mut rng) = e21_shaped(21);
+        let now = SimTime::from_secs(1);
+        // What a first bind leaves: each side holds the other's chain.
+        service.peers.remember_client(user.chain.clone().into());
+        let named = Chain::from(service.chain.clone());
+        let nonce = rng.next_u64();
+        let words = [
+            nonce,
+            wire::chain_digest(&user.chain),
+            wire::chain_digest(&named),
+        ];
+        let m1 = message(CACHED_HELLO, &words, None);
+        // The server's RESP drives the client's FIN, in one thread.
+        let (m2, m3) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
+        let mut client_ctx = None;
+        let send = |resp: &[u8]| {
+            let (fin, ctx, chain) = client_finish(&user, &roots, resp, Some(&named), nonce, now)?;
+            assert!(chain.is_none(), "a cached RESP sends no chain");
+            (*m2.borrow_mut(), *m3.borrow_mut()) = (resp.to_vec(), fin);
+            client_ctx = Some(ctx);
+            Ok::<_, HandshakeError>(())
+        };
+        let mut hello = Some(m1.clone());
+        let recv = || Ok(hello.take().unwrap_or_else(|| m3.borrow().clone()));
+        let server_ctx = serve(&service, &roots, now, rng.next_u64(), send, recv).unwrap();
+        let (m2, m3, ctx) = (m2.into_inner(), m3.into_inner(), client_ctx.unwrap());
+        assert_eq!(
+            (ctx.peer, server_ctx.peer),
+            (service.base_identity(), user.base_identity())
+        );
+        let hello = [
+            "fa",               // CACHED_HELLO
+            "c175bb0b0a05ada6", // client nonce
+            "439cecff2c55dd32", // the client chain's digest
+            "55e04ad34e9d3a04", // the server chain's digest
+        ]
+        .concat();
+        let resp = [
+            "fb",               // CACHED_RESP
+            "e93e7f0c9afe1017", // server nonce
+            "8021f2ac80c236b9", // proof over the client nonce
+        ]
+        .concat();
+        assert_eq!(hex(&m1), hello);
+        assert_eq!(hex(&m2), resp);
+        assert_eq!(hex(&m3), "f73ca1a8e7467176b8"); // FIN, proof
+        assert_eq!(
+            [m1.len(), m2.len(), m3.len()],
+            [E21_CACHED_HELLO_BYTES, E21_CACHED_RESP_BYTES, E21_FIN_BYTES]
+        );
+    }
+
+    /// A credential with `cred`'s key and chain and `peers` for a table.
+    fn holding(cred: &Credential, peers: PeerChains) -> Credential {
+        Credential {
+            key: cred.key,
+            chain: cred.chain.clone(),
+            peers,
+        }
+    }
+
+    /// A second bind to an address names both chains. A server that
+    /// holds no chain under the client's digest (a restart) asks for it
+    /// with the FIN, and one whose chain changed (a renewed host
+    /// credential) sends it: either way the bind completes in the same
+    /// four messages, and the next one is cached again.
+    #[test]
+    fn a_second_bind_is_cached_and_a_miss_or_a_changed_chain_costs_no_message() {
+        let mut w = world();
+        let day = Duration::from_secs(86_400);
+        let alice = Dn::user("Grid", "ANL", "Alice");
+        let user = w.ca.issue(&alice, &mut w.rng, SimTime::ZERO, day);
+        let gk = Dn::user("Grid", "Hosts", "gk");
+        let host = w.ca.issue(&gk, &mut w.rng, SimTime::ZERO, day);
+        let renewed = w.ca.issue(&gk, &mut w.rng, SimTime::ZERO, day);
+        let roots = [w.ca.certificate().clone()];
+        let mut gridmap = crate::GridMap::new();
+        gridmap.add(alice, &["alice"]);
+        let authorizer = Authorizer::gridmap_only(gridmap);
+        let sizes = |server: &Credential| {
+            let (session, sent) = bound(&user, server, &roots, &authorizer, SimTime::ZERO);
+            session.unwrap();
+            sent.iter().map(Vec::len).collect::<Vec<_>>()
+        };
+        let (u, h) = (wire::chain_len(&user.chain), wire::chain_len(&host.chain));
+        let cached = [25, 17, 9, 2];
+        assert_eq!(sizes(&host), [9 + u, 17 + h, 9, 2]);
+        assert_eq!(sizes(&host), cached);
+        let restarted = holding(&host, PeerChains::default());
+        assert_eq!(sizes(&restarted), [25, 17, 9 + u, 2]);
+        assert_eq!(sizes(&restarted), cached);
+        let renewed_in_place = holding(&renewed, host.peers.clone());
+        assert_eq!(sizes(&renewed_in_place), [25, 17 + h, 9, 2]);
+        assert_eq!(sizes(&renewed_in_place), cached);
+        assert_eq!(sizes(&host), [25, 17 + h, 9, 2]);
+        assert_eq!(sizes(&renewed), [25, 17 + h, 9 + u, 2]);
+        assert_eq!(sizes(&renewed), cached);
+    }
+
+    /// A cached bind is verified as a full one: the chain a digest names
+    /// must verify at `now`, and its leaf's key sign the FIN.
+    #[test]
+    fn a_chain_named_by_digest_is_verified_and_proved_as_one_sent() {
+        let mut w = world();
+        let hour = Duration::from_secs(3600);
+        let alice = Dn::user("Grid", "ANL", "Alice");
+        let user = w.ca.issue(&alice, &mut w.rng, SimTime::ZERO, 24 * hour);
+        let proxy = user.delegate(&mut w.rng, SimTime::ZERO, hour, 0).unwrap();
+        let mallory = Dn::user("Grid", "ANL", "Mallory");
+        let mallory = w.ca.issue(&mallory, &mut w.rng, SimTime::ZERO, 24 * hour);
+        let host = w.ca.issue(
+            &Dn::user("Grid", "Hosts", "gk"),
+            &mut w.rng,
+            SimTime::ZERO,
+            24 * hour,
+        );
+        let roots = [w.ca.certificate().clone()];
+        let mut gridmap = crate::GridMap::new();
+        gridmap.add(alice, &["alice"]);
+        let authorizer = Authorizer::gridmap_only(gridmap);
+        let verdict = |client: &Credential, now| bound(client, &host, &roots, &authorizer, now).0;
+        // Each binds once: the server holds both chains, each client the
+        // server's (Mallory's bind is refused after the FIN).
+        for client in [&proxy, &mallory] {
+            verdict(client, SimTime::ZERO).ok();
+        }
+        // Mallory names the proxy's chain by its digest, without its key.
+        let mut stolen = mallory.clone();
+        stolen.chain = proxy.chain.clone();
+        assert_eq!(
+            verdict(&stolen, SimTime::ZERO),
+            Err(Some(HandshakeError::BadProof { side: "client" }))
+        );
+        // The proxy's chain, named once it has expired.
+        assert!(matches!(
+            verdict(&proxy, SimTime::ZERO.plus(2 * hour)),
+            Err(Some(HandshakeError::BadChain(CertError::Expired { .. })))
+        ));
+    }
+
+    /// A digest that names the wrong chain, as a colliding one would,
+    /// fails its bind on either side and is forgotten there: the next
+    /// bind sends the chain and completes.
+    #[test]
+    fn a_digest_naming_the_wrong_chain_fails_one_bind_and_is_forgotten() {
+        let mut w = world();
+        let day = Duration::from_secs(86_400);
+        let alice = Dn::user("Grid", "ANL", "Alice");
+        let user = w.ca.issue(&alice, &mut w.rng, SimTime::ZERO, day);
+        let bob = w.ca.issue(
+            &Dn::user("Grid", "ANL", "Bob"),
+            &mut w.rng,
+            SimTime::ZERO,
+            day,
+        );
+        let gk = Dn::user("Grid", "Hosts", "gk");
+        let host = w.ca.issue(&gk, &mut w.rng, SimTime::ZERO, day);
+        let other = w.ca.issue(&gk, &mut w.rng, SimTime::ZERO, day);
+        let roots = [w.ca.certificate().clone()];
+        let mut gridmap = crate::GridMap::new();
+        gridmap.add(alice, &["alice"]);
+        let authorizer = Authorizer::gridmap_only(gridmap);
+        let bind = || bound(&user, &host, &roots, &authorizer, SimTime::ZERO);
+        let sizes = |(session, sent): (Result<Session, _>, Vec<Vec<u8>>)| {
+            session.unwrap();
+            sent.iter().map(Vec::len).collect::<Vec<_>>()
+        };
+        let (u, h) = (wire::chain_len(&user.chain), wire::chain_len(&host.chain));
+        assert_eq!(sizes(bind()), [9 + u, 17 + h, 9, 2]);
+        // The server holds Bob's chain under Alice's digest.
+        let alices = wire::chain_digest(&user.chain);
+        let bobs = Chain::from(bob.chain.clone());
+        host.peers.shared().lock().clients.insert(alices, bobs);
+        let refused = Err(Some(HandshakeError::BadProof { side: "client" }));
+        assert_eq!(bind().0, refused);
+        assert_eq!(sizes(bind()), [25, 17, 9 + u, 2]);
+        // Alice holds another host's chain under this one's digest.
+        let named = (wire::chain_digest(&host.chain), other.chain.into());
+        user.peers
+            .shared()
+            .lock()
+            .servers
+            .insert("gk".into(), named);
+        let refused = Err(Some(HandshakeError::BadProof { side: "server" }));
+        assert_eq!(bind().0, refused);
+        assert_eq!(sizes(bind()), [9 + u, 17 + h, 9, 2]);
+        assert_eq!(sizes(bind()), [25, 17, 9, 2]);
+    }
+
+    #[test]
+    fn a_table_is_bounded_shared_by_clones_and_not_delegated() {
+        let mut w = world();
+        let day = Duration::from_secs(86_400);
+        let user = w.ca.issue(
+            &Dn::user("Grid", "ANL", "A"),
+            &mut w.rng,
+            SimTime::ZERO,
+            day,
+        );
+        let held = |c: &Credential| {
+            c.peers.0.get().map(|known| {
+                let known = known.lock();
+                (known.clients.len(), known.servers.len())
+            })
+        };
+        assert_eq!(held(&user), None, "a new credential allocates no table");
+        let clone = user.clone();
+        let chain = Chain::from(user.chain.clone());
+        for serial in 0..PEER_CHAINS as u64 + 10 {
+            let mut cert = user.chain[0].clone();
+            cert.serial = serial;
+            clone.peers.remember_client(vec![cert].into());
+            clone
+                .peers
+                .remember_server(&format!("gk{serial}"), chain.clone());
+        }
+        assert_eq!(held(&user), Some((PEER_CHAINS, PEER_CHAINS)));
+        let proxy = user.delegate(&mut w.rng, SimTime::ZERO, day, 0).unwrap();
+        assert_eq!(held(&proxy), None);
     }
 
     #[test]
@@ -667,10 +1151,8 @@ mod tests {
             SimTime::ZERO,
             Duration::from_secs(86_400),
         );
-        let stolen = Credential {
-            key: user.key, // wrong private key
-            chain: alice.chain.clone(),
-        };
+        let mut stolen = user.clone();
+        stolen.chain = alice.chain.clone(); // with the wrong private key
         let (m1, nonce) = wire_client_hello(&stolen, &mut w.rng);
         let (m2, pending) = wire_server_respond(&host, &roots, &m1, now, &mut w.rng)
             .expect("chain itself is valid");

@@ -10,7 +10,11 @@
 //!   type in the low nibble, the issuer's form in the high one — followed
 //!   for a proxy by its varint delegation depth, and last its issuer;
 //! * a DN is a varint count of RDNs, each an attribute and a value
-//!   written as varint length + UTF-8.
+//!   written as varint length + UTF-8;
+//! * a subject that is the next certificate's subject plus one RDN — a
+//!   proxy's — is written by reference: a count of 0, then that RDN, so
+//!   a link costs the same bytes at any depth. Where it applies, the
+//!   reference is the only form read.
 //!
 //! No issuer the receiver can rebuild is sent. Each is in one of four
 //! forms, and which one is fixed by the chain, so whatever decodes
@@ -33,9 +37,10 @@
 //! [`Reader`], so every count and length is checked against the bytes
 //! that arrived before anything is allocated for it.
 
-use crate::cert::{CertError, CertType, Certificate, PublicKey};
+use crate::cert::{CertError, CertFields, CertType, Certificate, PublicKey};
 use crate::dn::{Dn, Rdn};
 use crate::handshake::HandshakeError;
+use infogram_sim::rng::{fnv1a_from, FNV_BASIS};
 use infogram_sim::wire::{put_str, put_varint, ReadError, Reader};
 use infogram_sim::{varint, SimTime};
 
@@ -54,6 +59,15 @@ const MIN_RDN_LEN: usize = 4;
 /// one-byte varints, key, signature and kind, and an issuer that costs
 /// nothing.
 const MIN_CERT_LEN: usize = 1 + MIN_RDN_LEN + 3 + 8 + 8 + 1;
+
+/// The most memory a chain's subjects may take from the subjects after
+/// them, an RDN counted at its size in memory. A subject written by
+/// reference decodes to the next subject's RDNs again, and the issuer
+/// before it copies them once more; uncapped, 64 certificates inheriting
+/// a long subject would decode to 64 to 128 times their bytes. Capped,
+/// decoding takes at most twice this beyond the names the message
+/// spells out; a 64-deep proxy chain of a three-RDN user takes ≈ 81 KiB.
+pub const INHERITED_MAX: usize = 128 * 1024;
 
 const TYPE_CA: u8 = 0;
 const TYPE_END_ENTITY: u8 = 1;
@@ -95,22 +109,42 @@ impl From<ReadError> for WireParseError {
 /// DN's RDN pairs, each string after its length. Two names may share
 /// one; the receiver then lets the signature pick.
 fn name_digest(dn: &Dn) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_BASIS;
     for (attr, value) in dn.rdns() {
         for s in [attr, value] {
-            for b in (s.len() as u64).to_le_bytes().iter().chain(s.as_bytes()) {
-                h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h = fnv1a_from(fnv1a_from(h, &(s.len() as u64).to_le_bytes()), s.as_bytes());
         }
     }
     h
 }
 
-fn put_dn(out: &mut Vec<u8>, dn: &Dn) {
-    put_varint(out, dn.rdns().len() as u64);
-    for (attr, value) in dn.rdns() {
+/// The 8 bytes a cached handshake names a chain by: FNV-1a over the
+/// chain's [`put_chain`] bytes.
+pub(crate) fn chain_digest(chain: &[Certificate]) -> u64 {
+    fnv1a_from(FNV_BASIS, &encode_chain(chain))
+}
+
+/// Append a DN's RDN `count`, then `rdns`.
+fn put_rdns(out: &mut Vec<u8>, count: usize, rdns: &[Rdn]) {
+    put_varint(out, count as u64);
+    for (attr, value) in rdns {
         put_str(out, attr);
         put_str(out, value);
+    }
+}
+
+/// The RDN `c`'s subject adds to `next`'s, if it is `next`'s subject plus
+/// one RDN: then it is written by reference.
+fn inherited<'a>(c: &'a Certificate, next: Option<&Certificate>) -> Option<&'a Rdn> {
+    next.filter(|next| c.subject.is_immediate_child_of(&next.subject))
+        .and_then(|_| c.subject.rdns().last())
+}
+
+/// Append `c`'s subject, `next` following it.
+fn put_subject(out: &mut Vec<u8>, c: &Certificate, next: Option<&Certificate>) {
+    match inherited(c, next) {
+        Some(rdn) => put_rdns(out, 0, std::slice::from_ref(rdn)),
+        None => put_rdns(out, c.subject.rdns().len(), c.subject.rdns()),
     }
 }
 
@@ -121,26 +155,43 @@ fn read_rdn<'a>(r: &mut Reader<'a>) -> Result<(&'a str, &'a str), ReadError> {
 }
 
 /// A DN as it lies in the message: `count` RDNs whose lengths and UTF-8
-/// are checked, nothing allocated yet.
+/// are checked, nothing allocated yet, after the next subject's if it
+/// `inherits` them.
 struct RawDn<'a> {
     count: usize,
     at: Reader<'a>,
+    inherits: bool,
 }
 
-fn take_dn<'a>(r: &mut Reader<'a>) -> Result<RawDn<'a>, ReadError> {
+/// A DN; for a `subject`, by reference (a count of 0) too: one RDN
+/// after the next subject's.
+fn take_dn<'a>(r: &mut Reader<'a>, subject: bool) -> Result<RawDn<'a>, ReadError> {
     let claimed = r.varint()?;
+    let inherits = subject && claimed == 0;
+    let claimed = if inherits { 1 } else { claimed };
     let count = r.count(claimed, MIN_RDN_LEN, MAX_ITEMS, "RDNs")?;
     let at = r.clone();
     for _ in 0..count {
         read_rdn(r)?;
     }
-    Ok(RawDn { count, at })
+    Ok(RawDn {
+        count,
+        at,
+        inherits,
+    })
 }
 
 impl RawDn<'_> {
-    fn build(&self) -> Result<Dn, WireParseError> {
+    /// The DN, after `next`'s RDNs if it inherits them.
+    fn build(&self, next: Option<&Dn>) -> Result<Dn, WireParseError> {
+        let inherited = match (self.inherits, next) {
+            (false, _) => &[][..],
+            (true, Some(next)) => next.rdns(),
+            (true, None) => return Err(err("bad subject form")),
+        };
         let mut at = self.at.clone();
-        let mut rdns = Vec::with_capacity(self.count);
+        let mut rdns = Vec::with_capacity(inherited.len() + self.count);
+        rdns.extend_from_slice(inherited);
         for _ in 0..self.count {
             let (attr, value) = read_rdn(&mut at)?;
             rdns.push((attr.into(), value.into()));
@@ -161,7 +212,7 @@ fn issuer_form(c: &Certificate, next: Option<&Certificate>) -> u8 {
 
 /// Append `c`, whose successor in the chain is `next`.
 fn put_cert(out: &mut Vec<u8>, c: &Certificate, next: Option<&Certificate>) {
-    put_dn(out, &c.subject);
+    put_subject(out, c, next);
     put_varint(out, c.serial);
     put_varint(out, c.not_before.as_nanos());
     put_varint(out, c.not_after.as_nanos());
@@ -178,7 +229,7 @@ fn put_cert(out: &mut Vec<u8>, c: &Certificate, next: Option<&Certificate>) {
     }
     match form {
         ISSUER_ROOT => out.extend_from_slice(&name_digest(&c.issuer).to_le_bytes()),
-        ISSUER_LITERAL => put_dn(out, &c.issuer),
+        ISSUER_LITERAL => put_rdns(out, c.issuer.rdns().len(), c.issuer.rdns()),
         _ => {}
     }
 }
@@ -204,7 +255,7 @@ struct RawCert<'a> {
 }
 
 fn take_cert<'a>(r: &mut Reader<'a>) -> Result<RawCert<'a>, WireParseError> {
-    let subject = take_dn(r)?;
+    let subject = take_dn(r, true)?;
     let serial = r.varint()?;
     let not_before = SimTime::from_nanos(r.varint()?);
     let not_after = SimTime::from_nanos(r.varint()?);
@@ -223,7 +274,7 @@ fn take_cert<'a>(r: &mut Reader<'a>) -> Result<RawCert<'a>, WireParseError> {
         ISSUER_NEXT => RawIssuer::Next,
         ISSUER_OWN => RawIssuer::Own,
         ISSUER_ROOT => RawIssuer::Root(u64::from_le_bytes(r.array("issuer digest")?)),
-        ISSUER_LITERAL => RawIssuer::Literal(take_dn(r)?),
+        ISSUER_LITERAL => RawIssuer::Literal(take_dn(r, false)?),
         _ => return Err(err("bad issuer form")),
     };
     Ok(RawCert {
@@ -240,7 +291,7 @@ fn take_cert<'a>(r: &mut Reader<'a>) -> Result<RawCert<'a>, WireParseError> {
 
 impl RawCert<'_> {
     fn build(self, subject: Dn, issuer: Dn) -> Certificate {
-        Certificate {
+        Certificate::from(CertFields {
             subject,
             issuer,
             serial: self.serial,
@@ -249,7 +300,7 @@ impl RawCert<'_> {
             subject_key: self.subject_key,
             cert_type: self.cert_type,
             signature: self.signature,
-        }
+        })
     }
 }
 
@@ -300,13 +351,15 @@ pub(crate) fn put_chain(out: &mut Vec<u8>, chain: &[Certificate]) {
 /// and asks the allocator once.
 pub(crate) fn chain_len(chain: &[Certificate]) -> usize {
     let int = |n: u64| varint::encode(n).len();
-    let dn = |dn: &Dn| {
-        let rdn = |(a, v): &Rdn| int(a.len() as u64) + a.len() + int(v.len() as u64) + v.len();
-        int(dn.rdns().len() as u64) + dn.rdns().iter().map(rdn).sum::<usize>()
-    };
+    let rdn = |(a, v): &Rdn| int(a.len() as u64) + a.len() + int(v.len() as u64) + v.len();
+    let dn = |dn: &Dn| int(dn.rdns().len() as u64) + dn.rdns().iter().map(rdn).sum::<usize>();
     let mut len = int(chain.len() as u64);
     for (i, c) in chain.iter().enumerate() {
-        len += dn(&c.subject) + int(c.serial) + int(c.not_before.as_nanos());
+        len += match inherited(c, chain.get(i + 1)) {
+            Some(last) => 1 + rdn(last),
+            None => dn(&c.subject),
+        };
+        len += int(c.serial) + int(c.not_before.as_nanos());
         len += int(c.not_after.as_nanos()) + 8 + 8 + 1;
         if let CertType::Proxy { depth_remaining } = c.cert_type {
             len += int(depth_remaining.into());
@@ -322,9 +375,11 @@ pub(crate) fn chain_len(chain: &[Certificate]) -> usize {
 
 /// Read a chain, leaf first, naming issuers from `roots`; an empty one
 /// is refused. Two passes: the first checks every certificate's fields
-/// and allocates nothing, so a message that ends early or lies about a
-/// length costs no memory; the second builds the certificates, each
-/// once the next one's subject is known.
+/// and notes where each starts, allocating nothing else, so a message
+/// that ends early or lies about a length costs no memory; the second
+/// builds them last first, as a subject or an issuer may be the next
+/// certificate's subject, and refuses subjects that inherit more than
+/// [`INHERITED_MAX`].
 pub(crate) fn read_chain(
     r: &mut Reader<'_>,
     roots: &[Certificate],
@@ -334,40 +389,46 @@ pub(crate) fn read_chain(
     if count == 0 {
         return Err(err("empty chain").into());
     }
-    let mut checked = r.clone();
+    let mut starts = Vec::with_capacity(count);
     for _ in 0..count {
+        starts.push(r.clone());
         take_cert(r)?;
     }
-    let mut chain = Vec::with_capacity(count);
-    // The certificate before this one, and its subject.
-    let mut held: Option<(RawCert<'_>, Dn)> = None;
-    for _ in 0..count {
-        let cert = take_cert(&mut checked)?;
-        let subject = cert.subject.build()?;
-        if let Some((before, its_subject)) = held.take() {
-            let issuer = match &before.issuer {
-                RawIssuer::Next => subject.clone(),
-                RawIssuer::Literal(dn) => match dn.build()? {
-                    dn if dn == subject => return Err(err("bad issuer form").into()),
-                    dn => dn,
-                },
-                RawIssuer::Own | RawIssuer::Root(_) => return Err(err("bad issuer form").into()),
-            };
-            chain.push(before.build(its_subject, issuer));
+    let mut chain: Vec<Certificate> = Vec::with_capacity(count);
+    let mut inheritable = INHERITED_MAX;
+    while let Some(mut at) = starts.pop() {
+        let mut cert = take_cert(&mut at)?;
+        let next = chain.last().map(|c| &c.subject);
+        if cert.subject.inherits {
+            let held = |(a, v): &Rdn| std::mem::size_of::<Rdn>() + a.len() + v.len();
+            let taken = next.map_or(0, |next| next.rdns().iter().map(held).sum());
+            inheritable =
+                (inheritable.checked_sub(taken)).ok_or_else(|| err("inherited names too long"))?;
         }
-        held = Some((cert, subject));
+        let (subject, inherits) = (cert.subject.build(next)?, cert.subject.inherits);
+        let issuer = std::mem::replace(&mut cert.issuer, RawIssuer::Next);
+        let built = match (issuer, next) {
+            (RawIssuer::Next, Some(next)) => {
+                let issuer = next.clone();
+                cert.build(subject, issuer)
+            }
+            (RawIssuer::Literal(dn), Some(next)) => match dn.build(None)? {
+                dn if dn == *next => return Err(err("bad issuer form").into()),
+                dn => cert.build(subject, dn),
+            },
+            (RawIssuer::Own, None) => {
+                let issuer = subject.clone();
+                cert.build(subject, issuer)
+            }
+            (RawIssuer::Root(digest), None) => issued_by_root(cert, subject, digest, roots)?,
+            _ => return Err(err("bad issuer form").into()),
+        };
+        if !inherits && next.is_some_and(|next| built.subject.is_immediate_child_of(next)) {
+            return Err(err("bad subject form").into());
+        }
+        chain.push(built);
     }
-    let Some((last, subject)) = held else {
-        return Err(err("empty chain").into());
-    };
-    chain.push(match last.issuer {
-        RawIssuer::Own => {
-            let issuer = subject.clone();
-            last.build(subject, issuer)
-        }
-        RawIssuer::Root(digest) => issued_by_root(last, subject, digest, roots)?,
-        RawIssuer::Next | RawIssuer::Literal(_) => return Err(err("bad issuer form").into()),
-    });
+    chain.reverse();
     Ok(chain)
 }
 
@@ -457,6 +518,30 @@ mod tests {
         ));
     }
 
+    /// A proxy's subject is its issuer's plus one RDN, written as that
+    /// RDN after a count of 0; spelled out, it is refused.
+    #[test]
+    fn a_proxy_subject_is_written_by_reference() {
+        let mut rng = SplitMix64::new(9);
+        let day = Duration::from_secs(86_400);
+        let ca =
+            CertificateAuthority::new_root(&Dn::user("G", "C", "R"), &mut rng, SimTime::ZERO, day);
+        let user = ca.issue(&Dn::user("Grid", "ANL", "U"), &mut rng, SimTime::ZERO, day);
+        let proxy = user.delegate(&mut rng, SimTime::ZERO, day, 0).unwrap();
+        let roots = [ca.certificate().clone()];
+        let encoded = encode_chain(&proxy.chain);
+        let reference = [&[0, 2][..], b"CN", &[5], b"proxy"].concat();
+        assert_eq!(encoded[1..11], reference);
+        let (mut literal, subject) = (Vec::new(), proxy.chain[0].subject.rdns());
+        put_rdns(&mut literal, subject.len(), subject);
+        let spelled = [&encoded[..1], &literal, &encoded[11..]].concat();
+        assert!(matches!(
+            decode_chain(&spelled, &roots),
+            Err(HandshakeError::Malformed(e)) if e.reason == "bad subject form"
+        ));
+        assert_eq!(decode_chain(&encoded, &roots).unwrap(), proxy.chain);
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         assert!(decode_chain(b"", &[]).is_err());
@@ -519,7 +604,7 @@ mod tests {
                     (key, signature),
                     cert_type,
                 )| {
-                    Certificate {
+                    Certificate::from(CertFields {
                         subject,
                         issuer,
                         // Shifted so every varint length turns up.
@@ -529,7 +614,7 @@ mod tests {
                         subject_key: PublicKey(key),
                         cert_type,
                         signature,
-                    }
+                    })
                 },
             )
     }
@@ -539,10 +624,8 @@ mod tests {
         fn any_chain_roundtrips(chain in prop::collection::vec(certificate(), 1..5)) {
             // The receiver holds the last certificate's issuer as a root.
             let last = &chain[chain.len() - 1];
-            let root = Certificate {
-                subject: last.issuer.clone(),
-                ..last.clone()
-            };
+            let mut root = last.clone();
+            root.subject = last.issuer.clone();
             prop_assert_eq!(decode_chain(&encode_chain(&chain), &[root]).unwrap(), chain);
         }
     }

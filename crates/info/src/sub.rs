@@ -255,7 +255,7 @@ impl SubscriptionHub {
         self.earliest
             .fetch_min(outbox.valid_until.as_nanos(), Relaxed);
         if let Some(e) = refused {
-            self.evict(&mut st, id, &outbox, Some(e));
+            self.evict(&mut st, id, &outbox, e);
         }
         id
     }
@@ -288,33 +288,32 @@ impl SubscriptionHub {
     }
 
     /// Evict a subscription whose outbox refused a push (slow consumer,
-    /// dead connection), or with `None` whose authorization expired:
-    /// remove it and close the outbox with a final `SubEnd` — queued, not
-    /// sent: whoever drains the outbox sends it.
-    fn evict(&self, st: &mut HubState, id: u64, outbox: &Outbox, refused: Option<OutboxError>) {
+    /// dead connection): remove it and close the outbox with a final
+    /// `SubEnd` — queued, not sent: whoever drains the outbox sends it.
+    fn evict(&self, st: &mut HubState, id: u64, outbox: &Outbox, refused: OutboxError) {
         if !Self::remove_locked(st, id) {
             return;
         }
         self.telemetry.active.set(st.subs.len() as f64);
         self.telemetry.evicted.incr();
         let (code, message) = match refused {
-            Some(OutboxError::Overflow { capacity }) => (
+            OutboxError::Overflow { capacity } => (
                 codes::SLOW_CONSUMER,
                 format!(
                     "subscriber fell behind: outbox full at {capacity} frames; \
                      drain faster or subscribe to fewer keywords"
                 ),
             ),
-            Some(OutboxError::Closed) => (codes::INTERNAL, "connection closed".to_string()),
-            None => (codes::AUTHORIZATION, codes::EXPIRED.to_string()),
+            OutboxError::Closed => (codes::INTERNAL, "connection closed".to_string()),
         };
-        outbox.close_with(Reply::SubEnd { id, code, message }.encode());
+        outbox.close_with([Reply::SubEnd { id, code, message }.encode()]);
     }
 
     /// Evict every subscription whose session's authorization has
-    /// expired by `now`, its `SubEnd` saying so ([`codes::AUTHORIZATION`],
-    /// [`codes::EXPIRED`]); a connection's first speaks for the rest. One
-    /// compare while nothing expires.
+    /// expired by `now`: each outbox is closed with one `SubEnd` per
+    /// subscription it carried ([`codes::AUTHORIZATION`],
+    /// [`codes::EXPIRED`]), and returned once. One compare while nothing
+    /// expires.
     #[must_use = "drain the closed outboxes once no lock is held"]
     pub fn expire(&self, now: SimTime) -> Vec<Arc<Outbox>> {
         if now.as_nanos() < self.earliest.load(Relaxed) {
@@ -322,15 +321,34 @@ impl SubscriptionHub {
         }
         let mut st = self.state.lock();
         let channels = st.keywords.values().chain(st.jobs.values());
-        let (expired, live): (Vec<_>, Vec<_>) = channels
+        let (mut expired, live): (Vec<_>, Vec<_>) = channels
             .flat_map(|ch| ch.subscribers.iter().cloned())
             .partition(|(_, o)| o.valid_until <= now);
         let earliest = live.iter().map(|(_, o)| o.valid_until.as_nanos()).min();
         self.earliest.store(earliest.unwrap_or(u64::MAX), Relaxed);
-        for (id, outbox) in &expired {
-            self.evict(&mut st, *id, outbox, None);
+        // Each outbox with its SubEnds, in the order subscribed; a
+        // subscription on several channels is ended once.
+        expired.sort_unstable_by_key(|(id, _)| *id);
+        let mut ends: Vec<(Arc<Outbox>, Vec<Vec<u8>>)> = Vec::new();
+        for (id, outbox) in expired {
+            if !Self::remove_locked(&mut st, id) {
+                continue;
+            }
+            self.telemetry.evicted.incr();
+            let (code, message) = (codes::AUTHORIZATION, codes::EXPIRED.to_string());
+            let end = Reply::SubEnd { id, code, message }.encode();
+            match ends.iter_mut().find(|(o, _)| Arc::ptr_eq(o, &outbox)) {
+                Some((_, frames)) => frames.push(end),
+                None => ends.push((outbox, vec![end])),
+            }
         }
-        expired.into_iter().map(|(_, o)| o).collect()
+        self.telemetry.active.set(st.subs.len() as f64);
+        ends.into_iter()
+            .map(|(outbox, frames)| {
+                outbox.close_with(frames);
+                outbox
+            })
+            .collect()
     }
 
     fn remove_locked(st: &mut HubState, id: u64) -> bool {
@@ -403,7 +421,7 @@ impl SubscriptionHub {
         let delivered = pushed.len() - refused.len();
         self.telemetry.delivered.add(delivered as u64);
         for (id, outbox, e) in refused {
-            self.evict(st, id, &outbox, Some(e));
+            self.evict(st, id, &outbox, e);
         }
         pushed
     }

@@ -15,7 +15,8 @@ use infogram_sim::clock::SharedClock;
 pub enum MdsClientError {
     /// Transport problem.
     Transport(ProtoError),
-    /// Bind (handshake) rejected.
+    /// Bind (handshake) rejected: `bind failed: …`, as the server or
+    /// this side worded it.
     BindFailed(String),
     /// The server answered with an error.
     Server(String),
@@ -27,7 +28,7 @@ impl std::fmt::Display for MdsClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MdsClientError::Transport(e) => write!(f, "transport: {e}"),
-            MdsClientError::BindFailed(m) => write!(f, "bind failed: {m}"),
+            MdsClientError::BindFailed(m) => f.write_str(m),
             MdsClientError::Server(m) => write!(f, "server error: {m}"),
             MdsClientError::Protocol(m) => write!(f, "protocol error: {m}"),
         }
@@ -45,7 +46,7 @@ impl From<ProtoError> for MdsClientError {
 /// A bind whose handshake failed on this side.
 impl From<HandshakeError> for MdsClientError {
     fn from(e: HandshakeError) -> Self {
-        MdsClientError::BindFailed(e.to_string())
+        MdsClientError::BindFailed(format!("bind failed: {e}"))
     }
 }
 
@@ -72,7 +73,7 @@ impl MdsClient {
         let conn = transport.connect(addr)?;
         let send = |m: &[u8]| conn.send(m).map_err(MdsClientError::from);
         let recv = || conn.recv().map_err(MdsClientError::from);
-        let (ack, context) = bind(credential, trust_roots, clock.now(), send, recv)?;
+        let (ack, context) = bind(credential, trust_roots, addr, clock.now(), send, recv)?;
         match (MdsReply::decode(&ack), context) {
             (Ok(MdsReply::SearchResult { .. }), Some(_)) => Ok(MdsClient { conn }),
             (Ok(MdsReply::Error { message }), _) => Err(MdsClientError::BindFailed(message)),
@@ -124,6 +125,7 @@ mod tests {
         net: Arc<MemNetwork>,
         server: Acceptor,
         user: Credential,
+        stranger: Credential,
         roots: Vec<Certificate>,
     }
 
@@ -138,6 +140,12 @@ mod tests {
         );
         let user = ca.issue(
             &Dn::user("Grid", "ANL", "Client"),
+            &mut rng,
+            SimTime::ZERO,
+            Duration::from_secs(86_400),
+        );
+        let stranger = ca.issue(
+            &Dn::user("Grid", "ANL", "Stranger"),
             &mut rng,
             SimTime::ZERO,
             Duration::from_secs(86_400),
@@ -178,6 +186,7 @@ mod tests {
             net,
             server,
             user,
+            stranger,
             roots,
         }
     }
@@ -232,6 +241,20 @@ mod tests {
             Err(MdsClientError::BindFailed(_)) | Err(MdsClientError::Protocol(_)) => {}
             other => panic!("{:?}", other.map(|_| "bound")),
         }
+        w.server.shutdown();
+    }
+
+    /// The server words its refusal, and the client shows it as it came.
+    #[test]
+    fn a_refused_bind_says_so_once() {
+        let w = world();
+        let refused = MdsClient::bind(&w.net, w.server.addr(), &w.stranger, &w.roots, &w.clock)
+            .map(|_| "bound")
+            .unwrap_err();
+        assert_eq!(
+            refused.to_string(),
+            "bind failed: no gridmap entry for /O=Grid/OU=ANL/CN=Stranger"
+        );
         w.server.shutdown();
     }
 

@@ -9,24 +9,30 @@
 //! text goes through the same corruptions and its parser returns. Over
 //! TCP, a peer framing as protocol v3 did, one whose chain names every
 //! issuer, or one that stalls or trickles in the bind, is dropped
-//! without a search.
+//! without a search; a cached HELLO with bytes past its end or an old
+//! tag is refused, and one whose digest names nothing falls back.
 
-use infogram_gsi::{wire_client_hello, CertificateAuthority, Credential, Dn};
+use infogram_gsi::{
+    bind, wire_client_hello, Certificate, CertificateAuthority, Credential, Dn, HandshakeError,
+};
 use infogram_host::commands::{ChargeMode, CommandRegistry};
 use infogram_host::machine::SimulatedHost;
 use infogram_info::config::ServiceConfig;
 use infogram_info::service::InformationService;
+use infogram_mds::client::MdsClient;
 use infogram_mds::dit::{DirEntry, Scope};
 use infogram_mds::gris::Gris;
 use infogram_mds::protocol::{
     entries_from_text, entries_to_text, MdsReply, MdsRequest, MDS_PROTOCOL_VERSION,
 };
 use infogram_mds::service;
-use infogram_proto::frame::read_frame;
+use infogram_proto::frame::{read_frame, write_frame};
 use infogram_proto::transport::tcp::TcpTransport;
 use infogram_proto::transport::{Acceptor, HANDSHAKE_DEADLINE};
+use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
 use infogram_sim::{varint, SimTime, SplitMix64, SystemClock};
+use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -95,9 +101,9 @@ fn an_entry_count_past_u32_is_refused() {
     assert_eq!(refusal, "entry count past u32");
 }
 
-/// An MDS over TCP on `127.0.0.1:0`, its counters, and a client
-/// credential it trusts.
-fn tcp_mds() -> (Acceptor, MetricSet, Credential) {
+/// An MDS over TCP on `127.0.0.1:0`, its counters, a client credential
+/// it trusts, and the trust roots.
+fn tcp_mds() -> (Acceptor, MetricSet, Credential, Vec<Certificate>) {
     let clock = SystemClock::shared();
     let mut rng = SplitMix64::new(35);
     let day = Duration::from_secs(86_400);
@@ -134,7 +140,7 @@ fn tcp_mds() -> (Acceptor, MetricSet, Credential) {
         &transport,
         "127.0.0.1:0",
         host,
-        roots,
+        roots.clone(),
         std::sync::Arc::new(infogram_gsi::Authorizer::gridmap_only(
             infogram_gsi::GridMap::parse("\"/O=Grid/OU=ANL/CN=Client\" client").unwrap(),
         )),
@@ -142,7 +148,7 @@ fn tcp_mds() -> (Acceptor, MetricSet, Credential) {
         &metrics,
     )
     .unwrap();
-    (server, metrics, user)
+    (server, metrics, user, roots)
 }
 
 /// A v3 peer frames its HELLO behind a 4-byte length, whose first two
@@ -150,7 +156,7 @@ fn tcp_mds() -> (Acceptor, MetricSet, Credential) {
 /// search that follows is never read.
 #[test]
 fn a_v3_peer_is_refused_at_the_bind_and_never_searched() {
-    let (server, metrics, user) = tcp_mds();
+    let (server, metrics, user, _) = tcp_mds();
     let (hello, _) = wire_client_hello(&user, &mut SplitMix64::new(3));
     let search = MdsRequest::Search {
         base: "/o=Grid".to_string(),
@@ -176,7 +182,7 @@ fn a_v3_peer_is_refused_at_the_bind_and_never_searched() {
 /// handshake deadline passes.
 #[test]
 fn a_silent_peer_is_dropped_at_the_handshake_deadline() {
-    let (server, _, _) = tcp_mds();
+    let (server, _, _, _) = tcp_mds();
     let start = Instant::now();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
@@ -195,7 +201,7 @@ fn a_silent_peer_is_dropped_at_the_handshake_deadline() {
 /// and the search it sends next is never read.
 #[test]
 fn a_peer_naming_every_issuer_is_refused_at_the_bind_and_never_searched() {
-    let (server, metrics, user) = tcp_mds();
+    let (server, metrics, user, _) = tcp_mds();
     let search = MdsRequest::Search {
         base: "/o=Grid".to_string(),
         scope: Scope::Sub,
@@ -221,10 +227,63 @@ fn a_peer_naming_every_issuer_is_refused_at_the_bind_and_never_searched() {
 /// would time out, is hung up on once `HANDSHAKE_DEADLINE` has passed.
 #[test]
 fn a_trickled_hello_is_dropped_at_the_handshake_deadline() {
-    let (server, metrics, user) = tcp_mds();
+    let (server, metrics, user, _) = tcp_mds();
     let (hello, _) = wire_client_hello(&user, &mut SplitMix64::new(11));
     trickle_until_dropped(server.addr(), &hello);
     assert_eq!(metrics.counter_value("mds.handshakes"), 0);
+    server.shutdown();
+}
+
+/// `gsi::bind` over TCP to `addr`, a cached HELLO passed through
+/// `tamper`: the server's answer to the last message sent.
+fn tampered_bind(
+    addr: &str,
+    user: &Credential,
+    roots: &[Certificate],
+    tamper: impl Fn(&mut Vec<u8>),
+) -> Vec<u8> {
+    let stream = RefCell::new(TcpStream::connect(addr).unwrap());
+    let send = |m: &[u8]| {
+        let mut m = m.to_vec();
+        if m[0] == 0xfa {
+            tamper(&mut m);
+        }
+        write_frame(&mut *stream.borrow_mut(), &m).map_err(|_| None::<HandshakeError>)
+    };
+    let recv = || read_frame(&mut *stream.borrow_mut()).map_err(|_| None);
+    let now = SystemClock::shared().now();
+    bind(user, roots, addr, now, send, recv).unwrap().0
+}
+
+#[test]
+fn a_hostile_cached_hello_is_refused_or_falls_back() {
+    let (server, metrics, user, roots) = tcp_mds();
+    let clock: SharedClock = SystemClock::shared();
+    let transport = TcpTransport::new();
+    MdsClient::bind(&transport, server.addr(), &user, &roots, &clock).unwrap();
+    let bind = |tamper: &dyn Fn(&mut Vec<u8>)| {
+        MdsReply::decode(&tampered_bind(server.addr(), &user, &roots, tamper)).unwrap()
+    };
+    for (tamper, refusal) in [
+        (
+            &(|m: &mut Vec<u8>| m.push(0)) as &dyn Fn(&mut Vec<u8>),
+            "trailing bytes",
+        ),
+        (&|m: &mut Vec<u8>| m[0] = 0xf5, "not a HELLO"),
+    ] {
+        match bind(tamper) {
+            MdsReply::Error { message } => assert!(message.ends_with(refusal), "{message}"),
+            other => panic!("{other:?}"),
+        }
+    }
+    assert_eq!(metrics.counter_value("mds.handshakes"), 1);
+    // A client digest naming nothing, then a server digest naming another
+    // chain: each bind completes, sending the chain the digest missed.
+    for at in [9, 17] {
+        let reply = bind(&|m: &mut Vec<u8>| m[at] ^= 0xff);
+        assert!(matches!(reply, MdsReply::SearchResult { .. }), "{reply:?}");
+    }
+    assert_eq!(metrics.counter_value("mds.handshakes"), 3);
     server.shutdown();
 }
 

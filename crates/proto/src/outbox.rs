@@ -185,10 +185,10 @@ impl Outbox {
     }
 
     /// Close the outbox, discarding the backlog and replacing it with
-    /// one `final_frame` (the `SubEnd` eviction notice), which the next
+    /// `final_frames` (the `SubEnd` eviction notices), which the next
     /// [`Outbox::drain`] flushes. Never sends, so it may run under any
     /// lock. Subsequent pushes fail with [`OutboxError::Closed`].
-    pub fn close_with(&self, final_frame: Vec<u8>) {
+    pub fn close_with(&self, final_frames: impl IntoIterator<Item = Vec<u8>>) {
         let mut st = self.state.lock();
         if st.closed {
             return;
@@ -196,7 +196,7 @@ impl Outbox {
         // The backlog is what the slow consumer failed to read;
         // delivering it now would only delay the eviction notice.
         st.queue.clear();
-        st.queue.push_back(final_frame);
+        st.queue.extend(final_frames);
         st.closed = true;
     }
 
@@ -264,7 +264,7 @@ mod tests {
         let ob = Outbox::new(server, 4);
         ob.push(vec![1]).unwrap();
         ob.push(vec![2]).unwrap();
-        ob.close_with(vec![9]);
+        ob.close_with([vec![9]]);
         assert_eq!(
             ob.drain(),
             Ok(1),

@@ -7,15 +7,20 @@
 
 use std::f64::consts::PI;
 
+/// FNV-1a's offset basis, where a hash of fresh input starts.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `h`, so that a hash can take its
+/// input in parts.
+pub fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    let step = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    bytes.iter().fold(h, step)
+}
+
 /// FNV-1a over a name: a stable, platform-independent seed discriminator,
 /// so a stream derived from a name replays the same on every machine.
 pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_from(FNV_BASIS, s.as_bytes())
 }
 
 /// The SplitMix64 generator (Steele, Lea, Flood 2014).

@@ -22,11 +22,13 @@
 # - protocol version: `PROTOCOL_VERSION` in crates/proto/src/message.rs
 #   is the one version DESIGN §8.1 names as `PROTOCOL_VERSION = n`, so a
 #   wire change bumps the version and its documentation together.
-# - handshake sizes: the HELLO, RESP and FIN sizes the golden test in
-#   crates/gsi/src/handshake.rs pins (`E21_<MSG>_BYTES`) are the ones
-#   DESIGN §8.1's handshake table names as `<MSG> = n`, and its
-#   `CONNECTION = n` is their sum plus three 2-byte frame headers and
-#   the 4-byte authorization ack.
+# - handshake sizes: the HELLO, RESP and FIN sizes, and the cached
+#   forms' CACHED_HELLO and CACHED_RESP, that the golden tests in
+#   crates/gsi/src/handshake.rs pin (`E21_<MSG>_BYTES`) are the ones
+#   DESIGN §8.1's handshake table names as `<MSG> = n`; its
+#   `CONNECTION = n` is HELLO + RESP + FIN plus three 2-byte frame
+#   headers and the 4-byte authorization ack, and its
+#   `CACHED_CONNECTION = n` the same over the cached HELLO and RESP.
 # - job memory ceilings: the constants of `mod ceiling` in
 #   crates/exec/tests/job_memory.rs are exactly the `NAME = value` pairs
 #   DESIGN §14.5's table names (values compared as numbers), so a
@@ -115,8 +117,8 @@ if [ -z "$code" ] || [ "$code" != "$doc" ]; then
 fi
 
 echo "==> handshake sizes in crates/gsi are the sizes DESIGN §8.1 documents"
-connection=$((3 * 2 + 4))
-for msg in HELLO RESP FIN; do
+full=$((3 * 2 + 4)) cached=$((3 * 2 + 4))
+for msg in HELLO RESP FIN CACHED_HELLO CACHED_RESP; do
     code="$(sed -n "s/^ *const E21_${msg}_BYTES: usize = \([0-9]*\);$/\1/p" crates/gsi/src/handshake.rs)"
     doc="$(echo "$section81" | grep -o "\`$msg = [0-9]*\`" | tr -dc '0-9\n' | sort -u)"
     if [ -z "$code" ] || [ "$code" != "$doc" ]; then
@@ -124,14 +126,21 @@ for msg in HELLO RESP FIN; do
             "$msg" "${code:-no value}" "$(echo ${doc:-none})" >&2
         exit 1
     fi
-    connection=$((connection + code))
+    case $msg in
+        CACHED_*) cached=$((cached + code)) ;;
+        FIN) full=$((full + code)) cached=$((cached + code)) ;;
+        *) full=$((full + code)) ;;
+    esac
 done
-doc="$(echo "$section81" | grep -o '`CONNECTION = [0-9]*`' | tr -dc '0-9\n' | sort -u)"
-if [ "$connection" != "$doc" ]; then
-    printf 'a connection is %s handshake bytes by crates/gsi/src/handshake.rs; DESIGN §8.1 documents %s\n' \
-        "$connection" "$(echo ${doc:-none})" >&2
-    exit 1
-fi
+for total in "CONNECTION $full" "CACHED_CONNECTION $cached"; do
+    set -- $total
+    doc="$(echo "$section81" | grep -o "\`$1 = [0-9]*\`" | tr -dc '0-9\n' | sort -u)"
+    if [ "$2" != "$doc" ]; then
+        printf 'a %s is %s handshake bytes by crates/gsi/src/handshake.rs; DESIGN §8.1 documents %s\n' \
+            "$1" "$2" "$(echo ${doc:-none})" >&2
+        exit 1
+    fi
+done
 
 echo "==> job_memory.rs's ceilings are the ones DESIGN §14.5 names"
 code="$(awk '/^mod ceiling \{/{on=1; next} on && /^\}/{exit} on' crates/exec/tests/job_memory.rs |
@@ -162,7 +171,7 @@ if [ "$1" = 0 ] || [ "$2" -gt 1536 ]; then
 fi
 
 echo "==> DESIGN.md is at most its line ceiling"
-DESIGN_CEILING=1409
+DESIGN_CEILING=1397
 lines="$(wc -l < DESIGN.md)"
 if [ "$lines" -gt "$DESIGN_CEILING" ]; then
     printf 'DESIGN.md has %s lines; the ceiling is %s\n' "$lines" "$DESIGN_CEILING" >&2
@@ -170,7 +179,7 @@ if [ "$lines" -gt "$DESIGN_CEILING" ]; then
 fi
 
 echo "==> first-party non-test lines are at most their ceiling"
-LOC_CEILING=15465
+LOC_CEILING=15700
 loc="$(sh scripts/loc.sh --total)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then
     printf 'scripts/loc.sh --total counts %s lines; the ceiling is %s\n' "$loc" "$LOC_CEILING" >&2

@@ -132,7 +132,9 @@ ORDER = [
      "access to this resource from 3 to 4 pm to user X`.",
      "The matrix binds through `gsi::accept`, the server's half of every "
      "connection; the cost table times the four `wire_*` steps it runs, "
-     "encoding and decoding both chains."),
+     "encoding and decoding both chains. The cached matrix binds real "
+     "clients to the gatekeeper and the MDS a second time, so that each "
+     "names both chains by digest."),
     ("E14", "E14 — sporadic grids (§8)",
      "InfoGram suits grids `created just for a short period of time during "
      "sophisticated experiments`, being `easy to install it on a number of "
@@ -216,7 +218,7 @@ Summary of shapes:
 | E10 | restart from the log | 100% of in-flight jobs recovered, sub-ms median restart, no fsync at start |
 | E11 | sandbox modes trade overhead vs containment | all attacks blocked; 1.05x isolation cost |
 | E12 | LDIF/XML + MDS compatibility | attribute-identical views; µs-scale rendering |
-| E13 | contracts like "3 to 4 pm for user X" | decision matrix matches the example literally, and each session ends where its window or proxy does; a proxy link adds its subject and fixed fields, no issuer DN (counted) |
+| E13 | contracts like "3 to 4 pm for user X" | decision matrix matches the example literally, and each session ends where its window or proxy does; a proxy link costs ≤ 62 B at any depth; a cached connect is refused as a full one and sends no chain (counted) |
 | E14 | sporadic grids are practical | 16-node grid usable in ~1 ms |
 | E15 | aggregate caching scales the MDS | pulls ∝ 1/TTL, staleness bounded by TTL |
 | E16 | (ours) `(info=all)` must not serialize providers | K=8 slow keywords at ~1.01x one provider's cost; ~1.5 M hits/s (`answer`), ~0.7 M/s dispatched |

@@ -12,15 +12,16 @@ use infogram::core::{InfoGramParams, InfoGramService};
 use infogram::exec::sandbox::{ExecMode, Policy};
 use infogram::exec::wal::Wal;
 use infogram::gsi::{
-    Authorizer, Certificate, CertificateAuthority, Contract, Credential, Dn, GridMap, Window,
+    bind, Authorizer, Certificate, CertificateAuthority, Contract, Credential, Dn, GridMap, Window,
 };
 use infogram::host::commands::{ChargeMode, CommandRegistry};
 use infogram::host::machine::SimulatedHost;
 use infogram::info::config::ServiceConfig;
 use infogram::mds::client::{MdsClient, MdsClientError};
 use infogram::mds::{service, Gris};
-use infogram::proto::message::{codes, JobStateCode};
+use infogram::proto::message::{codes, JobStateCode, Reply, Request};
 use infogram::proto::transport::mem::MemNetwork;
+use infogram::proto::transport::Transport;
 use infogram::sim::metrics::MetricSet;
 use infogram::sim::{ManualClock, SimTime, SplitMix64};
 use std::sync::{mpsc, Arc};
@@ -205,6 +206,65 @@ fn a_proxy_that_expires_ends_the_session() {
         .delegate(&mut rng, hour(15), Duration::from_secs(3600), 0)
         .unwrap();
     a_session_ends_at_four(&w, &proxy);
+}
+
+/// A listen-only connection holding two subscriptions hears a `SubEnd`
+/// for each once the driver finds its authorization ended.
+#[test]
+fn every_subscription_of_an_expired_session_ends() {
+    let now = hour(15).plus(minutes(30));
+    let w = world(Some(vec![Window::daily_hours(15, 16)]), now);
+    let conn = w.net.connect(w.service.addr()).unwrap();
+    let send = |m: &[u8]| conn.send(m).map_err(ClientError::from);
+    let recv = || conn.recv().map_err(ClientError::from);
+    let (ack, _) = bind(&w.user, &w.roots, w.service.addr(), now, send, recv).unwrap();
+    assert_eq!(Reply::decode(&ack), Ok(Reply::Pong));
+    let mut subscribed = Vec::new();
+    for keyword in ["Memory", "CPU"] {
+        let rsl = format!("(action=subscribe)(info={keyword})");
+        conn.send(
+            &Request::Submit {
+                rsl,
+                callback: false,
+            }
+            .encode(),
+        )
+        .unwrap();
+        // A warm keyword's first Update may come first.
+        while let Ok(reply) = Reply::decode(&conn.recv().unwrap()) {
+            if let Reply::Subscribed { id, .. } = reply {
+                subscribed.push(id);
+                break;
+            }
+        }
+    }
+    w.clock.set(hour(16));
+    while w.service.subscriptions().active() > 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // A request now finds the outbox closed, and the connection ends
+    // after what the driver queued.
+    let rsl = "(info=Memory)".to_string();
+    conn.send(
+        &Request::Submit {
+            rsl,
+            callback: false,
+        }
+        .encode(),
+    )
+    .unwrap();
+    let mut ended = Vec::new();
+    while let Ok(frame) = conn.recv() {
+        if let Ok(Reply::SubEnd { id, code, message }) = Reply::decode(&frame) {
+            assert_eq!(
+                (code, message.as_str()),
+                (codes::AUTHORIZATION, codes::EXPIRED)
+            );
+            ended.push(id);
+        }
+    }
+    assert_eq!(ended, subscribed);
+    w.service.shutdown();
 }
 
 #[test]

@@ -84,10 +84,7 @@ pub fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 /// Run `f`; return its result and the most it held allocated at once,
 /// its result included.
-#[allow(
-    dead_code,
-    reason = "only the text decoders' suite measures what a parse holds"
-)]
+#[allow(dead_code, reason = "not every suite measures what a decode holds")]
 pub fn peak_held<T>(f: impl FnOnce() -> T) -> (T, usize) {
     HELD.with(|c| c.set((0, 0)));
     let out = f();
