@@ -543,9 +543,9 @@ impl SystemInformation {
         })
     }
 
-    /// `Ok` while `value` is within its TTL (never, at TTL 0).
-    fn check_ttl(&self, value: &CachedValue) -> Result<(), QueryError> {
-        let age = self.clock.now().since(value.produced_at);
+    /// `Ok` while `value` is within its TTL at `now` (never, at TTL 0).
+    fn check_ttl(&self, value: &CachedValue, now: SimTime) -> Result<(), QueryError> {
+        let age = now.since(value.produced_at);
         if self.ttl.is_zero() || age >= self.ttl {
             return Err(QueryError::Expired { age, ttl: self.ttl });
         }
@@ -556,7 +556,7 @@ impl SystemInformation {
     pub fn query_state(&self) -> Result<Snapshot, QueryError> {
         let st = self.state.lock();
         let cached = st.cached.as_ref().ok_or(QueryError::NeverProduced)?;
-        self.check_ttl(cached)?;
+        self.check_ttl(cached, self.clock.now())?;
         Ok(Snapshot::of(cached, true, false))
     }
 
@@ -594,27 +594,39 @@ impl SystemInformation {
     ///   arms the jittered backoff. Configuration errors are never
     ///   retried or counted. A coalesced or gated answer books nothing.
     ///
+    /// The clock is read once per stage boundary: arrival (the lock
+    /// taken), each wake from the monitor's wait (the last one acquires
+    /// it), the end of each attempt, and the push done (only when a
+    /// histogram records it). Each attempt starts at the boundary before it; every check
+    /// and timing below is a difference of these stamps.
+    ///
     /// Every fresh production, whatever the cause, bumps the generation,
-    /// is counted once (`info.refreshes`, its latency in `info.refresh`,
-    /// the TTL in `info.validity_ms.<kw>`) and, once a scheduler watches
-    /// the keyword, is pushed to its hub exactly once. Anything else is
-    /// the cached value, tagged `stale` once it is past its TTL: a query
-    /// gets that answer unless nothing is cached or the degradation
-    /// function has floored its quality to zero; [`Cause::Scheduled`]
-    /// gets the error.
+    /// is counted once (`info.refreshes`, arrival → last boundary in
+    /// `info.refresh`, the TTL in `info.validity_ms.<kw>`), adds its
+    /// successful attempt's start → end to the §6.6 catalog and, once a
+    /// scheduler watches the keyword, is pushed to its hub exactly once.
+    /// Anything else is the cached value, tagged `stale` once it is past
+    /// its TTL at the last boundary: a query gets that answer unless
+    /// nothing is cached or the degradation function has floored its
+    /// quality to zero; [`Cause::Scheduled`] gets the error.
     pub fn refresh(&self, cause: Cause) -> Result<Snapshot, QueryError> {
         let degrade = matches!(cause, Cause::Query { .. });
         let budget = match cause {
             Cause::Query { deadline: Some(d) } => d,
             _ => default_deadline(self.ttl),
         };
-        let started = self.clock.now();
         let mut st = self.state.lock();
+        // Read under the lock, so no attempt starts before one another
+        // caller already booked in the gate.
+        let arrived = self.clock.now();
+        // The last stage boundary: the next attempt starts here.
+        let mut at = arrived;
         while st.updating {
             let seen = st.generation;
             self.update_done.wait(&mut st);
+            at = self.clock.now();
             if let Some(c) = &st.cached {
-                if st.generation != seen || (degrade && self.check_ttl(c).is_ok()) {
+                if st.generation != seen || (degrade && self.check_ttl(c, at).is_ok()) {
                     self.count(|t| &t.coalesced);
                     return Ok(Snapshot::of(c, true, false));
                 }
@@ -624,17 +636,17 @@ impl SystemInformation {
         // retries included; waiters see only its outcome.
         let (mut executed, mut probe, mut failure) = (0, false, None);
         let retry_after = loop {
-            let now = self.clock.now();
-            if now < st.not_before {
+            let start = at;
+            if start < st.not_before {
                 self.count(|t| &t.throttled);
-                break st.not_before.since(now);
+                break st.not_before.since(start);
             }
             probe = st.breaker == BreakerState::Open;
             if probe {
                 st.breaker = BreakerState::HalfOpen;
             }
             st.updating = true;
-            st.not_before = now.plus(st.delay);
+            st.not_before = start.plus(st.delay);
             if executed > 0 {
                 self.count(|t| &t.retries);
             }
@@ -646,9 +658,9 @@ impl SystemInformation {
             // — serializes updates precisely so nothing is held here.
             parking_lot::lockdep::blocking_point("info.provider.produce", &[]);
             let result = self.provider.produce();
-            let finished = self.clock.now();
+            at = self.clock.now();
             self.executions.fetch_add(1, Ordering::Relaxed);
-            let breached = finished.since(started) > budget;
+            let breached = at.since(arrived) > budget;
             if breached {
                 self.count(|t| &t.deadline_breaches);
             }
@@ -660,11 +672,11 @@ impl SystemInformation {
                     // fresher than anything the cache holds.
                     let value = CachedValue {
                         attributes: Arc::new(Produced::new(attributes)),
-                        produced_at: finished,
+                        produced_at: at,
                     };
                     let snap = Snapshot::of(&value, false, false);
                     st.cached = Some(value);
-                    st.perf.record_duration(finished.since(now));
+                    st.perf.record_duration(at.since(start));
                     st.succeeded();
                     let pushed = match self.hub.get() {
                         // The monitor stays held across the push, so
@@ -674,6 +686,8 @@ impl SystemInformation {
                         Some(hub) => {
                             drop(st);
                             let pushed = hub.notify_refresh(self, &snap);
+                            // The push done: a stamp only `info.refresh` reads.
+                            at = self.telemetry.get().map_or(at, |_| self.clock.now());
                             st = self.state.lock();
                             pushed
                         }
@@ -686,20 +700,16 @@ impl SystemInformation {
                         t.refreshes.incr();
                         // On the entry's clock: simulated command costs
                         // advance it, free commands record zero.
-                        t.refresh.record(self.clock.now().since(started));
+                        t.refresh.record(at.since(arrived));
                         t.validity_ms.set(self.ttl.as_millis() as f64);
                     }
                     drain_all(pushed);
                     return Ok(snap);
                 }
-                Err(e) if !e.is_transient() => {
-                    st.misconfigured(self.clock.now(), probe);
-                    self.finish(&mut st);
-                    return self.answer(&st, degrade, QueryError::Provider(e));
-                }
                 Err(e) => {
+                    let last = !e.is_transient() || probe || executed > MAX_RETRIES || breached;
                     failure = Some(e);
-                    if probe || executed > MAX_RETRIES || breached {
+                    if last {
                         break Duration::ZERO;
                     }
                 }
@@ -709,13 +719,30 @@ impl SystemInformation {
         // failure, if it made one, and answer from the cache.
         let err = match failure {
             Some(e) => {
-                st.failed(self.clock.now(), probe);
+                if e.is_transient() {
+                    st.failed(at, probe);
+                } else {
+                    st.misconfigured(at, probe);
+                }
                 self.finish(&mut st);
                 QueryError::Provider(e)
             }
             None => QueryError::Unavailable { retry_after },
         };
-        self.answer(&st, degrade, err)
+        // A query gets the cached value with its true `produced_at`,
+        // tagged `stale` once past its TTL, while its quality is above
+        // zero.
+        let Some(c) = st.cached.as_ref().filter(|_| degrade) else {
+            return Err(err);
+        };
+        if self.degradation.quality(at.since(c.produced_at)) <= 0.0 {
+            return Err(err);
+        }
+        let stale = self.check_ttl(c, at).is_err();
+        if stale {
+            self.count(|t| &t.stale_serves);
+        }
+        Ok(Snapshot::of(c, true, stale))
     }
 
     /// Release the monitor and publish the breaker position.
@@ -727,29 +754,6 @@ impl SystemInformation {
         if let Some(t) = self.telemetry.get() {
             t.breaker.set(st.breaker as u32 as f64);
         }
-    }
-
-    /// What a fetch that produced nothing answers: `err`, or — for a
-    /// query — the cached value with its true `produced_at`, tagged
-    /// `stale` once past its TTL, while its quality is above zero.
-    fn answer(
-        &self,
-        st: &EntryState,
-        degrade: bool,
-        err: QueryError,
-    ) -> Result<Snapshot, QueryError> {
-        let Some(c) = st.cached.as_ref().filter(|_| degrade) else {
-            return Err(err);
-        };
-        let age = self.clock.now().since(c.produced_at);
-        if self.degradation.quality(age) <= 0.0 {
-            return Err(err);
-        }
-        let stale = self.check_ttl(c).is_err();
-        if stale {
-            self.count(|t| &t.stale_serves);
-        }
-        Ok(Snapshot::of(c, true, stale))
     }
 
     /// When the next execution may start: the gate a refresh scheduler

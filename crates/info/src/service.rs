@@ -472,6 +472,8 @@ impl InformationService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::{FnProvider, ProviderError};
+    use crate::sub::SubscriptionHub;
     use infogram_host::commands::{ChargeMode, CostModel};
     use infogram_host::machine::SimulatedHost;
     use infogram_sim::clock::Clock;
@@ -799,6 +801,160 @@ mod tests {
         svc.answer(&kw("Memory"), &opts).unwrap();
         let reads = clock.reads.load(Ordering::Relaxed) - reads_before;
         assert!(reads <= 2, "warm cached hit read the clock {reads} times");
+    }
+
+    /// One scripted provider execution: its cost on the manual clock and
+    /// its outcome (`Err(true)` transient, `Err(false)` a configuration
+    /// error).
+    type Step = (u64, Result<(), bool>);
+
+    /// A keyword on `clock` whose provider plays `script` in order,
+    /// charging each step's cost to `manual`; given `metrics`, with
+    /// telemetry there and a hub.
+    fn scripted(
+        manual: &Arc<ManualClock>,
+        clock: SharedClock,
+        script: Vec<Step>,
+        metrics: Option<&MetricSet>,
+    ) -> Arc<SystemInformation> {
+        let (manual, next) = (Arc::clone(manual), AtomicU64::new(0));
+        let si = SystemInformation::new(
+            Box::new(FnProvider::new("K", move || {
+                let (cost, outcome) = script[next.fetch_add(1, Ordering::Relaxed) as usize];
+                manual.advance(Duration::from_millis(cost));
+                match outcome {
+                    Ok(()) => Ok(vec![("v".to_string(), "1".to_string())]),
+                    Err(true) => Err(ProviderError::Other("down".to_string())),
+                    Err(false) => Err(ProviderError::UnknownCommand {
+                        command: "k".to_string(),
+                        detail: "not configured".to_string(),
+                    }),
+                }
+            })),
+            clock,
+            Duration::from_secs(1),
+            DegradationFn::default(),
+        );
+        if let Some(metrics) = metrics {
+            si.set_telemetry(metrics.clone());
+            si.push_to(&SubscriptionHub::new("h", MetricSet::new()));
+        }
+        si
+    }
+
+    #[test]
+    fn a_refresh_reads_the_clock_once_per_stage_boundary() {
+        let query = Cause::Query { deadline: None };
+        // Clock reads of the last refresh of `script`, run in full.
+        let reads = |script: Vec<Step>, observed: bool| {
+            let manual = ManualClock::new();
+            let clock = Arc::new(CountingClock {
+                inner: manual.clone(),
+                reads: AtomicU64::new(0),
+            });
+            let (metrics, runs) = (MetricSet::new(), script.len());
+            let si = scripted(&manual, clock.clone(), script, observed.then_some(&metrics));
+            let mut before = 0;
+            while (si.execution_count() as usize) < runs {
+                before = clock.reads.load(Ordering::Relaxed);
+                let _ = si.refresh(query);
+            }
+            clock.reads.load(Ordering::Relaxed) - before
+        };
+        // Arrival, the attempt's end, and the push done that `info.refresh`
+        // ends at; without a histogram to record it, no push stamp.
+        assert_eq!(reads(vec![(5, Ok(()))], true), 3);
+        assert_eq!(reads(vec![(5, Ok(()))], false), 2);
+        // Failure booking and the degraded answer's age and staleness
+        // all take the attempt's end.
+        assert_eq!(reads(vec![(5, Ok(())), (5, Err(false))], true), 2);
+        // A retry starts where the failed attempt ended: one more read.
+        assert_eq!(reads(vec![(5, Err(true)), (5, Ok(()))], true), 4);
+        assert_eq!(
+            reads(vec![(5, Err(true)), (5, Err(true)), (5, Ok(()))], true),
+            5
+        );
+    }
+
+    #[test]
+    fn a_production_is_timed_from_arrival_and_its_catalog_sample_is_its_successful_attempt() {
+        let manual = ManualClock::new();
+        let metrics = MetricSet::new();
+        let si = scripted(
+            &manual,
+            manual.clone(),
+            vec![(10, Err(true)), (30, Ok(()))],
+            Some(&metrics),
+        );
+        assert!(!si.refresh(Cause::Scheduled).unwrap().from_cache);
+        let refresh = metrics.histogram("info.refresh");
+        assert_eq!(refresh.count(), 1);
+        assert!((refresh.mean_secs() - 0.040).abs() < 1e-9, "both attempts");
+        let (mean, _, n) = si.average_update_time();
+        assert_eq!(n, 1);
+        assert!((mean - 0.030).abs() < 1e-9, "the successful attempt alone");
+    }
+
+    #[test]
+    fn a_waiter_that_takes_over_after_a_failure_times_its_wait() {
+        let manual = ManualClock::new();
+        let clock = Arc::new(CountingClock {
+            inner: manual.clone(),
+            reads: AtomicU64::new(0),
+        });
+        let (entered, holding) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let released = std::sync::Mutex::new(released);
+        let (m, calls) = (manual.clone(), AtomicU64::new(0));
+        // The holder's execution waits for the test, costs 10 ms and is
+        // misconfigured (no backoff gates the waiter); the waiter's costs
+        // 30 ms and produces.
+        let si = SystemInformation::new(
+            Box::new(FnProvider::new("K", move || {
+                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    entered.send(()).unwrap();
+                    released.lock().unwrap().recv().unwrap();
+                    m.advance(Duration::from_millis(10));
+                    return Err(ProviderError::UnknownCommand {
+                        command: "k".to_string(),
+                        detail: "not configured".to_string(),
+                    });
+                }
+                m.advance(Duration::from_millis(30));
+                Ok(vec![("v".to_string(), "1".to_string())])
+            })),
+            clock.clone(),
+            Duration::from_secs(1),
+            DegradationFn::default(),
+        );
+        let metrics = MetricSet::new();
+        si.set_telemetry(metrics.clone());
+        let holder = {
+            let si = Arc::clone(&si);
+            std::thread::spawn(move || si.refresh(Cause::Scheduled).is_err())
+        };
+        holding.recv().unwrap();
+        manual.advance(Duration::from_millis(5));
+        let waiter = {
+            let si = Arc::clone(&si);
+            std::thread::spawn(move || si.refresh(Cause::Scheduled).unwrap().from_cache)
+        };
+        // The waiter reads its arrival under the entry's lock and keeps
+        // it until it parks on the monitor, and the holder needs that
+        // lock to finish: once the read is in, the wait is certain.
+        while clock.reads.load(Ordering::Relaxed) < 2 {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        assert!(holder.join().unwrap(), "the holder's fetch failed");
+        assert!(!waiter.join().unwrap(), "the waiter produced");
+        let refresh = metrics.histogram("info.refresh");
+        assert_eq!(refresh.count(), 1, "a failure is no production");
+        // Arrival at 5 ms, the wait to 15 ms, its attempt to 45 ms.
+        assert!((refresh.mean_secs() - 0.040).abs() < 1e-9);
+        let (mean, _, n) = si.average_update_time();
+        assert_eq!(n, 1);
+        assert!((mean - 0.030).abs() < 1e-9, "the waiter's attempt alone");
     }
 
     #[test]

@@ -164,13 +164,15 @@ fn a_v3_peer_is_refused_at_the_bind_and_never_searched() {
         filter: "(kw=Memory)".to_string(),
     }
     .encode();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    // One write: the server closes after the first frame, and a second
+    // write could meet its reset.
+    let mut v3 = Vec::new();
     for message in [&hello, &search] {
-        stream
-            .write_all(&(message.len() as u32).to_be_bytes())
-            .unwrap();
-        stream.write_all(message).unwrap();
+        v3.extend_from_slice(&(message.len() as u32).to_be_bytes());
+        v3.extend_from_slice(message);
     }
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&v3).unwrap();
     let reply = MdsReply::decode(&read_frame(&mut stream).unwrap()).unwrap();
     assert!(matches!(reply, MdsReply::Error { .. }), "{reply:?}");
     assert_eq!(metrics.counter_value("mds.handshakes"), 0);
@@ -208,13 +210,13 @@ fn a_peer_naming_every_issuer_is_refused_at_the_bind_and_never_searched() {
         filter: "(kw=Memory)".to_string(),
     }
     .encode();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut frames = Vec::new();
     for message in [&named_issuer_hello(&user), &search] {
-        stream
-            .write_all(&(message.len() as u16).to_be_bytes())
-            .unwrap();
-        stream.write_all(message).unwrap();
+        frames.extend_from_slice(&(message.len() as u16).to_be_bytes());
+        frames.extend_from_slice(message);
     }
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&frames).unwrap();
     let reply = MdsReply::decode(&read_frame(&mut stream).unwrap()).unwrap();
     assert!(matches!(reply, MdsReply::Error { .. }), "{reply:?}");
     assert_eq!(metrics.counter_value("mds.handshakes"), 0);

@@ -179,7 +179,7 @@ if [ "$lines" -gt "$DESIGN_CEILING" ]; then
 fi
 
 echo "==> first-party non-test lines are at most their ceiling"
-LOC_CEILING=15700
+LOC_CEILING=15694
 loc="$(sh scripts/loc.sh --total)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then
     printf 'scripts/loc.sh --total counts %s lines; the ceiling is %s\n' "$loc" "$LOC_CEILING" >&2

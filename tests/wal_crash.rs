@@ -15,6 +15,9 @@
 //! * **The same for a checkpoint**: both sweeps run again over a segment
 //!   headed by a checkpoint larger than the buffer recovery streams it
 //!   through, on the simulated disk and in a file.
+//! * **A reclaimed segment that comes back replays nothing**: recovery
+//!   starts at the newest checkpoint, whatever older segment a crash
+//!   restores.
 //! * **Honest degradation on the wire**: a full disk turns submissions
 //!   into `UNAVAILABLE` + `retry-after-ms=` at the gram layer (never a
 //!   silent ack), and the service heals once space returns.
@@ -455,6 +458,62 @@ fn mid_log_corruption_is_skipped_and_the_rest_replays() {
     let job4 = state.jobs.iter().find(|j| j.job_id == 4).unwrap();
     assert_eq!(job4.finished, Some((JobStateCode::Done, Some(0))));
     assert_eq!(state.jobs.len(), 8, "no submissions lost");
+}
+
+// ---------------------------------------------------------------------
+// A reclaimed segment that comes back
+// ---------------------------------------------------------------------
+
+/// A checkpoint reclaims segment 1, but the removal's directory entry
+/// never reached the disk, so the crash brings segment 1 back. It says
+/// job 1 is still active and names only epoch 1; recovery must read
+/// the newer checkpoint and tail instead.
+#[test]
+fn a_reclaimed_segment_that_reappears_after_a_crash_replays_nothing() {
+    let storage = MemStorage::new();
+    let disk = Arc::clone(&storage) as Arc<dyn WalStorage>;
+    let wal = wal_over(&storage, one_segment_cfg());
+    wal.commit(SimTime::ZERO, &[WalEvent::ServiceStarted { epoch: 1 }])
+        .unwrap();
+    commit_jobs(&wal, 1..=8);
+    drop(wal);
+    let reclaimed = storage.durable_bytes(1);
+    // One commit past the limit cuts a checkpoint into segment 2.
+    let cut = WalConfig {
+        checkpoint_every_events: 1,
+        ..one_segment_cfg()
+    };
+    wal_over(&storage, cut)
+        .commit(SimTime::ZERO, &[WalEvent::ServiceStarted { epoch: 2 }])
+        .unwrap();
+    assert!(storage.durable_bytes(1).is_empty(), "segment 1 reclaimed");
+    let (wal, _) = reopen(&disk);
+    commit_jobs(&wal, 9..=12);
+    let finished = WalEvent::Finished {
+        job_id: 1,
+        state: JobStateCode::Failed,
+        exit_code: Some(3),
+        wall_seconds: 0.5,
+    };
+    wal.commit(SimTime::ZERO, &[finished]).unwrap();
+    drop(wal);
+    let mut acked: BTreeMap<_, _> = (1..=12u64)
+        .map(|id| (id, (id % 2 == 0).then_some(JobStateCode::Done)))
+        .collect();
+    acked.insert(1, Some(JobStateCode::Failed));
+
+    storage.crash();
+    storage.preload(1, reclaimed);
+    storage.restart();
+    let (wal, state) = reopen(&disk);
+    let stats = wal.recovery_stats();
+    assert_eq!((stats.segments_total, stats.segments_read), (2, 1));
+    assert!(stats.checkpoint_used);
+    // Acked ⇒ durable, with each outcome as acked: job 1 stays finished.
+    assert_eq!(table_of(&state), acked);
+    // Ids and epochs continue past everything acked.
+    assert_eq!(state.last_job_id, 12);
+    assert_eq!(state.last_epoch, 2);
 }
 
 // ---------------------------------------------------------------------
