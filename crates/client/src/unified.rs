@@ -453,8 +453,8 @@ impl InfoGramClient {
 
     /// Open a persistent query over `keywords`
     /// (`(action=subscribe)(info=K)...`): the service streams an
-    /// incremental delta whenever one of them refreshes (use the
-    /// virtual keyword `jobs` for job-state transitions). Returns the
+    /// incremental delta whenever one of them refreshes (`jobs`: on
+    /// each transition of this account's jobs). Returns the
     /// server-assigned subscription id. One subscription is tracked per
     /// client; subscribing again replaces it.
     pub fn subscribe(&mut self, keywords: &[&str]) -> Result<u64, ClientError> {

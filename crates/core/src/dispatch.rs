@@ -9,7 +9,7 @@
 use infogram_exec::gram::{self, ConnCtx, RequestDispatcher};
 use infogram_exec::JobEngine;
 use infogram_info::service::{InfoServiceError, InformationService, QueryOptions};
-use infogram_info::{QueryError, RefreshScheduler, SubscriptionHub, JOBS_KEYWORD};
+use infogram_info::{jobs_entry, QueryError, RefreshScheduler, SubscriptionHub};
 use infogram_proto::message::{codes, Reply, Request};
 use infogram_rsl::{RequestAction, RequestKind, XrslRequest};
 use infogram_sim::metrics::{Counter, Histogram};
@@ -53,14 +53,18 @@ pub struct InfoGramDispatcher {
 
 impl InfoGramDispatcher {
     /// Wire a job engine and an information service together, with the
-    /// subscription hub and the refresh scheduler that feeds it. Also
-    /// registers the engine observer that publishes each job transition
-    /// to the `(action=subscribe)(info=jobs)` subscribers of the job's
-    /// account.
+    /// subscription hub and the refresh scheduler that feeds it. Job
+    /// state becomes the `jobs` keyword: its entry, registered with
+    /// `info`, answers `(info=jobs)` from the engine per request, and an
+    /// engine observer pushes each job transition to the
+    /// `(action=subscribe)(info=jobs)` subscribers of the job's account.
     pub fn new(engine: Arc<JobEngine>, info: Arc<InformationService>) -> Arc<Self> {
         let t = engine.metrics().clone();
         let hub = SubscriptionHub::new(info.hostname(), t.clone());
         let sched = RefreshScheduler::new(engine.clock().clone(), t.clone(), Arc::clone(&hub));
+        let jobs = Arc::clone(&engine);
+        let read = move |account: &str| jobs.jobs_of(account);
+        info.register(jobs_entry(read, engine.clock().clone()));
         {
             let hub = Arc::clone(&hub);
             engine.on_state_change(move |handle, state, account| {
@@ -105,7 +109,7 @@ impl InfoGramDispatcher {
             // each keyword's TTL-proportional default applies.
             deadline: req.timeout,
         };
-        match self.info.answer_body(&req.info, &opts, req.format) {
+        match (self.info).answer_body(Some(account), &req.info, &opts, req.format) {
             Ok((body, record_count)) => Reply::InfoResult { body, record_count },
             Err(InfoServiceError::UnknownKeyword(k)) => Reply::Error {
                 code: codes::NO_SUCH_KEYWORD,
@@ -162,19 +166,15 @@ impl InfoGramDispatcher {
                 }
                 infogram_rsl::InfoSelector::Keyword(k) => k,
             };
-            if k.eq_ignore_ascii_case(JOBS_KEYWORD) {
-                keywords.push(JOBS_KEYWORD.to_string());
-                continue;
-            }
             let Some(si) = self.info.lookup(k) else {
                 return Reply::Error {
                     code: codes::NO_SUCH_KEYWORD,
                     message: format!("no information provider for keyword '{k}'"),
                 };
             };
-            // A TTL-0 keyword is never scheduled and nothing else pushes
-            // it: its subscribers would wait for ever.
-            if si.ttl().is_zero() {
+            // A TTL-0 keyword is never scheduled: unless the hub pushes
+            // it itself, its subscribers would wait for ever.
+            if si.ttl().is_zero() && !self.hub.pushes(si.keyword()) {
                 return Reply::Error {
                     code: codes::BAD_RSL,
                     message: format!(
@@ -403,7 +403,8 @@ mod tests {
         let (_c, d) = world();
         match dispatch(&d, submit("(info=schema)")) {
             Reply::InfoResult { record_count, body } => {
-                assert_eq!(record_count, 5);
+                // Table 1's five keywords and `jobs`.
+                assert_eq!(record_count, 6);
                 assert!(body.contains("Schema.CPULoad"));
             }
             other => panic!("{other:?}"),
@@ -567,8 +568,10 @@ mod tests {
             Duration::from_secs(10),
             DegradationFn::default(),
         ));
+        // Table 1's five, `jobs` (which the asker, owning no job, is
+        // answered no record of), `Flaky` and `Empty`.
         let keywords = d.info.keywords();
-        assert_eq!(keywords.len(), 7);
+        assert_eq!(keywords.len(), 8);
         for format in ["ldif", "xml", "plain"] {
             for k in &keywords {
                 // A miss renders the fresh snapshot into its own body; the

@@ -17,7 +17,7 @@ use infogram_host::machine::SimulatedHost;
 use infogram_host::queue::BatchQueue;
 use infogram_info::config::ServiceConfig;
 use infogram_info::service::InformationService;
-use infogram_info::{RefreshScheduler, SubscriptionHub, JOBS_KEYWORD};
+use infogram_info::{RefreshScheduler, SubscriptionHub};
 use infogram_proto::transport::{Acceptor, ProtoError, Transport};
 use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::MetricSet;
@@ -158,7 +158,7 @@ impl InfoGramService {
                     // a job whose submitter waits for its callback
                     // Events, is standing demand for transitions, so poll
                     // on its behalf.
-                    if hub.has_subscribers(JOBS_KEYWORD) || engine.callback_jobs() > 0 {
+                    if hub.watches_jobs() || engine.callback_jobs() > 0 {
                         engine.poll_active();
                     }
                     sched.tick();

@@ -867,6 +867,32 @@ impl JobEngine {
         ids
     }
 
+    /// The jobs the local `account` owns, in id order, each with the state
+    /// its last transition announced: those in flight from the table,
+    /// those finished from the log's rows. One read: the log is read
+    /// under the jobs lock (jobs → io, the order `recover` takes), so a
+    /// job that is ending is seen once, in the table, until the
+    /// transition that removes it is announced. Nothing is polled.
+    pub fn jobs_of(&self, account: &str) -> Vec<(JobHandle, JobStateCode)> {
+        let jobs = self.jobs.lock();
+        let mut found: Vec<(u64, JobStateCode)> = (jobs.entries.iter())
+            .filter(|(_, entry)| entry.principal.account() == account)
+            .map(|(&id, entry)| (id, entry.state))
+            .collect();
+        self.wal.with_fold(|fold| {
+            found.extend(fold.state.jobs.iter().filter_map(|job| {
+                let (state, _) = job.finished?;
+                let mine = job.account() == account && !jobs.entries.contains_key(&job.job_id);
+                mine.then_some((job.job_id, state))
+            }));
+        });
+        drop(jobs);
+        found.sort_unstable_by_key(|&(id, _)| id);
+        (found.into_iter())
+            .map(|(id, state)| (self.handle_for(id), state))
+            .collect()
+    }
+
     /// How many jobs are in flight: the size of the table.
     pub fn live_jobs(&self) -> usize {
         self.jobs.lock().entries.len()

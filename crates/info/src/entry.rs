@@ -745,6 +745,34 @@ impl SystemInformation {
         Ok(Snapshot::of(c, true, stale))
     }
 
+    /// The answer of an entry whose provider answers each asking account
+    /// on its own ([`InfoProvider::per_account`]) to the local `account`:
+    /// one fresh snapshot per row, read now and never cached (so no answer
+    /// carries one account's rows to another), timed into the §6.6
+    /// catalog and counted as a query's production. A caller with no
+    /// account (`None`) is answered no row and reads nothing. `None` for
+    /// an entry whose one value is shared: it answers through the cache.
+    pub fn read_for(&self, account: Option<&str>) -> Option<Vec<Snapshot>> {
+        let rows = self.provider.per_account()?;
+        let Some(account) = account else {
+            return Some(Vec::new());
+        };
+        let start = self.clock.now();
+        let read = rows(account);
+        let at = self.clock.now();
+        self.executions.fetch_add(1, Ordering::Relaxed);
+        self.state.lock().perf.record_duration(at.since(start));
+        self.count(|t| &t.queries);
+        self.count(|t| &t.misses);
+        let snapshot = |attributes| Snapshot {
+            attributes: Arc::new(Produced::new(attributes)),
+            produced_at: at,
+            from_cache: false,
+            stale: false,
+        };
+        Some(read.into_iter().map(snapshot).collect())
+    }
+
     /// Release the monitor and publish the breaker position.
     fn finish(&self, st: &mut EntryState) {
         st.updating = false;

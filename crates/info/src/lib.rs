@@ -52,8 +52,10 @@ pub mod sub;
 
 pub use config::{ConfigEntry, ConfigError, ServiceConfig, TABLE1_TEXT};
 pub use entry::{BreakerState, Cause, QueryError, Snapshot, SystemInformation};
-pub use provider::{CommandProvider, FnProvider, InfoProvider, ProviderError, RuntimeProvider};
+pub use provider::{
+    AccountRows, CommandProvider, FnProvider, InfoProvider, ProviderError, RuntimeProvider,
+};
 pub use quality::DegradationFn;
 pub use sched::{RefreshScheduler, TickReport, WatchError};
 pub use service::{InfoServiceError, InformationService};
-pub use sub::{SubscriptionHub, JOBS_KEYWORD};
+pub use sub::{jobs_entry, SubscriptionHub, JOBS_KEYWORD};

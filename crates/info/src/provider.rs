@@ -91,7 +91,18 @@ pub trait InfoProvider: Send + Sync {
     /// A human-readable description of the source (command line, path, …)
     /// reported by the schema reflection.
     fn source(&self) -> String;
+    /// For a provider whose answer depends on who asks: what reads the
+    /// rows a local account may see, one record each, per request
+    /// ([`SystemInformation::read_for`](crate::SystemInformation::read_for)).
+    /// `None`, the default: one value, produced for everyone and cached.
+    fn per_account(&self) -> Option<&AccountRows> {
+        None
+    }
 }
+
+/// What a per-account provider reads for the asking local account: one
+/// row of `(attribute, value)` pairs per record.
+pub type AccountRows = dyn Fn(&str) -> Vec<Vec<(String, String)>> + Send + Sync;
 
 /// Case (a): run a command through the host's registry and parse its
 /// `key: value` output.

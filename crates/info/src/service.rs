@@ -312,29 +312,39 @@ impl InformationService {
     /// [`InformationService::answer_body`], which document it: resolve
     /// the selectors against `registry` (`None` is `(info=schema)`), then
     /// run the two §6.2 phases. Every keyword's slot comes back filled, in
-    /// selector order.
+    /// selector order. A per-account entry is read for `account` as it
+    /// is resolved, and stands for one item per row, its slot filled.
     fn serve<'r>(
         &self,
         registry: &'r Registry,
+        account: Option<&str>,
         selectors: &[InfoSelector],
         opts: &QueryOptions,
     ) -> Result<(Vec<Option<&'r SystemInformation>>, Vec<Slot>), InfoServiceError> {
-        let mut items: Vec<Option<&SystemInformation>> = Vec::new();
+        let mut items: Vec<Option<&SystemInformation>> = Vec::with_capacity(selectors.len());
+        let mut slots: Vec<Slot> = Vec::with_capacity(selectors.len());
+        let mut resolve = |item: Option<&'r SystemInformation>| {
+            let Some(rows) = item.and_then(|si| si.read_for(account)) else {
+                items.push(item);
+                return slots.push(None);
+            };
+            items.extend(rows.iter().map(|_| item));
+            slots.extend(rows.into_iter().map(|snap| Some(Ok(snap))));
+        };
         for sel in selectors {
             match sel {
-                InfoSelector::Schema => items.push(None),
-                InfoSelector::All => items.extend(registry.values().map(|si| Some(&**si))),
-                InfoSelector::Keyword(k) => items.push(Some(
+                InfoSelector::Schema => resolve(None),
+                InfoSelector::All => registry.values().for_each(|si| resolve(Some(si))),
+                InfoSelector::Keyword(k) => resolve(Some(
                     registry
                         .get(&k.to_ascii_lowercase())
                         .ok_or_else(|| InfoServiceError::UnknownKeyword(k.clone()))?,
                 )),
             }
         }
-        let mut slots: Vec<Slot> = items.iter().map(|_| None).collect();
         let mut misses: Vec<(usize, &SystemInformation)> = Vec::new();
         for (i, item) in items.iter().enumerate() {
-            if let Some(si) = item {
+            if let Some(si) = item.filter(|_| slots[i].is_none()) {
                 slots[i] = self.query(si, opts);
                 if slots[i].is_none() {
                     misses.push((i, si));
@@ -354,20 +364,33 @@ impl InformationService {
     ///
     /// The selector list is first resolved against one consistent
     /// registry snapshot (so unknown keywords fail before any provider
-    /// runs). Then the two §6.2 methods, in order: every keyword gets the
+    /// runs; a per-account keyword is read as it resolves). Then the two §6.2 methods, in order: every keyword gets the
     /// non-blocking `query`, and the ones it could not serve are fanned
     /// out to the blocking `refresh` (`sim::par` runs 0 or 1 inline, more
     /// across the scoped pool). Records are gathered back in selector
     /// order, so the reply is indistinguishable from the sequential walk
     /// — N slow keywords cost ~1 provider execution of wall time instead
     /// of ~N.
+    ///
+    /// This caller has no account: a per-account keyword (`jobs`)
+    /// answers it no record.
     pub fn answer(
         &self,
         selectors: &[InfoSelector],
         opts: &QueryOptions,
     ) -> Result<Vec<InfoRecord>, InfoServiceError> {
+        self.records(None, selectors, opts)
+    }
+
+    /// [`InformationService::answer`], asked by the local `account`.
+    fn records(
+        &self,
+        account: Option<&str>,
+        selectors: &[InfoSelector],
+        opts: &QueryOptions,
+    ) -> Result<Vec<InfoRecord>, InfoServiceError> {
         let registry = self.registry();
-        let (items, slots) = self.serve(&registry, selectors, opts)?;
+        let (items, slots) = self.serve(&registry, account, selectors, opts)?;
         // Gather in selector order; the first error (by position) wins.
         let now = self.clock.now();
         let mut records = Vec::with_capacity(items.len());
@@ -391,7 +414,8 @@ impl InformationService {
     }
 
     /// Answer a selector list with the rendered reply body and its
-    /// record count — byte for byte `render(&self.answer(..)?, format)`,
+    /// record count — byte for byte `render` of the records `answer`
+    /// would build for `account`,
     /// without building the records.
     ///
     /// A keyword's record is its head (keyword, host, the degraded
@@ -407,18 +431,22 @@ impl InformationService {
     /// `(filter=...)` and `(performance=true)` change a record's
     /// attributes, and `plain` annotates every line: those replies are
     /// rendered from records.
+    ///
+    /// `account` is the local account the asking session is mapped to:
+    /// a per-account keyword answers it its own rows, and `None` none.
     pub fn answer_body(
         &self,
+        account: Option<&str>,
         selectors: &[InfoSelector],
         opts: &QueryOptions,
         format: OutputFormat,
     ) -> Result<(String, u32), InfoServiceError> {
         if opts.filter.is_some() || opts.performance || format == OutputFormat::Plain {
-            let records = self.answer(selectors, opts)?;
+            let records = self.records(account, selectors, opts)?;
             return Ok((render::render(&records, format), records.len() as u32));
         }
         let registry = self.registry();
-        let (items, slots) = self.serve(&registry, selectors, opts)?;
+        let (items, slots) = self.serve(&registry, account, selectors, opts)?;
         // The first error (by position) wins.
         let snaps: Vec<Option<Snapshot>> = slots
             .into_iter()

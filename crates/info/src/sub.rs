@@ -38,28 +38,81 @@
 //!   or a query caused it.
 //!
 //! Job-state transitions push through the same machinery under the
-//! virtual keyword [`JOBS_KEYWORD`]: each transition becomes a tiny
-//! record (`jobs:handle`, `jobs:state`), diffed and versioned like any
-//! other keyword — in one channel per local account, so a subscriber
-//! sees the jobs of the account it is mapped to: those it may poll and
-//! cancel. The engine tells the hub under the lock that found the
-//! transition, so each channel carries a job's transitions in order.
+//! keyword [`JOBS_KEYWORD`]: each transition becomes a job's record
+//! (`jobs:handle`, `jobs:state`), diffed and versioned like any other
+//! keyword — in one channel per local account, so a subscriber sees the
+//! jobs of the account it is mapped to: those it may poll and cancel.
+//! The engine tells the hub under the lock that found the transition,
+//! so each channel carries a job's transitions in order. The keyword's
+//! entry ([`jobs_entry`]) answers `(info=jobs)` with the same records.
 
 use crate::entry::{Snapshot, SystemInformation};
+use crate::provider::{AccountRows, InfoProvider, ProviderError};
+use crate::quality::DegradationFn;
 use infogram_proto::delta::{encode_deltas, RecordDelta};
 use infogram_proto::message::{codes, update_frame, JobStateCode, Reply};
 use infogram_proto::record::InfoRecord;
 use infogram_proto::{JobHandle, Outbox, OutboxError};
+use infogram_sim::clock::SharedClock;
 use infogram_sim::metrics::{Counter, Gauge, MetricSet};
 use infogram_sim::SimTime;
 use parking_lot::{lock_class, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::Duration;
 
-/// The virtual keyword job-state transitions publish under; subscribe
-/// with `(action=subscribe)(info=jobs)`.
+/// The keyword of the asking account's jobs: `(info=jobs)` pulls them,
+/// `(action=subscribe)(info=jobs)` is pushed their transitions.
 pub const JOBS_KEYWORD: &str = "jobs";
+
+/// A job's attributes, pulled and pushed alike.
+fn job_attributes(handle: &JobHandle, state: JobStateCode) -> Vec<(String, String)> {
+    vec![
+        ("handle".to_string(), handle.to_string()),
+        ("state".to_string(), state.to_string()),
+    ]
+}
+
+/// The [`JOBS_KEYWORD`] entry, TTL 0: per request, `read` finds the jobs
+/// the asking local account owns, in id order, and each is one record
+/// with the attributes its pushes carry (§2: an answer names a job only
+/// to that job's account).
+pub fn jobs_entry(
+    read: impl Fn(&str) -> Vec<(JobHandle, JobStateCode)> + Send + Sync + 'static,
+    clock: SharedClock,
+) -> Arc<SystemInformation> {
+    let rows = move |account: &str| {
+        let jobs = read(account);
+        (jobs.iter())
+            .map(|(handle, state)| job_attributes(handle, *state))
+            .collect()
+    };
+    let jobs = Box::new(Jobs(Box::new(rows)));
+    SystemInformation::new(jobs, clock, Duration::ZERO, DegradationFn::default())
+}
+
+/// The [`JOBS_KEYWORD`] provider: it reads per account, and its shared
+/// value names no job.
+struct Jobs(Box<AccountRows>);
+
+impl InfoProvider for Jobs {
+    fn keyword(&self) -> &str {
+        JOBS_KEYWORD
+    }
+
+    fn produce(&self) -> Result<Vec<(String, String)>, ProviderError> {
+        Ok(Vec::new())
+    }
+
+    fn source(&self) -> String {
+        "the asking account's jobs: job table and log".to_string()
+    }
+
+    fn per_account(&self) -> Option<&AccountRows> {
+        Some(&*self.0)
+    }
+}
 
 /// What a channel carries: one keyword, or the jobs of one account.
 #[derive(PartialEq, Eq)]
@@ -186,18 +239,26 @@ impl SubscriptionHub {
         self.state.lock().subs.len()
     }
 
-    /// Whether any live subscription watches `keyword` (for
-    /// [`JOBS_KEYWORD`], any account's jobs) — standing demand the
-    /// refresh scheduler's cold-skip gate must honor: a subscriber is a
-    /// client that *already asked* for every future value.
+    /// Whether any live subscription watches `keyword` — standing demand
+    /// the refresh scheduler's cold-skip gate must honor: a subscriber is
+    /// a client that *already asked* for every future value.
     pub fn has_subscribers(&self, keyword: &str) -> bool {
         let key = keyword.to_ascii_lowercase();
         let st = self.state.lock();
-        let watched = |ch: &KeywordChannel| !ch.subscribers.is_empty();
-        if key == JOBS_KEYWORD {
-            return st.jobs.values().any(watched);
-        }
-        st.keywords.get(&key).is_some_and(watched)
+        (st.keywords.get(&key)).is_some_and(|ch| !ch.subscribers.is_empty())
+    }
+
+    /// Whether any live subscription watches [`JOBS_KEYWORD`], of any
+    /// account: standing demand for job transitions.
+    pub fn watches_jobs(&self) -> bool {
+        let st = self.state.lock();
+        st.jobs.values().any(|ch| !ch.subscribers.is_empty())
+    }
+
+    /// Whether the hub itself pushes `keyword` ([`JOBS_KEYWORD`], on each
+    /// job transition), rather than its entry's refreshes.
+    pub fn pushes(&self, keyword: &str) -> bool {
+        keyword.eq_ignore_ascii_case(JOBS_KEYWORD)
     }
 
     /// The current version of a keyword's channel (0 before the first
@@ -267,7 +328,7 @@ impl SubscriptionHub {
     /// subscribers' deltas are diffed against it.
     pub fn seed(&self, si: &SystemInformation) {
         let Ok(snap) = si.query_state() else { return };
-        let record = self.snapshot_record(si.keyword(), &snap);
+        let record = self.record(si.keyword(), &snap.attributes);
         let mut st = self.state.lock();
         st.keywords
             .entry(si.keyword().to_ascii_lowercase())
@@ -368,7 +429,7 @@ impl SubscriptionHub {
     /// entry that produced it, holding its monitor but no lock.
     #[must_use = "drain the pushed outboxes once no lock is held"]
     pub fn notify_refresh(&self, si: &SystemInformation, snap: &Snapshot) -> Vec<Arc<Outbox>> {
-        self.notify_record(si.keyword(), self.snapshot_record(si.keyword(), snap))
+        self.notify_record(si.keyword(), self.record(si.keyword(), &snap.attributes))
     }
 
     /// Push a transition of a job `account` owns into that account's
@@ -386,9 +447,7 @@ impl SubscriptionHub {
         let Some(ch) = st.jobs.get_mut(account) else {
             return Vec::new();
         };
-        let mut rec = InfoRecord::new(JOBS_KEYWORD, &self.hostname);
-        rec.push("handle", &handle.to_string());
-        rec.push("state", &state.to_string());
+        let rec = self.record(JOBS_KEYWORD, &job_attributes(handle, state));
         let (pushed, refused) = ch.publish(rec);
         self.published(&mut st, pushed, refused)
     }
@@ -426,14 +485,13 @@ impl SubscriptionHub {
         pushed
     }
 
-    /// Convert a fresh production into the record pushed to subscribers.
-    /// It is never a stale serve, and its values carry no per-attribute
-    /// age/quality annotations (they are fresh as of the refresh;
-    /// annotating with query-time age would make every unchanged value
-    /// look changed).
-    fn snapshot_record(&self, keyword: &str, snap: &Snapshot) -> InfoRecord {
+    /// The record a fresh production is pushed as. It is never a stale
+    /// serve, and its values carry no per-attribute age/quality
+    /// annotations (they are fresh as of the refresh; annotating with
+    /// query-time age would make every unchanged value look changed).
+    fn record(&self, keyword: &str, attributes: &[(String, String)]) -> InfoRecord {
         let mut rec = InfoRecord::new(keyword, &self.hostname);
-        for (name, value) in snap.attributes.iter() {
+        for (name, value) in attributes {
             rec.push(name, value);
         }
         rec
@@ -603,7 +661,7 @@ mod tests {
             wire
         };
         let (wire, other, shouting) = (subscribe("t"), subscribe("u"), subscribe("T"));
-        assert!(h.has_subscribers("Jobs"));
+        assert!(h.watches_jobs() && !h.has_subscribers("Jobs"));
         let handle = JobHandle::new("node0.grid", 2119, 7, 1);
         drain_all(h.notify_job(&handle, JobStateCode::Active, "t"));
         drain_all(h.notify_job(&handle, JobStateCode::Done, "t"));

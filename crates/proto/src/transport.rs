@@ -130,7 +130,8 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 /// How long after accepting a connection a server waits for its
 /// handshake, from its HELLO to its authorization ack: a peer that
 /// connects and sends nothing, stops mid-frame or trickles its bytes is
-/// dropped this long after it connected.
+/// dropped this long after it connected. A TCP write waits as long for a
+/// peer that stopped reading.
 pub const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A running server: every one (GRAM gatekeeper, MDS) is an

@@ -5,11 +5,11 @@
 //! e21 benchmark run over it; the other experiments use the
 //! deterministic in-memory network.
 
-use super::{Conn, Listener, NetCounters, ProtoError, Transport};
+use super::{Conn, Listener, NetCounters, ProtoError, Transport, HANDSHAKE_DEADLINE};
 use crate::frame::{read_frame, write_frame};
 use infogram_sim::metrics::MetricSet;
-use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::io::{IoSlice, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,9 +65,9 @@ impl Transport for TcpTransport {
                 e.into()
             }
         })?;
-        stream.set_nodelay(true)?;
+        let conn = TcpConn::new(stream, &self.counters)?;
         self.counters.connections.incr();
-        Ok(Box::new(TcpConn::new(stream, &self.counters)))
+        Ok(Box::new(conn))
     }
 }
 
@@ -86,10 +86,9 @@ impl Listener for TcpListenerWrapper {
                 return Err(ProtoError::Closed);
             }
             let (stream, _peer) = accepted?;
-            if stream.set_nodelay(true).is_err() {
-                continue;
+            if let Ok(conn) = TcpConn::new(stream, &self.counters) {
+                return Ok(Box::new(conn));
             }
-            return Ok(Box::new(TcpConn::new(stream, &self.counters)));
         }
     }
 
@@ -121,44 +120,95 @@ struct TcpConn {
 }
 
 impl TcpConn {
-    fn new(stream: TcpStream, counters: &Arc<NetCounters>) -> Self {
+    /// A connection over `stream`, whose every write waits at most
+    /// [`HANDSHAKE_DEADLINE`] for a peer that stopped reading.
+    fn new(stream: TcpStream, counters: &Arc<NetCounters>) -> std::io::Result<Self> {
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(HANDSHAKE_DEADLINE))?;
         #[expect(clippy::disallowed_methods, reason = "a socket deadline is wall time")]
         let opened = Instant::now();
-        TcpConn {
+        Ok(TcpConn {
             stream,
             counters: Arc::clone(counters),
             write_lock: parking_lot::Mutex::new(()),
             opened,
             deadline: parking_lot::Mutex::new(None),
-        }
+        })
     }
 }
 
-/// A stream read before a point in time: each read waits only for what
-/// is left until then, so a peer trickling bytes cannot stretch it.
+/// A stream read or written before a point in time. Each read waits only
+/// for what is left until then, so a peer trickling bytes cannot stretch
+/// it. A frame's first write (usually its only one) keeps the socket's
+/// write timeout, [`HANDSHAKE_DEADLINE`]; a write after a partial one
+/// waits only for what is left.
 struct Until<'a> {
     stream: &'a TcpStream,
     at: Instant,
+    writes: u32,
 }
 
-impl Read for Until<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+impl Until<'_> {
+    /// What is left until `at`; an error once nothing is.
+    fn left(&self) -> std::io::Result<Duration> {
         #[expect(clippy::disallowed_methods, reason = "a socket deadline is wall time")]
         let left = self.at.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(std::io::ErrorKind::TimedOut.into());
         }
-        self.stream.set_read_timeout(Some(left))?;
+        Ok(left)
+    }
+}
+
+impl Read for Until<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
         let mut stream = self.stream;
         stream.read(buf)
     }
 }
 
+impl Write for Until<'_> {
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        if self.writes > 0 {
+            self.stream.set_write_timeout(Some(self.left()?))?;
+        }
+        self.writes += 1;
+        let mut stream = self.stream;
+        stream.write_vectored(bufs)
+    }
+
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 impl Conn for TcpConn {
+    /// A frame the peer has not taken within [`HANDSHAKE_DEADLINE`] fails,
+    /// and shuts the socket down: the frame may be half written, and a
+    /// stream cannot resume it. The error closes the outbox that sent it.
     fn send(&self, msg: &[u8]) -> Result<(), ProtoError> {
         let _guard = self.write_lock.lock();
-        let mut w = &self.stream;
-        write_frame(&mut w, msg)?;
+        #[expect(clippy::disallowed_methods, reason = "a socket deadline is wall time")]
+        let at = Instant::now() + HANDSHAKE_DEADLINE;
+        let stream = &self.stream;
+        let mut w = Until {
+            stream,
+            at,
+            writes: 0,
+        };
+        if let Err(e) = write_frame(&mut w, msg) {
+            let _ = stream.shutdown(Shutdown::Both);
+            return Err(e);
+        }
+        if w.writes > 1 {
+            // The next frame starts from the whole timeout again.
+            stream.set_write_timeout(Some(HANDSHAKE_DEADLINE))?;
+        }
         self.counters.sent(msg.len());
         Ok(())
     }
@@ -169,6 +219,7 @@ impl Conn for TcpConn {
             Some(at) => read_frame(&mut Until {
                 stream: &self.stream,
                 at,
+                writes: 0,
             }),
             None => read_frame(&mut &self.stream),
         }

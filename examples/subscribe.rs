@@ -1,8 +1,9 @@
 //! Push subscriptions: `(action=subscribe)` turns an information query
 //! into a standing one. The service streams an initial snapshot and
 //! then pushes an incremental delta whenever the refresh scheduler
-//! re-runs a provider — and, under the virtual `jobs` keyword, whenever
-//! a job changes state. No client-side polling anywhere below.
+//! re-runs a provider — and, under the `jobs` keyword, whenever one of
+//! the account's jobs changes state. No client-side polling anywhere
+//! below.
 //!
 //! ```text
 //! cargo run --example subscribe
@@ -15,8 +16,8 @@ fn main() {
     let mut client = sandbox.connect_client();
     println!("connected to InfoGram at {}\n", sandbox.addr());
 
-    // One subscription may cover several keywords; `jobs` is the
-    // virtual channel carrying job-state transitions.
+    // One subscription may cover several keywords; `jobs` carries the
+    // state transitions of this account's jobs.
     let id = client.subscribe(&["Date", "jobs"]).expect("subscribe");
     println!("subscription #{id} open on Date + jobs");
 
@@ -63,6 +64,17 @@ fn main() {
         if done {
             break;
         }
+    }
+
+    // The same records, pulled: this account's jobs, one record each.
+    let pulled = client.query_rsl("(info=jobs)").expect("pull");
+    for rec in &pulled.records {
+        let attr = |name| rec.get(name).map_or("?", |a| a.value.as_str());
+        println!(
+            "  (info=jobs): {} {}",
+            attr("jobs:handle"),
+            attr("jobs:state")
+        );
     }
 
     client.unsubscribe().expect("unsubscribe");

@@ -132,7 +132,11 @@ ORDER = [
      "access to this resource from 3 to 4 pm to user X`.",
      "The matrix binds through `gsi::accept`, the server's half of every "
      "connection; the cost table times the four `wire_*` steps it runs, "
-     "encoding and decoding both chains. The cached matrix binds real "
+     "encoding and decoding both chains, and keeps each depth's fastest of "
+     "ten interleaved rounds. A link costs more the deeper it is: a full-DN "
+     "certificate names its whole subject and issuer, which the handshake "
+     "decodes, compares and hashes, so the reported claim sets the deepest "
+     "link against the shallowest. The cached matrix binds real "
      "clients to the gatekeeper and the MDS a second time, so that each "
      "names both chains by digest."),
     ("E14", "E14 — sporadic grids (§8)",

@@ -68,3 +68,8 @@ pub use infogram_rsl as rsl;
 pub use infogram_sim as sim;
 
 pub mod quickstart;
+
+/// README.md's code blocks, compiled and run as this crate's doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -83,9 +83,9 @@ fn provider_failure_does_not_poison_the_cache() {
     let r = client.info("Memory").unwrap();
     assert_eq!(r.record_count, 1);
     // Schema reflection still covers all seven configured keywords plus
-    // the built-in Metrics: entry.
+    // the built-in Metrics: and jobs entries.
     let schema = client.query_rsl("(info=schema)").unwrap();
-    assert_eq!(schema.record_count, 8);
+    assert_eq!(schema.record_count, 9);
     sandbox.shutdown();
 }
 

@@ -395,3 +395,71 @@ fn a_metrics_query_names_no_other_accounts_job() {
     assert!(!body.contains(&contact), "{contact} in {body}");
     sandbox.shutdown();
 }
+
+#[test]
+fn a_jobs_pull_names_only_the_askers_accounts_jobs() {
+    // `(info=jobs)` answers each session its own account's jobs: another
+    // account's pull, every keyword, the last response and the schema
+    // name none of the owner's, right after the owner's own pull; an
+    // in-process answer, which has no account, names none either.
+    use infogram::core::InfoGramDispatcher;
+    use infogram::exec::gram::{ConnCtx, RequestDispatcher};
+    use infogram::info::service::QueryOptions;
+    use infogram::proto::message::{Reply, Request};
+    use infogram::proto::render::ldif;
+    use infogram::rsl::InfoSelector;
+    use std::sync::Arc;
+    let sandbox = Sandbox::start();
+    let mut owner = sandbox.connect_client();
+    let finished = owner
+        .submit("(executable=simwork)(arguments=10)", false)
+        .expect("accepted");
+    owner
+        .wait_terminal(&finished, Duration::from_millis(5), Duration::from_secs(10))
+        .expect("it ends");
+    let running = owner
+        .submit("(executable=simwork)(arguments=600000)", false)
+        .expect("accepted");
+    let handles = [finished.to_string(), running.to_string()];
+    let names_a_job = |records: &[infogram::proto::record::InfoRecord]| {
+        records.iter().any(|r| {
+            r.keyword == "jobs"
+                || (r.attributes.iter()).any(|a| handles.iter().any(|h| a.value.contains(h)))
+        })
+    };
+
+    let mine = owner.query_rsl("(info=jobs)").expect("the owner's pull");
+    assert_eq!(mine.record_count, 2);
+    assert!(names_a_job(&mine.records));
+
+    let dispatcher = InfoGramDispatcher::new(
+        Arc::clone(sandbox.service.engine()),
+        Arc::clone(sandbox.service.info_service()),
+    );
+    for rsl in [
+        "(info=jobs)",
+        "(info=all)",
+        "(response=last)(info=jobs)",
+        "(info=schema)",
+        "(info=jobs)(filter=jobs:handle)",
+    ] {
+        let request = Request::Submit {
+            rsl: rsl.to_string(),
+            callback: false,
+        };
+        let mut ctx = ConnCtx::detached();
+        let reply = dispatcher.dispatch("/O=Grid/CN=Mallory", "mallory", request, &mut ctx);
+        let Reply::InfoResult { body, .. } = reply else {
+            panic!("{rsl}: {reply:?}");
+        };
+        assert!(!names_a_job(&ldif::parse(&body)), "{rsl}: {body}");
+    }
+
+    let info = sandbox.service.info_service();
+    let selectors = [InfoSelector::Keyword("jobs".to_string()), InfoSelector::All];
+    let records = info
+        .answer(&selectors, &QueryOptions::default())
+        .expect("answers");
+    assert!(!names_a_job(&records), "{records:?}");
+    sandbox.shutdown();
+}

@@ -233,7 +233,11 @@ fn racing_first_readers_of_a_block_all_get_the_full_body() {
                     for _ in 0..ROUNDS {
                         start.wait();
                         let format = formats[t % 2];
-                        bodies.push(service.answer_body(selectors, cached, format).unwrap());
+                        bodies.push(
+                            service
+                                .answer_body(None, selectors, cached, format)
+                                .unwrap(),
+                        );
                         done.wait();
                     }
                     bodies

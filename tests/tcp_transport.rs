@@ -483,3 +483,78 @@ fn a_stalled_handshake_is_dropped_at_its_deadline() {
     );
     w.service.shutdown();
 }
+
+/// A subscriber whose peer stopped reading holds a scheduled refresh's
+/// send at most `HANDSHAKE_DEADLINE`: the write fails, the outbox closes
+/// and the subscription is evicted, and a later scheduled refresh of the
+/// watched keyword completes.
+#[test]
+fn a_peer_that_stops_reading_holds_a_scheduled_refresh_only_until_the_write_deadline() {
+    use infogram::info::{
+        DegradationFn, FnProvider, RefreshScheduler, SubscriptionHub, SystemInformation,
+    };
+    use infogram::proto::Outbox;
+    use infogram::sim::ManualClock;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+
+    let transport = TcpTransport::new();
+    let listener = transport.listen("127.0.0.1:0").unwrap();
+    // Connected, and never read from.
+    let _peer = TcpStream::connect(listener.local_addr()).unwrap();
+    let conn: Arc<dyn Conn> = Arc::from(listener.accept().unwrap());
+
+    // Every refresh changes 256 KiB of values: a few dozen fill the
+    // socket buffers between the two ends.
+    let clock = ManualClock::new();
+    let produced = AtomicU64::new(0);
+    let bulk = FnProvider::new("Bulk", move || {
+        let n = produced.fetch_add(1, Ordering::Relaxed);
+        let value = format!("{n}:{}", "x".repeat(4096));
+        Ok((0..64).map(|i| (format!("a{i}"), value.clone())).collect())
+    });
+    let ttl = Duration::from_secs(1);
+    let si = SystemInformation::new(Box::new(bulk), clock.clone(), ttl, DegradationFn::default());
+    let hub = SubscriptionHub::new("node0.grid", MetricSet::new());
+    let sched = RefreshScheduler::new(clock.clone(), MetricSet::new(), Arc::clone(&hub));
+    sched.watch(Arc::clone(&si)).unwrap();
+    hub.subscribe(&["Bulk".to_string()], "t", Outbox::new(conn, 8));
+
+    // The driver's part: tick until the subscription is gone, then once
+    // more; each tick reports how long it took.
+    let (ticked, ticks) = mpsc::channel();
+    let driver = std::thread::spawn(move || {
+        let mut after = 0;
+        while after < 2 {
+            let start = Instant::now();
+            sched.tick();
+            after += usize::from(hub.active() == 0);
+            ticked
+                .send((start.elapsed(), si.execution_count()))
+                .unwrap();
+            clock.advance(ttl);
+        }
+    });
+    let (mut longest, mut executions) = (Duration::ZERO, Vec::new());
+    loop {
+        match ticks.recv_timeout(HANDSHAKE_DEADLINE + Duration::from_secs(1)) {
+            Ok((took, executed)) => {
+                longest = longest.max(took);
+                executions.push(executed);
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("a tick is held past the deadline"),
+        }
+    }
+    driver.join().unwrap();
+    assert!(
+        longest >= HANDSHAKE_DEADLINE / 2,
+        "no send blocked: {longest:?}"
+    );
+    let n = executions.len();
+    assert_eq!(
+        executions[n - 1],
+        n as u64,
+        "every tick refreshed: {executions:?}"
+    );
+}
