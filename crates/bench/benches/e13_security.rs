@@ -109,7 +109,8 @@ fn handshake_cost() -> Vec<DepthCost> {
     );
 
     let depths = [0usize, 1, 2, 4, 8];
-    let creds: Vec<Credential> = (depths.iter())
+    let creds: Vec<Credential> = depths
+        .iter()
         .map(|&depth| {
             let mut cred: Credential = ca.issue(
                 &Dn::user("Grid", "ANL", "DeepUser"),

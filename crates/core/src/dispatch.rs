@@ -109,7 +109,10 @@ impl InfoGramDispatcher {
             // each keyword's TTL-proportional default applies.
             deadline: req.timeout,
         };
-        match (self.info).answer_body(Some(account), &req.info, &opts, req.format) {
+        match self
+            .info
+            .answer_body(Some(account), &req.info, &opts, req.format)
+        {
             Ok((body, record_count)) => Reply::InfoResult { body, record_count },
             Err(InfoServiceError::UnknownKeyword(k)) => Reply::Error {
                 code: codes::NO_SUCH_KEYWORD,

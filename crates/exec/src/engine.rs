@@ -875,7 +875,9 @@ impl JobEngine {
     /// transition that removes it is announced. Nothing is polled.
     pub fn jobs_of(&self, account: &str) -> Vec<(JobHandle, JobStateCode)> {
         let jobs = self.jobs.lock();
-        let mut found: Vec<(u64, JobStateCode)> = (jobs.entries.iter())
+        let mut found: Vec<(u64, JobStateCode)> = jobs
+            .entries
+            .iter()
             .filter(|(_, entry)| entry.principal.account() == account)
             .map(|(&id, entry)| (id, entry.state))
             .collect();
@@ -888,7 +890,8 @@ impl JobEngine {
         });
         drop(jobs);
         found.sort_unstable_by_key(|&(id, _)| id);
-        (found.into_iter())
+        found
+            .into_iter()
             .map(|(id, state)| (self.handle_for(id), state))
             .collect()
     }

@@ -364,7 +364,8 @@ impl InformationService {
     ///
     /// The selector list is first resolved against one consistent
     /// registry snapshot (so unknown keywords fail before any provider
-    /// runs; a per-account keyword is read as it resolves). Then the two §6.2 methods, in order: every keyword gets the
+    /// runs; a per-account keyword is read as it resolves). Then the two
+    /// §6.2 methods, in order: every keyword gets the
     /// non-blocking `query`, and the ones it could not serve are fanned
     /// out to the blocking `refresh` (`sim::par` runs 0 or 1 inline, more
     /// across the scoped pool). Records are gathered back in selector
@@ -414,9 +415,8 @@ impl InformationService {
     }
 
     /// Answer a selector list with the rendered reply body and its
-    /// record count — byte for byte `render` of the records `answer`
-    /// would build for `account`,
-    /// without building the records.
+    /// record count — byte for byte `render` of the records the same
+    /// request builds for `account`, without building them.
     ///
     /// A keyword's record is its head (keyword, host, the degraded
     /// annotation, and the one quality and age `answer` stamps on every

@@ -84,7 +84,7 @@ pub fn jobs_entry(
 ) -> Arc<SystemInformation> {
     let rows = move |account: &str| {
         let jobs = read(account);
-        (jobs.iter())
+        jobs.iter()
             .map(|(handle, state)| job_attributes(handle, *state))
             .collect()
     };
@@ -245,7 +245,9 @@ impl SubscriptionHub {
     pub fn has_subscribers(&self, keyword: &str) -> bool {
         let key = keyword.to_ascii_lowercase();
         let st = self.state.lock();
-        (st.keywords.get(&key)).is_some_and(|ch| !ch.subscribers.is_empty())
+        st.keywords
+            .get(&key)
+            .is_some_and(|ch| !ch.subscribers.is_empty())
     }
 
     /// Whether any live subscription watches [`JOBS_KEYWORD`], of any
