@@ -52,9 +52,7 @@ pub mod sub;
 
 pub use config::{ConfigEntry, ConfigError, ServiceConfig, TABLE1_TEXT};
 pub use entry::{BreakerState, Cause, QueryError, Snapshot, SystemInformation};
-pub use provider::{
-    AccountRows, CommandProvider, FnProvider, InfoProvider, ProviderError, RuntimeProvider,
-};
+pub use provider::{CommandProvider, FnProvider, InfoProvider, ProviderError, RuntimeProvider};
 pub use quality::DegradationFn;
 pub use sched::{RefreshScheduler, TickReport, WatchError};
 pub use service::{InfoServiceError, InformationService};
